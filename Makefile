@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race-sched fleet-smoke chaos-smoke bench bench-smoke bench-serve
+.PHONY: ci fmt vet build test race-sched fuzz-smoke fleet-smoke chaos-smoke bench bench-smoke bench-suite bench-serve
 
-ci: fmt vet build test race-sched fleet-smoke chaos-smoke bench-smoke
+ci: fmt vet build test race-sched fuzz-smoke fleet-smoke chaos-smoke bench-smoke bench-suite
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -33,6 +33,11 @@ test:
 race-sched:
 	$(GO) test -race ./internal/sched ./internal/fleet ./internal/core ./internal/model ./internal/quant ./internal/kvcache ./internal/attention ./internal/faults
 
+# fuzz-smoke runs the native fuzz target over the prefix-of-n page clone
+# (every page format, any page size and split) for ten seconds.
+fuzz-smoke:
+	$(GO) test -run XXX -fuzz FuzzClonePrefixN -fuzztime 10s ./internal/kvcache
+
 # fleet-smoke runs a tiny end-to-end multi-engine serve through servebench:
 # 2 engines, baseline router, no rate sweep or long-prompt scenario.
 fleet-smoke:
@@ -59,6 +64,15 @@ BENCH_PKGS = . ./internal/model ./internal/attention
 bench-smoke:
 	$(GO) test -run XXX -bench=. -benchtime=1x $(BENCH_PKGS)
 	$(GO) test -run 'TestQuantDecodeAllocs|TestPagedStridedQuantZeroAlloc|TestQuantStridedKernelsZeroAlloc|TestSparseDecodeAllocs|TestSparseAttentionZeroAlloc|TestForwardMixedPackedAllocFree|TestStepMixedPackedAllocFree' ./internal/model ./internal/attention ./internal/tensor ./internal/core
+
+# bench-suite covers benchmark/, the repo's performance reference
+# (BENCHMARK.json, benchmark/README.md). It is a module of its own, so the
+# root's `go test ./...` does not reach it: its tests run here, then ten
+# requests go through every workload, probe and the traced run. A change that
+# breaks one of benchmark/adapter.go's calls into the program fails here.
+bench-suite:
+	cd benchmark && $(GO) test ./...
+	bash benchmark/run.sh -smoke
 
 # bench runs the decode and attention hot-path benchmarks with allocation
 # reporting (compare BenchmarkDecodeSteady / BenchmarkDecodeSteadyBatched /

@@ -360,84 +360,134 @@ func (c *PagedKV) Len(layer, head int) int {
 // TotalAppended reports how many tokens have been appended.
 func (c *PagedKV) TotalAppended() int { return c.appended }
 
-// ClonePrefix returns a new cache that starts as an exact copy of c's
-// current contents — the paged data-plane counterpart of
-// SharingAllocator.Fork. Full pages are shared by reference, which is safe
-// because a full page is immutable (Append only ever writes the partial
-// last page or opens a new one); the partial last page is deep-copied so
-// the clone and the original can each keep appending without touching the
-// other — copy-on-write at clone time, exactly one partial page per layer.
-// Decode on the clone is therefore bit-identical to decode on a cold cache
-// prefilled with the same tokens, while the shared prefix is stored once.
-// The clone inherits the page budget.
-func (c *PagedKV) ClonePrefix() *PagedKV {
-	n := &PagedKV{
-		shape:      c.shape,
-		pageTokens: c.pageTokens,
-		maxPages:   c.maxPages,
-		keyPages:   make([][][]float32, c.shape.Layers),
-		valPages:   make([][][]float32, c.shape.Layers),
-		appended:   c.appended,
-		qbits:      c.qbits,
+// ClonePrefixN returns a new cache holding exactly c's first n tokens — the
+// paged data-plane counterpart of SharingAllocator.Fork. The n/PageTokens
+// whole pages are shared by reference, which is safe because a full page is
+// immutable (Append only ever writes the partial last page or opens a new
+// one). The remaining n%PageTokens tokens are deep-copied into a private page
+// of full capacity — whether they are c's own partial tail or the head of one
+// of its full pages — with their codes and float16 parameters when quantized
+// and their key summary folded afresh over just those tokens, so the clone and
+// the original can each keep appending without touching the other:
+// copy-on-write at clone time, at most one page per layer. Because stored
+// K/V, codes and summaries are pure functions of the appended sequence, the
+// clone is bit-identical to a cold cache that appended the same n tokens,
+// while the shared pages are stored once. The clone inherits the page budget.
+// It panics if n is outside [0, TotalAppended()].
+func (c *PagedKV) ClonePrefixN(n int) *PagedKV {
+	if n < 0 || n > c.appended {
+		panic(fmt.Sprintf("kvcache: clone of %d tokens from a cache holding %d", n, c.appended))
 	}
-	if c.qbits != 0 {
-		n.qPages = make([][]QuantPage, c.shape.Layers)
-		partial := false
-		for l := range c.qPages {
-			n.qPages[l] = cloneQuantPages(c.qPages[l], c.shape.KVHeads, c.pageTokens)
+	full, part := n/c.pageTokens, n%c.pageTokens
+	pages := PagesFor(n, c.pageTokens)
+	out := NewPagedKVQuant(c.shape, c.pageTokens, c.maxPages, c.qbits)
+	if c.summaries {
+		out.EnableKeySummaries()
+	}
+	out.appended, out.shared = n, full
+	stride := c.stride()
+	for l := 0; l < c.shape.Layers; l++ {
+		if c.qbits != 0 {
+			out.qPages[l] = make([]QuantPage, pages)
+			copy(out.qPages[l], c.qPages[l][:full])
+			if part > 0 {
+				out.qPages[l][full] = c.quantPageHead(&c.qPages[l][full], part)
+			}
+		} else {
+			out.keyPages[l] = clonePages(c.keyPages[l], full, part*stride, c.pageTokens*stride)
+			out.valPages[l] = clonePages(c.valPages[l], full, part*stride, c.pageTokens*stride)
 		}
-		if pages := len(c.qPages[0]); pages > 0 {
-			n.shared = pages
-			if c.qPages[0][pages-1].Tokens(c.shape.KVHeads) < c.pageTokens {
-				n.shared = pages - 1 // last page was deep-copied
-				partial = true
+		if c.summaries {
+			out.kSumms[l] = make([][]float32, pages)
+			copy(out.kSumms[l], c.kSumms[l][:full])
+			if part > 0 {
+				out.kSumms[l][full] = out.foldSummary(l, full)
 			}
 		}
-		c.cloneSummaries(n, partial)
-		return n
-	}
-	pageCap := c.pageTokens * c.stride()
-	partial := false
-	for l := range c.keyPages {
-		n.keyPages[l] = clonePages(c.keyPages[l], pageCap)
-		n.valPages[l] = clonePages(c.valPages[l], pageCap)
-	}
-	if pages := len(c.keyPages[0]); pages > 0 {
-		n.shared = pages
-		if len(c.keyPages[0][pages-1]) < pageCap {
-			n.shared = pages - 1 // last page was deep-copied
-			partial = true
-		}
-	}
-	c.cloneSummaries(n, partial)
-	return n
-}
-
-// cloneSummaries copies c's summary metadata onto clone n under the same
-// sharing rule as the KV pages themselves (partialTail mirrors whether the
-// last KV page was deep-copied).
-func (c *PagedKV) cloneSummaries(n *PagedKV, partialTail bool) {
-	if !c.summaries {
-		return
-	}
-	n.summaries = true
-	n.kSumms = make([][][]float32, c.shape.Layers)
-	for l := range c.kSumms {
-		n.kSumms[l] = cloneSummPages(c.kSumms[l], partialTail)
-	}
-}
-
-// clonePages shares full pages by reference and deep-copies a trailing
-// partial page, preserving its full capacity so in-place growth works.
-func clonePages(pages [][]float32, pageCap int) [][]float32 {
-	out := make([][]float32, len(pages))
-	copy(out, pages)
-	if n := len(pages); n > 0 && len(pages[n-1]) < pageCap {
-		cp := make([]float32, len(pages[n-1]), pageCap)
-		copy(cp, pages[n-1])
-		out[n-1] = cp
 	}
 	return out
+}
+
+// ClonePrefix is ClonePrefixN over everything appended so far.
+func (c *PagedKV) ClonePrefix() *PagedKV { return c.ClonePrefixN(c.appended) }
+
+// clonePages shares the first full pages by reference and, when head > 0,
+// deep-copies the first head elements of the next page into a private page
+// of full capacity so in-place growth works.
+func clonePages(pages [][]float32, full, head, pageCap int) [][]float32 {
+	out := append(make([][]float32, 0, full+1), pages[:full]...)
+	if head > 0 {
+		out = append(out, append(make([]float32, 0, pageCap), pages[full][:head]...))
+	}
+	return out
+}
+
+// Page is one page's storage across every layer, held by reference: the
+// handle a prefix cache keeps on a sealed page after the cache that filled it
+// is gone, and hands to later caches that start from it. A full page is
+// immutable, so any number of caches may adopt the same Page.
+type Page struct {
+	keys, vals [][]float32 // [layer], full-precision caches
+	quant      []QuantPage // [layer], quantized caches
+	summ       [][]float32 // [layer], when key summaries are on
+}
+
+// PageAt returns page i of every layer by reference. The handle is safe to
+// share only while nothing appends to that page: always for a full page, and
+// for the partial last page only once its cache has stopped growing.
+func (c *PagedKV) PageAt(i int) Page {
+	var p Page
+	if c.qbits != 0 {
+		p.quant = make([]QuantPage, c.shape.Layers)
+	} else {
+		p.keys = make([][]float32, c.shape.Layers)
+		p.vals = make([][]float32, c.shape.Layers)
+	}
+	if c.summaries {
+		p.summ = make([][]float32, c.shape.Layers)
+	}
+	for l := 0; l < c.shape.Layers; l++ {
+		if c.qbits != 0 {
+			p.quant[l] = c.qPages[l][i]
+		} else {
+			p.keys[l], p.vals[l] = c.keyPages[l][i], c.valPages[l][i]
+		}
+		if c.summaries {
+			p.summ[l] = c.kSumms[l][i]
+		}
+	}
+	return p
+}
+
+// AdoptPage appends p to the cache by reference, as ClonePrefixN shares a
+// full page: no K/V is copied and nothing is recomputed. Every page already
+// in the cache must be full, and p must come from a cache of the same shape,
+// page size, code width and summary setting. A partial p may be adopted only
+// last and only to be cloned (ClonePrefixN deep-copies it): appending to the
+// adopting cache would write into the shared page.
+func (c *PagedKV) AdoptPage(p Page) {
+	if c.appended%c.pageTokens != 0 {
+		panic("kvcache: AdoptPage behind a partial page")
+	}
+	if (p.quant != nil) != (c.qbits != 0) || (p.summ != nil) != c.summaries {
+		panic("kvcache: AdoptPage across page formats")
+	}
+	tokens := 0
+	for l := 0; l < c.shape.Layers; l++ {
+		if c.qbits != 0 {
+			c.qPages[l] = append(c.qPages[l], p.quant[l])
+			tokens = p.quant[l].Tokens(c.shape.KVHeads)
+		} else {
+			c.keyPages[l] = append(c.keyPages[l], p.keys[l])
+			c.valPages[l] = append(c.valPages[l], p.vals[l])
+			tokens = len(p.keys[l]) / c.stride()
+		}
+		if c.summaries {
+			c.kSumms[l] = append(c.kSumms[l], p.summ[l])
+		}
+	}
+	c.appended += tokens
+	c.shared++
 }
 
 // SharedPages returns how many of the cache's per-layer pages alias

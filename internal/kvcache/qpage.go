@@ -87,26 +87,44 @@ func (c *PagedKV) qPageForAppend(layer int) *QuantPage {
 		if c.maxPages > 0 && len(pages) >= c.maxPages {
 			panic(fmt.Errorf("%w: unreserved append past %d-page budget", ErrOutOfPages, c.maxPages))
 		}
-		// K and V carve halves of one backing array each (codes, params):
-		// page-open cost stays at the fp32 plane's two allocations per
-		// layer (plus one summary slot when key summaries are on, exactly
-		// like the fp32 plane), and the sub-slices' capacities are pinned so
-		// appends can never grow one half into the other.
-		codeCap := c.pageTokens * c.stride() * c.qbits / 8
-		paramCap := c.pageTokens * c.shape.KVHeads * 2
-		codeBuf := make([]uint8, 2*codeCap)
-		paramBuf := make([]uint16, 2*paramCap)
-		c.qPages[layer] = append(c.qPages[layer], QuantPage{
-			KCodes:  codeBuf[0:0:codeCap],
-			VCodes:  codeBuf[codeCap : codeCap : 2*codeCap],
-			KParams: paramBuf[0:0:paramCap],
-			VParams: paramBuf[paramCap : paramCap : 2*paramCap],
-		})
+		c.qPages[layer] = append(c.qPages[layer], c.newQuantPage())
 		if c.summaries {
 			c.summOpenPage(layer)
 		}
 	}
 	return &c.qPages[layer][len(c.qPages[layer])-1]
+}
+
+// newQuantPage allocates an empty quantized page of full capacity. K and V
+// carve halves of one backing array each (codes, params): page-open cost stays
+// at the fp32 plane's two allocations per layer (plus one summary slot when
+// key summaries are on, exactly like the fp32 plane), and the sub-slices'
+// capacities are pinned so appends can never grow one half into the other.
+func (c *PagedKV) newQuantPage() QuantPage {
+	codeCap := c.pageTokens * c.stride() * c.qbits / 8
+	paramCap := c.pageTokens * c.shape.KVHeads * 2
+	codeBuf := make([]uint8, 2*codeCap)
+	paramBuf := make([]uint16, 2*paramCap)
+	return QuantPage{
+		KCodes:  codeBuf[0:0:codeCap],
+		VCodes:  codeBuf[codeCap : codeCap : 2*codeCap],
+		KParams: paramBuf[0:0:paramCap],
+		VParams: paramBuf[paramCap : paramCap : 2*paramCap],
+	}
+}
+
+// quantPageHead deep-copies the first tokens tokens of p — codes and float16
+// parameters, never re-quantized — into a fresh page of full capacity, so the
+// copy can keep appending independently of p.
+func (c *PagedKV) quantPageHead(p *QuantPage, tokens int) QuantPage {
+	codes := tokens * c.stride() * c.qbits / 8
+	params := tokens * c.shape.KVHeads * 2
+	h := c.newQuantPage()
+	h.KCodes = append(h.KCodes, p.KCodes[:codes]...)
+	h.VCodes = append(h.VCodes, p.VCodes[:codes]...)
+	h.KParams = append(h.KParams, p.KParams[:params]...)
+	h.VParams = append(h.VParams, p.VParams[:params]...)
+	return h
 }
 
 // appendQuantToken quantizes one token's flat head-major K/V onto the
@@ -261,33 +279,6 @@ func (c *PagedKV) seqQuant(layer, head int) (keys, values [][]float32) {
 		}
 	}
 	return keys, values
-}
-
-// cloneQuantPages shares full quantized pages by reference — they are
-// immutable, so the clone must not (and cannot) re-quantize them — and
-// deep-copies a trailing partial page at full capacity so both caches can
-// keep appending independently.
-func cloneQuantPages(pages []QuantPage, kvHeads, pageTokens int) []QuantPage {
-	out := make([]QuantPage, len(pages))
-	copy(out, pages)
-	if n := len(pages); n > 0 && pages[n-1].Tokens(kvHeads) < pageTokens {
-		t := pages[n-1]
-		dup := func(src []uint8) []uint8 {
-			cp := make([]uint8, len(src), cap(src))
-			copy(cp, src)
-			return cp
-		}
-		cp := QuantPage{
-			KCodes:  dup(t.KCodes),
-			VCodes:  dup(t.VCodes),
-			KParams: make([]uint16, len(t.KParams), cap(t.KParams)),
-			VParams: make([]uint16, len(t.VParams), cap(t.VParams)),
-		}
-		copy(cp.KParams, t.KParams)
-		copy(cp.VParams, t.VParams)
-		out[n-1] = cp
-	}
-	return out
 }
 
 // quantPageBytes is the byte footprint of one full quantized page (K and V

@@ -1,5 +1,7 @@
 package kvcache
 
+import "rethinkkv/internal/tensor"
+
 // This file gives PagedKV per-page key metadata for Quest-style sparse
 // attention (Tang et al., 2024): every page carries, per kv-head and
 // per channel, the min and max of the keys it holds. A query can then
@@ -103,16 +105,29 @@ func summUpdateSeg(s []float32, stride, off int, x []float32, init bool) {
 	}
 }
 
-// cloneSummPages mirrors clonePages for summary metadata: sealed summaries
-// share by reference (immutable once their page is full), a partial tail's
-// summary deep-copies so both caches keep folding independently.
-func cloneSummPages(pages [][]float32, partialTail bool) [][]float32 {
-	out := make([][]float32, len(pages))
-	copy(out, pages)
-	if n := len(out); partialTail && n > 0 {
-		cp := make([]float32, len(out[n-1]))
-		copy(cp, out[n-1])
-		out[n-1] = cp
+// foldSummary computes the key summary of one of c's pages from the keys it
+// stores — for a quantized page from their dequantized values, the exact
+// floats the append-time fold saw — token by token in append order. It is the
+// fold append would have produced had only these tokens ever reached the
+// page, which is what a clone holding the head of a longer page needs.
+func (c *PagedKV) foldSummary(layer, page int) []float32 {
+	stride, d := c.stride(), c.shape.HeadDim
+	summ := make([]float32, 2*stride)
+	if c.qbits == 0 {
+		keys := c.keyPages[layer][page]
+		for t := 0; t < len(keys)/stride; t++ {
+			summUpdateSeg(summ, stride, 0, keys[t*stride:(t+1)*stride], t == 0)
+		}
+		return summ
 	}
-	return out
+	p := &c.qPages[layer][page]
+	kvh := c.shape.KVHeads
+	buf := make([]float32, d)
+	for t := 0; t < p.Tokens(kvh); t++ {
+		for h := 0; h < kvh; h++ {
+			tensor.DequantSliceInto(buf, p.KCodes, p.KParams, c.qbits, h*d, stride, kvh, h, t)
+			summUpdateSeg(summ, stride, h*d, buf, t == 0)
+		}
+	}
+	return summ
 }

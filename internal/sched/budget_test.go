@@ -151,7 +151,7 @@ func gatedEngine(t *testing.T, cfg Config) (*Engine, <-chan struct{}, func()) {
 // exactly; the short one finishes prefill first and its decode page-open
 // forces an eviction while both long prompts are still packing chunks. The
 // FCFS victim is the newest arrival — a mid-prefill prompt — which must
-// recompute from scratch on re-admission with bit-identical streams.
+// resume on re-admission with bit-identical streams.
 func TestTokenBudgetPreemptMidPrefillPacked(t *testing.T) {
 	short := []int{1, 2}
 	long1 := make([]int, 28)

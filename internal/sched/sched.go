@@ -7,8 +7,12 @@
 // model in virtual time, this engine actually serves: requests are
 // admitted from a policy-ordered queue, join and leave the running batch
 // at every decode iteration (iteration-level scheduling), stream their
-// tokens as they are produced, and are preempted — cache dropped, request
-// requeued for recompute — when the page budget runs out. Prompts prefill
+// tokens as they are produced, and are preempted — pages released, request
+// requeued for recompute — when the page budget runs out. Every page a
+// request seals is kept by reference in an engine-owned radix prefix cache
+// (prefixTree) under the same page budget, so any prompt that starts like an
+// earlier one — a shared system prompt, a follow-up turn, a preempted request
+// coming back — prefills only what the cache no longer holds. Prompts prefill
 // chunk by chunk inside the iteration loop (Sarathi/Orca-style chunked
 // prefill): each iteration fuses the running decode batch with prefill
 // chunks into a single weight-stationary pass, so a long arriving prompt
@@ -35,6 +39,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -184,14 +189,14 @@ type Config struct {
 	// injection uses it for deterministic ErrOutOfPages storms — the
 	// transient capacity exhaustion an overloaded replica reports.
 	SubmitHook func() error
-	// SharedPrefix, when non-empty, is prefilled once at engine start and
-	// reused for every request whose prompt strictly extends it: the
-	// request's cache starts as a copy-on-write page clone of the prefix
-	// cache (kvcache.PagedKV.ClonePrefix) and only the prompt tail is
-	// prefilled. This is the system-prompt workload optimisation: decode
-	// output is bit-identical to a cold prefill, only the prefix
-	// recompute is saved. The prefix's pages are charged against KVPages
-	// permanently.
+	// SharedPrefix, when non-empty, pre-warms the engine's prefix cache: it
+	// is prefilled once at engine start and its pages stay cached for the
+	// engine's lifetime, charged against KVPages permanently. The cache
+	// itself is always on — every page any request seals is kept, by
+	// reference, for as long as the page budget has room (see prefixTree) —
+	// so a pre-warmed prefix differs from a learned one only in being there
+	// before the first request and in never being evicted. Decode output is
+	// bit-identical to a cold prefill either way; only recompute is saved.
 	SharedPrefix []int
 }
 
@@ -280,14 +285,17 @@ type Stats struct {
 	Completed   int // requests finished to their token cap
 	Cancelled   int // requests retired early by their context
 	PeakRunning int // max concurrent decode streams
-	PeakPages   int // max pages in use under the budget
+	// PeakPages is the most pages ever referenced at once by live requests
+	// plus the pre-warmed prefix — what View.UsedPages peaked at. Pages the
+	// prefix cache keeps beyond that are evictable and reported separately
+	// (PrefixCacheStats).
+	PeakPages int
 	// PrefillChunks counts prompt chunks advanced through the fused plane,
 	// one per chunk — a budget-packed iteration carrying chunks from k
 	// prompts counts k. MixedSteps counts the iterations that carried at
 	// least one decode lane and at least one prefill chunk in one weight
 	// pass — the interleaving the chunked prefill design exists for.
-	// PrefillPreempted counts the preemption victims caught mid-prefill
-	// (their prompt recomputes from scratch on re-admission).
+	// PrefillPreempted counts the preemption victims caught mid-prefill.
 	PrefillChunks    int
 	MixedSteps       int
 	PrefillPreempted int
@@ -299,10 +307,13 @@ type Stats struct {
 	// per-iteration budget.
 	PackedChunks int
 	BudgetTokens int
-	// PrefixHits counts admissions served from the shared-prefix cache;
-	// PrefixTokensSaved totals the prefill tokens those hits skipped.
+	// PrefixHits counts requests whose admission found the start of their
+	// prompt in the prefix cache; PrefixTokensSaved totals the prompt tokens
+	// those hits did not prefill. A re-admission after preemption is not a
+	// second hit: what it finds still cached is RecomputeTokensSaved.
 	PrefixHits        int
 	PrefixTokensSaved int
+	PrefixCacheStats
 	// MigratedOut counts preemption victims handed off through the
 	// Config.Migrate hook instead of being requeued locally.
 	MigratedOut int
@@ -320,6 +331,23 @@ type Stats struct {
 	SparsePagesTotal    int64
 }
 
+// PrefixCacheStats reports the prefix cache's own share of the page ledger.
+// It is one struct embedded by every stats type up to the public facade, so a
+// counter added here needs no copying.
+type PrefixCacheStats struct {
+	// PrefixCachePages is the number of pages the cache holds right now:
+	// the pre-warmed prefix, pages live requests share or have sealed, and
+	// evictable pages no live request references.
+	PrefixCachePages int
+	// PrefixEvictions counts cached pages dropped, least recently released
+	// first, to make room under the page budget or the retention bound.
+	PrefixEvictions int
+	// RecomputeTokensSaved totals the tokens (prompt and already generated)
+	// that preempted requests found still cached at re-admission and so did
+	// not recompute.
+	RecomputeTokensSaved int
+}
+
 // View is a point-in-time snapshot of the engine's router-visible state —
 // the live signals a multi-engine placement policy routes on. Loop-private
 // fields (running set, page usage, prefill debt) are mirrored at the end of
@@ -332,7 +360,9 @@ type View struct {
 	// BacklogTokens is the queued-plus-running token load (prompt +
 	// predicted remaining at admission) — the same signal Backlog returns.
 	BacklogTokens float64
-	// UsedPages is the KV pages currently charged against the budget;
+	// UsedPages is the KV pages live requests reference plus the pre-warmed
+	// prefix — the part of the budget that cannot be reclaimed. Pages the
+	// prefix cache merely retains are evicted on demand and count as free.
 	// PageBudget is the configured budget (0 = unbounded) and PageTokens
 	// the page size.
 	UsedPages  int
@@ -347,7 +377,8 @@ type View struct {
 	StepSeconds float64
 }
 
-// FreePages returns the unused page budget, or -1 when unbounded.
+// FreePages returns the page budget not in use (evictable cached pages
+// included), or -1 when unbounded.
 func (v View) FreePages() int {
 	if v.PageBudget == 0 {
 		return -1
@@ -395,10 +426,19 @@ type reqState struct {
 	// cancellation; retirement calls it so completed requests do not
 	// accumulate watchers.
 	stopWatch func() bool
+	// nodes is the request's path in the prefix cache, root first: node i
+	// holds the very storage of page i of cache, for every i < len(nodes) —
+	// pages matched at admission, then pages this request sealed and cached
+	// itself. The request pins them all until it is released. sealable caps
+	// len(nodes): a sparse engine may cache only pages wholly inside the
+	// dense-prefilled span, and a request stops caching at the first page
+	// another request cached before it.
+	nodes    []*pageNode
+	sealable int
 	// pages is the request's private page charge against the engine
-	// budget: pages allocated at admission plus pages opened by decode,
-	// excluding pages shared with the prefix cache. Preemption and
-	// retirement release exactly this amount.
+	// budget: pages reserved at admission plus pages opened by decode,
+	// minus the pages on nodes. Preemption and retirement release exactly
+	// this amount.
 	pages int
 	// reserved marks a first-decode-step page charged at admission
 	// (prompt length page-aligned): admission reserves it so a freshly
@@ -406,6 +446,15 @@ type reqState struct {
 	// and its prefill wasted — by its own first step's page need. The
 	// flag is consumed by the step that opens the page.
 	reserved bool
+}
+
+// tokenAt returns the token at sequence position p, for any position whose
+// K/V the request's cache holds: the prompt, then the tokens it generated.
+func (rs *reqState) tokenAt(p int) int {
+	if p < len(rs.req.Prompt) {
+		return rs.req.Prompt[p]
+	}
+	return rs.generated[p-len(rs.req.Prompt)]
 }
 
 func (rs *reqState) remaining() int {
@@ -436,13 +485,24 @@ type Engine struct {
 	// admission, reservation, and preemption accounting uses this value.
 	pageBudget int
 
-	// prefixCache holds the prefilled SharedPrefix (nil when the feature
-	// is off); it is immutable after New and cloned per matching request.
-	prefixCache *kvcache.PagedKV
+	// tree is the prefix cache. Its pages and the running requests' private
+	// pages are one ledger under pageBudget:
+	//
+	//	charged = privatePages + tree.pages   (never above pageBudget)
+	//	used    = privatePages + tree.pinned  (what routers and PeakPages see)
+	//
+	// and the difference, the unpinned cached pages, is evicted before any
+	// admission waits or any running request is preempted. prewarmPages is
+	// the permanently pinned share (Config.SharedPrefix), fixed by New.
+	tree         *prefixTree
+	prewarmPages int
 
 	// loop-private state (touched only by the run goroutine).
-	running   []*reqState
-	usedPages int
+	running []*reqState
+	// privatePages sums reqState.pages over the running set.
+	privatePages int
+	// runBuf is scratch for one page's token run.
+	runBuf []int
 	// loopSteps counts scheduling iterations for Config.StepHook — loop-
 	// private so the hook fires without taking mu.
 	loopSteps int
@@ -490,6 +550,11 @@ type Engine struct {
 	done chan struct{}
 }
 
+// prefixCacheBytes bounds the pages the prefix cache retains beyond what live
+// requests reference when KVPages leaves the engine unbounded: 64 fp32 pages
+// at small-llama's shape with 16-token pages.
+const prefixCacheBytes = 4 << 20
+
 // New starts an engine over the model. The model's weights are shared and
 // immutable; multiple engines may run on one model. A SharedPrefix is
 // prefilled here, before the engine accepts traffic.
@@ -501,71 +566,73 @@ func New(m *model.Model, cfg Config) (*Engine, error) {
 	if start.IsZero() {
 		start = time.Now()
 	}
+	shape := m.CacheShape()
 	e := &Engine{
-		m:      m,
-		pool:   core.NewWorkspacePool(m),
-		cfg:    cfg,
-		start:  start,
-		sparse: m.SparseTopK() > 0,
-		pageBudget: kvcache.ScaledPageBudget(
-			cfg.KVPages, m.CacheShape(), cfg.PageTokens, cfg.KVQuantBits),
-		wake: make(chan struct{}, 1),
-		done: make(chan struct{}),
+		m:          m,
+		pool:       core.NewWorkspacePool(m),
+		cfg:        cfg,
+		start:      start,
+		sparse:     m.SparseTopK() > 0,
+		pageBudget: kvcache.ScaledPageBudget(cfg.KVPages, shape, cfg.PageTokens, cfg.KVQuantBits),
+		wake:       make(chan struct{}, 1),
+		done:       make(chan struct{}),
 	}
-	if n := len(cfg.SharedPrefix); n > 0 {
-		prefixPages := kvcache.PagesFor(n, cfg.PageTokens)
-		if e.pageBudget > 0 && prefixPages >= e.pageBudget {
-			return nil, fmt.Errorf("%w: shared prefix needs %d pages, budget %d leaves no room for requests",
-				kvcache.ErrOutOfPages, prefixPages, e.pageBudget)
-		}
-		cache := kvcache.NewPagedKVQuant(m.CacheShape(), cfg.PageTokens, e.pageBudget, cfg.KVQuantBits)
-		if e.sparse {
-			// Clones inherit the summaries, so every prefix-hit request
-			// cache can serve sparse decode.
-			cache.EnableKeySummaries()
-		}
+	idleCap := math.MaxInt // a page budget is its own bound
+	if e.pageBudget == 0 {
+		fp32Pages := prefixCacheBytes * 8 / (kvcache.PageBitsFP32(shape, cfg.PageTokens) * int64(shape.Layers))
+		idleCap = kvcache.ScaledPageBudget(int(fp32Pages), shape, cfg.PageTokens, cfg.KVQuantBits)
+	}
+	e.tree = newPrefixTree(cfg.PageTokens, idleCap)
+	if len(cfg.SharedPrefix) > 0 {
 		// Construction-time prefill has no decode traffic to interleave
 		// with, but the chunk plane's batched GEMMs still finish a long
 		// prefix several times faster than token-at-a-time ForwardInto —
 		// and warm the pooled batch workspace the loop will reuse.
+		cache := e.newCache()
 		sb := e.pool.GetBatch()
 		e.m.PrefillChunkInto(sb.Batch(), cfg.SharedPrefix, cfg.PrefillChunk, cache)
 		e.pool.PutBatch(sb)
-		e.prefixCache = cache
-		e.usedPages = prefixPages
-		e.viewUsedPages = prefixPages
-		e.stats.PeakPages = prefixPages
+		// Every page goes in pinned for good, the partial last one too: the
+		// cache is dropped here, so nothing will ever append to it.
+		var parent *pageNode
+		for i := 0; i < cache.Pages(); i++ {
+			run := cfg.SharedPrefix[i*cfg.PageTokens : min(len(cfg.SharedPrefix), (i+1)*cfg.PageTokens)]
+			parent = e.tree.insert(parent, run, cache.PageAt(i))
+			parent.permanent = true
+		}
+		e.prewarmPages = e.tree.pinned
+		if e.pageBudget > 0 && e.prewarmPages >= e.pageBudget {
+			return nil, fmt.Errorf("%w: shared prefix needs %d pages, budget %d leaves no room for requests",
+				kvcache.ErrOutOfPages, e.prewarmPages, e.pageBudget)
+		}
+		e.viewUsedPages = e.prewarmPages
+		e.stats.PeakPages = e.prewarmPages
 	}
 	go e.loop()
 	return e, nil
 }
 
-// prefixLen returns the shared-prefix length a prompt can reuse: the full
-// configured prefix when the prompt strictly extends it, else 0. The
-// prompt must be strictly longer because the last prompt token's logits
-// (not cached) decide the first output.
-func (e *Engine) prefixLen(prompt []int) int {
-	n := len(e.cfg.SharedPrefix)
-	if e.prefixCache == nil || len(prompt) <= n {
-		return 0
+// newCache returns an empty request cache in the engine's page format.
+func (e *Engine) newCache() *kvcache.PagedKV {
+	cache := kvcache.NewPagedKVQuant(e.m.CacheShape(), e.cfg.PageTokens, e.pageBudget, e.cfg.KVQuantBits)
+	if e.sparse {
+		cache.EnableKeySummaries()
 	}
-	for i, tok := range e.cfg.SharedPrefix {
-		if prompt[i] != tok {
-			return 0
-		}
-	}
-	return n
+	return cache
 }
 
-// privatePages returns the page charge a prompt of the given total length
-// pays beyond what it shares with the prefix cache.
-func (e *Engine) privatePages(promptLen, prefixLen int) int {
-	pages := kvcache.PagesFor(promptLen, e.cfg.PageTokens)
-	if prefixLen > 0 {
-		pages -= prefixLen / e.cfg.PageTokens // full pages are shared
-	}
-	return pages
-}
+// matchLimit returns how many leading tokens of an n-token prompt a cached
+// prefix may stand in for. The last token is always left to prefill, because
+// its logits (not cached) decide the first output. Under sparse attention the
+// match also stops short of the replay tail: those tokens' K/V came out of
+// sparse decode steps and must be rebuilt by them, while the cache holds only
+// what dense prefill wrote.
+func matchLimit(n, replay int) int { return min(n-1, n-replay) }
+
+// usedPages is the pages live requests reference plus the pre-warm;
+// chargedPages adds the evictable cached pages. See Engine.tree.
+func (e *Engine) usedPages() int    { return e.privatePages + e.tree.pinned }
+func (e *Engine) chargedPages() int { return e.privatePages + e.tree.pages }
 
 // Config returns the engine's normalized configuration.
 func (e *Engine) Config() Config { return e.cfg }
@@ -597,12 +664,16 @@ func (e *Engine) Submit(ctx context.Context, req Request) (<-chan Token, error) 
 		return nil, fmt.Errorf("sched: replay %d out of range for prompt of %d", req.Replay, len(req.Prompt))
 	}
 	if e.pageBudget > 0 {
-		budget := e.pageBudget
-		if e.prefixCache != nil {
-			budget -= kvcache.PagesFor(len(e.cfg.SharedPrefix), e.cfg.PageTokens)
+		// Running alone, with the cache as cold as it can get: only pages of
+		// the pre-warmed prefix are certain to be there at admission.
+		need := kvcache.PagesFor(len(req.Prompt)+req.MaxNew, e.cfg.PageTokens)
+		if e.prewarmPages > 0 {
+			e.mu.Lock()
+			warm, _, _ := e.tree.match(req.Prompt, matchLimit(len(req.Prompt), req.Replay), true, nil)
+			e.mu.Unlock()
+			need -= len(warm)
 		}
-		need := e.privatePages(len(req.Prompt)+req.MaxNew, e.prefixLen(req.Prompt))
-		if need > budget {
+		if budget := e.pageBudget - e.prewarmPages; need > budget {
 			return nil, fmt.Errorf("%w: request needs %d pages, budget %d", kvcache.ErrOutOfPages, need, budget)
 		}
 	}
@@ -751,7 +822,9 @@ func (e *Engine) Outcomes() []serving.Outcome {
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.stats
+	st := e.stats
+	st.PrefixCachePages, st.PrefixEvictions = e.tree.pages, e.tree.evictions
+	return st
 }
 
 // Backlog returns the queued-plus-running token load (prompt + predicted
@@ -791,7 +864,7 @@ func (e *Engine) syncViewLocked() {
 	}
 	e.viewPrefill = pf
 	e.viewRunning = len(e.running)
-	e.viewUsedPages = e.usedPages
+	e.viewUsedPages = e.usedPages()
 }
 
 // loop is the scheduler: admit, form the iteration batch, preempt under
@@ -886,15 +959,10 @@ func (e *Engine) fail(err error) {
 	}
 	e.queue = nil
 	for _, rs := range e.running {
-		rs.sess, rs.cache = nil, nil
+		e.releaseLocked(rs)
 		e.failStreamLocked(rs, err)
 	}
 	e.running = nil
-	e.usedPages = 0
-	if e.prefixCache != nil {
-		e.usedPages = kvcache.PagesFor(len(e.cfg.SharedPrefix), e.cfg.PageTokens)
-	}
-	e.runningLoad = 0
 	e.syncViewLocked()
 	for _, w := range e.waiters {
 		close(w)
@@ -921,10 +989,13 @@ func (e *Engine) failStreamLocked(rs *reqState, err error) {
 
 // admitLocked moves queued requests into the running set, policy-ordered,
 // while batch slots and prompt pages are available. Admission only
-// allocates: it builds the request's cache (cold, or a copy-on-write clone
-// of the shared prefix) and reserves its prompt pages. No forward pass runs
-// under the lock — the prompt prefills chunk by chunk inside the iteration
-// loop, interleaved with running decodes (stepOnce).
+// allocates: it looks the prompt up in the prefix cache, builds the request's
+// cache from the longest match (whole pages by reference, the rest of the
+// match copied into the private tail page) and reserves the pages the
+// remainder needs, evicting unpinned cached pages to make room. No forward
+// pass runs under the lock — what the cache did not cover prefills chunk by
+// chunk inside the iteration loop, interleaved with running decodes
+// (stepOnce).
 func (e *Engine) admitLocked() {
 	// Reap cancelled and deadline-expired queued requests first: their
 	// streams must close even when admission is blocked on batch slots or
@@ -970,26 +1041,28 @@ func (e *Engine) admitLocked() {
 			prompt = append(prompt, rs.req.Prompt...)
 			prompt = append(prompt, rs.generated...)
 		}
-		pl := e.prefixLen(prompt)
+		// Decode-produced prompt tokens (from a migration handoff plus any
+		// locally emitted before this preemption) re-advance through sparse
+		// decode steps, not dense prefill — see Request.Replay.
 		replay := 0
 		if e.sparse {
 			replay = rs.req.Replay + len(rs.generated)
-			if pl > len(prompt)-replay {
-				// The prefix clone would stand in for decode-produced
-				// tokens (possible when emitted tokens happen to match the
-				// prefix continuation), but their KV must come from sparse
-				// decode replay, not dense prefix prefill. Rebuild cold.
-				pl = 0
-			}
 		}
-		need := e.privatePages(len(prompt), pl)
-		if len(prompt)%e.cfg.PageTokens == 0 {
+		pt := e.cfg.PageTokens
+		path, tail, extra := e.tree.match(prompt, matchLimit(len(prompt), replay), false, rs.nodes[:0])
+		// Pinned before anything is evicted; from here the matched pages
+		// count as used, so the check below asks whether the request fits
+		// once every unpinned page is gone.
+		e.tree.pin(path)
+		need := kvcache.PagesFor(len(prompt), pt) - len(path)
+		if len(prompt)%pt == 0 {
 			// The first decode step would open a page immediately;
 			// reserve it now so admission cannot thrash (admit, prefill,
 			// evict on the very next step, repeat).
 			need++
 		}
-		if e.pageBudget > 0 && e.usedPages+need > e.pageBudget {
+		if e.pageBudget > 0 && e.usedPages()+need > e.pageBudget {
+			e.tree.unpin(path)
 			break // head request waits for pages; keep order
 		}
 		e.queue = append(e.queue[:i], e.queue[i+1:]...)
@@ -997,50 +1070,102 @@ func (e *Engine) admitLocked() {
 		if rs.start < 0 {
 			rs.start = e.now()
 		}
-		var cache *kvcache.PagedKV
-		var err error
-		if pl > 0 {
-			// Prefix hit: start from a copy-on-write clone of the shared
-			// prefix; only the tail needs prefilling — bit-identical to a
-			// cold prefill, minus the recompute.
-			cache = e.prefixCache.ClonePrefix()
-			if err = cache.Reserve(len(prompt) - pl); err == nil {
-				e.stats.PrefixHits++
-				e.stats.PrefixTokensSaved += pl
-			}
-		} else {
-			cache = kvcache.NewPagedKVQuant(e.m.CacheShape(), e.cfg.PageTokens, e.pageBudget, e.cfg.KVQuantBits)
-			if e.sparse {
-				cache.EnableKeySummaries()
-			}
-			err = cache.Reserve(len(prompt))
+		cache := e.newCache()
+		for _, n := range path {
+			cache.AdoptPage(n.page)
 		}
-		if err != nil {
+		matched := len(path) * pt
+		if extra > 0 {
+			// The match ends inside a cached page: take the page by
+			// reference, then clone with its first extra tokens deep-copied
+			// into what becomes this request's private tail page.
+			matched += extra
+			cache.AdoptPage(tail.page)
+			cache = cache.ClonePrefixN(matched)
+		}
+		for e.pageBudget > 0 && e.chargedPages()+need > e.pageBudget {
+			e.tree.evict() // an unpinned page exists: used+need fits, charged+need does not
+		}
+		if err := cache.Reserve(len(prompt) - matched); err != nil {
 			// Cannot happen for a validated request; retire defensively.
+			e.tree.unpin(path)
 			e.retireLocked(rs, dispCancelled)
 			continue
 		}
+		// Bit-identical to a cold prefill, minus the recompute.
+		switch {
+		case matched == 0:
+		case rs.preempts == 0:
+			e.stats.PrefixHits++
+			e.stats.PrefixTokensSaved += matched
+		default:
+			e.stats.RecomputeTokensSaved += matched
+		}
 		rs.sess, rs.cache = nil, cache
-		rs.prompt, rs.prefilled = prompt, pl
-		// Decode-produced prompt tokens (from a migration handoff plus any
-		// locally emitted before this preemption) re-advance through sparse
-		// decode steps, not dense prefill — see Request.Replay.
+		rs.prompt, rs.prefilled = prompt, matched
 		rs.replay = replay
+		rs.nodes, rs.sealable = path, math.MaxInt
+		if e.sparse {
+			rs.sealable = (len(prompt) - replay) / pt
+		}
 		rs.pages = need
-		rs.reserved = len(prompt)%e.cfg.PageTokens == 0
+		rs.reserved = len(prompt)%pt == 0
 		rs.load = float64(len(rs.req.Prompt) + rs.remaining())
 		e.runningLoad += rs.load
-		e.usedPages += need
+		e.privatePages += need
 		e.running = append(e.running, rs)
 		e.stats.Admitted++
 		if len(e.running) > e.stats.PeakRunning {
 			e.stats.PeakRunning = len(e.running)
 		}
-		if e.usedPages > e.stats.PeakPages {
-			e.stats.PeakPages = e.usedPages
+		if used := e.usedPages(); used > e.stats.PeakPages {
+			e.stats.PeakPages = used
 		}
 	}
 	e.syncViewLocked()
+}
+
+// sealLocked moves the pages rs has filled since it last looked into the
+// prefix cache: each becomes a tree node holding the page by reference,
+// pinned by rs, and stops counting as private. The caller holds mu.
+func (e *Engine) sealLocked(rs *reqState) {
+	pt := e.cfg.PageTokens
+	for i := len(rs.nodes); i < rs.sealable && (i+1)*pt <= rs.cache.TotalAppended(); i++ {
+		e.runBuf = e.runBuf[:0]
+		for p := i * pt; p < (i+1)*pt; p++ {
+			e.runBuf = append(e.runBuf, rs.tokenAt(p))
+		}
+		var parent *pageNode
+		if i > 0 {
+			parent = rs.nodes[i-1]
+		}
+		n := e.tree.insert(parent, e.runBuf, rs.cache.PageAt(i))
+		if n == nil {
+			// A request that ran alongside cached the same run first. This
+			// copy stays private, and so does everything behind it: the
+			// path below belongs to pages rs does not hold.
+			rs.sealable = i
+			return
+		}
+		rs.nodes = append(rs.nodes, n)
+		rs.pages--
+		e.privatePages--
+	}
+}
+
+// releaseLocked returns everything a running request holds to the ledger:
+// its private pages are freed and its path unpinned — the pages stay cached,
+// evictable, so a preempted request re-admitted soon resumes from whatever
+// prefix survived. The caller holds mu and removes rs from the running set.
+func (e *Engine) releaseLocked(rs *reqState) {
+	e.privatePages -= rs.pages
+	rs.pages = 0
+	e.tree.unpin(rs.nodes)
+	clear(rs.nodes)
+	rs.nodes = rs.nodes[:0]
+	rs.sess, rs.cache = nil, nil
+	e.runningLoad -= rs.load
+	rs.load = 0
 }
 
 // pickLocked returns the queue index to admit next under the policy.
@@ -1065,9 +1190,12 @@ func (e *Engine) pickLocked() int {
 }
 
 // preemptForStep ensures the pages this iteration will open fit the
-// budget, evicting victims back to the queue (recompute on re-admission)
-// until they do. The submit-time invariant guarantees a lone request
-// always fits, so the loop terminates with at least one runner.
+// budget. Unpinned cached pages go first, least recently released first;
+// only when none is left are victims evicted back to the queue (their pages
+// stay cached, unpinned, so the next pass of this loop takes just what the
+// step needs and a re-admission resumes from the prefix that survived). The
+// submit-time invariant guarantees a lone request always fits, so the loop
+// terminates with at least one runner.
 func (e *Engine) preemptForStep() {
 	if e.pageBudget == 0 {
 		return
@@ -1082,19 +1210,27 @@ func (e *Engine) preemptForStep() {
 				needs++
 			}
 		}
-		if e.usedPages+needs <= e.pageBudget || len(e.running) <= 1 {
+		over := e.chargedPages() + needs - e.pageBudget
+		if over <= 0 {
+			return
+		}
+		if e.tree.pages > e.tree.pinned {
+			e.mu.Lock()
+			for ; over > 0 && e.tree.evict(); over-- {
+			}
+			e.mu.Unlock()
+			continue
+		}
+		if len(e.running) <= 1 {
 			return
 		}
 		v := e.victim()
 		rs := e.running[v]
 		e.running = append(e.running[:v], e.running[v+1:]...)
-		e.usedPages -= rs.pages
-		rs.pages = 0
-		// A victim caught mid-prefill recomputes from scratch on
-		// re-admission, exactly like a preempted decoder: the cache is
-		// dropped and admission rebuilds prompt+generated.
 		midPrefill := rs.sess == nil
-		rs.sess, rs.cache = nil, nil
+		e.mu.Lock()
+		e.releaseLocked(rs)
+		e.mu.Unlock()
 		rs.prompt, rs.prefilled = nil, 0
 		rs.preempts++
 		// Offer the victim to the migration hook before requeueing it
@@ -1107,8 +1243,6 @@ func (e *Engine) preemptForStep() {
 		if midPrefill {
 			e.stats.PrefillPreempted++
 		}
-		e.runningLoad -= rs.load
-		rs.load = 0
 		if migrated {
 			e.stats.MigratedOut++
 			e.retireMigratedLocked(rs)
@@ -1150,12 +1284,8 @@ func (e *Engine) reapCancelled() {
 	reaped := false
 	for _, rs := range e.running {
 		if rs.ctx.Err() != nil {
-			e.usedPages -= rs.pages
-			rs.pages = 0
-			rs.sess, rs.cache = nil, nil
 			e.mu.Lock()
-			e.runningLoad -= rs.load
-			rs.load = 0
+			e.releaseLocked(rs)
 			e.retireLocked(rs, dispCancelled)
 			e.mu.Unlock()
 			reaped = true
@@ -1216,14 +1346,14 @@ func (e *Engine) stepOnce() {
 				rs.reserved = false
 				continue
 			}
-			e.usedPages++
+			e.privatePages++
 			rs.pages++
 		}
 	}
 	// Snapshot the page peak here (it only grows in this loop) and fold it
 	// into the post-step critical section below: one lock round-trip per
 	// iteration instead of a mid-loop lock just for PeakPages.
-	peakPages := e.usedPages
+	peakPages := e.usedPages()
 
 	// Pack this iteration's prefill chunks, oldest admission first. With a
 	// TokenBudget the pass carries chunks from every mid-prefill request
@@ -1321,6 +1451,11 @@ func (e *Engine) stepOnce() {
 		e.stats.MixedSteps++
 	}
 	e.stats.BudgetTokens += len(e.stepReqs) + chunkToks
+	// Pages this pass filled go into the prefix cache before anything
+	// retires, so a request's last page outlives it.
+	for _, rs := range e.chunkReqs {
+		e.sealLocked(rs)
+	}
 	retired := false
 	for i, rs := range e.stepReqs {
 		if rs.replay > 0 {
@@ -1347,12 +1482,9 @@ func (e *Engine) stepOnce() {
 		// per-stream budget argument — are all guarded selects
 		// (failStreamLocked, the deadline-shed path in admitLocked).
 		rs.ch <- Token{ID: toks[i], Pos: len(rs.req.Prompt) + len(rs.generated) - 1}
+		e.sealLocked(rs)
 		if len(rs.generated) >= rs.req.MaxNew {
-			e.usedPages -= rs.pages
-			rs.pages = 0
-			rs.sess, rs.cache = nil, nil
-			e.runningLoad -= rs.load
-			rs.load = 0
+			e.releaseLocked(rs)
 			e.retireLocked(rs, dispCompleted)
 			rs.retired = true
 			retired = true
@@ -1489,15 +1621,10 @@ func (e *Engine) failLocked() {
 			rs.stopWatch()
 		}
 		close(rs.ch)
-		rs.sess, rs.cache = nil, nil
+		e.releaseLocked(rs)
 		e.pending--
 	}
 	e.running = nil
-	e.usedPages = 0
-	if e.prefixCache != nil {
-		e.usedPages = kvcache.PagesFor(len(e.cfg.SharedPrefix), e.cfg.PageTokens)
-	}
-	e.runningLoad = 0
 	e.syncViewLocked()
 	for _, w := range e.waiters {
 		close(w)

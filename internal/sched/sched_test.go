@@ -327,16 +327,24 @@ func TestSharedPrefixBitIdentical(t *testing.T) {
 		if cfg.KVPages > 0 && st.PeakPages > cfg.KVPages {
 			t.Fatalf("PeakPages %d exceeded budget %d", st.PeakPages, cfg.KVPages)
 		}
+		// Nothing is preempted without a budget, so every admission is a
+		// first one, and each takes the pre-warmed prefix whole, partial last
+		// page included — no more, since the suffixes share nothing.
+		if cfg.KVPages == 0 && (st.PrefixHits != len(prompts) || st.PrefixTokensSaved != len(prompts)*len(prefix)) {
+			t.Fatalf("%d hits saved %d tokens, want %d saving exactly %d each", st.PrefixHits, st.PrefixTokensSaved, len(prompts), len(prefix))
+		}
 	}
 }
 
-// A prompt that does not extend the prefix must still be served (cold).
+// A prompt that does not start with the prefix must still be served (cold),
+// and one that stops inside it reuses what it can: every token but its last,
+// whose logits decide the first output and are not cached.
 func TestSharedPrefixMissFallsBack(t *testing.T) {
 	prefix := []int{5, 6, 7, 8}
 	prompts := [][]int{
-		append(append([]int(nil), prefix...), 9), // hit
+		append(append([]int(nil), prefix...), 9), // hit: the whole prefix
 		{1, 2, 3},                                // miss
-		append([]int(nil), prefix...),            // equal length: miss by contract
+		append([]int(nil), prefix...),            // equal length: hit on all but the last token
 	}
 	const maxNew = 8
 	want := sequentialReference(t, prompts, maxNew)
@@ -348,8 +356,8 @@ func TestSharedPrefixMissFallsBack(t *testing.T) {
 			}
 		}
 	}
-	if st := e.Stats(); st.PrefixHits != 1 {
-		t.Fatalf("PrefixHits = %d, want 1", st.PrefixHits)
+	if st := e.Stats(); st.PrefixHits != 2 || st.PrefixTokensSaved != len(prefix)+len(prefix)-1 {
+		t.Fatalf("PrefixHits = %d saving %d tokens, want 2 saving %d", st.PrefixHits, st.PrefixTokensSaved, 2*len(prefix)-1)
 	}
 }
 

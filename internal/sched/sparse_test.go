@@ -255,3 +255,56 @@ func TestSparseSharedPrefixBitIdentical(t *testing.T) {
 		t.Fatal("no sparse selections over prefix clones")
 	}
 }
+
+// TestSparseCacheHoldsOnlyDensePrefill pins the two sparse guards of the
+// prefix cache on a chat-shaped exchange. Under sparse attention a token's
+// K/V depends on whether dense prefill or a sparse decode step produced it,
+// so (1) a sparse engine caches only pages wholly inside a request's
+// dense-prefilled span — a follow-up turn that repeats the first turn's reply
+// must not inherit the reply's decode-written pages, since its own cold run
+// dense-prefills them — and (2) a match never reaches into a request's replay
+// tail — a migration handoff whose decode-produced tokens happen to be cached
+// as someone else's prompt still replays them through sparse decode.
+func TestSparseCacheHoldsOnlyDensePrefill(t *testing.T) {
+	const maxNew, topK, pageTokens, handed = 12, 2, 4, 5
+	first := longPrompts()[1] // 22 tokens: five whole pages and two tokens of a sixth
+	reply := sparseReference(t, [][]int{first}, maxNew, topK, pageTokens, 0)[0]
+	followUp := append(append(append([]int(nil), first...), reply...), 401, 402, 403)
+	wantFollowUp := sparseReference(t, [][]int{followUp}, maxNew, topK, pageTokens, 0)[0]
+
+	m := model.New(model.Tiny(), seed)
+	m.SetSparseTopK(topK)
+	e, err := New(m, Config{MaxBatch: 1, PageTokens: pageTokens})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	serve := func(what string, req Request, want []int, wantSaved int) {
+		t.Helper()
+		before := e.Stats().PrefixTokensSaved
+		ch, err := e.Submit(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		got := collect(t, ch)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d tokens, want %d", what, len(got), len(want))
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("%s token %d: %d != cold sparse %d", what, j, got[j], want[j])
+			}
+		}
+		if saved := e.Stats().PrefixTokensSaved - before; saved != wantSaved {
+			t.Fatalf("%s: %d prompt tokens taken from the cache, want %d", what, saved, wantSaved)
+		}
+	}
+	serve("first turn", Request{ID: 0, Prompt: first, MaxNew: maxNew, Arrival: -1}, reply, 0)
+	// Only the first turn's five dense pages are there to be found.
+	serve("follow-up turn", Request{ID: 1, Prompt: followUp, MaxNew: maxNew, Arrival: -1}, wantFollowUp, 20)
+	// The follow-up's prompt was all dense prefill, so its pages now cover
+	// the first turn's reply too — as dense K/V. The handoff may take the 22
+	// tokens before its replay tail, no more.
+	handoff := append(append([]int(nil), first...), reply[:handed]...)
+	serve("handoff", Request{ID: 2, Prompt: handoff, MaxNew: maxNew - handed, Replay: handed, Arrival: -1}, reply[handed:], len(first))
+}

@@ -178,17 +178,20 @@ func WithKVQuant(method string) Option { return func(c *config) { c.kvQuant = me
 // long-context decode speed. Composes with WithKVQuant — summaries fold over
 // dequantized codes, so the criticality bound covers exactly what the fused
 // kernels stream. Serving stays deterministic: preemption recompute,
-// WithSharedPrefix clones, and cross-engine migration replay decode-produced
+// prefix-cache hits, and cross-engine migration replay decode-produced
 // tokens through the same sparse steps and reproduce streams bit-exactly.
 // topK 0 (the default) disables sparsity. Applies to NewServer, NewFleet,
 // and Cluster.ServeTrace under WithRealEngine.
 func WithSparseAttention(topK int) Option { return func(c *config) { c.sparseTopK = topK } }
 
-// WithSharedPrefix installs a shared prompt prefix (e.g. a system prompt)
-// the server prefills once and reuses — via copy-on-write KV page clones —
-// for every request whose prompt strictly extends it. Decode output is
-// bit-identical to cold prefill; only the prefix recompute is saved. The
-// slice is copied.
+// WithSharedPrefix pre-warms the prefix cache with a prompt prefix (e.g. a
+// system prompt): the server prefills it once at start and keeps its KV
+// pages cached for good. The cache itself is always on — every engine keeps
+// the pages its requests seal, by reference, while its KV budget has room,
+// and a request prefills only the part of its prompt the cache does not
+// hold — so this option only guarantees the prefix is there before the first
+// request and is never evicted. Decode output is bit-identical to cold
+// prefill; only recompute is saved. The slice is copied.
 func WithSharedPrefix(tokens []int) Option {
 	return func(c *config) { c.sharedPrefix = append([]int(nil), tokens...) }
 }

@@ -61,6 +61,10 @@ type ServeRequest struct {
 	Deadline time.Duration
 }
 
+// PrefixCacheStats is the prefix cache's share of the page ledger, embedded
+// unchanged from the scheduler up through ServerStats and FleetStats.
+type PrefixCacheStats = sched.PrefixCacheStats
+
 // ServerStats is a snapshot of the scheduler's lifetime counters.
 type ServerStats struct {
 	// Steps counts scheduling iterations (every prefill-complete request
@@ -80,7 +84,9 @@ type ServerStats struct {
 	Shed int
 	// PeakRunning is the largest concurrent decode batch formed.
 	PeakRunning int
-	// PeakKVPages is the most KV pages simultaneously in use.
+	// PeakKVPages is the most KV pages simultaneously referenced by live
+	// requests plus the pre-warmed prefix; evictable cached pages are not
+	// in use and not counted.
 	PeakKVPages int
 	// PrefillChunks counts prompt chunks advanced through the fused plane
 	// (see WithPrefillChunk), one per chunk — a budget-packed iteration
@@ -98,10 +104,16 @@ type ServerStats struct {
 	// prefill chunk tokens), the utilisation numerator for the budget.
 	PackedChunks int
 	BudgetTokens int
-	// PrefixHits counts admissions served from the WithSharedPrefix
-	// cache; PrefixTokensSaved totals the prefill tokens they skipped.
+	// PrefixHits counts requests whose admission found the start of their
+	// prompt in the engine's prefix cache — pre-warmed by WithSharedPrefix
+	// or learned from earlier requests; PrefixTokensSaved totals the prompt
+	// tokens they did not prefill.
 	PrefixHits        int
 	PrefixTokensSaved int
+	// PrefixCacheStats reports the prefix cache's share of the KV pages —
+	// PrefixCachePages held right now, PrefixEvictions so far — and
+	// RecomputeTokensSaved, what preempted requests found still cached.
+	PrefixCacheStats
 	// MigratedOut counts preemption victims handed to another engine
 	// instead of re-queued locally. Always 0 on a standalone Server; a
 	// Fleet reports it per engine (see FleetStats).
@@ -135,6 +147,7 @@ func serverStatsFrom(st sched.Stats) ServerStats {
 		BudgetTokens:        st.BudgetTokens,
 		PrefixHits:          st.PrefixHits,
 		PrefixTokensSaved:   st.PrefixTokensSaved,
+		PrefixCacheStats:    st.PrefixCacheStats,
 		MigratedOut:         st.MigratedOut,
 		SparsePagesSelected: st.SparsePagesSelected,
 		SparsePagesTotal:    st.SparsePagesTotal,
