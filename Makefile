@@ -19,17 +19,18 @@ test:
 
 # The continuous-batching scheduler, the multi-engine fleet pool over it
 # (router placement, migration hook, per-flight forwarder goroutines), and
-# the fused batched step plane underneath (sched -> core.StepMixedInto ->
-# model.ForwardMixedInto, whose sharded GEMMs and chunk attention spawn
-# goroutines at GOMAXPROCS>1) are the concurrency-heavy packages; run them —
-# including the interleaved prefill+decode tests — under the race detector
-# in CI. internal/quant and internal/kvcache ride along since quantized
-# pages (append-time encode, fused dequant reads, CoW clones) now sit on
-# the same concurrent decode plane, and internal/attention because the
-# sparse page-selection kernels (criticality scoring over the key summaries)
-# run inside the sharded decode step. internal/faults joins for the
-# fault-injection hooks (panic isolation, submit storms) exercised by the
-# failover and deadline-shedding tests in sched and fleet.
+# the fused step plane underneath (sched -> core.StepMixedStatsInto ->
+# model.ForwardMixedInto, whose sharded GEMMs and lane/chunk attention spawn
+# goroutines at GOMAXPROCS>1, for every batch size including one) are the
+# concurrency-heavy packages; run them — including the interleaved
+# prefill+decode tests — under the race detector in CI. internal/quant and
+# internal/kvcache ride along since quantized pages (append-time encode,
+# dequantize-on-read page walk, CoW clones) sit on the same concurrent decode
+# plane, and internal/attention because its page-selection pair (criticality
+# scoring over the key summaries, SelectTopPages) runs inside the sharded
+# decode step. internal/faults joins for the fault-injection hooks (panic
+# isolation, submit storms) exercised by the failover and deadline-shedding
+# tests in sched and fleet.
 race-sched:
 	$(GO) test -race ./internal/sched ./internal/fleet ./internal/core ./internal/model ./internal/quant ./internal/kvcache ./internal/attention ./internal/faults
 
@@ -54,16 +55,27 @@ chaos-smoke:
 
 BENCH_PKGS = . ./internal/model ./internal/attention
 
-# bench-smoke compiles and single-steps every benchmark (including the
-# quantized-decode cases BenchmarkDecodeSteadyQuant / the PagedStridedQuant
-# benches, and the sparse-attention cases BenchmarkDecodeSteadySparse /
-# BenchmarkPagedStridedSparse / BenchmarkQuestSummaries) and re-pins the
-# dequantize-on-stream and sparse-selection decode paths — plus the
-# budget-packed mixed prefill+decode pass (multiple prompts' chunks in one
-# fused step) — at 0 allocs/step.
+# ALLOC_PINS are the tests that hold the serving hot paths at 0 allocs/step:
+# dequantize-on-read decode, the quantized strided kernels, sparse decode and
+# its page-selection pair, and the fused pass / the one step entry from a
+# batch of one with no chunks up to the budget-packed mixed step.
+ALLOC_PINS = TestQuantDecodeAllocs TestQuantStridedKernelsZeroAlloc TestSparseDecodeAllocs TestSparseAttentionZeroAlloc TestForwardMixedPackedAllocFree TestStepMixedPackedAllocFree
+ALLOC_PKGS = ./internal/model ./internal/attention ./internal/tensor ./internal/core
+
+# bench-smoke compiles and single-steps every benchmark in BENCH_PKGS (the
+# facade's, the model's decode/prefill cases including BenchmarkDecodeSteadyQuant
+# and BenchmarkDecodeSteadySparse, and the attention reference kernels'), then
+# re-runs ALLOC_PINS. `go test -run` passes silently when a name matches
+# nothing, so the target checks that every pinned name actually ran and
+# passed: renaming or deleting one fails here instead of unpinning the path.
 bench-smoke:
 	$(GO) test -run XXX -bench=. -benchtime=1x $(BENCH_PKGS)
-	$(GO) test -run 'TestQuantDecodeAllocs|TestPagedStridedQuantZeroAlloc|TestQuantStridedKernelsZeroAlloc|TestSparseDecodeAllocs|TestSparseAttentionZeroAlloc|TestForwardMixedPackedAllocFree|TestStepMixedPackedAllocFree' ./internal/model ./internal/attention ./internal/tensor ./internal/core
+	@pat=$$(echo $(ALLOC_PINS) | tr ' ' '|'); \
+	out=$$($(GO) test -count=1 -v -run "^($$pat)\$$" $(ALLOC_PKGS) 2>&1) || { echo "$$out"; exit 1; }; \
+	for t in $(ALLOC_PINS); do \
+		echo "$$out" | grep -q -- "^--- PASS: $$t " || { echo "bench-smoke: pinned test $$t did not run"; exit 1; }; \
+	done; \
+	echo "bench-smoke: $(words $(ALLOC_PINS)) pinned 0-alloc tests ran and passed"
 
 # bench-suite covers benchmark/, the repo's performance reference
 # (BENCHMARK.json, benchmark/README.md). It is a module of its own, so the
@@ -74,7 +86,7 @@ bench-suite:
 	cd benchmark && $(GO) test ./...
 	bash benchmark/run.sh -smoke
 
-# bench runs the decode and attention hot-path benchmarks with allocation
+# bench runs the decode hot-path and attention reference-kernel benchmarks with allocation
 # reporting (compare BenchmarkDecodeSteady / BenchmarkDecodeSteadyBatched /
 # BenchmarkPrefillChunked256 against BENCH_decode.json) and the serving
 # benchmark (compare against BENCH_serve.json; regenerate with

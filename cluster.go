@@ -10,7 +10,6 @@ import (
 	"rethinkkv/internal/compress"
 	"rethinkkv/internal/fleet"
 	"rethinkkv/internal/gen"
-	"rethinkkv/internal/model"
 	"rethinkkv/internal/predictor"
 	"rethinkkv/internal/rng"
 	"rethinkkv/internal/router"
@@ -84,8 +83,9 @@ type Router interface {
 // response lengths from the length model (so compression's verbose-output
 // effect degrades its own end-to-end latency, as the paper observes).
 type Cluster struct {
-	cfg config
-	sim *serving.Cluster
+	cfg    config
+	sim    *serving.Cluster
+	engine sched.Config // what each WithRealEngine GPU serves with
 
 	mu    sync.Mutex
 	preds *router.Predictors
@@ -101,26 +101,12 @@ func NewCluster(methods []string, opts ...Option) (*Cluster, error) {
 	if cfg.batchCap <= 0 {
 		return nil, fmt.Errorf("%w: batch cap must be positive, got %d", ErrInvalidOption, cfg.batchCap)
 	}
-	if cfg.schedPol != SchedFCFS && cfg.schedPol != SchedSJF {
-		// Only the WithRealEngine backend schedules, but an unknown policy
-		// name is a construction-time mistake either way.
-		return nil, fmt.Errorf("%w: %q", ErrUnknownPolicy, cfg.schedPol)
-	}
-	if cfg.prefillChunk <= 0 {
-		// Likewise real-engine-only, but fail at construction like
-		// NewServer rather than mid-ServeTrace with an untyped error.
-		return nil, fmt.Errorf("%w: prefill chunk must be positive, got %d", ErrInvalidOption, cfg.prefillChunk)
-	}
-	if cfg.tokenBudget < 0 {
-		return nil, fmt.Errorf("%w: negative token budget %d", ErrInvalidOption, cfg.tokenBudget)
-	}
-	if _, err := resolveKVQuant(cfg.kvQuant); err != nil {
-		// Real-engine-only as well: the simulator models compression
-		// methods, not live page precision, but fail fast here too.
+	// Only the WithRealEngine backend uses the engine options, but a bad
+	// one is a construction-time mistake either way: fail here like
+	// NewServer rather than mid-ServeTrace.
+	ecfg, err := engineConfig(cfg)
+	if err != nil {
 		return nil, err
-	}
-	if cfg.sparseTopK < 0 {
-		return nil, fmt.Errorf("%w: negative sparse attention topK %d", ErrInvalidOption, cfg.sparseTopK)
 	}
 	sim := &serving.Cluster{BatchCap: cfg.batchCap, LM: gen.Default(), Seed: cfg.seed}
 	for i, name := range methods {
@@ -134,7 +120,7 @@ func NewCluster(methods []string, opts ...Option) (*Cluster, error) {
 		}
 		sim.GPUs = append(sim.GPUs, serving.GPUConfig{ID: i, Method: m, Est: est})
 	}
-	return &Cluster{cfg: cfg, sim: sim}, nil
+	return &Cluster{cfg: cfg, sim: sim, engine: ecfg}, nil
 }
 
 // Size returns the number of GPUs in the cluster.
@@ -190,8 +176,7 @@ func (c *Cluster) serveTraceReal(reqs []Request, r Router) ([]Outcome, error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
-	m := model.New(model.Tiny(), c.cfg.seed)
-	m.SetSparseTopK(c.cfg.sparseTopK)
+	m := engineModel(c.cfg)
 	vocab := m.Config().Vocab
 	maxPrompt := m.Config().MaxSeq - c.cfg.maxNew
 	if maxPrompt < 1 {
@@ -211,29 +196,17 @@ func (c *Cluster) serveTraceReal(reqs []Request, r Router) ([]Outcome, error) {
 	for i, g := range c.sim.GPUs {
 		methods[i] = g.Method
 	}
-	quantBits, err := resolveKVQuant(c.cfg.kvQuant)
-	if err != nil {
-		return nil, err // unreachable: NewCluster validated the name
-	}
 	// One shared clock origin for every engine and the replay itself, so
 	// arrivals and outcome timestamps are comparable across GPUs.
 	epoch := time.Now()
+	ecfg := c.engine
+	ecfg.Epoch = epoch
 	pool, err := fleet.New(m, fleet.Config{
 		Engines: len(c.sim.GPUs),
 		Methods: methods,
 		Router:  inner,
 		Migrate: c.cfg.migrate,
-		Engine: sched.Config{
-			MaxBatch:     c.cfg.maxBatch,
-			PageTokens:   c.cfg.pageTokens,
-			KVPages:      c.cfg.kvPages,
-			MaxNew:       c.cfg.maxNew,
-			PrefillChunk: c.cfg.prefillChunk,
-			TokenBudget:  c.cfg.tokenBudget,
-			Policy:       c.cfg.schedPol,
-			KVQuantBits:  quantBits,
-			Epoch:        epoch,
-		},
+		Engine:  ecfg,
 	})
 	if err != nil {
 		return nil, translateServeErr(err)

@@ -110,66 +110,24 @@ func NewFleet(n int, opts ...Option) (*Fleet, error) {
 		return nil, ErrEmptyFleet
 	}
 	cfg := buildConfig(opts)
-	switch {
-	case cfg.maxNew <= 0:
-		return nil, fmt.Errorf("%w: max new tokens must be positive, got %d", ErrInvalidOption, cfg.maxNew)
-	case cfg.maxBatch <= 0:
-		return nil, fmt.Errorf("%w: max batch must be positive, got %d", ErrInvalidOption, cfg.maxBatch)
-	case cfg.pageTokens <= 0:
-		return nil, fmt.Errorf("%w: page tokens must be positive, got %d", ErrInvalidOption, cfg.pageTokens)
-	case cfg.kvPages < 0:
-		return nil, fmt.Errorf("%w: negative KV page budget %d", ErrInvalidOption, cfg.kvPages)
-	case cfg.prefillChunk <= 0:
-		return nil, fmt.Errorf("%w: prefill chunk must be positive, got %d", ErrInvalidOption, cfg.prefillChunk)
-	case cfg.tokenBudget < 0:
-		return nil, fmt.Errorf("%w: negative token budget %d", ErrInvalidOption, cfg.tokenBudget)
-	case cfg.sparseTopK < 0:
-		return nil, fmt.Errorf("%w: negative sparse attention topK %d", ErrInvalidOption, cfg.sparseTopK)
-	case cfg.maxQueue < 0:
-		return nil, fmt.Errorf("%w: negative admission queue bound %d", ErrInvalidOption, cfg.maxQueue)
-	case cfg.admissionTimeout < 0:
-		return nil, fmt.Errorf("%w: negative admission timeout %v", ErrInvalidOption, cfg.admissionTimeout)
-	}
-	if cfg.schedPol != SchedFCFS && cfg.schedPol != SchedSJF {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownPolicy, cfg.schedPol)
-	}
-	quantBits, err := resolveKVQuant(cfg.kvQuant)
+	ecfg, err := engineConfig(cfg)
 	if err != nil {
 		return nil, err
-	}
-	if len(cfg.sharedPrefix) > 0 {
-		if err := validatePrompt(cfg.sharedPrefix, model.Tiny().Vocab); err != nil {
-			return nil, fmt.Errorf("%w: shared prefix: %w", ErrInvalidOption, err)
-		}
 	}
 	r, err := fleetRouterFor(cfg)
 	if err != nil {
 		return nil, err
 	}
-	m := model.New(model.Tiny(), cfg.seed)
-	m.SetSparseTopK(cfg.sparseTopK)
 	fcfg := fleet.Config{
 		Engines: n,
 		Router:  r,
 		Migrate: cfg.migrate,
-		Engine: sched.Config{
-			MaxBatch:         cfg.maxBatch,
-			PageTokens:       cfg.pageTokens,
-			KVPages:          cfg.kvPages,
-			MaxNew:           cfg.maxNew,
-			PrefillChunk:     cfg.prefillChunk,
-			TokenBudget:      cfg.tokenBudget,
-			Policy:           cfg.schedPol,
-			KVQuantBits:      quantBits,
-			SharedPrefix:     cfg.sharedPrefix,
-			MaxQueue:         cfg.maxQueue,
-			AdmissionTimeout: cfg.admissionTimeout.Seconds(),
-		},
+		Engine:  ecfg,
 	}
 	if cfg.faults != nil {
 		fcfg.Faults = buildInjector(cfg.faults)
 	}
-	pool, err := fleet.New(m, fcfg)
+	pool, err := fleet.New(engineModel(cfg), fcfg)
 	if err != nil {
 		return nil, translateServeErr(err)
 	}

@@ -1,23 +1,31 @@
-// Package attention implements single-query attention kernels that produce
-// identical outputs but differ in pass structure and memory traffic:
+// Package attention is the paper-facing reference set of single-query
+// attention kernels: they produce identical outputs but differ in pass
+// structure and memory traffic.
 //
 //   - Naive: the multi-pass "transformers library" kernel — materialises the
 //     score vector, so K is read, scores are written and re-read, then V is
 //     read (three logical passes over sequence-length-sized data).
 //   - Flash: a FlashAttention-style one-pass kernel with online softmax —
 //     K and V are each streamed once and no score vector ever hits memory.
+//   - Paged: Flash over a block-table layout, one indirection per page.
+//   - Quest (quest.go): query-aware page sparsity over Paged's layout.
 //
 // Each kernel reports its byte traffic. The analytical cost model in
 // internal/perf uses the same pass structure; these kernels are the
 // executable ground truth that validates it, and they also demonstrate the
 // paper's compatibility argument: computing an eviction policy's attention
 // scores under Flash requires an extra pass that re-reads K (FlashScores).
+//
+// None of these kernels runs inside the serving engine. The model's decode
+// and prefill attention is the materialised two-pass page walk in
+// internal/model (attend.go); the only code here the engine calls is the
+// page-selection pair in sparse.go (CriticalityStrided, SelectTopPages),
+// shared with the offline Quest so both rank pages identically.
 package attention
 
 import (
 	"math"
 
-	"rethinkkv/internal/kvcache"
 	"rethinkkv/internal/tensor"
 )
 
@@ -75,9 +83,9 @@ func Naive(q []float32, keys, vals [][]float32) ([]float32, []float32, Traffic) 
 
 // onlineSoftmax is the streaming state of the FlashAttention recurrence: a
 // running max, a running (rescaled) normaliser, and the unnormalised output
-// accumulator. It lets every one-pass kernel (Flash, FlashInto, FlashStrided,
-// Paged) share the exact same arithmetic, so their outputs are bit-identical
-// regardless of how the KV entries are laid out or chunked.
+// accumulator. It lets the one-pass kernels (Flash, Paged) share the exact
+// same arithmetic, so their outputs are bit-identical regardless of how the
+// KV entries are chunked into pages.
 type onlineSoftmax struct {
 	out        []float32
 	runningMax float32
@@ -121,23 +129,12 @@ func (st *onlineSoftmax) finish() {
 // score vector never exists in memory. Scores are NOT available — that is
 // the point (the paper's incompatibility argument for score-based eviction).
 func Flash(q []float32, keys, vals [][]float32) ([]float32, Traffic) {
-	out := make([]float32, len(q))
-	tr := FlashInto(out, q, keys, vals)
-	return out, tr
-}
-
-// FlashInto is Flash with a caller-owned output buffer (length len(q)); it
-// allocates nothing. The decode hot path calls it once per query head with a
-// reused scratch slice.
-func FlashInto(out, q []float32, keys, vals [][]float32) Traffic {
 	d := len(q)
 	n := len(keys)
+	out := make([]float32, d)
 	var tr Traffic
 	if n == 0 {
-		for j := range out {
-			out[j] = 0
-		}
-		return tr
+		return out, tr
 	}
 	invSqrt := float32(1 / math.Sqrt(float64(d)))
 	st := startOnlineSoftmax(out)
@@ -148,36 +145,7 @@ func FlashInto(out, q []float32, keys, vals [][]float32) Traffic {
 	tr.ElemsRead = int64(2 * n * d) // K and V once each
 	tr.ElemsWritten = int64(d)
 	tr.Passes = 1
-	return tr
-}
-
-// FlashStrided runs the one-pass kernel over flat strided KV buffers, as
-// returned by kvcache.FlatReader.FlatSeq: entry i's key occupies
-// keys[i*stride : i*stride+len(q)] and likewise for vals. n is the entry
-// count. out is caller-owned (length len(q)); nothing is allocated.
-func FlashStrided(out, q, keys, vals []float32, stride, n int) Traffic {
-	d := len(q)
-	var tr Traffic
-	if n == 0 {
-		for j := range out {
-			out[j] = 0
-		}
-		return tr
-	}
-	if (n-1)*stride+d > len(keys) || (n-1)*stride+d > len(vals) {
-		panic("attention: strided KV buffer too short")
-	}
-	invSqrt := float32(1 / math.Sqrt(float64(d)))
-	st := startOnlineSoftmax(out)
-	for i := 0; i < n; i++ {
-		off := i * stride
-		st.step(tensor.Dot(q, keys[off:off+d])*invSqrt, vals[off:off+d])
-	}
-	st.finish()
-	tr.ElemsRead = int64(2 * n * d)
-	tr.ElemsWritten = int64(d)
-	tr.Passes = 1
-	return tr
+	return out, tr
 }
 
 // FlashScores recovers the post-softmax attention scores after a Flash
@@ -230,83 +198,4 @@ func Paged(q []float32, pages [][][]float32, pageVals [][][]float32) ([]float32,
 	tr.ElemsWritten = int64(d)
 	tr.Passes = 1
 	return out, tr
-}
-
-// PagedStrided streams flat page buffers (as returned by
-// kvcache.PageReader.KVPages) through the one-pass kernel for a single head:
-// within each page, entry i's key occupies keyPages[p][off+i*stride :
-// off+i*stride+len(q)] where off selects the head. out is caller-owned;
-// nothing is allocated.
-func PagedStrided(out, q []float32, keyPages, valPages [][]float32, off, stride int) Traffic {
-	d := len(q)
-	var tr Traffic
-	n := 0
-	for p := range keyPages {
-		n += len(keyPages[p]) / stride
-	}
-	if n == 0 {
-		tr.ElemsRead = int64(len(keyPages))
-		for j := range out {
-			out[j] = 0
-		}
-		return tr
-	}
-	invSqrt := float32(1 / math.Sqrt(float64(d)))
-	st := startOnlineSoftmax(out)
-	for p := range keyPages {
-		kp, vp := keyPages[p], valPages[p]
-		for i := 0; i < len(kp)/stride; i++ {
-			base := off + i*stride
-			st.step(tensor.Dot(q, kp[base:base+d])*invSqrt, vp[base:base+d])
-		}
-	}
-	st.finish()
-	tr.ElemsRead = int64(2*n*d) + int64(len(keyPages))
-	tr.ElemsWritten = int64(d)
-	tr.Passes = 1
-	return tr
-}
-
-// PagedStridedQuant is PagedStrided's fused dequantize-on-stream sibling: it
-// streams quantized KV pages (as returned by kvcache.QuantReader.QuantPages)
-// through the one-pass kernel for a single head, dequantizing each element
-// inline — x = float32(code)·Δ + lo — as it enters the recurrence. No fp32
-// copy of the context is ever materialised: the only scratch is the
-// caller-owned single-entry value buffer vScratch (length len(q)). Output is
-// bit-identical to Paged/Flash over the cache's dequantized Seq views, since
-// the dequantization arithmetic and per-entry order match exactly. Traffic
-// counts code elements at their stored width alongside the float16 parameter
-// pairs, so the bandwidth saving of narrow codes is visible in the ledger.
-func PagedStridedQuant(out, q, vScratch []float32, pages []kvcache.QuantPage, bits, off, stride, kvHeads, head int) Traffic {
-	d := len(q)
-	var tr Traffic
-	n := 0
-	for p := range pages {
-		n += pages[p].Tokens(kvHeads)
-	}
-	if n == 0 {
-		tr.ElemsRead = int64(len(pages))
-		for j := range out {
-			out[j] = 0
-		}
-		return tr
-	}
-	invSqrt := float32(1 / math.Sqrt(float64(d)))
-	st := startOnlineSoftmax(out)
-	for p := range pages {
-		pg := &pages[p]
-		t := pg.Tokens(kvHeads)
-		for i := 0; i < t; i++ {
-			s := tensor.DotQuantEntry(q, pg.KCodes, pg.KParams, bits, off, stride, kvHeads, head, i) * invSqrt
-			tensor.DequantSliceInto(vScratch, pg.VCodes, pg.VParams, bits, off, stride, kvHeads, head, i)
-			st.step(s, vScratch)
-		}
-	}
-	st.finish()
-	// K and V codes once each (at code width), one (lo, delta) pair per
-	// entry per tensor, plus the block-table indirections.
-	tr.ElemsRead = int64(2*n*d) + int64(4*n) + int64(len(pages))
-	tr.ElemsWritten = int64(d)
-	tr.Passes = 1
-	return tr
 }

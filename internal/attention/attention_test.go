@@ -168,55 +168,6 @@ func TestAttentionOutputInConvexHull(t *testing.T) {
 	_ = keys
 }
 
-func TestFlashIntoMatchesFlash(t *testing.T) {
-	q, keys, vals := randSeq(11, 33, 8)
-	want, wantTr := Flash(q, keys, vals)
-	out := make([]float32, 8)
-	for i := range out {
-		out[i] = 42 // must be fully overwritten
-	}
-	tr := FlashInto(out, q, keys, vals)
-	for j := range want {
-		if out[j] != want[j] {
-			t.Fatalf("dim %d: %v != %v", j, out[j], want[j])
-		}
-	}
-	if tr != wantTr {
-		t.Fatalf("traffic %+v != %+v", tr, wantTr)
-	}
-}
-
-// flatten packs per-token vectors into a flat strided buffer with padding
-// lanes, mimicking a multi-head cache layout.
-func flatten(rows [][]float32, stride int) []float32 {
-	if len(rows) == 0 {
-		return nil
-	}
-	buf := make([]float32, len(rows)*stride)
-	for i, r := range rows {
-		copy(buf[i*stride:], r)
-	}
-	return buf
-}
-
-func TestFlashStridedMatchesFlash(t *testing.T) {
-	for _, n := range []int{0, 1, 5, 64} {
-		q, keys, vals := randSeq(uint64(20+n), n, 8)
-		want, _ := Flash(q, keys, vals)
-		stride := 24
-		out := make([]float32, 8)
-		tr := FlashStrided(out, q, flatten(keys, stride), flatten(vals, stride), stride, n)
-		for j := range want {
-			if out[j] != want[j] {
-				t.Fatalf("n=%d dim %d: strided %v != flash %v", n, j, out[j], want[j])
-			}
-		}
-		if n > 0 && tr.ElemsRead != int64(2*n*8) {
-			t.Fatalf("n=%d traffic = %+v", n, tr)
-		}
-	}
-}
-
 // TestPagedBitIdenticalToFlash pins the streaming guarantee: because Paged
 // feeds entries through the same online-softmax recurrence as Flash, the
 // outputs are bit-identical, not merely close.
@@ -251,43 +202,5 @@ func TestPagedEmpty(t *testing.T) {
 	out, tr = Paged([]float32{1, 2}, [][][]float32{{}}, [][][]float32{{}})
 	if out[0] != 0 || tr.ElemsRead != 1 {
 		t.Fatalf("empty-page paged: out=%v tr=%+v", out, tr)
-	}
-}
-
-func TestPagedStridedMatchesPaged(t *testing.T) {
-	q, keys, vals := randSeq(22, 37, 8)
-	var kp, vp [][][]float32
-	for i := 0; i < len(keys); i += 16 {
-		end := i + 16
-		if end > len(keys) {
-			end = len(keys)
-		}
-		kp = append(kp, keys[i:end])
-		vp = append(vp, vals[i:end])
-	}
-	want, _ := Paged(q, kp, vp)
-	stride := 16 // head 1 of a 2-head layout with HeadDim 8
-	off := 8
-	flatPage := func(rows [][]float32) []float32 {
-		buf := make([]float32, len(rows)*stride)
-		for i, r := range rows {
-			copy(buf[i*stride+off:], r)
-		}
-		return buf
-	}
-	var fk, fv [][]float32
-	for p := range kp {
-		fk = append(fk, flatPage(kp[p]))
-		fv = append(fv, flatPage(vp[p]))
-	}
-	out := make([]float32, 8)
-	tr := PagedStrided(out, q, fk, fv, off, stride)
-	for j := range want {
-		if out[j] != want[j] {
-			t.Fatalf("dim %d: %v != %v", j, out[j], want[j])
-		}
-	}
-	if tr.Passes != 1 {
-		t.Fatalf("passes = %d", tr.Passes)
 	}
 }

@@ -48,21 +48,3 @@ func BenchmarkPaged(b *testing.B) {
 		Paged(q, kp, vp)
 	}
 }
-
-// BenchmarkFlashStrided prices the flat-KV fast path against the
-// slice-of-slices Flash kernel at the same sequence length.
-func BenchmarkFlashStrided(b *testing.B) {
-	q, keys, vals := randSeq(4, 1024, 64)
-	stride := 128 // 2-head layout
-	fk := make([]float32, len(keys)*stride)
-	fv := make([]float32, len(vals)*stride)
-	for i := range keys {
-		copy(fk[i*stride:], keys[i])
-		copy(fv[i*stride:], vals[i])
-	}
-	out := make([]float32, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FlashStrided(out, q, fk, fv, stride, len(keys))
-	}
-}

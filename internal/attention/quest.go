@@ -68,7 +68,7 @@ func SummarizePages(pageKeys [][][]float32) []PageSummary {
 // the Criticality bound, then the exact live-plane SelectTopPages policy
 // (topK distinct pages, tail protected, ascending order, low-index ties) —
 // Quest() and QuestRecall() can no longer drift apart, and offline recall
-// numbers describe precisely what PagedStridedSparse will select.
+// numbers describe precisely what the model's sparse decode will select.
 func questSelect(q []float32, summs []PageSummary, topK int) []int32 {
 	scores := make([]float64, len(summs))
 	for i := range summs {

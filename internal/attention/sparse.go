@@ -1,44 +1,16 @@
 package attention
 
-import (
-	"math"
+import "math"
 
-	"rethinkkv/internal/kvcache"
-	"rethinkkv/internal/tensor"
-)
-
-// This file is Quest's live-plane form: the same per-page criticality bound
-// the offline Quest() prototype scores, but over kvcache's incrementally
-// maintained flat summaries (kvcache.KeySummaryReader) and with zero
-// allocation — page scores and the selection land in a caller-owned
-// SparseScratch, selection is a repeated max-scan instead of sort.Slice, and
-// only the selected pages stream through the shared online-softmax core.
-// The tail page is always selected (Quest's recent-token protection): the
-// query's strongest local context lives there and its summary covers few
-// tokens, so the bound is least informative exactly where the cost of a miss
-// is highest.
-
-// SparseScratch holds the per-head page-selection state for the sparse
-// kernels: float64 criticality scores (consumed destructively by selection)
-// and the selected page indices. Ensure before use; the kernels never grow
-// it, so a workspace-resident scratch keeps decode at 0 allocs/step.
-type SparseScratch struct {
-	Scores []float64
-	Sel    []int32
-}
-
-// Ensure grows the scratch to cover nPages pages.
-func (s *SparseScratch) Ensure(nPages int) {
-	if nPages <= cap(s.Scores) {
-		return
-	}
-	n := 2 * cap(s.Scores)
-	if n < nPages {
-		n = nPages
-	}
-	s.Scores = make([]float64, n)
-	s.Sel = make([]int32, n)
-}
+// This file is the page-selection pair the serving engine calls: the same
+// per-page criticality bound the offline Quest() prototype scores, but over
+// kvcache's incrementally maintained flat summaries
+// (kvcache.KeySummaryReader) and with zero allocation — the model scores
+// into, and selects out of, caller-owned scratch; selection is a repeated
+// max-scan instead of sort.Slice. The tail page is always selected (Quest's
+// recent-token protection): the query's strongest local context lives there
+// and its summary covers few tokens, so the bound is least informative
+// exactly where the cost of a miss is highest.
 
 // CriticalityStrided is PageSummary.Criticality over kvcache's flat summary
 // layout: summ holds per-channel key minima in [0, stride) and maxima in
@@ -66,7 +38,7 @@ func CriticalityStrided(q, summ []float32, off, stride int) float64 {
 // page is always included. scores is consumed destructively (selected
 // entries become -Inf); ties break toward the lower page index. topK >=
 // len(scores) selects every page — ascending order then makes a sparse
-// kernel's stream identical to its dense sibling's, which is what keeps
+// walk's stream identical to the dense walk's, which is what keeps
 // topK >= pages bit-identical. sel must hold at least len(scores) entries.
 func SelectTopPages(sel []int32, scores []float64, topK int) int {
 	n := len(scores)
@@ -105,82 +77,4 @@ func SelectTopPages(sel []int32, scores []float64, topK int) int {
 		cnt++
 	}
 	return cnt
-}
-
-// PagedStridedSparse is PagedStrided attending only the topK most critical
-// pages: every page's summary is scored against q, the top-k (tail page
-// included) are selected in ascending order, and only those stream through
-// the online-softmax recurrence. topK >= pages delegates to the dense
-// kernel, making the output (and traffic) exactly PagedStrided's. Returns
-// the traffic — summary reads (2·d per page) included — and the selected
-// page count. Allocates nothing; scratch must outlive the call.
-func PagedStridedSparse(out, q []float32, keyPages, valPages, summs [][]float32, off, stride, topK int, scratch *SparseScratch) (Traffic, int) {
-	np := len(keyPages)
-	if topK >= np || np == 0 {
-		return PagedStrided(out, q, keyPages, valPages, off, stride), np
-	}
-	d := len(q)
-	scratch.Ensure(np)
-	scores, sel := scratch.Scores[:np], scratch.Sel[:np]
-	for p := range summs[:np] {
-		scores[p] = CriticalityStrided(q, summs[p], off, stride)
-	}
-	nSel := SelectTopPages(sel, scores, topK)
-	invSqrt := float32(1 / math.Sqrt(float64(d)))
-	st := startOnlineSoftmax(out)
-	n := 0
-	for _, pi := range sel[:nSel] {
-		kp, vp := keyPages[pi], valPages[pi]
-		t := len(kp) / stride
-		n += t
-		for i := 0; i < t; i++ {
-			base := off + i*stride
-			st.step(tensor.Dot(q, kp[base:base+d])*invSqrt, vp[base:base+d])
-		}
-	}
-	st.finish()
-	var tr Traffic
-	// Every page's summary (2·d), the selected pages' K/V once each, plus
-	// the block-table indirections.
-	tr.ElemsRead = int64(2*np*d) + int64(2*n*d) + int64(np)
-	tr.ElemsWritten = int64(d)
-	tr.Passes = 1
-	return tr, nSel
-}
-
-// PagedStridedQuantSparse is the quantized sibling: summaries are scored in
-// fp32 (kvcache folds them over dequantized keys, so the bound covers what
-// the fused kernels stream), and the selected pages dequantize-on-stream
-// exactly like PagedStridedQuant, to which it delegates when topK >= pages.
-func PagedStridedQuantSparse(out, q, vScratch []float32, pages []kvcache.QuantPage, summs [][]float32, bits, off, stride, kvHeads, head, topK int, scratch *SparseScratch) (Traffic, int) {
-	np := len(pages)
-	if topK >= np || np == 0 {
-		return PagedStridedQuant(out, q, vScratch, pages, bits, off, stride, kvHeads, head), np
-	}
-	d := len(q)
-	scratch.Ensure(np)
-	scores, sel := scratch.Scores[:np], scratch.Sel[:np]
-	for p := range summs[:np] {
-		scores[p] = CriticalityStrided(q, summs[p], off, stride)
-	}
-	nSel := SelectTopPages(sel, scores, topK)
-	invSqrt := float32(1 / math.Sqrt(float64(d)))
-	st := startOnlineSoftmax(out)
-	n := 0
-	for _, pi := range sel[:nSel] {
-		pg := &pages[pi]
-		t := pg.Tokens(kvHeads)
-		n += t
-		for i := 0; i < t; i++ {
-			s := tensor.DotQuantEntry(q, pg.KCodes, pg.KParams, bits, off, stride, kvHeads, head, i) * invSqrt
-			tensor.DequantSliceInto(vScratch, pg.VCodes, pg.VParams, bits, off, stride, kvHeads, head, i)
-			st.step(s, vScratch)
-		}
-	}
-	st.finish()
-	var tr Traffic
-	tr.ElemsRead = int64(2*np*d) + int64(2*n*d) + int64(4*n) + int64(np)
-	tr.ElemsWritten = int64(d)
-	tr.Passes = 1
-	return tr, nSel
 }

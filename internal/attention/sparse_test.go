@@ -80,42 +80,68 @@ func TestCriticalityStridedMatchesOffline(t *testing.T) {
 	}
 }
 
-// At topK >= pages the sparse kernels must be bit-identical to their dense
-// siblings — the delegation that makes "sparsity off" exactly "full
-// attention".
+// liveSelect is the engine's selection for one head: score every page's
+// maintained summary with CriticalityStrided, then SelectTopPages — exactly
+// what the model's sparse decode does before its page walk.
+func liveSelect(c *kvcache.PagedKV, q []float32, head, topK int) []int32 {
+	shape := c.Shape()
+	summs := c.KeySummaries(0)
+	scores := make([]float64, len(summs))
+	for p := range summs {
+		scores[p] = CriticalityStrided(q, summs[p], head*shape.HeadDim, shape.KVHeads*shape.HeadDim)
+	}
+	sel := make([]int32, len(summs))
+	return sel[:SelectTopPages(sel, scores, topK)]
+}
+
+// pagesOf splits a head's per-token Seq views (dequantized, for quantized
+// pages) into the offline kernels' slice-of-pages layout.
+func pagesOf(c *kvcache.PagedKV, head, pageTokens int) (pk, pv [][][]float32) {
+	keys, vals := c.Seq(0, head)
+	for i := 0; i < len(keys); i += pageTokens {
+		end := min(i+pageTokens, len(keys))
+		pk = append(pk, keys[i:end])
+		pv = append(pv, vals[i:end])
+	}
+	return pk, pv
+}
+
+func randQuery(seed int64, d int) []float32 {
+	r := rand.New(rand.NewSource(seed))
+	q := make([]float32, d)
+	for i := range q {
+		q[i] = float32(r.NormFloat64())
+	}
+	return q
+}
+
+// At topK >= pages sparse attention must be exactly dense attention, for
+// every page codec: the live selection is then every page in ascending
+// order — which makes the model's selected walk the dense walk token for
+// token (internal/model pins the resulting logits) — and the offline Quest
+// delegates to Paged bit-for-bit.
 func TestSparseFullKBitIdenticalToDense(t *testing.T) {
 	for _, bits := range []int{0, 8, 4} {
 		t.Run(fmt.Sprintf("bits=%d", bits), func(t *testing.T) {
 			c := sparseCache(53, 16, bits, int64(40+bits))
 			shape := c.Shape()
-			d := shape.HeadDim
-			summs := c.KeySummaries(0)
-			r := rand.New(rand.NewSource(8))
-			q := make([]float32, d)
-			for i := range q {
-				q[i] = float32(r.NormFloat64())
-			}
-			want := make([]float32, d)
-			got := make([]float32, d)
-			vScratch := make([]float32, d)
-			var sc SparseScratch
+			q := randQuery(8, shape.HeadDim)
 			for head := 0; head < shape.KVHeads; head++ {
-				off := head * d
+				pk, pv := pagesOf(c, head, 16)
+				want, _ := Paged(q, pk, pv)
 				for _, topK := range []int{4, 99} { // == pages, > pages
-					if bits == 0 {
-						kp, vp, stride := c.KVPages(0)
-						PagedStrided(want, q, kp, vp, off, stride)
-						_, nSel := PagedStridedSparse(got, q, kp, vp, summs, off, stride, topK, &sc)
-						if nSel != len(kp) {
-							t.Fatalf("topK=%d selected %d of %d", topK, nSel, len(kp))
+					sel := liveSelect(c, q, head, topK)
+					if len(sel) != len(pk) {
+						t.Fatalf("topK=%d selected %d of %d", topK, len(sel), len(pk))
+					}
+					for i, p := range sel {
+						if int(p) != i {
+							t.Fatalf("topK=%d: sel[%d]=%d, want ascending identity", topK, i, p)
 						}
-					} else {
-						pages, stride := c.QuantPages(0)
-						PagedStridedQuant(want, q, vScratch, pages, bits, off, stride, shape.KVHeads, head)
-						_, nSel := PagedStridedQuantSparse(got, q, vScratch, pages, summs, bits, off, stride, shape.KVHeads, head, topK, &sc)
-						if nSel != len(pages) {
-							t.Fatalf("topK=%d selected %d of %d", topK, nSel, len(pages))
-						}
+					}
+					got, _, res := Quest(q, pk, pv, topK)
+					if res.PagesSelected != len(pk) {
+						t.Fatalf("topK=%d: offline selected %d of %d", topK, res.PagesSelected, len(pk))
 					}
 					for j := range got {
 						if got[j] != want[j] {
@@ -128,42 +154,31 @@ func TestSparseFullKBitIdenticalToDense(t *testing.T) {
 	}
 }
 
-// The live sparse kernel and the offline Quest must agree exactly on fp32
-// pages: same summaries (incremental fold vs one-shot SummarizePage), same
-// selection, same online-softmax arithmetic — one policy across both planes.
-func TestPagedStridedSparseMatchesOfflineQuest(t *testing.T) {
-	c := sparseCache(61, 16, 0, 13)
-	shape := c.Shape()
-	d := shape.HeadDim
-	summs := c.KeySummaries(0)
-	kp, vp, stride := c.KVPages(0)
-	r := rand.New(rand.NewSource(14))
-	q := make([]float32, d)
-	for i := range q {
-		q[i] = float32(r.NormFloat64())
-	}
-	var sc SparseScratch
-	out := make([]float32, d)
-	for head := 0; head < shape.KVHeads; head++ {
-		keys, vals := c.Seq(0, head)
-		var pk, pv [][][]float32
-		for i := 0; i < len(keys); i += 16 {
-			end := i + 16
-			if end > len(keys) {
-				end = len(keys)
-			}
-			pk = append(pk, keys[i:end])
-			pv = append(pv, vals[i:end])
-		}
-		for _, topK := range []int{1, 2, 3} {
-			want, _, res := Quest(q, pk, pv, topK)
-			_, nSel := PagedStridedSparse(out, q, kp, vp, summs, head*d, stride, topK, &sc)
-			if nSel != res.PagesSelected {
-				t.Fatalf("head %d topK=%d: live selected %d, offline %d", head, topK, nSel, res.PagesSelected)
-			}
-			for j := range out {
-				if out[j] != want[j] {
-					t.Fatalf("head %d topK=%d: out[%d]=%g, Quest %g", head, topK, j, out[j], want[j])
+// The live selection and the offline Quest must agree exactly, for every
+// page codec: same summaries (incremental fold over the stored — for
+// quantized pages, dequantized — keys vs one-shot SummarizePage over the
+// cache's Seq views), same policy. One ranking across both planes is what
+// lets offline recall numbers describe the engine's sparse decode.
+func TestLiveSelectionMatchesOfflineQuest(t *testing.T) {
+	for _, bits := range []int{0, 8, 4} {
+		c := sparseCache(61, 16, bits, 13)
+		shape := c.Shape()
+		q := randQuery(14, shape.HeadDim)
+		for head := 0; head < shape.KVHeads; head++ {
+			pk, pv := pagesOf(c, head, 16)
+			for _, topK := range []int{1, 2, 3} {
+				live := liveSelect(c, q, head, topK)
+				offline := questSelect(q, SummarizePages(pk), topK)
+				if len(live) != len(offline) {
+					t.Fatalf("bits=%d head %d topK=%d: live selected %d, offline %d", bits, head, topK, len(live), len(offline))
+				}
+				for i := range live {
+					if live[i] != offline[i] {
+						t.Fatalf("bits=%d head %d topK=%d: live %v, offline %v", bits, head, topK, live, offline)
+					}
+				}
+				if _, _, res := Quest(q, pk, pv, topK); res.PagesSelected != len(live) {
+					t.Fatalf("bits=%d head %d topK=%d: Quest attended %d pages, live %d", bits, head, topK, res.PagesSelected, len(live))
 				}
 			}
 		}
@@ -199,8 +214,8 @@ func TestQuestWithSummariesMatchesQuest(t *testing.T) {
 }
 
 // With attention mass concentrated on one early page, a tiny topK must
-// still capture nearly all of it (selection finds the hot page, tail
-// protection keeps the recent one).
+// still capture nearly all of it: the live selection finds the hot page,
+// tail protection keeps the recent one.
 func TestSparseSelectionFindsConcentratedMass(t *testing.T) {
 	const n, pageTokens = 64, 16
 	shape := kvcache.Shape{Layers: 1, KVHeads: 1, HeadDim: 8}
@@ -222,15 +237,13 @@ func TestSparseSelectionFindsConcentratedMass(t *testing.T) {
 		}
 		c.AppendFlat(0, k, v)
 	}
-	kp, vp, stride := c.KVPages(0)
-	dense := make([]float32, d)
-	PagedStrided(dense, q, kp, vp, 0, stride)
-	out := make([]float32, d)
-	var sc SparseScratch
-	_, nSel := PagedStridedSparse(out, q, kp, vp, c.KeySummaries(0), 0, stride, 2, &sc)
-	if nSel != 2 {
-		t.Fatalf("selected %d pages, want 2", nSel)
+	sel := liveSelect(c, q, 0, 2)
+	if len(sel) != 2 || sel[0] != 1 || sel[1] != 3 {
+		t.Fatalf("selected %v, want the hot page and the tail [1 3]", sel)
 	}
+	pk, pv := pagesOf(c, 0, pageTokens)
+	dense, _ := Paged(q, pk, pv)
+	out, _, _ := Quest(q, pk, pv, 2)
 	for j := range out {
 		if diff := math.Abs(float64(out[j] - dense[j])); diff > 1e-3 {
 			t.Fatalf("out[%d] drifted %g from dense %g", j, diff, dense[j])
@@ -238,78 +251,27 @@ func TestSparseSelectionFindsConcentratedMass(t *testing.T) {
 	}
 }
 
-// Both sparse kernels run the hot decode path at zero allocations once the
-// scratch is warm (pinned by make ci's bench-smoke).
+// The selection pair the engine calls per (layer, head) on the decode hot
+// path allocates nothing over caller-owned scratch (pinned by make ci's
+// bench-smoke; the model's own TestSparseDecodeAllocs pins the whole step).
 func TestSparseAttentionZeroAlloc(t *testing.T) {
-	var sc SparseScratch
-	fp := sparseCache(128, 16, 0, 51)
-	shape := fp.Shape()
-	d := shape.HeadDim
-	q := make([]float32, d)
-	out := make([]float32, d)
-	vScratch := make([]float32, d)
-	kp, vp, stride := fp.KVPages(0)
-	fsumms := fp.KeySummaries(0)
-	sc.Ensure(len(kp))
-	if n := testing.AllocsPerRun(100, func() {
-		PagedStridedSparse(out, q, kp, vp, fsumms, 0, stride, 3, &sc)
-	}); n != 0 {
-		t.Fatalf("PagedStridedSparse allocated %.1f per run, want 0", n)
-	}
-	qc := sparseCache(128, 16, 4, 52)
-	pages, qStride := qc.QuantPages(0)
-	qsumms := qc.KeySummaries(0)
-	if n := testing.AllocsPerRun(100, func() {
-		PagedStridedQuantSparse(out, q, vScratch, pages, qsumms, 4, 0, qStride, shape.KVHeads, 0, 3, &sc)
-	}); n != 0 {
-		t.Fatalf("PagedStridedQuantSparse allocated %.1f per run, want 0", n)
-	}
-}
-
-// BenchmarkPagedStridedSparse prices sparse decode against the dense
-// kernels at a long-context shape (8k tokens, 16-token pages = 512 pages):
-// the dense kernels stream every token, the sparse ones score 512 summaries
-// and stream topK pages. The gap is the O(ctx) → O(k·page) win.
-func BenchmarkPagedStridedSparse(b *testing.B) {
-	const n, pageTokens = 8192, 16
-	var sc SparseScratch
-	fp := sparseCache(n, pageTokens, 0, 61)
-	shape := fp.Shape()
-	d := shape.HeadDim
-	r := rand.New(rand.NewSource(62))
-	q := make([]float32, d)
-	for i := range q {
-		q[i] = float32(r.NormFloat64())
-	}
-	out := make([]float32, d)
-	vScratch := make([]float32, d)
-	kp, vp, stride := fp.KVPages(0)
-	fsumms := fp.KeySummaries(0)
-	b.Run("full/n=8192", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			PagedStrided(out, q, kp, vp, 0, stride)
-		}
-	})
-	for _, topK := range []int{8, 32, 128} {
-		b.Run(fmt.Sprintf("sparse/n=8192/k=%d", topK), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				PagedStridedSparse(out, q, kp, vp, fsumms, 0, stride, topK, &sc)
+	for _, bits := range []int{0, 4} {
+		c := sparseCache(128, 16, bits, int64(51+bits))
+		shape := c.Shape()
+		stride := shape.KVHeads * shape.HeadDim
+		q := make([]float32, shape.HeadDim)
+		summs := c.KeySummaries(0)
+		scores := make([]float64, len(summs))
+		sel := make([]int32, len(summs))
+		if n := testing.AllocsPerRun(100, func() {
+			for p := range summs {
+				scores[p] = CriticalityStrided(q, summs[p], 0, stride)
 			}
-		})
+			SelectTopPages(sel, scores, 3)
+		}); n != 0 {
+			t.Fatalf("bits=%d: page selection allocated %.1f per run, want 0", bits, n)
+		}
 	}
-	qc := sparseCache(n, pageTokens, 8, 63)
-	pages, qStride := qc.QuantPages(0)
-	qsumms := qc.KeySummaries(0)
-	b.Run("quant-full/int8/n=8192", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			PagedStridedQuant(out, q, vScratch, pages, 8, 0, qStride, shape.KVHeads, 0)
-		}
-	})
-	b.Run("quant-sparse/int8/n=8192/k=32", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			PagedStridedQuantSparse(out, q, vScratch, pages, qsumms, 8, 0, qStride, shape.KVHeads, 0, 32, &sc)
-		}
-	})
 }
 
 // BenchmarkQuestSummaries prices satellite fix #2: Quest()'s historical

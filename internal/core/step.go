@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 
@@ -12,29 +11,26 @@ import (
 
 // This file is the multi-session step plane the continuous-batching
 // scheduler (internal/sched) drives: sessions that keep no workspace of
-// their own, a shared pool of workspaces sized to the step concurrency,
-// and a fused one-token step over any set of sessions. Unlike Session
-// (one workspace per stream, logits carried between steps), a StepSession
-// carries only its cache, position and pre-computed next token, so a pool
-// of MaxBatch workspaces serves an unbounded population of live requests.
+// their own, a pool of fused step batches, and one step entry point,
+// StepMixedStatsInto, that advances any set of sessions one token each and
+// any set of prompt chunks in a single fused pass. Unlike Session (one
+// workspace per stream, logits carried between steps), a StepSession
+// carries only its cache, position and pre-computed next token, so one
+// pooled StepBatch serves an unbounded population of live requests.
 //
-// StepAll's fast path is the fused batched forward pass
-// (model.ForwardBatchInto): one weight-stationary pass per step for the
-// whole batch, loading every weight matrix once instead of once per
-// session, with per-session attention against each session's own cache.
-// It borrows one pooled StepBatch per step — one pool round-trip instead
-// of the historical per-session Get/Put inside every step goroutine.
+// Every step — whatever the batch size, with or without chunks — is one
+// model.ForwardMixedInto: one weight-stationary pass loading every weight
+// matrix once instead of once per session, with per-session attention
+// against each session's own cache. It borrows one pooled StepBatch per
+// step: one pool round-trip per decode iteration.
 
-// WorkspacePool hands out model workspaces — and fused step batches — to
-// concurrent decode steps. Get allocates on demand, so the pool's
-// steady-state size is the peak step concurrency, not the number of live
-// sessions.
+// WorkspacePool hands out fused step batches to decode loops over one
+// model. GetBatch allocates on demand, so the pool's steady-state size is
+// the number of concurrent step loops, not the number of live sessions.
 type WorkspacePool struct {
 	m         *model.Model
 	mu        sync.Mutex
-	free      []*model.Workspace
 	freeBatch []*StepBatch
-	made      int
 }
 
 // NewWorkspacePool builds an empty pool over the model.
@@ -42,66 +38,9 @@ func NewWorkspacePool(m *model.Model) *WorkspacePool {
 	return &WorkspacePool{m: m}
 }
 
-// Get returns a workspace, allocating a fresh one when none are free.
-func (p *WorkspacePool) Get() *model.Workspace {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.getLocked()
-}
-
-func (p *WorkspacePool) getLocked() *model.Workspace {
-	if n := len(p.free); n > 0 {
-		ws := p.free[n-1]
-		p.free = p.free[:n-1]
-		return ws
-	}
-	p.made++
-	return p.m.NewWorkspace()
-}
-
-// Put returns a workspace to the pool.
-func (p *WorkspacePool) Put(ws *model.Workspace) {
-	if ws == nil {
-		return
-	}
-	p.mu.Lock()
-	p.free = append(p.free, ws)
-	p.mu.Unlock()
-}
-
-// getN fills out with workspaces in one pool pass — the heterogeneous
-// step path acquires all its workspaces before spawning goroutines, so
-// the pool mutex is taken once per step, not once per session.
-func (p *WorkspacePool) getN(n int) []*model.Workspace {
-	out := make([]*model.Workspace, n)
-	p.mu.Lock()
-	for i := range out {
-		out[i] = p.getLocked()
-	}
-	p.mu.Unlock()
-	return out
-}
-
-// putN returns a getN batch.
-func (p *WorkspacePool) putN(wss []*model.Workspace) {
-	p.mu.Lock()
-	p.free = append(p.free, wss...)
-	p.mu.Unlock()
-}
-
-// Allocated reports how many single-stream workspaces the pool has ever
-// created — the peak heterogeneous step concurrency observed. Fused steps
-// draw from the StepBatch pool instead and are not counted here.
-func (p *WorkspacePool) Allocated() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.made
-}
-
 // StepBatch bundles a fused batch workspace with the lane-marshalling
-// scratch one StepAll call needs. Pooled so a continuous-batching loop
-// pays one pool round-trip per decode iteration and zero steady-state
-// allocations.
+// scratch one step needs. Pooled so a continuous-batching loop pays one pool
+// round-trip per decode iteration and zero steady-state allocations.
 type StepBatch struct {
 	bw        *model.BatchWorkspace
 	tokens    []int
@@ -176,58 +115,16 @@ type StepSession struct {
 	next  int
 }
 
-// NewStepSession prefills the prompt into the given cache using a borrowed
-// workspace and returns the session positioned at its first output token.
-// The token sequence a StepSession emits is identical to Session.Next on
-// the same prompt and an equivalent cache.
-func NewStepSession(m *model.Model, ws *model.Workspace, prompt []int, cache kvcache.Cache) (*StepSession, error) {
-	return ResumeStepSession(m, ws, cache, 0, prompt)
-}
-
-// ResumeStepSession continues a partially prefilled cache: the cache
-// already holds pos tokens (e.g. a shared prompt prefix cloned via
-// kvcache.PagedKV.ClonePrefix) and tail is the rest of the prompt,
-// prefilled here at positions pos, pos+1, ... Because ForwardInto is
-// deterministic and the paged cache exact, the resulting decode stream is
-// bit-identical to prefilling the whole prompt cold — prefix reuse only
-// saves the recompute. tail must be non-empty: the logits of the last
-// prompt token are needed to decide the first output.
-func ResumeStepSession(m *model.Model, ws *model.Workspace, cache kvcache.Cache, pos int, tail []int) (*StepSession, error) {
-	if len(tail) == 0 {
-		return nil, fmt.Errorf("core: empty prompt tail")
-	}
-	if pos < 0 || cache.TotalAppended() != pos {
-		return nil, fmt.Errorf("core: cache holds %d tokens, resume expects %d", cache.TotalAppended(), pos)
-	}
-	var logits []float32
-	for i, tok := range tail {
-		sr := m.ForwardInto(ws, tok, pos+i, cache)
-		logits = sr.Logits
-	}
-	return &StepSession{m: m, cache: cache, pos: pos + len(tail), next: tensor.Argmax(logits)}, nil
-}
-
 // NewPrefilledStepSession wraps a cache whose prompt is already fully
-// prefilled — by chunked prefill through StepMixedInto — into a decode
-// session. next is the first output token, decided from the final prompt
-// position's logits (StepMixedInto returns it for a Final chunk). The
-// resulting token stream is identical to NewStepSession's over the same
-// prompt: both decide the first token from the same logits and decode the
-// same cache.
+// prefilled — by chunked prefill through StepMixedStatsInto, or
+// model.PrefillChunkInto — into a decode session. next is the first output
+// token, decided from the final prompt position's logits
+// (StepMixedStatsInto returns it for a Final chunk). m must be the model of
+// the pool the session will step on. The resulting token stream is
+// identical to Session.Next's over the same prompt and an equivalent cache:
+// both decide each token greedily from bit-identical logits.
 func NewPrefilledStepSession(m *model.Model, cache kvcache.Cache, next int) *StepSession {
 	return &StepSession{m: m, cache: cache, pos: cache.TotalAppended(), next: next}
-}
-
-// Step emits the session's next token and advances one position: the
-// emitted token is forwarded through the model (appending its KV) and the
-// following token is decided greedily from the fresh logits. The workspace
-// is only used within the call.
-func (s *StepSession) Step(ws *model.Workspace) int {
-	tok := s.next
-	sr := s.m.ForwardInto(ws, tok, s.pos, s.cache)
-	s.next = tensor.Argmax(sr.Logits)
-	s.pos++
-	return tok
 }
 
 // Pos returns the number of tokens appended so far (prompt + emitted).
@@ -235,14 +132,6 @@ func (s *StepSession) Pos() int { return s.pos }
 
 // Cache exposes the session's cache.
 func (s *StepSession) Cache() kvcache.Cache { return s.cache }
-
-// StepAll decodes exactly one token on every session and returns the
-// emitted tokens index-aligned with sessions. See StepAllInto.
-func StepAll(pool *WorkspacePool, sessions []*StepSession) []int {
-	toks := make([]int, len(sessions))
-	StepAllInto(pool, sessions, toks)
-	return toks
-}
 
 // StepStats accumulates per-step counters a scheduler aggregates across its
 // serve loop. Currently: sparse attention's page-selection tallies, summed
@@ -253,91 +142,16 @@ type StepStats struct {
 	SparsePagesTotal    int64
 }
 
-// drainWorkspace moves a pooled workspace's sparse counters into the stats
-// (or discards them when stats is nil). Pooled workspaces are shared across
-// sessions, so counters must never survive a step — a later borrower would
-// inherit them.
-func (st *StepStats) drainWorkspace(ws *model.Workspace) {
-	sel, tot := ws.TakeSparseStats()
-	if st != nil {
-		st.SparsePagesSelected += sel
-		st.SparsePagesTotal += tot
-	}
-}
-
-// drainBatch is drainWorkspace over every lane of a pooled step batch.
+// drainBatch moves a pooled step batch's sparse counters, over every lane,
+// into the stats (or discards them when stats is nil). Pooled batches are
+// shared across steps, so counters must never survive one — a later
+// borrower would inherit them.
 func (st *StepStats) drainBatch(sb *StepBatch) {
 	sel, tot := sb.bw.TakeSparseStats()
 	if st != nil {
 		st.SparsePagesSelected += sel
 		st.SparsePagesTotal += tot
 	}
-}
-
-// StepAllInto decodes exactly one token on every session, writing the
-// emitted tokens into toks (index-aligned; len(toks) must equal
-// len(sessions)). Sessions must be distinct and own distinct caches; the
-// shared model weights are immutable. This is the iteration-level inner
-// loop of continuous batching: the caller re-forms the session set between
-// calls, and a caller that reuses toks steps with zero allocations.
-//
-// Sessions sharing the pool's model — the serving case — take the fused
-// fast path: one pooled StepBatch, one ForwardBatchInto loading each weight
-// matrix once for the whole batch (row-sharded across GOMAXPROCS when >1),
-// attention per-session. Emitted tokens are bit-identical to per-session
-// stepping. A single session steps directly on a pooled workspace;
-// sessions over heterogeneous models fall back to one goroutine per
-// session with workspaces acquired in a single pool pass.
-func StepAllInto(pool *WorkspacePool, sessions []*StepSession, toks []int) {
-	StepAllStatsInto(pool, sessions, toks, nil)
-}
-
-// StepAllStatsInto is StepAllInto with per-step counters accumulated into
-// stats (nil discards them — pooled workspace counters are always drained
-// so no later borrower inherits a stale tally).
-func StepAllStatsInto(pool *WorkspacePool, sessions []*StepSession, toks []int, stats *StepStats) {
-	if len(toks) != len(sessions) {
-		panic("core: StepAllInto toks length mismatch")
-	}
-	n := len(sessions)
-	switch n {
-	case 0:
-		return
-	case 1:
-		ws := pool.Get()
-		toks[0] = sessions[0].Step(ws)
-		stats.drainWorkspace(ws)
-		pool.Put(ws)
-		return
-	}
-	// Fuse only when every session runs the pool's model: the pooled
-	// batch workspaces belong to it. Sessions over any other model —
-	// uniform or mixed — step per-goroutine (they may differ from the
-	// pool's model only in weights, not shape).
-	m := pool.m
-	for _, s := range sessions {
-		if s.m != m {
-			stepHeterogeneous(pool, sessions, toks, stats)
-			return
-		}
-	}
-
-	sb := pool.GetBatch()
-	sb.ensure(n)
-	for i, s := range sessions {
-		toks[i] = s.next
-		sb.tokens[i] = s.next
-		sb.positions[i] = s.pos
-		sb.caches[i] = s.cache
-	}
-	sb.bw.SetWorkers(runtime.GOMAXPROCS(0))
-	results := m.ForwardBatchInto(sb.bw, sb.tokens[:n], sb.positions[:n], sb.caches[:n])
-	for i, s := range sessions {
-		s.next = tensor.Argmax(results[i].Logits)
-		s.pos++
-	}
-	stats.drainBatch(sb)
-	pool.PutBatch(sb)
 }
 
 // PrefillChunk describes one prompt chunk advanced in the same fused pass
@@ -352,47 +166,45 @@ type PrefillChunk struct {
 	Final  bool
 }
 
-// StepMixedInto is StepAllInto plus any number of prefill chunks from
-// distinct prompts carried in the same fused pass: every running session
-// advances one token and each chunk's positions prefill into that chunk's
-// own cache, with each weight matrix loaded once for all of it
-// (model.ForwardMixedInto) — the Sarathi-style packed iteration the
-// scheduler's token budget fills. Emitted tokens are bit-identical to
-// per-session stepping and each chunk's cache writes to token-at-a-time
-// prefill, regardless of packing. nexts must be index-aligned with chunks:
-// nexts[j] receives chunk j's first decode token when chunks[j].Final,
-// else -1. An empty chunk slice is exactly StepAllInto; an empty session
-// set runs the chunks alone (pure prefill iteration). Sessions not sharing
-// the pool's model fall back to per-goroutine steps with the chunks fused
-// separately.
-func StepMixedInto(pool *WorkspacePool, sessions []*StepSession, toks []int, chunks []PrefillChunk, nexts []int) {
-	StepMixedStatsInto(pool, sessions, toks, chunks, nexts, nil)
-}
-
-// StepMixedStatsInto is StepMixedInto with per-step counters accumulated
-// into stats (nil discards them), mirroring StepAllStatsInto.
+// StepMixedStatsInto is the step plane's one entry point — the
+// iteration-level inner loop of continuous batching. It decodes exactly one
+// token on every session, writing the emitted tokens into toks
+// (index-aligned; len(toks) must equal len(sessions)), and in the same
+// fused pass advances any number of prefill chunks from distinct prompts:
+// each chunk's positions prefill into that chunk's own cache, with each
+// weight matrix loaded once for all of it (model.ForwardMixedInto) — the
+// Sarathi-style packed iteration the scheduler's token budget fills. The
+// caller re-forms the session and chunk sets between calls; one that reuses
+// toks and nexts steps with zero allocations.
+//
+// Emitted tokens are bit-identical to per-session stepping (Session.Next)
+// and each chunk's cache writes to token-at-a-time prefill, regardless of
+// packing. nexts must be index-aligned with chunks: nexts[j] receives chunk
+// j's first decode token when chunks[j].Final, else -1. An empty chunk
+// slice is a plain decode step, an empty session set a pure prefill
+// iteration, and a single session is a batch of one on the same fused pass.
+// Sessions and chunks must own pairwise distinct caches, and every session
+// must have been built on the pool's model — a foreign one panics: the
+// pooled batch workspaces belong to that model. Per-step counters accumulate
+// into stats (nil discards them — pooled counters are always drained so no
+// later borrower inherits a stale tally).
 func StepMixedStatsInto(pool *WorkspacePool, sessions []*StepSession, toks []int, chunks []PrefillChunk, nexts []int, stats *StepStats) {
-	if len(chunks) == 0 {
-		StepAllStatsInto(pool, sessions, toks, stats)
-		return
-	}
 	if len(toks) != len(sessions) {
-		panic("core: StepMixedInto toks length mismatch")
+		panic("core: StepMixedStatsInto toks length mismatch")
 	}
 	if len(nexts) != len(chunks) {
-		panic("core: StepMixedInto nexts length mismatch")
+		panic("core: StepMixedStatsInto nexts length mismatch")
+	}
+	n := len(sessions)
+	if n == 0 && len(chunks) == 0 {
+		return
 	}
 	m := pool.m
 	for _, s := range sessions {
 		if s.m != m {
-			// Heterogeneous sessions cannot share the pooled fused pass:
-			// step them per-goroutine, then run the chunks on their own.
-			stepHeterogeneous(pool, sessions, toks, stats)
-			sessions = nil
-			break
+			panic("core: session was built on a model that is not the pool's")
 		}
 	}
-	n := len(sessions)
 	sb := pool.GetBatch()
 	sb.ensure(n)
 	sb.ensureChunks(len(chunks))
@@ -429,25 +241,4 @@ func StepMixedStatsInto(pool *WorkspacePool, sessions []*StepSession, toks []int
 	}
 	stats.drainBatch(sb)
 	pool.PutBatch(sb)
-}
-
-// stepHeterogeneous steps sessions whose models differ: one goroutine per
-// session, workspaces acquired up front in one pool pass. The models must
-// share the pool model's shape (pooled workspaces are sized by it); each
-// Step runs its session's own weights.
-func stepHeterogeneous(pool *WorkspacePool, sessions []*StepSession, toks []int, stats *StepStats) {
-	wss := pool.getN(len(sessions))
-	var wg sync.WaitGroup
-	for i, s := range sessions {
-		wg.Add(1)
-		go func(i int, s *StepSession) {
-			defer wg.Done()
-			toks[i] = s.Step(wss[i])
-		}(i, s)
-	}
-	wg.Wait()
-	for _, ws := range wss {
-		stats.drainWorkspace(ws)
-	}
-	pool.putN(wss)
 }

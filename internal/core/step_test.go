@@ -5,76 +5,124 @@ import (
 
 	"rethinkkv/internal/kvcache"
 	"rethinkkv/internal/model"
+	"rethinkkv/internal/tensor"
 )
 
-// StepSession over pooled workspaces must emit exactly the tokens Session
-// emits — it is the same greedy decode restructured for workspace sharing.
-func TestStepSessionMatchesSession(t *testing.T) {
-	p, err := NewPipeline("fp16", 3)
+// prefilled builds a decode session the way the scheduler does: the prompt
+// chunk-prefills through the fused plane on a pooled batch, and the filled
+// cache is wrapped with the first output token.
+func prefilled(m *model.Model, pool *WorkspacePool, prompt []int, cache kvcache.Cache) *StepSession {
+	sb := pool.GetBatch()
+	res := m.PrefillChunkInto(sb.Batch(), prompt, 0, cache)
+	next := tensor.Argmax(res.Logits)
+	pool.PutBatch(sb)
+	return NewPrefilledStepSession(m, cache, next)
+}
+
+// sessionOver is Pipeline.NewSession over a caller-chosen cache: the
+// single-stream reference (ForwardInto prefill, Session.Next decode) every
+// step-plane stream is compared against token for token.
+func sessionOver(p *Pipeline, prompt []int, cache kvcache.Cache) *Session {
+	ws := p.Model.NewWorkspace()
+	res := p.Model.PrefillInto(ws, prompt, cache)
+	return &Session{p: p, cache: cache, ws: ws, pos: len(prompt), logits: res.Logits}
+}
+
+// sessionTokens decodes maxNew tokens with Session.Next.
+func sessionTokens(p *Pipeline, prompt []int, cache kvcache.Cache, maxNew int) []int {
+	s := sessionOver(p, prompt, cache)
+	out := make([]int, maxNew)
+	for i := range out {
+		out[i] = s.Next()
+	}
+	return out
+}
+
+// pipelineOver builds the fp16 Pipeline whose model the step plane and the
+// reference Sessions share.
+func pipelineOver(t *testing.T, seed uint64) *Pipeline {
+	t.Helper()
+	p, err := NewPipeline("fp16", seed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return p
+}
+
+// StepSession over a pooled step batch must emit exactly the tokens Session
+// emits — it is the same greedy decode restructured for workspace sharing —
+// on every cache layout the engine serves (flat Full, fp32/int8/int4
+// pages), stepping the prompts as one batch and each alone: a single
+// session with no chunks is a batch of one on the same fused pass.
+func TestStepSessionMatchesSession(t *testing.T) {
+	p := pipelineOver(t, 3)
+	m := p.Model
 	prompts := [][]int{
 		{1, 2, 3, 4},
 		{10, 20, 30, 40, 50, 60, 70},
 		{5},
 	}
 	const maxNew = 16
-
-	want := make([][]int, len(prompts))
-	for i, prompt := range prompts {
-		out, _, err := p.Run(prompt, maxNew)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = out
+	kinds := []struct {
+		name string
+		mk   func() kvcache.Cache
+	}{
+		{"full", func() kvcache.Cache { return kvcache.NewFull(m.CacheShape()) }},
+		{"paged-fp32", func() kvcache.Cache { return kvcache.NewPagedKV(m.CacheShape(), 8) }},
+		{"paged-int8", func() kvcache.Cache { return kvcache.NewPagedKVQuant(m.CacheShape(), 8, 0, 8) }},
+		{"paged-int4", func() kvcache.Cache { return kvcache.NewPagedKVQuant(m.CacheShape(), 8, 0, 4) }},
 	}
-
-	pool := NewWorkspacePool(p.Model)
-	sessions := make([]*StepSession, len(prompts))
-	for i, prompt := range prompts {
-		ws := pool.Get()
-		s, err := NewStepSession(p.Model, ws, prompt, kvcache.NewPagedKV(p.Model.CacheShape(), 8))
-		pool.Put(ws)
-		if err != nil {
-			t.Fatal(err)
+	for _, kind := range kinds {
+		want := make([][]int, len(prompts))
+		for i, prompt := range prompts {
+			want[i] = sessionTokens(p, prompt, kind.mk(), maxNew)
 		}
-		sessions[i] = s
-	}
-	got := make([][]int, len(prompts))
-	for step := 0; step < maxNew; step++ {
-		toks := StepAll(pool, sessions)
-		for i, tok := range toks {
-			got[i] = append(got[i], tok)
-		}
-	}
-	for i := range prompts {
-		for j := range want[i] {
-			if got[i][j] != want[i][j] {
-				t.Fatalf("prompt %d token %d: step loop %d != session %d", i, j, got[i][j], want[i][j])
+		pool := NewWorkspacePool(m)
+		// The whole set as one batch, then each prompt as a batch of one.
+		groups := [][]int{{0, 1, 2}, {0}, {1}, {2}}
+		for _, group := range groups {
+			sessions := make([]*StepSession, len(group))
+			for g, i := range group {
+				sessions[g] = prefilled(m, pool, prompts[i], kind.mk())
+			}
+			toks := make([]int, len(sessions))
+			for step := 0; step < maxNew; step++ {
+				StepMixedStatsInto(pool, sessions, toks, nil, nil, nil)
+				for g, i := range group {
+					if toks[g] != want[i][step] {
+						t.Fatalf("%s B=%d prompt %d token %d: step loop %d != session %d",
+							kind.name, len(group), i, step, toks[g], want[i][step])
+					}
+				}
 			}
 		}
 	}
-	if n := pool.Allocated(); n > len(prompts) {
-		t.Fatalf("pool allocated %d workspaces for %d-way steps", n, len(prompts))
-	}
 }
 
+// An empty prompt cannot become a step session: the chunk that would prefill
+// it is refused by the fused pass before any cache is touched.
 func TestNewStepSessionEmptyPrompt(t *testing.T) {
 	m := model.New(model.Tiny(), 1)
-	ws := m.NewWorkspace()
-	if _, err := NewStepSession(m, ws, nil, kvcache.NewFull(m.CacheShape())); err == nil {
-		t.Fatal("empty prompt accepted")
-	}
+	pool := NewWorkspacePool(m)
+	cache := kvcache.NewFull(m.CacheShape())
+	defer func() {
+		if recover() == nil {
+			t.Fatal("empty prompt accepted")
+		}
+		if cache.TotalAppended() != 0 {
+			t.Fatalf("refused prompt appended %d tokens", cache.TotalAppended())
+		}
+	}()
+	StepMixedStatsInto(pool, nil, nil, []PrefillChunk{{Cache: cache, Final: true}}, make([]int, 1), nil)
 }
 
 // TestStepAllMixedCaches drives the fused path with heterogeneous cache
 // layouts in one batch (flat Full next to PagedKV): attention is
 // per-session, so the fused step must handle any Cache mix and still
-// match per-session stepping token for token.
+// match Session.Next token for token.
 func TestStepAllMixedCaches(t *testing.T) {
-	m := model.New(model.Tiny(), 5)
-	ws := m.NewWorkspace()
+	p := pipelineOver(t, 5)
+	m := p.Model
 	pool := NewWorkspacePool(m)
 
 	prompts := [][]int{
@@ -93,26 +141,16 @@ func TestStepAllMixedCaches(t *testing.T) {
 	const maxNew = 12
 	want := make([][]int, len(prompts))
 	for i, prompt := range prompts {
-		s, err := NewStepSession(m, ws, prompt, mkCache(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for step := 0; step < maxNew; step++ {
-			want[i] = append(want[i], s.Step(ws))
-		}
+		want[i] = sessionTokens(p, prompt, mkCache(i), maxNew)
 	}
 
 	sessions := make([]*StepSession, len(prompts))
 	for i, prompt := range prompts {
-		s, err := NewStepSession(m, ws, prompt, mkCache(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sessions[i] = s
+		sessions[i] = prefilled(m, pool, prompt, mkCache(i))
 	}
 	toks := make([]int, len(sessions))
 	for step := 0; step < maxNew; step++ {
-		StepAllInto(pool, sessions, toks)
+		StepMixedStatsInto(pool, sessions, toks, nil, nil, nil)
 		for i, tok := range toks {
 			if tok != want[i][step] {
 				t.Fatalf("session %d step %d: fused %d != per-session %d", i, step, tok, want[i][step])
@@ -121,83 +159,34 @@ func TestStepAllMixedCaches(t *testing.T) {
 	}
 }
 
-// TestStepAllHeterogeneousModels exercises the per-goroutine fallback:
-// sessions over distinct models (same shape) cannot fuse but must still
-// step correctly.
-func TestStepAllHeterogeneousModels(t *testing.T) {
+// TestStepForeignModelRejected pins the one-model contract: the pooled
+// batch workspaces belong to the pool's model, so a session built on any
+// other model — alone, or mixed into a batch of the pool's own — is refused
+// by panic rather than stepped on the wrong weights.
+func TestStepForeignModelRejected(t *testing.T) {
 	m1 := model.New(model.Tiny(), 1)
 	m2 := model.New(model.Tiny(), 2)
 	pool := NewWorkspacePool(m1)
-	ws := m1.NewWorkspace()
-
+	foreignPool := NewWorkspacePool(m2)
 	prompt := []int{3, 1, 4, 1, 5}
-	want := make([][]int, 2)
-	for i, m := range []*model.Model{m1, m2} {
-		s, err := NewStepSession(m, ws, prompt, kvcache.NewFull(m.CacheShape()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for step := 0; step < 8; step++ {
-			want[i] = append(want[i], s.Step(ws))
-		}
-	}
 
-	s1, err := NewStepSession(m1, ws, prompt, kvcache.NewFull(m1.CacheShape()))
-	if err != nil {
-		t.Fatal(err)
+	own := prefilled(m1, pool, prompt, kvcache.NewFull(m1.CacheShape()))
+	foreign := prefilled(m2, foreignPool, prompt, kvcache.NewFull(m2.CacheShape()))
+	for name, sessions := range map[string][]*StepSession{
+		"foreign alone": {foreign},
+		"mixed batch":   {own, foreign},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: foreign-model session was stepped", name)
+				}
+			}()
+			StepMixedStatsInto(pool, sessions, make([]int, len(sessions)), nil, nil, nil)
+		}()
 	}
-	s2, err := NewStepSession(m2, ws, prompt, kvcache.NewFull(m2.CacheShape()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sessions := []*StepSession{s1, s2}
-	toks := make([]int, 2)
-	for step := 0; step < 8; step++ {
-		StepAllInto(pool, sessions, toks)
-		for i := range sessions {
-			if toks[i] != want[i][step] {
-				t.Fatalf("model %d step %d: %d != %d", i, step, toks[i], want[i][step])
-			}
-		}
-	}
-}
-
-// TestStepAllForeignModel steps a batch that is uniform over a model that
-// is NOT the pool's model: it must take the per-goroutine fallback (the
-// pooled batch workspaces belong to the pool's model) instead of panicking,
-// and still emit the right tokens.
-func TestStepAllForeignModel(t *testing.T) {
-	m1 := model.New(model.Tiny(), 1)
-	m2 := model.New(model.Tiny(), 2)
-	pool := NewWorkspacePool(m1)
-	ws := m2.NewWorkspace()
-
-	prompt := []int{2, 7, 1, 8}
-	ref, err := NewStepSession(m2, ws, prompt, kvcache.NewFull(m2.CacheShape()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []int
-	for step := 0; step < 6; step++ {
-		want = append(want, ref.Step(ws))
-	}
-
-	sessions := make([]*StepSession, 2)
-	for i := range sessions {
-		s, err := NewStepSession(m2, ws, prompt, kvcache.NewFull(m2.CacheShape()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sessions[i] = s
-	}
-	toks := make([]int, 2)
-	for step := 0; step < 6; step++ {
-		StepAllInto(pool, sessions, toks)
-		for i := range sessions {
-			if toks[i] != want[step] {
-				t.Fatalf("session %d step %d: %d != %d", i, step, toks[i], want[step])
-			}
-		}
+	if own.Pos() != len(prompt) || foreign.Pos() != len(prompt) {
+		t.Fatalf("a rejected step advanced a session: own at %d, foreign at %d", own.Pos(), foreign.Pos())
 	}
 }
 
@@ -205,10 +194,10 @@ func TestStepAllForeignModel(t *testing.T) {
 // prompt chunk-prefills through the same fused iterations, then decodes
 // the prefilled request via NewPrefilledStepSession: every stream — the
 // concurrent decoders and the chunked request — must emit exactly the
-// tokens per-session stepping produces.
+// tokens Session.Next produces.
 func TestStepMixedIntoMatchesStepAll(t *testing.T) {
-	m := model.New(model.Tiny(), 9)
-	ws := m.NewWorkspace()
+	p := pipelineOver(t, 9)
+	m := p.Model
 	pool := NewWorkspacePool(m)
 
 	decodePrompts := [][]int{
@@ -221,26 +210,16 @@ func TestStepMixedIntoMatchesStepAll(t *testing.T) {
 	}
 	const maxNew = 10
 
-	// References: plain per-session stepping for everything.
+	// References: Session.Next, one stream at a time.
 	want := make([][]int, len(decodePrompts)+1)
 	for i, prompt := range append(append([][]int{}, decodePrompts...), longPrompt) {
-		s, err := NewStepSession(m, ws, prompt, kvcache.NewPagedKV(m.CacheShape(), 8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for step := 0; step < maxNew; step++ {
-			want[i] = append(want[i], s.Step(ws))
-		}
+		want[i] = sessionTokens(p, prompt, kvcache.NewPagedKV(m.CacheShape(), 8), maxNew)
 	}
 
 	sessions := make([]*StepSession, len(decodePrompts))
 	got := make([][]int, len(decodePrompts)+1)
 	for i, prompt := range decodePrompts {
-		s, err := NewStepSession(m, ws, prompt, kvcache.NewPagedKV(m.CacheShape(), 8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sessions[i] = s
+		sessions[i] = prefilled(m, pool, prompt, kvcache.NewPagedKV(m.CacheShape(), 8))
 	}
 	// Chunk the long prompt at 8 across mixed iterations; decoders advance
 	// one token per iteration alongside.
@@ -254,7 +233,7 @@ func TestStepMixedIntoMatchesStepAll(t *testing.T) {
 			end = len(longPrompt)
 		}
 		chunks := []PrefillChunk{{Tokens: longPrompt[off:end], Cache: longCache, Final: end == len(longPrompt)}}
-		StepMixedInto(pool, sessions, toks, chunks, nexts)
+		StepMixedStatsInto(pool, sessions, toks, chunks, nexts, nil)
 		for i, tok := range toks {
 			got[i] = append(got[i], tok)
 		}
@@ -271,7 +250,7 @@ func TestStepMixedIntoMatchesStepAll(t *testing.T) {
 	all := append(append([]*StepSession{}, sessions...), longSess)
 	allToks := make([]int, len(all))
 	for steps := 0; ; steps++ {
-		StepMixedInto(pool, all, allToks, nil, nil)
+		StepMixedStatsInto(pool, all, allToks, nil, nil, nil)
 		for i, tok := range allToks {
 			if len(got[i]) < maxNew {
 				got[i] = append(got[i], tok)
@@ -299,11 +278,11 @@ func TestStepMixedIntoMatchesStepAll(t *testing.T) {
 // TestStepMixedPackedMatchesStepAll packs chunks from several prompts into
 // the same fused iterations as a running decode batch — the budget-packed
 // shape the scheduler's TokenBudget produces — and checks every stream
-// emits exactly the tokens per-session stepping produces, with each packed
+// emits exactly the tokens Session.Next produces, with each packed
 // prompt's first decode token coming from its own chunk's Final logits.
 func TestStepMixedPackedMatchesStepAll(t *testing.T) {
-	m := model.New(model.Tiny(), 9)
-	ws := m.NewWorkspace()
+	p := pipelineOver(t, 9)
+	m := p.Model
 	pool := NewWorkspacePool(m)
 
 	decodePrompts := [][]int{
@@ -323,23 +302,13 @@ func TestStepMixedPackedMatchesStepAll(t *testing.T) {
 	all := append(append([][]int{}, decodePrompts...), longPrompts...)
 	want := make([][]int, len(all))
 	for i, prompt := range all {
-		s, err := NewStepSession(m, ws, prompt, kvcache.NewPagedKV(m.CacheShape(), 8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for step := 0; step < maxNew; step++ {
-			want[i] = append(want[i], s.Step(ws))
-		}
+		want[i] = sessionTokens(p, prompt, kvcache.NewPagedKV(m.CacheShape(), 8), maxNew)
 	}
 
 	sessions := make([]*StepSession, len(decodePrompts))
 	got := make([][]int, len(all))
 	for i, prompt := range decodePrompts {
-		s, err := NewStepSession(m, ws, prompt, kvcache.NewPagedKV(m.CacheShape(), 8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sessions[i] = s
+		sessions[i] = prefilled(m, pool, prompt, kvcache.NewPagedKV(m.CacheShape(), 8))
 	}
 	longCaches := make([]kvcache.Cache, len(longPrompts))
 	longSess := make([]*StepSession, len(longPrompts))
@@ -374,7 +343,7 @@ func TestStepMixedPackedMatchesStepAll(t *testing.T) {
 		if cap(nexts) < len(chunks) {
 			nexts = make([]int, len(chunks))
 		}
-		StepMixedInto(pool, sessions, toks, chunks, nexts[:len(chunks)])
+		StepMixedStatsInto(pool, sessions, toks, chunks, nexts[:len(chunks)], nil)
 		for i, tok := range toks {
 			got[i] = append(got[i], tok)
 		}
@@ -393,7 +362,7 @@ func TestStepMixedPackedMatchesStepAll(t *testing.T) {
 	allSess := append(append([]*StepSession{}, sessions...), longSess...)
 	allToks := make([]int, len(allSess))
 	for {
-		StepMixedInto(pool, allSess, allToks, nil, nil)
+		StepMixedStatsInto(pool, allSess, allToks, nil, nil, nil)
 		done := true
 		for i, tok := range allToks {
 			if len(got[i]) < maxNew {
@@ -419,42 +388,39 @@ func TestStepMixedPackedMatchesStepAll(t *testing.T) {
 // TestStepMixedPackedAllocFree pins the budget-packed serving iteration —
 // pooled StepBatch, decode lanes plus chunks from several prompts — at
 // zero steady-state heap allocations on the serial path, the contract the
-// scheduler's packed stepOnce relies on. (AllocsPerRun pins GOMAXPROCS to
-// 1, so SetWorkers sees 1 and the pass stays serial; see
-// TestStepAllIntoAllocFree.)
+// scheduler's packed stepOnce relies on; and likewise the other end of the
+// one entry point, a single session with no chunks, the most common step
+// under light load. (AllocsPerRun pins GOMAXPROCS to 1, so SetWorkers sees 1
+// and the pass stays serial; see TestStepAllIntoAllocFree.)
 func TestStepMixedPackedAllocFree(t *testing.T) {
-	m := model.New(model.Tiny(), 3)
-	pool := NewWorkspacePool(m)
-	ws := m.NewWorkspace()
+	for _, shape := range []struct{ B, K int }{{3, 2}, {1, 0}} {
+		m := model.New(model.Tiny(), 3)
+		pool := NewWorkspacePool(m)
 
-	sessions := make([]*StepSession, 3)
-	for i := range sessions {
-		prompt := []int{1 + i, 2, 3, 4 + i}
-		s, err := NewStepSession(m, ws, prompt, kvcache.NewPagedKV(m.CacheShape(), 1024))
-		if err != nil {
-			t.Fatal(err)
+		sessions := make([]*StepSession, shape.B)
+		for i := range sessions {
+			prompt := []int{1 + i, 2, 3, 4 + i}
+			sessions[i] = prefilled(m, pool, prompt, kvcache.NewPagedKV(m.CacheShape(), 1024))
 		}
-		sessions[i] = s
-	}
-	const K = 2
-	const C = 4
-	chunkCaches := make([]*kvcache.PagedKV, K)
-	for j := range chunkCaches {
-		chunkCaches[j] = kvcache.NewPagedKV(m.CacheShape(), 1024)
-	}
-	chunkTokens := make([]int, C)
-	toks := make([]int, len(sessions))
-	chunks := make([]PrefillChunk, K)
-	nexts := make([]int, K)
-	step := func() {
-		for j := range chunks {
-			chunks[j] = PrefillChunk{Tokens: chunkTokens, Cache: chunkCaches[j], Final: true}
+		const C = 4
+		chunkCaches := make([]*kvcache.PagedKV, shape.K)
+		for j := range chunkCaches {
+			chunkCaches[j] = kvcache.NewPagedKV(m.CacheShape(), 1024)
 		}
-		StepMixedInto(pool, sessions, toks, chunks, nexts)
-	}
-	step() // warm the pooled StepBatch, chunk scratch and first pages
-	if n := testing.AllocsPerRun(50, step); n != 0 {
-		t.Fatalf("packed StepMixedInto allocated %v per run", n)
+		chunkTokens := make([]int, C)
+		toks := make([]int, len(sessions))
+		chunks := make([]PrefillChunk, shape.K)
+		nexts := make([]int, shape.K)
+		step := func() {
+			for j := range chunks {
+				chunks[j] = PrefillChunk{Tokens: chunkTokens, Cache: chunkCaches[j], Final: true}
+			}
+			StepMixedStatsInto(pool, sessions, toks, chunks, nexts, nil)
+		}
+		step() // warm the pooled StepBatch, chunk scratch and first pages
+		if n := testing.AllocsPerRun(50, step); n != 0 {
+			t.Fatalf("B=%d K=%d: StepMixedStatsInto allocated %v per run", shape.B, shape.K, n)
+		}
 	}
 }
 
@@ -466,24 +432,19 @@ func TestStepMixedPackedAllocFree(t *testing.T) {
 // BatchWorkspace.SetWorkers.)
 func TestStepAllIntoAllocFree(t *testing.T) {
 	m := model.New(model.Tiny(), 3)
-	ws := m.NewWorkspace()
 	pool := NewWorkspacePool(m)
 
 	sessions := make([]*StepSession, 4)
 	for i := range sessions {
 		prompt := []int{1 + i, 2, 3, 4 + i}
-		s, err := NewStepSession(m, ws, prompt, kvcache.NewPagedKV(m.CacheShape(), 1024))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sessions[i] = s
+		sessions[i] = prefilled(m, pool, prompt, kvcache.NewPagedKV(m.CacheShape(), 1024))
 	}
 	toks := make([]int, len(sessions))
-	StepAllInto(pool, sessions, toks) // warm the pooled StepBatch
+	StepMixedStatsInto(pool, sessions, toks, nil, nil, nil) // warm the pooled StepBatch
 	if n := testing.AllocsPerRun(50, func() {
-		StepAllInto(pool, sessions, toks)
+		StepMixedStatsInto(pool, sessions, toks, nil, nil, nil)
 	}); n != 0 {
-		t.Fatalf("fused StepAllInto allocated %v per run", n)
+		t.Fatalf("fused decode step allocated %v per run", n)
 	}
 }
 
@@ -495,5 +456,5 @@ func TestStepAllIntoLengthMismatch(t *testing.T) {
 			t.Fatal("no panic on toks length mismatch")
 		}
 	}()
-	StepAllInto(pool, make([]*StepSession, 2), make([]int, 1))
+	StepMixedStatsInto(pool, make([]*StepSession, 2), make([]int, 1), nil, nil, nil)
 }

@@ -3,14 +3,14 @@ package model
 import (
 	"sync"
 
-	"rethinkkv/internal/kvcache"
 	"rethinkkv/internal/tensor"
 )
 
-// This file is the fused batched decode plane: one forward pass that
-// advances B independent decode streams a single token each, loading every
-// weight matrix once per step instead of once per stream. Projections and
-// the LM head run as batched weight-stationary GEMMs (tensor.MatTMatTrans*/
+// This file is the scratch state and sharding of the fused plane
+// (ForwardMixedInto, prefill.go): one forward pass that advances B
+// independent decode streams a single token each, loading every weight
+// matrix once per step instead of once per stream. Projections and the LM
+// head run as batched weight-stationary GEMMs (tensor.MatTMatTrans*/
 // tensor.MatMat*); attention stays per-stream via the shared attendStep,
 // because each stream attends over its own KV cache at its own position.
 // Per lane the arithmetic is operation-for-operation identical to
@@ -122,24 +122,6 @@ func (bw *BatchWorkspace) Workers() int { return bw.workers }
 // gemmShardMin is the per-shard work floor (multiply-accumulates) below
 // which sharding a GEMM costs more in goroutine latency than it saves.
 const gemmShardMin = 1 << 15
-
-// ForwardBatchInto advances n = len(tokens) decode streams one token each:
-// stream b forwards tokens[b] at absolute position positions[b], appending
-// to caches[b] and attending over what that cache retains. The caches must
-// be distinct (each lane appends one token) and match the model's shape;
-// positions are independent per lane. Results alias the workspace lanes
-// and are valid until the next call on the same workspace; in steady state
-// the call performs zero heap allocations (with Workers == 1).
-//
-// Lane b's outputs are bit-identical to
-// ForwardInto(ws, tokens[b], positions[b], caches[b]): the projections use
-// the transposed-weight batched kernels whose per-element reduction order
-// matches VecMatInto exactly (including its zero-skip, via dispatch), and
-// attention/norms/activations share the per-stream code paths.
-func (m *Model) ForwardBatchInto(bw *BatchWorkspace, tokens, positions []int, caches []kvcache.Cache) []StepResult {
-	results, _ := m.ForwardMixedInto(bw, tokens, positions, caches, nil)
-	return results
-}
 
 // project runs one batched projection dst[b] = xs[b]ᵀ·w, column-sharded
 // across workers when the matrix is large enough to amortize the fan-out.

@@ -31,13 +31,15 @@ func prefillLane(m *Model, ws *Workspace, cache kvcache.Cache, lane int) []int {
 	return prompt
 }
 
-// TestForwardBatchIntoBitIdentical pins fused batched decode against
-// per-session ForwardInto bit-for-bit: batch sizes {2, 3, 8}, mixed
-// positions, Full and PagedKV caches, several greedy decode steps deep
-// (so each step consumes cache state written by the previous fused step).
+// TestForwardBatchIntoBitIdentical pins fused batched decode
+// (ForwardMixedInto with no chunks) against per-session ForwardInto
+// bit-for-bit: batch sizes {1, 2, 3, 8} — a batch of one is the same fused
+// pass, not a separate path — mixed positions, Full and PagedKV caches,
+// several greedy decode steps deep (so each step consumes cache state
+// written by the previous fused step).
 func TestForwardBatchIntoBitIdentical(t *testing.T) {
 	for _, kind := range batchCacheKinds {
-		for _, B := range []int{2, 3, 8} {
+		for _, B := range []int{1, 2, 3, 8} {
 			m := New(Tiny(), 11)
 			ws := m.NewWorkspace()
 			bw := m.NewBatchWorkspace(B)
@@ -67,7 +69,7 @@ func TestForwardBatchIntoBitIdentical(t *testing.T) {
 					nextTok[b] = tensor.Argmax(sr.Logits)
 				}
 				// Fused step over the twin caches.
-				results := m.ForwardBatchInto(bw, tokens, positions, batCaches)
+				results, _ := m.ForwardMixedInto(bw, tokens, positions, batCaches, nil)
 				for b := 0; b < B; b++ {
 					for j := range wantLogits[b] {
 						if math.Float32bits(results[b].Logits[j]) != math.Float32bits(wantLogits[b][j]) {
@@ -125,12 +127,12 @@ func TestForwardBatchIntoWorkers(t *testing.T) {
 		tokens[b] = (b * 11) % m.Config().Vocab
 	}
 	for step := 0; step < 4; step++ {
-		want := m.ForwardBatchInto(serial, tokens, positions, sc)
+		want, _ := m.ForwardMixedInto(serial, tokens, positions, sc, nil)
 		wantCopy := make([][]float32, B)
 		for b := range want {
 			wantCopy[b] = append([]float32(nil), want[b].Logits...)
 		}
-		got := m.ForwardBatchInto(parallel, tokens, positions, pc)
+		got, _ := m.ForwardMixedInto(parallel, tokens, positions, pc, nil)
 		for b := 0; b < B; b++ {
 			for j := range wantCopy[b] {
 				if math.Float32bits(got[b].Logits[j]) != math.Float32bits(wantCopy[b][j]) {
@@ -163,12 +165,12 @@ func TestForwardBatchIntoAllocFree(t *testing.T) {
 		tokens[b] = b % m.Config().Vocab
 	}
 	// Warm the score buffers past the positions the loop will reach.
-	m.ForwardBatchInto(bw, tokens, positions, caches)
+	m.ForwardMixedInto(bw, tokens, positions, caches, nil)
 	for b := 0; b < B; b++ {
 		positions[b]++
 	}
 	if n := testing.AllocsPerRun(50, func() {
-		m.ForwardBatchInto(bw, tokens, positions, caches)
+		m.ForwardMixedInto(bw, tokens, positions, caches, nil)
 		for b := 0; b < B; b++ {
 			positions[b]++
 		}
@@ -183,22 +185,22 @@ func TestForwardBatchIntoValidation(t *testing.T) {
 	bw := m.NewBatchWorkspace(1)
 	cache := kvcache.NewFull(m.CacheShape())
 
-	if got := m.ForwardBatchInto(bw, nil, nil, nil); got != nil {
+	if got, _ := m.ForwardMixedInto(bw, nil, nil, nil, nil); got != nil {
 		t.Fatalf("empty batch returned %v", got)
 	}
 	assertPanics(t, "length mismatch", func() {
-		m.ForwardBatchInto(bw, []int{1}, nil, []kvcache.Cache{cache})
+		m.ForwardMixedInto(bw, []int{1}, nil, []kvcache.Cache{cache}, nil)
 	})
 	assertPanics(t, "token range", func() {
-		m.ForwardBatchInto(bw, []int{-1}, []int{0}, []kvcache.Cache{cache})
+		m.ForwardMixedInto(bw, []int{-1}, []int{0}, []kvcache.Cache{cache}, nil)
 	})
 	assertPanics(t, "foreign workspace", func() {
 		other := New(Tiny(), 2)
-		m.ForwardBatchInto(other.NewBatchWorkspace(1), []int{1}, []int{0}, []kvcache.Cache{cache})
+		m.ForwardMixedInto(other.NewBatchWorkspace(1), []int{1}, []int{0}, []kvcache.Cache{cache}, nil)
 	})
 	assertPanics(t, "cache shape", func() {
 		bad := kvcache.NewFull(kvcache.Shape{Layers: 1, KVHeads: 1, HeadDim: 2})
-		m.ForwardBatchInto(bw, []int{1}, []int{0}, []kvcache.Cache{bad})
+		m.ForwardMixedInto(bw, []int{1}, []int{0}, []kvcache.Cache{bad}, nil)
 	})
 }
 

@@ -93,7 +93,7 @@ func benchSteadyBatch(b *testing.B, cfg Config, fused bool) {
 	m := New(cfg, 1)
 	ws := m.NewWorkspace()
 	bw := m.NewBatchWorkspace(B)
-	// Mirror core.StepAllInto: -cpu 1 benches the serial fused step,
+	// Mirror core.StepMixedStatsInto: -cpu 1 benches the serial fused step,
 	// -cpu 4 the row/lane-sharded one.
 	bw.SetWorkers(runtime.GOMAXPROCS(0))
 	caches := make([]kvcache.Cache, B)
@@ -122,7 +122,7 @@ func benchSteadyBatch(b *testing.B, cfg Config, fused bool) {
 			b.StartTimer()
 		}
 		if fused {
-			results := m.ForwardBatchInto(bw, tokens, positions, caches)
+			results, _ := m.ForwardMixedInto(bw, tokens, positions, caches, nil)
 			for lane := range results {
 				tokens[lane] = tensor.Argmax(results[lane].Logits)
 				positions[lane]++

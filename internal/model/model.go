@@ -35,7 +35,7 @@ type layerWeights struct {
 // workspace used by the convenience entry points (Forward, Prefill,
 // Generate), which therefore must not be called concurrently on one Model.
 // Concurrent decoding is safe via per-goroutine workspaces: NewWorkspace +
-// ForwardInto, or one fused BatchWorkspace + ForwardBatchInto.
+// ForwardInto, or one fused BatchWorkspace + ForwardMixedInto.
 type Model struct {
 	cfg       Config
 	embed     *tensor.Matrix // Vocab × Hidden (tied with the LM head)
@@ -319,7 +319,7 @@ func (m *Model) ForwardInto(ws *Workspace, token, pos int, cache kvcache.Cache) 
 // (using the step's cached rotation tables), append K/V to the cache, and
 // accumulate each query head's attention output into ws.attnOut. It is the
 // single attention implementation shared by the per-stream (ForwardInto)
-// and fused batched (ForwardBatchInto) planes, which is what makes the two
+// and fused batched (ForwardMixedInto) planes, which is what makes the two
 // bit-identical by construction.
 func (m *Model) attendStep(ws *Workspace, cp *cachePath, l int) {
 	// Apply RoPE to the keys in place; ws.kHeads/ws.vHeads are prebuilt
@@ -346,11 +346,16 @@ func (m *Model) attendStep(ws *Workspace, cp *cachePath, l int) {
 // bit-identical to what a token-at-a-time pass would have cached, and the
 // score/softmax/accumulate arithmetic is shared, so bounded attention here
 // equals full attention then.
+//
+// Caches with a regular layout (Full's flat buffer, fp32 pages, quantized
+// pages) all take the one page walk in attend.go; caches with irregular
+// retained sets (eviction, offline quantisation) take the generic Seq arm.
 func (m *Model) attendOver(ws *Workspace, cp *cachePath, l, limit int) {
 	cfg := m.cfg
 	hd := cfg.HeadDim
 	group := cfg.GroupSize()
 	invSqrt := m.invSqrtHD
+	paged := cp.flat != nil || cp.quant != nil || cp.pager != nil
 
 	attnOut := ws.attnOut
 	for i := range attnOut {
@@ -365,104 +370,24 @@ func (m *Model) attendOver(ws *Workspace, cp *cachePath, l, limit int) {
 		if n < 0 {
 			n = cp.cache.Len(l, kh)
 		}
+		if paged {
+			m.attendPaged(ws, cp, l, kh, limit, n, out)
+			continue
+		}
+		// Generic path for caches with irregular retained sets
+		// (eviction, quantisation): per-token views from Seq.
 		scores := ws.scoresFor(n)
-		switch {
-		case cp.flat != nil:
-			// Flat fast path: stream the strided buffers directly; a
-			// causal bound simply truncates the streamed entry count.
-			keys, vals, stride := cp.flat.FlatSeq(l, kh)
-			tensor.DotStrided(scores, ws.qv, keys, stride)
-			tensor.Scale(scores, invSqrt)
-			tensor.Softmax(scores)
-			if cp.observer != nil {
-				cp.observer.ObserveAttention(l, kh, scores)
-			}
-			tensor.AXPYStrided(out, scores, vals, stride)
-		case cp.quant != nil:
-			if limit < 0 && m.attendQuantSparse(ws, cp, l, kh, n, out) {
-				break
-			}
-			// Quantized paged fast path: stream code pages through the
-			// fused dequantize-on-stream kernels — per-element
-			// x = float32(code)·Δ + lo straight into the accumulation, no
-			// fp32 copy of the context — with the same page walk and
-			// mid-page causal truncation as the fp32 paged path. Every
-			// token was quantized at its own append, so bounded attention
-			// here reads exactly what a token-at-a-time pass would have.
-			pages, stride := cp.quant.QuantPages(l)
-			bits := cp.quant.QuantBits()
-			kvh := cfg.KVHeads
-			off := kh * hd
-			i := 0
-			for p := 0; p < len(pages) && i < n; p++ {
-				t := pages[p].Tokens(kvh)
-				if i+t > n {
-					t = n - i
-				}
-				tensor.DotQuantStrided(scores[i:i+t], ws.qv, pages[p].KCodes, pages[p].KParams, bits, off, stride, kvh, kh)
-				i += t
-			}
-			tensor.Scale(scores, invSqrt)
-			tensor.Softmax(scores)
-			if cp.observer != nil {
-				cp.observer.ObserveAttention(l, kh, scores)
-			}
-			i = 0
-			for p := 0; p < len(pages) && i < n; p++ {
-				t := pages[p].Tokens(kvh)
-				if i+t > n {
-					t = n - i
-				}
-				tensor.AXPYQuantStrided(out, scores[i:i+t], pages[p].VCodes, pages[p].VParams, bits, off, stride, kvh, kh)
-				i += t
-			}
-		case cp.pager != nil:
-			if limit < 0 && m.attendPagedSparse(ws, cp, l, kh, n, out) {
-				break
-			}
-			// Paged fast path: stream flat pages, scores first so the
-			// softmax (and any observer) sees the whole sequence; stop
-			// mid-page at the causal bound.
-			kps, vps, stride := cp.pager.KVPages(l)
-			off := kh * hd
-			i := 0
-			for p := 0; p < len(kps) && i < n; p++ {
-				t := len(kps[p]) / stride
-				if i+t > n {
-					t = n - i
-				}
-				tensor.DotStrided(scores[i:i+t], ws.qv, kps[p][off:], stride)
-				i += t
-			}
-			tensor.Scale(scores, invSqrt)
-			tensor.Softmax(scores)
-			if cp.observer != nil {
-				cp.observer.ObserveAttention(l, kh, scores)
-			}
-			i = 0
-			for p := 0; p < len(vps) && i < n; p++ {
-				t := len(vps[p]) / stride
-				if i+t > n {
-					t = n - i
-				}
-				tensor.AXPYStrided(out, scores[i:i+t], vps[p][off:], stride)
-				i += t
-			}
-		default:
-			// Generic path for caches with irregular retained sets
-			// (eviction, quantisation): per-token views from Seq.
-			keys, vals := cp.cache.Seq(l, kh)
-			keys, vals = keys[:n], vals[:n]
-			for i, kv := range keys {
-				scores[i] = tensor.Dot(ws.qv, kv) * invSqrt
-			}
-			tensor.Softmax(scores)
-			if cp.observer != nil {
-				cp.observer.ObserveAttention(l, kh, scores)
-			}
-			for i, w := range scores {
-				tensor.AXPY(out, w, vals[i])
-			}
+		keys, vals := cp.cache.Seq(l, kh)
+		keys, vals = keys[:n], vals[:n]
+		for i, kv := range keys {
+			scores[i] = tensor.Dot(ws.qv, kv) * invSqrt
+		}
+		tensor.Softmax(scores)
+		if cp.observer != nil {
+			cp.observer.ObserveAttention(l, kh, scores)
+		}
+		for i, w := range scores {
+			tensor.AXPY(out, w, vals[i])
 		}
 	}
 }

@@ -46,24 +46,32 @@ type Chunk struct {
 	NeedLogits bool
 }
 
-// ForwardMixedInto is ForwardBatchInto plus any number of prefill chunks
-// from distinct prompts in the same fused pass: decode stream b forwards
-// tokens[b] at positions[b] against caches[b] exactly as in
-// ForwardBatchInto, and chunk j advances len(chunks[j].Tokens) positions of
-// its own prompt, all sharing a single weight-stationary pass per layer —
-// each projection matrix is loaded once for B decode lanes plus ΣC chunk
-// positions. Attention stays per-stream: decode lanes attend over their own
-// caches, each chunk's positions causally over that chunk's own cache, so
-// chunks must carry pairwise-distinct caches.
+// ForwardMixedInto is the fused forward pass: one weight-stationary pass per
+// layer that advances B = len(tokens) decode streams one token each and, in
+// the same pass, any number of prefill chunks from distinct prompts. Decode
+// stream b forwards tokens[b] at absolute position positions[b], appending
+// to caches[b] and attending over what that cache retains; chunk j advances
+// len(chunks[j].Tokens) positions of its own prompt. Each projection matrix
+// is loaded once for B decode lanes plus ΣC chunk positions instead of once
+// per stream. Attention stays per-stream: decode lanes attend over their own
+// caches, each chunk's positions causally over that chunk's own cache. Every
+// lane and every chunk appends to its cache, so all B + K caches must be
+// pairwise distinct (sharing one would append twice per layer and corrupt
+// both streams); they must match the model's shape. B = 0 runs the chunks
+// alone, K = 0 is a plain batched decode step, and a batch of one is just
+// B = 1 — there is no separate single-stream path on this plane.
 //
-// Per decode lane the outputs are bit-identical to ForwardInto; each
-// chunk's cache writes (and final logits, when requested) are bit-identical
-// to token-at-a-time PrefillInto over the same span, regardless of what
-// else shares the pass. The second return value holds one StepResult per
-// chunk, index-aligned (zero unless that chunk's NeedLogits is set).
-// Results alias bw and are valid until the next call; steady-state mixed
-// stepping performs zero heap allocations (Workers == 1) beyond cache page
-// growth.
+// Per decode lane the outputs are bit-identical to
+// ForwardInto(ws, tokens[b], positions[b], caches[b]): the projections use
+// the transposed-weight batched kernels whose per-element reduction order
+// matches VecMatInto exactly (including its zero-skip, via dispatch), and
+// attention/norms/activations share the per-stream code paths. Each chunk's
+// cache writes (and final logits, when requested) are bit-identical to
+// token-at-a-time PrefillInto over the same span, regardless of what else
+// shares the pass. The second return value holds one StepResult per chunk,
+// index-aligned (zero unless that chunk's NeedLogits is set). Results alias
+// bw and are valid until the next call; steady-state stepping performs zero
+// heap allocations (Workers == 1) beyond cache page growth.
 func (m *Model) ForwardMixedInto(bw *BatchWorkspace, tokens, positions []int, caches []kvcache.Cache, chunks []Chunk) ([]StepResult, []StepResult) {
 	B := len(tokens)
 	if len(positions) != B || len(caches) != B {
@@ -91,7 +99,19 @@ func (m *Model) ForwardMixedInto(bw *BatchWorkspace, tokens, positions []int, ca
 				panic("model: packed chunks share a cache")
 			}
 		}
+		for b := 0; b < B; b++ {
+			if caches[b] == ch.Cache {
+				panic("model: prefill chunk shares a decode lane's cache")
+			}
+		}
 		C += len(ch.Tokens)
+	}
+	for b := 1; b < B; b++ {
+		for a := 0; a < b; a++ {
+			if caches[a] == caches[b] {
+				panic("model: decode lanes share a cache")
+			}
+		}
 	}
 	bw.ensureChunkSlots(K)
 	for j := 0; j < K; j++ {
@@ -230,7 +250,7 @@ func (m *Model) ForwardMixedInto(bw *BatchWorkspace, tokens, positions []int, ca
 // prefix, or earlier chunks — and must retain every position (Full,
 // PagedKV); the prompt lands after them. Cache contents and the returned
 // last-position result are bit-identical to PrefillInto of the same tokens,
-// for every chunk size; the result aliases bw like ForwardBatchInto's.
+// for every chunk size; the result aliases bw like ForwardMixedInto's.
 func (m *Model) PrefillChunkInto(bw *BatchWorkspace, prompt []int, chunkSize int, cache kvcache.Cache) StepResult {
 	if len(prompt) == 0 {
 		panic("model: empty prompt")

@@ -149,7 +149,7 @@ func TestPrefillChunkIntoOnClonePrefix(t *testing.T) {
 }
 
 // TestForwardMixedIntoBitIdentical pins the mixed decode+chunk step: B
-// decode lanes advance exactly as ForwardBatchInto/ForwardInto would while
+// decode lanes advance exactly as ForwardInto would while
 // one prompt chunk-prefills through the same fused passes, several
 // iterations deep, on Full and PagedKV. Decode logits, the chunk's final
 // logits, and the chunk cache must all match the unmixed references
@@ -386,6 +386,13 @@ func TestForwardMixedIntoValidation(t *testing.T) {
 			{Tokens: []int{1}, Cache: cache},
 			{Tokens: []int{2}, Pos: 1, Cache: cache},
 		})
+	})
+	assertPanics(t, "chunk cache is a decode lane's", func() {
+		m.ForwardMixedInto(bw, []int{1}, []int{0}, []kvcache.Cache{cache},
+			[]Chunk{{Tokens: []int{2}, Cache: cache}})
+	})
+	assertPanics(t, "shared lane cache", func() {
+		m.ForwardMixedInto(bw, []int{1, 2}, []int{0, 0}, []kvcache.Cache{cache, cache}, nil)
 	})
 	assertPanics(t, "empty prompt", func() {
 		m.PrefillChunkInto(bw, nil, 4, cache)

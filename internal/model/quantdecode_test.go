@@ -66,7 +66,10 @@ func TestQuantDecodeBitIdentical(t *testing.T) {
 // against token-at-a-time prefill: per-token quantize-on-append means chunk
 // size must not change a single stored code, logit, or subsequent decode
 // token. This is the property that makes preemption→recompute deterministic
-// under quantization regardless of the recompute's chunking.
+// under quantization regardless of the recompute's chunking. Every chunk
+// size also runs through seqOnlyQuant, so the page walk's mid-page causal
+// bound (4-token pages, chunks of 3 and 7) is compared with the generic Seq
+// arm's keys[:n] for each page codec; bits 0 is the fp32-page row.
 func TestQuantPrefillChunkBitIdentical(t *testing.T) {
 	const promptLen = 23
 	m := New(Tiny(), 11)
@@ -76,7 +79,7 @@ func TestQuantPrefillChunkBitIdentical(t *testing.T) {
 	for i := range prompt {
 		prompt[i] = (i*29 + 7) % m.Config().Vocab
 	}
-	for _, bits := range []int{8, 4} {
+	for _, bits := range []int{0, 8, 4} {
 		mk := func() *kvcache.PagedKV {
 			return kvcache.NewPagedKVQuant(m.CacheShape(), 4, 0, bits)
 		}
@@ -100,6 +103,8 @@ func TestQuantPrefillChunkBitIdentical(t *testing.T) {
 			cache := mk()
 			got := m.PrefillChunkInto(bw, prompt, chunkSize, cache)
 			equalStep(t, "quant chunk result", got, want)
+			generic := m.PrefillChunkInto(bw, prompt, chunkSize, &seqOnlyQuant{inner: mk()})
+			equalStep(t, "quant chunk result on the Seq arm", generic, want)
 			pos := promptLen
 			next := tensor.Argmax(got.Logits)
 			for s, wantTok := range wantDecode {
@@ -119,6 +124,9 @@ func TestQuantPrefillChunkBitIdentical(t *testing.T) {
 			cache := mk()
 			m.PrefillChunkInto(bw, prompt, chunkSize, cache)
 			equalCaches(t, "quant chunked cache", cache, refCache)
+			if bits == 0 {
+				continue // fp32 pages hold no codes
+			}
 			shape := m.CacheShape()
 			for l := 0; l < shape.Layers; l++ {
 				gp, _ := cache.QuantPages(l)

@@ -11,13 +11,12 @@ import (
 // SetSparseTopK enables it and the cache maintains key summaries
 // (kvcache.KeySummaryReader), each query head scores every resident page's
 // summary with the Quest criticality bound, selects the topK pages (tail
-// always included) via the exact policy the attention package's live kernels
-// use, and runs the model's ordinary materialized score/softmax/accumulate
-// arithmetic over only the selected pages. Reusing the materialized plane —
-// not the online-softmax kernels — is what keeps sparse decode bit-identical
-// to dense attendOver whenever every page is selected (topK >= pages): the
-// selection is ascending, so the streamed token order, and therefore every
-// reduction order, is exactly the dense walk's.
+// always included) via the attention package's selection policy — the one
+// its offline Quest prototype uses — and hands the ascending list to the
+// model's one page walk (attend.go). Sharing that walk is what keeps sparse
+// decode bit-identical to dense whenever every page is selected
+// (topK >= pages): the selection is ascending, so the streamed token order,
+// and therefore every reduction order, is exactly the dense walk's.
 //
 // Sparsity applies only to decode (limit < 0). Chunked prefill keeps the
 // dense walk: its causal bound addresses by position, and prefill is where
@@ -86,157 +85,48 @@ func (bw *BatchWorkspace) TakeSparseStats() (selected, total int64) {
 	return selected, total
 }
 
-// attendPagedSparse runs one head's sparse attention over an fp32 paged
-// cache; it reports false when the dense walk should run instead (sparsity
+// selectPages returns the ascending page list one head's sparse decode
+// attention walks, or nil when the dense walk should run instead: sparsity
 // off, no summaries, an attention observer needs full scores, or every page
 // would be selected anyway — the dense walk is then bit-identical and
-// cheaper). n is the head's retained token count; out accumulates the head's
-// output.
-func (m *Model) attendPagedSparse(ws *Workspace, cp *cachePath, l, kh, n int, out []float32) bool {
+// cheaper. Summaries are fp32 whatever the page codec (kvcache folds them
+// over dequantized keys), so the criticality bound covers exactly what the
+// walk reads.
+func (m *Model) selectPages(ws *Workspace, cp *cachePath, v *pageView, l int) []int32 {
 	topK := m.sparseTopK
 	if topK <= 0 || cp.summ == nil || cp.observer != nil {
-		return false
+		return nil
 	}
-	kps, vps, stride := cp.pager.KVPages(l)
-	np := len(kps)
+	np := v.pages()
 	if np <= topK {
-		if np > 0 {
-			ws.sparseSel += int64(np)
-			ws.sparseTot += int64(np)
-		}
-		return false
+		ws.sparseSel += int64(np)
+		ws.sparseTot += int64(np)
+		return nil
 	}
-	hd := m.cfg.HeadDim
-	off := kh * hd
 	summs := cp.summ.KeySummaries(l)
-	scores64, sel := ws.sparseScratch(np)
-	for p := 0; p < np; p++ {
-		scores64[p] = attention.CriticalityStrided(ws.qv, summs[p], off, stride)
+	scores, sel := ws.sparseScratch(np)
+	for p := range scores {
+		scores[p] = attention.CriticalityStrided(ws.qv, summs[p], v.off, v.stride)
 	}
-	nSel := attention.SelectTopPages(sel, scores64, topK)
-
-	scores := ws.scoresFor(n)
-	i := 0
-	for _, pi := range sel[:nSel] {
-		kp := kps[pi]
-		t := len(kp) / stride
-		tensor.DotStrided(scores[i:i+t], ws.qv, kp[off:], stride)
-		i += t
-	}
-	scores = scores[:i]
-	tensor.Scale(scores, m.invSqrtHD)
-	tensor.Softmax(scores)
-	i = 0
-	for _, pi := range sel[:nSel] {
-		vp := vps[pi]
-		t := len(vp) / stride
-		tensor.AXPYStrided(out, scores[i:i+t], vp[off:], stride)
-		i += t
-	}
+	nSel := attention.SelectTopPages(sel, scores, topK)
 	ws.sparseSel += int64(nSel)
 	ws.sparseTot += int64(np)
-	if ws.probeRecall {
-		dense := make([]float32, n)
-		i := 0
-		for p := 0; p < np && i < n; p++ {
-			t := len(kps[p]) / stride
-			if i+t > n {
-				t = n - i
-			}
-			tensor.DotStrided(dense[i:i+t], ws.qv, kps[p][off:], stride)
-			i += t
-		}
-		ws.recordRecall(dense, kps, stride, sel[:nSel], m.invSqrtHD)
-	}
-	return true
+	return sel[:nSel]
 }
 
-// attendQuantSparse is attendPagedSparse for quantized paged caches: the
-// summaries were folded over dequantized keys, so the criticality bound
-// covers exactly what the fused dequantize-on-stream kernels read.
-func (m *Model) attendQuantSparse(ws *Workspace, cp *cachePath, l, kh, n int, out []float32) bool {
-	topK := m.sparseTopK
-	if topK <= 0 || cp.summ == nil || cp.observer != nil {
-		return false
-	}
-	pages, stride := cp.quant.QuantPages(l)
-	np := len(pages)
-	if np <= topK {
-		if np > 0 {
-			ws.sparseSel += int64(np)
-			ws.sparseTot += int64(np)
-		}
-		return false
-	}
-	hd := m.cfg.HeadDim
-	kvh := m.cfg.KVHeads
-	off := kh * hd
-	bits := cp.quant.QuantBits()
-	summs := cp.summ.KeySummaries(l)
-	scores64, sel := ws.sparseScratch(np)
-	for p := 0; p < np; p++ {
-		scores64[p] = attention.CriticalityStrided(ws.qv, summs[p], off, stride)
-	}
-	nSel := attention.SelectTopPages(sel, scores64, topK)
-
-	scores := ws.scoresFor(n)
-	i := 0
-	for _, pi := range sel[:nSel] {
-		pg := &pages[pi]
-		t := pg.Tokens(kvh)
-		tensor.DotQuantStrided(scores[i:i+t], ws.qv, pg.KCodes, pg.KParams, bits, off, stride, kvh, kh)
-		i += t
-	}
-	scores = scores[:i]
-	tensor.Scale(scores, m.invSqrtHD)
-	tensor.Softmax(scores)
-	i = 0
-	for _, pi := range sel[:nSel] {
-		pg := &pages[pi]
-		t := pg.Tokens(kvh)
-		tensor.AXPYQuantStrided(out, scores[i:i+t], pg.VCodes, pg.VParams, bits, off, stride, kvh, kh)
-		i += t
-	}
-	ws.sparseSel += int64(nSel)
-	ws.sparseTot += int64(np)
-	if ws.probeRecall {
-		dense := make([]float32, n)
-		tok := make([]int, np)
-		i := 0
-		for p := 0; p < np && i < n; p++ {
-			t := pages[p].Tokens(kvh)
-			if i+t > n {
-				t = n - i
-			}
-			tensor.DotQuantStrided(dense[i:i+t], ws.qv, pages[p].KCodes, pages[p].KParams, bits, off, stride, kvh, kh)
-			tok[p] = t
-			i += t
-		}
-		ws.recordRecallTok(dense, tok, sel[:nSel], m.invSqrtHD)
-	}
-	return true
-}
-
-// recordRecall runs the dense softmax over the probe's raw scores and
-// accumulates the selected pages' mass. dense holds every retained token's
-// unscaled q·k score in page order; kps/stride give each page's token count.
-func (ws *Workspace) recordRecall(dense []float32, kps [][]float32, stride int, sel []int32, scale float32) {
-	tok := make([]int, len(kps))
-	for p := range kps {
-		tok[p] = len(kps[p]) / stride
-	}
-	ws.recordRecallTok(dense, tok, sel, scale)
-}
-
-// recordRecallTok is recordRecall over explicit per-page token counts. The
-// caller passes raw q·k scores; the probe applies the same 1/sqrt(d) scale
-// the real path does before its softmax.
-func (ws *Workspace) recordRecallTok(dense []float32, tok []int, sel []int32, scale float32) {
+// recordRecall is the attention-mass recall probe: it re-scores all n
+// retained tokens densely through the same page view, applies the real
+// path's 1/sqrt(d) scale and softmax, and accumulates the selected pages'
+// share of the mass.
+func (ws *Workspace) recordRecall(v *pageView, sel []int32, n int, scale float32) {
+	dense := make([]float32, n)
+	dense = dense[:v.score(dense, ws.qv, nil)]
 	tensor.Scale(dense, scale)
 	tensor.Softmax(dense)
 	var mass float64
 	i, s := 0, 0
-	for p, t := range tok {
+	for p := 0; p < v.pages() && i < len(dense); p++ {
+		_, t := v.step(nil, p, len(dense)-i)
 		if s < len(sel) && sel[s] == int32(p) {
 			for _, w := range dense[i : i+t] {
 				mass += float64(w)

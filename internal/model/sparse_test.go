@@ -76,50 +76,59 @@ func (c *restrictedSeq) MemoryBytes() int64                      { return c.inne
 // filled, so the test pins the materialized score/softmax/accumulate walk
 // itself, not just the selection policy. A 1-layer, 1-head shape keeps the
 // step to a single selection so one restricted cache describes it fully.
+// The topK = 0 rows are the selector-off case of the same walk: every page
+// (the last one part-filled) against the generic Seq arm over all of them.
 func TestSparseDecodeRestrictionIdentity(t *testing.T) {
 	cfg := Config{Name: "sparse-1l", Layers: 1, Heads: 1, KVHeads: 1, HeadDim: 16,
 		FFNDim: 64, Vocab: 128, MaxSeq: 4096}
-	const pageTokens, promptLen, topK = 4, 33, 3
+	const pageTokens, promptLen = 4, 33
 	for _, bits := range []int{0, 8, 4} {
 		t.Run(fmt.Sprintf("bits=%d", bits), func(t *testing.T) {
-			m := New(cfg, 7)
-			ws := m.NewWorkspace()
-			prompt := make([]int, promptLen)
-			for i := range prompt {
-				prompt[i] = (i*13 + 5) % cfg.Vocab
-			}
-			cache := sparseCacheMaker(m, pageTokens, bits)()
-			m.PrefillInto(ws, prompt, cache)
-			ws.TakeSparseStats()
-
-			m.SetSparseTopK(topK)
-			sr := m.ForwardInto(ws, 2, promptLen, cache)
-			m.SetSparseTopK(0)
-			got := append([]float32(nil), sr.Logits...)
-			nSel, _ := ws.TakeSparseStats()
-			if nSel != topK {
-				t.Fatalf("selected %d pages, want %d", nSel, topK)
-			}
-			sel := append([]int32(nil), ws.pageSel[:nSel]...)
-
-			// Rebuild the selected token set from the cache's own stored
-			// values — including the token the step itself appended, which
-			// lives in the (always selected) tail page.
-			keys, vals := cache.Seq(0, 0)
-			restricted := kvcache.NewFull(m.CacheShape())
-			for _, p := range sel {
-				lo, hi := int(p)*pageTokens, (int(p)+1)*pageTokens
-				if hi > len(keys) {
-					hi = len(keys)
+			for _, topK := range []int{3, 0} {
+				m := New(cfg, 7)
+				ws := m.NewWorkspace()
+				prompt := make([]int, promptLen)
+				for i := range prompt {
+					prompt[i] = (i*13 + 5) % cfg.Vocab
 				}
-				for i := lo; i < hi; i++ {
-					restricted.Append(0, [][]float32{keys[i]}, [][]float32{vals[i]})
+				cache := sparseCacheMaker(m, pageTokens, bits)()
+				m.PrefillInto(ws, prompt, cache)
+				ws.TakeSparseStats()
+
+				m.SetSparseTopK(topK)
+				sr := m.ForwardInto(ws, 2, promptLen, cache)
+				m.SetSparseTopK(0)
+				got := append([]float32(nil), sr.Logits...)
+				nSel, _ := ws.TakeSparseStats()
+				if nSel != int64(topK) {
+					t.Fatalf("selected %d pages, want %d", nSel, topK)
 				}
-			}
-			sr2 := m.ForwardInto(ws, 2, promptLen, &restrictedSeq{inner: restricted})
-			for j := range got {
-				if got[j] != sr2.Logits[j] {
-					t.Fatalf("logit %d: sparse %v != restricted dense %v", j, got[j], sr2.Logits[j])
+				sel := append([]int32(nil), ws.pageSel[:nSel]...)
+				if topK == 0 {
+					for p := 0; p < cache.Pages(); p++ {
+						sel = append(sel, int32(p))
+					}
+				}
+
+				// Rebuild the selected token set from the cache's own stored
+				// values — including the token the step itself appended, which
+				// lives in the (always selected) tail page.
+				keys, vals := cache.Seq(0, 0)
+				restricted := kvcache.NewFull(m.CacheShape())
+				for _, p := range sel {
+					lo, hi := int(p)*pageTokens, (int(p)+1)*pageTokens
+					if hi > len(keys) {
+						hi = len(keys)
+					}
+					for i := lo; i < hi; i++ {
+						restricted.Append(0, [][]float32{keys[i]}, [][]float32{vals[i]})
+					}
+				}
+				sr2 := m.ForwardInto(ws, 2, promptLen, &restrictedSeq{inner: restricted})
+				for j := range got {
+					if got[j] != sr2.Logits[j] {
+						t.Fatalf("logit %d: sparse %v != restricted dense %v", j, got[j], sr2.Logits[j])
+					}
 				}
 			}
 		})

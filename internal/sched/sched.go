@@ -115,7 +115,7 @@ type Config struct {
 	// prompt's full forward cost), the loop advances the oldest admitted
 	// prompt by at most PrefillChunk positions per iteration, fused into
 	// the same weight pass as the running decode batch
-	// (core.StepMixedInto). Smaller chunks bound the inter-token gap
+	// (core.StepMixedStatsInto). Smaller chunks bound the inter-token gap
 	// running streams see while a long prompt arrives; larger chunks
 	// finish the prompt's TTFT sooner. 0 means the default (32).
 	PrefillChunk int
@@ -1278,32 +1278,30 @@ func (e *Engine) victim() int {
 }
 
 // reapCancelled retires running requests whose context is done before
-// spending another step on them.
+// spending another step on them. The view mirrors refresh in the same
+// critical section as the retires: the last retire releases Drain waiters,
+// and a caller returning from Drain must not read the pre-reap page count.
 func (e *Engine) reapCancelled() {
 	kept := e.running[:0]
-	reaped := false
+	e.mu.Lock()
 	for _, rs := range e.running {
 		if rs.ctx.Err() != nil {
-			e.mu.Lock()
 			e.releaseLocked(rs)
 			e.retireLocked(rs, dispCancelled)
-			e.mu.Unlock()
-			reaped = true
 			continue
 		}
 		kept = append(kept, rs)
 	}
-	e.running = kept
-	if reaped {
-		e.mu.Lock()
+	if len(kept) != len(e.running) {
+		e.running = kept
 		e.syncViewLocked()
-		e.mu.Unlock()
 	}
+	e.mu.Unlock()
 }
 
 // stepOnce runs one scheduling iteration: every prefill-complete session
 // decodes one token, mid-prefill requests advance prompt chunks in the
-// same fused weight pass (core.StepMixedInto), and finishers retire. In
+// same fused weight pass (core.StepMixedStatsInto), and finishers retire. In
 // single-chunk mode (TokenBudget 0) only the oldest mid-prefill request
 // contributes a chunk; with a TokenBudget the iteration packs chunks from
 // every mid-prefill request, oldest first, until decode lanes + chunk

@@ -3,9 +3,9 @@ package tensor
 // Batched (weight-stationary) matrix–matrix kernels for fused batched
 // decode. Each kernel computes, for every batch lane b, exactly the vector
 // product its single-lane twin computes — MatMatInto ↔ MatVecInto,
-// MatTMatInto ↔ VecMatInto — so results are bit-identical per lane, while
-// the batch-level structure streams each weight matrix once per decode
-// step instead of once per running request.
+// MatTMatTransInto ↔ VecMatInto — so results are bit-identical per lane,
+// while the batch-level structure streams each weight matrix once per
+// decode step instead of once per running request.
 //
 // Two empirical facts about this hardware (pure scalar Go) shape the
 // implementation, both measured by the GEMM benchmarks in gemm_test.go:
@@ -19,10 +19,7 @@ package tensor
 //     per-lane streaming over a transposed copy: the extra live values
 //     push the register allocator into spills that cost more than the
 //     shared loads save. (The weights are L2/L3-resident, and scalar
-//     compute — not memory bandwidth — is the binding resource.) The
-//     lane-pair tile in MatTMatColsInto survives only as the fallback for
-//     callers without a transposed copy, where it still beats the
-//     column-major per-lane loop by ~1.3×.
+//     compute — not memory bandwidth — is the binding resource.)
 //
 // The batched fast path therefore stores a transposed copy of each
 // projection matrix (built once at model construction; weights are
@@ -105,104 +102,13 @@ func matVecRows(dst []float32, data []float32, cols int, x []float32, r0, r1 int
 	}
 }
 
-// MatTMatInto computes dst[b] = xs[b]ᵀ × m for every lane b — the batched
-// counterpart of VecMatInto (column-major traversal of row-major weights,
-// used by every per-layer projection). Per (lane, column) the reduction
-// order over rows — and VecMatInto's skip of exactly-zero activations — is
-// unchanged, so dst[b] is bit-identical to VecMatInto(dst[b], xs[b], m).
-// Zero-free lanes are paired through a register-tiled fast path that
-// streams each four-column weight slab once per lane pair. When a
-// transposed copy of m is available, MatTMatTransInto is faster still.
-// It panics on shape mismatch.
-func MatTMatInto(dst, xs [][]float32, m *Matrix) {
-	if len(dst) != len(xs) {
-		panic("tensor: mattmat lane count mismatch")
-	}
-	for b := range xs {
-		if len(xs[b]) != m.Rows {
-			panic("tensor: mattmat shape mismatch")
-		}
-		if len(dst[b]) != m.Cols {
-			panic("tensor: mattmat dst length mismatch")
-		}
-	}
-	MatTMatColsInto(dst, xs, m, 0, m.Cols)
-}
-
-// MatTMatColsInto computes columns [c0, c1) of MatTMatInto — the
-// column-sharded entry point parallel drivers split across workers.
-// Shards write disjoint dst ranges, so concurrent calls with disjoint
-// [c0, c1) are safe and the assembled result is bit-identical to one
-// full-range call. Shapes must already satisfy MatTMatInto's contract.
-func MatTMatColsInto(dst, xs [][]float32, m *Matrix, c0, c1 int) {
-	if c0 < 0 || c1 > m.Cols || c0 > c1 {
-		panic("tensor: mattmat column range out of bounds")
-	}
-	rows := m.Rows
-	cols := m.Cols
-	data := m.Data
-	b := 0
-	for ; b+2 <= len(xs); b += 2 {
-		x0, x1 := xs[b][:rows], xs[b+1][:rows]
-		d0, d1 := dst[b], dst[b+1]
-		if hasZero(x0) || hasZero(x1) {
-			matTMatSkipLane(d0, x0, data, cols, c0, c1)
-			matTMatSkipLane(d1, x1, data, cols, c0, c1)
-			continue
-		}
-		// Branch-free fast tile: no activation is exactly zero, so the
-		// per-lane zero-skip could never fire and every product is
-		// accumulated — in the same per-element order as VecMatInto. One
-		// weight register is reused across the lane pair (load once, two
-		// multiply-accumulates); eight accumulators plus two activations
-		// and one weight stay within the register file.
-		j := c0
-		for ; j+4 <= c1; j += 4 {
-			var s00, s01, s02, s03, s10, s11, s12, s13 float32
-			off := j
-			for k := 0; k < rows; k++ {
-				v0, v1 := x0[k], x1[k]
-				r := data[off : off+4 : off+4]
-				off += cols
-				w := r[0]
-				s00 += v0 * w
-				s10 += v1 * w
-				w = r[1]
-				s01 += v0 * w
-				s11 += v1 * w
-				w = r[2]
-				s02 += v0 * w
-				s12 += v1 * w
-				w = r[3]
-				s03 += v0 * w
-				s13 += v1 * w
-			}
-			d0[j], d0[j+1], d0[j+2], d0[j+3] = s00, s01, s02, s03
-			d1[j], d1[j+1], d1[j+2], d1[j+3] = s10, s11, s12, s13
-		}
-		for ; j < c1; j++ {
-			var s0, s1 float32
-			off := j
-			for k := 0; k < rows; k++ {
-				w := data[off]
-				off += cols
-				s0 += x0[k] * w
-				s1 += x1[k] * w
-			}
-			d0[j], d1[j] = s0, s1
-		}
-	}
-	for ; b < len(xs); b++ {
-		matTMatSkipLane(dst[b], xs[b][:rows], data, cols, c0, c1)
-	}
-}
-
-// MatTMatTransInto is MatTMatInto given both m and its transpose mT
-// (mT = Transpose(m), built once for immutable weights): zero-free lanes
-// run the fast row-major loop over mT, lanes with exact-zero activations
-// reproduce VecMatInto's skip over m. Output is bit-identical to
-// VecMatInto(dst[b], xs[b], m) for every lane. It panics on shape
-// mismatch, including mT not being m's transpose shape.
+// MatTMatTransInto computes dst[b] = xs[b]ᵀ × m for every lane b — the
+// batched counterpart of VecMatInto, used by every per-layer projection —
+// given both m and its transpose mT (mT = Transpose(m), built once for
+// immutable weights): zero-free lanes run the fast row-major loop over mT,
+// lanes with exact-zero activations reproduce VecMatInto's skip over m.
+// Output is bit-identical to VecMatInto(dst[b], xs[b], m) for every lane.
+// It panics on shape mismatch, including mT not being m's transpose shape.
 func MatTMatTransInto(dst, xs [][]float32, m, mT *Matrix) {
 	if len(dst) != len(xs) {
 		panic("tensor: mattmat lane count mismatch")

@@ -63,9 +63,9 @@ func TestMatMatIntoMatchesMatVecInto(t *testing.T) {
 	}
 }
 
-// TestMatTMatIntoMatchesVecMatInto pins the batched column-major kernel
-// (zero-skip included) to VecMatInto bit-for-bit, and the transposed fast
-// path likewise.
+// TestMatTMatIntoMatchesVecMatInto pins the batched projection kernel
+// (MatTMatTransInto: transposed fast path, zero-skip fallback included) to
+// VecMatInto bit-for-bit across lane counts and shapes.
 func TestMatTMatIntoMatchesVecMatInto(t *testing.T) {
 	for _, b := range []int{1, 2, 3, 5, 8} {
 		for _, shape := range gemmShapes {
@@ -73,21 +73,15 @@ func TestMatTMatIntoMatchesVecMatInto(t *testing.T) {
 			mT := Transpose(m)
 			xs := lanes(b, shape[0], uint64(b)*19+3)
 			want := make([][]float32, b)
-			got := make([][]float32, b)
 			gotT := make([][]float32, b)
 			for i := 0; i < b; i++ {
 				want[i] = make([]float32, shape[1])
-				got[i] = make([]float32, shape[1])
 				gotT[i] = make([]float32, shape[1])
 				VecMatInto(want[i], xs[i], m)
 			}
-			MatTMatInto(got, xs, m)
 			MatTMatTransInto(gotT, xs, m, mT)
 			for i := 0; i < b; i++ {
 				for j := range want[i] {
-					if got[i][j] != want[i][j] {
-						t.Fatalf("b=%d shape=%v lane %d col %d: %g != %g", b, shape, i, j, got[i][j], want[i][j])
-					}
 					if gotT[i][j] != want[i][j] {
 						t.Fatalf("trans b=%d shape=%v lane %d col %d: %g != %g", b, shape, i, j, gotT[i][j], want[i][j])
 					}
@@ -207,26 +201,19 @@ func TestShardedRangesAssemble(t *testing.T) {
 		wantT[i] = make([]float32, 96)
 		gotT[i] = make([]float32, 96)
 	}
-	MatTMatInto(wantT, xst, mt)
+	MatTMatTransInto(wantT, xst, mt, mtT)
 	for _, cut := range []int{0, 2, 37, 96} {
-		for variant := 0; variant < 2; variant++ {
-			for i := range gotT {
-				for j := range gotT[i] {
-					gotT[i][j] = 0
-				}
+		for i := range gotT {
+			for j := range gotT[i] {
+				gotT[i][j] = 0
 			}
-			if variant == 0 {
-				MatTMatColsInto(gotT, xst, mt, 0, cut)
-				MatTMatColsInto(gotT, xst, mt, cut, 96)
-			} else {
-				MatTMatTransColsInto(gotT, xst, mt, mtT, 0, cut)
-				MatTMatTransColsInto(gotT, xst, mt, mtT, cut, 96)
-			}
-			for i := 0; i < b; i++ {
-				for j := range wantT[i] {
-					if gotT[i][j] != wantT[i][j] {
-						t.Fatalf("variant %d cols cut=%d lane %d col %d: %g != %g", variant, cut, i, j, gotT[i][j], wantT[i][j])
-					}
+		}
+		MatTMatTransColsInto(gotT, xst, mt, mtT, 0, cut)
+		MatTMatTransColsInto(gotT, xst, mt, mtT, cut, 96)
+		for i := 0; i < b; i++ {
+			for j := range wantT[i] {
+				if gotT[i][j] != wantT[i][j] {
+					t.Fatalf("cols cut=%d lane %d col %d: %g != %g", cut, i, j, gotT[i][j], wantT[i][j])
 				}
 			}
 		}
@@ -305,7 +292,6 @@ func TestBatchedKernelsAllocFree(t *testing.T) {
 	cos := make([]float32, 8)
 	if n := testing.AllocsPerRun(10, func() {
 		MatMatInto(dst, m, xs)
-		MatTMatInto(dst, xs, m)
 		MatTMatTransInto(dst, xs, m, mT)
 		RoPESincosInto(sin, cos, freqs, 37)
 		ApplyRoPECached(xs[0][:16], sin, cos)
@@ -368,17 +354,6 @@ func BenchmarkGEMVx8VecMat128x64(b *testing.B)    { benchVecMatx8(b, 128, 64) }
 func BenchmarkGEMMBatch8Trans128x64(b *testing.B) { benchMatTMatTrans(b, 128, 64) }
 func BenchmarkGEMVx8VecMat64x64(b *testing.B)     { benchVecMatx8(b, 64, 64) }
 func BenchmarkGEMMBatch8Trans64x64(b *testing.B)  { benchMatTMatTrans(b, 64, 64) }
-func BenchmarkGEMMBatch8MatTMat64x128(b *testing.B) {
-	m := testMatrix(64, 128, 1)
-	xs, dst := benchLanes(8, 64)
-	for i := range dst {
-		dst[i] = make([]float32, 128)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatTMatInto(dst, xs, m)
-	}
-}
 
 func BenchmarkGEMVx8MatVec512x64(b *testing.B) {
 	m := testMatrix(512, 64, 1)

@@ -129,36 +129,6 @@ func DotQuantStrided(dst, q []float32, codes []uint8, params []uint16, bits, off
 	}
 }
 
-// DotQuantEntry returns q · dequant(entry i) — one entry of DotQuantStrided,
-// with identical per-element arithmetic and accumulation order, for kernels
-// that fold scores into a streaming recurrence instead of a score vector.
-func DotQuantEntry(q []float32, codes []uint8, params []uint16, bits, off, stride, heads, head, i int) float32 {
-	d := len(q)
-	p := (i*heads + head) * 2
-	lo := DecodeFloat16(params[p])
-	dlt := DecodeFloat16(params[p+1])
-	var s float32
-	switch bits {
-	case 8:
-		base := i*stride + off
-		row := codes[base : base+d : base+d]
-		for j, qj := range q {
-			s += qj * (float32(row[j])*dlt + lo)
-		}
-	case 4:
-		base := (i*stride + off) >> 1
-		row := codes[base : base+d/2 : base+d/2]
-		for j := 0; j < d; j += 2 {
-			b := row[j>>1]
-			s += q[j] * (float32(b&0x0F)*dlt + lo)
-			s += q[j+1] * (float32(b>>4)*dlt + lo)
-		}
-	default:
-		panic("tensor: dotquantentry unsupported bit width")
-	}
-	return s
-}
-
 // AXPYQuantStrided accumulates dst += Σ_i weights[i] * dequant(entry i) —
 // the value-aggregation pass of attention over one quantized KV page, with
 // the same layout contract as DotQuantStrided. Entries are processed in

@@ -1,16 +1,17 @@
 // Package tensor implements the minimal float32 linear algebra needed to run
-// a real (tiny) transformer in pure Go: row-major matrices, matmul, softmax,
-// RMSNorm, rotary position embeddings, and sampling helpers.
+// a real (tiny) transformer in pure Go: row-major matrices, matrix–vector
+// products, softmax, RMSNorm, rotary position embeddings, and sampling
+// helpers.
 //
 // The goal is correctness and determinism first: the tiny model exists so
 // that compression algorithms (quantisation, eviction) operate on real
 // tensors and their accuracy effects are genuine. Wall-clock performance of
 // full-size models is handled by the analytical cost model in internal/perf.
-// For the decode hot path, every allocating kernel has a destination-passing
-// twin (MatVecInto, VecMatInto, RMSNormInto) and flat-KV variants
-// (DotStrided, AXPYStrided) that write into caller-owned buffers, keeping
-// steady-state decode allocation-free; the *Into/strided variants perform
-// bit-identical arithmetic to their allocating counterparts.
+// The decode hot path runs on destination-passing kernels (MatVecInto,
+// VecMatInto, RMSNormInto) and flat-KV variants (DotStrided, AXPYStrided)
+// that write into caller-owned buffers, keeping steady-state decode
+// allocation-free; the strided variants perform bit-identical arithmetic to
+// Dot/AXPY over per-token views.
 package tensor
 
 import (
@@ -33,22 +34,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices, which must be equal length and
-// non-empty.
-func FromRows(rows [][]float32) *Matrix {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		panic("tensor: FromRows with empty input")
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic("tensor: ragged rows")
-		}
-		copy(m.Row(i), r)
-	}
-	return m
-}
-
 // At returns the element at (i, j).
 func (m *Matrix) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
 
@@ -57,43 +42,6 @@ func (m *Matrix) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
 
 // Row returns a mutable view of row i.
 func (m *Matrix) Row(i int) []float32 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
-// MatMul returns a × b. It panics if the inner dimensions disagree.
-func MatMul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for k := 0; k < a.Cols; k++ {
-			av := arow[k]
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j := range brow {
-				orow[j] += av * brow[j]
-			}
-		}
-	}
-	return out
-}
-
-// MatVec returns m × v as a new vector. It panics on dimension mismatch.
-func MatVec(m *Matrix, v []float32) []float32 {
-	out := make([]float32, m.Rows)
-	MatVecInto(out, m, v)
-	return out
-}
 
 // MatVecInto computes m × v into the caller-owned dst (length m.Rows),
 // allocating nothing. Rows are processed four at a time with independent
@@ -126,19 +74,12 @@ func MatVecInto(dst []float32, m *Matrix, v []float32) {
 	}
 }
 
-// VecMat returns vᵀ × m as a new vector (length m.Cols).
-func VecMat(v []float32, m *Matrix) []float32 {
-	out := make([]float32, m.Cols)
-	VecMatInto(out, v, m)
-	return out
-}
-
 // VecMatInto computes vᵀ × m into the caller-owned dst (length m.Cols),
 // allocating nothing. The loop runs column-major with register accumulators
 // (four output lanes at a time), so no dst element round-trips through
 // memory between input rows; per-element accumulation order over k — and the
 // zero-skip — match the row-major formulation exactly, so results are
-// bit-identical to VecMat. It panics on dimension mismatch.
+// bit-identical to it. It panics on dimension mismatch.
 func VecMatInto(dst, v []float32, m *Matrix) {
 	if m.Rows != len(v) {
 		panic("tensor: vecmat shape mismatch")
@@ -432,45 +373,6 @@ func Argmax(xs []float32) int {
 	return bi
 }
 
-// TopK returns the indices of the k largest elements in descending order of
-// value. If k >= len(xs) all indices are returned.
-func TopK(xs []float32, k int) []int {
-	if k <= 0 {
-		return nil
-	}
-	if k > len(xs) {
-		k = len(xs)
-	}
-	idx := make([]int, len(xs))
-	for i := range idx {
-		idx[i] = i
-	}
-	// Partial selection sort: k is small in all callers.
-	for i := 0; i < k; i++ {
-		best := i
-		for j := i + 1; j < len(idx); j++ {
-			if xs[idx[j]] > xs[idx[best]] {
-				best = j
-			}
-		}
-		idx[i], idx[best] = idx[best], idx[i]
-	}
-	return idx[:k]
-}
-
-// L2Dist returns the Euclidean distance between equal-length vectors.
-func L2Dist(a, b []float32) float64 {
-	if len(a) != len(b) {
-		panic("tensor: l2 length mismatch")
-	}
-	var s float64
-	for i := range a {
-		d := float64(a[i] - b[i])
-		s += d * d
-	}
-	return math.Sqrt(s)
-}
-
 // CosineSim returns the cosine similarity of two vectors, or 0 when either
 // has zero norm.
 func CosineSim(a, b []float32) float64 {
@@ -487,17 +389,4 @@ func CosineSim(a, b []float32) float64 {
 		return 0
 	}
 	return dot / math.Sqrt(na*nb)
-}
-
-// MeanAbs returns the mean absolute value of xs (0 for empty input), used as
-// a magnitude summary when reporting quantisation error.
-func MeanAbs(xs []float32) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range xs {
-		s += math.Abs(float64(v))
-	}
-	return s / float64(len(xs))
 }

@@ -9,6 +9,7 @@ import (
 	"rethinkkv/internal/faults"
 	"rethinkkv/internal/gpu"
 	"rethinkkv/internal/model"
+	"rethinkkv/internal/sched"
 )
 
 // Option configures the public constructors (New, NewSystem, NewCluster,
@@ -287,6 +288,66 @@ func resolveKVQuant(name string) (int, error) {
 		return 4, nil
 	}
 	return 0, fmt.Errorf("%w: %q", ErrUnknownQuantMethod, name)
+}
+
+// engineConfig validates the engine options and builds the scheduler
+// configuration every real-engine facade serves with — NewServer, NewFleet
+// (per engine) and Cluster.ServeTrace under WithRealEngine. Hooks, faults
+// and the clock epoch are the caller's to add.
+func engineConfig(cfg config) (sched.Config, error) {
+	switch {
+	case cfg.maxNew <= 0:
+		return sched.Config{}, fmt.Errorf("%w: max new tokens must be positive, got %d", ErrInvalidOption, cfg.maxNew)
+	case cfg.maxBatch <= 0:
+		return sched.Config{}, fmt.Errorf("%w: max batch must be positive, got %d", ErrInvalidOption, cfg.maxBatch)
+	case cfg.pageTokens <= 0:
+		return sched.Config{}, fmt.Errorf("%w: page tokens must be positive, got %d", ErrInvalidOption, cfg.pageTokens)
+	case cfg.kvPages < 0:
+		return sched.Config{}, fmt.Errorf("%w: negative KV page budget %d", ErrInvalidOption, cfg.kvPages)
+	case cfg.prefillChunk <= 0:
+		return sched.Config{}, fmt.Errorf("%w: prefill chunk must be positive, got %d", ErrInvalidOption, cfg.prefillChunk)
+	case cfg.tokenBudget < 0:
+		return sched.Config{}, fmt.Errorf("%w: negative token budget %d", ErrInvalidOption, cfg.tokenBudget)
+	case cfg.sparseTopK < 0:
+		return sched.Config{}, fmt.Errorf("%w: negative sparse attention topK %d", ErrInvalidOption, cfg.sparseTopK)
+	case cfg.maxQueue < 0:
+		return sched.Config{}, fmt.Errorf("%w: negative admission queue bound %d", ErrInvalidOption, cfg.maxQueue)
+	case cfg.admissionTimeout < 0:
+		return sched.Config{}, fmt.Errorf("%w: negative admission timeout %v", ErrInvalidOption, cfg.admissionTimeout)
+	}
+	if cfg.schedPol != SchedFCFS && cfg.schedPol != SchedSJF {
+		return sched.Config{}, fmt.Errorf("%w: %q", ErrUnknownPolicy, cfg.schedPol)
+	}
+	quantBits, err := resolveKVQuant(cfg.kvQuant)
+	if err != nil {
+		return sched.Config{}, err
+	}
+	if len(cfg.sharedPrefix) > 0 {
+		if err := validatePrompt(cfg.sharedPrefix, model.Tiny().Vocab); err != nil {
+			return sched.Config{}, fmt.Errorf("%w: shared prefix: %w", ErrInvalidOption, err)
+		}
+	}
+	return sched.Config{
+		MaxBatch:         cfg.maxBatch,
+		PageTokens:       cfg.pageTokens,
+		KVPages:          cfg.kvPages,
+		MaxNew:           cfg.maxNew,
+		PrefillChunk:     cfg.prefillChunk,
+		TokenBudget:      cfg.tokenBudget,
+		Policy:           cfg.schedPol,
+		KVQuantBits:      quantBits,
+		SharedPrefix:     cfg.sharedPrefix,
+		MaxQueue:         cfg.maxQueue,
+		AdmissionTimeout: cfg.admissionTimeout.Seconds(),
+	}, nil
+}
+
+// engineModel builds the tiny model the real engines serve: weights from
+// the configured seed, Quest sparse decode at the configured page budget.
+func engineModel(cfg config) *model.Model {
+	m := model.New(model.Tiny(), cfg.seed)
+	m.SetSparseTopK(cfg.sparseTopK)
+	return m
 }
 
 // resolveMethod maps a method name to its registration, with a typed error.

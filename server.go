@@ -176,52 +176,9 @@ type Server struct {
 // dequantize-on-read kernels. Close it with Close when done.
 func NewServer(opts ...Option) (*Server, error) {
 	cfg := buildConfig(opts)
-	switch {
-	case cfg.maxNew <= 0:
-		return nil, fmt.Errorf("%w: max new tokens must be positive, got %d", ErrInvalidOption, cfg.maxNew)
-	case cfg.maxBatch <= 0:
-		return nil, fmt.Errorf("%w: max batch must be positive, got %d", ErrInvalidOption, cfg.maxBatch)
-	case cfg.pageTokens <= 0:
-		return nil, fmt.Errorf("%w: page tokens must be positive, got %d", ErrInvalidOption, cfg.pageTokens)
-	case cfg.kvPages < 0:
-		return nil, fmt.Errorf("%w: negative KV page budget %d", ErrInvalidOption, cfg.kvPages)
-	case cfg.prefillChunk <= 0:
-		return nil, fmt.Errorf("%w: prefill chunk must be positive, got %d", ErrInvalidOption, cfg.prefillChunk)
-	case cfg.tokenBudget < 0:
-		return nil, fmt.Errorf("%w: negative token budget %d", ErrInvalidOption, cfg.tokenBudget)
-	case cfg.sparseTopK < 0:
-		return nil, fmt.Errorf("%w: negative sparse attention topK %d", ErrInvalidOption, cfg.sparseTopK)
-	case cfg.maxQueue < 0:
-		return nil, fmt.Errorf("%w: negative admission queue bound %d", ErrInvalidOption, cfg.maxQueue)
-	case cfg.admissionTimeout < 0:
-		return nil, fmt.Errorf("%w: negative admission timeout %v", ErrInvalidOption, cfg.admissionTimeout)
-	}
-	if cfg.schedPol != SchedFCFS && cfg.schedPol != SchedSJF {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownPolicy, cfg.schedPol)
-	}
-	quantBits, err := resolveKVQuant(cfg.kvQuant)
+	scfg, err := engineConfig(cfg)
 	if err != nil {
 		return nil, err
-	}
-	if len(cfg.sharedPrefix) > 0 {
-		if err := validatePrompt(cfg.sharedPrefix, model.Tiny().Vocab); err != nil {
-			return nil, fmt.Errorf("%w: shared prefix: %w", ErrInvalidOption, err)
-		}
-	}
-	m := model.New(model.Tiny(), cfg.seed)
-	m.SetSparseTopK(cfg.sparseTopK)
-	scfg := sched.Config{
-		MaxBatch:         cfg.maxBatch,
-		PageTokens:       cfg.pageTokens,
-		KVPages:          cfg.kvPages,
-		MaxNew:           cfg.maxNew,
-		PrefillChunk:     cfg.prefillChunk,
-		TokenBudget:      cfg.tokenBudget,
-		Policy:           cfg.schedPol,
-		KVQuantBits:      quantBits,
-		SharedPrefix:     cfg.sharedPrefix,
-		MaxQueue:         cfg.maxQueue,
-		AdmissionTimeout: cfg.admissionTimeout.Seconds(),
 	}
 	if cfg.faults != nil {
 		// A standalone server is engine 0 of its own one-replica fleet.
@@ -229,7 +186,7 @@ func NewServer(opts ...Option) (*Server, error) {
 		scfg.StepHook = inj.StepHook(0)
 		scfg.SubmitHook = inj.SubmitHook(0)
 	}
-	eng, err := sched.New(m, scfg)
+	eng, err := sched.New(engineModel(cfg), scfg)
 	if err != nil {
 		return nil, translateServeErr(err)
 	}
