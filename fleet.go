@@ -3,15 +3,12 @@ package rethinkkv
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"rethinkkv/internal/compress"
 	"rethinkkv/internal/fleet"
 	"rethinkkv/internal/gen"
-	"rethinkkv/internal/model"
 	"rethinkkv/internal/predictor"
 	"rethinkkv/internal/router"
-	"rethinkkv/internal/sched"
 	"rethinkkv/internal/serving"
 	"rethinkkv/internal/workload"
 )
@@ -40,71 +37,22 @@ import (
 // (ErrOverloaded) and WithAdmissionTimeout / ServeRequest.Deadline shed
 // queued requests that can no longer meet their TTFT SLO.
 type Fleet struct {
-	cfg    config
-	pool   *fleet.Pool
-	name   string
-	nextID atomic.Int64
+	front frontend
+	pool  *fleet.Pool
+	name  string
 }
 
-// FleetStats snapshots the fleet counters: per-engine scheduler stats plus
-// the routing/migration counters only the multi-engine layer has.
-type FleetStats struct {
-	// Engines holds each engine's ServerStats, fleet order.
-	Engines []ServerStats
-	// Routed counts router placements per engine; migration re-admissions
-	// are not router decisions and appear only in Migrations.
-	Routed []int
-	// Migrations counts completed cross-engine migrations.
-	Migrations int
-	// MigrationFailed counts migration handoffs whose target rejected the
-	// re-admission; the request was requeued on its source engine (or
-	// another healthy one) rather than dropped.
-	MigrationFailed int
-	// FailedOver counts failure-driven re-homings: requests moved off a
-	// failed engine and resumed on a healthy one via bit-identical replay.
-	FailedOver int
-	// EngineFailures counts engines currently quarantined after a
-	// scheduling-loop panic; the router no longer sees them.
-	EngineFailures int
-}
-
-// Shed sums deadline-shed requests across engines (see ServerStats.Shed).
-func (s FleetStats) Shed() int {
-	n := 0
-	for _, e := range s.Engines {
-		n += e.Shed
-	}
-	return n
-}
-
-// Preemptions sums evict-and-recompute events across engines.
-func (s FleetStats) Preemptions() int {
-	n := 0
-	for _, e := range s.Engines {
-		n += e.Preemptions
-	}
-	return n
-}
-
-// PackedChunks sums budget-packed prefill chunks across engines (see
-// ServerStats.PackedChunks / WithTokenBudget).
-func (s FleetStats) PackedChunks() int {
-	n := 0
-	for _, e := range s.Engines {
-		n += e.PackedChunks
-	}
-	return n
-}
+// FleetStats snapshots the fleet counters — the pool's own type: each
+// engine's ServerStats in fleet order, plus the routing, migration and
+// failover counters only the multi-engine layer has.
+type FleetStats = fleet.Stats
 
 // NewFleet starts n continuous-batching engines behind the routing policy
-// selected by WithRouter (default baseline; see FleetRouters()). Engine
-// sizing reuses the Server options — WithSeed, WithMaxNewTokens,
-// WithMaxBatch, WithKVPages, WithPageTokens, WithPrefillChunk,
-// WithTokenBudget, WithSchedPolicy, WithSharedPrefix — applied to every
-// engine; the page
-// budget is per engine, so a fleet holds n× the KV of one Server.
-// Cross-engine migration is on by default (WithMigration). Close the fleet
-// when done.
+// selected by WithRouter (default baseline; see FleetRouters()). Every
+// engine is sized by the same options as NewServer — whatever engineConfig
+// reads — so the page budget is per engine and a fleet holds n× the KV of
+// one Server. Cross-engine migration is on by default (WithMigration).
+// Close the fleet when done.
 func NewFleet(n int, opts ...Option) (*Fleet, error) {
 	if n <= 0 {
 		return nil, ErrEmptyFleet
@@ -127,11 +75,16 @@ func NewFleet(n int, opts ...Option) (*Fleet, error) {
 	if cfg.faults != nil {
 		fcfg.Faults = buildInjector(cfg.faults)
 	}
-	pool, err := fleet.New(engineModel(cfg), fcfg)
+	m := engineModel(cfg)
+	pool, err := fleet.New(m, fcfg)
 	if err != nil {
 		return nil, translateServeErr(err)
 	}
-	return &Fleet{cfg: cfg, pool: pool, name: r.Name()}, nil
+	return &Fleet{
+		front: frontend{vocab: m.Config().Vocab, maxNew: cfg.maxNew, now: pool.Now, enqueue: pool.Submit},
+		pool:  pool,
+		name:  r.Name(),
+	}, nil
 }
 
 // fleetRouterFor resolves the configured policy name to a live router. The
@@ -203,7 +156,7 @@ func (f *Fleet) Size() int { return f.pool.Size() }
 func (f *Fleet) RouterName() string { return f.name }
 
 // Vocab returns the served model's vocabulary size.
-func (f *Fleet) Vocab() int { return model.Tiny().Vocab }
+func (f *Fleet) Vocab() int { return f.front.vocab }
 
 // Submit routes a request onto an engine and returns its token stream —
 // the same contract as Server.Submit. The router's placement runs on live
@@ -211,29 +164,7 @@ func (f *Fleet) Vocab() int { return model.Tiny().Vocab }
 // engine index fails with ErrBadRoute. Migration hops, if any, are
 // invisible on the stream beyond their recompute delay.
 func (f *Fleet) Submit(ctx context.Context, req ServeRequest) (<-chan Token, error) {
-	if err := validatePrompt(req.Prompt, f.Vocab()); err != nil {
-		return nil, err
-	}
-	var dl float64
-	if req.Deadline > 0 {
-		dl = f.pool.Now() + req.Deadline.Seconds()
-	}
-	maxNew := req.MaxNew
-	if maxNew <= 0 {
-		maxNew = f.cfg.maxNew
-	}
-	ch, err := f.pool.Submit(ctx, sched.Request{
-		ID:        int(f.nextID.Add(1)) - 1, // submission order, 0-based
-		Prompt:    req.Prompt,
-		MaxNew:    req.MaxNew,
-		Predicted: req.Predicted,
-		Arrival:   -1, // stamp at submit time
-		Deadline:  dl,
-	})
-	if err != nil {
-		return nil, translateServeErr(err)
-	}
-	return translateStream(ch, maxNew+1), nil
+	return f.front.Submit(ctx, req)
 }
 
 // Drain blocks until every request submitted so far has retired across the
@@ -254,18 +185,4 @@ func (f *Fleet) Close() { f.pool.Close() }
 func (f *Fleet) Outcomes() []Outcome { return f.pool.Outcomes() }
 
 // Stats returns a snapshot of the fleet counters.
-func (f *Fleet) Stats() FleetStats {
-	st := f.pool.Stats()
-	out := FleetStats{
-		Engines:         make([]ServerStats, len(st.Engines)),
-		Routed:          st.Routed,
-		Migrations:      st.Migrations,
-		MigrationFailed: st.MigrationFailed,
-		FailedOver:      st.FailedOver,
-		EngineFailures:  st.EngineFailures,
-	}
-	for i, es := range st.Engines {
-		out.Engines[i] = serverStatsFrom(es)
-	}
-	return out
-}
+func (f *Fleet) Stats() FleetStats { return f.pool.Stats() }

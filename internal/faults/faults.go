@@ -1,5 +1,5 @@
 // Package faults is the deterministic fault-injection harness for the
-// serving planes: a seeded Injector manufactures the three failure shapes
+// serving planes: an Injector manufactures the three failure shapes
 // production fleets actually see — an engine crash (a panic in the step
 // loop), a transient admission-capacity storm (ErrOutOfPages on submit),
 // and a slow replica (per-iteration latency inflation) — at exact,
@@ -14,11 +14,6 @@
 // attempts bounce, and the recovery path the test pins — failover via
 // replay, migration fallback, deadline shedding — is exercised the same
 // way every time.
-//
-// The seed does not randomize the injected faults themselves (they are
-// scheduled explicitly); it feeds Pick, the helper chaos scenarios use to
-// choose *which* engine to kill so a sweep over seeds varies the victim
-// without varying the mechanism.
 package faults
 
 import (
@@ -32,8 +27,6 @@ import (
 // methods are safe for concurrent use; the hooks it hands out are called
 // from engine loops and Submit paths concurrently.
 type Injector struct {
-	seed uint64
-
 	mu sync.Mutex
 	// panicAt maps gpu -> 1-based scheduling iteration at which the
 	// engine's StepHook panics (once).
@@ -50,11 +43,9 @@ type Injector struct {
 	stormed map[int]int // gpu -> Submit calls actually bounced
 }
 
-// New returns an empty injector. The seed only feeds Pick; an injector
-// with no scheduled faults is inert.
-func New(seed uint64) *Injector {
+// New returns an empty injector; with no scheduled faults it is inert.
+func New() *Injector {
 	return &Injector{
-		seed:    seed,
 		panicAt: map[int]int{},
 		storm:   map[int]int{},
 		delay:   map[int]time.Duration{},
@@ -63,20 +54,6 @@ func New(seed uint64) *Injector {
 		fired:   map[int]bool{},
 		stormed: map[int]int{},
 	}
-}
-
-// Pick deterministically chooses one of n alternatives from the seed and a
-// salt (splitmix64 finalizer) — chaos scenarios use it to pick the victim
-// engine so seed sweeps vary the target, not the mechanism.
-func (in *Injector) Pick(n int, salt uint64) int {
-	if n <= 1 {
-		return 0
-	}
-	z := in.seed + salt + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return int(z % uint64(n))
 }
 
 // PanicAt schedules engine gpu's step loop to panic at its step-th

@@ -8,39 +8,10 @@ import (
 	"rethinkkv/internal/kvcache"
 )
 
-// TestPickDeterministicAndInRange pins the victim-selection contract: same
-// seed and salt always pick the same engine, results stay in [0, n), and
-// the seed actually influences the choice.
-func TestPickDeterministicAndInRange(t *testing.T) {
-	a, b := New(7), New(7)
-	for salt := uint64(0); salt < 64; salt++ {
-		x := a.Pick(4, salt)
-		if y := b.Pick(4, salt); x != y {
-			t.Fatalf("salt %d: Pick diverged %d vs %d for equal seeds", salt, x, y)
-		}
-		if x < 0 || x >= 4 {
-			t.Fatalf("salt %d: Pick(4) = %d out of range", salt, x)
-		}
-	}
-	if got := New(7).Pick(1, 3); got != 0 {
-		t.Fatalf("Pick(1) = %d, want 0", got)
-	}
-	if got := New(7).Pick(0, 3); got != 0 {
-		t.Fatalf("Pick(0) = %d, want 0", got)
-	}
-	varies := false
-	for salt := uint64(0); salt < 32 && !varies; salt++ {
-		varies = New(1).Pick(4, salt) != New(2).Pick(4, salt)
-	}
-	if !varies {
-		t.Fatal("seed never influenced Pick across 32 salts")
-	}
-}
-
 // TestStepHookPanicsOnceAtScheduledStep: the scheduled crash fires at
 // exactly the configured iteration, exactly once, and only for its engine.
 func TestStepHookPanicsOnceAtScheduledStep(t *testing.T) {
-	in := New(1)
+	in := New()
 	in.PanicAt(2, 3)
 	hook := in.StepHook(2)
 	hook(1)
@@ -72,7 +43,7 @@ func TestStepHookPanicsOnceAtScheduledStep(t *testing.T) {
 // TestSubmitStormBouncesExactlyN: a storm of n rejects exactly the next n
 // Submits with ErrOutOfPages, then clears; other engines are untouched.
 func TestSubmitStormBouncesExactlyN(t *testing.T) {
-	in := New(1)
+	in := New()
 	in.SubmitStorm(1, 2)
 	hook := in.SubmitHook(1)
 	for i := 0; i < 2; i++ {
@@ -93,7 +64,7 @@ func TestSubmitStormBouncesExactlyN(t *testing.T) {
 
 // TestDelayInflatesStep: the slow-replica shape really sleeps.
 func TestDelayInflatesStep(t *testing.T) {
-	in := New(1)
+	in := New()
 	in.Delay(0, 5*time.Millisecond)
 	start := time.Now()
 	in.StepHook(0)(1)

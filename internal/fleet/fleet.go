@@ -73,13 +73,15 @@ type Config struct {
 	Engine sched.Config
 	// Faults, when non-nil, threads the deterministic fault-injection
 	// harness into every replica: engine i runs with the injector's
-	// StepHook(i)/SubmitHook(i) in its scheduler config, so chaos
+	// StepHook(i)/SubmitHook(i) in its scheduler config, so failure
 	// scenarios can kill, storm or slow a chosen engine at exact points
-	// in its event stream. Nil outside tests and chaos benches.
+	// in its event stream. Nil outside tests.
 	Faults *faults.Injector
 }
 
-// Stats is a snapshot of pool-lifetime counters.
+// Stats is a snapshot of pool-lifetime counters: per-engine scheduler stats
+// plus the routing, migration and failover counters only the multi-engine
+// layer has. The facade exports the type unchanged as rethinkkv.FleetStats.
 type Stats struct {
 	// Engines holds each replica's scheduler counters, pool order.
 	Engines []sched.Stats
@@ -204,9 +206,6 @@ func New(m *model.Model, cfg Config) (*Pool, error) {
 
 // Size returns the engine count.
 func (p *Pool) Size() int { return len(p.engines) }
-
-// Engine returns replica i's scheduler (tests and stats plumbing).
-func (p *Pool) Engine(i int) *sched.Engine { return p.engines[i] }
 
 // now returns seconds since the pool epoch.
 func (p *Pool) now() float64 { return time.Since(p.epoch).Seconds() }

@@ -347,7 +347,7 @@ func TestStatsRaceDuringPacking(t *testing.T) {
 // send; all terminal sends are now guarded, so the engine must keep serving
 // and Drain must return.
 func TestShedAbandonedStreamDoesNotStall(t *testing.T) {
-	inj := faults.New(seed)
+	inj := faults.New()
 	inj.Delay(0, time.Millisecond) // ~40ms of decode, far past the 2ms deadlines
 	cfg := Config{MaxBatch: 1, PageTokens: 8, StepHook: inj.StepHook(0)}
 	e := newTestEngine(t, cfg)

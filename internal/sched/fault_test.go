@@ -90,7 +90,7 @@ func TestMaxQueueOverload(t *testing.T) {
 // earlier Request.Deadline. Both must shed with ErrDeadlineExceeded error
 // tokens; the runner, already started, must never be shed.
 func TestDeadlineShedding(t *testing.T) {
-	inj := faults.New(seed)
+	inj := faults.New()
 	inj.Delay(0, time.Millisecond)
 	m := model.New(model.Tiny(), seed)
 	e, err := New(m, Config{
@@ -148,7 +148,7 @@ func TestDeadlineShedding(t *testing.T) {
 // process, terminate every live stream with an ErrEngineFailed error token,
 // and poison later Submit and Drain with the same typed failure.
 func TestStepPanicFailsEngine(t *testing.T) {
-	inj := faults.New(seed)
+	inj := faults.New()
 	inj.PanicAt(0, 4)
 	m := model.New(model.Tiny(), seed)
 	e, err := New(m, Config{
@@ -201,7 +201,7 @@ func TestSubmitStormRejectsThenRecovers(t *testing.T) {
 	const maxNew = 10
 	want := sequentialReference(t, [][]int{prompt}, maxNew)[0]
 
-	inj := faults.New(seed)
+	inj := faults.New()
 	inj.SubmitStorm(0, 2)
 	m := model.New(model.Tiny(), seed)
 	e, err := New(m, Config{MaxBatch: 2, PageTokens: 8, SubmitHook: inj.SubmitHook(0)})

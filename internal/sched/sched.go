@@ -277,7 +277,8 @@ type Request struct {
 	Replay int
 }
 
-// Stats are engine-lifetime counters.
+// Stats are engine-lifetime counters. The facade exports the type unchanged
+// as rethinkkv.ServerStats, one per engine inside fleet.Stats.
 type Stats struct {
 	Steps       int // scheduling iterations executed (decode, prefill chunk, or both)
 	Admitted    int // admissions incl. re-admissions after preemption
@@ -315,7 +316,8 @@ type Stats struct {
 	PrefixTokensSaved int
 	PrefixCacheStats
 	// MigratedOut counts preemption victims handed off through the
-	// Config.Migrate hook instead of being requeued locally.
+	// Config.Migrate hook instead of being requeued locally; always 0 on an
+	// engine outside a fleet.
 	MigratedOut int
 	// Shed counts queued requests dropped past their TTFT deadline
 	// (Request.Deadline / Config.AdmissionTimeout) — deliberate load
@@ -826,11 +828,6 @@ func (e *Engine) Stats() Stats {
 	st.PrefixCachePages, st.PrefixEvictions = e.tree.pages, e.tree.evictions
 	return st
 }
-
-// Backlog returns the queued-plus-running token load (prompt + predicted
-// remaining at admission), the router-visible pressure signal multi-engine
-// serving feeds into GPUView.QueuedTokens.
-func (e *Engine) Backlog() float64 { return e.View().BacklogTokens }
 
 // View returns a point-in-time snapshot of the engine's router-visible
 // state. Safe for concurrent use; loop-mirrored fields are at most one

@@ -6,7 +6,6 @@ import (
 
 	"rethinkkv/internal/compress"
 	"rethinkkv/internal/engine"
-	"rethinkkv/internal/faults"
 	"rethinkkv/internal/gpu"
 	"rethinkkv/internal/model"
 	"rethinkkv/internal/sched"
@@ -232,9 +231,6 @@ func WithAdmissionTimeout(d time.Duration) Option {
 // engine's own event stream — its Nth scheduling iteration, its Nth Submit
 // — so a chaos scenario replays identically across runs and machines.
 type FaultPlan struct {
-	// Seed feeds PickVictim, so seed sweeps vary which engine a scenario
-	// targets without varying the fault mechanism.
-	Seed uint64
 	// StepPanics maps engine index -> 1-based scheduling iteration at
 	// which that engine's step loop panics, once. The recover boundary
 	// turns the panic into a quarantined engine (ErrEngineFailed); a
@@ -250,18 +246,11 @@ type FaultPlan struct {
 	StepDelays map[int]time.Duration
 }
 
-// PickVictim deterministically chooses one of n engines from the plan's
-// seed and a salt — chaos scenarios use it to pick which engine to kill so
-// seed sweeps vary the victim, not the mechanism.
-func (fp FaultPlan) PickVictim(n int, salt uint64) int {
-	return faults.New(fp.Seed).Pick(n, salt)
-}
-
 // WithFaults installs a deterministic fault-injection plan on the serving
-// engines (NewServer, NewFleet) — test and chaos-benchmark scaffolding for
-// exercising panic isolation, failover and deadline shedding at exact,
-// replayable points in each engine's execution. The plan is copied. No
-// faults are injected when the option is absent.
+// engines (NewServer, NewFleet) — test scaffolding for exercising panic
+// isolation, failover and deadline shedding at exact, replayable points in
+// each engine's execution. The plan is copied. No faults are injected when
+// the option is absent.
 func WithFaults(plan FaultPlan) Option {
 	return func(c *config) { c.faults = &plan }
 }
@@ -323,7 +312,7 @@ func engineConfig(cfg config) (sched.Config, error) {
 		return sched.Config{}, err
 	}
 	if len(cfg.sharedPrefix) > 0 {
-		if err := validatePrompt(cfg.sharedPrefix, model.Tiny().Vocab); err != nil {
+		if err := validatePrompt(cfg.sharedPrefix, engineShape().Vocab); err != nil {
 			return sched.Config{}, fmt.Errorf("%w: shared prefix: %w", ErrInvalidOption, err)
 		}
 	}
@@ -342,10 +331,15 @@ func engineConfig(cfg config) (sched.Config, error) {
 	}, nil
 }
 
-// engineModel builds the tiny model the real engines serve: weights from
-// the configured seed, Quest sparse decode at the configured page budget.
+// engineShape is the model shape the real engines serve. It is chosen here
+// and nowhere else; the facades read vocabulary and context length back
+// from the model engineModel builds.
+func engineShape() model.Config { return model.Tiny() }
+
+// engineModel builds the model the real engines serve: weights from the
+// configured seed, Quest sparse decode at the configured page budget.
 func engineModel(cfg config) *model.Model {
-	m := model.New(model.Tiny(), cfg.seed)
+	m := model.New(engineShape(), cfg.seed)
 	m.SetSparseTopK(cfg.sparseTopK)
 	return m
 }

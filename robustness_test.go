@@ -164,9 +164,9 @@ func TestServerPanicFailsTyped(t *testing.T) {
 	}
 }
 
-// TestFleetFailoverBitIdenticalFacade kills engine 0 of a 2-engine fleet at
-// its fifth iteration and pins the public contract: every stream completes
-// with exactly the tokens a fault-free fleet produces (failover is replay,
+// TestFleetFailoverBitIdenticalFacade kills one engine of a fleet mid-decode
+// and pins the public contract: every stream completes with exactly the
+// tokens a fault-free fleet of the same size produces (failover is replay,
 // not approximation), and FleetStats reports the failure and re-homings.
 func TestFleetFailoverBitIdenticalFacade(t *testing.T) {
 	prompts := [][]int{
@@ -175,12 +175,14 @@ func TestFleetFailoverBitIdenticalFacade(t *testing.T) {
 		{42},
 		{9, 8, 7, 6},
 	}
-	const maxNew = 12
 
-	serve := func(t *testing.T, opts ...rethinkkv.Option) [][]int {
+	serve := func(t *testing.T, engines, maxNew int, panics map[int]int) [][]int {
 		t.Helper()
-		base := []rethinkkv.Option{rethinkkv.WithSeed(5), rethinkkv.WithMaxNewTokens(maxNew)}
-		fl, err := rethinkkv.NewFleet(2, append(base, opts...)...)
+		opts := []rethinkkv.Option{rethinkkv.WithSeed(5), rethinkkv.WithMaxNewTokens(maxNew)}
+		if panics != nil {
+			opts = append(opts, rethinkkv.WithFaults(rethinkkv.FaultPlan{StepPanics: panics}))
+		}
+		fl, err := rethinkkv.NewFleet(engines, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,10 +209,9 @@ func TestFleetFailoverBitIdenticalFacade(t *testing.T) {
 		if t.Failed() {
 			t.FailNow()
 		}
-		// Stats checks only apply to the faulted run; the caller inspects.
-		if st := fl.Stats(); len(opts) > 0 {
-			if st.EngineFailures != 1 {
-				t.Fatalf("EngineFailures = %d, want 1", st.EngineFailures)
+		if st := fl.Stats(); panics != nil {
+			if st.EngineFailures != len(panics) {
+				t.Fatalf("EngineFailures = %d, want %d", st.EngineFailures, len(panics))
 			}
 			if st.FailedOver == 0 {
 				t.Fatal("no request failed over")
@@ -219,22 +220,33 @@ func TestFleetFailoverBitIdenticalFacade(t *testing.T) {
 		return out
 	}
 
-	want := serve(t)
-	got := serve(t, rethinkkv.WithFaults(rethinkkv.FaultPlan{Seed: 9, StepPanics: map[int]int{0: 5}}))
-	for i := range want {
-		if len(got[i]) != len(want[i]) {
-			t.Fatalf("request %d: %d tokens, want %d", i, len(got[i]), len(want[i]))
-		}
-		for j := range want[i] {
-			if got[i][j] != want[i][j] {
-				t.Fatalf("request %d token %d: %d != fault-free %d", i, j, got[i][j], want[i][j])
+	for _, tc := range []struct {
+		name            string
+		engines, maxNew int
+		panics          map[int]int // engine -> iteration it dies at
+	}{
+		{"2 engines, engine 0 dies", 2, 12, map[int]int{0: 5}},
+		{"3 engines, engine 1 dies", 3, 24, map[int]int{1: 8}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := serve(t, tc.engines, tc.maxNew, nil)
+			got := serve(t, tc.engines, tc.maxNew, tc.panics)
+			for i := range want {
+				if len(got[i]) != len(want[i]) {
+					t.Fatalf("request %d: %d tokens, want %d", i, len(got[i]), len(want[i]))
+				}
+				for j := range want[i] {
+					if got[i][j] != want[i][j] {
+						t.Fatalf("request %d token %d: %d != fault-free %d", i, j, got[i][j], want[i][j])
+					}
+				}
 			}
-		}
+		})
 	}
 }
 
 // TestFaultOptionValidation: the new options reject nonsense values with
-// ErrInvalidOption on both constructors, and PickVictim is deterministic.
+// ErrInvalidOption on both constructors.
 func TestFaultOptionValidation(t *testing.T) {
 	if _, err := rethinkkv.NewServer(rethinkkv.WithMaxQueue(-1)); !errors.Is(err, rethinkkv.ErrInvalidOption) {
 		t.Fatalf("NewServer(WithMaxQueue(-1)): %v, want ErrInvalidOption", err)
@@ -247,13 +259,5 @@ func TestFaultOptionValidation(t *testing.T) {
 	}
 	if _, err := rethinkkv.NewFleet(2, rethinkkv.WithAdmissionTimeout(-time.Second)); !errors.Is(err, rethinkkv.ErrInvalidOption) {
 		t.Fatalf("NewFleet(WithAdmissionTimeout(-1s)): %v, want ErrInvalidOption", err)
-	}
-	plan := rethinkkv.FaultPlan{Seed: 3}
-	v := plan.PickVictim(4, 1)
-	if v < 0 || v >= 4 {
-		t.Fatalf("PickVictim out of range: %d", v)
-	}
-	if v2 := plan.PickVictim(4, 1); v2 != v {
-		t.Fatalf("PickVictim not deterministic: %d then %d", v, v2)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"rethinkkv/internal/faults"
 	"rethinkkv/internal/fleet"
 	"rethinkkv/internal/kvcache"
-	"rethinkkv/internal/model"
 	"rethinkkv/internal/sched"
 	"rethinkkv/internal/serving"
 	"rethinkkv/internal/stats"
@@ -61,98 +60,15 @@ type ServeRequest struct {
 	Deadline time.Duration
 }
 
+// ServerStats is a snapshot of one engine's lifetime scheduler counters —
+// the scheduler's own type, so a counter added there is public with no
+// copying. PeakPages is the most KV pages simultaneously referenced by live
+// requests plus the pre-warmed prefix.
+type ServerStats = sched.Stats
+
 // PrefixCacheStats is the prefix cache's share of the page ledger, embedded
-// unchanged from the scheduler up through ServerStats and FleetStats.
+// in ServerStats.
 type PrefixCacheStats = sched.PrefixCacheStats
-
-// ServerStats is a snapshot of the scheduler's lifetime counters.
-type ServerStats struct {
-	// Steps counts scheduling iterations (every prefill-complete request
-	// advances one token per step; an iteration may also, or only, carry
-	// a prefill chunk).
-	Steps int
-	// Admitted counts admissions, including re-admissions after
-	// preemption.
-	Admitted int
-	// Preemptions counts evict-and-recompute events under KV pressure.
-	Preemptions int
-	// Completed and Cancelled count retired requests.
-	Completed, Cancelled int
-	// Shed counts requests dropped from the admission queue because their
-	// TTFT deadline (ServeRequest.Deadline / WithAdmissionTimeout) passed
-	// before decode started — deliberate load shedding, not failure.
-	Shed int
-	// PeakRunning is the largest concurrent decode batch formed.
-	PeakRunning int
-	// PeakKVPages is the most KV pages simultaneously referenced by live
-	// requests plus the pre-warmed prefix; evictable cached pages are not
-	// in use and not counted.
-	PeakKVPages int
-	// PrefillChunks counts prompt chunks advanced through the fused plane
-	// (see WithPrefillChunk), one per chunk — a budget-packed iteration
-	// carrying chunks from k prompts counts k; MixedSteps counts
-	// iterations that carried at least one decode lane and at least one
-	// prefill chunk in one fused weight pass; PrefillPreempted counts
-	// preemption victims caught mid-prefill.
-	PrefillChunks    int
-	MixedSteps       int
-	PrefillPreempted int
-	// PackedChunks counts prefill chunks that shared their fused pass with
-	// at least one other prompt's chunk — the stall-free packing
-	// WithTokenBudget enables; always 0 in single-chunk mode. BudgetTokens
-	// totals the tokens every scheduling iteration carried (decode lanes +
-	// prefill chunk tokens), the utilisation numerator for the budget.
-	PackedChunks int
-	BudgetTokens int
-	// PrefixHits counts requests whose admission found the start of their
-	// prompt in the engine's prefix cache — pre-warmed by WithSharedPrefix
-	// or learned from earlier requests; PrefixTokensSaved totals the prompt
-	// tokens they did not prefill.
-	PrefixHits        int
-	PrefixTokensSaved int
-	// PrefixCacheStats reports the prefix cache's share of the KV pages —
-	// PrefixCachePages held right now, PrefixEvictions so far — and
-	// RecomputeTokensSaved, what preempted requests found still cached.
-	PrefixCacheStats
-	// MigratedOut counts preemption victims handed to another engine
-	// instead of re-queued locally. Always 0 on a standalone Server; a
-	// Fleet reports it per engine (see FleetStats).
-	MigratedOut int
-	// SparsePagesSelected / SparsePagesTotal account WithSparseAttention's
-	// page selection across every (layer, head) decode attention:
-	// selected/total is the fraction of resident KV pages decode actually
-	// read. Both stay 0 under dense serving (or when sparsity never
-	// engaged because contexts stayed at or under topK pages).
-	SparsePagesSelected int64
-	SparsePagesTotal    int64
-}
-
-// serverStatsFrom converts the internal scheduler counters to their public
-// form — shared by Server.Stats and Fleet.Stats so the two surfaces cannot
-// drift.
-func serverStatsFrom(st sched.Stats) ServerStats {
-	return ServerStats{
-		Steps:               st.Steps,
-		Admitted:            st.Admitted,
-		Preemptions:         st.Preemptions,
-		Completed:           st.Completed,
-		Cancelled:           st.Cancelled,
-		Shed:                st.Shed,
-		PeakRunning:         st.PeakRunning,
-		PeakKVPages:         st.PeakPages,
-		PrefillChunks:       st.PrefillChunks,
-		MixedSteps:          st.MixedSteps,
-		PrefillPreempted:    st.PrefillPreempted,
-		PackedChunks:        st.PackedChunks,
-		BudgetTokens:        st.BudgetTokens,
-		PrefixHits:          st.PrefixHits,
-		PrefixTokensSaved:   st.PrefixTokensSaved,
-		PrefixCacheStats:    st.PrefixCacheStats,
-		MigratedOut:         st.MigratedOut,
-		SparsePagesSelected: st.SparsePagesSelected,
-		SparsePagesTotal:    st.SparsePagesTotal,
-	}
-}
 
 // Server is a continuous-batching serving engine over the real tiny-model
 // decode loop and a paged KV cache: requests join and leave the running
@@ -162,9 +78,8 @@ func serverStatsFrom(st sched.Stats) ServerStats {
 // report the same Outcome metrics (TTFT, TBOT, E2E), the server in
 // wall-clock seconds.
 type Server struct {
-	cfg    config
-	eng    *sched.Engine
-	nextID atomic.Int64
+	front frontend
+	eng   *sched.Engine
 }
 
 // NewServer starts a continuous-batching server. Options: WithSeed,
@@ -186,17 +101,21 @@ func NewServer(opts ...Option) (*Server, error) {
 		scfg.StepHook = inj.StepHook(0)
 		scfg.SubmitHook = inj.SubmitHook(0)
 	}
-	eng, err := sched.New(engineModel(cfg), scfg)
+	m := engineModel(cfg)
+	eng, err := sched.New(m, scfg)
 	if err != nil {
 		return nil, translateServeErr(err)
 	}
-	return &Server{cfg: cfg, eng: eng}, nil
+	return &Server{
+		front: frontend{vocab: m.Config().Vocab, maxNew: cfg.maxNew, now: eng.Now, enqueue: eng.Submit},
+		eng:   eng,
+	}, nil
 }
 
 // buildInjector materialises a FaultPlan into the internal deterministic
 // injector the engines consume.
 func buildInjector(plan *FaultPlan) *faults.Injector {
-	inj := faults.New(plan.Seed)
+	inj := faults.New()
 	for gpu, step := range plan.StepPanics {
 		inj.PanicAt(gpu, step)
 	}
@@ -209,8 +128,49 @@ func buildInjector(plan *FaultPlan) *faults.Injector {
 	return inj
 }
 
+// frontend is the request-building half of Submit that Server and Fleet
+// share; they differ only in the backend: an engine or a pool, for its clock
+// and its Submit.
+type frontend struct {
+	vocab   int // the served model's vocabulary
+	maxNew  int // WithMaxNewTokens, for requests that set no MaxNew
+	nextID  atomic.Int64
+	now     func() float64 // backend clock, seconds since its epoch
+	enqueue func(context.Context, sched.Request) (<-chan sched.Token, error)
+}
+
+// Submit validates the prompt, resolves the TTFT deadline against the
+// backend clock, numbers the request in submission order (0-based) and
+// returns the backend's stream with its terminal error, if any, translated
+// onto the public sentinels.
+func (f *frontend) Submit(ctx context.Context, req ServeRequest) (<-chan Token, error) {
+	if err := validatePrompt(req.Prompt, f.vocab); err != nil {
+		return nil, err
+	}
+	var dl float64
+	if req.Deadline > 0 {
+		dl = f.now() + req.Deadline.Seconds()
+	}
+	maxNew := req.MaxNew
+	if maxNew <= 0 {
+		maxNew = f.maxNew
+	}
+	ch, err := f.enqueue(ctx, sched.Request{
+		ID:        int(f.nextID.Add(1)) - 1,
+		Prompt:    req.Prompt,
+		MaxNew:    req.MaxNew,
+		Predicted: req.Predicted,
+		Arrival:   -1, // stamp at submit time
+		Deadline:  dl,
+	})
+	if err != nil {
+		return nil, translateServeErr(err)
+	}
+	return translateStream(ch, maxNew+1), nil
+}
+
 // Vocab returns the served model's vocabulary size.
-func (s *Server) Vocab() int { return model.Tiny().Vocab }
+func (s *Server) Vocab() int { return s.front.vocab }
 
 // Submit enqueues a request and returns its token stream. The channel is
 // buffered to the request's full budget (the server never blocks on a slow
@@ -223,29 +183,7 @@ func (s *Server) Vocab() int { return model.Tiny().Vocab }
 // with a final token whose Err wraps ErrDeadlineExceeded or
 // ErrEngineFailed; tokens with Err == nil are ordinary output.
 func (s *Server) Submit(ctx context.Context, req ServeRequest) (<-chan Token, error) {
-	if err := validatePrompt(req.Prompt, s.Vocab()); err != nil {
-		return nil, err
-	}
-	var dl float64
-	if req.Deadline > 0 {
-		dl = s.eng.Now() + req.Deadline.Seconds()
-	}
-	maxNew := req.MaxNew
-	if maxNew <= 0 {
-		maxNew = s.cfg.maxNew
-	}
-	ch, err := s.eng.Submit(ctx, sched.Request{
-		ID:        int(s.nextID.Add(1)) - 1, // submission order, 0-based
-		Prompt:    req.Prompt,
-		MaxNew:    req.MaxNew,
-		Predicted: req.Predicted,
-		Arrival:   -1, // stamp at submit time
-		Deadline:  dl,
-	})
-	if err != nil {
-		return nil, translateServeErr(err)
-	}
-	return translateStream(ch, maxNew+1), nil
+	return s.front.Submit(ctx, req)
 }
 
 // translateStream forwards an engine stream, rewriting any terminal error
@@ -285,9 +223,7 @@ func (s *Server) Close() { s.eng.Close() }
 func (s *Server) Outcomes() []Outcome { return s.eng.Outcomes() }
 
 // Stats returns a snapshot of the scheduler counters.
-func (s *Server) Stats() ServerStats {
-	return serverStatsFrom(s.eng.Stats())
-}
+func (s *Server) Stats() ServerStats { return s.eng.Stats() }
 
 // Failed reports the server's terminal failure (wrapping ErrEngineFailed)
 // or nil while it is healthy. A failed server rejects new Submits and
@@ -300,23 +236,11 @@ func (s *Server) Failed() error { return translateServeErr(s.eng.Failed()) }
 // budget holds under WithKVQuant. 0 means unbounded.
 func (s *Server) PageBudget() int { return s.eng.View().PageBudget }
 
-// MeanTTFT returns the average time-to-first-token of outcomes, seconds.
-func MeanTTFT(outcomes []Outcome) float64 {
-	return stats.Mean(serving.TTFTs(outcomes))
-}
-
-// TokensPerSec returns aggregate generated tokens per second over the
-// run's makespan — the serving-throughput headline number.
+// TokensPerSec returns aggregate generated tokens per second over the span
+// from the earliest arrival to the latest finish.
 func TokensPerSec(outcomes []Outcome) float64 {
 	return serving.TokensPerSec(outcomes)
 }
-
-// Makespan returns the span from the earliest arrival to the latest
-// finish — the denominator of TokensPerSec.
-func Makespan(outcomes []Outcome) float64 { return serving.Makespan(outcomes) }
-
-// TotalTokens sums the generated (response) tokens across outcomes.
-func TotalTokens(outcomes []Outcome) int { return serving.TotalTokens(outcomes) }
 
 // TTFTs extracts per-request time-to-first-token latencies.
 func TTFTs(outcomes []Outcome) []float64 { return serving.TTFTs(outcomes) }
@@ -324,15 +248,3 @@ func TTFTs(outcomes []Outcome) []float64 { return serving.TTFTs(outcomes) }
 // Percentile returns the p-th percentile (p in [0,100]) of xs with linear
 // interpolation — a convenience over TTFTs/E2Es for latency reporting.
 func Percentile(xs []float64, p float64) float64 { return stats.Percentile(xs, p) }
-
-// SLO names the per-request latency deadlines goodput is graded on: time to
-// first token and mean time between output tokens, in seconds. A zero
-// deadline leaves that metric unconstrained.
-type SLO = serving.SLO
-
-// SLOGoodput returns the fraction of generated tokens belonging to requests
-// that met both SLO deadlines — goodput as a share of raw throughput,
-// token-weighted so long blown-deadline responses count at full cost.
-func SLOGoodput(outcomes []Outcome, slo SLO) float64 {
-	return serving.SLOGoodput(outcomes, slo)
-}
