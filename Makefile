@@ -21,25 +21,29 @@ test:
 # race-sched runs the packages on the concurrent serving plane under the race
 # detector: sched (engine loop vs Submit/Drain/View callers), fleet
 # (per-flight forwarder goroutines, migration hook, failover), core and model
-# (GEMM row shards and attention lane shards spawn goroutines inside the fused
+# (GEMM panel shards and attention lane shards spawn goroutines inside the fused
 # step at GOMAXPROCS>1), quant, kvcache and attention (append-time encode,
 # CoW page clones and page selection all run inside those shards), faults
 # (its hooks are called from engine loops and Submit paths at once).
 race-sched:
 	$(GO) test -race ./internal/sched ./internal/fleet ./internal/core ./internal/model ./internal/quant ./internal/kvcache ./internal/attention ./internal/faults
 
-# fuzz-smoke runs the native fuzz target over the prefix-of-n page clone
-# (every page format, any page size and split) for ten seconds.
+# fuzz-smoke runs each native fuzz target for ten seconds: the prefix-of-n
+# page clone (every page format, any page size and split), then the GEMM tile
+# loop against the scalar reference (any shape and lane count, both tile
+# implementations, raw float32 bits).
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzClonePrefixN -fuzztime 10s ./internal/kvcache
+	$(GO) test -run XXX -fuzz FuzzPackedMulMatchesScalar -fuzztime 10s ./internal/tensor
 
 BENCHPKGS = . ./internal/model ./internal/attention
 
 # ALLOC_PINS are the tests that hold the serving hot paths at 0 allocs/step:
 # dequantize-on-read decode, the quantized strided kernels, sparse decode and
-# its page-selection pair, and the fused pass / the one step entry from a
-# batch of one with no chunks up to the budget-packed mixed step.
-ALLOC_PINS = TestQuantDecodeAllocs TestQuantStridedKernelsZeroAlloc TestSparseDecodeAllocs TestSparseAttentionZeroAlloc TestForwardMixedPackedAllocFree TestStepMixedPackedAllocFree
+# its page-selection pair, the GEMM tile loop's entries under both tile
+# implementations, and the fused pass / the one step entry from a batch of
+# one with no chunks up to the budget-packed mixed step.
+ALLOC_PINS = TestQuantDecodeAllocs TestQuantStridedKernelsZeroAlloc TestSparseDecodeAllocs TestSparseAttentionZeroAlloc TestBatchedKernelsAllocFree TestForwardMixedPackedAllocFree TestStepMixedPackedAllocFree
 ALLOC_PKGS = ./internal/model ./internal/attention ./internal/tensor ./internal/core
 
 # bench-smoke compiles and single-steps every benchmark in BENCHPKGS (the
@@ -67,7 +71,7 @@ bench-suite:
 	bash benchmark/run.sh -smoke
 
 # bench runs every benchmark in BENCHPKGS with allocation reporting, at
-# -cpu 1,4 so both the serial fused step and the row/lane-sharded step run
+# -cpu 1,4 so both the serial fused step and the panel/lane-sharded step run
 # (on a smaller machine the sharded paths still execute, they timeshare).
 # These are kernel- and step-level numbers for use while working; serving
 # performance is measured by benchmark/ (see bench-suite).

@@ -10,9 +10,10 @@ import (
 // (ForwardMixedInto, prefill.go): one forward pass that advances B
 // independent decode streams a single token each, loading every weight
 // matrix once per step instead of once per stream. Projections and the LM
-// head run as batched weight-stationary GEMMs (tensor.MatTMatTrans*/
-// tensor.MatMat*); attention stays per-stream via the shared attendStep,
-// because each stream attends over its own KV cache at its own position.
+// head run as one batched GEMM over packed weights (tensor.Packed.MulInto:
+// four lanes share every weight load); attention stays per-stream via the
+// shared attendStep, because each stream attends over its own KV cache at
+// its own position.
 // Per lane the arithmetic is operation-for-operation identical to
 // ForwardInto, so a fused step is bit-identical to stepping each stream
 // separately — pinned by the equivalence tests in batch_test.go.
@@ -105,10 +106,10 @@ func (bw *BatchWorkspace) ensureChunkSlots(k int) {
 }
 
 // SetWorkers sets the shard width for optional intra-step parallelism:
-// with w > 1, large GEMMs are row-sharded and attention lane-sharded
-// across up to w goroutines (bit-identical — shards write disjoint
-// outputs). The default 1 keeps the step fully serial and
-// allocation-free; sharded steps allocate goroutine frames.
+// with w > 1, large GEMMs are sharded by weight panel and attention by lane
+// across up to w goroutines (bit-identical — every output has one owner).
+// The default 1 keeps the step fully serial and allocation-free; a sharded
+// step starts one goroutine per extra shard per GEMM and allocates for each.
 func (bw *BatchWorkspace) SetWorkers(w int) {
 	if w < 1 {
 		w = 1
@@ -123,16 +124,17 @@ func (bw *BatchWorkspace) Workers() int { return bw.workers }
 // which sharding a GEMM costs more in goroutine latency than it saves.
 const gemmShardMin = 1 << 15
 
-// project runs one batched projection dst[b] = xs[b]ᵀ·w, column-sharded
-// across workers when the matrix is large enough to amortize the fan-out.
-func (bw *BatchWorkspace) project(dst, xs [][]float32, w, wT *tensor.Matrix) {
-	shards := bw.shardsFor(w.Rows*w.Cols*len(xs), w.Cols)
+// project runs one batched projection dst[b] = xs[b]ᵀ·w — the LM head is the
+// projection over embedᵀ — sharded across workers by whole panels when the
+// matrix is large enough to amortize the fan-out.
+func (bw *BatchWorkspace) project(dst, xs [][]float32, w *tensor.Packed) {
+	shards := bw.shardsFor(w.Rows*w.Cols*len(xs), w.Panels())
 	if shards <= 1 {
-		tensor.MatTMatTransInto(dst, xs, w, wT)
+		w.MulInto(dst, xs)
 		return
 	}
-	runShards(shards, w.Cols, func(lo, hi int) {
-		tensor.MatTMatTransColsInto(dst, xs, w, wT, lo, hi)
+	runShards(shards, w.Panels(), func(lo, hi int) {
+		w.MulPanelsInto(dst, xs, lo, hi)
 	})
 }
 
@@ -157,27 +159,14 @@ func (bw *BatchWorkspace) attend(l, n int) {
 	})
 }
 
-// lmHead runs the batched LM head dst[b] = embed × finals[b], row-sharded
-// across workers when large enough.
-func (bw *BatchWorkspace) lmHead(dst, finals [][]float32) {
-	embed := bw.m.embed
-	shards := bw.shardsFor(embed.Rows*embed.Cols*len(finals), embed.Rows)
-	if shards <= 1 {
-		tensor.MatMatInto(dst, embed, finals)
-		return
-	}
-	runShards(shards, embed.Rows, func(lo, hi int) {
-		tensor.MatMatRowsInto(dst, embed, finals, lo, hi)
-	})
-}
-
 // shardsFor picks the shard count for a GEMM of the given total work:
-// bounded by the worker budget, the output dimension, and the per-shard
-// work floor.
-func (bw *BatchWorkspace) shardsFor(work, dim int) int {
+// bounded by the worker budget, the panel count (a panel is the unit of
+// column sharding: the micro-kernel's width, so every output has one owner),
+// and the per-shard work floor.
+func (bw *BatchWorkspace) shardsFor(work, panels int) int {
 	shards := bw.workers
-	if shards > dim {
-		shards = dim
+	if shards > panels {
+		shards = panels
 	}
 	if max := work / gemmShardMin; shards > max {
 		shards = max

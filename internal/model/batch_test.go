@@ -100,7 +100,7 @@ func TestForwardBatchIntoBitIdentical(t *testing.T) {
 	}
 }
 
-// TestForwardBatchIntoWorkers pins the row/lane-sharded parallel step to
+// TestForwardBatchIntoWorkers pins the panel/lane-sharded parallel step to
 // the serial step bit-for-bit.
 func TestForwardBatchIntoWorkers(t *testing.T) {
 	const B = 8

@@ -94,7 +94,7 @@ func benchSteadyBatch(b *testing.B, cfg Config, fused bool) {
 	ws := m.NewWorkspace()
 	bw := m.NewBatchWorkspace(B)
 	// Mirror core.StepMixedStatsInto: -cpu 1 benches the serial fused step,
-	// -cpu 4 the row/lane-sharded one.
+	// -cpu 4 the panel/lane-sharded one.
 	bw.SetWorkers(runtime.GOMAXPROCS(0))
 	caches := make([]kvcache.Cache, B)
 	tokens := make([]int, B)

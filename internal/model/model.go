@@ -10,24 +10,19 @@ import (
 )
 
 // layerWeights holds one transformer block's parameters. Each projection
-// matrix is stored twice: in the historical row-major orientation the
-// per-stream kernels (VecMatInto) traverse column-major, and as a
-// transposed copy the fused batched decode plane streams row-major
-// (tensor.MatTMatTransInto). Both orientations hold identical values;
-// weights are immutable after New, so the copies never diverge.
+// weight is resident once, in tensor.Packed panel layout — the only layout
+// the forward pass reads, for one stream (ForwardInto) and for the fused
+// batched plane alike. Weights are immutable after New.
 type layerWeights struct {
 	attnNorm []float32
-	wq       *tensor.Matrix // Hidden × Hidden
-	wk       *tensor.Matrix // Hidden × KVDim
-	wv       *tensor.Matrix // Hidden × KVDim
-	wo       *tensor.Matrix // Hidden × Hidden
+	wq       *tensor.Packed // Hidden × Hidden
+	wk       *tensor.Packed // Hidden × KVDim
+	wv       *tensor.Packed // Hidden × KVDim
+	wo       *tensor.Packed // Hidden × Hidden
 	ffnNorm  []float32
-	wGate    *tensor.Matrix // Hidden × FFNDim
-	wUp      *tensor.Matrix // Hidden × FFNDim
-	wDown    *tensor.Matrix // FFNDim × Hidden
-
-	wqT, wkT, wvT, woT   *tensor.Matrix // transposed copies for the batched plane
-	wGateT, wUpT, wDownT *tensor.Matrix
+	wGate    *tensor.Packed // Hidden × FFNDim
+	wUp      *tensor.Packed // Hidden × FFNDim
+	wDown    *tensor.Packed // FFNDim × Hidden
 }
 
 // Model is a runnable tiny transformer with deterministic random weights.
@@ -38,7 +33,8 @@ type layerWeights struct {
 // ForwardInto, or one fused BatchWorkspace + ForwardMixedInto.
 type Model struct {
 	cfg       Config
-	embed     *tensor.Matrix // Vocab × Hidden (tied with the LM head)
+	embed     *tensor.Matrix // Vocab × Hidden, row-major for the token-row lookup
+	embedT    *tensor.Packed // Hidden × Vocab: the tied LM head, logits = finalᵀ × embedᵀ
 	layers    []layerWeights
 	norm      []float32
 	ropeFreqs []float64  // RoPE frequency schedule, precomputed once
@@ -151,6 +147,8 @@ func New(cfg Config, seed uint64) *Model {
 		panic(err)
 	}
 	r := rng.New(seed)
+	// Every weight is a finite normal draw times a finite scale — the
+	// precondition for the GEMM tile not needing a zero-skip (tensor/gemm.go).
 	randMat := func(rows, cols int) *tensor.Matrix {
 		m := tensor.NewMatrix(rows, cols)
 		scale := float32(1 / math.Sqrt(float64(rows)))
@@ -159,6 +157,7 @@ func New(cfg Config, seed uint64) *Model {
 		}
 		return m
 	}
+	randPacked := func(rows, cols int) *tensor.Packed { return tensor.Pack(randMat(rows, cols)) }
 	ones := func(n int) []float32 {
 		v := make([]float32, n)
 		for i := range v {
@@ -174,26 +173,19 @@ func New(cfg Config, seed uint64) *Model {
 		ropeFreqs: tensor.RoPEFreqs(cfg.HeadDim),
 		invSqrtHD: float32(1 / math.Sqrt(float64(cfg.HeadDim))),
 	}
+	m.embedT = tensor.Pack(tensor.Transpose(m.embed))
 	for l := 0; l < cfg.Layers; l++ {
-		lw := layerWeights{
+		m.layers = append(m.layers, layerWeights{
 			attnNorm: ones(h),
-			wq:       randMat(h, h),
-			wk:       randMat(h, cfg.KVDim()),
-			wv:       randMat(h, cfg.KVDim()),
-			wo:       randMat(h, h),
+			wq:       randPacked(h, h),
+			wk:       randPacked(h, cfg.KVDim()),
+			wv:       randPacked(h, cfg.KVDim()),
+			wo:       randPacked(h, h),
 			ffnNorm:  ones(h),
-			wGate:    randMat(h, cfg.FFNDim),
-			wUp:      randMat(h, cfg.FFNDim),
-			wDown:    randMat(cfg.FFNDim, h),
-		}
-		lw.wqT = tensor.Transpose(lw.wq)
-		lw.wkT = tensor.Transpose(lw.wk)
-		lw.wvT = tensor.Transpose(lw.wv)
-		lw.woT = tensor.Transpose(lw.wo)
-		lw.wGateT = tensor.Transpose(lw.wGate)
-		lw.wUpT = tensor.Transpose(lw.wUp)
-		lw.wDownT = tensor.Transpose(lw.wDown)
-		m.layers = append(m.layers, lw)
+			wGate:    randPacked(h, cfg.FFNDim),
+			wUp:      randPacked(h, cfg.FFNDim),
+			wDown:    randPacked(cfg.FFNDim, h),
+		})
 	}
 	m.ws = m.NewWorkspace()
 	return m
@@ -286,31 +278,28 @@ func (m *Model) ForwardInto(ws *Workspace, token, pos int, cache kvcache.Cache) 
 	copy(h, m.embed.Row(token))
 	tensor.RoPESincosInto(ws.ropeSin, ws.ropeCos, m.ropeFreqs, pos)
 
-	// Projections dispatch per activation vector exactly like the batched
-	// plane: zero-free vectors stream the transposed copy row-major (the
-	// faster traversal), vectors with exact zeros reproduce VecMatInto's
-	// skip — bit-identical either way (tensor.VecMatTransInto).
+	// Projections and the LM head are the batched plane's GEMM at one lane.
 	for l := range m.layers {
 		lw := &m.layers[l]
 		tensor.RMSNormInto(ws.x, h, lw.attnNorm, 1e-5)
-		tensor.VecMatTransInto(ws.q, ws.x, lw.wq, lw.wqT)
-		tensor.VecMatTransInto(ws.k, ws.x, lw.wk, lw.wkT)
-		tensor.VecMatTransInto(ws.v, ws.x, lw.wv, lw.wvT)
+		lw.wq.MulVecInto(ws.q, ws.x)
+		lw.wk.MulVecInto(ws.k, ws.x)
+		lw.wv.MulVecInto(ws.v, ws.x)
 		m.attendStep(ws, &cp, l)
-		tensor.VecMatTransInto(ws.proj, ws.attnOut, lw.wo, lw.woT)
+		lw.wo.MulVecInto(ws.proj, ws.attnOut)
 		tensor.AXPY(h, 1, ws.proj)
 
 		// SiLU-gated FFN.
 		tensor.RMSNormInto(ws.x, h, lw.ffnNorm, 1e-5)
-		tensor.VecMatTransInto(ws.gate, ws.x, lw.wGate, lw.wGateT)
-		tensor.VecMatTransInto(ws.up, ws.x, lw.wUp, lw.wUpT)
+		lw.wGate.MulVecInto(ws.gate, ws.x)
+		lw.wUp.MulVecInto(ws.up, ws.x)
 		siluMul(ws.gate, ws.up)
-		tensor.VecMatTransInto(ws.down, ws.gate, lw.wDown, lw.wDownT)
+		lw.wDown.MulVecInto(ws.down, ws.gate)
 		tensor.AXPY(h, 1, ws.down)
 	}
 
 	tensor.RMSNormInto(ws.final, h, m.norm, 1e-5)
-	tensor.MatVecInto(ws.logits, m.embed, ws.final)
+	m.embedT.MulVecInto(ws.logits, ws.final)
 	return StepResult{Logits: ws.logits, Hidden: ws.final}
 }
 

@@ -62,9 +62,9 @@ type Chunk struct {
 // B = 1 — there is no separate single-stream path on this plane.
 //
 // Per decode lane the outputs are bit-identical to
-// ForwardInto(ws, tokens[b], positions[b], caches[b]): the projections use
-// the transposed-weight batched kernels whose per-element reduction order
-// matches VecMatInto exactly (including its zero-skip, via dispatch), and
+// ForwardInto(ws, tokens[b], positions[b], caches[b]): the projections are the
+// same tile loop over the same packed weights, whose per-output reduction
+// order does not depend on the lane count (tensor/gemm.go), and
 // attention/norms/activations share the per-stream code paths. Each chunk's
 // cache writes (and final logits, when requested) are bit-identical to
 // token-at-a-time PrefillInto over the same span, regardless of what else
@@ -170,9 +170,9 @@ func (m *Model) ForwardMixedInto(bw *BatchWorkspace, tokens, positions []int, ca
 	for l := range m.layers {
 		lw := &m.layers[l]
 		tensor.RMSNormRowsInto(xs, hs, lw.attnNorm, 1e-5)
-		bw.project(qs, xs, lw.wq, lw.wqT)
-		bw.project(ks, xs, lw.wk, lw.wkT)
-		bw.project(vs, xs, lw.wv, lw.wvT)
+		bw.project(qs, xs, lw.wq)
+		bw.project(ks, xs, lw.wk)
+		bw.project(vs, xs, lw.wv)
 		bw.attend(l, B)
 		off := 0
 		for j := 0; j < K; j++ {
@@ -180,17 +180,17 @@ func (m *Model) ForwardMixedInto(bw *BatchWorkspace, tokens, positions []int, ca
 			m.attendChunk(bw, &bw.chunkPaths[j], l, B+off, off, cj, chunks[j].Pos)
 			off += cj
 		}
-		bw.project(projs, attnOuts, lw.wo, lw.woT)
+		bw.project(projs, attnOuts, lw.wo)
 		for b := 0; b < n; b++ {
 			tensor.AXPY(hs[b], 1, projs[b])
 		}
 		tensor.RMSNormRowsInto(xs, hs, lw.ffnNorm, 1e-5)
-		bw.project(gates, xs, lw.wGate, lw.wGateT)
-		bw.project(ups, xs, lw.wUp, lw.wUpT)
+		bw.project(gates, xs, lw.wGate)
+		bw.project(ups, xs, lw.wUp)
 		for b := 0; b < n; b++ {
 			siluMul(gates[b], ups[b])
 		}
-		bw.project(downs, gates, lw.wDown, lw.wDownT)
+		bw.project(downs, gates, lw.wDown)
 		for b := 0; b < n; b++ {
 			tensor.AXPY(hs[b], 1, downs[b])
 		}
@@ -223,7 +223,7 @@ func (m *Model) ForwardMixedInto(bw *BatchWorkspace, tokens, positions []int, ca
 		}
 		bw.lmFinals, bw.lmLogits = lmF, lmL
 	}
-	bw.lmHead(lmL, lmF)
+	bw.project(lmL, lmF, m.embedT)
 
 	for b := 0; b < B; b++ {
 		bw.results[b] = StepResult{Logits: bw.logits[b], Hidden: bw.finals[b]}

@@ -1,224 +1,202 @@
 package tensor
 
-// Batched (weight-stationary) matrix–matrix kernels for fused batched
-// decode. Each kernel computes, for every batch lane b, exactly the vector
-// product its single-lane twin computes — MatMatInto ↔ MatVecInto,
-// MatTMatTransInto ↔ VecMatInto — so results are bit-identical per lane,
-// while the batch-level structure streams each weight matrix once per
-// decode step instead of once per running request.
+// The projection GEMM: dst[b][c] = Σ_k xs[b][k]·W[k][c] for B activation
+// lanes against one immutable K×N weight. It is one loop (gemmTiles) over one
+// micro-kernel (tile): four lanes × 16 adjacent outputs, walking k.
 //
-// Two empirical facts about this hardware (pure scalar Go) shape the
-// implementation, both measured by the GEMM benchmarks in gemm_test.go:
+// The vector lanes of the micro-kernel run across *outputs*, never across k:
+// every output is its own chain of K multiply-then-add steps, starting from
+// +0 and taking k in ascending order — the arithmetic of the scalar reference
+// VecMatInto, operation for operation, so results are bit-identical to it for
+// every lane count and every split of the columns. What the tile buys is
+// arithmetic intensity: a weight row segment is loaded once for four lanes and
+// sixteen outputs, and a panel stays in cache while every lane group visits it.
 //
-//  1. The row-major four-row dot-product loop (MatVecInto's shape) is the
-//     fastest matrix–vector traversal Go's compiler produces: every weight
-//     element is loaded once, consumed once, and never needs a register
-//     copy. The column-major traversal VecMatInto must use for row-major
-//     weights runs ~1.6-1.8× slower per multiply-accumulate.
-//  2. Register-blocking a weight panel across multiple lanes does not beat
-//     per-lane streaming over a transposed copy: the extra live values
-//     push the register allocator into spills that cost more than the
-//     shared loads save. (The weights are L2/L3-resident, and scalar
-//     compute — not memory bandwidth — is the binding resource.)
+// VecMatInto skips exactly-zero activations; the tile does not, and needs no
+// fallback for them. A round-to-nearest sum that starts at +0 can never be −0
+// (x + y = −0 only when both are −0), so adding the ±0 product of a zero
+// activation and a finite weight leaves the accumulator's bits alone. Weights
+// must therefore be finite; the model's are by construction (model.New).
 //
-// The batched fast path therefore stores a transposed copy of each
-// projection matrix (built once at model construction; weights are
-// immutable) and runs the row-major loop per lane over it: MatTMatTransInto.
-// Bit-identity is preserved because transposing only changes the traversal,
-// not the per-output reduction order — dst[j] = Σ_k x[k]·W[k][j] accumulates
-// over k ascending in both formulations, with identical multiply operands.
-// The one semantic difference is VecMatInto's skip of exactly-zero
-// activations, which the row-major loop does not perform; the kernels
-// handle it by dispatch: a lane whose activation vector contains no exact
-// zero (checked in O(rows), the overwhelmingly common case for real hidden
-// states) takes the fast path on which the skip could never have fired,
-// and a lane with an exact zero falls back to the skip-exact column-major
-// kernel.
+// Weights the engine owns are stored packed (Packed): 16-column panels, each
+// K-major and contiguous, so a tile reads one cache line per k and nothing
+// else. MatTMatTransInto runs the same loop over a row-major Matrix (K-major
+// at stride N) for callers that hold one.
 
-// MatMatInto computes dst[b] = m × xs[b] for every lane b — the batched
-// counterpart of MatVecInto (row-major weights, e.g. the LM head). Each
-// lane runs MatVecInto's exact four-row loop, so dst[b] is bit-identical
-// to MatVecInto(dst[b], m, xs[b]); batching keeps the row panels hot in
-// cache across consecutive lanes instead of re-streaming the full weight
-// set between sessions. It panics on shape mismatch.
-func MatMatInto(dst [][]float32, m *Matrix, xs [][]float32) {
-	if len(dst) != len(xs) {
-		panic("tensor: matmat lane count mismatch")
-	}
-	for b := range xs {
-		if len(xs[b]) != m.Cols {
-			panic("tensor: matmat shape mismatch")
-		}
-		if len(dst[b]) != m.Rows {
-			panic("tensor: matmat dst length mismatch")
-		}
-	}
-	MatMatRowsInto(dst, m, xs, 0, m.Rows)
+// panelWidth is the micro-kernel's output width and the packed panel's column
+// count: two 8-float AVX2 registers.
+const panelWidth = 16
+
+// useAVX2 selects the micro-kernel's implementation, once: the assembly tile
+// when the CPU has AVX2, the pure-Go tile otherwise. Both read the same
+// layouts and produce the same bits. The Go compiler may fuse x*y+z into one
+// FMA (it does on arm64; on amd64 it does not today, at any GOAMD64 level);
+// a fused scalar reference rounds once per step where the unfused assembly
+// rounds twice, so a fusing build takes the pure-Go tile, which fuses exactly
+// like the reference: "all paths bit-identical" holds under every build
+// flag. Only this package's tests write it.
+var useAVX2 = hasAVX2() && !mulAddFuses(1+1.0/4096, 1+1.0/4096, -(1+1.0/2048))
+
+// mulAddFuses reports whether this build fuses a float32 multiply-add, given
+// a triple that tells: (1+2⁻¹²)² − (1+2⁻¹¹) is 0 when the product is rounded
+// to float32 first and 2⁻²⁴ when it is not.
+//
+//go:noinline
+func mulAddFuses(x, y, z float32) bool { return x*y+z != 0 }
+
+// Packed is an immutable K×N weight matrix in panel layout: the columns are
+// split into ⌈N/16⌉ panels of 16, each stored K-major and contiguous
+// (element (k, c) at panel c/16, offset k*16 + c%16), the last panel
+// zero-padded. It is the only resident form of a projection weight.
+type Packed struct {
+	Rows, Cols int
+	data       []float32
 }
 
-// MatMatRowsInto computes rows [r0, r1) of MatMatInto — the row-sharded
-// entry point parallel drivers split across workers. Shards write disjoint
-// dst ranges, so concurrent calls with disjoint [r0, r1) are safe and the
-// assembled result is bit-identical to one full-range call. Shapes must
-// already satisfy MatMatInto's contract.
-func MatMatRowsInto(dst [][]float32, m *Matrix, xs [][]float32, r0, r1 int) {
-	if r0 < 0 || r1 > m.Rows || r0 > r1 {
-		panic("tensor: matmat row range out of bounds")
+// Pack copies m (Rows×Cols, row-major, finite values) into panel layout.
+func Pack(m *Matrix) *Packed {
+	p := &Packed{Rows: m.Rows, Cols: m.Cols}
+	p.data = make([]float32, p.Panels()*m.Rows*panelWidth)
+	for k := 0; k < m.Rows; k++ {
+		row := m.Row(k)
+		for c0 := 0; c0 < m.Cols; c0 += panelWidth {
+			copy(p.data[(c0/panelWidth*m.Rows+k)*panelWidth:][:panelWidth], row[c0:])
+		}
 	}
-	for b := range xs {
-		matVecRows(dst[b], m.Data, m.Cols, xs[b], r0, r1)
-	}
+	return p
 }
 
-// matVecRows is MatVecInto's four-row register tile restricted to rows
-// [r0, r1): four independent accumulator chains, each weight element
-// loaded once and consumed once. Per row the summation order over j is
-// exactly Dot's, so results are bit-identical to MatVecInto.
-func matVecRows(dst []float32, data []float32, cols int, x []float32, r0, r1 int) {
-	x = x[:cols]
-	i := r0
-	for ; i+4 <= r1; i += 4 {
-		q0 := data[i*cols : i*cols+cols]
-		q1 := data[(i+1)*cols : (i+1)*cols+cols][:len(q0)]
-		q2 := data[(i+2)*cols : (i+2)*cols+cols][:len(q0)]
-		q3 := data[(i+3)*cols : (i+3)*cols+cols][:len(q0)]
-		var s0, s1, s2, s3 float32
-		for j, w := range q0 {
-			a := x[j]
-			s0 += w * a
-			s1 += q1[j] * a
-			s2 += q2[j] * a
-			s3 += q3[j] * a
-		}
-		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
-	}
-	for ; i < r1; i++ {
-		row := data[i*cols : i*cols+cols]
-		var s float32
-		for j, w := range row {
-			s += w * x[j]
-		}
-		dst[i] = s
-	}
+// Panels reports the number of 16-column panels — the unit column shards are
+// handed out in.
+func (p *Packed) Panels() int { return (p.Cols + panelWidth - 1) / panelWidth }
+
+// MulInto computes dst[b] = xs[b]ᵀ × W for every lane b, bit-identical to
+// VecMatInto(dst[b], xs[b], W) over the row-major W. It panics on shape
+// mismatch.
+func (p *Packed) MulInto(dst, xs [][]float32) {
+	p.MulPanelsInto(dst, xs, 0, p.Panels())
 }
 
-// MatTMatTransInto computes dst[b] = xs[b]ᵀ × m for every lane b — the
-// batched counterpart of VecMatInto, used by every per-layer projection —
-// given both m and its transpose mT (mT = Transpose(m), built once for
-// immutable weights): zero-free lanes run the fast row-major loop over mT,
-// lanes with exact-zero activations reproduce VecMatInto's skip over m.
-// Output is bit-identical to VecMatInto(dst[b], xs[b], m) for every lane.
-// It panics on shape mismatch, including mT not being m's transpose shape.
+// MulVecInto is MulInto for one lane.
+func (p *Packed) MulVecInto(dst, x []float32) {
+	ds, xs := [1][]float32{dst}, [1][]float32{x}
+	p.MulInto(ds[:], xs[:])
+}
+
+// MulPanelsInto computes the output columns of panels [p0, p1) of MulInto —
+// the entry parallel drivers shard. Shards write disjoint dst ranges, so
+// concurrent calls over disjoint panel ranges are safe and assemble to
+// exactly the full-range result.
+func (p *Packed) MulPanelsInto(dst, xs [][]float32, p0, p1 int) {
+	if p0 < 0 || p1 > p.Panels() || p0 > p1 {
+		panic("tensor: packed panel range out of bounds")
+	}
+	checkLanes(dst, xs, p.Rows, p.Cols)
+	gemmTiles(dst, xs, p.data, p.Rows, panelWidth, p.Rows*panelWidth, p0*panelWidth, min(p1*panelWidth, p.Cols))
+}
+
+// MatTMatTransInto computes dst[b] = xs[b]ᵀ × m for every lane b over a
+// row-major m, bit-identical to VecMatInto(dst[b], xs[b], m): the same tile
+// loop as Packed.MulInto, reading m.Data K-major at stride m.Cols. A column
+// count that is not a multiple of 16 has no whole tiles to read and takes the
+// scalar reference per lane. mT must be m's transpose shape; it is not read.
+// It panics on shape mismatch.
 func MatTMatTransInto(dst, xs [][]float32, m, mT *Matrix) {
-	if len(dst) != len(xs) {
-		panic("tensor: mattmat lane count mismatch")
-	}
 	if mT.Rows != m.Cols || mT.Cols != m.Rows {
 		panic("tensor: mattmat transpose shape mismatch")
 	}
-	for b := range xs {
-		if len(xs[b]) != m.Rows {
-			panic("tensor: mattmat shape mismatch")
+	checkLanes(dst, xs, m.Rows, m.Cols)
+	if m.Cols%panelWidth != 0 {
+		for b := range xs {
+			VecMatInto(dst[b], xs[b], m)
 		}
-		if len(dst[b]) != m.Cols {
-			panic("tensor: mattmat dst length mismatch")
-		}
-	}
-	MatTMatTransColsInto(dst, xs, m, mT, 0, m.Cols)
-}
-
-// MatTMatTransColsInto computes output columns [c0, c1) of
-// MatTMatTransInto (rows [c0, c1) of mT) — the sharded entry point.
-// Shards write disjoint dst ranges; the assembled result is bit-identical
-// to one full-range call. Shapes must already satisfy MatTMatTransInto's
-// contract.
-func MatTMatTransColsInto(dst, xs [][]float32, m, mT *Matrix, c0, c1 int) {
-	if c0 < 0 || c1 > m.Cols || c0 > c1 {
-		panic("tensor: mattmat column range out of bounds")
-	}
-	rows := m.Rows
-	for b := range xs {
-		x := xs[b][:rows]
-		if hasZero(x) {
-			matTMatSkipLane(dst[b], x, m.Data, m.Cols, c0, c1)
-			continue
-		}
-		matVecRows(dst[b], mT.Data, mT.Cols, x, c0, c1)
-	}
-}
-
-// VecMatTransInto is VecMatInto given both m and its transpose mT
-// (mT = Transpose(m), built once for immutable weights) — the single-stream
-// backport of the batched plane's per-lane dispatch: a zero-free activation
-// vector takes the row-major four-row loop over mT (~1.5× faster per
-// multiply-accumulate than the column-major traversal, see the file
-// comment), and a vector containing an exact zero falls back to VecMatInto
-// so its zero-skip is reproduced. Output is bit-identical to
-// VecMatInto(dst, x, m) either way: transposing only changes the traversal,
-// not the per-output reduction order. It panics on shape mismatch.
-func VecMatTransInto(dst, x []float32, m, mT *Matrix) {
-	if mT.Rows != m.Cols || mT.Cols != m.Rows {
-		panic("tensor: vecmat transpose shape mismatch")
-	}
-	if len(x) != m.Rows {
-		panic("tensor: vecmat shape mismatch")
-	}
-	if len(dst) != m.Cols {
-		panic("tensor: vecmat dst length mismatch")
-	}
-	if hasZero(x) {
-		VecMatInto(dst, x, m)
 		return
 	}
-	matVecRows(dst, mT.Data, mT.Cols, x, 0, mT.Rows)
+	gemmTiles(dst, xs, m.Data, m.Rows, m.Cols, panelWidth, 0, m.Cols)
 }
 
-// matTMatSkipLane is the single-lane column-range kernel with VecMatInto's
-// zero-skip — the reference arithmetic the fast paths must match, and the
-// fallback for lanes whose activations contain exact zeros.
-func matTMatSkipLane(d, x []float32, data []float32, cols, c0, c1 int) {
-	j := c0
-	for ; j+4 <= c1; j += 4 {
-		var s0, s1, s2, s3 float32
-		for k, vv := range x {
-			if vv == 0 {
-				continue
+func checkLanes(dst, xs [][]float32, rows, cols int) {
+	if len(dst) != len(xs) {
+		panic("tensor: gemm lane count mismatch")
+	}
+	for b := range xs {
+		if len(xs[b]) != rows {
+			panic("tensor: gemm shape mismatch")
+		}
+		if len(dst[b]) != cols {
+			panic("tensor: gemm dst length mismatch")
+		}
+	}
+}
+
+// gemmTiles is the one GEMM loop: output columns [c0, c1) (c0 on a panel
+// boundary) of dst[b][c] = Σ_kk xs[b][kk]·W[kk][c], where panel c/16's row kk
+// starts at w[c/16*panelStep + kk*stride]. Panels are the outer loop so one
+// panel (K×16 floats) stays cached while every group of four lanes visits
+// it. A short last group repeats its last lane — the repeats recompute and
+// rewrite that lane's own outputs — and a ragged last panel (zero-padded in
+// w) lands in a stack tile whose live columns are copied out.
+func gemmTiles(dst, xs [][]float32, w []float32, k, stride, panelStep, c0, c1 int) {
+	var ragged [4][panelWidth]float32
+	for c := c0; c < c1; c += panelWidth {
+		wp := w[c/panelWidth*panelStep:]
+		width := min(panelWidth, c1-c)
+		for b := 0; b < len(xs); b += 4 {
+			lanes := min(4, len(xs)-b)
+			var d, x [4][]float32
+			for i := range d {
+				l := b + min(i, lanes-1)
+				x[i] = xs[l]
+				if width == panelWidth {
+					d[i] = dst[l][c : c+panelWidth]
+				} else {
+					d[i] = ragged[l-b][:]
+				}
 			}
-			base := k*cols + j
-			r := data[base : base+4 : base+4]
-			s0 += vv * r[0]
-			s1 += vv * r[1]
-			s2 += vv * r[2]
-			s3 += vv * r[3]
-		}
-		d[j], d[j+1], d[j+2], d[j+3] = s0, s1, s2, s3
-	}
-	for ; j < c1; j++ {
-		var s float32
-		for k, vv := range x {
-			if vv == 0 {
-				continue
+			tile(&d, &x, wp, k, stride, lanes)
+			if width < panelWidth {
+				for i := 0; i < lanes; i++ {
+					copy(dst[b+i][c:c1], ragged[i][:])
+				}
 			}
-			s += vv * data[k*cols+j]
 		}
-		d[j] = s
 	}
 }
 
-// hasZero reports whether any element is exactly zero — the dispatch
-// predicate for the zero-skip-free fast paths.
-func hasZero(x []float32) bool {
-	for _, v := range x {
-		if v == 0 {
-			return true
-		}
+// tile is the micro-kernel: d[l][0:16] = Σ_kk x[l][kk]·w[kk*stride:][0:16]
+// for the first lanes of four lanes (the assembly always computes all four).
+func tile(d, x *[4][]float32, w []float32, k, stride, lanes int) {
+	if !useAVX2 {
+		tileGo(d, x, w, k, stride, lanes)
+		return
 	}
-	return false
+	_ = w[(k-1)*stride+panelWidth-1]
+	tile4x16AVX2(&d[0][0], &d[1][0], &d[2][0], &d[3][0],
+		&x[0][:k][0], &x[1][:k][0], &x[2][:k][0], &x[3][:k][0], &w[0], k, stride)
 }
 
-// Transpose returns mᵀ as a new matrix. The fused decode plane transposes
-// each (immutable) projection matrix once at model construction so its
-// batched steps can traverse weights row-major.
+// tileGo is the micro-kernel in Go: per lane, four outputs at a time in
+// register accumulators — VecMatInto's loop without the zero-skip.
+func tileGo(d, x *[4][]float32, w []float32, k, stride, lanes int) {
+	for l := 0; l < lanes; l++ {
+		xl, dl := x[l][:k], d[l][:panelWidth]
+		for j := 0; j < panelWidth; j += 4 {
+			var s0, s1, s2, s3 float32
+			off := j
+			for _, a := range xl {
+				r := w[off : off+4 : off+4]
+				s0 += a * r[0]
+				s1 += a * r[1]
+				s2 += a * r[2]
+				s3 += a * r[3]
+				off += stride
+			}
+			dl[j], dl[j+1], dl[j+2], dl[j+3] = s0, s1, s2, s3
+		}
+	}
+}
+
+// Transpose returns mᵀ as a new matrix.
 func Transpose(m *Matrix) *Matrix {
 	t := NewMatrix(m.Cols, m.Rows)
 	for i := 0; i < m.Rows; i++ {

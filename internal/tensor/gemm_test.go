@@ -1,13 +1,14 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
 
 // lanes builds b pseudo-random activation vectors of length n, with a few
-// exact zeros mixed in so the batched kernels' zero-skip dispatch is
-// exercised.
+// exact zeros mixed in: the scalar reference skips them, the tile does not,
+// and the bits must agree.
 func lanes(b, n int, seed uint64) [][]float32 {
 	xs := make([][]float32, b)
 	s := seed
@@ -34,190 +35,279 @@ func testMatrix(rows, cols int, seed uint64) *Matrix {
 	return m
 }
 
-// shapes covers the tiny model's projection shapes plus ragged remainders.
-var gemmShapes = [][2]int{{64, 64}, {64, 128}, {128, 64}, {64, 32}, {512, 64}, {13, 7}, {7, 13}, {4, 4}}
+// gemmShapes covers the tiny model's projection shapes, whole-panel widths
+// and ragged remainders (a padded last panel, fewer than 16 columns).
+var gemmShapes = [][2]int{{64, 64}, {64, 128}, {128, 64}, {64, 32}, {512, 64}, {13, 7}, {7, 13}, {4, 4}, {33, 40}, {5, 16}}
 
-// TestMatMatIntoMatchesMatVecInto pins the batched row-major kernel to its
-// single-lane twin bit-for-bit across lane counts and shapes.
+// bothTiles runs f under each micro-kernel implementation by flipping the
+// package's selector, so the pure-Go tile is exercised on an AVX2 host too.
+func bothTiles(t *testing.T, f func(t *testing.T)) {
+	selected := useAVX2
+	defer func() { useAVX2 = selected }()
+	for _, avx2 := range []bool{false, true} {
+		name := map[bool]string{false: "go", true: "avx2"}[avx2]
+		t.Run(name, func(t *testing.T) {
+			if avx2 && !selected {
+				t.Skip("the assembly tile is not selected on this host or build")
+			}
+			useAVX2 = avx2
+			f(t)
+		})
+	}
+}
+
+// TestMulAddProbeTripleTells checks the selector's probe: on its triple a
+// fused multiply-add (math.FMA, exact in float64 for float32 inputs) and the
+// twice-rounded float32 expression disagree, and the probe reports which of
+// the two this build compiles x*y+z to.
+func TestMulAddProbeTripleTells(t *testing.T) {
+	x, y, z := float32(1+1.0/4096), float32(1+1.0/4096), float32(-(1 + 1.0/2048))
+	fused := float32(math.FMA(float64(x), float64(y), float64(z)))
+	prod := x * y
+	unfused := prod + z
+	if fused == 0 || unfused != 0 {
+		t.Fatalf("probe triple does not tell: fused %g, unfused %g", fused, unfused)
+	}
+	if got, want := mulAddFuses(x, y, z), x*y+z != 0; got != want {
+		t.Fatalf("mulAddFuses = %v, the build's x*y+z says %v", got, want)
+	}
+}
+
+func newLanes(b, n int) [][]float32 {
+	out := make([][]float32, b)
+	for i := range out {
+		out[i] = make([]float32, n)
+	}
+	return out
+}
+
+func sameBits(t *testing.T, what string, got, want [][]float32) {
+	t.Helper()
+	for i := range want {
+		for j := range want[i] {
+			if math.Float32bits(got[i][j]) != math.Float32bits(want[i][j]) {
+				t.Fatalf("%s lane %d col %d: %g (%#x) != %g (%#x)", what, i, j,
+					got[i][j], math.Float32bits(got[i][j]), want[i][j], math.Float32bits(want[i][j]))
+			}
+		}
+	}
+}
+
+// TestMatMatIntoMatchesMatVecInto pins the LM head's form — the packed
+// transpose of a row-major matrix — to MatVecInto bit-for-bit across lane
+// counts and shapes.
 func TestMatMatIntoMatchesMatVecInto(t *testing.T) {
-	for _, b := range []int{1, 2, 3, 5, 8} {
-		for _, shape := range gemmShapes {
-			m := testMatrix(shape[0], shape[1], uint64(b)*31)
-			xs := lanes(b, shape[1], uint64(b)*7+1)
-			want := make([][]float32, b)
-			got := make([][]float32, b)
-			for i := 0; i < b; i++ {
-				want[i] = make([]float32, shape[0])
-				got[i] = make([]float32, shape[0])
-				MatVecInto(want[i], m, xs[i])
-			}
-			MatMatInto(got, m, xs)
-			for i := 0; i < b; i++ {
-				for j := range want[i] {
-					if got[i][j] != want[i][j] {
-						t.Fatalf("b=%d shape=%v lane %d row %d: %g != %g", b, shape, i, j, got[i][j], want[i][j])
-					}
+	bothTiles(t, func(t *testing.T) {
+		for _, b := range []int{1, 2, 3, 5, 8} {
+			for _, shape := range gemmShapes {
+				m := testMatrix(shape[0], shape[1], uint64(b)*31)
+				xs := lanes(b, shape[1], uint64(b)*7+1)
+				want, got := newLanes(b, shape[0]), newLanes(b, shape[0])
+				for i := range xs {
+					MatVecInto(want[i], m, xs[i])
 				}
+				Pack(Transpose(m)).MulInto(got, xs)
+				sameBits(t, fmt.Sprintf("b=%d shape=%v", b, shape), got, want)
 			}
 		}
-	}
+	})
 }
 
-// TestMatTMatIntoMatchesVecMatInto pins the batched projection kernel
-// (MatTMatTransInto: transposed fast path, zero-skip fallback included) to
-// VecMatInto bit-for-bit across lane counts and shapes.
+// TestMatTMatIntoMatchesVecMatInto pins the batched projection — over the
+// packed weight and over the row-major one — to VecMatInto bit-for-bit across
+// lane counts and shapes, exact-zero activations included.
 func TestMatTMatIntoMatchesVecMatInto(t *testing.T) {
-	for _, b := range []int{1, 2, 3, 5, 8} {
-		for _, shape := range gemmShapes {
-			m := testMatrix(shape[0], shape[1], uint64(b)*131)
-			mT := Transpose(m)
-			xs := lanes(b, shape[0], uint64(b)*19+3)
-			want := make([][]float32, b)
-			gotT := make([][]float32, b)
-			for i := 0; i < b; i++ {
-				want[i] = make([]float32, shape[1])
-				gotT[i] = make([]float32, shape[1])
-				VecMatInto(want[i], xs[i], m)
-			}
-			MatTMatTransInto(gotT, xs, m, mT)
-			for i := 0; i < b; i++ {
-				for j := range want[i] {
-					if gotT[i][j] != want[i][j] {
-						t.Fatalf("trans b=%d shape=%v lane %d col %d: %g != %g", b, shape, i, j, gotT[i][j], want[i][j])
-					}
+	bothTiles(t, func(t *testing.T) {
+		for _, b := range []int{1, 2, 3, 5, 8} {
+			for _, shape := range gemmShapes {
+				m := testMatrix(shape[0], shape[1], uint64(b)*131)
+				xs := lanes(b, shape[0], uint64(b)*19+3)
+				want, got, gotT := newLanes(b, shape[1]), newLanes(b, shape[1]), newLanes(b, shape[1])
+				for i := range xs {
+					VecMatInto(want[i], xs[i], m)
 				}
+				Pack(m).MulInto(got, xs)
+				sameBits(t, fmt.Sprintf("packed b=%d shape=%v", b, shape), got, want)
+				MatTMatTransInto(gotT, xs, m, Transpose(m))
+				sameBits(t, fmt.Sprintf("row-major b=%d shape=%v", b, shape), gotT, want)
 			}
 		}
-	}
+	})
 }
 
-// TestVecMatTransIntoMatchesVecMatInto pins the single-stream transposed
-// dispatch (the backport of the batched plane's per-lane fast path to
-// ForwardInto's projections) to VecMatInto bit-for-bit, on activations with
-// exact zeros (skip fallback) and strictly zero-free ones (row-major fast
-// path).
+// TestVecMatTransIntoMatchesVecMatInto pins the single-lane entry
+// (ForwardInto's projections) to VecMatInto bit-for-bit, on activations with
+// exact zeros and strictly zero-free ones.
 func TestVecMatTransIntoMatchesVecMatInto(t *testing.T) {
-	for _, shape := range gemmShapes {
-		m := testMatrix(shape[0], shape[1], uint64(shape[0])*37)
-		mT := Transpose(m)
-		for variant, x := range map[string][]float32{
-			"with-zeros": lanes(1, shape[0], uint64(shape[1])*13+5)[0],
-			"zero-free":  lanes(1, shape[0], uint64(shape[1])*13+5)[0],
-		} {
-			if variant == "zero-free" {
-				x = append([]float32(nil), x...)
-				for j := range x {
-					if x[j] == 0 {
-						x[j] = 0.25
-					}
+	bothTiles(t, func(t *testing.T) {
+		for _, shape := range gemmShapes {
+			m := testMatrix(shape[0], shape[1], uint64(shape[0])*37)
+			p := Pack(m)
+			for _, zeroFree := range []bool{false, true} {
+				x := lanes(1, shape[0], uint64(shape[1])*13+5)[0]
+				if zeroFree {
+					fillZeros(x, 0.25)
 				}
-			}
-			want := make([]float32, shape[1])
-			got := make([]float32, shape[1])
-			VecMatInto(want, x, m)
-			VecMatTransInto(got, x, m, mT)
-			for j := range want {
-				if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
-					t.Fatalf("%s shape=%v col %d: %g != %g", variant, shape, j, got[j], want[j])
-				}
+				want, got := newLanes(1, shape[1]), newLanes(1, shape[1])
+				VecMatInto(want[0], x, m)
+				p.MulVecInto(got[0], x)
+				sameBits(t, fmt.Sprintf("zeroFree=%v shape=%v", zeroFree, shape), got, want)
 			}
 		}
-	}
-	// Contract panics: transpose shape must actually be the transpose.
-	m := testMatrix(8, 4, 1)
+	})
+	// Contract panics: the activation must have the weight's row count.
 	defer func() {
 		if recover() == nil {
-			t.Fatal("mismatched transpose accepted")
+			t.Fatal("mismatched activation length accepted")
 		}
 	}()
-	VecMatTransInto(make([]float32, 4), make([]float32, 8), m, m)
+	Pack(testMatrix(8, 4, 1)).MulVecInto(make([]float32, 4), make([]float32, 4))
 }
 
-// TestMatTMatTransZeroFreeLanes drives the transposed fast path with
-// strictly zero-free activations (so the row-major loop, not the skip
-// fallback, is under test) and pins it to VecMatInto.
+// fillZeros replaces every exact zero in x with v.
+func fillZeros(x []float32, v float32) {
+	for j := range x {
+		if x[j] == 0 {
+			x[j] = v
+		}
+	}
+}
+
+// TestMatTMatTransZeroFreeLanes pins the tile to VecMatInto on strictly
+// zero-free activations, then on the same lanes with +0 and −0 planted: the
+// reference skips those terms, the tile adds their ±0 products, and the bits
+// agree — the zero-skip fork this kernel replaced was a no-op.
 func TestMatTMatTransZeroFreeLanes(t *testing.T) {
-	const b = 4
-	m := testMatrix(96, 80, 7)
-	mT := Transpose(m)
-	xs := lanes(b, 96, 11)
-	for i := range xs {
-		for j := range xs[i] {
-			if xs[i][j] == 0 {
-				xs[i][j] = 0.125
+	bothTiles(t, func(t *testing.T) {
+		const b = 4
+		m := testMatrix(96, 80, 7)
+		p := Pack(m)
+		xs := lanes(b, 96, 11)
+		negZero := float32(math.Copysign(0, -1))
+		for _, variant := range []string{"zero-free", "with-zeros"} {
+			for i := range xs {
+				fillZeros(xs[i], 0.125)
+				if variant == "with-zeros" {
+					xs[i][0], xs[i][i+1], xs[i][40], xs[i][95] = negZero, 0, negZero, 0
+				}
 			}
-		}
-	}
-	for i := 0; i < b; i++ {
-		want := make([]float32, 80)
-		got := make([]float32, 80)
-		VecMatInto(want, xs[i], m)
-		MatTMatTransInto([][]float32{got}, [][]float32{xs[i]}, m, mT)
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("lane %d col %d: %g != %g", i, j, got[j], want[j])
+			want, got := newLanes(b, 80), newLanes(b, 80)
+			for i := range xs {
+				VecMatInto(want[i], xs[i], m)
 			}
+			p.MulInto(got, xs)
+			sameBits(t, variant, got, want)
 		}
-	}
+	})
 }
 
-// TestShardedRangesAssemble verifies that disjoint row/column shards
-// assemble to exactly the full-range result — the invariant the parallel
-// drivers rely on.
+// TestShardedRangesAssemble verifies that disjoint panel shards assemble to
+// exactly the full-range result, for a cut at every panel boundary of a
+// weight with a ragged last panel — the invariant the parallel drivers rely
+// on.
 func TestShardedRangesAssemble(t *testing.T) {
-	const b = 8
-	m := testMatrix(96, 64, 5)
-	xs := lanes(b, 64, 11)
-	want := make([][]float32, b)
-	got := make([][]float32, b)
-	for i := 0; i < b; i++ {
-		want[i] = make([]float32, 96)
-		got[i] = make([]float32, 96)
-	}
-	MatMatInto(want, m, xs)
-	for _, cut := range []int{0, 1, 33, 95, 96} {
-		for i := range got {
-			for j := range got[i] {
-				got[i][j] = 0
+	bothTiles(t, func(t *testing.T) {
+		const b = 7
+		p := Pack(testMatrix(64, 90, 17))
+		xs := lanes(b, 64, 23)
+		want, got := newLanes(b, 90), newLanes(b, 90)
+		p.MulInto(want, xs)
+		for cut := 0; cut <= p.Panels(); cut++ {
+			for i := range got {
+				clear(got[i])
 			}
+			p.MulPanelsInto(got, xs, 0, cut)
+			p.MulPanelsInto(got, xs, cut, p.Panels())
+			sameBits(t, fmt.Sprintf("cut=%d", cut), got, want)
 		}
-		MatMatRowsInto(got, m, xs, 0, cut)
-		MatMatRowsInto(got, m, xs, cut, 96)
-		for i := 0; i < b; i++ {
-			for j := range want[i] {
-				if got[i][j] != want[i][j] {
-					t.Fatalf("rows cut=%d lane %d row %d: %g != %g", cut, i, j, got[i][j], want[i][j])
-				}
-			}
-		}
-	}
+	})
+}
 
-	mt := testMatrix(64, 96, 17)
-	mtT := Transpose(mt)
-	xst := lanes(b, 64, 23)
-	wantT := make([][]float32, b)
-	gotT := make([][]float32, b)
-	for i := 0; i < b; i++ {
-		wantT[i] = make([]float32, 96)
-		gotT[i] = make([]float32, 96)
+// checkPackedMul builds a rows×cols weight (finite, with exact zeros) and
+// nLanes activation vectors with +0, −0, denormals and ±MaxFloat32 planted,
+// all from seed, and asserts that every output of the tile loop — full range,
+// one panel at a time, and over the row-major weight — has VecMatInto's bits.
+func checkPackedMul(t *testing.T, seed uint64, rows, cols, nLanes int) {
+	s := seed
+	next := func() uint64 {
+		s = s*6364136223846793005 + 1442695040888963407
+		return s >> 33
 	}
-	MatTMatTransInto(wantT, xst, mt, mtT)
-	for _, cut := range []int{0, 2, 37, 96} {
-		for i := range gotT {
-			for j := range gotT[i] {
-				gotT[i][j] = 0
-			}
-		}
-		MatTMatTransColsInto(gotT, xst, mt, mtT, 0, cut)
-		MatTMatTransColsInto(gotT, xst, mt, mtT, cut, 96)
-		for i := 0; i < b; i++ {
-			for j := range wantT[i] {
-				if gotT[i][j] != wantT[i][j] {
-					t.Fatalf("cols cut=%d lane %d col %d: %g != %g", cut, i, j, gotT[i][j], wantT[i][j])
-				}
-			}
+	m := NewMatrix(rows, cols)
+	for i := range m.Data {
+		if v := next(); v%11 != 0 {
+			m.Data[i] = float32(int64(v%4001)-2000) / 1999
 		}
 	}
+	planted := []float32{0, float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32, -3e-42, math.MaxFloat32, -math.MaxFloat32}
+	xs := newLanes(nLanes, rows)
+	for _, x := range xs {
+		for j := range x {
+			if v := next(); v%7 == 0 {
+				x[j] = planted[next()%uint64(len(planted))]
+			} else {
+				x[j] = float32(int64(v%2001)-1000) / 499
+			}
+		}
+	}
+	want := newLanes(nLanes, cols)
+	for i := range xs {
+		VecMatInto(want[i], xs[i], m)
+	}
+	p := Pack(m)
+	what := fmt.Sprintf("seed=%d %dx%d lanes=%d", seed, rows, cols, nLanes)
+	got := newLanes(nLanes, cols)
+	p.MulInto(got, xs)
+	sameBits(t, what+" full", got, want)
+	for i := range got {
+		clear(got[i])
+	}
+	for q := p.Panels() - 1; q >= 0; q-- {
+		p.MulPanelsInto(got, xs, q, q+1)
+	}
+	sameBits(t, what+" per-panel", got, want)
+	for i := range got {
+		clear(got[i])
+	}
+	MatTMatTransInto(got, xs, m, &Matrix{Rows: cols, Cols: rows})
+	sameBits(t, what+" row-major", got, want)
+}
+
+// fuzzShape maps raw fuzz inputs onto K, N ∈ [1, 1100] and 1–9 lanes (every
+// lane count mod 4, N mod 16 ≠ 0 included).
+func fuzzShape(k, n uint16, lanes uint8) (int, int, int) {
+	return int(k)%1100 + 1, int(n)%1100 + 1, int(lanes)%9 + 1
+}
+
+// TestPackedMulMatchesScalar is the generated kernel-equivalence check: 60
+// seeded random shapes per tile implementation, plus the edges.
+func TestPackedMulMatchesScalar(t *testing.T) {
+	bothTiles(t, func(t *testing.T) {
+		for _, e := range [][3]int{{1, 1, 1}, {1, 16, 4}, {1100, 1100, 9}, {256, 24, 5}, {3, 17, 2}} {
+			checkPackedMul(t, 1, e[0], e[1], e[2])
+		}
+		s := uint64(99)
+		for i := 0; i < 60; i++ {
+			s = s*6364136223846793005 + 1442695040888963407
+			rows, cols, nLanes := fuzzShape(uint16(s>>20), uint16(s>>36), uint8(s>>52))
+			if i%2 == 0 {
+				rows, cols = rows%97+1, cols%97+1 // small shapes: mostly ragged panels
+			}
+			checkPackedMul(t, s, rows, cols, nLanes)
+		}
+	})
+}
+
+// FuzzPackedMulMatchesScalar lets the fuzzer pick the shape, lane count and
+// data seed; both tile implementations must match VecMatInto bit for bit.
+func FuzzPackedMulMatchesScalar(f *testing.F) {
+	f.Add(uint64(1), uint16(255), uint16(1023), uint8(7))
+	f.Add(uint64(2), uint16(0), uint16(23), uint8(0))
+	f.Add(uint64(3), uint16(1099), uint16(16), uint8(4))
+	f.Fuzz(func(t *testing.T, seed uint64, k, n uint16, lanes uint8) {
+		rows, cols, nLanes := fuzzShape(k, n, lanes)
+		bothTiles(t, func(t *testing.T) { checkPackedMul(t, seed, rows, cols, nLanes) })
+	})
 }
 
 func TestTranspose(t *testing.T) {
@@ -279,104 +369,86 @@ func TestRoPECachedMatchesApplyRoPE(t *testing.T) {
 	}
 }
 
+// TestBatchedKernelsAllocFree pins the tile loop's entries — batched, one
+// lane, ragged last panel, row-major — and the RoPE tables at 0 allocations.
 func TestBatchedKernelsAllocFree(t *testing.T) {
-	const b = 8
-	m := testMatrix(64, 64, 1)
-	mT := Transpose(m)
-	xs, dst := benchLanes(b, 64)
-	for i := range dst {
-		dst[i] = make([]float32, 64)
-	}
-	freqs := RoPEFreqs(16)
-	sin := make([]float32, 8)
-	cos := make([]float32, 8)
-	if n := testing.AllocsPerRun(10, func() {
-		MatMatInto(dst, m, xs)
-		MatTMatTransInto(dst, xs, m, mT)
-		RoPESincosInto(sin, cos, freqs, 37)
-		ApplyRoPECached(xs[0][:16], sin, cos)
-	}); n != 0 {
-		t.Fatalf("batched kernels allocated %v per run", n)
-	}
+	bothTiles(t, func(t *testing.T) {
+		const b = 7
+		m := testMatrix(64, 64, 1)
+		mT := Transpose(m)
+		p, ragged := Pack(m), Pack(testMatrix(64, 24, 2))
+		xs := benchLanes(b, 64)
+		dst, dstRagged := newLanes(b, 64), newLanes(b, 24)
+		freqs := RoPEFreqs(16)
+		sin := make([]float32, 8)
+		cos := make([]float32, 8)
+		if n := testing.AllocsPerRun(10, func() {
+			p.MulInto(dst, xs)
+			p.MulVecInto(dst[0], xs[0])
+			p.MulPanelsInto(dst, xs, 1, 3)
+			ragged.MulInto(dstRagged, xs)
+			MatTMatTransInto(dst, xs, m, mT)
+			RoPESincosInto(sin, cos, freqs, 37)
+			ApplyRoPECached(xs[0][:16], sin, cos)
+		}); n != 0 {
+			t.Fatalf("batched kernels allocated %v per run", n)
+		}
+	})
 }
-
-// Benchmarks: per-lane column-major kernels called B times (the
-// per-session decode plane) vs the batched transposed path, at the tiny
-// model's projection shapes. These quantify the weight-layout win the
-// fused decode path is built on.
 
 // benchLanes builds zero-free activations: real hidden states essentially
-// never contain exact zeros, so the batched kernels' fast tiles are the
-// steady-state path the benchmarks should price.
-func benchLanes(b int, n int) ([][]float32, [][]float32) {
+// never contain exact zeros.
+func benchLanes(b int, n int) [][]float32 {
 	xs := lanes(b, n, 42)
 	for i := range xs {
-		for j := range xs[i] {
-			if xs[i][j] == 0 {
-				xs[i][j] = 0.25
+		fillZeros(xs[i], 0.25)
+	}
+	return xs
+}
+
+// BenchmarkGEMM prices the projection GEMM at the shapes the benchmark's
+// small-llama model runs (K×N: attention 256×256 and 256×128, FFN up
+// 256×1024 and down 1024×256, LM head = packed embedᵀ 256×1024 over a 1024
+// vocabulary) at r lanes, once per tile implementation over packed panels,
+// with the scalar reference (VecMatInto per lane) and the row-major entry
+// beside them.
+func BenchmarkGEMM(b *testing.B) {
+	selected := useAVX2
+	defer func() { useAVX2 = selected }()
+	shapes := []struct {
+		name       string
+		rows, cols int
+	}{{"256x256", 256, 256}, {"256x128", 256, 128}, {"256x1024", 256, 1024}, {"1024x256", 1024, 256}, {"lmhead1024x256", 256, 1024}}
+	for _, impl := range []string{"scalar", "go", "avx2", "avx2-rowmajor"} {
+		if !selected && impl != "scalar" && impl != "go" {
+			continue
+		}
+		for _, sh := range shapes {
+			m := testMatrix(sh.rows, sh.cols, 1)
+			if sh.name == "lmhead1024x256" {
+				m = Transpose(testMatrix(sh.cols, sh.rows, 1))
+			}
+			p, mT := Pack(m), &Matrix{Rows: sh.cols, Cols: sh.rows}
+			for _, r := range []int{1, 4, 8, 40, 72} {
+				xs, dst := benchLanes(r, sh.rows), newLanes(r, sh.cols)
+				b.Run(fmt.Sprintf("%s/%s/r%d", impl, sh.name, r), func(b *testing.B) {
+					useAVX2 = impl != "go" && selected
+					for b.Loop() {
+						switch impl {
+						case "scalar":
+							for l := range xs {
+								VecMatInto(dst[l], xs[l], m)
+							}
+						case "avx2-rowmajor":
+							MatTMatTransInto(dst, xs, m, mT)
+						default:
+							p.MulInto(dst, xs)
+						}
+					}
+					flops := 2 * float64(r) * float64(sh.rows) * float64(sh.cols) * float64(b.N)
+					b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+				})
 			}
 		}
-	}
-	dst := make([][]float32, b)
-	return xs, dst
-}
-
-func benchVecMatx8(b *testing.B, rows, cols int) {
-	m := testMatrix(rows, cols, 1)
-	xs, dst := benchLanes(8, rows)
-	for i := range dst {
-		dst[i] = make([]float32, cols)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for l := 0; l < 8; l++ {
-			VecMatInto(dst[l], xs[l], m)
-		}
-	}
-}
-
-func benchMatTMatTrans(b *testing.B, rows, cols int) {
-	m := testMatrix(rows, cols, 1)
-	mT := Transpose(m)
-	xs, dst := benchLanes(8, rows)
-	for i := range dst {
-		dst[i] = make([]float32, cols)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatTMatTransInto(dst, xs, m, mT)
-	}
-}
-
-func BenchmarkGEMVx8VecMat64x128(b *testing.B)    { benchVecMatx8(b, 64, 128) }
-func BenchmarkGEMMBatch8Trans64x128(b *testing.B) { benchMatTMatTrans(b, 64, 128) }
-func BenchmarkGEMVx8VecMat128x64(b *testing.B)    { benchVecMatx8(b, 128, 64) }
-func BenchmarkGEMMBatch8Trans128x64(b *testing.B) { benchMatTMatTrans(b, 128, 64) }
-func BenchmarkGEMVx8VecMat64x64(b *testing.B)     { benchVecMatx8(b, 64, 64) }
-func BenchmarkGEMMBatch8Trans64x64(b *testing.B)  { benchMatTMatTrans(b, 64, 64) }
-
-func BenchmarkGEMVx8MatVec512x64(b *testing.B) {
-	m := testMatrix(512, 64, 1)
-	xs, dst := benchLanes(8, 64)
-	for i := range dst {
-		dst[i] = make([]float32, 512)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for l := 0; l < 8; l++ {
-			MatVecInto(dst[l], m, xs[l])
-		}
-	}
-}
-
-func BenchmarkGEMMBatch8MatMat512x64(b *testing.B) {
-	m := testMatrix(512, 64, 1)
-	xs, dst := benchLanes(8, 64)
-	for i := range dst {
-		dst[i] = make([]float32, 512)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMatInto(dst, m, xs)
 	}
 }

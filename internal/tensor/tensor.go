@@ -7,11 +7,13 @@
 // that compression algorithms (quantisation, eviction) operate on real
 // tensors and their accuracy effects are genuine. Wall-clock performance of
 // full-size models is handled by the analytical cost model in internal/perf.
-// The decode hot path runs on destination-passing kernels (MatVecInto,
-// VecMatInto, RMSNormInto) and flat-KV variants (DotStrided, AXPYStrided)
-// that write into caller-owned buffers, keeping steady-state decode
-// allocation-free; the strided variants perform bit-identical arithmetic to
-// Dot/AXPY over per-token views.
+// The decode hot path runs on destination-passing kernels — the projection
+// GEMM over packed weights (Packed.MulInto, gemm.go), RMSNormInto, and the
+// flat-KV variants DotStrided and AXPYStrided — that write into caller-owned
+// buffers, keeping steady-state decode allocation-free. MatVecInto and
+// VecMatInto are the scalar references the GEMM is bit-identical to; the
+// strided variants perform bit-identical arithmetic to Dot/AXPY over
+// per-token views.
 package tensor
 
 import (
