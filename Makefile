@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race-sched fuzz-smoke bench bench-smoke bench-suite
+.PHONY: ci fmt vet build cross test race-sched fuzz-smoke bench bench-smoke bench-suite
 
 # ci is the whole gate; .github/workflows/ci.yml runs exactly this target.
-ci: fmt vet build test race-sched fuzz-smoke bench-smoke bench-suite
+ci: fmt vet build cross test race-sched fuzz-smoke bench-smoke bench-suite
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -14,6 +14,14 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# cross builds everything for arm64 and vets the two packages that have an
+# assembly / !amd64 pair, so the pure-Go counterparts of the AVX2 kernels keep
+# compiling against the same declarations (needs no network: the module has
+# no dependencies).
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor ./internal/model
 
 test:
 	$(GO) test ./...
@@ -31,19 +39,24 @@ race-sched:
 # fuzz-smoke runs each native fuzz target for ten seconds: the prefix-of-n
 # page clone (every page format, any page size and split), then the GEMM tile
 # loop against the scalar reference (any shape and lane count, both tile
-# implementations, raw float32 bits).
+# implementations, raw float32 bits), then the attention block walk against
+# Dot / AXPY (any head dimension, codec, page size, block size and causal
+# bounds, both tile implementations, raw float32 bits).
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzClonePrefixN -fuzztime 10s ./internal/kvcache
 	$(GO) test -run XXX -fuzz FuzzPackedMulMatchesScalar -fuzztime 10s ./internal/tensor
+	$(GO) test -run XXX -fuzz FuzzAttendBlockMatchesScalar -fuzztime 10s ./internal/tensor
 
 BENCHPKGS = . ./internal/model ./internal/attention
 
 # ALLOC_PINS are the tests that hold the serving hot paths at 0 allocs/step:
-# dequantize-on-read decode, the quantized strided kernels, sparse decode and
-# its page-selection pair, the GEMM tile loop's entries under both tile
-# implementations, and the fused pass / the one step entry from a batch of
-# one with no chunks up to the budget-packed mixed step.
-ALLOC_PINS = TestQuantDecodeAllocs TestQuantStridedKernelsZeroAlloc TestSparseDecodeAllocs TestSparseAttentionZeroAlloc TestBatchedKernelsAllocFree TestForwardMixedPackedAllocFree TestStepMixedPackedAllocFree
+# dequantize-on-read decode, the attention page walk (decode group, 32-row
+# chunk, Quest blocks with the recall probe) and its page-visit kernels under
+# both tile implementations, sparse decode and its page-selection pair, the
+# GEMM tile loop's entries under both tile implementations, and the fused
+# pass / the one step entry from a batch of one with no chunks up to the
+# budget-packed mixed step.
+ALLOC_PINS = TestQuantDecodeAllocs TestBlockWalkAllocs TestQuantStridedKernelsZeroAlloc TestSparseDecodeAllocs TestSparseAttentionZeroAlloc TestBatchedKernelsAllocFree TestForwardMixedPackedAllocFree TestStepMixedPackedAllocFree
 ALLOC_PKGS = ./internal/model ./internal/attention ./internal/tensor ./internal/core
 
 # bench-smoke compiles and single-steps every benchmark in BENCHPKGS (the

@@ -7,15 +7,21 @@ import (
 
 // This file is the model's one attention page walk. Every cache with a
 // regular layout — Full's flat buffer, fp32 pages, quantized pages — is
-// seen through a pageView, and one routine (attendPaged) runs the
-// materialised two-pass softmax over it: score the walked tokens, scale,
-// softmax, show the scores to an attention observer, accumulate the values.
-// The walk covers either every page up to a token bound (decode, and chunk
-// prefill's mid-page causal bound) or an ascending selected page list
-// (Quest topK, see sparse.go). The two-pass form is what H2O/MiKV-style
-// observers need (the full score vector) and what every bit-identity test
-// pins: per token the arithmetic and reduction order are exactly the generic
-// Seq arm's in attendOver, whatever the page codec.
+// seen through a pageView, and one routine (attendBlock) runs the
+// materialised two-pass softmax over it for a *block of queries* that share
+// the view's KV head (tensor.AttnBlock: a decode lane's GQA group, a prefill
+// chunk's rows × group, or one query under Quest): per page visit score the
+// walked tokens for the whole block, then per query scale, softmax and show
+// the weights to an attention observer, then per page visit accumulate the
+// values for the whole block. Each K and V page is streamed — and a quantized
+// one dequantized — once per (pass, KV head), not once per query head. The
+// walk covers either every page up to the block's largest token bound
+// (decode, and chunk prefill's mid-page causal bounds) or an ascending
+// selected page list (Quest topK, see sparse.go). The two-pass form is what
+// H2O/MiKV-style observers need (the full score vector) and what every
+// bit-identity test pins: per query and per token the block kernels keep the
+// arithmetic and reduction order of tensor.Dot and tensor.AXPY over per-token
+// views — the generic Seq arm, attendSeq — whatever the codec and block size.
 
 // pageView is one (layer, kv-head) slice of a cache as a list of pages.
 // Exactly one layout is set: flatK/flatV (Full's buffer as a single page
@@ -73,95 +79,80 @@ func (v *pageView) tokens(p int) int {
 	return len(v.keys[p]) / v.stride
 }
 
-// kbuf and vbuf return page p's key and value rows starting at the head's
-// lane (fp32 layouts only).
-func (v *pageView) kbuf(p int) []float32 {
-	if v.flatK != nil {
-		return v.flatK
+// rows returns page p's key rows, or its value rows, for the view's head as
+// the block kernels read them. Every value is finite: fp32 pages hold the
+// model's own K/V projections, code pages their fp16-parameter
+// dequantizations (the precondition of tensor.AttnBlock.Weights' zero-fill).
+func (v *pageView) rows(p int, vals bool) tensor.Rows {
+	r := tensor.Rows{Stride: v.stride}
+	switch {
+	case v.bits != 0:
+		pg := &v.quant[p]
+		r.Bits, r.Off, r.Heads, r.Head = v.bits, v.off, v.kvHeads, v.head
+		if r.Codes, r.Params = pg.KCodes, pg.KParams; vals {
+			r.Codes, r.Params = pg.VCodes, pg.VParams
+		}
+	case v.flatK != nil:
+		if r.F32 = v.flatK; vals {
+			r.F32 = v.flatV
+		}
+	case vals:
+		r.F32 = v.vals[p][v.off:]
+	default:
+		r.F32 = v.keys[p][v.off:]
 	}
-	return v.keys[p][v.off:]
+	return r
 }
 
-func (v *pageView) vbuf(p int) []float32 {
-	if v.flatV != nil {
-		return v.flatV
-	}
-	return v.vals[p][v.off:]
-}
-
-// walked returns how many pages an attention walks: the ascending list sel,
-// or every page when sel is nil.
-func (v *pageView) walked(sel []int32) int {
+// walk runs one pass of the block — the score pass, or the value pass when
+// vals — over the first n tokens of the walked pages: the ascending list sel,
+// or every page when sel is nil. A causal bound cuts the last page mid-page;
+// a selected list always fits whole pages. It returns how many tokens the
+// walk covered.
+func (v *pageView) walk(blk *tensor.AttnBlock, sel []int32, n int, vals bool) int {
+	np := v.pages()
 	if sel != nil {
-		return len(sel)
+		np = len(sel)
 	}
-	return v.pages()
-}
-
-// step returns the k-th walked page and how many of its tokens fit in room,
-// the tokens left under the walk's bound (a causal bound cuts the last page
-// mid-page; a selected list always fits whole pages).
-func (v *pageView) step(sel []int32, k, room int) (p, t int) {
-	p = k
-	if sel != nil {
-		p = int(sel[k])
-	}
-	return p, min(v.tokens(p), room)
-}
-
-// score writes the raw q·k of the walked tokens into dst, whose length is
-// the walk's token bound, and returns how many tokens the walk covered.
-func (v *pageView) score(dst, q []float32, sel []int32) int {
 	i := 0
-	for k, np := 0, v.walked(sel); k < np && i < len(dst); k++ {
-		p, t := v.step(sel, k, len(dst)-i)
-		if v.bits != 0 {
-			pg := &v.quant[p]
-			tensor.DotQuantStrided(dst[i:i+t], q, pg.KCodes, pg.KParams, v.bits, v.off, v.stride, v.kvHeads, v.head)
+	for k := 0; k < np && i < n; k++ {
+		p := k
+		if sel != nil {
+			p = int(sel[k])
+		}
+		t := min(v.tokens(p), n-i)
+		r := v.rows(p, vals)
+		if vals {
+			blk.Accumulate(i, t, &r)
 		} else {
-			tensor.DotStrided(dst[i:i+t], q, v.kbuf(p), v.stride)
+			blk.Score(i, t, &r)
 		}
 		i += t
 	}
 	return i
 }
 
-// accumulate adds Σ w[i]·value(i) over the same walk into out; w holds one
-// weight per walked token.
-func (v *pageView) accumulate(out, w []float32, sel []int32) {
-	i := 0
-	for k, np := 0, v.walked(sel); k < np && i < len(w); k++ {
-		p, t := v.step(sel, k, len(w)-i)
-		if v.bits != 0 {
-			pg := &v.quant[p]
-			tensor.AXPYQuantStrided(out, w[i:i+t], pg.VCodes, pg.VParams, v.bits, v.off, v.stride, v.kvHeads, v.head)
-		} else {
-			tensor.AXPYStrided(out, w[i:i+t], v.vbuf(p), v.stride)
-		}
-		i += t
-	}
+// attendBlock accumulates the block's attention over the view into its
+// queries' outputs: each query attends the walk's tokens up to its own bound
+// (the head's retained count for decode; a chunk row's causal bound). sel
+// narrows the walk to Quest's selected pages; a causal bound addresses by
+// position, so prefill always walks densely.
+func (m *Model) attendBlock(blk *tensor.AttnBlock, cp *cachePath, v *pageView, l int, sel []int32) {
+	covered := m.softmaxBlock(blk, cp, v, l, sel)
+	v.walk(blk, sel, covered, true)
 }
 
-// attendPaged accumulates one query head's (ws.qv) attention over layer l,
-// kv-head kh into out: n is the token bound (the head's retained count for
-// decode, limit < 0; the causal bound for chunk prefill). Decode may narrow
-// the walk to Quest's selected pages; a causal bound addresses by position,
-// so prefill always walks densely.
-func (m *Model) attendPaged(ws *Workspace, cp *cachePath, l, kh, limit, n int, out []float32) {
-	v := m.viewOf(cp, l, kh, n)
-	var sel []int32
-	if limit < 0 {
-		sel = m.selectPages(ws, cp, &v, l)
+// softmaxBlock runs the score pass and turns every query's score row into its
+// attention weights in place, returning the walk's token count.
+func (m *Model) softmaxBlock(blk *tensor.AttnBlock, cp *cachePath, v *pageView, l int, sel []int32) int {
+	covered := v.walk(blk, sel, blk.Bound(), false)
+	for q := 0; q < blk.Len(); q++ {
+		w := blk.Weights(q, covered)
+		tensor.Scale(w, m.invSqrtHD)
+		tensor.Softmax(w)
+		if cp.observer != nil {
+			cp.observer.ObserveAttention(l, v.head, w)
+		}
 	}
-	scores := ws.scoresFor(n)
-	scores = scores[:v.score(scores, ws.qv, sel)]
-	tensor.Scale(scores, m.invSqrtHD)
-	tensor.Softmax(scores)
-	if cp.observer != nil {
-		cp.observer.ObserveAttention(l, kh, scores)
-	}
-	v.accumulate(out, scores, sel)
-	if sel != nil && ws.probeRecall {
-		ws.recordRecall(&v, sel, n, m.invSqrtHD)
-	}
+	return covered
 }

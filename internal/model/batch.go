@@ -19,14 +19,17 @@ import (
 // separately — pinned by the equivalence tests in batch_test.go.
 
 // BatchWorkspace owns the scratch state for fused batched decode: one
-// Workspace per lane plus the lane-indexed gather views the batched
-// kernels consume. It belongs to one decode loop at a time (the scheduler
+// Workspace per lane, the lane-indexed gather views the batched kernels
+// consume, and the page walk's block scratch — one tensor.AttnBlock per shard
+// (263 KiB for small-llama), not per lane, which would scale resident memory
+// with the batch. It belongs to one decode loop at a time (the scheduler
 // pools them like Workspaces); lanes grow on demand and are reused across
 // steps, so steady-state fused stepping allocates nothing.
 type BatchWorkspace struct {
 	m     *Model
 	lanes []*Workspace
 	paths []cachePath
+	blks  []*tensor.AttnBlock // attention scratch of shard s
 
 	// Gather views: index b aliases lanes[b]'s buffers. They are built
 	// once per lane and re-sliced to the step's batch size.
@@ -67,7 +70,8 @@ type BatchWorkspace struct {
 // (grown automatically if a step brings more). Workers defaults to 1
 // (fully serial); see SetWorkers.
 func (m *Model) NewBatchWorkspace(capacity int) *BatchWorkspace {
-	bw := &BatchWorkspace{m: m, workers: 1}
+	bw := &BatchWorkspace{m: m}
+	bw.SetWorkers(1)
 	bw.EnsureLanes(capacity)
 	return bw
 }
@@ -75,7 +79,7 @@ func (m *Model) NewBatchWorkspace(capacity int) *BatchWorkspace {
 // EnsureLanes grows the workspace to at least n lanes.
 func (bw *BatchWorkspace) EnsureLanes(n int) {
 	for len(bw.lanes) < n {
-		ws := bw.m.NewWorkspace()
+		ws := bw.m.newLane()
 		bw.lanes = append(bw.lanes, ws)
 		bw.paths = append(bw.paths, cachePath{})
 		bw.hs = append(bw.hs, ws.h)
@@ -115,6 +119,9 @@ func (bw *BatchWorkspace) SetWorkers(w int) {
 		w = 1
 	}
 	bw.workers = w
+	for len(bw.blks) < w {
+		bw.blks = append(bw.blks, tensor.NewAttnBlock(bw.m.cfg.HeadDim, bw.m.cfg.MaxSeq))
+	}
 }
 
 // Workers reports the configured shard width.
@@ -133,30 +140,26 @@ func (bw *BatchWorkspace) project(dst, xs [][]float32, w *tensor.Packed) {
 		w.MulInto(dst, xs)
 		return
 	}
-	runShards(shards, w.Panels(), func(lo, hi int) {
+	runShards(shards, w.Panels(), func(_, lo, hi int) {
 		w.MulPanelsInto(dst, xs, lo, hi)
 	})
 }
 
 // attend runs per-lane attention for one layer, lane-sharded across
-// workers: each stream's attention touches only its own cache and lane
-// workspace, so lanes are independent.
+// workers: each stream's attention touches only its own cache, its lane
+// workspace and its shard's block scratch, so lanes are independent.
 func (bw *BatchWorkspace) attend(l, n int) {
-	shards := bw.workers
-	if shards > n {
-		shards = n
-	}
-	if shards <= 1 {
-		for b := 0; b < n; b++ {
-			bw.m.attendStep(bw.lanes[b], &bw.paths[b], l)
-		}
+	if shards := min(bw.workers, n); shards > 1 {
+		runShards(shards, n, func(s, lo, hi int) { bw.attendLanes(l, s, lo, hi) })
 		return
 	}
-	runShards(shards, n, func(lo, hi int) {
-		for b := lo; b < hi; b++ {
-			bw.m.attendStep(bw.lanes[b], &bw.paths[b], l)
-		}
-	})
+	bw.attendLanes(l, 0, 0, n)
+}
+
+func (bw *BatchWorkspace) attendLanes(l, shard, lo, hi int) {
+	for b := lo; b < hi; b++ {
+		bw.m.attendStep(bw.lanes[b], bw.blks[shard], &bw.paths[b], l)
+	}
 }
 
 // shardsFor picks the shard count for a GEMM of the given total work:
@@ -175,21 +178,18 @@ func (bw *BatchWorkspace) shardsFor(work, panels int) int {
 }
 
 // runShards splits [0, total) into shards contiguous ranges and runs fn on
-// each, the first on the calling goroutine. fn must write only its range.
-func runShards(shards, total int, fn func(lo, hi int)) {
+// each with its shard index, the first on the calling goroutine. fn must
+// write only its range.
+func runShards(shards, total int, fn func(s, lo, hi int)) {
 	chunk := (total + shards - 1) / shards
 	var wg sync.WaitGroup
-	for lo := chunk; lo < total; lo += chunk {
-		hi := lo + chunk
-		if hi > total {
-			hi = total
-		}
+	for s, lo := 1, chunk; lo < total; s, lo = s+1, lo+chunk {
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(s, lo, hi int) {
 			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
+			fn(s, lo, hi)
+		}(s, lo, min(lo+chunk, total))
 	}
-	fn(0, chunk)
+	fn(0, 0, chunk)
 	wg.Wait()
 }

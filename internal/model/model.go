@@ -51,7 +51,9 @@ type Model struct {
 // Workspace holds every scratch buffer one decode stream needs, sized once
 // from the model's Config. Reusing it makes steady-state ForwardInto
 // allocation-free. A workspace belongs to exactly one decode stream at a
-// time; independent sessions decoding in parallel each own one.
+// time; independent sessions decoding in parallel each own one. The page
+// walk's block scratch (blk) belongs to whoever walks: a standalone workspace
+// owns one for ForwardInto, a BatchWorkspace's lanes share the batch's.
 type Workspace struct {
 	h       []float32   // residual stream (hidden)
 	x       []float32   // normed activations (hidden)
@@ -59,7 +61,7 @@ type Workspace struct {
 	k, v    []float32   // key/value projections (KVDim)
 	kHeads  [][]float32 // per-head views into k (built once)
 	vHeads  [][]float32 // per-head views into v (built once)
-	qv      []float32   // one RoPE'd query head (HeadDim)
+	qv      []float32   // one RoPE'd query head (HeadDim), Seq arm only
 	attnOut []float32   // concatenated head outputs (hidden)
 	proj    []float32   // output projection (hidden)
 	gate    []float32   // FFN gate (FFNDim)
@@ -68,7 +70,8 @@ type Workspace struct {
 	final   []float32   // pre-logit hidden state (hidden)
 	logits  []float32   // LM head output (Vocab)
 	probs   []float32   // temperature-sampling scratch (Vocab)
-	scores  []float32   // attention scores, grown to the sequence length
+	scores  []float32   // attention scores of the Seq arm, grown to the sequence length
+	blk     *tensor.AttnBlock
 	// ropeSin/ropeCos hold the step's rotation coefficients, filled once
 	// per decode position and reused by every head of every layer.
 	ropeSin []float32
@@ -87,16 +90,25 @@ type Workspace struct {
 	// probeRecall turns on the attention-mass recall probe: each sparse
 	// attention additionally computes the dense softmax and accumulates
 	// the fraction of true attention mass the selected pages captured.
-	// Diagnostic only — probing allocates; never enable on a serving path.
+	// Diagnostic only; never enable on a serving path.
 	probeRecall bool
 	recallMass  float64
 	recallCnt   int64
 }
 
-// NewWorkspace allocates a workspace sized for this model. The score buffer
-// starts at MaxSeq capacity so decode within the configured context window
-// never reallocates it.
+// NewWorkspace allocates a standalone workspace sized for this model. The
+// score buffers start at MaxSeq capacity so decode within the configured
+// context window never reallocates them.
 func (m *Model) NewWorkspace() *Workspace {
+	ws := m.newLane()
+	ws.blk = tensor.NewAttnBlock(m.cfg.HeadDim, m.cfg.MaxSeq)
+	ws.scores = make([]float32, 0, m.cfg.MaxSeq)
+	return ws
+}
+
+// newLane allocates a workspace without score scratch — a BatchWorkspace
+// lane: the batch owns the page walk's, and the Seq arm's grows on first use.
+func (m *Model) newLane() *Workspace {
 	cfg := m.cfg
 	h := cfg.Hidden()
 	ws := &Workspace{
@@ -114,7 +126,6 @@ func (m *Model) NewWorkspace() *Workspace {
 		final:   make([]float32, h),
 		logits:  make([]float32, cfg.Vocab),
 		probs:   make([]float32, cfg.Vocab),
-		scores:  make([]float32, 0, cfg.MaxSeq),
 		ropeSin: make([]float32, cfg.HeadDim/2),
 		ropeCos: make([]float32, cfg.HeadDim/2),
 	}
@@ -285,7 +296,7 @@ func (m *Model) ForwardInto(ws *Workspace, token, pos int, cache kvcache.Cache) 
 		lw.wq.MulVecInto(ws.q, ws.x)
 		lw.wk.MulVecInto(ws.k, ws.x)
 		lw.wv.MulVecInto(ws.v, ws.x)
-		m.attendStep(ws, &cp, l)
+		m.attendStep(ws, ws.blk, &cp, l)
 		lw.wo.MulVecInto(ws.proj, ws.attnOut)
 		tensor.AXPY(h, 1, ws.proj)
 
@@ -306,11 +317,11 @@ func (m *Model) ForwardInto(ws *Workspace, token, pos int, cache kvcache.Cache) 
 // attendStep runs one layer's attention for one stream whose Q/K/V
 // projections are already in the workspace: RoPE the K heads in place
 // (using the step's cached rotation tables), append K/V to the cache, and
-// accumulate each query head's attention output into ws.attnOut. It is the
-// single attention implementation shared by the per-stream (ForwardInto)
-// and fused batched (ForwardMixedInto) planes, which is what makes the two
-// bit-identical by construction.
-func (m *Model) attendStep(ws *Workspace, cp *cachePath, l int) {
+// accumulate each query head's attention output into ws.attnOut, with blk as
+// the walk's scratch. It is the single attention implementation shared by the
+// per-stream (ForwardInto) and fused batched (ForwardMixedInto) planes, which
+// is what makes the two bit-identical by construction.
+func (m *Model) attendStep(ws *Workspace, blk *tensor.AttnBlock, cp *cachePath, l int) {
 	// Apply RoPE to the keys in place; ws.kHeads/ws.vHeads are prebuilt
 	// per-head views into ws.k/ws.v. Caches copy on Append.
 	for kh := 0; kh < m.cfg.KVHeads; kh++ {
@@ -321,55 +332,84 @@ func (m *Model) attendStep(ws *Workspace, cp *cachePath, l int) {
 	} else {
 		cp.cache.Append(l, ws.kHeads, ws.vHeads)
 	}
-	m.attendOver(ws, cp, l, -1)
+	lane := [1]*Workspace{ws}
+	m.attendOver(lane[:], blk, cp, l, -1)
 }
 
-// attendOver accumulates each query head's attention output into ws.attnOut
-// over the first limit retained entries of layer l. limit < 0 means "every
-// retained entry, per head" — the decode case, where the cache (possibly
-// with eviction, so Len may differ by head) holds exactly the attendable
-// set. Chunked prefill passes the causal bound instead: the cache already
-// holds the whole chunk's K/V, and position p may only see entries 0..p,
-// which addresses by position and therefore requires a cache that retains
-// every token (Full, PagedKV). The K/V for the attended prefix are
-// bit-identical to what a token-at-a-time pass would have cached, and the
-// score/softmax/accumulate arithmetic is shared, so bounded attention here
-// equals full attention then.
+// attendOver accumulates each query head's attention output into its lane's
+// attnOut over layer l. limit < 0 means "every retained entry, per head" —
+// the decode case, one lane, where the cache (possibly with eviction, so Len
+// may differ by head) holds exactly the attendable set. Chunked prefill
+// passes consecutive rows of one chunk and the first row's causal bound
+// instead: the cache already holds the whole chunk's K/V, and row r may only
+// see entries 0..limit+r-1, which addresses by position and therefore
+// requires a cache that retains every token (Full, PagedKV). The K/V for the
+// attended prefix are bit-identical to what a token-at-a-time pass would have
+// cached, and a query's arithmetic does not depend on what shares its block,
+// so bounded attention here equals full attention then.
 //
 // Caches with a regular layout (Full's flat buffer, fp32 pages, quantized
-// pages) all take the one page walk in attend.go; caches with irregular
-// retained sets (eviction, offline quantisation) take the generic Seq arm.
-func (m *Model) attendOver(ws *Workspace, cp *cachePath, l, limit int) {
+// pages) all take the one page walk in attend.go, per KV head in blocks of up
+// to tensor.AttnBlockMax queries in (row, head) order: ascending bounds, and
+// within a decode lane the ascending head order observers see. Caches with
+// irregular retained sets (eviction, offline quantisation) take attendSeq.
+func (m *Model) attendOver(lanes []*Workspace, blk *tensor.AttnBlock, cp *cachePath, l, limit int) {
 	cfg := m.cfg
-	hd := cfg.HeadDim
-	group := cfg.GroupSize()
-	invSqrt := m.invSqrtHD
-	paged := cp.flat != nil || cp.quant != nil || cp.pager != nil
-
-	attnOut := ws.attnOut
-	for i := range attnOut {
-		attnOut[i] = 0
+	hd, group := cfg.HeadDim, cfg.GroupSize()
+	for _, ws := range lanes {
+		clear(ws.attnOut)
 	}
-	for qh := 0; qh < cfg.Heads; qh++ {
+	if cp.flat == nil && cp.quant == nil && cp.pager == nil {
+		for r, ws := range lanes {
+			m.attendSeq(ws, cp, l, limit, r)
+		}
+		return
+	}
+	for kh := 0; kh < cfg.KVHeads; kh++ {
+		first := limit // the first lane's bound; lane r's is first+r
+		if limit < 0 {
+			first = cp.cache.Len(l, kh)
+		}
+		v := m.viewOf(cp, l, kh, first+len(lanes)-1)
+		quest := limit < 0 && m.questEngages(lanes[0], cp, &v)
+		blk.Reset()
+		for x, nx := 0, len(lanes)*group; x < nx; x++ {
+			ws, qh := lanes[x/group], kh*group+x%group
+			q := blk.Add(first+x/group, ws.attnOut[qh*hd:(qh+1)*hd])
+			copy(q, ws.q[qh*hd:(qh+1)*hd])
+			tensor.ApplyRoPECached(q, ws.ropeSin, ws.ropeCos)
+			switch {
+			case quest:
+				m.attendSparse(ws, blk, cp, &v, l, q)
+			case blk.Len() == tensor.AttnBlockMax || x == nx-1:
+				m.attendBlock(blk, cp, &v, l, nil)
+			default:
+				continue
+			}
+			blk.Reset()
+		}
+	}
+}
+
+// attendSeq is the generic attention arm, and the scalar reference the page
+// walk is pinned against: per query head, tensor.Dot and tensor.AXPY over
+// cache.Seq's per-token views, cut to the first limit+r (limit < 0: all).
+func (m *Model) attendSeq(ws *Workspace, cp *cachePath, l, limit, r int) {
+	hd, group := m.cfg.HeadDim, m.cfg.GroupSize()
+	for qh := 0; qh < m.cfg.Heads; qh++ {
 		copy(ws.qv, ws.q[qh*hd:(qh+1)*hd])
 		tensor.ApplyRoPECached(ws.qv, ws.ropeSin, ws.ropeCos)
 		kh := qh / group
-		out := attnOut[qh*hd : (qh+1)*hd]
-		n := limit
-		if n < 0 {
+		out := ws.attnOut[qh*hd : (qh+1)*hd]
+		n := limit + r
+		if limit < 0 {
 			n = cp.cache.Len(l, kh)
 		}
-		if paged {
-			m.attendPaged(ws, cp, l, kh, limit, n, out)
-			continue
-		}
-		// Generic path for caches with irregular retained sets
-		// (eviction, quantisation): per-token views from Seq.
 		scores := ws.scoresFor(n)
 		keys, vals := cp.cache.Seq(l, kh)
 		keys, vals = keys[:n], vals[:n]
 		for i, kv := range keys {
-			scores[i] = tensor.Dot(ws.qv, kv) * invSqrt
+			scores[i] = tensor.Dot(ws.qv, kv) * m.invSqrtHD
 		}
 		tensor.Softmax(scores)
 		if cp.observer != nil {

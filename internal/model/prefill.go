@@ -315,7 +315,8 @@ func (bw *BatchWorkspace) ensureChunk(c int) {
 // bounded attention: position Pos+i attends over the first Pos+i+1 entries
 // of this chunk's own cache, exactly the set a token-at-a-time prefill
 // would have seen. Positions are independent once the K/V are cached, so
-// attention lane-shards across workers like decode.
+// attention shards by rows across workers like decode by lanes; within a
+// shard, consecutive rows share each KV head's page walk (attendOver).
 func (m *Model) attendChunk(bw *BatchWorkspace, cp *cachePath, l, base, tokOff, C, pos int) {
 	cfg := m.cfg
 	hd := cfg.HeadDim
@@ -339,19 +340,11 @@ func (m *Model) attendChunk(bw *BatchWorkspace, cp *cachePath, l, base, tokOff, 
 			cp.cache.Append(l, bw.ckHeads[tokOff+i], bw.cvHeads[tokOff+i])
 		}
 	}
-	shards := bw.workers
-	if shards > C {
-		shards = C
-	}
-	if shards <= 1 {
-		for i := 0; i < C; i++ {
-			m.attendOver(bw.lanes[base+i], cp, l, pos+i+1)
-		}
+	if shards := min(bw.workers, C); shards > 1 {
+		runShards(shards, C, func(s, lo, hi int) {
+			m.attendOver(bw.lanes[base+lo:base+hi], bw.blks[s], cp, l, pos+lo+1)
+		})
 		return
 	}
-	runShards(shards, C, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			m.attendOver(bw.lanes[base+i], cp, l, pos+i+1)
-		}
-	})
+	m.attendOver(bw.lanes[base:base+C], bw.blks[0], cp, l, pos+1)
 }

@@ -11,7 +11,7 @@ import (
 // (QuantReader, FlatAppender, FlatBatchAppender) so the model is forced onto
 // the generic Seq path — which materialises dequantized per-token views.
 // Appends still quantize identically, so comparing a run through this wrapper
-// against the bare cache proves the fused dequantize-on-stream hot path is
+// against the bare cache proves the dequantize-on-read page walk is
 // bit-identical to the scratch-buffer formulation across a full generation.
 type seqOnlyQuant struct {
 	inner *kvcache.PagedKV
@@ -29,10 +29,11 @@ func (c *seqOnlyQuant) Len(layer, head int) int         { return c.inner.Len(lay
 func (c *seqOnlyQuant) TotalAppended() int              { return c.inner.TotalAppended() }
 func (c *seqOnlyQuant) MemoryBytes() int64              { return c.inner.MemoryBytes() }
 
-// TestQuantDecodeBitIdentical proves the fused quantized fast path (QuantPages
-// streamed through DotQuantStrided/AXPYQuantStrided) produces bit-identical
-// logits, hiddens, and greedy token streams to the generic Seq path over the
-// same quantized storage, for both code widths and both attention layouts.
+// TestQuantDecodeBitIdentical proves the quantized fast path (QuantPages
+// dequantized a sub-tile at a time into the block walk's two GEMMs) produces
+// bit-identical logits, hiddens, and greedy token streams to the generic Seq
+// path over the same quantized storage, for both code widths and both
+// attention layouts.
 func TestQuantDecodeBitIdentical(t *testing.T) {
 	for _, cfg := range []Config{Tiny(), TinyMHA()} {
 		for _, bits := range []int{8, 4} {
@@ -145,7 +146,7 @@ func TestQuantPrefillChunkBitIdentical(t *testing.T) {
 }
 
 // TestQuantDecodeAllocs is TestForwardIntoZeroAllocs for the quantized hot
-// path: the dequantize-on-stream read path allocates nothing, so the only
+// path: the dequantize-on-read page walk allocates nothing, so the only
 // allocation source is opening a fresh page every pageTokens steps — two
 // backing arrays per layer, amortising well under one allocation per step.
 func TestQuantDecodeAllocs(t *testing.T) {

@@ -13,10 +13,11 @@ import (
 // summary with the Quest criticality bound, selects the topK pages (tail
 // always included) via the attention package's selection policy — the one
 // its offline Quest prototype uses — and hands the ascending list to the
-// model's one page walk (attend.go). Sharing that walk is what keeps sparse
-// decode bit-identical to dense whenever every page is selected
-// (topK >= pages): the selection is ascending, so the streamed token order,
-// and therefore every reduction order, is exactly the dense walk's.
+// model's one page walk (attend.go) as a block of one query: the dense walk's
+// routine with a different block size and page list. Sharing that walk is
+// what keeps sparse decode bit-identical to dense whenever every page is
+// selected (topK >= pages): the selection is ascending, so the streamed token
+// order, and therefore every reduction order, is exactly the dense walk's.
 //
 // Sparsity applies only to decode (limit < 0). Chunked prefill keeps the
 // dense walk: its causal bound addresses by position, and prefill is where
@@ -62,8 +63,7 @@ func (ws *Workspace) TakeSparseStats() (selected, total int64) {
 
 // SetRecallProbe toggles the attention-mass recall probe on this workspace.
 // While on, every sparse attention also runs the dense softmax and records
-// the selected pages' share of the true attention mass — diagnostic only,
-// the probe allocates per step.
+// the selected pages' share of the true attention mass — diagnostic only.
 func (ws *Workspace) SetRecallProbe(on bool) { ws.probeRecall = on }
 
 // TakeRecall returns and resets the probe's accumulated attention-mass
@@ -85,48 +85,54 @@ func (bw *BatchWorkspace) TakeSparseStats() (selected, total int64) {
 	return selected, total
 }
 
-// selectPages returns the ascending page list one head's sparse decode
-// attention walks, or nil when the dense walk should run instead: sparsity
-// off, no summaries, an attention observer needs full scores, or every page
-// would be selected anyway — the dense walk is then bit-identical and
-// cheaper. Summaries are fp32 whatever the page codec (kvcache folds them
-// over dequantized keys), so the criticality bound covers exactly what the
-// walk reads.
-func (m *Model) selectPages(ws *Workspace, cp *cachePath, v *pageView, l int) []int32 {
-	topK := m.sparseTopK
-	if topK <= 0 || cp.summ == nil || cp.observer != nil {
-		return nil
+// questEngages reports whether decode attention over the view takes Quest's
+// selected walks — one query per block, each with its own page list — rather
+// than the dense group walk: sparsity on, summaries present, no attention
+// observer needing full scores, and more pages than the budget. With fewer,
+// every page would be selected anyway: the dense walk is bit-identical and
+// cheaper, and the group's heads are tallied as selecting all of them.
+func (m *Model) questEngages(ws *Workspace, cp *cachePath, v *pageView) bool {
+	if m.sparseTopK <= 0 || cp.summ == nil || cp.observer != nil {
+		return false
 	}
 	np := v.pages()
-	if np <= topK {
-		ws.sparseSel += int64(np)
-		ws.sparseTot += int64(np)
-		return nil
+	if np > m.sparseTopK {
+		return true
 	}
+	ws.sparseSel += int64(np * m.cfg.GroupSize())
+	ws.sparseTot += int64(np * m.cfg.GroupSize())
+	return false
+}
+
+// attendSparse runs one query head's sparse decode attention: blk holds the
+// head's query q alone, and its ascending topK page list narrows the walk.
+// Summaries are fp32 whatever the page codec (kvcache folds them over
+// dequantized keys), so the criticality bound covers what the walk reads.
+func (m *Model) attendSparse(ws *Workspace, blk *tensor.AttnBlock, cp *cachePath, v *pageView, l int, q []float32) {
+	np := v.pages()
 	summs := cp.summ.KeySummaries(l)
 	scores, sel := ws.sparseScratch(np)
 	for p := range scores {
-		scores[p] = attention.CriticalityStrided(ws.qv, summs[p], v.off, v.stride)
+		scores[p] = attention.CriticalityStrided(q, summs[p], v.off, v.stride)
 	}
-	nSel := attention.SelectTopPages(sel, scores, topK)
-	ws.sparseSel += int64(nSel)
+	sel = sel[:attention.SelectTopPages(sel, scores, m.sparseTopK)]
+	ws.sparseSel += int64(len(sel))
 	ws.sparseTot += int64(np)
-	return sel[:nSel]
+	m.attendBlock(blk, cp, v, l, sel)
+	if ws.probeRecall {
+		ws.recordRecall(m, blk, cp, v, l, sel)
+	}
 }
 
-// recordRecall is the attention-mass recall probe: it re-scores all n
-// retained tokens densely through the same page view, applies the real
-// path's 1/sqrt(d) scale and softmax, and accumulates the selected pages'
-// share of the mass.
-func (ws *Workspace) recordRecall(v *pageView, sel []int32, n int, scale float32) {
-	dense := make([]float32, n)
-	dense = dense[:v.score(dense, ws.qv, nil)]
-	tensor.Scale(dense, scale)
-	tensor.Softmax(dense)
+// recordRecall is the attention-mass recall probe: it re-scores the block's
+// one query densely through the same walk and scratch, scale and softmax
+// included, and accumulates the selected pages' share of the mass.
+func (ws *Workspace) recordRecall(m *Model, blk *tensor.AttnBlock, cp *cachePath, v *pageView, l int, sel []int32) {
+	dense := blk.Weights(0, m.softmaxBlock(blk, cp, v, l, nil))
 	var mass float64
 	i, s := 0, 0
 	for p := 0; p < v.pages() && i < len(dense); p++ {
-		_, t := v.step(nil, p, len(dense)-i)
+		t := min(v.tokens(p), len(dense)-i)
 		if s < len(sel) && sel[s] == int32(p) {
 			for _, w := range dense[i : i+t] {
 				mass += float64(w)

@@ -170,20 +170,19 @@ func TestPreemptionMidPrefillRecomputes(t *testing.T) {
 	// 4 — a handful of iterations in, while the long request is still
 	// mid-prefill — which overflows the budget and evicts the newest
 	// arrival (FCFS): the long, still-prefilling request.
-	m := model.New(model.Tiny(), seed)
-	e, err := New(m, Config{MaxBatch: 2, PageTokens: 4, KVPages: 9, PrefillChunk: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
+	// Iteration 1 waits for both Submits: the trace above assumes the two
+	// requests arrive together, however fast a step is.
+	e, _, release := gatedEngine(t, Config{MaxBatch: 2, PageTokens: 4, KVPages: 9, PrefillChunk: 4})
 	chans := make([]<-chan Token, len(prompts))
 	for i, prompt := range prompts {
 		ch, err := e.Submit(context.Background(), Request{ID: i, Prompt: prompt, MaxNew: maxNews[i], Arrival: -1})
 		if err != nil {
+			release()
 			t.Fatal(err)
 		}
 		chans[i] = ch
 	}
+	release()
 	got := make([][]int, len(prompts))
 	for i, ch := range chans {
 		got[i] = collect(t, ch)

@@ -55,6 +55,17 @@ func collect(t *testing.T, ch <-chan Token) []int {
 func runEngine(t *testing.T, cfg Config, prompts [][]int, maxNew int) ([][]int, *Engine) {
 	t.Helper()
 	m := model.New(model.Tiny(), seed)
+	// Iteration 1 waits for the last Submit, so "the prompts arrive together"
+	// holds however fast a step is: the tests that count packed chunks or
+	// preemptions assume it.
+	submitted := make(chan struct{})
+	if cfg.StepHook == nil {
+		cfg.StepHook = func(step int) {
+			if step == 1 {
+				<-submitted
+			}
+		}
+	}
 	e, err := New(m, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -64,10 +75,12 @@ func runEngine(t *testing.T, cfg Config, prompts [][]int, maxNew int) ([][]int, 
 	for i, prompt := range prompts {
 		ch, err := e.Submit(context.Background(), Request{ID: i, Prompt: prompt, MaxNew: maxNew, Arrival: -1})
 		if err != nil {
+			close(submitted)
 			t.Fatalf("submit %d: %v", i, err)
 		}
 		chans[i] = ch
 	}
+	close(submitted)
 	got := make([][]int, len(prompts))
 	for i, ch := range chans {
 		got[i] = collect(t, ch)

@@ -153,7 +153,7 @@ func gemmTiles(dst, xs [][]float32, w []float32, k, stride, panelStep, c0, c1 in
 					d[i] = ragged[l-b][:]
 				}
 			}
-			tile(&d, &x, wp, k, stride, lanes)
+			tile(&d, &x, wp, k, stride, lanes, false)
 			if width < panelWidth {
 				for i := 0; i < lanes; i++ {
 					copy(dst[b+i][c:c1], ragged[i][:])
@@ -165,23 +165,28 @@ func gemmTiles(dst, xs [][]float32, w []float32, k, stride, panelStep, c0, c1 in
 
 // tile is the micro-kernel: d[l][0:16] = Σ_kk x[l][kk]·w[kk*stride:][0:16]
 // for the first lanes of four lanes (the assembly always computes all four).
-func tile(d, x *[4][]float32, w []float32, k, stride, lanes int) {
+// Seeded, each chain starts from d's current value instead of +0 — the entry
+// attention's value pass continues its accumulation through (attend.go).
+func tile(d, x *[4][]float32, w []float32, k, stride, lanes int, seeded bool) {
 	if !useAVX2 {
-		tileGo(d, x, w, k, stride, lanes)
+		tileGo(d, x, w, k, stride, lanes, seeded)
 		return
 	}
 	_ = w[(k-1)*stride+panelWidth-1]
 	tile4x16AVX2(&d[0][0], &d[1][0], &d[2][0], &d[3][0],
-		&x[0][:k][0], &x[1][:k][0], &x[2][:k][0], &x[3][:k][0], &w[0], k, stride)
+		&x[0][:k][0], &x[1][:k][0], &x[2][:k][0], &x[3][:k][0], &w[0], k, stride, seeded)
 }
 
 // tileGo is the micro-kernel in Go: per lane, four outputs at a time in
 // register accumulators — VecMatInto's loop without the zero-skip.
-func tileGo(d, x *[4][]float32, w []float32, k, stride, lanes int) {
+func tileGo(d, x *[4][]float32, w []float32, k, stride, lanes int, seeded bool) {
 	for l := 0; l < lanes; l++ {
 		xl, dl := x[l][:k], d[l][:panelWidth]
 		for j := 0; j < panelWidth; j += 4 {
 			var s0, s1, s2, s3 float32
+			if seeded {
+				s0, s1, s2, s3 = dl[j], dl[j+1], dl[j+2], dl[j+3]
+			}
 			off := j
 			for _, a := range xl {
 				r := w[off : off+4 : off+4]

@@ -31,14 +31,16 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func tile4x16AVX2(d0, d1, d2, d3, x0, x1, x2, x3, w *float32, k, stride int)
+// func tile4x16AVX2(d0, d1, d2, d3, x0, x1, x2, x3, w *float32, k, stride int, seeded bool)
 //
-// d_l[0:16] = Σ_kk x_l[kk] · w[kk*stride : kk*stride+16] for four lanes l.
+// d_l[0:16] = Σ_kk x_l[kk] · w[kk*stride : kk*stride+16] for four lanes l,
+// added to d_l's current contents when seeded.
 // Y0..Y7 hold the 4×16 accumulators; the SIMD lanes run across outputs, so
-// each output is one chain of k multiply-then-add steps from +0 in ascending
-// kk — the scalar loop's arithmetic exactly. VMULPS then VADDPS, never FMA:
-// a fused step rounds once where the scalar reference rounds twice.
-TEXT ·tile4x16AVX2(SB), NOSPLIT, $0-88
+// each output is one chain of k multiply-then-add steps — from +0, or from
+// the value already in d — in ascending kk: the scalar loop's arithmetic
+// exactly. VMULPS then VADDPS, never FMA: a fused step rounds once where the
+// scalar reference rounds twice.
+TEXT ·tile4x16AVX2(SB), NOSPLIT, $0-89
 	MOVQ x0+32(FP), R8
 	MOVQ x1+40(FP), R9
 	MOVQ x2+48(FP), R10
@@ -48,6 +50,9 @@ TEXT ·tile4x16AVX2(SB), NOSPLIT, $0-88
 	MOVQ stride+80(FP), DX
 	SHLQ $2, DX
 	XORQ AX, AX
+	MOVBLZX seeded+88(FP), BX
+	TESTL BX, BX
+	JNZ  seed
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
@@ -56,6 +61,23 @@ TEXT ·tile4x16AVX2(SB), NOSPLIT, $0-88
 	VXORPS Y5, Y5, Y5
 	VXORPS Y6, Y6, Y6
 	VXORPS Y7, Y7, Y7
+	JMP  start
+
+seed:
+	MOVQ d0+0(FP), BX
+	VMOVUPS (BX), Y0
+	VMOVUPS 32(BX), Y1
+	MOVQ d1+8(FP), BX
+	VMOVUPS (BX), Y2
+	VMOVUPS 32(BX), Y3
+	MOVQ d2+16(FP), BX
+	VMOVUPS (BX), Y4
+	VMOVUPS 32(BX), Y5
+	MOVQ d3+24(FP), BX
+	VMOVUPS (BX), Y6
+	VMOVUPS 32(BX), Y7
+
+start:
 	TESTQ CX, CX
 	JLE  store
 
@@ -100,5 +122,126 @@ store:
 	VMOVUPS Y5, 32(R10)
 	VMOVUPS Y6, (R11)
 	VMOVUPS Y7, 32(R11)
+	VZEROUPPER
+	RET
+
+// TRANSPOSE8 transposes the 8×8 float block whose rows start at base, DX
+// bytes apart (R8 = 3·DX), and stores column i at DI + off + 64·i: the 8-float
+// half of panel row i these eight tokens own.
+#define TRANSPOSE8(base, off) \
+	LEAQ (base)(DX*4), R10 \
+	VMOVUPS (base), Y0 \
+	VMOVUPS (base)(DX*1), Y1 \
+	VMOVUPS (base)(DX*2), Y2 \
+	VMOVUPS (base)(R8*1), Y3 \
+	VMOVUPS (R10), Y4 \
+	VMOVUPS (R10)(DX*1), Y5 \
+	VMOVUPS (R10)(DX*2), Y6 \
+	VMOVUPS (R10)(R8*1), Y7 \
+	VUNPCKLPS Y1, Y0, Y8 \
+	VUNPCKHPS Y1, Y0, Y9 \
+	VUNPCKLPS Y3, Y2, Y10 \
+	VUNPCKHPS Y3, Y2, Y11 \
+	VUNPCKLPS Y5, Y4, Y12 \
+	VUNPCKHPS Y5, Y4, Y13 \
+	VUNPCKLPS Y7, Y6, Y14 \
+	VUNPCKHPS Y7, Y6, Y15 \
+	VSHUFPS $0x44, Y10, Y8, Y0 \
+	VSHUFPS $0xEE, Y10, Y8, Y1 \
+	VSHUFPS $0x44, Y11, Y9, Y2 \
+	VSHUFPS $0xEE, Y11, Y9, Y3 \
+	VSHUFPS $0x44, Y14, Y12, Y4 \
+	VSHUFPS $0xEE, Y14, Y12, Y5 \
+	VSHUFPS $0x44, Y15, Y13, Y6 \
+	VSHUFPS $0xEE, Y15, Y13, Y7 \
+	VPERM2F128 $0x20, Y4, Y0, Y8 \
+	VPERM2F128 $0x20, Y5, Y1, Y9 \
+	VPERM2F128 $0x20, Y6, Y2, Y10 \
+	VPERM2F128 $0x20, Y7, Y3, Y11 \
+	VPERM2F128 $0x31, Y4, Y0, Y12 \
+	VPERM2F128 $0x31, Y5, Y1, Y13 \
+	VPERM2F128 $0x31, Y6, Y2, Y14 \
+	VPERM2F128 $0x31, Y7, Y3, Y15 \
+	VMOVUPS Y8, off+0(DI) \
+	VMOVUPS Y9, off+64(DI) \
+	VMOVUPS Y10, off+128(DI) \
+	VMOVUPS Y11, off+192(DI) \
+	VMOVUPS Y12, off+256(DI) \
+	VMOVUPS Y13, off+320(DI) \
+	VMOVUPS Y14, off+384(DI) \
+	VMOVUPS Y15, off+448(DI)
+
+// func relay16AVX2(panel, rows *float32, stride, d8 int)
+//
+// panel[j*16+r] = rows[r*stride+j] for 16 rows r and 8·d8 columns j: the
+// dim-major re-lay of one sub-tile's key rows, eight dims per iteration as
+// two in-register 8×8 transposes (rows 0–7, rows 8–15). Data movement only.
+TEXT ·relay16AVX2(SB), NOSPLIT, $0-32
+	MOVQ panel+0(FP), DI
+	MOVQ rows+8(FP), SI
+	MOVQ stride+16(FP), DX
+	MOVQ d8+24(FP), CX
+	SHLQ $2, DX
+	LEAQ (DX)(DX*2), R8
+	LEAQ (SI)(DX*8), R9
+	TESTQ CX, CX
+	JLE  relaydone
+
+relayloop:
+	TRANSPOSE8(SI, 0)
+	TRANSPOSE8(R9, 32)
+	ADDQ $32, SI
+	ADDQ $32, R9
+	ADDQ $512, DI
+	DECQ CX
+	JNZ  relayloop
+
+relaydone:
+	VZEROUPPER
+	RET
+
+// func dequantRows8AVX2(dst *float32, dstStride int, codes *uint8, codeStride int, lod *float32, n, d8 int)
+//
+// dst[i*dstStride+j] = float32(codes[i*codeStride+j])·Δ_i + lo_i for n rows
+// i and 8·d8 columns j, (lo_i, Δ_i) = lod[2i], lod[2i+1]: 8-bit codes to
+// fp32 with the scalar expression's two roundings (convert is exact, then
+// VMULPS, then VADDPS — never FMA).
+TEXT ·dequantRows8AVX2(SB), NOSPLIT, $0-56
+	MOVQ dst+0(FP), DI
+	MOVQ dstStride+8(FP), DX
+	MOVQ codes+16(FP), SI
+	MOVQ codeStride+24(FP), BX
+	MOVQ lod+32(FP), R8
+	MOVQ n+40(FP), CX
+	MOVQ d8+48(FP), R9
+	SHLQ $2, DX
+	TESTQ CX, CX
+	JLE  dequantdone
+	TESTQ R9, R9
+	JLE  dequantdone
+
+dequantrow:
+	VBROADCASTSS (R8), Y1
+	VBROADCASTSS 4(R8), Y2
+	XORQ AX, AX
+
+dequantcol:
+	VPMOVZXBD (SI)(AX*8), Y0
+	VCVTDQ2PS Y0, Y0
+	VMULPS Y2, Y0, Y0
+	VADDPS Y1, Y0, Y0
+	MOVQ AX, R10
+	SHLQ $5, R10
+	VMOVUPS Y0, (DI)(R10*1)
+	INCQ AX
+	CMPQ AX, R9
+	JLT  dequantcol
+	ADDQ DX, DI
+	ADDQ BX, SI
+	ADDQ $8, R8
+	DECQ CX
+	JNZ  dequantrow
+
+dequantdone:
 	VZEROUPPER
 	RET

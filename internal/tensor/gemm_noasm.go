@@ -4,6 +4,14 @@ package tensor
 
 func hasAVX2() bool { return false }
 
-func tile4x16AVX2(d0, d1, d2, d3, x0, x1, x2, x3, w *float32, k, stride int) {
+func tile4x16AVX2(d0, d1, d2, d3, x0, x1, x2, x3, w *float32, k, stride int, seeded bool) {
+	panic("tensor: no assembly micro-kernel on this architecture")
+}
+
+func relay16AVX2(panel, rows *float32, stride, d8 int) {
+	panic("tensor: no assembly micro-kernel on this architecture")
+}
+
+func dequantRows8AVX2(dst *float32, dstStride int, codes *uint8, codeStride int, lod *float32, n, d8 int) {
 	panic("tensor: no assembly micro-kernel on this architecture")
 }

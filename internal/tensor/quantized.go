@@ -2,15 +2,14 @@ package tensor
 
 import "math"
 
-// This file holds the fused dequantize-on-stream kernels for quantized KV
-// pages. A page stores uniform-quantized codes (8-bit, or 4-bit packed two
+// This file holds the fp16 parameter codec and the dequantizer for quantized
+// KV pages. A page stores uniform-quantized codes (8-bit, or 4-bit packed two
 // per byte) token-major at the same stride as the fp32 layout, plus one
-// (lo, delta) float16 parameter pair per (token, kv-head) slice. The kernels
-// dequantize each element inline — x = float32(code)*delta + lo, the exact
-// arithmetic of internal/quant's Uniform dequantizer — and feed it straight
-// into the Dot/AXPY accumulation, so decode never materializes an fp32 copy
-// of the context and results are bit-identical to dequantizing a page into a
-// scratch buffer and calling Dot/AXPY on it.
+// (lo, delta) float16 parameter pair per (token, kv-head) slice. An element
+// dequantizes as x = float32(code)*delta + lo, the exact arithmetic of
+// internal/quant's Uniform dequantizer. Attention reads a page 16 tokens of
+// one head at a time (AttnBlock.load, attend.go: DequantSliceInto per token,
+// or its AVX2 form), so decode never materializes more than that sub-tile.
 
 // EncodeFloat16 converts an fp32 value to IEEE 754 binary16 bits with
 // round-to-nearest-even, flushing overflow to ±Inf and tiny values to
@@ -55,9 +54,9 @@ func EncodeFloat16(f float32) uint16 {
 }
 
 // DecodeFloat16 converts IEEE 754 binary16 bits to the exactly-representable
-// fp32 value. The normal-number path is kept small enough to inline — the
-// fused attention kernels decode two parameters per (token, head) slice, so
-// a call here sits on the decode hot path.
+// fp32 value. The normal-number path is kept small enough to inline —
+// attention decodes two parameters per (token, kv-head) slice per page visit,
+// so a call here sits on the decode hot path.
 func DecodeFloat16(h uint16) float32 {
 	if e := h & 0x7C00; e != 0 && e != 0x7C00 {
 		return math.Float32frombits(uint32(h&0x8000)<<16 | (uint32(e>>10)+127-15)<<23 | uint32(h&0x3FF)<<13)
@@ -85,90 +84,14 @@ func decodeFloat16Edge(h uint16) float32 {
 	return math.Float32frombits(sign | e<<23 | (man&0x3FF)<<13)
 }
 
-// DotQuantStrided computes dst[i] = q · dequant(entry i) — the score pass of
-// attention over one quantized KV page. Entry i's codes for the requested
-// head live at element offset i*stride+off (off = head*len(q)); its (lo,
-// delta) float16 pair sits at params[(i*heads+head)*2]. bits must be 8, or 4
-// with codes packed two per byte (low nibble first; off and len(q) must then
-// be even, which RoPE's even head dimension guarantees). Per-element
-// accumulation order matches Dot over a dequantized view, so results are
-// bit-identical to the scratch-buffer formulation.
-func DotQuantStrided(dst, q []float32, codes []uint8, params []uint16, bits, off, stride, heads, head int) {
-	d := len(q)
-	switch bits {
-	case 8:
-		for i := range dst {
-			base := i*stride + off
-			row := codes[base : base+d : base+d]
-			p := (i*heads + head) * 2
-			lo := DecodeFloat16(params[p])
-			dlt := DecodeFloat16(params[p+1])
-			var s float32
-			for j, qj := range q {
-				s += qj * (float32(row[j])*dlt + lo)
-			}
-			dst[i] = s
-		}
-	case 4:
-		for i := range dst {
-			base := (i*stride + off) >> 1
-			row := codes[base : base+d/2 : base+d/2]
-			p := (i*heads + head) * 2
-			lo := DecodeFloat16(params[p])
-			dlt := DecodeFloat16(params[p+1])
-			var s float32
-			for j := 0; j < d; j += 2 {
-				b := row[j>>1]
-				s += q[j] * (float32(b&0x0F)*dlt + lo)
-				s += q[j+1] * (float32(b>>4)*dlt + lo)
-			}
-			dst[i] = s
-		}
-	default:
-		panic("tensor: dotquantstrided unsupported bit width")
-	}
-}
-
-// AXPYQuantStrided accumulates dst += Σ_i weights[i] * dequant(entry i) —
-// the value-aggregation pass of attention over one quantized KV page, with
-// the same layout contract as DotQuantStrided. Entries are processed in
-// order and each output element accumulates in entry order, bit-identical to
-// the per-token AXPY loop over dequantized views.
-func AXPYQuantStrided(dst, weights []float32, codes []uint8, params []uint16, bits, off, stride, heads, head int) {
-	d := len(dst)
-	switch bits {
-	case 8:
-		for i, w := range weights {
-			base := i*stride + off
-			row := codes[base : base+d : base+d]
-			p := (i*heads + head) * 2
-			lo := DecodeFloat16(params[p])
-			dlt := DecodeFloat16(params[p+1])
-			for j := range dst {
-				dst[j] += w * (float32(row[j])*dlt + lo)
-			}
-		}
-	case 4:
-		for i, w := range weights {
-			base := (i*stride + off) >> 1
-			row := codes[base : base+d/2 : base+d/2]
-			p := (i*heads + head) * 2
-			lo := DecodeFloat16(params[p])
-			dlt := DecodeFloat16(params[p+1])
-			for j := 0; j < d; j += 2 {
-				b := row[j>>1]
-				dst[j] += w * (float32(b&0x0F)*dlt + lo)
-				dst[j+1] += w * (float32(b>>4)*dlt + lo)
-			}
-		}
-	default:
-		panic("tensor: axpyquantstrided unsupported bit width")
-	}
-}
-
 // DequantSliceInto writes the dequantized head slice of one entry into dst —
-// the scratch-buffer counterpart the fused kernels are pinned against, and
-// the primitive the generic (slice-of-slices) cache read path uses.
+// the scalar reference the attention block's dequantizer is pinned against,
+// and the primitive the generic (slice-of-slices) cache read path uses.
+// Entry i's codes for the requested head live at element offset i*stride+off
+// (off = head*len(dst)); its (lo, delta) float16 pair sits at
+// params[(i*heads+head)*2]. bits must be 8, or 4 with codes packed two per
+// byte (low nibble first; off and len(dst) must then be even, which RoPE's
+// even head dimension guarantees).
 func DequantSliceInto(dst []float32, codes []uint8, params []uint16, bits, off, stride, heads, head, i int) {
 	d := len(dst)
 	p := (i*heads + head) * 2

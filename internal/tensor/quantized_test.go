@@ -65,6 +65,9 @@ func buildQuantPage(r *rand.Rand, tokens, stride, heads, bits int) (codes []uint
 	return codes, params
 }
 
+// TestQuantStridedKernelsMatchScratchBuffer pins the block's two passes over
+// a quantized page to dequantizing each token into a scratch buffer and
+// calling Dot / AXPY on it.
 func TestQuantStridedKernelsMatchScratchBuffer(t *testing.T) {
 	const (
 		tokens = 16
@@ -77,52 +80,56 @@ func TestQuantStridedKernelsMatchScratchBuffer(t *testing.T) {
 	for i := range q {
 		q[i] = float32(r.NormFloat64())
 	}
-	for _, bits := range []int{8, 4} {
-		codes, params := buildQuantPage(r, tokens, stride, heads, bits)
-		for head := 0; head < heads; head++ {
-			off := head * d
-			for _, n := range []int{1, 3, tokens} { // partial pages included
-				fast := make([]float32, n)
-				DotQuantStrided(fast, q, codes, params, bits, off, stride, heads, head)
-				slow := make([]float32, n)
-				scratch := make([]float32, d)
-				for i := 0; i < n; i++ {
-					DequantSliceInto(scratch, codes, params, bits, off, stride, heads, head, i)
-					slow[i] = Dot(q, scratch)
-				}
-				for i := range fast {
-					if fast[i] != slow[i] {
-						t.Fatalf("bits=%d head=%d n=%d: DotQuantStrided[%d]=%g, scratch path %g",
-							bits, head, n, i, fast[i], slow[i])
+	bothTiles(t, func(t *testing.T) {
+		for _, bits := range []int{8, 4} {
+			codes, params := buildQuantPage(r, tokens, stride, heads, bits)
+			for head := 0; head < heads; head++ {
+				rows := Rows{Codes: codes, Params: params, Bits: bits, Off: head * d, Stride: stride, Heads: heads, Head: head}
+				for _, n := range []int{1, 3, tokens} { // partial pages included
+					fastOut := make([]float32, d)
+					slowOut := make([]float32, d)
+					for j := 0; j < d; j++ {
+						fastOut[j] = float32(j) * 0.25
+						slowOut[j] = float32(j) * 0.25
 					}
-				}
+					b := oneQuery(q, fastOut, n)
+					b.Score(0, n, &rows)
+					fast := b.Weights(0, n)
+					slow := make([]float32, n)
+					scratch := make([]float32, d)
+					for i := 0; i < n; i++ {
+						DequantSliceInto(scratch, codes, params, bits, rows.Off, stride, heads, head, i)
+						slow[i] = Dot(q, scratch)
+					}
+					for i := range slow {
+						if fast[i] != slow[i] {
+							t.Fatalf("bits=%d head=%d n=%d: block score[%d]=%g, scratch path %g",
+								bits, head, n, i, fast[i], slow[i])
+						}
+					}
 
-				w := make([]float32, n)
-				for i := range w {
-					w[i] = float32(r.Float64())
-				}
-				fastOut := make([]float32, d)
-				slowOut := make([]float32, d)
-				for j := 0; j < d; j++ {
-					fastOut[j] = float32(j) * 0.25
-					slowOut[j] = float32(j) * 0.25
-				}
-				AXPYQuantStrided(fastOut, w, codes, params, bits, off, stride, heads, head)
-				for i := 0; i < n; i++ {
-					DequantSliceInto(scratch, codes, params, bits, off, stride, heads, head, i)
-					AXPY(slowOut, w[i], scratch)
-				}
-				for j := range fastOut {
-					if fastOut[j] != slowOut[j] {
-						t.Fatalf("bits=%d head=%d n=%d: AXPYQuantStrided[%d]=%g, scratch path %g",
-							bits, head, n, j, fastOut[j], slowOut[j])
+					for i := range fast {
+						fast[i] = float32(r.Float64())
+					}
+					b.Accumulate(0, n, &rows)
+					for i := 0; i < n; i++ {
+						DequantSliceInto(scratch, codes, params, bits, rows.Off, stride, heads, head, i)
+						AXPY(slowOut, fast[i], scratch)
+					}
+					for j := range fastOut {
+						if fastOut[j] != slowOut[j] {
+							t.Fatalf("bits=%d head=%d n=%d: block output[%d]=%g, scratch path %g",
+								bits, head, n, j, fastOut[j], slowOut[j])
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
+// TestQuantStridedKernelsZeroAlloc pins a page visit — both passes, every
+// codec, a GQA group of two — at 0 allocations under both tiles.
 func TestQuantStridedKernelsZeroAlloc(t *testing.T) {
 	const (
 		tokens = 16
@@ -131,14 +138,22 @@ func TestQuantStridedKernelsZeroAlloc(t *testing.T) {
 		stride = heads * d
 	)
 	r := rand.New(rand.NewSource(3))
-	codes, params := buildQuantPage(r, tokens, stride, heads, 4)
-	q := make([]float32, d)
-	dst := make([]float32, tokens)
-	out := make([]float32, d)
-	if n := testing.AllocsPerRun(100, func() {
-		DotQuantStrided(dst, q, codes, params, 4, d, stride, heads, 1)
-		AXPYQuantStrided(out, dst, codes, params, 4, d, stride, heads, 1)
-	}); n != 0 {
-		t.Fatalf("quant kernels allocated %.1f per run, want 0", n)
-	}
+	b := NewAttnBlock(d, tokens)
+	b.Add(tokens, make([]float32, d))
+	b.Add(tokens, make([]float32, d))
+	bothTiles(t, func(t *testing.T) {
+		for _, bits := range []int{0, 8, 4} {
+			rows := Rows{F32: make([]float32, tokens*stride)[d:], Stride: stride}
+			if bits != 0 {
+				codes, params := buildQuantPage(r, tokens, stride, heads, bits)
+				rows = Rows{Codes: codes, Params: params, Bits: bits, Off: d, Stride: stride, Heads: heads, Head: 1}
+			}
+			if n := testing.AllocsPerRun(100, func() {
+				b.Score(0, tokens, &rows)
+				b.Accumulate(0, tokens, &rows)
+			}); n != 0 {
+				t.Fatalf("bits=%d: block kernels allocated %.1f per run, want 0", bits, n)
+			}
+		}
+	})
 }

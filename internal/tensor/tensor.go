@@ -8,12 +8,12 @@
 // tensors and their accuracy effects are genuine. Wall-clock performance of
 // full-size models is handled by the analytical cost model in internal/perf.
 // The decode hot path runs on destination-passing kernels — the projection
-// GEMM over packed weights (Packed.MulInto, gemm.go), RMSNormInto, and the
-// flat-KV variants DotStrided and AXPYStrided — that write into caller-owned
-// buffers, keeping steady-state decode allocation-free. MatVecInto and
-// VecMatInto are the scalar references the GEMM is bit-identical to; the
-// strided variants perform bit-identical arithmetic to Dot/AXPY over
-// per-token views.
+// GEMM over packed weights (Packed.MulInto, gemm.go), RMSNormInto, and
+// attention's two GEMMs per KV page for a block of queries (AttnBlock,
+// attend.go) — that write into caller-owned buffers, keeping steady-state
+// decode allocation-free. MatVecInto and VecMatInto are the scalar references
+// the GEMM is bit-identical to; Dot and AXPY over per-token views are the
+// ones the attention block is.
 package tensor
 
 import (
@@ -139,82 +139,6 @@ func AXPY(dst []float32, alpha float32, x []float32) {
 	}
 	for i := range dst {
 		dst[i] += alpha * x[i]
-	}
-}
-
-// DotStrided computes dst[i] = q · buf[i*stride : i*stride+len(q)] for every
-// i in range dst — the score pass of attention over a flat, strided KV
-// buffer. Entries are processed four at a time with independent accumulator
-// chains; within each entry the summation order is unchanged, so results are
-// bit-identical to calling Dot on per-token views of the slice-of-slices
-// layout. It panics if buf is too short.
-func DotStrided(dst, q, buf []float32, stride int) {
-	d := len(q)
-	if stride < d {
-		panic("tensor: dotstrided stride below vector length")
-	}
-	n := len(dst)
-	if n > 0 && (n-1)*stride+d > len(buf) {
-		panic("tensor: dotstrided buffer too short")
-	}
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		r0 := buf[i*stride : i*stride+d]
-		r1 := buf[(i+1)*stride : (i+1)*stride+d]
-		r2 := buf[(i+2)*stride : (i+2)*stride+d]
-		r3 := buf[(i+3)*stride : (i+3)*stride+d]
-		var s0, s1, s2, s3 float32
-		for j, qj := range q {
-			s0 += qj * r0[j]
-			s1 += qj * r1[j]
-			s2 += qj * r2[j]
-			s3 += qj * r3[j]
-		}
-		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
-	}
-	for ; i < n; i++ {
-		dst[i] = Dot(q, buf[i*stride:i*stride+d])
-	}
-}
-
-// AXPYStrided accumulates dst += Σ_i weights[i] * buf[i*stride : i*stride+len(dst)]
-// — the value-aggregation pass of attention over a flat, strided KV buffer.
-// The loop runs column-major with register accumulators (four output lanes
-// at a time), so each dst element never round-trips through memory between
-// entries; per-element accumulation order over i is unchanged, making
-// results bit-identical to the per-token AXPY loop over the slice-of-slices
-// layout. It panics if buf is too short.
-func AXPYStrided(dst, weights, buf []float32, stride int) {
-	d := len(dst)
-	if stride < d {
-		panic("tensor: axpystrided stride below vector length")
-	}
-	n := len(weights)
-	if n > 0 && (n-1)*stride+d > len(buf) {
-		panic("tensor: axpystrided buffer too short")
-	}
-	if n == 0 {
-		return
-	}
-	j := 0
-	for ; j+4 <= d; j += 4 {
-		s0, s1, s2, s3 := dst[j], dst[j+1], dst[j+2], dst[j+3]
-		for i, w := range weights {
-			base := i*stride + j
-			r := buf[base : base+4 : base+4]
-			s0 += w * r[0]
-			s1 += w * r[1]
-			s2 += w * r[2]
-			s3 += w * r[3]
-		}
-		dst[j], dst[j+1], dst[j+2], dst[j+3] = s0, s1, s2, s3
-	}
-	for ; j < d; j++ {
-		s := dst[j]
-		for i, w := range weights {
-			s += w * buf[i*stride+j]
-		}
-		dst[j] = s
 	}
 }
 

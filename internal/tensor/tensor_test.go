@@ -301,44 +301,70 @@ func TestVecMatIntoSkipsZeros(t *testing.T) {
 	}
 }
 
-func TestDotStridedMatchesDot(t *testing.T) {
-	for _, n := range []int{0, 1, 3, 4, 7, 64, 257} {
-		d, stride := 16, 48
-		q := randVec(d, 11)
-		buf := randVec(maxTest(n*stride, 1), 13)
-		dst := make([]float32, n)
-		DotStrided(dst, q, buf, stride)
-		for i := 0; i < n; i++ {
-			if want := Dot(q, buf[i*stride:i*stride+d]); dst[i] != want {
-				t.Fatalf("n=%d entry %d: %v != %v", n, i, dst[i], want)
-			}
-		}
-	}
+// oneQuery returns a block holding q alone, attending n tokens into out.
+func oneQuery(q, out []float32, n int) *AttnBlock {
+	b := NewAttnBlock(len(q), n)
+	copy(b.Add(n, out), q)
+	return b
 }
 
-func TestAXPYStridedMatchesAXPY(t *testing.T) {
-	for _, n := range []int{0, 1, 5, 64, 100} {
-		for _, d := range []int{3, 4, 16, 18} { // odd d exercises remainder lanes
-			stride := d + 7
-			w := randVec(n, 17)
-			buf := randVec(maxTest(n*stride, 1), 19)
-			got := randVec(d, 23)
-			want := append([]float32(nil), got...)
-			AXPYStrided(got, w, buf, stride)
-			for i := 0; i < n; i++ {
-				AXPY(want, w[i], buf[i*stride:i*stride+d])
+// TestDotStridedMatchesDot pins the block's score pass over a flat, strided
+// KV buffer (Full's layout: one page of n tokens) to Dot on per-token views.
+func TestDotStridedMatchesDot(t *testing.T) {
+	bothTiles(t, func(t *testing.T) {
+		for _, n := range []int{0, 1, 3, 4, 7, 64, 257} {
+			d, stride := 16, 48
+			q := randVec(d, 11)
+			buf := randVec(maxTest(n*stride, 1), 13)
+			b := oneQuery(q, make([]float32, d), n)
+			b.Score(0, n, &Rows{F32: buf, Stride: stride})
+			dst := b.Weights(0, n)
+			if len(dst) != n {
+				t.Fatalf("n=%d: %d scores", n, len(dst))
 			}
-			for j := range want {
-				if got[j] != want[j] {
-					t.Fatalf("n=%d d=%d lane %d: %v != %v", n, d, j, got[j], want[j])
+			for i := 0; i < n; i++ {
+				if want := Dot(q, buf[i*stride:i*stride+d]); dst[i] != want {
+					t.Fatalf("n=%d entry %d: %v != %v", n, i, dst[i], want)
 				}
 			}
 		}
-	}
+	})
 }
 
+// TestAXPYStridedMatchesAXPY pins the block's value pass over a flat, strided
+// KV buffer to the per-token AXPY loop, seeded with a non-zero output.
+func TestAXPYStridedMatchesAXPY(t *testing.T) {
+	bothTiles(t, func(t *testing.T) {
+		for _, n := range []int{0, 1, 5, 64, 100} {
+			for _, d := range []int{3, 4, 16, 18} { // odd d exercises the ragged value panel
+				stride := d + 7
+				w := randVec(n, 17)
+				buf := randVec(maxTest(n*stride, 1), 19)
+				got := randVec(d, 23)
+				want := append([]float32(nil), got...)
+				b := oneQuery(make([]float32, d), got, n)
+				copy(b.Weights(0, n), w)
+				b.Accumulate(0, n, &Rows{F32: buf, Stride: stride})
+				for i := 0; i < n; i++ {
+					AXPY(want, w[i], buf[i*stride:i*stride+d])
+				}
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("n=%d d=%d lane %d: %v != %v", n, d, j, got[j], want[j])
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestStridedPanics pins the block's contract checks: a row stride below the
+// head dimension, a page shorter than the tokens asked of it (fp32 in place,
+// fp32 copied, codes, parameters), a descending bound, a wrong output length
+// and a seventeenth query.
 func TestStridedPanics(t *testing.T) {
 	assertPanics := func(name string, f func()) {
+		t.Helper()
 		defer func() {
 			if recover() == nil {
 				t.Fatalf("%s: expected panic", name)
@@ -346,10 +372,28 @@ func TestStridedPanics(t *testing.T) {
 		}()
 		f()
 	}
-	assertPanics("dot stride", func() { DotStrided(make([]float32, 1), make([]float32, 8), make([]float32, 8), 4) })
-	assertPanics("dot short", func() { DotStrided(make([]float32, 3), make([]float32, 4), make([]float32, 8), 4) })
-	assertPanics("axpy stride", func() { AXPYStrided(make([]float32, 8), make([]float32, 1), make([]float32, 8), 4) })
-	assertPanics("axpy short", func() { AXPYStrided(make([]float32, 4), make([]float32, 3), make([]float32, 8), 4) })
+	block := func() *AttnBlock { return oneQuery(make([]float32, 8), make([]float32, 8), 20) }
+	bothTiles(t, func(t *testing.T) {
+		assertPanics("dot stride", func() { block().Score(0, 1, &Rows{F32: make([]float32, 8), Stride: 4}) })
+		assertPanics("dot short", func() { block().Score(0, 3, &Rows{F32: make([]float32, 16), Stride: 8}) })
+		assertPanics("dot short whole tile", func() { block().Score(0, 16, &Rows{F32: make([]float32, 15*8), Stride: 8}) })
+		assertPanics("axpy stride", func() { block().Accumulate(0, 1, &Rows{F32: make([]float32, 8), Stride: 4}) })
+		assertPanics("axpy short", func() { block().Accumulate(0, 3, &Rows{F32: make([]float32, 16), Stride: 8}) })
+		assertPanics("codes short", func() {
+			block().Score(0, 3, &Rows{Codes: make([]uint8, 16), Params: make([]uint16, 6), Bits: 8, Stride: 8, Heads: 1})
+		})
+		assertPanics("params short", func() {
+			block().Accumulate(0, 3, &Rows{Codes: make([]uint8, 24), Params: make([]uint16, 4), Bits: 8, Stride: 8, Heads: 1})
+		})
+	})
+	assertPanics("descending bound", func() { block().Add(19, make([]float32, 8)) })
+	assertPanics("output length", func() { block().Add(20, make([]float32, 7)) })
+	assertPanics("overflow", func() {
+		b := block()
+		for i := 0; i < AttnBlockMax; i++ {
+			b.Add(20, make([]float32, 8))
+		}
+	})
 }
 
 func maxTest(a, b int) int {
