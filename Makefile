@@ -41,11 +41,14 @@ race-sched:
 # loop against the scalar reference (any shape and lane count, both tile
 # implementations, raw float32 bits), then the attention block walk against
 # Dot / AXPY (any head dimension, codec, page size, block size and causal
-# bounds, both tile implementations, raw float32 bits).
+# bounds, both tile implementations, raw float32 bits), then the KV page
+# seam (any shape, page size and store: Append, AppendFlat and any
+# AppendFlatN split store the same bytes, and Rows reads what Seq reads).
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzClonePrefixN -fuzztime 10s ./internal/kvcache
 	$(GO) test -run XXX -fuzz FuzzPackedMulMatchesScalar -fuzztime 10s ./internal/tensor
 	$(GO) test -run XXX -fuzz FuzzAttendBlockMatchesScalar -fuzztime 10s ./internal/tensor
+	$(GO) test -run XXX -fuzz FuzzAppendSplitInvariant -fuzztime 10s ./internal/kvcache
 
 BENCHPKGS = . ./internal/model ./internal/attention
 

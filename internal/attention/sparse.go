@@ -5,7 +5,7 @@ import "math"
 // This file is the page-selection pair the serving engine calls: the same
 // per-page criticality bound the offline Quest() prototype scores, but over
 // kvcache's incrementally maintained flat summaries
-// (kvcache.KeySummaryReader) and with zero allocation — the model scores
+// (kvcache.Paged's KeySummary) and with zero allocation — the model scores
 // into, and selects out of, caller-owned scratch; selection is a repeated
 // max-scan instead of sort.Slice. The tail page is always selected (Quest's
 // recent-token protection): the query's strongest local context lives there

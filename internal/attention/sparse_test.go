@@ -29,6 +29,15 @@ func sparseCache(n, pageTokens, bits int, seed int64) *kvcache.PagedKV {
 	return c
 }
 
+// summariesOf lists layer 0's key summaries, aligned with its pages.
+func summariesOf(c *kvcache.PagedKV) [][]float32 {
+	summs := make([][]float32, c.LayerPages(0))
+	for p := range summs {
+		summs[p] = c.KeySummary(0, p)
+	}
+	return summs
+}
+
 func TestSelectTopPagesPolicy(t *testing.T) {
 	sel := make([]int32, 8)
 	// Tail page always selected even when it scores worst.
@@ -57,8 +66,8 @@ func TestCriticalityStridedMatchesOffline(t *testing.T) {
 	c := sparseCache(37, 16, 0, 5)
 	shape := c.Shape()
 	d := shape.HeadDim
-	summs := c.KeySummaries(0)
-	_, _, stride := c.KVPages(0)
+	summs := summariesOf(c)
+	stride := shape.KVHeads * shape.HeadDim
 	r := rand.New(rand.NewSource(6))
 	q := make([]float32, d)
 	for i := range q {
@@ -85,7 +94,7 @@ func TestCriticalityStridedMatchesOffline(t *testing.T) {
 // what the model's sparse decode does before its page walk.
 func liveSelect(c *kvcache.PagedKV, q []float32, head, topK int) []int32 {
 	shape := c.Shape()
-	summs := c.KeySummaries(0)
+	summs := summariesOf(c)
 	scores := make([]float64, len(summs))
 	for p := range summs {
 		scores[p] = CriticalityStrided(q, summs[p], head*shape.HeadDim, shape.KVHeads*shape.HeadDim)
@@ -260,7 +269,7 @@ func TestSparseAttentionZeroAlloc(t *testing.T) {
 		shape := c.Shape()
 		stride := shape.KVHeads * shape.HeadDim
 		q := make([]float32, shape.HeadDim)
-		summs := c.KeySummaries(0)
+		summs := summariesOf(c)
 		scores := make([]float64, len(summs))
 		sel := make([]int32, len(summs))
 		if n := testing.AllocsPerRun(100, func() {

@@ -47,7 +47,7 @@ func cachesEqual(t testing.TB, what string, a, b *PagedKV) {
 				}
 			}
 		}
-		as, bs := a.KeySummaries(l), b.KeySummaries(l)
+		as, bs := summariesOf(a, l), summariesOf(b, l)
 		if len(as) != len(bs) {
 			t.Fatalf("%s: layer %d has %d summary pages, want %d", what, l, len(as), len(bs))
 		}
@@ -63,10 +63,11 @@ func cachesEqual(t testing.TB, what string, a, b *PagedKV) {
 
 // pageAddr identifies the storage behind page p of layer l.
 func pageAddr(c *PagedKV, l, p int) any {
-	if c.qbits != 0 {
-		return &c.qPages[l][p].KCodes[0]
+	r, _ := c.Rows(l, p, 0, false)
+	if r.F32 == nil {
+		return &r.Codes[0]
 	}
-	return &c.keyPages[l][p][0]
+	return &r.F32[0]
 }
 
 // checkClonePrefixN pins ClonePrefixN(n) on a source of `appended` tokens:
@@ -100,7 +101,7 @@ func checkClonePrefixN(t testing.TB, pageTokens, bits int, summaries bool, appen
 	}{{"clone", src}, {"clone of adopted pages", adopted}} {
 		clone := from.c.ClonePrefixN(n)
 		cachesEqual(t, from.name, clone, cold(k[:n*stride], v[:n*stride]))
-		if clone.KeySummariesEnabled() != summaries || clone.QuantBits() != bits {
+		if clone.summaries != summaries || clone.qbits != bits {
 			t.Fatalf("%s lost its page format", from.name)
 		}
 		if got, want := clone.SharedPages(), n/pageTokens; got != want {

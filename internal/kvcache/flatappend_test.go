@@ -6,8 +6,15 @@ import (
 	"testing"
 )
 
+// flatOne is Paged plus the single-token shorthand both flat-storage caches
+// keep beside it.
+type flatOne interface {
+	Paged
+	AppendFlat(layer int, k, v []float32)
+}
+
 // fillToken builds one token's K/V both as per-head views and as the flat
-// head-major vector the FlatAppender path consumes — same bytes, two entry
+// head-major vector the AppendFlat path consumes — same bytes, two entry
 // points.
 func fillToken(shape Shape, seed int) (kHeads, vHeads [][]float32, kFlat, vFlat []float32) {
 	stride := shape.KVHeads * shape.HeadDim
@@ -40,9 +47,9 @@ func TestAppendFlatMatchesAppend(t *testing.T) {
 		{"paged", NewPagedKV(shape, 2), NewPagedKV(shape, 2)},
 	}
 	for _, tc := range caches {
-		fa, ok := tc.viaFlat.(FlatAppender)
+		fa, ok := tc.viaFlat.(flatOne)
 		if !ok {
-			t.Fatalf("%s: no FlatAppender", tc.name)
+			t.Fatalf("%s: no AppendFlat", tc.name)
 		}
 		for tok := 0; tok < 7; tok++ {
 			kH, vH, kF, vF := fillToken(shape, tok)
@@ -108,11 +115,11 @@ func TestAppendFlatNMatchesAppendFlat(t *testing.T) {
 		{"paged", NewPagedKV(shape, 4), NewPagedKV(shape, 4)},
 	}
 	for _, tc := range caches {
-		many, ok := tc.viaMany.(FlatBatchAppender)
+		many, ok := tc.viaMany.(Paged)
 		if !ok {
-			t.Fatalf("%s: no FlatBatchAppender", tc.name)
+			t.Fatalf("%s: no AppendFlatN", tc.name)
 		}
-		one := tc.viaOne.(FlatAppender)
+		one := tc.viaOne.(flatOne)
 		stride := shape.KVHeads * shape.HeadDim
 		seed := 0
 		for _, n := range spans {
@@ -146,19 +153,14 @@ func TestAppendFlatNMatchesAppendFlat(t *testing.T) {
 			}
 		}
 		// Page boundaries must match too, not just the logical sequence.
-		pOne, okOne := tc.viaOne.(PageReader)
-		pMany, okMany := tc.viaMany.(PageReader)
-		if okOne && okMany {
-			for l := 0; l < shape.Layers; l++ {
-				kw, _, _ := pOne.KVPages(l)
-				kg, _, _ := pMany.KVPages(l)
-				if len(kg) != len(kw) {
-					t.Fatalf("%s: %d pages != %d", tc.name, len(kg), len(kw))
-				}
-				for p := range kw {
-					if len(kg[p]) != len(kw[p]) {
-						t.Fatalf("%s: page %d length %d != %d", tc.name, p, len(kg[p]), len(kw[p]))
-					}
+		for l := 0; l < shape.Layers; l++ {
+			if got, want := many.LayerPages(l), one.LayerPages(l); got != want {
+				t.Fatalf("%s: %d pages != %d", tc.name, got, want)
+			}
+			for p := 0; p < one.LayerPages(l); p++ {
+				_, want := one.Rows(l, p, 0, false)
+				if _, got := many.Rows(l, p, 0, false); got != want {
+					t.Fatalf("%s: page %d holds %d tokens != %d", tc.name, p, got, want)
 				}
 			}
 		}
@@ -170,7 +172,7 @@ func TestAppendFlatNMatchesAppendFlat(t *testing.T) {
 // ErrOutOfPages, exactly like token-at-a-time appends.
 func TestAppendFlatNBudgetPanics(t *testing.T) {
 	shape := Shape{Layers: 1, KVHeads: 1, HeadDim: 2}
-	c := NewPagedKVBudget(shape, 2, 1) // one 2-token page
+	c := NewPagedKVQuant(shape, 2, 1, 0) // one 2-token page
 	k, v := fillSpan(shape, 3, 0)
 	defer func() {
 		r := recover()
@@ -210,7 +212,7 @@ func TestAppendFlatNAllocFree(t *testing.T) {
 // ErrOutOfPages.
 func TestAppendFlatBudgetPanics(t *testing.T) {
 	shape := Shape{Layers: 1, KVHeads: 1, HeadDim: 2}
-	c := NewPagedKVBudget(shape, 1, 1)
+	c := NewPagedKVQuant(shape, 1, 1, 0)
 	_, _, kF, vF := fillToken(shape, 1)
 	c.AppendFlat(0, kF, vF)
 	defer func() {
@@ -228,7 +230,7 @@ func TestAppendFlatBudgetPanics(t *testing.T) {
 // TestAppendFlatLengthMismatch covers the flat-append contract panics.
 func TestAppendFlatLengthMismatch(t *testing.T) {
 	shape := Shape{Layers: 1, KVHeads: 2, HeadDim: 2}
-	for _, c := range []FlatAppender{NewFull(shape), NewPagedKV(shape, 4)} {
+	for _, c := range []flatOne{NewFull(shape), NewPagedKV(shape, 4)} {
 		func() {
 			defer func() {
 				if recover() == nil {

@@ -1,19 +1,24 @@
 // Package kvcache defines the KV cache abstraction shared by the tiny
 // transformer (internal/model) and the compression methods (internal/quant,
-// internal/sparse), plus a full-precision reference implementation and a
-// PagedAttention-style block allocator.
+// internal/sparse), a full-precision reference implementation (Full) and the
+// serving engine's paged cache (PagedKV), both read page by page through the
+// Paged seam.
 //
 // Layout: the reference cache stores entries per layer as one flat,
 // token-major []float32 growable buffer (token i, head h at offset
-// i*KVHeads*HeadDim + h*HeadDim), exposed zero-copy through FlatReader.
-// The generic Seq view materialises per-token sub-slices for caches that
-// retain irregular token subsets. Rotary position embeddings are applied to
-// keys *before* caching, matching the layout used by LLaMA-family inference
-// engines. Eviction-based caches may retain different token subsets per
-// head, so all read paths are addressed by (layer, head).
+// i*KVHeads*HeadDim + h*HeadDim), which Paged exposes zero-copy as a single
+// growing page. The generic Seq view materialises per-token sub-slices for
+// caches that retain irregular token subsets. Rotary position embeddings are
+// applied to keys *before* caching, matching the layout used by LLaMA-family
+// inference engines. Eviction-based caches may retain different token subsets
+// per head, so all read paths are addressed by (layer, head).
 package kvcache
 
-import "fmt"
+import (
+	"fmt"
+
+	"rethinkkv/internal/tensor"
+)
 
 // Shape describes the dimensions a cache must hold.
 type Shape struct {
@@ -67,54 +72,43 @@ type AttentionObserver interface {
 	ObserveAttention(layer, head int, weights []float32)
 }
 
-// FlatAppender is the optional append fast path for caches that store each
-// token's K/V contiguously head-major (head h at offset h*HeadDim): k and v
-// are whole-token vectors of length KVHeads*HeadDim, copied in one pass
-// instead of head by head. The stored bytes are identical to
-// Append(layer, kHeads, vHeads) over per-head views of the same buffers,
-// so the two entry points are interchangeable bit-for-bit; the model's
-// decode hot paths prefer AppendFlat when a cache provides it. Caches
-// whose Append carries policy (eviction scoring, quantisation) should not
-// implement it unless the flat form preserves that policy.
+// Paged is the one fast path the model's attention takes over a cache that
+// retains every appended token at a regular layout: the cache is a list of
+// pages per layer, each yielding one KV head's key or value rows as the
+// attention block kernels read them (tensor.Rows: fp32 rows in place, or
+// uniform codes the kernel dequantizes). PagedKV implements it over its page
+// table whatever the page codec; Full is one growing page per layer. Caches
+// whose Append carries policy (eviction scoring, offline quantisation) do not
+// implement it and are read through Seq, the scalar reference.
 //
-// Note there is deliberately no cross-session batched append: every decode
-// stream owns a distinct cache (the scheduler enforces it), so a fused
-// batch step still appends once per (session, layer) — AppendFlat removes
-// the per-head slicing and per-head bounds checks from that call, which is
-// all the overhead a batched form could have removed.
-type FlatAppender interface {
-	AppendFlat(layer int, k, v []float32)
-}
-
-// FlatBatchAppender is the multi-token extension of FlatAppender: one call
-// appends n consecutive tokens' K/V for a layer. k and v hold n whole-token
-// vectors back to back (token t at offset t*KVHeads*HeadDim), and the stored
-// bytes are identical to n successive AppendFlat calls over the same spans —
-// the two entry points are interchangeable bit-for-bit. The chunked prefill
-// plane (model.PrefillChunkInto) uses it to land a whole prompt chunk's K/V
-// with one call per layer instead of one per (token, layer).
+// AppendFlatN appends n consecutive tokens' K/V for a layer: k and v hold n
+// whole-token head-major vectors back to back (token t, head h at offset
+// t*KVHeads*HeadDim + h*HeadDim). The stored bytes, page boundaries included,
+// are identical to n single-token calls and to n Append calls over per-head
+// views of the same buffers, so a decode step (n = 1) and a prefill chunk of
+// any size leave the same cache. There is no cross-session form: every stream
+// owns a distinct cache.
 //
-// Unlike the decode-time FlatAppender — where cross-session batching is
-// impossible because every stream owns a distinct cache — the chunk case
-// batches *within* one sequence, so a real multi-token append exists: Full
-// grows its flat buffer once, PagedKV splits the span across pages under
-// the same budget rules as single-token appends.
-type FlatBatchAppender interface {
-	FlatAppender
+// LayerPages reports how many pages one layer holds right now. Inside a
+// forward pass layer l has appended the step's tokens and layer l+1 has not,
+// so the count is per layer. Rows returns page p's key rows (value rows when
+// vals) for one head and the page's token count, for p < LayerPages(layer);
+// the rows alias cache-owned storage, are valid until the next append, and
+// hold finite values only.
+// KeySummary returns page p's per-channel key min/max (summary.go's layout),
+// nil when the cache keeps none.
+type Paged interface {
+	Cache
 	AppendFlatN(layer, n int, k, v []float32)
+	LayerPages(layer int) int
+	Rows(layer, page, head int, vals bool) (rows tensor.Rows, tokens int)
+	KeySummary(layer, page int) []float32
 }
 
-// FlatReader is the optional zero-copy fast path over a cache whose retained
-// entries for a head live at a regular stride in one contiguous buffer.
-// Entry i's vector occupies kv[i*stride : i*stride+HeadDim] for
-// i < Len(layer, head). The returned slices alias cache-owned storage and
-// are valid until the next Append. The full-precision cache implements it;
-// compressed caches with contiguous dequantised storage may too. Callers
-// (the model's decode hot path) use it to run strided attention kernels with
-// zero per-step view allocation, falling back to Seq otherwise.
-type FlatReader interface {
-	FlatSeq(layer, head int) (keys, values []float32, stride int)
-}
+var (
+	_ Paged = (*Full)(nil)
+	_ Paged = (*PagedKV)(nil)
+)
 
 // Full is the uncompressed FP16-baseline cache: every appended token is
 // retained in full precision for every head. Storage is one flat token-major
@@ -159,27 +153,12 @@ func (c *Full) Append(layer int, k, v [][]float32) {
 	}
 }
 
-// AppendFlat implements FlatAppender: one token's K/V arrive as flat
-// head-major vectors (length KVHeads*HeadDim) and are copied in a single
-// append each — the same bytes Append stores head by head.
-func (c *Full) AppendFlat(layer int, k, v []float32) {
-	if layer < 0 || layer >= c.shape.Layers {
-		panic(fmt.Sprintf("kvcache: layer %d out of range", layer))
-	}
-	if stride := c.stride(); len(k) != stride || len(v) != stride {
-		panic("kvcache: flat append length mismatch")
-	}
-	c.keys[layer] = append(c.keys[layer], k...)
-	c.values[layer] = append(c.values[layer], v...)
-	if layer == c.shape.Layers-1 {
-		c.appended++
-	}
-}
+// AppendFlat is AppendFlatN for one token.
+func (c *Full) AppendFlat(layer int, k, v []float32) { c.AppendFlatN(layer, 1, k, v) }
 
-// AppendFlatN implements FlatBatchAppender: n tokens' K/V arrive as one
-// contiguous token-major span and are copied onto the layer's flat buffer
-// in a single append each — exactly the bytes n AppendFlat calls would have
-// stored, in one grow.
+// AppendFlatN implements Paged: n tokens' K/V arrive as one contiguous
+// token-major span and are copied onto the layer's flat buffer in a single
+// append each — the same bytes Append stores head by head, in one grow.
 func (c *Full) AppendFlatN(layer, n int, k, v []float32) {
 	if layer < 0 || layer >= c.shape.Layers {
 		panic(fmt.Sprintf("kvcache: layer %d out of range", layer))
@@ -213,7 +192,7 @@ func (c *Full) checkAppend(layer int, k, v [][]float32) {
 // Unlike the historical per-token layout, a later Append may grow the flat
 // buffer and reallocate it: previously returned views then keep reading the
 // old (stale) backing array and pin it in memory. Read views before the next
-// Append, or copy them to retain. Hot paths should prefer FlatSeq.
+// Append, or copy them to retain. Hot paths read Rows instead.
 func (c *Full) Seq(layer, head int) (keys, values [][]float32) {
 	d := c.shape.HeadDim
 	stride := c.stride()
@@ -228,17 +207,22 @@ func (c *Full) Seq(layer, head int) (keys, values [][]float32) {
 	return keys, values
 }
 
-// FlatSeq implements FlatReader: it returns the layer's flat buffers offset
-// to the head's lane, with entry i at kv[i*stride : i*stride+HeadDim].
-// Zero-copy and zero-allocation.
-func (c *Full) FlatSeq(layer, head int) (keys, values []float32, stride int) {
-	stride = c.stride()
-	if len(c.keys[layer]) == 0 {
-		return nil, nil, stride
+// LayerPages implements Paged: the layer's flat buffer is one page, and an
+// empty cache has none (empty fp32 rows would read as a code page).
+func (c *Full) LayerPages(layer int) int { return min(len(c.keys[layer]), 1) }
+
+// Rows implements Paged with zero copies and zero allocation: the layer's
+// flat buffer offset to the head's lane, holding every appended token.
+func (c *Full) Rows(layer, _, head int, vals bool) (tensor.Rows, int) {
+	buf := c.keys[layer]
+	if vals {
+		buf = c.values[layer]
 	}
-	off := head * c.shape.HeadDim
-	return c.keys[layer][off:], c.values[layer][off:], stride
+	return tensor.Rows{F32: buf[head*c.shape.HeadDim:], Stride: c.stride()}, len(buf) / c.stride()
 }
+
+// KeySummary implements Paged: Full keeps no key summaries.
+func (c *Full) KeySummary(layer, page int) []float32 { return nil }
 
 // Positions returns 0..n-1: the full cache retains every position.
 func (c *Full) Positions(layer, head int) []int {

@@ -2,7 +2,6 @@ package kvcache
 
 import (
 	"testing"
-	"testing/quick"
 
 	"rethinkkv/internal/rng"
 )
@@ -121,12 +120,14 @@ func TestFullFlatSeqMatchesSeq(t *testing.T) {
 	for l := 0; l < s.Layers; l++ {
 		for h := 0; h < s.KVHeads; h++ {
 			keys, vals := c.Seq(l, h)
-			fk, fv, stride := c.FlatSeq(l, h)
-			if stride != s.KVHeads*s.HeadDim {
+			kr, tokens := c.Rows(l, 0, h, false)
+			vr, _ := c.Rows(l, 0, h, true)
+			fk, fv, stride := kr.F32, vr.F32, kr.Stride
+			if stride != s.KVHeads*s.HeadDim || vr.Stride != stride {
 				t.Fatalf("stride = %d", stride)
 			}
-			if n := c.Len(l, h); n != len(keys) {
-				t.Fatalf("Len %d != Seq len %d", n, len(keys))
+			if n := c.Len(l, h); n != len(keys) || tokens != n || c.LayerPages(l) != 1 {
+				t.Fatalf("Len %d, Seq len %d, %d pages of %d tokens", n, len(keys), c.LayerPages(l), tokens)
 			}
 			for i := range keys {
 				for d := 0; d < s.HeadDim; d++ {
@@ -144,12 +145,10 @@ func TestFullFlatSeqMatchesSeq(t *testing.T) {
 
 func TestFullFlatSeqEmpty(t *testing.T) {
 	c := NewFull(testShape())
-	fk, fv, stride := c.FlatSeq(0, 1)
-	if fk != nil || fv != nil {
-		t.Fatal("empty cache should return nil flat buffers")
-	}
-	if stride != testShape().KVHeads*testShape().HeadDim {
-		t.Fatalf("stride = %d", stride)
+	for l := 0; l < testShape().Layers; l++ {
+		if c.LayerPages(l) != 0 {
+			t.Fatal("empty cache should hold no page to read rows from")
+		}
 	}
 }
 
@@ -197,20 +196,21 @@ func TestPagedKVPages(t *testing.T) {
 	s := testShape()
 	c := NewPagedKV(s, 4)
 	fillCache(t, c, 10, 7)
-	kp, vp, stride := c.KVPages(0)
-	if stride != s.KVHeads*s.HeadDim {
-		t.Fatalf("stride = %d", stride)
+	if c.LayerPages(0) != 3 || c.Pages() != 3 { // 4 + 4 + 2
+		t.Fatalf("pages = %d, %d", c.LayerPages(0), c.Pages())
 	}
-	if len(kp) != 3 || len(vp) != 3 { // 4 + 4 + 2
-		t.Fatalf("pages = %d, %d", len(kp), len(vp))
+	_, fill0 := c.Rows(0, 0, 1, false)
+	kp1, _ := c.Rows(0, 1, 1, false) // head 1's lane of page 1
+	_, fill2 := c.Rows(0, 2, 1, true)
+	if kp1.Stride != s.KVHeads*s.HeadDim {
+		t.Fatalf("stride = %d", kp1.Stride)
 	}
-	if len(kp[0])/stride != 4 || len(kp[2])/stride != 2 {
-		t.Fatalf("page fills = %d, %d", len(kp[0])/stride, len(kp[2])/stride)
+	if fill0 != 4 || fill2 != 2 {
+		t.Fatalf("page fills = %d, %d", fill0, fill2)
 	}
 	// Page contents must match the sequential view.
 	keys, _ := c.Seq(0, 1)
-	off := 1 * s.HeadDim
-	if kp[1][1*stride+off] != keys[5][0] { // page 1, token 1 == global token 5
+	if kp1.F32[1*kp1.Stride] != keys[5][0] { // page 1, token 1 == global token 5
 		t.Fatal("page content does not match Seq view")
 	}
 }
@@ -234,187 +234,4 @@ func NewFullFrom(t *testing.T, s Shape, n int) *Full {
 	c := NewFull(s)
 	fillCache(t, c, n, 1)
 	return c
-}
-
-func TestPagedGrowShrink(t *testing.T) {
-	p := NewPagedAllocator(10, 4, 100)
-	if err := p.Grow(1, 6); err != nil { // needs 2 blocks
-		t.Fatal(err)
-	}
-	if p.UsedBlocks() != 2 || p.FreeBlocks() != 8 {
-		t.Fatalf("used=%d free=%d", p.UsedBlocks(), p.FreeBlocks())
-	}
-	if err := p.Grow(1, 7); err != nil { // still 2 blocks
-		t.Fatal(err)
-	}
-	if p.UsedBlocks() != 2 {
-		t.Fatalf("used=%d after in-block growth", p.UsedBlocks())
-	}
-	if err := p.Grow(1, 9); err != nil { // 3 blocks
-		t.Fatal(err)
-	}
-	if p.UsedBlocks() != 3 {
-		t.Fatalf("used=%d", p.UsedBlocks())
-	}
-	if err := p.Shrink(1, 4); err != nil { // back to 1 block
-		t.Fatal(err)
-	}
-	if p.UsedBlocks() != 1 || p.SeqLen(1) != 4 {
-		t.Fatalf("used=%d len=%d after shrink", p.UsedBlocks(), p.SeqLen(1))
-	}
-	p.Release(1)
-	if p.UsedBlocks() != 0 || p.SeqLen(1) != 0 {
-		t.Fatal("release did not clean up")
-	}
-}
-
-func TestPagedOutOfBlocks(t *testing.T) {
-	p := NewPagedAllocator(2, 4, 100)
-	if err := p.Grow(1, 8); err != nil {
-		t.Fatal(err)
-	}
-	err := p.Grow(2, 1)
-	if err != ErrOutOfBlocks {
-		t.Fatalf("err = %v, want ErrOutOfBlocks", err)
-	}
-	// All-or-nothing: failed grow leaves no partial allocation.
-	if p.SeqLen(2) != 0 || len(p.BlockTable(2)) != 0 {
-		t.Fatal("failed grow leaked state")
-	}
-}
-
-func TestPagedGrowBelowCurrent(t *testing.T) {
-	p := NewPagedAllocator(4, 4, 100)
-	if err := p.Grow(1, 8); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Grow(1, 4); err == nil {
-		t.Fatal("Grow below current length should error")
-	}
-	if err := p.Shrink(1, 12); err == nil {
-		t.Fatal("Shrink above current length should error")
-	}
-	if err := p.Shrink(99, 0); err == nil {
-		t.Fatal("Shrink of unknown sequence should error")
-	}
-}
-
-func TestPagedUtilization(t *testing.T) {
-	p := NewPagedAllocator(10, 4, 100)
-	if u := p.Utilization(); u != 1 {
-		t.Fatalf("empty utilization = %v", u)
-	}
-	p.Grow(1, 1) // 1 token in a 4-slot block
-	if u := p.Utilization(); u != 0.25 {
-		t.Fatalf("utilization = %v", u)
-	}
-	p.Grow(1, 4)
-	if u := p.Utilization(); u != 1 {
-		t.Fatalf("utilization = %v", u)
-	}
-}
-
-func TestPagedSequencesAndBytes(t *testing.T) {
-	p := NewPagedAllocator(10, 2, 50)
-	p.Grow(3, 2)
-	p.Grow(1, 2)
-	ids := p.Sequences()
-	if len(ids) != 2 || ids[0] != 1 || ids[1] != 3 {
-		t.Fatalf("sequences = %v", ids)
-	}
-	if b := p.UsedBytes(); b != 2*2*50 {
-		t.Fatalf("used bytes = %d", b)
-	}
-}
-
-// Property: blocks are conserved — used + free == total, and no block is in
-// two tables at once.
-func TestQuickPagedInvariants(t *testing.T) {
-	f := func(ops []uint16) bool {
-		p := NewPagedAllocator(32, 4, 10)
-		for _, op := range ops {
-			seq := int(op>>8) % 4
-			n := int(op & 0xff % 64)
-			switch op % 3 {
-			case 0:
-				if n >= p.SeqLen(seq) {
-					_ = p.Grow(seq, n)
-				}
-			case 1:
-				if n <= p.SeqLen(seq) {
-					_ = p.Shrink(seq, n)
-				}
-			case 2:
-				p.Release(seq)
-			}
-		}
-		if p.UsedBlocks()+p.FreeBlocks() != 32 {
-			return false
-		}
-		seen := map[int]bool{}
-		for _, id := range p.Sequences() {
-			for _, b := range p.BlockTable(id) {
-				if seen[b] || b < 0 || b >= 32 {
-					return false
-				}
-				seen[b] = true
-			}
-		}
-		for _, b := range p.freeList {
-			if seen[b] {
-				return false
-			}
-			seen[b] = true
-		}
-		return len(seen) == 32
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDualPoolPaged(t *testing.T) {
-	d := NewDualPoolPaged(40, 4, 8, 100, 25)
-	if err := d.Grow(1, 4); err != nil { // entirely in the residual window
-		t.Fatal(err)
-	}
-	if d.QuantPool.SeqLen(1) != 0 {
-		t.Fatal("short sequence should not touch quant pool")
-	}
-	if err := d.Grow(1, 20); err != nil { // 8 full + 12 quantised
-		t.Fatal(err)
-	}
-	if d.FullPool.SeqLen(1) != 8 {
-		t.Fatalf("full pool len = %d", d.FullPool.SeqLen(1))
-	}
-	if d.QuantPool.SeqLen(1) != 12 {
-		t.Fatalf("quant pool len = %d", d.QuantPool.SeqLen(1))
-	}
-	if d.TableOps() == 0 {
-		t.Fatal("table ops not counted")
-	}
-	d.Release(1)
-	if d.FullPool.UsedBlocks() != 0 || d.QuantPool.UsedBlocks() != 0 {
-		t.Fatal("release did not free both pools")
-	}
-}
-
-func TestDualPoolMoreTableOpsThanSingle(t *testing.T) {
-	// The dual-pool layout must pay more block-table maintenance than a
-	// single pool for the same token stream — the deployment-complexity
-	// claim from the paper's survey (Section 3.1.1).
-	single := NewPagedAllocator(64, 4, 100)
-	dual := NewDualPoolPaged(64, 4, 8, 100, 25)
-	for n := 1; n <= 40; n++ {
-		if err := single.Grow(1, n); err != nil {
-			t.Fatal(err)
-		}
-		if err := dual.Grow(1, n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sa, sf := single.Ops()
-	if dual.TableOps() <= sa+sf {
-		t.Fatalf("dual pool ops %d should exceed single pool ops %d", dual.TableOps(), sa+sf)
-	}
 }

@@ -27,7 +27,7 @@ func appendTokens(t *testing.T, c *PagedKV, n int, base float32) {
 
 func TestPagedKVBudgetReserve(t *testing.T) {
 	sh := Shape{Layers: 2, KVHeads: 2, HeadDim: 4}
-	c := NewPagedKVBudget(sh, 4, 2) // 2 pages of 4 tokens = 8 tokens max
+	c := NewPagedKVQuant(sh, 4, 2, 0) // 2 pages of 4 tokens = 8 tokens max
 
 	if err := c.Reserve(8); err != nil {
 		t.Fatalf("Reserve(8) within budget: %v", err)
@@ -62,27 +62,6 @@ func TestPagedKVBudgetReserve(t *testing.T) {
 		}()
 		appendTokens(t, c, 1, 99)
 	}()
-}
-
-func TestPagedKVSetPageBudget(t *testing.T) {
-	sh := Shape{Layers: 1, KVHeads: 1, HeadDim: 2}
-	c := NewPagedKV(sh, 2)
-	appendTokens(t, c, 6, 0) // 3 pages
-	if err := c.SetPageBudget(2); !errors.Is(err, ErrOutOfPages) {
-		t.Fatalf("SetPageBudget below allocation = %v, want ErrOutOfPages", err)
-	}
-	if err := c.SetPageBudget(3); err != nil {
-		t.Fatalf("SetPageBudget(3): %v", err)
-	}
-	if err := c.Reserve(1); !errors.Is(err, ErrOutOfPages) {
-		t.Fatalf("Reserve(1) at exact budget = %v, want ErrOutOfPages", err)
-	}
-	if err := c.SetPageBudget(0); err != nil {
-		t.Fatalf("clearing budget: %v", err)
-	}
-	if err := c.Reserve(100); err != nil {
-		t.Fatalf("Reserve unbounded: %v", err)
-	}
 }
 
 func TestPagedKVClonePrefixIsolation(t *testing.T) {

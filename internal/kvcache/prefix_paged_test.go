@@ -2,9 +2,7 @@ package kvcache_test
 
 // Prefix reuse under the paged layout, end to end: serving a request whose
 // prompt extends an already-cached prefix (system prompt sharing) must
-// produce bit-identical tokens to serving it cold, while the block-table
-// bookkeeping (SharingAllocator) and the data plane (PagedKV.ClonePrefix)
-// agree on what is shared.
+// produce bit-identical tokens to serving it cold.
 
 import (
 	"testing"
@@ -89,50 +87,5 @@ func TestPagedPrefixHitDecodeBitIdentical(t *testing.T) {
 	// The base must be untouched by either request.
 	if got, want := base.TotalAppended(), len(prefix); got != want {
 		t.Fatalf("base grew to %d tokens, want %d", got, want)
-	}
-}
-
-// TestSharingAllocatorMatchesCloneAccounting ties the bookkeeping layer to
-// the data plane: forking a sequence shares exactly the blocks ClonePrefix
-// shares (the full ones), and growing the fork copy-on-writes the partial
-// tail block exactly once.
-func TestSharingAllocatorMatchesCloneAccounting(t *testing.T) {
-	m := model.New(model.Tiny(), 7)
-	shape := m.CacheShape()
-
-	prefixLen := 37
-	prefix := make([]int, prefixLen)
-	for i := range prefix {
-		prefix[i] = i % m.Config().Vocab
-	}
-	base := kvcache.NewPagedKV(shape, pageTokens)
-	ws := m.NewWorkspace()
-	m.PrefillInto(ws, prefix, base)
-	clone := base.ClonePrefix()
-
-	alloc := kvcache.NewSharing(64, pageTokens, 1)
-	if err := alloc.Grow(0, prefixLen); err != nil {
-		t.Fatal(err)
-	}
-	if err := alloc.Fork(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	// Data plane shares the full pages only; bookkeeping shares every
-	// block until the fork writes. Shared full pages must agree.
-	fullPages := prefixLen / pageTokens
-	if got := clone.SharedPages(); got != fullPages {
-		t.Fatalf("clone shares %d pages, want %d full pages", got, fullPages)
-	}
-	// Growing the fork into its partial tail block triggers exactly one
-	// copy-on-write — the bookkeeping counterpart of ClonePrefix's
-	// deep-copied partial page.
-	if err := alloc.Grow(1, prefixLen+1); err != nil {
-		t.Fatal(err)
-	}
-	if got := alloc.CoWCopies(); got != 1 {
-		t.Fatalf("CoWCopies = %d, want 1", got)
-	}
-	if got := alloc.SharedBlocks(); got != fullPages {
-		t.Fatalf("SharedBlocks after CoW = %d, want %d", got, fullPages)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -29,21 +30,17 @@ func qFill(c *PagedKV, n int, seed int64) (k, v []float32) {
 	return k, v
 }
 
-func quantPagesEqual(a, b []QuantPage) bool {
-	if len(a) != len(b) {
+// quantPagesEqual compares one layer's stored pages: token counts, K and V
+// codes, and their float16 parameters.
+func quantPagesEqual(a, b *PagedKV, l int) bool {
+	if a.LayerPages(l) != b.LayerPages(l) {
 		return false
 	}
-	for i := range a {
-		if len(a[i].KCodes) != len(b[i].KCodes) || len(a[i].KParams) != len(b[i].KParams) {
-			return false
-		}
-		for j := range a[i].KCodes {
-			if a[i].KCodes[j] != b[i].KCodes[j] || a[i].VCodes[j] != b[i].VCodes[j] {
-				return false
-			}
-		}
-		for j := range a[i].KParams {
-			if a[i].KParams[j] != b[i].KParams[j] || a[i].VParams[j] != b[i].VParams[j] {
+	for p := 0; p < a.LayerPages(l); p++ {
+		for _, vals := range []bool{false, true} {
+			ar, an := a.Rows(l, p, 0, vals)
+			br, bn := b.Rows(l, p, 0, vals)
+			if an != bn || string(ar.Codes) != string(br.Codes) || !slices.Equal(ar.Params, br.Params) {
 				return false
 			}
 		}
@@ -67,12 +64,10 @@ func TestQuantAppendFlatNMatchesPerToken(t *testing.T) {
 			t.Fatalf("bits=%d: appended %d/%d, want %d", bits, batch.TotalAppended(), one.TotalAppended(), n)
 		}
 		for l := 0; l < qShape().Layers; l++ {
-			ap, _ := one.QuantPages(l)
-			bp, _ := batch.QuantPages(l)
-			if len(ap) != 3 {
-				t.Fatalf("bits=%d layer %d: %d pages, want 3", bits, l, len(ap))
+			if one.LayerPages(l) != 3 {
+				t.Fatalf("bits=%d layer %d: %d pages, want 3", bits, l, one.LayerPages(l))
 			}
-			if !quantPagesEqual(ap, bp) {
+			if !quantPagesEqual(one, batch, l) {
 				t.Fatalf("bits=%d layer %d: AppendFlatN pages differ from per-token appends", bits, l)
 			}
 		}
@@ -85,19 +80,21 @@ func TestQuantClonePrefixSharesFullPages(t *testing.T) {
 	const pageTokens = 4
 	c := NewPagedKVQuant(qShape(), pageTokens, 0, 8)
 	qFill(c, 6, 9) // 1 full page + 2-token tail
-	origPages, _ := c.QuantPages(0)
-	fullKCodes := append([]uint8(nil), origPages[0].KCodes...)
+	origPage0, _ := c.Rows(0, 0, 0, false)
+	fullKCodes := append([]uint8(nil), origPage0.Codes...)
 
 	n := c.ClonePrefix()
 	if n.SharedPages() != 1 {
 		t.Fatalf("shared pages = %d, want 1", n.SharedPages())
 	}
-	cp, _ := c.QuantPages(0)
-	np, _ := n.QuantPages(0)
-	if &cp[0].KCodes[0] != &np[0].KCodes[0] || &cp[0].KParams[0] != &np[0].KParams[0] {
+	cp0, _ := c.Rows(0, 0, 0, false)
+	np0, _ := n.Rows(0, 0, 0, false)
+	if &cp0.Codes[0] != &np0.Codes[0] || &cp0.Params[0] != &np0.Params[0] {
 		t.Fatalf("full quantized page was copied, want shared backing storage")
 	}
-	if &cp[1].KCodes[0] == &np[1].KCodes[0] {
+	cp1, _ := c.Rows(0, 1, 0, false)
+	np1, _ := n.Rows(0, 1, 0, false)
+	if &cp1.Codes[0] == &np1.Codes[0] {
 		t.Fatalf("partial tail page shares storage, want deep copy")
 	}
 
@@ -114,7 +111,7 @@ func TestQuantClonePrefixSharesFullPages(t *testing.T) {
 	if c.TotalAppended() != 6 || n.TotalAppended() != 7 {
 		t.Fatalf("appended = %d/%d, want 6/7", c.TotalAppended(), n.TotalAppended())
 	}
-	if got := origPages[0].KCodes; len(got) != len(fullKCodes) {
+	if got := origPage0.Codes; len(got) != len(fullKCodes) {
 		t.Fatalf("shared page code length changed")
 	} else {
 		for i := range got {
@@ -123,7 +120,7 @@ func TestQuantClonePrefixSharesFullPages(t *testing.T) {
 			}
 		}
 	}
-	if cp2, _ := c.QuantPages(0); cp2[1].Tokens(qShape().KVHeads) != 2 {
+	if _, tail := c.Rows(0, 1, 0, false); tail != 2 {
 		t.Fatalf("original tail grew with the clone")
 	}
 }
@@ -177,17 +174,6 @@ func TestQuantBudgetContract(t *testing.T) {
 	c.AppendFlat(0, make([]float32, stride), make([]float32, stride))
 }
 
-// KVPages on a quantized cache is a read-path contract violation.
-func TestQuantKVPagesPanics(t *testing.T) {
-	c := NewPagedKVQuant(qShape(), 4, 0, 4)
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("KVPages on a quantized cache did not panic")
-		}
-	}()
-	c.KVPages(0)
-}
-
 // The byte-budget scaling: fp32 unchanged, int8/int4 hold strictly more
 // pages per byte (≥2× at this shape), and quantized MemoryBytes undercuts
 // the fp32 cache's FP16-equivalent footprint.
@@ -201,7 +187,7 @@ func TestQuantPageAccounting(t *testing.T) {
 	if b8 < 48 || b4 <= b8 {
 		t.Fatalf("scaled budgets int8=%d int4=%d, want ≥48 and int4 > int8", b8, b4)
 	}
-	fp := NewPagedKVBudget(shape, pt, 0)
+	fp := NewPagedKV(shape, pt)
 	q := NewPagedKVQuant(shape, pt, 0, 4)
 	qFill(fp, 40, 2)
 	qFill(q, 40, 2)

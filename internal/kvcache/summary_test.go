@@ -25,11 +25,21 @@ func summCache(shape Shape, pageTokens, bits int) *PagedKV {
 	return c
 }
 
+// summariesOf lists one layer's key summaries, aligned with its pages (nil
+// entries when summaries are off).
+func summariesOf(c *PagedKV, l int) [][]float32 {
+	summs := make([][]float32, c.LayerPages(l))
+	for p := range summs {
+		summs[p] = c.KeySummary(l, p)
+	}
+	return summs
+}
+
 // summariesEqual compares two caches' summary metadata bit-for-bit.
 func summariesEqual(t *testing.T, a, b *PagedKV) {
 	t.Helper()
 	for l := 0; l < a.Shape().Layers; l++ {
-		sa, sb := a.KeySummaries(l), b.KeySummaries(l)
+		sa, sb := summariesOf(a, l), summariesOf(b, l)
 		if len(sa) != len(sb) {
 			t.Fatalf("layer %d: %d vs %d summary pages", l, len(sa), len(sb))
 		}
@@ -66,7 +76,7 @@ func TestKeySummariesBoundStoredKeys(t *testing.T) {
 			}
 			d := shape.HeadDim
 			for l := 0; l < shape.Layers; l++ {
-				summs := c.KeySummaries(l)
+				summs := summariesOf(c, l)
 				if want := c.Pages(); len(summs) != want {
 					t.Fatalf("layer %d: %d summaries for %d pages", l, len(summs), want)
 				}
@@ -154,10 +164,10 @@ func TestKeySummariesClonePrefix(t *testing.T) {
 				}
 			}
 			clone := base.ClonePrefix()
-			if !clone.KeySummariesEnabled() {
+			if !clone.summaries {
 				t.Fatal("clone lost summaries")
 			}
-			bs, cs := base.KeySummaries(0), clone.KeySummaries(0)
+			bs, cs := summariesOf(base, 0), summariesOf(clone, 0)
 			for p := 0; p < 2; p++ { // sealed pages alias
 				if &bs[p][0] != &cs[p][0] {
 					t.Fatalf("sealed summary page %d not shared", p)
@@ -255,7 +265,7 @@ func TestKeySummariesEnableContractAndBytes(t *testing.T) {
 	if got := s.KeySummaryBytes(); got != want {
 		t.Fatalf("KeySummaryBytes = %d, want %d", got, want)
 	}
-	if NewPagedKV(shape, 4).KeySummaries(0) != nil {
+	if c.KeySummary(0, 0) != nil {
 		t.Fatal("summaries-off cache returned non-nil summaries")
 	}
 }

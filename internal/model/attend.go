@@ -6,10 +6,10 @@ import (
 )
 
 // This file is the model's one attention page walk. Every cache with a
-// regular layout — Full's flat buffer, fp32 pages, quantized pages — is
-// seen through a pageView, and one routine (attendBlock) runs the
-// materialised two-pass softmax over it for a *block of queries* that share
-// the view's KV head (tensor.AttnBlock: a decode lane's GQA group, a prefill
+// regular layout is read through kvcache.Paged — Full's flat buffer as one
+// page, PagedKV's pages whatever their codec — and one routine (attendBlock)
+// runs the materialised two-pass softmax over it for a *block of queries* that
+// share a KV head (tensor.AttnBlock: a decode lane's GQA group, a prefill
 // chunk's rows × group, or one query under Quest): per page visit score the
 // walked tokens for the whole block, then per query scale, softmax and show
 // the weights to an attention observer, then per page visit accumulate the
@@ -23,85 +23,11 @@ import (
 // arithmetic and reduction order of tensor.Dot and tensor.AXPY over per-token
 // views — the generic Seq arm, attendSeq — whatever the codec and block size.
 
-// pageView is one (layer, kv-head) slice of a cache as a list of pages.
-// Exactly one layout is set: flatK/flatV (Full's buffer as a single page
-// holding n tokens, already offset to the head's lane), keys/vals (fp32 pages,
-// token-major rows of stride elements with the head at off), or quant
-// (code pages bits wide, same element layout).
+// pageView is one (layer, kv-head) slice of a paged cache: the walk asks the
+// cache for each page's rows.
 type pageView struct {
-	flatK, flatV []float32
-	n            int
-	keys, vals   [][]float32
-	quant        []kvcache.QuantPage
-	bits         int
-	off, stride  int
-	kvHeads      int
-	head         int
-}
-
-// viewOf resolves the page view of layer l, kv-head kh. n is the walk's
-// token bound, which is all of the flat layout's single page a walk can
-// reach; paged layouts carry their own per-page counts.
-func (m *Model) viewOf(cp *cachePath, l, kh, n int) pageView {
-	v := pageView{off: kh * m.cfg.HeadDim, kvHeads: m.cfg.KVHeads, head: kh}
-	switch {
-	case cp.flat != nil:
-		v.flatK, v.flatV, v.stride = cp.flat.FlatSeq(l, kh)
-		v.n = n
-	case cp.quant != nil:
-		v.quant, v.stride = cp.quant.QuantPages(l)
-		v.bits = cp.quant.QuantBits()
-	default:
-		v.keys, v.vals, v.stride = cp.pager.KVPages(l)
-	}
-	return v
-}
-
-// pages returns the view's page count.
-func (v *pageView) pages() int {
-	switch {
-	case v.flatK != nil:
-		return 1
-	case v.bits != 0:
-		return len(v.quant)
-	}
-	return len(v.keys)
-}
-
-// tokens returns how many tokens page p holds.
-func (v *pageView) tokens(p int) int {
-	switch {
-	case v.flatK != nil:
-		return v.n
-	case v.bits != 0:
-		return v.quant[p].Tokens(v.kvHeads)
-	}
-	return len(v.keys[p]) / v.stride
-}
-
-// rows returns page p's key rows, or its value rows, for the view's head as
-// the block kernels read them. Every value is finite: fp32 pages hold the
-// model's own K/V projections, code pages their fp16-parameter
-// dequantizations (the precondition of tensor.AttnBlock.Weights' zero-fill).
-func (v *pageView) rows(p int, vals bool) tensor.Rows {
-	r := tensor.Rows{Stride: v.stride}
-	switch {
-	case v.bits != 0:
-		pg := &v.quant[p]
-		r.Bits, r.Off, r.Heads, r.Head = v.bits, v.off, v.kvHeads, v.head
-		if r.Codes, r.Params = pg.KCodes, pg.KParams; vals {
-			r.Codes, r.Params = pg.VCodes, pg.VParams
-		}
-	case v.flatK != nil:
-		if r.F32 = v.flatK; vals {
-			r.F32 = v.flatV
-		}
-	case vals:
-		r.F32 = v.vals[p][v.off:]
-	default:
-		r.F32 = v.keys[p][v.off:]
-	}
-	return r
+	paged       kvcache.Paged
+	layer, head int
 }
 
 // walk runs one pass of the block — the score pass, or the value pass when
@@ -110,9 +36,9 @@ func (v *pageView) rows(p int, vals bool) tensor.Rows {
 // a selected list always fits whole pages. It returns how many tokens the
 // walk covered.
 func (v *pageView) walk(blk *tensor.AttnBlock, sel []int32, n int, vals bool) int {
-	np := v.pages()
-	if sel != nil {
-		np = len(sel)
+	np := len(sel)
+	if sel == nil {
+		np = v.paged.LayerPages(v.layer)
 	}
 	i := 0
 	for k := 0; k < np && i < n; k++ {
@@ -120,8 +46,8 @@ func (v *pageView) walk(blk *tensor.AttnBlock, sel []int32, n int, vals bool) in
 		if sel != nil {
 			p = int(sel[k])
 		}
-		t := min(v.tokens(p), n-i)
-		r := v.rows(p, vals)
+		r, t := v.paged.Rows(v.layer, p, v.head, vals)
+		t = min(t, n-i)
 		if vals {
 			blk.Accumulate(i, t, &r)
 		} else {
@@ -137,21 +63,21 @@ func (v *pageView) walk(blk *tensor.AttnBlock, sel []int32, n int, vals bool) in
 // (the head's retained count for decode; a chunk row's causal bound). sel
 // narrows the walk to Quest's selected pages; a causal bound addresses by
 // position, so prefill always walks densely.
-func (m *Model) attendBlock(blk *tensor.AttnBlock, cp *cachePath, v *pageView, l int, sel []int32) {
-	covered := m.softmaxBlock(blk, cp, v, l, sel)
+func (m *Model) attendBlock(blk *tensor.AttnBlock, cp *cachePath, v *pageView, sel []int32) {
+	covered := m.softmaxBlock(blk, cp, v, sel)
 	v.walk(blk, sel, covered, true)
 }
 
 // softmaxBlock runs the score pass and turns every query's score row into its
 // attention weights in place, returning the walk's token count.
-func (m *Model) softmaxBlock(blk *tensor.AttnBlock, cp *cachePath, v *pageView, l int, sel []int32) int {
+func (m *Model) softmaxBlock(blk *tensor.AttnBlock, cp *cachePath, v *pageView, sel []int32) int {
 	covered := v.walk(blk, sel, blk.Bound(), false)
 	for q := 0; q < blk.Len(); q++ {
 		w := blk.Weights(q, covered)
 		tensor.Scale(w, m.invSqrtHD)
 		tensor.Softmax(w)
 		if cp.observer != nil {
-			cp.observer.ObserveAttention(l, v.head, w)
+			cp.observer.ObserveAttention(v.layer, v.head, w)
 		}
 	}
 	return covered

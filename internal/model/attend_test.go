@@ -8,8 +8,8 @@ import (
 	"rethinkkv/internal/tensor"
 )
 
-// seqOnly hides every fast-path interface of a cache (FlatReader, PageReader,
-// QuantReader, the flat appenders), so the model takes the generic Seq arm —
+// seqOnly hides a cache's fast path (kvcache.Paged: the flat append and the
+// page rows), so the model takes the generic Seq arm —
 // tensor.Dot and tensor.AXPY over per-token views, the scalar reference —
 // over the same storage and the same appended bytes.
 type seqOnly struct{ kvcache.Cache }

@@ -220,35 +220,18 @@ type StepResult struct {
 
 // cachePath caches the interface assertions the decode hot paths probe on
 // a cache, resolved once per step (or once per lane per fused step)
-// instead of per layer.
+// instead of per layer: paged is the page-walk fast path (nil sends every
+// append and read through cache's Append and Seq).
 type cachePath struct {
 	cache    kvcache.Cache
-	flat     kvcache.FlatReader
-	pager    kvcache.PageReader
-	quant    kvcache.QuantReader
-	appender kvcache.FlatAppender
-	batch    kvcache.FlatBatchAppender
+	paged    kvcache.Paged
 	observer kvcache.AttentionObserver
-	summ     kvcache.KeySummaryReader
 }
 
 func pathOf(c kvcache.Cache) cachePath {
 	cp := cachePath{cache: c}
-	cp.flat, _ = c.(kvcache.FlatReader)
-	// A cache with quantized pages has no fp32 pages to stream: take the
-	// fused dequantize-on-stream path and never probe KVPages. QuantBits 0
-	// (a full-precision PagedKV) keeps the existing paged fast path.
-	if qr, ok := c.(kvcache.QuantReader); ok && qr.QuantBits() != 0 {
-		cp.quant = qr
-	} else {
-		cp.pager, _ = c.(kvcache.PageReader)
-	}
-	cp.appender, _ = c.(kvcache.FlatAppender)
-	cp.batch, _ = c.(kvcache.FlatBatchAppender)
+	cp.paged, _ = c.(kvcache.Paged)
 	cp.observer, _ = c.(kvcache.AttentionObserver)
-	if sr, ok := c.(kvcache.KeySummaryReader); ok && sr.KeySummariesEnabled() {
-		cp.summ = sr
-	}
 	return cp
 }
 
@@ -327,8 +310,8 @@ func (m *Model) attendStep(ws *Workspace, blk *tensor.AttnBlock, cp *cachePath, 
 	for kh := 0; kh < m.cfg.KVHeads; kh++ {
 		tensor.ApplyRoPECached(ws.kHeads[kh], ws.ropeSin, ws.ropeCos)
 	}
-	if cp.appender != nil {
-		cp.appender.AppendFlat(l, ws.k, ws.v)
+	if cp.paged != nil {
+		cp.paged.AppendFlatN(l, 1, ws.k, ws.v)
 	} else {
 		cp.cache.Append(l, ws.kHeads, ws.vHeads)
 	}
@@ -348,18 +331,19 @@ func (m *Model) attendStep(ws *Workspace, blk *tensor.AttnBlock, cp *cachePath, 
 // cached, and a query's arithmetic does not depend on what shares its block,
 // so bounded attention here equals full attention then.
 //
-// Caches with a regular layout (Full's flat buffer, fp32 pages, quantized
-// pages) all take the one page walk in attend.go, per KV head in blocks of up
-// to tensor.AttnBlockMax queries in (row, head) order: ascending bounds, and
-// within a decode lane the ascending head order observers see. Caches with
-// irregular retained sets (eviction, offline quantisation) take attendSeq.
+// Caches with a regular layout (kvcache.Paged: Full's flat buffer, PagedKV's
+// pages in any codec) all take the one page walk in attend.go, per KV head in
+// blocks of up to tensor.AttnBlockMax queries in (row, head) order: ascending
+// bounds, and within a decode lane the ascending head order observers see.
+// Caches with irregular retained sets (eviction, offline quantisation) take
+// attendSeq.
 func (m *Model) attendOver(lanes []*Workspace, blk *tensor.AttnBlock, cp *cachePath, l, limit int) {
 	cfg := m.cfg
 	hd, group := cfg.HeadDim, cfg.GroupSize()
 	for _, ws := range lanes {
 		clear(ws.attnOut)
 	}
-	if cp.flat == nil && cp.quant == nil && cp.pager == nil {
+	if cp.paged == nil {
 		for r, ws := range lanes {
 			m.attendSeq(ws, cp, l, limit, r)
 		}
@@ -370,7 +354,7 @@ func (m *Model) attendOver(lanes []*Workspace, blk *tensor.AttnBlock, cp *cacheP
 		if limit < 0 {
 			first = cp.cache.Len(l, kh)
 		}
-		v := m.viewOf(cp, l, kh, first+len(lanes)-1)
+		v := pageView{cp.paged, l, kh}
 		quest := limit < 0 && m.questEngages(lanes[0], cp, &v)
 		blk.Reset()
 		for x, nx := 0, len(lanes)*group; x < nx; x++ {
@@ -380,9 +364,9 @@ func (m *Model) attendOver(lanes []*Workspace, blk *tensor.AttnBlock, cp *cacheP
 			tensor.ApplyRoPECached(q, ws.ropeSin, ws.ropeCos)
 			switch {
 			case quest:
-				m.attendSparse(ws, blk, cp, &v, l, q)
+				m.attendSparse(ws, blk, cp, &v, q)
 			case blk.Len() == tensor.AttnBlockMax || x == nx-1:
-				m.attendBlock(blk, cp, &v, l, nil)
+				m.attendBlock(blk, cp, &v, nil)
 			default:
 				continue
 			}

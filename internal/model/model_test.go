@@ -210,7 +210,7 @@ func TestForwardPanicsOnCacheShapeMismatch(t *testing.T) {
 }
 
 // legacyFull replicates the pre-flat per-token cache layout ([layer][token]
-// slice-of-slices, no FlatReader) so the equivalence tests can prove the
+// slice-of-slices, not kvcache.Paged) so the equivalence tests can prove the
 // flat layout changes memory organisation without changing a single output
 // bit.
 type legacyFull struct {
@@ -276,8 +276,8 @@ func (c *legacyFull) MemoryBytes() int64 {
 	return elems * kvcache.BytesPerElemFP16
 }
 
-// TestFlatLayoutBitIdentical proves the flat cache (FlatReader fast path)
-// and the paged cache (PageReader fast path) produce bit-identical logits,
+// TestFlatLayoutBitIdentical proves the flat cache (one page) and the paged
+// cache (both through kvcache.Paged) produce bit-identical logits,
 // hiddens, and greedy token streams to the legacy per-token layout (generic
 // Seq path) across a full generation.
 func TestFlatLayoutBitIdentical(t *testing.T) {

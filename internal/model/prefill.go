@@ -310,7 +310,7 @@ func (bw *BatchWorkspace) ensureChunk(c int) {
 // attendChunk runs one layer's attention for a prefill chunk occupying
 // lanes [base, base+C) and staging tokens [tokOff, tokOff+C): RoPE the
 // chunk's keys in place inside its staging span, land all C tokens' K/V in
-// the cache — one AppendFlatN when the cache supports it, else per-token
+// the cache — one AppendFlatN when the cache is paged, else per-token
 // appends of the same bytes — then accumulate each position's causally
 // bounded attention: position Pos+i attends over the first Pos+i+1 entries
 // of this chunk's own cache, exactly the set a token-at-a-time prefill
@@ -328,14 +328,9 @@ func (m *Model) attendChunk(bw *BatchWorkspace, cp *cachePath, l, base, tokOff, 
 			tensor.ApplyRoPECached(bw.ck[off+kh*hd:off+(kh+1)*hd], ws.ropeSin, ws.ropeCos)
 		}
 	}
-	switch {
-	case cp.batch != nil:
-		cp.batch.AppendFlatN(l, C, bw.ck[tokOff*stride:(tokOff+C)*stride], bw.cv[tokOff*stride:(tokOff+C)*stride])
-	case cp.appender != nil:
-		for i := 0; i < C; i++ {
-			cp.appender.AppendFlat(l, bw.ckTok[tokOff+i], bw.cvTok[tokOff+i])
-		}
-	default:
+	if cp.paged != nil {
+		cp.paged.AppendFlatN(l, C, bw.ck[tokOff*stride:(tokOff+C)*stride], bw.cv[tokOff*stride:(tokOff+C)*stride])
+	} else {
 		for i := 0; i < C; i++ {
 			cp.cache.Append(l, bw.ckHeads[tokOff+i], bw.cvHeads[tokOff+i])
 		}

@@ -7,9 +7,8 @@ import (
 	"rethinkkv/internal/tensor"
 )
 
-// seqOnlyQuant hides a quantized paged cache's fast-path interfaces
-// (QuantReader, FlatAppender, FlatBatchAppender) so the model is forced onto
-// the generic Seq path — which materialises dequantized per-token views.
+// seqOnlyQuant hides a quantized paged cache's fast path (kvcache.Paged) so
+// the model is forced onto the generic Seq path — which materialises dequantized per-token views.
 // Appends still quantize identically, so comparing a run through this wrapper
 // against the bare cache proves the dequantize-on-read page walk is
 // bit-identical to the scratch-buffer formulation across a full generation.
@@ -29,7 +28,7 @@ func (c *seqOnlyQuant) Len(layer, head int) int         { return c.inner.Len(lay
 func (c *seqOnlyQuant) TotalAppended() int              { return c.inner.TotalAppended() }
 func (c *seqOnlyQuant) MemoryBytes() int64              { return c.inner.MemoryBytes() }
 
-// TestQuantDecodeBitIdentical proves the quantized fast path (QuantPages
+// TestQuantDecodeBitIdentical proves the quantized fast path (code rows
 // dequantized a sub-tile at a time into the block walk's two GEMMs) produces
 // bit-identical logits, hiddens, and greedy token streams to the generic Seq
 // path over the same quantized storage, for both code widths and both
@@ -130,14 +129,16 @@ func TestQuantPrefillChunkBitIdentical(t *testing.T) {
 			}
 			shape := m.CacheShape()
 			for l := 0; l < shape.Layers; l++ {
-				gp, _ := cache.QuantPages(l)
-				wp, _ := refCache.QuantPages(l)
-				if len(gp) != len(wp) {
-					t.Fatalf("int%d chunk=%d layer %d: %d pages != %d", bits, chunkSize, l, len(gp), len(wp))
+				if got, want := cache.LayerPages(l), refCache.LayerPages(l); got != want {
+					t.Fatalf("int%d chunk=%d layer %d: %d pages != %d", bits, chunkSize, l, got, want)
 				}
-				for p := range wp {
-					if string(gp[p].KCodes) != string(wp[p].KCodes) || string(gp[p].VCodes) != string(wp[p].VCodes) {
-						t.Fatalf("int%d chunk=%d layer %d page %d: codes differ", bits, chunkSize, l, p)
+				for p := 0; p < refCache.LayerPages(l); p++ {
+					for _, vals := range []bool{false, true} {
+						gp, _ := cache.Rows(l, p, 0, vals)
+						wp, _ := refCache.Rows(l, p, 0, vals)
+						if string(gp.Codes) != string(wp.Codes) {
+							t.Fatalf("int%d chunk=%d layer %d page %d: codes differ", bits, chunkSize, l, p)
+						}
 					}
 				}
 			}

@@ -9,7 +9,7 @@ import (
 
 // This file is Quest sparse attention on the model's decode path. When
 // SetSparseTopK enables it and the cache maintains key summaries
-// (kvcache.KeySummaryReader), each query head scores every resident page's
+// (kvcache.Paged's KeySummary), each query head scores every resident page's
 // summary with the Quest criticality bound, selects the topK pages (tail
 // always included) via the attention package's selection policy — the one
 // its offline Quest prototype uses — and hands the ascending list to the
@@ -92,10 +92,10 @@ func (bw *BatchWorkspace) TakeSparseStats() (selected, total int64) {
 // every page would be selected anyway: the dense walk is bit-identical and
 // cheaper, and the group's heads are tallied as selecting all of them.
 func (m *Model) questEngages(ws *Workspace, cp *cachePath, v *pageView) bool {
-	if m.sparseTopK <= 0 || cp.summ == nil || cp.observer != nil {
+	if m.sparseTopK <= 0 || cp.observer != nil || v.paged.KeySummary(v.layer, 0) == nil {
 		return false
 	}
-	np := v.pages()
+	np := v.paged.LayerPages(v.layer)
 	if np > m.sparseTopK {
 		return true
 	}
@@ -108,31 +108,32 @@ func (m *Model) questEngages(ws *Workspace, cp *cachePath, v *pageView) bool {
 // head's query q alone, and its ascending topK page list narrows the walk.
 // Summaries are fp32 whatever the page codec (kvcache folds them over
 // dequantized keys), so the criticality bound covers what the walk reads.
-func (m *Model) attendSparse(ws *Workspace, blk *tensor.AttnBlock, cp *cachePath, v *pageView, l int, q []float32) {
-	np := v.pages()
-	summs := cp.summ.KeySummaries(l)
+func (m *Model) attendSparse(ws *Workspace, blk *tensor.AttnBlock, cp *cachePath, v *pageView, q []float32) {
+	np := v.paged.LayerPages(v.layer)
 	scores, sel := ws.sparseScratch(np)
+	off, stride := v.head*m.cfg.HeadDim, m.cfg.KVDim()
 	for p := range scores {
-		scores[p] = attention.CriticalityStrided(q, summs[p], v.off, v.stride)
+		scores[p] = attention.CriticalityStrided(q, v.paged.KeySummary(v.layer, p), off, stride)
 	}
 	sel = sel[:attention.SelectTopPages(sel, scores, m.sparseTopK)]
 	ws.sparseSel += int64(len(sel))
 	ws.sparseTot += int64(np)
-	m.attendBlock(blk, cp, v, l, sel)
+	m.attendBlock(blk, cp, v, sel)
 	if ws.probeRecall {
-		ws.recordRecall(m, blk, cp, v, l, sel)
+		ws.recordRecall(m, blk, cp, v, sel)
 	}
 }
 
 // recordRecall is the attention-mass recall probe: it re-scores the block's
 // one query densely through the same walk and scratch, scale and softmax
 // included, and accumulates the selected pages' share of the mass.
-func (ws *Workspace) recordRecall(m *Model, blk *tensor.AttnBlock, cp *cachePath, v *pageView, l int, sel []int32) {
-	dense := blk.Weights(0, m.softmaxBlock(blk, cp, v, l, nil))
+func (ws *Workspace) recordRecall(m *Model, blk *tensor.AttnBlock, cp *cachePath, v *pageView, sel []int32) {
+	dense := blk.Weights(0, m.softmaxBlock(blk, cp, v, nil))
 	var mass float64
 	i, s := 0, 0
-	for p := 0; p < v.pages() && i < len(dense); p++ {
-		t := min(v.tokens(p), len(dense)-i)
+	for p := 0; p < v.paged.LayerPages(v.layer) && i < len(dense); p++ {
+		_, t := v.paged.Rows(v.layer, p, v.head, false)
+		t = min(t, len(dense)-i)
 		if s < len(sel) && sel[s] == int32(p) {
 			for _, w := range dense[i : i+t] {
 				mass += float64(w)
