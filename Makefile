@@ -43,14 +43,18 @@ race-sched:
 # Dot / AXPY (any head dimension, codec, page size, block size and causal
 # bounds, both tile implementations, raw float32 bits), then the KV page
 # seam (any shape, page size and store: Append, AppendFlat and any
-# AppendFlatN split store the same bytes, and Rows reads what Seq reads).
+# AppendFlatN split store the same bytes, and Rows reads what Seq reads),
+# then Exp32 (raw float32 bits, any subtrahend, lengths 0-40 so every ragged
+# tail is hit: the AVX2 arm of exp / Softmax / SiLU against the pure-Go
+# specification).
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzClonePrefixN -fuzztime 10s ./internal/kvcache
 	$(GO) test -run XXX -fuzz FuzzPackedMulMatchesScalar -fuzztime 10s ./internal/tensor
 	$(GO) test -run XXX -fuzz FuzzAttendBlockMatchesScalar -fuzztime 10s ./internal/tensor
 	$(GO) test -run XXX -fuzz FuzzAppendSplitInvariant -fuzztime 10s ./internal/kvcache
+	$(GO) test -run XXX -fuzz FuzzExp32MatchesGo -fuzztime 10s ./internal/tensor
 
-BENCHPKGS = . ./internal/model ./internal/attention
+BENCHPKGS = . ./internal/model ./internal/attention ./internal/tensor
 
 # ALLOC_PINS are the tests that hold the serving hot paths at 0 allocs/step:
 # dequantize-on-read decode, the attention page walk (decode group, 32-row
@@ -64,10 +68,12 @@ ALLOC_PKGS = ./internal/model ./internal/attention ./internal/tensor ./internal/
 
 # bench-smoke compiles and single-steps every benchmark in BENCHPKGS (the
 # facade's, the model's decode/prefill cases including BenchmarkDecodeSteadyQuant
-# and BenchmarkDecodeSteadySparse, and the attention reference kernels'), then
-# re-runs ALLOC_PINS. `go test -run` passes silently when a name matches
-# nothing, so the target checks that every pinned name actually ran and
-# passed: renaming or deleting one fails here instead of unpinning the path.
+# and BenchmarkDecodeSteadySparse, the attention reference kernels', and the
+# kernels' own: BenchmarkGEMM, BenchmarkAttendBlock, BenchmarkSoftmax,
+# BenchmarkSiLU), then re-runs ALLOC_PINS. `go test -run` passes silently
+# when a name matches nothing, so the target checks that every pinned name
+# actually ran and passed: renaming or deleting one fails here instead of
+# unpinning the path.
 bench-smoke:
 	$(GO) test -run XXX -bench=. -benchtime=1x $(BENCHPKGS)
 	@pat=$$(echo $(ALLOC_PINS) | tr ' ' '|'); \

@@ -106,8 +106,8 @@ func (st *onlineSoftmax) step(s float32, v []float32) {
 	if s > newMax {
 		newMax = s
 	}
-	correction := float32(math.Exp(float64(st.runningMax - newMax)))
-	p := float32(math.Exp(float64(s - newMax)))
+	correction := tensor.Exp32(st.runningMax - newMax)
+	p := tensor.Exp32(s - newMax)
 	st.runningSum = st.runningSum*correction + p
 	out := st.out
 	for j := range out {

@@ -287,7 +287,7 @@ func (m *Model) ForwardInto(ws *Workspace, token, pos int, cache kvcache.Cache) 
 		tensor.RMSNormInto(ws.x, h, lw.ffnNorm, 1e-5)
 		lw.wGate.MulVecInto(ws.gate, ws.x)
 		lw.wUp.MulVecInto(ws.up, ws.x)
-		siluMul(ws.gate, ws.up)
+		tensor.SiLUMul(ws.gate, ws.up)
 		lw.wDown.MulVecInto(ws.down, ws.gate)
 		tensor.AXPY(h, 1, ws.down)
 	}
@@ -402,15 +402,6 @@ func (m *Model) attendSeq(ws *Workspace, cp *cachePath, l, limit, r int) {
 		for i, w := range scores {
 			tensor.AXPY(out, w, vals[i])
 		}
-	}
-}
-
-// siluMul applies the gated activation gate = SiLU(gate) ⊙ up in place —
-// one helper so the per-stream and batched planes share the arithmetic.
-func siluMul(gate, up []float32) {
-	tensor.SiLU(gate)
-	for i := range gate {
-		gate[i] *= up[i]
 	}
 }
 

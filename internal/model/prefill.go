@@ -188,7 +188,7 @@ func (m *Model) ForwardMixedInto(bw *BatchWorkspace, tokens, positions []int, ca
 		bw.project(gates, xs, lw.wGate)
 		bw.project(ups, xs, lw.wUp)
 		for b := 0; b < n; b++ {
-			siluMul(gates[b], ups[b])
+			tensor.SiLUMul(gates[b], ups[b])
 		}
 		bw.project(downs, gates, lw.wDown)
 		for b := 0; b < n; b++ {

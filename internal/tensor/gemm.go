@@ -34,7 +34,10 @@ const panelWidth = 16
 // a fused scalar reference rounds once per step where the unfused assembly
 // rounds twice, so a fusing build takes the pure-Go tile, which fuses exactly
 // like the reference: "all paths bit-identical" holds under every build
-// flag. Only this package's tests write it.
+// flag. Exp32 (exp.go) rides the same selector but does not depend on the
+// probe: every product in its pure-Go form sits inside an explicit float32
+// conversion, which no build may fuse across, so it has one set of bits on
+// every architecture. Only this package's tests write it.
 var useAVX2 = hasAVX2() && !mulAddFuses(1+1.0/4096, 1+1.0/4096, -(1+1.0/2048))
 
 // mulAddFuses reports whether this build fuses a float32 multiply-add, given

@@ -24,3 +24,20 @@ func relay16AVX2(panel, rows *float32, stride, d8 int)
 //
 //go:noescape
 func dequantRows8AVX2(dst *float32, dstStride int, codes *uint8, codeStride int, lod *float32, n, d8 int)
+
+// expSubAVX2 is the assembly behind expSub (exp_amd64.s): xs[i] =
+// Exp32(xs[i] − sub) over 8·n8 floats.
+//
+//go:noescape
+func expSubAVX2(xs *float32, n8 int, sub float32)
+
+// scaleAVX2 is the assembly behind Scale: xs[i] *= alpha over 8·n8 floats.
+//
+//go:noescape
+func scaleAVX2(xs *float32, n8 int, alpha float32)
+
+// siluMulAVX2 is the assembly behind siluMul: gate[i] = gate[i] /
+// (1 + Exp32(−gate[i])) · up[i] over 8·n8 floats; a nil up skips the product.
+//
+//go:noescape
+func siluMulAVX2(gate, up *float32, n8 int)

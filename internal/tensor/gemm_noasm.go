@@ -15,3 +15,15 @@ func relay16AVX2(panel, rows *float32, stride, d8 int) {
 func dequantRows8AVX2(dst *float32, dstStride int, codes *uint8, codeStride int, lod *float32, n, d8 int) {
 	panic("tensor: no assembly micro-kernel on this architecture")
 }
+
+func expSubAVX2(xs *float32, n8 int, sub float32) {
+	panic("tensor: no assembly micro-kernel on this architecture")
+}
+
+func scaleAVX2(xs *float32, n8 int, alpha float32) {
+	panic("tensor: no assembly micro-kernel on this architecture")
+}
+
+func siluMulAVX2(gate, up *float32, n8 int) {
+	panic("tensor: no assembly micro-kernel on this architecture")
+}

@@ -13,7 +13,8 @@
 // attend.go) — that write into caller-owned buffers, keeping steady-state
 // decode allocation-free. MatVecInto and VecMatInto are the scalar references
 // the GEMM is bit-identical to; Dot and AXPY over per-token views are the
-// ones the attention block is.
+// ones the attention block is; Exp32 (exp.go) is the one exponential under
+// Softmax and SiLU, and the reference its own AVX2 arm is bit-identical to.
 package tensor
 
 import (
@@ -144,46 +145,13 @@ func AXPY(dst []float32, alpha float32, x []float32) {
 
 // Scale multiplies every element of xs by alpha in place.
 func Scale(xs []float32, alpha float32) {
-	for i := range xs {
+	i := avx2Head(len(xs))
+	if i > 0 {
+		scaleAVX2(&xs[0], i/8, alpha)
+	}
+	for ; i < len(xs); i++ {
 		xs[i] *= alpha
 	}
-}
-
-// Softmax overwrites xs with softmax(xs) using the max-subtraction trick.
-// An empty slice is a no-op.
-func Softmax(xs []float32) {
-	if len(xs) == 0 {
-		return
-	}
-	maxV := xs[0]
-	for _, v := range xs[1:] {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	var sum float32
-	for i, v := range xs {
-		e := float32(math.Exp(float64(v - maxV)))
-		xs[i] = e
-		sum += e
-	}
-	inv := 1 / sum
-	for i := range xs {
-		xs[i] *= inv
-	}
-}
-
-// SoftmaxTemp is Softmax with a temperature divisor applied to the logits
-// first. Temperature must be > 0.
-func SoftmaxTemp(xs []float32, temp float64) {
-	if temp <= 0 {
-		panic("tensor: non-positive temperature")
-	}
-	inv := float32(1 / temp)
-	for i := range xs {
-		xs[i] *= inv
-	}
-	Softmax(xs)
 }
 
 // RMSNorm returns x normalized by its root-mean-square and scaled by gain,
@@ -275,13 +243,6 @@ func ApplyRoPECached(x []float32, sin, cos []float32) {
 		a, b := x[2*p], x[2*p+1]
 		x[2*p] = a*c - b*s
 		x[2*p+1] = a*s + b*c
-	}
-}
-
-// SiLU applies x * sigmoid(x) elementwise in place (LLaMA's activation).
-func SiLU(xs []float32) {
-	for i, v := range xs {
-		xs[i] = v / (1 + float32(math.Exp(-float64(v))))
 	}
 }
 
