@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: ci fmt vet build cross test race-sched fuzz-smoke bench bench-smoke bench-suite
+.PHONY: ci fmt vet build cross test onep race-sched fuzz-smoke bench bench-smoke bench-suite
 
 # ci is the whole gate; .github/workflows/ci.yml runs exactly this target.
-ci: fmt vet build cross test race-sched fuzz-smoke bench-smoke bench-suite
+ci: fmt vet build cross test onep race-sched fuzz-smoke bench-smoke bench-suite
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -25,6 +25,15 @@ cross:
 
 test:
 	$(GO) test ./...
+
+# onep runs the serving plane on one P, the P count benchmark/ measures at and
+# what a one-core deployment gets: engine loops, stream readers, Submit
+# callers and the fleet's forwarders all take turns on it, so a loop that
+# never hands the P over — or a test that only passes because another P ran
+# the reader — shows here and nowhere else. (-count=1: the test cache does
+# not key on GOMAXPROCS and would answer with `make test`'s results.)
+onep:
+	GOMAXPROCS=1 $(GO) test -count=1 ./internal/sched ./internal/fleet .
 
 # race-sched runs the packages on the concurrent serving plane under the race
 # detector: sched (engine loop vs Submit/Drain/View callers), fleet

@@ -18,6 +18,14 @@ import (
 // carries only its cache, position and pre-computed next token, so one
 // pooled StepBatch serves an unbounded population of live requests.
 //
+// A step reports what it decided, not what it was fed: a session's step
+// appends the K/V of its pending token and returns the token the resulting
+// logits choose, and a Final chunk returns the token its last position
+// chooses. Every token is therefore known to the caller in the step that
+// computed it, and the cache of a stream that has produced n tokens holds
+// its prompt and the first n-1 of them — the n-th is only fed if an
+// (n+1)-th is wanted.
+//
 // Every step — whatever the batch size, with or without chunks — is one
 // model.ForwardMixedInto: one weight-stationary pass loading every weight
 // matrix once instead of once per session, with per-session attention
@@ -120,14 +128,16 @@ type StepSession struct {
 // model.PrefillChunkInto — into a decode session. next is the first output
 // token, decided from the final prompt position's logits
 // (StepMixedStatsInto returns it for a Final chunk). m must be the model of
-// the pool the session will step on. The resulting token stream is
-// identical to Session.Next's over the same prompt and an equivalent cache:
-// both decide each token greedily from bit-identical logits.
+// the pool the session will step on. The resulting token stream — next,
+// then what each step reports — is identical to Session.Next's over the
+// same prompt and an equivalent cache: both decide each token greedily from
+// bit-identical logits.
 func NewPrefilledStepSession(m *model.Model, cache kvcache.Cache, next int) *StepSession {
 	return &StepSession{m: m, cache: cache, pos: cache.TotalAppended(), next: next}
 }
 
-// Pos returns the number of tokens appended so far (prompt + emitted).
+// Pos returns the number of tokens appended so far: the prompt and every
+// decided token but the pending one.
 func (s *StepSession) Pos() int { return s.pos }
 
 // Cache exposes the session's cache.
@@ -167,20 +177,23 @@ type PrefillChunk struct {
 }
 
 // StepMixedStatsInto is the step plane's one entry point — the
-// iteration-level inner loop of continuous batching. It decodes exactly one
-// token on every session, writing the emitted tokens into toks
-// (index-aligned; len(toks) must equal len(sessions)), and in the same
-// fused pass advances any number of prefill chunks from distinct prompts:
+// iteration-level inner loop of continuous batching. It advances every
+// session one position — appending its pending token (the one its previous
+// step, or NewPrefilledStepSession, decided) to its cache — and writes the
+// token this step's logits decide into toks (index-aligned; len(toks) must
+// equal len(sessions)): toks[i] is session i's next output token and the
+// token its next step will feed. In the same fused pass it advances any
+// number of prefill chunks from distinct prompts:
 // each chunk's positions prefill into that chunk's own cache, with each
 // weight matrix loaded once for all of it (model.ForwardMixedInto) — the
 // Sarathi-style packed iteration the scheduler's token budget fills. The
 // caller re-forms the session and chunk sets between calls; one that reuses
 // toks and nexts steps with zero allocations.
 //
-// Emitted tokens are bit-identical to per-session stepping (Session.Next)
+// Decided tokens are bit-identical to per-session stepping (Session.Next)
 // and each chunk's cache writes to token-at-a-time prefill, regardless of
 // packing. nexts must be index-aligned with chunks: nexts[j] receives chunk
-// j's first decode token when chunks[j].Final, else -1. An empty chunk
+// j's first output token when chunks[j].Final, else -1. An empty chunk
 // slice is a plain decode step, an empty session set a pure prefill
 // iteration, and a single session is a batch of one on the same fused pass.
 // Sessions and chunks must own pairwise distinct caches, and every session
@@ -209,7 +222,6 @@ func StepMixedStatsInto(pool *WorkspacePool, sessions []*StepSession, toks []int
 	sb.ensure(n)
 	sb.ensureChunks(len(chunks))
 	for i, s := range sessions {
-		toks[i] = s.next
 		sb.tokens[i] = s.next
 		sb.positions[i] = s.pos
 		sb.caches[i] = s.cache
@@ -229,6 +241,7 @@ func StepMixedStatsInto(pool *WorkspacePool, sessions []*StepSession, toks []int
 	for i, s := range sessions {
 		s.next = tensor.Argmax(results[i].Logits)
 		s.pos++
+		toks[i] = s.next
 	}
 	for j := range chunks {
 		if chunks[j].Final {

@@ -53,7 +53,8 @@ func pipelineOver(t *testing.T, seed uint64) *Pipeline {
 // emits — it is the same greedy decode restructured for workspace sharing —
 // on every cache layout the engine serves (flat Full, fp32/int8/int4
 // pages), stepping the prompts as one batch and each alone: a single
-// session with no chunks is a batch of one on the same fused pass.
+// session with no chunks is a batch of one on the same fused pass. The
+// stream's first token is the one prefill decided; step k reports token k+1.
 func TestStepSessionMatchesSession(t *testing.T) {
 	p := pipelineOver(t, 3)
 	m := p.Model
@@ -86,8 +87,13 @@ func TestStepSessionMatchesSession(t *testing.T) {
 				sessions[g] = prefilled(m, pool, prompts[i], kind.mk())
 			}
 			toks := make([]int, len(sessions))
+			for g, s := range sessions {
+				toks[g] = s.next
+			}
 			for step := 0; step < maxNew; step++ {
-				StepMixedStatsInto(pool, sessions, toks, nil, nil, nil)
+				if step > 0 {
+					StepMixedStatsInto(pool, sessions, toks, nil, nil, nil)
+				}
 				for g, i := range group {
 					if toks[g] != want[i][step] {
 						t.Fatalf("%s B=%d prompt %d token %d: step loop %d != session %d",
@@ -149,8 +155,13 @@ func TestStepAllMixedCaches(t *testing.T) {
 		sessions[i] = prefilled(m, pool, prompt, mkCache(i))
 	}
 	toks := make([]int, len(sessions))
+	for i, s := range sessions {
+		toks[i] = s.next // token 0 is prefill's; step k reports token k+1
+	}
 	for step := 0; step < maxNew; step++ {
-		StepMixedStatsInto(pool, sessions, toks, nil, nil, nil)
+		if step > 0 {
+			StepMixedStatsInto(pool, sessions, toks, nil, nil, nil)
+		}
 		for i, tok := range toks {
 			if tok != want[i][step] {
 				t.Fatalf("session %d step %d: fused %d != per-session %d", i, step, tok, want[i][step])
@@ -220,9 +231,11 @@ func TestStepMixedIntoMatchesStepAll(t *testing.T) {
 	got := make([][]int, len(decodePrompts)+1)
 	for i, prompt := range decodePrompts {
 		sessions[i] = prefilled(m, pool, prompt, kvcache.NewPagedKV(m.CacheShape(), 8))
+		got[i] = append(got[i], sessions[i].next)
 	}
 	// Chunk the long prompt at 8 across mixed iterations; decoders advance
-	// one token per iteration alongside.
+	// one token per iteration alongside. A stream's first token is the one
+	// its prefill decided — the Final chunk's next, for the long prompt.
 	longCache := kvcache.NewPagedKV(m.CacheShape(), 8)
 	toks := make([]int, len(sessions))
 	nexts := make([]int, 1)
@@ -242,6 +255,7 @@ func TestStepMixedIntoMatchesStepAll(t *testing.T) {
 				t.Fatal("final chunk returned no next token")
 			}
 			longSess = NewPrefilledStepSession(m, longCache, nexts[0])
+			got[len(sessions)] = append(got[len(sessions)], nexts[0])
 		} else if nexts[0] != -1 {
 			t.Fatalf("non-final chunk returned token %d", nexts[0])
 		}
@@ -309,6 +323,7 @@ func TestStepMixedPackedMatchesStepAll(t *testing.T) {
 	got := make([][]int, len(all))
 	for i, prompt := range decodePrompts {
 		sessions[i] = prefilled(m, pool, prompt, kvcache.NewPagedKV(m.CacheShape(), 8))
+		got[i] = append(got[i], sessions[i].next)
 	}
 	longCaches := make([]kvcache.Cache, len(longPrompts))
 	longSess := make([]*StepSession, len(longPrompts))
@@ -353,6 +368,7 @@ func TestStepMixedPackedMatchesStepAll(t *testing.T) {
 					t.Fatalf("final chunk %d returned no next token", j)
 				}
 				longSess[j] = NewPrefilledStepSession(m, longCaches[j], nexts[c])
+				got[len(sessions)+j] = append(got[len(sessions)+j], nexts[c])
 			} else if nexts[c] != -1 {
 				t.Fatalf("non-final chunk %d returned token %d", j, nexts[c])
 			}

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"runtime"
 
 	"rethinkkv/internal/kvcache"
 	"rethinkkv/internal/tensor"
@@ -72,6 +73,17 @@ type Chunk struct {
 // index-aligned (zero unless that chunk's NeedLogits is set). Results alias
 // bw and are valid until the next call; steady-state stepping performs zero
 // heap allocations (Workers == 1) beyond cache page growth.
+//
+// The pass calls runtime.Gosched three times a layer. A serving loop that
+// steps back to back would otherwise hold its P for a whole pass — 20 ms at a
+// 72-token budget on a slow core — and whatever runs when it lets go (a
+// stream's reader, a timer's goroutine) inherits that time slice: the
+// runtime's 10 ms forced preemption then lands on the goroutine that has just
+// started instead of on the one that used the slice up, and parks it behind
+// the next whole pass. Yielding inside the pass keeps every slice a few
+// milliseconds old at most, so nothing is force-preempted at all. With nothing
+// else runnable a yield is one trip through the Go scheduler (~0.16 µs), and
+// it neither allocates nor touches the arithmetic.
 func (m *Model) ForwardMixedInto(bw *BatchWorkspace, tokens, positions []int, caches []kvcache.Cache, chunks []Chunk) ([]StepResult, []StepResult) {
 	B := len(tokens)
 	if len(positions) != B || len(caches) != B {
@@ -184,16 +196,22 @@ func (m *Model) ForwardMixedInto(bw *BatchWorkspace, tokens, positions []int, ca
 		for b := 0; b < n; b++ {
 			tensor.AXPY(hs[b], 1, projs[b])
 		}
+		// Offer the processor after the attention block, after gate/up and
+		// after down: three times a layer, so a pass holds its P for one
+		// group of GEMMs, not for the whole step (see the function comment).
+		runtime.Gosched()
 		tensor.RMSNormRowsInto(xs, hs, lw.ffnNorm, 1e-5)
 		bw.project(gates, xs, lw.wGate)
 		bw.project(ups, xs, lw.wUp)
 		for b := 0; b < n; b++ {
 			tensor.SiLUMul(gates[b], ups[b])
 		}
+		runtime.Gosched()
 		bw.project(downs, gates, lw.wDown)
 		for b := 0; b < n; b++ {
 			tensor.AXPY(hs[b], 1, downs[b])
 		}
+		runtime.Gosched()
 	}
 
 	// Final norm is lane-local and cheap, so it runs for every row; the LM

@@ -2,6 +2,8 @@ package model
 
 import (
 	"math"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"rethinkkv/internal/kvcache"
@@ -505,5 +507,47 @@ func TestForwardMixedPackedBitIdentical(t *testing.T) {
 		for b := 0; b < B; b++ {
 			equalCaches(t, kind.name+" packed decode cache", mixCaches[b], seqCaches[b])
 		}
+	}
+}
+
+// TestForwardMixedIntoYieldsInsideThePass pins, by counts, that a fused pass
+// offers its P three times a layer: on one P, a goroutine that takes one turn
+// per offer has had 3 x Layers turns when the pass returns — or one fewer: on
+// every 61st scheduling the Go runtime serves its global queue first, which
+// hands one offer in 61 straight back to the pass, and two dozen schedulings
+// hold at most one of those. A pass that holds the P from start to end gives
+// the other goroutine no turn at all.
+func TestForwardMixedIntoYieldsInsideThePass(t *testing.T) {
+	old := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+
+	m := New(Tiny(), 7)
+	bw := m.NewBatchWorkspace(4)
+	cache := kvcache.NewPagedKV(m.CacheShape(), 16)
+	chs := []Chunk{{Tokens: []int{1, 2, 3, 4}, Cache: cache, NeedLogits: true}}
+
+	var turns atomic.Int64
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			turns.Add(1)
+			runtime.Gosched()
+		}
+	}()
+	runtime.Gosched() // the counter takes its first turn and queues behind this goroutine
+	before := turns.Load()
+	m.ForwardMixedInto(bw, nil, nil, nil, chs)
+	got := turns.Load() - before
+	close(stop)
+	<-done
+	if want := int64(3 * m.Config().Layers); got != want && got != want-1 {
+		t.Fatalf("a goroutine sharing the P took %d turns during one pass, want %d (three a layer) or one fewer", got, want)
 	}
 }

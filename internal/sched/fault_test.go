@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -151,16 +152,28 @@ func TestStepPanicFailsEngine(t *testing.T) {
 	inj := faults.New()
 	inj.PanicAt(0, 4)
 	m := model.New(model.Tiny(), seed)
+	// Iteration 1 waits for the last Submit: a loop that reached iteration 4
+	// first (it does under -race, where a Submit costs several steps) would
+	// fail the later Submits instead of their streams.
+	submitted := make(chan struct{})
+	release := sync.OnceFunc(func() { close(submitted) })
+	step := inj.StepHook(0)
 	e, err := New(m, Config{
 		MaxBatch:   4,
 		PageTokens: 8,
-		StepHook:   inj.StepHook(0),
+		StepHook: func(n int) {
+			if n == 1 {
+				<-submitted
+			}
+			step(n)
+		},
 		SubmitHook: inj.SubmitHook(0),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(e.Close)
+	t.Cleanup(release) // registered last, runs first: Close waits for the loop
 
 	chans := make([]<-chan Token, 3)
 	for i := range chans {
@@ -170,6 +183,7 @@ func TestStepPanicFailsEngine(t *testing.T) {
 		}
 		chans[i] = ch
 	}
+	release()
 	for i, ch := range chans {
 		toks, terr := collectErr(t, ch)
 		if !errors.Is(terr, ErrEngineFailed) {

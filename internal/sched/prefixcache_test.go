@@ -146,6 +146,55 @@ func checkVictimLedger(e *Engine, req Request, generated int) error {
 	return nil
 }
 
+// stepAudit checks that every token a request is sent has exactly one cause —
+// the Final chunk of an admission's prefill, or a decode lane-step that is not
+// re-advancing a replay tail — and that the token leaves in the iteration of
+// its cause. before runs from the StepHook (on the loop goroutine, which owns
+// the state it reads) and once more after Close: it settles the iteration just
+// finished against the snapshot taken at its top, then snapshots the next.
+type stepAudit struct {
+	prev map[*reqState]auditSnap
+	// lanes counts decode lane-steps per request ID; silent, those that fed
+	// a replay tail and sent nothing; finals, the Final chunks.
+	lanes          map[int]int
+	silent, finals int
+	err            error
+}
+
+type auditSnap struct {
+	lane              bool // had a session: stepped as a decode lane
+	replay, generated int
+}
+
+func (a *stepAudit) before(e *Engine, step int) {
+	for rs, was := range a.prev {
+		sent := len(rs.generated) - was.generated
+		want := 0
+		switch {
+		case was.lane && was.replay > 1:
+			a.silent++
+		case was.lane:
+			want = 1
+		case was.replay == 0 && sent == 1:
+			// Mid-prefill with no replay tail: its chunk may have been Final.
+			a.finals++
+			want = 1
+		case was.replay == 0 && rs.sess != nil && rs.replay == 0:
+			want = 1 // prefill completed: the token it decided is due at once
+		}
+		if sent != want && a.err == nil {
+			a.err = fmt.Errorf("iteration %d sent request %d %d tokens, want %d (lane %v, replay %d)", step-1, rs.req.ID, sent, want, was.lane, was.replay)
+		}
+	}
+	clear(a.prev)
+	for _, rs := range e.running {
+		a.prev[rs] = auditSnap{lane: rs.sess != nil, replay: rs.replay, generated: len(rs.generated)}
+		if rs.sess != nil {
+			a.lanes[rs.req.ID]++
+		}
+	}
+}
+
 // genReq is one request of a generated schedule. cancelAfter >= 0 cancels
 // the request's context once that many tokens have been received.
 type genReq struct {
@@ -174,8 +223,10 @@ func (s genSchedule) String() string {
 }
 
 // generate draws zipf-weighted prefix families with unique suffixes, unique
-// prompts and cancels from the seed.
-func generate(seed int64) genSchedule {
+// prompts and cancels from the seed. One request in six wants a single token
+// (no decode step at all) and one prompt in four ends on a page boundary (the
+// first decode step, if there is one, opens a page).
+func generate(seed int64, pageTokens int) genSchedule {
 	r := rand.New(rand.NewSource(seed))
 	families := make([][]int, 4)
 	for f := range families {
@@ -199,10 +250,16 @@ func generate(seed int64) genSchedule {
 			} else {
 				n += r.Intn(14)
 			}
+			if r.Intn(4) == 0 {
+				n += (pageTokens - (len(prompt)+n)%pageTokens) % pageTokens
+			}
 			for ; n > 0; n-- {
 				prompt = append(prompt, r.Intn(512))
 			}
 			req := genReq{prompt: prompt, maxNew: 1 + r.Intn(12), cancelAfter: -1}
+			if r.Intn(6) == 0 {
+				req.maxNew = 1
+			}
 			if r.Intn(7) == 0 {
 				req.cancelAfter = r.Intn(req.maxNew)
 			}
@@ -216,13 +273,13 @@ func generate(seed int64) genSchedule {
 // TestGeneratedSchedulesMatchOracle serves seeded schedules on every page
 // format, dense and sparse, unbounded and under a page budget tight enough to
 // force eviction and preemption, across chunking settings. Every stream must
-// equal sequential decode, and the ledger must hold after every step, at
-// every preemption, after Drain and after Close. A failing seed prints its
-// schedule.
+// equal sequential decode, the ledger must hold after every step, at every
+// preemption, after Drain and after Close, and every token must leave in the
+// iteration of its one cause (stepAudit). A failing seed prints its schedule.
 func TestGeneratedSchedulesMatchOracle(t *testing.T) {
 	const pageTokens, topK = 4, 2
 	chunking := []struct{ chunk, budget int }{{0, 0}, {3, 0}, {4, 9}}
-	preemptions, evictions, hits := 0, 0, 0
+	preemptions, evictions, hits, exact := 0, 0, 0, 0
 	for _, bits := range []int{0, 8, 4} {
 		for _, sparse := range []bool{false, true} {
 			for _, tight := range []bool{false, true} {
@@ -241,7 +298,10 @@ func TestGeneratedSchedulesMatchOracle(t *testing.T) {
 						if sparse {
 							k = topK
 						}
-						st := runGenerated(t, generate(seed), cfg, k, tight)
+						st, unbroken := runGenerated(t, generate(seed, pageTokens), cfg, k, tight)
+						if unbroken {
+							exact++
+						}
 						preemptions += st.Preemptions
 						evictions += st.PrefixEvictions
 						hits += st.PrefixHits
@@ -250,12 +310,15 @@ func TestGeneratedSchedulesMatchOracle(t *testing.T) {
 			}
 		}
 	}
-	if preemptions == 0 || evictions == 0 || hits == 0 {
-		t.Fatalf("vacuous: %d preemptions, %d evictions, %d prefix hits over all schedules", preemptions, evictions, hits)
+	if preemptions == 0 || evictions == 0 || hits == 0 || exact == 0 {
+		t.Fatalf("vacuous: %d preemptions, %d evictions, %d prefix hits, %d runs with lane-steps exact from Stats over all schedules", preemptions, evictions, hits, exact)
 	}
 }
 
-func runGenerated(t *testing.T, s genSchedule, cfg Config, topK int, tight bool) Stats {
+// runGenerated serves one schedule and returns the engine's counters, and
+// whether the run was one on which they alone give the decode lane-steps
+// (nothing preempted, nothing cancelled before its first token).
+func runGenerated(t *testing.T, s genSchedule, cfg Config, topK int, tight bool) (Stats, bool) {
 	defer func() {
 		if t.Failed() {
 			t.Logf("schedule:\n%v", s)
@@ -299,7 +362,11 @@ func runGenerated(t *testing.T, s genSchedule, cfg Config, topK int, tight bool)
 			hookErr = fmt.Errorf("%s: %w", where, err)
 		}
 	}
-	cfg.StepHook = func(step int) { record(fmt.Sprintf("before step %d", step), checkLedger(e)) }
+	audit := stepAudit{prev: map[*reqState]auditSnap{}, lanes: map[int]int{}}
+	cfg.StepHook = func(step int) {
+		record(fmt.Sprintf("before step %d", step), checkLedger(e))
+		audit.before(e, step)
+	}
 	cfg.Migrate = func(_ int, req Request, generated int) bool {
 		record(fmt.Sprintf("preempting request %d", req.ID), checkVictimLedger(e, req, generated))
 		return false
@@ -311,6 +378,7 @@ func runGenerated(t *testing.T, s genSchedule, cfg Config, topK int, tight bool)
 	defer e.Close()
 
 	id := 0
+	received := make([]int, len(all)) // tokens each reader was sent, by request ID
 	for _, wave := range s.waves {
 		var wg sync.WaitGroup
 		for _, r := range wave {
@@ -333,6 +401,7 @@ func runGenerated(t *testing.T, s genSchedule, cfg Config, topK int, tight bool)
 						cancel()
 					}
 				}
+				received[id] = len(got)
 				if len(got) > r.maxNew || (r.cancelAfter < 0 && len(got) != r.maxNew) {
 					t.Errorf("request %d: %d tokens, cap %d, cancelAfter %d", id, len(got), r.maxNew, r.cancelAfter)
 					return
@@ -376,26 +445,61 @@ func runGenerated(t *testing.T, s genSchedule, cfg Config, topK int, tight bool)
 		t.Errorf("after Drain and Close: %d running, %d private pages, %d pinned (pre-warm %d), %d cached (%d when drained)",
 			len(e.running), e.privatePages, e.tree.pinned, e.prewarmPages, e.tree.pages, st.PrefixCachePages)
 	}
+	// One cause per token, over the whole run and request by request: one
+	// never preempted ran a lane-step for every token but its first, so
+	// MaxNew-1 of them if it completed and none at all for MaxNew = 1.
+	audit.before(e, st.Steps+1)
+	if audit.err != nil {
+		t.Error(audit.err)
+	}
+	sent, laneSteps, promptTokens, unbroken := 0, 0, 0, st.Preemptions == 0
+	for _, n := range audit.lanes {
+		laneSteps += n
+	}
+	for _, o := range e.Outcomes() {
+		id := o.Req.ID
+		sent += received[id]
+		promptTokens += o.Req.PromptLen
+		if received[id] == 0 {
+			unbroken = false // cancelled at some unknown point of its prefill
+		} else if o.Preemptions == 0 && audit.lanes[id] != received[id]-1 {
+			t.Errorf("request %d was sent %d tokens over %d decode lane-steps", id, received[id], audit.lanes[id])
+		}
+	}
+	if want := audit.finals + laneSteps - audit.silent; sent != want {
+		t.Errorf("%d tokens sent, but %d Final chunks + %d lane-steps - %d replay steps = %d", sent, audit.finals, laneSteps, audit.silent, want)
+	}
+	// Where nothing was preempted or cut short before its first token, Stats
+	// alone says it: what the iterations carried beyond prefill is one
+	// lane-step per token sent but each request's first.
+	if unbroken {
+		if lanes, want := st.BudgetTokens-(promptTokens-st.PrefixTokensSaved), sent-len(all); lanes != want {
+			t.Errorf("BudgetTokens %d - %d prefilled = %d lane-steps, want %d", st.BudgetTokens, promptTokens-st.PrefixTokensSaved, lanes, want)
+		}
+	}
 	hookMu.Lock()
 	defer hookMu.Unlock()
 	if hookErr != nil {
 		t.Error(hookErr)
 	}
-	return st
+	return st, unbroken
 }
 
 // TestPreemptedVictimResumesFromSurvivingPrefix pins what preemption costs
 // now that a victim's pages stay cached. B is preempted holding two sealed
 // pages and a three-token tail; A's growth then evicts one of them, deepest
 // first; re-admitted, B takes its surviving first page from the cache and
-// re-prefills only what was lost: the evicted page and the tail that was
-// never sealed.
+// re-prefills only what was lost — the evicted page and the tail that was
+// never sealed — plus the token it had been sent but not yet fed.
 func TestPreemptedVictimResumesFromSurvivingPrefix(t *testing.T) {
 	a := []int{1, 2, 3, 4, 5, 6, 7, 8}
 	b := []int{11, 12, 13, 14, 15, 16, 17, 18}
 	prompts := [][]int{a, b}
-	maxNew := []int{9, 4}
-	want := sequentialReference(t, prompts, 9)
+	// A request caches its prompt and all but the last of its tokens: A
+	// grows to 17 tokens, into a fifth page; B is still short of its cap,
+	// with 11 cached, when A's fourth page opens.
+	maxNew := []int{10, 5}
+	want := sequentialReference(t, prompts, 10)
 
 	// Admission charges each prompt 2 pages + the first decode page: 6 in all.
 	e, entered, release := gatedEngine(t, Config{MaxBatch: 2, PageTokens: 4, KVPages: 6})
@@ -429,13 +533,15 @@ func TestPreemptedVictimResumesFromSurvivingPrefix(t *testing.T) {
 	}
 	st := e.Stats()
 	// A's fourth page preempts B (nothing to evict yet); A's fifth evicts B's
-	// second page. B returns with 8 prompt + 3 generated tokens, finds its
-	// first page (4 tokens) and prefills the other 7.
+	// second page. B returns with 8 prompt + 4 generated tokens, 11 of which
+	// it had cached, finds its first page (4 tokens) and prefills the other
+	// 8: the 7 it lost and the one it still had to feed, whose logits decide
+	// its last token — so it comes back for no decode step at all.
 	if st.Preemptions != 1 || st.RecomputeTokensSaved != 4 || st.PrefixHits != 0 {
 		t.Fatalf("Preemptions %d RecomputeTokensSaved %d PrefixHits %d, want 1 4 0", st.Preemptions, st.RecomputeTokensSaved, st.PrefixHits)
 	}
-	if prefilled, wantPrefilled := st.BudgetTokens-(maxNew[0]+maxNew[1]), len(a)+len(b)+7; prefilled != wantPrefilled {
-		t.Fatalf("%d tokens prefilled, want %d: both prompts once and B's lost 7", prefilled, wantPrefilled)
+	if extra, wantExtra := st.BudgetTokens-(len(a)+maxNew[0]-1+len(b)+maxNew[1]-1), 7; extra != wantExtra {
+		t.Fatalf("%d tokens carried beyond each request's prompt + MaxNew-1, want %d: B's lost 7", extra, wantExtra)
 	}
 	if st.PrefixEvictions == 0 || st.PeakPages > 6 {
 		t.Fatalf("PrefixEvictions %d PeakPages %d, want evictions within the 6-page budget", st.PrefixEvictions, st.PeakPages)

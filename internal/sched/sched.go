@@ -40,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -269,10 +270,12 @@ type Request struct {
 	// steps on another engine (a migration handoff under sparse attention).
 	// Sparse decode alters the residual stream, so dense chunked prefill
 	// would not rebuild those tokens' KV the way the source engine computed
-	// it; instead the engine prefills only Prompt[:len-Replay] densely and
-	// re-advances the tail through ordinary (sparse) decode steps without
-	// emitting — reproducing the source cache state exactly. Ignored (zeroed)
-	// on engines without sparse attention, where chunked prefill is already
+	// it (or, for the last one, was about to); instead the engine prefills
+	// only Prompt[:len-Replay] densely and re-advances the tail through
+	// ordinary (sparse) decode steps, emitting nothing until the step that
+	// feeds the tail's last token decides the first new one — the cache an
+	// uninterrupted run would hold, exactly. Ignored (zeroed) on engines
+	// without sparse attention, where chunked prefill is already
 	// bit-identical to decode. Must be < len(Prompt).
 	Replay int
 }
@@ -305,7 +308,9 @@ type Stats struct {
 	// TokenBudget enables; always 0 in single-chunk mode. BudgetTokens
 	// totals the tokens every scheduling iteration carried (decode lanes +
 	// prefill chunk tokens), the utilisation numerator for the
-	// per-iteration budget.
+	// per-iteration budget. A request's last token is decided and never
+	// fed, so an uninterrupted request adds len(Prompt) - cached prefix +
+	// MaxNew - 1.
 	PackedChunks int
 	BudgetTokens int
 	// PrefixHits counts requests whose admission found the start of their
@@ -406,8 +411,9 @@ type reqState struct {
 	// replay counts trailing prompt tokens (decode-produced before a
 	// preemption or migration) that must re-advance through decode steps
 	// instead of chunked prefill — only under sparse attention, where the
-	// two are not interchangeable. Replay steps emit nothing; prefilled
-	// advances with them so it always counts prompt tokens in the cache.
+	// two are not interchangeable. Replay steps emit nothing but the last,
+	// whose logits decide the first new token; prefilled advances with them
+	// so it always counts prompt tokens in the cache.
 	replay int
 	// sess is non-nil only while running with prefill complete; cache is
 	// non-nil for the whole running span, including mid-prefill.
@@ -645,11 +651,14 @@ func (e *Engine) now() float64 { return time.Since(e.start).Seconds() }
 // Submit enqueues a request and returns its token stream. The channel is
 // buffered to the request's full token budget, so the engine never blocks
 // on a slow consumer, and closes when the request completes, its ctx is
-// cancelled, or the engine shuts down. Submit fails fast with
-// kvcache.ErrOutOfPages when the request could never fit the page budget
-// even running alone — the admission invariant that makes preemption
-// livelock-free (any admitted request can always run to completion by
-// itself).
+// cancelled, or the engine shuts down. Each token is sent in the scheduling
+// iteration that decided it, and the loop yields the processor after every
+// iteration, so a reader sharing it receives the token before the next
+// iteration starts. Submit fails fast with kvcache.ErrOutOfPages when the
+// request could never fit the page budget even running alone, caching its
+// prompt and all but the last of its MaxNew tokens — the admission invariant
+// that makes preemption livelock-free (any admitted request can always run
+// to completion by itself).
 func (e *Engine) Submit(ctx context.Context, req Request) (<-chan Token, error) {
 	if len(req.Prompt) == 0 {
 		return nil, fmt.Errorf("sched: empty prompt")
@@ -667,8 +676,9 @@ func (e *Engine) Submit(ctx context.Context, req Request) (<-chan Token, error) 
 	}
 	if e.pageBudget > 0 {
 		// Running alone, with the cache as cold as it can get: only pages of
-		// the pre-warmed prefix are certain to be there at admission.
-		need := kvcache.PagesFor(len(req.Prompt)+req.MaxNew, e.cfg.PageTokens)
+		// the pre-warmed prefix are certain to be there at admission. The last
+		// token is decided, sent and never fed, so it is never cached.
+		need := kvcache.PagesFor(len(req.Prompt)+req.MaxNew-1, e.cfg.PageTokens)
 		if e.prewarmPages > 0 {
 			e.mu.Lock()
 			warm, _, _ := e.tree.match(req.Prompt, matchLimit(len(req.Prompt), req.Replay), true, nil)
@@ -865,7 +875,8 @@ func (e *Engine) syncViewLocked() {
 }
 
 // loop is the scheduler: admit, form the iteration batch, preempt under
-// page pressure, step every running session one token, retire finishers.
+// page pressure, step every running session one token, retire finishers,
+// yield the processor.
 //
 // The loop runs behind a recover boundary — the panic-isolation half of
 // the fault-tolerance story. A panic anywhere in the iteration (the fused
@@ -919,6 +930,16 @@ func (e *Engine) loop() {
 			continue
 		}
 		e.stepOnce()
+		// Hand the P over between iterations. While anything is running the
+		// loop never blocks, so on a processor it shares the readers of the
+		// tokens just sent and the callers of Submit would otherwise wait for
+		// the runtime's 10 ms forced preemption; with this they run at step
+		// granularity, and a fleet with more loops than Ps rotates per step.
+		// With nothing else runnable it is one trip through the scheduler.
+		// What runs next runs on this goroutine's time slice; the pass
+		// yields inside too (model.ForwardMixedInto), so that slice is at
+		// most one group of GEMMs old and not a step's worth.
+		runtime.Gosched()
 	}
 }
 
@@ -1052,10 +1073,12 @@ func (e *Engine) admitLocked() {
 		// once every unpinned page is gone.
 		e.tree.pin(path)
 		need := kvcache.PagesFor(len(prompt), pt) - len(path)
-		if len(prompt)%pt == 0 {
-			// The first decode step would open a page immediately;
-			// reserve it now so admission cannot thrash (admit, prefill,
-			// evict on the very next step, repeat).
+		// The first decode step would open a page immediately; reserve it
+		// now so admission cannot thrash (admit, prefill, evict on the very
+		// next step, repeat). A request with one token left retires on the
+		// pass that decides it and runs no decode step.
+		reserved := len(prompt)%pt == 0 && len(rs.generated)+1 < rs.req.MaxNew
+		if reserved {
 			need++
 		}
 		if e.pageBudget > 0 && e.usedPages()+need > e.pageBudget {
@@ -1106,7 +1129,7 @@ func (e *Engine) admitLocked() {
 			rs.sealable = (len(prompt) - replay) / pt
 		}
 		rs.pages = need
-		rs.reserved = len(prompt)%pt == 0
+		rs.reserved = reserved
 		rs.load = float64(len(rs.req.Prompt) + rs.remaining())
 		e.runningLoad += rs.load
 		e.privatePages += need
@@ -1302,10 +1325,13 @@ func (e *Engine) reapCancelled() {
 // single-chunk mode (TokenBudget 0) only the oldest mid-prefill request
 // contributes a chunk; with a TokenBudget the iteration packs chunks from
 // every mid-prefill request, oldest first, until decode lanes + chunk
-// tokens fill the budget. A request whose final chunk lands this iteration
-// becomes a decode session for the next one — exactly the token stream an
-// admission-time full prefill would have produced, without ever stalling
-// the running batch for more than one budgeted pass's step time.
+// tokens fill the budget. Every token is sent in the iteration whose logits
+// decided it: a request whose final chunk lands this iteration gets its first
+// token now and becomes a decode session for the next one, and a request
+// retires on the pass that decides its MaxNew-th token, which is never fed —
+// exactly the token stream an admission-time full prefill would have
+// produced, without ever stalling the running batch for more than one
+// budgeted pass's step time.
 func (e *Engine) stepOnce() {
 	e.loopSteps++
 	if e.cfg.StepHook != nil {
@@ -1421,6 +1447,8 @@ func (e *Engine) stepOnce() {
 		chunkToks += len(ch.Tokens)
 		rs.prefilled += len(ch.Tokens)
 		if ch.Final {
+			// nexts[i] is sent below, in this iteration; the session feeds it
+			// in the next one if the request wants more.
 			rs.sess = core.NewPrefilledStepSession(e.m, rs.cache, nexts[i])
 		} else if rs.prefilled == len(rs.prompt)-rs.replay {
 			// Dense span complete, replay tail ahead: seed the session
@@ -1446,44 +1474,30 @@ func (e *Engine) stepOnce() {
 		e.stats.MixedSteps++
 	}
 	e.stats.BudgetTokens += len(e.stepReqs) + chunkToks
-	// Pages this pass filled go into the prefix cache before anything
-	// retires, so a request's last page outlives it.
-	for _, rs := range e.chunkReqs {
-		e.sealLocked(rs)
-	}
+	// Every token this pass decided leaves now: a Final chunk's first output
+	// token, and each decode lane's next one. The pages a request filled go
+	// into the prefix cache before it can retire, so its last page outlives it.
 	retired := false
+	for i, rs := range e.chunkReqs {
+		e.sealLocked(rs)
+		if nexts[i] >= 0 { // -1 unless the chunk was Final
+			retired = e.emitLocked(rs, nexts[i], now) || retired
+		}
+	}
 	for i, rs := range e.stepReqs {
 		if rs.replay > 0 {
 			// A replay step re-advanced an already-emitted token: it is in
 			// rs.prompt (and, for a local preemption, rs.generated and the
-			// buffered channel) already — record the prompt token as cached
-			// and emit nothing.
+			// buffered channel) already — record the prompt token as cached.
+			// Only the step that fed the tail's last token decided a new one.
 			rs.replay--
 			rs.prefilled++
-			continue
+			if rs.replay > 0 {
+				continue
+			}
 		}
-		rs.generated = append(rs.generated, toks[i])
-		if rs.firstTok < 0 {
-			rs.firstTok = now
-		}
-		// Data-token send, deliberately unguarded: the buffer is sized
-		// MaxNew+1 at Submit and a request retires at MaxNew generated
-		// tokens, so at most MaxNew data tokens ever land here and room is
-		// structurally guaranteed even when the caller abandoned the
-		// stream. Dropping a data token (as a guarded send would under a
-		// sizing bug) silently corrupts the stream; blocking here would
-		// instead deadlock loudly, which is the failure mode we want for
-		// an invariant break. Terminal error sends — which have no such
-		// per-stream budget argument — are all guarded selects
-		// (failStreamLocked, the deadline-shed path in admitLocked).
-		rs.ch <- Token{ID: toks[i], Pos: len(rs.req.Prompt) + len(rs.generated) - 1}
 		e.sealLocked(rs)
-		if len(rs.generated) >= rs.req.MaxNew {
-			e.releaseLocked(rs)
-			e.retireLocked(rs, dispCompleted)
-			rs.retired = true
-			retired = true
-		}
+		retired = e.emitLocked(rs, toks[i], now) || retired
 	}
 	if retired {
 		kept := e.running[:0]
@@ -1517,6 +1531,36 @@ func (e *Engine) stepOnce() {
 	for i := range e.chunkReqs {
 		e.chunkReqs[i] = nil
 	}
+}
+
+// emitLocked streams the token the pass just decided for rs and, when that
+// was its MaxNew-th, retires it — the token is never fed, so a completed
+// request runs MaxNew-1 decode lane-steps and caches all but its last token.
+// It reports whether rs retired (marked for the running-set rebuild). The
+// caller holds mu and has sealed the pages the pass filled.
+func (e *Engine) emitLocked(rs *reqState, tok int, now float64) bool {
+	rs.generated = append(rs.generated, tok)
+	if rs.firstTok < 0 {
+		rs.firstTok = now
+	}
+	// Data-token send, deliberately unguarded: the buffer is sized
+	// MaxNew+1 at Submit and a request retires at MaxNew generated
+	// tokens, so at most MaxNew data tokens ever land here and room is
+	// structurally guaranteed even when the caller abandoned the
+	// stream. Dropping a data token (as a guarded send would under a
+	// sizing bug) silently corrupts the stream; blocking here would
+	// instead deadlock loudly, which is the failure mode we want for
+	// an invariant break. Terminal error sends — which have no such
+	// per-stream budget argument — are all guarded selects
+	// (failStreamLocked, the deadline-shed path in admitLocked).
+	rs.ch <- Token{ID: tok, Pos: len(rs.req.Prompt) + len(rs.generated) - 1}
+	if len(rs.generated) < rs.req.MaxNew {
+		return false
+	}
+	e.releaseLocked(rs)
+	e.retireLocked(rs, dispCompleted)
+	rs.retired = true
+	return true
 }
 
 // disposition names why a request retired — the counter it lands in.
