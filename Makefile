@@ -39,11 +39,11 @@ onep:
 # detector: sched (engine loop vs Submit/Drain/View callers), fleet
 # (per-flight forwarder goroutines, migration hook, failover), core and model
 # (GEMM panel shards and attention lane shards spawn goroutines inside the fused
-# step at GOMAXPROCS>1), quant, kvcache and attention (append-time encode,
-# CoW page clones and page selection all run inside those shards), faults
+# step at GOMAXPROCS>1; page selection runs inside those shards), quant and
+# kvcache (append-time encode and CoW page clones run inside them too), faults
 # (its hooks are called from engine loops and Submit paths at once).
 race-sched:
-	$(GO) test -race ./internal/sched ./internal/fleet ./internal/core ./internal/model ./internal/quant ./internal/kvcache ./internal/attention ./internal/faults
+	$(GO) test -race ./internal/sched ./internal/fleet ./internal/core ./internal/model ./internal/quant ./internal/kvcache ./internal/faults
 
 # fuzz-smoke runs each native fuzz target for ten seconds: the prefix-of-n
 # page clone (every page format, any page size and split), then the GEMM tile
@@ -55,15 +55,17 @@ race-sched:
 # AppendFlatN split store the same bytes, and Rows reads what Seq reads),
 # then Exp32 (raw float32 bits, any subtrahend, lengths 0-40 so every ragged
 # tail is hit: the AVX2 arm of exp / Softmax / SiLU against the pure-Go
-# specification).
+# specification), then sparse decode's page selection against a stable sort
+# (any NaN-free scores, ±Inf and ties included, any budget).
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzClonePrefixN -fuzztime 10s ./internal/kvcache
 	$(GO) test -run XXX -fuzz FuzzPackedMulMatchesScalar -fuzztime 10s ./internal/tensor
 	$(GO) test -run XXX -fuzz FuzzAttendBlockMatchesScalar -fuzztime 10s ./internal/tensor
 	$(GO) test -run XXX -fuzz FuzzAppendSplitInvariant -fuzztime 10s ./internal/kvcache
 	$(GO) test -run XXX -fuzz FuzzExp32MatchesGo -fuzztime 10s ./internal/tensor
+	$(GO) test -run XXX -fuzz FuzzSelectTopPagesMatchesSort -fuzztime 10s ./internal/model
 
-BENCHPKGS = . ./internal/model ./internal/attention ./internal/tensor
+BENCHPKGS = . ./internal/model ./internal/tensor
 
 # ALLOC_PINS are the tests that hold the serving hot paths at 0 allocs/step:
 # dequantize-on-read decode, the attention page walk (decode group, 32-row
@@ -73,16 +75,15 @@ BENCHPKGS = . ./internal/model ./internal/attention ./internal/tensor
 # pass / the one step entry from a batch of one with no chunks up to the
 # budget-packed mixed step.
 ALLOC_PINS = TestQuantDecodeAllocs TestBlockWalkAllocs TestQuantStridedKernelsZeroAlloc TestSparseDecodeAllocs TestSparseAttentionZeroAlloc TestBatchedKernelsAllocFree TestForwardMixedPackedAllocFree TestStepMixedPackedAllocFree
-ALLOC_PKGS = ./internal/model ./internal/attention ./internal/tensor ./internal/core
+ALLOC_PKGS = ./internal/model ./internal/tensor ./internal/core
 
 # bench-smoke compiles and single-steps every benchmark in BENCHPKGS (the
 # facade's, the model's decode/prefill cases including BenchmarkDecodeSteadyQuant
-# and BenchmarkDecodeSteadySparse, the attention reference kernels', and the
-# kernels' own: BenchmarkGEMM, BenchmarkAttendBlock, BenchmarkSoftmax,
-# BenchmarkSiLU), then re-runs ALLOC_PINS. `go test -run` passes silently
-# when a name matches nothing, so the target checks that every pinned name
-# actually ran and passed: renaming or deleting one fails here instead of
-# unpinning the path.
+# and BenchmarkDecodeSteadySparse, and the kernels' own: BenchmarkGEMM,
+# BenchmarkAttendBlock, BenchmarkSoftmax, BenchmarkSiLU), then re-runs
+# ALLOC_PINS. `go test -run` passes silently when a name matches nothing, so
+# the target checks that every pinned name actually ran and passed: renaming
+# or deleting one fails here instead of unpinning the path.
 bench-smoke:
 	$(GO) test -run XXX -bench=. -benchtime=1x $(BENCHPKGS)
 	@pat=$$(echo $(ALLOC_PINS) | tr ' ' '|'); \

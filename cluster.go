@@ -209,7 +209,7 @@ func (c *Cluster) serveTraceReal(reqs []Request, r Router) ([]Outcome, error) {
 		Engine:  ecfg,
 	})
 	if err != nil {
-		return nil, translateServeErr(err)
+		return nil, err
 	}
 	defer pool.Close()
 
@@ -227,11 +227,11 @@ func (c *Cluster) serveTraceReal(reqs []Request, r Router) ([]Outcome, error) {
 			Predicted: maxNew,
 			Arrival:   req.ArrivalTime,
 		}); err != nil {
-			return nil, fmt.Errorf("request %d: %w", req.ID, translateServeErr(err))
+			return nil, fmt.Errorf("request %d: %w", req.ID, err)
 		}
 	}
 	if err := pool.Drain(context.Background()); err != nil {
-		return nil, translateServeErr(err)
+		return nil, err
 	}
 	return pool.Outcomes(), nil
 }
@@ -278,51 +278,75 @@ func publicViews(views []serving.GPUView) []GPUView {
 // live-only kv-pressure policy — by name (see Routers() and
 // FleetRouters()). Predictor-driven policies train a throughput and length
 // predictor per distinct cluster method on first use; the trained suite is
-// cached on the cluster.
+// cached on the cluster. Length routing is strict here (no hysteresis band):
+// that is the paper's queue-blind Table 8 measurement.
 func (c *Cluster) Router(name string) (Router, error) {
-	switch name {
-	case RouterBaseline:
-		return &namedRouter{c: c, inner: router.Baseline{}}, nil
-	case RouterWithThroughput:
-		return &namedRouter{c: c, inner: router.WithThroughput{P: c.predictors()}}, nil
-	case RouterWithLength:
-		return &namedRouter{c: c, inner: router.WithLength{P: c.predictors()}}, nil
-	case RouterWithBoth:
-		return &namedRouter{c: c, inner: router.WithBoth{P: c.predictors()}}, nil
-	case RouterKVPressure:
-		p := c.predictors()
-		return &namedRouter{c: c, inner: router.KVPressure{P: &p}}, nil
+	inner, err := routerFor(name, 0, func() (router.Predictors, error) { return c.predictors(), nil })
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("%w: %q", ErrUnknownRouter, name)
+	return &namedRouter{c: c, inner: inner}, nil
 }
 
-// predictors lazily trains the per-method predictor suite the policies
-// consult, mirroring the paper's Section 5 tooling. Safe for concurrent
-// Router calls.
+// routerFor resolves a routing policy name for Cluster.Router and NewFleet.
+// preds trains the predictor suite and is called only for the policies that
+// consult one; hysteresis is with-length's tie band.
+func routerFor(name string, hysteresis float64, preds func() (router.Predictors, error)) (serving.Router, error) {
+	switch name {
+	case RouterBaseline:
+		return router.Baseline{}, nil
+	case RouterWithThroughput, RouterWithLength, RouterWithBoth, RouterKVPressure:
+	default:
+		return nil, fmt.Errorf("%w: %q", ErrUnknownRouter, name)
+	}
+	p, err := preds()
+	if err != nil {
+		return nil, err
+	}
+	switch name {
+	case RouterWithThroughput:
+		return router.WithThroughput{P: p}, nil
+	case RouterWithLength:
+		return router.WithLength{P: p, Hysteresis: hysteresis}, nil
+	case RouterWithBoth:
+		return router.WithBoth{P: p}, nil
+	default:
+		return router.KVPressure{P: &p}, nil
+	}
+}
+
+// predictors lazily trains the predictor suite over the cluster's GPUs.
+// Safe for concurrent Router calls.
 func (c *Cluster) predictors() router.Predictors {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.preds != nil {
-		return *c.preds
+	if c.preds == nil {
+		p := trainPredictors(c.cfg.seed, c.sim.LM, c.sim.GPUs)
+		c.preds = &p
 	}
-	lm := c.sim.LM
-	salt := c.cfg.seed + 7
+	return *c.preds
+}
+
+// trainPredictors trains the suite the predictor-driven policies consult,
+// mirroring the paper's Section 5 tooling: one throughput predictor (over
+// the GPU's estimator) and one length predictor (over the length model's
+// generations on a ShareGPT-like trace) per distinct method among gpus.
+func trainPredictors(seed uint64, lm gen.LengthModel, gpus []serving.GPUConfig) router.Predictors {
+	salt := seed + 7
 	p := router.Predictors{
 		Thr:  map[string]*predictor.ThroughputPredictor{},
 		Len:  map[string]*predictor.LengthPredictor{},
 		Salt: salt,
 	}
-	train := workload.SampleShareGPT(workload.DefaultShareGPT(2000), c.cfg.seed)
-	for _, g := range c.sim.GPUs {
-		name := g.Method.Name
-		if _, done := p.Thr[name]; done {
+	train := workload.SampleShareGPT(workload.DefaultShareGPT(2000), seed)
+	for _, g := range gpus {
+		m := g.Method
+		if _, done := p.Thr[m.Name]; done {
 			continue
 		}
-		m := compress.MustGet(name)
-		p.Thr[name] = predictor.TrainThroughput(g.Est, predictor.DefaultGrid(), c.cfg.seed+2)
-		p.Len[name] = predictor.TrainLength(train, lm.Run(train, m, c.cfg.seed+3), m, salt)
+		p.Thr[m.Name] = predictor.TrainThroughput(g.Est, predictor.DefaultGrid(), seed+2)
+		p.Len[m.Name] = predictor.TrainLength(train, lm.Run(train, m, seed+3), m, salt)
 	}
-	c.preds = &p
 	return p
 }
 

@@ -156,3 +156,137 @@ func TestDocsPointAtThingsThatExist(t *testing.T) {
 		}
 	}
 }
+
+// callerExempt lists the declarations under internal/ that
+// TestEveryDeclarationHasACaller lets stand without a caller, as
+// "pkg.Name" or "pkg.Recv.Name" → the reason.
+var callerExempt = map[string]string{
+	"faults.Injector.Fired":   "internal/faults is a test harness by design: tests read back what the injector did",
+	"faults.Injector.Stormed": "internal/faults is a test harness by design: tests read back what the injector did",
+}
+
+// callerExemptMethods are method names that satisfy a standard-library
+// interface by name (fmt.Stringer, error, sort.Interface) and so are called
+// without being mentioned.
+var callerExemptMethods = map[string]bool{"String": true, "Error": true, "Len": true, "Less": true, "Swap": true}
+
+// TestEveryDeclarationHasACaller keeps the program what it runs: every
+// top-level func, method and type under internal/ must be mentioned by name
+// in a non-test file of this module or of benchmark/, outside its own
+// declaration and outside declarations that are themselves unmentioned (the
+// fixpoint: a helper only a dead function calls is dead too). It parses, it
+// does not type-check, so it counts names, not objects: a mention of any
+// Foo — another package's, another receiver's, a struct field's — keeps every
+// Foo. It therefore under-reports and never over-reports; what it does name
+// has no caller.
+func TestEveryDeclarationHasACaller(t *testing.T) {
+	type decl struct {
+		key      string         // pkg.Name, or pkg.Recv.Name for a method
+		mentions map[*decl]bool // tracked declarations whose body mentions this name; nil key = untracked code
+	}
+	var tracked []*decl
+	byName := map[string][]*decl{}
+	type use struct {
+		name string
+		from *decl // nil when the mention is outside every tracked declaration
+	}
+	var uses []use
+
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		internal := strings.HasPrefix(filepath.ToSlash(path), "internal/")
+		for _, d := range f.Decls {
+			// self is the name this top-level declaration declares and from
+			// its tracked record: both nil for vars, consts, init, and
+			// everything outside internal/.
+			var self *ast.Ident
+			var from *decl
+			track := func(id *ast.Ident, recv string) {
+				self = id
+				key := f.Name.Name + "." + recv + id.Name
+				if _, ok := callerExempt[key]; !internal || ok || (recv != "" && callerExemptMethods[id.Name]) {
+					return
+				}
+				from = &decl{key: key, mentions: map[*decl]bool{}}
+				tracked = append(tracked, from)
+				byName[id.Name] = append(byName[id.Name], from)
+			}
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				recv := ""
+				if d.Recv != nil && len(d.Recv.List) == 1 {
+					typ := d.Recv.List[0].Type
+					if s, ok := typ.(*ast.StarExpr); ok {
+						typ = s.X
+					}
+					if id, ok := typ.(*ast.Ident); ok {
+						recv = id.Name + "."
+					}
+				}
+				if d.Name.Name != "init" && d.Name.Name != "main" {
+					track(d.Name, recv)
+				}
+			case *ast.GenDecl:
+				if d.Tok == token.TYPE && len(d.Specs) == 1 {
+					track(d.Specs[0].(*ast.TypeSpec).Name, "")
+				}
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && id != self {
+					uses = append(uses, use{id.Name, from})
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, u := range uses {
+		for _, d := range byName[u.name] {
+			if d != u.from {
+				d.mentions[u.from] = true
+			}
+		}
+	}
+	dead := map[*decl]bool{}
+	for changed := true; changed; {
+		changed = false
+		for _, d := range tracked {
+			if dead[d] {
+				continue
+			}
+			live := false
+			for from := range d.mentions {
+				if from == nil || !dead[from] {
+					live = true
+					break
+				}
+			}
+			if !live {
+				dead[d] = true
+				changed = true
+			}
+		}
+	}
+	for _, d := range tracked {
+		if dead[d] {
+			t.Errorf("internal/%s has no caller outside tests: delete it, or move it into a _test.go if a test compares against it", d.key)
+		}
+	}
+}

@@ -2,15 +2,12 @@ package rethinkkv
 
 import (
 	"context"
-	"fmt"
 
 	"rethinkkv/internal/compress"
 	"rethinkkv/internal/fleet"
 	"rethinkkv/internal/gen"
-	"rethinkkv/internal/predictor"
 	"rethinkkv/internal/router"
 	"rethinkkv/internal/serving"
-	"rethinkkv/internal/workload"
 )
 
 // Fleet is a multi-engine serving cluster over real continuous-batching
@@ -62,7 +59,18 @@ func NewFleet(n int, opts ...Option) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := fleetRouterFor(cfg)
+	// The engines all decode the full-precision data plane, so the
+	// predictor-driven policies consult one fp16 suite — and strict length
+	// routing would predict identical lengths everywhere and herd every burst
+	// onto engine 0: a hysteresis band breaks those ties on live load.
+	r, err := routerFor(cfg.routerName, 0.1, func() (router.Predictors, error) {
+		est, err := newEstimator(cfg, "fp16")
+		if err != nil {
+			return router.Predictors{}, err
+		}
+		fp16 := serving.GPUConfig{Method: compress.MustGet("fp16"), Est: est}
+		return trainPredictors(cfg.seed, gen.Default(), []serving.GPUConfig{fp16}), nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -78,75 +86,13 @@ func NewFleet(n int, opts ...Option) (*Fleet, error) {
 	m := engineModel(cfg)
 	pool, err := fleet.New(m, fcfg)
 	if err != nil {
-		return nil, translateServeErr(err)
+		return nil, err
 	}
 	return &Fleet{
-		front: frontend{vocab: m.Config().Vocab, maxNew: cfg.maxNew, now: pool.Now, enqueue: pool.Submit},
+		front: frontend{vocab: m.Config().Vocab, now: pool.Now, enqueue: pool.Submit},
 		pool:  pool,
 		name:  r.Name(),
 	}, nil
-}
-
-// fleetRouterFor resolves the configured policy name to a live router. The
-// predictor-driven policies train the fp16 throughput and length predictors
-// (the fleet's engines all decode the full-precision data plane) the same
-// way Cluster.Router does for its per-method suites.
-func fleetRouterFor(cfg config) (serving.Router, error) {
-	switch cfg.routerName {
-	case RouterBaseline:
-		return router.Baseline{}, nil
-	case RouterWithThroughput:
-		p, err := fleetPredictors(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return router.WithThroughput{P: p}, nil
-	case RouterWithLength:
-		p, err := fleetPredictors(cfg)
-		if err != nil {
-			return nil, err
-		}
-		// The fleet's engines all run the fp16 data plane, so strict
-		// length routing predicts identical lengths everywhere and herds
-		// every burst onto engine 0. A default hysteresis band breaks those
-		// ties on live load; the simulated Cluster keeps the band at zero
-		// to preserve the paper's queue-blind Table 8 measurement.
-		return router.WithLength{P: p, Hysteresis: 0.1}, nil
-	case RouterWithBoth:
-		p, err := fleetPredictors(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return router.WithBoth{P: p}, nil
-	case RouterKVPressure:
-		p, err := fleetPredictors(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return router.KVPressure{P: &p}, nil
-	}
-	return nil, fmt.Errorf("%w: %q", ErrUnknownRouter, cfg.routerName)
-}
-
-// fleetPredictors trains the fp16 predictor suite the policy consults,
-// mirroring Cluster.predictors (same salts, same training trace).
-func fleetPredictors(cfg config) (router.Predictors, error) {
-	est, err := newEstimator(cfg, "fp16")
-	if err != nil {
-		return router.Predictors{}, err
-	}
-	m := compress.MustGet("fp16")
-	lm := gen.Default()
-	salt := cfg.seed + 7
-	train := workload.SampleShareGPT(workload.DefaultShareGPT(2000), cfg.seed)
-	p := router.Predictors{
-		Thr:  map[string]*predictor.ThroughputPredictor{},
-		Len:  map[string]*predictor.LengthPredictor{},
-		Salt: salt,
-	}
-	p.Thr[m.Name] = predictor.TrainThroughput(est, predictor.DefaultGrid(), cfg.seed+2)
-	p.Len[m.Name] = predictor.TrainLength(train, lm.Run(train, m, cfg.seed+3), m, salt)
-	return p, nil
 }
 
 // Size returns the engine count.
@@ -170,7 +116,7 @@ func (f *Fleet) Submit(ctx context.Context, req ServeRequest) (<-chan Token, err
 // Drain blocks until every request submitted so far has retired across the
 // whole fleet — including migration hops in flight — or ctx is cancelled.
 func (f *Fleet) Drain(ctx context.Context) error {
-	return translateServeErr(f.pool.Drain(ctx))
+	return f.pool.Drain(ctx)
 }
 
 // Close shuts every engine down; in-flight streams close without

@@ -27,8 +27,6 @@ import (
 	"rethinkkv/internal/compress"
 	"rethinkkv/internal/kvcache"
 	"rethinkkv/internal/model"
-	"rethinkkv/internal/quant"
-	"rethinkkv/internal/sparse"
 	"rethinkkv/internal/tensor"
 	"rethinkkv/internal/textmetrics"
 	"rethinkkv/internal/workload"
@@ -58,64 +56,25 @@ func NewEvaluator(m *model.Model, cfg Config) *Evaluator {
 	return &Evaluator{m: m, cfg: cfg}
 }
 
-// TinyCache maps a paper method name onto a cache configured for the tiny
-// model's scale: budgets, residual windows and group sizes shrink by 4× so
-// that the *fraction* of context compressed matches the full-scale setting
-// on tiny prompts (DESIGN.md documents this scaling).
+// TinyCache builds the named cache for the tiny model: a registered
+// compression method's (compress.Method.NewCache, already at the tiny model's
+// scale), or — "int8" / "int4" — the live serving plane's quantized KV pages
+// (WithKVQuant), which are not an offline compression method: per-token
+// uniform codes the decode kernels dequantize on stream. Evaluating them here
+// is what turns the serving plane's capacity win into a measured accuracy
+// cost.
 func TinyCache(methodName string, shape kvcache.Shape) (kvcache.Cache, error) {
 	switch methodName {
-	case "fp16":
-		return kvcache.NewFull(shape), nil
-	case "kivi-2", "kivi-4":
-		bits := 4
-		if methodName == "kivi-2" {
-			bits = 2
-		}
-		return quant.NewKIVI(shape, quant.KIVIConfig{Bits: bits, GroupSize: 16, Residual: 32}), nil
-	case "gear-2", "gear-4":
-		bits := 4
-		if methodName == "gear-2" {
-			bits = 2
-		}
-		return quant.NewGEAR(shape, quant.GEARConfig{Bits: bits, GroupSize: 16, SparseFrac: 0.02, RankFrac: 0.05, PowerIters: 6}), nil
-	case "h2o-256":
-		return sparse.NewCache(shape, sparse.DefaultH2O(64)), nil
-	case "h2o-512":
-		return sparse.NewCache(shape, sparse.DefaultH2O(128)), nil
-	case "stream-256":
-		return sparse.NewCache(shape, sparse.DefaultStreaming(64)), nil
-	case "stream-512":
-		return sparse.NewCache(shape, sparse.DefaultStreaming(128)), nil
-	case "snapkv-512":
-		return sparse.NewCache(shape, sparse.DefaultSnapKV(128)), nil
-	case "tova-512":
-		return sparse.NewCache(shape, sparse.DefaultTOVA(128)), nil
-	case "scissorhands-512":
-		return sparse.NewCache(shape, sparse.DefaultScissorhands(128)), nil
-	case "keyformer-512":
-		return sparse.NewCache(shape, sparse.DefaultKeyformer(128)), nil
-	case "pyramidkv-512":
-		return sparse.NewCache(shape, sparse.DefaultPyramidKV(128)), nil
-	case "adakv-512":
-		return sparse.NewCache(shape, sparse.DefaultAdaKV(128)), nil
-	case "qjl":
-		return quant.NewQJL(shape, quant.DefaultQJL(shape.HeadDim)), nil
-	case "intactkv-4":
-		return quant.NewIntact(shape, quant.DefaultIntact(4)), nil
-	case "mikv":
-		return quant.NewMiKV(shape, quant.DefaultMiKV()), nil
-	case "int8", "int4":
-		// The live serving plane's quantized KV pages (WithKVQuant), not an
-		// offline compression method: per-token uniform codes the decode
-		// kernels dequantize on stream. Evaluating them here is what turns
-		// the serving plane's capacity win into a measured accuracy cost.
-		bits := 8
-		if methodName == "int4" {
-			bits = 4
-		}
-		return kvcache.NewPagedKVQuant(shape, 16, 0, bits), nil
+	case "int8":
+		return kvcache.NewPagedKVQuant(shape, 16, 0, 8), nil
+	case "int4":
+		return kvcache.NewPagedKVQuant(shape, 16, 0, 4), nil
 	}
-	return nil, fmt.Errorf("accuracy: no tiny-scale mapping for method %q", methodName)
+	m, err := compress.Get(methodName)
+	if err != nil {
+		return nil, err
+	}
+	return m.NewCache(shape), nil
 }
 
 // Reference is the FP16 run of one sample, reused across methods.

@@ -1,8 +1,11 @@
 // Package compress binds the quantisation and sparsity implementations into
 // the named method configurations the paper evaluates (FP16, KIVI-2/4,
 // GEAR-2/4, H2O-256/512, Stream-256/512, SnapKV-512), each pairing a cache
-// factory (the real algorithm) with a cost profile (the analytical
-// characteristics the performance model charges).
+// factory (the real algorithm, at the scale of the tiny model the program
+// runs) with a cost profile (the analytical characteristics the performance
+// model charges for the full-scale method). It is the one method → cache map:
+// Pipeline, the accuracy evaluator and the length experiments all build
+// their caches through Method.NewCache.
 package compress
 
 import (
@@ -124,17 +127,27 @@ func (p CostProfile) CompressionRatio(layers, kvDim, seqLen int) float64 {
 }
 
 // Method is a named compression configuration: a real cache implementation
-// plus the cost profile the throughput model charges for it.
+// plus the cost profile the throughput model charges for it. The two are at
+// different scales on purpose. Cost describes the method as the paper
+// configures it for a 7B–70B model (budgets of 256 / 512 tokens, 128-token
+// residual windows, 32-element groups): that is what internal/perf prices.
+// NewCache builds the cache the program runs, and the only model it runs is
+// the tiny one, on tiny prompts — so every window counted in tokens shrinks
+// by tinyScale, keeping the *fraction* of the context that is evicted or
+// quantised what it is at full scale.
 type Method struct {
 	Name  string
 	Alias string // short label used in the paper's figures (K-4, G-4, ...)
 	Cost  CostProfile
-	// NewCache builds the method's cache for a model shape.
+	// NewCache builds the method's tiny-scale cache for a model shape.
 	NewCache func(shape kvcache.Shape) kvcache.Cache
 }
 
-// IsBaseline reports whether this is the uncompressed FP16 method.
-func (m Method) IsBaseline() bool { return m.Cost.Kind == FP16 }
+// tinyScale divides every token-counted window (eviction budget, residual
+// window) between a method's full-scale Cost and the cache NewCache builds.
+// Where a quantiser's tiny-scale setting departs from the paper's in anything
+// else, its registration overrides that field of the paper's default by name.
+const tinyScale = 4
 
 // registry holds all named methods.
 var registry = map[string]Method{}
@@ -163,7 +176,9 @@ func init() {
 				IrregularAccess: 0.85, // per-channel groups + dual-pool layout
 			},
 			NewCache: func(s kvcache.Shape) kvcache.Cache {
-				return quant.NewKIVI(s, quant.DefaultKIVI(bits))
+				cfg := quant.DefaultKIVI(bits)
+				cfg.GroupSize, cfg.Residual = 16, cfg.Residual/tinyScale
+				return quant.NewKIVI(s, cfg)
 			},
 		})
 		register(Method{
@@ -174,7 +189,9 @@ func init() {
 				IrregularAccess: 0.75, // sparse outlier scatter + low-rank GEMM
 			},
 			NewCache: func(s kvcache.Shape) kvcache.Cache {
-				return quant.NewGEAR(s, quant.DefaultGEAR(bits))
+				cfg := quant.DefaultGEAR(bits)
+				cfg.GroupSize, cfg.RankFrac, cfg.PowerIters = 16, 0.05, 6
+				return quant.NewGEAR(s, cfg)
 			},
 		})
 	}
@@ -187,7 +204,7 @@ func init() {
 				IrregularAccess: 0.9, // fluctuating lengths fight paging
 			},
 			NewCache: func(s kvcache.Shape) kvcache.Cache {
-				return sparse.NewCache(s, sparse.DefaultH2O(budget))
+				return sparse.NewCache(s, sparse.DefaultH2O(budget/tinyScale))
 			},
 		})
 		register(Method{
@@ -198,57 +215,40 @@ func init() {
 				IrregularAccess:    1, // sink+window is a regular layout
 			},
 			NewCache: func(s kvcache.Shape) kvcache.Cache {
-				return sparse.NewCache(s, sparse.DefaultStreaming(budget))
+				return sparse.NewCache(s, sparse.DefaultStreaming(budget/tinyScale))
 			},
 		})
 	}
-	register(Method{
-		Name: "snapkv-512", Alias: "SnapKV",
-		Cost: CostProfile{
-			Kind: Sparse, Budget: 512, NeedsScores: true,
-			IrregularAccess: 0.95,
-		},
-		NewCache: func(s kvcache.Shape) kvcache.Cache {
-			return sparse.NewCache(s, sparse.DefaultSnapKV(512))
-		},
-	})
-	register(Method{
-		Name: "tova-512", Alias: "TOVA",
-		Cost: CostProfile{
-			Kind: Sparse, Budget: 512, NeedsScores: true,
-			IrregularAccess: 0.95,
-		},
-		NewCache: func(s kvcache.Shape) kvcache.Cache {
-			return sparse.NewCache(s, sparse.DefaultTOVA(512))
-		},
-	})
-	// Surveyed extensions (paper Table 1): counter-based persistence,
-	// regularised scoring, and layer-/head-adaptive budget allocation.
-	extended := []struct {
-		name  string
-		alias string
-		cfg   func(int) sparse.Config
+	// The remaining eviction policies: SnapKV and TOVA, then the surveyed
+	// extensions (paper Table 1) — counter-based persistence, regularised
+	// scoring, and layer-/head-adaptive budget allocation.
+	for _, e := range []struct {
+		name, alias string
+		irregular   float64
+		cfg         func(int) sparse.Config
 	}{
-		{"scissorhands-512", "Scissor", sparse.DefaultScissorhands},
-		{"keyformer-512", "Keyformer", sparse.DefaultKeyformer},
-		{"pyramidkv-512", "PyramidKV", sparse.DefaultPyramidKV},
-		{"adakv-512", "Ada-KV", sparse.DefaultAdaKV},
-	}
-	for _, e := range extended {
+		{"snapkv-512", "SnapKV", 0.95, sparse.DefaultSnapKV},
+		{"tova-512", "TOVA", 0.95, sparse.DefaultTOVA},
+		{"scissorhands-512", "Scissor", 0.9, sparse.DefaultScissorhands},
+		{"keyformer-512", "Keyformer", 0.9, sparse.DefaultKeyformer},
+		{"pyramidkv-512", "PyramidKV", 0.9, sparse.DefaultPyramidKV},
+		{"adakv-512", "Ada-KV", 0.9, sparse.DefaultAdaKV},
+	} {
 		e := e
 		register(Method{
 			Name: e.name, Alias: e.alias,
 			Cost: CostProfile{
 				Kind: Sparse, Budget: 512, NeedsScores: true,
-				IrregularAccess: 0.9,
+				IrregularAccess: e.irregular,
 			},
 			NewCache: func(s kvcache.Shape) kvcache.Cache {
-				return sparse.NewCache(s, e.cfg(512))
+				return sparse.NewCache(s, e.cfg(512/tinyScale))
 			},
 		})
 	}
 	// Surveyed quantisation variants: 1-bit JL key sketching, pivot-token
-	// protection, and importance-aware mixed precision.
+	// protection, and importance-aware mixed precision. Their windows are a
+	// handful of tokens already and are not scaled.
 	register(Method{
 		Name: "qjl", Alias: "QJL",
 		Cost: CostProfile{

@@ -45,11 +45,11 @@ func TestPaperSet(t *testing.T) {
 	if len(set) != 5 {
 		t.Fatalf("paper set size = %d", len(set))
 	}
-	if !set[0].IsBaseline() {
+	if set[0].Cost.Kind != FP16 {
 		t.Fatal("first paper method must be the FP16 baseline")
 	}
 	for _, m := range set[1:] {
-		if m.IsBaseline() {
+		if m.Cost.Kind == FP16 {
 			t.Fatalf("%s should not be baseline", m.Name)
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"sync"
 
-	"rethinkkv/internal/accuracy"
 	"rethinkkv/internal/compress"
 	"rethinkkv/internal/engine"
 	"rethinkkv/internal/gpu"
@@ -24,10 +23,9 @@ import (
 // a fresh cache built by the method's factory, so Run and NewSession may be
 // called any number of times.
 type Pipeline struct {
-	Model    *model.Model
-	Method   compress.Method
-	newCache func() (kvcache.Cache, error)
-	last     kvcache.Cache
+	Model  *model.Model
+	Method compress.Method
+	last   kvcache.Cache
 }
 
 // NewPipeline builds a pipeline over the tiny model with the named method's
@@ -38,15 +36,7 @@ func NewPipeline(methodName string, seed uint64) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	shape := m.CacheShape()
-	factory := func() (kvcache.Cache, error) {
-		return accuracy.TinyCache(methodName, shape)
-	}
-	cache, err := factory()
-	if err != nil {
-		return nil, err
-	}
-	return &Pipeline{Model: m, Method: method, newCache: factory, last: cache}, nil
+	return &Pipeline{Model: m, Method: method, last: method.NewCache(m.CacheShape())}, nil
 }
 
 // Cache exposes the most recent generation's cache for inspection.
@@ -81,10 +71,7 @@ func (p *Pipeline) NewSession(prompt []int) (*Session, error) {
 	if len(prompt) == 0 {
 		return nil, fmt.Errorf("core: empty prompt")
 	}
-	cache, err := p.newCache()
-	if err != nil {
-		return nil, err
-	}
+	cache := p.Method.NewCache(p.Model.CacheShape())
 	ws := p.Model.NewWorkspace()
 	res := p.Model.PrefillInto(ws, prompt, cache)
 	if pf, ok := cache.(compress.Prefiller); ok {
@@ -138,22 +125,6 @@ func (p *Pipeline) Run(prompt []int, maxNew int) ([]int, Report, error) {
 		out = append(out, s.Next())
 	}
 	return out, s.Report(), nil
-}
-
-// RunBatch decodes maxNew tokens for every prompt, running the sessions in
-// parallel goroutines. Each session owns an isolated cache and scratch
-// workspace, so outputs are identical to running the prompts sequentially.
-// Sessions are created (and prefilled) sequentially — the method cache
-// factory and the pipeline's last-cache pointer are not synchronised — then
-// decoded concurrently. On context cancellation decoding stops early and the
-// partial outputs are returned alongside ctx.Err().
-func (p *Pipeline) RunBatch(ctx context.Context, prompts [][]int, maxNew int) ([][]int, []Report, error) {
-	sessions, err := p.NewSessions(ctx, prompts)
-	if err != nil {
-		return nil, nil, err
-	}
-	outs, reports := DecodeSessions(ctx, sessions, maxNew)
-	return outs, reports, ctx.Err()
 }
 
 // NewSessions creates (and prefills) one session per prompt, sequentially.

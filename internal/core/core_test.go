@@ -185,6 +185,17 @@ func TestNewSystem(t *testing.T) {
 	}
 }
 
+// runBatch prefills every prompt, then decodes the sessions concurrently: the
+// two calls the facade's GenerateBatch makes.
+func runBatch(ctx context.Context, p *Pipeline, prompts [][]int, maxNew int) ([][]int, []Report, error) {
+	sessions, err := p.NewSessions(ctx, prompts)
+	if err != nil {
+		return nil, nil, err
+	}
+	outs, reports := DecodeSessions(ctx, sessions, maxNew)
+	return outs, reports, ctx.Err()
+}
+
 // TestRunBatchMatchesSequential proves the concurrent batch path is a pure
 // throughput feature: per-prompt outputs and reports are identical to
 // sequential Run calls.
@@ -214,7 +225,7 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		outs, reps, err := par.RunBatch(context.Background(), prompts, maxNew)
+		outs, reps, err := runBatch(context.Background(), par, prompts, maxNew)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +250,7 @@ func TestRunBatchEmptyPromptRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := p.RunBatch(context.Background(), [][]int{{1, 2}, nil}, 4); err == nil {
+	if _, _, err := runBatch(context.Background(), p, [][]int{{1, 2}, nil}, 4); err == nil {
 		t.Fatal("empty prompt in batch should error")
 	}
 }
@@ -252,7 +263,7 @@ func TestRunBatchCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	// Pre-cancelled: rejected before any prefill work happens.
-	if _, _, err := p.RunBatch(ctx, [][]int{{1, 2, 3}}, 8); err == nil {
+	if _, _, err := runBatch(ctx, p, [][]int{{1, 2, 3}}, 8); err == nil {
 		t.Fatal("cancelled context should surface an error")
 	}
 	// Cancelled mid-flight: sessions exist, decode stops early with

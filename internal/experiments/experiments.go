@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -90,13 +89,3 @@ func cell(v float64) string { return fmt.Sprintf("%.4g", v) }
 
 // speedupCell formats a relative speedup the way the paper's Table 3 does.
 func speedupCell(v float64) string { return fmt.Sprintf("%.2f×", v) }
-
-// sortedKeys returns map keys sorted, for deterministic table output.
-func sortedKeys[V any](m map[string]V) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}

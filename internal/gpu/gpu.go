@@ -99,15 +99,3 @@ func (h Hardware) AllReduceTime(nBytes float64, tp int) float64 {
 	perStep := nBytes / float64(tp) / bw
 	return steps * (perStep + lat)
 }
-
-// ArithmeticIntensity returns flops per byte, the roofline x-axis.
-func ArithmeticIntensity(flops, bytes float64) float64 {
-	if bytes == 0 {
-		return math.Inf(1)
-	}
-	return flops / bytes
-}
-
-// RidgePoint returns the arithmetic intensity at which this hardware
-// transitions from memory-bound to compute-bound.
-func (h Hardware) RidgePoint() float64 { return h.FP16FLOPS / h.MemBandwidth }

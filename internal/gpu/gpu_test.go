@@ -59,23 +59,3 @@ func TestAllReduce(t *testing.T) {
 		t.Fatalf("all-reduce times: tp2=%v tp4=%v", t2, t4)
 	}
 }
-
-func TestRidgePoint(t *testing.T) {
-	// A6000: 155e12 / 768e9 ≈ 202 flops/byte.
-	r := A6000.RidgePoint()
-	if r < 150 || r > 250 {
-		t.Fatalf("ridge point = %v", r)
-	}
-	if H800.RidgePoint() <= 0 {
-		t.Fatal("h800 ridge point must be positive")
-	}
-}
-
-func TestArithmeticIntensity(t *testing.T) {
-	if ai := ArithmeticIntensity(100, 50); ai != 2 {
-		t.Fatalf("AI = %v", ai)
-	}
-	if !math.IsInf(ArithmeticIntensity(100, 0), 1) {
-		t.Fatal("zero bytes should be infinite intensity")
-	}
-}

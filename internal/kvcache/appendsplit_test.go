@@ -70,7 +70,7 @@ func bitsEqual(a, b []float32) bool {
 // storageEqual requires got to hold exactly want's bytes: counts, every
 // page's rows for every head (fp32 rows, or codes and parameters, whole
 // buffers), and every key summary.
-func storageEqual(t testing.TB, what string, got, want flatOne) {
+func storageEqual(t testing.TB, what string, got, want Paged) {
 	t.Helper()
 	shape := want.Shape()
 	if got.TotalAppended() != want.TotalAppended() || got.MemoryBytes() != want.MemoryBytes() {
@@ -78,8 +78,8 @@ func storageEqual(t testing.TB, what string, got, want flatOne) {
 	}
 	if g, ok := got.(*PagedKV); ok {
 		w := want.(*PagedKV)
-		if g.Pages() != w.Pages() || g.KeySummaryBytes() != w.KeySummaryBytes() {
-			t.Fatalf("%s: %d pages, %d summary bytes, want %d, %d", what, g.Pages(), g.KeySummaryBytes(), w.Pages(), w.KeySummaryBytes())
+		if g.Pages() != w.Pages() {
+			t.Fatalf("%s: %d pages, want %d", what, g.Pages(), w.Pages())
 		}
 	}
 	for l := 0; l < shape.Layers; l++ {
@@ -111,7 +111,7 @@ func storageEqual(t testing.TB, what string, got, want flatOne) {
 
 // rowsMatchSeq requires the page rows, dequantized token by token with the
 // scalar reference, to be Seq's views bit for bit.
-func rowsMatchSeq(t testing.TB, what string, c flatOne) {
+func rowsMatchSeq(t testing.TB, what string, c Paged) {
 	t.Helper()
 	shape := c.Shape()
 	d := shape.HeadDim
@@ -152,7 +152,7 @@ func rowsMatchSeq(t testing.TB, what string, c flatOne) {
 // identical storage from all three and Rows ≡ Seq on each.
 func checkAppendSplitInvariant(t testing.TB, seed int64, shape Shape, pageTokens, bits int, summaries bool, n int) {
 	t.Helper()
-	mk := func() flatOne {
+	mk := func() Paged {
 		if bits < 0 {
 			return NewFull(shape)
 		}
@@ -175,7 +175,7 @@ func checkAppendSplitInvariant(t testing.TB, seed int64, shape Shape, pageTokens
 		}
 		for l := 0; l < shape.Layers; l++ {
 			heads.Append(l, kh, vh)
-			flat.AppendFlat(l, kt, vt)
+			flat.AppendFlatN(l, 1, kt, vt)
 		}
 	}
 	for off := 0; off < n; {
@@ -187,7 +187,7 @@ func checkAppendSplitInvariant(t testing.TB, seed int64, shape Shape, pageTokens
 	}
 	storageEqual(t, "AppendFlat vs Append", flat, heads)
 	storageEqual(t, "AppendFlatN split vs Append", split, heads)
-	for _, c := range []flatOne{heads, flat, split} {
+	for _, c := range []Paged{heads, flat, split} {
 		rowsMatchSeq(t, "Rows vs Seq", c)
 	}
 }

@@ -6,13 +6,6 @@ import (
 	"testing"
 )
 
-// flatOne is Paged plus the single-token shorthand both flat-storage caches
-// keep beside it.
-type flatOne interface {
-	Paged
-	AppendFlat(layer int, k, v []float32)
-}
-
 // fillToken builds one token's K/V both as per-head views and as the flat
 // head-major vector the AppendFlat path consumes — same bytes, two entry
 // points.
@@ -47,7 +40,7 @@ func TestAppendFlatMatchesAppend(t *testing.T) {
 		{"paged", NewPagedKV(shape, 2), NewPagedKV(shape, 2)},
 	}
 	for _, tc := range caches {
-		fa, ok := tc.viaFlat.(flatOne)
+		fa, ok := tc.viaFlat.(Paged)
 		if !ok {
 			t.Fatalf("%s: no AppendFlat", tc.name)
 		}
@@ -55,7 +48,7 @@ func TestAppendFlatMatchesAppend(t *testing.T) {
 			kH, vH, kF, vF := fillToken(shape, tok)
 			for l := 0; l < shape.Layers; l++ {
 				tc.viaHeads.Append(l, kH, vH)
-				fa.AppendFlat(l, kF, vF)
+				fa.AppendFlatN(l, 1, kF, vF)
 			}
 		}
 		if got, want := tc.viaFlat.TotalAppended(), tc.viaHeads.TotalAppended(); got != want {
@@ -119,7 +112,7 @@ func TestAppendFlatNMatchesAppendFlat(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: no AppendFlatN", tc.name)
 		}
-		one := tc.viaOne.(flatOne)
+		one := tc.viaOne.(Paged)
 		stride := shape.KVHeads * shape.HeadDim
 		seed := 0
 		for _, n := range spans {
@@ -127,7 +120,7 @@ func TestAppendFlatNMatchesAppendFlat(t *testing.T) {
 			seed += n
 			for l := 0; l < shape.Layers; l++ {
 				for tok := 0; tok < n; tok++ {
-					one.AppendFlat(l, k[tok*stride:(tok+1)*stride], v[tok*stride:(tok+1)*stride])
+					one.AppendFlatN(l, 1, k[tok*stride:(tok+1)*stride], v[tok*stride:(tok+1)*stride])
 				}
 				many.AppendFlatN(l, n, k, v)
 			}
@@ -214,7 +207,7 @@ func TestAppendFlatBudgetPanics(t *testing.T) {
 	shape := Shape{Layers: 1, KVHeads: 1, HeadDim: 2}
 	c := NewPagedKVQuant(shape, 1, 1, 0)
 	_, _, kF, vF := fillToken(shape, 1)
-	c.AppendFlat(0, kF, vF)
+	c.AppendFlatN(0, 1, kF, vF)
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -224,20 +217,20 @@ func TestAppendFlatBudgetPanics(t *testing.T) {
 			t.Fatalf("panic %v is not ErrOutOfPages", r)
 		}
 	}()
-	c.AppendFlat(0, kF, vF)
+	c.AppendFlatN(0, 1, kF, vF)
 }
 
 // TestAppendFlatLengthMismatch covers the flat-append contract panics.
 func TestAppendFlatLengthMismatch(t *testing.T) {
 	shape := Shape{Layers: 1, KVHeads: 2, HeadDim: 2}
-	for _, c := range []flatOne{NewFull(shape), NewPagedKV(shape, 4)} {
+	for _, c := range []Paged{NewFull(shape), NewPagedKV(shape, 4)} {
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Fatal("no panic on short flat append")
 				}
 			}()
-			c.AppendFlat(0, make([]float32, 3), make([]float32, 4))
+			c.AppendFlatN(0, 1, make([]float32, 3), make([]float32, 4))
 		}()
 	}
 }

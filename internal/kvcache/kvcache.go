@@ -153,9 +153,6 @@ func (c *Full) Append(layer int, k, v [][]float32) {
 	}
 }
 
-// AppendFlat is AppendFlatN for one token.
-func (c *Full) AppendFlat(layer int, k, v []float32) { c.AppendFlatN(layer, 1, k, v) }
-
 // AppendFlatN implements Paged: n tokens' K/V arrive as one contiguous
 // token-major span and are copied onto the layer's flat buffer in a single
 // append each — the same bytes Append stores head by head, in one grow.

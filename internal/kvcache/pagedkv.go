@@ -31,11 +31,6 @@ type PagedKV struct {
 	maxPages int
 	pages    [][]page // [layer][page]
 	appended int
-	// shared marks the prefix of each layer's pages (all layers share the
-	// same count) that alias another cache's storage after ClonePrefix;
-	// those pages are full and immutable, so sharing is safe, but they
-	// must not be appended to.
-	shared int
 	// qbits is the page codec: 0 stores fp32 rows, 4 or 8 quantizes every
 	// token's K/V to uniform codes that wide on append.
 	qbits int
@@ -130,9 +125,6 @@ func (c *PagedKV) Append(layer int, k, v [][]float32) {
 	}
 	c.AppendFlatN(layer, 1, c.gather[:stride], c.gather[stride:])
 }
-
-// AppendFlat is AppendFlatN for one token.
-func (c *PagedKV) AppendFlat(layer int, k, v []float32) { c.AppendFlatN(layer, 1, k, v) }
 
 // AppendFlatN implements Paged: the span is split across pages — filling the
 // current partial page, then whole pages, then a trailing partial — each
@@ -267,7 +259,7 @@ func (c *PagedKV) ClonePrefixN(n int) *PagedKV {
 	if c.summaries {
 		out.EnableKeySummaries()
 	}
-	out.appended, out.shared = n, full
+	out.appended = n
 	for l := range c.pages {
 		out.pages[l] = append(make([]page, 0, full+1), c.pages[l][:full]...)
 		if part > 0 {
@@ -314,12 +306,7 @@ func (c *PagedKV) AdoptPage(p Page) {
 		c.pages[l] = append(c.pages[l], p[l])
 	}
 	c.appended += p[0].n
-	c.shared++
 }
-
-// SharedPages returns how many of the cache's per-layer pages alias
-// another cache's storage (prefix reuse), for memory accounting.
-func (c *PagedKV) SharedPages() int { return c.shared }
 
 // MemoryBytes charges every allocated page at full capacity (K and V) —
 // internal fragmentation included, as a paged engine actually pays it: fp32

@@ -73,8 +73,8 @@ func TestPagedKVClonePrefixIsolation(t *testing.T) {
 	if got, want := clone.TotalAppended(), 6; got != want {
 		t.Fatalf("clone TotalAppended = %d, want %d", got, want)
 	}
-	if got := clone.SharedPages(); got != 1 {
-		t.Fatalf("SharedPages = %d, want 1 (partial page deep-copied)", got)
+	if got := sharedPages(clone, parent); got != 1 {
+		t.Fatalf("shared pages = %d, want 1 (partial page deep-copied)", got)
 	}
 
 	// Clone content matches parent exactly before divergence.

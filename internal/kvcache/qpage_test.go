@@ -24,7 +24,7 @@ func qFill(c *PagedKV, n int, seed int64) (k, v []float32) {
 	}
 	for t := 0; t < n; t++ {
 		for l := 0; l < shape.Layers; l++ {
-			c.AppendFlat(l, k[t*stride:(t+1)*stride], v[t*stride:(t+1)*stride])
+			c.AppendFlatN(l, 1, k[t*stride:(t+1)*stride], v[t*stride:(t+1)*stride])
 		}
 	}
 	return k, v
@@ -84,8 +84,8 @@ func TestQuantClonePrefixSharesFullPages(t *testing.T) {
 	fullKCodes := append([]uint8(nil), origPage0.Codes...)
 
 	n := c.ClonePrefix()
-	if n.SharedPages() != 1 {
-		t.Fatalf("shared pages = %d, want 1", n.SharedPages())
+	if got := sharedPages(n, c); got != 1 {
+		t.Fatalf("shared pages = %d, want 1", got)
 	}
 	cp0, _ := c.Rows(0, 0, 0, false)
 	np0, _ := n.Rows(0, 0, 0, false)
@@ -106,7 +106,7 @@ func TestQuantClonePrefixSharesFullPages(t *testing.T) {
 		tok[i] = float32(i) * 0.5
 	}
 	for l := 0; l < qShape().Layers; l++ {
-		n.AppendFlat(l, tok, tok)
+		n.AppendFlatN(l, 1, tok, tok)
 	}
 	if c.TotalAppended() != 6 || n.TotalAppended() != 7 {
 		t.Fatalf("appended = %d/%d, want 6/7", c.TotalAppended(), n.TotalAppended())
@@ -171,7 +171,7 @@ func TestQuantBudgetContract(t *testing.T) {
 		}
 	}()
 	stride := qShape().KVHeads * qShape().HeadDim
-	c.AppendFlat(0, make([]float32, stride), make([]float32, stride))
+	c.AppendFlatN(0, 1, make([]float32, stride), make([]float32, stride))
 }
 
 // The byte-budget scaling: fp32 unchanged, int8/int4 hold strictly more

@@ -44,24 +44,6 @@ func (c *PagedKV) EnableKeySummaries() {
 // and is valid until the next append.
 func (c *PagedKV) KeySummary(layer, page int) []float32 { return c.pages[layer][page].summ }
 
-// KeySummaryBytes reports the extra resident bytes the summaries add: two
-// float32 per (page, kv-head, channel), i.e. 8*stride bytes per page —
-// 1/(4*PageTokens) of the fp32 page payload, so at the default 16-token
-// pages the metadata overhead is ~1.6% (and proportionally more of a
-// quantized page's smaller footprint). Kept separate from MemoryBytes,
-// whose FP16-equivalent convention prices KV payload for accuracy
-// comparisons.
-func (c *PagedKV) KeySummaryBytes() int64 {
-	if !c.summaries {
-		return 0
-	}
-	var pages int64
-	for l := range c.pages {
-		pages += int64(len(c.pages[l]))
-	}
-	return pages * int64(2*c.stride()) * 4
-}
-
 // summUpdateSeg folds one head slice x into the summary segment at element
 // offset off: min block s[off+i], max block s[stride+off+i]. init seeds
 // both blocks from x (the page's first token), making the fold independent

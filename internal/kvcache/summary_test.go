@@ -71,7 +71,7 @@ func TestKeySummariesBoundStoredKeys(t *testing.T) {
 			stride := shape.KVHeads * shape.HeadDim
 			for tk := 0; tk < n; tk++ {
 				for l := 0; l < shape.Layers; l++ {
-					c.AppendFlat(l, k[tk*stride:(tk+1)*stride], v[tk*stride:(tk+1)*stride])
+					c.AppendFlatN(l, 1, k[tk*stride:(tk+1)*stride], v[tk*stride:(tk+1)*stride])
 				}
 			}
 			d := shape.HeadDim
@@ -125,7 +125,7 @@ func TestKeySummariesRecomputeBitIdentical(t *testing.T) {
 			one := summCache(shape, pageTokens, w.bits)
 			for tk := 0; tk < n; tk++ {
 				for l := 0; l < shape.Layers; l++ {
-					one.AppendFlat(l, k[tk*stride:(tk+1)*stride], v[tk*stride:(tk+1)*stride])
+					one.AppendFlatN(l, 1, k[tk*stride:(tk+1)*stride], v[tk*stride:(tk+1)*stride])
 				}
 			}
 			// Chunk splits chosen to open, straddle, and exactly fill pages.
@@ -160,7 +160,7 @@ func TestKeySummariesClonePrefix(t *testing.T) {
 			base := summCache(shape, pageTokens, w.bits)
 			for tk := 0; tk < n; tk++ {
 				for l := 0; l < shape.Layers; l++ {
-					base.AppendFlat(l, k[tk*stride:(tk+1)*stride], v[tk*stride:(tk+1)*stride])
+					base.AppendFlatN(l, 1, k[tk*stride:(tk+1)*stride], v[tk*stride:(tk+1)*stride])
 				}
 			}
 			clone := base.ClonePrefix()
@@ -181,7 +181,7 @@ func TestKeySummariesClonePrefix(t *testing.T) {
 			grow := func(c *PagedKV, gk, gv []float32) {
 				for tk := 0; tk < len(gk)/stride; tk++ {
 					for l := 0; l < shape.Layers; l++ {
-						c.AppendFlat(l, gk[tk*stride:(tk+1)*stride], gv[tk*stride:(tk+1)*stride])
+						c.AppendFlatN(l, 1, gk[tk*stride:(tk+1)*stride], gv[tk*stride:(tk+1)*stride])
 					}
 				}
 			}
@@ -220,7 +220,7 @@ func TestKeySummariesAppendFormsAgree(t *testing.T) {
 					kh[h], vh[h] = kt[h*d:(h+1)*d], vt[h*d:(h+1)*d]
 				}
 				for l := 0; l < shape.Layers; l++ {
-					flat.AppendFlat(l, kt, vt)
+					flat.AppendFlatN(l, 1, kt, vt)
 					heads.Append(l, kh, vh)
 				}
 			}
@@ -234,14 +234,14 @@ func TestKeySummariesAppendFormsAgree(t *testing.T) {
 }
 
 // EnableKeySummaries is an at-construction switch: enabling after tokens
-// landed must panic (the fold cannot be reconstructed), and byte accounting
-// must charge exactly two float32 per (page, head, channel).
+// landed must panic (the fold cannot be reconstructed), and a summaries-off
+// cache hands out none.
 func TestKeySummariesEnableContractAndBytes(t *testing.T) {
 	shape := qShape()
 	c := NewPagedKV(shape, 4)
 	k, v := summFill(shape, 1, 1)
 	for l := 0; l < shape.Layers; l++ {
-		c.AppendFlat(l, k, v)
+		c.AppendFlatN(l, 1, k, v)
 	}
 	func() {
 		defer func() {
@@ -252,19 +252,6 @@ func TestKeySummariesEnableContractAndBytes(t *testing.T) {
 		c.EnableKeySummaries()
 	}()
 
-	s := summCache(shape, 4, 0)
-	if s.KeySummaryBytes() != 0 {
-		t.Fatalf("empty cache charges %d summary bytes", s.KeySummaryBytes())
-	}
-	k9, v9 := summFill(shape, 9, 2)
-	for l := 0; l < shape.Layers; l++ {
-		s.AppendFlatN(l, 9, k9, v9)
-	}
-	stride := shape.KVHeads * shape.HeadDim
-	want := int64(3 /* pages */ * shape.Layers * 2 * stride * 4)
-	if got := s.KeySummaryBytes(); got != want {
-		t.Fatalf("KeySummaryBytes = %d, want %d", got, want)
-	}
 	if c.KeySummary(0, 0) != nil {
 		t.Fatal("summaries-off cache returned non-nil summaries")
 	}

@@ -98,9 +98,6 @@ func (bw *BatchWorkspace) EnsureLanes(n int) {
 	}
 }
 
-// Lanes reports the allocated lane capacity.
-func (bw *BatchWorkspace) Lanes() int { return len(bw.lanes) }
-
 // ensureChunkSlots grows the per-chunk path/result slots to at least k.
 func (bw *BatchWorkspace) ensureChunkSlots(k int) {
 	for len(bw.chunkPaths) < k {
@@ -123,9 +120,6 @@ func (bw *BatchWorkspace) SetWorkers(w int) {
 		bw.blks = append(bw.blks, tensor.NewAttnBlock(bw.m.cfg.HeadDim, bw.m.cfg.MaxSeq))
 	}
 }
-
-// Workers reports the configured shard width.
-func (bw *BatchWorkspace) Workers() int { return bw.workers }
 
 // gemmShardMin is the per-shard work floor (multiply-accumulates) below
 // which sharding a GEMM costs more in goroutine latency than it saves.

@@ -110,8 +110,8 @@ func TestForwardBatchIntoWorkers(t *testing.T) {
 	serial := m.NewBatchWorkspace(B)
 	parallel := m.NewBatchWorkspace(B)
 	parallel.SetWorkers(4)
-	if parallel.Workers() != 4 {
-		t.Fatalf("workers = %d", parallel.Workers())
+	if parallel.workers != 4 {
+		t.Fatalf("workers = %d", parallel.workers)
 	}
 
 	sc := make([]kvcache.Cache, B)

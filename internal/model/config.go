@@ -60,12 +60,6 @@ func (c Config) ParamCount() int64 {
 	return int64(c.Layers)*perLayer + 2*int64(c.Vocab)*h // embed + lm head
 }
 
-// KVBytesPerTokenFP16 returns the FP16 KV cache footprint of one token
-// across all layers.
-func (c Config) KVBytesPerTokenFP16() int64 {
-	return int64(c.Layers) * int64(c.KVDim()) * 2 /*K+V*/ * 2 /*bytes*/
-}
-
 // Tiny returns the runnable test model: small enough for pure-Go execution,
 // large enough that quantisation and eviction have measurable effects.
 func Tiny() Config {

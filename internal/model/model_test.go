@@ -50,18 +50,6 @@ func TestFullSizeDescriptors(t *testing.T) {
 	}
 }
 
-func TestKVBytesPerToken(t *testing.T) {
-	// LLaMA-2-7B: 32 layers × 4096 kv dim × 2 (K,V) × 2 bytes = 1 MiB/token.
-	got := LLaMA2_7B.KVBytesPerTokenFP16()
-	if got != 32*4096*2*2 {
-		t.Fatalf("kv bytes per token = %d", got)
-	}
-	// GQA shrinks it: 70B has only 8 KV heads.
-	if LLaMA2_70B.KVBytesPerTokenFP16() >= LLaMA2_13B.KVBytesPerTokenFP16()*4 {
-		t.Fatal("GQA should bound 70B KV growth")
-	}
-}
-
 func TestByName(t *testing.T) {
 	if c, ok := ByName("mistral-7b"); !ok || c.KVHeads != 8 {
 		t.Fatalf("ByName(mistral-7b) = %+v, %v", c, ok)

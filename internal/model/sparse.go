@@ -2,19 +2,19 @@ package model
 
 import (
 	"fmt"
+	"math"
 
-	"rethinkkv/internal/attention"
 	"rethinkkv/internal/tensor"
 )
 
 // This file is Quest sparse attention on the model's decode path. When
 // SetSparseTopK enables it and the cache maintains key summaries
 // (kvcache.Paged's KeySummary), each query head scores every resident page's
-// summary with the Quest criticality bound, selects the topK pages (tail
-// always included) via the attention package's selection policy — the one
-// its offline Quest prototype uses — and hands the ascending list to the
-// model's one page walk (attend.go) as a block of one query: the dense walk's
-// routine with a different block size and page list. Sharing that walk is
+// summary with the Quest criticality bound (criticalityStrided), selects the
+// topK pages, tail always included (selectTopPages), and hands the ascending
+// list to the model's one page walk (attend.go) as a block of one query: the
+// dense walk's routine with a different block size and page list. Both run
+// over workspace scratch and allocate nothing. Sharing that walk is
 // what keeps sparse decode bit-identical to dense whenever every page is
 // selected (topK >= pages): the selection is ascending, so the streamed token
 // order, and therefore every reduction order, is exactly the dense walk's.
@@ -104,6 +104,75 @@ func (m *Model) questEngages(ws *Workspace, cp *cachePath, v *pageView) bool {
 	return false
 }
 
+// criticalityStrided is Quest's upper bound on a page's largest query-key
+// inner product, Σ_c max(q_c·min_c, q_c·max_c) accumulated in float64, over
+// kvcache's flat summary layout: summ holds per-channel key minima in
+// [0, stride) and maxima in [stride, 2*stride), and off selects the head
+// (off = head*HeadDim). The tail page is always selected on top of it: the
+// query's strongest local context lives there and its summary covers few
+// tokens, so the bound is least informative exactly where a miss costs most.
+func criticalityStrided(q, summ []float32, off, stride int) float64 {
+	mins := summ[off : off+len(q)]
+	maxs := summ[stride+off : stride+off+len(q)]
+	var sum float64
+	for c, qc := range q {
+		lo := float64(qc) * float64(mins[c])
+		hi := float64(qc) * float64(maxs[c])
+		if hi > lo {
+			lo = hi
+		}
+		sum += lo
+	}
+	return sum
+}
+
+// selectTopPages writes the indices of the topK highest-scoring pages into
+// sel in ascending page order and returns how many were selected. The last
+// page is always included. scores is consumed destructively (selected
+// entries become NaN, which is how a taken page is told from one that scored
+// -Inf); ties break toward the lower page index. topK >= len(scores) selects
+// every page — ascending order then makes a sparse walk's stream identical to
+// the dense walk's, which is what keeps topK >= pages bit-identical. sel must
+// hold at least len(scores) entries.
+func selectTopPages(sel []int32, scores []float64, topK int) int {
+	n := len(scores)
+	if n == 0 {
+		return 0
+	}
+	if topK >= n {
+		for i := range scores {
+			sel[i] = int32(i)
+		}
+		return n
+	}
+	taken := math.NaN()
+	sel[0] = int32(n - 1) // tail protection
+	scores[n-1] = taken
+	cnt := 1
+	for cnt < topK {
+		best := -1
+		for i, s := range scores {
+			if s == s && (best < 0 || s > scores[best]) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break // the caller's scores held NaNs: nothing comparable is left
+		}
+		scores[best] = taken
+		// Insertion keeps sel ascending; the selection is small (topK),
+		// so the quadratic worst case is a handful of int32 moves.
+		j := cnt
+		for j > 0 && sel[j-1] > int32(best) {
+			sel[j] = sel[j-1]
+			j--
+		}
+		sel[j] = int32(best)
+		cnt++
+	}
+	return cnt
+}
+
 // attendSparse runs one query head's sparse decode attention: blk holds the
 // head's query q alone, and its ascending topK page list narrows the walk.
 // Summaries are fp32 whatever the page codec (kvcache folds them over
@@ -113,9 +182,9 @@ func (m *Model) attendSparse(ws *Workspace, blk *tensor.AttnBlock, cp *cachePath
 	scores, sel := ws.sparseScratch(np)
 	off, stride := v.head*m.cfg.HeadDim, m.cfg.KVDim()
 	for p := range scores {
-		scores[p] = attention.CriticalityStrided(q, v.paged.KeySummary(v.layer, p), off, stride)
+		scores[p] = criticalityStrided(q, v.paged.KeySummary(v.layer, p), off, stride)
 	}
-	sel = sel[:attention.SelectTopPages(sel, scores, m.sparseTopK)]
+	sel = sel[:selectTopPages(sel, scores, m.sparseTopK)]
 	ws.sparseSel += int64(len(sel))
 	ws.sparseTot += int64(np)
 	m.attendBlock(blk, cp, v, sel)

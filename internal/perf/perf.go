@@ -166,8 +166,9 @@ func (e *Estimator) decodeAttentionTime(batch, kvLen int) float64 {
 		}
 	}
 	if cost.NeedsScores && e.Engine.FlashAttention {
-		// Flash never materialises scores: H2O-style policies re-read K
-		// and recompute q·Kᵀ (see internal/attention.FlashScores).
+		// A one-pass online-softmax kernel never materialises scores, so
+		// an H2O-style policy pays one more pass over K: n·d elements
+		// read and 2·n·d FLOPs per head to recompute q·Kᵀ.
 		bytes += b * effLen * float64(cfg.KVDim()) * fp16 * float64(cfg.Layers) / tp
 		flops += 2 * b * effLen * float64(cfg.Hidden()) * float64(cfg.Layers) / tp
 	}

@@ -37,22 +37,6 @@ func ComputeAdvantage(fp16, method *perf.Estimator, methodName string, batches, 
 	return a
 }
 
-// DecodeFrontier returns, per batch size, the smallest swept KV length at
-// which the method's decode throughput beats FP16 (-1 if it never does).
-func (a Advantage) DecodeFrontier() map[int]int {
-	out := map[int]int{}
-	for i, b := range a.Batches {
-		out[b] = -1
-		for j, l := range a.Lengths {
-			if a.Decode[i][j] > 1 {
-				out[b] = l
-				break
-			}
-		}
-	}
-	return out
-}
-
 // AdvantageousFraction returns the fraction of swept cells where the method
 // wins, per stage.
 func (a Advantage) AdvantageousFraction() (decode, prefill float64) {

@@ -30,13 +30,6 @@ func TestStreamAdvantageRegion(t *testing.T) {
 			t.Fatalf("batch %d: advantage should grow with KV length", a.Batches[i])
 		}
 	}
-	frontier := a.DecodeFrontier()
-	if frontier[16] == -1 {
-		t.Fatal("batch 16 should have an advantageous frontier")
-	}
-	if f1, f16 := frontier[1], frontier[16]; f1 != -1 && f16 != -1 && f16 > f1 {
-		t.Fatalf("larger batches should cross over no later: b1=%d b16=%d", f1, f16)
-	}
 }
 
 func TestH2OPrefillNeverAdvantageous(t *testing.T) {

@@ -19,16 +19,11 @@ import (
 // says about the likely response scale) and a fragility hint (how strongly
 // this prompt lengthens under compression; see gen.Fragility).
 type LengthPredictor struct {
-	reg  *stats.LinearModel // log-length regression
-	cuts []float64          // bucket bounds for the classification API
+	reg *stats.LinearModel // log-length regression
 	// encoder noise levels (fixed; documented in DESIGN.md).
 	hintNoise float64
 	fragNoise float64
 }
-
-// DefaultBuckets returns the bucket cut points in tokens, used by the
-// router's coarse decisions.
-func DefaultBuckets() []float64 { return []float64{64, 192, 512} } // 4 buckets
 
 // ContentHint returns the encoder's estimate of the response scale: the
 // reference length blurred by encoder noise. Deterministic per request ID.
@@ -55,16 +50,6 @@ func features(req workload.Request, m compress.Method, hintNoise, fragNoise floa
 	}
 }
 
-// bucketOf returns the bucket index of a length under the cuts.
-func bucketOf(length int, cuts []float64) int {
-	for i, c := range cuts {
-		if float64(length) <= c {
-			return i
-		}
-	}
-	return len(cuts)
-}
-
 // TrainLength fits the predictor on simulated generations for one method.
 // gens must pair one Generation per request (same order).
 func TrainLength(reqs []workload.Request, gens []gen.Generation, m compress.Method, seed uint64) *LengthPredictor {
@@ -75,7 +60,7 @@ func TrainLength(reqs []workload.Request, gens []gen.Generation, m compress.Meth
 		hintNoise = 0.08
 		fragNoise = 0.15
 	)
-	lp := &LengthPredictor{cuts: DefaultBuckets(), hintNoise: hintNoise, fragNoise: fragNoise}
+	lp := &LengthPredictor{hintNoise: hintNoise, fragNoise: fragNoise}
 	X := make([][]float64, len(reqs))
 	y := make([]float64, len(reqs))
 	for i, req := range reqs {
@@ -99,11 +84,6 @@ func (lp *LengthPredictor) PredictLen(req workload.Request, m compress.Method, s
 	return l
 }
 
-// PredictBucket returns the coarse length bucket of the point estimate.
-func (lp *LengthPredictor) PredictBucket(req workload.Request, m compress.Method, salt uint64) int {
-	return bucketOf(int(lp.PredictLen(req, m, salt)+0.5), lp.cuts)
-}
-
 // Accuracy returns the paper's Table 6 metric: mean over the test set of
 // (1 − |Lpred − Lgt| / Lgt), clamped at 0 per sample.
 func (lp *LengthPredictor) Accuracy(reqs []workload.Request, gens []gen.Generation, m compress.Method, salt uint64) float64 {
@@ -121,19 +101,4 @@ func (lp *LengthPredictor) Accuracy(reqs []workload.Request, gens []gen.Generati
 		sum += a
 	}
 	return sum / float64(len(reqs))
-}
-
-// BucketAccuracy returns the coarse-bucket classification accuracy, used to
-// sanity-check the router's decision signal.
-func (lp *LengthPredictor) BucketAccuracy(reqs []workload.Request, gens []gen.Generation, m compress.Method, salt uint64) float64 {
-	if len(reqs) == 0 || len(reqs) != len(gens) {
-		return 0
-	}
-	correct := 0
-	for i, req := range reqs {
-		if lp.PredictBucket(req, m, salt) == bucketOf(gens[i].Len, lp.cuts) {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(reqs))
 }

@@ -228,10 +228,6 @@ type GEARCache struct {
 	shape    kvcache.Shape
 	streams  [][]*gearStream
 	appended int
-	// correctionOps counts error-correction element operations (outlier
-	// scatter + low-rank GEMM), charged by the cost model as GEAR's extra
-	// compute.
-	correctionOps int64
 }
 
 // NewGEAR builds an empty GEAR cache.
@@ -281,7 +277,6 @@ func (c *GEARCache) Seq(layer, head int) (keys, values [][]float32) {
 	for i := range s.kBlocks {
 		keys = append(keys, s.kBlocks[i].decompress()...)
 		values = append(values, s.vBlocks[i].decompress()...)
-		c.correctionOps += int64(2 * s.kBlocks[i].q.Tokens * s.kBlocks[i].q.Channels)
 	}
 	keys = append(keys, s.fullK...)
 	values = append(values, s.fullV...)
@@ -325,9 +320,6 @@ func (c *GEARCache) MemoryBytes() int64 {
 	}
 	return bits / 8
 }
-
-// CorrectionOps returns cumulative error-correction element operations.
-func (c *GEARCache) CorrectionOps() int64 { return c.correctionOps }
 
 // CompressionRatio returns FP16 bytes over actual bytes.
 func (c *GEARCache) CompressionRatio() float64 {

@@ -55,9 +55,6 @@ type KIVICache struct {
 	shape    kvcache.Shape
 	streams  [][]*kiviStream // [layer][head]
 	appended int
-	// dequantOps counts elements dequantised on read; the cost model uses
-	// this to charge the de-quantisation compute of Eqn. 3.
-	dequantOps int64
 }
 
 // NewKIVI builds an empty KIVI cache.
@@ -110,7 +107,6 @@ func (c *KIVICache) Seq(layer, head int) (keys, values [][]float32) {
 	for _, b := range s.blocks {
 		keys = append(keys, b.keys.Dequantize()...)
 		values = append(values, b.vals.Dequantize()...)
-		c.dequantOps += int64(2 * b.keys.Tokens * b.keys.Channels)
 	}
 	keys = append(keys, s.fullK...)
 	values = append(values, s.fullV...)
@@ -155,9 +151,6 @@ func (c *KIVICache) MemoryBytes() int64 {
 	}
 	return bits / 8
 }
-
-// DequantOps returns the cumulative elements dequantised on reads.
-func (c *KIVICache) DequantOps() int64 { return c.dequantOps }
 
 // CompressionRatio returns FP16 bytes divided by actual bytes for the
 // current contents (>= 1 once blocks exist).

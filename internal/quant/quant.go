@@ -82,28 +82,10 @@ func (q Quantized) Dequantize(dst []float32) []float32 {
 	return dst
 }
 
-// MaxAbsError returns the theoretical worst-case reconstruction error,
-// Delta/2.
-func (q Quantized) MaxAbsError() float64 { return float64(q.Delta) / 2 }
-
 // StorageBits returns the true storage cost in bits: packed codes plus the
 // two FP16 affine parameters.
 func (q Quantized) StorageBits(bits int) int64 {
 	return int64(len(q.Codes))*int64(bits) + 2*16
-}
-
-// MSE returns the mean squared reconstruction error against the original.
-func MSE(orig []float32, q Quantized) float64 {
-	rec := q.Dequantize(nil)
-	if len(rec) != len(orig) {
-		panic("quant: MSE length mismatch")
-	}
-	var s float64
-	for i := range orig {
-		d := float64(orig[i] - rec[i])
-		s += d * d
-	}
-	return s / float64(len(orig))
 }
 
 // Granularity selects how a [tokens × channels] group is sliced for
@@ -197,19 +179,4 @@ func (g GroupQuantized) StorageBits() int64 {
 		total += s.StorageBits(g.Bits)
 	}
 	return total
-}
-
-// GroupMSE returns the mean squared reconstruction error over the group.
-func GroupMSE(orig [][]float32, g GroupQuantized) float64 {
-	rec := g.Dequantize()
-	var s float64
-	var n int
-	for t := range orig {
-		for c := range orig[t] {
-			d := float64(orig[t][c] - rec[t][c])
-			s += d * d
-			n++
-		}
-	}
-	return s / float64(n)
 }

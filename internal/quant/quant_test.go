@@ -147,3 +147,38 @@ func TestStorageBitsAccounting(t *testing.T) {
 		t.Fatalf("group storage bits = %d", got)
 	}
 }
+
+// The reconstruction-error references the codec tests compare against.
+
+// MaxAbsError returns the theoretical worst-case reconstruction error,
+// Delta/2.
+func (q Quantized) MaxAbsError() float64 { return float64(q.Delta) / 2 }
+
+// MSE returns the mean squared reconstruction error against the original.
+func MSE(orig []float32, q Quantized) float64 {
+	rec := q.Dequantize(nil)
+	if len(rec) != len(orig) {
+		panic("quant: MSE length mismatch")
+	}
+	var s float64
+	for i := range orig {
+		d := float64(orig[i] - rec[i])
+		s += d * d
+	}
+	return s / float64(len(orig))
+}
+
+// GroupMSE returns the mean squared reconstruction error over the group.
+func GroupMSE(orig [][]float32, g GroupQuantized) float64 {
+	rec := g.Dequantize()
+	var s float64
+	var n int
+	for t := range orig {
+		for c := range orig[t] {
+			d := float64(orig[t][c] - rec[t][c])
+			s += d * d
+			n++
+		}
+	}
+	return s / float64(n)
+}

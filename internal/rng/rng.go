@@ -1,7 +1,7 @@
 // Package rng provides a deterministic, splittable pseudo-random number
 // generator and the sampling distributions used throughout the benchmark
-// suite (Poisson arrivals, log-normal lengths, Zipf popularity, categorical
-// task mixes).
+// suite (exponential inter-arrival gaps, log-normal lengths, categorical task
+// mixes).
 //
 // Every experiment in this repository is seeded, so results are exactly
 // reproducible run to run. The generator is xoshiro256**, seeded via
@@ -77,26 +77,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using the provided swap
-// function, matching the contract of math/rand.Shuffle.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // NormFloat64 returns a standard normal variate using the Marsaglia polar
 // method.
 func (r *RNG) NormFloat64() float64 {
@@ -126,78 +106,6 @@ func (r *RNG) Exponential(rate float64) float64 {
 	return -math.Log(1-r.Float64()) / rate
 }
 
-// Poisson returns a Poisson variate with the given mean. For large means it
-// falls back to a normal approximation, which is adequate for workload
-// synthesis.
-func (r *RNG) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 60 {
-		v := mean + math.Sqrt(mean)*r.NormFloat64()
-		if v < 0 {
-			return 0
-		}
-		return int(v + 0.5)
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
-// Zipf samples from a Zipf distribution over [0, n) with exponent s > 0
-// using inverse-CDF over precomputed weights. For repeated sampling over the
-// same support prefer NewZipf.
-func (r *RNG) Zipf(n int, s float64) int {
-	z := NewZipf(n, s)
-	return z.Sample(r)
-}
-
-// Zipfian is a precomputed Zipf sampler over a fixed support.
-type Zipfian struct {
-	cdf []float64
-}
-
-// NewZipf builds a Zipf sampler over ranks [0, n) with exponent s. It panics
-// if n <= 0 or s <= 0.
-func NewZipf(n int, s float64) *Zipfian {
-	if n <= 0 || s <= 0 {
-		panic("rng: NewZipf with non-positive parameter")
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += 1 / math.Pow(float64(i+1), s)
-		cdf[i] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &Zipfian{cdf: cdf}
-}
-
-// Sample draws one rank.
-func (z *Zipfian) Sample(r *RNG) int {
-	u := r.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // Categorical samples an index from the given non-negative weights. It
 // panics if weights is empty or sums to zero.
 func (r *RNG) Categorical(weights []float64) int {
@@ -220,44 +128,4 @@ func (r *RNG) Categorical(weights []float64) int {
 		}
 	}
 	return len(weights) - 1
-}
-
-// Bernoulli returns true with probability p (clamped to [0,1]).
-func (r *RNG) Bernoulli(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return r.Float64() < p
-}
-
-// Gamma returns a Gamma(shape, 1) variate using the Marsaglia–Tsang method.
-// Used to add heavy-tailed jitter to synthetic workloads.
-func (r *RNG) Gamma(shape float64) float64 {
-	if shape <= 0 {
-		panic("rng: Gamma with non-positive shape")
-	}
-	if shape < 1 {
-		// Boost: Gamma(a) = Gamma(a+1) * U^(1/a)
-		return r.Gamma(shape+1) * math.Pow(r.Float64()+1e-300, 1/shape)
-	}
-	d := shape - 1.0/3.0
-	c := 1 / math.Sqrt(9*d)
-	for {
-		x := r.NormFloat64()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := r.Float64()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v
-		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v
-		}
-	}
 }

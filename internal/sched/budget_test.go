@@ -68,7 +68,8 @@ func TestTokenBudgetPackedMatchesSequential(t *testing.T) {
 
 // TestTokenBudgetQuantPacked pins packing against the quantized cache plane:
 // an int8/int4 engine with a generous budget must emit exactly the streams
-// of the same-bits engine in single-chunk mode. Quantisation changes the
+// of the same-bits engine at the default budget (one full chunk a pass, plus
+// whatever the decode lanes leave). Quantisation changes the
 // logits, so the reference is the same quantised pipeline, not fp32.
 func TestTokenBudgetQuantPacked(t *testing.T) {
 	prompts := packPrompts(3)
@@ -86,7 +87,7 @@ func TestTokenBudgetQuantPacked(t *testing.T) {
 				}
 				for j := range want[i] {
 					if got[i][j] != want[i][j] {
-						t.Fatalf("request %d token %d: %d != single-chunk %d", i, j, got[i][j], want[i][j])
+						t.Fatalf("request %d token %d: %d != default-budget %d", i, j, got[i][j], want[i][j])
 					}
 				}
 			}

@@ -14,13 +14,16 @@ import (
 // prompts long enough to span many chunks, served while other requests
 // decode, must emit per-request token streams bit-identical to sequential
 // decoding — across chunk sizes including 1 (token-at-a-time through the
-// fused plane) and a non-divisor of the prompt lengths.
+// fused plane) and a non-divisor of the prompt lengths. The long prompt is
+// admitted in the first batch beside two short ones: they prefill in the pass
+// that carries its first chunk and decode through the rest of its prefill.
 func TestChunkedPrefillMatchesSequential(t *testing.T) {
 	long := make([]int, 100)
 	for i := range long {
 		long[i] = (i*37 + 3) % 512
 	}
-	prompts := append(testPrompts(), long)
+	short := testPrompts()
+	prompts := append(append(short[:2:2], long), short[2:]...)
 	const maxNew = 12
 	want := sequentialReference(t, prompts, maxNew)
 

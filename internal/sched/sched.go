@@ -17,13 +17,11 @@
 // prefill): each iteration fuses the running decode batch with prefill
 // chunks into a single weight-stationary pass, so a long arriving prompt
 // delays running streams by one chunk's step time instead of a whole
-// prompt's. By default one iteration carries at most one
-// PrefillChunk-token span of the oldest admitted prompt; with a
-// Config.TokenBudget the iteration instead packs chunks from *every*
-// admitted mid-prefill prompt, oldest first, until decode lanes plus chunk
-// tokens fill the budget (Sarathi-style stall-free batching) — k
-// simultaneously arriving prompts then prefill concurrently instead of
-// round-robin, collapsing their aggregate TTFT. Greedy decode is
+// prompt's. An iteration packs chunks from *every* admitted mid-prefill
+// prompt, oldest first, until decode lanes plus chunk tokens fill
+// Config.TokenBudget (Sarathi-style stall-free batching) — k simultaneously
+// arriving prompts then prefill concurrently instead of round-robin,
+// collapsing their aggregate TTFT. Greedy decode is
 // deterministic, the paged cache exact, and chunked prefill bit-identical
 // to token-at-a-time regardless of packing, so a preempted, chunk-prefilled
 // or budget-packed request's final token stream is bit-identical to an
@@ -120,9 +118,9 @@ type Config struct {
 	// running streams see while a long prompt arrives; larger chunks
 	// finish the prompt's TTFT sooner. 0 means the default (32).
 	PrefillChunk int
-	// TokenBudget, when positive, is the per-iteration token budget for
-	// Sarathi-style stall-free batching: one fused pass carries the decode
-	// lanes plus prefill chunks packed greedily from *all* admitted
+	// TokenBudget is the per-iteration token budget for Sarathi-style
+	// stall-free batching: one fused pass carries the decode lanes plus
+	// prefill chunks packed greedily from *all* admitted
 	// mid-prefill prompts (oldest first, each capped by its remaining
 	// dense span and by PrefillChunk) until decode lanes + Σ chunk tokens
 	// reach the budget. k prompts arriving together then prefill
@@ -130,9 +128,9 @@ type Config struct {
 	// so their aggregate TTFT stops degrading linearly in k, while decode
 	// streams still never wait more than one budgeted pass. A budget
 	// smaller than the decode lane count still packs one (possibly
-	// truncated) chunk, so prefill always progresses. 0 (default) keeps
-	// the single-chunk behaviour: one chunk of at most PrefillChunk
-	// tokens from the oldest admitted prompt per iteration.
+	// truncated) chunk, so prefill always progresses. 0 means the default,
+	// MaxBatch + PrefillChunk: the oldest prompt always gets a full chunk
+	// and whatever room the decode lanes leave packs the next prompt's.
 	TokenBudget int
 	// Policy is PolicyFCFS (default) or PolicySJF.
 	Policy string
@@ -168,8 +166,7 @@ type Config struct {
 	KVQuantBits int
 	// MaxQueue bounds the admission queue: a Submit finding MaxQueue
 	// requests already waiting fails fast with ErrOverloaded instead of
-	// growing the backlog without bound. 0 means unbounded (the
-	// pre-admission-control behaviour).
+	// growing the backlog without bound. 0 means unbounded.
 	MaxQueue int
 	// AdmissionTimeout, in seconds, is the default TTFT deadline stamped on
 	// requests that carry none of their own: a request still queued
@@ -219,6 +216,9 @@ func (c *Config) normalize() error {
 	}
 	if c.TokenBudget < 0 {
 		return fmt.Errorf("sched: negative token budget %d", c.TokenBudget)
+	}
+	if c.TokenBudget == 0 {
+		c.TokenBudget = c.MaxBatch + c.PrefillChunk
 	}
 	if c.Policy == "" {
 		c.Policy = PolicyFCFS
@@ -304,9 +304,8 @@ type Stats struct {
 	MixedSteps       int
 	PrefillPreempted int
 	// PackedChunks counts the prefill chunks that shared their fused pass
-	// with at least one other prompt's chunk — the multi-prompt packing a
-	// TokenBudget enables; always 0 in single-chunk mode. BudgetTokens
-	// totals the tokens every scheduling iteration carried (decode lanes +
+	// with at least one other prompt's chunk. BudgetTokens totals the
+	// tokens every scheduling iteration carried (decode lanes +
 	// prefill chunk tokens), the utilisation numerator for the
 	// per-iteration budget. A request's last token is decided and never
 	// fed, so an uninterrupted request adds len(Prompt) - cached prefix +
@@ -1321,12 +1320,10 @@ func (e *Engine) reapCancelled() {
 
 // stepOnce runs one scheduling iteration: every prefill-complete session
 // decodes one token, mid-prefill requests advance prompt chunks in the
-// same fused weight pass (core.StepMixedStatsInto), and finishers retire. In
-// single-chunk mode (TokenBudget 0) only the oldest mid-prefill request
-// contributes a chunk; with a TokenBudget the iteration packs chunks from
-// every mid-prefill request, oldest first, until decode lanes + chunk
-// tokens fill the budget. Every token is sent in the iteration whose logits
-// decided it: a request whose final chunk lands this iteration gets its first
+// same fused weight pass (core.StepMixedStatsInto), and finishers retire. The
+// iteration packs chunks from every mid-prefill request, oldest first, until
+// decode lanes + chunk tokens fill the TokenBudget. Every token is sent in
+// the iteration whose logits decided it: a request whose final chunk lands this iteration gets its first
 // token now and becomes a decode session for the next one, and a request
 // retires on the pass that decides its MaxNew-th token, which is never fed —
 // exactly the token stream an admission-time full prefill would have
@@ -1376,20 +1373,12 @@ func (e *Engine) stepOnce() {
 	// iteration instead of a mid-loop lock just for PeakPages.
 	peakPages := e.usedPages()
 
-	// Pack this iteration's prefill chunks, oldest admission first. With a
-	// TokenBudget the pass carries chunks from every mid-prefill request
-	// until decode lanes + chunk tokens reach the budget (the oldest
-	// prompt always progresses by at least one token, even when decode
-	// lanes alone exceed the budget); without one it carries at most one
-	// chunk from the oldest, the pre-budget behaviour, exactly.
-	budget := e.cfg.TokenBudget
-	remaining := 0
-	if budget > 0 {
-		remaining = budget - len(e.stepSessions)
-		if remaining < 1 {
-			remaining = 1
-		}
-	}
+	// Pack this iteration's prefill chunks, oldest admission first: the pass
+	// carries chunks from every mid-prefill request until decode lanes +
+	// chunk tokens reach the TokenBudget (the oldest prompt always
+	// progresses by at least one token, even when decode lanes alone exceed
+	// the budget).
+	remaining := max(e.cfg.TokenBudget-len(e.stepSessions), 1)
 	for _, rs := range e.running {
 		if rs.sess != nil {
 			continue
@@ -1402,18 +1391,9 @@ func (e *Engine) stepOnce() {
 			// with a replay tail): no chunk to run — the session starts
 			// directly on the tail, whose first token is already known.
 			rs.sess = core.NewPrefilledStepSession(e.m, rs.cache, rs.prompt[end])
-			if budget == 0 {
-				break // single-chunk mode examines only the oldest
-			}
 			continue
 		}
-		n := end - rs.prefilled
-		if n > e.cfg.PrefillChunk {
-			n = e.cfg.PrefillChunk
-		}
-		if budget > 0 && n > remaining {
-			n = remaining
-		}
+		n := min(end-rs.prefilled, e.cfg.PrefillChunk, remaining)
 		e.chunks = append(e.chunks, core.PrefillChunk{
 			Tokens: rs.prompt[rs.prefilled : rs.prefilled+n],
 			Cache:  rs.cache,
@@ -1423,9 +1403,6 @@ func (e *Engine) stepOnce() {
 			Final: rs.prefilled+n == end && rs.replay == 0,
 		})
 		e.chunkReqs = append(e.chunkReqs, rs)
-		if budget == 0 {
-			break
-		}
 		remaining -= n
 		if remaining <= 0 {
 			break

@@ -115,15 +115,6 @@ func TTFTs(outcomes []Outcome) []float64 {
 	return out
 }
 
-// TBOTs extracts per-request mean time-between-output-tokens.
-func TBOTs(outcomes []Outcome) []float64 {
-	out := make([]float64, len(outcomes))
-	for i, o := range outcomes {
-		out[i] = o.TBOT()
-	}
-	return out
-}
-
 // TotalTokens sums the generated (response) tokens across outcomes.
 func TotalTokens(outcomes []Outcome) int {
 	n := 0

@@ -216,7 +216,6 @@ func (c *Cache) rebalanceAdaKV(layer int) {
 		}
 		hs := c.heads[layer][bestHead]
 		hs.entries = append(hs.entries[:bestIdx], hs.entries[bestIdx+1:]...)
-		c.evictions++
 	}
 }
 

@@ -160,15 +160,10 @@ type headState struct {
 
 // Cache is an eviction-based KV cache.
 type Cache struct {
-	cfg       Config
-	shape     kvcache.Shape
-	heads     [][]*headState
-	appended  int
-	evictions int64
-	// scorePasses counts attention-score observations consumed; under a
-	// FlashAttention engine each costs extra kernel passes (see
-	// internal/attention.FlashScores), which the cost model charges.
-	scorePasses int64
+	cfg         Config
+	shape       kvcache.Shape
+	heads       [][]*headState
+	appended    int
 	prefillDone bool
 	// gumbelStream is Keyformer's deterministic noise state.
 	gumbelStream uint64
@@ -234,7 +229,6 @@ func (c *Cache) evictIfNeeded(hs *headState, layer int) {
 			return
 		}
 		hs.entries = append(hs.entries[:victim], hs.entries[victim+1:]...)
-		c.evictions++
 	}
 }
 
@@ -295,7 +289,6 @@ func (c *Cache) ObserveAttention(layer, head int, weights []float32) {
 		// caller computed attention over a different snapshot; ignore.
 		return
 	}
-	c.scorePasses++
 	if c.observeExtended(hs, weights) {
 		return
 	}
@@ -409,8 +402,6 @@ func (c *Cache) snapCompress(hs *headState) {
 	for i, e := range hs.entries {
 		if keep[i] {
 			kept = append(kept, e)
-		} else {
-			c.evictions++
 		}
 	}
 	hs.entries = kept
@@ -460,13 +451,6 @@ func (c *Cache) MemoryBytes() int64 {
 	}
 	return elems*kvcache.BytesPerElemFP16 + meta*2
 }
-
-// Evictions returns the cumulative evicted-entry count.
-func (c *Cache) Evictions() int64 { return c.evictions }
-
-// ScorePasses returns the number of attention-score observations consumed;
-// nonzero values mean a FlashAttention engine had to re-materialise scores.
-func (c *Cache) ScorePasses() int64 { return c.scorePasses }
 
 // CompressionRatio returns FP16 bytes of the full history over actual bytes.
 func (c *Cache) CompressionRatio() float64 {

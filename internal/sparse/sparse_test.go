@@ -81,9 +81,6 @@ func TestStreamingKeepsSinksAndRecent(t *testing.T) {
 			}
 		}
 	}
-	if c.Evictions() == 0 {
-		t.Fatal("no evictions recorded")
-	}
 	if c.NeedsScores() {
 		t.Fatal("streaming must not need scores")
 	}
@@ -94,9 +91,6 @@ func TestStreamingUnderBudgetKeepsAll(t *testing.T) {
 	appendN(c, 20, 2)
 	if c.Len(0, 0) != 20 {
 		t.Fatalf("len = %d", c.Len(0, 0))
-	}
-	if c.Evictions() != 0 {
-		t.Fatal("should not evict under budget")
 	}
 }
 
@@ -130,8 +124,8 @@ func TestH2OKeepsHeavyHitters(t *testing.T) {
 			}
 		}
 	}
-	if !c.NeedsScores() || c.ScorePasses() == 0 {
-		t.Fatal("H2O must consume score passes")
+	if !c.NeedsScores() {
+		t.Fatal("H2O must need scores")
 	}
 }
 
@@ -227,7 +221,7 @@ func TestObserveAttentionLengthMismatchIgnored(t *testing.T) {
 	c := NewCache(shape(), DefaultH2O(16))
 	appendN(c, 4, 11)
 	c.ObserveAttention(0, 0, []float32{0.5}) // wrong length: ignored
-	if c.ScorePasses() != 0 {
+	if e := c.heads[0][0].entries[0]; e.accScore != 0 || e.lastScore != 0 {
 		t.Fatal("mismatched observation should not count")
 	}
 }

@@ -1,7 +1,5 @@
 package stats
 
-import "math"
-
 // LinearModel is an ordinary-least-squares linear regression y = w·x + b,
 // fit by gradient descent. It backs the throughput predictor's residual
 // correction on top of the profile-table interpolation.
@@ -71,105 +69,6 @@ func (m *LinearModel) Predict(x []float64) float64 {
 		p += w * x[j]
 	}
 	return p
-}
-
-// LogisticModel is a binary logistic-regression classifier. It substitutes
-// for the paper's BERT-based length classifier (see DESIGN.md): the paper's
-// claim is only that response length is predictable to >=85% accuracy from
-// the request, which a feature-based classifier reproduces.
-type LogisticModel struct {
-	Weights []float64
-	Bias    float64
-	mu, sd  []float64
-}
-
-// Sigmoid is the standard logistic function.
-func Sigmoid(z float64) float64 {
-	if z >= 0 {
-		return 1 / (1 + math.Exp(-z))
-	}
-	e := math.Exp(z)
-	return e / (1 + e)
-}
-
-// FitLogistic fits a logistic model to rows X with binary labels y (0 or 1)
-// using full-batch gradient descent with L2 regularization.
-func FitLogistic(X [][]float64, y []float64, epochs int, lr, l2 float64) *LogisticModel {
-	if len(X) == 0 || len(X) != len(y) {
-		panic("stats: FitLogistic dimension mismatch")
-	}
-	d := len(X[0])
-	mu := make([]float64, d)
-	sd := make([]float64, d)
-	for j := 0; j < d; j++ {
-		col := make([]float64, len(X))
-		for i := range X {
-			col[i] = X[i][j]
-		}
-		mu[j] = Mean(col)
-		sd[j] = StdDev(col)
-		if sd[j] == 0 {
-			sd[j] = 1
-		}
-	}
-	w := make([]float64, d)
-	b := 0.0
-	n := float64(len(X))
-	z := make([]float64, d)
-	for e := 0; e < epochs; e++ {
-		gw := make([]float64, d)
-		gb := 0.0
-		for i := range X {
-			for j := 0; j < d; j++ {
-				z[j] = (X[i][j] - mu[j]) / sd[j]
-			}
-			s := b
-			for j := 0; j < d; j++ {
-				s += w[j] * z[j]
-			}
-			err := Sigmoid(s) - y[i]
-			for j := 0; j < d; j++ {
-				gw[j] += err * z[j]
-			}
-			gb += err
-		}
-		for j := 0; j < d; j++ {
-			w[j] -= lr * (gw[j]/n + l2*w[j])
-		}
-		b -= lr * gb / n
-	}
-	return &LogisticModel{Weights: w, Bias: b, mu: mu, sd: sd}
-}
-
-// Prob returns the predicted probability of class 1 for x.
-func (m *LogisticModel) Prob(x []float64) float64 {
-	s := m.Bias
-	for j, w := range m.Weights {
-		s += w * (x[j] - m.mu[j]) / m.sd[j]
-	}
-	return Sigmoid(s)
-}
-
-// Classify returns 1 if Prob(x) >= 0.5, else 0.
-func (m *LogisticModel) Classify(x []float64) int {
-	if m.Prob(x) >= 0.5 {
-		return 1
-	}
-	return 0
-}
-
-// Accuracy returns the fraction of rows classified correctly.
-func (m *LogisticModel) Accuracy(X [][]float64, y []float64) float64 {
-	if len(X) == 0 {
-		return 0
-	}
-	correct := 0
-	for i := range X {
-		if float64(m.Classify(X[i])) == y[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(X))
 }
 
 // BilinearTable is a 2-D lookup table with bilinear interpolation over an

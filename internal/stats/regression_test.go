@@ -53,57 +53,6 @@ func TestFitLinearPanicsOnMismatch(t *testing.T) {
 	FitLinear([][]float64{{1}}, []float64{1, 2}, 10, 0.1)
 }
 
-func TestSigmoid(t *testing.T) {
-	if s := Sigmoid(0); math.Abs(s-0.5) > 1e-12 {
-		t.Fatalf("sigmoid(0) = %v", s)
-	}
-	if s := Sigmoid(100); s < 0.999 {
-		t.Fatalf("sigmoid(100) = %v", s)
-	}
-	if s := Sigmoid(-100); s > 0.001 {
-		t.Fatalf("sigmoid(-100) = %v", s)
-	}
-	// Symmetry.
-	if math.Abs(Sigmoid(2)+Sigmoid(-2)-1) > 1e-12 {
-		t.Fatal("sigmoid not symmetric")
-	}
-}
-
-func TestFitLogisticSeparable(t *testing.T) {
-	r := rng.New(3)
-	var X [][]float64
-	var y []float64
-	for i := 0; i < 600; i++ {
-		x0 := r.NormFloat64()
-		x1 := r.NormFloat64()
-		label := 0.0
-		if x0+x1 > 0 {
-			label = 1
-		}
-		X = append(X, []float64{x0, x1})
-		y = append(y, label)
-	}
-	m := FitLogistic(X, y, 500, 0.5, 1e-4)
-	if acc := m.Accuracy(X, y); acc < 0.95 {
-		t.Fatalf("separable accuracy = %v", acc)
-	}
-}
-
-func TestFitLogisticProbRange(t *testing.T) {
-	X := [][]float64{{0}, {1}, {2}, {3}}
-	y := []float64{0, 0, 1, 1}
-	m := FitLogistic(X, y, 300, 0.5, 0)
-	for _, x := range X {
-		p := m.Prob(x)
-		if p < 0 || p > 1 {
-			t.Fatalf("prob out of range: %v", p)
-		}
-	}
-	if m.Prob([]float64{0}) >= m.Prob([]float64{3}) {
-		t.Fatal("monotonicity violated")
-	}
-}
-
 func TestBilinearTableExact(t *testing.T) {
 	tab := NewBilinearTable(
 		[]float64{1, 2},

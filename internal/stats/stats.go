@@ -1,8 +1,9 @@
 // Package stats provides the descriptive statistics, density estimation and
 // small regression models used by the experiment runners: percentiles and
 // CDFs for latency analysis (Figure 5), Gaussian-kernel density estimation
-// for the response-length-difference distributions (Figure 4), and linear /
-// logistic regression for the throughput and length predictors (Table 6).
+// for the response-length-difference distributions (Figure 4), and linear
+// regression and bilinear profile tables for the throughput and length
+// predictors (Table 6).
 package stats
 
 import (
@@ -85,9 +86,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
 // ECDF is an empirical cumulative distribution function.
 type ECDF struct {
 	sorted []float64
@@ -128,78 +126,6 @@ func (e *ECDF) Quantile(q float64) float64 {
 	return e.sorted[idx]
 }
 
-// Points returns (x, cdf) pairs suitable for plotting, one per distinct
-// sample value.
-func (e *ECDF) Points() (xs, ps []float64) {
-	n := len(e.sorted)
-	for i := 0; i < n; i++ {
-		if i+1 < n && e.sorted[i+1] == e.sorted[i] {
-			continue
-		}
-		xs = append(xs, e.sorted[i])
-		ps = append(ps, float64(i+1)/float64(n))
-	}
-	return xs, ps
-}
-
-// Histogram bins samples into equal-width bins over [lo, hi].
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	N      int
-}
-
-// NewHistogram builds a histogram with the given number of bins. Samples
-// outside [lo, hi] are clamped into the edge bins. It panics if bins <= 0 or
-// hi <= lo.
-func NewHistogram(xs []float64, lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stats: invalid histogram parameters")
-	}
-	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-	for _, x := range xs {
-		h.Add(x)
-	}
-	return h
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	bins := len(h.Counts)
-	idx := int((x - h.Lo) / (h.Hi - h.Lo) * float64(bins))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= bins {
-		idx = bins - 1
-	}
-	h.Counts[idx]++
-	h.N++
-}
-
-// Density returns the normalized density of each bin (integrates to 1).
-func (h *Histogram) Density() []float64 {
-	d := make([]float64, len(h.Counts))
-	if h.N == 0 {
-		return d
-	}
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		d[i] = float64(c) / (float64(h.N) * width)
-	}
-	return d
-}
-
-// BinCenters returns the center x-value of each bin.
-func (h *Histogram) BinCenters() []float64 {
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	cs := make([]float64, len(h.Counts))
-	for i := range cs {
-		cs[i] = h.Lo + width*(float64(i)+0.5)
-	}
-	return cs
-}
-
 // KDE is a Gaussian kernel density estimator, used to draw the smoothed
 // response-length-difference curves in Figure 4.
 type KDE struct {
@@ -219,9 +145,6 @@ func NewKDE(xs []float64, bw float64) *KDE {
 	}
 	return &KDE{samples: s, bandwidth: bw}
 }
-
-// Bandwidth returns the kernel bandwidth in use.
-func (k *KDE) Bandwidth() float64 { return k.bandwidth }
 
 // At evaluates the estimated density at x.
 func (k *KDE) At(x float64) float64 {
@@ -250,26 +173,6 @@ func (k *KDE) Evaluate(lo, hi float64, n int) (xs, ys []float64) {
 		ys[i] = k.At(x)
 	}
 	return xs, ys
-}
-
-// Pearson returns the Pearson correlation coefficient of the paired samples.
-// It returns 0 when either side has zero variance or the lengths differ.
-func Pearson(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) == 0 {
-		return 0
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
 }
 
 // Summary bundles the descriptive statistics reported in experiment output.

@@ -101,42 +101,6 @@ func TestECDFMonotone(t *testing.T) {
 	}
 }
 
-func TestECDFPoints(t *testing.T) {
-	e := NewECDF([]float64{1, 1, 2})
-	xs, ps := e.Points()
-	if len(xs) != 2 || xs[0] != 1 || xs[1] != 2 {
-		t.Fatalf("points xs = %v", xs)
-	}
-	if !almostEq(ps[0], 2.0/3, 1e-12) || ps[1] != 1 {
-		t.Fatalf("points ps = %v", ps)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{0, 0.5, 1.5, 9.9, -5, 20}, 0, 10, 10)
-	if h.N != 6 {
-		t.Fatalf("N = %d", h.N)
-	}
-	if h.Counts[0] != 3 { // 0, 0.5, and clamped -5
-		t.Fatalf("bin0 = %d", h.Counts[0])
-	}
-	if h.Counts[9] != 2 { // 9.9 and clamped 20
-		t.Fatalf("bin9 = %d", h.Counts[9])
-	}
-	// Density integrates to 1.
-	sum := 0.0
-	for _, d := range h.Density() {
-		sum += d * 1.0 // bin width
-	}
-	if !almostEq(sum, 1, 1e-9) {
-		t.Fatalf("density integral = %v", sum)
-	}
-	centers := h.BinCenters()
-	if !almostEq(centers[0], 0.5, 1e-12) || !almostEq(centers[9], 9.5, 1e-12) {
-		t.Fatalf("centers = %v", centers)
-	}
-}
-
 func TestKDEIntegratesToOne(t *testing.T) {
 	k := NewKDE([]float64{-1, 0, 1, 2, 5}, 0)
 	// Trapezoidal integration over a wide range.
@@ -172,24 +136,6 @@ func TestKDEEvaluateGrid(t *testing.T) {
 	}
 	if ys[1] <= ys[0] {
 		t.Fatal("center should have highest density")
-	}
-}
-
-func TestPearson(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{2, 4, 6, 8}
-	if r := Pearson(xs, ys); !almostEq(r, 1, 1e-12) {
-		t.Fatalf("perfect correlation r = %v", r)
-	}
-	neg := []float64{8, 6, 4, 2}
-	if r := Pearson(xs, neg); !almostEq(r, -1, 1e-12) {
-		t.Fatalf("perfect anticorrelation r = %v", r)
-	}
-	if r := Pearson(xs, []float64{5, 5, 5, 5}); r != 0 {
-		t.Fatalf("zero-variance r = %v", r)
-	}
-	if r := Pearson(xs, []float64{1}); r != 0 {
-		t.Fatalf("mismatched length r = %v", r)
 	}
 }
 

@@ -120,35 +120,19 @@ func SoftmaxTemp(xs []float32, temp float64) {
 	Softmax(xs)
 }
 
-// SiLU applies x * sigmoid(x) elementwise in place (LLaMA's activation):
-// v / (1 + Exp32(−v)).
-func SiLU(xs []float32) { siluMul(xs, nil) }
-
-// SiLUMul applies the gated activation gate = SiLU(gate) ⊙ up in place, the
+// SiLUMul applies the gated activation gate = SiLU(gate) ⊙ up in place —
+// SiLU(v) = v·sigmoid(v) = v / (1 + Exp32(−v)), LLaMA's activation — the
 // activation and the product in one pass. It panics on length mismatch.
 func SiLUMul(gate, up []float32) {
 	if len(gate) != len(up) {
 		panic("tensor: silu gate/up length mismatch")
 	}
-	siluMul(gate, up)
-}
-
-// siluMul is the one SiLU loop; a nil up skips the product.
-func siluMul(gate, up []float32) {
 	i := avx2Head(len(gate))
 	if i > 0 {
-		var u *float32
-		if up != nil {
-			u = &up[0]
-		}
-		siluMulAVX2(&gate[0], u, i/8)
+		siluMulAVX2(&gate[0], &up[0], i/8)
 	}
 	for ; i < len(gate); i++ {
 		v := gate[i]
-		s := v / (1 + Exp32(-v))
-		if up != nil {
-			s *= up[i]
-		}
-		gate[i] = s
+		gate[i] = v / (1 + Exp32(-v)) * up[i]
 	}
 }

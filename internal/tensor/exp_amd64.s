@@ -95,8 +95,8 @@ scaledone:
 
 // func siluMulAVX2(gate, up *float32, n8 int)
 //
-// gate[i] = gate[i] / (1 + Exp32(−gate[i])), then · up[i] unless up is nil,
-// for the first 8·n8 elements. Y5 is the sign mask: −v flips the sign bit,
+// gate[i] = gate[i] / (1 + Exp32(−gate[i])), then · up[i], for the first
+// 8·n8 elements. Y5 is the sign mask: −v flips the sign bit,
 // as the Go expression does.
 TEXT ·siluMulAVX2(SB), NOSPLIT, $0-24
 	MOVQ gate+0(FP), DI
@@ -115,12 +115,8 @@ siluloop:
 	VBROADCASTSS 48(BX), Y3
 	VADDPS Y3, Y0, Y0
 	VDIVPS Y0, Y4, Y0
-	TESTQ SI, SI
-	JZ   silustore
 	VMULPS (SI), Y0, Y0
 	ADDQ $32, SI
-
-silustore:
 	VMOVUPS Y0, (DI)
 	ADDQ $32, DI
 	DECQ CX

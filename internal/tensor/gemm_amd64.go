@@ -36,8 +36,8 @@ func expSubAVX2(xs *float32, n8 int, sub float32)
 //go:noescape
 func scaleAVX2(xs *float32, n8 int, alpha float32)
 
-// siluMulAVX2 is the assembly behind siluMul: gate[i] = gate[i] /
-// (1 + Exp32(−gate[i])) · up[i] over 8·n8 floats; a nil up skips the product.
+// siluMulAVX2 is the assembly behind SiLUMul: gate[i] = gate[i] /
+// (1 + Exp32(−gate[i])) · up[i] over 8·n8 floats.
 //
 //go:noescape
 func siluMulAVX2(gate, up *float32, n8 int)

@@ -14,7 +14,7 @@
 // decode allocation-free. MatVecInto and VecMatInto are the scalar references
 // the GEMM is bit-identical to; Dot and AXPY over per-token views are the
 // ones the attention block is; Exp32 (exp.go) is the one exponential under
-// Softmax and SiLU, and the reference its own AVX2 arm is bit-identical to.
+// Softmax and SiLUMul, and the reference its own AVX2 arm is bit-identical to.
 package tensor
 
 import (
@@ -39,9 +39,6 @@ func NewMatrix(rows, cols int) *Matrix {
 
 // At returns the element at (i, j).
 func (m *Matrix) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
-
-// Set assigns the element at (i, j).
-func (m *Matrix) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
 
 // Row returns a mutable view of row i.
 func (m *Matrix) Row(i int) []float32 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
@@ -154,16 +151,10 @@ func Scale(xs []float32, alpha float32) {
 	}
 }
 
-// RMSNorm returns x normalized by its root-mean-square and scaled by gain,
-// as used by LLaMA-family models. eps guards the division.
-func RMSNorm(x, gain []float32, eps float32) []float32 {
-	out := make([]float32, len(x))
-	RMSNormInto(out, x, gain, eps)
-	return out
-}
-
-// RMSNormInto writes RMSNorm(x, gain) into the caller-owned dst, allocating
-// nothing. dst may alias x. It panics on length mismatch.
+// RMSNormInto writes x normalized by its root-mean-square and scaled by gain,
+// as used by LLaMA-family models, into the caller-owned dst, allocating
+// nothing. eps guards the division. dst may alias x. It panics on length
+// mismatch.
 func RMSNormInto(dst, x, gain []float32, eps float32) {
 	if len(x) != len(gain) {
 		panic("tensor: rmsnorm length mismatch")
@@ -181,28 +172,10 @@ func RMSNormInto(dst, x, gain []float32, eps float32) {
 	}
 }
 
-// ApplyRoPE rotates the vector x (length must be even) in place by the
-// rotary position embedding for the given absolute position, using the
-// standard base-10000 frequency schedule over pairs (x[2i], x[2i+1]).
-func ApplyRoPE(x []float32, pos int) {
-	d := len(x)
-	if d%2 != 0 {
-		panic("tensor: RoPE requires even head dimension")
-	}
-	for i := 0; i < d; i += 2 {
-		theta := float64(pos) * math.Pow(10000, -float64(i)/float64(d))
-		sin, cos := math.Sincos(theta)
-		a, b := x[i], x[i+1]
-		x[i] = a*float32(cos) - b*float32(sin)
-		x[i+1] = a*float32(sin) + b*float32(cos)
-	}
-}
-
 // RoPEFreqs returns the standard base-10000 rotary frequency schedule for
 // an even head dimension d: freqs[p] = 10000^(-2p/d). The schedule depends
 // only on d, so callers on the decode hot path precompute it once instead
-// of paying a math.Pow per pair per head per layer per step; the table
-// entries are the exact float64 values ApplyRoPE computes inline.
+// of paying a math.Pow per pair per head per layer per step.
 func RoPEFreqs(d int) []float64 {
 	if d%2 != 0 {
 		panic("tensor: RoPE requires even head dimension")
@@ -229,11 +202,12 @@ func RoPESincosInto(sin, cos []float32, freqs []float64, pos int) {
 	}
 }
 
-// ApplyRoPECached rotates x in place using precomputed coefficient tables.
-// When sin/cos were filled by RoPESincosInto over RoPEFreqs(len(x)) for
-// position pos, the result is bit-identical to ApplyRoPE(x, pos): the
-// tables hold exactly the float32(cos)/float32(sin) values the inline path
-// converts per pair, and the rotation arithmetic is unchanged.
+// ApplyRoPECached rotates x (even length) in place by the rotary position
+// embedding over pairs (x[2p], x[2p+1]), using coefficient tables filled by
+// RoPESincosInto over RoPEFreqs(len(x)) for the token's absolute position.
+// The result is bit-identical to computing each pair's angle and Sincos
+// inline (TestRoPECachedMatchesApplyRoPE): the tables hold exactly those
+// float32 values.
 func ApplyRoPECached(x []float32, sin, cos []float32) {
 	if len(x) != 2*len(sin) || len(sin) != len(cos) {
 		panic("tensor: RoPE table length mismatch")

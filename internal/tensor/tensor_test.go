@@ -183,7 +183,7 @@ func TestRoPERelativeProperty(t *testing.T) {
 
 func TestSiLU(t *testing.T) {
 	xs := []float32{0, 10, -10}
-	SiLU(xs)
+	SiLUMul(xs, []float32{1, 1, 1})
 	if xs[0] != 0 {
 		t.Fatalf("silu(0) = %v", xs[0])
 	}
@@ -401,4 +401,32 @@ func maxTest(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// The allocating norm and the inline rotation: what RMSNormInto and
+// ApplyRoPECached are compared against.
+
+// RMSNorm returns x normalized by its root-mean-square and scaled by gain,
+// as used by LLaMA-family models. eps guards the division.
+func RMSNorm(x, gain []float32, eps float32) []float32 {
+	out := make([]float32, len(x))
+	RMSNormInto(out, x, gain, eps)
+	return out
+}
+
+// ApplyRoPE rotates the vector x (length must be even) in place by the
+// rotary position embedding for the given absolute position, using the
+// standard base-10000 frequency schedule over pairs (x[2i], x[2i+1]).
+func ApplyRoPE(x []float32, pos int) {
+	d := len(x)
+	if d%2 != 0 {
+		panic("tensor: RoPE requires even head dimension")
+	}
+	for i := 0; i < d; i += 2 {
+		theta := float64(pos) * math.Pow(10000, -float64(i)/float64(d))
+		sin, cos := math.Sincos(theta)
+		a, b := x[i], x[i+1]
+		x[i] = a*float32(cos) - b*float32(sin)
+		x[i+1] = a*float32(sin) + b*float32(cos)
+	}
 }

@@ -1,8 +1,7 @@
 // Package textmetrics implements the token-sequence similarity metrics
-// LongBench-style task scoring uses: unigram F1 (QA), ROUGE-L / longest
-// common subsequence (summarisation), and normalised edit similarity (code
-// completion). All operate on integer token sequences, matching the tiny
-// model's outputs.
+// LongBench-style task scoring uses: unigram F1 (QA) and normalised edit
+// similarity (code completion). Both operate on integer token sequences,
+// matching the tiny model's outputs.
 package textmetrics
 
 // TokenF1 returns the unigram F1 overlap between a prediction and a
@@ -30,46 +29,6 @@ func TokenF1(pred, ref []int) float64 {
 	}
 	precision := float64(overlap) / float64(len(pred))
 	recall := float64(overlap) / float64(len(ref))
-	return 2 * precision * recall / (precision + recall)
-}
-
-// LCS returns the length of the longest common subsequence.
-func LCS(a, b []int) int {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for i := 1; i <= len(a); i++ {
-		for j := 1; j <= len(b); j++ {
-			if a[i-1] == b[j-1] {
-				cur[j] = prev[j-1] + 1
-			} else if prev[j] >= cur[j-1] {
-				cur[j] = prev[j]
-			} else {
-				cur[j] = cur[j-1]
-			}
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(b)]
-}
-
-// RougeL returns the ROUGE-L F-measure (β=1) between a prediction and a
-// reference: the LCS-based summarisation metric.
-func RougeL(pred, ref []int) float64 {
-	if len(pred) == 0 && len(ref) == 0 {
-		return 1
-	}
-	if len(pred) == 0 || len(ref) == 0 {
-		return 0
-	}
-	l := float64(LCS(pred, ref))
-	if l == 0 {
-		return 0
-	}
-	precision := l / float64(len(pred))
-	recall := l / float64(len(ref))
 	return 2 * precision * recall / (precision + recall)
 }
 

@@ -275,15 +275,3 @@ func generateSample(id int, task TaskType, cfg LongBenchConfig, r *rng.RNG) Samp
 	}
 	return s
 }
-
-// PoissonArrivals returns n arrival timestamps at the given requests/sec.
-func PoissonArrivals(n int, rps float64, seed uint64) []float64 {
-	r := rng.New(seed)
-	out := make([]float64, n)
-	now := 0.0
-	for i := range out {
-		now += r.Exponential(rps)
-		out[i] = now
-	}
-	return out
-}

@@ -49,8 +49,8 @@ func TestShareGPTStatisticsPlausible(t *testing.T) {
 		prompts = append(prompts, float64(r.PromptLen))
 		resps = append(resps, float64(r.RefLen))
 	}
-	pMed := stats.Median(prompts)
-	rMed := stats.Median(resps)
+	pMed := stats.Percentile(prompts, 50)
+	rMed := stats.Percentile(resps, 50)
 	if pMed < 100 || pMed > 350 {
 		t.Fatalf("prompt median %v outside ShareGPT-like band", pMed)
 	}
@@ -170,17 +170,6 @@ func TestTaskGrouping(t *testing.T) {
 	}
 	if len(groups) != 5 {
 		t.Fatalf("expected 5 figure-7 groups, got %d", len(groups))
-	}
-}
-
-func TestPoissonArrivalsRate(t *testing.T) {
-	arr := PoissonArrivals(1000, 10, 6)
-	if len(arr) != 1000 {
-		t.Fatal("count wrong")
-	}
-	dur := arr[len(arr)-1]
-	if dur < 80 || dur > 125 {
-		t.Fatalf("1000 arrivals at 10rps took %v s", dur)
 	}
 }
 

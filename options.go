@@ -133,8 +133,8 @@ func WithPageTokens(n int) Option { return func(c *config) { c.pageTokens = n } 
 // prompt's first token sooner. Default: 32.
 func WithPrefillChunk(n int) Option { return func(c *config) { c.prefillChunk = n } }
 
-// WithTokenBudget enables Sarathi-style stall-free batching with a shared
-// per-iteration token budget of n: each scheduling iteration packs prefill
+// WithTokenBudget sets the shared per-iteration token budget of the server's
+// Sarathi-style stall-free batching: each scheduling iteration packs prefill
 // chunks from every admitted mid-prefill prompt (oldest first, each capped
 // by WithPrefillChunk and its remaining prompt) into the same fused weight
 // pass as the running decode batch, until decode lanes + chunk tokens
@@ -144,8 +144,9 @@ func WithPrefillChunk(n int) Option { return func(c *config) { c.prefillChunk = 
 // running decode streams still never wait more than one budgeted pass.
 // Output stays bit-identical per request for every budget. A useful budget
 // is roughly maxBatch + k·prefillChunk for the burst width k it should
-// absorb. Default: 0 — single-chunk mode, one chunk of at most
-// WithPrefillChunk tokens per iteration (the pre-budget behaviour).
+// absorb. Default: 0, which means maxBatch + prefillChunk — the oldest
+// prompt always gets a full chunk and whatever room the decode lanes leave
+// packs the next prompt's.
 func WithTokenBudget(n int) Option { return func(c *config) { c.tokenBudget = n } }
 
 // WithSchedPolicy selects the server's admission/preemption policy by name

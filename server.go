@@ -2,44 +2,14 @@ package rethinkkv
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"sync/atomic"
 	"time"
 
 	"rethinkkv/internal/faults"
-	"rethinkkv/internal/fleet"
-	"rethinkkv/internal/kvcache"
 	"rethinkkv/internal/sched"
 	"rethinkkv/internal/serving"
 	"rethinkkv/internal/stats"
 )
-
-// translateServeErr maps internal engine sentinels onto the public ones so
-// callers test against rethinkkv.Err* and messages stay "rethinkkv:"-
-// prefixed at the facade boundary.
-func translateServeErr(err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, kvcache.ErrOutOfPages):
-		return fmt.Errorf("%w (%v)", ErrOutOfPages, err)
-	case errors.Is(err, sched.ErrClosed):
-		return ErrServerClosed
-	case errors.Is(err, fleet.ErrBadRoute):
-		return fmt.Errorf("%w (%v)", ErrBadRoute, err)
-	case errors.Is(err, sched.ErrOverloaded):
-		return fmt.Errorf("%w (%v)", ErrOverloaded, err)
-	case errors.Is(err, sched.ErrDeadlineExceeded):
-		return fmt.Errorf("%w (%v)", ErrDeadlineExceeded, err)
-	case errors.Is(err, sched.ErrEngineFailed):
-		return fmt.Errorf("%w (%v)", ErrEngineFailed, err)
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		return err
-	default:
-		return fmt.Errorf("rethinkkv: %w", err)
-	}
-}
 
 // ServeRequest is one request to the continuous-batching server.
 type ServeRequest struct {
@@ -84,8 +54,13 @@ type Server struct {
 
 // NewServer starts a continuous-batching server. Options: WithSeed,
 // WithMaxNewTokens, WithMaxBatch, WithKVPages, WithPageTokens,
-// WithPrefillChunk, WithSchedPolicy, WithKVQuant. Unknown policies return
-// ErrUnknownPolicy; unknown KV quant methods return ErrUnknownQuantMethod.
+// WithPrefillChunk, WithTokenBudget, WithSchedPolicy, WithKVQuant,
+// WithSparseAttention, WithSharedPrefix, WithMaxQueue, WithAdmissionTimeout,
+// WithFaults. Unknown policies return ErrUnknownPolicy; unknown KV quant
+// methods return ErrUnknownQuantMethod; an out-of-range value returns
+// ErrInvalidOption. Serving errors — from Submit, Drain, Failed, or a
+// stream's final token — are the engine's own values, which the Err*
+// sentinels alias (errors.go), so their messages carry the engine's prefix.
 // The server decodes full-precision paged KV by default; WithKVQuant
 // switches the pages to int8/int4 codes streamed through fused
 // dequantize-on-read kernels. Close it with Close when done.
@@ -104,10 +79,10 @@ func NewServer(opts ...Option) (*Server, error) {
 	m := engineModel(cfg)
 	eng, err := sched.New(m, scfg)
 	if err != nil {
-		return nil, translateServeErr(err)
+		return nil, err
 	}
 	return &Server{
-		front: frontend{vocab: m.Config().Vocab, maxNew: cfg.maxNew, now: eng.Now, enqueue: eng.Submit},
+		front: frontend{vocab: m.Config().Vocab, now: eng.Now, enqueue: eng.Submit},
 		eng:   eng,
 	}, nil
 }
@@ -133,7 +108,6 @@ func buildInjector(plan *FaultPlan) *faults.Injector {
 // and its Submit.
 type frontend struct {
 	vocab   int // the served model's vocabulary
-	maxNew  int // WithMaxNewTokens, for requests that set no MaxNew
 	nextID  atomic.Int64
 	now     func() float64 // backend clock, seconds since its epoch
 	enqueue func(context.Context, sched.Request) (<-chan sched.Token, error)
@@ -141,8 +115,8 @@ type frontend struct {
 
 // Submit validates the prompt, resolves the TTFT deadline against the
 // backend clock, numbers the request in submission order (0-based) and
-// returns the backend's stream with its terminal error, if any, translated
-// onto the public sentinels.
+// returns the backend's own stream: the engine's channel for a Server, the
+// pool's hop-splicing forwarder's for a Fleet.
 func (f *frontend) Submit(ctx context.Context, req ServeRequest) (<-chan Token, error) {
 	if err := validatePrompt(req.Prompt, f.vocab); err != nil {
 		return nil, err
@@ -151,11 +125,7 @@ func (f *frontend) Submit(ctx context.Context, req ServeRequest) (<-chan Token, 
 	if req.Deadline > 0 {
 		dl = f.now() + req.Deadline.Seconds()
 	}
-	maxNew := req.MaxNew
-	if maxNew <= 0 {
-		maxNew = f.maxNew
-	}
-	ch, err := f.enqueue(ctx, sched.Request{
+	return f.enqueue(ctx, sched.Request{
 		ID:        int(f.nextID.Add(1)) - 1,
 		Prompt:    req.Prompt,
 		MaxNew:    req.MaxNew,
@@ -163,10 +133,6 @@ func (f *frontend) Submit(ctx context.Context, req ServeRequest) (<-chan Token, 
 		Arrival:   -1, // stamp at submit time
 		Deadline:  dl,
 	})
-	if err != nil {
-		return nil, translateServeErr(err)
-	}
-	return translateStream(ch, maxNew+1), nil
 }
 
 // Vocab returns the served model's vocabulary size.
@@ -186,31 +152,12 @@ func (s *Server) Submit(ctx context.Context, req ServeRequest) (<-chan Token, er
 	return s.front.Submit(ctx, req)
 }
 
-// translateStream forwards an engine stream, rewriting any terminal error
-// token's Err onto the public sentinels (translateServeErr) so stream
-// consumers can errors.Is against rethinkkv.Err*. The buffer matches the
-// engine-side stream (token budget plus one error slot), so forwarding
-// never blocks on a slow consumer any more than the engine itself would.
-func translateStream(ch <-chan sched.Token, buf int) <-chan Token {
-	out := make(chan Token, buf)
-	go func() {
-		defer close(out)
-		for tok := range ch {
-			if tok.Err != nil {
-				tok.Err = translateServeErr(tok.Err)
-			}
-			out <- tok
-		}
-	}()
-	return out
-}
-
 // Drain blocks until every request submitted so far has retired, or ctx is
 // cancelled. Submit keeps working during a drain; callers that want a
 // quiescent server stop submitting first. A drain cut short by Close
 // reports ErrServerClosed.
 func (s *Server) Drain(ctx context.Context) error {
-	return translateServeErr(s.eng.Drain(ctx))
+	return s.eng.Drain(ctx)
 }
 
 // Close shuts the server down; in-flight streams are closed without
@@ -229,7 +176,7 @@ func (s *Server) Stats() ServerStats { return s.eng.Stats() }
 // or nil while it is healthy. A failed server rejects new Submits and
 // reports the same error from Drain; its live streams ended with an error
 // token when the failure struck.
-func (s *Server) Failed() error { return translateServeErr(s.eng.Failed()) }
+func (s *Server) Failed() error { return s.eng.Failed() }
 
 // PageBudget returns the engine's effective KV page budget: WithKVPages(n)
 // as-is for full-precision pages, or the larger page count the same byte
