@@ -16,7 +16,7 @@ build:
 	$(GO) build ./...
 
 # cross builds everything for arm64 and vets the two packages that have an
-# assembly / !amd64 pair, so the pure-Go counterparts of the AVX2 kernels keep
+# assembly / !amd64 pair, so the pure-Go counterparts of the assembly kernels keep
 # compiling against the same declarations (needs no network: the module has
 # no dependencies).
 cross:
@@ -47,16 +47,18 @@ race-sched:
 
 # fuzz-smoke runs each native fuzz target for ten seconds: the prefix-of-n
 # page clone (every page format, any page size and split), then the GEMM tile
-# loop against the scalar reference (any shape and lane count, both tile
-# implementations, raw float32 bits), then the attention block walk against
+# loop against the scalar reference (any shape and lane count, every arm the
+# host has, raw float32 bits), then the attention block walk against
 # Dot / AXPY (any head dimension, codec, page size, block size and causal
-# bounds, both tile implementations, raw float32 bits), then the KV page
+# bounds, every arm, raw float32 bits), then the KV page
 # seam (any shape, page size and store: Append, AppendFlat and any
 # AppendFlatN split store the same bytes, and Rows reads what Seq reads),
 # then Exp32 (raw float32 bits, any subtrahend, lengths 0-40 so every ragged
 # tail is hit: the AVX2 arm of exp / Softmax / SiLU against the pure-Go
 # specification), then sparse decode's page selection against a stable sort
-# (any NaN-free scores, ±Inf and ties included, any budget).
+# (any NaN-free scores, ±Inf and ties included, any budget), then FMA32, the
+# step of every accumulation chain, against a math/big oracle (raw bits of
+# all three operands: NaN, ±Inf, subnormals and double-rounding ties).
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzClonePrefixN -fuzztime 10s ./internal/kvcache
 	$(GO) test -run XXX -fuzz FuzzPackedMulMatchesScalar -fuzztime 10s ./internal/tensor
@@ -64,14 +66,15 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzAppendSplitInvariant -fuzztime 10s ./internal/kvcache
 	$(GO) test -run XXX -fuzz FuzzExp32MatchesGo -fuzztime 10s ./internal/tensor
 	$(GO) test -run XXX -fuzz FuzzSelectTopPagesMatchesSort -fuzztime 10s ./internal/model
+	$(GO) test -run XXX -fuzz FuzzFMA32 -fuzztime 10s ./internal/tensor
 
 BENCHPKGS = . ./internal/model ./internal/tensor
 
 # ALLOC_PINS are the tests that hold the serving hot paths at 0 allocs/step:
 # dequantize-on-read decode, the attention page walk (decode group, 32-row
 # chunk, Quest blocks with the recall probe) and its page-visit kernels under
-# both tile implementations, sparse decode and its page-selection pair, the
-# GEMM tile loop's entries under both tile implementations, and the fused
+# every arm, sparse decode and its page-selection pair, the
+# GEMM tile loop's entries under every arm, and the fused
 # pass / the one step entry from a batch of one with no chunks up to the
 # budget-packed mixed step.
 ALLOC_PINS = TestQuantDecodeAllocs TestBlockWalkAllocs TestQuantStridedKernelsZeroAlloc TestSparseDecodeAllocs TestSparseAttentionZeroAlloc TestBatchedKernelsAllocFree TestForwardMixedPackedAllocFree TestStepMixedPackedAllocFree

@@ -5,13 +5,14 @@ package tensor
 // or a prefill chunk's rows × group — on gemm.go's micro-kernel, in 16-token
 // sub-tiles (the tile's panel width). scores = Q·Kᵀ: the sub-tile's key rows
 // are re-laid dim-major into a HeadDim × 16 panel, so the tile's vector lanes
-// run across *tokens* and every score is one chain of HeadDim
-// multiply-then-add steps from +0 in ascending dimension — Dot's arithmetic.
+// run across *tokens* and every score is one chain of HeadDim steps of one
+// FMA32 each, from +0 in ascending dimension — Dot's arithmetic.
 // outputs += P·V: the value rows are the panel as they lie (token-major), the
-// lanes run across *dimensions*, and the seeded tile continues each output's
-// chain token by token from where the last page left it — the per-token AXPY
-// loop's arithmetic. So results are bit-identical to Dot / AXPY over per-token
-// views for every block size, page size and codec. A page's codec only has to
+// lanes run across *dimensions* (two adjacent 16-dimension panels at once on
+// the AVX-512 arm), and the seeded tile continues each output's chain token by
+// token from where the last page left it — the per-token AXPY loop's
+// arithmetic. So results are bit-identical to Dot / AXPY over per-token views
+// for every block size, page size, codec and arm. A page's codec only has to
 // produce fp32 rows (load), once per (visit, KV head) — not per query head.
 
 // AttnBlockMax is the largest query block one page walk serves.
@@ -140,7 +141,7 @@ func (b *AttnBlock) Accumulate(i, t int, r *Rows) {
 	// spare[l] stands in for out[l] on a ragged last panel (d%16 columns
 	// live), and takes the lanes a short group repeats: a seeded tile adds,
 	// so a repeated lane must not land on its query's output twice.
-	var spare [4][panelWidth]float32
+	var spare [4][2 * panelWidth]float32
 	for t0 := 0; t0 < t; t0 += panelWidth {
 		g := b.live(i + t0)
 		if g >= b.n {
@@ -150,28 +151,36 @@ func (b *AttnBlock) Accumulate(i, t int, r *Rows) {
 		rows, stride := b.load(r, t0, tt, b.d%panelWidth == 0)
 		for ; g < b.n; g += 4 {
 			lanes := min(4, b.n-g)
-			for c := 0; c < b.d; c += panelWidth {
+			for c := 0; c < b.d; {
 				width := min(panelWidth, b.d-c)
+				if arm == armAVX512 && b.d-c >= 2*panelWidth {
+					width = 2 * panelWidth
+				}
 				var d, x [4][]float32
 				for l := range d {
 					qi := g + min(l, lanes-1)
 					x[l] = b.scores[qi*b.ss+i+t0:][:tt]
 					switch {
 					case l >= lanes:
-						d[l] = spare[l][:]
+						d[l] = spare[l][:max(width, panelWidth)]
 					case width < panelWidth:
 						copy(spare[l][:width], b.out[qi][c:])
-						d[l] = spare[l][:]
+						d[l] = spare[l][:panelWidth]
 					default:
-						d[l] = b.out[qi][c : c+panelWidth]
+						d[l] = b.out[qi][c : c+width]
 					}
 				}
-				tile(&d, &x, rows[c:], tt, stride, lanes, true)
+				if width > panelWidth {
+					tilePair(&d, &x, rows[c:], tt, stride, panelWidth, true)
+				} else {
+					tile(&d, &x, rows[c:], tt, stride, lanes, true)
+				}
 				if width < panelWidth {
 					for l := 0; l < lanes; l++ {
 						copy(b.out[g+l][c:], spare[l][:width])
 					}
 				}
+				c += width
 			}
 		}
 	}
@@ -205,7 +214,7 @@ func (b *AttnBlock) load(r *Rows, t0, tt int, inPlace bool) ([]float32, int) {
 // the scratch rows: x = float32(code)·Δ + lo, DequantSliceInto's arithmetic,
 // with (lo, Δ) decoded from fp16 once per token.
 func (b *AttnBlock) dequant(r *Rows, t0, n int) {
-	if !useAVX2 || r.Bits != 8 || b.d%8 != 0 {
+	if arm == armGo || r.Bits != 8 || b.d%8 != 0 {
 		for i := 0; i < n; i++ {
 			DequantSliceInto(b.rows[i*b.rs:][:b.d], r.Codes, r.Params, r.Bits, r.Off, r.Stride, r.Heads, r.Head, t0+i)
 		}
@@ -227,7 +236,7 @@ func (b *AttnBlock) dequant(r *Rows, t0, n int) {
 func relay(panel, rows []float32, stride, d int) {
 	_, _ = rows[(panelWidth-1)*stride+d-1], panel[d*panelWidth-1]
 	j := 0
-	if useAVX2 && d >= 8 {
+	if arm != armGo && d >= 8 {
 		relay16AVX2(&panel[0], &rows[0], stride, d/8)
 		j = d &^ 7
 	}

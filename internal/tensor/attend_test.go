@@ -210,9 +210,9 @@ func fuzzAttnShape(hd, heads, head, codec, pageTokens, tokens, nq uint8) (int, i
 
 // TestAttendBlockMatchesScalar is the generated kernel-equivalence check for
 // the attention block walk: every head dimension × codec × head offset on a
-// few page sizes, then seeded random shapes, under both tile implementations.
+// few page sizes, then seeded random shapes, under every arm.
 func TestAttendBlockMatchesScalar(t *testing.T) {
-	bothTiles(t, func(t *testing.T) {
+	eachArm(t, func(t *testing.T) {
 		for _, hd := range attnHeadDims {
 			for _, bits := range []int{0, 8, 4} {
 				for heads := 1; heads <= 4; heads++ {
@@ -234,7 +234,7 @@ func TestAttendBlockMatchesScalar(t *testing.T) {
 }
 
 // FuzzAttendBlockMatchesScalar lets the fuzzer pick the shape, codec, page
-// size, block size and data seed; both tile implementations must match Dot
+// size, block size and data seed; every arm must match Dot
 // and AXPY bit for bit.
 func FuzzAttendBlockMatchesScalar(f *testing.F) {
 	f.Add(uint64(1), uint8(3), uint8(3), uint8(1), uint8(1), uint8(15), uint8(40), uint8(1))
@@ -242,22 +242,26 @@ func FuzzAttendBlockMatchesScalar(f *testing.F) {
 	f.Add(uint64(3), uint8(0), uint8(1), uint8(1), uint8(2), uint8(31), uint8(99), uint8(6))
 	f.Fuzz(func(t *testing.T, seed uint64, hd, heads, head, codec, pageTokens, tokens, nq uint8) {
 		d, h, hh, bits, pt, n, q := fuzzAttnShape(hd, heads, head, codec, pageTokens, tokens, nq)
-		bothTiles(t, func(t *testing.T) { checkAttendBlock(t, seed, d, h, hh, bits, pt, n, q) })
+		eachArm(t, func(t *testing.T) { checkAttendBlock(t, seed, d, h, hh, bits, pt, n, q) })
 	})
 }
 
 // BenchmarkAttendBlock prices one page visit — the score pass and the value
 // pass over one 16-token page of one KV head, head dimension 32 (the
 // benchmark model's) — for a block of 1, 2 and 16 queries per codec, under
-// each tile implementation, with the scalar reference (Dot and AXPY over
-// DequantSliceInto views, once per query) beside them: the attention
+// each arm, with the scalar reference (Dot and AXPY over DequantSliceInto
+// views, once per query, at the host's arm) beside them: the attention
 // counterpart of BenchmarkGEMM.
 func BenchmarkAttendBlock(b *testing.B) {
-	selected := useAVX2
-	defer func() { useAVX2 = selected }()
+	selected := arm
+	defer func() { arm = selected }()
 	const hd, heads, head, tokens = 32, 4, 1, 16
-	for _, impl := range []string{"scalar", "go", "avx2"} {
-		if impl == "avx2" && !selected {
+	impls := []struct {
+		name  string
+		level armLevel
+	}{{"scalar", selected}, {"go", armGo}, {"avx2", armAVX2}, {"avx512", armAVX512}}
+	for _, impl := range impls {
+		if impl.level > selected {
 			continue
 		}
 		for _, codec := range []struct {
@@ -273,10 +277,10 @@ func BenchmarkAttendBlock(b *testing.B) {
 				}
 				kr, vr := c.rows(0, false), c.rows(0, true)
 				scores, row := make([]float32, tokens), make([]float32, hd)
-				b.Run(fmt.Sprintf("%s/%s/q%d", impl, codec.name, nq), func(b *testing.B) {
-					useAVX2 = impl == "avx2"
+				b.Run(fmt.Sprintf("%s/%s/q%d", impl.name, codec.name, nq), func(b *testing.B) {
+					arm = impl.level
 					for b.Loop() {
-						if impl != "scalar" {
+						if impl.name != "scalar" {
 							blk.Score(0, tokens, &kr)
 							blk.Accumulate(0, tokens, &vr)
 							continue

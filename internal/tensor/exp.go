@@ -4,7 +4,7 @@ import "math"
 
 // The one exponential of the inference path. Exp32 is specified as a fixed
 // sequence of float32 operations, each rounded to float32 on its own — the
-// way the GEMM tile is specified as one multiply-then-add chain per output.
+// way the GEMM tile is specified as one FMA32 chain per output.
 // The pure-Go function below is that specification on every architecture;
 // the AVX2 arm (exp_amd64.s) executes the same sequence eight lanes at a time
 // and is equal to it by math.Float32bits on every input.
@@ -45,8 +45,9 @@ var expTable = [...]float32{expLo, expHi, expLog2e, expMagic, expLn2Hi, expLn2Lo
 // error under 2⁻²³ against math.Exp inside the clamps, Exp32(±0) = 1 exactly,
 // Exp32(x) ≤ 1 for x ≤ 0. The float32 conversion around every product is
 // what makes this one function on every build: the Go compiler may fuse
-// x*y+z (it does on arm64, see mulAddFuses), but never across an explicit
-// conversion — so arm64 computes the same bits as amd64 and as the assembly.
+// x*y+z (it does on arm64), but never across an explicit conversion — so
+// arm64 computes the same bits as amd64 and as the assembly
+// (TestNoImplicitMultiplyAdd keeps every such product converted).
 func Exp32(x float32) float32 {
 	if !(x > expLo) {
 		x = expLo
@@ -67,11 +68,12 @@ func Exp32(x float32) float32 {
 	return float32(y * math.Float32frombits(uint32(int32(n)+127)<<23))
 }
 
-// avx2Head is how many leading elements of an n-element pass the AVX2 arm
-// takes: the whole groups of eight when it is selected, none otherwise. The
-// ragged tail goes through the pure-Go expression, so nothing is masked.
+// avx2Head is how many leading elements of an n-element pass the 8-lane
+// assembly (Exp32's lanes, Scale, AXPY) takes: the whole groups of eight when
+// an assembly arm is selected, none otherwise. The ragged tail goes through
+// the pure-Go expression, so nothing is masked.
 func avx2Head(n int) int {
-	if !useAVX2 {
+	if arm == armGo {
 		return 0
 	}
 	return n &^ 7

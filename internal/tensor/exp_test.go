@@ -43,10 +43,10 @@ func sameFloats(t *testing.T, what string, got, want []float32) {
 
 // checkExpArms asserts that the selected implementation of expSub, Softmax,
 // SiLU and SiLUMul computes, for xs (and up, same length), exactly what the
-// element-wise Exp32 expressions compute — run it under bothTiles.
+// element-wise Exp32 expressions compute — run it under eachArm.
 func checkExpArms(t *testing.T, xs, up []float32, sub float32) {
 	t.Helper()
-	what := fmt.Sprintf("n=%d avx2=%v", len(xs), useAVX2)
+	what := fmt.Sprintf("n=%d arm=%s", len(xs), armNames[arm])
 	want := make([]float32, len(xs))
 	got := append([]float32(nil), xs...)
 	for i, v := range xs {
@@ -150,7 +150,7 @@ func TestExp32Accuracy(t *testing.T) {
 		}
 	}
 
-	bothTiles(t, func(t *testing.T) {
+	eachArm(t, func(t *testing.T) {
 		for _, sub := range []float32{0, negZero, 3.25, float32(math.Inf(1)), float32(math.NaN())} {
 			checkExpArms(t, xs, xs, sub)
 		}
@@ -214,7 +214,7 @@ func FuzzExp32MatchesGo(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte, n uint8, sub uint32) {
 		xs := fuzzFloats(raw, int(n)%41)
 		up := fuzzFloats(append([]byte{byte(n)}, raw...), len(xs))
-		bothTiles(t, func(t *testing.T) { checkExpArms(t, xs, up, math.Float32frombits(sub)) })
+		eachArm(t, func(t *testing.T) { checkExpArms(t, xs, up, math.Float32frombits(sub)) })
 	})
 }
 
@@ -231,16 +231,16 @@ func BenchmarkSiLU(b *testing.B) {
 }
 
 func benchExpArms(b *testing.B, f func(xs, up []float32)) {
-	selected := useAVX2
-	defer func() { useAVX2 = selected }()
-	for _, impl := range []string{"go", "avx2"} {
-		if impl == "avx2" && !selected {
+	selected := arm
+	defer func() { arm = selected }()
+	for _, level := range []armLevel{armGo, armAVX2} {
+		if level > selected {
 			continue
 		}
 		for _, n := range []int{128, 1024} {
 			src, up, xs := lanes(1, n, 7)[0], lanes(1, n, 8)[0], make([]float32, n)
-			b.Run(fmt.Sprintf("%s/n%d", impl, n), func(b *testing.B) {
-				useAVX2 = impl == "avx2"
+			b.Run(fmt.Sprintf("%s/n%d", armNames[level], n), func(b *testing.B) {
+				arm = level
 				for b.Loop() {
 					copy(xs, src)
 					f(xs, up)

@@ -2,21 +2,25 @@ package tensor
 
 // The projection GEMM: dst[b][c] = Σ_k xs[b][k]·W[k][c] for B activation
 // lanes against one immutable K×N weight. It is one loop (gemmTiles) over one
-// micro-kernel (tile): four lanes × 16 adjacent outputs, walking k.
+// micro-kernel (tile): four lanes × 16 adjacent outputs, walking k — or, on
+// AVX-512 hosts, four lanes × two adjacent panels (tilePair).
 //
 // The vector lanes of the micro-kernel run across *outputs*, never across k:
-// every output is its own chain of K multiply-then-add steps, starting from
-// +0 and taking k in ascending order — the arithmetic of the scalar reference
-// VecMatInto, operation for operation, so results are bit-identical to it for
-// every lane count and every split of the columns. What the tile buys is
-// arithmetic intensity: a weight row segment is loaded once for four lanes and
-// sixteen outputs, and a panel stays in cache while every lane group visits it.
+// every output is its own chain of K steps of one FMA32 each (one correctly
+// rounded fused multiply-add), starting from +0 and taking k in ascending
+// order — the arithmetic of the scalar reference VecMatInto, operation for
+// operation, so results are bit-identical to it for every lane count, every
+// split of the columns and every arm. What the tile buys is arithmetic
+// intensity: a weight row segment is loaded once for four lanes and sixteen
+// (or thirty-two) outputs, and a panel stays in cache while every lane group
+// visits it.
 //
 // VecMatInto skips exactly-zero activations; the tile does not, and needs no
 // fallback for them. A round-to-nearest sum that starts at +0 can never be −0
-// (x + y = −0 only when both are −0), so adding the ±0 product of a zero
-// activation and a finite weight leaves the accumulator's bits alone. Weights
-// must therefore be finite; the model's are by construction (model.New).
+// (x + y = −0 only when both are −0), so a step whose product is the ±0 of a
+// zero activation and a finite weight leaves the accumulator's bits alone.
+// Weights must therefore be finite; the model's are by construction
+// (model.New).
 //
 // Weights the engine owns are stored packed (Packed): 16-column panels, each
 // K-major and contiguous, so a tile reads one cache line per k and nothing
@@ -24,28 +28,22 @@ package tensor
 // at stride N) for callers that hold one.
 
 // panelWidth is the micro-kernel's output width and the packed panel's column
-// count: two 8-float AVX2 registers.
+// count: two 8-float AVX2 registers, one 16-float AVX-512 register.
 const panelWidth = 16
 
-// useAVX2 selects the micro-kernel's implementation, once: the assembly tile
-// when the CPU has AVX2, the pure-Go tile otherwise. Both read the same
-// layouts and produce the same bits. The Go compiler may fuse x*y+z into one
-// FMA (it does on arm64; on amd64 it does not today, at any GOAMD64 level);
-// a fused scalar reference rounds once per step where the unfused assembly
-// rounds twice, so a fusing build takes the pure-Go tile, which fuses exactly
-// like the reference: "all paths bit-identical" holds under every build
-// flag. Exp32 (exp.go) rides the same selector but does not depend on the
-// probe: every product in its pure-Go form sits inside an explicit float32
-// conversion, which no build may fuse across, so it has one set of bits on
-// every architecture. Only this package's tests write it.
-var useAVX2 = hasAVX2() && !mulAddFuses(1+1.0/4096, 1+1.0/4096, -(1+1.0/2048))
+// armLevel is a set of kernel implementations, each equal to the pure-Go
+// specification by bits.
+type armLevel int
 
-// mulAddFuses reports whether this build fuses a float32 multiply-add, given
-// a triple that tells: (1+2⁻¹²)² − (1+2⁻¹¹) is 0 when the product is rounded
-// to float32 first and 2⁻²⁴ when it is not.
-//
-//go:noinline
-func mulAddFuses(x, y, z float32) bool { return x*y+z != 0 }
+const (
+	armGo     armLevel = iota // pure Go: the specification and a correctness fallback
+	armAVX2                   // AVX2 + FMA: the YMM tile, Dot / AXPY / MatVecInto, Exp32's lanes
+	armAVX512                 // armAVX2 plus the ZMM tile over pairs of panels
+)
+
+// arm is the level this process runs, selected once from what CPUID and the
+// OS report (cpuLevel). Only this package's tests write it.
+var arm = armLevel(cpuLevel())
 
 // Packed is an immutable K×N weight matrix in panel layout: the columns are
 // split into ⌈N/16⌉ panels of 16, each stored K-major and contiguous
@@ -135,26 +133,35 @@ func checkLanes(dst, xs [][]float32, rows, cols int) {
 // gemmTiles is the one GEMM loop: output columns [c0, c1) (c0 on a panel
 // boundary) of dst[b][c] = Σ_kk xs[b][kk]·W[kk][c], where panel c/16's row kk
 // starts at w[c/16*panelStep + kk*stride]. Panels are the outer loop so one
-// panel (K×16 floats) stays cached while every group of four lanes visits
-// it. A short last group repeats its last lane — the repeats recompute and
-// rewrite that lane's own outputs — and a ragged last panel (zero-padded in
-// w) lands in a stack tile whose live columns are copied out.
+// panel (K×16 floats) — or, on the AVX-512 arm, one pair of adjacent panels —
+// stays cached while every group of four lanes visits it. A short last group
+// repeats its last lane — the repeats recompute and rewrite that lane's own
+// outputs — and a ragged last panel (zero-padded in w) lands in a stack tile
+// whose live columns are copied out; it, and a lone last panel, take the
+// one-panel tile.
 func gemmTiles(dst, xs [][]float32, w []float32, k, stride, panelStep, c0, c1 int) {
 	var ragged [4][panelWidth]float32
-	for c := c0; c < c1; c += panelWidth {
+	for c := c0; c < c1; {
 		wp := w[c/panelWidth*panelStep:]
 		width := min(panelWidth, c1-c)
+		if arm == armAVX512 && c1-c >= 2*panelWidth {
+			width = 2 * panelWidth
+		}
 		for b := 0; b < len(xs); b += 4 {
 			lanes := min(4, len(xs)-b)
 			var d, x [4][]float32
 			for i := range d {
 				l := b + min(i, lanes-1)
 				x[i] = xs[l]
-				if width == panelWidth {
-					d[i] = dst[l][c : c+panelWidth]
+				if width >= panelWidth {
+					d[i] = dst[l][c : c+width]
 				} else {
 					d[i] = ragged[l-b][:]
 				}
+			}
+			if width > panelWidth {
+				tilePair(&d, &x, wp, k, stride, panelStep, false)
+				continue
 			}
 			tile(&d, &x, wp, k, stride, lanes, false)
 			if width < panelWidth {
@@ -163,6 +170,7 @@ func gemmTiles(dst, xs [][]float32, w []float32, k, stride, panelStep, c0, c1 in
 				}
 			}
 		}
+		c += width
 	}
 }
 
@@ -171,13 +179,25 @@ func gemmTiles(dst, xs [][]float32, w []float32, k, stride, panelStep, c0, c1 in
 // Seeded, each chain starts from d's current value instead of +0 — the entry
 // attention's value pass continues its accumulation through (attend.go).
 func tile(d, x *[4][]float32, w []float32, k, stride, lanes int, seeded bool) {
-	if !useAVX2 {
+	if arm == armGo {
 		tileGo(d, x, w, k, stride, lanes, seeded)
 		return
 	}
 	_ = w[(k-1)*stride+panelWidth-1]
 	tile4x16AVX2(&d[0][0], &d[1][0], &d[2][0], &d[3][0],
 		&x[0][:k][0], &x[1][:k][0], &x[2][:k][0], &x[3][:k][0], &w[0], k, stride, seeded)
+}
+
+// tilePair is tile over two adjacent panels at once, all four lanes, on the
+// AVX-512 arm (callers take it only when arm is armAVX512): d[l][0:32] =
+// Σ_kk x[l][kk]·(w[kk*stride:][0:16] ‖ w[panelStep+kk*stride:][0:16]).
+func tilePair(d, x *[4][]float32, w []float32, k, stride, panelStep int, seeded bool) {
+	_ = w[panelStep+(k-1)*stride+panelWidth-1]
+	for i := range d {
+		_ = d[i][2*panelWidth-1]
+	}
+	tile4x32AVX512(&d[0][0], &d[1][0], &d[2][0], &d[3][0],
+		&x[0][:k][0], &x[1][:k][0], &x[2][:k][0], &x[3][:k][0], &w[0], k, stride, panelStep, seeded)
 }
 
 // tileGo is the micro-kernel in Go: per lane, four outputs at a time in
@@ -193,10 +213,10 @@ func tileGo(d, x *[4][]float32, w []float32, k, stride, lanes int, seeded bool) 
 			off := j
 			for _, a := range xl {
 				r := w[off : off+4 : off+4]
-				s0 += a * r[0]
-				s1 += a * r[1]
-				s2 += a * r[2]
-				s3 += a * r[3]
+				s0 = FMA32(a, r[0], s0)
+				s1 = FMA32(a, r[1], s1)
+				s2 = FMA32(a, r[2], s2)
+				s3 = FMA32(a, r[3], s3)
 				off += stride
 			}
 			dl[j], dl[j+1], dl[j+2], dl[j+3] = s0, s1, s2, s3

@@ -2,9 +2,21 @@
 
 package tensor
 
-func hasAVX2() bool { return false }
+func cpuLevel() int { return int(armGo) }
 
 func tile4x16AVX2(d0, d1, d2, d3, x0, x1, x2, x3, w *float32, k, stride int, seeded bool) {
+	panic("tensor: no assembly micro-kernel on this architecture")
+}
+
+func tile4x32AVX512(d0, d1, d2, d3, x0, x1, x2, x3, w *float32, k, stride, panelStep int, seeded bool) {
+	panic("tensor: no assembly micro-kernel on this architecture")
+}
+
+func dotsFMA(dst, a *float32, stride, rows int, b *float32, n int) {
+	panic("tensor: no assembly micro-kernel on this architecture")
+}
+
+func axpyFMA(dst *float32, alpha float32, x *float32, n8 int) {
 	panic("tensor: no assembly micro-kernel on this architecture")
 }
 

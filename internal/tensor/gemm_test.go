@@ -39,37 +39,24 @@ func testMatrix(rows, cols int, seed uint64) *Matrix {
 // and ragged remainders (a padded last panel, fewer than 16 columns).
 var gemmShapes = [][2]int{{64, 64}, {64, 128}, {128, 64}, {64, 32}, {512, 64}, {13, 7}, {7, 13}, {4, 4}, {33, 40}, {5, 16}}
 
-// bothTiles runs f under each micro-kernel implementation by flipping the
-// package's selector, so the pure-Go tile is exercised on an AVX2 host too.
-func bothTiles(t *testing.T, f func(t *testing.T)) {
-	selected := useAVX2
-	defer func() { useAVX2 = selected }()
-	for _, avx2 := range []bool{false, true} {
-		name := map[bool]string{false: "go", true: "avx2"}[avx2]
+// armNames are the arm levels by the names their subtests and benchmark rows
+// take.
+var armNames = [...]string{armGo: "go", armAVX2: "avx2", armAVX512: "avx512"}
+
+// eachArm runs f under every arm level this host has — go, avx2, avx512 — by
+// setting the package's selector, so the pure-Go specification is exercised
+// on an assembly host too; a level the host lacks is skipped.
+func eachArm(t *testing.T, f func(t *testing.T)) {
+	selected := arm
+	defer func() { arm = selected }()
+	for level, name := range armNames {
 		t.Run(name, func(t *testing.T) {
-			if avx2 && !selected {
-				t.Skip("the assembly tile is not selected on this host or build")
+			if armLevel(level) > selected {
+				t.Skip("this arm is not available on this host or build")
 			}
-			useAVX2 = avx2
+			arm = armLevel(level)
 			f(t)
 		})
-	}
-}
-
-// TestMulAddProbeTripleTells checks the selector's probe: on its triple a
-// fused multiply-add (math.FMA, exact in float64 for float32 inputs) and the
-// twice-rounded float32 expression disagree, and the probe reports which of
-// the two this build compiles x*y+z to.
-func TestMulAddProbeTripleTells(t *testing.T) {
-	x, y, z := float32(1+1.0/4096), float32(1+1.0/4096), float32(-(1 + 1.0/2048))
-	fused := float32(math.FMA(float64(x), float64(y), float64(z)))
-	prod := x * y
-	unfused := prod + z
-	if fused == 0 || unfused != 0 {
-		t.Fatalf("probe triple does not tell: fused %g, unfused %g", fused, unfused)
-	}
-	if got, want := mulAddFuses(x, y, z), x*y+z != 0; got != want {
-		t.Fatalf("mulAddFuses = %v, the build's x*y+z says %v", got, want)
 	}
 }
 
@@ -97,7 +84,7 @@ func sameBits(t *testing.T, what string, got, want [][]float32) {
 // transpose of a row-major matrix — to MatVecInto bit-for-bit across lane
 // counts and shapes.
 func TestMatMatIntoMatchesMatVecInto(t *testing.T) {
-	bothTiles(t, func(t *testing.T) {
+	eachArm(t, func(t *testing.T) {
 		for _, b := range []int{1, 2, 3, 5, 8} {
 			for _, shape := range gemmShapes {
 				m := testMatrix(shape[0], shape[1], uint64(b)*31)
@@ -117,7 +104,7 @@ func TestMatMatIntoMatchesMatVecInto(t *testing.T) {
 // packed weight and over the row-major one — to VecMatInto bit-for-bit across
 // lane counts and shapes, exact-zero activations included.
 func TestMatTMatIntoMatchesVecMatInto(t *testing.T) {
-	bothTiles(t, func(t *testing.T) {
+	eachArm(t, func(t *testing.T) {
 		for _, b := range []int{1, 2, 3, 5, 8} {
 			for _, shape := range gemmShapes {
 				m := testMatrix(shape[0], shape[1], uint64(b)*131)
@@ -139,7 +126,7 @@ func TestMatTMatIntoMatchesVecMatInto(t *testing.T) {
 // (ForwardInto's projections) to VecMatInto bit-for-bit, on activations with
 // exact zeros and strictly zero-free ones.
 func TestVecMatTransIntoMatchesVecMatInto(t *testing.T) {
-	bothTiles(t, func(t *testing.T) {
+	eachArm(t, func(t *testing.T) {
 		for _, shape := range gemmShapes {
 			m := testMatrix(shape[0], shape[1], uint64(shape[0])*37)
 			p := Pack(m)
@@ -178,7 +165,7 @@ func fillZeros(x []float32, v float32) {
 // reference skips those terms, the tile adds their ±0 products, and the bits
 // agree — the zero-skip fork this kernel replaced was a no-op.
 func TestMatTMatTransZeroFreeLanes(t *testing.T) {
-	bothTiles(t, func(t *testing.T) {
+	eachArm(t, func(t *testing.T) {
 		const b = 4
 		m := testMatrix(96, 80, 7)
 		p := Pack(m)
@@ -206,7 +193,7 @@ func TestMatTMatTransZeroFreeLanes(t *testing.T) {
 // weight with a ragged last panel — the invariant the parallel drivers rely
 // on.
 func TestShardedRangesAssemble(t *testing.T) {
-	bothTiles(t, func(t *testing.T) {
+	eachArm(t, func(t *testing.T) {
 		const b = 7
 		p := Pack(testMatrix(64, 90, 17))
 		xs := lanes(b, 64, 23)
@@ -282,7 +269,7 @@ func fuzzShape(k, n uint16, lanes uint8) (int, int, int) {
 // TestPackedMulMatchesScalar is the generated kernel-equivalence check: 60
 // seeded random shapes per tile implementation, plus the edges.
 func TestPackedMulMatchesScalar(t *testing.T) {
-	bothTiles(t, func(t *testing.T) {
+	eachArm(t, func(t *testing.T) {
 		for _, e := range [][3]int{{1, 1, 1}, {1, 16, 4}, {1100, 1100, 9}, {256, 24, 5}, {3, 17, 2}} {
 			checkPackedMul(t, 1, e[0], e[1], e[2])
 		}
@@ -299,14 +286,14 @@ func TestPackedMulMatchesScalar(t *testing.T) {
 }
 
 // FuzzPackedMulMatchesScalar lets the fuzzer pick the shape, lane count and
-// data seed; both tile implementations must match VecMatInto bit for bit.
+// data seed; every arm must match VecMatInto bit for bit.
 func FuzzPackedMulMatchesScalar(f *testing.F) {
 	f.Add(uint64(1), uint16(255), uint16(1023), uint8(7))
 	f.Add(uint64(2), uint16(0), uint16(23), uint8(0))
 	f.Add(uint64(3), uint16(1099), uint16(16), uint8(4))
 	f.Fuzz(func(t *testing.T, seed uint64, k, n uint16, lanes uint8) {
 		rows, cols, nLanes := fuzzShape(k, n, lanes)
-		bothTiles(t, func(t *testing.T) { checkPackedMul(t, seed, rows, cols, nLanes) })
+		eachArm(t, func(t *testing.T) { checkPackedMul(t, seed, rows, cols, nLanes) })
 	})
 }
 
@@ -372,7 +359,7 @@ func TestRoPECachedMatchesApplyRoPE(t *testing.T) {
 // TestBatchedKernelsAllocFree pins the tile loop's entries — batched, one
 // lane, ragged last panel, row-major — and the RoPE tables at 0 allocations.
 func TestBatchedKernelsAllocFree(t *testing.T) {
-	bothTiles(t, func(t *testing.T) {
+	eachArm(t, func(t *testing.T) {
 		const b = 7
 		m := testMatrix(64, 64, 1)
 		mT := Transpose(m)
@@ -409,18 +396,22 @@ func benchLanes(b int, n int) [][]float32 {
 // BenchmarkGEMM prices the projection GEMM at the shapes the benchmark's
 // small-llama model runs (K×N: attention 256×256 and 256×128, FFN up
 // 256×1024 and down 1024×256, LM head = packed embedᵀ 256×1024 over a 1024
-// vocabulary) at r lanes, once per tile implementation over packed panels,
-// with the scalar reference (VecMatInto per lane) and the row-major entry
+// vocabulary) at r lanes, once per arm over packed panels, with the scalar
+// reference (VecMatInto per lane) and the row-major entry at the host's arm
 // beside them.
 func BenchmarkGEMM(b *testing.B) {
-	selected := useAVX2
-	defer func() { useAVX2 = selected }()
+	selected := arm
+	defer func() { arm = selected }()
 	shapes := []struct {
 		name       string
 		rows, cols int
 	}{{"256x256", 256, 256}, {"256x128", 256, 128}, {"256x1024", 256, 1024}, {"1024x256", 1024, 256}, {"lmhead1024x256", 256, 1024}}
-	for _, impl := range []string{"scalar", "go", "avx2", "avx2-rowmajor"} {
-		if !selected && impl != "scalar" && impl != "go" {
+	impls := []struct {
+		name  string
+		level armLevel
+	}{{"scalar", selected}, {"go", armGo}, {"avx2", armAVX2}, {"avx512", armAVX512}, {"rowmajor", selected}}
+	for _, impl := range impls {
+		if impl.level > selected {
 			continue
 		}
 		for _, sh := range shapes {
@@ -431,15 +422,15 @@ func BenchmarkGEMM(b *testing.B) {
 			p, mT := Pack(m), &Matrix{Rows: sh.cols, Cols: sh.rows}
 			for _, r := range []int{1, 4, 8, 40, 72} {
 				xs, dst := benchLanes(r, sh.rows), newLanes(r, sh.cols)
-				b.Run(fmt.Sprintf("%s/%s/r%d", impl, sh.name, r), func(b *testing.B) {
-					useAVX2 = impl != "go" && selected
+				b.Run(fmt.Sprintf("%s/%s/r%d", impl.name, sh.name, r), func(b *testing.B) {
+					arm = impl.level
 					for b.Loop() {
-						switch impl {
+						switch impl.name {
 						case "scalar":
 							for l := range xs {
 								VecMatInto(dst[l], xs[l], m)
 							}
-						case "avx2-rowmajor":
+						case "rowmajor":
 							MatTMatTransInto(dst, xs, m, mT)
 						default:
 							p.MulInto(dst, xs)

@@ -91,7 +91,8 @@ func decodeFloat16Edge(h uint16) float32 {
 // (off = head*len(dst)); its (lo, delta) float16 pair sits at
 // params[(i*heads+head)*2]. bits must be 8, or 4 with codes packed two per
 // byte (low nibble first; off and len(dst) must then be even, which RoPE's
-// even head dimension guarantees).
+// even head dimension guarantees). The product is rounded before lo is added
+// — two roundings, the explicit conversion keeping any build from fusing them.
 func DequantSliceInto(dst []float32, codes []uint8, params []uint16, bits, off, stride, heads, head, i int) {
 	d := len(dst)
 	p := (i*heads + head) * 2
@@ -102,15 +103,15 @@ func DequantSliceInto(dst []float32, codes []uint8, params []uint16, bits, off, 
 		base := i*stride + off
 		row := codes[base : base+d : base+d]
 		for j := range dst {
-			dst[j] = float32(row[j])*dlt + lo
+			dst[j] = float32(float32(row[j])*dlt) + lo
 		}
 	case 4:
 		base := (i*stride + off) >> 1
 		row := codes[base : base+d/2 : base+d/2]
 		for j := 0; j < d; j += 2 {
 			b := row[j>>1]
-			dst[j] = float32(b&0x0F)*dlt + lo
-			dst[j+1] = float32(b>>4)*dlt + lo
+			dst[j] = float32(float32(b&0x0F)*dlt) + lo
+			dst[j+1] = float32(float32(b>>4)*dlt) + lo
 		}
 	default:
 		panic("tensor: dequantsliceinto unsupported bit width")

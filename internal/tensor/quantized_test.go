@@ -80,7 +80,7 @@ func TestQuantStridedKernelsMatchScratchBuffer(t *testing.T) {
 	for i := range q {
 		q[i] = float32(r.NormFloat64())
 	}
-	bothTiles(t, func(t *testing.T) {
+	eachArm(t, func(t *testing.T) {
 		for _, bits := range []int{8, 4} {
 			codes, params := buildQuantPage(r, tokens, stride, heads, bits)
 			for head := 0; head < heads; head++ {
@@ -129,7 +129,7 @@ func TestQuantStridedKernelsMatchScratchBuffer(t *testing.T) {
 }
 
 // TestQuantStridedKernelsZeroAlloc pins a page visit — both passes, every
-// codec, a GQA group of two — at 0 allocations under both tiles.
+// codec, a GQA group of two — at 0 allocations under every arm.
 func TestQuantStridedKernelsZeroAlloc(t *testing.T) {
 	const (
 		tokens = 16
@@ -141,7 +141,7 @@ func TestQuantStridedKernelsZeroAlloc(t *testing.T) {
 	b := NewAttnBlock(d, tokens)
 	b.Add(tokens, make([]float32, d))
 	b.Add(tokens, make([]float32, d))
-	bothTiles(t, func(t *testing.T) {
+	eachArm(t, func(t *testing.T) {
 		for _, bits := range []int{0, 8, 4} {
 			rows := Rows{F32: make([]float32, tokens*stride)[d:], Stride: stride}
 			if bits != 0 {

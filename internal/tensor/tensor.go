@@ -11,9 +11,15 @@
 // GEMM over packed weights (Packed.MulInto, gemm.go), RMSNormInto, and
 // attention's two GEMMs per KV page for a block of queries (AttnBlock,
 // attend.go) — that write into caller-owned buffers, keeping steady-state
-// decode allocation-free. MatVecInto and VecMatInto are the scalar references
-// the GEMM is bit-identical to; Dot and AXPY over per-token views are the
-// ones the attention block is; Exp32 (exp.go) is the one exponential under
+// decode allocation-free.
+//
+// Every accumulation chain — an output of the GEMM, a score, an attention
+// output, a Dot, an AXPY element — is a sequence of one FMA32 step per term:
+// a single correctly rounded float32 fused multiply-add, from +0 (or the
+// destination's value), in ascending order. MatVecInto and VecMatInto are the
+// scalar references the GEMM is bit-identical to; Dot and AXPY over per-token
+// views are the ones the attention block is; every assembly arm (gemm_amd64.s)
+// is equal to FMA32 by bits. Exp32 (exp.go) is the one exponential under
 // Softmax and SiLUMul, and the reference its own AVX2 arm is bit-identical to.
 package tensor
 
@@ -43,10 +49,42 @@ func (m *Matrix) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
 // Row returns a mutable view of row i.
 func (m *Matrix) Row(i int) []float32 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
+// FMA32 returns x·y + z rounded once to float32 (round to nearest, ties to
+// even): the step of every accumulation chain in this package, and what
+// VFMADD231SS / VFMADD231PS compute. The product of two float32s is exact in
+// float64, so p is, and s = p + z rounds once. Rounding s to float32 rounds
+// a second time, which can differ from rounding the exact sum only when s
+// sits exactly on a float32 midpoint without being exact; every midpoint has
+// its low 28 mantissa bits zero (so its last bit even), and there s is first
+// rounded to odd — moved one ulp toward the exact sum when TwoSum's exact
+// error e is not zero: up in magnitude when e has s's sign, down when not —
+// which makes the conversion a single correct rounding (53 ≥ 24 + 2 bits).
+// float32(math.FMA(x, y, z)) is not this function: it rounds twice
+// (TestFMA32MatchesBig has a triple it gets wrong). A non-finite s passes
+// through. Pure Go, with every product under an explicit conversion, so no
+// build fuses or reorders it: one set of bits everywhere.
+func FMA32(x, y, z float32) float32 {
+	p := float64(float64(x) * float64(y))
+	zd := float64(z)
+	s := p + zd
+	if b := math.Float64bits(s); b&(1<<28-1) == 0 {
+		pp := s - zd
+		// e is NaN exactly when s is not finite; neither it nor 0 is < 0 or > 0.
+		if e := (p - pp) + (zd - (s - pp)); e < 0 || e > 0 {
+			if (e > 0) == (s > 0) {
+				b++
+			} else {
+				b--
+			}
+			s = math.Float64frombits(b)
+		}
+	}
+	return float32(s)
+}
+
 // MatVecInto computes m × v into the caller-owned dst (length m.Rows),
-// allocating nothing. Rows are processed four at a time with independent
-// accumulators — each row's summation order is unchanged, so results are
-// bit-identical to per-row Dot. It panics on dimension mismatch.
+// allocating nothing: each row is Dot(m.Row(i), v), bit for bit — the FMA arm
+// runs eight rows' chains at a time. It panics on dimension mismatch.
 func MatVecInto(dst []float32, m *Matrix, v []float32) {
 	if m.Cols != len(v) {
 		panic("tensor: matvec shape mismatch")
@@ -54,22 +92,12 @@ func MatVecInto(dst []float32, m *Matrix, v []float32) {
 	if len(dst) != m.Rows {
 		panic("tensor: matvec dst length mismatch")
 	}
-	i := 0
-	for ; i+4 <= m.Rows; i += 4 {
-		r0 := m.Row(i)[:len(v)]
-		r1 := m.Row(i + 1)[:len(v)]
-		r2 := m.Row(i + 2)[:len(v)]
-		r3 := m.Row(i + 3)[:len(v)]
-		var s0, s1, s2, s3 float32
-		for j, vj := range v {
-			s0 += vj * r0[j]
-			s1 += vj * r1[j]
-			s2 += vj * r2[j]
-			s3 += vj * r3[j]
-		}
-		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	if arm != armGo && len(dst) > 0 && len(v) > 0 {
+		_ = m.Data[m.Rows*m.Cols-1]
+		dotsFMA(&dst[0], &m.Data[0], m.Cols, m.Rows, &v[0], len(v))
+		return
 	}
-	for ; i < m.Rows; i++ {
+	for i := range dst {
 		dst[i] = Dot(m.Row(i), v)
 	}
 }
@@ -79,7 +107,10 @@ func MatVecInto(dst []float32, m *Matrix, v []float32) {
 // (four output lanes at a time), so no dst element round-trips through
 // memory between input rows; per-element accumulation order over k — and the
 // zero-skip — match the row-major formulation exactly, so results are
-// bit-identical to it. It panics on dimension mismatch.
+// bit-identical to it. Skipping a zero activation is exact: FMA32(±0, w, s)
+// is s for every finite w and every s but −0, and a chain from +0 is never −0
+// (a round-to-nearest sum is −0 only when both addends are). It panics on
+// dimension mismatch.
 func VecMatInto(dst, v []float32, m *Matrix) {
 	if m.Rows != len(v) {
 		panic("tensor: vecmat shape mismatch")
@@ -98,10 +129,10 @@ func VecMatInto(dst, v []float32, m *Matrix) {
 			}
 			base := k*cols + j
 			r := data[base : base+4 : base+4]
-			s0 += vv * r[0]
-			s1 += vv * r[1]
-			s2 += vv * r[2]
-			s3 += vv * r[3]
+			s0 = FMA32(vv, r[0], s0)
+			s1 = FMA32(vv, r[1], s1)
+			s2 = FMA32(vv, r[2], s2)
+			s3 = FMA32(vv, r[3], s3)
 		}
 		dst[j], dst[j+1], dst[j+2], dst[j+3] = s0, s1, s2, s3
 	}
@@ -111,32 +142,43 @@ func VecMatInto(dst, v []float32, m *Matrix) {
 			if vv == 0 {
 				continue
 			}
-			s += vv * data[k*cols+j]
+			s = FMA32(vv, data[k*cols+j], s)
 		}
 		dst[j] = s
 	}
 }
 
-// Dot returns the dot product of equal-length vectors.
+// Dot returns the dot product of equal-length vectors: one FMA32 chain from
+// +0 in ascending order.
 func Dot(a, b []float32) float32 {
 	if len(a) != len(b) {
 		panic("tensor: dot length mismatch")
 	}
+	if arm != armGo && len(a) > 0 {
+		var s float32
+		dotsFMA(&s, &a[0], 0, 1, &b[0], len(a))
+		return s
+	}
 	b = b[:len(a)] // bounds-check elimination hint
 	var s float32
 	for i, av := range a {
-		s += av * b[i]
+		s = FMA32(av, b[i], s)
 	}
 	return s
 }
 
-// AXPY computes dst += alpha * x in place.
+// AXPY computes dst[i] = FMA32(alpha, x[i], dst[i]) in place — with alpha = 1
+// exactly the rounded sum dst[i] + x[i].
 func AXPY(dst []float32, alpha float32, x []float32) {
 	if len(dst) != len(x) {
 		panic("tensor: axpy length mismatch")
 	}
-	for i := range dst {
-		dst[i] += alpha * x[i]
+	i := avx2Head(len(dst))
+	if i > 0 {
+		axpyFMA(&dst[0], alpha, &x[0], i/8)
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = FMA32(alpha, x[i], dst[i])
 	}
 }
 
@@ -164,7 +206,7 @@ func RMSNormInto(dst, x, gain []float32, eps float32) {
 	}
 	var ss float32
 	for _, v := range x {
-		ss += v * v
+		ss += float32(v * v) // rounded, then added: no build may fuse it
 	}
 	inv := 1 / float32(math.Sqrt(float64(ss/float32(len(x))+eps)))
 	for i := range x {
@@ -207,7 +249,8 @@ func RoPESincosInto(sin, cos []float32, freqs []float64, pos int) {
 // RoPESincosInto over RoPEFreqs(len(x)) for the token's absolute position.
 // The result is bit-identical to computing each pair's angle and Sincos
 // inline (TestRoPECachedMatchesApplyRoPE): the tables hold exactly those
-// float32 values.
+// float32 values. Each product is rounded before the add (the explicit
+// conversions), so no build fuses them.
 func ApplyRoPECached(x []float32, sin, cos []float32) {
 	if len(x) != 2*len(sin) || len(sin) != len(cos) {
 		panic("tensor: RoPE table length mismatch")
@@ -215,8 +258,8 @@ func ApplyRoPECached(x []float32, sin, cos []float32) {
 	for p, s := range sin {
 		c := cos[p]
 		a, b := x[2*p], x[2*p+1]
-		x[2*p] = a*c - b*s
-		x[2*p+1] = a*s + b*c
+		x[2*p] = float32(a*c) - float32(b*s)
+		x[2*p+1] = float32(a*s) + float32(b*c)
 	}
 }
 
@@ -235,16 +278,17 @@ func Argmax(xs []float32) int {
 }
 
 // CosineSim returns the cosine similarity of two vectors, or 0 when either
-// has zero norm.
+// has zero norm. A product of two float32s is exact in float64, so the
+// explicit conversions round nothing: fused or not, the bits are the same.
 func CosineSim(a, b []float32) float64 {
 	if len(a) != len(b) {
 		panic("tensor: cosine length mismatch")
 	}
 	var dot, na, nb float64
 	for i := range a {
-		dot += float64(a[i]) * float64(b[i])
-		na += float64(a[i]) * float64(a[i])
-		nb += float64(b[i]) * float64(b[i])
+		dot += float64(float64(a[i]) * float64(b[i]))
+		na += float64(float64(a[i]) * float64(a[i]))
+		nb += float64(float64(b[i]) * float64(b[i]))
 	}
 	if na == 0 || nb == 0 {
 		return 0

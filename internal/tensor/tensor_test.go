@@ -311,7 +311,7 @@ func oneQuery(q, out []float32, n int) *AttnBlock {
 // TestDotStridedMatchesDot pins the block's score pass over a flat, strided
 // KV buffer (Full's layout: one page of n tokens) to Dot on per-token views.
 func TestDotStridedMatchesDot(t *testing.T) {
-	bothTiles(t, func(t *testing.T) {
+	eachArm(t, func(t *testing.T) {
 		for _, n := range []int{0, 1, 3, 4, 7, 64, 257} {
 			d, stride := 16, 48
 			q := randVec(d, 11)
@@ -334,7 +334,7 @@ func TestDotStridedMatchesDot(t *testing.T) {
 // TestAXPYStridedMatchesAXPY pins the block's value pass over a flat, strided
 // KV buffer to the per-token AXPY loop, seeded with a non-zero output.
 func TestAXPYStridedMatchesAXPY(t *testing.T) {
-	bothTiles(t, func(t *testing.T) {
+	eachArm(t, func(t *testing.T) {
 		for _, n := range []int{0, 1, 5, 64, 100} {
 			for _, d := range []int{3, 4, 16, 18} { // odd d exercises the ragged value panel
 				stride := d + 7
@@ -373,7 +373,7 @@ func TestStridedPanics(t *testing.T) {
 		f()
 	}
 	block := func() *AttnBlock { return oneQuery(make([]float32, 8), make([]float32, 8), 20) }
-	bothTiles(t, func(t *testing.T) {
+	eachArm(t, func(t *testing.T) {
 		assertPanics("dot stride", func() { block().Score(0, 1, &Rows{F32: make([]float32, 8), Stride: 4}) })
 		assertPanics("dot short", func() { block().Score(0, 3, &Rows{F32: make([]float32, 16), Stride: 8}) })
 		assertPanics("dot short whole tile", func() { block().Score(0, 16, &Rows{F32: make([]float32, 15*8), Stride: 8}) })
@@ -426,7 +426,7 @@ func ApplyRoPE(x []float32, pos int) {
 		theta := float64(pos) * math.Pow(10000, -float64(i)/float64(d))
 		sin, cos := math.Sincos(theta)
 		a, b := x[i], x[i+1]
-		x[i] = a*float32(cos) - b*float32(sin)
-		x[i+1] = a*float32(sin) + b*float32(cos)
+		x[i] = float32(a*float32(cos)) - float32(b*float32(sin)) // rounded like ApplyRoPECached on every build
+		x[i+1] = float32(a*float32(sin)) + float32(b*float32(cos))
 	}
 }
