@@ -58,7 +58,11 @@ race-sched:
 # specification), then sparse decode's page selection against a stable sort
 # (any NaN-free scores, ±Inf and ties included, any budget), then FMA32, the
 # step of every accumulation chain, against a math/big oracle (raw bits of
-# all three operands: NaN, ±Inf, subnormals and double-rounding ties).
+# all three operands: NaN, ±Inf, subnormals and double-rounding ties), then
+# the fp16 codec (raw float32 bits must encode to the nearest binary16, ties
+# to even, NaN to NaN, overflow to ±Inf), then the prefix tree against a map
+# model (any run of insert / match / pin / unpin / evict: page and pin
+# counts, pinned ancestors, release-order eviction, longest match).
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzClonePrefixN -fuzztime 10s ./internal/kvcache
 	$(GO) test -run XXX -fuzz FuzzPackedMulMatchesScalar -fuzztime 10s ./internal/tensor
@@ -67,6 +71,8 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzExp32MatchesGo -fuzztime 10s ./internal/tensor
 	$(GO) test -run XXX -fuzz FuzzSelectTopPagesMatchesSort -fuzztime 10s ./internal/model
 	$(GO) test -run XXX -fuzz FuzzFMA32 -fuzztime 10s ./internal/tensor
+	$(GO) test -run XXX -fuzz FuzzEncodeFloat16Nearest -fuzztime 10s ./internal/tensor
+	$(GO) test -run XXX -fuzz FuzzPrefixTreeMatchesModel -fuzztime 10s ./internal/sched
 
 BENCHPKGS = . ./internal/model ./internal/tensor
 

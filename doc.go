@@ -1,7 +1,7 @@
 // Package rethinkkv is a pure-Go reproduction of "Rethinking Key-Value
 // Cache Compression Techniques for Large Language Model Serving"
 // (MLSys 2025): full implementations of the KV cache compression methods
-// the paper evaluates (KIVI, GEAR, H2O, StreamingLLM, SnapKV, TOVA), a
+// the paper evaluates (KIVI, GEAR, H2O, StreamingLLM, SnapKV), a
 // runnable tiny transformer they operate on, an analytical GPU cost model
 // of the serving engines they were measured under (TRL, TRL+FlashAttention,
 // LMDeploy), and runners that regenerate every table and figure in the

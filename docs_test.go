@@ -10,6 +10,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"rethinkkv"
 )
 
 var (
@@ -287,6 +289,39 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 	for _, d := range tracked {
 		if dead[d] {
 			t.Errorf("internal/%s has no caller outside tests: delete it, or move it into a _test.go if a test compares against it", d.key)
+		}
+	}
+}
+
+// TestEveryMethodHasACaller keeps the method registry what the program uses:
+// every name rethinkkv.Methods() returns must appear, quoted, in some non-test
+// .go file outside internal/compress (an experiment, example, command or
+// serving path). A registry entry is a caller to
+// TestEveryDeclarationHasACaller, so a method nothing selects by name would
+// otherwise stand on its registration alone.
+func TestEveryMethodHasACaller(t *testing.T) {
+	var src strings.Builder
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (path != "." && strings.HasPrefix(d.Name(), ".") || filepath.ToSlash(path) == "internal/compress") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		src.Write(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := src.String()
+	for _, name := range rethinkkv.Methods() {
+		if !strings.Contains(all, `"`+name+`"`) {
+			t.Errorf("method %q is named by no non-test file outside internal/compress: give it a caller or delete it", name)
 		}
 	}
 }

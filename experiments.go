@@ -103,7 +103,7 @@ func Fig8Mistral(batches, promptLens []int) []Figure {
 	return experiments.Fig8Mistral(batches, promptLens)
 }
 
-// Fig9SnapKV reproduces appendix Figure 9: SnapKV/TOVA decode throughput.
+// Fig9SnapKV reproduces appendix Figure 9: SnapKV decode throughput.
 func Fig9SnapKV(batches, lens []int) []Figure {
 	return experiments.Fig9SnapKV(batches, lens)
 }

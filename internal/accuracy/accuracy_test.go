@@ -16,9 +16,7 @@ func suite(n int) []workload.Sample {
 func TestTinyCacheMappings(t *testing.T) {
 	shape := tinyModel().CacheShape()
 	for _, name := range []string{"fp16", "kivi-2", "kivi-4", "gear-2", "gear-4",
-		"h2o-256", "h2o-512", "stream-256", "stream-512", "snapkv-512", "tova-512",
-		"scissorhands-512", "keyformer-512", "pyramidkv-512", "adakv-512",
-		"qjl", "intactkv-4", "mikv"} {
+		"h2o-256", "h2o-512", "stream-256", "stream-512", "snapkv-512"} {
 		c, err := TinyCache(name, shape)
 		if err != nil || c == nil {
 			t.Fatalf("%s: %v", name, err)

@@ -1,9 +1,11 @@
 // Package compress binds the quantisation and sparsity implementations into
-// the named method configurations the paper evaluates (FP16, KIVI-2/4,
-// GEAR-2/4, H2O-256/512, Stream-256/512, SnapKV-512), each pairing a cache
-// factory (the real algorithm, at the scale of the tiny model the program
-// runs) with a cost profile (the analytical characteristics the performance
-// model charges for the full-scale method). It is the one method → cache map:
+// the ten named method configurations the program's experiments, examples
+// and commands use (FP16, KIVI-2/4, GEAR-2/4, H2O-256/512, Stream-256/512,
+// SnapKV-512), each pairing a cache factory (the real algorithm, at the
+// scale of the tiny model the program runs) with a cost profile (the
+// analytical characteristics the performance model charges for the
+// full-scale method). A method no caller outside this package names is not
+// registered (TestEveryMethodHasACaller). It is the one method → cache map:
 // Pipeline, the accuracy evaluator and the length experiments all build
 // their caches through Method.NewCache.
 package compress
@@ -219,65 +221,14 @@ func init() {
 			},
 		})
 	}
-	// The remaining eviction policies: SnapKV and TOVA, then the surveyed
-	// extensions (paper Table 1) — counter-based persistence, regularised
-	// scoring, and layer-/head-adaptive budget allocation.
-	for _, e := range []struct {
-		name, alias string
-		irregular   float64
-		cfg         func(int) sparse.Config
-	}{
-		{"snapkv-512", "SnapKV", 0.95, sparse.DefaultSnapKV},
-		{"tova-512", "TOVA", 0.95, sparse.DefaultTOVA},
-		{"scissorhands-512", "Scissor", 0.9, sparse.DefaultScissorhands},
-		{"keyformer-512", "Keyformer", 0.9, sparse.DefaultKeyformer},
-		{"pyramidkv-512", "PyramidKV", 0.9, sparse.DefaultPyramidKV},
-		{"adakv-512", "Ada-KV", 0.9, sparse.DefaultAdaKV},
-	} {
-		e := e
-		register(Method{
-			Name: e.name, Alias: e.alias,
-			Cost: CostProfile{
-				Kind: Sparse, Budget: 512, NeedsScores: true,
-				IrregularAccess: e.irregular,
-			},
-			NewCache: func(s kvcache.Shape) kvcache.Cache {
-				return sparse.NewCache(s, e.cfg(512/tinyScale))
-			},
-		})
-	}
-	// Surveyed quantisation variants: 1-bit JL key sketching, pivot-token
-	// protection, and importance-aware mixed precision. Their windows are a
-	// handful of tokens already and are not scaled.
 	register(Method{
-		Name: "qjl", Alias: "QJL",
+		Name: "snapkv-512", Alias: "SnapKV",
 		Cost: CostProfile{
-			Kind: Quant, Bits: 1, GroupSize: 64, Residual: 0,
-			IrregularAccess: 0.8, // sketch reconstruction is a dense GEMV
+			Kind: Sparse, Budget: 512, NeedsScores: true,
+			IrregularAccess: 0.95,
 		},
 		NewCache: func(s kvcache.Shape) kvcache.Cache {
-			return quant.NewQJL(s, quant.DefaultQJL(s.HeadDim))
-		},
-	})
-	register(Method{
-		Name: "intactkv-4", Alias: "Intact",
-		Cost: CostProfile{
-			Kind: Quant, Bits: 4, GroupSize: 64, Residual: 4,
-			IrregularAccess: 0.9,
-		},
-		NewCache: func(s kvcache.Shape) kvcache.Cache {
-			return quant.NewIntact(s, quant.DefaultIntact(4))
-		},
-	})
-	register(Method{
-		Name: "mikv", Alias: "MiKV",
-		Cost: CostProfile{
-			Kind: Quant, Bits: 3, GroupSize: 64, Residual: 0,
-			NeedsScores:     true, // precision assignment needs attention
-			IrregularAccess: 0.8,
-		},
-		NewCache: func(s kvcache.Shape) kvcache.Cache {
-			return quant.NewMiKV(s, quant.DefaultMiKV())
+			return sparse.NewCache(s, sparse.DefaultSnapKV(512/tinyScale))
 		},
 	})
 }

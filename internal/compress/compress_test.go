@@ -11,9 +11,7 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"fp16", "kivi-2", "kivi-4", "gear-2", "gear-4",
 		"h2o-256", "h2o-512", "stream-256", "stream-512",
-		"snapkv-512", "tova-512",
-		"scissorhands-512", "keyformer-512", "pyramidkv-512", "adakv-512",
-		"qjl", "intactkv-4", "mikv",
+		"snapkv-512",
 	}
 	for _, n := range want {
 		if _, err := Get(n); err != nil {

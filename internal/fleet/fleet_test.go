@@ -68,6 +68,46 @@ func newPool(t *testing.T, cfg Config) *Pool {
 	return p
 }
 
+// firstPassGate holds an engine in its first pass until every request of a
+// test is queued, so the next admission sees them all whatever the host's
+// load: the pass is the first prompt's alone.
+type firstPassGate struct {
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func newFirstPassGate() *firstPassGate {
+	return &firstPassGate{entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+// hold is the engines' StepHook. The tests pin every request to engine 0, so
+// engine 1 first steps on a migrated request, after release, and is not held.
+func (g *firstPassGate) hold(step int) {
+	if step == 1 {
+		g.once.Do(func() { close(g.entered) })
+		<-g.release
+	}
+}
+
+// submitAll submits the prompts in order, the rest only once the first has
+// reached the held pass, then releases it.
+func (g *firstPassGate) submitAll(t *testing.T, p *Pool, prompts [][]int, maxNews []int) []<-chan sched.Token {
+	t.Helper()
+	chans := make([]<-chan sched.Token, len(prompts))
+	for i, prompt := range prompts {
+		ch, err := p.Submit(context.Background(), sched.Request{ID: i, Prompt: prompt, MaxNew: maxNews[i], Arrival: -1})
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		chans[i] = ch
+		if i == 0 {
+			<-g.entered
+		}
+	}
+	close(g.release)
+	return chans
+}
+
 func drain(t *testing.T, p *Pool) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -239,25 +279,28 @@ func TestMidPrefillMigrationBitIdentical(t *testing.T) {
 		want[i] = toks
 	}
 
-	// Budget arithmetic (PageTokens=4, KVPages=10): the short request grows
-	// to 3 pages while the long prompt's 8-chunk prefill wants 8, so the
-	// budget overflows mid-prefill and FCFS evicts the newest arrival — the
-	// long request. Its lifetime need is PagesFor(30+4)+1 = 10 pages, which
-	// exactly fits the idle engine 1, so the hook migrates it.
+	// Budget arithmetic (PageTokens=4, KVPages=10): the step gate holds
+	// engine 0 in its first pass (short's prefill) until the long request is
+	// queued, so the next admission takes it beside short: short 1 + long 8
+	// = 9 pages. Short's decode opens its second page at position 4 (pass 4)
+	// and its third at position 8 (pass 8), overflowing the budget after only
+	// passes 2-7 — 6 of the long prompt's 8 chunks — so FCFS evicts the
+	// newest arrival, the long request, mid-prefill. Its lifetime need is
+	// PagesFor(30+4)+1 = 10 pages, which exactly fits the idle engine 1, so
+	// the hook migrates it. Without the gate a loaded host can run short past
+	// pass 8 before the long request arrives; it then waits for pages instead
+	// of being evicted and the test is vacuous.
+	gate := newFirstPassGate()
 	p := newPool(t, Config{
 		Engines: 2,
 		Router:  pinRouter{to: 0},
 		Migrate: true,
-		Engine:  sched.Config{MaxBatch: 2, PageTokens: 4, KVPages: 10, PrefillChunk: 4},
+		Engine: sched.Config{
+			MaxBatch: 2, PageTokens: 4, KVPages: 10, PrefillChunk: 4,
+			StepHook: gate.hold,
+		},
 	})
-	chans := make([]<-chan sched.Token, len(prompts))
-	for i, prompt := range prompts {
-		ch, err := p.Submit(context.Background(), sched.Request{ID: i, Prompt: prompt, MaxNew: maxNews[i], Arrival: -1})
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-		chans[i] = ch
-	}
+	chans := gate.submitAll(t, p, prompts, maxNews)
 	got := make([][]int, len(prompts))
 	for i, ch := range chans {
 		got[i] = collect(t, ch)
@@ -437,35 +480,17 @@ func TestPackedMidPrefillMigrationBitIdentical(t *testing.T) {
 	// PagesFor(24+4)+1 = 8, fits the idle engine 1, so the hook migrates it.
 	// The step gate holds engine 0 before its first pass until all three
 	// requests are queued, making the whole trace deterministic.
-	entered := make(chan struct{})
-	gate := make(chan struct{})
-	var once sync.Once
+	gate := newFirstPassGate()
 	p := newPool(t, Config{
 		Engines: 2,
 		Router:  pinRouter{to: 0},
 		Migrate: true,
 		Engine: sched.Config{
 			MaxBatch: 3, PageTokens: 4, KVPages: 16, PrefillChunk: 4, TokenBudget: 32,
-			StepHook: func(step int) {
-				if step == 1 {
-					once.Do(func() { close(entered) })
-					<-gate
-				}
-			},
+			StepHook: gate.hold,
 		},
 	})
-	chans := make([]<-chan sched.Token, len(prompts))
-	for i, prompt := range prompts {
-		ch, err := p.Submit(context.Background(), sched.Request{ID: i, Prompt: prompt, MaxNew: maxNews[i], Arrival: -1})
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-		chans[i] = ch
-		if i == 0 {
-			<-entered
-		}
-	}
-	close(gate)
+	chans := gate.submitAll(t, p, prompts, maxNews)
 	got := make([][]int, len(prompts))
 	for i, ch := range chans {
 		got[i] = collect(t, ch)

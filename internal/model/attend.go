@@ -18,7 +18,7 @@ import (
 // walk covers either every page up to the block's largest token bound
 // (decode, and chunk prefill's mid-page causal bounds) or an ascending
 // selected page list (Quest topK, see sparse.go). The two-pass form is what
-// H2O/MiKV-style observers need (the full score vector) and what every
+// H2O/SnapKV-style observers need (the full score vector) and what every
 // bit-identity test pins: per query and per token the block kernels keep the
 // arithmetic and reduction order of tensor.Dot and tensor.AXPY over per-token
 // views — the generic Seq arm, attendSeq — whatever the codec and block size.

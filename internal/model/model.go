@@ -158,8 +158,7 @@ func New(cfg Config, seed uint64) *Model {
 		panic(err)
 	}
 	r := rng.New(seed)
-	// Every weight is a finite normal draw times a finite scale — the
-	// precondition for the GEMM tile not needing a zero-skip (tensor/gemm.go).
+	// Every weight is a finite normal draw times a finite scale.
 	randMat := func(rows, cols int) *tensor.Matrix {
 		m := tensor.NewMatrix(rows, cols)
 		scale := float32(1 / math.Sqrt(float64(rows)))

@@ -16,10 +16,9 @@ func benchAppend(b *testing.B, cfg Config) {
 }
 
 // Ablation 4 (DESIGN.md): eviction policy cost at the same budget —
-// positional (Stream) vs score-scan (H2O/TOVA).
+// positional (Stream) vs score-scan (H2O).
 func BenchmarkEvictStreaming(b *testing.B) { benchAppend(b, DefaultStreaming(128)) }
 func BenchmarkEvictH2O(b *testing.B)       { benchAppend(b, DefaultH2O(128)) }
-func BenchmarkEvictTOVA(b *testing.B)      { benchAppend(b, DefaultTOVA(128)) }
 
 func BenchmarkSnapKVCompress(b *testing.B) {
 	s := kvcache.Shape{Layers: 2, KVHeads: 2, HeadDim: 64}

@@ -1,6 +1,7 @@
 // Package sparse implements sparsity-based KV cache compression: eviction
 // policies that drop the KV pairs of less-important tokens under a fixed
-// per-head budget. The policies the paper evaluates are implemented in full:
+// per-head budget. The three policies the program runs are implemented in
+// full:
 //
 //   - StreamingLLM (Xiao et al., 2023): retain the first Sinks tokens
 //     ("attention sinks") and the most recent Recent tokens; evict
@@ -9,8 +10,6 @@
 //     ("heavy hitter oracle"); retain the Recent window plus the
 //     highest-accumulated-score tokens, evicting the lowest-scored
 //     non-recent entry when over budget.
-//   - TOVA (Oren et al., 2024): evict the token with the lowest attention
-//     score from the most recent step; the recent window is NOT protected.
 //   - SnapKV (Li et al., 2024): at the end of prefill, select the tokens
 //     whose pooled attention from an observation window (the last ObsWindow
 //     prompt positions) is highest; decode-time tokens are always retained.
@@ -35,24 +34,17 @@ const (
 	StreamingLLM PolicyKind = iota
 	// H2O keeps heavy hitters (by accumulated attention) plus a recent window.
 	H2O
-	// TOVA evicts the lowest last-step attention score.
-	TOVA
 	// SnapKV compresses the prompt once at prefill end via observation-window pooling.
 	SnapKV
 )
 
 // String implements fmt.Stringer.
 func (p PolicyKind) String() string {
-	if name, ok := policyName(p); ok {
-		return name
-	}
 	switch p {
 	case StreamingLLM:
 		return "streaming-llm"
 	case H2O:
 		return "h2o"
-	case TOVA:
-		return "tova"
 	case SnapKV:
 		return "snapkv"
 	default:
@@ -82,9 +74,6 @@ func (c Config) Validate() error {
 	if c.Budget <= 0 {
 		return fmt.Errorf("sparse: non-positive budget %d", c.Budget)
 	}
-	if handled, err := c.validateExtended(); handled {
-		return err
-	}
 	switch c.Kind {
 	case StreamingLLM:
 		if c.Sinks+c.Recent != c.Budget {
@@ -94,8 +83,6 @@ func (c Config) Validate() error {
 		if c.Recent >= c.Budget {
 			return fmt.Errorf("sparse: h2o recent %d must leave room for heavy hitters in budget %d", c.Recent, c.Budget)
 		}
-	case TOVA:
-		// No extra constraints.
 	case SnapKV:
 		if c.ObsWindow <= 0 || c.ObsWindow > c.Budget {
 			return fmt.Errorf("sparse: snapkv obs window %d invalid for budget %d", c.ObsWindow, c.Budget)
@@ -123,11 +110,6 @@ func DefaultH2O(budget int) Config {
 	return Config{Kind: H2O, Budget: budget, Recent: budget - budget/8}
 }
 
-// DefaultTOVA returns a TOVA configuration with the given budget.
-func DefaultTOVA(budget int) Config {
-	return Config{Kind: TOVA, Budget: budget}
-}
-
 // DefaultSnapKV returns SnapKV with a 32-token observation window and
 // pool size 7, per the SnapKV paper's defaults.
 func DefaultSnapKV(budget int) Config {
@@ -143,10 +125,9 @@ func DefaultSnapKV(budget int) Config {
 
 // entry is one retained token for one head.
 type entry struct {
-	pos       int
-	k, v      []float32
-	accScore  float64 // H2O: accumulated attention
-	lastScore float64 // TOVA: most recent step's attention
+	pos      int
+	k, v     []float32
+	accScore float64 // H2O: accumulated attention
 }
 
 // headState holds one head's retained entries and score history.
@@ -165,8 +146,6 @@ type Cache struct {
 	heads       [][]*headState
 	appended    int
 	prefillDone bool
-	// gumbelStream is Keyformer's deterministic noise state.
-	gumbelStream uint64
 }
 
 // NewCache builds an eviction cache. It panics on invalid configuration.
@@ -177,7 +156,7 @@ func NewCache(shape kvcache.Shape, cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	c := &Cache{cfg: cfg, shape: shape, gumbelStream: gumbelRNGSeed(shape)}
+	c := &Cache{cfg: cfg, shape: shape}
 	c.heads = make([][]*headState, shape.Layers)
 	for l := range c.heads {
 		c.heads[l] = make([]*headState, shape.KVHeads)
@@ -205,25 +184,19 @@ func (c *Cache) Append(layer int, k, v [][]float32) {
 			k:   append([]float32(nil), k[h]...),
 			v:   append([]float32(nil), v[h]...),
 		})
-		if c.cfg.Kind != AdaKV {
-			c.evictIfNeeded(hs, layer)
-		}
-	}
-	if c.cfg.Kind == AdaKV {
-		c.rebalanceAdaKV(layer)
+		c.evictIfNeeded(hs)
 	}
 	if layer == c.shape.Layers-1 {
 		c.appended++
 	}
 }
 
-// evictIfNeeded enforces the (possibly layer-dependent) budget for one head.
-func (c *Cache) evictIfNeeded(hs *headState, layer int) {
+// evictIfNeeded enforces the budget for one head.
+func (c *Cache) evictIfNeeded(hs *headState) {
 	if c.cfg.Kind == SnapKV && !c.prefillDone {
 		return // SnapKV defers all eviction to FinishPrefill.
 	}
-	budget := c.layerBudget(layer)
-	for len(hs.entries) > budget {
+	for len(hs.entries) > c.cfg.Budget {
 		victim := c.selectVictim(hs)
 		if victim < 0 {
 			return
@@ -234,9 +207,6 @@ func (c *Cache) evictIfNeeded(hs *headState, layer int) {
 
 // selectVictim returns the index to evict, or -1 when nothing is evictable.
 func (c *Cache) selectVictim(hs *headState) int {
-	if idx, handled := c.selectVictimExtended(hs); handled {
-		return idx
-	}
 	n := len(hs.entries)
 	switch c.cfg.Kind {
 	case StreamingLLM:
@@ -260,20 +230,9 @@ func (c *Cache) selectVictim(hs *headState) int {
 			}
 		}
 		return best
-	case TOVA:
-		// Lowest last-step score, excluding the just-appended token.
-		best, bestScore := -1, math.Inf(1)
-		for i := 0; i < n-1; i++ {
-			if hs.entries[i].lastScore < bestScore {
-				best, bestScore = i, hs.entries[i].lastScore
-			}
-		}
-		return best
 	case SnapKV:
-		// Post-prefill decode tokens are always retained; if budget is
-		// exceeded during decode, fall back to evicting the oldest
-		// non-selected... by construction FinishPrefill leaves headroom, so
-		// evict the oldest entry.
+		// FinishPrefill has already cut the prompt to the budget, so only
+		// decode-time growth reaches here: evict the oldest entry.
 		return 0
 	}
 	return -1
@@ -289,17 +248,10 @@ func (c *Cache) ObserveAttention(layer, head int, weights []float32) {
 		// caller computed attention over a different snapshot; ignore.
 		return
 	}
-	if c.observeExtended(hs, weights) {
-		return
-	}
 	switch c.cfg.Kind {
 	case H2O:
 		for i := range weights {
 			hs.entries[i].accScore += float64(weights[i])
-		}
-	case TOVA:
-		for i := range weights {
-			hs.entries[i].lastScore = float64(weights[i])
 		}
 	case SnapKV:
 		if c.prefillDone {
@@ -444,7 +396,7 @@ func (c *Cache) MemoryBytes() int64 {
 		for h := range c.heads[l] {
 			n := int64(len(c.heads[l][h].entries))
 			elems += n * int64(c.shape.HeadDim) * 2 // K and V
-			if c.cfg.Kind == H2O || c.cfg.Kind == TOVA {
+			if c.cfg.Kind == H2O {
 				meta += n
 			}
 		}

@@ -37,14 +37,13 @@ func TestConfigValidation(t *testing.T) {
 		{Kind: SnapKV, Budget: 10, ObsWindow: 20, PoolSize: 7}, // window > budget
 		{Kind: SnapKV, Budget: 10, ObsWindow: 4, PoolSize: 0},  // pool 0
 		{Kind: PolicyKind(99), Budget: 10},                     // unknown
-		{Kind: TOVA, Budget: 0},                                // zero budget
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
 			t.Fatalf("case %d (%+v): expected error", i, cfg)
 		}
 	}
-	for _, cfg := range []Config{DefaultStreaming(512), DefaultH2O(512), DefaultTOVA(512), DefaultSnapKV(512)} {
+	for _, cfg := range []Config{DefaultStreaming(512), DefaultH2O(512), DefaultSnapKV(512)} {
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("%v: %v", cfg.Kind, err)
 		}
@@ -52,7 +51,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestPolicyNames(t *testing.T) {
-	names := map[PolicyKind]string{StreamingLLM: "streaming-llm", H2O: "h2o", TOVA: "tova", SnapKV: "snapkv"}
+	names := map[PolicyKind]string{StreamingLLM: "streaming-llm", H2O: "h2o", SnapKV: "snapkv"}
 	for k, want := range names {
 		if k.String() != want {
 			t.Fatalf("%d prints %q", k, k.String())
@@ -141,25 +140,6 @@ func TestH2OBudgetInvariant(t *testing.T) {
 	}
 }
 
-func TestTOVAEvictsLowestLastScore(t *testing.T) {
-	cfg := DefaultTOVA(4)
-	c := NewCache(shape(), cfg)
-	appendN(c, 4, 6)
-	// Score position 2 lowest.
-	for l := 0; l < 2; l++ {
-		for h := 0; h < 2; h++ {
-			c.ObserveAttention(l, h, []float32{0.4, 0.3, 0.01, 0.29})
-		}
-	}
-	appendN(c, 1, 7)
-	pos := c.Positions(0, 0)
-	for _, p := range pos {
-		if p == 2 {
-			t.Fatalf("lowest-scored position survived: %v", pos)
-		}
-	}
-}
-
 func TestSnapKVPrefillCompression(t *testing.T) {
 	cfg := Config{Kind: SnapKV, Budget: 10, ObsWindow: 4, PoolSize: 3}
 	c := NewCache(shape(), cfg)
@@ -221,7 +201,7 @@ func TestObserveAttentionLengthMismatchIgnored(t *testing.T) {
 	c := NewCache(shape(), DefaultH2O(16))
 	appendN(c, 4, 11)
 	c.ObserveAttention(0, 0, []float32{0.5}) // wrong length: ignored
-	if e := c.heads[0][0].entries[0]; e.accScore != 0 || e.lastScore != 0 {
+	if e := c.heads[0][0].entries[0]; e.accScore != 0 {
 		t.Fatal("mismatched observation should not count")
 	}
 }
@@ -240,7 +220,7 @@ func TestMemoryBytesShrinksWithBudget(t *testing.T) {
 }
 
 func TestPositionsSorted(t *testing.T) {
-	for _, cfg := range []Config{DefaultStreaming(16), DefaultH2O(16), DefaultTOVA(16)} {
+	for _, cfg := range []Config{DefaultStreaming(16), DefaultH2O(16)} {
 		c := NewCache(shape(), cfg)
 		appendN(c, 60, 13)
 		pos := c.Positions(1, 1)
@@ -257,13 +237,11 @@ func TestQuickBudgetInvariant(t *testing.T) {
 	f := func(seed uint64, rawN uint8, rawKind uint8) bool {
 		n := int(rawN)%150 + 1
 		var cfg Config
-		switch rawKind % 3 {
+		switch rawKind % 2 {
 		case 0:
 			cfg = DefaultStreaming(12)
 		case 1:
 			cfg = DefaultH2O(12)
-		case 2:
-			cfg = DefaultTOVA(12)
 		}
 		c := NewCache(shape(), cfg)
 		appendN(c, n, seed)

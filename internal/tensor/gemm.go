@@ -15,13 +15,6 @@ package tensor
 // (or thirty-two) outputs, and a panel stays in cache while every lane group
 // visits it.
 //
-// VecMatInto skips exactly-zero activations; the tile does not, and needs no
-// fallback for them. A round-to-nearest sum that starts at +0 can never be −0
-// (x + y = −0 only when both are −0), so a step whose product is the ±0 of a
-// zero activation and a finite weight leaves the accumulator's bits alone.
-// Weights must therefore be finite; the model's are by construction
-// (model.New).
-//
 // Weights the engine owns are stored packed (Packed): 16-column panels, each
 // K-major and contiguous, so a tile reads one cache line per k and nothing
 // else. MatTMatTransInto runs the same loop over a row-major Matrix (K-major
@@ -201,7 +194,7 @@ func tilePair(d, x *[4][]float32, w []float32, k, stride, panelStep int, seeded 
 }
 
 // tileGo is the micro-kernel in Go: per lane, four outputs at a time in
-// register accumulators — VecMatInto's loop without the zero-skip.
+// register accumulators — VecMatInto's loop.
 func tileGo(d, x *[4][]float32, w []float32, k, stride, lanes int, seeded bool) {
 	for l := 0; l < lanes; l++ {
 		xl, dl := x[l][:k], d[l][:panelWidth]

@@ -161,9 +161,8 @@ func fillZeros(x []float32, v float32) {
 }
 
 // TestMatTMatTransZeroFreeLanes pins the tile to VecMatInto on strictly
-// zero-free activations, then on the same lanes with +0 and −0 planted: the
-// reference skips those terms, the tile adds their ±0 products, and the bits
-// agree — the zero-skip fork this kernel replaced was a no-op.
+// zero-free activations, then on the same lanes with +0 and −0 planted: both
+// take a step for every term, zeros included, and the bits agree.
 func TestMatTMatTransZeroFreeLanes(t *testing.T) {
 	eachArm(t, func(t *testing.T) {
 		const b = 4
@@ -291,6 +290,7 @@ func FuzzPackedMulMatchesScalar(f *testing.F) {
 	f.Add(uint64(1), uint16(255), uint16(1023), uint8(7))
 	f.Add(uint64(2), uint16(0), uint16(23), uint8(0))
 	f.Add(uint64(3), uint16(1099), uint16(16), uint8(4))
+	f.Add(uint64(37), uint16(1103), uint16(0), uint8(96)) // a chain that underflows to −0, then meets a +0 activation
 	f.Fuzz(func(t *testing.T, seed uint64, k, n uint16, lanes uint8) {
 		rows, cols, nLanes := fuzzShape(k, n, lanes)
 		eachArm(t, func(t *testing.T) { checkPackedMul(t, seed, rows, cols, nLanes) })

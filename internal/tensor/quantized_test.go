@@ -157,3 +157,69 @@ func TestQuantStridedKernelsZeroAlloc(t *testing.T) {
 		}
 	})
 }
+
+// TestFloat16DecodeEncodeExhaustive round-trips every non-NaN binary16
+// encoding — zeros, subnormals, normals and infinities of both signs —
+// through DecodeFloat16 and back, bit for bit.
+func TestFloat16DecodeEncodeExhaustive(t *testing.T) {
+	for h := 0; h <= 0xFFFF; h++ {
+		if h&0x7C00 == 0x7C00 && h&0x3FF != 0 {
+			continue // NaN payloads are not preserved
+		}
+		if got := EncodeFloat16(DecodeFloat16(uint16(h))); got != uint16(h) {
+			t.Fatalf("EncodeFloat16(DecodeFloat16(%#04x)) = %#04x", h, got)
+		}
+	}
+}
+
+// FuzzEncodeFloat16Nearest checks EncodeFloat16 on raw float32 bits against
+// its definition: NaN stays NaN, the sign is kept, magnitudes from 65520
+// (65504 plus half its ULP, where the tie goes to the even Inf) become ±Inf,
+// and any other value encodes to the binary16 nearest it in float64 — no
+// closer than either neighbouring encoding, and the even one on a tie.
+func FuzzEncodeFloat16Nearest(f *testing.F) {
+	for _, v := range []float32{0, 1, 2049, 2051, 65504, 65519, 65520, 1e-9, 0x1p-25, 0x1p-24, 0x1.8p-25, 6.1e-05} {
+		f.Add(math.Float32bits(v))
+		f.Add(math.Float32bits(-v))
+	}
+	f.Add(uint32(0x7FC00001)) // NaN
+	f.Add(uint32(0x7F800000)) // +Inf
+	f.Fuzz(func(t *testing.T, bits uint32) {
+		x := math.Float32frombits(bits)
+		h := EncodeFloat16(x)
+		isNaN := h&0x7C00 == 0x7C00 && h&0x3FF != 0
+		if math.IsNaN(float64(x)) {
+			if !isNaN {
+				t.Fatalf("EncodeFloat16(NaN %#08x) = %#04x, not a NaN", bits, h)
+			}
+			return
+		}
+		if isNaN || h&0x8000 != uint16(bits>>16)&0x8000 {
+			t.Fatalf("EncodeFloat16(%g) = %#04x: NaN or wrong sign", x, h)
+		}
+		v, mag := math.Abs(float64(x)), h&0x7FFF
+		if v >= 65520 {
+			if mag != 0x7C00 {
+				t.Fatalf("EncodeFloat16(%g) = %#04x, want ±Inf", x, h)
+			}
+			return
+		}
+		if mag >= 0x7C00 {
+			t.Fatalf("EncodeFloat16(%g) = %#04x overflowed", x, h)
+		}
+		dist := func(m uint16) float64 { return math.Abs(v - float64(DecodeFloat16(m))) }
+		d := dist(mag)
+		for _, n := range []uint16{mag - 1, mag + 1} {
+			if n > 0x7BFF { // below zero, or past the largest finite value
+				continue
+			}
+			switch dn := dist(n); {
+			case dn < d:
+				t.Fatalf("EncodeFloat16(%g) = %#04x (%g), but %#04x (%g) is nearer",
+					x, h, DecodeFloat16(mag), n, DecodeFloat16(n))
+			case dn == d && mag&1 != 0:
+				t.Fatalf("EncodeFloat16(%g) = %#04x on a tie with %#04x, want the even encoding", x, h, n)
+			}
+		}
+	})
+}

@@ -105,12 +105,12 @@ func MatVecInto(dst []float32, m *Matrix, v []float32) {
 // VecMatInto computes vᵀ × m into the caller-owned dst (length m.Cols),
 // allocating nothing. The loop runs column-major with register accumulators
 // (four output lanes at a time), so no dst element round-trips through
-// memory between input rows; per-element accumulation order over k — and the
-// zero-skip — match the row-major formulation exactly, so results are
-// bit-identical to it. Skipping a zero activation is exact: FMA32(±0, w, s)
-// is s for every finite w and every s but −0, and a chain from +0 is never −0
-// (a round-to-nearest sum is −0 only when both addends are). It panics on
-// dimension mismatch.
+// memory between input rows; per-element accumulation order over k matches
+// the row-major formulation exactly, so results are bit-identical to it.
+// Every activation takes its step, zeros included: a fused chain from +0 can
+// reach −0 (a negative product too small for float32 rounds to it), and
+// FMA32(+0, w, −0) is +0 for w ≥ 0, so skipping a zero would keep a −0 the
+// chain does not. It panics on dimension mismatch.
 func VecMatInto(dst, v []float32, m *Matrix) {
 	if m.Rows != len(v) {
 		panic("tensor: vecmat shape mismatch")
@@ -124,9 +124,6 @@ func VecMatInto(dst, v []float32, m *Matrix) {
 	for ; j+4 <= cols; j += 4 {
 		var s0, s1, s2, s3 float32
 		for k, vv := range v {
-			if vv == 0 {
-				continue
-			}
 			base := k*cols + j
 			r := data[base : base+4 : base+4]
 			s0 = FMA32(vv, r[0], s0)
@@ -139,9 +136,6 @@ func VecMatInto(dst, v []float32, m *Matrix) {
 	for ; j < cols; j++ {
 		var s float32
 		for k, vv := range v {
-			if vv == 0 {
-				continue
-			}
 			s = FMA32(vv, data[k*cols+j], s)
 		}
 		dst[j] = s

@@ -229,14 +229,11 @@ func randVec(n int, seed float32) []float32 {
 	return v
 }
 
-// vecMatRef is the row-major formulation of vᵀ × m with the zero-skip — the
-// reference arithmetic VecMatInto's column-major register loop must match.
+// vecMatRef is the row-major formulation of vᵀ × m — the reference
+// arithmetic VecMatInto's column-major register loop must match.
 func vecMatRef(v []float32, m *Matrix) []float32 {
 	out := make([]float32, m.Cols)
 	for k, vv := range v {
-		if vv == 0 {
-			continue
-		}
 		AXPY(out, vv, m.Row(k))
 	}
 	return out
@@ -287,16 +284,22 @@ func TestIntoVariantsBitIdentical(t *testing.T) {
 	}
 }
 
-func TestVecMatIntoSkipsZeros(t *testing.T) {
-	m := NewMatrix(3, 4)
-	copy(m.Data, randVec(12, 2))
-	u := []float32{0.5, 0, -1.25} // middle row skipped
-	want := vecMatRef(u, m)
-	got := make([]float32, 4)
+// TestVecMatIntoStepsZeros pins a zero activation's step: the first product
+// is a negative value too small for float32, so the fused chain rounds to −0,
+// and the +0 activation after it must turn that into FMA32(+0, w, −0) = +0
+// for w ≥ 0 — the bits the tile computes, which skipping the zero would miss.
+func TestVecMatIntoStepsZeros(t *testing.T) {
+	m := NewMatrix(2, 5)
+	for j := 0; j < 5; j++ {
+		m.Data[j], m.Data[5+j] = 0.25, 1
+	}
+	u := []float32{-math.SmallestNonzeroFloat32, 0}
+	got := make([]float32, 5)
 	VecMatInto(got, u, m)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("zero-skip mismatch at %d", i)
+	want := vecMatRef(u, m)
+	for i := range got {
+		if math.Float32bits(got[i]) != 0 || math.Float32bits(want[i]) != 0 {
+			t.Fatalf("column %d: VecMatInto %#x, reference %#x, want +0", i, math.Float32bits(got[i]), math.Float32bits(want[i]))
 		}
 	}
 }

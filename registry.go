@@ -8,9 +8,9 @@ import (
 	"rethinkkv/internal/sched"
 )
 
-// Methods returns every registered compression method name, sorted. The set
-// includes the paper's main methods (fp16, kivi-2/4, gear-2/4, h2o-256/512,
-// stream-256/512, snapkv-512, tova-512) and the surveyed extensions.
+// Methods returns every registered compression method name, sorted: fp16,
+// gear-2, gear-4, h2o-256, h2o-512, kivi-2, kivi-4, snapkv-512, stream-256,
+// stream-512.
 func Methods() []string { return compress.Names() }
 
 // PaperMethods returns the five methods of the paper's main evaluation:
