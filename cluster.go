@@ -220,12 +220,17 @@ func (c *Cluster) serveTraceReal(reqs []Request, r Router) ([]Outcome, error) {
 			time.Sleep(time.Duration(wait * float64(time.Second)))
 		}
 		maxNew := stats.MinI(stats.MaxI(req.RefLen, 1), c.cfg.maxNew)
+		var dl float64 // WithAdmissionTimeout, counted from the trace's arrival
+		if t := c.cfg.admissionTimeout; t > 0 {
+			dl = req.ArrivalTime + t.Seconds()
+		}
 		if _, err := pool.Submit(context.Background(), sched.Request{
 			ID:        req.ID,
 			Prompt:    tracePrompt(req, c.cfg.seed, vocab, maxPrompt),
 			MaxNew:    maxNew,
 			Predicted: maxNew,
 			Arrival:   req.ArrivalTime,
+			Deadline:  dl,
 		}); err != nil {
 			return nil, fmt.Errorf("request %d: %w", req.ID, err)
 		}

@@ -159,6 +159,28 @@ func TestDocsPointAtThingsThatExist(t *testing.T) {
 	}
 }
 
+// TestSchedFilesStaySmall keeps the scheduler split along the request
+// lifecycle (admit / step / retire): no non-test file of internal/sched may
+// grow past 600 lines.
+func TestSchedFilesStaySmall(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("internal", "sched", "*.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no Go files under internal/sched (err %v)", err)
+	}
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(string(src), "\n"); n > 600 {
+			t.Errorf("%s is %d lines, over 600: split it along the request lifecycle", f, n)
+		}
+	}
+}
+
 // callerExempt lists the declarations under internal/ that
 // TestEveryDeclarationHasACaller lets stand without a caller, as
 // "pkg.Name" or "pkg.Recv.Name" → the reason.

@@ -89,7 +89,7 @@ func NewFleet(n int, opts ...Option) (*Fleet, error) {
 		return nil, err
 	}
 	return &Fleet{
-		front: frontend{vocab: m.Config().Vocab, now: pool.Now, enqueue: pool.Submit},
+		front: frontend{vocab: m.Config().Vocab, timeout: cfg.admissionTimeout, now: pool.Now, enqueue: pool.Submit},
 		pool:  pool,
 		name:  r.Name(),
 	}, nil

@@ -215,6 +215,86 @@ func TestMigrationFallbackRequeuesOnSource(t *testing.T) {
 	}
 }
 
+// TestDeadlineShedOnSlowEngine: on an engine slowed to ~1ms per iteration, a
+// request queued behind a 60-token runner past its 5ms TTFT deadline must end
+// its pool stream with ErrDeadlineExceeded, and the engine must count the
+// shed; the runner, already started, completes.
+func TestDeadlineShedOnSlowEngine(t *testing.T) {
+	inj := faults.New()
+	inj.Delay(0, time.Millisecond)
+	p := newPool(t, Config{
+		Engines: 1,
+		Router:  router.Baseline{},
+		Faults:  inj,
+		Engine:  sched.Config{MaxBatch: 1, PageTokens: 8},
+	})
+	chA, err := p.Submit(context.Background(), sched.Request{ID: 0, Prompt: []int{1, 2, 3}, MaxNew: 60, Arrival: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); p.Stats().Engines[0].Admitted < 1; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("engine never admitted the runner")
+		}
+	}
+	chB, err := p.Submit(context.Background(), sched.Request{
+		ID: 1, Prompt: []int{4, 5, 6}, MaxNew: 6, Arrival: -1, Deadline: p.Now() + 0.005,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if toks, terr := collectErr(t, chB); len(toks) != 0 || !errors.Is(terr, sched.ErrDeadlineExceeded) {
+		t.Fatalf("queued request: %d tokens, err %v, want 0 tokens and ErrDeadlineExceeded", len(toks), terr)
+	}
+	if toks, terr := collectErr(t, chA); terr != nil || len(toks) != 60 {
+		t.Fatalf("started runner: %d tokens, err %v; started requests are never shed", len(toks), terr)
+	}
+	drain(t, p)
+	if st := p.Stats().Engines[0]; st.Shed != 1 || st.Completed != 1 {
+		t.Fatalf("Shed/Completed = %d/%d, want 1/1", st.Shed, st.Completed)
+	}
+}
+
+// TestFailoverContinuationIsNeverShed: a request whose engine dies mid-decode
+// (50ms iterations, panic at the sixth) is resubmitted after its 200ms TTFT
+// deadline has passed. It has already streamed, so the continuation carries
+// no deadline: it must complete, token-identical to the no-fault run, and
+// nothing may be shed.
+func TestFailoverContinuationIsNeverShed(t *testing.T) {
+	prompt := []int{1, 2, 3, 4, 5}
+	const maxNew = 12
+	want := sequentialReference(t, [][]int{prompt}, maxNew)
+
+	inj := faults.New()
+	inj.Delay(0, 50*time.Millisecond)
+	inj.PanicAt(0, 6)
+	p := newPool(t, Config{
+		Engines: 2,
+		Router:  pinRouter{to: 0},
+		Faults:  inj,
+		Engine:  sched.Config{MaxBatch: 2, PageTokens: 8},
+	})
+	ch, err := p.Submit(context.Background(), sched.Request{
+		ID: 0, Prompt: prompt, MaxNew: maxNew, Arrival: -1, Deadline: p.Now() + 0.2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	toks, terr := collectErr(t, ch)
+	if terr != nil {
+		t.Fatalf("continuation ended with %v; a request that already streamed is never shed", terr)
+	}
+	drain(t, p)
+	assertBitIdentical(t, [][]int{toks}, want, "failover past deadline")
+	if !inj.Fired(0) {
+		t.Fatal("engine 0 never hit its scheduled panic; test is vacuous")
+	}
+	st := p.Stats()
+	if st.FailedOver != 1 || st.Engines[1].Shed != 0 {
+		t.Fatalf("FailedOver/Shed = %d/%d, want 1/0", st.FailedOver, st.Engines[1].Shed)
+	}
+}
+
 // TestCancelRacingMigrationHop cancels requests while the pool is actively
 // migrating preemption victims between engines — the forwarder may be
 // mid-handoff when the ctx dies. Streams must close, Drain must not hang,

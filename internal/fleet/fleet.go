@@ -68,8 +68,8 @@ type Config struct {
 	// It only takes effect with Engines > 1 and a bounded page budget
 	// (unbounded engines never preempt).
 	Migrate bool
-	// Engine is the per-replica scheduler configuration. GPU, Epoch and
-	// Migrate are owned by the pool and overwritten.
+	// Engine is the per-replica scheduler configuration. Epoch and Migrate
+	// are owned by the pool and overwritten.
 	Engine sched.Config
 	// Faults, when non-nil, threads the deterministic fault-injection
 	// harness into every replica: engine i runs with the injector's
@@ -182,11 +182,10 @@ func New(m *model.Model, cfg Config) (*Pool, error) {
 	}
 	for i := 0; i < cfg.Engines; i++ {
 		ecfg := cfg.Engine
-		ecfg.GPU = i
 		ecfg.Epoch = epoch
 		ecfg.Migrate = nil
 		if cfg.Migrate && cfg.Engines > 1 {
-			ecfg.Migrate = p.onPreempt
+			ecfg.Migrate = func(req sched.Request, generated int) bool { return p.onPreempt(i, req, generated) }
 		}
 		if cfg.Faults != nil {
 			ecfg.StepHook = cfg.Faults.StepHook(i)
@@ -305,23 +304,13 @@ func (p *Pool) Submit(ctx context.Context, req sched.Request) (<-chan sched.Toke
 	}
 	gi = views[gi].ID
 
-	// Resolve the TTFT deadline here, mirroring the engine's stamping
-	// rule, so failover re-admissions carry the original deadline instead
-	// of restarting the clock on a new engine.
-	dl := req.Deadline
-	if dl < 0 {
-		dl = 0
-	} else if dl == 0 && p.cfg.Engine.AdmissionTimeout > 0 {
-		dl = req.Arrival + p.cfg.Engine.AdmissionTimeout
-	}
-
 	f := &flight{
 		id:        req.ID,
 		prompt:    req.Prompt,
 		maxNew:    req.MaxNew,
 		predicted: pred,
 		arrival:   req.Arrival,
-		deadline:  dl,
+		deadline:  req.Deadline,
 		start:     -1,
 		firstTok:  -1,
 		ctx:       ctx,
@@ -341,15 +330,9 @@ func (p *Pool) Submit(ctx context.Context, req sched.Request) (<-chan sched.Toke
 	p.pending++
 	p.mu.Unlock()
 
-	// The pool already resolved the deadline; negative tells the engine
-	// not to stamp its own default on top.
-	edl := f.deadline
-	if edl == 0 {
-		edl = -1
-	}
 	ch, err := p.engines[gi].Submit(ctx, sched.Request{
 		ID: f.key, Prompt: req.Prompt, MaxNew: req.MaxNew, Predicted: pred, Arrival: req.Arrival,
-		Deadline: edl,
+		Deadline: f.deadline,
 	})
 	if err != nil {
 		p.mu.Lock()
@@ -365,7 +348,7 @@ func (p *Pool) Submit(ctx context.Context, req sched.Request) (<-chan sched.Toke
 	return f.out, nil
 }
 
-// onPreempt is the sched.Config.Migrate hook: engine gpu just evicted req
+// onPreempt is engine gpu's sched.Config.Migrate hook: it just evicted req
 // under page pressure. Accept the handoff only when another engine has page
 // headroom for the request's entire remaining lifetime (prompt + emitted
 // tokens + remaining budget, plus the first-decode-step reserve) — anything
@@ -482,10 +465,10 @@ func (p *Pool) run(f *flight, ch <-chan sched.Token) {
 		// chunked prefill rebuilds the KV cache bit-identically. Replay
 		// marks the emitted suffix so a sparse-attention target re-advances
 		// it through decode steps instead (dense targets ignore it). A
-		// continuation that already streamed opts out of deadline stamping
-		// (negative): shedding a half-delivered response would break the
-		// TTFT contract the deadline models; one still queued keeps its
-		// original deadline and may legitimately be shed on arrival.
+		// continuation that already streamed carries no deadline: shedding
+		// a half-delivered response would break the TTFT contract the
+		// deadline models; one still queued keeps its original deadline and
+		// may legitimately be shed on arrival.
 		cont := make([]int, 0, len(f.prompt)+len(f.generated))
 		cont = append(cont, f.prompt...)
 		cont = append(cont, f.generated...)
@@ -495,8 +478,8 @@ func (p *Pool) run(f *flight, ch <-chan sched.Token) {
 			predRem = 1
 		}
 		dl := f.deadline
-		if f.firstTok >= 0 || dl == 0 {
-			dl = -1
+		if f.firstTok >= 0 {
+			dl = 0
 		}
 		creq := sched.Request{ID: f.key, Prompt: cont, MaxNew: rem, Predicted: predRem,
 			Arrival: f.arrival, Replay: len(f.generated), Deadline: dl}

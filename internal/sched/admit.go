@@ -1,0 +1,213 @@
+package sched
+
+import (
+	"fmt"
+	"math"
+
+	"rethinkkv/internal/kvcache"
+)
+
+// reapQueueLocked ends the queued requests whose context is done or whose
+// TTFT deadline has passed, and returns the earliest deadline still queued
+// (0 when none): the loop runs it before every admission pass, so these
+// streams close even when admission is blocked on batch slots or pages — a
+// blocked queue is exactly when deadlines blow — and an idle loop sleeps no
+// later than the next one. The caller holds mu.
+func (e *Engine) reapQueueLocked() (next float64) {
+	now := e.Now()
+	kept := e.queue[:0]
+	for _, rs := range e.queue {
+		switch dl := rs.req.Deadline; {
+		case rs.ctx.Err() != nil:
+			e.endLocked(rs, dispCancelled, nil)
+		case dl > 0 && now > dl:
+			// Shed: the TTFT deadline passed before prefill could start, so
+			// pages spent on this request would produce only SLO-blown
+			// tokens.
+			e.endLocked(rs, dispShed, fmt.Errorf("%w: queued %.0fms past arrival (deadline %.0fms)",
+				ErrDeadlineExceeded, 1e3*(now-rs.req.Arrival), 1e3*(dl-rs.req.Arrival)))
+		default:
+			kept = append(kept, rs)
+			if dl > 0 && (next == 0 || dl < next) {
+				next = dl
+			}
+		}
+	}
+	e.queue = kept
+	return next
+}
+
+// before reports whether a ranks ahead of b under the policy: FCFS orders by
+// (Arrival, ID), SJF by (predicted remaining tokens, Arrival). Admission takes
+// the first request in this order and preemption the last; on a full tie both
+// keep the lower index.
+func (e *Engine) before(a, b *reqState) bool {
+	if e.cfg.Policy == PolicySJF {
+		if ra, rb := a.remaining(), b.remaining(); ra != rb {
+			return ra < rb
+		}
+		return a.req.Arrival < b.req.Arrival
+	}
+	if a.req.Arrival != b.req.Arrival {
+		return a.req.Arrival < b.req.Arrival
+	}
+	return a.req.ID < b.req.ID
+}
+
+// admitLocked moves queued requests into the running set, policy-ordered,
+// while batch slots and prompt pages are available. Admission only
+// allocates: it looks the prompt up in the prefix cache, builds the request's
+// cache from the longest match (whole pages by reference, the rest of the
+// match copied into the private tail page) and reserves the pages the
+// remainder needs, evicting unpinned cached pages to make room. No forward
+// pass runs under the lock — what the cache did not cover prefills chunk by
+// chunk inside the iteration loop, interleaved with running decodes
+// (stepOnce).
+func (e *Engine) admitLocked() {
+	for len(e.running) < e.cfg.MaxBatch && len(e.queue) > 0 {
+		i := 0
+		for j := 1; j < len(e.queue); j++ {
+			if e.before(e.queue[j], e.queue[i]) {
+				i = j
+			}
+		}
+		rs := e.queue[i]
+		if rs.ctx.Err() != nil {
+			e.queue = append(e.queue[:i], e.queue[i+1:]...)
+			e.endLocked(rs, dispCancelled, nil)
+			continue
+		}
+		prompt := rs.req.Prompt
+		if len(rs.generated) > 0 { // recompute after preemption
+			prompt = make([]int, 0, len(rs.req.Prompt)+len(rs.generated))
+			prompt = append(prompt, rs.req.Prompt...)
+			prompt = append(prompt, rs.generated...)
+		}
+		// Decode-produced prompt tokens (from a migration handoff plus any
+		// locally emitted before this preemption) re-advance through sparse
+		// decode steps, not dense prefill — see Request.Replay.
+		replay := 0
+		if e.sparse {
+			replay = rs.req.Replay + len(rs.generated)
+		}
+		pt := e.cfg.PageTokens
+		path, tail, extra := e.tree.match(prompt, matchLimit(len(prompt), replay), false, rs.nodes[:0])
+		// Pinned before anything is evicted; from here the matched pages
+		// count as used, so the check below asks whether the request fits
+		// once every unpinned page is gone.
+		e.tree.pin(path)
+		need := kvcache.PagesFor(len(prompt), pt) - len(path)
+		// The first decode step would open a page immediately; reserve it
+		// now so admission cannot thrash (admit, prefill, evict on the very
+		// next step, repeat). A request with one token left retires on the
+		// pass that decides it and runs no decode step.
+		reserved := len(prompt)%pt == 0 && len(rs.generated)+1 < rs.req.MaxNew
+		if reserved {
+			need++
+		}
+		if e.pageBudget > 0 && e.usedPages()+need > e.pageBudget {
+			e.tree.unpin(path)
+			break // head request waits for pages; keep order
+		}
+		e.queue = append(e.queue[:i], e.queue[i+1:]...)
+
+		if rs.start < 0 {
+			rs.start = e.Now()
+		}
+		cache := e.newCache()
+		for _, n := range path {
+			cache.AdoptPage(n.page)
+		}
+		matched := len(path) * pt
+		if extra > 0 {
+			// The match ends inside a cached page: take the page by
+			// reference, then clone with its first extra tokens deep-copied
+			// into what becomes this request's private tail page.
+			matched += extra
+			cache.AdoptPage(tail.page)
+			cache = cache.ClonePrefixN(matched)
+		}
+		for e.pageBudget > 0 && e.chargedPages()+need > e.pageBudget {
+			e.tree.evict() // an unpinned page exists: used+need fits, charged+need does not
+		}
+		if err := cache.Reserve(len(prompt) - matched); err != nil {
+			// Cannot happen for a validated request; retire defensively.
+			e.tree.unpin(path)
+			e.endLocked(rs, dispCancelled, nil)
+			continue
+		}
+		// Bit-identical to a cold prefill, minus the recompute.
+		switch {
+		case matched == 0:
+		case rs.preempts == 0:
+			e.stats.PrefixHits++
+			e.stats.PrefixTokensSaved += matched
+		default:
+			e.stats.RecomputeTokensSaved += matched
+		}
+		rs.sess, rs.cache = nil, cache
+		rs.prompt, rs.prefilled = prompt, matched
+		rs.replay = replay
+		rs.nodes, rs.sealable = path, math.MaxInt
+		if e.sparse {
+			rs.sealable = (len(prompt) - replay) / pt
+		}
+		rs.pages = need
+		rs.reserved = reserved
+		rs.load = float64(len(rs.req.Prompt) + rs.remaining())
+		e.runningLoad += rs.load
+		e.privatePages += need
+		e.running = append(e.running, rs)
+		e.stats.Admitted++
+		if len(e.running) > e.stats.PeakRunning {
+			e.stats.PeakRunning = len(e.running)
+		}
+		if used := e.usedPages(); used > e.stats.PeakPages {
+			e.stats.PeakPages = used
+		}
+	}
+	e.syncViewLocked()
+}
+
+// sealLocked moves the pages rs has filled since it last looked into the
+// prefix cache: each becomes a tree node holding the page by reference,
+// pinned by rs, and stops counting as private. The caller holds mu.
+func (e *Engine) sealLocked(rs *reqState) {
+	pt := e.cfg.PageTokens
+	for i := len(rs.nodes); i < rs.sealable && (i+1)*pt <= rs.cache.TotalAppended(); i++ {
+		e.runBuf = e.runBuf[:0]
+		for p := i * pt; p < (i+1)*pt; p++ {
+			e.runBuf = append(e.runBuf, rs.tokenAt(p))
+		}
+		var parent *pageNode
+		if i > 0 {
+			parent = rs.nodes[i-1]
+		}
+		n := e.tree.insert(parent, e.runBuf, rs.cache.PageAt(i))
+		if n == nil {
+			// A request that ran alongside cached the same run first. This
+			// copy stays private, and so does everything behind it: the
+			// path below belongs to pages rs does not hold.
+			rs.sealable = i
+			return
+		}
+		rs.nodes = append(rs.nodes, n)
+		rs.pages--
+		e.privatePages--
+	}
+}
+
+// releaseLocked returns everything a running request holds to the ledger:
+// its private pages are freed and its path unpinned — the pages stay cached,
+// evictable, so a preempted request re-admitted soon resumes from whatever
+// prefix survived. The caller holds mu and removes rs from the running set.
+func (e *Engine) releaseLocked(rs *reqState) {
+	e.privatePages -= rs.pages
+	rs.pages = 0
+	e.tree.unpin(rs.nodes)
+	clear(rs.nodes)
+	rs.nodes = rs.nodes[:0]
+	rs.sess, rs.cache = nil, nil
+	e.runningLoad -= rs.load
+	rs.load = 0
+}

@@ -1,0 +1,564 @@
+package sched
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"runtime"
+	"sort"
+	"sync"
+	"time"
+
+	"rethinkkv/internal/core"
+	"rethinkkv/internal/kvcache"
+	"rethinkkv/internal/model"
+	"rethinkkv/internal/serving"
+)
+
+// reqState is one request's lifecycle state, owned by the engine loop
+// except where noted.
+type reqState struct {
+	req       Request
+	ctx       context.Context
+	ch        chan Token
+	generated []int
+	// prompt is the token sequence this admission must prefill: the
+	// request prompt, re-extended with already-emitted tokens after a
+	// preemption (recompute). prefilled counts how many of them are in the
+	// cache; the loop advances it chunk by chunk, and sess stays nil until
+	// the whole prompt is in (a mid-prefill request occupies a batch slot
+	// and its reserved pages but contributes no decode lane yet).
+	prompt    []int
+	prefilled int
+	// replay counts trailing prompt tokens (decode-produced before a
+	// preemption or migration) that must re-advance through decode steps
+	// instead of chunked prefill — only under sparse attention, where the
+	// two are not interchangeable. Replay steps emit nothing but the last,
+	// whose logits decide the first new token; prefilled advances with them
+	// so it always counts prompt tokens in the cache.
+	replay int
+	// sess is non-nil only while running with prefill complete; cache is
+	// non-nil for the whole running span, including mid-prefill.
+	sess  *core.StepSession
+	cache *kvcache.PagedKV
+	// retired marks a request stepOnce retired this iteration, so the
+	// running set can be rebuilt outside the emission loop.
+	retired bool
+	// start is the first prefill start; firstTok the first emission. -1
+	// until they happen (preemption does not reset them).
+	start    float64
+	firstTok float64
+	preempts int
+	// load is this request's contribution to Engine.runningLoad while
+	// running.
+	load float64
+	// stopWatch cancels the ctx watcher that wakes the loop on
+	// cancellation; endLocked calls it so ended requests do not accumulate
+	// watchers.
+	stopWatch func() bool
+	// nodes is the request's path in the prefix cache, root first: node i
+	// holds the very storage of page i of cache, for every i < len(nodes) —
+	// pages matched at admission, then pages this request sealed and cached
+	// itself. The request pins them all until it is released. sealable caps
+	// len(nodes): a sparse engine may cache only pages wholly inside the
+	// dense-prefilled span, and a request stops caching at the first page
+	// another request cached before it.
+	nodes    []*pageNode
+	sealable int
+	// pages is the request's private page charge against the engine
+	// budget: pages reserved at admission plus pages opened by decode,
+	// minus the pages on nodes. Preemption and retirement release exactly
+	// this amount.
+	pages int
+	// reserved marks a first-decode-step page charged at admission
+	// (prompt length page-aligned): admission reserves it so a freshly
+	// admitted request cannot be admitted and then immediately evicted —
+	// and its prefill wasted — by its own first step's page need. The
+	// flag is consumed by the step that opens the page.
+	reserved bool
+}
+
+// tokenAt returns the token at sequence position p, for any position whose
+// K/V the request's cache holds: the prompt, then the tokens it generated.
+func (rs *reqState) tokenAt(p int) int {
+	if p < len(rs.req.Prompt) {
+		return rs.req.Prompt[p]
+	}
+	return rs.generated[p-len(rs.req.Prompt)]
+}
+
+func (rs *reqState) remaining() int {
+	pred := rs.req.Predicted
+	if pred <= 0 {
+		pred = rs.req.MaxNew
+	}
+	if r := pred - len(rs.generated); r > 0 {
+		return r
+	}
+	return 1 // past its prediction: nearly done, highest priority under SJF
+}
+
+// Engine is a continuous-batching scheduler over one model replica.
+type Engine struct {
+	m     *model.Model
+	pool  *core.WorkspacePool
+	cfg   Config
+	start time.Time
+	// sparse mirrors m.SparseTopK() > 0 at construction: every request
+	// cache is built with key summaries enabled, and preempted/migrated
+	// requests replay their decode-produced tokens instead of dense-
+	// prefilling them.
+	sparse bool
+	// pageBudget is cfg.KVPages converted to the engine's page currency:
+	// identical for fp32 caches, scaled up by kvcache.ScaledPageBudget when
+	// KVQuantBits is set (the same bytes hold more quantized pages). All
+	// admission, reservation, and preemption accounting uses this value.
+	pageBudget int
+
+	// tree is the prefix cache. Its pages and the running requests' private
+	// pages are one ledger under pageBudget:
+	//
+	//	charged = privatePages + tree.pages   (never above pageBudget)
+	//	used    = privatePages + tree.pinned  (what routers and PeakPages see)
+	//
+	// and the difference, the unpinned cached pages, is evicted before any
+	// admission waits or any running request is preempted. prewarmPages is
+	// the permanently pinned share (Config.SharedPrefix), fixed by New.
+	tree         *prefixTree
+	prewarmPages int
+
+	// loop-private state (touched only by the run goroutine).
+	running []*reqState
+	// privatePages sums reqState.pages over the running set.
+	privatePages int
+	// runBuf is scratch for one page's token run.
+	runBuf []int
+	// loopSteps counts scheduling iterations for Config.StepHook — loop-
+	// private so the hook fires without taking mu.
+	loopSteps int
+	// stepSessions/stepReqs/stepToks and the chunk-packing scratch
+	// (chunks/chunkReqs/chunkNexts, index-aligned) are reused across
+	// iterations so batch formation and the fused mixed step allocate
+	// nothing in steady state.
+	stepSessions []*core.StepSession
+	stepReqs     []*reqState
+	stepToks     []int
+	chunks       []core.PrefillChunk
+	chunkReqs    []*reqState
+	chunkNexts   []int
+
+	mu       sync.Mutex
+	queue    []*reqState
+	outcomes []serving.Outcome
+	stats    Stats
+	pending  int // queued + running, for Drain
+	// runningLoad mirrors the running set's admitted token load
+	// (prompt + predicted remaining) for View.BacklogTokens; each reqState
+	// records its own contribution in load so removal subtracts exactly
+	// what admission added.
+	runningLoad float64
+	// viewRunning/viewUsedPages/viewPrefill/viewStep mirror loop-private
+	// state for View(), refreshed via syncViewLocked after every scheduling
+	// action that changes them.
+	viewRunning   int
+	viewUsedPages int
+	viewPrefill   int
+	viewStep      float64
+	waiters       []chan struct{}
+	closed        bool
+	// aborted records that Close threw away pending requests: drains
+	// released by that path report ErrClosed, not success.
+	aborted bool
+	// failure, once non-nil, marks the engine failed: the step loop
+	// panicked, the recover boundary terminated every in-flight stream
+	// with an error token wrapping ErrEngineFailed, and all later Submits
+	// and Drains report this error. A failed engine never un-fails; the
+	// fleet layer quarantines it and routes around it.
+	failure error
+
+	wake chan struct{}
+	done chan struct{}
+}
+
+// prefixCacheBytes bounds the pages the prefix cache retains beyond what live
+// requests reference when KVPages leaves the engine unbounded: 64 fp32 pages
+// at small-llama's shape with 16-token pages.
+const prefixCacheBytes = 4 << 20
+
+// New starts an engine over the model. The model's weights are shared and
+// immutable; multiple engines may run on one model. A SharedPrefix is
+// prefilled here, before the engine accepts traffic.
+func New(m *model.Model, cfg Config) (*Engine, error) {
+	e, err := newEngine(m, cfg)
+	if err != nil {
+		return nil, err
+	}
+	go e.loop()
+	return e, nil
+}
+
+// newEngine builds an engine without starting its loop, so a test can drive
+// the scheduling steps by hand.
+func newEngine(m *model.Model, cfg Config) (*Engine, error) {
+	if err := cfg.normalize(); err != nil {
+		return nil, err
+	}
+	start := cfg.Epoch
+	if start.IsZero() {
+		start = time.Now()
+	}
+	shape := m.CacheShape()
+	e := &Engine{
+		m:          m,
+		pool:       core.NewWorkspacePool(m),
+		cfg:        cfg,
+		start:      start,
+		sparse:     m.SparseTopK() > 0,
+		pageBudget: kvcache.ScaledPageBudget(cfg.KVPages, shape, cfg.PageTokens, cfg.KVQuantBits),
+		wake:       make(chan struct{}, 1),
+		done:       make(chan struct{}),
+	}
+	idleCap := math.MaxInt // a page budget is its own bound
+	if e.pageBudget == 0 {
+		fp32Pages := prefixCacheBytes * 8 / (kvcache.PageBitsFP32(shape, cfg.PageTokens) * int64(shape.Layers))
+		idleCap = kvcache.ScaledPageBudget(int(fp32Pages), shape, cfg.PageTokens, cfg.KVQuantBits)
+	}
+	e.tree = newPrefixTree(cfg.PageTokens, idleCap)
+	if len(cfg.SharedPrefix) > 0 {
+		// Construction-time prefill has no decode traffic to interleave
+		// with, but the chunk plane's batched GEMMs still finish a long
+		// prefix several times faster than token-at-a-time ForwardInto —
+		// and warm the pooled batch workspace the loop will reuse.
+		cache := e.newCache()
+		sb := e.pool.GetBatch()
+		e.m.PrefillChunkInto(sb.Batch(), cfg.SharedPrefix, cfg.PrefillChunk, cache)
+		e.pool.PutBatch(sb)
+		// Every page goes in pinned for good, the partial last one too: the
+		// cache is dropped here, so nothing will ever append to it.
+		var parent *pageNode
+		for i := 0; i < cache.Pages(); i++ {
+			run := cfg.SharedPrefix[i*cfg.PageTokens : min(len(cfg.SharedPrefix), (i+1)*cfg.PageTokens)]
+			parent = e.tree.insert(parent, run, cache.PageAt(i))
+			parent.permanent = true
+		}
+		e.prewarmPages = e.tree.pinned
+		if e.pageBudget > 0 && e.prewarmPages >= e.pageBudget {
+			return nil, fmt.Errorf("%w: shared prefix needs %d pages, budget %d leaves no room for requests",
+				kvcache.ErrOutOfPages, e.prewarmPages, e.pageBudget)
+		}
+		e.viewUsedPages = e.prewarmPages
+		e.stats.PeakPages = e.prewarmPages
+	}
+	return e, nil
+}
+
+// newCache returns an empty request cache in the engine's page format.
+func (e *Engine) newCache() *kvcache.PagedKV {
+	cache := kvcache.NewPagedKVQuant(e.m.CacheShape(), e.cfg.PageTokens, e.pageBudget, e.cfg.KVQuantBits)
+	if e.sparse {
+		cache.EnableKeySummaries()
+	}
+	return cache
+}
+
+// matchLimit returns how many leading tokens of an n-token prompt a cached
+// prefix may stand in for. The last token is always left to prefill, because
+// its logits (not cached) decide the first output. Under sparse attention the
+// match also stops short of the replay tail: those tokens' K/V came out of
+// sparse decode steps and must be rebuilt by them, while the cache holds only
+// what dense prefill wrote.
+func matchLimit(n, replay int) int { return min(n-1, n-replay) }
+
+// usedPages is the pages live requests reference plus the pre-warm;
+// chargedPages adds the evictable cached pages. See Engine.tree.
+func (e *Engine) usedPages() int    { return e.privatePages + e.tree.pinned }
+func (e *Engine) chargedPages() int { return e.privatePages + e.tree.pages }
+
+// Config returns the engine's normalized configuration.
+func (e *Engine) Config() Config { return e.cfg }
+
+// Submit enqueues a request and returns its token stream. The channel is
+// buffered to the request's full token budget, so the engine never blocks
+// on a slow consumer, and closes when the request completes, its ctx is
+// cancelled, or the engine shuts down. Each token is sent in the scheduling
+// iteration that decided it, and the loop yields the processor after every
+// iteration, so a reader sharing it receives the token before the next
+// iteration starts. Submit fails fast with kvcache.ErrOutOfPages when the
+// request could never fit the page budget even running alone, caching its
+// prompt and all but the last of its MaxNew tokens — the admission invariant
+// that makes preemption livelock-free (any admitted request can always run
+// to completion by itself).
+func (e *Engine) Submit(ctx context.Context, req Request) (<-chan Token, error) {
+	if len(req.Prompt) == 0 {
+		return nil, fmt.Errorf("sched: empty prompt")
+	}
+	if req.MaxNew <= 0 {
+		req.MaxNew = e.cfg.MaxNew
+	}
+	if !e.sparse {
+		// Dense chunked prefill is bit-identical to decode; nothing to
+		// replay.
+		req.Replay = 0
+	}
+	if req.Replay < 0 || req.Replay >= len(req.Prompt) {
+		return nil, fmt.Errorf("sched: replay %d out of range for prompt of %d", req.Replay, len(req.Prompt))
+	}
+	if e.pageBudget > 0 {
+		// Running alone, with the cache as cold as it can get: only pages of
+		// the pre-warmed prefix are certain to be there at admission. The last
+		// token is decided, sent and never fed, so it is never cached.
+		need := kvcache.PagesFor(len(req.Prompt)+req.MaxNew-1, e.cfg.PageTokens)
+		if e.prewarmPages > 0 {
+			e.mu.Lock()
+			warm, _, _ := e.tree.match(req.Prompt, matchLimit(len(req.Prompt), req.Replay), true, nil)
+			e.mu.Unlock()
+			need -= len(warm)
+		}
+		if budget := e.pageBudget - e.prewarmPages; need > budget {
+			return nil, fmt.Errorf("%w: request needs %d pages, budget %d", kvcache.ErrOutOfPages, need, budget)
+		}
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if hook := e.cfg.SubmitHook; hook != nil {
+		if err := hook(); err != nil {
+			return nil, err
+		}
+	}
+	if req.Arrival < 0 {
+		// Stamp before enqueueing: time spent queued behind admission —
+		// batch slots, page budget, the loop's own iterations — is
+		// queueing delay the TTFT must include, not hide.
+		req.Arrival = e.Now()
+	}
+	// The channel is one slot larger than the token budget so a terminal
+	// error token (shed, engine failure) always fits without blocking.
+	rs := &reqState{
+		req:      req,
+		ctx:      ctx,
+		ch:       make(chan Token, req.MaxNew+1),
+		start:    -1,
+		firstTok: -1,
+	}
+	e.mu.Lock()
+	if e.failure != nil {
+		e.mu.Unlock()
+		return nil, e.failure
+	}
+	if e.closed {
+		e.mu.Unlock()
+		return nil, ErrClosed
+	}
+	if queued := len(e.queue); e.cfg.MaxQueue > 0 && queued >= e.cfg.MaxQueue {
+		e.mu.Unlock()
+		return nil, fmt.Errorf("%w: %d requests queued (bound %d)", ErrOverloaded, queued, e.cfg.MaxQueue)
+	}
+	// Wake the loop when the request's ctx is cancelled, so a queued
+	// request's stream closes promptly even while admission is blocked.
+	// Registered under mu: endLocked (also under mu) must observe the stop
+	// function, or the watcher would leak.
+	rs.stopWatch = context.AfterFunc(ctx, e.kick)
+	e.queue = append(e.queue, rs)
+	e.pending++
+	e.mu.Unlock()
+	e.kick()
+	return rs.ch, nil
+}
+
+// kick wakes the loop without blocking.
+func (e *Engine) kick() {
+	select {
+	case e.wake <- struct{}{}:
+	default:
+	}
+}
+
+// Drain blocks until every request submitted so far has retired, or ctx is
+// cancelled. Concurrent submits extend the drain. A drain released because
+// Close aborted in-flight requests reports ErrClosed — nil strictly means
+// everything submitted before the call ran to retirement.
+func (e *Engine) Drain(ctx context.Context) error {
+	e.mu.Lock()
+	if e.failure != nil {
+		e.mu.Unlock()
+		return e.failure
+	}
+	if e.closed {
+		e.mu.Unlock()
+		return ErrClosed
+	}
+	if e.pending == 0 {
+		e.mu.Unlock()
+		return nil
+	}
+	w := make(chan struct{})
+	e.waiters = append(e.waiters, w)
+	e.mu.Unlock()
+	select {
+	case <-w:
+		e.mu.Lock()
+		aborted, failure := e.aborted, e.failure
+		e.mu.Unlock()
+		if failure != nil {
+			return failure
+		}
+		if aborted {
+			return ErrClosed
+		}
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// Now returns seconds since the engine epoch — the clock Request.Arrival
+// and Request.Deadline are measured on. Callers use it to turn a relative
+// TTFT budget into the absolute deadline Submit expects.
+func (e *Engine) Now() float64 { return time.Since(e.start).Seconds() }
+
+// Failed reports the engine's terminal failure (wrapping ErrEngineFailed),
+// or nil while the engine is healthy. The fleet layer polls it to
+// quarantine dead replicas and fail their requests over.
+func (e *Engine) Failed() error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.failure
+}
+
+// Close shuts the engine down: queued and running requests have their
+// streams closed without completing. Close is idempotent and returns after
+// the loop goroutine exits.
+func (e *Engine) Close() {
+	e.mu.Lock()
+	already := e.closed
+	e.closed = true
+	e.mu.Unlock()
+	if !already {
+		e.kick()
+	}
+	<-e.done
+}
+
+// Outcomes returns the per-request records of every retired request so
+// far, sorted by request ID — the same vocabulary the simulator emits.
+func (e *Engine) Outcomes() []serving.Outcome {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	out := append([]serving.Outcome(nil), e.outcomes...)
+	sort.Slice(out, func(i, j int) bool { return out[i].Req.ID < out[j].Req.ID })
+	return out
+}
+
+// Stats returns a snapshot of the engine counters.
+func (e *Engine) Stats() Stats {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	st := e.stats
+	st.PrefixCachePages, st.PrefixEvictions = e.tree.pages, e.tree.evictions
+	return st
+}
+
+// View returns a point-in-time snapshot of the engine's router-visible
+// state. Safe for concurrent use; loop-mirrored fields are at most one
+// scheduling iteration stale.
+func (e *Engine) View() View {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	v := View{
+		Queued:        len(e.queue),
+		Running:       e.viewRunning,
+		BacklogTokens: e.runningLoad,
+		UsedPages:     e.viewUsedPages,
+		PageBudget:    e.pageBudget,
+		PageTokens:    e.cfg.PageTokens,
+		PrefillTokens: e.viewPrefill,
+		StepSeconds:   e.viewStep,
+	}
+	for _, rs := range e.queue {
+		v.BacklogTokens += float64(len(rs.req.Prompt) + rs.remaining())
+	}
+	return v
+}
+
+// syncViewLocked refreshes the View mirrors from loop-private state. The
+// caller holds mu; the running set is at most MaxBatch entries, so the walk
+// is cheap enough to run after every scheduling action.
+func (e *Engine) syncViewLocked() {
+	pf := 0
+	for _, rs := range e.running {
+		pf += len(rs.prompt) - rs.prefilled
+	}
+	e.viewPrefill = pf
+	e.viewRunning = len(e.running)
+	e.viewUsedPages = e.usedPages()
+}
+
+// loop is the scheduler: admit, form the iteration batch, preempt under
+// page pressure, step every running session one token, retire finishers,
+// yield the processor.
+//
+// The loop runs behind a recover boundary — the panic-isolation half of
+// the fault-tolerance story. A panic anywhere in the iteration (the fused
+// compute plane, batch formation, the Migrate hook, an injected fault) is
+// caught, the engine marked failed, and every in-flight stream terminated
+// with an error token wrapping ErrEngineFailed instead of the panic unwinding
+// into the process. The fleet layer observes the closure, quarantines the
+// engine, and fails the requests over to healthy replicas via bit-identical
+// replay. The boundary covers the compute plane and the hooks, which run
+// outside the engine mutex; a panic raised while mu is held (plain counter
+// bookkeeping) is outside the failure model — recovery must never run
+// against a lock whose critical section was abandoned halfway.
+func (e *Engine) loop() {
+	defer close(e.done)
+	defer func() {
+		if r := recover(); r != nil {
+			e.mu.Lock()
+			e.abortLocked(fmt.Errorf("%w: panic in scheduling iteration %d: %v", ErrEngineFailed, e.loopSteps, r))
+			e.mu.Unlock()
+		}
+	}()
+	for {
+		e.mu.Lock()
+		if e.closed {
+			e.abortLocked(nil)
+			e.mu.Unlock()
+			return
+		}
+		next := e.reapQueueLocked()
+		e.admitLocked()
+		if len(e.running) == 0 {
+			e.mu.Unlock()
+			// A queued request carries a TTFT deadline: sleep at most until
+			// it expires so shedding is prompt even while nothing is running
+			// (admission blocked on pages or batch slots).
+			var expiry <-chan time.Time // nil: nothing to wait for but a kick
+			if next > 0 {
+				expiry = time.After(time.Duration((next - e.Now()) * float64(time.Second)))
+			}
+			select {
+			case <-e.wake:
+			case <-expiry:
+			}
+			continue
+		}
+		e.mu.Unlock()
+
+		e.reapCancelled()
+		e.preemptForStep()
+		if len(e.running) == 0 {
+			continue
+		}
+		e.stepOnce()
+		// Hand the P over between iterations. While anything is running the
+		// loop never blocks, so on a processor it shares the readers of the
+		// tokens just sent and the callers of Submit would otherwise wait for
+		// the runtime's 10 ms forced preemption; with this they run at step
+		// granularity, and a fleet with more loops than Ps rotates per step.
+		// With nothing else runnable it is one trip through the scheduler.
+		// What runs next runs on this goroutine's time slice; the pass
+		// yields inside too (model.ForwardMixedInto), so that slice is at
+		// most one group of GEMMs old and not a step's worth.
+		runtime.Gosched()
+	}
+}

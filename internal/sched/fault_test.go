@@ -87,18 +87,17 @@ func TestMaxQueueOverload(t *testing.T) {
 
 // TestDeadlineShedding: a slowed engine (1ms per iteration via the
 // injector's delay) decodes a long runner while two requests wait on a full
-// batch slot — one carrying the config default deadline, one an explicit
-// earlier Request.Deadline. Both must shed with ErrDeadlineExceeded error
-// tokens; the runner, already started, must never be shed.
+// batch slot — one with a 20ms TTFT deadline, one with an earlier 5ms one.
+// Both must shed with ErrDeadlineExceeded error tokens; the runner, already
+// started, must never be shed.
 func TestDeadlineShedding(t *testing.T) {
 	inj := faults.New()
 	inj.Delay(0, time.Millisecond)
 	m := model.New(model.Tiny(), seed)
 	e, err := New(m, Config{
-		MaxBatch:         1,
-		PageTokens:       8,
-		AdmissionTimeout: 0.02, // 20ms default TTFT deadline
-		StepHook:         inj.StepHook(0),
+		MaxBatch:   1,
+		PageTokens: 8,
+		StepHook:   inj.StepHook(0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +110,9 @@ func TestDeadlineShedding(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitAdmitted(t, e, 1)
-	chB, err := e.Submit(context.Background(), Request{ID: 1, Prompt: []int{4, 5, 6}, MaxNew: 6, Arrival: -1})
+	chB, err := e.Submit(context.Background(), Request{
+		ID: 1, Prompt: []int{4, 5, 6}, MaxNew: 6, Arrival: -1, Deadline: e.Now() + 0.02,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,6 +205,69 @@ func TestStepPanicFailsEngine(t *testing.T) {
 	}
 	if err := e.Drain(context.Background()); !errors.Is(err, ErrEngineFailed) {
 		t.Fatalf("drain after failure: %v, want ErrEngineFailed", err)
+	}
+}
+
+// TestMigrateHookPanicEndsVictimStream: a Migrate hook that panics fails the
+// engine like any step-loop panic, and the preemption victim it was offered
+// — off the running set, not yet handed over — must be ended with the rest:
+// every stream closes, the victim's on an ErrEngineFailed token. Bounded, so
+// a victim left open fails the test instead of hanging it.
+func TestMigrateHookPanicEndsVictimStream(t *testing.T) {
+	m := model.New(model.Tiny(), seed)
+	submitted := make(chan struct{})
+	release := sync.OnceFunc(func() { close(submitted) })
+	victim := -1 // written by the hook, read once every stream has closed
+	e, err := New(m, Config{
+		MaxBatch:   4,
+		PageTokens: 4,
+		KVPages:    6, // three requests each growing to 4 pages: preemption is certain
+		StepHook: func(n int) {
+			if n == 1 {
+				<-submitted
+			}
+		},
+		Migrate: func(req Request, _ int) bool {
+			victim = req.ID
+			panic("migrate hook")
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	t.Cleanup(release)
+
+	chans := make([]<-chan Token, 3)
+	for i := range chans {
+		ch, err := e.Submit(context.Background(), Request{ID: i, Prompt: []int{3*i + 1, 3*i + 2, 3*i + 3}, MaxNew: 12, Arrival: -1})
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		chans[i] = ch
+	}
+	release()
+	errs := make([]error, len(chans))
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		for i, ch := range chans {
+			_, errs[i] = collectErr(t, ch)
+		}
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a stream was still open 10s after the Migrate hook panicked")
+	}
+	if victim < 0 {
+		t.Fatal("no preemption reached the Migrate hook; test is vacuous")
+	}
+	if !errors.Is(errs[victim], ErrEngineFailed) {
+		t.Fatalf("victim %d's stream ended with %v, want ErrEngineFailed", victim, errs[victim])
+	}
+	if err := e.Drain(context.Background()); !errors.Is(err, ErrEngineFailed) {
+		t.Fatalf("drain after the hook panicked: %v, want ErrEngineFailed", err)
 	}
 }
 

@@ -367,7 +367,7 @@ func runGenerated(t *testing.T, s genSchedule, cfg Config, topK int, tight bool)
 		record(fmt.Sprintf("before step %d", step), checkLedger(e))
 		audit.before(e, step)
 	}
-	cfg.Migrate = func(_ int, req Request, generated int) bool {
+	cfg.Migrate = func(req Request, generated int) bool {
 		record(fmt.Sprintf("preempting request %d", req.ID), checkVictimLedger(e, req, generated))
 		return false
 	}

@@ -164,6 +164,67 @@ func TestPreemptionRecomputeMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestStepsByHandMatchSequential drives the calls the loop makes —
+// admitLocked, reapCancelled, preemptForStep, stepOnce — by hand on an engine
+// with no loop goroutine, under TestPreemptionRecomputeMatchesSequential's
+// budget. The ledger must hold after every call, the streams must equal
+// sequential decode, and the budget must force a preemption.
+func TestStepsByHandMatchSequential(t *testing.T) {
+	prompts := testPrompts()
+	const maxNew = 18
+	want := sequentialReference(t, prompts, maxNew)
+
+	e, err := newEngine(model.New(model.Tiny(), seed), Config{MaxBatch: 4, PageTokens: 4, KVPages: 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chans := make([]<-chan Token, len(prompts))
+	for i, prompt := range prompts {
+		ch, err := e.Submit(context.Background(), Request{ID: i, Prompt: prompt, MaxNew: maxNew, Arrival: -1})
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		chans[i] = ch
+	}
+	check := func(iter int, after string) {
+		t.Helper()
+		if err := checkLedger(e); err != nil {
+			t.Fatalf("iteration %d, after %s: %v", iter, after, err)
+		}
+	}
+	for iter := 1; e.pending > 0; iter++ {
+		if iter > 1000 {
+			t.Fatalf("%d requests still pending after %d iterations", e.pending, iter)
+		}
+		e.mu.Lock()
+		e.admitLocked()
+		e.mu.Unlock()
+		check(iter, "admitLocked")
+		e.reapCancelled()
+		check(iter, "reapCancelled")
+		e.preemptForStep()
+		check(iter, "preemptForStep")
+		if len(e.running) > 0 {
+			e.stepOnce()
+			check(iter, "stepOnce")
+		}
+	}
+	for i, ch := range chans {
+		got := collect(t, ch)
+		if len(got) != len(want[i]) {
+			t.Fatalf("request %d: %d tokens, want %d", i, len(got), len(want[i]))
+		}
+		for j := range want[i] {
+			if got[j] != want[i][j] {
+				t.Fatalf("request %d token %d: %d != sequential %d", i, j, got[j], want[i][j])
+			}
+		}
+	}
+	if st := e.Stats(); st.Preemptions == 0 || st.Completed != len(prompts) {
+		t.Fatalf("Preemptions %d, Completed %d: want at least one preemption and %d completions", st.Preemptions, st.Completed, len(prompts))
+	}
+}
+
 func TestSJFPolicyMatchesSequential(t *testing.T) {
 	prompts := testPrompts()
 	const maxNew = 12

@@ -282,8 +282,8 @@ func resolveKVQuant(name string) (int, error) {
 
 // engineConfig validates the engine options and builds the scheduler
 // configuration every real-engine facade serves with — NewServer, NewFleet
-// (per engine) and Cluster.ServeTrace under WithRealEngine. Hooks, faults
-// and the clock epoch are the caller's to add.
+// (per engine) and Cluster.ServeTrace under WithRealEngine. Hooks, faults,
+// the clock epoch and the admission-timeout deadline are the caller's to add.
 func engineConfig(cfg config) (sched.Config, error) {
 	switch {
 	case cfg.maxNew <= 0:
@@ -318,17 +318,16 @@ func engineConfig(cfg config) (sched.Config, error) {
 		}
 	}
 	return sched.Config{
-		MaxBatch:         cfg.maxBatch,
-		PageTokens:       cfg.pageTokens,
-		KVPages:          cfg.kvPages,
-		MaxNew:           cfg.maxNew,
-		PrefillChunk:     cfg.prefillChunk,
-		TokenBudget:      cfg.tokenBudget,
-		Policy:           cfg.schedPol,
-		KVQuantBits:      quantBits,
-		SharedPrefix:     cfg.sharedPrefix,
-		MaxQueue:         cfg.maxQueue,
-		AdmissionTimeout: cfg.admissionTimeout.Seconds(),
+		MaxBatch:     cfg.maxBatch,
+		PageTokens:   cfg.pageTokens,
+		KVPages:      cfg.kvPages,
+		MaxNew:       cfg.maxNew,
+		PrefillChunk: cfg.prefillChunk,
+		TokenBudget:  cfg.tokenBudget,
+		Policy:       cfg.schedPol,
+		KVQuantBits:  quantBits,
+		SharedPrefix: cfg.sharedPrefix,
+		MaxQueue:     cfg.maxQueue,
 	}, nil
 }
 

@@ -128,6 +128,50 @@ func TestServerDeadlineShedTyped(t *testing.T) {
 	}
 }
 
+// TestFleetDeadlineShedTyped mirrors TestServerDeadlineShedTyped on a
+// one-engine Fleet: the WithAdmissionTimeout default, which the facade turns
+// into each request's deadline, sheds a request queued behind a slowed
+// runner.
+func TestFleetDeadlineShedTyped(t *testing.T) {
+	fl, err := rethinkkv.NewFleet(1,
+		rethinkkv.WithSeed(5),
+		rethinkkv.WithMaxBatch(1),
+		rethinkkv.WithAdmissionTimeout(20*time.Millisecond),
+		rethinkkv.WithFaults(rethinkkv.FaultPlan{StepDelays: map[int]time.Duration{0: time.Millisecond}}),
+		rethinkkv.WithMaxNewTokens(60),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Close()
+
+	chA, err := fl.Submit(context.Background(), rethinkkv.ServeRequest{Prompt: []int{1, 2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); fl.Stats().Engines[0].Admitted < 1; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("fleet never admitted the runner")
+		}
+	}
+	chB, err := fl.Submit(context.Background(), rethinkkv.ServeRequest{Prompt: []int{4, 5, 6}, MaxNew: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if toks, terr := drainStream(t, chB); len(toks) != 0 || !errors.Is(terr, rethinkkv.ErrDeadlineExceeded) {
+		t.Fatalf("default-deadline request: %d tokens, err %v, want ErrDeadlineExceeded", len(toks), terr)
+	}
+	if toks, terr := drainStream(t, chA); terr != nil || len(toks) != 60 {
+		t.Fatalf("started runner: %d tokens, err %v; started requests are never shed", len(toks), terr)
+	}
+	if err := fl.Drain(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if st := fl.Stats().Engines[0]; st.Shed != 1 || st.Completed != 1 {
+		t.Fatalf("Shed/Completed = %d/%d, want 1/1", st.Shed, st.Completed)
+	}
+}
+
 // TestServerPanicFailsTyped: an injected step panic must surface on the
 // facade as ErrEngineFailed — on the live stream's terminal token, on
 // Failed(), and on later Submits — instead of crashing the process.

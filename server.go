@@ -82,7 +82,7 @@ func NewServer(opts ...Option) (*Server, error) {
 		return nil, err
 	}
 	return &Server{
-		front: frontend{vocab: m.Config().Vocab, now: eng.Now, enqueue: eng.Submit},
+		front: frontend{vocab: m.Config().Vocab, timeout: cfg.admissionTimeout, now: eng.Now, enqueue: eng.Submit},
 		eng:   eng,
 	}, nil
 }
@@ -107,23 +107,29 @@ func buildInjector(plan *FaultPlan) *faults.Injector {
 // share; they differ only in the backend: an engine or a pool, for its clock
 // and its Submit.
 type frontend struct {
-	vocab   int // the served model's vocabulary
+	vocab   int           // the served model's vocabulary
+	timeout time.Duration // WithAdmissionTimeout: the TTFT budget of a request that sets none
 	nextID  atomic.Int64
 	now     func() float64 // backend clock, seconds since its epoch
 	enqueue func(context.Context, sched.Request) (<-chan sched.Token, error)
 }
 
 // Submit validates the prompt, resolves the TTFT deadline against the
-// backend clock, numbers the request in submission order (0-based) and
-// returns the backend's own stream: the engine's channel for a Server, the
-// pool's hop-splicing forwarder's for a Fleet.
+// backend clock — the request's own budget, else the WithAdmissionTimeout
+// default; the engines stamp none — numbers the request in submission order
+// (0-based) and returns the backend's own stream: the engine's channel for a
+// Server, the pool's hop-splicing forwarder's for a Fleet.
 func (f *frontend) Submit(ctx context.Context, req ServeRequest) (<-chan Token, error) {
 	if err := validatePrompt(req.Prompt, f.vocab); err != nil {
 		return nil, err
 	}
+	budget := req.Deadline
+	if budget <= 0 {
+		budget = f.timeout
+	}
 	var dl float64
-	if req.Deadline > 0 {
-		dl = f.now() + req.Deadline.Seconds()
+	if budget > 0 {
+		dl = f.now() + budget.Seconds()
 	}
 	return f.enqueue(ctx, sched.Request{
 		ID:        int(f.nextID.Add(1)) - 1,
