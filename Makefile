@@ -62,7 +62,11 @@ race-sched:
 # the fp16 codec (raw float32 bits must encode to the nearest binary16, ties
 # to even, NaN to NaN, overflow to ±Inf), then the prefix tree against a map
 # model (any run of insert / match / pin / unpin / evict: page and pin
-# counts, pinned ancestors, release-order eviction, longest match).
+# counts, pinned ancestors, release-order eviction, longest match), then the
+# weight sampler's transform (raw bits of u in (-1, 1), s in (0, 1) and the
+# scale, lengths 0-40 so every ragged tail is hit: every arm of NormalsInto
+# against the pure-Go specification, and the specification against
+# float32(u*math.Sqrt(-2*math.Log(s)/s))*scale on amd64).
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzClonePrefixN -fuzztime 10s ./internal/kvcache
 	$(GO) test -run XXX -fuzz FuzzPackedMulMatchesScalar -fuzztime 10s ./internal/tensor
@@ -73,8 +77,9 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzFMA32 -fuzztime 10s ./internal/tensor
 	$(GO) test -run XXX -fuzz FuzzEncodeFloat16Nearest -fuzztime 10s ./internal/tensor
 	$(GO) test -run XXX -fuzz FuzzPrefixTreeMatchesModel -fuzztime 10s ./internal/sched
+	$(GO) test -run XXX -fuzz FuzzPolarMatchesMath -fuzztime 10s ./internal/tensor
 
-BENCHPKGS = . ./internal/model ./internal/tensor
+BENCHPKGS = . ./internal/model ./internal/tensor ./internal/rng
 
 # ALLOC_PINS are the tests that hold the serving hot paths at 0 allocs/step:
 # dequantize-on-read decode, the attention page walk (decode group, 32-row
@@ -88,8 +93,9 @@ ALLOC_PKGS = ./internal/model ./internal/tensor ./internal/core
 
 # bench-smoke compiles and single-steps every benchmark in BENCHPKGS (the
 # facade's, the model's decode/prefill cases including BenchmarkDecodeSteadyQuant
-# and BenchmarkDecodeSteadySparse, and the kernels' own: BenchmarkGEMM,
-# BenchmarkAttendBlock, BenchmarkSoftmax, BenchmarkSiLU), then re-runs
+# and BenchmarkDecodeSteadySparse, BenchmarkModelNew, the kernels' own:
+# BenchmarkGEMM, BenchmarkAttendBlock, BenchmarkSoftmax, BenchmarkSiLU,
+# BenchmarkNormals, and the sampler's uniform half, BenchmarkPolar), then re-runs
 # ALLOC_PINS. `go test -run` passes silently when a name matches nothing, so
 # the target checks that every pinned name actually ran and passed: renaming
 # or deleting one fails here instead of unpinning the path.

@@ -152,22 +152,30 @@ func (ws *Workspace) scoresFor(n int) []float32 {
 }
 
 // New builds a model with weights drawn deterministically from seed, scaled
-// with 1/sqrt(fanIn) so activations stay well-conditioned.
+// with 1/sqrt(fanIn) so activations stay well-conditioned. Every weight is
+// float32(r.NormFloat64())·scale, drawn matrix by matrix in the order below and
+// row-major within each, a row at a time: rng.Polar fills the row's accepted
+// polar pairs and tensor.NormalsInto turns them into the row's weights,
+// straight into the packed panels. embed alone is row-major, for the token-row
+// lookup; the LM head embedᵀ is gathered from it into its panels.
 func New(cfg Config, seed uint64) *Model {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	r := rng.New(seed)
-	// Every weight is a finite normal draw times a finite scale.
-	randMat := func(rows, cols int) *tensor.Matrix {
-		m := tensor.NewMatrix(rows, cols)
-		scale := float32(1 / math.Sqrt(float64(rows)))
-		for i := range m.Data {
-			m.Data[i] = float32(r.NormFloat64()) * scale
-		}
-		return m
+	h := cfg.Hidden()
+	width := max(h, cfg.KVDim(), cfg.FFNDim)
+	u, s := make([]float64, width), make([]float64, width)
+	// draw sets row to the next len(row) normal draws times scale.
+	draw := func(row []float32, scale float32) {
+		u, s := u[:len(row)], s[:len(row)]
+		r.Polar(u, s)
+		tensor.NormalsInto(row, u, s, scale)
 	}
-	randPacked := func(rows, cols int) *tensor.Packed { return tensor.Pack(randMat(rows, cols)) }
+	randPacked := func(rows, cols int) *tensor.Packed {
+		scale := float32(1 / math.Sqrt(float64(rows)))
+		return tensor.PackRows(rows, cols, func(_ int, row []float32) { draw(row, scale) })
+	}
 	ones := func(n int) []float32 {
 		v := make([]float32, n)
 		for i := range v {
@@ -175,15 +183,23 @@ func New(cfg Config, seed uint64) *Model {
 		}
 		return v
 	}
-	h := cfg.Hidden()
+	embed := tensor.NewMatrix(cfg.Vocab, h)
+	embedScale := float32(1 / math.Sqrt(float64(cfg.Vocab)))
+	for v := 0; v < cfg.Vocab; v++ {
+		draw(embed.Row(v), embedScale)
+	}
 	m := &Model{
-		cfg:       cfg,
-		embed:     randMat(cfg.Vocab, h),
+		cfg:   cfg,
+		embed: embed,
+		embedT: tensor.PackRows(h, cfg.Vocab, func(k int, row []float32) {
+			for v := range row {
+				row[v] = embed.At(v, k)
+			}
+		}),
 		norm:      ones(h),
 		ropeFreqs: tensor.RoPEFreqs(cfg.HeadDim),
 		invSqrtHD: float32(1 / math.Sqrt(float64(cfg.HeadDim))),
 	}
-	m.embedT = tensor.Pack(tensor.Transpose(m.embed))
 	for l := 0; l < cfg.Layers; l++ {
 		m.layers = append(m.layers, layerWeights{
 			attnNorm: ones(h),

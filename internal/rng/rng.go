@@ -47,15 +47,23 @@ func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	var x uint64
+	x, r.s[0], r.s[1], r.s[2], r.s[3] = next(r.s[0], r.s[1], r.s[2], r.s[3])
+	return x
+}
+
+// next is one xoshiro256** step: the output of state (s0, s1, s2, s3) and the
+// state after it. It takes and returns the state by value so a loop can keep
+// it in registers (Polar).
+func next(s0, s1, s2, s3 uint64) (x, n0, n1, n2, n3 uint64) {
+	x = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	return x, s0, s1, s2, rotl(s3, 45)
 }
 
 // Split returns a new generator whose stream is independent of the
@@ -65,9 +73,10 @@ func (r *RNG) Split() *RNG {
 }
 
 // Float64 returns a uniform value in [0, 1).
-func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
-}
+func (r *RNG) Float64() float64 { return unit(r.Uint64()) }
+
+// unit maps 64 random bits to [0, 1): the top 53 bits over 2⁵³, exactly.
+func unit(x uint64) float64 { return float64(x>>11) / (1 << 53) }
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
@@ -78,16 +87,47 @@ func (r *RNG) Intn(n int) int {
 }
 
 // NormFloat64 returns a standard normal variate using the Marsaglia polar
-// method.
+// method: u·√(−2·ln s / s) of the next accepted Polar pair.
 func (r *RNG) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
+	var u, s [1]float64
+	r.Polar(u[:], s[:])
+	return u[0] * math.Sqrt(-2*math.Log(s[0])/s[0])
+}
+
+// Polar fills u[i], s[i] with the next len(u) accepted pairs of the Marsaglia
+// polar method, in draw order: each candidate takes two uniforms, u = 2·U₁ − 1
+// and v = 2·U₂ − 1, and is accepted when s = u² + v² lies in (0, 1). The
+// normal variate of a pair is u·√(−2·ln s / s) — what NormFloat64 returns for
+// a one-pair fill, and what tensor.NormalsInto computes for many — so filling
+// n pairs draws exactly the values, and leaves r in exactly the state, of n
+// NormFloat64 calls. The state lives in locals for the whole fill and the
+// accept test is branch-free: every candidate is stored at index i, and i
+// advances by one only when it is accepted. It panics if len(s) != len(u).
+func (r *RNG) Polar(u, s []float64) {
+	if len(s) != len(u) {
+		panic("rng: Polar pair slices differ in length")
 	}
+	s = s[:len(u)]
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := 0; i < len(u); {
+		var a, b uint64
+		a, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+		b, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+		x, y := 2*unit(a)-1, 2*unit(b)-1
+		q := float64(x*x) + float64(y*y)
+		u[i], s[i] = x, q
+		i += accepted(q)
+	}
+	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
+}
+
+// accepted is 1 when 0 < q < 1 and 0 otherwise, without a branch: a sum of
+// squares is never negative or NaN, so its bits b lie in [0, 2⁶³), and the
+// test is b ≥ 1 and b < bits(1.0), each read off the sign of a wrapped
+// subtraction.
+func accepted(q float64) int {
+	b := math.Float64bits(q)
+	return int((b-1)>>63^1) & int((b-0x3FF0000000000000)>>63)
 }
 
 // LogNormal returns a log-normal variate with the given parameters of the

@@ -31,7 +31,7 @@ type armLevel int
 const (
 	armGo     armLevel = iota // pure Go: the specification and a correctness fallback
 	armAVX2                   // AVX2 + FMA: the YMM tile, Dot / AXPY / MatVecInto, Exp32's lanes
-	armAVX512                 // armAVX2 plus the ZMM tile over pairs of panels
+	armAVX512                 // armAVX2 plus the ZMM tile over pairs of panels and NormalsInto's lanes
 )
 
 // arm is the level this process runs, selected once from what CPUID and the
@@ -47,14 +47,20 @@ type Packed struct {
 	data       []float32
 }
 
-// Pack copies m (Rows×Cols, row-major, finite values) into panel layout.
-func Pack(m *Matrix) *Packed {
-	p := &Packed{Rows: m.Rows, Cols: m.Cols}
-	p.data = make([]float32, p.Panels()*m.Rows*panelWidth)
-	for k := 0; k < m.Rows; k++ {
-		row := m.Row(k)
-		for c0 := 0; c0 < m.Cols; c0 += panelWidth {
-			copy(p.data[(c0/panelWidth*m.Rows+k)*panelWidth:][:panelWidth], row[c0:])
+// PackRows builds a rows×cols Packed one row at a time, in ascending k:
+// fill(k, row) must overwrite all cols floats of row (a scratch row the call
+// reuses, holding the previous row on entry) with row k's finite values, and
+// PackRows scatters it into the panels. Nothing row-major of the whole matrix
+// is ever held: the weight is drawn, or gathered from another layout,
+// straight into its resident form.
+func PackRows(rows, cols int, fill func(k int, row []float32)) *Packed {
+	p := &Packed{Rows: rows, Cols: cols}
+	p.data = make([]float32, p.Panels()*rows*panelWidth)
+	row := make([]float32, cols)
+	for k := 0; k < rows; k++ {
+		fill(k, row)
+		for c0 := 0; c0 < cols; c0 += panelWidth {
+			copy(p.data[(c0/panelWidth*rows+k)*panelWidth:][:panelWidth], row[c0:])
 		}
 	}
 	return p

@@ -64,3 +64,9 @@ func scaleAVX2(xs *float32, n8 int, alpha float32)
 //
 //go:noescape
 func siluMulAVX2(gate, up *float32, n8 int)
+
+// normalsAVX512 is the assembly behind NormalsInto (polar_amd64.s): dst[i] =
+// normal32(u[i], s[i], scale) over 8·n8 elements.
+//
+//go:noescape
+func normalsAVX512(dst *float32, u, s *float64, n8 int, scale float32)

@@ -39,3 +39,7 @@ func scaleAVX2(xs *float32, n8 int, alpha float32) {
 func siluMulAVX2(gate, up *float32, n8 int) {
 	panic("tensor: no assembly micro-kernel on this architecture")
 }
+
+func normalsAVX512(dst *float32, u, s *float64, n8 int, scale float32) {
+	panic("tensor: no assembly micro-kernel on this architecture")
+}

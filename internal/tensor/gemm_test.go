@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -33,6 +34,11 @@ func testMatrix(rows, cols int, seed uint64) *Matrix {
 		m.Data[i] = float32(int64(s>>33)%2000-1000) / 997
 	}
 	return m
+}
+
+// pack is the row-major m in panel layout, through the one packing entry.
+func pack(m *Matrix) *Packed {
+	return PackRows(m.Rows, m.Cols, func(k int, row []float32) { copy(row, m.Row(k)) })
 }
 
 // gemmShapes covers the tiny model's projection shapes, whole-panel widths
@@ -93,7 +99,7 @@ func TestMatMatIntoMatchesMatVecInto(t *testing.T) {
 				for i := range xs {
 					MatVecInto(want[i], m, xs[i])
 				}
-				Pack(Transpose(m)).MulInto(got, xs)
+				pack(Transpose(m)).MulInto(got, xs)
 				sameBits(t, fmt.Sprintf("b=%d shape=%v", b, shape), got, want)
 			}
 		}
@@ -113,7 +119,7 @@ func TestMatTMatIntoMatchesVecMatInto(t *testing.T) {
 				for i := range xs {
 					VecMatInto(want[i], xs[i], m)
 				}
-				Pack(m).MulInto(got, xs)
+				pack(m).MulInto(got, xs)
 				sameBits(t, fmt.Sprintf("packed b=%d shape=%v", b, shape), got, want)
 				MatTMatTransInto(gotT, xs, m, Transpose(m))
 				sameBits(t, fmt.Sprintf("row-major b=%d shape=%v", b, shape), gotT, want)
@@ -129,7 +135,7 @@ func TestVecMatTransIntoMatchesVecMatInto(t *testing.T) {
 	eachArm(t, func(t *testing.T) {
 		for _, shape := range gemmShapes {
 			m := testMatrix(shape[0], shape[1], uint64(shape[0])*37)
-			p := Pack(m)
+			p := pack(m)
 			for _, zeroFree := range []bool{false, true} {
 				x := lanes(1, shape[0], uint64(shape[1])*13+5)[0]
 				if zeroFree {
@@ -148,7 +154,7 @@ func TestVecMatTransIntoMatchesVecMatInto(t *testing.T) {
 			t.Fatal("mismatched activation length accepted")
 		}
 	}()
-	Pack(testMatrix(8, 4, 1)).MulVecInto(make([]float32, 4), make([]float32, 4))
+	pack(testMatrix(8, 4, 1)).MulVecInto(make([]float32, 4), make([]float32, 4))
 }
 
 // fillZeros replaces every exact zero in x with v.
@@ -167,7 +173,7 @@ func TestMatTMatTransZeroFreeLanes(t *testing.T) {
 	eachArm(t, func(t *testing.T) {
 		const b = 4
 		m := testMatrix(96, 80, 7)
-		p := Pack(m)
+		p := pack(m)
 		xs := lanes(b, 96, 11)
 		negZero := float32(math.Copysign(0, -1))
 		for _, variant := range []string{"zero-free", "with-zeros"} {
@@ -194,7 +200,7 @@ func TestMatTMatTransZeroFreeLanes(t *testing.T) {
 func TestShardedRangesAssemble(t *testing.T) {
 	eachArm(t, func(t *testing.T) {
 		const b = 7
-		p := Pack(testMatrix(64, 90, 17))
+		p := pack(testMatrix(64, 90, 17))
 		xs := lanes(b, 64, 23)
 		want, got := newLanes(b, 90), newLanes(b, 90)
 		p.MulInto(want, xs)
@@ -240,7 +246,7 @@ func checkPackedMul(t *testing.T, seed uint64, rows, cols, nLanes int) {
 	for i := range xs {
 		VecMatInto(want[i], xs[i], m)
 	}
-	p := Pack(m)
+	p := pack(m)
 	what := fmt.Sprintf("seed=%d %dx%d lanes=%d", seed, rows, cols, nLanes)
 	got := newLanes(nLanes, cols)
 	p.MulInto(got, xs)
@@ -312,6 +318,38 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
+// TestPackRowsGathersTranspose pins the LM head's packing: PackRows fed the columns of m,
+// the way model.New gathers embedᵀ from embed, holds mᵀ — element (j, i) =
+// m(i, j) at panel i/16, offset j·16 + i mod 16, the ragged last panel
+// zero-padded — the same panels as packing a transposed copy.
+func TestPackRowsGathersTranspose(t *testing.T) {
+	m := testMatrix(37, 9, 3)
+	pT := PackRows(m.Cols, m.Rows, func(j int, row []float32) {
+		for i := range row {
+			row[i] = m.At(i, j)
+		}
+	})
+	if pT.Rows != 9 || pT.Cols != 37 || pT.Panels() != 3 {
+		t.Fatalf("packed transpose %dx%d in %d panels", pT.Rows, pT.Cols, pT.Panels())
+	}
+	for p := 0; p < pT.Panels(); p++ {
+		for j := 0; j < pT.Rows; j++ {
+			for c := 0; c < panelWidth; c++ {
+				want := float32(0)
+				if i := p*panelWidth + c; i < m.Rows {
+					want = m.At(i, j)
+				}
+				if got := pT.data[(p*pT.Rows+j)*panelWidth+c]; got != want {
+					t.Fatalf("panel %d row %d lane %d: %v, want %v", p, j, c, got, want)
+				}
+			}
+		}
+	}
+	if !slices.Equal(pT.data, pack(Transpose(m)).data) {
+		t.Fatal("column-fed PackRows differs from packing a transposed copy")
+	}
+}
+
 // TestRMSNormRowsInto pins the batched norm to the single-lane kernel.
 func TestRMSNormRowsInto(t *testing.T) {
 	const b, n = 5, 64
@@ -363,7 +401,7 @@ func TestBatchedKernelsAllocFree(t *testing.T) {
 		const b = 7
 		m := testMatrix(64, 64, 1)
 		mT := Transpose(m)
-		p, ragged := Pack(m), Pack(testMatrix(64, 24, 2))
+		p, ragged := pack(m), pack(testMatrix(64, 24, 2))
 		xs := benchLanes(b, 64)
 		dst, dstRagged := newLanes(b, 64), newLanes(b, 24)
 		freqs := RoPEFreqs(16)
@@ -419,7 +457,7 @@ func BenchmarkGEMM(b *testing.B) {
 			if sh.name == "lmhead1024x256" {
 				m = Transpose(testMatrix(sh.cols, sh.rows, 1))
 			}
-			p, mT := Pack(m), &Matrix{Rows: sh.cols, Cols: sh.rows}
+			p, mT := pack(m), &Matrix{Rows: sh.cols, Cols: sh.rows}
 			for _, r := range []int{1, 4, 8, 40, 72} {
 				xs, dst := benchLanes(r, sh.rows), newLanes(r, sh.cols)
 				b.Run(fmt.Sprintf("%s/%s/r%d", impl.name, sh.name, r), func(b *testing.B) {
