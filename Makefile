@@ -46,7 +46,11 @@ race-sched:
 	$(GO) test -race ./internal/sched ./internal/fleet ./internal/core ./internal/model ./internal/quant ./internal/kvcache ./internal/faults
 
 # fuzz-smoke runs each native fuzz target for ten seconds: the prefix-of-n
-# page clone (every page format, any page size and split), then the GEMM tile
+# page clone (every page format, any page size and split), then the page pool
+# (random runs of new cache / append / clone / seal / adopt / release / give
+# back over one shared pool, every page format: each live cache must store
+# what a cold cache of its tokens stores, and the pool's count of pages out
+# must balance), then the GEMM tile
 # loop against the scalar reference (any shape and lane count, every arm the
 # host has, raw float32 bits), then the attention block walk against
 # Dot / AXPY (any head dimension, codec, page size, block size and causal
@@ -69,6 +73,7 @@ race-sched:
 # float32(u*math.Sqrt(-2*math.Log(s)/s))*scale on amd64).
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzClonePrefixN -fuzztime 10s ./internal/kvcache
+	$(GO) test -run XXX -fuzz FuzzPagePoolAliasing -fuzztime 10s ./internal/kvcache
 	$(GO) test -run XXX -fuzz FuzzPackedMulMatchesScalar -fuzztime 10s ./internal/tensor
 	$(GO) test -run XXX -fuzz FuzzAttendBlockMatchesScalar -fuzztime 10s ./internal/tensor
 	$(GO) test -run XXX -fuzz FuzzAppendSplitInvariant -fuzztime 10s ./internal/kvcache
@@ -87,9 +92,10 @@ BENCHPKGS = . ./internal/model ./internal/tensor ./internal/rng
 # every arm, sparse decode and its page-selection pair, the
 # GEMM tile loop's entries under every arm, and the fused
 # pass / the one step entry from a batch of one with no chunks up to the
-# budget-packed mixed step.
-ALLOC_PINS = TestQuantDecodeAllocs TestBlockWalkAllocs TestQuantStridedKernelsZeroAlloc TestSparseDecodeAllocs TestSparseAttentionZeroAlloc TestBatchedKernelsAllocFree TestForwardMixedPackedAllocFree TestStepMixedPackedAllocFree
-ALLOC_PKGS = ./internal/model ./internal/tensor ./internal/core
+# budget-packed mixed step, and a KV cache's whole life on a warm page pool
+# (pages, page tables and page handles drawn and given back).
+ALLOC_PINS = TestQuantDecodeAllocs TestBlockWalkAllocs TestQuantStridedKernelsZeroAlloc TestSparseDecodeAllocs TestSparseAttentionZeroAlloc TestBatchedKernelsAllocFree TestForwardMixedPackedAllocFree TestStepMixedPackedAllocFree TestPagePoolCycleAllocFree
+ALLOC_PKGS = ./internal/model ./internal/tensor ./internal/core ./internal/kvcache
 
 # bench-smoke compiles and single-steps every benchmark in BENCHPKGS (the
 # facade's, the model's decode/prefill cases including BenchmarkDecodeSteadyQuant

@@ -64,8 +64,22 @@ func newPool(t *testing.T, cfg Config) *Pool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(p.Close)
+	t.Cleanup(func() { closeAndCheckPages(t, p, m) })
 	return p
+}
+
+// closeAndCheckPages closes the pool and checks that every engine, healthy or
+// failed, got back from its requests every KV page it lent them: what its
+// page pool still has out is the prefix cache's, in every layer.
+func closeAndCheckPages(t *testing.T, p *Pool, m *model.Model) {
+	t.Helper()
+	p.Close()
+	for i, st := range p.Stats().Engines {
+		if want := m.CacheShape().Layers * st.PrefixCachePages; st.PoolPagesOut != want {
+			t.Errorf("engine %d after Close: %d layer-pages out of its pool, want %d for %d cached pages",
+				i, st.PoolPagesOut, want, st.PrefixCachePages)
+		}
+	}
 }
 
 // firstPassGate holds an engine in its first pass until every request of a

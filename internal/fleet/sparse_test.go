@@ -66,7 +66,7 @@ func TestSparseMigrationBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(p.Close)
+	t.Cleanup(func() { closeAndCheckPages(t, p, m) })
 	chans := make([]<-chan sched.Token, len(prompts))
 	for i, prompt := range prompts {
 		ch, err := p.Submit(context.Background(), sched.Request{ID: i, Prompt: prompt, MaxNew: maxNew, Arrival: -1})

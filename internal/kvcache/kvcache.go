@@ -1,8 +1,8 @@
 // Package kvcache defines the KV cache abstraction shared by the tiny
 // transformer (internal/model) and the compression methods (internal/quant,
 // internal/sparse), a full-precision reference implementation (Full) and the
-// serving engine's paged cache (PagedKV), both read page by page through the
-// Paged seam.
+// serving engine's paged cache (PagedKV, its pages drawn from a PagePool), both
+// read page by page through the Paged seam.
 //
 // Layout: the reference cache stores entries per layer as one flat,
 // token-major []float32 growable buffer (token i, head h at offset

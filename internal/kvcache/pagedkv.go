@@ -20,10 +20,12 @@ var ErrOutOfPages = errors.New("kvcache: out of KV pages")
 // codes quantized at append), the last page partially filled. Pages are never
 // copied or concatenated on read: attention streams them through Paged, and
 // MemoryBytes charges whole allocated pages, making internal fragmentation
-// visible exactly as a paged engine pays it.
+// visible exactly as a paged engine pays it. Pages come from the cache's
+// PagePool (pool.go).
 type PagedKV struct {
 	shape      Shape
 	pageTokens int
+	pool       *PagePool
 	// maxPages bounds the per-layer page count (every layer grows in
 	// lockstep, so the budget is counted once, not per layer); 0 means
 	// unbounded. Exceeding it surfaces as ErrOutOfPages from Reserve —
@@ -34,8 +36,9 @@ type PagedKV struct {
 	// qbits is the page codec: 0 stores fp32 rows, 4 or 8 quantizes every
 	// token's K/V to uniform codes that wide on append.
 	qbits int
-	// summaries turns on per-page key min/max metadata for Quest-style
-	// sparse attention (summary.go); deq is the fold's dequantized key row.
+	// summaries mirrors the pool's per-page key min/max metadata for
+	// Quest-style sparse attention (summary.go); deq is the fold's
+	// dequantized key row, allocated on first use.
 	summaries bool
 	deq       []float32
 	// gather is Append's head-major staging token, allocated on first use.
@@ -47,33 +50,14 @@ func NewPagedKV(shape Shape, pageTokens int) *PagedKV {
 	return NewPagedKVQuant(shape, pageTokens, 0, 0)
 }
 
-// NewPagedKVQuant allocates an empty paged cache with the given page size in
+// NewPagedKVQuant returns an empty paged cache with the given page size in
 // tokens, a hard per-layer page budget (once the cache holds
 // maxPages*PageTokens tokens, Reserve reports ErrOutOfPages instead of
 // growing; maxPages <= 0 means unbounded) and a page codec: bits 0 stores
-// fp32, 4 or 8 quantized codes. It panics on an invalid shape, a
-// non-positive page size or an unsupported width; 4-bit packing requires an
-// even head dimension, which RoPE already demands of the model.
+// fp32, 4 or 8 quantized codes. Its pages come from a pool of its own, which
+// its clones share; it panics where NewPagePool does.
 func NewPagedKVQuant(shape Shape, pageTokens, maxPages, bits int) *PagedKV {
-	if err := shape.Validate(); err != nil {
-		panic(err)
-	}
-	if pageTokens <= 0 {
-		panic("kvcache: non-positive page size")
-	}
-	if bits != 0 && bits != 4 && bits != 8 {
-		panic(fmt.Sprintf("kvcache: unsupported quant width %d (want 4 or 8)", bits))
-	}
-	if bits == 4 && shape.HeadDim%2 != 0 {
-		panic("kvcache: 4-bit KV quantization requires an even head dimension")
-	}
-	return &PagedKV{
-		shape:      shape,
-		pageTokens: pageTokens,
-		maxPages:   max(maxPages, 0),
-		pages:      make([][]page, shape.Layers),
-		qbits:      bits,
-	}
+	return NewPagePool(shape, pageTokens, bits, false).NewCache(maxPages)
 }
 
 // PagesFor returns the page count needed to hold tokens tokens at the
@@ -167,7 +151,7 @@ func (c *PagedKV) pageForAppend(layer int) *page {
 		if c.maxPages > 0 && len(pages) >= c.maxPages {
 			panic(fmt.Errorf("%w: unreserved append past %d-page budget", ErrOutOfPages, c.maxPages))
 		}
-		pages = append(pages, c.newPage())
+		pages = append(pages, c.pool.get())
 		c.pages[layer] = pages
 	}
 	return &pages[len(pages)-1]
@@ -248,20 +232,17 @@ func (c *PagedKV) TotalAppended() int { return c.appended }
 // copy-on-write at clone time, at most one page per layer. Because stored
 // K/V, codes and summaries are pure functions of the appended sequence, the
 // clone is bit-identical to a cold cache that appended the same n tokens,
-// while the shared pages are stored once. The clone inherits the page budget.
-// It panics if n is outside [0, TotalAppended()].
+// while the shared pages are stored once. The clone draws from c's pool and
+// inherits the page budget. It panics if n is outside [0, TotalAppended()].
 func (c *PagedKV) ClonePrefixN(n int) *PagedKV {
 	if n < 0 || n > c.appended {
 		panic(fmt.Sprintf("kvcache: clone of %d tokens from a cache holding %d", n, c.appended))
 	}
 	full, part := n/c.pageTokens, n%c.pageTokens
-	out := NewPagedKVQuant(c.shape, c.pageTokens, c.maxPages, c.qbits)
-	if c.summaries {
-		out.EnableKeySummaries()
-	}
+	out := c.pool.NewCache(c.maxPages)
 	out.appended = n
 	for l := range c.pages {
-		out.pages[l] = append(make([]page, 0, full+1), c.pages[l][:full]...)
+		out.pages[l] = append(out.pages[l], c.pages[l][:full]...)
 		if part > 0 {
 			out.pages[l] = append(out.pages[l], out.head(&c.pages[l][full], part))
 		}
@@ -275,14 +256,16 @@ func (c *PagedKV) ClonePrefix() *PagedKV { return c.ClonePrefixN(c.appended) }
 // Page is one page's storage across every layer, held by reference: the
 // handle a prefix cache keeps on a sealed page after the cache that filled it
 // is gone, and hands to later caches that start from it. A full page is
-// immutable, so any number of caches may adopt the same Page.
+// immutable, so any number of caches may adopt the same Page. Its holder
+// gives it back with PagePool.PutPage once no cache holds the page any more.
 type Page []page
 
-// PageAt returns page i of every layer by reference. The handle is safe to
-// share only while nothing appends to that page: always for a full page, and
-// for the partial last page only once its cache has stopped growing.
+// PageAt returns page i of every layer by reference, in a handle from c's
+// pool. The handle is safe to share only while nothing appends to that page:
+// always for a full page, and for the partial last page only once its cache
+// has stopped growing.
 func (c *PagedKV) PageAt(i int) Page {
-	p := make(Page, c.shape.Layers)
+	p := c.pool.handle()
 	for l := range p {
 		p[l] = c.pages[l][i]
 	}

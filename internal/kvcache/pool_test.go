@@ -1,0 +1,218 @@
+package kvcache
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
+
+// TestPagePoolCycleAllocFree pins the pool's reason to exist: once warm, a
+// cache's whole life — drawn from the pool, three pages in every layer, its
+// first page sealed into a handle, a clone sharing that page and copying the
+// head of the next, then the clone, the cache and the handle given back —
+// allocates nothing, on every page format.
+func TestPagePoolCycleAllocFree(t *testing.T) {
+	const pt = 4
+	shape := qShape()
+	k, v := summFill(shape, 3*pt, 1)
+	for _, w := range summWidths {
+		for _, summaries := range []bool{false, true} {
+			pool := NewPagePool(shape, pt, w.bits, summaries)
+			cycle := func() {
+				c := pool.NewCache(0)
+				for l := 0; l < shape.Layers; l++ {
+					c.AppendFlatN(l, 3*pt, k, v)
+				}
+				h := c.PageAt(0)
+				clone := c.ClonePrefixN(pt + 1)
+				clone.Release(1)
+				c.Release(1)
+				pool.PutPage(h)
+			}
+			cycle()
+			if a := testing.AllocsPerRun(100, cycle); a != 0 {
+				t.Errorf("%s summaries=%v: %.1f allocs per cycle, want 0", w.name, summaries, a)
+			}
+			if pool.Out() != 0 {
+				t.Errorf("%s summaries=%v: %d pages still out after the cycles", w.name, summaries, pool.Out())
+			}
+		}
+	}
+}
+
+// poolCache is one live cache of checkPagePoolAliasing with what a cold cache
+// needs to rebuild it: the flat K/V of every token it holds, and the handles
+// its leading pages are — the pages it reads but does not own.
+type poolCache struct {
+	c      *PagedKV
+	k, v   []float32
+	shared []*poolHandle
+}
+
+// poolHandle is a sealed page: its handle, its tokens, and how many live
+// caches hold it.
+type poolHandle struct {
+	h    Page
+	k, v []float32
+	refs int
+}
+
+// checkPagePoolAliasing runs a byte-coded sequence of cache operations over
+// one shared pool, following the ownership rule a serving engine follows: a
+// cache owns the pages it opened, a sealed page is its handle's, a cache
+// shares by reference only pages a handle owns, and a handle goes back only
+// once no cache holds its page. After every operation each live cache must
+// store exactly what a cold cache that appended the same tokens stores —
+// which fails if a page reached two owners or came back from the pool
+// holding a former owner's bytes — and the pool must have out exactly the
+// pages the live caches own plus the handles'.
+func checkPagePoolAliasing(t testing.TB, seed int64, pageTokens, bits int, summaries bool, ops []byte) {
+	t.Helper()
+	shape := qShape()
+	stride := shape.KVHeads * shape.HeadDim
+	pt := pageTokens
+	r := rand.New(rand.NewSource(seed))
+	pool := NewPagePool(shape, pt, bits, summaries)
+	var caches []*poolCache
+	var handles []*poolHandle
+	next := func() int {
+		if len(ops) == 0 {
+			return 0
+		}
+		b := ops[0]
+		ops = ops[1:]
+		return int(b)
+	}
+	appendAll := func(c *PagedKV, k, v []float32) {
+		for l := 0; l < shape.Layers; l++ {
+			c.AppendFlatN(l, len(k)/stride, k, v)
+		}
+	}
+	cold := func(k, v []float32) *PagedKV {
+		c := NewPagedKVQuant(shape, pt, 0, bits)
+		if summaries {
+			c.EnableKeySummaries()
+		}
+		appendAll(c, k, v)
+		return c
+	}
+	// adopt builds a fresh cache from up to three of the held handles, by
+	// reference.
+	adopt := func() *poolCache {
+		pc := &poolCache{c: pool.NewCache(0)}
+		for n := next() % 4; n > 0 && len(handles) > 0; n-- {
+			h := handles[next()%len(handles)]
+			pc.c.AdoptPage(h.h)
+			pc.k, pc.v = append(pc.k, h.k...), append(pc.v, h.v...)
+			pc.shared = append(pc.shared, h)
+			h.refs++
+		}
+		return pc
+	}
+	// clone is pc's first n tokens, sharing the handles among its n/pt whole
+	// pages.
+	clone := func(pc *poolCache, n int) *poolCache {
+		out := &poolCache{c: pc.c.ClonePrefixN(n), k: pc.k[: n*stride : n*stride], v: pc.v[: n*stride : n*stride]}
+		out.shared = append(out.shared, pc.shared[:n/pt]...)
+		for _, h := range out.shared {
+			h.refs++
+		}
+		return out
+	}
+	release := func(pc *poolCache) {
+		pc.c.Release(len(pc.shared))
+		for _, h := range pc.shared {
+			h.refs--
+		}
+	}
+
+	for step := 0; len(ops) > 0 && step < 48; step++ {
+		op := next() % 8
+		var pc *poolCache
+		at := 0
+		if len(caches) > 0 {
+			at = next() % len(caches)
+			pc = caches[at]
+		}
+		switch {
+		case op == 0 || pc == nil && op != 4 && op != 5: // a new, empty cache
+			caches = append(caches, &poolCache{c: pool.NewCache(0)})
+		case op == 1: // append a span of 0 to 2*pt+1 tokens
+			k, v := splitFill(r, shape, next()%(2*pt+2))
+			appendAll(pc.c, k, v)
+			pc.k, pc.v = append(pc.k, k...), append(pc.v, v...)
+		case op == 2: // clone a prefix whose whole pages handles own
+			tokens := len(pc.k) / stride
+			n := next() % (min(tokens, len(pc.shared)*pt+pt-1) + 1)
+			caches = append(caches, clone(pc, n))
+		case op == 3: // seal the next whole page into a handle
+			i := len(pc.shared)
+			if (i+1)*pt > len(pc.k)/stride {
+				continue
+			}
+			h := &poolHandle{h: pc.c.PageAt(i), k: pc.k[i*pt*stride : (i+1)*pt*stride], v: pc.v[i*pt*stride : (i+1)*pt*stride], refs: 1}
+			handles = append(handles, h)
+			pc.shared = append(pc.shared, h)
+		case op == 4: // a cache starting from cached pages
+			caches = append(caches, adopt())
+		case op == 5: // admission through a cached page the match ends inside
+			tmp := adopt()
+			if len(tmp.shared) == 0 {
+				release(tmp)
+				continue
+			}
+			n := (len(tmp.shared)-1)*pt + 1 + next()%pt
+			caches = append(caches, clone(tmp, n))
+			release(tmp)
+		case op == 6: // release a cache
+			release(pc)
+			caches = append(caches[:at], caches[at+1:]...)
+		default: // give back a handle no cache holds
+			for i, h := range handles {
+				if h.refs == 0 {
+					pool.PutPage(h.h)
+					handles = append(handles[:i], handles[i+1:]...)
+					break
+				}
+			}
+		}
+
+		owned := shape.Layers * len(handles)
+		for i, pc := range caches {
+			what := fmt.Sprintf("step %d op %d cache %d", step, op, i)
+			want := cold(pc.k, pc.v)
+			storageEqual(t, what, pc.c, want)
+			cachesEqual(t, what, pc.c, want)
+			for l := 0; l < shape.Layers; l++ {
+				owned += pc.c.LayerPages(l) - len(pc.shared)
+			}
+		}
+		if pool.Out() != owned {
+			t.Fatalf("step %d op %d: pool has %d pages out, the caches and handles own %d", step, op, pool.Out(), owned)
+		}
+	}
+	for _, pc := range caches {
+		release(pc)
+	}
+	for _, h := range handles {
+		pool.PutPage(h.h)
+	}
+	if pool.Out() != 0 {
+		t.Fatalf("%d pages out after everything was given back", pool.Out())
+	}
+}
+
+// FuzzPagePoolAliasing drives checkPagePoolAliasing from fuzzed operation
+// sequences, page sizes, code widths and summary settings.
+func FuzzPagePoolAliasing(f *testing.F) {
+	f.Add(int64(1), uint8(4), uint8(0), false, []byte{0, 0, 1, 0, 9, 3, 0, 3, 0, 2, 0, 7, 4, 0, 2, 5, 0, 2, 1, 1, 0, 12, 6, 0, 7, 6, 0, 7})
+	f.Add(int64(2), uint8(2), uint8(1), true, []byte{0, 0, 1, 0, 5, 3, 0, 3, 0, 5, 0, 2, 1, 0, 1, 2, 1, 4, 6, 0, 6, 0, 7, 0, 0, 1, 0, 3})
+	f.Add(int64(3), uint8(3), uint8(2), true, []byte{0, 0, 1, 0, 7, 3, 0, 4, 0, 3, 0, 1, 2, 1, 3, 1, 1, 1, 6, 0, 2, 0, 6, 1, 7, 6, 0, 7})
+	f.Add(int64(4), uint8(1), uint8(2), false, []byte{1, 0, 3, 3, 0, 3, 0, 5, 0, 2, 0, 1, 2, 2, 1, 1, 4, 0, 6, 1, 6, 0, 7, 7})
+	// A released cache's half-filled page comes back to the next one.
+	f.Add(int64(5), uint8(3), uint8(0), false, []byte{0, 1, 0, 6, 6, 0, 0, 1, 0, 1})
+	f.Add(int64(6), uint8(3), uint8(2), true, []byte{0, 1, 0, 6, 6, 0, 0, 1, 0, 1})
+	f.Fuzz(func(t *testing.T, seed int64, pageTokens, width uint8, summaries bool, ops []byte) {
+		checkPagePoolAliasing(t, seed, int(pageTokens%8)+1, []int{0, 8, 4}[width%3], summaries, ops)
+	})
+}

@@ -7,9 +7,9 @@ import (
 )
 
 // This file is PagedKV's page and its codecs — everything that depends on how
-// a page stores a token: allocating a page, encoding a span into it, copying
-// a head of it, yielding its rows to a reader, and its byte size. The fp32
-// codec stores the model's K/V projections as they arrive. The quantized
+// a page stores a token: encoding a span into it, copying a head of it,
+// yielding its rows to a reader, and its byte size (pool.go makes pages). The
+// fp32 codec stores the model's K/V projections as they arrive. The quantized
 // codec is the live-plane counterpart of internal/quant's offline Uniform
 // quantizer (which cannot be imported here — it sits above kvcache): each
 // token's K/V head slices are uniform-asymmetric quantized the moment they are
@@ -43,23 +43,6 @@ type page struct {
 	summ   []float32
 }
 
-// newPage allocates an empty page of full capacity: one buffer for fp32, two
-// (codes, params) when quantized, plus the summary slot when summaries are on.
-func (c *PagedKV) newPage() page {
-	var p page
-	elems := 2 * c.pageTokens * c.stride()
-	if c.qbits == 0 {
-		p.f32 = make([]float32, elems)
-	} else {
-		p.codes = make([]uint8, elems*c.qbits/8)
-		p.params = make([]uint16, 2*c.pageTokens*c.shape.KVHeads*2)
-	}
-	if c.summaries {
-		p.summ = make([]float32, 2*c.stride())
-	}
-	return p
-}
-
 // store writes t tokens' flat head-major K/V behind the p.n tokens the page
 // holds. A token's (token, head) slices are consecutive HeadDim-element runs
 // of both the span and the page, so the quantized codec encodes them in one
@@ -84,7 +67,7 @@ func (c *PagedKV) store(p *page, t int, k, v []float32) {
 // with the key summary folded afresh over just those tokens, so the copy can
 // keep appending independently of src.
 func (c *PagedKV) head(src *page, tokens int) page {
-	h := c.newPage()
+	h := c.pool.get()
 	h.n = tokens
 	copyHead(h.f32, src.f32, tokens, c.pageTokens)
 	copyHead(h.codes, src.codes, tokens, c.pageTokens)

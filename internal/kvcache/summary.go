@@ -25,18 +25,19 @@ package kvcache
 // theirs by reference, a copied head folds its own.
 
 // EnableKeySummaries turns on per-page key min/max maintenance. It must be
-// called on an empty cache: summaries are folded in at append time, and a
-// cache that already holds tokens has lost the information. Clones made
-// with ClonePrefix inherit the setting (and the summaries) automatically.
+// called on an empty cache whose pool has handed out no page: summaries are
+// folded in at append time, and a cache that already holds tokens has lost
+// the information. Summaries are part of the page format, so the setting is
+// the pool's: clones made with ClonePrefix inherit it (and the summaries),
+// and a pool made with summaries on needs no call at all.
 func (c *PagedKV) EnableKeySummaries() {
 	if c.summaries {
 		return
 	}
-	if c.appended != 0 {
+	if c.appended != 0 || c.pool.out != 0 || len(c.pool.free) != 0 {
 		panic("kvcache: EnableKeySummaries on a non-empty cache")
 	}
-	c.summaries = true
-	c.deq = make([]float32, c.shape.HeadDim)
+	c.pool.summaries, c.summaries = true, true
 }
 
 // KeySummary implements Paged: page p's summary, aligned with Rows' page
@@ -74,6 +75,9 @@ func summUpdateSeg(s []float32, stride, off int, x []float32, init bool) {
 // those tokens ever reached the page.
 func (c *PagedKV) fold(p *page, from, to int) {
 	d, stride := c.shape.HeadDim, c.stride()
+	if c.deq == nil {
+		c.deq = make([]float32, d)
+	}
 	for h := 0; h < c.shape.KVHeads; h++ {
 		r := c.rows(p, h, false)
 		for t := from; t < to; t++ {

@@ -11,9 +11,9 @@ import (
 // independent decode streams a single token each, loading every weight
 // matrix once per step instead of once per stream. Projections and the LM
 // head run as one batched GEMM over packed weights (tensor.Packed.MulInto:
-// four lanes share every weight load); attention stays per-stream via the
-// shared attendStep, because each stream attends over its own KV cache at
-// its own position.
+// four lanes share every weight load); attention stays per-stream via
+// attendStep's two halves, because each stream attends over its own KV cache
+// at its own position.
 // Per lane the arithmetic is operation-for-operation identical to
 // ForwardInto, so a fused step is bit-identical to stepping each stream
 // separately — pinned by the equivalence tests in batch_test.go.
@@ -139,10 +139,15 @@ func (bw *BatchWorkspace) project(dst, xs [][]float32, w *tensor.Packed) {
 	})
 }
 
-// attend runs per-lane attention for one layer, lane-sharded across
-// workers: each stream's attention touches only its own cache, its lane
-// workspace and its shard's block scratch, so lanes are independent.
+// attend runs per-lane attention for one layer: every lane's K/V append on
+// the calling goroutine, in lane order (appends may open pages from a shared
+// pool), then the attention itself lane-sharded across workers: each
+// stream's attention touches only its own cache, its lane workspace and its
+// shard's block scratch, so lanes are independent.
 func (bw *BatchWorkspace) attend(l, n int) {
+	for b := 0; b < n; b++ {
+		bw.m.appendKV(bw.lanes[b], &bw.paths[b], l)
+	}
 	if shards := min(bw.workers, n); shards > 1 {
 		runShards(shards, n, func(s, lo, hi int) { bw.attendLanes(l, s, lo, hi) })
 		return
@@ -152,7 +157,7 @@ func (bw *BatchWorkspace) attend(l, n int) {
 
 func (bw *BatchWorkspace) attendLanes(l, shard, lo, hi int) {
 	for b := lo; b < hi; b++ {
-		bw.m.attendStep(bw.lanes[b], bw.blks[shard], &bw.paths[b], l)
+		bw.m.attendLane(bw.lanes[b], bw.blks[shard], &bw.paths[b], l)
 	}
 }
 

@@ -313,15 +313,23 @@ func (m *Model) ForwardInto(ws *Workspace, token, pos int, cache kvcache.Cache) 
 }
 
 // attendStep runs one layer's attention for one stream whose Q/K/V
-// projections are already in the workspace: RoPE the K heads in place
-// (using the step's cached rotation tables), append K/V to the cache, and
-// accumulate each query head's attention output into ws.attnOut, with blk as
-// the walk's scratch. It is the single attention implementation shared by the
-// per-stream (ForwardInto) and fused batched (ForwardMixedInto) planes, which
-// is what makes the two bit-identical by construction.
+// projections are already in the workspace: appendKV, then the lane's
+// attention with blk as the walk's scratch. The two halves are the single
+// attention implementation shared by the per-stream (ForwardInto) and fused
+// batched (ForwardMixedInto) planes, which is what makes the two
+// bit-identical by construction.
 func (m *Model) attendStep(ws *Workspace, blk *tensor.AttnBlock, cp *cachePath, l int) {
-	// Apply RoPE to the keys in place; ws.kHeads/ws.vHeads are prebuilt
-	// per-head views into ws.k/ws.v. Caches copy on Append.
+	m.appendKV(ws, cp, l)
+	m.attendLane(ws, blk, cp, l)
+}
+
+// appendKV RoPEs the K heads in place (using the step's cached rotation
+// tables) and appends the token's K/V to the cache. It runs on the step's
+// own goroutine, never inside a shard: a paged cache opens pages from a pool
+// other caches share (kvcache.PagePool).
+func (m *Model) appendKV(ws *Workspace, cp *cachePath, l int) {
+	// ws.kHeads/ws.vHeads are prebuilt per-head views into ws.k/ws.v.
+	// Caches copy on Append.
 	for kh := 0; kh < m.cfg.KVHeads; kh++ {
 		tensor.ApplyRoPECached(ws.kHeads[kh], ws.ropeSin, ws.ropeCos)
 	}
@@ -330,6 +338,11 @@ func (m *Model) attendStep(ws *Workspace, blk *tensor.AttnBlock, cp *cachePath, 
 	} else {
 		cp.cache.Append(l, ws.kHeads, ws.vHeads)
 	}
+}
+
+// attendLane accumulates one decode lane's attention output over layer l,
+// its token's K/V already appended.
+func (m *Model) attendLane(ws *Workspace, blk *tensor.AttnBlock, cp *cachePath, l int) {
 	lane := [1]*Workspace{ws}
 	m.attendOver(lane[:], blk, cp, l, -1)
 }

@@ -114,7 +114,7 @@ func (e *Engine) admitLocked() {
 		if rs.start < 0 {
 			rs.start = e.Now()
 		}
-		cache := e.newCache()
+		cache := e.kv.NewCache(e.pageBudget)
 		for _, n := range path {
 			cache.AdoptPage(n.page)
 		}
@@ -122,17 +122,21 @@ func (e *Engine) admitLocked() {
 		if extra > 0 {
 			// The match ends inside a cached page: take the page by
 			// reference, then clone with its first extra tokens deep-copied
-			// into what becomes this request's private tail page.
+			// into what becomes this request's private tail page. Every page
+			// the adopting cache held is the tree's.
 			matched += extra
 			cache.AdoptPage(tail.page)
-			cache = cache.ClonePrefixN(matched)
+			clone := cache.ClonePrefixN(matched)
+			cache.Release(cache.Pages())
+			cache = clone
 		}
 		for e.pageBudget > 0 && e.chargedPages()+need > e.pageBudget {
 			e.tree.evict() // an unpinned page exists: used+need fits, charged+need does not
 		}
 		if err := cache.Reserve(len(prompt) - matched); err != nil {
 			// Cannot happen for a validated request; retire defensively.
-			e.tree.unpin(path)
+			rs.cache, rs.nodes = cache, path
+			e.releaseLocked(rs)
 			e.endLocked(rs, dispCancelled, nil)
 			continue
 		}
@@ -183,7 +187,7 @@ func (e *Engine) sealLocked(rs *reqState) {
 		if i > 0 {
 			parent = rs.nodes[i-1]
 		}
-		n := e.tree.insert(parent, e.runBuf, rs.cache.PageAt(i))
+		n := e.tree.insert(parent, e.runBuf, rs.cache, i)
 		if n == nil {
 			// A request that ran alongside cached the same run first. This
 			// copy stays private, and so does everything behind it: the
@@ -198,10 +202,13 @@ func (e *Engine) sealLocked(rs *reqState) {
 }
 
 // releaseLocked returns everything a running request holds to the ledger:
-// its private pages are freed and its path unpinned — the pages stay cached,
-// evictable, so a preempted request re-admitted soon resumes from whatever
-// prefix survived. The caller holds mu and removes rs from the running set.
+// its cache goes back to the page pool with its private pages — every page
+// from index len(rs.nodes) on; the ones before are the tree's — and its path
+// is unpinned: those pages stay cached, evictable, so a preempted request
+// re-admitted soon resumes from whatever prefix survived. The caller holds mu
+// and removes rs from the running set.
 func (e *Engine) releaseLocked(rs *reqState) {
+	rs.cache.Release(len(rs.nodes))
 	e.privatePages -= rs.pages
 	rs.pages = 0
 	e.tree.unpin(rs.nodes)

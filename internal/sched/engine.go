@@ -114,6 +114,10 @@ type Engine struct {
 	// KVQuantBits is set (the same bytes hold more quantized pages). All
 	// admission, reservation, and preemption accounting uses this value.
 	pageBudget int
+	// kv is the page pool every request cache draws from and gives back to:
+	// a request's private pages when it is released, a cached page when the
+	// tree evicts it. Only the loop touches it (New, before the loop starts).
+	kv *kvcache.PagePool
 
 	// tree is the prefix cache. Its pages and the running requests' private
 	// pages are one ledger under pageBudget:
@@ -164,6 +168,7 @@ type Engine struct {
 	viewUsedPages int
 	viewPrefill   int
 	viewStep      float64
+	viewPagesOut  int
 	waiters       []chan struct{}
 	closed        bool
 	// aborted records that Close threw away pending requests: drains
@@ -208,13 +213,15 @@ func newEngine(m *model.Model, cfg Config) (*Engine, error) {
 		start = time.Now()
 	}
 	shape := m.CacheShape()
+	sparse := m.SparseTopK() > 0
 	e := &Engine{
 		m:          m,
 		pool:       core.NewWorkspacePool(m),
 		cfg:        cfg,
 		start:      start,
-		sparse:     m.SparseTopK() > 0,
+		sparse:     sparse,
 		pageBudget: kvcache.ScaledPageBudget(cfg.KVPages, shape, cfg.PageTokens, cfg.KVQuantBits),
+		kv:         kvcache.NewPagePool(shape, cfg.PageTokens, cfg.KVQuantBits, sparse),
 		wake:       make(chan struct{}, 1),
 		done:       make(chan struct{}),
 	}
@@ -223,25 +230,27 @@ func newEngine(m *model.Model, cfg Config) (*Engine, error) {
 		fp32Pages := prefixCacheBytes * 8 / (kvcache.PageBitsFP32(shape, cfg.PageTokens) * int64(shape.Layers))
 		idleCap = kvcache.ScaledPageBudget(int(fp32Pages), shape, cfg.PageTokens, cfg.KVQuantBits)
 	}
-	e.tree = newPrefixTree(cfg.PageTokens, idleCap)
+	e.tree = newPrefixTree(e.kv, cfg.PageTokens, idleCap)
 	if len(cfg.SharedPrefix) > 0 {
 		// Construction-time prefill has no decode traffic to interleave
 		// with, but the chunk plane's batched GEMMs still finish a long
 		// prefix several times faster than token-at-a-time ForwardInto —
 		// and warm the pooled batch workspace the loop will reuse.
-		cache := e.newCache()
+		cache := e.kv.NewCache(e.pageBudget)
 		sb := e.pool.GetBatch()
 		e.m.PrefillChunkInto(sb.Batch(), cfg.SharedPrefix, cfg.PrefillChunk, cache)
 		e.pool.PutBatch(sb)
 		// Every page goes in pinned for good, the partial last one too: the
-		// cache is dropped here, so nothing will ever append to it.
+		// cache is released here, so nothing will ever append to it.
 		var parent *pageNode
 		for i := 0; i < cache.Pages(); i++ {
 			run := cfg.SharedPrefix[i*cfg.PageTokens : min(len(cfg.SharedPrefix), (i+1)*cfg.PageTokens)]
-			parent = e.tree.insert(parent, run, cache.PageAt(i))
+			parent = e.tree.insert(parent, run, cache, i)
 			parent.permanent = true
 		}
+		cache.Release(cache.Pages())
 		e.prewarmPages = e.tree.pinned
+		e.viewPagesOut = e.kv.Out()
 		if e.pageBudget > 0 && e.prewarmPages >= e.pageBudget {
 			return nil, fmt.Errorf("%w: shared prefix needs %d pages, budget %d leaves no room for requests",
 				kvcache.ErrOutOfPages, e.prewarmPages, e.pageBudget)
@@ -250,15 +259,6 @@ func newEngine(m *model.Model, cfg Config) (*Engine, error) {
 		e.stats.PeakPages = e.prewarmPages
 	}
 	return e, nil
-}
-
-// newCache returns an empty request cache in the engine's page format.
-func (e *Engine) newCache() *kvcache.PagedKV {
-	cache := kvcache.NewPagedKVQuant(e.m.CacheShape(), e.cfg.PageTokens, e.pageBudget, e.cfg.KVQuantBits)
-	if e.sparse {
-		cache.EnableKeySummaries()
-	}
-	return cache
 }
 
 // matchLimit returns how many leading tokens of an n-token prompt a cached
@@ -456,6 +456,7 @@ func (e *Engine) Stats() Stats {
 	defer e.mu.Unlock()
 	st := e.stats
 	st.PrefixCachePages, st.PrefixEvictions = e.tree.pages, e.tree.evictions
+	st.PoolPagesOut = e.viewPagesOut
 	return st
 }
 
@@ -492,6 +493,7 @@ func (e *Engine) syncViewLocked() {
 	e.viewPrefill = pf
 	e.viewRunning = len(e.running)
 	e.viewUsedPages = e.usedPages()
+	e.viewPagesOut = e.kv.Out()
 }
 
 // loop is the scheduler: admit, form the iteration batch, preempt under

@@ -27,7 +27,11 @@ import (
 //   - the unpinned ring holds exactly the unreferenced nodes, each behind all
 //     of its descendants, so its head is a leaf;
 //   - charged pages stay within the page budget, and without one the
-//     unpinned pages within the retention bound.
+//     unpinned pages within the retention bound;
+//   - the page pool has out, in every layer, exactly the pages running
+//     requests allocated beyond their cached paths plus the tree's pages —
+//     none leaked, none returned twice — and never more than are charged.
+//     With nothing running (after Drain and Close) that is the tree's alone.
 func checkLedger(e *Engine) error {
 	pt := e.cfg.PageTokens
 	refs := map[*pageNode]int{}
@@ -111,6 +115,17 @@ func checkLedger(e *Engine) error {
 	}
 	if e.pageBudget == 0 && pages-pinned > e.tree.idleCap {
 		return fmt.Errorf("%d unpinned pages retained, bound %d", pages-pinned, e.tree.idleCap)
+	}
+	layers := e.m.CacheShape().Layers
+	allocated := 0
+	for _, rs := range e.running {
+		for l := 0; l < layers; l++ {
+			allocated += rs.cache.LayerPages(l) - len(rs.nodes)
+		}
+	}
+	if out := e.kv.Out(); out != allocated+layers*e.tree.pages || out > layers*e.chargedPages() {
+		return fmt.Errorf("page pool has %d layer-pages out; running requests allocated %d privately, the tree holds %d pages of %d layers, %d charged",
+			out, allocated, e.tree.pages, layers, e.chargedPages())
 	}
 	return nil
 }
@@ -440,6 +455,9 @@ func runGenerated(t *testing.T, s genSchedule, cfg Config, topK int, tight bool)
 	e.Close()
 	if err := checkLedger(e); err != nil {
 		t.Errorf("after Drain and Close: %v", err)
+	}
+	if st := e.Stats(); st.PoolPagesOut != m.CacheShape().Layers*st.PrefixCachePages {
+		t.Errorf("after Drain and Close: %d layer-pages out of the pool, %d cached", st.PoolPagesOut, st.PrefixCachePages)
 	}
 	if len(e.running) != 0 || e.privatePages != 0 || e.tree.pinned != e.prewarmPages || e.tree.pages != st.PrefixCachePages {
 		t.Errorf("after Drain and Close: %d running, %d private pages, %d pinned (pre-warm %d), %d cached (%d when drained)",

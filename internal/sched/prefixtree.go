@@ -23,6 +23,9 @@ import (
 // The tree is mutated only by the engine loop and only under Engine.mu; the
 // loop may read it without the lock, other goroutines read it under mu.
 type prefixTree struct {
+	// pool takes back an evicted page; the tree's refs are the only count of
+	// who still reads it.
+	pool       *kvcache.PagePool
 	root       pageNode
 	pageTokens int
 	pages      int // nodes in the tree: the pages the cache charges to the ledger
@@ -51,8 +54,8 @@ type pageNode struct {
 	prev, next *pageNode // the unpinned ring; nil while pinned
 }
 
-func newPrefixTree(pageTokens, idleCap int) *prefixTree {
-	t := &prefixTree{pageTokens: pageTokens, idleCap: idleCap}
+func newPrefixTree(pool *kvcache.PagePool, pageTokens, idleCap int) *prefixTree {
+	t := &prefixTree{pool: pool, pageTokens: pageTokens, idleCap: idleCap}
 	t.idle.prev, t.idle.next = &t.idle, &t.idle
 	return t
 }
@@ -142,10 +145,11 @@ func (t *prefixTree) unpin(path []*pageNode) {
 	}
 }
 
-// insert caches a sealed page under parent (nil for the root) and returns its
-// node, pinned by the caller. It returns nil, caching nothing, when parent
-// already has a page for that token run.
-func (t *prefixTree) insert(parent *pageNode, run []int, page kvcache.Page) *pageNode {
+// insert caches page i of c, sealed, under parent (nil for the root) and
+// returns its node, pinned by the caller; from here the page is the tree's. It
+// returns nil, caching nothing, when parent already has a page for that token
+// run.
+func (t *prefixTree) insert(parent *pageNode, run []int, c *kvcache.PagedKV, i int) *pageNode {
 	if parent == nil {
 		parent = &t.root
 	}
@@ -153,7 +157,7 @@ func (t *prefixTree) insert(parent *pageNode, run []int, page kvcache.Page) *pag
 	if parent.children[string(key)] != nil {
 		return nil
 	}
-	n := &pageNode{parent: parent, key: string(key), page: page, refs: 1}
+	n := &pageNode{parent: parent, key: string(key), page: c.PageAt(i), refs: 1}
 	if parent.children == nil {
 		parent.children = make(map[string]*pageNode)
 	}
@@ -163,8 +167,9 @@ func (t *prefixTree) insert(parent *pageNode, run []int, page kvcache.Page) *pag
 	return n
 }
 
-// evict drops the least recently released unpinned page and reports whether
-// there was one.
+// evict drops the least recently released unpinned page, giving it back to
+// the pool, and reports whether there was one. Unpinned, no live request's
+// cache holds it.
 func (t *prefixTree) evict() bool {
 	n := t.idle.next
 	if n == &t.idle {
@@ -176,7 +181,8 @@ func (t *prefixTree) evict() bool {
 	n.prev.next, n.next.prev = n.next, n.prev
 	n.prev, n.next = nil, nil
 	delete(n.parent.children, n.key)
-	n.page = kvcache.Page{}
+	t.pool.PutPage(n.page)
+	n.page = nil
 	t.pages--
 	t.evictions++
 	return true

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"strings"
 	"testing"
+
+	"rethinkkv/internal/kvcache"
 )
 
 // treeModel is the prefix tree as a map: one entry per cached page, keyed by
@@ -157,8 +159,9 @@ func checkTreeAgainstModel(t *testing.T, tr *prefixTree, m *treeModel) {
 // of a few requests that each hold one pinned path, and after every operation
 // compares it with treeModel: the page and pinned counts, every node and its
 // references, the release order eviction follows, that every ancestor of a
-// pinned node is pinned, and that match returns the model's longest
-// page-aligned path.
+// pinned node is pinned, that match returns the model's longest
+// page-aligned path, and that the page pool has out exactly the tree's pages:
+// a sealed page becomes the tree's and an evicted one goes back.
 func FuzzPrefixTreeMatchesModel(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 1, 0, 0, 2, 0, 0, 3, 0, 0, 4})
 	f.Add([]byte{0, 0, 1, 2, 0, 0, 4, 2, 1, 0, 1, 3, 0, 1, 2, 1, 0, 3, 1, 4, 4, 4})
@@ -169,7 +172,8 @@ func FuzzPrefixTreeMatchesModel(f *testing.F) {
 		}
 		const pageTokens, slots, alphabet = 2, 3, 3
 		idleCap := 1 + int(ops[0]%6)
-		tr := newPrefixTree(pageTokens, idleCap)
+		pool := kvcache.NewPagePool(kvcache.Shape{Layers: 1, KVHeads: 1, HeadDim: 2}, pageTokens, 0, false)
+		tr := newPrefixTree(pool, pageTokens, idleCap)
 		m := &treeModel{pageTokens: pageTokens, idleCap: idleCap, refs: map[string]int{}}
 		// Each slot is one request's pinned path: nodes and model keys.
 		nodes := make([][]*pageNode, slots)
@@ -202,9 +206,16 @@ func FuzzPrefixTreeMatchesModel(f *testing.F) {
 				}
 				k := prefix + modelKey(run)
 				_, exists := m.refs[k]
-				n := tr.insert(parent, run, nil)
+				c := pool.NewCache(0)
+				c.AppendFlatN(0, pageTokens, make([]float32, 2*pageTokens), make([]float32, 2*pageTokens))
+				n := tr.insert(parent, run, c, 0)
 				if (n == nil) != exists {
 					t.Fatalf("insert %q: got node %v, model has it %v", k, n != nil, exists)
+				}
+				if n != nil {
+					c.Release(1)
+				} else {
+					c.Release(0)
 				}
 				if n != nil {
 					m.refs[k] = 1
@@ -248,6 +259,9 @@ func FuzzPrefixTreeMatchesModel(f *testing.F) {
 				}
 			}
 			checkTreeAgainstModel(t, tr, m)
+			if pool.Out() != tr.pages {
+				t.Fatalf("page pool has %d pages out, tree holds %d", pool.Out(), tr.pages)
+			}
 		}
 	})
 }

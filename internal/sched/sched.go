@@ -315,6 +315,11 @@ type Stats struct {
 	// never exceeded the page budget topK.
 	SparsePagesSelected int64
 	SparsePagesTotal    int64
+	// PoolPagesOut counts the pages the engine's KV page pool has handed out
+	// and not got back, per layer: Layers for every page the ledger holds
+	// (the running requests' allocated private pages and the prefix cache's),
+	// so after Close it is Layers*PrefixCachePages.
+	PoolPagesOut int
 }
 
 // PrefixCacheStats reports the prefix cache's own share of the page ledger.
