@@ -48,9 +48,11 @@ race-sched:
 # fuzz-smoke runs each native fuzz target for ten seconds: the prefix-of-n
 # page clone (every page format, any page size and split), then the page pool
 # (random runs of new cache / append / clone / seal / adopt / release / give
-# back over one shared pool, every page format: each live cache must store
-# what a cold cache of its tokens stores, and the pool's count of pages out
-# must balance), then the GEMM tile
+# back / reserve over one shared pool, budgeted or not, every page format:
+# each live cache must store what a cold cache of its tokens stores, the
+# pool's count of pages out must balance, and its promises must too — never
+# negative, summing to the pool's count, given back by release — with an
+# unpromised page open past the budget panicking), then the GEMM tile
 # loop against the scalar reference (any shape and lane count, every arm the
 # host has, raw float32 bits), then the attention block walk against
 # Dot / AXPY (any head dimension, codec, page size, block size and causal

@@ -42,7 +42,6 @@ import (
 
 	"rethinkkv/internal/compress"
 	"rethinkkv/internal/faults"
-	"rethinkkv/internal/kvcache"
 	"rethinkkv/internal/model"
 	"rethinkkv/internal/sched"
 	"rethinkkv/internal/serving"
@@ -350,9 +349,9 @@ func (p *Pool) Submit(ctx context.Context, req sched.Request) (<-chan sched.Toke
 
 // onPreempt is engine gpu's sched.Config.Migrate hook: it just evicted req
 // under page pressure. Accept the handoff only when another engine has page
-// headroom for the request's entire remaining lifetime (prompt + emitted
-// tokens + remaining budget, plus the first-decode-step reserve) — anything
-// less and the target could immediately preempt it back, so a local
+// headroom for the request's entire lifetime there (its
+// sched.Engine.LifetimePages, the rule its Submit admits by) — anything less
+// and the target could immediately preempt it back, so a local
 // requeue-and-wait is at least as good. Called from the engine loop with no
 // engine lock held.
 func (p *Pool) onPreempt(gpu int, req sched.Request, generated int) bool {
@@ -363,13 +362,12 @@ func (p *Pool) onPreempt(gpu int, req sched.Request, generated int) bool {
 	if f == nil || closed {
 		return false
 	}
-	pageTokens := p.engines[gpu].Config().PageTokens
-	need := kvcache.PagesFor(len(req.Prompt)+req.MaxNew, pageTokens) + 1
 	best, bestFree := -1, 0
 	for i, e := range p.engines {
 		if i == gpu || e.Failed() != nil {
 			continue
 		}
+		need := e.LifetimePages(req)
 		v := e.View()
 		free := v.FreePages()
 		if free < 0 { // unbounded: always room

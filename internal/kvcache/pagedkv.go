@@ -26,13 +26,9 @@ type PagedKV struct {
 	shape      Shape
 	pageTokens int
 	pool       *PagePool
-	// maxPages bounds the per-layer page count (every layer grows in
-	// lockstep, so the budget is counted once, not per layer); 0 means
-	// unbounded. Exceeding it surfaces as ErrOutOfPages from Reserve —
-	// never as silent overgrowth.
-	maxPages int
-	pages    [][]page // [layer][page]
-	appended int
+	pages      [][]page // [layer][page]
+	appended   int
+	promised   int // pages Reserve promised and no append opened, one per layer
 	// qbits is the page codec: 0 stores fp32 rows, 4 or 8 quantizes every
 	// token's K/V to uniform codes that wide on append.
 	qbits int
@@ -54,10 +50,10 @@ func NewPagedKV(shape Shape, pageTokens int) *PagedKV {
 // tokens, a hard per-layer page budget (once the cache holds
 // maxPages*PageTokens tokens, Reserve reports ErrOutOfPages instead of
 // growing; maxPages <= 0 means unbounded) and a page codec: bits 0 stores
-// fp32, 4 or 8 quantized codes. Its pages come from a pool of its own, which
-// its clones share; it panics where NewPagePool does.
+// fp32, 4 or 8 quantized codes. Its pages and budget are a pool of its own,
+// which its clones share; it panics where NewPagePool does.
 func NewPagedKVQuant(shape Shape, pageTokens, maxPages, bits int) *PagedKV {
-	return NewPagePool(shape, pageTokens, bits, false).NewCache(maxPages)
+	return NewPagePool(shape, pageTokens, maxPages, bits, false).NewCache()
 }
 
 // PagesFor returns the page count needed to hold tokens tokens at the
@@ -69,20 +65,24 @@ func PagesFor(tokens, pageTokens int) int {
 // Pages returns the per-layer page count currently allocated.
 func (c *PagedKV) Pages() int { return PagesFor(c.appended, c.pageTokens) }
 
-// Reserve reports whether the cache can grow by extraTokens more tokens
-// under its page budget, returning ErrOutOfPages (wrapped, test with
-// errors.Is) when it cannot. This is the non-panicking admission check a
-// scheduler runs before prefilling a prompt or decoding a step; Append
-// within a successful reservation never fails.
+// Reserve promises the cache, from its pool, the pages extraTokens more tokens
+// need beyond those it holds; the promise replaces any earlier one. When the
+// budget cannot take the larger promise, Reserve changes nothing and returns
+// ErrOutOfPages (wrapped, test with errors.Is): the non-panicking admission
+// check a scheduler runs before prefilling. Appends within it never fail.
 func (c *PagedKV) Reserve(extraTokens int) error {
-	if c.maxPages <= 0 || extraTokens <= 0 {
-		return nil
+	pp, layers := c.pool, c.shape.Layers
+	want := (PagesFor(c.appended+max(extraTokens, 0), c.pageTokens) - c.Pages()) * layers
+	if grow := want - c.promised; pp.budget > 0 && grow > 0 && pp.out+pp.promised+grow > pp.budget*layers {
+		return fmt.Errorf("%w: need %d more pages for %d tokens, %d of %d charged", ErrOutOfPages, grow/layers, c.appended+extraTokens, pp.Charged(), pp.budget)
 	}
-	if need := PagesFor(c.appended+extraTokens, c.pageTokens); need > c.maxPages {
-		return fmt.Errorf("%w: need %d pages for %d tokens, budget %d", ErrOutOfPages, need, c.appended+extraTokens, c.maxPages)
-	}
+	pp.promised += want - c.promised
+	c.promised = want
 	return nil
 }
+
+// Promised reports the pages the cache's promise holds, one per layer.
+func (c *PagedKV) Promised() int { return c.promised }
 
 // Shape returns the cache dimensions.
 func (c *PagedKV) Shape() Shape { return c.shape }
@@ -115,10 +115,10 @@ func (c *PagedKV) Append(layer int, k, v [][]float32) {
 // token stored in the page codec and, when summaries are on, folded into its
 // page's key summary token by token, which makes codes and summaries
 // independent of how a sequence happens to be split into calls. Under a page
-// budget callers must Reserve first: appending past the budget is a caller
-// contract violation and panics with ErrOutOfPages rather than silently
-// overgrowing. Steady-state cost is a write into pre-allocated page capacity:
-// no allocation except at page open.
+// budget callers must Reserve first: opening a page no promise covers past
+// the budget is a caller contract violation and panics with ErrOutOfPages
+// rather than silently overgrowing. Steady-state cost is a write into
+// pre-allocated page capacity: no allocation except at page open.
 func (c *PagedKV) AppendFlatN(layer, n int, k, v []float32) {
 	if layer < 0 || layer >= c.shape.Layers {
 		panic("kvcache: layer out of range")
@@ -143,13 +143,17 @@ func (c *PagedKV) AppendFlatN(layer, n int, k, v []float32) {
 }
 
 // pageForAppend returns the page the next token's K/V goes into, opening a
-// fresh one — budget-checked, never touching full (possibly shared) pages —
-// when the current one is full.
+// fresh one — never touching full (possibly shared) pages — when the current
+// one is full: a promised one first, else one the pool's budget has room for.
 func (c *PagedKV) pageForAppend(layer int) *page {
 	pages := c.pages[layer]
 	if len(pages) == 0 || pages[len(pages)-1].n == c.pageTokens {
-		if c.maxPages > 0 && len(pages) >= c.maxPages {
-			panic(fmt.Errorf("%w: unreserved append past %d-page budget", ErrOutOfPages, c.maxPages))
+		switch pp := c.pool; {
+		case c.promised > 0:
+			c.promised--
+			pp.promised--
+		case pp.budget > 0 && pp.out+pp.promised >= pp.budget*c.shape.Layers:
+			panic(fmt.Errorf("%w: unpromised append past the %d-page budget", ErrOutOfPages, pp.budget))
 		}
 		pages = append(pages, c.pool.get())
 		c.pages[layer] = pages
@@ -232,14 +236,15 @@ func (c *PagedKV) TotalAppended() int { return c.appended }
 // copy-on-write at clone time, at most one page per layer. Because stored
 // K/V, codes and summaries are pure functions of the appended sequence, the
 // clone is bit-identical to a cold cache that appended the same n tokens,
-// while the shared pages are stored once. The clone draws from c's pool and
-// inherits the page budget. It panics if n is outside [0, TotalAppended()].
+// while the shared pages are stored once. The clone draws from c's pool with
+// no promise, its tail page charged unchecked. It panics if n is outside
+// [0, TotalAppended()].
 func (c *PagedKV) ClonePrefixN(n int) *PagedKV {
 	if n < 0 || n > c.appended {
 		panic(fmt.Sprintf("kvcache: clone of %d tokens from a cache holding %d", n, c.appended))
 	}
 	full, part := n/c.pageTokens, n%c.pageTokens
-	out := c.pool.NewCache(c.maxPages)
+	out := c.pool.NewCache()
 	out.appended = n
 	for l := range c.pages {
 		out.pages[l] = append(out.pages[l], c.pages[l][:full]...)

@@ -19,6 +19,9 @@ import "fmt"
 // byte-identical to a freshly made one: what a cache stores stays a pure
 // function of the tokens appended to it, whatever the page held before.
 //
+// The pool is also the page ledger: it holds the page budget and counts the
+// pages out and those promised to caches (Reserve) and not yet opened.
+//
 // A pool is not safe for concurrent use: the caches drawing from one must
 // append, clone and release on one goroutine at a time.
 type PagePool struct {
@@ -26,19 +29,22 @@ type PagePool struct {
 	pageTokens int
 	qbits      int
 	summaries  bool
+	budget     int // pages per layer; 0 is unbounded
 
-	free    []page     // returned pages, cleared when handed out again
-	handles []Page     // returned handles, Layers entries each
-	caches  []*PagedKV // released caches, their page tables truncated
-	out     int        // pages handed out and not returned, one per layer
+	free     []page     // returned pages, cleared when handed out again
+	handles  []Page     // returned handles, Layers entries each
+	caches   []*PagedKV // released caches, their page tables truncated
+	out      int        // pages handed out and not returned, one per layer
+	promised int        // pages promised and not opened, one per layer
 }
 
 // NewPagePool returns an empty pool of pages with the given page size in
-// tokens, code width (0 stores fp32, 4 or 8 quantized codes) and key summary
+// tokens, page budget (maxPages pages in every layer; <= 0 is unbounded),
+// code width (0 stores fp32, 4 or 8 quantized codes) and key summary
 // setting. It panics on an invalid shape, a non-positive page size or an
 // unsupported width; 4-bit packing requires an even head dimension, which
 // RoPE already demands of the model.
-func NewPagePool(shape Shape, pageTokens, bits int, summaries bool) *PagePool {
+func NewPagePool(shape Shape, pageTokens, maxPages, bits int, summaries bool) *PagePool {
 	if err := shape.Validate(); err != nil {
 		panic(err)
 	}
@@ -51,12 +57,11 @@ func NewPagePool(shape Shape, pageTokens, bits int, summaries bool) *PagePool {
 	if bits == 4 && shape.HeadDim%2 != 0 {
 		panic("kvcache: 4-bit KV quantization requires an even head dimension")
 	}
-	return &PagePool{shape: shape, pageTokens: pageTokens, qbits: bits, summaries: summaries}
+	return &PagePool{shape: shape, pageTokens: pageTokens, qbits: bits, summaries: summaries, budget: max(maxPages, 0)}
 }
 
-// NewCache returns an empty cache drawing from the pool, with a hard
-// per-layer page budget (see NewPagedKVQuant; maxPages <= 0 is unbounded).
-func (pp *PagePool) NewCache(maxPages int) *PagedKV {
+// NewCache returns an empty cache drawing from the pool, with no promise.
+func (pp *PagePool) NewCache() *PagedKV {
 	var c *PagedKV
 	if n := len(pp.caches); n > 0 {
 		c = pp.caches[n-1]
@@ -65,14 +70,23 @@ func (pp *PagePool) NewCache(maxPages int) *PagedKV {
 	} else {
 		c = &PagedKV{shape: pp.shape, pageTokens: pp.pageTokens, qbits: pp.qbits, pool: pp, pages: make([][]page, pp.shape.Layers)}
 	}
-	c.maxPages = max(maxPages, 0)
 	c.summaries = pp.summaries
 	return c
 }
 
+// Budget reports the page budget, in pages per layer; 0 is unbounded.
+func (pp *PagePool) Budget() int { return pp.budget }
+
 // Out reports the pages handed out and not yet returned, counted per layer: a
 // cache holding n pages in every layer accounts for n*Layers of them.
 func (pp *PagePool) Out() int { return pp.out }
+
+// Promised reports the pages promised and not yet opened, counted like Out.
+func (pp *PagePool) Promised() int { return pp.promised }
+
+// Charged reports the pages out and promised, in pages per layer (exact
+// between appends, when every layer has the same).
+func (pp *PagePool) Charged() int { return (pp.out + pp.promised) / pp.shape.Layers }
 
 // get hands out one layer's empty page: a returned one, cleared, or a fresh
 // one of full capacity — one buffer for fp32, two (codes, params) when
@@ -133,12 +147,14 @@ func (pp *PagePool) PutPage(h Page) {
 	pp.handles = append(pp.handles, h)
 }
 
-// Release gives the cache back to its pool: every page from index shared on,
-// in every layer, and the cache object with its page tables. The first shared
-// pages of each layer belong to someone else — a prefix cache that holds
-// their handles — and stay out. The cache must not be used afterwards.
+// Release gives the cache back to its pool: its promise, every page from index
+// shared on in every layer, and the cache object with its page tables. The
+// first shared pages of each layer belong to someone else — a prefix cache
+// that holds their handles — and stay out. The cache must not be used again.
 func (c *PagedKV) Release(shared int) {
 	pp := c.pool
+	pp.promised -= c.promised
+	c.promised = 0
 	for l, t := range c.pages {
 		for i := shared; i < len(t); i++ {
 			pp.put(t[i])

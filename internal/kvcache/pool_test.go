@@ -1,6 +1,7 @@
 package kvcache
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -17,9 +18,9 @@ func TestPagePoolCycleAllocFree(t *testing.T) {
 	k, v := summFill(shape, 3*pt, 1)
 	for _, w := range summWidths {
 		for _, summaries := range []bool{false, true} {
-			pool := NewPagePool(shape, pt, w.bits, summaries)
+			pool := NewPagePool(shape, pt, 0, w.bits, summaries)
 			cycle := func() {
-				c := pool.NewCache(0)
+				c := pool.NewCache()
 				for l := 0; l < shape.Layers; l++ {
 					c.AppendFlatN(l, 3*pt, k, v)
 				}
@@ -42,11 +43,13 @@ func TestPagePoolCycleAllocFree(t *testing.T) {
 
 // poolCache is one live cache of checkPagePoolAliasing with what a cold cache
 // needs to rebuild it: the flat K/V of every token it holds, and the handles
-// its leading pages are — the pages it reads but does not own.
+// its leading pages are — the pages it reads but does not own — and the
+// pages its promise still holds.
 type poolCache struct {
-	c      *PagedKV
-	k, v   []float32
-	shared []*poolHandle
+	c       *PagedKV
+	k, v    []float32
+	shared  []*poolHandle
+	promise int
 }
 
 // poolHandle is a sealed page: its handle, its tokens, and how many live
@@ -65,14 +68,19 @@ type poolHandle struct {
 // store exactly what a cold cache that appended the same tokens stores —
 // which fails if a page reached two owners or came back from the pool
 // holding a former owner's bytes — and the pool must have out exactly the
-// pages the live caches own plus the handles'.
-func checkPagePoolAliasing(t testing.TB, seed int64, pageTokens, bits int, summaries bool, ops []byte) {
+// pages the live caches own plus the handles'. Under a budget (budget > 0
+// pages) the pool's promises are held to a model too: no promise is ever
+// negative, the caches' promises sum to the pool's, Reserve fails exactly
+// when the larger promise would not fit, an append that must open a page no
+// promise covers past the budget panics with ErrOutOfPages (the cache, torn
+// between layers, is released), and Release gives the promise back.
+func checkPagePoolAliasing(t testing.TB, seed int64, pageTokens, budget, bits int, summaries bool, ops []byte) {
 	t.Helper()
 	shape := qShape()
 	stride := shape.KVHeads * shape.HeadDim
 	pt := pageTokens
 	r := rand.New(rand.NewSource(seed))
-	pool := NewPagePool(shape, pt, bits, summaries)
+	pool := NewPagePool(shape, pt, budget, bits, summaries)
 	var caches []*poolCache
 	var handles []*poolHandle
 	next := func() int {
@@ -99,7 +107,7 @@ func checkPagePoolAliasing(t testing.TB, seed int64, pageTokens, bits int, summa
 	// adopt builds a fresh cache from up to three of the held handles, by
 	// reference.
 	adopt := func() *poolCache {
-		pc := &poolCache{c: pool.NewCache(0)}
+		pc := &poolCache{c: pool.NewCache()}
 		for n := next() % 4; n > 0 && len(handles) > 0; n-- {
 			h := handles[next()%len(handles)]
 			pc.c.AdoptPage(h.h)
@@ -120,14 +128,20 @@ func checkPagePoolAliasing(t testing.TB, seed int64, pageTokens, bits int, summa
 		return out
 	}
 	release := func(pc *poolCache) {
+		before, held := pool.Promised(), pc.c.Promised()
 		pc.c.Release(len(pc.shared))
+		if got := before - pool.Promised(); got != held || pc.c.Promised() != 0 {
+			t.Fatalf("release gave back %d promised layer-pages, the cache held %d", got, held)
+		}
 		for _, h := range pc.shared {
 			h.refs--
 		}
 	}
+	// over reports whether charging extra more pages would pass the budget.
+	over := func(extra int) bool { return budget > 0 && extra > 0 && pool.Charged()+extra > budget }
 
 	for step := 0; len(ops) > 0 && step < 48; step++ {
-		op := next() % 8
+		op := next() % 9
 		var pc *poolCache
 		at := 0
 		if len(caches) > 0 {
@@ -136,11 +150,29 @@ func checkPagePoolAliasing(t testing.TB, seed int64, pageTokens, bits int, summa
 		}
 		switch {
 		case op == 0 || pc == nil && op != 4 && op != 5: // a new, empty cache
-			caches = append(caches, &poolCache{c: pool.NewCache(0)})
+			caches = append(caches, &poolCache{c: pool.NewCache()})
 		case op == 1: // append a span of 0 to 2*pt+1 tokens
-			k, v := splitFill(r, shape, next()%(2*pt+2))
+			n := next() % (2*pt + 2)
+			tokens := len(pc.k) / stride
+			opens := PagesFor(tokens+n, pt) - PagesFor(tokens, pt)
+			k, v := splitFill(r, shape, n)
+			if over(opens - pc.promise) {
+				func() {
+					defer func() {
+						if err, ok := recover().(error); !ok || !errors.Is(err, ErrOutOfPages) {
+							t.Fatalf("step %d: unpromised append past the %d-page budget did not panic with ErrOutOfPages (%d charged, %d to open, %d promised)",
+								step, budget, pool.Charged(), opens, pc.promise)
+						}
+					}()
+					appendAll(pc.c, k, v)
+				}()
+				release(pc)
+				caches = append(caches[:at], caches[at+1:]...)
+				break
+			}
 			appendAll(pc.c, k, v)
 			pc.k, pc.v = append(pc.k, k...), append(pc.v, v...)
+			pc.promise = max(pc.promise-opens, 0)
 		case op == 2: // clone a prefix whose whole pages handles own
 			tokens := len(pc.k) / stride
 			n := next() % (min(tokens, len(pc.shared)*pt+pt-1) + 1)
@@ -167,6 +199,18 @@ func checkPagePoolAliasing(t testing.TB, seed int64, pageTokens, bits int, summa
 		case op == 6: // release a cache
 			release(pc)
 			caches = append(caches[:at], caches[at+1:]...)
+		case op == 8: // promise the pages 0 to 2*pt+1 more tokens need
+			n := next() % (2*pt + 2)
+			tokens := len(pc.k) / stride
+			want := PagesFor(tokens+n, pt) - PagesFor(tokens, pt)
+			fail, charged := over(want-pc.promise), pool.Charged()
+			err := pc.c.Reserve(n)
+			if fail != (err != nil) || err != nil && !errors.Is(err, ErrOutOfPages) {
+				t.Fatalf("step %d: Reserve(%d) = %v with %d charged of %d, %d promised, %d wanted", step, n, err, charged, budget, pc.promise, want)
+			}
+			if err == nil {
+				pc.promise = want
+			}
 		default: // give back a handle no cache holds
 			for i, h := range handles {
 				if h.refs == 0 {
@@ -177,8 +221,12 @@ func checkPagePoolAliasing(t testing.TB, seed int64, pageTokens, bits int, summa
 			}
 		}
 
-		owned := shape.Layers * len(handles)
+		owned, promised := shape.Layers*len(handles), 0
 		for i, pc := range caches {
+			if got := pc.c.Promised(); got < 0 || got != shape.Layers*pc.promise {
+				t.Fatalf("step %d op %d cache %d: %d layer-pages promised, want %d", step, op, i, got, shape.Layers*pc.promise)
+			}
+			promised += pc.c.Promised()
 			what := fmt.Sprintf("step %d op %d cache %d", step, op, i)
 			want := cold(pc.k, pc.v)
 			storageEqual(t, what, pc.c, want)
@@ -190,6 +238,9 @@ func checkPagePoolAliasing(t testing.TB, seed int64, pageTokens, bits int, summa
 		if pool.Out() != owned {
 			t.Fatalf("step %d op %d: pool has %d pages out, the caches and handles own %d", step, op, pool.Out(), owned)
 		}
+		if pool.Promised() != promised {
+			t.Fatalf("step %d op %d: pool has %d layer-pages promised, the caches hold %d", step, op, pool.Promised(), promised)
+		}
 	}
 	for _, pc := range caches {
 		release(pc)
@@ -197,22 +248,29 @@ func checkPagePoolAliasing(t testing.TB, seed int64, pageTokens, bits int, summa
 	for _, h := range handles {
 		pool.PutPage(h.h)
 	}
-	if pool.Out() != 0 {
-		t.Fatalf("%d pages out after everything was given back", pool.Out())
+	if pool.Out() != 0 || pool.Promised() != 0 {
+		t.Fatalf("%d pages out and %d promised after everything was given back", pool.Out(), pool.Promised())
 	}
 }
 
 // FuzzPagePoolAliasing drives checkPagePoolAliasing from fuzzed operation
-// sequences, page sizes, code widths and summary settings.
+// sequences, page sizes, page budgets (0 unbounded), code widths and summary
+// settings.
 func FuzzPagePoolAliasing(f *testing.F) {
-	f.Add(int64(1), uint8(4), uint8(0), false, []byte{0, 0, 1, 0, 9, 3, 0, 3, 0, 2, 0, 7, 4, 0, 2, 5, 0, 2, 1, 1, 0, 12, 6, 0, 7, 6, 0, 7})
-	f.Add(int64(2), uint8(2), uint8(1), true, []byte{0, 0, 1, 0, 5, 3, 0, 3, 0, 5, 0, 2, 1, 0, 1, 2, 1, 4, 6, 0, 6, 0, 7, 0, 0, 1, 0, 3})
-	f.Add(int64(3), uint8(3), uint8(2), true, []byte{0, 0, 1, 0, 7, 3, 0, 4, 0, 3, 0, 1, 2, 1, 3, 1, 1, 1, 6, 0, 2, 0, 6, 1, 7, 6, 0, 7})
-	f.Add(int64(4), uint8(1), uint8(2), false, []byte{1, 0, 3, 3, 0, 3, 0, 5, 0, 2, 0, 1, 2, 2, 1, 1, 4, 0, 6, 1, 6, 0, 7, 7})
+	f.Add(int64(1), uint8(4), uint8(0), uint8(0), false, []byte{0, 0, 1, 0, 9, 3, 0, 3, 0, 2, 0, 7, 4, 0, 2, 5, 0, 2, 1, 1, 0, 12, 6, 0, 7, 6, 0, 7})
+	f.Add(int64(2), uint8(2), uint8(0), uint8(1), true, []byte{0, 0, 1, 0, 5, 3, 0, 3, 0, 5, 0, 2, 1, 0, 1, 2, 1, 4, 6, 0, 6, 0, 7, 0, 0, 1, 0, 3})
+	f.Add(int64(3), uint8(3), uint8(0), uint8(2), true, []byte{0, 0, 1, 0, 7, 3, 0, 4, 0, 3, 0, 1, 2, 1, 3, 1, 1, 1, 6, 0, 2, 0, 6, 1, 7, 6, 0, 7})
+	f.Add(int64(4), uint8(1), uint8(0), uint8(2), false, []byte{1, 0, 3, 3, 0, 3, 0, 5, 0, 2, 0, 1, 2, 2, 1, 1, 4, 0, 6, 1, 6, 0, 7, 7})
 	// A released cache's half-filled page comes back to the next one.
-	f.Add(int64(5), uint8(3), uint8(0), false, []byte{0, 1, 0, 6, 6, 0, 0, 1, 0, 1})
-	f.Add(int64(6), uint8(3), uint8(2), true, []byte{0, 1, 0, 6, 6, 0, 0, 1, 0, 1})
-	f.Fuzz(func(t *testing.T, seed int64, pageTokens, width uint8, summaries bool, ops []byte) {
-		checkPagePoolAliasing(t, seed, int(pageTokens%8)+1, []int{0, 8, 4}[width%3], summaries, ops)
+	f.Add(int64(5), uint8(3), uint8(0), uint8(0), false, []byte{0, 1, 0, 6, 6, 0, 0, 1, 0, 1})
+	f.Add(int64(6), uint8(3), uint8(0), uint8(2), true, []byte{0, 1, 0, 6, 6, 0, 0, 1, 0, 1})
+	// Three pages: a promise opened in part, a second cache refused a
+	// promise and then panicking on its unpromised page, a promise shrunk.
+	f.Add(int64(7), uint8(1), uint8(3), uint8(0), false, []byte{0, 8, 0, 4, 1, 0, 5, 0, 0, 8, 1, 2, 1, 1, 1, 6, 0, 0, 8, 0, 3, 8, 0, 1, 1, 0, 4, 6, 0})
+	// Two pages: a clone's tail page takes the pool past its budget; a
+	// promise that does not grow still succeeds, one that grows fails.
+	f.Add(int64(8), uint8(1), uint8(2), uint8(1), true, []byte{0, 1, 0, 4, 3, 0, 2, 0, 3, 8, 1, 0, 8, 1, 1, 8, 1, 2, 1, 1, 1, 1, 1, 1, 6, 0})
+	f.Fuzz(func(t *testing.T, seed int64, pageTokens, budget, width uint8, summaries bool, ops []byte) {
+		checkPagePoolAliasing(t, seed, int(pageTokens%8)+1, int(budget%16), []int{0, 8, 4}[width%3], summaries, ops)
 	})
 }

@@ -58,8 +58,8 @@ func (e *Engine) before(a, b *reqState) bool {
 // while batch slots and prompt pages are available. Admission only
 // allocates: it looks the prompt up in the prefix cache, builds the request's
 // cache from the longest match (whole pages by reference, the rest of the
-// match copied into the private tail page) and reserves the pages the
-// remainder needs, evicting unpinned cached pages to make room. No forward
+// match copied into the private tail page) and has the pool promise the pages
+// the remainder needs, evicting unpinned cached pages to make room. No forward
 // pass runs under the lock — what the cache did not cover prefills chunk by
 // chunk inside the iteration loop, interleaved with running decodes
 // (stepOnce).
@@ -96,16 +96,17 @@ func (e *Engine) admitLocked() {
 		// count as used, so the check below asks whether the request fits
 		// once every unpinned page is gone.
 		e.tree.pin(path)
-		need := kvcache.PagesFor(len(prompt), pt) - len(path)
-		// The first decode step would open a page immediately; reserve it
-		// now so admission cannot thrash (admit, prefill, evict on the very
-		// next step, repeat). A request with one token left retires on the
-		// pass that decides it and runs no decode step.
-		reserved := len(prompt)%pt == 0 && len(rs.generated)+1 < rs.req.MaxNew
-		if reserved {
-			need++
+		// The promise covers the prompt and, for a request that will decode,
+		// the token its first decode step appends: were that step to open a
+		// page unpromised, admission could thrash (admit, prefill, evict on
+		// the very next step, repeat). A request with one token left retires
+		// on the pass that decides it and runs no decode step.
+		promised := len(prompt)
+		if len(rs.generated)+1 < rs.req.MaxNew {
+			promised++
 		}
-		if e.pageBudget > 0 && e.usedPages()+need > e.pageBudget {
+		need := kvcache.PagesFor(promised, pt) - len(path)
+		if b := e.kv.Budget(); b > 0 && e.usedPages()+need > b {
 			e.tree.unpin(path)
 			break // head request waits for pages; keep order
 		}
@@ -114,7 +115,7 @@ func (e *Engine) admitLocked() {
 		if rs.start < 0 {
 			rs.start = e.Now()
 		}
-		cache := e.kv.NewCache(e.pageBudget)
+		cache := e.kv.NewCache()
 		for _, n := range path {
 			cache.AdoptPage(n.page)
 		}
@@ -130,10 +131,14 @@ func (e *Engine) admitLocked() {
 			cache.Release(cache.Pages())
 			cache = clone
 		}
-		for e.pageBudget > 0 && e.chargedPages()+need > e.pageBudget {
-			e.tree.evict() // an unpinned page exists: used+need fits, charged+need does not
+		// Only now, with the match copied out of its tail page, may eviction
+		// take that page: the tail node is not on the pinned path. Until the
+		// promise fits an unpinned page exists, since used+need fits.
+		err := cache.Reserve(promised - matched)
+		for err != nil && e.tree.evict() {
+			err = cache.Reserve(promised - matched)
 		}
-		if err := cache.Reserve(len(prompt) - matched); err != nil {
+		if err != nil {
 			// Cannot happen for a validated request; retire defensively.
 			rs.cache, rs.nodes = cache, path
 			e.releaseLocked(rs)
@@ -156,11 +161,8 @@ func (e *Engine) admitLocked() {
 		if e.sparse {
 			rs.sealable = (len(prompt) - replay) / pt
 		}
-		rs.pages = need
-		rs.reserved = reserved
 		rs.load = float64(len(rs.req.Prompt) + rs.remaining())
 		e.runningLoad += rs.load
-		e.privatePages += need
 		e.running = append(e.running, rs)
 		e.stats.Admitted++
 		if len(e.running) > e.stats.PeakRunning {
@@ -175,7 +177,7 @@ func (e *Engine) admitLocked() {
 
 // sealLocked moves the pages rs has filled since it last looked into the
 // prefix cache: each becomes a tree node holding the page by reference,
-// pinned by rs, and stops counting as private. The caller holds mu.
+// pinned by rs. The caller holds mu.
 func (e *Engine) sealLocked(rs *reqState) {
 	pt := e.cfg.PageTokens
 	for i := len(rs.nodes); i < rs.sealable && (i+1)*pt <= rs.cache.TotalAppended(); i++ {
@@ -196,21 +198,17 @@ func (e *Engine) sealLocked(rs *reqState) {
 			return
 		}
 		rs.nodes = append(rs.nodes, n)
-		rs.pages--
-		e.privatePages--
 	}
 }
 
 // releaseLocked returns everything a running request holds to the ledger:
-// its cache goes back to the page pool with its private pages — every page
-// from index len(rs.nodes) on; the ones before are the tree's — and its path
-// is unpinned: those pages stay cached, evictable, so a preempted request
-// re-admitted soon resumes from whatever prefix survived. The caller holds mu
-// and removes rs from the running set.
+// its cache goes back to the page pool with its promise and private pages —
+// every page from index len(rs.nodes) on; the ones before are the tree's —
+// and its path is unpinned: those pages stay cached, evictable, so a
+// preempted request re-admitted soon resumes from whatever prefix survived.
+// The caller holds mu and removes rs from the running set.
 func (e *Engine) releaseLocked(rs *reqState) {
 	rs.cache.Release(len(rs.nodes))
-	e.privatePages -= rs.pages
-	rs.pages = 0
 	e.tree.unpin(rs.nodes)
 	clear(rs.nodes)
 	rs.nodes = rs.nodes[:0]

@@ -27,7 +27,7 @@ type reqState struct {
 	// preemption (recompute). prefilled counts how many of them are in the
 	// cache; the loop advances it chunk by chunk, and sess stays nil until
 	// the whole prompt is in (a mid-prefill request occupies a batch slot
-	// and its reserved pages but contributes no decode lane yet).
+	// and its promised pages but contributes no decode lane yet).
 	prompt    []int
 	prefilled int
 	// replay counts trailing prompt tokens (decode-produced before a
@@ -65,17 +65,6 @@ type reqState struct {
 	// another request cached before it.
 	nodes    []*pageNode
 	sealable int
-	// pages is the request's private page charge against the engine
-	// budget: pages reserved at admission plus pages opened by decode,
-	// minus the pages on nodes. Preemption and retirement release exactly
-	// this amount.
-	pages int
-	// reserved marks a first-decode-step page charged at admission
-	// (prompt length page-aligned): admission reserves it so a freshly
-	// admitted request cannot be admitted and then immediately evicted —
-	// and its prefill wasted — by its own first step's page need. The
-	// flag is consumed by the step that opens the page.
-	reserved bool
 }
 
 // tokenAt returns the token at sequence position p, for any position whose
@@ -109,21 +98,18 @@ type Engine struct {
 	// requests replay their decode-produced tokens instead of dense-
 	// prefilling them.
 	sparse bool
-	// pageBudget is cfg.KVPages converted to the engine's page currency:
-	// identical for fp32 caches, scaled up by kvcache.ScaledPageBudget when
-	// KVQuantBits is set (the same bytes hold more quantized pages). All
-	// admission, reservation, and preemption accounting uses this value.
-	pageBudget int
 	// kv is the page pool every request cache draws from and gives back to:
 	// a request's private pages when it is released, a cached page when the
-	// tree evicts it. Only the loop touches it (New, before the loop starts).
+	// tree evicts it. Its budget is cfg.KVPages scaled by
+	// kvcache.ScaledPageBudget (the same bytes hold more quantized pages).
+	// Only the loop touches its counts (New, before the loop starts).
 	kv *kvcache.PagePool
 
-	// tree is the prefix cache. Its pages and the running requests' private
-	// pages are one ledger under pageBudget:
+	// tree is the prefix cache. Its pages and the running requests' are the
+	// pool's one ledger:
 	//
-	//	charged = privatePages + tree.pages   (never above pageBudget)
-	//	used    = privatePages + tree.pinned  (what routers and PeakPages see)
+	//	charged = pages out + pages promised   (kv.Charged, within the budget)
+	//	used    = charged - unpinned cached    (what routers and PeakPages see)
 	//
 	// and the difference, the unpinned cached pages, is evicted before any
 	// admission waits or any running request is preempted. prewarmPages is
@@ -133,8 +119,6 @@ type Engine struct {
 
 	// loop-private state (touched only by the run goroutine).
 	running []*reqState
-	// privatePages sums reqState.pages over the running set.
-	privatePages int
 	// runBuf is scratch for one page's token run.
 	runBuf []int
 	// loopSteps counts scheduling iterations for Config.StepHook — loop-
@@ -214,29 +198,33 @@ func newEngine(m *model.Model, cfg Config) (*Engine, error) {
 	}
 	shape := m.CacheShape()
 	sparse := m.SparseTopK() > 0
+	budget := kvcache.ScaledPageBudget(cfg.KVPages, shape, cfg.PageTokens, cfg.KVQuantBits)
 	e := &Engine{
-		m:          m,
-		pool:       core.NewWorkspacePool(m),
-		cfg:        cfg,
-		start:      start,
-		sparse:     sparse,
-		pageBudget: kvcache.ScaledPageBudget(cfg.KVPages, shape, cfg.PageTokens, cfg.KVQuantBits),
-		kv:         kvcache.NewPagePool(shape, cfg.PageTokens, cfg.KVQuantBits, sparse),
-		wake:       make(chan struct{}, 1),
-		done:       make(chan struct{}),
+		m:      m,
+		pool:   core.NewWorkspacePool(m),
+		cfg:    cfg,
+		start:  start,
+		sparse: sparse,
+		kv:     kvcache.NewPagePool(shape, cfg.PageTokens, budget, cfg.KVQuantBits, sparse),
+		wake:   make(chan struct{}, 1),
+		done:   make(chan struct{}),
 	}
 	idleCap := math.MaxInt // a page budget is its own bound
-	if e.pageBudget == 0 {
+	if budget == 0 {
 		fp32Pages := prefixCacheBytes * 8 / (kvcache.PageBitsFP32(shape, cfg.PageTokens) * int64(shape.Layers))
 		idleCap = kvcache.ScaledPageBudget(int(fp32Pages), shape, cfg.PageTokens, cfg.KVQuantBits)
 	}
 	e.tree = newPrefixTree(e.kv, cfg.PageTokens, idleCap)
 	if len(cfg.SharedPrefix) > 0 {
+		if need := kvcache.PagesFor(len(cfg.SharedPrefix), cfg.PageTokens); budget > 0 && need >= budget {
+			return nil, fmt.Errorf("%w: shared prefix needs %d pages, budget %d leaves no room for requests",
+				kvcache.ErrOutOfPages, need, budget)
+		}
 		// Construction-time prefill has no decode traffic to interleave
 		// with, but the chunk plane's batched GEMMs still finish a long
 		// prefix several times faster than token-at-a-time ForwardInto —
 		// and warm the pooled batch workspace the loop will reuse.
-		cache := e.kv.NewCache(e.pageBudget)
+		cache := e.kv.NewCache()
 		sb := e.pool.GetBatch()
 		e.m.PrefillChunkInto(sb.Batch(), cfg.SharedPrefix, cfg.PrefillChunk, cache)
 		e.pool.PutBatch(sb)
@@ -251,10 +239,6 @@ func newEngine(m *model.Model, cfg Config) (*Engine, error) {
 		cache.Release(cache.Pages())
 		e.prewarmPages = e.tree.pinned
 		e.viewPagesOut = e.kv.Out()
-		if e.pageBudget > 0 && e.prewarmPages >= e.pageBudget {
-			return nil, fmt.Errorf("%w: shared prefix needs %d pages, budget %d leaves no room for requests",
-				kvcache.ErrOutOfPages, e.prewarmPages, e.pageBudget)
-		}
 		e.viewUsedPages = e.prewarmPages
 		e.stats.PeakPages = e.prewarmPages
 	}
@@ -269,10 +253,25 @@ func newEngine(m *model.Model, cfg Config) (*Engine, error) {
 // what dense prefill wrote.
 func matchLimit(n, replay int) int { return min(n-1, n-replay) }
 
-// usedPages is the pages live requests reference plus the pre-warm;
-// chargedPages adds the evictable cached pages. See Engine.tree.
-func (e *Engine) usedPages() int    { return e.privatePages + e.tree.pinned }
-func (e *Engine) chargedPages() int { return e.privatePages + e.tree.pages }
+// chargedPages is the pool's count of pages out and promised; usedPages leaves
+// out the evictable cached pages. See Engine.tree.
+func (e *Engine) chargedPages() int { return e.kv.Charged() }
+func (e *Engine) usedPages() int    { return e.chargedPages() - (e.tree.pages - e.tree.pinned) }
+
+// LifetimePages returns the pages req needs to run to completion alone on
+// this engine's coldest cache: its prompt and all but its last token (sent,
+// never fed), less the pre-warmed pages its prompt starts with. Submit and
+// the fleet's migration both admit by it.
+func (e *Engine) LifetimePages(req Request) int {
+	need := kvcache.PagesFor(len(req.Prompt)+req.MaxNew-1, e.cfg.PageTokens)
+	if e.prewarmPages > 0 {
+		e.mu.Lock()
+		warm, _, _ := e.tree.match(req.Prompt, matchLimit(len(req.Prompt), req.Replay), true, nil)
+		e.mu.Unlock()
+		need -= len(warm)
+	}
+	return need
+}
 
 // Config returns the engine's normalized configuration.
 func (e *Engine) Config() Config { return e.cfg }
@@ -284,10 +283,10 @@ func (e *Engine) Config() Config { return e.cfg }
 // iteration that decided it, and the loop yields the processor after every
 // iteration, so a reader sharing it receives the token before the next
 // iteration starts. Submit fails fast with kvcache.ErrOutOfPages when the
-// request could never fit the page budget even running alone, caching its
-// prompt and all but the last of its MaxNew tokens — the admission invariant
-// that makes preemption livelock-free (any admitted request can always run
-// to completion by itself).
+// request could never fit the page budget even running alone
+// (LifetimePages) — the admission invariant that makes preemption
+// livelock-free (any admitted request can always run to completion by
+// itself).
 func (e *Engine) Submit(ctx context.Context, req Request) (<-chan Token, error) {
 	if len(req.Prompt) == 0 {
 		return nil, fmt.Errorf("sched: empty prompt")
@@ -303,18 +302,8 @@ func (e *Engine) Submit(ctx context.Context, req Request) (<-chan Token, error) 
 	if req.Replay < 0 || req.Replay >= len(req.Prompt) {
 		return nil, fmt.Errorf("sched: replay %d out of range for prompt of %d", req.Replay, len(req.Prompt))
 	}
-	if e.pageBudget > 0 {
-		// Running alone, with the cache as cold as it can get: only pages of
-		// the pre-warmed prefix are certain to be there at admission. The last
-		// token is decided, sent and never fed, so it is never cached.
-		need := kvcache.PagesFor(len(req.Prompt)+req.MaxNew-1, e.cfg.PageTokens)
-		if e.prewarmPages > 0 {
-			e.mu.Lock()
-			warm, _, _ := e.tree.match(req.Prompt, matchLimit(len(req.Prompt), req.Replay), true, nil)
-			e.mu.Unlock()
-			need -= len(warm)
-		}
-		if budget := e.pageBudget - e.prewarmPages; need > budget {
+	if b := e.kv.Budget(); b > 0 {
+		if need, budget := e.LifetimePages(req), b-e.prewarmPages; need > budget {
 			return nil, fmt.Errorf("%w: request needs %d pages, budget %d", kvcache.ErrOutOfPages, need, budget)
 		}
 	}
@@ -471,7 +460,7 @@ func (e *Engine) View() View {
 		Running:       e.viewRunning,
 		BacklogTokens: e.runningLoad,
 		UsedPages:     e.viewUsedPages,
-		PageBudget:    e.pageBudget,
+		PageBudget:    e.kv.Budget(),
 		PageTokens:    e.cfg.PageTokens,
 		PrefillTokens: e.viewPrefill,
 		StepSeconds:   e.viewStep,

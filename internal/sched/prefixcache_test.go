@@ -18,8 +18,15 @@ import (
 // (from a StepHook or Migrate hook, which hold no lock) or after Close, once
 // the loop has exited.
 //
-//   - privatePages is the sum of the running requests' private charges, each
-//     of which is what the request's cache needs beyond its cached path;
+//   - every running request's private charge — its cache's pages plus its
+//     promise, less its cached path — is what the request needs beyond that
+//     path, recomputed here from its tokens: its prompt and, until its first
+//     decode step opens it, the page that step appends into (a request that
+//     will decode was promised it at admission), or every token it appended
+//     since;
+//   - the caches' promises sum to the pool's promised count, and the pool's
+//     charge is its pages out plus its pages promised, in whole pages: the
+//     running requests' private charges plus the tree's pages;
 //   - tree.pages / tree.pinned count the tree's nodes / its referenced nodes;
 //   - a node's refs is the number of running requests on whose path it lies,
 //     plus one if pre-warmed — so no node is both unpinned and referenced;
@@ -34,16 +41,30 @@ import (
 //     With nothing running (after Drain and Close) that is the tree's alone.
 func checkLedger(e *Engine) error {
 	pt := e.cfg.PageTokens
+	layers := e.m.CacheShape().Layers
 	refs := map[*pageNode]int{}
-	private := 0
+	private, promised := 0, 0
 	for _, rs := range e.running {
-		private += rs.pages
-		held := kvcache.PagesFor(max(len(rs.prompt), rs.cache.TotalAppended()), pt)
-		if rs.reserved {
-			held++
+		allocated, promise := rs.cache.LayerPages(0), rs.cache.Promised()
+		for l := 1; l < layers; l++ {
+			if rs.cache.LayerPages(l) != allocated {
+				return fmt.Errorf("request %d: %d pages in layer %d, %d in layer 0", rs.req.ID, rs.cache.LayerPages(l), l, allocated)
+			}
 		}
-		if rs.pages != held-len(rs.nodes) {
-			return fmt.Errorf("request %d: private charge %d, want %d held - %d cached", rs.req.ID, rs.pages, held, len(rs.nodes))
+		if promise < 0 || promise%layers != 0 {
+			return fmt.Errorf("request %d: %d layer-pages promised over %d layers", rs.req.ID, promise, layers)
+		}
+		promised += promise
+		charge := allocated + promise/layers - len(rs.nodes)
+		private += charge
+		tokens := len(rs.prompt)
+		if generated := len(rs.prompt) - len(rs.req.Prompt); generated+1 < rs.req.MaxNew {
+			tokens++ // will decode
+		}
+		held := kvcache.PagesFor(max(tokens, rs.cache.TotalAppended()), pt)
+		if charge != held-len(rs.nodes) {
+			return fmt.Errorf("request %d: private charge %d (%d allocated + %d promised - %d cached), want %d held - %d cached",
+				rs.req.ID, charge, allocated, promise/layers, len(rs.nodes), held, len(rs.nodes))
 		}
 		if len(rs.nodes) > rs.sealable || len(rs.nodes)*pt > rs.cache.TotalAppended() {
 			return fmt.Errorf("request %d: %d cached pages, sealable %d, %d tokens in cache", rs.req.ID, len(rs.nodes), rs.sealable, rs.cache.TotalAppended())
@@ -61,8 +82,15 @@ func checkLedger(e *Engine) error {
 			parent = n
 		}
 	}
-	if private != e.privatePages {
-		return fmt.Errorf("privatePages = %d, running requests hold %d", e.privatePages, private)
+	out, inPool := e.kv.Out(), e.kv.Promised()
+	if promised != inPool {
+		return fmt.Errorf("running requests' caches hold %d promised layer-pages, the pool counts %d", promised, inPool)
+	}
+	if out%layers != 0 || inPool%layers != 0 || e.chargedPages() != out/layers+inPool/layers {
+		return fmt.Errorf("charged %d pages; the pool has %d layer-pages out and %d promised over %d layers", e.chargedPages(), out, inPool, layers)
+	}
+	if e.chargedPages() != private+e.tree.pages {
+		return fmt.Errorf("charged %d pages, running requests hold %d privately and the tree %d", e.chargedPages(), private, e.tree.pages)
 	}
 	ring := map[*pageNode]int{}
 	for n, i := e.tree.idle.next, 0; n != &e.tree.idle; n, i = n.next, i+1 {
@@ -110,20 +138,19 @@ func checkLedger(e *Engine) error {
 	if pages != e.tree.pages || pinned != e.tree.pinned || len(ring) != pages-pinned {
 		return fmt.Errorf("tree counts %d pages %d pinned, walk found %d and %d, ring holds %d", e.tree.pages, e.tree.pinned, pages, pinned, len(ring))
 	}
-	if e.pageBudget > 0 && e.chargedPages() > e.pageBudget {
-		return fmt.Errorf("charged %d pages, budget %d", e.chargedPages(), e.pageBudget)
+	if b := e.kv.Budget(); b > 0 && e.chargedPages() > b {
+		return fmt.Errorf("charged %d pages, budget %d", e.chargedPages(), b)
 	}
-	if e.pageBudget == 0 && pages-pinned > e.tree.idleCap {
+	if e.kv.Budget() == 0 && pages-pinned > e.tree.idleCap {
 		return fmt.Errorf("%d unpinned pages retained, bound %d", pages-pinned, e.tree.idleCap)
 	}
-	layers := e.m.CacheShape().Layers
 	allocated := 0
 	for _, rs := range e.running {
 		for l := 0; l < layers; l++ {
 			allocated += rs.cache.LayerPages(l) - len(rs.nodes)
 		}
 	}
-	if out := e.kv.Out(); out != allocated+layers*e.tree.pages || out > layers*e.chargedPages() {
+	if out != allocated+layers*e.tree.pages || out > layers*e.chargedPages() {
 		return fmt.Errorf("page pool has %d layer-pages out; running requests allocated %d privately, the tree holds %d pages of %d layers, %d charged",
 			out, allocated, e.tree.pages, layers, e.chargedPages())
 	}
@@ -446,10 +473,10 @@ func runGenerated(t *testing.T, s genSchedule, cfg Config, topK int, tight bool)
 	if v := e.View(); v.UsedPages != e.prewarmPages {
 		t.Errorf("after Drain: UsedPages = %d, want the pre-warm's %d", v.UsedPages, e.prewarmPages)
 	}
-	if e.pageBudget > 0 && (st.PeakPages > e.pageBudget || st.PrefixCachePages > e.pageBudget) {
-		t.Errorf("PeakPages %d, PrefixCachePages %d, budget %d", st.PeakPages, st.PrefixCachePages, e.pageBudget)
+	if b := e.kv.Budget(); b > 0 && (st.PeakPages > b || st.PrefixCachePages > b) {
+		t.Errorf("PeakPages %d, PrefixCachePages %d, budget %d", st.PeakPages, st.PrefixCachePages, b)
 	}
-	if e.pageBudget == 0 && st.PrefixCachePages > e.prewarmPages+e.tree.idleCap {
+	if e.kv.Budget() == 0 && st.PrefixCachePages > e.prewarmPages+e.tree.idleCap {
 		t.Errorf("after Drain: %d pages cached, bound %d + pre-warm %d", st.PrefixCachePages, e.tree.idleCap, e.prewarmPages)
 	}
 	e.Close()
@@ -459,9 +486,9 @@ func runGenerated(t *testing.T, s genSchedule, cfg Config, topK int, tight bool)
 	if st := e.Stats(); st.PoolPagesOut != m.CacheShape().Layers*st.PrefixCachePages {
 		t.Errorf("after Drain and Close: %d layer-pages out of the pool, %d cached", st.PoolPagesOut, st.PrefixCachePages)
 	}
-	if len(e.running) != 0 || e.privatePages != 0 || e.tree.pinned != e.prewarmPages || e.tree.pages != st.PrefixCachePages {
+	if private := e.chargedPages() - e.tree.pages; len(e.running) != 0 || private != 0 || e.tree.pinned != e.prewarmPages || e.tree.pages != st.PrefixCachePages {
 		t.Errorf("after Drain and Close: %d running, %d private pages, %d pinned (pre-warm %d), %d cached (%d when drained)",
-			len(e.running), e.privatePages, e.tree.pinned, e.prewarmPages, e.tree.pages, st.PrefixCachePages)
+			len(e.running), private, e.tree.pinned, e.prewarmPages, e.tree.pages, st.PrefixCachePages)
 	}
 	// One cause per token, over the whole run and request by request: one
 	// never preempted ran a lane-step for every token but its first, so
@@ -608,5 +635,61 @@ func TestPrefixCacheEvictsBeforeStalling(t *testing.T) {
 	}
 	if v := e.View(); v.UsedPages != 0 || v.FreePages() != 6 {
 		t.Fatalf("drained engine reports %d used, %d free pages; cached pages must count as free", v.UsedPages, v.FreePages())
+	}
+}
+
+// TestAdmissionEvictsTheTailItClones: admission must copy a match out of the
+// cached page it ends inside before it evicts to make room, because that page
+// is not on the request's pinned path and may be the very one eviction takes.
+// Request a leaves two sealed pages cached, unpinned, its last page first in
+// line for eviction. Request b shares a's first page and the first two tokens
+// of its second, so it adopts the first and copies those two tokens out of
+// the second into its private tail page; that tail page and b's promise fill
+// the three-page budget only once the second page is evicted. Had eviction
+// run first, the copy would read a page already back in the pool and handed
+// out again as the copy's own destination.
+func TestAdmissionEvictsTheTailItClones(t *testing.T) {
+	const maxNew = 2
+	a := []int{30, 31, 32, 33, 34, 35, 36, 37, 38}
+	b := []int{30, 31, 32, 33, 34, 35, 90, 91}
+	want := sequentialReference(t, [][]int{a, b}, maxNew)
+	var e *Engine
+	var ledgerErr error // written by the loop, read after Close
+	e = newTestEngine(t, Config{MaxBatch: 2, PageTokens: 4, KVPages: 3, StepHook: func(step int) {
+		if err := checkLedger(e); err != nil && ledgerErr == nil {
+			ledgerErr = fmt.Errorf("before step %d: %w", step, err)
+		}
+	}})
+	for i, prompt := range [][]int{a, b} {
+		ch, err := e.Submit(context.Background(), Request{ID: i, Prompt: prompt, MaxNew: maxNew, Arrival: -1})
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		got := collect(t, ch)
+		if len(got) != maxNew {
+			t.Fatalf("request %d: %d tokens, want %d", i, len(got), maxNew)
+		}
+		for j := range got {
+			if got[j] != want[i][j] {
+				t.Fatalf("request %d token %d: %d != sequential %d", i, j, got[j], want[i][j])
+			}
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := e.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	st := e.Stats()
+	if st.PrefixHits != 1 || st.PrefixTokensSaved != 6 || st.PrefixEvictions != 1 || st.Preemptions != 0 {
+		t.Errorf("PrefixHits %d saving %d tokens, PrefixEvictions %d, Preemptions %d; want 1 saving 6, 1, 0",
+			st.PrefixHits, st.PrefixTokensSaved, st.PrefixEvictions, st.Preemptions)
+	}
+	e.Close()
+	if err := checkLedger(e); err != nil {
+		t.Errorf("after Drain and Close: %v", err)
+	}
+	if ledgerErr != nil {
+		t.Error(ledgerErr)
 	}
 }

@@ -172,7 +172,7 @@ func FuzzPrefixTreeMatchesModel(f *testing.F) {
 		}
 		const pageTokens, slots, alphabet = 2, 3, 3
 		idleCap := 1 + int(ops[0]%6)
-		pool := kvcache.NewPagePool(kvcache.Shape{Layers: 1, KVHeads: 1, HeadDim: 2}, pageTokens, 0, false)
+		pool := kvcache.NewPagePool(kvcache.Shape{Layers: 1, KVHeads: 1, HeadDim: 2}, pageTokens, 0, 0, false)
 		tr := newPrefixTree(pool, pageTokens, idleCap)
 		m := &treeModel{pageTokens: pageTokens, idleCap: idleCap, refs: map[string]int{}}
 		// Each slot is one request's pinned path: nodes and model keys.
@@ -206,7 +206,7 @@ func FuzzPrefixTreeMatchesModel(f *testing.F) {
 				}
 				k := prefix + modelKey(run)
 				_, exists := m.refs[k]
-				c := pool.NewCache(0)
+				c := pool.NewCache()
 				c.AppendFlatN(0, pageTokens, make([]float32, 2*pageTokens), make([]float32, 2*pageTokens))
 				n := tr.insert(parent, run, c, 0)
 				if (n == nil) != exists {

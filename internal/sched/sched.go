@@ -269,10 +269,9 @@ type Stats struct {
 	Completed   int // requests finished to their token cap
 	Cancelled   int // requests retired early by their context
 	PeakRunning int // max concurrent decode streams
-	// PeakPages is the most pages ever referenced at once by live requests
-	// plus the pre-warmed prefix — what View.UsedPages peaked at. Pages the
-	// prefix cache keeps beyond that are evictable and reported separately
-	// (PrefixCacheStats).
+	// PeakPages is what View.UsedPages peaked at, read after every admission
+	// and right after every fused pass. Pages the prefix cache keeps beyond
+	// that are evictable and reported separately (PrefixCacheStats).
 	PeakPages int
 	// PrefillChunks counts prompt chunks advanced through the fused plane,
 	// one per chunk — a budget-packed iteration carrying chunks from k
@@ -316,9 +315,8 @@ type Stats struct {
 	SparsePagesSelected int64
 	SparsePagesTotal    int64
 	// PoolPagesOut counts the pages the engine's KV page pool has handed out
-	// and not got back, per layer: Layers for every page the ledger holds
-	// (the running requests' allocated private pages and the prefix cache's),
-	// so after Close it is Layers*PrefixCachePages.
+	// and not got back, per layer: Layers for every page allocated (a
+	// promised page is not out), so after Close it is Layers*PrefixCachePages.
 	PoolPagesOut int
 }
 
@@ -351,9 +349,9 @@ type View struct {
 	// BacklogTokens is the queued-plus-running token load (prompt +
 	// predicted remaining at admission).
 	BacklogTokens float64
-	// UsedPages is the KV pages live requests reference plus the pre-warmed
-	// prefix — the part of the budget that cannot be reclaimed. Pages the
-	// prefix cache merely retains are evicted on demand and count as free.
+	// UsedPages is the KV pages out or promised, less the prefix cache's
+	// unpinned ones: the part of the budget that cannot be reclaimed. Pages
+	// the prefix cache merely retains are evicted on demand and count as free.
 	// PageBudget is the configured budget (0 = unbounded) and PageTokens
 	// the page size.
 	UsedPages  int

@@ -435,11 +435,15 @@ func TestSharedPrefixMissFallsBack(t *testing.T) {
 	}
 }
 
+// TestSharedPrefixBudgetTooSmall: a prefix that fills the whole budget, or
+// needs more pages than it has (three 16-token pages against two), is refused
+// with the typed error before any of it is prefilled.
 func TestSharedPrefixBudgetTooSmall(t *testing.T) {
 	m := model.New(model.Tiny(), seed)
-	prefix := make([]int, 32)
-	if _, err := New(m, Config{PageTokens: 4, KVPages: 8, SharedPrefix: prefix}); !errors.Is(err, kvcache.ErrOutOfPages) {
-		t.Fatalf("prefix filling the whole budget = %v, want ErrOutOfPages", err)
+	for _, c := range []struct{ prefix, pageTokens, pages int }{{32, 4, 8}, {40, 16, 2}} {
+		if _, err := New(m, Config{PageTokens: c.pageTokens, KVPages: c.pages, SharedPrefix: make([]int, c.prefix)}); !errors.Is(err, kvcache.ErrOutOfPages) {
+			t.Fatalf("%d-token prefix in %d-token pages under a %d-page budget = %v, want ErrOutOfPages", c.prefix, c.pageTokens, c.pages, err)
+		}
 	}
 }
 

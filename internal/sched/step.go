@@ -15,20 +15,20 @@ import (
 // submit-time invariant guarantees a lone request always fits, so the loop
 // terminates with at least one runner.
 func (e *Engine) preemptForStep() {
-	if e.pageBudget == 0 {
+	if e.kv.Budget() == 0 {
 		return
 	}
 	for {
 		needs := 0
 		for _, rs := range e.running {
-			// Mid-prefill requests open no pages this step: their whole
-			// prompt was reserved at admission — as were a replaying
-			// session's remaining prompt tokens.
-			if rs.sess != nil && rs.replay == 0 && rs.sess.Pos()%e.cfg.PageTokens == 0 && !rs.reserved {
+			// A lane whose next append opens a page no promise covers charges
+			// one more. Admission promised every prompt page (a replay tail's
+			// too) and the first decode page, so mid-prefill requests do not.
+			if rs.sess != nil && rs.sess.Pos()%e.cfg.PageTokens == 0 && rs.cache.Promised() == 0 {
 				needs++
 			}
 		}
-		over := e.chargedPages() + needs - e.pageBudget
+		over := e.chargedPages() + needs - e.kv.Budget()
 		if over <= 0 {
 			return
 		}
@@ -122,10 +122,9 @@ func (e *Engine) stepOnce() {
 	}
 	stepStart := time.Now()
 	// Partition the running set: decode lanes step, mid-prefill requests
-	// are packed below. Account pages the decode appends will open
-	// (reserved first-step pages were charged at admission);
-	// preemptForStep already made room. Prefill appends land in pages
-	// reserved at admission, so packing more chunks opens no pages.
+	// are packed below. preemptForStep made room for the pages decode
+	// appends open past their promises; prefill appends land in pages
+	// promised at admission, so packing more chunks charges nothing.
 	e.stepSessions = e.stepSessions[:0]
 	e.stepReqs = e.stepReqs[:0]
 	e.chunks = e.chunks[:0]
@@ -136,25 +135,7 @@ func (e *Engine) stepOnce() {
 		}
 		e.stepReqs = append(e.stepReqs, rs)
 		e.stepSessions = append(e.stepSessions, rs.sess)
-		if rs.replay > 0 {
-			// Replay steps append prompt tokens whose pages were reserved
-			// at admission; the reserved first-generation page (if any)
-			// stays held for the first post-replay step.
-			continue
-		}
-		if rs.sess.Pos()%e.cfg.PageTokens == 0 {
-			if rs.reserved {
-				rs.reserved = false
-				continue
-			}
-			e.privatePages++
-			rs.pages++
-		}
 	}
-	// Snapshot the page peak here (it only grows in this loop) and fold it
-	// into the post-step critical section below: one lock round-trip per
-	// iteration instead of a mid-loop lock just for PeakPages.
-	peakPages := e.usedPages()
 
 	// Pack this iteration's prefill chunks, oldest admission first: the pass
 	// carries chunks from every mid-prefill request until decode lanes +
@@ -201,6 +182,10 @@ func (e *Engine) stepOnce() {
 	nexts := e.chunkNexts[:len(e.chunks)]
 	var stepStats core.StepStats
 	core.StepMixedStatsInto(e.pool, e.stepSessions, toks, e.chunks, nexts, &stepStats)
+	// The page peak: every page this pass opened is charged now, and nothing
+	// has been released yet. It is folded into the post-step critical
+	// section below, one lock round-trip per iteration.
+	peakPages := e.usedPages()
 	chunkToks := 0
 	for i, rs := range e.chunkReqs {
 		ch := &e.chunks[i]

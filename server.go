@@ -32,8 +32,8 @@ type ServeRequest struct {
 
 // ServerStats is a snapshot of one engine's lifetime scheduler counters —
 // the scheduler's own type, so a counter added there is public with no
-// copying. PeakPages is the most KV pages simultaneously referenced by live
-// requests plus the pre-warmed prefix.
+// copying. PeakPages is the most KV pages simultaneously held or promised by
+// live requests plus the pre-warmed prefix.
 type ServerStats = sched.Stats
 
 // PrefixCacheStats is the prefix cache's share of the page ledger, embedded

@@ -225,6 +225,14 @@ func TestServerErrors(t *testing.T) {
 		t.Fatalf("zero batch = %v, want ErrInvalidOption", err)
 	}
 
+	if _, err := rethinkkv.NewServer(
+		rethinkkv.WithKVPages(2),
+		rethinkkv.WithPageTokens(16),
+		rethinkkv.WithSharedPrefix(make([]int, 40)),
+	); !errors.Is(err, rethinkkv.ErrOutOfPages) {
+		t.Fatalf("shared prefix past the budget = %v, want ErrOutOfPages", err)
+	}
+
 	srv, err := rethinkkv.NewServer(
 		rethinkkv.WithKVPages(4),
 		rethinkkv.WithPageTokens(4),
