@@ -41,9 +41,12 @@ onep:
 # (GEMM panel shards and attention lane shards spawn goroutines inside the fused
 # step at GOMAXPROCS>1; page selection runs inside those shards), quant and
 # kvcache (append-time encode and CoW page clones run inside them too), faults
-# (its hooks are called from engine loops and Submit paths at once).
+# (its hooks are called from engine loops and Submit paths at once), and the
+# facade's Pipeline, which Run, Generate and GenerateBatch share across
+# goroutines with no lock (TestPipelineConcurrentCallsMatchSequential).
 race-sched:
 	$(GO) test -race ./internal/sched ./internal/fleet ./internal/core ./internal/model ./internal/quant ./internal/kvcache ./internal/faults
+	$(GO) test -race -run TestPipelineConcurrentCallsMatchSequential .
 
 # fuzz-smoke runs each native fuzz target for ten seconds: the prefix-of-n
 # page clone (every page format, any page size and split), then the page pool

@@ -23,8 +23,10 @@ package accuracy
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"rethinkkv/internal/compress"
+	"rethinkkv/internal/core"
 	"rethinkkv/internal/kvcache"
 	"rethinkkv/internal/model"
 	"rethinkkv/internal/tensor"
@@ -93,9 +95,9 @@ type Reference struct {
 func (e *Evaluator) RunBaseline(s workload.Sample) *Reference {
 	shape := e.m.CacheShape()
 	cache := kvcache.NewFull(shape)
-	res := e.m.Prefill(s.Prompt, cache)
-	ref := &Reference{Sample: s, Hidden: res.Hidden, criticalK: map[int][][][]float32{}}
-	ref.Continuation = e.continueGreedy(cache, res.Logits, len(s.Prompt))
+	sess := e.session(cache, s.Prompt)
+	ref := &Reference{Sample: s, Hidden: slices.Clone(sess.Hidden()), criticalK: map[int][][][]float32{}}
+	ref.Continuation = sess.Decode(e.cfg.ContSteps)
 	// Harvest reference keys at critical positions. Full cache positions
 	// are the identity, so index == position.
 	for _, sp := range s.Critical {
@@ -120,18 +122,14 @@ func (e *Evaluator) RunBaseline(s workload.Sample) *Reference {
 	return ref
 }
 
-// continueGreedy decodes ContSteps tokens greedily from the given state.
-func (e *Evaluator) continueGreedy(cache kvcache.Cache, logits []float32, startPos int) []int {
-	out := make([]int, 0, e.cfg.ContSteps)
-	pos := startPos
-	for i := 0; i < e.cfg.ContSteps; i++ {
-		next := tensor.Argmax(logits)
-		out = append(out, next)
-		sr := e.m.Forward(next, pos, cache)
-		logits = sr.Logits
-		pos++
+// session prefills prompt into cache: the greedy stream every evaluation
+// decodes its continuation from.
+func (e *Evaluator) session(cache kvcache.Cache, prompt []int) *core.Session {
+	s, err := core.NewSession(e.m, cache, prompt)
+	if err != nil {
+		panic(err)
 	}
-	return out
+	return s
 }
 
 // Result is the per-sample, per-method evaluation outcome.
@@ -155,18 +153,12 @@ func (e *Evaluator) Evaluate(ref *Reference, methodName string) Result {
 	if err != nil {
 		panic(err)
 	}
-	res := e.m.Prefill(s.Prompt, cache)
-	if p, ok := cache.(compress.Prefiller); ok {
-		p.FinishPrefill()
-	}
+	sess := e.session(cache, s.Prompt)
+	hSim := max(tensor.CosineSim(ref.Hidden, sess.Hidden()), 0)
 	retention, fidelity := e.measureCritical(ref, cache)
-	cont := e.continueGreedy(cache, res.Logits, len(s.Prompt))
+	cont := sess.Decode(e.cfg.ContSteps)
 
 	agree := tokenAgreement(ref.Continuation, cont)
-	hSim := tensor.CosineSim(ref.Hidden, res.Hidden)
-	if hSim < 0 {
-		hSim = 0
-	}
 
 	r := Result{
 		Sample: s, Method: methodName,
@@ -217,35 +209,22 @@ func (e *Evaluator) EvaluateSparse(ref *Reference, topK, pageTokens int) SparseR
 	shape := e.m.CacheShape()
 	cache := kvcache.NewPagedKVQuant(shape, pageTokens, 0, 0)
 	cache.EnableKeySummaries()
-	ws := e.m.NewWorkspace()
-	// Prefill stays dense (the model's sparse branch only engages on the
-	// decode path, but the model-level prefill loop *is* decode steps —
-	// keep topK off until the continuation).
-	res := e.m.PrefillInto(ws, s.Prompt, cache)
+	// Prefill stays dense: a token-at-a-time prefill steps decode lanes, so
+	// topK stays off until the continuation.
+	sess := e.session(cache, s.Prompt)
+	hSim := max(tensor.CosineSim(ref.Hidden, sess.Hidden()), 0)
 	retention, fidelity := e.measureCritical(ref, cache)
 
 	prev := e.m.SparseTopK()
 	e.m.SetSparseTopK(topK)
-	ws.SetRecallProbe(true)
-	cont := make([]int, 0, e.cfg.ContSteps)
-	logits, pos := res.Logits, len(s.Prompt)
-	for i := 0; i < e.cfg.ContSteps; i++ {
-		next := tensor.Argmax(logits)
-		cont = append(cont, next)
-		sr := e.m.ForwardInto(ws, next, pos, cache)
-		logits = sr.Logits
-		pos++
-	}
-	ws.SetRecallProbe(false)
+	bw := sess.Batch()
+	bw.SetRecallProbe(true)
+	cont := sess.Decode(e.cfg.ContSteps)
 	e.m.SetSparseTopK(prev)
-	mass, cnt := ws.TakeRecall()
-	sel, tot := ws.TakeSparseStats()
+	mass, cnt := bw.TakeRecall()
+	sel, tot := bw.TakeSparseStats()
 
 	agree := tokenAgreement(ref.Continuation, cont)
-	hSim := tensor.CosineSim(ref.Hidden, res.Hidden)
-	if hSim < 0 {
-		hSim = 0
-	}
 	r := Result{
 		Sample: s, Method: fmt.Sprintf("sparse-k%d", topK),
 		Retention: retention, Fidelity: fidelity,

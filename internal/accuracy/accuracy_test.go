@@ -229,4 +229,11 @@ func TestEvaluateSparse(t *testing.T) {
 	if tight.Recall > loose.Recall {
 		t.Fatalf("recall %v at topK=2 exceeds %v at full budget", tight.Recall, loose.Recall)
 	}
+	// Prefill is dense into a lossless cache, so the prefill hidden state is
+	// the reference's whatever the budget: the continuation must not leak in.
+	for _, r := range []SparseResult{loose, tight} {
+		if r.HiddenSim < 1-1e-9 {
+			t.Fatalf("%s hidden similarity = %v, want 1 (prefill is dense and lossless)", r.Method, r.HiddenSim)
+		}
+	}
 }

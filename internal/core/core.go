@@ -1,7 +1,8 @@
 // Package core is the library's top-level facade: it wires a runnable tiny
-// model, a compression method's cache, and the analytical cost model into a
-// single Pipeline that callers (examples, experiment runners, downstream
-// users) drive with a few calls.
+// model and a compression method's cache into a Pipeline that callers
+// (examples, experiment runners, downstream users) drive with a few calls,
+// and one greedy Session that every offline caller steps — the pipeline, the
+// accuracy evaluator and the length study alike.
 package core
 
 import (
@@ -10,37 +11,29 @@ import (
 	"sync"
 
 	"rethinkkv/internal/compress"
-	"rethinkkv/internal/engine"
-	"rethinkkv/internal/gpu"
 	"rethinkkv/internal/kvcache"
 	"rethinkkv/internal/model"
-	"rethinkkv/internal/perf"
 	"rethinkkv/internal/tensor"
 )
 
 // Pipeline runs real generation under a compression method and reports the
-// cache-level effects. A pipeline is reusable: each generation pass runs on
-// a fresh cache built by the method's factory, so Run and NewSession may be
-// called any number of times.
+// cache-level effects. A pipeline is reusable and holds no per-run state: each
+// generation pass runs on a fresh cache built by the method's factory, so Run
+// and NewSession may be called any number of times, from any goroutines.
 type Pipeline struct {
 	Model  *model.Model
 	Method compress.Method
-	last   kvcache.Cache
 }
 
 // NewPipeline builds a pipeline over the tiny model with the named method's
 // tiny-scale cache. Seed fixes the model weights.
 func NewPipeline(methodName string, seed uint64) (*Pipeline, error) {
-	m := model.New(model.Tiny(), seed)
 	method, err := compress.Get(methodName)
 	if err != nil {
 		return nil, err
 	}
-	return &Pipeline{Model: m, Method: method, last: method.NewCache(m.CacheShape())}, nil
+	return &Pipeline{Model: model.New(model.Tiny(), seed), Method: method}, nil
 }
-
-// Cache exposes the most recent generation's cache for inspection.
-func (p *Pipeline) Cache() kvcache.Cache { return p.last }
 
 // Report summarises cache-level effects after a run.
 type Report struct {
@@ -52,60 +45,101 @@ type Report struct {
 	RetainedTokens   int // layer-0 head-0 retained entries
 }
 
-// Session is one generation pass: a prefilled fresh cache, a private scratch
-// workspace, and the decode state needed to emit tokens one at a time.
-// Sessions let callers stream and cancel mid-generation; the parent pipeline
-// stays reusable. Because every session owns its workspace and cache (model
-// weights are immutable), independent sessions may decode concurrently.
+// Session is one greedy decode stream: a prefilled cache and a private
+// one-lane batch workspace, stepped through the model's one forward pass
+// (model.ForwardMixedInto) at a single decode lane. Sessions let callers
+// stream and cancel mid-generation. Because every session owns its workspace
+// and cache (model weights are immutable), independent sessions may decode
+// concurrently.
 type Session struct {
-	p      *Pipeline
-	cache  kvcache.Cache
-	ws     *model.Workspace
-	pos    int
-	logits []float32
+	m      *model.Model
+	method string // Report's label: the pipeline's method, empty otherwise
+	bw     *model.BatchWorkspace
+	// The lane's ForwardMixedInto arguments, kept here so a step allocates
+	// nothing: the pending token, its position and the cache.
+	tok, pos [1]int
+	cache    [1]kvcache.Cache
+	last     model.StepResult
 }
 
-// NewSession prefills the prompt on a fresh cache and returns the decoding
-// state positioned at the first output token.
-func (p *Pipeline) NewSession(prompt []int) (*Session, error) {
+// NewSession prefills prompt into cache one token at a time, positions
+// continuing from what the cache already holds, and returns the decoding state
+// positioned at the first output token. Token at a time, not in chunks: a
+// chunk attends over the cache only once the whole chunk is in, and an
+// evicting or offline-quantizing cache changes what it holds as tokens arrive.
+// A cache that wants the prefill-end signal (compress.Prefiller) gets it.
+func NewSession(m *model.Model, cache kvcache.Cache, prompt []int) (*Session, error) {
 	if len(prompt) == 0 {
 		return nil, fmt.Errorf("core: empty prompt")
 	}
-	cache := p.Method.NewCache(p.Model.CacheShape())
-	ws := p.Model.NewWorkspace()
-	res := p.Model.PrefillInto(ws, prompt, cache)
+	s := &Session{m: m, bw: m.NewBatchWorkspace(1)}
+	s.pos[0] = cache.TotalAppended()
+	s.cache[0] = cache
+	for _, tok := range prompt {
+		s.step(tok)
+	}
 	if pf, ok := cache.(compress.Prefiller); ok {
 		pf.FinishPrefill()
 	}
-	p.last = cache
-	return &Session{p: p, cache: cache, ws: ws, pos: len(prompt), logits: res.Logits}, nil
+	return s, nil
 }
 
-// Next greedily decodes one token and advances the session. Steady-state
-// decode allocates nothing: the step runs entirely inside the session's
-// workspace and s.logits aliases its logit buffer.
+// NewSession prefills the prompt on a fresh cache of the pipeline's method.
+func (p *Pipeline) NewSession(prompt []int) (*Session, error) {
+	s, err := NewSession(p.Model, p.Method.NewCache(p.Model.CacheShape()), prompt)
+	if err != nil {
+		return nil, err
+	}
+	s.method = p.Method.Name
+	return s, nil
+}
+
+// step forwards tok at the session's position.
+func (s *Session) step(tok int) {
+	s.tok[0] = tok
+	res, _ := s.m.ForwardMixedInto(s.bw, s.tok[:], s.pos[:], s.cache[:], nil)
+	s.last = res[0]
+	s.pos[0]++
+}
+
+// Next greedily decodes one token and advances the session: the token the
+// last step's logits choose, fed back in. Steady-state decode allocates
+// nothing.
 func (s *Session) Next() int {
-	next := tensor.Argmax(s.logits)
-	sr := s.p.Model.ForwardInto(s.ws, next, s.pos, s.cache)
-	s.logits = sr.Logits
-	s.pos++
+	next := tensor.Argmax(s.last.Logits)
+	s.step(next)
 	return next
 }
 
-// Pos returns the number of tokens processed so far (prompt + emitted).
-func (s *Session) Pos() int { return s.pos }
+// Decode returns the next n tokens Next decodes.
+func (s *Session) Decode(n int) []int {
+	out := make([]int, max(n, 0))
+	for i := range out {
+		out[i] = s.Next()
+	}
+	return out
+}
 
-// Cache exposes the session's cache for inspection.
-func (s *Session) Cache() kvcache.Cache { return s.cache }
+// Hidden returns the last step's final hidden state. It aliases the session's
+// workspace until the next step; a caller that keeps it copies it.
+func (s *Session) Hidden() []float32 { return s.last.Hidden }
+
+// Batch exposes the session's one-lane batch workspace, for its diagnostics
+// (sparse page tallies, the recall probe).
+func (s *Session) Batch() *model.BatchWorkspace { return s.bw }
+
+// Pos returns the number of tokens processed so far (prompt + emitted).
+func (s *Session) Pos() int { return s.pos[0] }
 
 // Report summarises the session's cache-level effects so far.
 func (s *Session) Report() Report {
+	c := s.cache[0]
 	rep := Report{
-		Method:          s.p.Method.Name,
-		TokensProcessed: s.pos,
-		CacheBytes:      s.cache.MemoryBytes(),
-		FP16Bytes:       kvcache.FP16Bytes(s.cache.Shape(), s.pos),
-		RetainedTokens:  s.cache.Len(0, 0),
+		Method:          s.method,
+		TokensProcessed: s.Pos(),
+		CacheBytes:      c.MemoryBytes(),
+		FP16Bytes:       kvcache.FP16Bytes(c.Shape(), s.Pos()),
+		RetainedTokens:  c.Len(0, 0),
 	}
 	if rep.CacheBytes > 0 {
 		rep.CompressionRatio = float64(rep.FP16Bytes) / float64(rep.CacheBytes)
@@ -120,10 +154,7 @@ func (p *Pipeline) Run(prompt []int, maxNew int) ([]int, Report, error) {
 	if err != nil {
 		return nil, Report{}, err
 	}
-	out := make([]int, 0, maxNew)
-	for i := 0; i < maxNew; i++ {
-		out = append(out, s.Next())
-	}
+	out := s.Decode(maxNew)
 	return out, s.Report(), nil
 }
 
@@ -170,35 +201,4 @@ func DecodeSessions(ctx context.Context, sessions []*Session, maxNew int) ([][]i
 	}
 	wg.Wait()
 	return outs, reports
-}
-
-// System bundles the full-scale analytical view for one deployment choice.
-type System struct {
-	Est *perf.Estimator
-}
-
-// NewSystem builds the cost-model view for (hardware, model, engine,
-// method, TP) by name.
-func NewSystem(hwName, modelName, engineName, methodName string, tp int) (*System, error) {
-	hw, ok := gpu.ByName(hwName)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown hardware %q", hwName)
-	}
-	cfg, ok := model.ByName(modelName)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown model %q", modelName)
-	}
-	eng, err := engine.ByName(engineName)
-	if err != nil {
-		return nil, err
-	}
-	method, err := compress.Get(methodName)
-	if err != nil {
-		return nil, err
-	}
-	est, err := perf.New(hw, cfg, eng, method, tp)
-	if err != nil {
-		return nil, err
-	}
-	return &System{Est: est}, nil
 }

@@ -160,31 +160,6 @@ func TestSessionStreaming(t *testing.T) {
 	}
 }
 
-func TestNewSystem(t *testing.T) {
-	s, err := NewSystem("a6000", "llama-2-7b", "lmdeploy", "kivi-4", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if thr := s.Est.DecodeThroughput(1, 1024); thr <= 0 {
-		t.Fatalf("throughput = %v", thr)
-	}
-	// vLLM is a valid engine (Appendix A.4 comparison).
-	if _, err := NewSystem("a6000", "llama-2-7b", "vllm", "fp16", 1); err != nil {
-		t.Fatal(err)
-	}
-	bad := [][5]string{
-		{"tpu", "llama-2-7b", "lmdeploy", "fp16", "1"},
-		{"a6000", "gpt-2", "lmdeploy", "fp16", "1"},
-		{"a6000", "llama-2-7b", "tgi", "fp16", "1"},
-		{"a6000", "llama-2-7b", "lmdeploy", "zip-9", "1"},
-	}
-	for _, c := range bad {
-		if _, err := NewSystem(c[0], c[1], c[2], c[3], 1); err == nil {
-			t.Fatalf("expected error for %v", c)
-		}
-	}
-}
-
 // runBatch prefills every prompt, then decodes the sessions concurrently: the
 // two calls the facade's GenerateBatch makes.
 func runBatch(ctx context.Context, p *Pipeline, prompts [][]int, maxNew int) ([][]int, []Report, error) {

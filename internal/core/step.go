@@ -13,8 +13,8 @@ import (
 // scheduler (internal/sched) drives: sessions that keep no workspace of
 // their own, a pool of fused step batches, and one step entry point,
 // StepMixedStatsInto, that advances any set of sessions one token each and
-// any set of prompt chunks in a single fused pass. Unlike Session (one
-// workspace per stream, logits carried between steps), a StepSession
+// any set of prompt chunks in a single fused pass. Unlike Session (a
+// one-lane workspace of its own, logits carried between steps), a StepSession
 // carries only its cache, position and pre-computed next token, so one
 // pooled StepBatch serves an unbounded population of live requests.
 //
@@ -139,9 +139,6 @@ func NewPrefilledStepSession(m *model.Model, cache kvcache.Cache, next int) *Ste
 // Pos returns the number of tokens appended so far: the prompt and every
 // decided token but the pending one.
 func (s *StepSession) Pos() int { return s.pos }
-
-// Cache exposes the session's cache.
-func (s *StepSession) Cache() kvcache.Cache { return s.cache }
 
 // StepStats accumulates per-step counters a scheduler aggregates across its
 // serve loop. Currently: sparse attention's page-selection tallies, summed

@@ -19,23 +19,16 @@ func prefilled(m *model.Model, pool *WorkspacePool, prompt []int, cache kvcache.
 	return NewPrefilledStepSession(m, cache, next)
 }
 
-// sessionOver is Pipeline.NewSession over a caller-chosen cache: the
-// single-stream reference (ForwardInto prefill, Session.Next decode) every
-// step-plane stream is compared against token for token.
-func sessionOver(p *Pipeline, prompt []int, cache kvcache.Cache) *Session {
-	ws := p.Model.NewWorkspace()
-	res := p.Model.PrefillInto(ws, prompt, cache)
-	return &Session{p: p, cache: cache, ws: ws, pos: len(prompt), logits: res.Logits}
-}
-
-// sessionTokens decodes maxNew tokens with Session.Next.
+// sessionTokens decodes maxNew tokens with a Session over a caller-chosen
+// cache: the single-stream reference (one lane, token-at-a-time prefill,
+// Session.Next decode) every step-plane stream is compared against token for
+// token.
 func sessionTokens(p *Pipeline, prompt []int, cache kvcache.Cache, maxNew int) []int {
-	s := sessionOver(p, prompt, cache)
-	out := make([]int, maxNew)
-	for i := range out {
-		out[i] = s.Next()
+	s, err := NewSession(p.Model, cache, prompt)
+	if err != nil {
+		panic(err)
 	}
-	return out
+	return s.Decode(maxNew)
 }
 
 // pipelineOver builds the fp16 Pipeline whose model the step plane and the

@@ -5,12 +5,12 @@ import (
 
 	"rethinkkv/internal/accuracy"
 	"rethinkkv/internal/compress"
+	"rethinkkv/internal/core"
 	"rethinkkv/internal/engine"
 	"rethinkkv/internal/gen"
 	"rethinkkv/internal/kvcache"
 	"rethinkkv/internal/model"
 	"rethinkkv/internal/stats"
-	"rethinkkv/internal/tensor"
 	"rethinkkv/internal/workload"
 )
 
@@ -128,9 +128,7 @@ func Table4Verbosity(nSamples int, seed uint64) Table {
 	for _, name := range methods {
 		var sum float64
 		for _, s := range prompts {
-			refCache := kvcache.NewFull(tiny.CacheShape())
-			refRes := tiny.Prefill(s.Prompt, refCache)
-			ref := greedyContinue(tiny, refCache, refRes.Logits, len(s.Prompt), contSteps)
+			ref := greedyContinue(tiny, kvcache.NewFull(tiny.CacheShape()), s.Prompt, contSteps)
 			var out []int
 			if name == "fp16" {
 				// The FP16 row scores 100 by construction: the reference
@@ -142,11 +140,7 @@ func Table4Verbosity(nSamples int, seed uint64) Table {
 				if err != nil {
 					panic(err)
 				}
-				res := tiny.Prefill(s.Prompt, cache)
-				if p, ok := cache.(compress.Prefiller); ok {
-					p.FinishPrefill()
-				}
-				out = greedyContinue(tiny, cache, res.Logits, len(s.Prompt), contSteps)
+				out = greedyContinue(tiny, cache, s.Prompt, contSteps)
 			}
 			sum += accuracy.SemanticScore(ref, out, model.Tiny().Vocab)
 		}
@@ -173,15 +167,11 @@ func Table4Verbosity(nSamples int, seed uint64) Table {
 	return t
 }
 
-// greedyContinue decodes n greedy tokens from the given state.
-func greedyContinue(m *model.Model, cache kvcache.Cache, logits []float32, pos, n int) []int {
-	out := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		next := tensor.Argmax(logits)
-		out = append(out, next)
-		sr := m.Forward(next, pos, cache)
-		logits = sr.Logits
-		pos++
+// greedyContinue prefills prompt into cache and decodes n greedy tokens.
+func greedyContinue(m *model.Model, cache kvcache.Cache, prompt []int, n int) []int {
+	s, err := core.NewSession(m, cache, prompt)
+	if err != nil {
+		panic(err)
 	}
-	return out
+	return s.Decode(n)
 }

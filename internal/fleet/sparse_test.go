@@ -4,36 +4,30 @@ import (
 	"context"
 	"testing"
 
+	"rethinkkv/internal/core"
 	"rethinkkv/internal/kvcache"
 	"rethinkkv/internal/model"
 	"rethinkkv/internal/sched"
-	"rethinkkv/internal/tensor"
 )
 
 // fleetSparseReference mirrors the sched package's sparse ground truth:
-// dense prefill, then greedy sparse decode at topK, straight through the
-// model. Migrated or preempted sparse serving must reproduce these streams.
+// dense prefill, then greedy sparse decode at topK, through a one-lane
+// core.Session. Migrated or preempted sparse serving must reproduce these
+// streams.
 func fleetSparseReference(t *testing.T, prompts [][]int, maxNew, topK, pageTokens int) [][]int {
 	t.Helper()
 	m := model.New(model.Tiny(), seed)
-	ws := m.NewWorkspace()
 	out := make([][]int, len(prompts))
 	for i, prompt := range prompts {
 		cache := kvcache.NewPagedKVQuant(m.CacheShape(), pageTokens, 0, 0)
 		cache.EnableKeySummaries()
-		sr := m.PrefillInto(ws, prompt, cache)
-		m.SetSparseTopK(topK)
-		next := tensor.Argmax(sr.Logits)
-		toks := make([]int, 0, maxNew)
-		pos := len(prompt)
-		for len(toks) < maxNew {
-			toks = append(toks, next)
-			sr = m.ForwardInto(ws, next, pos, cache)
-			next = tensor.Argmax(sr.Logits)
-			pos++
+		s, err := core.NewSession(m, cache, prompt) // topK is 0 here: prefill stays dense
+		if err != nil {
+			t.Fatal(err)
 		}
+		m.SetSparseTopK(topK)
+		out[i] = s.Decode(maxNew)
 		m.SetSparseTopK(0)
-		out[i] = toks
 	}
 	return out
 }

@@ -7,24 +7,22 @@ package kvcache_test
 import (
 	"testing"
 
+	"rethinkkv/internal/core"
 	"rethinkkv/internal/kvcache"
 	"rethinkkv/internal/model"
-	"rethinkkv/internal/tensor"
 )
 
 const pageTokens = 8
 
-// decodeGreedy runs n greedy decode steps after the given logits state.
-func decodeGreedy(m *model.Model, ws *model.Workspace, logits []float32, pos int, cache kvcache.Cache, n int) []int {
-	out := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		next := tensor.Argmax(logits)
-		out = append(out, next)
-		sr := m.ForwardInto(ws, next, pos, cache)
-		logits = sr.Logits
-		pos++
+// serve prefills prompt after whatever cache already holds and decodes n
+// greedy tokens.
+func serve(t *testing.T, m *model.Model, cache kvcache.Cache, prompt []int, n int) []int {
+	t.Helper()
+	s, err := core.NewSession(m, cache, prompt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	return s.Decode(n)
 }
 
 func TestPagedPrefixHitDecodeBitIdentical(t *testing.T) {
@@ -41,29 +39,16 @@ func TestPagedPrefixHitDecodeBitIdentical(t *testing.T) {
 	// Warm path: prefill the shared prefix once, then fork the paged cache
 	// per request and prefill only the suffix.
 	base := kvcache.NewPagedKV(shape, pageTokens)
-	wsBase := m.NewWorkspace()
-	m.PrefillInto(wsBase, prefix, base)
+	serve(t, m, base, prefix, 0)
 
 	serveWarm := func(suffix []int, n int) []int {
-		c := base.ClonePrefix()
-		ws := m.NewWorkspace()
-		var logits []float32
-		pos := len(prefix)
-		for _, tok := range suffix {
-			sr := m.ForwardInto(ws, tok, pos, c)
-			logits = sr.Logits
-			pos++
-		}
-		return decodeGreedy(m, ws, logits, pos, c, n)
+		return serve(t, m, base.ClonePrefix(), suffix, n)
 	}
 
 	// Cold path: full prefill of prefix+suffix on a fresh paged cache.
 	serveCold := func(suffix []int, n int) []int {
-		c := kvcache.NewPagedKV(shape, pageTokens)
-		ws := m.NewWorkspace()
 		full := append(append([]int(nil), prefix...), suffix...)
-		sr := m.PrefillInto(ws, full, c)
-		return decodeGreedy(m, ws, sr.Logits, len(full), c, n)
+		return serve(t, m, kvcache.NewPagedKV(shape, pageTokens), full, n)
 	}
 
 	// Interleave two warm requests off the same base to exercise clone

@@ -41,7 +41,7 @@ func TestBlockWalkMatchesSeqArm(t *testing.T) {
 			cfg.Layers = 2
 		}
 		m := New(cfg, 31)
-		ws, wsRef := m.NewWorkspace(), m.NewWorkspace()
+		ws, wsRef := newSolo(m), newSolo(m)
 		bw, bwRef := m.NewBatchWorkspace(0), m.NewBatchWorkspace(0)
 		tok := func(i int) int { return (i*37 + 11) % cfg.Vocab }
 		for _, kind := range kinds {
@@ -53,7 +53,7 @@ func TestBlockWalkMatchesSeqArm(t *testing.T) {
 				cache, ref := kind.mk(m, pt), kvcache.Cache(seqOnly{kind.mk(m, pt)})
 				pos := 0
 				for ; pos < decodeLen; pos++ {
-					got, want := m.ForwardInto(ws, tok(pos), pos, cache), m.ForwardInto(wsRef, tok(pos), pos, ref)
+					got, want := ws.step(tok(pos), pos, cache), wsRef.step(tok(pos), pos, ref)
 					equalStep(t, fmt.Sprintf("%s decode %d", label, pos), got, want)
 				}
 				chunk := make([]int, chunkLen)
@@ -64,10 +64,10 @@ func TestBlockWalkMatchesSeqArm(t *testing.T) {
 				equalStep(t, label+" chunk", got, want)
 				pos += chunkLen
 				for i := 0; i < tailLen; i, pos = i+1, pos+1 {
-					want := m.ForwardInto(wsRef, tok(pos), pos, ref)
+					want := wsRef.step(tok(pos), pos, ref)
 					var got StepResult
 					if i%2 == 0 {
-						got = m.ForwardInto(ws, tok(pos), pos, cache)
+						got = ws.step(tok(pos), pos, cache)
 					} else {
 						res, _ := m.ForwardMixedInto(bw, []int{tok(pos)}, []int{pos}, []kvcache.Cache{cache}, nil)
 						got = res[0]
@@ -112,12 +112,12 @@ func TestBlockWalkAllocs(t *testing.T) {
 	}
 	for _, w := range walks {
 		m.SetSparseTopK(w.topK)
-		bw.lanes[0].SetRecallProbe(w.topK > 0)
+		bw.SetRecallProbe(w.topK > 0)
 		if n := testing.AllocsPerRun(20, w.run); n != 0 {
 			t.Fatalf("%s: page walk allocated %.1f per run, want 0", w.name, n)
 		}
 	}
-	if mass, cnt := bw.lanes[0].TakeRecall(); cnt == 0 || mass <= 0 || mass > float64(cnt) {
+	if mass, cnt := bw.TakeRecall(); cnt == 0 || mass <= 0 || mass > float64(cnt) {
 		t.Fatalf("recall probe recorded mass %g over %d attentions", mass, cnt)
 	}
 }

@@ -6,28 +6,28 @@ import (
 	"rethinkkv/internal/tensor"
 )
 
-// This file is the scratch state and sharding of the fused plane
-// (ForwardMixedInto, prefill.go): one forward pass that advances B
-// independent decode streams a single token each, loading every weight
+// This file is the scratch state and sharding of the model's one forward
+// pass (ForwardMixedInto, prefill.go), which advances B independent decode
+// streams a single token each, plus any prefill chunks, loading every weight
 // matrix once per step instead of once per stream. Projections and the LM
 // head run as one batched GEMM over packed weights (tensor.Packed.MulInto:
-// four lanes share every weight load); attention stays per-stream via
-// attendStep's two halves, because each stream attends over its own KV cache
-// at its own position.
-// Per lane the arithmetic is operation-for-operation identical to
-// ForwardInto, so a fused step is bit-identical to stepping each stream
-// separately — pinned by the equivalence tests in batch_test.go.
+// four lanes share every weight load, and an output's reduction order does not
+// depend on the lane count); attention stays per-stream (appendKV, then
+// attendLane), because each stream attends over its own KV cache at its own
+// position. A stream run alone is the same pass at one lane, so a fused step
+// is bit-identical to stepping each stream by itself — pinned by the
+// equivalence tests in batch_test.go.
 
-// BatchWorkspace owns the scratch state for fused batched decode: one
-// Workspace per lane, the lane-indexed gather views the batched kernels
-// consume, and the page walk's block scratch — one tensor.AttnBlock per shard
-// (263 KiB for small-llama), not per lane, which would scale resident memory
-// with the batch. It belongs to one decode loop at a time (the scheduler
-// pools them like Workspaces); lanes grow on demand and are reused across
-// steps, so steady-state fused stepping allocates nothing.
+// BatchWorkspace owns the scratch state of the forward pass: one workspace
+// per lane, the lane-indexed gather views the batched kernels consume, and the
+// page walk's block scratch — one tensor.AttnBlock per shard (263 KiB for
+// small-llama), not per lane, which would scale resident memory with the
+// batch. It belongs to one decode loop at a time (core pools them for the
+// scheduler; an offline session owns one at one lane); lanes grow on demand
+// and are reused across steps, so steady-state stepping allocates nothing.
 type BatchWorkspace struct {
 	m     *Model
-	lanes []*Workspace
+	lanes []*workspace
 	paths []cachePath
 	blks  []*tensor.AttnBlock // attention scratch of shard s
 
@@ -40,6 +40,8 @@ type BatchWorkspace struct {
 
 	results []StepResult
 	workers int
+	// probeRecall is the recall probe's setting, applied to lanes added later.
+	probeRecall bool
 
 	// Chunk scratch (built by ensureChunk, grown on demand): a prefill
 	// chunk's K/V projections land in one contiguous token-major staging
@@ -80,6 +82,7 @@ func (m *Model) NewBatchWorkspace(capacity int) *BatchWorkspace {
 func (bw *BatchWorkspace) EnsureLanes(n int) {
 	for len(bw.lanes) < n {
 		ws := bw.m.newLane()
+		ws.probeRecall = bw.probeRecall
 		bw.lanes = append(bw.lanes, ws)
 		bw.paths = append(bw.paths, cachePath{})
 		bw.hs = append(bw.hs, ws.h)

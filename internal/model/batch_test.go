@@ -19,29 +19,79 @@ var batchCacheKinds = []struct {
 	{"paged", func(m *Model) kvcache.Cache { return kvcache.NewPagedKV(m.CacheShape(), 8) }},
 }
 
+// solo runs one stream alone through the fused pass at one decode lane: the
+// reference every fused-lane test compares against. Its results alias its
+// batch workspace until the next step, like ForwardMixedInto's.
+type solo struct {
+	m     *Model
+	bw    *BatchWorkspace
+	tok   [1]int
+	pos   [1]int
+	cache [1]kvcache.Cache
+}
+
+func newSolo(m *Model) *solo { return &solo{m: m, bw: m.NewBatchWorkspace(1)} }
+
+// step forwards tok at pos through the lane.
+func (s *solo) step(tok, pos int, cache kvcache.Cache) StepResult {
+	s.tok[0], s.pos[0], s.cache[0] = tok, pos, cache
+	res, _ := s.m.ForwardMixedInto(s.bw, s.tok[:], s.pos[:], s.cache[:], nil)
+	return res[0]
+}
+
+// prefill steps prompt through the lane a token at a time from position 0
+// and returns the last step's result.
+func (s *solo) prefill(prompt []int, cache kvcache.Cache) StepResult {
+	var res StepResult
+	for i, tok := range prompt {
+		res = s.step(tok, i, cache)
+	}
+	return res
+}
+
+// generated is a greedy continuation: the tokens and the final hidden state
+// each one was chosen from.
+type generated struct {
+	Tokens  []int
+	Hiddens [][]float32
+}
+
+// generate prefills prompt alone at one lane and greedily decodes n tokens.
+func generate(m *Model, prompt []int, cache kvcache.Cache, n int) generated {
+	s := newSolo(m)
+	res := s.prefill(prompt, cache)
+	var g generated
+	for pos := len(prompt); len(g.Tokens) < n; pos++ {
+		next := tensor.Argmax(res.Logits)
+		g.Tokens = append(g.Tokens, next)
+		g.Hiddens = append(g.Hiddens, append([]float32(nil), res.Hidden...))
+		res = s.step(next, pos, cache)
+	}
+	return g
+}
+
 // prefillLane prefills a distinct pseudo-random prompt per lane so lanes
 // sit at different (mixed) positions, and returns the prompts.
-func prefillLane(m *Model, ws *Workspace, cache kvcache.Cache, lane int) []int {
+func prefillLane(m *Model, ws *solo, cache kvcache.Cache, lane int) []int {
 	n := 5 + 7*lane%23 + lane // mixed prompt lengths
 	prompt := make([]int, n)
 	for i := range prompt {
 		prompt[i] = (lane*131 + i*17 + 3) % m.Config().Vocab
 	}
-	m.PrefillInto(ws, prompt, cache)
+	ws.prefill(prompt, cache)
 	return prompt
 }
 
 // TestForwardBatchIntoBitIdentical pins fused batched decode
-// (ForwardMixedInto with no chunks) against per-session ForwardInto
-// bit-for-bit: batch sizes {1, 2, 3, 8} — a batch of one is the same fused
-// pass, not a separate path — mixed positions, Full and PagedKV caches,
-// several greedy decode steps deep (so each step consumes cache state
-// written by the previous fused step).
+// (ForwardMixedInto with no chunks) against each stream stepped alone at one
+// lane, bit-for-bit: batch sizes {1, 2, 3, 8}, mixed positions, Full and
+// PagedKV caches, several greedy decode steps deep (so each step consumes
+// cache state written by the previous fused step).
 func TestForwardBatchIntoBitIdentical(t *testing.T) {
 	for _, kind := range batchCacheKinds {
 		for _, B := range []int{1, 2, 3, 8} {
 			m := New(Tiny(), 11)
-			ws := m.NewWorkspace()
+			ws := newSolo(m)
 			bw := m.NewBatchWorkspace(B)
 
 			seqCaches := make([]kvcache.Cache, B)
@@ -63,7 +113,7 @@ func TestForwardBatchIntoBitIdentical(t *testing.T) {
 				wantHidden := make([][]float32, B)
 				nextTok := make([]int, B)
 				for b := 0; b < B; b++ {
-					sr := m.ForwardInto(ws, tokens[b], positions[b], seqCaches[b])
+					sr := ws.step(tokens[b], positions[b], seqCaches[b])
 					wantLogits[b] = append([]float32(nil), sr.Logits...)
 					wantHidden[b] = append([]float32(nil), sr.Hidden...)
 					nextTok[b] = tensor.Argmax(sr.Logits)
@@ -105,7 +155,7 @@ func TestForwardBatchIntoBitIdentical(t *testing.T) {
 func TestForwardBatchIntoWorkers(t *testing.T) {
 	const B = 8
 	m := New(Tiny(), 13)
-	ws := m.NewWorkspace()
+	ws := newSolo(m)
 
 	serial := m.NewBatchWorkspace(B)
 	parallel := m.NewBatchWorkspace(B)
@@ -153,7 +203,7 @@ func TestForwardBatchIntoWorkers(t *testing.T) {
 func TestForwardBatchIntoAllocFree(t *testing.T) {
 	const B = 8
 	m := New(Tiny(), 7)
-	ws := m.NewWorkspace()
+	ws := newSolo(m)
 	bw := m.NewBatchWorkspace(B)
 	caches := make([]kvcache.Cache, B)
 	tokens := make([]int, B)
@@ -193,6 +243,9 @@ func TestForwardBatchIntoValidation(t *testing.T) {
 	})
 	assertPanics(t, "token range", func() {
 		m.ForwardMixedInto(bw, []int{-1}, []int{0}, []kvcache.Cache{cache}, nil)
+	})
+	assertPanics(t, "token == Vocab", func() {
+		m.ForwardMixedInto(bw, []int{Tiny().Vocab}, []int{0}, []kvcache.Cache{cache}, nil)
 	})
 	assertPanics(t, "foreign workspace", func() {
 		other := New(Tiny(), 2)

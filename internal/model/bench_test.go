@@ -15,9 +15,10 @@ func BenchmarkPrefill256(b *testing.B) {
 	for i := range prompt {
 		prompt[i] = i % Tiny().Vocab
 	}
+	s := newSolo(m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Prefill(prompt, kvcache.NewFull(m.CacheShape()))
+		s.prefill(prompt, kvcache.NewFull(m.CacheShape()))
 	}
 }
 
@@ -45,37 +46,38 @@ func BenchmarkDecodeStep(b *testing.B) {
 	for i := range prompt {
 		prompt[i] = i % Tiny().Vocab
 	}
-	m.Prefill(prompt, cache)
+	s := newSolo(m)
+	s.prefill(prompt, cache)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Forward(i%Tiny().Vocab, 256+i, cache)
+		s.step(i%Tiny().Vocab, 256+i, cache)
 	}
 }
 
-// BenchmarkDecodeSteady measures the steady-state decode hot path: a
-// workspace-driven ForwardInto over a flat cache, with the context length
+// BenchmarkDecodeSteady measures the steady-state decode hot path: one
+// stream stepped alone at one lane over a flat cache, with the context length
 // held inside [256, 512) so the cost per step does not depend on b.N (unlike
 // BenchmarkDecodeStep, whose cache grows for the whole run). The cache
 // rebuild every 256 steps happens off the clock.
 func BenchmarkDecodeSteady(b *testing.B) {
 	m := New(Tiny(), 1)
-	ws := m.NewWorkspace()
+	ws := newSolo(m)
 	prompt := make([]int, 256)
 	for i := range prompt {
 		prompt[i] = i % Tiny().Vocab
 	}
 	cache := kvcache.NewFull(m.CacheShape())
-	m.PrefillInto(ws, prompt, cache)
+	ws.prefill(prompt, cache)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if cache.TotalAppended() >= 512 {
 			b.StopTimer()
 			cache = kvcache.NewFull(m.CacheShape())
-			m.PrefillInto(ws, prompt, cache)
+			ws.prefill(prompt, cache)
 			b.StartTimer()
 		}
-		m.ForwardInto(ws, i%Tiny().Vocab, cache.TotalAppended(), cache)
+		ws.step(i%Tiny().Vocab, cache.TotalAppended(), cache)
 	}
 }
 
@@ -84,14 +86,14 @@ func BenchmarkDecodeSteady(b *testing.B) {
 // streaming dominates a decode step, which is the regime batched serving
 // amortizes. Each benchmark iteration advances all 8 streams one token;
 // aggregate tokens/s = 8e9 / ns_per_op. The *Sequential twins run the
-// identical workload through 8 independent per-session ForwardInto steps
-// (the pre-fusion StepAll plane), so fused/sequential is the speedup of
-// the weight-stationary batched plane; output streams are bit-identical
-// between the two (TestForwardBatchIntoBitIdentical).
+// identical workload as 8 one-lane steps, one per stream, so
+// fused/sequential is the speedup of loading each weight once for the batch;
+// output streams are bit-identical between the two
+// (TestForwardBatchIntoBitIdentical).
 func benchSteadyBatch(b *testing.B, cfg Config, fused bool) {
 	const B = 8
 	m := New(cfg, 1)
-	ws := m.NewWorkspace()
+	ws := newSolo(m)
 	bw := m.NewBatchWorkspace(B)
 	// Mirror core.StepMixedStatsInto: -cpu 1 benches the serial fused step,
 	// -cpu 4 the panel/lane-sharded one.
@@ -107,7 +109,7 @@ func benchSteadyBatch(b *testing.B, cfg Config, fused bool) {
 			for i := range prompt {
 				prompt[i] = (lane*131 + i*17) % cfg.Vocab
 			}
-			m.PrefillInto(ws, prompt, caches[lane])
+			ws.prefill(prompt, caches[lane])
 			positions[lane] = n
 			tokens[lane] = (lane * 37) % cfg.Vocab
 		}
@@ -129,7 +131,7 @@ func benchSteadyBatch(b *testing.B, cfg Config, fused bool) {
 			}
 		} else {
 			for lane := 0; lane < B; lane++ {
-				sr := m.ForwardInto(ws, tokens[lane], positions[lane], caches[lane])
+				sr := ws.step(tokens[lane], positions[lane], caches[lane])
 				tokens[lane] = tensor.Argmax(sr.Logits)
 				positions[lane]++
 			}
@@ -146,23 +148,23 @@ func BenchmarkDecodeSteadySequentialTiny(b *testing.B) { benchSteadyBatch(b, Tin
 // flat cache, pricing the block-table indirection of the paged hot path.
 func BenchmarkDecodeSteadyPaged(b *testing.B) {
 	m := New(Tiny(), 1)
-	ws := m.NewWorkspace()
+	ws := newSolo(m)
 	prompt := make([]int, 256)
 	for i := range prompt {
 		prompt[i] = i % Tiny().Vocab
 	}
 	cache := kvcache.NewPagedKV(m.CacheShape(), 16)
-	m.PrefillInto(ws, prompt, cache)
+	ws.prefill(prompt, cache)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if cache.TotalAppended() >= 512 {
 			b.StopTimer()
 			cache = kvcache.NewPagedKV(m.CacheShape(), 16)
-			m.PrefillInto(ws, prompt, cache)
+			ws.prefill(prompt, cache)
 			b.StartTimer()
 		}
-		m.ForwardInto(ws, i%Tiny().Vocab, cache.TotalAppended(), cache)
+		ws.step(i%Tiny().Vocab, cache.TotalAppended(), cache)
 	}
 }
 
@@ -173,23 +175,23 @@ func BenchmarkDecodeSteadyQuant(b *testing.B) {
 	for _, bits := range []int{8, 4} {
 		b.Run(fmt.Sprintf("int%d", bits), func(b *testing.B) {
 			m := New(Tiny(), 1)
-			ws := m.NewWorkspace()
+			ws := newSolo(m)
 			prompt := make([]int, 256)
 			for i := range prompt {
 				prompt[i] = i % Tiny().Vocab
 			}
 			cache := kvcache.NewPagedKVQuant(m.CacheShape(), 16, 0, bits)
-			m.PrefillInto(ws, prompt, cache)
+			ws.prefill(prompt, cache)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if cache.TotalAppended() >= 512 {
 					b.StopTimer()
 					cache = kvcache.NewPagedKVQuant(m.CacheShape(), 16, 0, bits)
-					m.PrefillInto(ws, prompt, cache)
+					ws.prefill(prompt, cache)
 					b.StartTimer()
 				}
-				m.ForwardInto(ws, i%Tiny().Vocab, cache.TotalAppended(), cache)
+				ws.step(i%Tiny().Vocab, cache.TotalAppended(), cache)
 			}
 		})
 	}

@@ -63,8 +63,8 @@ func TestForwardDeterministic(t *testing.T) {
 	m := New(Tiny(), 7)
 	c1 := kvcache.NewFull(m.CacheShape())
 	c2 := kvcache.NewFull(m.CacheShape())
-	r1 := m.Prefill([]int{1, 2, 3}, c1)
-	r2 := m.Prefill([]int{1, 2, 3}, c2)
+	r1 := newSolo(m).prefill([]int{1, 2, 3}, c1)
+	r2 := newSolo(m).prefill([]int{1, 2, 3}, c2)
 	for i := range r1.Logits {
 		if r1.Logits[i] != r2.Logits[i] {
 			t.Fatal("same seed, same prompt must give identical logits")
@@ -75,7 +75,7 @@ func TestForwardDeterministic(t *testing.T) {
 func TestForwardFiniteLogits(t *testing.T) {
 	m := New(Tiny(), 1)
 	cache := kvcache.NewFull(m.CacheShape())
-	res := m.Prefill([]int{5, 10, 15, 20, 25}, cache)
+	res := newSolo(m).prefill([]int{5, 10, 15, 20, 25}, cache)
 	if len(res.Logits) != Tiny().Vocab {
 		t.Fatalf("logits len = %d", len(res.Logits))
 	}
@@ -90,8 +90,8 @@ func TestPromptOrderMatters(t *testing.T) {
 	m := New(Tiny(), 3)
 	cA := kvcache.NewFull(m.CacheShape())
 	cB := kvcache.NewFull(m.CacheShape())
-	a := m.Prefill([]int{1, 2, 3, 4}, cA)
-	b := m.Prefill([]int{4, 3, 2, 1}, cB)
+	a := newSolo(m).prefill([]int{1, 2, 3, 4}, cA)
+	b := newSolo(m).prefill([]int{4, 3, 2, 1}, cB)
 	same := true
 	for i := range a.Logits {
 		if a.Logits[i] != b.Logits[i] {
@@ -107,7 +107,7 @@ func TestPromptOrderMatters(t *testing.T) {
 func TestCacheGrowsOncePerTokenPerLayer(t *testing.T) {
 	m := New(Tiny(), 1)
 	cache := kvcache.NewFull(m.CacheShape())
-	m.Prefill([]int{1, 2, 3, 4, 5, 6}, cache)
+	newSolo(m).prefill([]int{1, 2, 3, 4, 5, 6}, cache)
 	if cache.TotalAppended() != 6 {
 		t.Fatalf("appended = %d", cache.TotalAppended())
 	}
@@ -118,58 +118,11 @@ func TestCacheGrowsOncePerTokenPerLayer(t *testing.T) {
 	}
 }
 
-func TestGenerateGreedyDeterministic(t *testing.T) {
-	m := New(Tiny(), 11)
-	g1 := m.Generate([]int{1, 2, 3}, kvcache.NewFull(m.CacheShape()), GenerateOptions{MaxNewTokens: 8, EOS: -1})
-	g2 := m.Generate([]int{1, 2, 3}, kvcache.NewFull(m.CacheShape()), GenerateOptions{MaxNewTokens: 8, EOS: -1})
-	if len(g1.Tokens) != 8 || len(g2.Tokens) != 8 {
-		t.Fatalf("lens = %d, %d", len(g1.Tokens), len(g2.Tokens))
-	}
-	for i := range g1.Tokens {
-		if g1.Tokens[i] != g2.Tokens[i] {
-			t.Fatal("greedy generation must be deterministic")
-		}
-	}
-	if len(g1.Hiddens) != len(g1.Tokens) {
-		t.Fatal("hiddens not aligned with tokens")
-	}
-}
-
-func TestGenerateStopsAtEOS(t *testing.T) {
-	m := New(Tiny(), 11)
-	// Find the greedy first token and use it as EOS so generation must stop
-	// after one step.
-	cache := kvcache.NewFull(m.CacheShape())
-	first := m.Generate([]int{1, 2, 3}, cache, GenerateOptions{MaxNewTokens: 1, EOS: -1}).Tokens[0]
-	g := m.Generate([]int{1, 2, 3}, kvcache.NewFull(m.CacheShape()), GenerateOptions{MaxNewTokens: 50, EOS: first})
-	if len(g.Tokens) != 1 || g.Tokens[0] != first {
-		t.Fatalf("tokens = %v, want immediate EOS %d", g.Tokens, first)
-	}
-}
-
-func TestGenerateTemperatureVaries(t *testing.T) {
-	m := New(Tiny(), 11)
-	a := m.Generate([]int{1, 2, 3}, kvcache.NewFull(m.CacheShape()), GenerateOptions{MaxNewTokens: 12, Temperature: 2.0, Seed: 1, EOS: -1})
-	b := m.Generate([]int{1, 2, 3}, kvcache.NewFull(m.CacheShape()), GenerateOptions{MaxNewTokens: 12, Temperature: 2.0, Seed: 2, EOS: -1})
-	same := len(a.Tokens) == len(b.Tokens)
-	if same {
-		for i := range a.Tokens {
-			if a.Tokens[i] != b.Tokens[i] {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
-		t.Fatal("different sampling seeds at high temperature should diverge")
-	}
-}
-
 func TestGQAAndMHAGiveSameShapes(t *testing.T) {
 	for _, cfg := range []Config{Tiny(), TinyMHA()} {
 		m := New(cfg, 5)
 		cache := kvcache.NewFull(m.CacheShape())
-		res := m.Prefill([]int{9, 8, 7}, cache)
+		res := newSolo(m).prefill([]int{9, 8, 7}, cache)
 		if len(res.Logits) != cfg.Vocab || len(res.Hidden) != cfg.Hidden() {
 			t.Fatalf("%s: bad output shapes", cfg.Name)
 		}
@@ -183,7 +136,7 @@ func TestForwardPanicsOnBadToken(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	m.Forward(Tiny().Vocab, 0, kvcache.NewFull(m.CacheShape()))
+	newSolo(m).step(Tiny().Vocab, 0, kvcache.NewFull(m.CacheShape()))
 }
 
 func TestForwardPanicsOnCacheShapeMismatch(t *testing.T) {
@@ -194,7 +147,7 @@ func TestForwardPanicsOnCacheShapeMismatch(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	m.Forward(1, 0, bad)
+	newSolo(m).step(1, 0, bad)
 }
 
 // legacyFull replicates the pre-flat per-token cache layout ([layer][token]
@@ -277,9 +230,9 @@ func TestFlatLayoutBitIdentical(t *testing.T) {
 			"flat":   kvcache.NewFull(m.CacheShape()),
 			"paged":  kvcache.NewPagedKV(m.CacheShape(), 4),
 		}
-		results := map[string]GenerateResult{}
+		results := map[string]generated{}
 		for name, cache := range caches {
-			results[name] = m.Generate(prompt, cache, GenerateOptions{MaxNewTokens: 24, EOS: -1})
+			results[name] = generate(m, prompt, cache, 24)
 		}
 		ref := results["legacy"]
 		for _, name := range []string{"flat", "paged"} {
@@ -303,66 +256,26 @@ func TestFlatLayoutBitIdentical(t *testing.T) {
 	}
 }
 
-// TestForwardIntoMatchesForward pins the aliasing contract: ForwardInto
-// returns workspace-backed slices with the same values Forward copies out.
-func TestForwardIntoMatchesForward(t *testing.T) {
-	m := New(Tiny(), 3)
-	c1 := kvcache.NewFull(m.CacheShape())
-	c2 := kvcache.NewFull(m.CacheShape())
-	ws := m.NewWorkspace()
-	var got, want StepResult
-	for i, tok := range []int{9, 8, 7, 6} {
-		want = m.Forward(tok, i, c1)
-		got = m.ForwardInto(ws, tok, i, c2)
-	}
-	for i := range want.Logits {
-		if got.Logits[i] != want.Logits[i] {
-			t.Fatalf("logit %d differs", i)
-		}
-	}
-	for i := range want.Hidden {
-		if got.Hidden[i] != want.Hidden[i] {
-			t.Fatalf("hidden %d differs", i)
-		}
-	}
-}
-
-// TestForwardIntoZeroAllocs is the hot-path regression gate: steady-state
-// decode through ForwardInto must not allocate. The only permitted source is
-// the amortised growth of the cache's flat buffers, which averages well
-// under one allocation per step.
-func TestForwardIntoZeroAllocs(t *testing.T) {
+// TestForwardOneLaneZeroAllocs is the hot-path regression gate: steady-state
+// decode of a stream stepped alone, at one lane of the fused pass, must not
+// allocate. The only permitted source is the amortised growth of the cache's
+// flat buffers, which averages well under one allocation per step.
+func TestForwardOneLaneZeroAllocs(t *testing.T) {
 	m := New(Tiny(), 1)
-	ws := m.NewWorkspace()
+	ws := newSolo(m)
 	cache := kvcache.NewFull(m.CacheShape())
 	prompt := make([]int, 128)
 	for i := range prompt {
 		prompt[i] = i % Tiny().Vocab
 	}
-	m.PrefillInto(ws, prompt, cache)
+	ws.prefill(prompt, cache)
 	pos := cache.TotalAppended()
 	avg := testing.AllocsPerRun(100, func() {
-		m.ForwardInto(ws, pos%Tiny().Vocab, pos, cache)
+		ws.step(pos%Tiny().Vocab, pos, cache)
 		pos++
 	})
 	if avg >= 1 {
-		t.Fatalf("ForwardInto allocates %.2f/step, want amortised < 1", avg)
-	}
-}
-
-// TestForwardAllocsBounded documents the compatibility cost of Forward: the
-// two output copies (logits + hidden) and nothing else.
-func TestForwardAllocsBounded(t *testing.T) {
-	m := New(Tiny(), 1)
-	cache := kvcache.NewFull(m.CacheShape())
-	m.Prefill([]int{1, 2, 3, 4}, cache)
-	pos := cache.TotalAppended()
-	avg := testing.AllocsPerRun(50, func() {
-		m.Forward(pos%Tiny().Vocab, pos, cache)
-		pos++
-	})
-	if avg > 3 {
-		t.Fatalf("Forward allocates %.2f/step, want ≤ 3 (the documented output copies)", avg)
+		t.Fatalf("one-lane step allocates %.2f/step, want amortised < 1", avg)
 	}
 }
 
@@ -373,7 +286,7 @@ func TestConcurrentWorkspaces(t *testing.T) {
 	prompts := [][]int{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {10, 11, 12}}
 	sequential := make([][]float32, len(prompts))
 	for i, p := range prompts {
-		res := m.Prefill(p, kvcache.NewFull(m.CacheShape()))
+		res := newSolo(m).prefill(p, kvcache.NewFull(m.CacheShape()))
 		sequential[i] = res.Logits
 	}
 	var wg sync.WaitGroup
@@ -382,8 +295,8 @@ func TestConcurrentWorkspaces(t *testing.T) {
 		wg.Add(1)
 		go func(i int, p []int) {
 			defer wg.Done()
-			ws := m.NewWorkspace()
-			res := m.PrefillInto(ws, p, kvcache.NewFull(m.CacheShape()))
+			ws := newSolo(m)
+			res := ws.prefill(p, kvcache.NewFull(m.CacheShape()))
 			parallel[i] = append([]float32(nil), res.Logits...)
 		}(i, p)
 	}

@@ -8,8 +8,8 @@ import (
 	"rethinkkv/internal/tensor"
 )
 
-// This file is the chunk-granular prefill plane: a prompt advances C
-// positions per fused pass instead of one ForwardInto per token, and the
+// This file is the model's one forward pass. A prompt can advance C
+// positions per pass as a chunk instead of one decode lane per token, and the
 // same pass can carry a running decode batch plus chunks from *several*
 // prompts at once, so a scheduler can pack a per-iteration token budget
 // with prefill work from every admitted prompt without stalling the decode
@@ -22,9 +22,9 @@ import (
 // write distinct caches, so packing them into one pass changes nothing
 // about what any position attends over. Combined with the per-lane
 // bit-identical batched GEMMs (see gemm.go) and the shared attention
-// arithmetic (attendOver), a chunked prefill is bit-identical to
-// PrefillInto for any chunk size and any packing — pinned by
-// prefill_test.go.
+// arithmetic (attendOver), a chunked prefill is bit-identical to feeding the
+// prompt one token at a time through a decode lane, for any chunk size and any
+// packing — pinned by prefill_test.go.
 
 // Chunk describes one contiguous span of prompt positions advanced through
 // the fused plane in a single pass. The cache must already hold exactly Pos
@@ -42,8 +42,8 @@ type Chunk struct {
 	// NeedLogits requests the last position's logits — set on the prompt's
 	// final chunk, where they decide the first decoded token. Intermediate
 	// chunks skip the LM head entirely (the cache state they leave behind
-	// is all that matters), which also skips the one per-token cost
-	// PrefillInto pays without using.
+	// is all that matters), which also skips the one per-token cost a
+	// token-at-a-time prefill pays without using.
 	NeedLogits bool
 }
 
@@ -59,17 +59,17 @@ type Chunk struct {
 // lane and every chunk appends to its cache, so all B + K caches must be
 // pairwise distinct (sharing one would append twice per layer and corrupt
 // both streams); they must match the model's shape. B = 0 runs the chunks
-// alone, K = 0 is a plain batched decode step, and a batch of one is just
-// B = 1 — there is no separate single-stream path on this plane.
+// alone, K = 0 is a plain batched decode step, and a stream run alone is
+// B = 1: this is the model's only forward pass, for serving and offline
+// evaluation alike.
 //
-// Per decode lane the outputs are bit-identical to
-// ForwardInto(ws, tokens[b], positions[b], caches[b]): the projections are the
-// same tile loop over the same packed weights, whose per-output reduction
-// order does not depend on the lane count (tensor/gemm.go), and
-// attention/norms/activations share the per-stream code paths. Each chunk's
-// cache writes (and final logits, when requested) are bit-identical to
-// token-at-a-time PrefillInto over the same span, regardless of what else
-// shares the pass. The second return value holds one StepResult per chunk,
+// Per decode lane the outputs are bit-identical to the same stream stepped
+// alone at one lane: the projections are the same tile loop over the same
+// packed weights, whose per-output reduction order does not depend on the lane
+// count (tensor/gemm.go), and attention/norms/activations are per lane. Each
+// chunk's cache writes (and final logits, when requested) are bit-identical to
+// feeding the span one token at a time through a decode lane, regardless of
+// what else shares the pass. The second return value holds one StepResult per chunk,
 // index-aligned (zero unless that chunk's NeedLogits is set). Results alias
 // bw and are valid until the next call; steady-state stepping performs zero
 // heap allocations (Workers == 1) beyond cache page growth.
@@ -267,8 +267,9 @@ func (m *Model) ForwardMixedInto(bw *BatchWorkspace, tokens, positions []int, ca
 // means a single pass). The cache may already hold tokens — a ClonePrefix
 // prefix, or earlier chunks — and must retain every position (Full,
 // PagedKV); the prompt lands after them. Cache contents and the returned
-// last-position result are bit-identical to PrefillInto of the same tokens,
-// for every chunk size; the result aliases bw like ForwardMixedInto's.
+// last-position result are bit-identical to feeding the same tokens one at a
+// time through a decode lane, for every chunk size; the result aliases bw like
+// ForwardMixedInto's.
 func (m *Model) PrefillChunkInto(bw *BatchWorkspace, prompt []int, chunkSize int, cache kvcache.Cache) StepResult {
 	if len(prompt) == 0 {
 		panic("model: empty prompt")

@@ -56,14 +56,14 @@ func equalCaches(t *testing.T, label string, got, want kvcache.Cache) {
 }
 
 // TestPrefillChunkIntoBitIdentical pins chunked prefill against
-// token-at-a-time PrefillInto bit-for-bit: chunk sizes 1, 3, 8, a
+// token-at-a-time prefill at one lane bit-for-bit: chunk sizes 1, 3, 8, a
 // non-divisor of the prompt length, and one larger than the whole prompt,
 // on both flat-storage caches — final logits/hidden, full cache contents,
 // and several greedy decode steps on top of the chunk-filled cache.
 func TestPrefillChunkIntoBitIdentical(t *testing.T) {
 	const promptLen = 23
 	m := New(Tiny(), 11)
-	ws := m.NewWorkspace()
+	ws := newSolo(m)
 	bw := m.NewBatchWorkspace(0)
 	prompt := make([]int, promptLen)
 	for i := range prompt {
@@ -71,7 +71,7 @@ func TestPrefillChunkIntoBitIdentical(t *testing.T) {
 	}
 	for _, kind := range batchCacheKinds {
 		ref := kind.mk(m)
-		want := m.PrefillInto(ws, prompt, ref)
+		want := ws.prefill(prompt, ref)
 		want = StepResult{
 			Logits: append([]float32(nil), want.Logits...),
 			Hidden: append([]float32(nil), want.Hidden...),
@@ -81,7 +81,7 @@ func TestPrefillChunkIntoBitIdentical(t *testing.T) {
 		next := tensor.Argmax(want.Logits)
 		for s := range wantDecode {
 			wantDecode[s] = next
-			sr := m.ForwardInto(ws, next, pos, ref)
+			sr := ws.step(next, pos, ref)
 			next = tensor.Argmax(sr.Logits)
 			pos++
 		}
@@ -98,7 +98,7 @@ func TestPrefillChunkIntoBitIdentical(t *testing.T) {
 				if next != wantTok {
 					t.Fatalf("%s chunk=%d decode step %d: token %d != %d", kind.name, chunkSize, s, next, wantTok)
 				}
-				sr := m.ForwardInto(ws, next, pos, cache)
+				sr := ws.step(next, pos, cache)
 				next = tensor.Argmax(sr.Logits)
 				pos++
 			}
@@ -107,7 +107,7 @@ func TestPrefillChunkIntoBitIdentical(t *testing.T) {
 		// above appended beyond the prompt).
 		for _, chunkSize := range []int{3, 7} {
 			refCache := kind.mk(m)
-			m.PrefillInto(ws, prompt, refCache)
+			ws.prefill(prompt, refCache)
 			cache := kind.mk(m)
 			m.PrefillChunkInto(bw, prompt, chunkSize, cache)
 			equalCaches(t, kind.name+" chunked cache", cache, refCache)
@@ -121,7 +121,7 @@ func TestPrefillChunkIntoBitIdentical(t *testing.T) {
 // an identical clone — the shared-prefix admission path the scheduler runs.
 func TestPrefillChunkIntoOnClonePrefix(t *testing.T) {
 	m := New(Tiny(), 5)
-	ws := m.NewWorkspace()
+	ws := newSolo(m)
 	bw := m.NewBatchWorkspace(0)
 	prefix := make([]int, 21) // deliberately not page-aligned
 	for i := range prefix {
@@ -130,12 +130,12 @@ func TestPrefillChunkIntoOnClonePrefix(t *testing.T) {
 	tail := []int{9, 42, 3, 77, 5, 8, 101, 2, 60, 31, 4}
 
 	prefixCache := kvcache.NewPagedKV(m.CacheShape(), 8)
-	m.PrefillInto(ws, prefix, prefixCache)
+	ws.prefill(prefix, prefixCache)
 
 	refClone := prefixCache.ClonePrefix()
 	var want StepResult
 	for i, tok := range tail {
-		want = m.ForwardInto(ws, tok, len(prefix)+i, refClone)
+		want = ws.step(tok, len(prefix)+i, refClone)
 	}
 	want = StepResult{
 		Logits: append([]float32(nil), want.Logits...),
@@ -151,7 +151,7 @@ func TestPrefillChunkIntoOnClonePrefix(t *testing.T) {
 }
 
 // TestForwardMixedIntoBitIdentical pins the mixed decode+chunk step: B
-// decode lanes advance exactly as ForwardInto would while
+// decode lanes advance exactly as each stream stepped alone would while
 // one prompt chunk-prefills through the same fused passes, several
 // iterations deep, on Full and PagedKV. Decode logits, the chunk's final
 // logits, and the chunk cache must all match the unmixed references
@@ -162,7 +162,7 @@ func TestForwardMixedIntoBitIdentical(t *testing.T) {
 	prompt := []int{4, 9, 16, 25, 36, 49, 64, 81, 100, 121, 144, 13, 26, 39, 52, 65, 78} // 17: non-divisor tail
 	for _, kind := range batchCacheKinds {
 		m := New(Tiny(), 17)
-		ws := m.NewWorkspace()
+		ws := newSolo(m)
 		bw := m.NewBatchWorkspace(B)
 
 		seqCaches := make([]kvcache.Cache, B)
@@ -178,7 +178,7 @@ func TestForwardMixedIntoBitIdentical(t *testing.T) {
 			tokens[b] = (b*19 + 2) % m.Config().Vocab
 		}
 		refChunkCache := kind.mk(m)
-		wantChunk := m.PrefillInto(ws, prompt, refChunkCache)
+		wantChunk := ws.prefill(prompt, refChunkCache)
 		wantChunk = StepResult{
 			Logits: append([]float32(nil), wantChunk.Logits...),
 			Hidden: append([]float32(nil), wantChunk.Hidden...),
@@ -194,7 +194,7 @@ func TestForwardMixedIntoBitIdentical(t *testing.T) {
 			// Reference decode step for every lane.
 			wantStep := make([]StepResult, B)
 			for b := 0; b < B; b++ {
-				sr := m.ForwardInto(ws, tokens[b], positions[b], seqCaches[b])
+				sr := ws.step(tokens[b], positions[b], seqCaches[b])
 				wantStep[b] = StepResult{
 					Logits: append([]float32(nil), sr.Logits...),
 					Hidden: append([]float32(nil), sr.Hidden...),
@@ -234,7 +234,7 @@ func TestForwardMixedIntoWorkers(t *testing.T) {
 		prompt[i] = (i*31 + 5) % Tiny().Vocab
 	}
 	m := New(Tiny(), 23)
-	ws := m.NewWorkspace()
+	ws := newSolo(m)
 	serial := m.NewBatchWorkspace(B)
 	parallel := m.NewBatchWorkspace(B)
 	parallel.SetWorkers(4)
@@ -291,7 +291,7 @@ func TestForwardMixedIntoAllocFree(t *testing.T) {
 	const B = 8
 	const C = 8
 	m := New(Tiny(), 7)
-	ws := m.NewWorkspace()
+	ws := newSolo(m)
 	bw := m.NewBatchWorkspace(B + C)
 	caches := make([]kvcache.Cache, B)
 	tokens := make([]int, B)
@@ -330,7 +330,7 @@ func TestForwardMixedPackedAllocFree(t *testing.T) {
 	const K = 3
 	const C = 5 // tokens per packed chunk
 	m := New(Tiny(), 7)
-	ws := m.NewWorkspace()
+	ws := newSolo(m)
 	bw := m.NewBatchWorkspace(B + K*C)
 	caches := make([]kvcache.Cache, B)
 	tokens := make([]int, B)
@@ -422,7 +422,7 @@ func TestForwardMixedPackedBitIdentical(t *testing.T) {
 	}
 	for _, kind := range batchCacheKinds {
 		m := New(Tiny(), 17)
-		ws := m.NewWorkspace()
+		ws := newSolo(m)
 		bw := m.NewBatchWorkspace(B)
 
 		seqCaches := make([]kvcache.Cache, B)
@@ -441,7 +441,7 @@ func TestForwardMixedPackedBitIdentical(t *testing.T) {
 		wantFinal := make([]StepResult, len(prompts))
 		for j, prompt := range prompts {
 			refCaches[j] = kind.mk(m)
-			sr := m.PrefillInto(ws, prompt, refCaches[j])
+			sr := ws.prefill(prompt, refCaches[j])
 			wantFinal[j] = StepResult{
 				Logits: append([]float32(nil), sr.Logits...),
 				Hidden: append([]float32(nil), sr.Hidden...),
@@ -479,7 +479,7 @@ func TestForwardMixedPackedBitIdentical(t *testing.T) {
 			// Reference decode step for every lane.
 			wantStep := make([]StepResult, B)
 			for b := 0; b < B; b++ {
-				sr := m.ForwardInto(ws, tokens[b], positions[b], seqCaches[b])
+				sr := ws.step(tokens[b], positions[b], seqCaches[b])
 				wantStep[b] = StepResult{
 					Logits: append([]float32(nil), sr.Logits...),
 					Hidden: append([]float32(nil), sr.Hidden...),

@@ -41,8 +41,8 @@ func TestQuantDecodeBitIdentical(t *testing.T) {
 			mk := func() *kvcache.PagedKV {
 				return kvcache.NewPagedKVQuant(m.CacheShape(), 4, 0, bits)
 			}
-			ref := m.Generate(prompt, &seqOnlyQuant{inner: mk()}, GenerateOptions{MaxNewTokens: 24, EOS: -1})
-			got := m.Generate(prompt, mk(), GenerateOptions{MaxNewTokens: 24, EOS: -1})
+			ref := generate(m, prompt, &seqOnlyQuant{inner: mk()}, 24)
+			got := generate(m, prompt, mk(), 24)
 			if len(got.Tokens) != len(ref.Tokens) {
 				t.Fatalf("%s/int%d: token count %d != %d", cfg.Name, bits, len(got.Tokens), len(ref.Tokens))
 			}
@@ -73,7 +73,7 @@ func TestQuantDecodeBitIdentical(t *testing.T) {
 func TestQuantPrefillChunkBitIdentical(t *testing.T) {
 	const promptLen = 23
 	m := New(Tiny(), 11)
-	ws := m.NewWorkspace()
+	ws := newSolo(m)
 	bw := m.NewBatchWorkspace(0)
 	prompt := make([]int, promptLen)
 	for i := range prompt {
@@ -84,7 +84,7 @@ func TestQuantPrefillChunkBitIdentical(t *testing.T) {
 			return kvcache.NewPagedKVQuant(m.CacheShape(), 4, 0, bits)
 		}
 		ref := mk()
-		want := m.PrefillInto(ws, prompt, ref)
+		want := ws.prefill(prompt, ref)
 		want = StepResult{
 			Logits: append([]float32(nil), want.Logits...),
 			Hidden: append([]float32(nil), want.Hidden...),
@@ -94,7 +94,7 @@ func TestQuantPrefillChunkBitIdentical(t *testing.T) {
 		next := tensor.Argmax(want.Logits)
 		for s := range wantDecode {
 			wantDecode[s] = next
-			sr := m.ForwardInto(ws, next, pos, ref)
+			sr := ws.step(next, pos, ref)
 			next = tensor.Argmax(sr.Logits)
 			pos++
 		}
@@ -111,7 +111,7 @@ func TestQuantPrefillChunkBitIdentical(t *testing.T) {
 				if next != wantTok {
 					t.Fatalf("int%d chunk=%d decode step %d: token %d != %d", bits, chunkSize, s, next, wantTok)
 				}
-				sr := m.ForwardInto(ws, next, pos, cache)
+				sr := ws.step(next, pos, cache)
 				next = tensor.Argmax(sr.Logits)
 				pos++
 			}
@@ -120,7 +120,7 @@ func TestQuantPrefillChunkBitIdentical(t *testing.T) {
 		// themselves, not just their dequantized views, must match.
 		for _, chunkSize := range []int{3, 7} {
 			refCache := mk()
-			m.PrefillInto(ws, prompt, refCache)
+			ws.prefill(prompt, refCache)
 			cache := mk()
 			m.PrefillChunkInto(bw, prompt, chunkSize, cache)
 			equalCaches(t, "quant chunked cache", cache, refCache)
@@ -146,27 +146,27 @@ func TestQuantPrefillChunkBitIdentical(t *testing.T) {
 	}
 }
 
-// TestQuantDecodeAllocs is TestForwardIntoZeroAllocs for the quantized hot
+// TestQuantDecodeAllocs is TestForwardOneLaneZeroAllocs for the quantized hot
 // path: the dequantize-on-read page walk allocates nothing, so the only
 // allocation source is opening a fresh page every pageTokens steps — two
 // backing arrays per layer, amortising well under one allocation per step.
 func TestQuantDecodeAllocs(t *testing.T) {
 	for _, bits := range []int{8, 4} {
 		m := New(Tiny(), 1)
-		ws := m.NewWorkspace()
+		ws := newSolo(m)
 		cache := kvcache.NewPagedKVQuant(m.CacheShape(), 16, 0, bits)
 		prompt := make([]int, 128)
 		for i := range prompt {
 			prompt[i] = i % Tiny().Vocab
 		}
-		m.PrefillInto(ws, prompt, cache)
+		ws.prefill(prompt, cache)
 		pos := cache.TotalAppended()
 		avg := testing.AllocsPerRun(100, func() {
-			m.ForwardInto(ws, pos%Tiny().Vocab, pos, cache)
+			ws.step(pos%Tiny().Vocab, pos, cache)
 			pos++
 		})
 		if avg >= 1 {
-			t.Fatalf("int%d: ForwardInto allocates %.2f/step, want amortised < 1", bits, avg)
+			t.Fatalf("int%d: one-lane step allocates %.2f/step, want amortised < 1", bits, avg)
 		}
 	}
 }

@@ -39,7 +39,7 @@ func (m *Model) SparseTopK() int { return m.sparseTopK }
 
 // sparseScratch returns score and selection buffers covering np pages,
 // growing the workspace's backing arrays geometrically.
-func (ws *Workspace) sparseScratch(np int) ([]float64, []int32) {
+func (ws *workspace) sparseScratch(np int) ([]float64, []int32) {
 	if cap(ws.pageScores) < np {
 		n := 2 * cap(ws.pageScores)
 		if n < np {
@@ -51,38 +51,39 @@ func (ws *Workspace) sparseScratch(np int) ([]float64, []int32) {
 	return ws.pageScores[:np], ws.pageSel[:np]
 }
 
-// TakeSparseStats returns and resets the workspace's pages-selected /
-// pages-resident counters, accumulated per (layer, query head) sparse
-// attention. Both are zero when sparsity never engaged (dense decode,
-// prefill, or fewer pages than topK).
-func (ws *Workspace) TakeSparseStats() (selected, total int64) {
-	selected, total = ws.sparseSel, ws.sparseTot
-	ws.sparseSel, ws.sparseTot = 0, 0
-	return selected, total
-}
-
-// SetRecallProbe toggles the attention-mass recall probe on this workspace.
-// While on, every sparse attention also runs the dense softmax and records
-// the selected pages' share of the true attention mass — diagnostic only.
-func (ws *Workspace) SetRecallProbe(on bool) { ws.probeRecall = on }
-
-// TakeRecall returns and resets the probe's accumulated attention-mass
-// recall: the sum over probed attentions of the selected pages' softmax
-// mass, and the number of probed attentions (mean recall = mass/count).
-func (ws *Workspace) TakeRecall() (mass float64, count int64) {
-	mass, count = ws.recallMass, ws.recallCnt
-	ws.recallMass, ws.recallCnt = 0, 0
-	return mass, count
-}
-
-// TakeSparseStats drains every lane's counters and returns the sums.
+// TakeSparseStats drains every lane's pages-selected / pages-resident
+// counters, accumulated per (layer, query head) sparse attention, and returns
+// the sums. Both are zero when sparsity never engaged (dense decode, prefill,
+// or fewer pages than topK).
 func (bw *BatchWorkspace) TakeSparseStats() (selected, total int64) {
 	for _, ws := range bw.lanes {
-		s, t := ws.TakeSparseStats()
-		selected += s
-		total += t
+		selected += ws.sparseSel
+		total += ws.sparseTot
+		ws.sparseSel, ws.sparseTot = 0, 0
 	}
 	return selected, total
+}
+
+// SetRecallProbe toggles the attention-mass recall probe on every lane. While
+// on, every sparse attention also runs the dense softmax and records the
+// selected pages' share of the true attention mass — diagnostic only.
+func (bw *BatchWorkspace) SetRecallProbe(on bool) {
+	bw.probeRecall = on
+	for _, ws := range bw.lanes {
+		ws.probeRecall = on
+	}
+}
+
+// TakeRecall drains every lane's probe tallies and returns the sums: the
+// selected pages' softmax mass over probed attentions, and the number of
+// probed attentions (mean recall = mass/count).
+func (bw *BatchWorkspace) TakeRecall() (mass float64, count int64) {
+	for _, ws := range bw.lanes {
+		mass += ws.recallMass
+		count += ws.recallCnt
+		ws.recallMass, ws.recallCnt = 0, 0
+	}
+	return mass, count
 }
 
 // questEngages reports whether decode attention over the view takes Quest's
@@ -91,7 +92,7 @@ func (bw *BatchWorkspace) TakeSparseStats() (selected, total int64) {
 // observer needing full scores, and more pages than the budget. With fewer,
 // every page would be selected anyway: the dense walk is bit-identical and
 // cheaper, and the group's heads are tallied as selecting all of them.
-func (m *Model) questEngages(ws *Workspace, cp *cachePath, v *pageView) bool {
+func (m *Model) questEngages(ws *workspace, cp *cachePath, v *pageView) bool {
 	if m.sparseTopK <= 0 || cp.observer != nil || v.paged.KeySummary(v.layer, 0) == nil {
 		return false
 	}
@@ -177,7 +178,7 @@ func selectTopPages(sel []int32, scores []float64, topK int) int {
 // head's query q alone, and its ascending topK page list narrows the walk.
 // Summaries are fp32 whatever the page codec (kvcache folds them over
 // dequantized keys), so the criticality bound covers what the walk reads.
-func (m *Model) attendSparse(ws *Workspace, blk *tensor.AttnBlock, cp *cachePath, v *pageView, q []float32) {
+func (m *Model) attendSparse(ws *workspace, blk *tensor.AttnBlock, cp *cachePath, v *pageView, q []float32) {
 	np := v.paged.LayerPages(v.layer)
 	scores, sel := ws.sparseScratch(np)
 	off, stride := v.head*m.cfg.HeadDim, m.cfg.KVDim()
@@ -196,7 +197,7 @@ func (m *Model) attendSparse(ws *Workspace, blk *tensor.AttnBlock, cp *cachePath
 // recordRecall is the attention-mass recall probe: it re-scores the block's
 // one query densely through the same walk and scratch, scale and softmax
 // included, and accumulates the selected pages' share of the mass.
-func (ws *Workspace) recordRecall(m *Model, blk *tensor.AttnBlock, cp *cachePath, v *pageView, sel []int32) {
+func (ws *workspace) recordRecall(m *Model, blk *tensor.AttnBlock, cp *cachePath, v *pageView, sel []int32) {
 	dense := blk.Weights(0, m.softmaxBlock(blk, cp, v, nil))
 	var mass float64
 	i, s := 0, 0

@@ -29,12 +29,12 @@ func TestSparseDecodeFullKBitIdentical(t *testing.T) {
 			prompt := []int{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}
 			dense := New(Tiny(), 23)
 			mkD := sparseCacheMaker(dense, 4, bits)
-			ref := dense.Generate(prompt, mkD(), GenerateOptions{MaxNewTokens: 24, EOS: -1})
+			ref := generate(dense, prompt, mkD(), 24)
 
 			sparse := New(Tiny(), 23)
 			sparse.SetSparseTopK(1 << 20) // always >= pages
 			mkS := sparseCacheMaker(sparse, 4, bits)
-			got := sparse.Generate(prompt, mkS(), GenerateOptions{MaxNewTokens: 24, EOS: -1})
+			got := generate(sparse, prompt, mkS(), 24)
 
 			if len(got.Tokens) != len(ref.Tokens) {
 				t.Fatalf("token count %d != %d", len(got.Tokens), len(ref.Tokens))
@@ -86,24 +86,24 @@ func TestSparseDecodeRestrictionIdentity(t *testing.T) {
 		t.Run(fmt.Sprintf("bits=%d", bits), func(t *testing.T) {
 			for _, topK := range []int{3, 0} {
 				m := New(cfg, 7)
-				ws := m.NewWorkspace()
+				ws := newSolo(m)
 				prompt := make([]int, promptLen)
 				for i := range prompt {
 					prompt[i] = (i*13 + 5) % cfg.Vocab
 				}
 				cache := sparseCacheMaker(m, pageTokens, bits)()
-				m.PrefillInto(ws, prompt, cache)
-				ws.TakeSparseStats()
+				ws.prefill(prompt, cache)
+				ws.bw.TakeSparseStats()
 
 				m.SetSparseTopK(topK)
-				sr := m.ForwardInto(ws, 2, promptLen, cache)
+				sr := ws.step(2, promptLen, cache)
 				m.SetSparseTopK(0)
 				got := append([]float32(nil), sr.Logits...)
-				nSel, _ := ws.TakeSparseStats()
+				nSel, _ := ws.bw.TakeSparseStats()
 				if nSel != int64(topK) {
 					t.Fatalf("selected %d pages, want %d", nSel, topK)
 				}
-				sel := append([]int32(nil), ws.pageSel[:nSel]...)
+				sel := append([]int32(nil), ws.bw.lanes[0].pageSel[:nSel]...)
 				if topK == 0 {
 					for p := 0; p < cache.Pages(); p++ {
 						sel = append(sel, int32(p))
@@ -124,7 +124,7 @@ func TestSparseDecodeRestrictionIdentity(t *testing.T) {
 						restricted.Append(0, [][]float32{keys[i]}, [][]float32{vals[i]})
 					}
 				}
-				sr2 := m.ForwardInto(ws, 2, promptLen, &restrictedSeq{inner: restricted})
+				sr2 := ws.step(2, promptLen, &restrictedSeq{inner: restricted})
 				for j := range got {
 					if got[j] != sr2.Logits[j] {
 						t.Fatalf("logit %d: sparse %v != restricted dense %v", j, got[j], sr2.Logits[j])
@@ -142,24 +142,24 @@ func TestSparseDecodeCounters(t *testing.T) {
 	cfg := Tiny()
 	const pageTokens, topK = 4, 2
 	m := New(cfg, 5)
-	ws := m.NewWorkspace()
+	ws := newSolo(m)
 	prompt := make([]int, 20) // exactly 5 pages
 	for i := range prompt {
 		prompt[i] = i % cfg.Vocab
 	}
 	cache := sparseCacheMaker(m, pageTokens, 0)()
-	m.PrefillInto(ws, prompt, cache)
-	ws.TakeSparseStats() // prefill ran dense; drain whatever landed
+	ws.prefill(prompt, cache)
+	ws.bw.TakeSparseStats() // prefill ran dense; drain whatever landed
 	m.SetSparseTopK(topK)
-	m.ForwardInto(ws, 1, 20, cache)
+	ws.step(1, 20, cache)
 	m.SetSparseTopK(0)
 	np := cache.Pages() // pages resident when attention ran (after append)
-	sel, tot := ws.TakeSparseStats()
+	sel, tot := ws.bw.TakeSparseStats()
 	att := int64(cfg.Layers * cfg.Heads)
 	if tot != att*int64(np) || sel != att*int64(topK) {
 		t.Fatalf("counters (sel=%d, tot=%d), want (%d, %d)", sel, tot, att*int64(topK), att*int64(np))
 	}
-	if s, tt := ws.TakeSparseStats(); s != 0 || tt != 0 {
+	if s, tt := ws.bw.TakeSparseStats(); s != 0 || tt != 0 {
 		t.Fatalf("TakeSparseStats did not reset: (%d, %d)", s, tt)
 	}
 }
@@ -176,20 +176,20 @@ func TestSparseRecallProbe(t *testing.T) {
 	}
 	recallAt := func(topK int) float64 {
 		m := New(cfg, 9)
-		ws := m.NewWorkspace()
+		ws := newSolo(m)
 		cache := sparseCacheMaker(m, pageTokens, 0)()
-		m.PrefillInto(ws, prompt, cache)
+		ws.prefill(prompt, cache)
 		m.SetSparseTopK(topK)
-		ws.SetRecallProbe(true)
+		ws.bw.SetRecallProbe(true)
 		pos := len(prompt)
 		tok := 1
 		for s := 0; s < 4; s++ {
-			sr := m.ForwardInto(ws, tok, pos, cache)
+			sr := ws.step(tok, pos, cache)
 			tok = tensor.Argmax(sr.Logits)
 			pos++
 		}
-		ws.SetRecallProbe(false)
-		mass, cnt := ws.TakeRecall()
+		ws.bw.SetRecallProbe(false)
+		mass, cnt := ws.bw.TakeRecall()
 		if cnt == 0 {
 			t.Fatalf("topK=%d: probe recorded nothing", topK)
 		}
@@ -215,22 +215,22 @@ func TestSparseDecodeAllocs(t *testing.T) {
 	for _, bits := range []int{0, 8, 4} {
 		t.Run(fmt.Sprintf("bits=%d", bits), func(t *testing.T) {
 			m := New(Tiny(), 1)
-			ws := m.NewWorkspace()
+			ws := newSolo(m)
 			cache := sparseCacheMaker(m, 16, bits)()
 			prompt := make([]int, 256)
 			for i := range prompt {
 				prompt[i] = i % Tiny().Vocab
 			}
-			m.PrefillInto(ws, prompt, cache)
+			ws.prefill(prompt, cache)
 			m.SetSparseTopK(4)
 			defer m.SetSparseTopK(0)
 			pos := cache.TotalAppended()
 			avg := testing.AllocsPerRun(100, func() {
-				m.ForwardInto(ws, pos%Tiny().Vocab, pos, cache)
+				ws.step(pos%Tiny().Vocab, pos, cache)
 				pos++
 			})
 			if avg >= 1 {
-				t.Fatalf("bits=%d: sparse ForwardInto allocates %.2f/step, want amortised < 1", bits, avg)
+				t.Fatalf("bits=%d: sparse one-lane step allocates %.2f/step, want amortised < 1", bits, avg)
 			}
 		})
 	}
@@ -245,24 +245,24 @@ func BenchmarkDecodeSteadySparse(b *testing.B) {
 	run := func(b *testing.B, bits, topK int) {
 		m := New(Tiny(), 1)
 		m.SetSparseTopK(topK)
-		ws := m.NewWorkspace()
+		ws := newSolo(m)
 		prompt := make([]int, ctx)
 		for i := range prompt {
 			prompt[i] = i % Tiny().Vocab
 		}
 		mk := sparseCacheMaker(m, pageTokens, bits)
 		cache := mk()
-		m.PrefillInto(ws, prompt, cache)
+		ws.prefill(prompt, cache)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if cache.TotalAppended() >= ctx+256 {
 				b.StopTimer()
 				cache = mk()
-				m.PrefillInto(ws, prompt, cache)
+				ws.prefill(prompt, cache)
 				b.StartTimer()
 			}
-			m.ForwardInto(ws, i%Tiny().Vocab, cache.TotalAppended(), cache)
+			ws.step(i%Tiny().Vocab, cache.TotalAppended(), cache)
 		}
 	}
 	for _, bits := range []int{0, 8} {

@@ -222,7 +222,7 @@ func newEngine(m *model.Model, cfg Config) (*Engine, error) {
 		}
 		// Construction-time prefill has no decode traffic to interleave
 		// with, but the chunk plane's batched GEMMs still finish a long
-		// prefix several times faster than token-at-a-time ForwardInto —
+		// prefix several times faster than a token at a time —
 		// and warm the pooled batch workspace the loop will reuse.
 		cache := e.kv.NewCache()
 		sb := e.pool.GetBatch()

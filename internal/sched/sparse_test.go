@@ -6,36 +6,29 @@ import (
 	"testing"
 	"time"
 
+	"rethinkkv/internal/core"
 	"rethinkkv/internal/kvcache"
 	"rethinkkv/internal/model"
-	"rethinkkv/internal/tensor"
 )
 
-// sparseReference decodes every prompt through the model directly with the
+// sparseReference decodes every prompt through a one-lane core.Session with the
 // engine's sparse semantics — dense prefill, sparse decode at topK — giving
 // the ground-truth streams a sparse engine must reproduce regardless of
 // batching, preemption, replay, or prefix reuse.
 func sparseReference(t *testing.T, prompts [][]int, maxNew, topK, pageTokens, bits int) [][]int {
 	t.Helper()
 	m := model.New(model.Tiny(), seed)
-	ws := m.NewWorkspace()
 	out := make([][]int, len(prompts))
 	for i, prompt := range prompts {
 		cache := kvcache.NewPagedKVQuant(m.CacheShape(), pageTokens, 0, bits)
 		cache.EnableKeySummaries()
-		sr := m.PrefillInto(ws, prompt, cache) // topK is 0 here: prefill stays dense
-		m.SetSparseTopK(topK)
-		next := tensor.Argmax(sr.Logits)
-		toks := make([]int, 0, maxNew)
-		pos := len(prompt)
-		for len(toks) < maxNew {
-			toks = append(toks, next)
-			sr = m.ForwardInto(ws, next, pos, cache)
-			next = tensor.Argmax(sr.Logits)
-			pos++
+		s, err := core.NewSession(m, cache, prompt) // topK is 0 here: prefill stays dense
+		if err != nil {
+			t.Fatal(err)
 		}
+		m.SetSparseTopK(topK)
+		out[i] = s.Decode(maxNew)
 		m.SetSparseTopK(0)
-		out[i] = toks
 	}
 	return out
 }

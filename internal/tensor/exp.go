@@ -112,16 +112,6 @@ func Softmax(xs []float32) {
 	Scale(xs, 1/sum)
 }
 
-// SoftmaxTemp is Softmax with a temperature divisor applied to the logits
-// first. Temperature must be > 0.
-func SoftmaxTemp(xs []float32, temp float64) {
-	if temp <= 0 {
-		panic("tensor: non-positive temperature")
-	}
-	Scale(xs, float32(1/temp))
-	Softmax(xs)
-}
-
 // SiLUMul applies the gated activation gate = SiLU(gate) ⊙ up in place —
 // SiLU(v) = v·sigmoid(v) = v / (1 + Exp32(−v)), LLaMA's activation — the
 // activation and the product in one pass. It panics on length mismatch.

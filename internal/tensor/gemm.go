@@ -77,12 +77,6 @@ func (p *Packed) MulInto(dst, xs [][]float32) {
 	p.MulPanelsInto(dst, xs, 0, p.Panels())
 }
 
-// MulVecInto is MulInto for one lane.
-func (p *Packed) MulVecInto(dst, x []float32) {
-	ds, xs := [1][]float32{dst}, [1][]float32{x}
-	p.MulInto(ds[:], xs[:])
-}
-
 // MulPanelsInto computes the output columns of panels [p0, p1) of MulInto —
 // the entry parallel drivers shard. Shards write disjoint dst ranges, so
 // concurrent calls over disjoint panel ranges are safe and assemble to

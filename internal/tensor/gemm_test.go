@@ -128,9 +128,9 @@ func TestMatTMatIntoMatchesVecMatInto(t *testing.T) {
 	})
 }
 
-// TestVecMatTransIntoMatchesVecMatInto pins the single-lane entry
-// (ForwardInto's projections) to VecMatInto bit-for-bit, on activations with
-// exact zeros and strictly zero-free ones.
+// TestVecMatTransIntoMatchesVecMatInto pins the tile loop at one lane (a
+// stream stepped alone) to VecMatInto bit-for-bit, on activations with exact
+// zeros and strictly zero-free ones.
 func TestVecMatTransIntoMatchesVecMatInto(t *testing.T) {
 	eachArm(t, func(t *testing.T) {
 		for _, shape := range gemmShapes {
@@ -143,7 +143,7 @@ func TestVecMatTransIntoMatchesVecMatInto(t *testing.T) {
 				}
 				want, got := newLanes(1, shape[1]), newLanes(1, shape[1])
 				VecMatInto(want[0], x, m)
-				p.MulVecInto(got[0], x)
+				p.MulInto(got, [][]float32{x})
 				sameBits(t, fmt.Sprintf("zeroFree=%v shape=%v", zeroFree, shape), got, want)
 			}
 		}
@@ -154,7 +154,7 @@ func TestVecMatTransIntoMatchesVecMatInto(t *testing.T) {
 			t.Fatal("mismatched activation length accepted")
 		}
 	}()
-	pack(testMatrix(8, 4, 1)).MulVecInto(make([]float32, 4), make([]float32, 4))
+	pack(testMatrix(8, 4, 1)).MulInto(newLanes(1, 4), newLanes(1, 4))
 }
 
 // fillZeros replaces every exact zero in x with v.
@@ -409,7 +409,7 @@ func TestBatchedKernelsAllocFree(t *testing.T) {
 		cos := make([]float32, 8)
 		if n := testing.AllocsPerRun(10, func() {
 			p.MulInto(dst, xs)
-			p.MulVecInto(dst[0], xs[0])
+			p.MulInto(dst[:1], xs[:1])
 			p.MulPanelsInto(dst, xs, 1, 3)
 			ragged.MulInto(dstRagged, xs)
 			MatTMatTransInto(dst, xs, m, mT)

@@ -74,16 +74,6 @@ func TestSoftmaxNumericalStability(t *testing.T) {
 	}
 }
 
-func TestSoftmaxTempSharpens(t *testing.T) {
-	a := []float32{1, 2}
-	b := []float32{1, 2}
-	SoftmaxTemp(a, 0.5) // sharper
-	SoftmaxTemp(b, 2.0) // flatter
-	if a[1] <= b[1] {
-		t.Fatalf("low temperature should sharpen: %v vs %v", a[1], b[1])
-	}
-}
-
 func TestQuickSoftmaxSumsToOne(t *testing.T) {
 	f := func(raw []float32) bool {
 		if len(raw) == 0 {

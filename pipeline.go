@@ -3,7 +3,6 @@ package rethinkkv
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"rethinkkv/internal/core"
 	"rethinkkv/internal/sched"
@@ -19,10 +18,10 @@ type Report = core.Report
 type Token = sched.Token
 
 // Pipeline runs real tiny-model generation under a compression method. A
-// pipeline is reusable and safe for sequential reuse: every Generate or Run
-// call executes on a fresh method cache.
+// pipeline is reusable and safe for concurrent use: every Generate, Run or
+// GenerateBatch call executes on a fresh method cache and a workspace of its
+// own over the shared, immutable model.
 type Pipeline struct {
-	mu   sync.Mutex
 	cfg  config
 	core *core.Pipeline
 }
@@ -93,12 +92,7 @@ func (p *Pipeline) GenerateBatch(ctx context.Context, prompts [][]int) ([][]int,
 			return nil, nil, fmt.Errorf("%w (prompt %d)", err, i)
 		}
 	}
-	// The pipeline lock guards only session creation (the shared cache
-	// factory and last-cache pointer); the decode fan-out runs unlocked so
-	// concurrent Generate/Run calls are not stalled for the whole batch.
-	p.mu.Lock()
 	sessions, err := p.core.NewSessions(ctx, prompts)
-	p.mu.Unlock()
 	if err != nil {
 		return nil, nil, fmt.Errorf("rethinkkv: %w", err)
 	}
@@ -116,10 +110,7 @@ func (p *Pipeline) Run(prompt []int, maxNew int) ([]int, Report, error) {
 	if err != nil {
 		return nil, Report{}, err
 	}
-	out := make([]int, 0, maxNew)
-	for i := 0; i < maxNew; i++ {
-		out = append(out, s.Next())
-	}
+	out := s.Decode(maxNew)
 	return out, s.Report(), nil
 }
 
@@ -142,13 +133,11 @@ func validatePrompt(prompt []int, vocab int) error {
 	return nil
 }
 
-// session starts one generation pass under the pipeline lock.
+// session starts one generation pass.
 func (p *Pipeline) session(prompt []int) (*core.Session, error) {
 	if err := validatePrompt(prompt, p.Vocab()); err != nil {
 		return nil, err
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	s, err := p.core.NewSession(prompt)
 	if err != nil {
 		return nil, fmt.Errorf("rethinkkv: %w", err)

@@ -6,6 +6,7 @@ package rethinkkv_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -233,6 +234,9 @@ func TestTypedErrors(t *testing.T) {
 	if _, err := rethinkkv.NewSystem(rethinkkv.WithHardware("tpu")); !errors.Is(err, rethinkkv.ErrUnknownHardware) {
 		t.Fatalf("want ErrUnknownHardware, got %v", err)
 	}
+	if _, err := rethinkkv.NewSystem(rethinkkv.WithMethod("zip-9")); !errors.Is(err, rethinkkv.ErrUnknownMethod) {
+		t.Fatalf("want ErrUnknownMethod from NewSystem, got %v", err)
+	}
 	if _, err := rethinkkv.NewCluster(nil); !errors.Is(err, rethinkkv.ErrEmptyCluster) {
 		t.Fatalf("want ErrEmptyCluster, got %v", err)
 	}
@@ -287,6 +291,9 @@ func TestRegistries(t *testing.T) {
 	for _, e := range []string{"trl", "trl+fa", "lmdeploy", "vllm"} {
 		if !has(rethinkkv.Engines(), e) {
 			t.Fatalf("Engines() missing %q", e)
+		}
+		if _, err := rethinkkv.NewSystem(rethinkkv.WithEngine(e)); err != nil {
+			t.Fatalf("NewSystem(WithEngine(%q)): %v", e, err)
 		}
 	}
 	for _, h := range []string{"a6000", "h800"} {
@@ -516,6 +523,68 @@ func TestGenerateBatchMatchesRun(t *testing.T) {
 			t.Fatalf("prompt %d report tokens = %d", i, reps[i].TokensProcessed)
 		}
 	}
+}
+
+// TestPipelineConcurrentCallsMatchSequential drives one Pipeline from many
+// goroutines at once — Run, Generate and GenerateBatch side by side — and
+// requires every output to equal the same call made alone: a pipeline keeps
+// no per-call state, each call decodes on a cache and workspace of its own.
+// make race-sched runs it under the race detector.
+func TestPipelineConcurrentCallsMatchSequential(t *testing.T) {
+	const maxNew = 8
+	p, err := rethinkkv.New(rethinkkv.WithMethod("h2o-512"), rethinkkv.WithSeed(5), rethinkkv.WithMaxNewTokens(maxNew))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prompts := [][]int{testPrompt(12), testPrompt(7), testPrompt(20)}
+	want := make([][]int, len(prompts))
+	for i, prompt := range prompts {
+		if want[i], _, err = p.Run(prompt, maxNew); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(call string, i int, got []int, err error) {
+		if err != nil {
+			t.Errorf("%s prompt %d: %v", call, i, err)
+		} else if !slices.Equal(got, want[i]) {
+			t.Errorf("%s prompt %d: %v, want %v", call, i, got, want[i])
+		}
+	}
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for round := 0; round < 2; round++ {
+		for i, prompt := range prompts {
+			wg.Add(3)
+			go func() {
+				defer wg.Done()
+				got, _, err := p.Run(prompt, maxNew)
+				check("Run", i, got, err)
+			}()
+			go func() {
+				defer wg.Done()
+				ch, err := p.Generate(ctx, prompt)
+				var got []int
+				if err == nil {
+					for tok := range ch {
+						got = append(got, tok.ID)
+					}
+				}
+				check("Generate", i, got, err)
+			}()
+			go func() {
+				defer wg.Done()
+				outs, _, err := p.GenerateBatch(ctx, prompts)
+				if err != nil {
+					t.Errorf("GenerateBatch: %v", err)
+					return
+				}
+				for j, got := range outs {
+					check("GenerateBatch", j, got, nil)
+				}
+			}()
+		}
+	}
+	wg.Wait()
 }
 
 func TestGenerateBatchValidation(t *testing.T) {
