@@ -69,7 +69,11 @@ race-sched:
 # step of every accumulation chain, against a math/big oracle (raw bits of
 # all three operands: NaN, ±Inf, subnormals and double-rounding ties), then
 # the fp16 codec (raw float32 bits must encode to the nearest binary16, ties
-# to even, NaN to NaN, overflow to ±Inf), then the prefix tree against a map
+# to even, NaN to NaN, overflow to ±Inf), then the int8 page encoder (raw
+# float32 bits, 16-48 values: the AVX-512 arm's codes and (lo, Δ) pair against
+# the pure-Go specification — ties, ±0 minima and fp16 underflow included,
+# non-finite and out-of-range slices on the specification's path), then the
+# prefix tree against a map
 # model (any run of insert / match / pin / unpin / evict: page and pin
 # counts, pinned ancestors, release-order eviction, longest match), then the
 # weight sampler's transform (raw bits of u in (-1, 1), s in (0, 1) and the
@@ -86,6 +90,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzSelectTopPagesMatchesSort -fuzztime 10s ./internal/model
 	$(GO) test -run XXX -fuzz FuzzFMA32 -fuzztime 10s ./internal/tensor
 	$(GO) test -run XXX -fuzz FuzzEncodeFloat16Nearest -fuzztime 10s ./internal/tensor
+	$(GO) test -run XXX -fuzz FuzzQuantEncodeMatchesSpec -fuzztime 10s ./internal/tensor
 	$(GO) test -run XXX -fuzz FuzzPrefixTreeMatchesModel -fuzztime 10s ./internal/sched
 	$(GO) test -run XXX -fuzz FuzzPolarMatchesMath -fuzztime 10s ./internal/tensor
 
@@ -97,16 +102,18 @@ BENCHPKGS = . ./internal/model ./internal/tensor ./internal/rng
 # every arm, sparse decode and its page-selection pair, the
 # GEMM tile loop's entries under every arm, and the fused
 # pass / the one step entry from a batch of one with no chunks up to the
-# budget-packed mixed step, and a KV cache's whole life on a warm page pool
-# (pages, page tables and page handles drawn and given back).
-ALLOC_PINS = TestQuantDecodeAllocs TestBlockWalkAllocs TestQuantStridedKernelsZeroAlloc TestSparseDecodeAllocs TestSparseAttentionZeroAlloc TestBatchedKernelsAllocFree TestForwardMixedPackedAllocFree TestStepMixedPackedAllocFree TestPagePoolCycleAllocFree
-ALLOC_PKGS = ./internal/model ./internal/tensor ./internal/core ./internal/kvcache
+# budget-packed mixed step, a KV cache's whole life on a warm page pool
+# (pages, page tables and page handles drawn and given back), a refused page
+# reservation (admission retries one after every eviction) and streaming a
+# request's tokens.
+ALLOC_PINS = TestQuantDecodeAllocs TestBlockWalkAllocs TestQuantStridedKernelsZeroAlloc TestSparseDecodeAllocs TestSparseAttentionZeroAlloc TestBatchedKernelsAllocFree TestForwardMixedPackedAllocFree TestStepMixedPackedAllocFree TestPagePoolCycleAllocFree TestReserveRefusalAllocFree TestEmitAllocFree
+ALLOC_PKGS = ./internal/model ./internal/tensor ./internal/core ./internal/kvcache ./internal/sched
 
 # bench-smoke compiles and single-steps every benchmark in BENCHPKGS (the
 # facade's, the model's decode/prefill cases including BenchmarkDecodeSteadyQuant
 # and BenchmarkDecodeSteadySparse, BenchmarkModelNew, the kernels' own:
-# BenchmarkGEMM, BenchmarkAttendBlock, BenchmarkSoftmax, BenchmarkSiLU,
-# BenchmarkNormals, and the sampler's uniform half, BenchmarkPolar), then re-runs
+# BenchmarkGEMM, BenchmarkAttendBlock, BenchmarkQuantEncode, BenchmarkSoftmax,
+# BenchmarkSiLU, BenchmarkNormals, and the sampler's uniform half, BenchmarkPolar), then re-runs
 # ALLOC_PINS. `go test -run` passes silently when a name matches nothing, so
 # the target checks that every pinned name actually ran and passed: renaming
 # or deleting one fails here instead of unpinning the path.

@@ -68,13 +68,14 @@ func (c *PagedKV) Pages() int { return PagesFor(c.appended, c.pageTokens) }
 // Reserve promises the cache, from its pool, the pages extraTokens more tokens
 // need beyond those it holds; the promise replaces any earlier one. When the
 // budget cannot take the larger promise, Reserve changes nothing and returns
-// ErrOutOfPages (wrapped, test with errors.Is): the non-panicking admission
-// check a scheduler runs before prefilling. Appends within it never fail.
+// ErrOutOfPages itself (test with errors.Is): the non-panicking admission
+// check a scheduler runs before prefilling, in a loop that evicts until it
+// fits, so a refusal allocates nothing. Appends within it never fail.
 func (c *PagedKV) Reserve(extraTokens int) error {
 	pp, layers := c.pool, c.shape.Layers
 	want := (PagesFor(c.appended+max(extraTokens, 0), c.pageTokens) - c.Pages()) * layers
 	if grow := want - c.promised; pp.budget > 0 && grow > 0 && pp.out+pp.promised+grow > pp.budget*layers {
-		return fmt.Errorf("%w: need %d more pages for %d tokens, %d of %d charged", ErrOutOfPages, grow/layers, c.appended+extraTokens, pp.Charged(), pp.budget)
+		return ErrOutOfPages
 	}
 	pp.promised += want - c.promised
 	c.promised = want

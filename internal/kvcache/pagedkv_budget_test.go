@@ -110,3 +110,17 @@ func TestPagedKVClonePrefixIsolation(t *testing.T) {
 		}
 	}
 }
+
+// TestReserveRefusalAllocFree pins a refused Reserve at 0 allocations:
+// admission retries it after every eviction until the promise fits, so each
+// refusal is on the serving path. The refusal is still ErrOutOfPages.
+func TestReserveRefusalAllocFree(t *testing.T) {
+	c := NewPagedKVQuant(Shape{Layers: 2, KVHeads: 2, HeadDim: 4}, 4, 2, 8)
+	var err error
+	if n := testing.AllocsPerRun(100, func() { err = c.Reserve(9) }); n != 0 {
+		t.Fatalf("refused Reserve allocated %.1f per call, want 0", n)
+	}
+	if !errors.Is(err, ErrOutOfPages) {
+		t.Fatalf("Reserve past the budget returned %v, want ErrOutOfPages", err)
+	}
+}

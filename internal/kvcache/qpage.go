@@ -1,10 +1,6 @@
 package kvcache
 
-import (
-	"math"
-
-	"rethinkkv/internal/tensor"
-)
+import "rethinkkv/internal/tensor"
 
 // This file is PagedKV's page and its codecs — everything that depends on how
 // a page stores a token: encoding a span into it, copying a head of it,
@@ -13,9 +9,10 @@ import (
 // codec is the live-plane counterpart of internal/quant's offline Uniform
 // quantizer (which cannot be imported here — it sits above kvcache): each
 // token's K/V head slices are uniform-asymmetric quantized the moment they are
-// appended — codes c = round((x-lo)/Δ) clamped to [0, 2^bits-1], Δ and lo
-// stored as float16 — and every read dequantizes x = float32(c)·Δ + lo, the
-// exact arithmetic of quant.Uniform and of tensor's attention block kernels.
+// appended (tensor.QuantEncode) — codes c = round((x-lo)/Δ) clamped to
+// [0, 2^bits-1], Δ and lo stored as float16 — and every read dequantizes
+// x = float32(c)·Δ + lo, the exact arithmetic of quant.Uniform and of
+// tensor's attention block kernels.
 //
 // Quantizing per token at append time (rather than when a page seals) is
 // what keeps the serving plane's bit-exactness contracts intact: a token's
@@ -57,8 +54,8 @@ func (c *PagedKV) store(p *page, t int, k, v []float32) {
 	cw := d * c.qbits / 8 // code bytes per slice
 	ks, vs := p.n*kvh, (c.pageTokens+p.n)*kvh
 	for i := 0; i < t*kvh; i++ {
-		quantEncode(p.codes[(ks+i)*cw:][:cw], p.params[(ks+i)*2:][:2], k[i*d:(i+1)*d], c.qbits)
-		quantEncode(p.codes[(vs+i)*cw:][:cw], p.params[(vs+i)*2:][:2], v[i*d:(i+1)*d], c.qbits)
+		tensor.QuantEncode(p.codes[(ks+i)*cw:][:cw], p.params[(ks+i)*2:][:2], k[i*d:(i+1)*d], c.qbits)
+		tensor.QuantEncode(p.codes[(vs+i)*cw:][:cw], p.params[(vs+i)*2:][:2], v[i*d:(i+1)*d], c.qbits)
 	}
 }
 
@@ -113,55 +110,6 @@ func (c *PagedKV) pageBytes() int64 {
 		return int64(c.pageTokens) * int64(c.stride()) * 2 * BytesPerElemFP16
 	}
 	return PageBitsQuant(c.shape, c.pageTokens, c.qbits) / 8
-}
-
-// quantEncode uniform-quantizes one head slice x into codes (len(x)*bits/8
-// bytes) and its (lo, delta) float16 pair. Codes are computed against the
-// float16-decoded parameters — the exact values every reader reconstructs
-// with — so encode and decode agree bit-for-bit. A constant slice (or one
-// whose range underflows float16) stores delta = 0 and all-zero codes,
-// dequantizing to lo, exactly like quant.Uniform.
-func quantEncode(codes []uint8, params []uint16, x []float32, bits int) {
-	lo, hi := x[0], x[0]
-	for _, v := range x[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	loBits := tensor.EncodeFloat16(lo)
-	loD := tensor.DecodeFloat16(loBits)
-	maxCode := float32(int(1)<<bits - 1)
-	dBits := tensor.EncodeFloat16((hi - loD) / maxCode)
-	dD := tensor.DecodeFloat16(dBits)
-	if !(dD > 0) {
-		params[0], params[1] = loBits, 0
-		clear(codes)
-		return
-	}
-	params[0], params[1] = loBits, dBits
-	inv := 1 / dD
-	encode := func(v float32) uint8 {
-		cf := float32(math.Round(float64((v - loD) * inv)))
-		if cf < 0 {
-			cf = 0
-		}
-		if cf > maxCode {
-			cf = maxCode
-		}
-		return uint8(cf)
-	}
-	if bits == 8 {
-		for j, v := range x {
-			codes[j] = encode(v)
-		}
-		return
-	}
-	for j := 0; j < len(x); j += 2 {
-		codes[j>>1] = encode(x[j]) | encode(x[j+1])<<4
-	}
 }
 
 // PageBitsFP32 is the bit cost of one full-precision K/V page as the live

@@ -322,13 +322,15 @@ func (e *Engine) Submit(ctx context.Context, req Request) (<-chan Token, error) 
 		req.Arrival = e.Now()
 	}
 	// The channel is one slot larger than the token budget so a terminal
-	// error token (shed, engine failure) always fits without blocking.
+	// error token (shed, engine failure) always fits without blocking; the
+	// token record holds the budget, so emitting never grows it.
 	rs := &reqState{
-		req:      req,
-		ctx:      ctx,
-		ch:       make(chan Token, req.MaxNew+1),
-		start:    -1,
-		firstTok: -1,
+		req:       req,
+		ctx:       ctx,
+		ch:        make(chan Token, req.MaxNew+1),
+		generated: make([]int, 0, req.MaxNew),
+		start:     -1,
+		firstTok:  -1,
 	}
 	e.mu.Lock()
 	if e.failure != nil {

@@ -453,3 +453,33 @@ func TestBadPolicyRejected(t *testing.T) {
 		t.Fatal("unknown policy accepted")
 	}
 }
+
+// TestEmitAllocFree pins streaming a request's tokens at 0 allocations: the
+// token record is sized to the request's budget at Submit, so emitLocked's
+// append never grows it. Each run emits MaxNew−1 tokens (no retirement) into
+// a request of its own, fresh from Submit.
+func TestEmitAllocFree(t *testing.T) {
+	const runs, maxNew = 10, 64
+	e, err := newEngine(model.New(model.Tiny(), seed), Config{MaxBatch: 4, PageTokens: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= runs; i++ {
+		if _, err := e.Submit(context.Background(), Request{ID: i, Prompt: []int{1, 2, 3}, MaxNew: maxNew, Arrival: -1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	n := testing.AllocsPerRun(runs, func() {
+		rs := e.queue[next]
+		next++
+		e.mu.Lock()
+		for tok := 1; tok < maxNew; tok++ {
+			e.emitLocked(rs, tok, 0)
+		}
+		e.mu.Unlock()
+	})
+	if n != 0 {
+		t.Fatalf("emitting %d tokens allocated %.1f per request, want 0", maxNew-1, n)
+	}
+}

@@ -4,24 +4,28 @@ package tensor
 // block of queries that share the page's KV head — a decode lane's GQA group,
 // or a prefill chunk's rows × group — on gemm.go's micro-kernel, in 16-token
 // sub-tiles (the tile's panel width). scores = Q·Kᵀ: the sub-tile's key rows
-// are re-laid dim-major into a HeadDim × 16 panel, so the tile's vector lanes
+// are laid dim-major into a HeadDim × 16 panel, so the tile's vector lanes
 // run across *tokens* and every score is one chain of HeadDim steps of one
 // FMA32 each, from +0 in ascending dimension — Dot's arithmetic.
 // outputs += P·V: the value rows are the panel as they lie (token-major), the
 // lanes run across *dimensions* (two adjacent 16-dimension panels at once on
 // the AVX-512 arm), and the seeded tile continues each output's chain token by
-// token from where the last page left it — the per-token AXPY loop's
-// arithmetic. So results are bit-identical to Dot / AXPY over per-token views
-// for every block size, page size, codec and arm. A page's codec only has to
-// produce fp32 rows (load), once per (visit, KV head) — not per query head.
+// token from where the last page left it, up to its query's own bound — the
+// per-token AXPY loop's arithmetic. So results are bit-identical to Dot / AXPY
+// over per-token views for every block size, page size, codec and arm.
+//
+// A page's codec only has to produce fp32 rows (load), once per (visit, KV
+// head) — not per query head — except 8-bit codes on the AVX-512 arm, which
+// are never stored as fp32 rows: the key pass dequantizes them straight into
+// the panel, the value pass inside its tile, each (lo, Δ) pair decoded once
+// per sub-tile (int8Params). Both are DequantSliceInto's arithmetic.
 
 // AttnBlockMax is the largest query block one page walk serves.
 const AttnBlockMax = 16
 
 // Rows is one page's key (or value) rows for one KV head: F32 (token-major
 // fp32 starting at the head's lane, Stride floats apart), or uniform codes in
-// DequantSliceInto's layout when F32 is nil. Values must be finite: a query's
-// weights past its causal bound are zero-filled, not skipped (Weights).
+// DequantSliceInto's layout when F32 is nil.
 type Rows struct {
 	F32                            []float32
 	Codes                          []uint8
@@ -31,7 +35,9 @@ type Rows struct {
 
 // AttnBlock is a block of up to AttnBlockMax queries over one KV head plus
 // the scratch their page visits share: the queries, one score/weight row per
-// query, 16 fp32 token rows and the dim-major key panel. A walk is Reset,
+// query, 16 fp32 token rows, the dim-major key panel, for 8-bit codes a
+// sub-tile's decoded (lo, Δ) pairs and its code rows when it is ragged, and
+// the value tile's spare output rows. A walk is Reset,
 // Add per query, Score per page, Weights (scale, softmax) per query, then
 // Accumulate per page in the same order.
 type AttnBlock struct {
@@ -43,6 +49,9 @@ type AttnBlock struct {
 	scores    []float32 // AttnBlockMax × ss
 	rows      []float32 // 16 × rs; columns past d stay zero
 	panel     []float32 // d × 16
+	codes     []uint8   // 16 × d
+	lod       [2 * panelWidth]float32
+	spare     [4][2 * panelWidth]float32
 }
 
 // NewAttnBlock allocates a block for head dimension d whose score rows hold
@@ -54,6 +63,7 @@ func NewAttnBlock(d, maxTokens int) *AttnBlock {
 		q:     make([]float32, AttnBlockMax*d),
 		rows:  make([]float32, panelWidth*rs),
 		panel: make([]float32, d*panelWidth),
+		codes: make([]uint8, panelWidth*d),
 	}
 	b.growScores(maxTokens)
 	return b
@@ -89,15 +99,9 @@ func (b *AttnBlock) Add(bound int, out []float32) []float32 {
 
 // Weights returns query qi's score row cut to its bound — the vector the
 // caller scales, softmaxes and shows to an observer in place — of a walk that
-// covered the first covered tokens. The row's tail up to covered is
-// zero-filled: Accumulate runs every query of a tile over the same tokens,
-// and adding 0·v = ±0 cannot change an accumulator that started at +0
-// (gemm.go's argument).
+// covered the first covered tokens.
 func (b *AttnBlock) Weights(qi, covered int) []float32 {
-	row := b.scores[qi*b.ss:]
-	n := min(b.bound[qi], covered)
-	clear(row[n:covered])
-	return row[:n]
+	return b.scores[qi*b.ss:][:min(b.bound[qi], covered)]
 }
 
 // live returns the first query, in steps of a tile's four lanes, whose tile
@@ -114,14 +118,29 @@ func (b *AttnBlock) live(s int) int {
 // Score writes the raw q·k of the t tokens of r, which are tokens [i, i+t)
 // of the walk, into every live query's score row.
 func (b *AttnBlock) Score(i, t int, r *Rows) {
+	q8 := b.int8Fused(r)
 	for t0 := 0; t0 < t; t0 += panelWidth {
 		g := b.live(i + t0)
 		if g >= b.n {
 			return
 		}
 		tt := min(panelWidth, t-t0)
-		rows, stride := b.load(r, t0, tt, tt == panelWidth)
-		relay(b.panel, rows, stride, b.d)
+		if q8 {
+			b.int8Params(r, t0, tt)
+			codes, stride := r.Codes[t0*r.Stride+r.Off:], r.Stride
+			if tt < panelWidth { // the panel kernel reads 16 rows: pad with code 0, (lo, Δ) = (0, 0)
+				clear(b.codes)
+				for j := 0; j < tt; j++ {
+					copy(b.codes[j*b.d:][:b.d], codes[j*stride:])
+				}
+				codes, stride = b.codes, b.d
+			}
+			_ = codes[(panelWidth-1)*stride+b.d-1]
+			panelQ8AVX512(&b.panel[0], &codes[0], stride, &b.lod[0], b.d/panelWidth)
+		} else {
+			rows, stride := b.load(r, t0, tt, tt == panelWidth)
+			relay(b.panel, rows, stride, b.d)
+		}
 		for ; g < b.n; g += 4 {
 			lanes := min(4, b.n-g)
 			var d, x [4][]float32
@@ -136,98 +155,153 @@ func (b *AttnBlock) Score(i, t int, r *Rows) {
 }
 
 // Accumulate adds Σ weight·value over the t tokens of r, tokens [i, i+t) of
-// the walk, into every live query's output.
+// the walk, into every live query's output. A query's chain stops at its own
+// bound: within a sub-tile the lanes of a group run together up to the first
+// lane's bound, the lanes past it on to the next, and so on (bounds ascend),
+// so no query ever takes a step for a token it does not see — the step would
+// be FMA32(0, v, acc), which turns a −0 accumulator into +0.
 func (b *AttnBlock) Accumulate(i, t int, r *Rows) {
-	// spare[l] stands in for out[l] on a ragged last panel (d%16 columns
-	// live), and takes the lanes a short group repeats: a seeded tile adds,
-	// so a repeated lane must not land on its query's output twice.
-	var spare [4][2 * panelWidth]float32
+	q8 := b.int8Fused(r)
 	for t0 := 0; t0 < t; t0 += panelWidth {
 		g := b.live(i + t0)
 		if g >= b.n {
 			return
 		}
 		tt := min(panelWidth, t-t0)
-		rows, stride := b.load(r, t0, tt, b.d%panelWidth == 0)
+		var v values
+		if q8 {
+			b.int8Params(r, t0, tt)
+			v.codes, v.stride = r.Codes[t0*r.Stride+r.Off:], r.Stride
+		} else {
+			v.rows, v.stride = b.load(r, t0, tt, b.d%panelWidth == 0)
+		}
 		for ; g < b.n; g += 4 {
-			lanes := min(4, b.n-g)
-			for c := 0; c < b.d; {
-				width := min(panelWidth, b.d-c)
-				if arm == armAVX512 && b.d-c >= 2*panelWidth {
-					width = 2 * panelWidth
+			lanes, s := min(4, b.n-g), 0
+			for l := 0; l < lanes; l++ {
+				if e := min(b.bound[g+l]-i-t0, tt); e > s {
+					b.valueTiles(g, l, lanes, i+t0, s, e, &v)
+					s = e
 				}
-				var d, x [4][]float32
-				for l := range d {
-					qi := g + min(l, lanes-1)
-					x[l] = b.scores[qi*b.ss+i+t0:][:tt]
-					switch {
-					case l >= lanes:
-						d[l] = spare[l][:max(width, panelWidth)]
-					case width < panelWidth:
-						copy(spare[l][:width], b.out[qi][c:])
-						d[l] = spare[l][:panelWidth]
-					default:
-						d[l] = b.out[qi][c : c+width]
-					}
-				}
-				if width > panelWidth {
-					tilePair(&d, &x, rows[c:], tt, stride, panelWidth, true)
-				} else {
-					tile(&d, &x, rows[c:], tt, stride, lanes, true)
-				}
-				if width < panelWidth {
-					for l := 0; l < lanes; l++ {
-						copy(b.out[g+l][c:], spare[l][:width])
-					}
-				}
-				c += width
 			}
 		}
+	}
+}
+
+// values is a sub-tile's value rows as the tiles read them: fp32 rows, or
+// 8-bit codes whose (lo, Δ) pairs are in the block's lod; stride apart.
+type values struct {
+	rows   []float32
+	codes  []uint8
+	stride int
+}
+
+// valueTiles adds tokens [s, e) of the sub-tile at walk position pos, weighted,
+// into the outputs of lanes [first, lanes) of the query group at g, 16 or 32
+// columns at a time. Lanes before first, and the repeats a short group fills
+// its tile with, land in the spare rows: a seeded tile adds, so a lane must
+// never reach a query's output twice or past its bound.
+func (b *AttnBlock) valueTiles(g, first, lanes, pos, s, e int, v *values) {
+	spare := &b.spare
+	k := e - s
+	for c := 0; c < b.d; {
+		width := min(panelWidth, b.d-c)
+		if arm == armAVX512 && b.d-c >= 2*panelWidth {
+			width = 2 * panelWidth
+		}
+		var d, x [4][]float32
+		for l := range d {
+			qi := g + min(max(l, first), lanes-1)
+			x[l] = b.scores[qi*b.ss+pos+s:][:k]
+			switch {
+			case l < first || l >= lanes:
+				d[l] = spare[l][:max(width, panelWidth)]
+			case width < panelWidth: // a ragged last panel: d%16 columns live
+				copy(spare[l][:width], b.out[qi][c:])
+				d[l] = spare[l][:panelWidth]
+			default:
+				d[l] = b.out[qi][c : c+width]
+			}
+		}
+		switch {
+		case v.codes != nil:
+			tileQ8(&d, &x, v.codes[s*v.stride+c:], b.lod[2*s:], k, v.stride, width > panelWidth)
+		case width > panelWidth:
+			tilePair(&d, &x, v.rows[s*v.stride+c:], k, v.stride, panelWidth, true)
+		default:
+			tile(&d, &x, v.rows[s*v.stride+c:], k, v.stride, lanes, true)
+		}
+		if width < panelWidth {
+			for l := first; l < lanes; l++ {
+				copy(b.out[g+l][c:], spare[l][:width])
+			}
+		}
+		c += width
+	}
+}
+
+// tileQ8 is the value pass's seeded tile over k rows of 8-bit codes, stride
+// bytes apart, (lo, Δ) pairs in lod, for 16 columns per lane (32 when pair):
+// tileQ8AVX512's bounds, checked.
+func tileQ8(d, x *[4][]float32, codes []uint8, lod []float32, k, stride int, pair bool) {
+	width := panelWidth
+	if pair {
+		width = 2 * panelWidth
+	}
+	_, _ = codes[(k-1)*stride+width-1], lod[2*k-1]
+	for i := range d {
+		_ = d[i][width-1]
+	}
+	tileQ8AVX512(&d[0][0], &d[1][0], &d[2][0], &d[3][0],
+		&x[0][:k][0], &x[1][:k][0], &x[2][:k][0], &x[3][:k][0], &codes[0], &lod[0], k, stride, pair)
+}
+
+// int8Fused reports whether the block reads r's 8-bit codes without fp32
+// rows: on the AVX-512 arm, for whole 16-dimension panels. Every other codec,
+// arm and head dimension dequantizes into the scratch rows (load).
+func (b *AttnBlock) int8Fused(r *Rows) bool {
+	return r.F32 == nil && r.Bits == 8 && arm == armAVX512 && b.d%panelWidth == 0
+}
+
+// int8Params decodes the (lo, Δ) pairs of tokens [t0, t0+tt) of r into lod,
+// zero past tt: DecodeFloat16 per half, by VCVTPH2PS on the AVX-512 arm.
+func (b *AttnBlock) int8Params(r *Rows, t0, tt int) {
+	step := r.Heads * 2
+	params := r.Params[(t0*r.Heads+r.Head)*2:]
+	_ = params[(tt-1)*step+1]
+	if arm == armAVX512 {
+		paramsQ8AVX512(&b.lod[0], &params[0], 2*step, tt)
+		return
+	}
+	clear(b.lod[:])
+	for j := 0; j < tt; j++ {
+		b.lod[2*j], b.lod[2*j+1] = DecodeFloat16(params[j*step]), DecodeFloat16(params[j*step+1])
 	}
 }
 
 // load returns tokens [t0, t0+tt) of r as fp32 rows and their stride: the
 // page's own memory when it is fp32 and inPlace says the kernel can read it
 // there (the re-lay needs all 16 rows to exist, the value tile needs whole
-// 16-column panels), else the block's scratch rows, copied or dequantized.
-// Nothing past the page's tt rows is read.
+// 16-column panels), else the block's scratch rows, copied or dequantized
+// (DequantSliceInto). Nothing past the page's tt rows is read.
 func (b *AttnBlock) load(r *Rows, t0, tt int, inPlace bool) ([]float32, int) {
 	if r.Stride < b.d {
 		panic("tensor: attention rows stride below head dimension")
 	}
 	switch {
 	case r.F32 == nil:
-		b.dequant(r, t0, tt)
+		for j := 0; j < tt; j++ {
+			DequantSliceInto(b.rows[j*b.rs:][:b.d], r.Codes, r.Params, r.Bits, r.Off, r.Stride, r.Heads, r.Head, t0+j)
+		}
 	case inPlace:
 		src := r.F32[t0*r.Stride:]
 		_ = src[(tt-1)*r.Stride+b.d-1]
 		return src, r.Stride
 	default:
-		for i := 0; i < tt; i++ {
-			copy(b.rows[i*b.rs:][:b.d], r.F32[(t0+i)*r.Stride:][:b.d])
+		for j := 0; j < tt; j++ {
+			copy(b.rows[j*b.rs:][:b.d], r.F32[(t0+j)*r.Stride:][:b.d])
 		}
 	}
 	return b.rows, b.rs
-}
-
-// dequant writes the dequantized head slices of tokens [t0, t0+n) of r into
-// the scratch rows: x = float32(code)·Δ + lo, DequantSliceInto's arithmetic,
-// with (lo, Δ) decoded from fp16 once per token.
-func (b *AttnBlock) dequant(r *Rows, t0, n int) {
-	if arm == armGo || r.Bits != 8 || b.d%8 != 0 {
-		for i := 0; i < n; i++ {
-			DequantSliceInto(b.rows[i*b.rs:][:b.d], r.Codes, r.Params, r.Bits, r.Off, r.Stride, r.Heads, r.Head, t0+i)
-		}
-		return
-	}
-	var lod [panelWidth][2]float32
-	for i := 0; i < n; i++ {
-		p := ((t0+i)*r.Heads + r.Head) * 2
-		lod[i] = [2]float32{DecodeFloat16(r.Params[p]), DecodeFloat16(r.Params[p+1])}
-	}
-	codes := r.Codes[t0*r.Stride+r.Off:]
-	_ = codes[(n-1)*r.Stride+b.d-1]
-	dequantRows8AVX2(&b.rows[0], b.rs, &codes[0], r.Stride, &lod[0][0], n, b.d/8)
 }
 
 // relay re-lays 16 rows of d floats, stride apart, dim-major:

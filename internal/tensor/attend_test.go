@@ -246,6 +246,62 @@ func FuzzAttendBlockMatchesScalar(f *testing.F) {
 	})
 }
 
+// TestAccumulateStopsAtBound is the −0 case of the value pass: a subnormal
+// weight times a small negative value underflows to −0, so a query whose
+// tokens all do that ends its chain at −0 — and a step for a token past its
+// bound, FMA32(0, v, −0) with v > 0, would make it +0. Five queries with
+// bounds 3, 5, 9, 16 and 16 (two tile groups, every bound but the last inside
+// the 16-token sub-tile) weight every token they see by the smallest
+// subnormal; tokens 0–2 hold −0.25, the rest 0.5. Every output must equal the
+// per-token AXPY loop, which runs no step past a bound, for fp32 and int8
+// rows, under every arm.
+func TestAccumulateStopsAtBound(t *testing.T) {
+	const hd, tokens = 32, 16
+	bounds := []int{3, 5, 9, 16, 16}
+	value := func(j int) float32 {
+		if j < 3 {
+			return -0.25
+		}
+		return 0.5
+	}
+	f32 := make([]float32, tokens*hd)
+	codes, params := make([]uint8, tokens*hd), make([]uint16, 2*tokens)
+	for j := 0; j < tokens; j++ {
+		for c := 0; c < hd; c++ {
+			f32[j*hd+c] = value(j)
+			codes[j*hd+c] = uint8(j*hd + c) // Δ = 0: every code dequantizes to lo
+		}
+		params[2*j] = EncodeFloat16(value(j))
+	}
+	eachArm(t, func(t *testing.T) {
+		for _, r := range []Rows{{F32: f32, Stride: hd}, {Codes: codes, Params: params, Bits: 8, Stride: hd, Heads: 1}} {
+			b := NewAttnBlock(hd, tokens)
+			got, want := newLanes(len(bounds), hd), newLanes(len(bounds), hd)
+			for q, n := range bounds {
+				b.Add(n, got[q])
+			}
+			for q, n := range bounds {
+				w := b.Weights(q, tokens)
+				for j := range w {
+					w[j] = math.SmallestNonzeroFloat32
+				}
+				row := make([]float32, hd)
+				for j := 0; j < n; j++ {
+					for c := range row {
+						row[c] = value(j)
+					}
+					AXPY(want[q], math.SmallestNonzeroFloat32, row)
+				}
+			}
+			b.Accumulate(0, tokens, &r)
+			if !math.Signbit(float64(want[0][0])) {
+				t.Fatal("the reference does not end at −0: the case tests nothing")
+			}
+			sameBits(t, fmt.Sprintf("bits=%d", r.Bits), got, want)
+		}
+	})
+}
+
 // BenchmarkAttendBlock prices one page visit — the score pass and the value
 // pass over one 16-token page of one KV head, head dimension 32 (the
 // benchmark model's) — for a block of 1, 2 and 16 queries per codec, under

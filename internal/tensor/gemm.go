@@ -3,7 +3,8 @@ package tensor
 // The projection GEMM: dst[b][c] = Σ_k xs[b][k]·W[k][c] for B activation
 // lanes against one immutable K×N weight. It is one loop (gemmTiles) over one
 // micro-kernel (tile): four lanes × 16 adjacent outputs, walking k — or, on
-// AVX-512 hosts, four lanes × two adjacent panels (tilePair).
+// AVX-512 hosts, four or eight lanes × two adjacent panels (tilePair,
+// tilePair8).
 //
 // The vector lanes of the micro-kernel run across *outputs*, never across k:
 // every output is its own chain of K steps of one FMA32 each (one correctly
@@ -31,7 +32,7 @@ type armLevel int
 const (
 	armGo     armLevel = iota // pure Go: the specification and a correctness fallback
 	armAVX2                   // AVX2 + FMA: the YMM tile, Dot / AXPY / MatVecInto, Exp32's lanes
-	armAVX512                 // armAVX2 plus the ZMM tile over pairs of panels and NormalsInto's lanes
+	armAVX512                 // armAVX2 plus the ZMM tiles over pairs of panels, the int8 page codec and NormalsInto's lanes
 )
 
 // arm is the level this process runs, selected once from what CPUID and the
@@ -127,11 +128,13 @@ func checkLanes(dst, xs [][]float32, rows, cols int) {
 // boundary) of dst[b][c] = Σ_kk xs[b][kk]·W[kk][c], where panel c/16's row kk
 // starts at w[c/16*panelStep + kk*stride]. Panels are the outer loop so one
 // panel (K×16 floats) — or, on the AVX-512 arm, one pair of adjacent panels —
-// stays cached while every group of four lanes visits it. A short last group
-// repeats its last lane — the repeats recompute and rewrite that lane's own
-// outputs — and a ragged last panel (zero-padded in w) lands in a stack tile
-// whose live columns are copied out; it, and a lone last panel, take the
-// one-panel tile.
+// stays cached while every group of lanes visits it. On a pair, every full
+// group of eight lanes takes the 8-lane tile (tilePair8: the pair is read
+// once per eight lanes, not once per four); the remaining lanes go four at a
+// time. A short last group repeats its last lane — the repeats recompute and
+// rewrite that lane's own outputs — and a ragged last panel (zero-padded in
+// w) lands in a stack tile whose live columns are copied out; it, and a lone
+// last panel, take the one-panel tile.
 func gemmTiles(dst, xs [][]float32, w []float32, k, stride, panelStep, c0, c1 int) {
 	var ragged [4][panelWidth]float32
 	for c := c0; c < c1; {
@@ -140,7 +143,15 @@ func gemmTiles(dst, xs [][]float32, w []float32, k, stride, panelStep, c0, c1 in
 		if arm == armAVX512 && c1-c >= 2*panelWidth {
 			width = 2 * panelWidth
 		}
-		for b := 0; b < len(xs); b += 4 {
+		b := 0
+		for ; width > panelWidth && len(xs)-b >= 8; b += 8 {
+			var d, x [8][]float32
+			for i := range d {
+				d[i], x[i] = dst[b+i][c:c+width], xs[b+i]
+			}
+			tilePair8(&d, &x, wp, k, stride, panelStep, false)
+		}
+		for ; b < len(xs); b += 4 {
 			lanes := min(4, len(xs)-b)
 			var d, x [4][]float32
 			for i := range d {
@@ -191,6 +202,17 @@ func tilePair(d, x *[4][]float32, w []float32, k, stride, panelStep int, seeded 
 	}
 	tile4x32AVX512(&d[0][0], &d[1][0], &d[2][0], &d[3][0],
 		&x[0][:k][0], &x[1][:k][0], &x[2][:k][0], &x[3][:k][0], &w[0], k, stride, panelStep, seeded)
+}
+
+// tilePair8 is tilePair for eight lanes (the AVX-512 arm only): d[l][0:32] =
+// Σ_kk x[l][kk]·(w[kk*stride:][0:16] ‖ w[panelStep+kk*stride:][0:16]).
+func tilePair8(d, x *[8][]float32, w []float32, k, stride, panelStep int, seeded bool) {
+	_ = w[panelStep+(k-1)*stride+panelWidth-1]
+	var dp, xp [8]*float32
+	for i := range d {
+		dp[i], xp[i] = &d[i][:2*panelWidth][0], &x[i][:k][0]
+	}
+	tile8x32AVX512(&dp, &xp, &w[0], k, stride, panelStep, seeded)
 }
 
 // tileGo is the micro-kernel in Go: per lane, four outputs at a time in

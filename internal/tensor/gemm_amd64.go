@@ -22,6 +22,12 @@ func tile4x16AVX2(d0, d1, d2, d3, x0, x1, x2, x3, w *float32, k, stride int, see
 //go:noescape
 func tile4x32AVX512(d0, d1, d2, d3, x0, x1, x2, x3, w *float32, k, stride, panelStep int, seeded bool)
 
+// tile8x32AVX512 is the assembly behind tilePair8: tile4x32AVX512 for the
+// eight lanes whose output and activation pointers d and x hold.
+//
+//go:noescape
+func tile8x32AVX512(d, x *[8]*float32, w *float32, k, stride, panelStep int, seeded bool)
+
 // dotsFMA is the assembly behind Dot and MatVecInto: dst[r] = Σ_i
 // a[r*stride+i]·b[i] for rows r, one FMA chain per row from +0 in ascending
 // i. Every row of a and b must hold n floats.
@@ -41,12 +47,35 @@ func axpyFMA(dst *float32, alpha float32, x *float32, n8 int)
 //go:noescape
 func relay16AVX2(panel, rows *float32, stride, d8 int)
 
-// dequantRows8AVX2 is the assembly behind AttnBlock.dequant for 8-bit codes: n rows
-// of 8·d8 codes, codeStride bytes apart, to fp32 rows dstStride floats apart;
-// lod holds each row's decoded (lo, Δ) pair.
+// paramsQ8AVX512 is the assembly behind AttnBlock.int8Params: the (lo, Δ)
+// fp16 pairs of n ≤ 16 tokens, step bytes apart, decoded into lod's 32
+// floats, zero past n.
 //
 //go:noescape
-func dequantRows8AVX2(dst *float32, dstStride int, codes *uint8, codeStride int, lod *float32, n, d8 int)
+func paramsQ8AVX512(lod *float32, params *uint16, step, n int)
+
+// panelQ8AVX512 is the assembly behind the key pass over 8-bit codes: 16 rows
+// of 16·d16 codes, codeStride bytes apart, dequantized with lod's (lo, Δ)
+// pairs straight into the dim-major panel (16·d16 × 16 floats).
+//
+//go:noescape
+func panelQ8AVX512(panel *float32, codes *uint8, codeStride int, lod *float32, d16 int)
+
+// tileQ8AVX512 is the assembly behind the value pass over 8-bit codes: the
+// seeded tile over k rows of codes, codeStride bytes apart, each row
+// dequantized in registers with its (lo, Δ) pair from lod, into 16 outputs
+// per lane (32 when pair). Every d pointer must address that many floats,
+// every x pointer k floats.
+//
+//go:noescape
+func tileQ8AVX512(d0, d1, d2, d3, x0, x1, x2, x3 *float32, codes *uint8, lod *float32, k, codeStride int, pair bool)
+
+// encodeQ8AVX512 is the assembly behind QuantEncode at 8 bits: 16·n16 floats
+// to codes and their (lo, Δ) pair, or false, with nothing written, for a
+// slice that holds a non-finite value or one of magnitude 2^15 or more.
+//
+//go:noescape
+func encodeQ8AVX512(codes *uint8, params *uint16, x *float32, n16 int) bool
 
 // expSubAVX2 is the assembly behind expSub (exp_amd64.s): xs[i] =
 // Exp32(xs[i] − sub) over 8·n8 floats.

@@ -209,6 +209,142 @@ store512:
 	VZEROUPPER
 	RET
 
+// func tile8x32AVX512(d, x *[8]*float32, w *float32, k, stride, panelStep int, seeded bool)
+//
+// tile4x32AVX512 for eight lanes: d[l][0:32] over the two panels at w and
+// w + panelStep floats, x[l] the lane's activations. Z0..Z15 hold the 8×32
+// accumulators, one register per lane and panel, so both weight rows are
+// loaded once per kk for all eight lanes; each output is one chain of k
+// VFMADD231PS steps in ascending kk. R8..R15 walk the eight lanes.
+TEXT ·tile8x32AVX512(SB), NOSPLIT, $0-49
+	MOVQ d+0(FP), BX
+	MOVQ w+16(FP), SI
+	MOVQ k+24(FP), CX
+	MOVQ stride+32(FP), DX
+	MOVQ panelStep+40(FP), DI
+	SHLQ $2, DX
+	SHLQ $2, DI
+	MOVBLZX seeded+48(FP), AX
+	TESTL AX, AX
+	JNZ  seed8
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	VPXORD Z8, Z8, Z8
+	VPXORD Z9, Z9, Z9
+	VPXORD Z10, Z10, Z10
+	VPXORD Z11, Z11, Z11
+	VPXORD Z12, Z12, Z12
+	VPXORD Z13, Z13, Z13
+	VPXORD Z14, Z14, Z14
+	VPXORD Z15, Z15, Z15
+	JMP  start8
+
+seed8:
+	MOVQ 0(BX), AX
+	VMOVUPS (AX), Z0
+	VMOVUPS 64(AX), Z1
+	MOVQ 8(BX), AX
+	VMOVUPS (AX), Z2
+	VMOVUPS 64(AX), Z3
+	MOVQ 16(BX), AX
+	VMOVUPS (AX), Z4
+	VMOVUPS 64(AX), Z5
+	MOVQ 24(BX), AX
+	VMOVUPS (AX), Z6
+	VMOVUPS 64(AX), Z7
+	MOVQ 32(BX), AX
+	VMOVUPS (AX), Z8
+	VMOVUPS 64(AX), Z9
+	MOVQ 40(BX), AX
+	VMOVUPS (AX), Z10
+	VMOVUPS 64(AX), Z11
+	MOVQ 48(BX), AX
+	VMOVUPS (AX), Z12
+	VMOVUPS 64(AX), Z13
+	MOVQ 56(BX), AX
+	VMOVUPS (AX), Z14
+	VMOVUPS 64(AX), Z15
+
+start8:
+	MOVQ x+8(FP), AX
+	MOVQ 0(AX), R8
+	MOVQ 8(AX), R9
+	MOVQ 16(AX), R10
+	MOVQ 24(AX), R11
+	MOVQ 32(AX), R12
+	MOVQ 40(AX), R13
+	MOVQ 48(AX), R14
+	MOVQ 56(AX), R15
+	XORQ AX, AX
+	TESTQ CX, CX
+	JLE  store8
+
+loop8:
+	VMOVUPS (SI), Z16
+	VMOVUPS (SI)(DI*1), Z17
+	VBROADCASTSS (R8)(AX*4), Z18
+	VBROADCASTSS (R9)(AX*4), Z19
+	VBROADCASTSS (R10)(AX*4), Z20
+	VBROADCASTSS (R11)(AX*4), Z21
+	VBROADCASTSS (R12)(AX*4), Z22
+	VBROADCASTSS (R13)(AX*4), Z23
+	VBROADCASTSS (R14)(AX*4), Z24
+	VBROADCASTSS (R15)(AX*4), Z25
+	VFMADD231PS Z16, Z18, Z0
+	VFMADD231PS Z17, Z18, Z1
+	VFMADD231PS Z16, Z19, Z2
+	VFMADD231PS Z17, Z19, Z3
+	VFMADD231PS Z16, Z20, Z4
+	VFMADD231PS Z17, Z20, Z5
+	VFMADD231PS Z16, Z21, Z6
+	VFMADD231PS Z17, Z21, Z7
+	VFMADD231PS Z16, Z22, Z8
+	VFMADD231PS Z17, Z22, Z9
+	VFMADD231PS Z16, Z23, Z10
+	VFMADD231PS Z17, Z23, Z11
+	VFMADD231PS Z16, Z24, Z12
+	VFMADD231PS Z17, Z24, Z13
+	VFMADD231PS Z16, Z25, Z14
+	VFMADD231PS Z17, Z25, Z15
+	ADDQ DX, SI
+	INCQ AX
+	CMPQ AX, CX
+	JLT  loop8
+
+store8:
+	MOVQ 0(BX), AX
+	VMOVUPS Z0, (AX)
+	VMOVUPS Z1, 64(AX)
+	MOVQ 8(BX), AX
+	VMOVUPS Z2, (AX)
+	VMOVUPS Z3, 64(AX)
+	MOVQ 16(BX), AX
+	VMOVUPS Z4, (AX)
+	VMOVUPS Z5, 64(AX)
+	MOVQ 24(BX), AX
+	VMOVUPS Z6, (AX)
+	VMOVUPS Z7, 64(AX)
+	MOVQ 32(BX), AX
+	VMOVUPS Z8, (AX)
+	VMOVUPS Z9, 64(AX)
+	MOVQ 40(BX), AX
+	VMOVUPS Z10, (AX)
+	VMOVUPS Z11, 64(AX)
+	MOVQ 48(BX), AX
+	VMOVUPS Z12, (AX)
+	VMOVUPS Z13, 64(AX)
+	MOVQ 56(BX), AX
+	VMOVUPS Z14, (AX)
+	VMOVUPS Z15, 64(AX)
+	VZEROUPPER
+	RET
+
 // func dotsFMA(dst, a *float32, stride, rows int, b *float32, n int)
 //
 // dst[r] = Σ_i a[r*stride+i] · b[i] for rows r and n ≥ 1 terms: one
@@ -387,51 +523,5 @@ relayloop:
 	JNZ  relayloop
 
 relaydone:
-	VZEROUPPER
-	RET
-
-// func dequantRows8AVX2(dst *float32, dstStride int, codes *uint8, codeStride int, lod *float32, n, d8 int)
-//
-// dst[i*dstStride+j] = float32(codes[i*codeStride+j])·Δ_i + lo_i for n rows
-// i and 8·d8 columns j, (lo_i, Δ_i) = lod[2i], lod[2i+1]: 8-bit codes to
-// fp32 with DequantSliceInto's two roundings (convert is exact, then
-// VMULPS, then VADDPS — not an FMA step).
-TEXT ·dequantRows8AVX2(SB), NOSPLIT, $0-56
-	MOVQ dst+0(FP), DI
-	MOVQ dstStride+8(FP), DX
-	MOVQ codes+16(FP), SI
-	MOVQ codeStride+24(FP), BX
-	MOVQ lod+32(FP), R8
-	MOVQ n+40(FP), CX
-	MOVQ d8+48(FP), R9
-	SHLQ $2, DX
-	TESTQ CX, CX
-	JLE  dequantdone
-	TESTQ R9, R9
-	JLE  dequantdone
-
-dequantrow:
-	VBROADCASTSS (R8), Y1
-	VBROADCASTSS 4(R8), Y2
-	XORQ AX, AX
-
-dequantcol:
-	VPMOVZXBD (SI)(AX*8), Y0
-	VCVTDQ2PS Y0, Y0
-	VMULPS Y2, Y0, Y0
-	VADDPS Y1, Y0, Y0
-	MOVQ AX, R10
-	SHLQ $5, R10
-	VMOVUPS Y0, (DI)(R10*1)
-	INCQ AX
-	CMPQ AX, R9
-	JLT  dequantcol
-	ADDQ DX, DI
-	ADDQ BX, SI
-	ADDQ $8, R8
-	DECQ CX
-	JNZ  dequantrow
-
-dequantdone:
 	VZEROUPPER
 	RET

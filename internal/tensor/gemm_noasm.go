@@ -12,6 +12,10 @@ func tile4x32AVX512(d0, d1, d2, d3, x0, x1, x2, x3, w *float32, k, stride, panel
 	panic("tensor: no assembly micro-kernel on this architecture")
 }
 
+func tile8x32AVX512(d, x *[8]*float32, w *float32, k, stride, panelStep int, seeded bool) {
+	panic("tensor: no assembly micro-kernel on this architecture")
+}
+
 func dotsFMA(dst, a *float32, stride, rows int, b *float32, n int) {
 	panic("tensor: no assembly micro-kernel on this architecture")
 }
@@ -24,7 +28,19 @@ func relay16AVX2(panel, rows *float32, stride, d8 int) {
 	panic("tensor: no assembly micro-kernel on this architecture")
 }
 
-func dequantRows8AVX2(dst *float32, dstStride int, codes *uint8, codeStride int, lod *float32, n, d8 int) {
+func paramsQ8AVX512(lod *float32, params *uint16, step, n int) {
+	panic("tensor: no assembly micro-kernel on this architecture")
+}
+
+func panelQ8AVX512(panel *float32, codes *uint8, codeStride int, lod *float32, d16 int) {
+	panic("tensor: no assembly micro-kernel on this architecture")
+}
+
+func tileQ8AVX512(d0, d1, d2, d3, x0, x1, x2, x3 *float32, codes *uint8, lod *float32, k, codeStride int, pair bool) {
+	panic("tensor: no assembly micro-kernel on this architecture")
+}
+
+func encodeQ8AVX512(codes *uint8, params *uint16, x *float32, n16 int) bool {
 	panic("tensor: no assembly micro-kernel on this architecture")
 }
 

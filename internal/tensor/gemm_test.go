@@ -290,6 +290,45 @@ func TestPackedMulMatchesScalar(t *testing.T) {
 	})
 }
 
+// TestEightLaneTileMatchesScalar pins the tile loop at 1–17 lanes — none, one
+// and two full groups of eight, each with every 4-lane remainder — to
+// VecMatInto over a weight of two panel pairs and a lone panel, then, on the
+// AVX-512 arm, the 8-lane kernel itself, seeded and unseeded, to tileGo over
+// each of its two panels and two groups of four lanes.
+func TestEightLaneTileMatchesScalar(t *testing.T) {
+	eachArm(t, func(t *testing.T) {
+		for n := 1; n <= 17; n++ {
+			checkPackedMul(t, uint64(n), 96, 80, n)
+		}
+		if arm != armAVX512 {
+			return
+		}
+		for _, k := range []int{1, 5, 96} {
+			p := pack(testMatrix(k, 2*panelWidth, uint64(k)))
+			xs := lanes(8, k, uint64(k)+1)
+			for _, seeded := range []bool{false, true} {
+				var got, x [8][]float32
+				want := newLanes(8, 2*panelWidth)
+				for l := range got {
+					got[l], x[l] = lanes(1, 2*panelWidth, uint64(l))[0], xs[l]
+					copy(want[l], got[l])
+				}
+				tilePair8(&got, &x, p.data, k, panelWidth, k*panelWidth, seeded)
+				for g := 0; g < 8; g += 4 {
+					for half := 0; half < 2; half++ {
+						var d, xq [4][]float32
+						for l := range d {
+							d[l], xq[l] = want[g+l][half*panelWidth:], xs[g+l]
+						}
+						tileGo(&d, &xq, p.data[half*k*panelWidth:], k, panelWidth, 4, seeded)
+					}
+				}
+				sameBits(t, fmt.Sprintf("k=%d seeded=%v", k, seeded), got[:], want)
+			}
+		}
+	})
+}
+
 // FuzzPackedMulMatchesScalar lets the fuzzer pick the shape, lane count and
 // data seed; every arm must match VecMatInto bit for bit.
 func FuzzPackedMulMatchesScalar(f *testing.F) {
@@ -436,7 +475,8 @@ func benchLanes(b int, n int) [][]float32 {
 // 256×1024 and down 1024×256, LM head = packed embedᵀ 256×1024 over a 1024
 // vocabulary) at r lanes, once per arm over packed panels, with the scalar
 // reference (VecMatInto per lane) and the row-major entry at the host's arm
-// beside them.
+// beside them. On the avx512 rows r8 and up run the 8-lane tile (r40 as five
+// groups of eight, r72 as nine); r1 and r4 run only the 4-lane one.
 func BenchmarkGEMM(b *testing.B) {
 	selected := arm
 	defer func() { arm = selected }()
@@ -458,7 +498,7 @@ func BenchmarkGEMM(b *testing.B) {
 				m = Transpose(testMatrix(sh.cols, sh.rows, 1))
 			}
 			p, mT := pack(m), &Matrix{Rows: sh.cols, Cols: sh.rows}
-			for _, r := range []int{1, 4, 8, 40, 72} {
+			for _, r := range []int{1, 4, 8, 16, 40, 72} {
 				xs, dst := benchLanes(r, sh.rows), newLanes(r, sh.cols)
 				b.Run(fmt.Sprintf("%s/%s/r%d", impl.name, sh.name, r), func(b *testing.B) {
 					arm = impl.level

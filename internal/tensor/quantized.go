@@ -2,14 +2,17 @@ package tensor
 
 import "math"
 
-// This file holds the fp16 parameter codec and the dequantizer for quantized
-// KV pages. A page stores uniform-quantized codes (8-bit, or 4-bit packed two
-// per byte) token-major at the same stride as the fp32 layout, plus one
-// (lo, delta) float16 parameter pair per (token, kv-head) slice. An element
-// dequantizes as x = float32(code)*delta + lo, the exact arithmetic of
-// internal/quant's Uniform dequantizer. Attention reads a page 16 tokens of
-// one head at a time (AttnBlock.load, attend.go: DequantSliceInto per token,
-// or its AVX2 form), so decode never materializes more than that sub-tile.
+// This file is the codec of quantized KV pages: the fp16 parameter codec, the
+// encoder (QuantEncode) and the dequantizer (DequantSliceInto). A page stores
+// uniform-quantized codes (8-bit, or 4-bit packed two per byte) token-major
+// at the same stride as the fp32 layout, plus one (lo, delta) float16
+// parameter pair per (token, kv-head) slice. An element dequantizes as
+// x = float32(code)*delta + lo, the exact arithmetic of internal/quant's
+// Uniform dequantizer. Attention reads a page 16 tokens of one head at a time
+// (attend.go), so decode never materializes more than that sub-tile — and on
+// the AVX-512 arm 8-bit codes not even that. The Go functions here are the
+// specification; the AVX-512 arm's 8-bit encoder and fp16 parameter decoder
+// (quant_amd64.s) are equal to them by bits.
 
 // EncodeFloat16 converts an fp32 value to IEEE 754 binary16 bits with
 // round-to-nearest-even, flushing overflow to ±Inf and tiny values to
@@ -82,6 +85,70 @@ func decodeFloat16Edge(h uint16) float32 {
 		e--
 	}
 	return math.Float32frombits(sign | e<<23 | (man&0x3FF)<<13)
+}
+
+// QuantEncode uniform-quantizes one head slice x into codes (len(x)*bits/8
+// bytes) and its (lo, delta) float16 pair, as quantEncodeGo specifies. On the
+// AVX-512 arm an 8-bit slice of whole 16-float vectors, finite and below 2^15
+// in magnitude, is encoded by encodeQ8AVX512, equal to it by bits.
+func QuantEncode(codes []uint8, params []uint16, x []float32, bits int) {
+	if arm == armAVX512 && bits == 8 && len(x) > 0 && len(x)%16 == 0 {
+		_, _ = codes[len(x)-1], params[1]
+		if encodeQ8AVX512(&codes[0], &params[0], &x[0], len(x)/16) {
+			return
+		}
+	}
+	quantEncodeGo(codes, params, x, bits)
+}
+
+// quantEncodeGo is the encoder's specification. lo and hi are the slice's
+// first minimum and first maximum; codes are computed against the
+// float16-decoded parameters — the exact values every reader reconstructs
+// with — so encode and decode agree bit-for-bit: c = round((x−lo)/Δ), half
+// away from zero, clamped to [0, 2^bits−1]. A constant slice (or one whose
+// range underflows float16) stores delta = 0 and all-zero codes, dequantizing
+// to lo, exactly like quant.Uniform.
+func quantEncodeGo(codes []uint8, params []uint16, x []float32, bits int) {
+	lo, hi := x[0], x[0]
+	for _, v := range x[1:] {
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	loBits := EncodeFloat16(lo)
+	loD := DecodeFloat16(loBits)
+	maxCode := float32(int(1)<<bits - 1)
+	dBits := EncodeFloat16((hi - loD) / maxCode)
+	dD := DecodeFloat16(dBits)
+	if !(dD > 0) {
+		params[0], params[1] = loBits, 0
+		clear(codes)
+		return
+	}
+	params[0], params[1] = loBits, dBits
+	inv := 1 / dD
+	encode := func(v float32) uint8 {
+		cf := float32(math.Round(float64((v - loD) * inv)))
+		if cf < 0 {
+			cf = 0
+		}
+		if cf > maxCode {
+			cf = maxCode
+		}
+		return uint8(cf)
+	}
+	if bits == 8 {
+		for j, v := range x {
+			codes[j] = encode(v)
+		}
+		return
+	}
+	for j := 0; j < len(x); j += 2 {
+		codes[j>>1] = encode(x[j]) | encode(x[j+1])<<4
+	}
 }
 
 // DequantSliceInto writes the dequantized head slice of one entry into dst —

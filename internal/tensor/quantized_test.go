@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -222,4 +224,187 @@ func FuzzEncodeFloat16Nearest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestInt8ParamsExhaustive pins the attention block's parameter decoder —
+// VCVTPH2PS over a gather on the AVX-512 arm — to DecodeFloat16 over every
+// non-NaN binary16 encoding, bit for bit, under every arm: the halves are
+// head 1's (lo, Δ) pairs of a two-head page (head 0 holds NaNs, which must
+// not be read), decoded 1 to 16 tokens at a time, every lod slot past the
+// tokens +0.
+func TestInt8ParamsExhaustive(t *testing.T) {
+	var halves []uint16
+	for h := 0; h <= 0xFFFF; h++ {
+		if h&0x7C00 != 0x7C00 || h&0x3FF == 0 {
+			halves = append(halves, uint16(h))
+		}
+	}
+	tokens := len(halves) / 2
+	params := make([]uint16, 4*tokens)
+	for i := 0; i < tokens; i++ {
+		params[4*i], params[4*i+1] = 0x7E01, 0x7E01
+		params[4*i+2], params[4*i+3] = halves[2*i], halves[2*i+1]
+	}
+	r := Rows{Params: params, Bits: 8, Heads: 2, Head: 1}
+	eachArm(t, func(t *testing.T) {
+		b := NewAttnBlock(16, 16)
+		for t0, n := 0, 1; t0 < tokens; t0, n = t0+n, n%16+1 {
+			tt := min(n, tokens-t0)
+			if tt < 16 {
+				b.lod[2*tt] = 1 // a slot past the tokens must be cleared
+			}
+			b.int8Params(&r, t0, tt)
+			for j, got := range b.lod {
+				want := float32(0)
+				if j < 2*tt {
+					want = DecodeFloat16(halves[2*t0+j])
+				}
+				if math.Float32bits(got) != math.Float32bits(want) {
+					t.Fatalf("tokens [%d, %d): lod[%d] = %#08x, want %#08x", t0, t0+tt, j, math.Float32bits(got), math.Float32bits(want))
+				}
+			}
+		}
+	})
+}
+
+// checkQuantEncode encodes x at bits through QuantEncode under the current arm
+// and through the specification, and asserts identical codes and parameters.
+func checkQuantEncode(t *testing.T, x []float32, bits int) {
+	t.Helper()
+	n := len(x) * bits / 8
+	codes, params := make([]uint8, n), make([]uint16, 2)
+	wantC, wantP := make([]uint8, n), make([]uint16, 2)
+	for i := range codes {
+		codes[i] = 0xA5 // every byte must be written
+	}
+	QuantEncode(codes, params, x, bits)
+	quantEncodeGo(wantC, wantP, x, bits)
+	if params[0] != wantP[0] || params[1] != wantP[1] {
+		t.Fatalf("bits=%d x=%v: params (%#04x, %#04x), spec (%#04x, %#04x)", bits, x, params[0], params[1], wantP[0], wantP[1])
+	}
+	for i := range codes {
+		if codes[i] != wantC[i] {
+			t.Fatalf("bits=%d x=%v: code %d is %d, spec %d", bits, x, i, codes[i], wantC[i])
+		}
+	}
+}
+
+// quantEncodeSeeds are slices the encoder must get right: a constant slice, a
+// range that underflows fp16 (Δ encodes to 0), positive and negative slices
+// whose values sit exactly half-way between codes (Δ = 1/16: ties round away
+// from zero), ±0 minima in either
+// order (the first one is kept, and its sign is stored), a minimum that
+// rounds to a subnormal half, and one of magnitude past 2^15 (the
+// specification's own path).
+func quantEncodeSeeds() [][]float32 {
+	negZero := float32(math.Copysign(0, -1))
+	ramp := func(n int, f func(i int) float32) []float32 {
+		x := make([]float32, n)
+		for i := range x {
+			x[i] = f(i)
+		}
+		return x
+	}
+	tie := func(i int) float32 { // lo = 0, hi = 255/16, the rest at (m + ½)/16
+		if i < 2 {
+			return float32(i) * 255 / 16
+		}
+		return (float32(i*7%254) + 0.5) / 16
+	}
+	return [][]float32{
+		ramp(32, func(int) float32 { return 1.3 }),
+		ramp(16, func(i int) float32 { return 1 + float32(i)*1e-7 }),
+		ramp(32, func(i int) float32 { return float32(i) - 15.5 }),
+		ramp(32, tie),
+		ramp(32, func(i int) float32 { return -tie(i) }),
+		ramp(32, func(i int) float32 { return [...]float32{0, negZero, 3}[i%3] }),
+		ramp(32, func(i int) float32 { return [...]float32{negZero, 0, 3}[i%3] }),
+		ramp(16, func(i int) float32 { return 3e-6 + float32(i)*1e-7 }),
+		ramp(16, func(i int) float32 { return float32(i) * 3000 }),
+		ramp(48, func(i int) float32 { return float32(math.Sin(float64(i))) }),
+	}
+}
+
+// TestQuantEncodeMatchesSpec pins QuantEncode to quantEncodeGo on the seed
+// slices at 8 and 4 bits, then on generated slices of 16–64 values at scales
+// from 2^-30 to 2^14 with ±0, subnormals and repeated values planted, under
+// every arm.
+func TestQuantEncodeMatchesSpec(t *testing.T) {
+	eachArm(t, func(t *testing.T) {
+		for _, x := range quantEncodeSeeds() {
+			checkQuantEncode(t, x, 8)
+			checkQuantEncode(t, x, 4)
+		}
+		next := lcg(31)
+		planted := []float32{0, float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32, -3e-42, 1, -1}
+		for i := 0; i < 2000; i++ {
+			x := make([]float32, 16*(1+int(next()%4)))
+			scale := float32(math.Ldexp(1, int(next()%45)-30))
+			for j := range x {
+				switch v := next(); {
+				case v%11 == 0:
+					x[j] = planted[next()%uint64(len(planted))]
+				case v%11 == 1 && j > 0:
+					x[j] = x[j-1]
+				default:
+					x[j] = float32(int64(v%2001)-1000) / 1000 * scale
+				}
+			}
+			checkQuantEncode(t, x, 8)
+			checkQuantEncode(t, x, 4)
+		}
+	})
+}
+
+// FuzzQuantEncodeMatchesSpec checks QuantEncode against the specification on
+// raw float32 bits — NaN, ±Inf, subnormals and ±0 included — over 16, 32 or 48
+// values (the 8-bit kernel's vectors) at 8 bits, and an even count at 4 bits.
+func FuzzQuantEncodeMatchesSpec(f *testing.F) {
+	for _, x := range quantEncodeSeeds() {
+		raw := make([]byte, 4*len(x))
+		for i, v := range x {
+			binary.LittleEndian.PutUint32(raw[4*i:], math.Float32bits(v))
+		}
+		f.Add(raw, uint8(8))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, bits uint8) {
+		n := len(raw) / 4
+		b := 4
+		if bits%2 == 0 {
+			b, n = 8, n&^15
+		}
+		if n == 0 || n > 48 {
+			return
+		}
+		x := make([]float32, n&^1)
+		for i := range x {
+			x[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+		if len(x) == 0 {
+			return
+		}
+		eachArm(t, func(t *testing.T) { checkQuantEncode(t, x, b) })
+	})
+}
+
+// BenchmarkQuantEncode prices encoding one 32-float head slice — the benchmark
+// model's — at 8 bits under each arm, with the 4-bit encoder beside it.
+func BenchmarkQuantEncode(b *testing.B) {
+	selected := arm
+	defer func() { arm = selected }()
+	x := benchLanes(1, 32)[0]
+	codes, params := make([]uint8, 32), make([]uint16, 2)
+	for level, name := range armNames {
+		if armLevel(level) > selected {
+			continue
+		}
+		for _, bits := range []int{8, 4} {
+			b.Run(fmt.Sprintf("%s/int%d", name, bits), func(b *testing.B) {
+				arm = armLevel(level)
+				for b.Loop() {
+					QuantEncode(codes, params, x, bits)
+				}
+			})
+		}
+	}
 }
