@@ -63,8 +63,11 @@ race-sched:
 # seam (any shape, page size and store: Append, AppendFlat and any
 # AppendFlatN split store the same bytes, and Rows reads what Seq reads),
 # then Exp32 (raw float32 bits, any subtrahend, lengths 0-40 so every ragged
-# tail is hit: the AVX2 arm of exp / Softmax / SiLU against the pure-Go
-# specification), then sparse decode's page selection against a stable sort
+# tail is hit: the AVX2 and AVX-512 arms of exp / Softmax / SiLU against the
+# pure-Go specification), then the attention block's softmax across rows (raw
+# float32 bits, 1-16 rows of ascending lengths 0-300 so every ragged 16-column
+# tail is hit, any scale: every arm against Scale + Softmax per row — NaN, ±Inf,
+# ±0 maxima, equal maxima and all -Inf rows among the seeds), then sparse decode's page selection against a stable sort
 # (any NaN-free scores, ±Inf and ties included, any budget), then FMA32, the
 # step of every accumulation chain, against a math/big oracle (raw bits of
 # all three operands: NaN, ±Inf, subnormals and double-rounding ties), then
@@ -87,6 +90,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzAttendBlockMatchesScalar -fuzztime 10s ./internal/tensor
 	$(GO) test -run XXX -fuzz FuzzAppendSplitInvariant -fuzztime 10s ./internal/kvcache
 	$(GO) test -run XXX -fuzz FuzzExp32MatchesGo -fuzztime 10s ./internal/tensor
+	$(GO) test -run XXX -fuzz FuzzSoftmaxRowsMatchesSoftmax -fuzztime 10s ./internal/tensor
 	$(GO) test -run XXX -fuzz FuzzSelectTopPagesMatchesSort -fuzztime 10s ./internal/model
 	$(GO) test -run XXX -fuzz FuzzFMA32 -fuzztime 10s ./internal/tensor
 	$(GO) test -run XXX -fuzz FuzzEncodeFloat16Nearest -fuzztime 10s ./internal/tensor
@@ -97,8 +101,8 @@ fuzz-smoke:
 BENCHPKGS = . ./internal/model ./internal/tensor ./internal/rng
 
 # ALLOC_PINS are the tests that hold the serving hot paths at 0 allocs/step:
-# dequantize-on-read decode, the attention page walk (decode group, 32-row
-# chunk, Quest blocks with the recall probe) and its page-visit kernels under
+# dequantize-on-read decode, the attention page walk (a decode lane's block
+# across its KV heads, 32-row chunk, Quest blocks with the recall probe) and its page-visit kernels under
 # every arm, sparse decode and its page-selection pair, the
 # GEMM tile loop's entries under every arm, and the fused
 # pass / the one step entry from a batch of one with no chunks up to the
@@ -112,8 +116,11 @@ ALLOC_PKGS = ./internal/model ./internal/tensor ./internal/core ./internal/kvcac
 # bench-smoke compiles and single-steps every benchmark in BENCHPKGS (the
 # facade's, the model's decode/prefill cases including BenchmarkDecodeSteadyQuant
 # and BenchmarkDecodeSteadySparse, BenchmarkModelNew, the kernels' own:
-# BenchmarkGEMM, BenchmarkAttendBlock, BenchmarkQuantEncode, BenchmarkSoftmax,
-# BenchmarkSiLU, BenchmarkNormals, and the sampler's uniform half, BenchmarkPolar), then re-runs
+# BenchmarkGEMM, BenchmarkAttendBlock with its decode-shaped dec8 rows (one
+# lane's 4 KV heads × 2 queries on one page, fp32 and int8),
+# BenchmarkQuantEncode, BenchmarkSoftmax with its avx512 rows and its 16-row
+# block rows (rows16, n = 128 and 1024), BenchmarkSiLU, BenchmarkNormals, and
+# the sampler's uniform half, BenchmarkPolar), then re-runs
 # ALLOC_PINS. `go test -run` passes silently when a name matches nothing, so
 # the target checks that every pinned name actually ran and passed: renaming
 # or deleting one fails here instead of unpinning the path.

@@ -8,13 +8,14 @@ import (
 // This file is the model's one attention page walk. Every cache with a
 // regular layout is read through kvcache.Paged — Full's flat buffer as one
 // page, PagedKV's pages whatever their codec — and one routine (attendBlock)
-// runs the materialised two-pass softmax over it for a *block of queries* that
-// share a KV head (tensor.AttnBlock: a decode lane's GQA group, a prefill
-// chunk's rows × group, or one query under Quest): per page visit score the
-// walked tokens for the whole block, then per query scale, softmax and show
-// the weights to an attention observer, then per page visit accumulate the
-// values for the whole block. Each K and V page is streamed — and a quantized
-// one dequantized — once per (pass, KV head), not once per query head. The
+// runs the materialised two-pass softmax over it for a *block of queries*
+// (tensor.AttnBlock: a decode lane's queries across its KV heads, a prefill
+// chunk's rows × group of one KV head, or one query under Quest): per page
+// visit score the walked tokens for the whole block, then scale and softmax
+// every query's row at once and show each to an attention observer, then per
+// page visit accumulate the values for the whole block. Each K and V page is
+// streamed — and a quantized one dequantized — once per (pass, KV head), not
+// once per query head. The
 // walk covers either every page up to the block's largest token bound
 // (decode, and chunk prefill's mid-page causal bounds) or an ascending
 // selected page list (Quest topK, see sparse.go). The two-pass form is what
@@ -24,7 +25,7 @@ import (
 // views — the generic Seq arm, attendSeq — whatever the codec and block size.
 
 // pageView is one (layer, kv-head) slice of a paged cache: the walk asks the
-// cache for each page's rows.
+// cache for each page's rows of that head, the first of the block's heads.
 type pageView struct {
 	paged       kvcache.Paged
 	layer, head int
@@ -33,29 +34,46 @@ type pageView struct {
 // walk runs one pass of the block — the score pass, or the value pass when
 // vals — over the first n tokens of the walked pages: the ascending list sel,
 // or every page when sel is nil. A causal bound cuts the last page mid-page;
-// a selected list always fits whole pages. It returns how many tokens the
-// walk covered.
+// a selected list always fits whole pages. While the block works on a page
+// it prefetches the next one's rows of its heads: a page's rows for one head
+// are strided (a token row holds every head), which the hardware prefetchers
+// do not follow, and a decode lane's pages lie anywhere. It returns how many
+// tokens the walk covered.
 func (v *pageView) walk(blk *tensor.AttnBlock, sel []int32, n int, vals bool) int {
 	np := len(sel)
 	if sel == nil {
 		np = v.paged.LayerPages(v.layer)
 	}
-	i := 0
-	for k := 0; k < np && i < n; k++ {
-		p := k
+	page := func(k int) int {
 		if sel != nil {
-			p = int(sel[k])
+			return int(sel[k])
 		}
-		r, t := v.paged.Rows(v.layer, p, v.head, vals)
+		return k
+	}
+	if np == 0 || n <= 0 {
+		return 0
+	}
+	r, t := v.paged.Rows(v.layer, page(0), v.head, vals)
+	i := 0
+	for k := 0; ; k++ {
 		t = min(t, n-i)
+		var next tensor.Rows
+		nt := 0
+		if k+1 < np && i+t < n {
+			next, nt = v.paged.Rows(v.layer, page(k+1), v.head, vals)
+			blk.Prefetch(&next, min(nt, n-i-t))
+		}
 		if vals {
 			blk.Accumulate(i, t, &r)
 		} else {
 			blk.Score(i, t, &r)
 		}
 		i += t
+		if nt == 0 {
+			return i
+		}
+		r, t = next, nt
 	}
-	return i
 }
 
 // attendBlock accumulates the block's attention over the view into its
@@ -69,15 +87,15 @@ func (m *Model) attendBlock(blk *tensor.AttnBlock, cp *cachePath, v *pageView, s
 }
 
 // softmaxBlock runs the score pass and turns every query's score row into its
-// attention weights in place, returning the walk's token count.
+// attention weights in place, returning the walk's token count. An observer
+// is shown each query's weights in block order: a decode lane's query heads
+// ascending, a chunk's (row, query head) pairs row-major within one KV head.
 func (m *Model) softmaxBlock(blk *tensor.AttnBlock, cp *cachePath, v *pageView, sel []int32) int {
 	covered := v.walk(blk, sel, blk.Bound(), false)
-	for q := 0; q < blk.Len(); q++ {
-		w := blk.Weights(q, covered)
-		tensor.Scale(w, m.invSqrtHD)
-		tensor.Softmax(w)
-		if cp.observer != nil {
-			cp.observer.ObserveAttention(v.layer, v.head, w)
+	blk.Softmax(covered, m.invSqrtHD)
+	if cp.observer != nil {
+		for q := 0; q < blk.Len(); q++ {
+			cp.observer.ObserveAttention(v.layer, v.head+blk.Head(q), blk.Weights(q, covered))
 		}
 	}
 	return covered

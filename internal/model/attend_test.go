@@ -81,9 +81,9 @@ func TestBlockWalkMatchesSeqArm(t *testing.T) {
 }
 
 // TestBlockWalkAllocs pins the page walk itself at 0 allocations over int8
-// pages: a decode lane's GQA group, a 32-row chunk whose row blocks cut a page
-// mid-tile, and Quest-selected blocks of one with the recall probe on (the
-// probe re-scores through the block's scratch).
+// pages: a decode lane's block across its KV heads, a 32-row chunk whose row
+// blocks cut a page mid-tile, and Quest-selected blocks of one with the recall
+// probe on (the probe re-scores through the block's scratch).
 func TestBlockWalkAllocs(t *testing.T) {
 	m := New(Tiny(), 1)
 	defer m.SetSparseTopK(0)
@@ -106,7 +106,7 @@ func TestBlockWalkAllocs(t *testing.T) {
 		topK int
 		run  func()
 	}{
-		{"decode group", 0, func() { m.attendOver(bw.lanes[:1], blk, &cp, 1, -1) }},
+		{"decode lane across its KV heads", 0, func() { m.attendOver(bw.lanes[:1], blk, &cp, 1, -1) }},
 		{"32-row chunk", 0, func() { m.attendOver(bw.lanes[:32], blk, &cp, 1, 200-32-5) }},
 		{"quest + recall probe", 4, func() { m.attendOver(bw.lanes[:1], blk, &cp, 1, -1) }},
 	}

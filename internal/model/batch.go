@@ -11,8 +11,9 @@ import (
 // streams a single token each, plus any prefill chunks, loading every weight
 // matrix once per step instead of once per stream. Projections and the LM
 // head run as one batched GEMM over packed weights (tensor.Packed.MulInto:
-// four lanes share every weight load, and an output's reduction order does not
-// depend on the lane count); attention stays per-stream (appendKV, then
+// a full group of eight lanes shares every weight load on the AVX-512 arm,
+// four on the others, and an output's reduction order does not depend on the
+// lane count); attention stays per-stream (appendKV, then
 // attendLane), because each stream attends over its own KV cache at its own
 // position. A stream run alone is the same pass at one lane, so a fused step
 // is bit-identical to stepping each stream by itself — pinned by the
@@ -20,7 +21,7 @@ import (
 
 // BatchWorkspace owns the scratch state of the forward pass: one workspace
 // per lane, the lane-indexed gather views the batched kernels consume, and the
-// page walk's block scratch — one tensor.AttnBlock per shard (263 KiB for
+// page walk's block scratch — one tensor.AttnBlock per shard (≈ 280 KiB for
 // small-llama), not per lane, which would scale resident memory with the
 // batch. It belongs to one decode loop at a time (core pools them for the
 // scheduler; an offline session owns one at one lane); lanes grow on demand

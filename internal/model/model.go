@@ -267,9 +267,12 @@ func (m *Model) attendLane(ws *workspace, blk *tensor.AttnBlock, cp *cachePath, 
 // so bounded attention here equals full attention then.
 //
 // Caches with a regular layout (kvcache.Paged: Full's flat buffer, PagedKV's
-// pages in any codec) all take the one page walk in attend.go, per KV head in
-// blocks of up to tensor.AttnBlockMax queries in (row, head) order: ascending
-// bounds, and within a decode lane the ascending head order observers see.
+// pages in any codec) all take the one page walk in attend.go, in blocks of
+// up to tensor.AttnBlockMax queries: a decode lane's query heads in ascending
+// order across as many KV heads as fit (an even GQA group: a head's queries
+// start on an even slot of the block), so one page visit serves every head;
+// a chunk's rows × group per KV head in (row, head) order, ascending bounds;
+// under Quest one query per block. Observers see the ascending head order.
 // Caches with irregular retained sets (eviction, offline quantisation) take
 // attendSeq.
 func (m *Model) attendOver(lanes []*workspace, blk *tensor.AttnBlock, cp *cachePath, l, limit int) {
@@ -284,28 +287,38 @@ func (m *Model) attendOver(lanes []*workspace, blk *tensor.AttnBlock, cp *cacheP
 		}
 		return
 	}
-	for kh := 0; kh < cfg.KVHeads; kh++ {
-		first := limit // the first lane's bound; lane r's is first+r
-		if limit < 0 {
-			first = cp.cache.Len(l, kh)
-		}
-		v := pageView{cp.paged, l, kh}
-		quest := limit < 0 && m.questEngages(lanes[0], cp, &v)
+	quest := limit < 0 && m.questEngages(lanes[0], cp, l)
+	span := 1 // KV heads per block
+	if limit < 0 && !quest && group%2 == 0 {
+		span = max(1, tensor.AttnBlockMax/group)
+	}
+	for kh0 := 0; kh0 < cfg.KVHeads; kh0 += span {
+		kh1 := min(kh0+span, cfg.KVHeads)
+		v := pageView{cp.paged, l, kh0}
 		blk.Reset()
-		for x, nx := 0, len(lanes)*group; x < nx; x++ {
-			ws, qh := lanes[x/group], kh*group+x%group
-			q := blk.Add(first+x/group, ws.attnOut[qh*hd:(qh+1)*hd])
-			copy(q, ws.q[qh*hd:(qh+1)*hd])
-			tensor.ApplyRoPECached(q, ws.ropeSin, ws.ropeCos)
-			switch {
-			case quest:
-				m.attendSparse(ws, blk, cp, &v, q)
-			case blk.Len() == tensor.AttnBlockMax || x == nx-1:
-				m.attendBlock(blk, cp, &v, nil)
-			default:
-				continue
+		for kh := kh0; kh < kh1; kh++ {
+			first := limit // the first lane's bound; lane r's is first+r
+			if limit < 0 {
+				first = cp.cache.Len(l, kh)
 			}
-			blk.Reset()
+			if kh > kh0 {
+				blk.NextHead()
+			}
+			for x, nx := 0, len(lanes)*group; x < nx; x++ {
+				ws, qh := lanes[x/group], kh*group+x%group
+				q := blk.Add(first+x/group, ws.attnOut[qh*hd:(qh+1)*hd])
+				copy(q, ws.q[qh*hd:(qh+1)*hd])
+				tensor.ApplyRoPECached(q, ws.ropeSin, ws.ropeCos)
+				switch {
+				case quest:
+					m.attendSparse(ws, blk, cp, &v, q)
+				case blk.Len() == tensor.AttnBlockMax || (kh == kh1-1 && x == nx-1):
+					m.attendBlock(blk, cp, &v, nil)
+				default:
+					continue
+				}
+				blk.Reset()
+			}
 		}
 	}
 }

@@ -86,22 +86,22 @@ func (bw *BatchWorkspace) TakeRecall() (mass float64, count int64) {
 	return mass, count
 }
 
-// questEngages reports whether decode attention over the view takes Quest's
+// questEngages reports whether decode attention over layer l takes Quest's
 // selected walks — one query per block, each with its own page list — rather
-// than the dense group walk: sparsity on, summaries present, no attention
-// observer needing full scores, and more pages than the budget. With fewer,
-// every page would be selected anyway: the dense walk is bit-identical and
-// cheaper, and the group's heads are tallied as selecting all of them.
-func (m *Model) questEngages(ws *workspace, cp *cachePath, v *pageView) bool {
-	if m.sparseTopK <= 0 || cp.observer != nil || v.paged.KeySummary(v.layer, 0) == nil {
+// than the dense walk: sparsity on, summaries present, no attention observer
+// needing full scores, and more pages than the budget. With fewer, every page
+// would be selected anyway: the dense walk is bit-identical and cheaper, and
+// every query head is tallied as selecting all of them.
+func (m *Model) questEngages(ws *workspace, cp *cachePath, l int) bool {
+	if m.sparseTopK <= 0 || cp.observer != nil || cp.paged.KeySummary(l, 0) == nil {
 		return false
 	}
-	np := v.paged.LayerPages(v.layer)
+	np := cp.paged.LayerPages(l)
 	if np > m.sparseTopK {
 		return true
 	}
-	ws.sparseSel += int64(np * m.cfg.GroupSize())
-	ws.sparseTot += int64(np * m.cfg.GroupSize())
+	ws.sparseSel += int64(np * m.cfg.Heads)
+	ws.sparseTot += int64(np * m.cfg.Heads)
 	return false
 }
 

@@ -103,17 +103,20 @@ func newAttnCase(next func() uint64, plant bool, hd, heads, head, bits, pageToke
 }
 
 // rows is page p as the block kernels take it.
-func (c *attnCase) rows(p int, vals bool) Rows {
+func (c *attnCase) rows(p int, vals bool) Rows { return c.headPage(p, c.head, vals) }
+
+// headPage is page p at KV head h.
+func (c *attnCase) headPage(p, h int, vals bool) Rows {
 	r := Rows{Stride: c.heads * c.hd}
 	f32, codes, params := c.kf[p], c.kc[p], c.kp[p]
 	if vals {
 		f32, codes, params = c.vf[p], c.vc[p], c.vp[p]
 	}
 	if c.bits == 0 {
-		r.F32 = f32[c.head*c.hd:]
+		r.F32 = f32[h*c.hd:]
 		return r
 	}
-	r.Codes, r.Params, r.Bits, r.Off, r.Heads, r.Head = codes, params, c.bits, c.head*c.hd, c.heads, c.head
+	r.Codes, r.Params, r.Bits, r.Off, r.Heads, r.Head = codes, params, c.bits, h*c.hd, c.heads, h
 	return r
 }
 
@@ -197,6 +200,109 @@ func checkAttendBlock(t *testing.T, seed uint64, hd, heads, head, bits, pageToke
 	}
 	c.walk(b, n, true)
 	sameBits(t, what+" outputs", got, want)
+}
+
+// headRows is every token of KV head h (absolute) as the scalar reference
+// reads it: the case's pages sliced or dequantized at that head.
+func (c *attnCase) headRows(h int, vals bool) [][]float32 {
+	f32, codes, params := c.kf, c.kc, c.kp
+	if vals {
+		f32, codes, params = c.vf, c.vc, c.vp
+	}
+	stride := c.heads * c.hd
+	var rows [][]float32
+	for p := range f32 {
+		for i := 0; i < min(c.pageTokens, c.tokens-p*c.pageTokens); i++ {
+			row := make([]float32, c.hd)
+			if c.bits == 0 {
+				copy(row, f32[p][i*stride+h*c.hd:])
+			} else {
+				DequantSliceInto(row, codes[p], params[p], c.bits, h*c.hd, stride, c.heads, h, i)
+			}
+			rows = append(rows, row)
+		}
+	}
+	return rows
+}
+
+// checkAttendBlockHeads is checkAttendBlock for a block across span KV heads
+// from the case's head on, group queries each (NextHead between heads): the
+// decode lane's block. With ascending, bounds ascend across the block;
+// otherwise every query sees every token. Softmax runs between the passes,
+// against Scale and Softmax per query.
+func checkAttendBlockHeads(t *testing.T, seed uint64, hd, heads, head, span, group, bits, pageTokens, tokens int, ascending bool) {
+	next := lcg(seed)
+	c := newAttnCase(next, true, hd, heads, head, bits, pageTokens, tokens)
+	what := fmt.Sprintf("seed=%d hd=%d heads=%d+%d/%d group=%d bits=%d page=%d tokens=%d asc=%v", seed, hd, head, span, heads, group, bits, pageTokens, tokens, ascending)
+	nq := span * group
+	bounds := make([]int, nq)
+	for i := range bounds {
+		bounds[i] = tokens
+		if ascending {
+			bounds[i] = int(next()%uint64(tokens)) + 1
+		}
+	}
+	sort.Ints(bounds)
+	b := NewAttnBlock(hd, tokens)
+	qs, got, want := newLanes(nq, hd), newLanes(nq, hd), newLanes(nq, hd)
+	for i := range qs {
+		if i > 0 && i%group == 0 {
+			b.NextHead()
+		}
+		for j := range qs[i] {
+			qs[i][j] = float32(int64(next()%2001)-1000) / 499
+			got[i][j] = 0.5 + float32(next()%1000)/250
+		}
+		copy(want[i], got[i])
+		copy(b.Add(bounds[i], got[i]), qs[i])
+	}
+	n := b.Bound()
+	c.walk(b, n, false)
+	const scale = 0.125
+	b.Softmax(n, scale)
+	gotS, wantS := make([][]float32, nq), newLanes(nq, n)
+	for i := range qs {
+		if b.Head(i) != i/group {
+			t.Fatalf("%s: query %d has head %d, want %d", what, i, b.Head(i), i/group)
+		}
+		keys, vals := c.headRows(head+i/group, false), c.headRows(head+i/group, true)
+		gotS[i], wantS[i] = b.Weights(i, n), wantS[i][:bounds[i]]
+		for j := range wantS[i] {
+			wantS[i][j] = Dot(qs[i], keys[j])
+		}
+		Scale(wantS[i], scale)
+		Softmax(wantS[i])
+		for j, w := range wantS[i] {
+			AXPY(want[i], w, vals[j])
+		}
+	}
+	sameBits(t, what+" weights", gotS, wantS)
+	c.walk(b, n, true)
+	sameBits(t, what+" outputs", got, want)
+}
+
+// TestAttendBlockAcrossHeads pins blocks that span KV heads — a decode lane's
+// queries, head after head — to Dot, Scale + Softmax and AXPY per query,
+// under every arm: every head dimension and codec, blocks of 2–8 heads with
+// even groups at every head offset of an 8-head page, page sizes below, at
+// and above a sub-tile, equal and ascending bounds.
+func TestAttendBlockAcrossHeads(t *testing.T) {
+	eachArm(t, func(t *testing.T) {
+		seed := uint64(1)
+		for _, hd := range attnHeadDims {
+			for _, bits := range []int{0, 8, 4} {
+				for _, group := range []int{2, 4, 8} {
+					for span := 2; span*group <= AttnBlockMax; span++ {
+						for _, pt := range []int{4, 16, 23} {
+							seed++
+							head := int(seed) % (9 - span)
+							checkAttendBlockHeads(t, seed, hd, 8, head, span, group, bits, pt, 2*pt+5, seed%3 == 0)
+						}
+					}
+				}
+			}
+		}
+	})
 }
 
 // fuzzAttnShape maps raw fuzz inputs onto a head dimension, 1–4 KV heads and
@@ -303,15 +409,16 @@ func TestAccumulateStopsAtBound(t *testing.T) {
 }
 
 // BenchmarkAttendBlock prices one page visit — the score pass and the value
-// pass over one 16-token page of one KV head, head dimension 32 (the
-// benchmark model's) — for a block of 1, 2 and 16 queries per codec, under
-// each arm, with the scalar reference (Dot and AXPY over DequantSliceInto
-// views, once per query, at the host's arm) beside them: the attention
-// counterpart of BenchmarkGEMM.
+// pass over one 16-token page, head dimension 32 (the benchmark model's) —
+// for a block of 1, 2 and 16 queries of one KV head per codec, and for the
+// decode lane's block "dec8": its full head set, 4 KV heads × a group of 2
+// queries, under each arm, with the scalar reference (Dot and AXPY over
+// DequantSliceInto views, once per query, at the host's arm) beside them: the
+// attention counterpart of BenchmarkGEMM.
 func BenchmarkAttendBlock(b *testing.B) {
 	selected := arm
 	defer func() { arm = selected }()
-	const hd, heads, head, tokens = 32, 4, 1, 16
+	const hd, heads, tokens = 32, 4, 16
 	impls := []struct {
 		name  string
 		level armLevel
@@ -324,16 +431,24 @@ func BenchmarkAttendBlock(b *testing.B) {
 			name string
 			bits int
 		}{{"fp32", 0}, {"int8", 8}, {"int4", 4}} {
-			c := newAttnCase(lcg(7), false, hd, heads, head, codec.bits, tokens, tokens)
-			for _, nq := range []int{1, 2, 16} {
+			for _, shape := range []struct {
+				name              string
+				head, nq, perHead int
+			}{{"q1", 1, 1, 1}, {"q2", 1, 2, 2}, {"q16", 1, 16, 16}, {"dec8", 0, 8, 2}} {
+				c := newAttnCase(lcg(7), false, hd, heads, shape.head, codec.bits, tokens, tokens)
 				blk := NewAttnBlock(hd, tokens)
-				outs, qs := newLanes(nq, hd), benchLanes(nq, hd)
+				outs, qs := newLanes(shape.nq, hd), benchLanes(shape.nq, hd)
+				keys, vals := make([]Rows, shape.nq), make([]Rows, shape.nq)
 				for i := range qs {
+					if i > 0 && i%shape.perHead == 0 {
+						blk.NextHead()
+					}
 					copy(blk.Add(tokens, outs[i]), qs[i])
+					keys[i], vals[i] = c.headPage(0, shape.head+i/shape.perHead, false), c.headPage(0, shape.head+i/shape.perHead, true)
 				}
 				kr, vr := c.rows(0, false), c.rows(0, true)
 				scores, row := make([]float32, tokens), make([]float32, hd)
-				b.Run(fmt.Sprintf("%s/%s/q%d", impl.name, codec.name, nq), func(b *testing.B) {
+				b.Run(fmt.Sprintf("%s/%s/%s", impl.name, codec.name, shape.name), func(b *testing.B) {
 					arm = impl.level
 					for b.Loop() {
 						if impl.name != "scalar" {
@@ -343,10 +458,10 @@ func BenchmarkAttendBlock(b *testing.B) {
 						}
 						for q := range qs {
 							for i := range scores {
-								scores[i] = Dot(qs[q], c.view(row, &kr, i))
+								scores[i] = Dot(qs[q], c.view(row, &keys[q], i))
 							}
 							for i, w := range scores {
-								AXPY(outs[q], w, c.view(row, &vr, i))
+								AXPY(outs[q], w, c.view(row, &vals[q], i))
 							}
 						}
 					}

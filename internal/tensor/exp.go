@@ -6,8 +6,10 @@ import "math"
 // sequence of float32 operations, each rounded to float32 on its own — the
 // way the GEMM tile is specified as one FMA32 chain per output.
 // The pure-Go function below is that specification on every architecture;
-// the AVX2 arm (exp_amd64.s) executes the same sequence eight lanes at a time
-// and is equal to it by math.Float32bits on every input.
+// the AVX2 arm (exp_amd64.s) executes the same sequence eight lanes at a time,
+// the AVX-512 arm sixteen (EXP16, zmm_amd64.h: expSub, SiLUMul and the
+// attention block's softmax across rows), and both are equal to it by
+// math.Float32bits on every input.
 //
 //	x  = min(max(x, expLo), expHi)           NaN takes the low clamp
 //	n  = (x·log2e + expMagic) − expMagic     round to nearest (even) integer
@@ -79,8 +81,15 @@ func avx2Head(n int) int {
 	return n &^ 7
 }
 
-// expSub overwrites xs[i] with Exp32(xs[i] − sub).
+// expSub overwrites xs[i] with Exp32(xs[i] − sub): on the AVX-512 arm
+// sixteen lanes at a time, a ragged tail under a lane mask.
 func expSub(xs []float32, sub float32) {
+	if arm == armAVX512 {
+		if len(xs) > 0 {
+			expSubAVX512(&xs[0], len(xs), sub)
+		}
+		return
+	}
 	i := avx2Head(len(xs))
 	if i > 0 {
 		expSubAVX2(&xs[0], i/8, sub)
@@ -91,9 +100,11 @@ func expSub(xs []float32, sub float32) {
 }
 
 // Softmax overwrites xs with softmax(xs) using the max-subtraction trick.
-// An empty slice is a no-op. The max scan and the normaliser's sum are
-// scalar, in ascending order; only exp(v − max) and the final scale run on
-// the vector lanes, and both are element-wise.
+// An empty slice is a no-op. The max scan and the normaliser's sum are one
+// chain each, in ascending order; only exp(v − max) and the final scale run
+// on the vector lanes, and both are element-wise. It is the specification of
+// the attention block's softmax, which runs 16 rows' chains at once, one row
+// per vector lane (softmaxRows).
 func Softmax(xs []float32) {
 	if len(xs) == 0 {
 		return
@@ -118,6 +129,12 @@ func Softmax(xs []float32) {
 func SiLUMul(gate, up []float32) {
 	if len(gate) != len(up) {
 		panic("tensor: silu gate/up length mismatch")
+	}
+	if arm == armAVX512 {
+		if len(gate) > 0 {
+			siluMulAVX512(&gate[0], &up[0], len(gate))
+		}
+		return
 	}
 	i := avx2Head(len(gate))
 	if i > 0 {

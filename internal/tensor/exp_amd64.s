@@ -1,4 +1,5 @@
 #include "textflag.h"
+#include "zmm_amd64.h"
 
 // EXP8 replaces the eight floats in Y0 with Exp32 of each: the operation
 // sequence exp.go specifies, one instruction per operation, every constant
@@ -123,5 +124,94 @@ siluloop:
 	JNZ  siluloop
 
 siludone:
+	VZEROUPPER
+	RET
+
+// TAILMASK sets K1 to the low CX bits (0 < CX < 16): the lanes of a ragged
+// last group of sixteen.
+#define TAILMASK \
+	MOVL $1, AX \
+	SHLL CX, AX \
+	DECL AX \
+	KMOVW AX, K1
+
+// func expSubAVX512(xs *float32, n int, sub float32)
+//
+// xs[i] = Exp32(xs[i] − sub) for the n elements, sixteen at a time (EXP16);
+// a ragged last group is loaded, computed and stored under a lane mask.
+TEXT ·expSubAVX512(SB), NOSPLIT, $0-20
+	MOVQ xs+0(FP), DI
+	MOVQ n+8(FP), CX
+	VBROADCASTSS sub+16(FP), Z4
+	LEAQ ·expTable(SB), BX
+
+exp16loop:
+	CMPQ CX, $16
+	JLT  exp16tail
+	VMOVUPS (DI), Z0
+	VSUBPS Z4, Z0, Z0
+	EXP16(Z0, Z1, Z2, Z3)
+	VMOVUPS Z0, (DI)
+	ADDQ $64, DI
+	SUBQ $16, CX
+	JMP  exp16loop
+
+exp16tail:
+	TESTQ CX, CX
+	JLE  exp16done
+	TAILMASK
+	VMOVUPS.Z (DI), K1, Z0
+	VSUBPS Z4, Z0, Z0
+	EXP16(Z0, Z1, Z2, Z3)
+	VMOVUPS Z0, K1, (DI)
+
+exp16done:
+	VZEROUPPER
+	RET
+
+// SILU16 is gate = v / (1 + Exp32(−v)) · up for the sixteen lanes of v in
+// Z4 and up in Z6, into Z0. Z5 is the sign mask: −v flips the sign bit, as
+// the Go expression does.
+#define SILU16 \
+	VPXORD Z5, Z4, Z0 \
+	EXP16(Z0, Z1, Z2, Z3) \
+	VADDPS.BCST 48(BX), Z0, Z0 \
+	VDIVPS Z0, Z4, Z0 \
+	VMULPS Z6, Z0, Z0
+
+// func siluMulAVX512(gate, up *float32, n int)
+//
+// gate[i] = gate[i] / (1 + Exp32(−gate[i])) · up[i] for the n elements,
+// sixteen at a time; a ragged last group under a lane mask.
+TEXT ·siluMulAVX512(SB), NOSPLIT, $0-24
+	MOVQ gate+0(FP), DI
+	MOVQ up+8(FP), SI
+	MOVQ n+16(FP), CX
+	LEAQ ·expTable(SB), BX
+	VPTERNLOGD $0xFF, Z5, Z5, Z5
+	VPSLLD $31, Z5, Z5
+
+silu16loop:
+	CMPQ CX, $16
+	JLT  silu16tail
+	VMOVUPS (DI), Z4
+	VMOVUPS (SI), Z6
+	SILU16
+	VMOVUPS Z0, (DI)
+	ADDQ $64, DI
+	ADDQ $64, SI
+	SUBQ $16, CX
+	JMP  silu16loop
+
+silu16tail:
+	TESTQ CX, CX
+	JLE  silu16done
+	TAILMASK
+	VMOVUPS.Z (DI), K1, Z4
+	VMOVUPS.Z (SI), K1, Z6
+	SILU16
+	VMOVUPS Z0, K1, (DI)
+
+silu16done:
 	VZEROUPPER
 	RET

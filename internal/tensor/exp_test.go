@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"math"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -204,9 +205,9 @@ func fuzzFloats(raw []byte, n int) []float32 {
 }
 
 // FuzzExp32MatchesGo lets the fuzzer pick raw float32 bits, the subtrahend's
-// bits and a length in 0–40 (every ragged tail after 0–5 vector groups): both
-// implementations of expSub, Softmax, SiLU and SiLUMul must match the pure-Go
-// specification bit for bit.
+// bits and a length in 0–40 (every ragged tail after 0–5 eight-lane or 0–2
+// sixteen-lane groups): every arm of expSub, Softmax, SiLU and SiLUMul must
+// match the pure-Go specification bit for bit.
 func FuzzExp32MatchesGo(f *testing.F) {
 	f.Add([]byte{0, 0, 0x80, 0x3f}, uint8(8), uint32(0))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0x80, 0x7f, 1, 0, 0, 0}, uint8(19), uint32(0x42ae0000))
@@ -218,12 +219,97 @@ func FuzzExp32MatchesGo(f *testing.F) {
 	})
 }
 
+// checkSoftmaxRows runs softmaxRows over rows rows of lengths lens (sorted
+// ascending) cycling through vals, row r from vals[r], under the current arm,
+// against Scale then Softmax per row under the pure-Go arm, on raw bits.
+func checkSoftmaxRows(t *testing.T, vals []float32, lens []int, scale float32) {
+	t.Helper()
+	sort.Ints(lens)
+	top := lens[len(lens)-1]
+	stride := (top+15)/16*16 + 16
+	buf := make([]float32, AttnBlockMax*stride)
+	want := make([][]float32, len(lens))
+	for r, n := range lens {
+		for j := 0; j < n; j++ {
+			buf[r*stride+j] = vals[(r+j)%len(vals)]
+		}
+		want[r] = append([]float32(nil), buf[r*stride:][:n]...)
+	}
+	level := arm
+	arm = armGo
+	for _, w := range want {
+		Scale(w, scale)
+		Softmax(w)
+	}
+	arm = level
+	softmaxRows(buf, stride, lens, scale)
+	for r, n := range lens {
+		sameFloats(t, fmt.Sprintf("arm=%s row %d of %v scale=%g", armNames[arm], r, lens, scale), buf[r*stride:][:n], want[r])
+	}
+}
+
+// FuzzSoftmaxRowsMatchesSoftmax lets the fuzzer pick raw float32 bits, 1–16
+// rows of ascending lengths in 0–300 (every ragged tail of a 16-column block)
+// and the scale's bits: every arm's block softmax must equal Scale then
+// Softmax per row, bit for bit. The seeds are rows the block softmax must get
+// right, each the cycle its rows repeat: NaN first and later, ±Inf, ±0 maxima
+// in both orders, equal maxima, an all −Inf row.
+func FuzzSoftmaxRowsMatchesSoftmax(f *testing.F) {
+	inf, nan, negZero := float32(math.Inf(1)), float32(math.NaN()), float32(math.Copysign(0, -1))
+	for i, seed := range [][]float32{
+		{nan, 1, 2}, {1, 2, nan, 3}, {inf, 1}, {1, -inf, inf, inf},
+		{negZero, 0, -1}, {0, negZero, -1}, {2, 2, 1}, {-inf},
+	} {
+		raw := make([]byte, 4*len(seed))
+		for j, v := range seed {
+			binary.LittleEndian.PutUint32(raw[4*j:], math.Float32bits(v))
+		}
+		f.Add(raw, uint8(i*2), uint64(i+1), math.Float32bits(1))
+	}
+	f.Add([]byte{0, 0, 0x80, 0x3f, 0x17, 0xac, 0xae, 0xc2}, uint8(15), uint64(99), math.Float32bits(0.17677669))
+	f.Fuzz(func(t *testing.T, raw []byte, rows uint8, lenSeed uint64, scale uint32) {
+		next := lcg(lenSeed)
+		lens := make([]int, int(rows)%AttnBlockMax+1)
+		for r := range lens {
+			lens[r] = int(next() % 301)
+		}
+		vals := fuzzFloats(raw, max(1, len(raw)/4))
+		eachArm(t, func(t *testing.T) { checkSoftmaxRows(t, vals, lens, math.Float32frombits(scale)) })
+	})
+}
+
 // BenchmarkSoftmax and BenchmarkSiLU price the two element-wise passes that
 // call Exp32 — a decode step's attention weights over 128 and 1024 cached
 // tokens, the FFN's gated activation at the benchmark model's width — under
-// both implementations.
+// every arm; BenchmarkSoftmax also prices a block of 16 such rows through
+// softmaxRows (scale included), per element of the block.
 func BenchmarkSoftmax(b *testing.B) {
 	benchExpArms(b, func(xs, _ []float32) { Softmax(xs) })
+	selected := arm
+	defer func() { arm = selected }()
+	for _, level := range []armLevel{armGo, armAVX2, armAVX512} {
+		if level > selected {
+			continue
+		}
+		for _, n := range []int{128, 1024} {
+			src := lanes(AttnBlockMax, n, 7)
+			stride := n + 16
+			buf, lens := make([]float32, AttnBlockMax*stride), make([]int, AttnBlockMax)
+			for r := range lens {
+				lens[r] = n
+			}
+			b.Run(fmt.Sprintf("rows16/%s/n%d", armNames[level], n), func(b *testing.B) {
+				arm = level
+				for b.Loop() {
+					for r := range src {
+						copy(buf[r*stride:], src[r])
+					}
+					softmaxRows(buf, stride, lens, 0.17677669)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(AttnBlockMax*n), "ns/elem")
+			})
+		}
+	}
 }
 
 func BenchmarkSiLU(b *testing.B) {
@@ -233,7 +319,7 @@ func BenchmarkSiLU(b *testing.B) {
 func benchExpArms(b *testing.B, f func(xs, up []float32)) {
 	selected := arm
 	defer func() { arm = selected }()
-	for _, level := range []armLevel{armGo, armAVX2} {
+	for _, level := range []armLevel{armGo, armAVX2, armAVX512} {
 		if level > selected {
 			continue
 		}

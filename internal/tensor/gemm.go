@@ -13,8 +13,9 @@ package tensor
 // operation, so results are bit-identical to it for every lane count, every
 // split of the columns and every arm. What the tile buys is arithmetic
 // intensity: a weight row segment is loaded once for four lanes and sixteen
-// (or thirty-two) outputs, and a panel stays in cache while every lane group
-// visits it.
+// outputs — on AVX-512 hosts once for eight lanes (four for a group's last
+// short run) and thirty-two — and a panel stays in cache while every lane
+// group visits it.
 //
 // Weights the engine owns are stored packed (Packed): 16-column panels, each
 // K-major and contiguous, so a tile reads one cache line per k and nothing
@@ -32,7 +33,7 @@ type armLevel int
 const (
 	armGo     armLevel = iota // pure Go: the specification and a correctness fallback
 	armAVX2                   // AVX2 + FMA: the YMM tile, Dot / AXPY / MatVecInto, Exp32's lanes
-	armAVX512                 // armAVX2 plus the ZMM tiles over pairs of panels, the int8 page codec and NormalsInto's lanes
+	armAVX512                 // armAVX2 plus the ZMM tiles over pairs of panels, the attention block kernels, Exp32's 16 lanes, the int8 page codec and NormalsInto's lanes
 )
 
 // arm is the level this process runs, selected once from what CPUID and the

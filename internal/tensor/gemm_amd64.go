@@ -61,21 +61,62 @@ func paramsQ8AVX512(lod *float32, params *uint16, step, n int)
 //go:noescape
 func panelQ8AVX512(panel *float32, codes *uint8, codeStride int, lod *float32, d16 int)
 
-// tileQ8AVX512 is the assembly behind the value pass over 8-bit codes: the
-// seeded tile over k rows of codes, codeStride bytes apart, each row
-// dequantized in registers with its (lo, Δ) pair from lod, into 16 outputs
-// per lane (32 when pair). Every d pointer must address that many floats,
-// every x pointer k floats.
-//
-//go:noescape
-func tileQ8AVX512(d0, d1, d2, d3, x0, x1, x2, x3 *float32, codes *uint8, lod *float32, k, codeStride int, pair bool)
-
 // encodeQ8AVX512 is the assembly behind QuantEncode at 8 bits: 16·n16 floats
 // to codes and their (lo, Δ) pair, or false, with nothing written, for a
 // slice that holds a non-finite value or one of magnitude 2^15 or more.
 //
 //go:noescape
 func encodeQ8AVX512(codes *uint8, params *uint16, x *float32, n16 int) bool
+
+// panelF32AVX512 is the assembly behind the key pass over fp32 rows on the
+// AVX-512 arm (attend_amd64.s), and behind the block's dim-major queries: 16
+// rows of 16·d16 floats, stride apart, written dim-major into panel (16·d16 ×
+// 16 floats).
+//
+//go:noescape
+func panelF32AVX512(panel, rows *float32, stride, d16 int)
+
+// scoreAVX512 is the score tile of a query block on the AVX-512 arm: the 16
+// scores of slots query slots (8 or 16; dim-major queries in qT, 16 floats per
+// dim) against the dim-major key panels, slot pair p reading panels[p] (all
+// pairs panels[0] when one), into score rows ss floats apart.
+//
+//go:noescape
+func scoreAVX512(s *float32, ss int, qT *float32, d int, panels *[8]*float32, slots int, one bool)
+
+// valueAVX512 is the value pass's seeded tile over fp32 rows on the AVX-512
+// arm: eight lanes' 16 outputs (32 when pair) at d, weights ws floats apart
+// from w, lane pair p's k value rows at v[p], stride floats apart (all pairs
+// v[0]'s, loaded once per token, when one).
+//
+//go:noescape
+func valueAVX512(d *[8]*float32, w *float32, ws int, v *[4]*float32, k, stride int, pair, one bool)
+
+// valueQ8AVX512 is valueAVX512 over 8-bit codes: lane pair p's k code rows at
+// codes[p], codeStride bytes apart, with their (lo, Δ) pairs at lod[p]; with
+// one, all four pairs read the same rows, dequantized once.
+//
+//go:noescape
+func valueQ8AVX512(d *[8]*float32, w *float32, ws int, codes *[4]*uint8, lod *[4]*float32, k, codeStride int, pair, one bool)
+
+// softmaxRowsAVX512 is the assembly behind softmaxRows: the scaled softmax of
+// 16 rows, stride floats apart, row r over its first bounds[r] floats, n16
+// blocks of 16 columns read and written.
+//
+//go:noescape
+func softmaxRowsAVX512(rows *float32, stride int, bounds *[16]int32, n16 int, scale float32)
+
+// expSubAVX512 is the assembly behind expSub on the AVX-512 arm: xs[i] =
+// Exp32(xs[i] − sub) over n floats, sixteen lanes at a time.
+//
+//go:noescape
+func expSubAVX512(xs *float32, n int, sub float32)
+
+// siluMulAVX512 is the assembly behind SiLUMul on the AVX-512 arm, sixteen
+// lanes at a time over n floats.
+//
+//go:noescape
+func siluMulAVX512(gate, up *float32, n int)
 
 // expSubAVX2 is the assembly behind expSub (exp_amd64.s): xs[i] =
 // Exp32(xs[i] − sub) over 8·n8 floats.
@@ -99,3 +140,14 @@ func siluMulAVX2(gate, up *float32, n8 int)
 //
 //go:noescape
 func normalsAVX512(dst *float32, u, s *float64, n8 int, scale float32)
+
+// prefetchF32 and prefetchU8 are the assembly behind AttnBlock.Prefetch:
+// PREFETCHT0 for every cache line of the first widthBytes of each of rows
+// rows, the first at p, strideBytes apart. Nothing is read: a hint cannot
+// fault.
+//
+//go:noescape
+func prefetchF32(p *float32, rows, strideBytes, widthBytes int)
+
+//go:noescape
+func prefetchU8(p *uint8, rows, strideBytes, widthBytes int)

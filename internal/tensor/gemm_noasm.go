@@ -36,7 +36,31 @@ func panelQ8AVX512(panel *float32, codes *uint8, codeStride int, lod *float32, d
 	panic("tensor: no assembly micro-kernel on this architecture")
 }
 
-func tileQ8AVX512(d0, d1, d2, d3, x0, x1, x2, x3 *float32, codes *uint8, lod *float32, k, codeStride int, pair bool) {
+func panelF32AVX512(panel, rows *float32, stride, d16 int) {
+	panic("tensor: no assembly micro-kernel on this architecture")
+}
+
+func scoreAVX512(s *float32, ss int, qT *float32, d int, panels *[8]*float32, slots int, one bool) {
+	panic("tensor: no assembly micro-kernel on this architecture")
+}
+
+func valueAVX512(d *[8]*float32, w *float32, ws int, v *[4]*float32, k, stride int, pair, one bool) {
+	panic("tensor: no assembly micro-kernel on this architecture")
+}
+
+func valueQ8AVX512(d *[8]*float32, w *float32, ws int, codes *[4]*uint8, lod *[4]*float32, k, codeStride int, pair, one bool) {
+	panic("tensor: no assembly micro-kernel on this architecture")
+}
+
+func softmaxRowsAVX512(rows *float32, stride int, bounds *[16]int32, n16 int, scale float32) {
+	panic("tensor: no assembly micro-kernel on this architecture")
+}
+
+func expSubAVX512(xs *float32, n int, sub float32) {
+	panic("tensor: no assembly micro-kernel on this architecture")
+}
+
+func siluMulAVX512(gate, up *float32, n int) {
 	panic("tensor: no assembly micro-kernel on this architecture")
 }
 
@@ -57,5 +81,13 @@ func siluMulAVX2(gate, up *float32, n8 int) {
 }
 
 func normalsAVX512(dst *float32, u, s *float64, n8 int, scale float32) {
+	panic("tensor: no assembly micro-kernel on this architecture")
+}
+
+func prefetchF32(p *float32, rows, strideBytes, widthBytes int) {
+	panic("tensor: no assembly micro-kernel on this architecture")
+}
+
+func prefetchU8(p *uint8, rows, strideBytes, widthBytes int) {
 	panic("tensor: no assembly micro-kernel on this architecture")
 }

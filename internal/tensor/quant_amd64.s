@@ -1,8 +1,9 @@
 #include "textflag.h"
+#include "zmm_amd64.h"
 
 // The int8 page codec on the AVX-512 arm: the fp16 parameter decoder, the
-// key pass's dequantize-into-panel, the value pass's dequantizing tile and
-// the encoder. Every dequantized element is float32(code)·Δ + lo with two
+// key pass's dequantize-into-panel and the encoder (the value pass's
+// dequantizing tile, valueQ8AVX512, is in attend_amd64.s). Every dequantized element is float32(code)·Δ + lo with two
 // roundings — VCVTDQ2PS (exact), then VMULPS, then VADDPS, never an FMA —
 // DequantSliceInto's arithmetic.
 
@@ -66,8 +67,8 @@ TEXT ·paramsQ8AVX512(SB), NOSPLIT, $0-32
 // panel[j*16+t] = float32(codes[t*codeStride+j])·Δ_t + lo_t for 16 tokens t
 // and 16·d16 dims j, (lo_t, Δ_t) = lod[2t], lod[2t+1]: the key pass's
 // dim-major panel, straight from the codes. Per 16 dims the 16 token rows are
-// dequantized into Z0–Z15 and transposed in registers (Z16–Z31 are the
-// temporaries), so no fp32 row is stored.
+// dequantized into Z0–Z15 and transposed in registers (TRANSPOSE16), so no
+// fp32 row is stored.
 TEXT ·panelQ8AVX512(SB), NOSPLIT, $0-40
 	MOVQ panel+0(FP), DI
 	MOVQ codes+8(FP), SI
@@ -96,207 +97,15 @@ panelloop:
 	DQ8ROW(14, Z14)
 	DQ8ROW(15, Z15)
 
-	// Interleave row pairs within each 128-bit lane.
-	VUNPCKLPS Z1, Z0, Z16
-	VUNPCKHPS Z1, Z0, Z17
-	VUNPCKLPS Z3, Z2, Z18
-	VUNPCKHPS Z3, Z2, Z19
-	VUNPCKLPS Z5, Z4, Z20
-	VUNPCKHPS Z5, Z4, Z21
-	VUNPCKLPS Z7, Z6, Z22
-	VUNPCKHPS Z7, Z6, Z23
-	VUNPCKLPS Z9, Z8, Z24
-	VUNPCKHPS Z9, Z8, Z25
-	VUNPCKLPS Z11, Z10, Z26
-	VUNPCKHPS Z11, Z10, Z27
-	VUNPCKLPS Z13, Z12, Z28
-	VUNPCKHPS Z13, Z12, Z29
-	VUNPCKLPS Z15, Z14, Z30
-	VUNPCKHPS Z15, Z14, Z31
+	TRANSPOSE16
 
-	// 4×4 transposes within each 128-bit lane.
-	VSHUFPS $0x44, Z18, Z16, Z0
-	VSHUFPS $0xEE, Z18, Z16, Z1
-	VSHUFPS $0x44, Z19, Z17, Z2
-	VSHUFPS $0xEE, Z19, Z17, Z3
-	VSHUFPS $0x44, Z22, Z20, Z4
-	VSHUFPS $0xEE, Z22, Z20, Z5
-	VSHUFPS $0x44, Z23, Z21, Z6
-	VSHUFPS $0xEE, Z23, Z21, Z7
-	VSHUFPS $0x44, Z26, Z24, Z8
-	VSHUFPS $0xEE, Z26, Z24, Z9
-	VSHUFPS $0x44, Z27, Z25, Z10
-	VSHUFPS $0xEE, Z27, Z25, Z11
-	VSHUFPS $0x44, Z30, Z28, Z12
-	VSHUFPS $0xEE, Z30, Z28, Z13
-	VSHUFPS $0x44, Z31, Z29, Z14
-	VSHUFPS $0xEE, Z31, Z29, Z15
-
-	// Then the 4×4 transpose of 128-bit lanes, in two steps.
-	VSHUFF32X4 $0x88, Z4, Z0, Z16
-	VSHUFF32X4 $0x88, Z5, Z1, Z17
-	VSHUFF32X4 $0x88, Z6, Z2, Z18
-	VSHUFF32X4 $0x88, Z7, Z3, Z19
-	VSHUFF32X4 $0xDD, Z4, Z0, Z20
-	VSHUFF32X4 $0xDD, Z5, Z1, Z21
-	VSHUFF32X4 $0xDD, Z6, Z2, Z22
-	VSHUFF32X4 $0xDD, Z7, Z3, Z23
-	VSHUFF32X4 $0x88, Z12, Z8, Z24
-	VSHUFF32X4 $0x88, Z13, Z9, Z25
-	VSHUFF32X4 $0x88, Z14, Z10, Z26
-	VSHUFF32X4 $0x88, Z15, Z11, Z27
-	VSHUFF32X4 $0xDD, Z12, Z8, Z28
-	VSHUFF32X4 $0xDD, Z13, Z9, Z29
-	VSHUFF32X4 $0xDD, Z14, Z10, Z30
-	VSHUFF32X4 $0xDD, Z15, Z11, Z31
-
-	VSHUFF32X4 $0x88, Z24, Z16, Z0
-	VSHUFF32X4 $0x88, Z25, Z17, Z1
-	VSHUFF32X4 $0x88, Z26, Z18, Z2
-	VSHUFF32X4 $0x88, Z27, Z19, Z3
-	VSHUFF32X4 $0x88, Z28, Z20, Z4
-	VSHUFF32X4 $0x88, Z29, Z21, Z5
-	VSHUFF32X4 $0x88, Z30, Z22, Z6
-	VSHUFF32X4 $0x88, Z31, Z23, Z7
-	VSHUFF32X4 $0xDD, Z24, Z16, Z8
-	VSHUFF32X4 $0xDD, Z25, Z17, Z9
-	VSHUFF32X4 $0xDD, Z26, Z18, Z10
-	VSHUFF32X4 $0xDD, Z27, Z19, Z11
-	VSHUFF32X4 $0xDD, Z28, Z20, Z12
-	VSHUFF32X4 $0xDD, Z29, Z21, Z13
-	VSHUFF32X4 $0xDD, Z30, Z22, Z14
-	VSHUFF32X4 $0xDD, Z31, Z23, Z15
-
-	VMOVUPS Z0, 0(DI)
-	VMOVUPS Z1, 64(DI)
-	VMOVUPS Z2, 128(DI)
-	VMOVUPS Z3, 192(DI)
-	VMOVUPS Z4, 256(DI)
-	VMOVUPS Z5, 320(DI)
-	VMOVUPS Z6, 384(DI)
-	VMOVUPS Z7, 448(DI)
-	VMOVUPS Z8, 512(DI)
-	VMOVUPS Z9, 576(DI)
-	VMOVUPS Z10, 640(DI)
-	VMOVUPS Z11, 704(DI)
-	VMOVUPS Z12, 768(DI)
-	VMOVUPS Z13, 832(DI)
-	VMOVUPS Z14, 896(DI)
-	VMOVUPS Z15, 960(DI)
+	PANEL16
 	ADDQ $16, SI
 	ADDQ $1024, DI
 	DECQ CX
 	JNZ  panelloop
 
 paneldone:
-	VZEROUPPER
-	RET
-
-// DQ8 dequantizes the 16 codes at off(SI) into Z with the current token's
-// (lo, Δ) at R12.
-#define DQ8(off, Z) \
-	VPMOVZXBD off(SI), Z \
-	VCVTDQ2PS Z, Z \
-	VMULPS.BCST 4(R12), Z, Z \
-	VADDPS.BCST (R12), Z, Z
-
-// func tileQ8AVX512(d0, d1, d2, d3, x0, x1, x2, x3 *float32, codes *uint8, lod *float32, k, codeStride int, pair bool)
-//
-// The value pass's seeded tile over 8-bit codes: d_l[j] += Σ_kk x_l[kk] ·
-// (float32(codes[kk*codeStride+j])·Δ_kk + lo_kk) for four lanes l and the 16
-// columns j (32 when pair), (lo_kk, Δ_kk) = lod[2kk], lod[2kk+1]. Each token's
-// row is dequantized in registers once for all four lanes, then every output
-// continues its chain with one VFMADD231PS per token, as tile4x16AVX2 /
-// tile4x32AVX512 do over fp32 rows.
-TEXT ·tileQ8AVX512(SB), NOSPLIT, $0-97
-	MOVQ x0+32(FP), R8
-	MOVQ x1+40(FP), R9
-	MOVQ x2+48(FP), R10
-	MOVQ x3+56(FP), R11
-	MOVQ codes+64(FP), SI
-	MOVQ lod+72(FP), R12
-	MOVQ k+80(FP), CX
-	MOVQ codeStride+88(FP), BX
-	MOVBLZX pair+96(FP), DX
-	XORQ AX, AX
-	MOVQ d0+0(FP), DI
-	VMOVUPS (DI), Z0
-	MOVQ d1+8(FP), DI
-	VMOVUPS (DI), Z2
-	MOVQ d2+16(FP), DI
-	VMOVUPS (DI), Z4
-	MOVQ d3+24(FP), DI
-	VMOVUPS (DI), Z6
-	TESTQ CX, CX
-	JLE  q8store
-	TESTL DX, DX
-	JNZ  q8pair
-
-q8one:
-	DQ8(0, Z8)
-	VBROADCASTSS (R8)(AX*4), Z10
-	VBROADCASTSS (R9)(AX*4), Z11
-	VBROADCASTSS (R10)(AX*4), Z12
-	VBROADCASTSS (R11)(AX*4), Z13
-	VFMADD231PS Z8, Z10, Z0
-	VFMADD231PS Z8, Z11, Z2
-	VFMADD231PS Z8, Z12, Z4
-	VFMADD231PS Z8, Z13, Z6
-	ADDQ BX, SI
-	ADDQ $8, R12
-	INCQ AX
-	CMPQ AX, CX
-	JLT  q8one
-	JMP  q8store
-
-q8pair:
-	MOVQ d0+0(FP), DI
-	VMOVUPS 64(DI), Z1
-	MOVQ d1+8(FP), DI
-	VMOVUPS 64(DI), Z3
-	MOVQ d2+16(FP), DI
-	VMOVUPS 64(DI), Z5
-	MOVQ d3+24(FP), DI
-	VMOVUPS 64(DI), Z7
-
-q8pairloop:
-	DQ8(0, Z8)
-	DQ8(16, Z9)
-	VBROADCASTSS (R8)(AX*4), Z10
-	VBROADCASTSS (R9)(AX*4), Z11
-	VBROADCASTSS (R10)(AX*4), Z12
-	VBROADCASTSS (R11)(AX*4), Z13
-	VFMADD231PS Z8, Z10, Z0
-	VFMADD231PS Z9, Z10, Z1
-	VFMADD231PS Z8, Z11, Z2
-	VFMADD231PS Z9, Z11, Z3
-	VFMADD231PS Z8, Z12, Z4
-	VFMADD231PS Z9, Z12, Z5
-	VFMADD231PS Z8, Z13, Z6
-	VFMADD231PS Z9, Z13, Z7
-	ADDQ BX, SI
-	ADDQ $8, R12
-	INCQ AX
-	CMPQ AX, CX
-	JLT  q8pairloop
-	MOVQ d0+0(FP), DI
-	VMOVUPS Z1, 64(DI)
-	MOVQ d1+8(FP), DI
-	VMOVUPS Z3, 64(DI)
-	MOVQ d2+16(FP), DI
-	VMOVUPS Z5, 64(DI)
-	MOVQ d3+24(FP), DI
-	VMOVUPS Z7, 64(DI)
-
-q8store:
-	MOVQ d0+0(FP), DI
-	VMOVUPS Z0, (DI)
-	MOVQ d1+8(FP), DI
-	VMOVUPS Z2, (DI)
-	MOVQ d2+16(FP), DI
-	VMOVUPS Z4, (DI)
-	MOVQ d3+24(FP), DI
-	VMOVUPS Z6, (DI)
 	VZEROUPPER
 	RET
 

@@ -251,10 +251,10 @@ func TestInt8ParamsExhaustive(t *testing.T) {
 		for t0, n := 0, 1; t0 < tokens; t0, n = t0+n, n%16+1 {
 			tt := min(n, tokens-t0)
 			if tt < 16 {
-				b.lod[2*tt] = 1 // a slot past the tokens must be cleared
+				b.lod[0][2*tt] = 1 // a slot past the tokens must be cleared
 			}
-			b.int8Params(&r, t0, tt)
-			for j, got := range b.lod {
+			b.int8Params(&r, t0, tt, 0)
+			for j, got := range b.lod[0] {
 				want := float32(0)
 				if j < 2*tt {
 					want = DecodeFloat16(halves[2*t0+j])

@@ -20,7 +20,8 @@
 // scalar references the GEMM is bit-identical to; Dot and AXPY over per-token
 // views are the ones the attention block is; every assembly arm (gemm_amd64.s)
 // is equal to FMA32 by bits. Exp32 (exp.go) is the one exponential under
-// Softmax and SiLUMul, and the reference its own AVX2 arm is bit-identical to.
+// Softmax and SiLUMul, and the reference its own AVX2 and AVX-512 arms are
+// bit-identical to.
 package tensor
 
 import (
