@@ -21,7 +21,7 @@ import (
 
 // BatchWorkspace owns the scratch state of the forward pass: one workspace
 // per lane, the lane-indexed gather views the batched kernels consume, and the
-// page walk's block scratch — one tensor.AttnBlock per shard (≈ 280 KiB for
+// page walk's block scratch — one tensor.AttnBlock per shard (≈ 295 KiB for
 // small-llama), not per lane, which would scale resident memory with the
 // batch. It belongs to one decode loop at a time (core pools them for the
 // scheduler; an offline session owns one at one lane); lanes grow on demand

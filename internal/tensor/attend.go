@@ -15,18 +15,17 @@ package tensor
 // results are bit-identical to Dot / Softmax / AXPY over per-token views for
 // every block shape, page size, codec and arm.
 //
-// On the AVX-512 arm, for fp32 rows and 8-bit codes of whole 16-dimension
-// panels, one ZMM kernel serves the whole block per pass: the score tile runs
-// all the block's queries (dim-major, transposed once per walk) against one
-// panel per KV head, built by in-register 16×16 transposes; the value tile
-// runs eight queries over 32 columns at a time, each pair of queries reading
-// its KV head's rows; the softmax runs up to 16 rows at once, one row per
-// vector lane. 8-bit codes are never stored as fp32 rows: the key pass
-// dequantizes them straight into the panel, the value pass inside its tile,
-// each (lo, Δ) pair decoded once per (sub-tile, KV head) (int8Params) — both
-// DequantSliceInto's arithmetic. Every other arm, codec and head dimension
-// walks the block one KV head at a time on gemm.go's four-lane tile,
-// producing fp32 rows (load) once per (visit, KV head), not per query.
+// Every arm, codec and head dimension walks that one block shape: what
+// differs lives only in the two loaders (keyPanel, values) and the leaf
+// kernels (relay, scoreTile, valueTile). On the AVX-512 arm, for whole
+// 16-dimension panels, the leaves are ZMM kernels — the score tile over all
+// the block's queries (dim-major, transposed once per walk), the value tile
+// over eight queries × 32 columns, the softmax over 16 rows, one per vector
+// lane — and 8-bit codes never become fp32 rows: the key loader dequantizes
+// them into the panel, the value tile inside itself, each (lo, Δ) pair
+// decoded once per (sub-tile, KV head) (int8Params). Elsewhere the leaves'
+// Go arm runs gemm.go's four-lane tile over fp32 rows: the page's own, or
+// copied or dequantized into the block's scratch rows (load).
 
 // AttnBlockMax is the largest query block one page walk serves.
 const AttnBlockMax = 16
@@ -49,11 +48,11 @@ const attnBlockHeads = AttnBlockMax / 2
 // AttnBlock is a block of up to AttnBlockMax queries over up to
 // attnBlockHeads consecutive KV heads plus the scratch their page visits
 // share: the queries (and their dim-major copy), one score/weight row per
-// query, 16 fp32 token rows, a dim-major key panel per KV head, for 8-bit
+// query, 16 fp32 token rows and a dim-major key panel per KV head, for 8-bit
 // codes a sub-tile's decoded (lo, Δ) pairs per KV head and its code rows when
-// it is ragged, and the value tiles' spare output rows. A walk is Reset, Add
-// per query, Score per page, Softmax, then Accumulate per page in the same
-// order.
+// it is ragged, and the value tiles' spare output rows. A walk is Reset,
+// Add per query, Score per page, Softmax, then Accumulate per page in the
+// same order.
 type AttnBlock struct {
 	d, rs, ss int // head dim; scratch row stride (d rounded up to 16); score row stride
 	n         int
@@ -62,10 +61,10 @@ type AttnBlock struct {
 	cur       int // the KV head Add gives the next query
 	out       [AttnBlockMax][]float32
 	q         []float32 // AttnBlockMax × d
-	qT        []float32 // d × AttnBlockMax: q dim-major, built by the first ZMM Score
+	qT        []float32 // d × AttnBlockMax: q dim-major, built by the first ZMM score tile
 	qtReady   bool
 	scores    []float32 // AttnBlockMax × ss
-	rows      []float32 // 16 × rs; columns past d stay zero
+	rows      []float32 // attnBlockHeads × 16 × rs; columns past d stay zero
 	panel     []float32 // attnBlockHeads × d × 16
 	codes     []uint8   // 16 × d
 	lod       [attnBlockHeads][2 * panelWidth]float32
@@ -80,7 +79,7 @@ func NewAttnBlock(d, maxTokens int) *AttnBlock {
 		d: d, rs: rs,
 		q:     make([]float32, AttnBlockMax*d),
 		qT:    make([]float32, d*AttnBlockMax),
-		rows:  make([]float32, panelWidth*rs),
+		rows:  make([]float32, attnBlockHeads*panelWidth*rs),
 		panel: make([]float32, attnBlockHeads*d*panelWidth),
 		codes: make([]uint8, panelWidth*d),
 	}
@@ -176,35 +175,9 @@ func softmaxRows(rows []float32, stride int, n []int, scale float32) {
 	}
 }
 
-// headEnd returns the end of the run of queries that share query q0's KV
-// head.
-func (b *AttnBlock) headEnd(q0 int) int {
-	q1 := q0 + 1
-	for q1 < b.n && b.head[q1] == b.head[q0] {
-		q1++
-	}
-	return q1
-}
-
-// live returns the first query of [q0, q1), in steps of a tile's four lanes
-// from q0, whose tile has a query that sees token s: a tile whose four bounds
-// all end at or before s is skipped.
-func (b *AttnBlock) live(q0, q1, s int) int {
-	g := q0
-	for g < q1 && b.bound[min(g+3, q1-1)] <= s {
-		g += 4
-	}
-	return g
-}
-
-// zmm reports whether the block walks r on the AVX-512 kernels: fp32 rows or
-// 8-bit codes, whole 16-dimension panels.
-func (b *AttnBlock) zmm(r *Rows) bool {
-	return arm == armAVX512 && b.d%panelWidth == 0 && (r.F32 != nil || r.Bits == 8)
-}
-
-// tile8 returns the first query of the ZMM tiles' eight-lane group that holds
-// the first query seeing token s (bounds ascend), or Len when none does.
+// tile8 returns the first query of the eight-lane group that holds the first
+// query seeing token s (bounds ascend), or Len when none does: a sub-tile's
+// passes start there.
 func (b *AttnBlock) tile8(s int) int {
 	g := 0
 	for g < b.n && b.bound[g] <= s {
@@ -217,54 +190,13 @@ func (b *AttnBlock) tile8(s int) int {
 }
 
 // Score writes the raw q·k of the t tokens of r, which are tokens [i, i+t)
-// of the walk, into every live query's score row. r is the rows of the
-// block's head 0; a query of head h reads the rows h heads after those, d
-// floats further along each token row.
+// of the walk, into every live query's score row: per sub-tile one key panel
+// per KV head from the first live query's eight-lane group on, then the score
+// tile over those queries. r is the rows of the block's head 0; a query of
+// head h reads the rows h heads after those, d floats further along each
+// token row. It panics unless r holds them all (check).
 func (b *AttnBlock) Score(i, t int, r *Rows) {
-	if b.zmm(r) {
-		b.scoreZMM(i, t, r)
-		return
-	}
-	for q0 := 0; q0 < b.n; {
-		q1 := b.headEnd(q0)
-		b.scoreHead(q0, q1, i, t, r)
-		q0 = q1
-	}
-}
-
-// scoreHead is Score for queries [q0, q1), which share a KV head, on the
-// four-lane tile.
-func (b *AttnBlock) scoreHead(q0, q1, i, t int, r *Rows) {
-	h := b.head[q0]
-	for t0 := 0; t0 < t; t0 += panelWidth {
-		g := b.live(q0, q1, i+t0)
-		if g >= q1 {
-			return
-		}
-		tt := min(panelWidth, t-t0)
-		rows, stride := b.load(r, h, t0, tt, tt == panelWidth)
-		relay(b.panel, rows, stride, b.d)
-		for ; g < q1; g += 4 {
-			lanes := min(4, q1-g)
-			var d, x [4][]float32
-			for l := range d {
-				qi := g + min(l, lanes-1) // a short group repeats its last lane, as gemmTiles does
-				x[l] = b.q[qi*b.d : (qi+1)*b.d]
-				d[l] = b.scores[qi*b.ss+i+t0:][:panelWidth]
-			}
-			tile(&d, &x, b.panel, b.d, panelWidth, lanes, false)
-		}
-	}
-}
-
-// scoreZMM is Score on the AVX-512 kernels: per sub-tile one panel per KV
-// head from its first live query's on, then one score tile over the live
-// queries' eight- or sixteen-lane group.
-func (b *AttnBlock) scoreZMM(i, t int, r *Rows) {
-	if !b.qtReady {
-		panelF32AVX512(&b.qT[0], &b.q[0], b.d, b.d/panelWidth)
-		b.qtReady = true
-	}
+	b.check(r, t)
 	ps := b.d * panelWidth
 	for t0 := 0; t0 < t; t0 += panelWidth {
 		g := b.tile8(i + t0)
@@ -272,44 +204,38 @@ func (b *AttnBlock) scoreZMM(i, t int, r *Rows) {
 			return
 		}
 		tt := min(panelWidth, t-t0)
-		h0, h1 := b.head[g], b.head[b.n-1]
-		for h := h0; h <= h1; h++ {
+		for h := b.head[g]; h <= b.head[b.n-1]; h++ {
 			b.keyPanel(b.panel[h*ps:][:ps], r, h, t0, tt)
 		}
-		var panels [8]*float32
-		for p := range panels {
-			panels[p] = &b.panel[b.head[min(g+2*p, b.n-1)]*ps]
-		}
-		slots := 8
-		if g == 0 && b.n > 8 {
-			slots = 16
-		}
-		scoreAVX512(&b.scores[g*b.ss+i+t0], b.ss, &b.qT[g], b.d, &panels, slots, h0 == h1)
+		b.scoreTile(g, i+t0)
 	}
 }
 
-// keyPanel lays tokens [t0, t0+tt) of head h of r dim-major into panel:
-// fp32 rows by in-register transposes, 8-bit codes dequantized on the way
-// with the head's (lo, Δ) pairs, a ragged sub-tile's missing rows padded.
+// keyPanel is the key loader: it lays tokens [t0, t0+tt) of head h of r
+// dim-major into panel — fp32 rows re-laid by relay from the page when the
+// sub-tile is whole; where the ZMM kernels read 8-bit codes, the codes
+// dequantized on the way with the head's (lo, Δ) pairs, a ragged sub-tile's
+// missing rows padded with code 0; else rows copied or dequantized into the
+// head's scratch rows, then re-laid.
 func (b *AttnBlock) keyPanel(panel []float32, r *Rows, h, t0, tt int) {
-	d16 := b.d / panelWidth
-	if r.F32 != nil {
-		rows, stride := b.load(r, h, t0, tt, tt == panelWidth)
-		_ = rows[(panelWidth-1)*stride+b.d-1]
-		panelF32AVX512(&panel[0], &rows[0], stride, d16)
-		return
-	}
-	b.int8Params(r, t0, tt, h)
-	codes, stride := r.Codes[t0*r.Stride+r.Off+h*b.d:], r.Stride
-	if tt < panelWidth { // the panel kernel reads 16 rows: pad with code 0, (lo, Δ) = (0, 0)
-		clear(b.codes)
-		for j := 0; j < tt; j++ {
-			copy(b.codes[j*b.d:][:b.d], codes[j*stride:])
+	switch {
+	case r.F32 != nil && tt == panelWidth:
+		relay(panel, r.F32[t0*r.Stride+h*b.d:], r.Stride, b.d)
+	case r.F32 == nil && r.Bits == 8 && zmmPanels(b.d):
+		b.int8Params(r, t0, tt, h)
+		codes, stride := r.Codes[t0*r.Stride+r.Off+h*b.d:], r.Stride
+		if tt < panelWidth { // the panel kernel reads 16 rows
+			clear(b.codes)
+			for j := 0; j < tt; j++ {
+				copy(b.codes[j*b.d:][:b.d], codes[j*stride:][:b.d])
+			}
+			codes, stride = b.codes, b.d
 		}
-		codes, stride = b.codes, b.d
+		_ = codes[(panelWidth-1)*stride+b.d-1]
+		panelQ8AVX512(&panel[0], &codes[0], stride, &b.lod[h][0], b.d/panelWidth)
+	default:
+		relay(panel, b.load(r, h, t0, tt), b.rs, b.d)
 	}
-	_ = codes[(panelWidth-1)*stride+b.d-1]
-	panelQ8AVX512(&panel[0], &codes[0], stride, &b.lod[h][0], d16)
 }
 
 // Prefetch asks for what the block's queries read of the first t token rows
@@ -317,9 +243,9 @@ func (b *AttnBlock) keyPanel(panel []float32, r *Rows, h, t0, tt int) {
 // brought towards L1 while the walk works on the page before: one head's
 // slices are strided (a token row holds every head), and a walk's pages lie
 // anywhere, so the hardware prefetchers do not follow them. Only the AVX-512
-// arm asks; it reads nothing.
+// arm asks, for whole 16-dimension panels; it reads nothing.
 func (b *AttnBlock) Prefetch(r *Rows, t int) {
-	if !b.zmm(r) || b.n == 0 || t <= 0 {
+	if !zmmPanels(b.d) || (r.F32 == nil && r.Bits != 8) || b.n == 0 || t <= 0 {
 		return
 	}
 	h0, width := b.head[0], (b.head[b.n-1]-b.head[0]+1)*b.d
@@ -333,112 +259,28 @@ func (b *AttnBlock) Prefetch(r *Rows, t int) {
 }
 
 // Accumulate adds Σ weight·value over the t tokens of r, tokens [i, i+t) of
-// the walk, into every live query's output (r as for Score). A query's chain
-// stops at its own bound: within a sub-tile the lanes of a group run together
-// up to the first lane's bound, the lanes past it on to the next, and so on
-// (bounds ascend), so no query ever takes a step for a token it does not see
-// — the step would be FMA32(0, v, acc), which turns a −0 accumulator into +0.
+// the walk, into every live query's output (r as for Score): per sub-tile
+// each KV head's value rows from the first live query's eight-lane group on,
+// then the value tile eight queries at a time. A query's chain stops at its
+// own bound: within a sub-tile the lanes of a group run together up to the
+// first lane's bound, the lanes past it on to the next, and so on (bounds
+// ascend), so no query ever takes a step for a token it does not see — the
+// step would be FMA32(0, v, acc), which turns a −0 accumulator into +0.
 func (b *AttnBlock) Accumulate(i, t int, r *Rows) {
-	if b.zmm(r) {
-		b.accumulateZMM(i, t, r)
-		return
-	}
-	for q0 := 0; q0 < b.n; {
-		q1 := b.headEnd(q0)
-		b.accumulateHead(q0, q1, i, t, r)
-		q0 = q1
-	}
-}
-
-// accumulateHead is Accumulate for queries [q0, q1), which share a KV head,
-// on the four-lane tiles.
-func (b *AttnBlock) accumulateHead(q0, q1, i, t int, r *Rows) {
-	h := b.head[q0]
-	for t0 := 0; t0 < t; t0 += panelWidth {
-		g := b.live(q0, q1, i+t0)
-		if g >= q1 {
-			return
-		}
-		tt := min(panelWidth, t-t0)
-		rows, stride := b.load(r, h, t0, tt, b.d%panelWidth == 0)
-		for ; g < q1; g += 4 {
-			lanes, s := min(4, q1-g), 0
-			for l := 0; l < lanes; l++ {
-				if e := min(b.bound[g+l]-i-t0, tt); e > s {
-					b.valueTiles(g, l, lanes, i+t0, s, e, rows, stride)
-					s = e
-				}
-			}
-		}
-	}
-}
-
-// valueTiles adds tokens [s, e) of the sub-tile at walk position pos —
-// value rows stride apart — weighted, into the outputs of lanes [first,
-// lanes) of the query group at g, 16 or 32 columns at a time. Lanes before
-// first, and the repeats a short group fills its tile with, land in the spare
-// rows: a seeded tile adds, so a lane must never reach a query's output twice
-// or past its bound.
-func (b *AttnBlock) valueTiles(g, first, lanes, pos, s, e int, rows []float32, stride int) {
-	spare := &b.spare
-	k := e - s
-	for c := 0; c < b.d; {
-		width := min(panelWidth, b.d-c)
-		if arm == armAVX512 && b.d-c >= 2*panelWidth {
-			width = 2 * panelWidth
-		}
-		var d, x [4][]float32
-		for l := range d {
-			qi := g + min(max(l, first), lanes-1)
-			x[l] = b.scores[qi*b.ss+pos+s:][:k]
-			switch {
-			case l < first || l >= lanes:
-				d[l] = spare[l][:max(width, panelWidth)]
-			case width < panelWidth: // a ragged last panel: d%16 columns live
-				copy(spare[l][:width], b.out[qi][c:])
-				d[l] = spare[l][:panelWidth]
-			default:
-				d[l] = b.out[qi][c : c+width]
-			}
-		}
-		if width > panelWidth {
-			tilePair(&d, &x, rows[s*stride+c:], k, stride, panelWidth, true)
-		} else {
-			tile(&d, &x, rows[s*stride+c:], k, stride, lanes, true)
-		}
-		if width < panelWidth {
-			for l := first; l < lanes; l++ {
-				copy(b.out[g+l][c:], spare[l][:width])
-			}
-		}
-		c += width
-	}
-}
-
-// accumulateZMM is Accumulate on the AVX-512 kernels: per sub-tile each KV
-// head's value rows (or codes and decoded (lo, Δ) pairs) from the first live
-// query's group on, then eight queries at a time.
-func (b *AttnBlock) accumulateZMM(i, t int, r *Rows) {
-	v := zmmValues{stride: r.Stride, q8: r.F32 == nil}
+	b.check(r, t)
+	var v blockValues
 	for t0 := 0; t0 < t; t0 += panelWidth {
 		g := b.tile8(i + t0)
 		if g >= b.n {
 			return
 		}
 		tt := min(panelWidth, t-t0)
-		for h := b.head[g]; h <= b.head[b.n-1]; h++ {
-			if !v.q8 {
-				v.rows[h] = r.F32[t0*r.Stride+h*b.d:][:(tt-1)*r.Stride+b.d]
-				continue
-			}
-			b.int8Params(r, t0, tt, h)
-			v.codes[h] = r.Codes[t0*r.Stride+r.Off+h*b.d:][:(tt-1)*r.Stride+b.d]
-		}
+		b.values(&v, r, t0, tt, b.head[g])
 		for ; g < b.n; g += 8 {
 			s := 0
 			for l := 0; l < 8 && g+l < b.n; l++ {
 				if e := min(b.bound[g+l]-i-t0, tt); e > s {
-					b.valueZMM(g, l, i+t0, s, e, &v)
+					b.valueTile(g, l, i+t0, s, e, &v)
 					s = e
 				}
 			}
@@ -446,58 +288,92 @@ func (b *AttnBlock) accumulateZMM(i, t int, r *Rows) {
 	}
 }
 
-// zmmValues is a sub-tile's value rows per KV head of the block as the ZMM
-// value tiles read them, each cut to the sub-tile's rows: fp32 rows, or
-// 8-bit codes (q8) whose (lo, Δ) pairs are in the block's lod; stride apart.
-type zmmValues struct {
-	rows   [attnBlockHeads][]float32
-	codes  [attnBlockHeads][]uint8
-	stride int
-	q8     bool
+// blockValues is a sub-tile's value rows as the value tile reads them, stride
+// apart, KV head h's starting h·hs elements in: fp32 rows, or 8-bit codes
+// whose (lo, Δ) pairs are in the block's lod.
+type blockValues struct {
+	f32        []float32
+	codes      []uint8
+	hs, stride int
 }
 
-// valueZMM adds tokens [s, e) of the sub-tile at walk position pos, weighted,
-// into the outputs of lanes [first, 8) of the eight queries at g, 32 columns
-// at a time (16 for a last odd panel); lane pair p reads the rows of its
-// first query's KV head (every pair the one head's, loaded once, when the
-// block has one). Lanes before first and past the block land in the spare
-// rows.
-func (b *AttnBlock) valueZMM(g, first, pos, s, e int, v *zmmValues) {
-	k, one := e-s, b.head[g] == b.head[b.n-1]
+// values is the value loader: it sets v to tokens [t0, t0+tt) of r for the
+// block's KV heads from h0 on — fp32 rows in place when the tile can read
+// whole 16-column panels of them there, 8-bit codes as they lie with their
+// (lo, Δ) pairs decoded where the ZMM value tile reads them, else fp32 rows
+// copied or dequantized into the heads' scratch rows, whose zero columns past
+// d fill a ragged last panel.
+func (b *AttnBlock) values(v *blockValues, r *Rows, t0, tt, h0 int) {
+	switch {
+	case r.F32 != nil && b.d%panelWidth == 0:
+		v.f32, v.hs, v.stride = r.F32[t0*r.Stride:], b.d, r.Stride
+	case r.F32 == nil && r.Bits == 8 && zmmPanels(b.d):
+		for h := h0; h <= b.head[b.n-1]; h++ {
+			b.int8Params(r, t0, tt, h)
+		}
+		v.codes, v.hs, v.stride = r.Codes[t0*r.Stride+r.Off:], b.d, r.Stride
+	default:
+		for h := h0; h <= b.head[b.n-1]; h++ {
+			b.load(r, h, t0, tt)
+		}
+		v.f32, v.hs, v.stride = b.rows, panelWidth*b.rs, b.rs
+	}
+}
+
+// valueTile adds tokens [s, e) of the sub-tile at walk position pos,
+// weighted, into the outputs of lanes [first, 8) of the eight queries at g,
+// 32 columns at a time (fewer for a last odd or ragged panel); lane pair p
+// reads the rows of its first query's KV head. Lanes before first and past
+// the block are dead: the ZMM tiles write them to the spare rows (every pair
+// reading the one head's rows, loaded once, when the block has one head),
+// the Go arm (valueLanes) skips them.
+func (b *AttnBlock) valueTile(g, first, pos, s, e int, v *blockValues) {
+	k, one, last := e-s, b.head[g] == b.head[b.n-1], min(8, b.n-g)
+	w := b.scores[g*b.ss+pos+s:]
+	if v.codes == nil && !zmmPanels(b.d) {
+		for c := 0; c < b.d; c += 2 * panelWidth {
+			var rows [4][]float32 // the live lanes' pairs
+			for p := first / 2; p < (last+1)/2; p++ {
+				rows[p] = v.f32[b.head[g+2*p]*v.hs+s*v.stride+c:]
+			}
+			valueLanes(b.out[g:g+last], first, c, min(2*panelWidth, b.d-c), w, b.ss, &rows, k, v.stride, &b.spare)
+		}
+		return
+	}
 	var heads [4]int
 	for p := range heads {
 		heads[p] = b.head[min(g+2*p, b.n-1)]
 	}
-	var out [8]*float32
 	for c := 0; c < b.d; c += 2 * panelWidth {
+		cols, off := min(2*panelWidth, b.d-c), s*v.stride+c
+		var out [8]*float32
 		for l := range out {
-			if q := g + l; l < first || q >= b.n {
-				out[l] = &b.spare[l][0]
-			} else {
-				out[l] = &b.out[q][c]
+			out[l] = &b.spare[l][0]
+			if l >= first && l < last {
+				out[l] = &b.out[g+l][c]
 			}
 		}
-		w, off, pair := &b.scores[g*b.ss+pos+s], s*v.stride+c, b.d-c >= 2*panelWidth
-		if v.q8 {
+		if v.codes != nil {
 			var codes [4]*uint8
 			var lod [4]*float32
 			for p, h := range heads {
-				codes[p], lod[p] = &v.codes[h][off], &b.lod[h][2*s]
+				codes[p], lod[p] = &v.codes[h*v.hs+off], &b.lod[h][2*s]
 			}
-			valueQ8AVX512(&out, w, b.ss, &codes, &lod, k, v.stride, pair, one)
-		} else {
-			var rows [4]*float32
-			for p, h := range heads {
-				rows[p] = &v.rows[h][off]
-			}
-			valueAVX512(&out, w, b.ss, &rows, k, v.stride, pair, one)
+			valueQ8AVX512(&out, &w[0], b.ss, &codes, &lod, k, v.stride, cols > panelWidth, one)
+			continue
 		}
+		var rows [4]*float32
+		for p, h := range heads {
+			rows[p] = &v.f32[h*v.hs+off]
+		}
+		valueAVX512(&out, &w[0], b.ss, &rows, k, v.stride, cols > panelWidth, one)
 	}
 }
 
 // int8Params decodes the (lo, Δ) pairs of tokens [t0, t0+tt) of head h of
 // r into that head's lod, zero past tt: DecodeFloat16 per half, by VCVTPH2PS
-// on the AVX-512 arm (the only arm that reads 8-bit codes without fp32 rows).
+// on the AVX-512 arm (the only arm whose loaders hand the kernels 8-bit
+// codes rather than fp32 rows).
 func (b *AttnBlock) int8Params(r *Rows, t0, tt, h int) {
 	step := r.Heads * 2
 	params := r.Params[(t0*r.Heads+r.Head+h)*2:]
@@ -513,37 +389,60 @@ func (b *AttnBlock) int8Params(r *Rows, t0, tt, h int) {
 	}
 }
 
-// load returns tokens [t0, t0+tt) of head h of r as fp32 rows and their
-// stride: the page's own memory when it is fp32 and inPlace says the kernel
-// can read it there (the re-lay needs all 16 rows to exist, the value tile
-// needs whole 16-column panels), else the block's scratch rows, copied or
-// dequantized (DequantSliceInto). Nothing past the page's tt rows is read.
-func (b *AttnBlock) load(r *Rows, h, t0, tt int, inPlace bool) ([]float32, int) {
+// check panics unless r holds its t tokens whole for every KV head of the
+// block — fp32 rows, or codes and their (lo, Δ) pairs — at a stride of at
+// least the head dimension: a page visit's one bounds check, before the
+// loaders read it on whichever arm.
+func (b *AttnBlock) check(r *Rows, t int) {
+	if b.n == 0 || t <= 0 {
+		return
+	}
 	if r.Stride < b.d {
 		panic("tensor: attention rows stride below head dimension")
 	}
-	switch {
-	case r.F32 == nil:
-		for j := 0; j < tt; j++ {
-			DequantSliceInto(b.rows[j*b.rs:][:b.d], r.Codes, r.Params, r.Bits, r.Off+h*b.d, r.Stride, r.Heads, r.Head+h, t0+j)
-		}
-	case inPlace:
-		src := r.F32[t0*r.Stride+h*b.d:]
-		_ = src[(tt-1)*r.Stride+b.d-1]
-		return src, r.Stride
-	default:
-		for j := 0; j < tt; j++ {
-			copy(b.rows[j*b.rs:][:b.d], r.F32[(t0+j)*r.Stride+h*b.d:][:b.d])
-		}
+	h := b.head[b.n-1]
+	end := (t-1)*r.Stride + (h+1)*b.d
+	if r.F32 != nil {
+		_ = r.F32[end-1]
+		return
 	}
-	return b.rows, b.rs
+	_ = r.Codes[(r.Off+end)*r.Bits/8-1]
+	_ = r.Params[((t-1)*r.Heads+r.Head+h)*2+1]
 }
 
+// load writes tokens [t0, t0+tt) of head h of r into the head's 16 scratch
+// rows, rs floats apart, and returns them: fp32 rows copied, codes
+// dequantized (DequantSliceInto).
+func (b *AttnBlock) load(r *Rows, h, t0, tt int) []float32 {
+	rows := b.rows[h*panelWidth*b.rs:][:panelWidth*b.rs]
+	for j := 0; j < tt; j++ {
+		row := rows[j*b.rs:][:b.d]
+		if r.F32 != nil {
+			copy(row, r.F32[(t0+j)*r.Stride+h*b.d:])
+			continue
+		}
+		DequantSliceInto(row, r.Codes, r.Params, r.Bits, r.Off+h*b.d, r.Stride, r.Heads, r.Head+h, t0+j)
+	}
+	return rows
+}
+
+// zmmPanels reports whether the leaf kernels below run their ZMM kernels
+// (attend_amd64.s) at head dimension d: the AVX-512 arm, whole 16-dimension
+// panels. Otherwise they run their Go arm, equal by bits on the same
+// operands, on gemm.go's four-lane tile: the pure-Go specification at armGo,
+// the YMM tile at armAVX2.
+func zmmPanels(d int) bool { return arm == armAVX512 && d%panelWidth == 0 }
+
 // relay re-lays 16 rows of d floats, stride apart, dim-major:
-// panel[j*16+t] = rows[t*stride+j] — the layout that makes the key rows a
-// weight panel for tile.
+// panel[j*16+t] = rows[t*stride+j] — a key panel, or the block's dim-major
+// queries. Data movement only: 16 × 16 in-register transposes on the ZMM arm
+// (panelF32AVX512), 8 × 8 ones on AVX2 (relay16AVX2), a Go loop for the rest.
 func relay(panel, rows []float32, stride, d int) {
 	_, _ = rows[(panelWidth-1)*stride+d-1], panel[d*panelWidth-1]
+	if zmmPanels(d) {
+		panelF32AVX512(&panel[0], &rows[0], stride, d/panelWidth)
+		return
+	}
 	j := 0
 	if arm != armGo && d >= 8 {
 		relay16AVX2(&panel[0], &rows[0], stride, d/8)
@@ -553,5 +452,92 @@ func relay(panel, rows []float32, stride, d int) {
 		for t := 0; t < panelWidth; t++ {
 			panel[j*panelWidth+t] = rows[t*stride+j]
 		}
+	}
+}
+
+// scoreTile writes the 16 scores at walk column pos of the block's queries
+// from slot g on, each against its KV head's panel: on the ZMM kernel all of
+// them at once, against the dim-major queries (re-laid once per walk), 8 or
+// 16 slots (a slot past the block gets unspecified values); else the Go arm.
+func (b *AttnBlock) scoreTile(g, pos int) {
+	s := b.scores[g*b.ss+pos:]
+	if !zmmPanels(b.d) {
+		scoreLanes(s, b.ss, b.q[g*b.d:], b.d, b.panel, b.head[g:b.n])
+		return
+	}
+	if !b.qtReady {
+		relay(b.qT, b.q, b.d, b.d)
+		b.qtReady = true
+	}
+	var p [8]*float32
+	for i := range p {
+		p[i] = &b.panel[b.head[min(g+2*i, b.n-1)]*b.d*panelWidth]
+	}
+	slots := 8
+	if b.n-g > 8 {
+		slots = 16
+	}
+	scoreAVX512(&s[0], b.ss, &b.qT[g], b.d, &p, slots, b.head[g] == b.head[b.n-1])
+}
+
+// scoreLanes is the score tile's Go arm: s[l*ss+c] = Σ_j q[l*d+j] ·
+// panels[heads[l]*d*16+j*16+c] for the 16 columns c of slots l < len(heads),
+// each one chain from +0 in ascending j (Dot's arithmetic), up to four slots
+// of one head per tile; a short group repeats its last slot, as gemmTiles
+// does.
+func scoreLanes(s []float32, ss int, q []float32, d int, panels []float32, heads []int) {
+	ps := d * panelWidth
+	for l := 0; l < len(heads); {
+		e := l + 1
+		for e < len(heads) && e-l < 4 && heads[e] == heads[l] {
+			e++
+		}
+		var dst, x [4][]float32
+		for i := range dst {
+			li := min(l+i, e-1)
+			dst[i], x[i] = s[li*ss:][:panelWidth], q[li*d:][:d]
+		}
+		tile(&dst, &x, panels[heads[l]*ps:][:ps], d, panelWidth, e-l, false)
+		l = e
+	}
+}
+
+// valueLanes is the value tile's Go arm: for the lanes l in [first,
+// len(out)) and the cols ≤ 32 columns j, out[l][c+j] continues its chain by
+// FMA32(w[l*ws+kk], v[l/2][kk*stride+j], ·) for tokens kk < k in ascending
+// order (the per-token AXPY loop's arithmetic), up to four lanes that read
+// one source per seeded tile. A source's 16-column panels must be readable
+// whole: a ragged last panel goes through spare rows, as do the lanes a
+// short group fills its tile with (a seeded tile adds, so a lane must never
+// reach an output twice).
+func valueLanes(out [][]float32, first, c, cols int, w []float32, ws int, v *[4][]float32, k, stride int, spare *[8][2 * panelWidth]float32) {
+	for l := first; l < len(out); {
+		src := v[l/2]
+		e := l + 1
+		for e < len(out) && e-l < 4 && &v[e/2][0] == &src[0] {
+			e++
+		}
+		lanes := e - l
+		var dst, x [4][]float32
+		for i := range x {
+			x[i], dst[i] = w[min(l+i, e-1)*ws:][:k], spare[i][:panelWidth]
+		}
+		for j := 0; j < cols; j += panelWidth {
+			width := min(panelWidth, cols-j)
+			for i := 0; i < lanes; i++ {
+				dst[i] = out[l+i][c+j:]
+				if width < panelWidth { // the tile writes 16 columns
+					dst[i] = spare[i][:panelWidth]
+					copy(dst[i], out[l+i][c+j:])
+				}
+			}
+			tile(&dst, &x, src[j:], k, stride, lanes, true)
+			if width < panelWidth {
+				for i := 0; i < lanes; i++ {
+					copy(out[l+i][c+j:], spare[i][:width])
+				}
+			}
+		}
+		l = e
 	}
 }

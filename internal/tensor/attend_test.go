@@ -408,6 +408,235 @@ func TestAccumulateStopsAtBound(t *testing.T) {
 	})
 }
 
+// blockSources draws the pair → source map of a ZMM tile: pairs pairs split
+// into runs of ascending source (1 to heads of them, the first pair's source
+// 0), the pairs past them reading the last pair's source, as a block's
+// slots past its end read its last query's head.
+func blockSources(next func() uint64, pairs, heads int) (src [8]int, one bool) {
+	cuts := map[int]bool{}
+	for len(cuts) < heads-1 {
+		cuts[1+int(next()%uint64(pairs-1))] = true
+	}
+	for p := 1; p < len(src); p++ {
+		src[p] = src[p-1]
+		if p < pairs && cuts[p] {
+			src[p]++
+		}
+	}
+	return src, heads == 1
+}
+
+// TestBlockKernelsMatchTileArm pins each ZMM leaf kernel to its Go arm on raw
+// operands, bit for bit: panelF32AVX512 to relay, panelQ8AVX512 to relay over
+// rows dequantized as DequantSliceInto does, scoreAVX512 to scoreLanes,
+// valueAVX512 and valueQ8AVX512 to valueLanes (over the same dequantized
+// rows), the Go arm run at armGo — the specification — and at armAVX2, the
+// YMM tile. Head dimensions 16, 32 and 48 (one panel, a pair, a pair and an
+// odd last panel); score tiles of 1–16 slots over 1–8 heads, from slot 0 and
+// from slot 8; value tiles of one and two panels over 1–16 tokens, 1–4
+// sources, the first live lane 0–7 and the last 1–8. Values, weights, codes
+// and (lo, Δ) pairs carry planted ±0, subnormals, codes 0 / 255 and Δ = 0.
+func TestBlockKernelsMatchTileArm(t *testing.T) {
+	if arm < armAVX512 {
+		t.Skip("the ZMM kernels need the AVX-512 arm: this host or build lacks it")
+	}
+	selected := arm
+	defer func() { arm = selected }()
+	next := lcg(36)
+	draw := func() float32 {
+		if v := next(); v%9 == 0 {
+			return attnPlanted[next()%uint64(len(attnPlanted))]
+		} else {
+			return float32(int64(v%2001)-1000) / 499
+		}
+	}
+	fill := func(n int) []float32 {
+		x := make([]float32, n)
+		for i := range x {
+			x[i] = draw()
+		}
+		return x
+	}
+	codeRows := func(rows, stride int) ([]uint8, []float32) {
+		codes, lod := make([]uint8, rows*stride), make([]float32, 2*panelWidth)
+		for i := range codes {
+			v := next()
+			codes[i] = uint8(v >> 8)
+			if v%11 < 2 {
+				codes[i] = uint8(v % 11 * 255)
+			}
+		}
+		for j := 0; j < rows; j++ {
+			lo, dlt := EncodeFloat16(draw()), EncodeFloat16(float32(next()%1000)/9000)
+			switch next() % 7 {
+			case 0:
+				dlt = 0
+			case 1:
+				lo = 0x8000
+			case 2:
+				dlt = 1
+			}
+			lod[2*j], lod[2*j+1] = DecodeFloat16(lo), DecodeFloat16(dlt)
+		}
+		return codes, lod
+	}
+	dequant := func(codes []uint8, lod []float32, rows, stride int) []float32 {
+		x := make([]float32, rows*stride)
+		for j := 0; j < rows; j++ {
+			for c := 0; c < stride; c++ {
+				x[j*stride+c] = float32(float32(codes[j*stride+c])*lod[2*j+1]) + lod[2*j]
+			}
+		}
+		return x
+	}
+	same := func(what string, got, want []float32) {
+		t.Helper()
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s: float %d is %#08x, the Go arm's %#08x", what, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+			}
+		}
+	}
+	for _, d := range []int{16, 32, 48} {
+		stride := d + 8
+		rows := fill(panelWidth * stride)
+		codes, lod := codeRows(panelWidth, d)
+		deq := dequant(codes, lod, panelWidth, d)
+		arm = armAVX512
+		gotK, gotQ8 := make([]float32, d*panelWidth), make([]float32, d*panelWidth)
+		panelF32AVX512(&gotK[0], &rows[0], stride, d/panelWidth)
+		panelQ8AVX512(&gotQ8[0], &codes[0], d, &lod[0], d/panelWidth)
+
+		ps := d * panelWidth
+		panels := fill(8 * ps)
+		q := fill(AttnBlockMax * d)
+		qT := make([]float32, d*AttnBlockMax)
+		panelF32AVX512(&qT[0], &q[0], d, d/panelWidth)
+		const ss = 24
+		type scoreCase struct {
+			g, slots int
+			src      [8]int
+			one      bool
+			got      []float32
+		}
+		var scores []scoreCase
+		for slots := 1; slots <= AttnBlockMax; slots++ {
+			pairs := (slots + 1) / 2
+			for heads := 1; heads <= pairs; heads++ {
+				for _, g := range []int{0, 8} {
+					if g+slots > AttnBlockMax {
+						continue
+					}
+					c := scoreCase{g: g, slots: slots, got: make([]float32, AttnBlockMax*ss)}
+					c.src, c.one = blockSources(next, pairs, heads)
+					var p [8]*float32
+					for i, h := range c.src {
+						p[i] = &panels[h*ps]
+					}
+					n := 8
+					if slots > 8 {
+						n = 16
+					}
+					scoreAVX512(&c.got[0], ss, &qT[g], d, &p, n, c.one)
+					scores = append(scores, c)
+				}
+			}
+		}
+
+		cstride := 2*panelWidth + 8
+		type valueCase struct {
+			k, first, last, cols int
+			src                  [8]int
+			one                  bool
+			w, seed, got, gotQ8  []float32
+		}
+		vRows, qRows := make([][]float32, 4), make([][]float32, 4)
+		vCodes, vLod := make([][]uint8, 4), make([][]float32, 4)
+		for h := range vRows {
+			vRows[h] = fill(panelWidth * cstride)
+			vCodes[h], vLod[h] = codeRows(panelWidth, cstride)
+			qRows[h] = dequant(vCodes[h], vLod[h], panelWidth, cstride)
+		}
+		const ws = 20
+		var values []valueCase
+		for k := 1; k <= panelWidth; k++ {
+			for first := 0; first < 8; first++ {
+				for _, cols := range []int{panelWidth, 2 * panelWidth} {
+					c := valueCase{k: k, first: first, last: first + 1 + int(next()%uint64(8-first)), cols: cols}
+					c.src, c.one = blockSources(next, 4, 1+int(next()%4))
+					c.w, c.seed = fill(8*ws), fill(8*2*panelWidth)
+					c.got, c.gotQ8 = append([]float32(nil), c.seed...), append([]float32(nil), c.seed...)
+					var spare [8][2 * panelWidth]float32
+					var out, outQ8 [8]*float32
+					var v [4]*float32
+					var vc [4]*uint8
+					var vl [4]*float32
+					for l := range out {
+						out[l], outQ8[l] = &spare[l][0], &spare[l][0]
+						if l >= c.first && l < c.last {
+							out[l], outQ8[l] = &c.got[l*2*panelWidth], &c.gotQ8[l*2*panelWidth]
+						}
+					}
+					for p := range v {
+						h := c.src[p]
+						v[p], vc[p], vl[p] = &vRows[h][0], &vCodes[h][0], &vLod[h][0]
+					}
+					valueAVX512(&out, &c.w[0], ws, &v, k, cstride, cols > panelWidth, c.one)
+					valueQ8AVX512(&outQ8, &c.w[0], ws, &vc, &vl, k, cstride, cols > panelWidth, c.one)
+					values = append(values, c)
+				}
+			}
+		}
+
+		for _, level := range []armLevel{armGo, armAVX2} {
+			arm = level
+			what := fmt.Sprintf("d=%d go arm at %s", d, armNames[level])
+			want := make([]float32, d*panelWidth)
+			relay(want, rows, stride, d)
+			same(what+" panelF32AVX512", gotK, want)
+			relay(want, deq, d, d)
+			same(what+" panelQ8AVX512", gotQ8, want)
+			for _, c := range scores {
+				heads := make([]int, c.slots)
+				for l := range heads {
+					heads[l] = c.src[l/2]
+				}
+				wantS := make([]float32, AttnBlockMax*ss)
+				scoreLanes(wantS, ss, q[c.g*d:], d, panels, heads)
+				for l := 0; l < c.slots; l++ {
+					same(fmt.Sprintf("%s scoreAVX512 slots=%d from %d src=%v slot %d", what, c.slots, c.g, c.src, l), c.got[l*ss:][:panelWidth], wantS[l*ss:][:panelWidth])
+				}
+			}
+			for _, c := range values {
+				for _, kernel := range []struct {
+					name string
+					rows [][]float32
+					got  []float32
+				}{{"valueAVX512", vRows, c.got}, {"valueQ8AVX512", qRows, c.gotQ8}} {
+					wantV := append([]float32(nil), c.seed...)
+					out := make([][]float32, c.last)
+					for l := range out {
+						out[l] = wantV[l*2*panelWidth:][:2*panelWidth]
+					}
+					var v [4][]float32
+					for p := range v {
+						v[p] = kernel.rows[c.src[p]]
+					}
+					var spare [8][2 * panelWidth]float32
+					valueLanes(out, c.first, 0, c.cols, c.w, ws, &v, c.k, cstride, &spare)
+					for l := 0; l < 8; l++ {
+						n := c.cols
+						if l < c.first || l >= c.last {
+							n = 2 * panelWidth // a dead lane's output is untouched
+						}
+						same(fmt.Sprintf("%s %s k=%d lanes [%d, %d) cols=%d src=%v lane %d", what, kernel.name, c.k, c.first, c.last, c.cols, c.src, l), kernel.got[l*2*panelWidth:][:n], wantV[l*2*panelWidth:][:n])
+					}
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkAttendBlock prices one page visit — the score pass and the value
 // pass over one 16-token page, head dimension 32 (the benchmark model's) —
 // for a block of 1, 2 and 16 queries of one KV head per codec, and for the

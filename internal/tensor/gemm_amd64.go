@@ -54,9 +54,9 @@ func relay16AVX2(panel, rows *float32, stride, d8 int)
 //go:noescape
 func paramsQ8AVX512(lod *float32, params *uint16, step, n int)
 
-// panelQ8AVX512 is the assembly behind the key pass over 8-bit codes: 16 rows
-// of 16·d16 codes, codeStride bytes apart, dequantized with lod's (lo, Δ)
-// pairs straight into the dim-major panel (16·d16 × 16 floats).
+// panelQ8AVX512 is the key loader's arm for 8-bit codes: 16 rows of 16·d16
+// codes, codeStride bytes apart, dequantized with lod's (lo, Δ) pairs
+// straight into the dim-major panel (16·d16 × 16 floats).
 //
 //go:noescape
 func panelQ8AVX512(panel *float32, codes *uint8, codeStride int, lod *float32, d16 int)
@@ -68,10 +68,10 @@ func panelQ8AVX512(panel *float32, codes *uint8, codeStride int, lod *float32, d
 //go:noescape
 func encodeQ8AVX512(codes *uint8, params *uint16, x *float32, n16 int) bool
 
-// panelF32AVX512 is the assembly behind the key pass over fp32 rows on the
-// AVX-512 arm (attend_amd64.s), and behind the block's dim-major queries: 16
-// rows of 16·d16 floats, stride apart, written dim-major into panel (16·d16 ×
-// 16 floats).
+// panelF32AVX512 is the assembly behind relay on the AVX-512 arm
+// (attend_amd64.s) — a key panel of fp32 rows, and the block's dim-major
+// queries: 16 rows of 16·d16 floats, stride apart, written dim-major into
+// panel (16·d16 × 16 floats).
 //
 //go:noescape
 func panelF32AVX512(panel, rows *float32, stride, d16 int)

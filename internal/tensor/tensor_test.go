@@ -378,6 +378,9 @@ func TestStridedPanics(t *testing.T) {
 		assertPanics("params short", func() {
 			block().Accumulate(0, 3, &Rows{Codes: make([]uint8, 24), Params: make([]uint16, 4), Bits: 8, Stride: 8, Heads: 1})
 		})
+		assertPanics("codes short ragged panel", func() {
+			oneQuery(make([]float32, 16), make([]float32, 16), 20).Score(0, 3, &Rows{Codes: make([]uint8, 40), Params: make([]uint16, 6), Bits: 8, Stride: 16, Heads: 1})
+		})
 	})
 	assertPanics("descending bound", func() { block().Add(19, make([]float32, 8)) })
 	assertPanics("output length", func() { block().Add(20, make([]float32, 7)) })
