@@ -60,8 +60,11 @@ race-sched:
 # host has, raw float32 bits), then the attention block walk against
 # Dot / AXPY (any head dimension, codec, page size, block size and causal
 # bounds, every arm, raw float32 bits), then the KV page
-# seam (any shape, page size and store: Append, AppendFlat and any
+# seam (any shape, page size and store: one AppendFlatN per token and any
 # AppendFlatN split store the same bytes, and Rows reads what Seq reads),
+# then every registered compression method's cache (any shape, token count
+# and prompt end, raw float32 bits: any AppendFlatN split leaves the Seq,
+# Positions, Len, TotalAppended and MemoryBytes of one token per call),
 # then Exp32 (raw float32 bits, any subtrahend, lengths 0-40 so every ragged
 # tail is hit: the AVX2 and AVX-512 arms of exp / Softmax / SiLU against the
 # pure-Go specification), then the attention block's softmax across rows (raw
@@ -89,6 +92,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzPackedMulMatchesScalar -fuzztime 10s ./internal/tensor
 	$(GO) test -run XXX -fuzz FuzzAttendBlockMatchesScalar -fuzztime 10s ./internal/tensor
 	$(GO) test -run XXX -fuzz FuzzAppendSplitInvariant -fuzztime 10s ./internal/kvcache
+	$(GO) test -run XXX -fuzz FuzzMethodAppendSplit -fuzztime 10s ./internal/compress
 	$(GO) test -run XXX -fuzz FuzzExp32MatchesGo -fuzztime 10s ./internal/tensor
 	$(GO) test -run XXX -fuzz FuzzSoftmaxRowsMatchesSoftmax -fuzztime 10s ./internal/tensor
 	$(GO) test -run XXX -fuzz FuzzSelectTopPagesMatchesSort -fuzztime 10s ./internal/model

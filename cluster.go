@@ -15,7 +15,6 @@ import (
 	"rethinkkv/internal/router"
 	"rethinkkv/internal/sched"
 	"rethinkkv/internal/serving"
-	"rethinkkv/internal/stats"
 	"rethinkkv/internal/workload"
 )
 
@@ -219,7 +218,7 @@ func (c *Cluster) serveTraceReal(reqs []Request, r Router) ([]Outcome, error) {
 		if wait := req.ArrivalTime - time.Since(epoch).Seconds(); wait > 0 {
 			time.Sleep(time.Duration(wait * float64(time.Second)))
 		}
-		maxNew := stats.MinI(stats.MaxI(req.RefLen, 1), c.cfg.maxNew)
+		maxNew := min(max(req.RefLen, 1), c.cfg.maxNew)
 		var dl float64 // WithAdmissionTimeout, counted from the trace's arrival
 		if t := c.cfg.admissionTimeout; t > 0 {
 			dl = req.ArrivalTime + t.Seconds()
@@ -244,7 +243,7 @@ func (c *Cluster) serveTraceReal(reqs []Request, r Router) ([]Outcome, error) {
 // tracePrompt synthesises the deterministic token sequence standing in for
 // a trace request's prompt (traces carry lengths, not tokens).
 func tracePrompt(req Request, seed uint64, vocab, maxLen int) []int {
-	n := stats.MinI(stats.MaxI(req.PromptLen, 1), maxLen)
+	n := min(max(req.PromptLen, 1), maxLen)
 	r := rng.New(seed ^ (uint64(req.ID)*0x9e3779b97f4a7c15 + 0xd1b54a32d192ed03))
 	prompt := make([]int, n)
 	for i := range prompt {

@@ -11,9 +11,9 @@ import (
 )
 
 // This file pins the Paged seam's contract on generated inputs: what a cache
-// stores is a pure function of the appended token sequence — not of the entry
-// point or of how the sequence was split into calls — and what Rows yields is
-// what Seq, the scalar reference, reads.
+// stores is a pure function of the appended token sequence — not of how the
+// sequence was split into AppendFlatN calls — and what Rows yields is what
+// Seq, the scalar reference, reads.
 
 // splitCodecs are the stores behind Paged: Full's one growing page, then
 // PagedKV under every page codec.
@@ -146,10 +146,10 @@ func rowsMatchSeq(t testing.TB, what string, c Paged) {
 	}
 }
 
-// checkAppendSplitInvariant appends the same n generated tokens to three
-// caches of one store — one Append per token, one AppendFlat per token, and
-// AppendFlatN over a random split (empty spans included) — and requires
-// identical storage from all three and Rows ≡ Seq on each.
+// checkAppendSplitInvariant appends the same n generated tokens to two caches
+// of one store — one AppendFlatN per token, and AppendFlatN over a random
+// split (empty spans included) — and requires identical storage from both and
+// Rows ≡ Seq on each.
 func checkAppendSplitInvariant(t testing.TB, seed int64, shape Shape, pageTokens, bits int, summaries bool, n int) {
 	t.Helper()
 	mk := func() Paged {
@@ -164,18 +164,12 @@ func checkAppendSplitInvariant(t testing.TB, seed int64, shape Shape, pageTokens
 	}
 	r := rand.New(rand.NewSource(seed))
 	k, v := splitFill(r, shape, n)
-	d, stride := shape.HeadDim, shape.KVHeads*shape.HeadDim
+	stride := shape.KVHeads * shape.HeadDim
 
-	heads, flat, split := mk(), mk(), mk()
-	kh, vh := make([][]float32, shape.KVHeads), make([][]float32, shape.KVHeads)
+	flat, split := mk(), mk()
 	for tk := 0; tk < n; tk++ {
-		kt, vt := k[tk*stride:(tk+1)*stride], v[tk*stride:(tk+1)*stride]
-		for h := range kh {
-			kh[h], vh[h] = kt[h*d:(h+1)*d], vt[h*d:(h+1)*d]
-		}
 		for l := 0; l < shape.Layers; l++ {
-			heads.Append(l, kh, vh)
-			flat.AppendFlatN(l, 1, kt, vt)
+			flat.AppendFlatN(l, 1, k[tk*stride:(tk+1)*stride], v[tk*stride:(tk+1)*stride])
 		}
 	}
 	for off := 0; off < n; {
@@ -185,9 +179,8 @@ func checkAppendSplitInvariant(t testing.TB, seed int64, shape Shape, pageTokens
 		}
 		off += cn
 	}
-	storageEqual(t, "AppendFlat vs Append", flat, heads)
-	storageEqual(t, "AppendFlatN split vs Append", split, heads)
-	for _, c := range []Paged{heads, flat, split} {
+	storageEqual(t, "AppendFlatN split vs one token per call", split, flat)
+	for _, c := range []Paged{flat, split} {
 		rowsMatchSeq(t, "Rows vs Seq", c)
 	}
 }

@@ -6,74 +6,17 @@ import (
 	"testing"
 )
 
-// fillToken builds one token's K/V both as per-head views and as the flat
-// head-major vector the AppendFlat path consumes — same bytes, two entry
-// points.
-func fillToken(shape Shape, seed int) (kHeads, vHeads [][]float32, kFlat, vFlat []float32) {
+// fillToken builds one token's K/V as the flat head-major vectors
+// AppendFlatN consumes.
+func fillToken(shape Shape, seed int) (k, v []float32) {
 	stride := shape.KVHeads * shape.HeadDim
-	kFlat = make([]float32, stride)
-	vFlat = make([]float32, stride)
-	for i := range kFlat {
-		kFlat[i] = float32(seed*31+i) / 7
-		vFlat[i] = float32(seed*17-i) / 5
+	k = make([]float32, stride)
+	v = make([]float32, stride)
+	for i := range k {
+		k[i] = float32(seed*31+i) / 7
+		v[i] = float32(seed*17-i) / 5
 	}
-	kHeads = make([][]float32, shape.KVHeads)
-	vHeads = make([][]float32, shape.KVHeads)
-	for h := 0; h < shape.KVHeads; h++ {
-		kHeads[h] = kFlat[h*shape.HeadDim : (h+1)*shape.HeadDim]
-		vHeads[h] = vFlat[h*shape.HeadDim : (h+1)*shape.HeadDim]
-	}
-	return
-}
-
-// TestAppendFlatMatchesAppend pins AppendFlat against Append bit-for-bit
-// on both flat-storage caches: interleaving the two entry points must
-// leave identical retained state.
-func TestAppendFlatMatchesAppend(t *testing.T) {
-	shape := Shape{Layers: 2, KVHeads: 3, HeadDim: 4}
-	caches := []struct {
-		name     string
-		viaHeads Cache
-		viaFlat  Cache
-	}{
-		{"full", NewFull(shape), NewFull(shape)},
-		{"paged", NewPagedKV(shape, 2), NewPagedKV(shape, 2)},
-	}
-	for _, tc := range caches {
-		fa, ok := tc.viaFlat.(Paged)
-		if !ok {
-			t.Fatalf("%s: no AppendFlat", tc.name)
-		}
-		for tok := 0; tok < 7; tok++ {
-			kH, vH, kF, vF := fillToken(shape, tok)
-			for l := 0; l < shape.Layers; l++ {
-				tc.viaHeads.Append(l, kH, vH)
-				fa.AppendFlatN(l, 1, kF, vF)
-			}
-		}
-		if got, want := tc.viaFlat.TotalAppended(), tc.viaHeads.TotalAppended(); got != want {
-			t.Fatalf("%s: appended %d != %d", tc.name, got, want)
-		}
-		for l := 0; l < shape.Layers; l++ {
-			for h := 0; h < shape.KVHeads; h++ {
-				wk, wv := tc.viaHeads.Seq(l, h)
-				gk, gv := tc.viaFlat.Seq(l, h)
-				if len(gk) != len(wk) {
-					t.Fatalf("%s: seq len %d != %d", tc.name, len(gk), len(wk))
-				}
-				for i := range wk {
-					for d := 0; d < shape.HeadDim; d++ {
-						if math.Float32bits(gk[i][d]) != math.Float32bits(wk[i][d]) {
-							t.Fatalf("%s: key (%d,%d,%d,%d) differs", tc.name, l, h, i, d)
-						}
-						if math.Float32bits(gv[i][d]) != math.Float32bits(wv[i][d]) {
-							t.Fatalf("%s: value (%d,%d,%d,%d) differs", tc.name, l, h, i, d)
-						}
-					}
-				}
-			}
-		}
-	}
+	return k, v
 }
 
 // fillSpan builds an n-token contiguous token-major K/V span (token t at
@@ -83,7 +26,7 @@ func fillSpan(shape Shape, n, seed int) (k, v []float32) {
 	k = make([]float32, 0, n*stride)
 	v = make([]float32, 0, n*stride)
 	for t := 0; t < n; t++ {
-		_, _, kF, vF := fillToken(shape, seed+t)
+		kF, vF := fillToken(shape, seed+t)
 		k = append(k, kF...)
 		v = append(v, vF...)
 	}
@@ -91,7 +34,7 @@ func fillSpan(shape Shape, n, seed int) (k, v []float32) {
 }
 
 // TestAppendFlatNMatchesAppendFlat pins the multi-token append against
-// token-at-a-time AppendFlat bit-for-bit on both flat-storage caches,
+// one-token AppendFlatN calls bit-for-bit on both flat-storage caches,
 // across span sizes that leave pages partial, exactly full, and crossing
 // multiple page boundaries from a non-aligned start.
 func TestAppendFlatNMatchesAppendFlat(t *testing.T) {
@@ -200,13 +143,12 @@ func TestAppendFlatNAllocFree(t *testing.T) {
 	}
 }
 
-// TestAppendFlatBudgetPanics verifies AppendFlat honours the page budget
-// exactly like Append: an unreserved append past the budget panics with
-// ErrOutOfPages.
+// TestAppendFlatBudgetPanics verifies a one-token append honours the page
+// budget: an unreserved append past the budget panics with ErrOutOfPages.
 func TestAppendFlatBudgetPanics(t *testing.T) {
 	shape := Shape{Layers: 1, KVHeads: 1, HeadDim: 2}
 	c := NewPagedKVQuant(shape, 1, 1, 0)
-	_, _, kF, vF := fillToken(shape, 1)
+	kF, vF := fillToken(shape, 1)
 	c.AppendFlatN(0, 1, kF, vF)
 	defer func() {
 		r := recover()

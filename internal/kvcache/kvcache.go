@@ -35,6 +35,18 @@ func (s Shape) Validate() error {
 	return nil
 }
 
+// CheckSpan panics unless layer is one of the shape's layers and k and v each
+// hold n >= 0 whole tokens: the precondition of every AppendFlatN, checked
+// before anything is stored.
+func (s Shape) CheckSpan(layer, n int, k, v []float32) {
+	if layer < 0 || layer >= s.Layers {
+		panic(fmt.Sprintf("kvcache: layer %d out of range [0, %d)", layer, s.Layers))
+	}
+	if n < 0 || len(k) != n*s.KVHeads*s.HeadDim || len(v) != len(k) {
+		panic(fmt.Sprintf("kvcache: span of %d tokens with %d key and %d value floats for %d heads of %d", n, len(k), len(v), s.KVHeads, s.HeadDim))
+	}
+}
+
 // BytesPerElemFP16 is the storage cost of one cache element in the FP16
 // baseline; memory accounting throughout the repository is in FP16-equivalent
 // bytes so that compression ratios match the paper's reporting.
@@ -42,17 +54,23 @@ const BytesPerElemFP16 = 2
 
 // Cache is the interface the model's attention layers read and write.
 //
-// Append stores the (RoPE'd) key and value vectors for the next token of a
-// layer; k and v each hold KVHeads vectors of length HeadDim. Implementations
-// MUST copy the vectors rather than retain the slices: the model passes
-// reused scratch buffers that are overwritten on the next step. Seq returns
-// the retained entries for one head in storage order: compressed caches
-// return dequantised or pruned views here, which is what makes the accuracy
-// effects of compression real rather than modelled. Positions returns the
-// absolute position of each retained entry, aligned with Seq.
+// AppendFlatN, the one append, stores the (RoPE'd) keys and values of a
+// layer's next n tokens: k and v each hold n whole-token head-major vectors
+// back to back (token t, head h at offset t*KVHeads*HeadDim + h*HeadDim).
+// Every implementation runs Shape.CheckSpan before storing anything, and
+// stores what n one-token calls over the same tokens would, so a decode step
+// (n = 1) and a prefill chunk of any size leave the same cache.
+// Implementations MUST copy the vectors rather than retain the slices: the
+// model passes reused scratch buffers that are overwritten on the next step.
+// There is no cross-session form: every stream owns a distinct cache.
+//
+// Seq returns the retained entries for one head in storage order: compressed
+// caches return dequantised or pruned views here, which is what makes the
+// accuracy effects of compression real rather than modelled. Positions
+// returns the absolute position of each retained entry, aligned with Seq.
 type Cache interface {
 	Shape() Shape
-	Append(layer int, k, v [][]float32)
+	AppendFlatN(layer, n int, k, v []float32)
 	Seq(layer, head int) (keys, values [][]float32)
 	Positions(layer, head int) []int
 	// Len reports the number of retained entries for one head.
@@ -78,16 +96,10 @@ type AttentionObserver interface {
 // attention block kernels read them (tensor.Rows: fp32 rows in place, or
 // uniform codes the kernel dequantizes). PagedKV implements it over its page
 // table whatever the page codec; Full is one growing page per layer. Caches
-// whose Append carries policy (eviction scoring, offline quantisation) do not
-// implement it and are read through Seq, the scalar reference.
-//
-// AppendFlatN appends n consecutive tokens' K/V for a layer: k and v hold n
-// whole-token head-major vectors back to back (token t, head h at offset
-// t*KVHeads*HeadDim + h*HeadDim). The stored bytes, page boundaries included,
-// are identical to n single-token calls and to n Append calls over per-head
-// views of the same buffers, so a decode step (n = 1) and a prefill chunk of
-// any size leave the same cache. There is no cross-session form: every stream
-// owns a distinct cache.
+// whose append carries policy (eviction scoring, offline quantisation) do not
+// implement it and are read through Seq, the scalar reference. A Paged
+// cache's page boundaries, like its bytes, do not depend on how its tokens
+// were split into AppendFlatN calls.
 //
 // LayerPages reports how many pages one layer holds right now. Inside a
 // forward pass layer l has appended the step's tokens and layer l+1 has not,
@@ -99,7 +111,6 @@ type AttentionObserver interface {
 // nil when the cache keeps none.
 type Paged interface {
 	Cache
-	AppendFlatN(layer, n int, k, v []float32)
 	LayerPages(layer int) int
 	Rows(layer, page, head int, vals bool) (rows tensor.Rows, tokens int)
 	KeySummary(layer, page int) []float32
@@ -140,29 +151,11 @@ func (c *Full) Shape() Shape { return c.shape }
 // stride is the flat-buffer distance between consecutive tokens.
 func (c *Full) stride() int { return c.shape.KVHeads * c.shape.HeadDim }
 
-// Append stores one token's K/V for the given layer by copying the head
-// vectors onto the end of the layer's flat buffers.
-func (c *Full) Append(layer int, k, v [][]float32) {
-	c.checkAppend(layer, k, v)
-	for h := 0; h < c.shape.KVHeads; h++ {
-		c.keys[layer] = append(c.keys[layer], k[h]...)
-		c.values[layer] = append(c.values[layer], v[h]...)
-	}
-	if layer == c.shape.Layers-1 {
-		c.appended++
-	}
-}
-
-// AppendFlatN implements Paged: n tokens' K/V arrive as one contiguous
-// token-major span and are copied onto the layer's flat buffer in a single
-// append each — the same bytes Append stores head by head, in one grow.
+// AppendFlatN implements Cache: n tokens' K/V arrive as one contiguous
+// token-major span and are copied onto the layer's flat buffers in a single
+// append each.
 func (c *Full) AppendFlatN(layer, n int, k, v []float32) {
-	if layer < 0 || layer >= c.shape.Layers {
-		panic(fmt.Sprintf("kvcache: layer %d out of range", layer))
-	}
-	if n < 0 || len(k) != n*c.stride() || len(v) != len(k) {
-		panic("kvcache: flat append length mismatch")
-	}
+	c.shape.CheckSpan(layer, n, k, v)
 	c.keys[layer] = append(c.keys[layer], k...)
 	c.values[layer] = append(c.values[layer], v...)
 	if layer == c.shape.Layers-1 {
@@ -170,26 +163,12 @@ func (c *Full) AppendFlatN(layer, n int, k, v []float32) {
 	}
 }
 
-func (c *Full) checkAppend(layer int, k, v [][]float32) {
-	if layer < 0 || layer >= c.shape.Layers {
-		panic(fmt.Sprintf("kvcache: layer %d out of range", layer))
-	}
-	if len(k) != c.shape.KVHeads || len(v) != c.shape.KVHeads {
-		panic("kvcache: head count mismatch on append")
-	}
-	for h := 0; h < c.shape.KVHeads; h++ {
-		if len(k[h]) != c.shape.HeadDim || len(v[h]) != c.shape.HeadDim {
-			panic("kvcache: head dim mismatch on append")
-		}
-	}
-}
-
 // Seq returns per-token views of the retained keys and values for one head.
 // The views alias the flat buffers; only the two header slices allocate.
-// Unlike the historical per-token layout, a later Append may grow the flat
+// Unlike the historical per-token layout, a later append may grow the flat
 // buffer and reallocate it: previously returned views then keep reading the
 // old (stale) backing array and pin it in memory. Read views before the next
-// Append, or copy them to retain. Hot paths read Rows instead.
+// append, or copy them to retain. Hot paths read Rows instead.
 func (c *Full) Seq(layer, head int) (keys, values [][]float32) {
 	d := c.shape.HeadDim
 	stride := c.stride()

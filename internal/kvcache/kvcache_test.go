@@ -8,16 +8,13 @@ import (
 
 func testShape() Shape { return Shape{Layers: 2, KVHeads: 2, HeadDim: 4} }
 
-func randToken(r *rng.RNG, s Shape) (k, v [][]float32) {
-	k = make([][]float32, s.KVHeads)
-	v = make([][]float32, s.KVHeads)
-	for h := 0; h < s.KVHeads; h++ {
-		k[h] = make([]float32, s.HeadDim)
-		v[h] = make([]float32, s.HeadDim)
-		for d := 0; d < s.HeadDim; d++ {
-			k[h][d] = float32(r.NormFloat64())
-			v[h][d] = float32(r.NormFloat64())
-		}
+// randToken draws one token's flat head-major K/V.
+func randToken(r *rng.RNG, s Shape) (k, v []float32) {
+	k = make([]float32, s.KVHeads*s.HeadDim)
+	v = make([]float32, s.KVHeads*s.HeadDim)
+	for i := range k {
+		k[i] = float32(r.NormFloat64())
+		v[i] = float32(r.NormFloat64())
 	}
 	return k, v
 }
@@ -29,7 +26,7 @@ func fillCache(t *testing.T, c Cache, n int, seed uint64) {
 	for i := 0; i < n; i++ {
 		for l := 0; l < s.Layers; l++ {
 			k, v := randToken(r, s)
-			c.Append(l, k, v)
+			c.AppendFlatN(l, 1, k, v)
 		}
 	}
 }
@@ -51,10 +48,10 @@ func TestFullRoundTrip(t *testing.T) {
 	var wantK [][]float32
 	for i := 0; i < 5; i++ {
 		k, v := randToken(r, s)
-		wantK = append(wantK, append([]float32(nil), k[1]...))
-		c.Append(0, k, v)
+		wantK = append(wantK, append([]float32(nil), k[s.HeadDim:2*s.HeadDim]...))
+		c.AppendFlatN(0, 1, k, v)
 		k2, v2 := randToken(r, s)
-		c.Append(1, k2, v2)
+		c.AppendFlatN(1, 1, k2, v2)
 	}
 	if c.TotalAppended() != 5 {
 		t.Fatalf("appended = %d", c.TotalAppended())
@@ -96,10 +93,10 @@ func TestFullAppendValidation(t *testing.T) {
 	c := NewFull(testShape())
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic on wrong head count")
+			t.Fatal("expected panic on a one-head token in a two-head cache")
 		}
 	}()
-	c.Append(0, [][]float32{{1, 2, 3, 4}}, [][]float32{{1, 2, 3, 4}})
+	c.AppendFlatN(0, 1, []float32{1, 2, 3, 4}, []float32{1, 2, 3, 4})
 }
 
 func TestFullLayerRange(t *testing.T) {
@@ -109,8 +106,8 @@ func TestFullLayerRange(t *testing.T) {
 			t.Fatal("expected panic on bad layer")
 		}
 	}()
-	k := [][]float32{{0, 0, 0, 0}, {0, 0, 0, 0}}
-	c.Append(5, k, k)
+	k := make([]float32, 8)
+	c.AppendFlatN(5, 1, k, k)
 }
 
 func TestFullFlatSeqMatchesSeq(t *testing.T) {
@@ -160,9 +157,9 @@ func TestPagedKVMatchesFull(t *testing.T) {
 	for i := 0; i < 11; i++ {
 		for l := 0; l < s.Layers; l++ {
 			k, v := randToken(r1, s)
-			full.Append(l, k, v)
+			full.AppendFlatN(l, 1, k, v)
 			k2, v2 := randToken(r2, s)
-			paged.Append(l, k2, v2)
+			paged.AppendFlatN(l, 1, k2, v2)
 		}
 	}
 	if paged.TotalAppended() != 11 {

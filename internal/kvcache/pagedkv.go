@@ -37,8 +37,6 @@ type PagedKV struct {
 	// dequantized key row, allocated on first use.
 	summaries bool
 	deq       []float32
-	// gather is Append's head-major staging token, allocated on first use.
-	gather []float32
 }
 
 // NewPagedKV is NewPagedKVQuant with fp32 pages and no page budget.
@@ -90,28 +88,7 @@ func (c *PagedKV) Shape() Shape { return c.shape }
 
 func (c *PagedKV) stride() int { return c.shape.KVHeads * c.shape.HeadDim }
 
-// Append stores one token's K/V, given as per-head vectors, for the given
-// layer: it gathers them head-major and appends through AppendFlatN, so the
-// stored bytes and the page-opening and budget rules are that call's.
-func (c *PagedKV) Append(layer int, k, v [][]float32) {
-	if len(k) != c.shape.KVHeads || len(v) != c.shape.KVHeads {
-		panic("kvcache: head count mismatch on append")
-	}
-	d, stride := c.shape.HeadDim, c.stride()
-	if c.gather == nil {
-		c.gather = make([]float32, 2*stride)
-	}
-	for h := range k {
-		if len(k[h]) != d || len(v[h]) != d {
-			panic("kvcache: head dim mismatch on append")
-		}
-		copy(c.gather[h*d:], k[h])
-		copy(c.gather[stride+h*d:], v[h])
-	}
-	c.AppendFlatN(layer, 1, c.gather[:stride], c.gather[stride:])
-}
-
-// AppendFlatN implements Paged: the span is split across pages — filling the
+// AppendFlatN implements Cache: the span is split across pages — filling the
 // current partial page, then whole pages, then a trailing partial — each
 // token stored in the page codec and, when summaries are on, folded into its
 // page's key summary token by token, which makes codes and summaries
@@ -121,13 +98,8 @@ func (c *PagedKV) Append(layer int, k, v [][]float32) {
 // rather than silently overgrowing. Steady-state cost is a write into
 // pre-allocated page capacity: no allocation except at page open.
 func (c *PagedKV) AppendFlatN(layer, n int, k, v []float32) {
-	if layer < 0 || layer >= c.shape.Layers {
-		panic("kvcache: layer out of range")
-	}
+	c.shape.CheckSpan(layer, n, k, v)
 	stride := c.stride()
-	if n < 0 || len(k) != n*stride || len(v) != len(k) {
-		panic("kvcache: flat append length mismatch")
-	}
 	for rest := n; rest > 0; {
 		p := c.pageForAppend(layer)
 		t := min(c.pageTokens-p.n, rest)

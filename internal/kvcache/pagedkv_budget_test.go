@@ -8,19 +8,17 @@ import (
 func appendTokens(t *testing.T, c *PagedKV, n int, base float32) {
 	t.Helper()
 	sh := c.Shape()
-	k := make([][]float32, sh.KVHeads)
-	v := make([][]float32, sh.KVHeads)
+	k := make([]float32, sh.KVHeads*sh.HeadDim)
+	v := make([]float32, sh.KVHeads*sh.HeadDim)
 	for i := 0; i < n; i++ {
 		for h := 0; h < sh.KVHeads; h++ {
-			k[h] = make([]float32, sh.HeadDim)
-			v[h] = make([]float32, sh.HeadDim)
 			for d := 0; d < sh.HeadDim; d++ {
-				k[h][d] = base + float32(i*100+h*10+d)
-				v[h][d] = -(base + float32(i*100+h*10+d))
+				k[h*sh.HeadDim+d] = base + float32(i*100+h*10+d)
+				v[h*sh.HeadDim+d] = -(base + float32(i*100+h*10+d))
 			}
 		}
 		for l := 0; l < sh.Layers; l++ {
-			c.Append(l, k, v)
+			c.AppendFlatN(l, 1, k, v)
 		}
 	}
 }

@@ -10,8 +10,8 @@ import (
 
 func qShape() Shape { return Shape{Layers: 2, KVHeads: 2, HeadDim: 4} }
 
-// qFill appends n tokens of deterministic pseudo-random K/V to every layer
-// via AppendFlat, returning the flat token-major spans it stored.
+// qFill appends n tokens of deterministic pseudo-random K/V to every layer,
+// one AppendFlatN per token, returning the flat token-major spans it stored.
 func qFill(c *PagedKV, n int, seed int64) (k, v []float32) {
 	shape := c.Shape()
 	stride := shape.KVHeads * shape.HeadDim
@@ -49,7 +49,7 @@ func quantPagesEqual(a, b *PagedKV, l int) bool {
 }
 
 // AppendFlatN must split a multi-token span across page boundaries and
-// quantize to exactly the pages n successive AppendFlat calls produce.
+// quantize to exactly the pages n successive one-token calls produce.
 func TestQuantAppendFlatNMatchesPerToken(t *testing.T) {
 	for _, bits := range []int{8, 4} {
 		const pageTokens, n = 4, 11 // 2 full pages + a 3-token tail

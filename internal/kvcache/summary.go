@@ -69,10 +69,10 @@ func summUpdateSeg(s []float32, stride, off int, x []float32, init bool) {
 
 // fold folds the keys of p's tokens [from, to) into its summary, token by
 // token in append order, reading them back as every reader will: an fp32
-// page's rows in place, a quantized page's codes dequantized. Append folds
-// each span it stores; a clone holding the head of a longer page folds that
-// head from token 0, which is the fold append would have produced had only
-// those tokens ever reached the page.
+// page's rows in place, a quantized page's codes dequantized. AppendFlatN
+// folds each span it stores; a clone holding the head of a longer page folds
+// that head from token 0, which is the fold append would have produced had
+// only those tokens ever reached the page.
 func (c *PagedKV) fold(p *page, from, to int) {
 	d, stride := c.shape.HeadDim, c.stride()
 	if c.deq == nil {

@@ -198,36 +198,27 @@ func TestKeySummariesClonePrefix(t *testing.T) {
 	}
 }
 
-// Head-major Append, flat AppendFlat, and batched AppendFlatN must fold the
-// identical summaries for the same token sequence.
+// One-token and batched AppendFlatN must fold the identical summaries for the
+// same token sequence.
 func TestKeySummariesAppendFormsAgree(t *testing.T) {
 	for _, w := range summWidths {
 		t.Run(w.name, func(t *testing.T) {
 			shape := qShape()
 			const pageTokens, n = 4, 9
 			stride := shape.KVHeads * shape.HeadDim
-			d := shape.HeadDim
 			k, v := summFill(shape, n, 21)
 
 			flat := summCache(shape, pageTokens, w.bits)
-			heads := summCache(shape, pageTokens, w.bits)
 			batch := summCache(shape, pageTokens, w.bits)
 			for tk := 0; tk < n; tk++ {
 				kt, vt := k[tk*stride:(tk+1)*stride], v[tk*stride:(tk+1)*stride]
-				kh := make([][]float32, shape.KVHeads)
-				vh := make([][]float32, shape.KVHeads)
-				for h := range kh {
-					kh[h], vh[h] = kt[h*d:(h+1)*d], vt[h*d:(h+1)*d]
-				}
 				for l := 0; l < shape.Layers; l++ {
 					flat.AppendFlatN(l, 1, kt, vt)
-					heads.Append(l, kh, vh)
 				}
 			}
 			for l := 0; l < shape.Layers; l++ {
 				batch.AppendFlatN(l, n, k, v)
 			}
-			summariesEqual(t, flat, heads)
 			summariesEqual(t, flat, batch)
 		})
 	}

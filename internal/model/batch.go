@@ -49,10 +49,9 @@ type BatchWorkspace struct {
 	// span so a whole chunk appends with one AppendFlatN per layer. Chunk
 	// positions borrow ordinary lanes for every other buffer; only K/V
 	// need the contiguous home.
-	ck, cv           []float32     // capacity chunkCap * KVDim
-	ckTok, cvTok     [][]float32   // per-token views (projection dst)
-	ckHeads, cvHeads [][][]float32 // per-token per-head views (generic Append fallback)
-	chunkCap         int
+	ck, cv       []float32   // capacity chunkCap * KVDim
+	ckTok, cvTok [][]float32 // per-token views (projection dst)
+	chunkCap     int
 	// chunkPaths holds each packed chunk's resolved fast-path set for the
 	// current step, and chunkResults the per-chunk StepResult slots the
 	// mixed step returns. Living in the (heap) workspace rather than in

@@ -49,21 +49,19 @@ type Model struct {
 // position of a prefill chunk. The page walk's block scratch belongs to the
 // batch, one per shard, not to a lane.
 type workspace struct {
-	h       []float32   // residual stream (hidden)
-	x       []float32   // normed activations (hidden)
-	q       []float32   // query projection (hidden)
-	k, v    []float32   // key/value projections (KVDim)
-	kHeads  [][]float32 // per-head views into k (built once)
-	vHeads  [][]float32 // per-head views into v (built once)
-	qv      []float32   // one RoPE'd query head (HeadDim), Seq arm only
-	attnOut []float32   // concatenated head outputs (hidden)
-	proj    []float32   // output projection (hidden)
-	gate    []float32   // FFN gate (FFNDim)
-	up      []float32   // FFN up (FFNDim)
-	down    []float32   // FFN down (hidden)
-	final   []float32   // pre-logit hidden state (hidden)
-	logits  []float32   // LM head output (Vocab)
-	scores  []float32   // attention scores of the Seq arm, grown to the sequence length
+	h       []float32 // residual stream (hidden)
+	x       []float32 // normed activations (hidden)
+	q       []float32 // query projection (hidden)
+	k, v    []float32 // key/value projections (KVDim)
+	qv      []float32 // one RoPE'd query head (HeadDim), Seq arm only
+	attnOut []float32 // concatenated head outputs (hidden)
+	proj    []float32 // output projection (hidden)
+	gate    []float32 // FFN gate (FFNDim)
+	up      []float32 // FFN up (FFNDim)
+	down    []float32 // FFN down (hidden)
+	final   []float32 // pre-logit hidden state (hidden)
+	logits  []float32 // LM head output (Vocab)
+	scores  []float32 // attention scores of the Seq arm, grown to the sequence length
 	// ropeSin/ropeCos hold the step's rotation coefficients, filled once
 	// per decode position and reused by every head of every layer.
 	ropeSin []float32
@@ -109,12 +107,6 @@ func (m *Model) newLane() *workspace {
 		logits:  make([]float32, cfg.Vocab),
 		ropeSin: make([]float32, cfg.HeadDim/2),
 		ropeCos: make([]float32, cfg.HeadDim/2),
-	}
-	ws.kHeads = make([][]float32, cfg.KVHeads)
-	ws.vHeads = make([][]float32, cfg.KVHeads)
-	for kh := 0; kh < cfg.KVHeads; kh++ {
-		ws.kHeads[kh] = ws.k[kh*cfg.HeadDim : (kh+1)*cfg.HeadDim]
-		ws.vHeads[kh] = ws.v[kh*cfg.HeadDim : (kh+1)*cfg.HeadDim]
 	}
 	return ws
 }
@@ -216,7 +208,7 @@ type StepResult struct {
 // cachePath caches the interface assertions the decode hot paths probe on
 // a cache, resolved once per step (or once per lane per fused step)
 // instead of per layer: paged is the page-walk fast path (nil sends every
-// append and read through cache's Append and Seq).
+// read through cache's Seq).
 type cachePath struct {
 	cache    kvcache.Cache
 	paged    kvcache.Paged
@@ -231,20 +223,15 @@ func pathOf(c kvcache.Cache) cachePath {
 }
 
 // appendKV RoPEs the K heads in place (using the step's cached rotation
-// tables) and appends the token's K/V to the cache. It runs on the step's
-// own goroutine, never inside a shard: a paged cache opens pages from a pool
-// other caches share (kvcache.PagePool).
+// tables) and appends the token's K/V to the cache, which copies them. It
+// runs on the step's own goroutine, never inside a shard: a paged cache opens
+// pages from a pool other caches share (kvcache.PagePool).
 func (m *Model) appendKV(ws *workspace, cp *cachePath, l int) {
-	// ws.kHeads/ws.vHeads are prebuilt per-head views into ws.k/ws.v.
-	// Caches copy on Append.
+	hd := m.cfg.HeadDim
 	for kh := 0; kh < m.cfg.KVHeads; kh++ {
-		tensor.ApplyRoPECached(ws.kHeads[kh], ws.ropeSin, ws.ropeCos)
+		tensor.ApplyRoPECached(ws.k[kh*hd:(kh+1)*hd], ws.ropeSin, ws.ropeCos)
 	}
-	if cp.paged != nil {
-		cp.paged.AppendFlatN(l, 1, ws.k, ws.v)
-	} else {
-		cp.cache.Append(l, ws.kHeads, ws.vHeads)
-	}
+	cp.cache.AppendFlatN(l, 1, ws.k, ws.v)
 }
 
 // attendLane accumulates one decode lane's attention output over layer l,
@@ -261,9 +248,10 @@ func (m *Model) attendLane(ws *workspace, blk *tensor.AttnBlock, cp *cachePath, 
 // passes consecutive rows of one chunk and the first row's causal bound
 // instead: the cache already holds the whole chunk's K/V, and row r may only
 // see entries 0..limit+r-1, which addresses by position and therefore
-// requires a cache that retains every token (Full, PagedKV). The K/V for the
-// attended prefix are bit-identical to what a token-at-a-time pass would have
-// cached, and a query's arithmetic does not depend on what shares its block,
+// requires a cache that retains every token (Full, PagedKV). Every cache has
+// taken the step's K/V through its one AppendFlatN before this runs (appendKV
+// per lane, attendChunk per chunk), which stores what one-token appends
+// would, and a query's arithmetic does not depend on what shares its block,
 // so bounded attention here equals full attention then.
 //
 // Caches with a regular layout (kvcache.Paged: Full's flat buffer, PagedKV's

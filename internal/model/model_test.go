@@ -171,18 +171,14 @@ func newLegacyFull(shape kvcache.Shape) *legacyFull {
 
 func (c *legacyFull) Shape() kvcache.Shape { return c.shape }
 
-func (c *legacyFull) Append(layer int, k, v [][]float32) {
-	flat := func(heads [][]float32) []float32 {
-		out := make([]float32, 0, c.shape.KVHeads*c.shape.HeadDim)
-		for _, h := range heads {
-			out = append(out, h...)
-		}
-		return out
+func (c *legacyFull) AppendFlatN(layer, n int, k, v []float32) {
+	stride := c.shape.KVHeads * c.shape.HeadDim
+	for t := 0; t < n; t++ {
+		c.keys[layer] = append(c.keys[layer], append([]float32(nil), k[t*stride:(t+1)*stride]...))
+		c.values[layer] = append(c.values[layer], append([]float32(nil), v[t*stride:(t+1)*stride]...))
 	}
-	c.keys[layer] = append(c.keys[layer], flat(k))
-	c.values[layer] = append(c.values[layer], flat(v))
 	if layer == c.shape.Layers-1 {
-		c.appended++
+		c.appended += n
 	}
 }
 

@@ -299,29 +299,19 @@ func (m *Model) PrefillChunkInto(bw *BatchWorkspace, prompt []int, chunkSize int
 }
 
 // ensureChunk grows the contiguous chunk staging buffers to at least c
-// positions, rebuilding the per-token (and per-head fallback) views.
+// positions, rebuilding the per-token views.
 func (bw *BatchWorkspace) ensureChunk(c int) {
 	if c <= bw.chunkCap {
 		return
 	}
-	cfg := bw.m.cfg
-	hd := cfg.HeadDim
-	stride := cfg.KVDim()
+	stride := bw.m.cfg.KVDim()
 	bw.ck = make([]float32, c*stride)
 	bw.cv = make([]float32, c*stride)
 	bw.ckTok = make([][]float32, c)
 	bw.cvTok = make([][]float32, c)
-	bw.ckHeads = make([][][]float32, c)
-	bw.cvHeads = make([][][]float32, c)
 	for i := 0; i < c; i++ {
 		bw.ckTok[i] = bw.ck[i*stride : (i+1)*stride]
 		bw.cvTok[i] = bw.cv[i*stride : (i+1)*stride]
-		bw.ckHeads[i] = make([][]float32, cfg.KVHeads)
-		bw.cvHeads[i] = make([][]float32, cfg.KVHeads)
-		for kh := 0; kh < cfg.KVHeads; kh++ {
-			bw.ckHeads[i][kh] = bw.ckTok[i][kh*hd : (kh+1)*hd]
-			bw.cvHeads[i][kh] = bw.cvTok[i][kh*hd : (kh+1)*hd]
-		}
 	}
 	bw.chunkCap = c
 }
@@ -329,8 +319,7 @@ func (bw *BatchWorkspace) ensureChunk(c int) {
 // attendChunk runs one layer's attention for a prefill chunk occupying
 // lanes [base, base+C) and staging tokens [tokOff, tokOff+C): RoPE the
 // chunk's keys in place inside its staging span, land all C tokens' K/V in
-// the cache — one AppendFlatN when the cache is paged, else per-token
-// appends of the same bytes — then accumulate each position's causally
+// the cache with one AppendFlatN, then accumulate each position's causally
 // bounded attention: position Pos+i attends over the first Pos+i+1 entries
 // of this chunk's own cache, exactly the set a token-at-a-time prefill
 // would have seen. Positions are independent once the K/V are cached, so
@@ -347,13 +336,7 @@ func (m *Model) attendChunk(bw *BatchWorkspace, cp *cachePath, l, base, tokOff, 
 			tensor.ApplyRoPECached(bw.ck[off+kh*hd:off+(kh+1)*hd], ws.ropeSin, ws.ropeCos)
 		}
 	}
-	if cp.paged != nil {
-		cp.paged.AppendFlatN(l, C, bw.ck[tokOff*stride:(tokOff+C)*stride], bw.cv[tokOff*stride:(tokOff+C)*stride])
-	} else {
-		for i := 0; i < C; i++ {
-			cp.cache.Append(l, bw.ckHeads[tokOff+i], bw.cvHeads[tokOff+i])
-		}
-	}
+	cp.cache.AppendFlatN(l, C, bw.ck[tokOff*stride:(tokOff+C)*stride], bw.cv[tokOff*stride:(tokOff+C)*stride])
 	if shards := min(bw.workers, C); shards > 1 {
 		runShards(shards, C, func(s, lo, hi int) {
 			m.attendOver(bw.lanes[base+lo:base+hi], bw.blks[s], cp, l, pos+lo+1)

@@ -17,8 +17,8 @@ type seqOnlyQuant struct {
 }
 
 func (c *seqOnlyQuant) Shape() kvcache.Shape { return c.inner.Shape() }
-func (c *seqOnlyQuant) Append(layer int, k, v [][]float32) {
-	c.inner.Append(layer, k, v)
+func (c *seqOnlyQuant) AppendFlatN(layer, n int, k, v []float32) {
+	c.inner.AppendFlatN(layer, n, k, v)
 }
 func (c *seqOnlyQuant) Seq(layer, head int) ([][]float32, [][]float32) {
 	return c.inner.Seq(layer, head)

@@ -60,13 +60,13 @@ func TestSparseDecodeFullKBitIdentical(t *testing.T) {
 // being replayed already contributed its token to the restriction.
 type restrictedSeq struct{ inner *kvcache.Full }
 
-func (c *restrictedSeq) Shape() kvcache.Shape                    { return c.inner.Shape() }
-func (c *restrictedSeq) Append(layer int, k, v [][]float32)      {}
-func (c *restrictedSeq) Seq(l, h int) ([][]float32, [][]float32) { return c.inner.Seq(l, h) }
-func (c *restrictedSeq) Positions(l, h int) []int                { return c.inner.Positions(l, h) }
-func (c *restrictedSeq) Len(l, h int) int                        { return c.inner.Len(l, h) }
-func (c *restrictedSeq) TotalAppended() int                      { return c.inner.TotalAppended() }
-func (c *restrictedSeq) MemoryBytes() int64                      { return c.inner.MemoryBytes() }
+func (c *restrictedSeq) Shape() kvcache.Shape                     { return c.inner.Shape() }
+func (c *restrictedSeq) AppendFlatN(layer, n int, k, v []float32) {}
+func (c *restrictedSeq) Seq(l, h int) ([][]float32, [][]float32)  { return c.inner.Seq(l, h) }
+func (c *restrictedSeq) Positions(l, h int) []int                 { return c.inner.Positions(l, h) }
+func (c *restrictedSeq) Len(l, h int) int                         { return c.inner.Len(l, h) }
+func (c *restrictedSeq) TotalAppended() int                       { return c.inner.TotalAppended() }
+func (c *restrictedSeq) MemoryBytes() int64                       { return c.inner.MemoryBytes() }
 
 // TestSparseDecodeRestrictionIdentity proves the sparse branch's arithmetic
 // is exactly "dense attention restricted to the selected pages": a decode
@@ -121,7 +121,7 @@ func TestSparseDecodeRestrictionIdentity(t *testing.T) {
 						hi = len(keys)
 					}
 					for i := lo; i < hi; i++ {
-						restricted.Append(0, [][]float32{keys[i]}, [][]float32{vals[i]})
+						restricted.AppendFlatN(0, 1, keys[i], vals[i])
 					}
 				}
 				sr2 := ws.step(2, promptLen, &restrictedSeq{inner: restricted})

@@ -25,7 +25,6 @@ import (
 	"rethinkkv/internal/engine"
 	"rethinkkv/internal/gpu"
 	"rethinkkv/internal/model"
-	"rethinkkv/internal/stats"
 )
 
 // Estimator prices serving operations for one configuration.
@@ -374,7 +373,7 @@ func (e *Estimator) MemoryRequired(batch, kvLen int) int64 {
 		if maxLen > float64(kvLen)*2 {
 			maxLen = float64(kvLen) * 2
 		}
-		cache = cache * maxLen / float64(stats.MaxI(kvLen, 1))
+		cache = cache * maxLen / float64(max(kvLen, 1))
 	}
 	return int64(weights + cache + activations + workspace)
 }

@@ -18,16 +18,15 @@ func appendRandom(c kvcache.Cache, n int, seed uint64) [][][]float32 {
 	for i := 0; i < n; i++ {
 		var tok [][]float32
 		for l := 0; l < s.Layers; l++ {
-			k := make([][]float32, s.KVHeads)
-			v := make([][]float32, s.KVHeads)
+			var k, v []float32
 			for h := 0; h < s.KVHeads; h++ {
-				k[h] = randVec(r, s.HeadDim)
-				v[h] = randVec(r, s.HeadDim)
+				k = append(k, randVec(r, s.HeadDim)...)
+				v = append(v, randVec(r, s.HeadDim)...)
 			}
 			if l == 0 {
-				tok = [][]float32{append([]float32(nil), k[0]...), append([]float32(nil), v[0]...)}
+				tok = [][]float32{append([]float32(nil), k[:s.HeadDim]...), append([]float32(nil), v[:s.HeadDim]...)}
 			}
-			c.Append(l, k, v)
+			c.AppendFlatN(l, 1, k, v)
 		}
 		hist = append(hist, tok)
 	}

@@ -252,13 +252,16 @@ func NewGEAR(shape kvcache.Shape, cfg GEARConfig) *GEARCache {
 // Shape returns the cache dimensions.
 func (c *GEARCache) Shape() kvcache.Shape { return c.shape }
 
-// Append stores one token, compressing a block when the fill buffer reaches
+// AppendFlatN implements kvcache.Cache: token by token, each head's vectors
+// join its fill buffer, which is compressed into a block once it reaches
 // GroupSize.
-func (c *GEARCache) Append(layer int, k, v [][]float32) {
-	for h := 0; h < c.shape.KVHeads; h++ {
-		s := c.streams[layer][h]
-		s.fullK = append(s.fullK, append([]float32(nil), k[h]...))
-		s.fullV = append(s.fullV, append([]float32(nil), v[h]...))
+func (c *GEARCache) AppendFlatN(layer, n int, k, v []float32) {
+	c.shape.CheckSpan(layer, n, k, v)
+	kvh, d := c.shape.KVHeads, c.shape.HeadDim
+	for i := 0; i < n*kvh; i++ { // token i/kvh, head i%kvh
+		s := c.streams[layer][i%kvh]
+		s.fullK = append(s.fullK, append([]float32(nil), k[i*d:(i+1)*d]...))
+		s.fullV = append(s.fullV, append([]float32(nil), v[i*d:(i+1)*d]...))
 		if len(s.fullK) >= c.cfg.GroupSize {
 			s.kBlocks = append(s.kBlocks, compressGear(s.fullK, c.cfg))
 			s.vBlocks = append(s.vBlocks, compressGear(s.fullV, c.cfg))
@@ -267,7 +270,7 @@ func (c *GEARCache) Append(layer int, k, v [][]float32) {
 		}
 	}
 	if layer == c.shape.Layers-1 {
-		c.appended++
+		c.appended += n
 	}
 }
 

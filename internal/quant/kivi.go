@@ -79,13 +79,16 @@ func NewKIVI(shape kvcache.Shape, cfg KIVIConfig) *KIVICache {
 // Shape returns the cache dimensions.
 func (c *KIVICache) Shape() kvcache.Shape { return c.shape }
 
-// Append stores one token and quantises any full block that has slid out of
-// the residual window.
-func (c *KIVICache) Append(layer int, k, v [][]float32) {
-	for h := 0; h < c.shape.KVHeads; h++ {
-		s := c.streams[layer][h]
-		s.fullK = append(s.fullK, append([]float32(nil), k[h]...))
-		s.fullV = append(s.fullV, append([]float32(nil), v[h]...))
+// AppendFlatN implements kvcache.Cache: token by token, each head's vectors
+// join its full-precision window, and any full block that has slid out of
+// the residual window is quantised.
+func (c *KIVICache) AppendFlatN(layer, n int, k, v []float32) {
+	c.shape.CheckSpan(layer, n, k, v)
+	kvh, d := c.shape.KVHeads, c.shape.HeadDim
+	for i := 0; i < n*kvh; i++ { // token i/kvh, head i%kvh
+		s := c.streams[layer][i%kvh]
+		s.fullK = append(s.fullK, append([]float32(nil), k[i*d:(i+1)*d]...))
+		s.fullV = append(s.fullV, append([]float32(nil), v[i*d:(i+1)*d]...))
 		for len(s.fullK) >= c.cfg.Residual+c.cfg.GroupSize {
 			g := c.cfg.GroupSize
 			s.blocks = append(s.blocks, kiviBlock{
@@ -97,7 +100,7 @@ func (c *KIVICache) Append(layer int, k, v [][]float32) {
 		}
 	}
 	if layer == c.shape.Layers-1 {
-		c.appended++
+		c.appended += n
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"rethinkkv/internal/gen"
 	"rethinkkv/internal/perf"
 	"rethinkkv/internal/rng"
-	"rethinkkv/internal/stats"
 	"rethinkkv/internal/workload"
 )
 
@@ -124,11 +123,11 @@ func (c *Cluster) respLen(req workload.Request, m compress.Method) int {
 // already started or is full.
 func (s *gpuSim) enqueue(j job, now float64, batchCap int) {
 	if len(s.forming) == 0 {
-		s.formStart = stats.MaxF(s.freeAt, now)
+		s.formStart = max(s.freeAt, now)
 		s.forming = []job{j}
 	} else if now > s.formStart || len(s.forming) >= batchCap {
 		s.commit()
-		s.formStart = stats.MaxF(s.freeAt, now)
+		s.formStart = max(s.freeAt, now)
 		s.forming = []job{j}
 	} else {
 		s.forming = append(s.forming, j)
@@ -151,7 +150,7 @@ func (s *gpuSim) pendingFreeAt() float64 {
 		return s.freeAt
 	}
 	_, _, dur := serveBatch(s.cfg.Est, s.forming)
-	return stats.MaxF(s.freeAt, s.formStart) + dur
+	return max(s.freeAt, s.formStart) + dur
 }
 
 // commit serves the forming batch and records outcomes.
@@ -159,7 +158,7 @@ func (s *gpuSim) commit() {
 	if len(s.forming) == 0 {
 		return
 	}
-	start := stats.MaxF(s.freeAt, s.formStart)
+	start := max(s.freeAt, s.formStart)
 	finishes, prefill, dur := serveBatch(s.cfg.Est, s.forming)
 	s.inflight = 0
 	for i, j := range s.forming {

@@ -50,7 +50,7 @@ type GPUView struct {
 
 // Wait returns the expected queueing delay before new work starts.
 func (v GPUView) Wait() float64 {
-	return stats.MaxF(v.FreeAt-v.Now, 0)
+	return max(v.FreeAt-v.Now, 0)
 }
 
 // Router assigns an arriving request to a GPU.
@@ -133,8 +133,8 @@ func Makespan(outcomes []Outcome) float64 {
 	first := outcomes[0].Req.ArrivalTime
 	last := outcomes[0].Finish
 	for _, o := range outcomes[1:] {
-		first = stats.MinF(first, o.Req.ArrivalTime)
-		last = stats.MaxF(last, o.Finish)
+		first = min(first, o.Req.ArrivalTime)
+		last = max(last, o.Finish)
 	}
 	return last - first
 }

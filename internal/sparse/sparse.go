@@ -173,21 +173,22 @@ func (c *Cache) Shape() kvcache.Shape { return c.shape }
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// Append stores one token for every head of a layer and applies the
-// eviction policy if the head exceeds budget.
-func (c *Cache) Append(layer int, k, v [][]float32) {
-	pos := c.appended
-	for h := 0; h < c.shape.KVHeads; h++ {
-		hs := c.heads[layer][h]
+// AppendFlatN implements kvcache.Cache: token by token, each head stores the
+// token and applies the eviction policy if it now exceeds the budget.
+func (c *Cache) AppendFlatN(layer, n int, k, v []float32) {
+	c.shape.CheckSpan(layer, n, k, v)
+	kvh, d := c.shape.KVHeads, c.shape.HeadDim
+	for i := 0; i < n*kvh; i++ { // token i/kvh, head i%kvh
+		hs := c.heads[layer][i%kvh]
 		hs.entries = append(hs.entries, entry{
-			pos: pos,
-			k:   append([]float32(nil), k[h]...),
-			v:   append([]float32(nil), v[h]...),
+			pos: c.appended + i/kvh,
+			k:   append([]float32(nil), k[i*d:(i+1)*d]...),
+			v:   append([]float32(nil), v[i*d:(i+1)*d]...),
 		})
 		c.evictIfNeeded(hs)
 	}
 	if layer == c.shape.Layers-1 {
-		c.appended++
+		c.appended += n
 	}
 }
 

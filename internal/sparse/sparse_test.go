@@ -15,17 +15,13 @@ func appendN(c *Cache, n int, seed uint64) {
 	s := c.Shape()
 	for i := 0; i < n; i++ {
 		for l := 0; l < s.Layers; l++ {
-			k := make([][]float32, s.KVHeads)
-			v := make([][]float32, s.KVHeads)
-			for h := 0; h < s.KVHeads; h++ {
-				k[h] = make([]float32, s.HeadDim)
-				v[h] = make([]float32, s.HeadDim)
-				for d := 0; d < s.HeadDim; d++ {
-					k[h][d] = float32(r.NormFloat64())
-					v[h][d] = float32(r.NormFloat64())
-				}
+			k := make([]float32, s.KVHeads*s.HeadDim)
+			v := make([]float32, s.KVHeads*s.HeadDim)
+			for j := range k {
+				k[j] = float32(r.NormFloat64())
+				v[j] = float32(r.NormFloat64())
 			}
-			c.Append(l, k, v)
+			c.AppendFlatN(l, 1, k, v)
 		}
 	}
 }

@@ -141,7 +141,7 @@ func NewKDE(xs []float64, bw float64) *KDE {
 		if sd == 0 {
 			sd = 1
 		}
-		bw = 1.06 * sd * math.Pow(float64(MaxI(len(s), 1)), -0.2)
+		bw = 1.06 * sd * math.Pow(float64(max(len(s), 1)), -0.2)
 	}
 	return &KDE{samples: s, bandwidth: bw}
 }
