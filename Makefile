@@ -51,15 +51,17 @@ race-sched:
 # fuzz-smoke runs each native fuzz target for ten seconds: the prefix-of-n
 # page clone (every page format, any page size and split), then the page pool
 # (random runs of new cache / append / clone / seal / adopt / release / give
-# back / reserve over one shared pool, budgeted or not, every page format:
+# back / reserve over one shared pool, budgeted or not, every page format,
+# pages of 1–8 tokens and of 16, whose full pages seal:
 # each live cache must store what a cold cache of its tokens stores, the
 # pool's count of pages out must balance, and its promises must too — never
 # negative, summing to the pool's count, given back by release — with an
 # unpromised page open past the budget panicking), then the GEMM tile
 # loop against the scalar reference (any shape and lane count, every arm the
 # host has, raw float32 bits), then the attention block walk against
-# Dot / AXPY (any head dimension, codec, page size, block size and causal
-# bounds, every arm, raw float32 bits), then the KV page
+# Dot / AXPY (any head dimension, codec, page form — token rows, open or
+# sealed pages — page size, block size and causal bounds, every arm, raw
+# float32 bits), then the KV page
 # seam (any shape, page size and store: one AppendFlatN per token and any
 # AppendFlatN split store the same bytes, and Rows reads what Seq reads),
 # then every registered compression method's cache (any shape, token count
@@ -111,17 +113,20 @@ BENCHPKGS = . ./internal/model ./internal/tensor ./internal/rng
 # GEMM tile loop's entries under every arm, and the fused
 # pass / the one step entry from a batch of one with no chunks up to the
 # budget-packed mixed step, a KV cache's whole life on a warm page pool
-# (pages, page tables and page handles drawn and given back), a refused page
+# (pages, page tables and page handles drawn and given back), appends across
+# a page seal (the seal's scratch is the pool's), a refused page
 # reservation (admission retries one after every eviction) and streaming a
 # request's tokens.
-ALLOC_PINS = TestQuantDecodeAllocs TestBlockWalkAllocs TestQuantStridedKernelsZeroAlloc TestSparseDecodeAllocs TestSparseAttentionZeroAlloc TestBatchedKernelsAllocFree TestForwardMixedPackedAllocFree TestStepMixedPackedAllocFree TestPagePoolCycleAllocFree TestReserveRefusalAllocFree TestEmitAllocFree
+ALLOC_PINS = TestQuantDecodeAllocs TestBlockWalkAllocs TestQuantStridedKernelsZeroAlloc TestSparseDecodeAllocs TestSparseAttentionZeroAlloc TestBatchedKernelsAllocFree TestForwardMixedPackedAllocFree TestStepMixedPackedAllocFree TestPagePoolCycleAllocFree TestSealAppendAllocFree TestReserveRefusalAllocFree TestEmitAllocFree
 ALLOC_PKGS = ./internal/model ./internal/tensor ./internal/core ./internal/kvcache ./internal/sched
 
 # bench-smoke compiles and single-steps every benchmark in BENCHPKGS (the
-# facade's, the model's decode/prefill cases including BenchmarkDecodeSteadyQuant
-# and BenchmarkDecodeSteadySparse, BenchmarkModelNew, the kernels' own:
-# BenchmarkGEMM, BenchmarkAttendBlock with its decode-shaped dec8 rows (one
-# lane's 4 KV heads × 2 queries on one page, fp32 and int8),
+# facade's, the model's decode/prefill cases including BenchmarkDecodeSteadyQuant,
+# BenchmarkDecodeSteadySparse and BenchmarkDecodeBatchSizes (int8 pages at 1–8
+# lanes), BenchmarkModelNew, the kernels' own: BenchmarkGEMM (r5 and r7 among
+# its lane counts), BenchmarkAttendBlock with its decode-shaped dec8 rows (one
+# lane's 4 KV heads × 2 queries on one page, fp32 and int8) and its sealed-page
+# rows beside the open-page ones,
 # BenchmarkQuantEncode, BenchmarkSoftmax with its avx512 rows and its 16-row
 # block rows (rows16, n = 128 and 1024), BenchmarkSiLU, BenchmarkNormals, and
 # the sampler's uniform half, BenchmarkPolar), then re-runs

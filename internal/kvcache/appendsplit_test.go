@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-
-	"rethinkkv/internal/tensor"
 )
 
 // This file pins the Paged seam's contract on generated inputs: what a cache
@@ -95,7 +93,7 @@ func storageEqual(t testing.TB, what string, got, want Paged) {
 					g, gn := got.Rows(l, p, h, vals)
 					w, wn := want.Rows(l, p, h, vals)
 					if gn != wn || !bitsEqual(g.F32, w.F32) || string(g.Codes) != string(w.Codes) || !slices.Equal(g.Params, w.Params) ||
-						g.Bits != w.Bits || g.Off != w.Off || g.Stride != w.Stride || g.Heads != w.Heads || g.Head != w.Head {
+						g.Bits != w.Bits || g.Stride != w.Stride || g.HeadStride != w.HeadStride || g.Sealed != w.Sealed {
 						t.Fatalf("%s: layer %d page %d head %d vals=%v: stored rows differ", what, l, p, h, vals)
 					}
 				}
@@ -125,11 +123,7 @@ func rowsMatchSeq(t testing.TB, what string, c Paged) {
 					r, n := c.Rows(l, p, h, vi == 1)
 					for tk := 0; tk < n; tk++ {
 						x := buf
-						if r.F32 != nil {
-							x = r.F32[tk*r.Stride:][:d]
-						} else {
-							tensor.DequantSliceInto(x, r.Codes, r.Params, r.Bits, r.Off, r.Stride, r.Heads, r.Head, tk)
-						}
+						r.TokenInto(x, 0, tk)
 						if i+tk >= len(seq) || !bitsEqual(x, seq[i+tk]) {
 							t.Fatalf("%s: layer %d head %d page %d token %d (vals=%v): Rows and Seq differ", what, l, h, p, tk, vi == 1)
 						}

@@ -188,13 +188,15 @@ func (c *Full) Seq(layer, head int) (keys, values [][]float32) {
 func (c *Full) LayerPages(layer int) int { return min(len(c.keys[layer]), 1) }
 
 // Rows implements Paged with zero copies and zero allocation: the layer's
-// flat buffer offset to the head's lane, holding every appended token.
+// flat buffer offset to the head's lane, holding every appended token in
+// token rows (each token's heads HeadDim apart).
 func (c *Full) Rows(layer, _, head int, vals bool) (tensor.Rows, int) {
 	buf := c.keys[layer]
 	if vals {
 		buf = c.values[layer]
 	}
-	return tensor.Rows{F32: buf[head*c.shape.HeadDim:], Stride: c.stride()}, len(buf) / c.stride()
+	d := c.shape.HeadDim
+	return tensor.Rows{F32: buf[head*d:], Stride: c.stride(), HeadStride: d}, len(buf) / c.stride()
 }
 
 // KeySummary implements Paged: Full keeps no key summaries.

@@ -197,10 +197,10 @@ func TestPagedKVPages(t *testing.T) {
 		t.Fatalf("pages = %d, %d", c.LayerPages(0), c.Pages())
 	}
 	_, fill0 := c.Rows(0, 0, 1, false)
-	kp1, _ := c.Rows(0, 1, 1, false) // head 1's lane of page 1
+	kp1, _ := c.Rows(0, 1, 1, false) // head 1's rows of page 1
 	_, fill2 := c.Rows(0, 2, 1, true)
-	if kp1.Stride != s.KVHeads*s.HeadDim {
-		t.Fatalf("stride = %d", kp1.Stride)
+	if kp1.Stride != s.HeadDim || kp1.HeadStride != 4*s.HeadDim { // head-major
+		t.Fatalf("stride = %d, head stride = %d", kp1.Stride, kp1.HeadStride)
 	}
 	if fill0 != 4 || fill2 != 2 {
 		t.Fatalf("page fills = %d, %d", fill0, fill2)

@@ -91,8 +91,9 @@ func (c *PagedKV) stride() int { return c.shape.KVHeads * c.shape.HeadDim }
 // AppendFlatN implements Cache: the span is split across pages — filling the
 // current partial page, then whole pages, then a trailing partial — each
 // token stored in the page codec and, when summaries are on, folded into its
-// page's key summary token by token, which makes codes and summaries
-// independent of how a sequence happens to be split into calls. Under a page
+// page's key summary token by token, and a page sealed the moment it fills
+// (qpage.go), which makes codes, layout and summaries independent of how a
+// sequence happens to be split into calls. Under a page
 // budget callers must Reserve first: opening a page no promise covers past
 // the budget is a caller contract violation and panics with ErrOutOfPages
 // rather than silently overgrowing. Steady-state cost is a write into
@@ -107,6 +108,9 @@ func (c *PagedKV) AppendFlatN(layer, n int, k, v []float32) {
 		p.n += t
 		if c.summaries {
 			c.fold(p, p.n-t, p.n)
+		}
+		if p.n == c.pageTokens && c.seals() {
+			c.seal(p)
 		}
 		k, v, rest = k[t*stride:], v[t*stride:], rest-t
 	}
@@ -144,9 +148,10 @@ func (c *PagedKV) Rows(layer, page, head int, vals bool) (tensor.Rows, int) {
 }
 
 // Seq returns per-token views spanning the pages — the generic (allocating)
-// read path and the scalar reference of the page walk: fp32 rows are viewed
-// in place, codes dequantized with the block kernels' arithmetic
-// (tensor.DequantSliceInto), so the two read paths are bit-identical.
+// read path and the scalar reference of the page walk: fp32 token rows are
+// viewed in place, sealed keys and codes read with the block kernels'
+// arithmetic (tensor.Rows.TokenInto), so the two read paths are
+// bit-identical.
 func (c *PagedKV) Seq(layer, head int) (keys, values [][]float32) {
 	d := c.shape.HeadDim
 	n := c.Len(layer, head)
@@ -163,16 +168,17 @@ func (c *PagedKV) Seq(layer, head int) (keys, values [][]float32) {
 	return keys, values
 }
 
-// row returns token t of r as fp32: a view of the page's own memory, or its
-// codes dequantized into buf (a fresh slice when buf is nil).
+// row returns token t of r's first head as fp32: a view of the page's own
+// token row, or read into buf (a fresh slice when buf is nil) from sealed
+// rows or codes.
 func row(r *tensor.Rows, t, d int, buf []float32) []float32 {
-	if r.F32 != nil {
+	if r.F32 != nil && !r.Sealed {
 		return r.F32[t*r.Stride : t*r.Stride+d]
 	}
 	if buf == nil {
 		buf = make([]float32, d)
 	}
-	tensor.DequantSliceInto(buf, r.Codes, r.Params, r.Bits, r.Off, r.Stride, r.Heads, r.Head, t)
+	r.TokenInto(buf, 0, t)
 	return buf
 }
 
@@ -253,14 +259,16 @@ func (c *PagedKV) PageAt(i int) Page {
 // AdoptPage appends p to the cache by reference, as ClonePrefixN shares a
 // full page: no K/V is copied and nothing is recomputed. Every page already
 // in the cache must be full, and p must come from a cache of the same shape,
-// page size, code width and summary setting. A partial p may be adopted only
+// page size, code width and summary setting: a full page sealed exactly when
+// this cache's pages seal, a partial one not. A partial p may be adopted only
 // last and only to be cloned (ClonePrefixN deep-copies it): appending to the
 // adopting cache would write into the shared page.
 func (c *PagedKV) AdoptPage(p Page) {
 	if c.appended%c.pageTokens != 0 {
 		panic("kvcache: AdoptPage behind a partial page")
 	}
-	if (p[0].codes != nil) != (c.qbits != 0) || (p[0].summ != nil) != c.summaries {
+	q := &p[0]
+	if (q.codes != nil) != (c.qbits != 0) || (q.summ != nil) != c.summaries || q.sealed != (q.n == c.pageTokens && c.seals()) {
 		panic("kvcache: AdoptPage across page formats")
 	}
 	for l := range c.pages {

@@ -1,6 +1,10 @@
 package kvcache
 
-import "fmt"
+import (
+	"fmt"
+
+	"rethinkkv/internal/tensor"
+)
 
 // PagePool is the one place PagedKV caches of one page format get their
 // memory and give it back: per-layer pages, page tables (they travel with the
@@ -31,6 +35,9 @@ type PagePool struct {
 	summaries  bool
 	budget     int // pages per layer; 0 is unbounded
 
+	sealF32   []float32 // one head's rows of a page: the seal's scratch
+	sealCodes []uint8
+
 	free     []page     // returned pages, cleared when handed out again
 	handles  []Page     // returned handles, Layers entries each
 	caches   []*PagedKV // released caches, their page tables truncated
@@ -57,7 +64,15 @@ func NewPagePool(shape Shape, pageTokens, maxPages, bits int, summaries bool) *P
 	if bits == 4 && shape.HeadDim%2 != 0 {
 		panic("kvcache: 4-bit KV quantization requires an even head dimension")
 	}
-	return &PagePool{shape: shape, pageTokens: pageTokens, qbits: bits, summaries: summaries, budget: max(maxPages, 0)}
+	pp := &PagePool{shape: shape, pageTokens: pageTokens, qbits: bits, summaries: summaries, budget: max(maxPages, 0)}
+	if ps := pageTokens * shape.HeadDim; pageTokens%tensor.SealTokens == 0 {
+		if bits == 0 {
+			pp.sealF32 = make([]float32, ps)
+		} else {
+			pp.sealCodes = make([]uint8, ps*bits/8)
+		}
+	}
+	return pp
 }
 
 // NewCache returns an empty cache drawing from the pool, with no promise.
@@ -100,6 +115,7 @@ func (pp *PagePool) get() page {
 		clear(p.codes)
 		clear(p.params)
 		clear(p.summ)
+		p.sealed = false
 		return p
 	}
 	var p page

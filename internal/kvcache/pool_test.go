@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"rethinkkv/internal/tensor"
 )
 
 // TestPagePoolCycleAllocFree pins the pool's reason to exist: once warm, a
@@ -37,6 +39,33 @@ func TestPagePoolCycleAllocFree(t *testing.T) {
 			if pool.Out() != 0 {
 				t.Errorf("%s summaries=%v: %d pages still out after the cycles", w.name, summaries, pool.Out())
 			}
+		}
+	}
+}
+
+// TestSealAppendAllocFree pins the seal at 0 allocations: on a warm pool, a
+// cache appending one token at a time across two page seals, then given
+// back, allocates nothing at fp32 and int8 (head dimension 32, the ZMM
+// re-lay's shape): the seal's scratch is the pool's, not the call's.
+func TestSealAppendAllocFree(t *testing.T) {
+	const pt = tensor.SealTokens
+	shape := Shape{Layers: 2, KVHeads: 2, HeadDim: 32}
+	stride := shape.KVHeads * shape.HeadDim
+	k, v := summFill(shape, 2*pt+1, 1)
+	for _, bits := range []int{0, 8} {
+		pool := NewPagePool(shape, pt, 0, bits, false)
+		cycle := func() {
+			c := pool.NewCache()
+			for i := 0; i < 2*pt+1; i++ {
+				for l := 0; l < shape.Layers; l++ {
+					c.AppendFlatN(l, 1, k[i*stride:(i+1)*stride], v[i*stride:(i+1)*stride])
+				}
+			}
+			c.Release(0)
+		}
+		cycle()
+		if a := testing.AllocsPerRun(100, cycle); a != 0 {
+			t.Errorf("bits=%d: %.1f allocs per cycle across two seals, want 0", bits, a)
 		}
 	}
 }
@@ -177,7 +206,7 @@ func checkPagePoolAliasing(t testing.TB, seed int64, pageTokens, budget, bits in
 			tokens := len(pc.k) / stride
 			n := next() % (min(tokens, len(pc.shared)*pt+pt-1) + 1)
 			caches = append(caches, clone(pc, n))
-		case op == 3: // seal the next whole page into a handle
+		case op == 3: // hand the next whole (on 16-token pages, sealed) page to a handle
 			i := len(pc.shared)
 			if (i+1)*pt > len(pc.k)/stride {
 				continue
@@ -254,8 +283,8 @@ func checkPagePoolAliasing(t testing.TB, seed int64, pageTokens, budget, bits in
 }
 
 // FuzzPagePoolAliasing drives checkPagePoolAliasing from fuzzed operation
-// sequences, page sizes, page budgets (0 unbounded), code widths and summary
-// settings.
+// sequences, page sizes (1–8 tokens, and 16, whose full pages seal), page
+// budgets (0 unbounded), code widths and summary settings.
 func FuzzPagePoolAliasing(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(0), uint8(0), false, []byte{0, 0, 1, 0, 9, 3, 0, 3, 0, 2, 0, 7, 4, 0, 2, 5, 0, 2, 1, 1, 0, 12, 6, 0, 7, 6, 0, 7})
 	f.Add(int64(2), uint8(2), uint8(0), uint8(1), true, []byte{0, 0, 1, 0, 5, 3, 0, 3, 0, 5, 0, 2, 1, 0, 1, 2, 1, 4, 6, 0, 6, 0, 7, 0, 0, 1, 0, 3})
@@ -270,7 +299,14 @@ func FuzzPagePoolAliasing(f *testing.F) {
 	// Two pages: a clone's tail page takes the pool past its budget; a
 	// promise that does not grow still succeeds, one that grows fails.
 	f.Add(int64(8), uint8(1), uint8(2), uint8(1), true, []byte{0, 1, 0, 4, 3, 0, 2, 0, 3, 8, 1, 0, 8, 1, 1, 8, 1, 2, 1, 1, 1, 1, 1, 1, 6, 0})
+	// Sealed pages handed to handles, adopted, and cloned from their head.
+	f.Add(int64(9), uint8(8), uint8(0), uint8(1), true, []byte{0, 1, 0, 33, 3, 0, 1, 0, 20, 3, 0, 4, 2, 2, 1, 0, 5, 1, 9, 2, 0, 30, 6, 0, 7})
+	f.Add(int64(10), uint8(8), uint8(0), uint8(2), false, []byte{0, 1, 0, 17, 3, 0, 5, 0, 2, 1, 1, 0, 31, 2, 0, 18, 6, 0, 7, 4, 0, 1})
 	f.Fuzz(func(t *testing.T, seed int64, pageTokens, budget, width uint8, summaries bool, ops []byte) {
-		checkPagePoolAliasing(t, seed, int(pageTokens%8)+1, int(budget%16), []int{0, 8, 4}[width%3], summaries, ops)
+		pt := int(pageTokens%9) + 1
+		if pt == 9 {
+			pt = tensor.SealTokens
+		}
+		checkPagePoolAliasing(t, seed, pt, int(budget%16), []int{0, 8, 4}[width%3], summaries, ops)
 	})
 }

@@ -3,103 +3,140 @@ package kvcache
 import "rethinkkv/internal/tensor"
 
 // This file is PagedKV's page and its codecs — everything that depends on how
-// a page stores a token: encoding a span into it, copying a head of it,
-// yielding its rows to a reader, and its byte size (pool.go makes pages). The
-// fp32 codec stores the model's K/V projections as they arrive. The quantized
-// codec is the live-plane counterpart of internal/quant's offline Uniform
-// quantizer (which cannot be imported here — it sits above kvcache): each
-// token's K/V head slices are uniform-asymmetric quantized the moment they are
-// appended (tensor.QuantEncode) — codes c = round((x-lo)/Δ) clamped to
-// [0, 2^bits-1], Δ and lo stored as float16 — and every read dequantizes
-// x = float32(c)·Δ + lo, the exact arithmetic of quant.Uniform and of
-// tensor's attention block kernels.
+// a page stores a token: encoding a span into it, sealing it, copying a head
+// of it, yielding its rows to a reader, and its byte size (pool.go makes
+// pages). The fp32 codec stores the model's K/V projections as they arrive.
+// The quantized codec is the live-plane counterpart of internal/quant's
+// offline Uniform quantizer (which cannot be imported here — it sits above
+// kvcache): each token's K/V head slices are uniform-asymmetric quantized the
+// moment they are appended (tensor.QuantEncode) — codes c = round((x-lo)/Δ)
+// clamped to [0, 2^bits-1], Δ and lo stored as float16 — and every read
+// dequantizes x = float32(c)·Δ + lo, the exact arithmetic of quant.Uniform
+// and of tensor's attention block kernels.
 //
 // Quantizing per token at append time (rather than when a page seals) is
 // what keeps the serving plane's bit-exactness contracts intact: a token's
 // stored representation never changes after its append, so attention reads
-// are identical whether the context arrived token-at-a-time (decode),
-// in prefill chunks of any size, or through a preemption→recompute replay —
-// the recompute requantizes to the identical pages. A seal-time scheme
-// would make reads depend on how many later tokens had landed when a page
-// filled, which differs between chunked and incremental execution.
+// are identical whether the context arrived token-at-a-time (decode), in
+// prefill chunks of any size, or through a preemption→recompute replay — the
+// recompute requantizes to the identical pages. A seal-time encoding would
+// make reads depend on how many later tokens had landed when a page filled,
+// which differs between chunked and incremental execution. The seal a page
+// does get (below) only moves its keys' codes into the attention kernels'
+// panel order: it changes where a value lies, never what it is.
 
 // page is one layer's share of one fixed-capacity KV page: n tokens in the
 // cache's codec, and the page's key summary when summaries are on. Every
-// buffer is allocated at full capacity and holds the K half then the V half
-// (PageTokens tokens each), token-major at the element stride KVHeads*HeadDim
-// (token i, head h at element offset i*stride + h*HeadDim): f32 for the fp32
-// codec; for the quantized codec codes (4-bit packs two per byte, low nibble
-// first) and one (lo, delta) float16 pair per (token, kv-head) slice in params
-// (token i, head h at (i*KVHeads+h)*2). A full page is immutable — clones
-// share it by reference, never re-quantizing.
+// buffer is allocated at full capacity and holds the K half then the V half,
+// each head-major — [half][head][token][dim], so one head's rows of a page
+// are one run of PageTokens·HeadDim elements, HeadDim apart (tensor.Rows):
+// f32 for the fp32 codec; for the quantized codec codes (4-bit packs two per
+// byte, low nibble first) and one (lo, delta) float16 pair per (token,
+// kv-head) slice in params, [half][head][token] (head h's token i of the K
+// half at (h*PageTokens+i)*2), so a head's pairs are one run too.
+//
+// When an append fills a page whose size is a multiple of tensor.SealTokens
+// the page seals: its K half is rewritten in place as the attention score
+// tile's panels — every 16 tokens of a head one HeadDim × 16 dim-major panel
+// (tensor.SealedAt) — so a walk reads a sealed page's keys as the panel with
+// no per-visit transpose. Sealing moves codes and never re-quantizes them:
+// every stored value, and every read of it, is what it was before. The V
+// half, the pairs and a page still open keep token rows. A full page is
+// immutable — clones share it by reference.
 type page struct {
 	n      int
+	sealed bool
 	f32    []float32
 	codes  []uint8
 	params []uint16
 	summ   []float32
 }
 
-// store writes t tokens' flat head-major K/V behind the p.n tokens the page
-// holds. A token's (token, head) slices are consecutive HeadDim-element runs
-// of both the span and the page, so the quantized codec encodes them in one
-// loop.
+// store writes t tokens' flat token-major K/V behind the p.n tokens the page
+// holds, each (token, head) slice — a HeadDim-element run of the span — into
+// its head's rows of both halves, encoded by the quantized codec.
 func (c *PagedKV) store(p *page, t int, k, v []float32) {
-	stride, kvh, d := c.stride(), c.shape.KVHeads, c.shape.HeadDim
-	if c.qbits == 0 {
-		copy(p.f32[p.n*stride:], k)
-		copy(p.f32[(c.pageTokens+p.n)*stride:], v)
-		return
-	}
-	cw := d * c.qbits / 8 // code bytes per slice
-	ks, vs := p.n*kvh, (c.pageTokens+p.n)*kvh
+	kvh, d, pt, bits := c.shape.KVHeads, c.shape.HeadDim, c.pageTokens, c.qbits
+	half := kvh * pt * d
 	for i := 0; i < t*kvh; i++ {
-		tensor.QuantEncode(p.codes[(ks+i)*cw:][:cw], p.params[(ks+i)*2:][:2], k[i*d:(i+1)*d], c.qbits)
-		tensor.QuantEncode(p.codes[(vs+i)*cw:][:cw], p.params[(vs+i)*2:][:2], v[i*d:(i+1)*d], c.qbits)
+		h, tok := i%kvh, p.n+i/kvh
+		e, ks, vs := (h*pt+tok)*d, k[i*d:(i+1)*d], v[i*d:(i+1)*d]
+		if bits == 0 {
+			copy(p.f32[e:e+d], ks)
+			copy(p.f32[half+e:half+e+d], vs)
+			continue
+		}
+		pr, cw := 2*(h*pt+tok), d*bits/8
+		tensor.QuantEncode(p.codes[e*bits/8:][:cw], p.params[pr:pr+2], ks, bits)
+		tensor.QuantEncode(p.codes[(half+e)*bits/8:][:cw], p.params[2*kvh*pt+pr:][:2], vs, bits)
 	}
 }
 
+// seals reports whether a full page of the cache seals.
+func (c *PagedKV) seals() bool { return c.pageTokens%tensor.SealTokens == 0 }
+
+// seal rewrites a full page's K half in place as sealed rows, head by head,
+// through the pool's scratch: no allocation, no re-quantization.
+func (c *PagedKV) seal(p *page) {
+	d, ps := c.shape.HeadDim, c.pageTokens*c.shape.HeadDim
+	for h := 0; h < c.shape.KVHeads; h++ {
+		if c.qbits == 0 {
+			tensor.SealF32(p.f32[h*ps:(h+1)*ps], c.pool.sealF32, d)
+			continue
+		}
+		cb := ps * c.qbits / 8
+		tensor.SealCodes(p.codes[h*cb:(h+1)*cb], c.pool.sealCodes, c.qbits, d)
+	}
+	p.sealed = true
+}
+
 // head returns a private page of full capacity holding the first tokens
-// tokens of src — rows, or codes and float16 parameters, never re-quantized —
-// with the key summary folded afresh over just those tokens, so the copy can
-// keep appending independently of src.
+// tokens of src — rows, or codes and float16 parameters, never re-quantized;
+// a sealed K half's rows copied back to token rows — with the key summary
+// folded afresh over just those tokens, so the copy can keep appending
+// independently of src.
 func (c *PagedKV) head(src *page, tokens int) page {
 	h := c.pool.get()
 	h.n = tokens
-	copyHead(h.f32, src.f32, tokens, c.pageTokens)
-	copyHead(h.codes, src.codes, tokens, c.pageTokens)
-	copyHead(h.params, src.params, tokens, c.pageTokens)
+	d, pt, kvh, bits := c.shape.HeadDim, c.pageTokens, c.shape.KVHeads, c.qbits
+	n := tokens * d
+	for hh := 0; hh < 2*kvh; hh++ { // [half][head]: K's heads, then V's
+		off, unseal := hh*pt*d, src.sealed && hh < kvh
+		switch {
+		case bits == 0 && unseal:
+			tensor.UnsealF32(h.f32[off:], src.f32[off:], tokens, d)
+		case bits == 0:
+			copy(h.f32[off:off+n], src.f32[off:])
+		case unseal:
+			tensor.UnsealCodes(h.codes[off*bits/8:], src.codes[off*bits/8:], bits, tokens, d)
+		default:
+			copy(h.codes[off*bits/8:(off+n)*bits/8], src.codes[off*bits/8:])
+		}
+		if bits != 0 {
+			copy(h.params[2*hh*pt:][:2*tokens], src.params[2*hh*pt:])
+		}
+	}
 	if c.summaries {
 		c.fold(&h, 0, tokens)
 	}
 	return h
 }
 
-// copyHead copies the first tokens tokens of both halves of a page buffer.
-func copyHead[T any](dst, src []T, tokens, pageTokens int) {
-	half := len(src) / 2
-	n := half / pageTokens * tokens
-	copy(dst[:n], src[:n])
-	copy(dst[half:half+n], src[half:half+n])
-}
-
-// rows returns p's key rows (value rows when vals) for one head as the
+// rows returns p's key rows (value rows when vals) from one head on as the
 // attention block kernels read them, cut to the half's capacity.
 func (c *PagedKV) rows(p *page, head int, vals bool) tensor.Rows {
-	stride, kvh, off := c.stride(), c.shape.KVHeads, head*c.shape.HeadDim
-	lo := 0
+	d, ps, kvh := c.shape.HeadDim, c.pageTokens*c.shape.HeadDim, c.shape.KVHeads
+	lo, hi, pairs := head*ps, kvh*ps, 2*head*c.pageTokens
 	if vals {
-		lo = c.pageTokens
+		lo, hi, pairs = lo+kvh*ps, 2*kvh*ps, pairs+2*kvh*c.pageTokens
 	}
-	hi := lo + c.pageTokens
+	r := tensor.Rows{Stride: d, HeadStride: ps, Sealed: p.sealed && !vals}
 	if c.qbits == 0 {
-		return tensor.Rows{F32: p.f32[lo*stride+off : hi*stride], Stride: stride}
+		r.F32 = p.f32[lo:hi]
+		return r
 	}
-	return tensor.Rows{
-		Codes:  p.codes[lo*stride*c.qbits/8 : hi*stride*c.qbits/8],
-		Params: p.params[lo*kvh*2 : hi*kvh*2],
-		Bits:   c.qbits, Off: off, Stride: stride, Heads: kvh, Head: head,
-	}
+	r.Codes, r.Params, r.Bits = p.codes[lo*c.qbits/8:hi*c.qbits/8], p.params[pairs:pairs+2*(hi-lo)/d], c.qbits
+	return r
 }
 
 // pageBytes is what MemoryBytes charges one page of one layer: fp32 pages in

@@ -35,10 +35,12 @@ type pageView struct {
 // vals — over the first n tokens of the walked pages: the ascending list sel,
 // or every page when sel is nil. A causal bound cuts the last page mid-page;
 // a selected list always fits whole pages. While the block works on a page
-// it prefetches the next one's rows of its heads: a page's rows for one head
-// are strided (a token row holds every head), which the hardware prefetchers
-// do not follow, and a decode lane's pages lie anywhere. It returns how many
-// tokens the walk covered.
+// it prefetches the next one's rows of its heads: a page's rows are one run
+// per head (its keys, once the page sealed, the score tile's panels as they
+// lie), but a lane's pages lie anywhere in memory, and the hardware
+// prefetchers do not jump from one page to the next — without the look-ahead
+// decode attention at context 1024 (fp32 pages, 8 lanes) reads 15–20 %
+// slower. It returns how many tokens the walk covered.
 func (v *pageView) walk(blk *tensor.AttnBlock, sel []int32, n int, vals bool) int {
 	np := len(sel)
 	if sel == nil {

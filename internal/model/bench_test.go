@@ -196,3 +196,56 @@ func BenchmarkDecodeSteadyQuant(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkDecodeBatchSizes prices one fused decode step of small-llama at
+// every lane count from 1 to 8 over int8 pages (16 tokens each, from one
+// pool), every lane's context held in [64, 128): the serving shape of
+// kv_pressure_int8, whose steps run five to seven lanes as often as eight. A
+// lane-count cliff — a lane count whose step costs more than the next larger
+// one's, as when five to seven lanes streamed the weights twice — shows
+// here. The refill prefills every lane's prompt in one batched pass, its
+// chunks packed as the scheduler packs them, off the clock.
+func BenchmarkDecodeBatchSizes(b *testing.B) {
+	cfg := Small()
+	m := New(cfg, 1)
+	for B := 1; B <= 8; B++ {
+		b.Run(fmt.Sprintf("b%d", B), func(b *testing.B) {
+			bw := m.NewBatchWorkspace(B)
+			bw.SetWorkers(runtime.GOMAXPROCS(0))
+			pool := kvcache.NewPagePool(m.CacheShape(), 16, 0, 8, false)
+			caches := make([]kvcache.Cache, B)
+			tokens, positions := make([]int, B), make([]int, B)
+			chunks := make([]Chunk, B)
+			refill := func() {
+				for lane := range caches {
+					if c, ok := caches[lane].(*kvcache.PagedKV); ok {
+						c.Release(0)
+					}
+					c := pool.NewCache()
+					prompt := make([]int, 64+lane)
+					for i := range prompt {
+						prompt[i] = (lane*131 + i*17) % cfg.Vocab
+					}
+					caches[lane], positions[lane], tokens[lane] = c, len(prompt), (lane*37)%cfg.Vocab
+					chunks[lane] = Chunk{Tokens: prompt, Cache: c}
+				}
+				m.ForwardMixedInto(bw, nil, nil, nil, chunks)
+			}
+			refill()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if positions[0] >= 128 {
+					b.StopTimer()
+					refill()
+					b.StartTimer()
+				}
+				results, _ := m.ForwardMixedInto(bw, tokens, positions, caches, nil)
+				for lane := range results {
+					tokens[lane] = tensor.Argmax(results[lane].Logits)
+					positions[lane]++
+				}
+			}
+		})
+	}
+}

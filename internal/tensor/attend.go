@@ -17,27 +17,93 @@ package tensor
 //
 // Every arm, codec and head dimension walks that one block shape: what
 // differs lives only in the two loaders (keyPanel, values) and the leaf
-// kernels (relay, scoreTile, valueTile). On the AVX-512 arm, for whole
-// 16-dimension panels, the leaves are ZMM kernels — the score tile over all
-// the block's queries (dim-major, transposed once per walk), the value tile
-// over eight queries × 32 columns, the softmax over 16 rows, one per vector
-// lane — and 8-bit codes never become fp32 rows: the key loader dequantizes
-// them into the panel, the value tile inside itself, each (lo, Δ) pair
-// decoded once per (sub-tile, KV head) (int8Params). Elsewhere the leaves'
-// Go arm runs gemm.go's four-lane tile over fp32 rows: the page's own, or
-// copied or dequantized into the block's scratch rows (load).
+// kernels (relay, scoreTile, valueTile). A full page's keys are sealed — laid
+// as those very panels when the page filled (Rows.Sealed) — so a page visit
+// transposes nothing: the score tile reads a sealed fp32 page in place, and a
+// sealed code page is dequantized straight into the panel, dimension by
+// dimension. Only the open tail page and Full's token rows are re-laid per
+// visit (relay). On the AVX-512 arm, for whole 16-dimension panels, the
+// leaves are ZMM kernels — the score tile over all the block's queries
+// (dim-major, transposed once per walk), the value tile over eight queries ×
+// 32 columns, the softmax over 16 rows, one per vector lane — and 8-bit codes
+// never become fp32 rows: the key loader dequantizes them into the panel, the
+// value tile inside itself, each head's 16 (lo, Δ) pairs one contiguous load
+// per sub-tile (int8Params). Elsewhere the leaves' Go arm runs gemm.go's
+// four-lane tile over fp32 rows: the page's own, or copied or dequantized
+// into the block's scratch rows (load).
 
 // AttnBlockMax is the largest query block one page walk serves.
 const AttnBlockMax = 16
 
-// Rows is one page's key (or value) rows for one KV head: F32 (token-major
-// fp32 starting at the head's lane, Stride floats apart), or uniform codes in
-// DequantSliceInto's layout when F32 is nil.
+// SealTokens is the token count of one sealed panel: a page whose size is a
+// multiple of it seals when it fills (Rows.Sealed).
+const SealTokens = panelWidth
+
+// Rows is one page's key (or value) rows for the KV heads from one on: the
+// h-th head's token t starts at element h·HeadStride + t·Stride of F32 (fp32),
+// or, when F32 is nil, of Codes — uniform codes Bits wide, 4-bit ones packed
+// two per byte, low nibble first — whose (lo, Δ) float16 pair is
+// Params[2·(h·HeadStride/Stride + t)]. Full's rows are token-major (Stride
+// KVHeads·HeadDim, HeadStride HeadDim); a page's are head-major (Stride
+// HeadDim, HeadStride PageTokens·HeadDim), its pairs too, one per token row,
+// so a head's 16 pairs are one run; code rows are always a page's. Sealed key
+// rows are laid as the score tile's panels instead: every 16 tokens of a head
+// one HeadDim × 16 dim-major panel (SealedAt), Stride still HeadDim.
 type Rows struct {
-	F32                            []float32
-	Codes                          []uint8
-	Params                         []uint16
-	Bits, Off, Stride, Heads, Head int
+	F32                      []float32
+	Codes                    []uint8
+	Params                   []uint16
+	Bits, Stride, HeadStride int
+	Sealed                   bool
+}
+
+// SealedAt is the element offset of token t's dimension j in one KV head's
+// sealed rows of head dimension d: the panel of its 16 tokens, dim-major.
+func SealedAt(t, j, d int) int {
+	return t/panelWidth*panelWidth*d + j*panelWidth + t%panelWidth
+}
+
+// pair is the index in Params of the h-th head's token t's (lo, Δ) pair.
+func (r *Rows) pair(h, t int) int { return 2 * (h*r.HeadStride/r.Stride + t) }
+
+// TokenInto writes the h-th head's token t of r into dst (HeadDim floats) as
+// fp32 — the reference reader of every layout and codec, which the block's
+// loaders are equal to by bits: an fp32 element as stored; a code c as
+// float32(c)·Δ + lo, the product rounded before lo is added (two roundings,
+// the explicit conversion keeping any build from fusing them), internal/quant's
+// Uniform dequantizer.
+func (r *Rows) TokenInto(dst []float32, h, t int) {
+	d, base := len(dst), h*r.HeadStride+t*r.Stride
+	switch {
+	case r.Sealed && r.F32 != nil:
+		for j := range dst {
+			dst[j] = r.F32[h*r.HeadStride+SealedAt(t, j, d)]
+		}
+		return
+	case r.F32 != nil:
+		copy(dst, r.F32[base:base+d])
+		return
+	}
+	p := r.pair(h, t)
+	lo, dlt := DecodeFloat16(r.Params[p]), DecodeFloat16(r.Params[p+1])
+	switch {
+	case r.Sealed:
+		for j := range dst {
+			dst[j] = float32(float32(codeAt(r.Codes, r.Bits, h*r.HeadStride+SealedAt(t, j, d)))*dlt) + lo
+		}
+	case r.Bits == 8:
+		row := r.Codes[base : base+d : base+d]
+		for j := range dst {
+			dst[j] = float32(float32(row[j])*dlt) + lo
+		}
+	default: // two codes a byte, low nibble first; d is even
+		row := r.Codes[base/2 : (base+d)/2 : (base+d)/2]
+		for j := 0; j < d; j += 2 {
+			b := row[j>>1]
+			dst[j] = float32(float32(b&0x0F)*dlt) + lo
+			dst[j+1] = float32(float32(b>>4)*dlt) + lo
+		}
+	}
 }
 
 // attnBlockHeads is the most KV heads one block spans: a KV head's queries
@@ -48,11 +114,12 @@ const attnBlockHeads = AttnBlockMax / 2
 // AttnBlock is a block of up to AttnBlockMax queries over up to
 // attnBlockHeads consecutive KV heads plus the scratch their page visits
 // share: the queries (and their dim-major copy), one score/weight row per
-// query, 16 fp32 token rows and a dim-major key panel per KV head, for 8-bit
-// codes a sub-tile's decoded (lo, Δ) pairs per KV head and its code rows when
-// it is ragged, and the value tiles' spare output rows. A walk is Reset,
-// Add per query, Score per page, Softmax, then Accumulate per page in the
-// same order.
+// query, 16 fp32 token rows and a dim-major key panel per KV head (and which
+// panel the score tile reads, the scratch one or a sealed page's own), for
+// 8-bit codes a sub-tile's decoded (lo, Δ) pairs per KV head and its code
+// rows when it is ragged, and the value tiles' spare output rows. A walk is
+// Reset, Add per query, Score per page, Softmax, then Accumulate per page in
+// the same order.
 type AttnBlock struct {
 	d, rs, ss int // head dim; scratch row stride (d rounded up to 16); score row stride
 	n         int
@@ -66,7 +133,8 @@ type AttnBlock struct {
 	scores    []float32 // AttnBlockMax × ss
 	rows      []float32 // attnBlockHeads × 16 × rs; columns past d stay zero
 	panel     []float32 // attnBlockHeads × d × 16
-	codes     []uint8   // 16 × d
+	panels    [attnBlockHeads][]float32
+	codes     []uint8 // 16 × d
 	lod       [attnBlockHeads][2 * panelWidth]float32
 	spare     [8][2 * panelWidth]float32
 }
@@ -193,11 +261,10 @@ func (b *AttnBlock) tile8(s int) int {
 // of the walk, into every live query's score row: per sub-tile one key panel
 // per KV head from the first live query's eight-lane group on, then the score
 // tile over those queries. r is the rows of the block's head 0; a query of
-// head h reads the rows h heads after those, d floats further along each
-// token row. It panics unless r holds them all (check).
+// head h reads the rows h heads after those. It panics unless r holds them
+// all (check).
 func (b *AttnBlock) Score(i, t int, r *Rows) {
 	b.check(r, t)
-	ps := b.d * panelWidth
 	for t0 := 0; t0 < t; t0 += panelWidth {
 		g := b.tile8(i + t0)
 		if g >= b.n {
@@ -205,25 +272,37 @@ func (b *AttnBlock) Score(i, t int, r *Rows) {
 		}
 		tt := min(panelWidth, t-t0)
 		for h := b.head[g]; h <= b.head[b.n-1]; h++ {
-			b.keyPanel(b.panel[h*ps:][:ps], r, h, t0, tt)
+			b.keyPanel(r, h, t0, tt)
 		}
 		b.scoreTile(g, i+t0)
 	}
 }
 
-// keyPanel is the key loader: it lays tokens [t0, t0+tt) of head h of r
-// dim-major into panel — fp32 rows re-laid by relay from the page when the
-// sub-tile is whole; where the ZMM kernels read 8-bit codes, the codes
-// dequantized on the way with the head's (lo, Δ) pairs, a ragged sub-tile's
-// missing rows padded with code 0; else rows copied or dequantized into the
-// head's scratch rows, then re-laid.
-func (b *AttnBlock) keyPanel(panel []float32, r *Rows, h, t0, tt int) {
+// keyPanel is the key loader: it sets head h's panel to tokens [t0, t0+tt)
+// of r dim-major. A sealed fp32 page is the panel itself; a sealed code page
+// is dequantized into the head's scratch panel as it lies, 16 tokens per
+// dimension (sealedPanel; on the ZMM arm at 8 bits panelQ8SealedAVX512, its
+// pairs one load). Token rows are re-laid: fp32 rows by relay from the page
+// when the sub-tile is whole; where the ZMM kernels read 8-bit codes, the
+// codes dequantized on the way with the head's (lo, Δ) pairs, a ragged
+// sub-tile's missing rows padded with code 0; else rows copied or
+// dequantized into the head's scratch rows, then re-laid.
+func (b *AttnBlock) keyPanel(r *Rows, h, t0, tt int) {
+	ps := b.d * panelWidth
+	panel, base := b.panel[h*ps:][:ps], h*r.HeadStride+t0*r.Stride
 	switch {
+	case r.Sealed && r.F32 != nil:
+		panel = r.F32[base:][:ps]
+	case r.Sealed && r.Bits == 8 && zmmPanels(b.d):
+		_, _ = r.Codes[base+ps-1], r.Params[r.pair(h, t0)+2*panelWidth-1]
+		panelQ8SealedAVX512(&panel[0], &r.Codes[base], &r.Params[r.pair(h, t0)], b.d)
+	case r.Sealed:
+		sealedPanel(panel, r.Codes[base*r.Bits/8:][:ps*r.Bits/8], r.Params[r.pair(h, t0):][:2*panelWidth], r.Bits)
 	case r.F32 != nil && tt == panelWidth:
-		relay(panel, r.F32[t0*r.Stride+h*b.d:], r.Stride, b.d)
-	case r.F32 == nil && r.Bits == 8 && zmmPanels(b.d):
+		relay(panel, r.F32[base:], r.Stride, b.d)
+	case r.Bits == 8 && zmmPanels(b.d):
 		b.int8Params(r, t0, tt, h)
-		codes, stride := r.Codes[t0*r.Stride+r.Off+h*b.d:], r.Stride
+		codes, stride := r.Codes[base:], r.Stride
 		if tt < panelWidth { // the panel kernel reads 16 rows
 			clear(b.codes)
 			for j := 0; j < tt; j++ {
@@ -236,26 +315,59 @@ func (b *AttnBlock) keyPanel(panel []float32, r *Rows, h, t0, tt int) {
 	default:
 		relay(panel, b.load(r, h, t0, tt), b.rs, b.d)
 	}
+	b.panels[h] = panel
 }
 
-// Prefetch asks for what the block's queries read of the first t token rows
-// of r — their KV heads' slice of each row, fp32 or 8-bit codes — to be
-// brought towards L1 while the walk works on the page before: one head's
-// slices are strided (a token row holds every head), and a walk's pages lie
-// anywhere, so the hardware prefetchers do not follow them. Only the AVX-512
-// arm asks, for whole 16-dimension panels; it reads nothing.
+// sealedPanel is the sealed code loader's Go arm and its specification:
+// panel[j*16+t] = float32(c)·Δ_t + lo_t for the code c of token t, dimension
+// j, of one sealed sub-tile (codes dim-major, 16 per dimension, Bits wide),
+// (lo_t, Δ_t) decoded from pairs[2t], pairs[2t+1] — TokenInto's arithmetic.
+func sealedPanel(panel []float32, codes []uint8, pairs []uint16, bits int) {
+	var lo, dlt [panelWidth]float32
+	for t := range lo {
+		lo[t], dlt[t] = DecodeFloat16(pairs[2*t]), DecodeFloat16(pairs[2*t+1])
+	}
+	cw := panelWidth * bits / 8 // code bytes per dimension
+	for j := 0; j < len(panel)/panelWidth; j++ {
+		row, c := panel[j*panelWidth:][:panelWidth], codes[j*cw:][:cw]
+		if bits == 8 {
+			for t := range row {
+				row[t] = float32(float32(c[t])*dlt[t]) + lo[t]
+			}
+			continue
+		}
+		for i, b := range c { // tokens 2i and 2i+1: low nibble, high nibble
+			row[2*i] = float32(float32(b&0x0F)*dlt[2*i]) + lo[2*i]
+			row[2*i+1] = float32(float32(b>>4)*dlt[2*i+1]) + lo[2*i+1]
+		}
+	}
+}
+
+// Prefetch asks for what the block's queries read of the first t tokens of
+// r — their KV heads' rows (sealed ones in whole panels), fp32 or 8-bit
+// codes — to be brought towards L1 while the walk works on the page before:
+// a walk's pages lie anywhere, so the hardware prefetchers do not follow
+// them. Only the AVX-512 arm asks, for whole 16-dimension panels; it reads
+// nothing.
 func (b *AttnBlock) Prefetch(r *Rows, t int) {
 	if !zmmPanels(b.d) || (r.F32 == nil && r.Bits != 8) || b.n == 0 || t <= 0 {
 		return
 	}
-	h0, width := b.head[0], (b.head[b.n-1]-b.head[0]+1)*b.d
+	if r.Sealed {
+		t = (t + panelWidth - 1) / panelWidth * panelWidth
+	}
+	h0, h1 := b.head[0], b.head[b.n-1]
+	rows, step, width := h1-h0+1, r.HeadStride, (t-1)*r.Stride+b.d // a head's rows each
+	if r.HeadStride < r.Stride {                                   // token-major: a token row's heads each
+		rows, step, width = t, r.Stride, (h1-h0)*r.HeadStride+b.d
+	}
 	if r.F32 != nil {
-		_ = r.F32[(t-1)*r.Stride+h0*b.d+width-1]
-		prefetchF32(&r.F32[h0*b.d], t, 4*r.Stride, 4*width)
+		_ = r.F32[h0*r.HeadStride+(rows-1)*step+width-1]
+		prefetchF32(&r.F32[h0*r.HeadStride], rows, 4*step, 4*width)
 		return
 	}
-	_ = r.Codes[(t-1)*r.Stride+r.Off+h0*b.d+width-1]
-	prefetchU8(&r.Codes[r.Off+h0*b.d], t, r.Stride, width)
+	_ = r.Codes[h0*r.HeadStride+(rows-1)*step+width-1]
+	prefetchU8(&r.Codes[h0*r.HeadStride], rows, step, width)
 }
 
 // Accumulate adds Σ weight·value over the t tokens of r, tokens [i, i+t) of
@@ -267,6 +379,9 @@ func (b *AttnBlock) Prefetch(r *Rows, t int) {
 // ascend), so no query ever takes a step for a token it does not see — the
 // step would be FMA32(0, v, acc), which turns a −0 accumulator into +0.
 func (b *AttnBlock) Accumulate(i, t int, r *Rows) {
+	if r.Sealed {
+		panic("tensor: sealed rows are keys, not values")
+	}
 	b.check(r, t)
 	var v blockValues
 	for t0 := 0; t0 < t; t0 += panelWidth {
@@ -306,12 +421,12 @@ type blockValues struct {
 func (b *AttnBlock) values(v *blockValues, r *Rows, t0, tt, h0 int) {
 	switch {
 	case r.F32 != nil && b.d%panelWidth == 0:
-		v.f32, v.hs, v.stride = r.F32[t0*r.Stride:], b.d, r.Stride
+		v.f32, v.hs, v.stride = r.F32[t0*r.Stride:], r.HeadStride, r.Stride
 	case r.F32 == nil && r.Bits == 8 && zmmPanels(b.d):
 		for h := h0; h <= b.head[b.n-1]; h++ {
 			b.int8Params(r, t0, tt, h)
 		}
-		v.codes, v.hs, v.stride = r.Codes[t0*r.Stride+r.Off:], b.d, r.Stride
+		v.codes, v.hs, v.stride = r.Codes[t0*r.Stride:], r.HeadStride, r.Stride
 	default:
 		for h := h0; h <= b.head[b.n-1]; h++ {
 			b.load(r, h, t0, tt)
@@ -371,57 +486,61 @@ func (b *AttnBlock) valueTile(g, first, pos, s, e int, v *blockValues) {
 }
 
 // int8Params decodes the (lo, Δ) pairs of tokens [t0, t0+tt) of head h of
-// r into that head's lod, zero past tt: DecodeFloat16 per half, by VCVTPH2PS
-// on the AVX-512 arm (the only arm whose loaders hand the kernels 8-bit
-// codes rather than fp32 rows).
+// r — one run of the page's pairs — into that head's lod, zero past tt:
+// DecodeFloat16 per half, by one masked load and VCVTPH2PS on the AVX-512 arm
+// (the only arm whose loaders hand the kernels 8-bit codes rather than fp32
+// rows).
 func (b *AttnBlock) int8Params(r *Rows, t0, tt, h int) {
-	step := r.Heads * 2
-	params := r.Params[(t0*r.Heads+r.Head+h)*2:]
-	_ = params[(tt-1)*step+1]
+	params := r.Params[r.pair(h, t0):][:2*tt]
 	lod := &b.lod[h]
 	if arm == armAVX512 {
-		paramsQ8AVX512(&lod[0], &params[0], 2*step, tt)
+		paramsQ8AVX512(&lod[0], &params[0], tt)
 		return
 	}
 	clear(lod[:])
-	for j := 0; j < tt; j++ {
-		lod[2*j], lod[2*j+1] = DecodeFloat16(params[j*step]), DecodeFloat16(params[j*step+1])
+	for j := range params {
+		lod[j] = DecodeFloat16(params[j])
 	}
 }
 
 // check panics unless r holds its t tokens whole for every KV head of the
-// block — fp32 rows, or codes and their (lo, Δ) pairs — at a stride of at
-// least the head dimension: a page visit's one bounds check, before the
-// loaders read it on whichever arm.
+// block — fp32 rows, or codes and their (lo, Δ) pairs; sealed rows in whole
+// panels — at a stride of at least the head dimension (exactly it for codes
+// and sealed rows): a page visit's one bounds check, before the loaders read
+// it on whichever arm.
 func (b *AttnBlock) check(r *Rows, t int) {
 	if b.n == 0 || t <= 0 {
 		return
 	}
-	if r.Stride < b.d {
-		panic("tensor: attention rows stride below head dimension")
+	if r.Stride < b.d || (r.F32 == nil || r.Sealed) && r.Stride != b.d {
+		panic("tensor: attention rows stride below head dimension, or code or sealed rows not a page's")
 	}
 	h := b.head[b.n-1]
-	end := (t-1)*r.Stride + (h+1)*b.d
+	last, end := t-1, h*r.HeadStride+(t-1)*r.Stride+b.d
+	if r.Sealed {
+		last = (t+panelWidth-1)/panelWidth*panelWidth - 1
+		end = h*r.HeadStride + (last+1)*b.d
+	}
 	if r.F32 != nil {
 		_ = r.F32[end-1]
 		return
 	}
-	_ = r.Codes[(r.Off+end)*r.Bits/8-1]
-	_ = r.Params[((t-1)*r.Heads+r.Head+h)*2+1]
+	_ = r.Codes[(end*r.Bits+7)/8-1]
+	_ = r.Params[r.pair(h, last)+1]
 }
 
-// load writes tokens [t0, t0+tt) of head h of r into the head's 16 scratch
-// rows, rs floats apart, and returns them: fp32 rows copied, codes
-// dequantized (DequantSliceInto).
+// load writes tokens [t0, t0+tt) of head h of r's token rows into the head's
+// 16 scratch rows, rs floats apart, and returns them: fp32 rows copied, codes
+// dequantized (TokenInto).
 func (b *AttnBlock) load(r *Rows, h, t0, tt int) []float32 {
 	rows := b.rows[h*panelWidth*b.rs:][:panelWidth*b.rs]
 	for j := 0; j < tt; j++ {
 		row := rows[j*b.rs:][:b.d]
 		if r.F32 != nil {
-			copy(row, r.F32[(t0+j)*r.Stride+h*b.d:])
+			copy(row, r.F32[h*r.HeadStride+(t0+j)*r.Stride:])
 			continue
 		}
-		DequantSliceInto(row, r.Codes, r.Params, r.Bits, r.Off+h*b.d, r.Stride, r.Heads, r.Head+h, t0+j)
+		r.TokenInto(row, h, t0+j)
 	}
 	return rows
 }
@@ -462,7 +581,7 @@ func relay(panel, rows []float32, stride, d int) {
 func (b *AttnBlock) scoreTile(g, pos int) {
 	s := b.scores[g*b.ss+pos:]
 	if !zmmPanels(b.d) {
-		scoreLanes(s, b.ss, b.q[g*b.d:], b.d, b.panel, b.head[g:b.n])
+		scoreLanes(s, b.ss, b.q[g*b.d:], b.d, &b.panels, b.head[g:b.n])
 		return
 	}
 	if !b.qtReady {
@@ -471,7 +590,7 @@ func (b *AttnBlock) scoreTile(g, pos int) {
 	}
 	var p [8]*float32
 	for i := range p {
-		p[i] = &b.panel[b.head[min(g+2*i, b.n-1)]*b.d*panelWidth]
+		p[i] = &b.panels[b.head[min(g+2*i, b.n-1)]][0]
 	}
 	slots := 8
 	if b.n-g > 8 {
@@ -481,11 +600,11 @@ func (b *AttnBlock) scoreTile(g, pos int) {
 }
 
 // scoreLanes is the score tile's Go arm: s[l*ss+c] = Σ_j q[l*d+j] ·
-// panels[heads[l]*d*16+j*16+c] for the 16 columns c of slots l < len(heads),
+// panels[heads[l]][j*16+c] for the 16 columns c of slots l < len(heads),
 // each one chain from +0 in ascending j (Dot's arithmetic), up to four slots
 // of one head per tile; a short group repeats its last slot, as gemmTiles
 // does.
-func scoreLanes(s []float32, ss int, q []float32, d int, panels []float32, heads []int) {
+func scoreLanes(s []float32, ss int, q []float32, d int, panels *[attnBlockHeads][]float32, heads []int) {
 	ps := d * panelWidth
 	for l := 0; l < len(heads); {
 		e := l + 1
@@ -497,7 +616,7 @@ func scoreLanes(s []float32, ss int, q []float32, d int, panels []float32, heads
 			li := min(l+i, e-1)
 			dst[i], x[i] = s[li*ss:][:panelWidth], q[li*d:][:d]
 		}
-		tile(&dst, &x, panels[heads[l]*ps:][:ps], d, panelWidth, e-l, false)
+		tile(&dst, &x, panels[heads[l]][:ps], d, panelWidth, e-l, false)
 		l = e
 	}
 }

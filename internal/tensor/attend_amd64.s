@@ -490,7 +490,7 @@ vdone:
 
 // DQ16 dequantizes the 16 codes at off(codes) into Z with the token's
 // (lo, Δ) at lod: float32(code)·Δ + lo, two roundings, never an FMA —
-// DequantSliceInto's arithmetic.
+// Rows.TokenInto's arithmetic.
 #define DQ16(codes, lod, off, Z) \
 	VPMOVZXBD off(codes), Z \
 	VCVTDQ2PS Z, Z \

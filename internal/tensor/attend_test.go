@@ -23,30 +23,55 @@ func lcg(s uint64) func() uint64 {
 	}
 }
 
-// attnCase is one KV head's pages in one codec (bits 0 = fp32) — what a block
-// walk reads — with the scalar reference's per-token fp32 views beside them.
+// The forms a case's pages take: Full's token rows (fp32 only — code rows
+// are always a page's, so a code case takes attnOpen), a page's head-major
+// rows, and those with every full page's keys sealed where the page size is
+// a multiple of 16, as a PagedKV seals them.
+const (
+	attnTokenMajor = iota
+	attnOpen
+	attnSealed
+	attnForms
+)
+
+var attnFormNames = []string{"token-major", "open", "sealed"}
+
+// attnCase is the pages of heads KV heads in one codec (bits 0 = fp32) and
+// one form — what a block walk reads, from head on — with the scalar
+// reference's per-token fp32 views of every head beside them, read before any
+// page was sealed.
 type attnCase struct {
-	hd, heads, head, bits, pageTokens, tokens int
-	kf, vf                                    [][]float32 // fp32 pages, token-major at stride heads*hd
-	kc, vc                                    [][]uint8   // code pages
-	kp, vp                                    [][]uint16  // (lo, Δ) fp16 pairs
-	kRows, vRows                              [][]float32 // reference: token i's head slice
+	hd, heads, head, bits, pageTokens, tokens, form int
+	kf, vf                                          [][]float32 // fp32 pages
+	kc, vc                                          [][]uint8   // code pages
+	kp, vp                                          [][]uint16  // (lo, Δ) fp16 pairs, [head][token]
+	sealed                                          []bool      // page p's keys are sealed
+	keys, vals                                      [][][]float32
+	kRows, vRows                                    [][]float32 // the case's head's keys and vals
 }
 
-// newAttnCase draws the pages from next. With plant, values, codes and
-// parameters carry planted +0, −0, denormals, code 0 / 255 and Δ = 0 (a
-// benchmark leaves them out: denormal arithmetic is microcoded).
-func newAttnCase(next func() uint64, plant bool, hd, heads, head, bits, pageTokens, tokens int) *attnCase {
-	c := &attnCase{hd: hd, heads: heads, head: head, bits: bits, pageTokens: pageTokens, tokens: tokens}
-	stride, off := heads*hd, head*hd
+// newAttnCase draws the pages from next, head-major at full page capacity,
+// every slot filled (the tokens past a partial page's end too, which no walk
+// may read). With plant, values, codes and parameters carry planted +0, −0,
+// denormals, code 0 / 255 and Δ = 0 (a benchmark leaves them out: denormal
+// arithmetic is microcoded).
+func newAttnCase(next func() uint64, plant bool, hd, heads, head, bits, pageTokens, tokens, form int) *attnCase {
+	c := &attnCase{hd: hd, heads: heads, head: head, bits: bits, pageTokens: pageTokens, tokens: tokens, form: form}
+	if bits != 0 && form == attnTokenMajor {
+		c.form = attnOpen
+	}
+	c.keys, c.vals = make([][][]float32, heads), make([][][]float32, heads)
+	ps := pageTokens * hd
 	for t0 := 0; t0 < tokens; t0 += pageTokens {
 		t := min(pageTokens, tokens-t0)
+		seal := c.form == attnSealed && t == pageTokens && pageTokens%panelWidth == 0
+		c.sealed = append(c.sealed, seal)
 		for _, vals := range []bool{false, true} {
 			var f32 []float32
 			var codes []uint8
 			var params []uint16
 			if bits == 0 {
-				f32 = make([]float32, t*stride)
+				f32 = make([]float32, heads*ps)
 				for i := range f32 {
 					if v := next(); plant && v%13 == 0 {
 						f32[i] = attnPlanted[next()%uint64(len(attnPlanted))]
@@ -55,7 +80,7 @@ func newAttnCase(next func() uint64, plant bool, hd, heads, head, bits, pageToke
 					}
 				}
 			} else {
-				codes = make([]uint8, t*stride*bits/8)
+				codes = make([]uint8, heads*ps*bits/8)
 				for i := range codes {
 					v := next()
 					codes[i] = uint8(v >> 8)
@@ -63,7 +88,7 @@ func newAttnCase(next func() uint64, plant bool, hd, heads, head, bits, pageToke
 						codes[i] = uint8(v % 11 * 255) // 0 or 255
 					}
 				}
-				params = make([]uint16, t*heads*2)
+				params = make([]uint16, heads*pageTokens*2)
 				for i := 0; i < len(params); i += 2 {
 					v := next()
 					params[i] = EncodeFloat16(float32(int64(v%2001)-1000) / 499)
@@ -79,17 +104,34 @@ func newAttnCase(next func() uint64, plant bool, hd, heads, head, bits, pageToke
 					}
 				}
 			}
-			for i := 0; i < t; i++ {
-				row := make([]float32, hd)
-				if bits == 0 {
-					copy(row, f32[i*stride+off:])
-				} else {
-					DequantSliceInto(row, codes, params, bits, off, stride, heads, head, i)
+			open := Rows{F32: f32, Codes: codes, Params: params, Bits: bits, Stride: hd, HeadStride: ps}
+			for h := 0; h < heads; h++ {
+				for i := 0; i < t; i++ {
+					row := make([]float32, hd)
+					open.TokenInto(row, h, i)
+					if vals {
+						c.vals[h] = append(c.vals[h], row)
+					} else {
+						c.keys[h] = append(c.keys[h], row)
+					}
 				}
-				if vals {
-					c.vRows = append(c.vRows, row)
-				} else {
-					c.kRows = append(c.kRows, row)
+			}
+			switch {
+			case c.form == attnTokenMajor:
+				rows := make([]float32, heads*ps)
+				for h := 0; h < heads; h++ {
+					for i := 0; i < pageTokens; i++ {
+						copy(rows[(i*heads+h)*hd:][:hd], f32[h*ps+i*hd:])
+					}
+				}
+				f32 = rows
+			case seal && !vals && bits == 0:
+				for h := 0; h < heads; h++ {
+					SealF32(f32[h*ps:][:ps], make([]float32, ps), hd)
+				}
+			case seal && !vals:
+				for h := 0; h < heads; h++ {
+					SealCodes(codes[h*ps*bits/8:][:ps*bits/8], make([]uint8, ps*bits/8), bits, hd)
 				}
 			}
 			if vals {
@@ -99,34 +141,39 @@ func newAttnCase(next func() uint64, plant bool, hd, heads, head, bits, pageToke
 			}
 		}
 	}
+	c.kRows, c.vRows = c.keys[head], c.vals[head]
 	return c
 }
 
 // rows is page p as the block kernels take it.
 func (c *attnCase) rows(p int, vals bool) Rows { return c.headPage(p, c.head, vals) }
 
-// headPage is page p at KV head h.
+// headPage is page p from KV head h on.
 func (c *attnCase) headPage(p, h int, vals bool) Rows {
-	r := Rows{Stride: c.heads * c.hd}
 	f32, codes, params := c.kf[p], c.kc[p], c.kp[p]
 	if vals {
 		f32, codes, params = c.vf[p], c.vc[p], c.vp[p]
 	}
+	if c.form == attnTokenMajor {
+		return Rows{F32: f32[h*c.hd:], Stride: c.heads * c.hd, HeadStride: c.hd}
+	}
+	ps := c.pageTokens * c.hd
+	r := Rows{Stride: c.hd, HeadStride: ps, Sealed: !vals && c.sealed[p]}
 	if c.bits == 0 {
-		r.F32 = f32[h*c.hd:]
+		r.F32 = f32[h*ps:]
 		return r
 	}
-	r.Codes, r.Params, r.Bits, r.Off, r.Heads, r.Head = codes, params, c.bits, h*c.hd, c.heads, h
+	r.Codes, r.Params, r.Bits = codes[h*ps*c.bits/8:], params[2*h*c.pageTokens:], c.bits
 	return r
 }
 
-// view is token i of r as the scalar reference reads it: the fp32 row in
-// place, or dequantized into scratch.
+// view is token i of r as the scalar reference reads it: fp32 token rows in
+// place, else read into scratch (TokenInto).
 func (c *attnCase) view(scratch []float32, r *Rows, i int) []float32 {
-	if c.bits == 0 {
+	if r.F32 != nil && !r.Sealed {
 		return r.F32[i*r.Stride:][:c.hd]
 	}
-	DequantSliceInto(scratch, r.Codes, r.Params, r.Bits, r.Off, r.Stride, r.Heads, r.Head, i)
+	r.TokenInto(scratch, 0, i)
 	return scratch
 }
 
@@ -146,10 +193,10 @@ func (c *attnCase) walk(b *AttnBlock, n int, vals bool) {
 // bounds, and asserts raw float32 bit equality of every score against Dot over
 // the dequantized rows and of every output against the per-token AXPY loop
 // seeded with a non-zero dst.
-func checkAttendBlock(t *testing.T, seed uint64, hd, heads, head, bits, pageTokens, tokens, nq int) {
+func checkAttendBlock(t *testing.T, seed uint64, hd, heads, head, bits, pageTokens, tokens, nq, form int) {
 	next := lcg(seed)
-	c := newAttnCase(next, true, hd, heads, head, bits, pageTokens, tokens)
-	what := fmt.Sprintf("seed=%d hd=%d heads=%d/%d bits=%d page=%d tokens=%d nq=%d", seed, hd, head, heads, bits, pageTokens, tokens, nq)
+	c := newAttnCase(next, true, hd, heads, head, bits, pageTokens, tokens, form)
+	what := fmt.Sprintf("seed=%d hd=%d heads=%d/%d bits=%d %s page=%d tokens=%d nq=%d", seed, hd, head, heads, bits, attnFormNames[c.form], pageTokens, tokens, nq)
 	draw := func() float32 {
 		if v := next(); v%9 == 0 {
 			return attnPlanted[next()%uint64(len(attnPlanted))]
@@ -202,38 +249,15 @@ func checkAttendBlock(t *testing.T, seed uint64, hd, heads, head, bits, pageToke
 	sameBits(t, what+" outputs", got, want)
 }
 
-// headRows is every token of KV head h (absolute) as the scalar reference
-// reads it: the case's pages sliced or dequantized at that head.
-func (c *attnCase) headRows(h int, vals bool) [][]float32 {
-	f32, codes, params := c.kf, c.kc, c.kp
-	if vals {
-		f32, codes, params = c.vf, c.vc, c.vp
-	}
-	stride := c.heads * c.hd
-	var rows [][]float32
-	for p := range f32 {
-		for i := 0; i < min(c.pageTokens, c.tokens-p*c.pageTokens); i++ {
-			row := make([]float32, c.hd)
-			if c.bits == 0 {
-				copy(row, f32[p][i*stride+h*c.hd:])
-			} else {
-				DequantSliceInto(row, codes[p], params[p], c.bits, h*c.hd, stride, c.heads, h, i)
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows
-}
-
 // checkAttendBlockHeads is checkAttendBlock for a block across span KV heads
 // from the case's head on, group queries each (NextHead between heads): the
 // decode lane's block. With ascending, bounds ascend across the block;
 // otherwise every query sees every token. Softmax runs between the passes,
 // against Scale and Softmax per query.
-func checkAttendBlockHeads(t *testing.T, seed uint64, hd, heads, head, span, group, bits, pageTokens, tokens int, ascending bool) {
+func checkAttendBlockHeads(t *testing.T, seed uint64, hd, heads, head, span, group, bits, pageTokens, tokens, form int, ascending bool) {
 	next := lcg(seed)
-	c := newAttnCase(next, true, hd, heads, head, bits, pageTokens, tokens)
-	what := fmt.Sprintf("seed=%d hd=%d heads=%d+%d/%d group=%d bits=%d page=%d tokens=%d asc=%v", seed, hd, head, span, heads, group, bits, pageTokens, tokens, ascending)
+	c := newAttnCase(next, true, hd, heads, head, bits, pageTokens, tokens, form)
+	what := fmt.Sprintf("seed=%d hd=%d heads=%d+%d/%d group=%d bits=%d %s page=%d tokens=%d asc=%v", seed, hd, head, span, heads, group, bits, attnFormNames[c.form], pageTokens, tokens, ascending)
 	nq := span * group
 	bounds := make([]int, nq)
 	for i := range bounds {
@@ -265,7 +289,7 @@ func checkAttendBlockHeads(t *testing.T, seed uint64, hd, heads, head, span, gro
 		if b.Head(i) != i/group {
 			t.Fatalf("%s: query %d has head %d, want %d", what, i, b.Head(i), i/group)
 		}
-		keys, vals := c.headRows(head+i/group, false), c.headRows(head+i/group, true)
+		keys, vals := c.keys[head+i/group], c.vals[head+i/group]
 		gotS[i], wantS[i] = b.Weights(i, n), wantS[i][:bounds[i]]
 		for j := range wantS[i] {
 			wantS[i][j] = Dot(qs[i], keys[j])
@@ -285,7 +309,7 @@ func checkAttendBlockHeads(t *testing.T, seed uint64, hd, heads, head, span, gro
 // queries, head after head — to Dot, Scale + Softmax and AXPY per query,
 // under every arm: every head dimension and codec, blocks of 2–8 heads with
 // even groups at every head offset of an 8-head page, page sizes below, at
-// and above a sub-tile, equal and ascending bounds.
+// and above a sub-tile, equal and ascending bounds, each page form in turn.
 func TestAttendBlockAcrossHeads(t *testing.T) {
 	eachArm(t, func(t *testing.T) {
 		seed := uint64(1)
@@ -296,7 +320,7 @@ func TestAttendBlockAcrossHeads(t *testing.T) {
 						for _, pt := range []int{4, 16, 23} {
 							seed++
 							head := int(seed) % (9 - span)
-							checkAttendBlockHeads(t, seed, hd, 8, head, span, group, bits, pt, 2*pt+5, seed%3 == 0)
+							checkAttendBlockHeads(t, seed, hd, 8, head, span, group, bits, pt, 2*pt+5, int(seed/3)%attnForms, seed%3 == 0)
 						}
 					}
 				}
@@ -306,25 +330,29 @@ func TestAttendBlockAcrossHeads(t *testing.T) {
 }
 
 // fuzzAttnShape maps raw fuzz inputs onto a head dimension, 1–4 KV heads and
-// a head among them, a codec, 1–40 tokens per page (sub-tiles of 1–16), up to
-// 100 tokens and 1–16 queries.
-func fuzzAttnShape(hd, heads, head, codec, pageTokens, tokens, nq uint8) (int, int, int, int, int, int, int) {
+// a head among them, a codec and a page form (both from codec), 1–40 tokens
+// per page (sub-tiles of 1–16; 16 and 32 seal), up to 100 tokens and 1–16
+// queries.
+func fuzzAttnShape(hd, heads, head, codec, pageTokens, tokens, nq uint8) (int, int, int, int, int, int, int, int) {
 	h := int(heads)%4 + 1
 	return attnHeadDims[int(hd)%len(attnHeadDims)], h, int(head) % h, []int{0, 8, 4}[int(codec)%3],
-		int(pageTokens)%40 + 1, int(tokens)%100 + 1, int(nq)%AttnBlockMax + 1
+		int(pageTokens)%40 + 1, int(tokens)%100 + 1, int(nq)%AttnBlockMax + 1, int(codec) / 3 % attnForms
 }
 
 // TestAttendBlockMatchesScalar is the generated kernel-equivalence check for
-// the attention block walk: every head dimension × codec × head offset on a
-// few page sizes, then seeded random shapes, under every arm.
+// the attention block walk: every head dimension × codec × page form × head
+// offset on a few page sizes (16 and 32 seal), then seeded random shapes,
+// under every arm.
 func TestAttendBlockMatchesScalar(t *testing.T) {
 	eachArm(t, func(t *testing.T) {
 		for _, hd := range attnHeadDims {
 			for _, bits := range []int{0, 8, 4} {
-				for heads := 1; heads <= 4; heads++ {
-					for head := 0; head < heads; head++ {
-						for _, pt := range []int{4, 16, 23} {
-							checkAttendBlock(t, uint64(hd*heads+pt), hd, heads, head, bits, pt, 2*pt+3, 1+(hd+head+pt)%AttnBlockMax)
+				for form := 0; form < attnForms; form++ {
+					for heads := 1; heads <= 4; heads++ {
+						for head := 0; head < heads; head++ {
+							for _, pt := range []int{4, 16, 23, 32} {
+								checkAttendBlock(t, uint64(hd*heads+pt), hd, heads, head, bits, pt, 2*pt+3, 1+(hd+head+pt)%AttnBlockMax, form)
+							}
 						}
 					}
 				}
@@ -333,22 +361,25 @@ func TestAttendBlockMatchesScalar(t *testing.T) {
 		s := uint64(2718)
 		for i := 0; i < 300; i++ {
 			s = s*6364136223846793005 + 1442695040888963407
-			hd, heads, head, bits, pt, tokens, nq := fuzzAttnShape(uint8(s>>8), uint8(s>>16), uint8(s>>24), uint8(s>>32), uint8(s>>40), uint8(s>>48), uint8(s>>56))
-			checkAttendBlock(t, s, hd, heads, head, bits, pt, tokens, nq)
+			hd, heads, head, bits, pt, tokens, nq, form := fuzzAttnShape(uint8(s>>8), uint8(s>>16), uint8(s>>24), uint8(s>>32), uint8(s>>40), uint8(s>>48), uint8(s>>56))
+			checkAttendBlock(t, s, hd, heads, head, bits, pt, tokens, nq, form)
 		}
 	})
 }
 
 // FuzzAttendBlockMatchesScalar lets the fuzzer pick the shape, codec, page
-// size, block size and data seed; every arm must match Dot
-// and AXPY bit for bit.
+// form (token-major, open or sealed), page size, block size and data seed;
+// every arm must match Dot and AXPY bit for bit.
 func FuzzAttendBlockMatchesScalar(f *testing.F) {
 	f.Add(uint64(1), uint8(3), uint8(3), uint8(1), uint8(1), uint8(15), uint8(40), uint8(1))
 	f.Add(uint64(2), uint8(2), uint8(0), uint8(0), uint8(0), uint8(3), uint8(9), uint8(15))
 	f.Add(uint64(3), uint8(0), uint8(1), uint8(1), uint8(2), uint8(31), uint8(99), uint8(6))
+	f.Add(uint64(4), uint8(3), uint8(3), uint8(2), uint8(6), uint8(15), uint8(70), uint8(7))  // fp32, sealed pages
+	f.Add(uint64(5), uint8(1), uint8(1), uint8(0), uint8(7), uint8(31), uint8(99), uint8(15)) // int8, sealed 32-token pages
+	f.Add(uint64(6), uint8(2), uint8(0), uint8(0), uint8(8), uint8(15), uint8(40), uint8(3))  // int4, sealed pages
 	f.Fuzz(func(t *testing.T, seed uint64, hd, heads, head, codec, pageTokens, tokens, nq uint8) {
-		d, h, hh, bits, pt, n, q := fuzzAttnShape(hd, heads, head, codec, pageTokens, tokens, nq)
-		eachArm(t, func(t *testing.T) { checkAttendBlock(t, seed, d, h, hh, bits, pt, n, q) })
+		d, h, hh, bits, pt, n, q, form := fuzzAttnShape(hd, heads, head, codec, pageTokens, tokens, nq)
+		eachArm(t, func(t *testing.T) { checkAttendBlock(t, seed, d, h, hh, bits, pt, n, q, form) })
 	})
 }
 
@@ -380,7 +411,7 @@ func TestAccumulateStopsAtBound(t *testing.T) {
 		params[2*j] = EncodeFloat16(value(j))
 	}
 	eachArm(t, func(t *testing.T) {
-		for _, r := range []Rows{{F32: f32, Stride: hd}, {Codes: codes, Params: params, Bits: 8, Stride: hd, Heads: 1}} {
+		for _, r := range []Rows{{F32: f32, Stride: hd}, {Codes: codes, Params: params, Bits: 8, Stride: hd}} {
 			b := NewAttnBlock(hd, tokens)
 			got, want := newLanes(len(bounds), hd), newLanes(len(bounds), hd)
 			for q, n := range bounds {
@@ -428,7 +459,11 @@ func blockSources(next func() uint64, pairs, heads int) (src [8]int, one bool) {
 
 // TestBlockKernelsMatchTileArm pins each ZMM leaf kernel to its Go arm on raw
 // operands, bit for bit: panelF32AVX512 to relay, panelQ8AVX512 to relay over
-// rows dequantized as DequantSliceInto does, scoreAVX512 to scoreLanes,
+// rows dequantized as TokenInto does, sealQ8AVX512 to SealCodes' Go arm,
+// panelQ8SealedAVX512 to sealedPanel over the same codes sealed (one
+// dim-major sub-tile, its pairs as stored),
+// scoreAVX512 to scoreLanes — over scratch panels and over a sealed page's
+// own —
 // valueAVX512 and valueQ8AVX512 to valueLanes (over the same dequantized
 // rows), the Go arm run at armGo — the specification — and at armAVX2, the
 // YMM tile. Head dimensions 16, 32 and 48 (one panel, a pair, a pair and an
@@ -457,8 +492,8 @@ func TestBlockKernelsMatchTileArm(t *testing.T) {
 		}
 		return x
 	}
-	codeRows := func(rows, stride int) ([]uint8, []float32) {
-		codes, lod := make([]uint8, rows*stride), make([]float32, 2*panelWidth)
+	codeRows := func(rows, stride int) ([]uint8, []float32, []uint16) {
+		codes, lod, pairs := make([]uint8, rows*stride), make([]float32, 2*panelWidth), make([]uint16, 2*panelWidth)
 		for i := range codes {
 			v := next()
 			codes[i] = uint8(v >> 8)
@@ -477,8 +512,9 @@ func TestBlockKernelsMatchTileArm(t *testing.T) {
 				dlt = 1
 			}
 			lod[2*j], lod[2*j+1] = DecodeFloat16(lo), DecodeFloat16(dlt)
+			pairs[2*j], pairs[2*j+1] = lo, dlt
 		}
-		return codes, lod
+		return codes, lod, pairs
 	}
 	dequant := func(codes []uint8, lod []float32, rows, stride int) []float32 {
 		x := make([]float32, rows*stride)
@@ -500,15 +536,23 @@ func TestBlockKernelsMatchTileArm(t *testing.T) {
 	for _, d := range []int{16, 32, 48} {
 		stride := d + 8
 		rows := fill(panelWidth * stride)
-		codes, lod := codeRows(panelWidth, d)
+		codes, lod, pairs := codeRows(panelWidth, d)
 		deq := dequant(codes, lod, panelWidth, d)
 		arm = armAVX512
-		gotK, gotQ8 := make([]float32, d*panelWidth), make([]float32, d*panelWidth)
+		sealed := append([]uint8(nil), codes...)
+		SealCodes(sealed, make([]uint8, len(codes)), 8, d)
+		gotK, gotQ8, gotS8 := make([]float32, d*panelWidth), make([]float32, d*panelWidth), make([]float32, d*panelWidth)
 		panelF32AVX512(&gotK[0], &rows[0], stride, d/panelWidth)
 		panelQ8AVX512(&gotQ8[0], &codes[0], d, &lod[0], d/panelWidth)
+		panelQ8SealedAVX512(&gotS8[0], &sealed[0], &pairs[0], d)
 
 		ps := d * panelWidth
 		panels := fill(8 * ps)
+		var scratch, page [attnBlockHeads][]float32 // the block's panels, and a sealed page's heads read in place
+		pageBuf := fill(8 * ps)
+		for h := range scratch {
+			scratch[h], page[h] = panels[h*ps:][:ps], pageBuf[h*ps:][:ps]
+		}
 		q := fill(AttnBlockMax * d)
 		qT := make([]float32, d*AttnBlockMax)
 		panelF32AVX512(&qT[0], &q[0], d, d/panelWidth)
@@ -517,6 +561,7 @@ func TestBlockKernelsMatchTileArm(t *testing.T) {
 			g, slots int
 			src      [8]int
 			one      bool
+			panels   *[attnBlockHeads][]float32
 			got      []float32
 		}
 		var scores []scoreCase
@@ -527,11 +572,14 @@ func TestBlockKernelsMatchTileArm(t *testing.T) {
 					if g+slots > AttnBlockMax {
 						continue
 					}
-					c := scoreCase{g: g, slots: slots, got: make([]float32, AttnBlockMax*ss)}
+					c := scoreCase{g: g, slots: slots, panels: &scratch, got: make([]float32, AttnBlockMax*ss)}
+					if next()%2 == 0 {
+						c.panels = &page
+					}
 					c.src, c.one = blockSources(next, pairs, heads)
 					var p [8]*float32
 					for i, h := range c.src {
-						p[i] = &panels[h*ps]
+						p[i] = &c.panels[h][0]
 					}
 					n := 8
 					if slots > 8 {
@@ -554,7 +602,7 @@ func TestBlockKernelsMatchTileArm(t *testing.T) {
 		vCodes, vLod := make([][]uint8, 4), make([][]float32, 4)
 		for h := range vRows {
 			vRows[h] = fill(panelWidth * cstride)
-			vCodes[h], vLod[h] = codeRows(panelWidth, cstride)
+			vCodes[h], vLod[h], _ = codeRows(panelWidth, cstride)
 			qRows[h] = dequant(vCodes[h], vLod[h], panelWidth, cstride)
 		}
 		const ws = 20
@@ -596,13 +644,21 @@ func TestBlockKernelsMatchTileArm(t *testing.T) {
 			same(what+" panelF32AVX512", gotK, want)
 			relay(want, deq, d, d)
 			same(what+" panelQ8AVX512", gotQ8, want)
+			wantSealed := append([]uint8(nil), codes...)
+			SealCodes(wantSealed, make([]uint8, len(codes)), 8, d)
+			if string(wantSealed) != string(sealed) {
+				t.Fatalf("%s sealQ8AVX512: the sealed codes differ from the Go arm's", what)
+			}
+			sealedPanel(want, sealed, pairs, 8)
+			same(what+" panelQ8SealedAVX512", gotS8, want)
+			same(what+" sealedPanel", want, gotQ8)
 			for _, c := range scores {
 				heads := make([]int, c.slots)
 				for l := range heads {
 					heads[l] = c.src[l/2]
 				}
 				wantS := make([]float32, AttnBlockMax*ss)
-				scoreLanes(wantS, ss, q[c.g*d:], d, panels, heads)
+				scoreLanes(wantS, ss, q[c.g*d:], d, c.panels, heads)
 				for l := 0; l < c.slots; l++ {
 					same(fmt.Sprintf("%s scoreAVX512 slots=%d from %d src=%v slot %d", what, c.slots, c.g, c.src, l), c.got[l*ss:][:panelWidth], wantS[l*ss:][:panelWidth])
 				}
@@ -641,13 +697,13 @@ func TestBlockKernelsMatchTileArm(t *testing.T) {
 // pass over one 16-token page, head dimension 32 (the benchmark model's) —
 // for a block of 1, 2 and 16 queries of one KV head per codec, and for the
 // decode lane's block "dec8": its full head set, 4 KV heads × a group of 2
-// queries, under each arm, with the scalar reference (Dot and AXPY over
-// DequantSliceInto views, once per query, at the host's arm) beside them: the
-// attention counterpart of BenchmarkGEMM.
+// queries, under each arm, on an open page (keys re-laid per visit) and on a
+// sealed one (".../sealed": every page a PagedKV walks but its tail), with
+// the scalar reference (Dot and AXPY over TokenInto views, once per query, at
+// the host's arm) beside them: the attention counterpart of BenchmarkGEMM.
 func BenchmarkAttendBlock(b *testing.B) {
 	selected := arm
 	defer func() { arm = selected }()
-	const hd, heads, tokens = 32, 4, 16
 	impls := []struct {
 		name  string
 		level armLevel
@@ -664,39 +720,54 @@ func BenchmarkAttendBlock(b *testing.B) {
 				name              string
 				head, nq, perHead int
 			}{{"q1", 1, 1, 1}, {"q2", 1, 2, 2}, {"q16", 1, 16, 16}, {"dec8", 0, 8, 2}} {
-				c := newAttnCase(lcg(7), false, hd, heads, shape.head, codec.bits, tokens, tokens)
-				blk := NewAttnBlock(hd, tokens)
-				outs, qs := newLanes(shape.nq, hd), benchLanes(shape.nq, hd)
-				keys, vals := make([]Rows, shape.nq), make([]Rows, shape.nq)
-				for i := range qs {
-					if i > 0 && i%shape.perHead == 0 {
-						blk.NextHead()
+				for _, form := range []int{attnOpen, attnSealed} {
+					if form == attnSealed && impl.name == "scalar" {
+						continue
 					}
-					copy(blk.Add(tokens, outs[i]), qs[i])
-					keys[i], vals[i] = c.headPage(0, shape.head+i/shape.perHead, false), c.headPage(0, shape.head+i/shape.perHead, true)
+					benchAttendVisit(b, impl.name, impl.level, codec.name, codec.bits, shape.name, shape.head, shape.nq, shape.perHead, form)
 				}
-				kr, vr := c.rows(0, false), c.rows(0, true)
-				scores, row := make([]float32, tokens), make([]float32, hd)
-				b.Run(fmt.Sprintf("%s/%s/%s", impl.name, codec.name, shape.name), func(b *testing.B) {
-					arm = impl.level
-					for b.Loop() {
-						if impl.name != "scalar" {
-							blk.Score(0, tokens, &kr)
-							blk.Accumulate(0, tokens, &vr)
-							continue
-						}
-						for q := range qs {
-							for i := range scores {
-								scores[i] = Dot(qs[q], c.view(row, &keys[q], i))
-							}
-							for i, w := range scores {
-								AXPY(outs[q], w, c.view(row, &vals[q], i))
-							}
-						}
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/visit")
-				})
 			}
 		}
 	}
+}
+
+// benchAttendVisit is one row of BenchmarkAttendBlock.
+func benchAttendVisit(b *testing.B, impl string, level armLevel, codec string, bits int, shape string, head, nq, perHead, form int) {
+	const hd, heads, tokens = 32, 4, 16
+	c := newAttnCase(lcg(7), false, hd, heads, head, bits, tokens, tokens, form)
+	blk := NewAttnBlock(hd, tokens)
+	outs, qs := newLanes(nq, hd), benchLanes(nq, hd)
+	keys, vals := make([]Rows, nq), make([]Rows, nq)
+	for i := range qs {
+		if i > 0 && i%perHead == 0 {
+			blk.NextHead()
+		}
+		copy(blk.Add(tokens, outs[i]), qs[i])
+		keys[i], vals[i] = c.headPage(0, head+i/perHead, false), c.headPage(0, head+i/perHead, true)
+	}
+	kr, vr := c.rows(0, false), c.rows(0, true)
+	scores, row := make([]float32, tokens), make([]float32, hd)
+	name := fmt.Sprintf("%s/%s/%s", impl, codec, shape)
+	if form == attnSealed {
+		name += "/sealed"
+	}
+	b.Run(name, func(b *testing.B) {
+		arm = level
+		for b.Loop() {
+			if impl != "scalar" {
+				blk.Score(0, tokens, &kr)
+				blk.Accumulate(0, tokens, &vr)
+				continue
+			}
+			for q := range qs {
+				for i := range scores {
+					scores[i] = Dot(qs[q], c.view(row, &keys[q], i))
+				}
+				for i, w := range scores {
+					AXPY(outs[q], w, c.view(row, &vals[q], i))
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/visit")
+	})
 }

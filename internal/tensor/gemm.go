@@ -13,9 +13,9 @@ package tensor
 // operation, so results are bit-identical to it for every lane count, every
 // split of the columns and every arm. What the tile buys is arithmetic
 // intensity: a weight row segment is loaded once for four lanes and sixteen
-// outputs — on AVX-512 hosts once for eight lanes (four for a group's last
-// short run) and thirty-two — and a panel stays in cache while every lane
-// group visits it.
+// outputs — on AVX-512 hosts once for eight lanes (a last group of five to
+// seven too, four for one of four or fewer) and thirty-two — and a panel
+// stays in cache while every lane group visits it.
 //
 // Weights the engine owns are stored packed (Packed): 16-column panels, each
 // K-major and contiguous, so a tile reads one cache line per k and nothing
@@ -129,13 +129,14 @@ func checkLanes(dst, xs [][]float32, rows, cols int) {
 // boundary) of dst[b][c] = Σ_kk xs[b][kk]·W[kk][c], where panel c/16's row kk
 // starts at w[c/16*panelStep + kk*stride]. Panels are the outer loop so one
 // panel (K×16 floats) — or, on the AVX-512 arm, one pair of adjacent panels —
-// stays cached while every group of lanes visits it. On a pair, every full
-// group of eight lanes takes the 8-lane tile (tilePair8: the pair is read
-// once per eight lanes, not once per four); the remaining lanes go four at a
-// time. A short last group repeats its last lane — the repeats recompute and
-// rewrite that lane's own outputs — and a ragged last panel (zero-padded in
-// w) lands in a stack tile whose live columns are copied out; it, and a lone
-// last panel, take the one-panel tile.
+// stays cached while every group of lanes visits it. On a pair, every group
+// of more than four lanes takes the 8-lane tile (tilePair8: the pair is read
+// once per eight lanes, not once per four, so a step of five to seven lanes
+// streams the weights once); a last four or fewer go four at a time. A short
+// group repeats its last lane — the repeats recompute and rewrite that
+// lane's own outputs, one ascending chain each — and a ragged last panel
+// (zero-padded in w) lands in a stack tile whose live columns are copied
+// out; it, and a lone last panel, take the one-panel tile.
 func gemmTiles(dst, xs [][]float32, w []float32, k, stride, panelStep, c0, c1 int) {
 	var ragged [4][panelWidth]float32
 	for c := c0; c < c1; {
@@ -145,10 +146,11 @@ func gemmTiles(dst, xs [][]float32, w []float32, k, stride, panelStep, c0, c1 in
 			width = 2 * panelWidth
 		}
 		b := 0
-		for ; width > panelWidth && len(xs)-b >= 8; b += 8 {
+		for ; width > panelWidth && len(xs)-b > 4; b += 8 {
 			var d, x [8][]float32
 			for i := range d {
-				d[i], x[i] = dst[b+i][c:c+width], xs[b+i]
+				l := b + min(i, len(xs)-b-1)
+				d[i], x[i] = dst[l][c:c+width], xs[l]
 			}
 			tilePair8(&d, &x, wp, k, stride, panelStep, false)
 		}

@@ -47,12 +47,12 @@ func axpyFMA(dst *float32, alpha float32, x *float32, n8 int)
 //go:noescape
 func relay16AVX2(panel, rows *float32, stride, d8 int)
 
-// paramsQ8AVX512 is the assembly behind AttnBlock.int8Params: the (lo, Δ)
-// fp16 pairs of n ≤ 16 tokens, step bytes apart, decoded into lod's 32
-// floats, zero past n.
+// paramsQ8AVX512 is the assembly behind AttnBlock.int8Params: the n ≤ 16
+// consecutive (lo, Δ) fp16 pairs at params decoded into lod's 32 floats,
+// zero past n.
 //
 //go:noescape
-func paramsQ8AVX512(lod *float32, params *uint16, step, n int)
+func paramsQ8AVX512(lod *float32, params *uint16, n int)
 
 // panelQ8AVX512 is the key loader's arm for 8-bit codes: 16 rows of 16·d16
 // codes, codeStride bytes apart, dequantized with lod's (lo, Δ) pairs
@@ -60,6 +60,21 @@ func paramsQ8AVX512(lod *float32, params *uint16, step, n int)
 //
 //go:noescape
 func panelQ8AVX512(panel *float32, codes *uint8, codeStride int, lod *float32, d16 int)
+
+// panelQ8SealedAVX512 is the key loader's arm for a sealed page's 8-bit
+// codes: one sub-tile's d×16 dim-major codes (d a multiple of 16)
+// dequantized as they lie into the panel with the 16 (lo, Δ) pairs at params
+// — sealedPanel's arithmetic, with no transpose.
+//
+//go:noescape
+func panelQ8SealedAVX512(panel *float32, codes *uint8, params *uint16, d int)
+
+// sealQ8AVX512 is the assembly behind SealCodes at 8 bits on the AVX-512
+// arm: one 16-token sub-tile of code rows, d = 16·d16 bytes each and d
+// apart, re-laid dim-major into dst (d × 16 bytes).
+//
+//go:noescape
+func sealQ8AVX512(dst, src *uint8, d16 int)
 
 // encodeQ8AVX512 is the assembly behind QuantEncode at 8 bits: 16·n16 floats
 // to codes and their (lo, Δ) pair, or false, with nothing written, for a

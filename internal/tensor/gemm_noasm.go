@@ -28,11 +28,19 @@ func relay16AVX2(panel, rows *float32, stride, d8 int) {
 	panic("tensor: no assembly micro-kernel on this architecture")
 }
 
-func paramsQ8AVX512(lod *float32, params *uint16, step, n int) {
+func paramsQ8AVX512(lod *float32, params *uint16, n int) {
 	panic("tensor: no assembly micro-kernel on this architecture")
 }
 
 func panelQ8AVX512(panel *float32, codes *uint8, codeStride int, lod *float32, d16 int) {
+	panic("tensor: no assembly micro-kernel on this architecture")
+}
+
+func panelQ8SealedAVX512(panel *float32, codes *uint8, params *uint16, d int) {
+	panic("tensor: no assembly micro-kernel on this architecture")
+}
+
+func sealQ8AVX512(dst, src *uint8, d16 int) {
 	panic("tensor: no assembly micro-kernel on this architecture")
 }
 

@@ -475,8 +475,9 @@ func benchLanes(b int, n int) [][]float32 {
 // 256×1024 and down 1024×256, LM head = packed embedᵀ 256×1024 over a 1024
 // vocabulary) at r lanes, once per arm over packed panels, with the scalar
 // reference (VecMatInto per lane) and the row-major entry at the host's arm
-// beside them. On the avx512 rows r8 and up run the 8-lane tile (r40 as five
-// groups of eight, r72 as nine); r1 and r4 run only the 4-lane one.
+// beside them. On the avx512 rows every group of more than four lanes runs
+// the 8-lane tile (r5 and r7 as one group repeating its last lane, r40 as
+// five groups of eight, r72 as nine); r1 and r4 run only the 4-lane one.
 func BenchmarkGEMM(b *testing.B) {
 	selected := arm
 	defer func() { arm = selected }()
@@ -498,7 +499,7 @@ func BenchmarkGEMM(b *testing.B) {
 				m = Transpose(testMatrix(sh.cols, sh.rows, 1))
 			}
 			p, mT := pack(m), &Matrix{Rows: sh.cols, Cols: sh.rows}
-			for _, r := range []int{1, 4, 8, 16, 40, 72} {
+			for _, r := range []int{1, 4, 5, 7, 8, 16, 40, 72} {
 				xs, dst := benchLanes(r, sh.rows), newLanes(r, sh.cols)
 				b.Run(fmt.Sprintf("%s/%s/r%d", impl.name, sh.name, r), func(b *testing.B) {
 					arm = impl.level

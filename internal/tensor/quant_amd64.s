@@ -5,51 +5,75 @@
 // key pass's dequantize-into-panel and the encoder (the value pass's
 // dequantizing tile, valueQ8AVX512, is in attend_amd64.s). Every dequantized element is float32(code)·Δ + lo with two
 // roundings — VCVTDQ2PS (exact), then VMULPS, then VADDPS, never an FMA —
-// DequantSliceInto's arithmetic.
+// Rows.TokenInto's arithmetic.
 
-// lanes<> is the dword vector 0, 1, …, 15.
-DATA lanes<>+0(SB)/4, $0
-DATA lanes<>+4(SB)/4, $1
-DATA lanes<>+8(SB)/4, $2
-DATA lanes<>+12(SB)/4, $3
-DATA lanes<>+16(SB)/4, $4
-DATA lanes<>+20(SB)/4, $5
-DATA lanes<>+24(SB)/4, $6
-DATA lanes<>+28(SB)/4, $7
-DATA lanes<>+32(SB)/4, $8
-DATA lanes<>+36(SB)/4, $9
-DATA lanes<>+40(SB)/4, $10
-DATA lanes<>+44(SB)/4, $11
-DATA lanes<>+48(SB)/4, $12
-DATA lanes<>+52(SB)/4, $13
-DATA lanes<>+56(SB)/4, $14
-DATA lanes<>+60(SB)/4, $15
-GLOBL lanes<>(SB), RODATA|NOPTR, $64
-
-// func paramsQ8AVX512(lod *float32, params *uint16, step, n int)
+// func paramsQ8AVX512(lod *float32, params *uint16, n int)
 //
-// lod[2t], lod[2t+1] = DecodeFloat16 of the (lo, Δ) pair at params + t·step
-// bytes for tokens t < n ≤ 16, and +0 for the tokens past n: one masked
-// VPGATHERDD of the pairs as dwords (nothing past n is read), then
+// lod[2t], lod[2t+1] = DecodeFloat16 of the (lo, Δ) pair params[2t],
+// params[2t+1] for tokens t < n ≤ 16, and +0 for the tokens past n: one
+// masked load of the n pairs as dwords (nothing past n is read), then
 // VCVTPH2PS over each half of the 32 halves.
-TEXT ·paramsQ8AVX512(SB), NOSPLIT, $0-32
+TEXT ·paramsQ8AVX512(SB), NOSPLIT, $0-24
 	MOVQ lod+0(FP), DI
 	MOVQ params+8(FP), SI
-	MOVQ step+16(FP), AX
-	MOVQ n+24(FP), CX
-	VPBROADCASTD AX, Z1
-	VPMULLD lanes<>(SB), Z1, Z1
+	MOVQ n+16(FP), CX
 	MOVL $1, AX
 	SHLL CX, AX
 	DECL AX
 	KMOVW AX, K1
-	VPXORD Z0, Z0, Z0
-	VPGATHERDD (SI)(Z1*1), K1, Z0
+	VMOVDQU32.Z (SI), K1, Z0
 	VCVTPH2PS Y0, Z2
 	VEXTRACTI32X8 $1, Z0, Y3
 	VCVTPH2PS Y3, Z3
 	VMOVUPS Z2, (DI)
 	VMOVUPS Z3, 64(DI)
+	VZEROUPPER
+	RET
+
+// DQ8DIM dequantizes the 16 codes of one dimension of a sealed sub-tile at
+// off(SI) into panel row off·4(DI): float32(code)·Δ_t + lo_t with token t's
+// Δ in Z2's lane t and lo in Z1's.
+#define DQ8DIM(off, Z) \
+	VPMOVZXBD off(SI), Z \
+	VCVTDQ2PS Z, Z \
+	VMULPS Z2, Z, Z \
+	VADDPS Z1, Z, Z \
+	VMOVUPS Z, (off*4)(DI)
+
+// func panelQ8SealedAVX512(panel *float32, codes *uint8, params *uint16, d int)
+//
+// panel[j*16+t] = float32(codes[j*16+t])·Δ_t + lo_t for 16 tokens t and d
+// dims j (d a multiple of 16): a sealed page's 8-bit sub-tile is already
+// dim-major, so each dimension is one 16-code load, dequantized into its
+// panel row, and nothing is transposed. The 16 (lo_t, Δ_t) pairs are one
+// load: params[2t], params[2t+1] as dwords, split by VPMOVDW into the lo and
+// the Δ halves, each widened by VCVTPH2PS.
+TEXT ·panelQ8SealedAVX512(SB), NOSPLIT, $0-32
+	MOVQ panel+0(FP), DI
+	MOVQ codes+8(FP), SI
+	MOVQ params+16(FP), AX
+	MOVQ d+24(FP), CX
+	VMOVDQU32 (AX), Z0
+	VPMOVDW Z0, Y1
+	VPSRLD $16, Z0, Z0
+	VPMOVDW Z0, Y2
+	VCVTPH2PS Y1, Z1
+	VCVTPH2PS Y2, Z2
+	SHRQ $2, CX
+	TESTQ CX, CX
+	JLE  sealdone
+
+sealloop:
+	DQ8DIM(0, Z3)
+	DQ8DIM(16, Z4)
+	DQ8DIM(32, Z5)
+	DQ8DIM(48, Z6)
+	ADDQ $64, SI
+	ADDQ $256, DI
+	DECQ CX
+	JNZ  sealloop
+
+sealdone:
 	VZEROUPPER
 	RET
 
@@ -106,6 +130,72 @@ panelloop:
 	JNZ  panelloop
 
 paneldone:
+	VZEROUPPER
+	RET
+
+// LDQ8ROW widens the 16 codes at R8 into Z's dwords and steps R8 one row.
+#define LDQ8ROW(Z) \
+	VPMOVZXBD (R8), Z \
+	ADDQ BX, R8
+
+// func sealQ8AVX512(dst, src *uint8, d16 int)
+//
+// dst[j*16+t] = src[t*d+j] for 16 rows t of d = 16·d16 codes and every
+// dimension j: one 16-token sub-tile of 8-bit code rows re-laid dim-major, a
+// sealed panel. Per 16 dims the rows are widened to dwords, transposed in
+// registers (TRANSPOSE16) and narrowed back (VPMOVDB). Data movement only.
+TEXT ·sealQ8AVX512(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ d16+16(FP), CX
+	MOVQ CX, BX
+	SHLQ $4, BX
+	TESTQ CX, CX
+	JLE  sealq8done
+
+sealq8loop:
+	MOVQ SI, R8
+	LDQ8ROW(Z0)
+	LDQ8ROW(Z1)
+	LDQ8ROW(Z2)
+	LDQ8ROW(Z3)
+	LDQ8ROW(Z4)
+	LDQ8ROW(Z5)
+	LDQ8ROW(Z6)
+	LDQ8ROW(Z7)
+	LDQ8ROW(Z8)
+	LDQ8ROW(Z9)
+	LDQ8ROW(Z10)
+	LDQ8ROW(Z11)
+	LDQ8ROW(Z12)
+	LDQ8ROW(Z13)
+	LDQ8ROW(Z14)
+	LDQ8ROW(Z15)
+
+	TRANSPOSE16
+
+	VPMOVDB Z0, 0(DI)
+	VPMOVDB Z1, 16(DI)
+	VPMOVDB Z2, 32(DI)
+	VPMOVDB Z3, 48(DI)
+	VPMOVDB Z4, 64(DI)
+	VPMOVDB Z5, 80(DI)
+	VPMOVDB Z6, 96(DI)
+	VPMOVDB Z7, 112(DI)
+	VPMOVDB Z8, 128(DI)
+	VPMOVDB Z9, 144(DI)
+	VPMOVDB Z10, 160(DI)
+	VPMOVDB Z11, 176(DI)
+	VPMOVDB Z12, 192(DI)
+	VPMOVDB Z13, 208(DI)
+	VPMOVDB Z14, 224(DI)
+	VPMOVDB Z15, 240(DI)
+	ADDQ $16, SI
+	ADDQ $256, DI
+	DECQ CX
+	JNZ  sealq8loop
+
+sealq8done:
 	VZEROUPPER
 	RET
 

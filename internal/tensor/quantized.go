@@ -3,12 +3,13 @@ package tensor
 import "math"
 
 // This file is the codec of quantized KV pages: the fp16 parameter codec, the
-// encoder (QuantEncode) and the dequantizer (DequantSliceInto). A page stores
-// uniform-quantized codes (8-bit, or 4-bit packed two per byte) token-major
-// at the same stride as the fp32 layout, plus one (lo, delta) float16
-// parameter pair per (token, kv-head) slice. An element dequantizes as
-// x = float32(code)*delta + lo, the exact arithmetic of internal/quant's
-// Uniform dequantizer. Attention reads a page 16 tokens of one head at a time
+// encoder (QuantEncode), the code accessors and the seal's re-lay (SealF32,
+// SealCodes and their inverse). A page stores uniform-quantized codes (8-bit,
+// or 4-bit packed two per byte) in the same element layout as fp32 rows,
+// plus one (lo, delta) float16 parameter pair per (token, kv-head) slice
+// (Rows). An element dequantizes as x = float32(code)*delta + lo
+// (Rows.TokenInto), the exact arithmetic of internal/quant's Uniform
+// dequantizer. Attention reads a page 16 tokens of one head at a time
 // (attend.go), so decode never materializes more than that sub-tile — and on
 // the AVX-512 arm 8-bit codes not even that. The Go functions here are the
 // specification; the AVX-512 arm's 8-bit encoder and fp16 parameter decoder
@@ -151,36 +152,78 @@ func quantEncodeGo(codes []uint8, params []uint16, x []float32, bits int) {
 	}
 }
 
-// DequantSliceInto writes the dequantized head slice of one entry into dst —
-// the scalar reference the attention block's dequantizer is pinned against,
-// and the primitive the generic (slice-of-slices) cache read path uses.
-// Entry i's codes for the requested head live at element offset i*stride+off
-// (off = head*len(dst)); its (lo, delta) float16 pair sits at
-// params[(i*heads+head)*2]. bits must be 8, or 4 with codes packed two per
-// byte (low nibble first; off and len(dst) must then be even, which RoPE's
-// even head dimension guarantees). The product is rounded before lo is added
-// — two roundings, the explicit conversion keeping any build from fusing them.
-func DequantSliceInto(dst []float32, codes []uint8, params []uint16, bits, off, stride, heads, head, i int) {
-	d := len(dst)
-	p := (i*heads + head) * 2
-	lo := DecodeFloat16(params[p])
-	dlt := DecodeFloat16(params[p+1])
-	switch bits {
-	case 8:
-		base := i*stride + off
-		row := codes[base : base+d : base+d]
-		for j := range dst {
-			dst[j] = float32(float32(row[j])*dlt) + lo
+// codeAt returns element e of codes bits wide: byte e at 8 bits; at 4 bits
+// nibble e, two per byte, low nibble first.
+func codeAt(codes []uint8, bits, e int) uint8 {
+	if bits == 8 {
+		return codes[e]
+	}
+	return codes[e>>1] >> (4 * (e & 1)) & 0x0F
+}
+
+// setCode stores c as element e of codes bits wide (codeAt's layout).
+func setCode(codes []uint8, bits, e int, c uint8) {
+	if bits == 8 {
+		codes[e] = c
+		return
+	}
+	sh := 4 * (e & 1)
+	codes[e>>1] = codes[e>>1]&^(0x0F<<sh) | c<<sh
+}
+
+// SealF32 re-lays one KV head's rows of a full page — a multiple of 16 token
+// rows of d floats, d apart — in place as sealed rows (SealedAt: every 16
+// tokens one dim-major panel), copying them through scratch (as long as
+// rows). Data movement only, relay's.
+func SealF32(rows, scratch []float32, d int) {
+	copy(scratch, rows)
+	for s := 0; s < len(rows); s += panelWidth * d {
+		relay(rows[s:], scratch[s:], d, d)
+	}
+}
+
+// SealCodes is SealF32 over codes bits wide: every code moves, none is
+// re-quantized, and the (lo, Δ) pairs stay one per token row. On the AVX-512
+// arm 8-bit panels of whole 16-dimension blocks move by sealQ8AVX512.
+func SealCodes(codes, scratch []uint8, bits, d int) {
+	copy(scratch, codes)
+	pb := panelWidth * d * bits / 8 // bytes per panel
+	for s := 0; s < len(codes); s += pb {
+		src, dst := scratch[s:s+pb], codes[s:s+pb]
+		if bits == 8 && zmmPanels(d) {
+			sealQ8AVX512(&dst[0], &src[0], d/panelWidth)
+			continue
 		}
-	case 4:
-		base := (i*stride + off) >> 1
-		row := codes[base : base+d/2 : base+d/2]
-		for j := 0; j < d; j += 2 {
-			b := row[j>>1]
-			dst[j] = float32(float32(b&0x0F)*dlt) + lo
-			dst[j+1] = float32(float32(b>>4)*dlt) + lo
+		if bits == 8 {
+			for t := 0; t < panelWidth; t++ {
+				for j, c := range src[t*d : (t+1)*d] {
+					dst[j*panelWidth+t] = c
+				}
+			}
+			continue
 		}
-	default:
-		panic("tensor: dequantsliceinto unsupported bit width")
+		for j := 0; j < d; j++ { // tokens 2i and 2i+1 of dimension j share a byte
+			sh := 4 * (j & 1)
+			for i := 0; i < panelWidth/2; i++ {
+				lo, hi := src[i*d+j/2]>>sh&0x0F, src[i*d+d/2+j/2]>>sh&0x0F
+				dst[j*panelWidth/2+i] = lo | hi<<4
+			}
+		}
+	}
+}
+
+// UnsealF32 copies the first tokens tokens of one KV head's sealed fp32 rows
+// src into token rows d apart at the start of dst: SealF32 undone for a head
+// of the page.
+func UnsealF32(dst, src []float32, tokens, d int) {
+	for e := 0; e < tokens*d; e++ {
+		dst[e] = src[SealedAt(e/d, e%d, d)]
+	}
+}
+
+// UnsealCodes is UnsealF32 over codes bits wide, SealCodes undone.
+func UnsealCodes(dst, src []uint8, bits, tokens, d int) {
+	for e := 0; e < tokens*d; e++ {
+		setCode(dst, bits, e, codeAt(src, bits, SealedAt(e/d, e%d, d)))
 	}
 }

@@ -68,8 +68,8 @@ func buildQuantPage(r *rand.Rand, tokens, stride, heads, bits int) (codes []uint
 }
 
 // TestQuantStridedKernelsMatchScratchBuffer pins the block's two passes over
-// a quantized page to dequantizing each token into a scratch buffer and
-// calling Dot / AXPY on it.
+// a quantized page (head-major: each head's token rows d apart) to
+// dequantizing each token into a scratch buffer and calling Dot / AXPY on it.
 func TestQuantStridedKernelsMatchScratchBuffer(t *testing.T) {
 	const (
 		tokens = 16
@@ -86,7 +86,7 @@ func TestQuantStridedKernelsMatchScratchBuffer(t *testing.T) {
 		for _, bits := range []int{8, 4} {
 			codes, params := buildQuantPage(r, tokens, stride, heads, bits)
 			for head := 0; head < heads; head++ {
-				rows := Rows{Codes: codes, Params: params, Bits: bits, Off: head * d, Stride: stride, Heads: heads, Head: head}
+				rows := Rows{Codes: codes[head*tokens*d*bits/8:], Params: params[2*head*tokens:], Bits: bits, Stride: d, HeadStride: tokens * d}
 				for _, n := range []int{1, 3, tokens} { // partial pages included
 					fastOut := make([]float32, d)
 					slowOut := make([]float32, d)
@@ -100,7 +100,7 @@ func TestQuantStridedKernelsMatchScratchBuffer(t *testing.T) {
 					slow := make([]float32, n)
 					scratch := make([]float32, d)
 					for i := 0; i < n; i++ {
-						DequantSliceInto(scratch, codes, params, bits, rows.Off, stride, heads, head, i)
+						rows.TokenInto(scratch, 0, i)
 						slow[i] = Dot(q, scratch)
 					}
 					for i := range slow {
@@ -115,7 +115,7 @@ func TestQuantStridedKernelsMatchScratchBuffer(t *testing.T) {
 					}
 					b.Accumulate(0, n, &rows)
 					for i := 0; i < n; i++ {
-						DequantSliceInto(scratch, codes, params, bits, rows.Off, stride, heads, head, i)
+						rows.TokenInto(scratch, 0, i)
 						AXPY(slowOut, fast[i], scratch)
 					}
 					for j := range fastOut {
@@ -148,7 +148,7 @@ func TestQuantStridedKernelsZeroAlloc(t *testing.T) {
 			rows := Rows{F32: make([]float32, tokens*stride)[d:], Stride: stride}
 			if bits != 0 {
 				codes, params := buildQuantPage(r, tokens, stride, heads, bits)
-				rows = Rows{Codes: codes, Params: params, Bits: bits, Off: d, Stride: stride, Heads: heads, Head: 1}
+				rows = Rows{Codes: codes[tokens*d*bits/8:], Params: params[2*tokens:], Bits: bits, Stride: d, HeadStride: tokens * d}
 			}
 			if n := testing.AllocsPerRun(100, func() {
 				b.Score(0, tokens, &rows)
@@ -227,11 +227,11 @@ func FuzzEncodeFloat16Nearest(f *testing.F) {
 }
 
 // TestInt8ParamsExhaustive pins the attention block's parameter decoder —
-// VCVTPH2PS over a gather on the AVX-512 arm — to DecodeFloat16 over every
-// non-NaN binary16 encoding, bit for bit, under every arm: the halves are
-// head 1's (lo, Δ) pairs of a two-head page (head 0 holds NaNs, which must
-// not be read), decoded 1 to 16 tokens at a time, every lod slot past the
-// tokens +0.
+// VCVTPH2PS over one masked load on the AVX-512 arm — to DecodeFloat16 over
+// every non-NaN binary16 encoding, bit for bit, under every arm: the halves
+// are head 1's (lo, Δ) pairs of a two-head page (head 0's pairs before them
+// and the slots past them hold NaNs, which must not be read), decoded 1 to 16
+// tokens at a time, every lod slot past the tokens +0.
 func TestInt8ParamsExhaustive(t *testing.T) {
 	var halves []uint16
 	for h := 0; h <= 0xFFFF; h++ {
@@ -240,21 +240,21 @@ func TestInt8ParamsExhaustive(t *testing.T) {
 		}
 	}
 	tokens := len(halves) / 2
-	params := make([]uint16, 4*tokens)
-	for i := 0; i < tokens; i++ {
-		params[4*i], params[4*i+1] = 0x7E01, 0x7E01
-		params[4*i+2], params[4*i+3] = halves[2*i], halves[2*i+1]
+	params := make([]uint16, 4*tokens+2*panelWidth)
+	for i := range params {
+		params[i] = 0x7E01
 	}
-	r := Rows{Params: params, Bits: 8, Heads: 2, Head: 1}
+	copy(params[2*tokens:], halves[:2*tokens])
+	r := Rows{Params: params, Bits: 8, Stride: 16, HeadStride: 16 * tokens}
 	eachArm(t, func(t *testing.T) {
 		b := NewAttnBlock(16, 16)
 		for t0, n := 0, 1; t0 < tokens; t0, n = t0+n, n%16+1 {
 			tt := min(n, tokens-t0)
 			if tt < 16 {
-				b.lod[0][2*tt] = 1 // a slot past the tokens must be cleared
+				b.lod[1][2*tt] = 1 // a slot past the tokens must be cleared
 			}
-			b.int8Params(&r, t0, tt, 0)
-			for j, got := range b.lod[0] {
+			b.int8Params(&r, t0, tt, 1)
+			for j, got := range b.lod[1] {
 				want := float32(0)
 				if j < 2*tt {
 					want = DecodeFloat16(halves[2*t0+j])

@@ -373,13 +373,13 @@ func TestStridedPanics(t *testing.T) {
 		assertPanics("axpy stride", func() { block().Accumulate(0, 1, &Rows{F32: make([]float32, 8), Stride: 4}) })
 		assertPanics("axpy short", func() { block().Accumulate(0, 3, &Rows{F32: make([]float32, 16), Stride: 8}) })
 		assertPanics("codes short", func() {
-			block().Score(0, 3, &Rows{Codes: make([]uint8, 16), Params: make([]uint16, 6), Bits: 8, Stride: 8, Heads: 1})
+			block().Score(0, 3, &Rows{Codes: make([]uint8, 16), Params: make([]uint16, 6), Bits: 8, Stride: 8})
 		})
 		assertPanics("params short", func() {
-			block().Accumulate(0, 3, &Rows{Codes: make([]uint8, 24), Params: make([]uint16, 4), Bits: 8, Stride: 8, Heads: 1})
+			block().Accumulate(0, 3, &Rows{Codes: make([]uint8, 24), Params: make([]uint16, 4), Bits: 8, Stride: 8})
 		})
 		assertPanics("codes short ragged panel", func() {
-			oneQuery(make([]float32, 16), make([]float32, 16), 20).Score(0, 3, &Rows{Codes: make([]uint8, 40), Params: make([]uint16, 6), Bits: 8, Stride: 16, Heads: 1})
+			oneQuery(make([]float32, 16), make([]float32, 16), 20).Score(0, 3, &Rows{Codes: make([]uint8, 40), Params: make([]uint16, 6), Bits: 8, Stride: 16})
 		})
 	})
 	assertPanics("descending bound", func() { block().Add(19, make([]float32, 8)) })
