@@ -83,7 +83,12 @@ race-sched:
 # non-finite and out-of-range slices on the specification's path), then the
 # prefix tree against a map
 # model (any run of insert / match / pin / unpin / evict: page and pin
-# counts, pinned ancestors, release-order eviction, longest match), then the
+# counts, pinned ancestors, release-order eviction, longest match), then
+# admission's projected page demand against an iteration-by-iteration walk
+# (any page size and chunk, running sets of decode lanes, mid-prefill
+# requests, sparse replay tails, re-admitted requests and paths through
+# shared and pre-warmed prefix pages, predictions absent, exact, short and
+# past the cap: the peak on retirement iterations equals the walk's), then the
 # weight sampler's transform (raw bits of u in (-1, 1), s in (0, 1) and the
 # scale, lengths 0-40 so every ragged tail is hit: every arm of NormalsInto
 # against the pure-Go specification, and the specification against
@@ -102,6 +107,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzEncodeFloat16Nearest -fuzztime 10s ./internal/tensor
 	$(GO) test -run XXX -fuzz FuzzQuantEncodeMatchesSpec -fuzztime 10s ./internal/tensor
 	$(GO) test -run XXX -fuzz FuzzPrefixTreeMatchesModel -fuzztime 10s ./internal/sched
+	$(GO) test -run XXX -fuzz FuzzAdmitProjectionMatchesStepwise -fuzztime 10s ./internal/sched
 	$(GO) test -run XXX -fuzz FuzzPolarMatchesMath -fuzztime 10s ./internal/tensor
 
 BENCHPKGS = . ./internal/model ./internal/tensor ./internal/rng
@@ -115,9 +121,10 @@ BENCHPKGS = . ./internal/model ./internal/tensor ./internal/rng
 # budget-packed mixed step, a KV cache's whole life on a warm page pool
 # (pages, page tables and page handles drawn and given back), appends across
 # a page seal (the seal's scratch is the pool's), a refused page
-# reservation (admission retries one after every eviction) and streaming a
-# request's tokens.
-ALLOC_PINS = TestQuantDecodeAllocs TestBlockWalkAllocs TestQuantStridedKernelsZeroAlloc TestSparseDecodeAllocs TestSparseAttentionZeroAlloc TestBatchedKernelsAllocFree TestForwardMixedPackedAllocFree TestStepMixedPackedAllocFree TestPagePoolCycleAllocFree TestSealAppendAllocFree TestReserveRefusalAllocFree TestEmitAllocFree
+# reservation (admission retries one after every eviction), an admission pass
+# that defers on the projected page demand of eight running requests and
+# streaming a request's tokens.
+ALLOC_PINS = TestQuantDecodeAllocs TestBlockWalkAllocs TestQuantStridedKernelsZeroAlloc TestSparseDecodeAllocs TestSparseAttentionZeroAlloc TestBatchedKernelsAllocFree TestForwardMixedPackedAllocFree TestStepMixedPackedAllocFree TestPagePoolCycleAllocFree TestSealAppendAllocFree TestReserveRefusalAllocFree TestAdmitProjectionAllocFree TestEmitAllocFree
 ALLOC_PKGS = ./internal/model ./internal/tensor ./internal/core ./internal/kvcache ./internal/sched
 
 # bench-smoke compiles and single-steps every benchmark in BENCHPKGS (the

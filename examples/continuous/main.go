@@ -1,7 +1,8 @@
 // Example continuous demonstrates the continuous-batching server: several
 // requests sharing a system prompt are submitted together, stream their
 // tokens as the scheduler interleaves them, and report the serving metrics
-// (TTFT, E2E, preemptions) the paper's production sections discuss.
+// (TTFT, E2E, preemptions, deferred admissions) the paper's production
+// sections discuss.
 package main
 
 import (
@@ -26,7 +27,7 @@ func main() {
 		rethinkkv.WithMaxNewTokens(12),
 		rethinkkv.WithMaxBatch(4),
 		rethinkkv.WithPageTokens(16),
-		rethinkkv.WithKVPages(64),      // tight budget: preemption is possible
+		rethinkkv.WithKVPages(64),      // page budget: admission waits until a request fits it to retirement
 		rethinkkv.WithPrefillChunk(16), // prompts prefill 16 tokens/iteration, interleaved with decode
 		rethinkkv.WithSharedPrefix(system),
 	)
@@ -66,8 +67,8 @@ func main() {
 		log.Fatal(err)
 	}
 	st := srv.Stats()
-	fmt.Printf("\nsteps=%d admitted=%d preemptions=%d prefix hits=%d (saved %d prefill tokens)\n",
-		st.Steps, st.Admitted, st.Preemptions, st.PrefixHits, st.PrefixTokensSaved)
+	fmt.Printf("\nsteps=%d admitted=%d preemptions=%d admissions deferred=%d prefix hits=%d (saved %d prefill tokens)\n",
+		st.Steps, st.Admitted, st.Preemptions, st.AdmitDeferred, st.PrefixHits, st.PrefixTokensSaved)
 	for _, o := range srv.Outcomes() {
 		fmt.Printf("request %d: ttft=%.1fms tbot=%.2fms e2e=%.1fms\n",
 			o.Req.ID, 1000*o.TTFT(), 1000*o.TBOT(), 1000*o.E2E())

@@ -174,14 +174,14 @@ func TestMigrationFallbackRequeuesOnSource(t *testing.T) {
 		Router:  pinRouter{to: 0},
 		Migrate: true,
 		Faults:  inj,
-		// The TestDecodeMigrationBitIdentical shape: this budget is known
-		// to force evictions, and idle engine 1's headroom makes the hook
-		// choose it every time.
+		// The TestDecodeMigrationBitIdentical shape: this budget and the
+		// one-token predictions are known to force evictions, and idle
+		// engine 1's headroom makes the hook choose it every time.
 		Engine: sched.Config{MaxBatch: 4, PageTokens: 4, KVPages: 14},
 	})
 	chans := make([]<-chan sched.Token, len(prompts))
 	for i, prompt := range prompts {
-		ch, err := p.Submit(context.Background(), sched.Request{ID: i, Prompt: prompt, MaxNew: maxNew, Arrival: -1})
+		ch, err := p.Submit(context.Background(), sched.Request{ID: i, Prompt: prompt, MaxNew: maxNew, Predicted: 1, Arrival: -1})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}

@@ -104,12 +104,14 @@ func (g *firstPassGate) hold(step int) {
 }
 
 // submitAll submits the prompts in order, the rest only once the first has
-// reached the held pass, then releases it.
+// reached the held pass, then releases it. Every request predicts a single
+// token, so admission over-commits engine 0's budget the way the tests'
+// arithmetic assumes and the growth it did not plan for preempts.
 func (g *firstPassGate) submitAll(t *testing.T, p *Pool, prompts [][]int, maxNews []int) []<-chan sched.Token {
 	t.Helper()
 	chans := make([]<-chan sched.Token, len(prompts))
 	for i, prompt := range prompts {
-		ch, err := p.Submit(context.Background(), sched.Request{ID: i, Prompt: prompt, MaxNew: maxNews[i], Arrival: -1})
+		ch, err := p.Submit(context.Background(), sched.Request{ID: i, Prompt: prompt, MaxNew: maxNews[i], Predicted: 1, Arrival: -1})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -211,7 +213,8 @@ func TestFleetMatchesSequential(t *testing.T) {
 }
 
 // TestDecodeMigrationBitIdentical pins every request onto engine 0 with a
-// page budget known (from the sched preemption gate) to force evictions.
+// page budget and one-token predictions known (from the sched preemption
+// gate) to force evictions.
 // With an idle engine 1 holding the same budget, victims must migrate and
 // every stream — including the migrated ones — must stay bit-identical to
 // sequential decoding.
@@ -228,7 +231,7 @@ func TestDecodeMigrationBitIdentical(t *testing.T) {
 	})
 	chans := make([]<-chan sched.Token, len(prompts))
 	for i, prompt := range prompts {
-		ch, err := p.Submit(context.Background(), sched.Request{ID: i, Prompt: prompt, MaxNew: maxNew, Arrival: -1})
+		ch, err := p.Submit(context.Background(), sched.Request{ID: i, Prompt: prompt, MaxNew: maxNew, Predicted: 1, Arrival: -1})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}

@@ -63,7 +63,7 @@ func TestSparseMigrationBitIdentical(t *testing.T) {
 	t.Cleanup(func() { closeAndCheckPages(t, p, m) })
 	chans := make([]<-chan sched.Token, len(prompts))
 	for i, prompt := range prompts {
-		ch, err := p.Submit(context.Background(), sched.Request{ID: i, Prompt: prompt, MaxNew: maxNew, Arrival: -1})
+		ch, err := p.Submit(context.Background(), sched.Request{ID: i, Prompt: prompt, MaxNew: maxNew, Predicted: 1, Arrival: -1})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}

@@ -54,21 +54,24 @@ type page struct {
 
 // store writes t tokens' flat token-major K/V behind the p.n tokens the page
 // holds, each (token, head) slice — a HeadDim-element run of the span — into
-// its head's rows of both halves, encoded by the quantized codec.
+// its head's rows of both halves, encoded by the quantized codec. It walks a
+// head at a time: the head's slices lie KVHeads·HeadDim apart in the span and
+// land in consecutive rows of the page.
 func (c *PagedKV) store(p *page, t int, k, v []float32) {
 	kvh, d, pt, bits := c.shape.KVHeads, c.shape.HeadDim, c.pageTokens, c.qbits
-	half := kvh * pt * d
-	for i := 0; i < t*kvh; i++ {
-		h, tok := i%kvh, p.n+i/kvh
-		e, ks, vs := (h*pt+tok)*d, k[i*d:(i+1)*d], v[i*d:(i+1)*d]
-		if bits == 0 {
-			copy(p.f32[e:e+d], ks)
-			copy(p.f32[half+e:half+e+d], vs)
-			continue
+	half, stride, cw := kvh*pt*d, kvh*d, d*bits/8
+	for h := 0; h < kvh; h++ {
+		// row is the (head, token) row the slice at s lands in, in either half.
+		for s, row := h*d, h*pt+p.n; s < t*stride; s, row = s+stride, row+1 {
+			e, ks, vs := row*d, k[s:s+d], v[s:s+d]
+			if bits == 0 {
+				copy(p.f32[e:e+d], ks)
+				copy(p.f32[half+e:half+e+d], vs)
+				continue
+			}
+			tensor.QuantEncode(p.codes[e*bits/8:][:cw], p.params[2*row:][:2], ks, bits)
+			tensor.QuantEncode(p.codes[(half+e)*bits/8:][:cw], p.params[2*(kvh*pt+row):][:2], vs, bits)
 		}
-		pr, cw := 2*(h*pt+tok), d*bits/8
-		tensor.QuantEncode(p.codes[e*bits/8:][:cw], p.params[pr:pr+2], ks, bits)
-		tensor.QuantEncode(p.codes[(half+e)*bits/8:][:cw], p.params[2*kvh*pt+pr:][:2], vs, bits)
 	}
 }
 

@@ -55,7 +55,8 @@ func (e *Engine) before(a, b *reqState) bool {
 }
 
 // admitLocked moves queued requests into the running set, policy-ordered,
-// while batch slots and prompt pages are available. Admission only
+// while batch slots are free and the page budget holds the request to its
+// retirement (projectedPeak). Admission only
 // allocates: it looks the prompt up in the prefix cache, builds the request's
 // cache from the longest match (whole pages by reference, the rest of the
 // match copied into the private tail page) and has the pool promise the pages
@@ -93,9 +94,10 @@ func (e *Engine) admitLocked() {
 		pt := e.cfg.PageTokens
 		path, tail, extra := e.tree.match(prompt, matchLimit(len(prompt), replay), false, rs.nodes[:0])
 		// Pinned before anything is evicted; from here the matched pages
-		// count as used, so the check below asks whether the request fits
+		// count as used, so the checks below ask whether the request fits
 		// once every unpinned page is gone.
 		e.tree.pin(path)
+		matched := len(path)*pt + extra
 		// The promise covers the prompt and, for a request that will decode,
 		// the token its first decode step appends: were that step to open a
 		// page unpromised, admission could thrash (admit, prefill, evict on
@@ -106,9 +108,20 @@ func (e *Engine) admitLocked() {
 			promised++
 		}
 		need := kvcache.PagesFor(promised, pt) - len(path)
-		if b := e.kv.Budget(); b > 0 && e.usedPages()+need > b {
-			e.tree.unpin(path)
-			break // head request waits for pages; keep order
+		if b := e.kv.Budget(); b > 0 {
+			// The head request waits, keeping order, unless its pages fit now
+			// and the running set's growth to retirement leaves room for its
+			// own: admitting on the first test alone fills the budget with
+			// requests whose decode growth must then preempt one of them.
+			used := e.usedPages()
+			now := used+need <= b
+			if !now || e.projectedPeak(used, e.lifetimeOf(rs, path, need, len(prompt)-replay, matched)) > b {
+				if now {
+					e.stats.AdmitDeferred++
+				}
+				e.tree.unpin(path)
+				break
+			}
 		}
 		e.queue = append(e.queue[:i], e.queue[i+1:]...)
 
@@ -119,13 +132,11 @@ func (e *Engine) admitLocked() {
 		for _, n := range path {
 			cache.AdoptPage(n.page)
 		}
-		matched := len(path) * pt
-		if extra > 0 {
+		if matched > len(path)*pt {
 			// The match ends inside a cached page: take the page by
 			// reference, then clone with its first extra tokens deep-copied
 			// into what becomes this request's private tail page. Every page
 			// the adopting cache held is the tree's.
-			matched += extra
 			cache.AdoptPage(tail.page)
 			clone := cache.ClonePrefixN(matched)
 			cache.Release(cache.Pages())
@@ -173,6 +184,93 @@ func (e *Engine) admitLocked() {
 		}
 	}
 	e.syncViewLocked()
+}
+
+// lifetime is one request's page demand from now until it retires, over the
+// loop's coming iterations t = 1, 2, ...: the cached pages no one else pins
+// (own) plus its private charge — pages out and promised beyond its cached
+// path. The charge stays put through the rest of its dense prefill, at least
+// start iterations, then grows with the one token each decode or replay step
+// appends, from `from` tokens to from+grow: the prompt and every output token
+// but the last, which is never fed. The request's length is known, so the
+// iteration it retires on is too.
+type lifetime struct {
+	own, cached, charge int
+	start, from, grow   int
+	// hold keeps a mid-prefill request at its peak past start+grow. Prefill
+	// takes longer than start iterations when chunks share the token budget,
+	// and growth that starts late ends late: held, the projection is an upper
+	// bound on what the request charges at every iteration, however slowly
+	// it prefills.
+	hold bool
+}
+
+// retires returns the iteration whose pass decides the request's last token.
+func (l lifetime) retires() int { return l.start + l.grow }
+
+// demand returns the pages the request charges at iteration t, the page its
+// append in that iteration opens included; 0 once it has retired.
+func (l lifetime) demand(t, pageTokens int) int {
+	if t > l.retires() && !l.hold {
+		return 0
+	}
+	k := min(max(t-l.start, 0), l.grow)
+	return l.own + max(l.charge, kvcache.PagesFor(l.from+k, pageTokens)-l.cached)
+}
+
+// lifetimeOf projects rs's lifetime given its cached path, its private
+// charge, the end of its dense span and how much of it is prefilled. Its
+// length is Request.Predicted, or MaxNew (the remainder SJF orders by), capped
+// at MaxNew: a request that outlives a short prediction is what preemption is
+// left for.
+func (e *Engine) lifetimeOf(rs *reqState, path []*pageNode, charge, dense, prefilled int) lifetime {
+	l := lifetime{cached: len(path), charge: charge}
+	for _, n := range path {
+		if n.refs == 1 { // pinned by rs alone: a pre-warmed page holds a ref of its own
+			l.own++
+		}
+	}
+	last := len(rs.req.Prompt) + min(len(rs.generated)+rs.remaining(), rs.req.MaxNew) - 1
+	if rs.sess != nil {
+		l.from = rs.cache.TotalAppended()
+	} else {
+		// Growth starts the iteration after the final chunk; with the whole
+		// dense span cached, the session forms in iteration 1 and first
+		// appends in iteration 2.
+		l.from, l.hold = dense, true
+		l.start = max(1, (dense-prefilled+e.cfg.PrefillChunk-1)/e.cfg.PrefillChunk)
+	}
+	l.grow = max(last-l.from, 0)
+	return l
+}
+
+// projectedPeak returns the most pages the running set and cand charge at
+// once at any coming iteration, if cand is admitted now and nothing after it:
+// used, less what those requests charge now, is a base that stays charged —
+// pages several requests pin and the pre-warmed prefix. Every other demand
+// only grows until its request retires, so the sum peaks on one of the
+// len(running)+1 retirement iterations: O(R²) demand evaluations in the
+// scratch New sized. The loop steps every decode lane once an iteration, so
+// a running set whose lengths are exact stays within this peak and nothing
+// is preempted.
+func (e *Engine) projectedPeak(used int, cand lifetime) int {
+	plan, base := e.plan[:0], used-cand.own
+	for _, rs := range e.running {
+		charge := rs.cache.Pages() - len(rs.nodes) + rs.cache.Promised()/rs.cache.Shape().Layers
+		l := e.lifetimeOf(rs, rs.nodes, charge, len(rs.prompt)-rs.replay, rs.prefilled)
+		base -= l.own + l.charge
+		plan = append(plan, l)
+	}
+	plan = append(plan, cand)
+	peak := 0
+	for _, at := range plan {
+		sum := base
+		for _, l := range plan {
+			sum += l.demand(at.retires(), e.cfg.PageTokens)
+		}
+		peak = max(peak, sum)
+	}
+	return peak
 }
 
 // sealLocked moves the pages rs has filled since it last looked into the

@@ -43,7 +43,7 @@ func TestTokenBudgetPackedMatchesSequential(t *testing.T) {
 		for _, budget := range []int{6, k + chunk, 128} {
 			t.Run(fmt.Sprintf("k=%d/budget=%d", k, budget), func(t *testing.T) {
 				cfg := Config{MaxBatch: k + 2, PageTokens: 4, PrefillChunk: chunk, TokenBudget: budget}
-				got, e := runEngine(t, cfg, prompts, maxNew)
+				got, e := runEngine(t, cfg, prompts, maxNew, 0)
 				for i := range want {
 					if len(got[i]) != len(want[i]) {
 						t.Fatalf("request %d: %d tokens, want %d", i, len(got[i]), len(want[i]))
@@ -77,10 +77,10 @@ func TestTokenBudgetQuantPacked(t *testing.T) {
 	for _, bits := range []int{8, 4} {
 		t.Run(fmt.Sprintf("bits=%d", bits), func(t *testing.T) {
 			base := Config{MaxBatch: 5, PageTokens: 4, PrefillChunk: chunk, KVQuantBits: bits}
-			want, _ := runEngine(t, base, prompts, maxNew)
+			want, _ := runEngine(t, base, prompts, maxNew, 0)
 			packed := base
 			packed.TokenBudget = 96
-			got, e := runEngine(t, packed, prompts, maxNew)
+			got, e := runEngine(t, packed, prompts, maxNew, 0)
 			for i := range want {
 				if len(got[i]) != len(want[i]) {
 					t.Fatalf("request %d: %d tokens, want %d", i, len(got[i]), len(want[i]))
@@ -109,7 +109,7 @@ func TestTokenBudgetSparsePacked(t *testing.T) {
 		t.Run(fmt.Sprintf("bits=%d", bits), func(t *testing.T) {
 			want := sparseReference(t, prompts, maxNew, topK, pageTokens, bits)
 			cfg := Config{MaxBatch: 6, PageTokens: pageTokens, PrefillChunk: 6, TokenBudget: 64, KVQuantBits: bits}
-			got, e := runSparseEngine(t, cfg, topK, prompts, maxNew)
+			got, e := runSparseEngine(t, cfg, topK, prompts, maxNew, 0)
 			for i := range want {
 				if len(got[i]) != len(want[i]) {
 					t.Fatalf("request %d: %d tokens, want %d", i, len(got[i]), len(want[i]))
@@ -168,14 +168,15 @@ func TestTokenBudgetPreemptMidPrefillPacked(t *testing.T) {
 	want := sequentialReference(t, prompts, maxNew)
 
 	// Pages at admission: short 1, long1 7+1 (28%4==0 reserves the first
-	// decode page), long2 6+1 — exactly the 16-page budget. Short's decode
+	// decode page), long2 6+1 — exactly the 16-page budget, which every
+	// request's one-token prediction lets admission fill. Short's decode
 	// opens a page at position 4, forcing one eviction.
 	cfg := Config{MaxBatch: 3, PageTokens: 4, KVPages: 16, PrefillChunk: 4, TokenBudget: 32}
 	e, entered, release := gatedEngine(t, cfg)
 
 	chans := make([]<-chan Token, len(prompts))
 	submit := func(i int) {
-		ch, err := e.Submit(context.Background(), Request{ID: i, Prompt: prompts[i], MaxNew: maxNew, Arrival: -1})
+		ch, err := e.Submit(context.Background(), Request{ID: i, Prompt: prompts[i], MaxNew: maxNew, Predicted: 1, Arrival: -1})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}

@@ -134,6 +134,9 @@ type Engine struct {
 	chunks       []core.PrefillChunk
 	chunkReqs    []*reqState
 	chunkNexts   []int
+	// plan is projectedPeak's scratch: a lifetime per running request and
+	// one for the candidate, at most MaxBatch.
+	plan []lifetime
 
 	mu       sync.Mutex
 	queue    []*reqState
@@ -206,6 +209,7 @@ func newEngine(m *model.Model, cfg Config) (*Engine, error) {
 		start:  start,
 		sparse: sparse,
 		kv:     kvcache.NewPagePool(shape, cfg.PageTokens, budget, cfg.KVQuantBits, sparse),
+		plan:   make([]lifetime, 0, cfg.MaxBatch),
 		wake:   make(chan struct{}, 1),
 		done:   make(chan struct{}),
 	}

@@ -221,7 +221,7 @@ func TestMigrateHookPanicEndsVictimStream(t *testing.T) {
 	e, err := New(m, Config{
 		MaxBatch:   4,
 		PageTokens: 4,
-		KVPages:    6, // three requests each growing to 4 pages: preemption is certain
+		KVPages:    6, // three requests each growing to 4 pages, predicted to need 1: preemption is certain
 		StepHook: func(n int) {
 			if n == 1 {
 				<-submitted
@@ -240,7 +240,7 @@ func TestMigrateHookPanicEndsVictimStream(t *testing.T) {
 
 	chans := make([]<-chan Token, 3)
 	for i := range chans {
-		ch, err := e.Submit(context.Background(), Request{ID: i, Prompt: []int{3*i + 1, 3*i + 2, 3*i + 3}, MaxNew: 12, Arrival: -1})
+		ch, err := e.Submit(context.Background(), Request{ID: i, Prompt: []int{3*i + 1, 3*i + 2, 3*i + 3}, MaxNew: 12, Predicted: 1, Arrival: -1})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}

@@ -28,7 +28,7 @@ func TestChunkedPrefillMatchesSequential(t *testing.T) {
 	want := sequentialReference(t, prompts, maxNew)
 
 	for _, chunkSize := range []int{1, 7, 32} {
-		got, e := runEngine(t, Config{MaxBatch: 3, PageTokens: 8, PrefillChunk: chunkSize}, prompts, maxNew)
+		got, e := runEngine(t, Config{MaxBatch: 3, PageTokens: 8, PrefillChunk: chunkSize}, prompts, maxNew, 0)
 		for i := range want {
 			if len(got[i]) != len(want[i]) {
 				t.Fatalf("chunk=%d request %d: %d tokens, want %d", chunkSize, i, len(got[i]), len(want[i]))
@@ -168,7 +168,8 @@ func TestPreemptionMidPrefillRecomputes(t *testing.T) {
 
 	// Budget arithmetic (PageTokens=4, KVPages=9): the short request's
 	// prompt takes 1 page, the long prompt needs 8, so both admit
-	// (1+8 = 9). The long prompt needs ceil(30/4) = 8 chunk iterations at
+	// (1+8 = 9) — both predict one token, so admission sees no growth. The
+	// long prompt needs ceil(30/4) = 8 chunk iterations at
 	// PrefillChunk=4; the short decoder opens its second page at position
 	// 4 — a handful of iterations in, while the long request is still
 	// mid-prefill — which overflows the budget and evicts the newest
@@ -178,7 +179,7 @@ func TestPreemptionMidPrefillRecomputes(t *testing.T) {
 	e, _, release := gatedEngine(t, Config{MaxBatch: 2, PageTokens: 4, KVPages: 9, PrefillChunk: 4})
 	chans := make([]<-chan Token, len(prompts))
 	for i, prompt := range prompts {
-		ch, err := e.Submit(context.Background(), Request{ID: i, Prompt: prompt, MaxNew: maxNews[i], Arrival: -1})
+		ch, err := e.Submit(context.Background(), Request{ID: i, Prompt: prompt, MaxNew: maxNews[i], Predicted: 1, Arrival: -1})
 		if err != nil {
 			release()
 			t.Fatal(err)

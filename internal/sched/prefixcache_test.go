@@ -238,11 +238,14 @@ func (a *stepAudit) before(e *Engine, step int) {
 }
 
 // genReq is one request of a generated schedule. cancelAfter >= 0 cancels
-// the request's context once that many tokens have been received.
+// the request's context once that many tokens have been received. predicted
+// is its Request.Predicted: maxNew (exact), short of it, or 0 (absent, which
+// admission reads as maxNew).
 type genReq struct {
 	prompt      []int
 	maxNew      int
 	cancelAfter int
+	predicted   int
 }
 
 // genSchedule is a seeded workload: waves of requests submitted together,
@@ -253,12 +256,24 @@ type genSchedule struct {
 	waves  [][]genReq
 }
 
+// knownLengths reports whether no request's prediction falls short of its cap.
+func (s genSchedule) knownLengths() bool {
+	for _, wave := range s.waves {
+		for _, r := range wave {
+			if r.predicted > 0 && r.predicted < r.maxNew {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func (s genSchedule) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "SharedPrefix %v\n", s.prefix)
 	for w, wave := range s.waves {
 		for i, r := range wave {
-			fmt.Fprintf(&b, "wave %d req %d: maxNew %d cancelAfter %d prompt %v\n", w, i, r.maxNew, r.cancelAfter, r.prompt)
+			fmt.Fprintf(&b, "wave %d req %d: maxNew %d predicted %d cancelAfter %d prompt %v\n", w, i, r.maxNew, r.predicted, r.cancelAfter, r.prompt)
 		}
 	}
 	return b.String()
@@ -267,9 +282,14 @@ func (s genSchedule) String() string {
 // generate draws zipf-weighted prefix families with unique suffixes, unique
 // prompts and cancels from the seed. One request in six wants a single token
 // (no decode step at all) and one prompt in four ends on a page boundary (the
-// first decode step, if there is one, opens a page).
+// first decode step, if there is one, opens a page). Predictions come from a
+// stream of their own, so they leave the rest of a seed's schedule as it was:
+// every request's is exact or absent in half the schedules, and in the other
+// half a third of them fall short of maxNew.
 func generate(seed int64, pageTokens int) genSchedule {
 	r := rand.New(rand.NewSource(seed))
+	pr := rand.New(rand.NewSource(^seed))
+	kinds := 2 + pr.Intn(2) // 3: short predictions drawn too
 	families := make([][]int, 4)
 	for f := range families {
 		families[f] = make([]int, 3+r.Intn(20))
@@ -305,6 +325,12 @@ func generate(seed int64, pageTokens int) genSchedule {
 			if r.Intn(7) == 0 {
 				req.cancelAfter = r.Intn(req.maxNew)
 			}
+			switch k := pr.Intn(kinds); {
+			case k == 0:
+				req.predicted = req.maxNew
+			case k == 2 && req.maxNew > 1:
+				req.predicted = 1 + pr.Intn(req.maxNew-1)
+			}
 			wave[i] = req
 		}
 		s.waves = append(s.waves, wave)
@@ -314,14 +340,16 @@ func generate(seed int64, pageTokens int) genSchedule {
 
 // TestGeneratedSchedulesMatchOracle serves seeded schedules on every page
 // format, dense and sparse, unbounded and under a page budget tight enough to
-// force eviction and preemption, across chunking settings. Every stream must
-// equal sequential decode, the ledger must hold after every step, at every
-// preemption, after Drain and after Close, and every token must leave in the
-// iteration of its one cause (stepAudit). A failing seed prints its schedule.
+// force eviction and — where predictions fall short — preemption, across
+// chunking settings. Every stream must equal sequential decode, the ledger
+// must hold after every step, at every preemption, after Drain and after
+// Close, every token must leave in the iteration of its one cause
+// (stepAudit), and a schedule whose lengths are all known is never preempted.
+// A failing seed prints its schedule.
 func TestGeneratedSchedulesMatchOracle(t *testing.T) {
 	const pageTokens, topK = 4, 2
 	chunking := []struct{ chunk, budget int }{{0, 0}, {3, 0}, {4, 9}}
-	preemptions, evictions, hits, exact := 0, 0, 0, 0
+	preemptions, evictions, hits, exact, deferred := 0, 0, 0, 0, 0
 	for _, bits := range []int{0, 8, 4} {
 		for _, sparse := range []bool{false, true} {
 			for _, tight := range []bool{false, true} {
@@ -340,9 +368,13 @@ func TestGeneratedSchedulesMatchOracle(t *testing.T) {
 						if sparse {
 							k = topK
 						}
-						st, unbroken := runGenerated(t, generate(seed, pageTokens), cfg, k, tight)
+						s := generate(seed, pageTokens)
+						st, unbroken := runGenerated(t, s, cfg, k, tight)
 						if unbroken {
 							exact++
+						}
+						if s.knownLengths() {
+							deferred += st.AdmitDeferred
 						}
 						preemptions += st.Preemptions
 						evictions += st.PrefixEvictions
@@ -352,8 +384,9 @@ func TestGeneratedSchedulesMatchOracle(t *testing.T) {
 			}
 		}
 	}
-	if preemptions == 0 || evictions == 0 || hits == 0 || exact == 0 {
-		t.Fatalf("vacuous: %d preemptions, %d evictions, %d prefix hits, %d runs with lane-steps exact from Stats over all schedules", preemptions, evictions, hits, exact)
+	if preemptions == 0 || evictions == 0 || hits == 0 || exact == 0 || deferred == 0 {
+		t.Fatalf("vacuous: %d preemptions, %d evictions, %d prefix hits, %d runs with lane-steps exact from Stats, %d admissions deferred with every length known over all schedules",
+			preemptions, evictions, hits, exact, deferred)
 	}
 }
 
@@ -426,7 +459,7 @@ func runGenerated(t *testing.T, s genSchedule, cfg Config, topK int, tight bool)
 		for _, r := range wave {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			ch, err := e.Submit(ctx, Request{ID: id, Prompt: r.prompt, MaxNew: r.maxNew, Arrival: -1})
+			ch, err := e.Submit(ctx, Request{ID: id, Prompt: r.prompt, MaxNew: r.maxNew, Predicted: r.predicted, Arrival: -1})
 			if err != nil {
 				t.Fatalf("submit %d: %v", id, err)
 			}
@@ -475,6 +508,11 @@ func runGenerated(t *testing.T, s genSchedule, cfg Config, topK int, tight bool)
 	}
 	if b := e.kv.Budget(); b > 0 && (st.PeakPages > b || st.PrefixCachePages > b) {
 		t.Errorf("PeakPages %d, PrefixCachePages %d, budget %d", st.PeakPages, st.PrefixCachePages, b)
+	}
+	// Admission plans every request's growth to retirement: with every
+	// length known, nothing outgrows the plan.
+	if s.knownLengths() && st.Preemptions != 0 {
+		t.Errorf("%d preemptions with every request's length known", st.Preemptions)
 	}
 	if e.kv.Budget() == 0 && st.PrefixCachePages > e.prewarmPages+e.tree.idleCap {
 		t.Errorf("after Drain: %d pages cached, bound %d + pre-warm %d", st.PrefixCachePages, e.tree.idleCap, e.prewarmPages)
@@ -546,11 +584,12 @@ func TestPreemptedVictimResumesFromSurvivingPrefix(t *testing.T) {
 	maxNew := []int{10, 5}
 	want := sequentialReference(t, prompts, 10)
 
-	// Admission charges each prompt 2 pages + the first decode page: 6 in all.
+	// Admission charges each prompt 2 pages + the first decode page: 6 in all,
+	// which both requests' one-token predictions let it fill.
 	e, entered, release := gatedEngine(t, Config{MaxBatch: 2, PageTokens: 4, KVPages: 6})
 	chans := make([]<-chan Token, 2)
 	submit := func(i int) {
-		ch, err := e.Submit(context.Background(), Request{ID: i, Prompt: prompts[i], MaxNew: maxNew[i], Arrival: -1})
+		ch, err := e.Submit(context.Background(), Request{ID: i, Prompt: prompts[i], MaxNew: maxNew[i], Predicted: 1, Arrival: -1})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}

@@ -27,10 +27,11 @@ func TestQuantPreemptionRecomputeDeterministic(t *testing.T) {
 		{bits: 4, kvPages: 3},
 	} {
 		// Reference: same quantized engine, unbounded pages — no preemption.
-		want, _ := runEngine(t, Config{MaxBatch: 4, PageTokens: 4, KVQuantBits: tc.bits}, prompts, maxNew)
+		want, _ := runEngine(t, Config{MaxBatch: 4, PageTokens: 4, KVQuantBits: tc.bits}, prompts, maxNew, 0)
 
+		// One-token predictions: admission plans for almost no growth.
 		cfg := Config{MaxBatch: 4, PageTokens: 4, KVPages: tc.kvPages, KVQuantBits: tc.bits}
-		got, e := runEngine(t, cfg, prompts, maxNew)
+		got, e := runEngine(t, cfg, prompts, maxNew, 1)
 		for i := range want {
 			if len(got[i]) != len(want[i]) {
 				t.Fatalf("int%d request %d: %d tokens, want %d", tc.bits, i, len(got[i]), len(want[i]))
@@ -77,8 +78,8 @@ func TestQuantSharedPrefixDeterministic(t *testing.T) {
 	}
 	const maxNew = 12
 	for _, bits := range []int{8, 4} {
-		want, _ := runEngine(t, Config{MaxBatch: 2, PageTokens: 4, KVQuantBits: bits}, prompts, maxNew)
-		got, e := runEngine(t, Config{MaxBatch: 2, PageTokens: 4, KVQuantBits: bits, SharedPrefix: prefix}, prompts, maxNew)
+		want, _ := runEngine(t, Config{MaxBatch: 2, PageTokens: 4, KVQuantBits: bits}, prompts, maxNew, 0)
+		got, e := runEngine(t, Config{MaxBatch: 2, PageTokens: 4, KVQuantBits: bits, SharedPrefix: prefix}, prompts, maxNew, 0)
 		for i := range want {
 			for j := range want[i] {
 				if got[i][j] != want[i][j] {

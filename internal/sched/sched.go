@@ -6,9 +6,13 @@
 // Where internal/serving *simulates* a cluster against the analytical cost
 // model in virtual time, this engine actually serves: requests are
 // admitted from a policy-ordered queue, join and leave the running batch
-// at every decode iteration (iteration-level scheduling), stream their
-// tokens as they are produced, and are preempted — pages released, request
-// requeued for recompute — when the page budget runs out. Every page a
+// at every decode iteration (iteration-level scheduling) and stream their
+// tokens as they are produced. A request's length is known at admission —
+// MaxNew, or Request.Predicted when set — so a request is admitted only once
+// the page budget holds it and every running request to retirement
+// (projectedPeak); one that outlives a too-short Predicted can still run
+// the budget out, and then a request is preempted — pages released, request
+// requeued for recompute. Every page a
 // request seals is kept by reference in an engine-owned radix prefix cache
 // (prefixTree) under the same page budget, so any prompt that starts like an
 // earlier one — a shared system prompt, a follow-up turn, a preempted request
@@ -151,8 +155,8 @@ type Config struct {
 	// denominated in fp32-page bytes — the engine converts it once into the
 	// larger number of quantized pages the same byte budget holds
 	// (kvcache.ScaledPageBudget), which is where quantization buys
-	// capacity: more resident sequences before preemption, identical byte
-	// footprint. Decode streams codes through the fused dequantize-on-read
+	// capacity: more sequences admitted to run side by side to retirement,
+	// identical byte footprint. Decode streams codes through the fused dequantize-on-read
 	// kernels, so outputs are deterministic (recompute-exact) though not
 	// bit-identical to fp32 serving.
 	KVQuantBits int
@@ -266,9 +270,14 @@ type Stats struct {
 	Steps       int // scheduling iterations executed (decode, prefill chunk, or both)
 	Admitted    int // admissions incl. re-admissions after preemption
 	Preemptions int // evict-and-requeue events
-	Completed   int // requests finished to their token cap
-	Cancelled   int // requests retired early by their context
-	PeakRunning int // max concurrent decode streams
+	// AdmitDeferred counts the admission passes whose head request fit the
+	// pages free at the time but not the running set's projected growth to
+	// retirement, so it waited in the queue instead of being admitted and
+	// preempted later.
+	AdmitDeferred int
+	Completed     int // requests finished to their token cap
+	Cancelled     int // requests retired early by their context
+	PeakRunning   int // max concurrent decode streams
 	// PeakPages is what View.UsedPages peaked at, read after every admission
 	// and right after every fused pass. Pages the prefix cache keeps beyond
 	// that are evictable and reported separately (PrefixCacheStats).

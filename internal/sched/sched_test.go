@@ -52,7 +52,11 @@ func collect(t *testing.T, ch <-chan Token) []int {
 	return out
 }
 
-func runEngine(t *testing.T, cfg Config, prompts [][]int, maxNew int) ([][]int, *Engine) {
+// runEngine serves the prompts together, each capped at maxNew tokens and
+// predicted to run predicted of them (0: no prediction, admission plans with
+// maxNew). A prediction short of maxNew lets admission over-commit the page
+// budget, which is how the preemption tests still reach preemption.
+func runEngine(t *testing.T, cfg Config, prompts [][]int, maxNew, predicted int) ([][]int, *Engine) {
 	t.Helper()
 	m := model.New(model.Tiny(), seed)
 	// Iteration 1 waits for the last Submit, so "the prompts arrive together"
@@ -73,7 +77,7 @@ func runEngine(t *testing.T, cfg Config, prompts [][]int, maxNew int) ([][]int, 
 	t.Cleanup(e.Close)
 	chans := make([]<-chan Token, len(prompts))
 	for i, prompt := range prompts {
-		ch, err := e.Submit(context.Background(), Request{ID: i, Prompt: prompt, MaxNew: maxNew, Arrival: -1})
+		ch, err := e.Submit(context.Background(), Request{ID: i, Prompt: prompt, MaxNew: maxNew, Predicted: predicted, Arrival: -1})
 		if err != nil {
 			close(submitted)
 			t.Fatalf("submit %d: %v", i, err)
@@ -102,7 +106,7 @@ func TestContinuousBatchingMatchesSequential(t *testing.T) {
 
 	// MaxBatch below the request count forces queueing: requests join the
 	// running batch as earlier ones finish (iteration-level batching).
-	got, e := runEngine(t, Config{MaxBatch: 3, PageTokens: 8}, prompts, maxNew)
+	got, e := runEngine(t, Config{MaxBatch: 3, PageTokens: 8}, prompts, maxNew, 0)
 	for i := range want {
 		if len(got[i]) != len(want[i]) {
 			t.Fatalf("request %d: %d tokens, want %d", i, len(got[i]), len(want[i]))
@@ -134,9 +138,10 @@ func TestPreemptionRecomputeMatchesSequential(t *testing.T) {
 
 	// Largest single request needs ceil((13+18)/4) = 8 pages; give the
 	// pool barely more than two requests' worth so concurrent decode hits
-	// the budget and evicts.
+	// the budget and evicts. Every request predicts a single token, so
+	// admission plans for far less growth than the 18 each runs.
 	cfg := Config{MaxBatch: 4, PageTokens: 4, KVPages: 14}
-	got, e := runEngine(t, cfg, prompts, maxNew)
+	got, e := runEngine(t, cfg, prompts, maxNew, 1)
 	for i := range want {
 		if len(got[i]) != len(want[i]) {
 			t.Fatalf("request %d: %d tokens, want %d", i, len(got[i]), len(want[i]))
@@ -167,8 +172,9 @@ func TestPreemptionRecomputeMatchesSequential(t *testing.T) {
 // TestStepsByHandMatchSequential drives the calls the loop makes —
 // admitLocked, reapCancelled, preemptForStep, stepOnce — by hand on an engine
 // with no loop goroutine, under TestPreemptionRecomputeMatchesSequential's
-// budget. The ledger must hold after every call, the streams must equal
-// sequential decode, and the budget must force a preemption.
+// budget and its one-token predictions. The ledger must hold after every
+// call, the streams must equal sequential decode, and the budget must force a
+// preemption.
 func TestStepsByHandMatchSequential(t *testing.T) {
 	prompts := testPrompts()
 	const maxNew = 18
@@ -180,7 +186,7 @@ func TestStepsByHandMatchSequential(t *testing.T) {
 	}
 	chans := make([]<-chan Token, len(prompts))
 	for i, prompt := range prompts {
-		ch, err := e.Submit(context.Background(), Request{ID: i, Prompt: prompt, MaxNew: maxNew, Arrival: -1})
+		ch, err := e.Submit(context.Background(), Request{ID: i, Prompt: prompt, MaxNew: maxNew, Predicted: 1, Arrival: -1})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -229,7 +235,7 @@ func TestSJFPolicyMatchesSequential(t *testing.T) {
 	prompts := testPrompts()
 	const maxNew = 12
 	want := sequentialReference(t, prompts, maxNew)
-	got, _ := runEngine(t, Config{MaxBatch: 2, PageTokens: 4, KVPages: 16, Policy: PolicySJF}, prompts, maxNew)
+	got, _ := runEngine(t, Config{MaxBatch: 2, PageTokens: 4, KVPages: 16, Policy: PolicySJF}, prompts, maxNew, 0)
 	for i := range want {
 		for j := range want[i] {
 			if got[i][j] != want[i][j] {
@@ -340,7 +346,7 @@ func TestCloseFailsPendingAndRejectsSubmit(t *testing.T) {
 
 func TestOutcomesMetricsSane(t *testing.T) {
 	prompts := testPrompts()
-	_, e := runEngine(t, Config{MaxBatch: 4, PageTokens: 8}, prompts, 8)
+	_, e := runEngine(t, Config{MaxBatch: 4, PageTokens: 8}, prompts, 8, 0)
 	out := e.Outcomes()
 	if len(out) != len(prompts) {
 		t.Fatalf("%d outcomes, want %d", len(out), len(prompts))
@@ -380,7 +386,7 @@ func TestSharedPrefixBitIdentical(t *testing.T) {
 		// pages; requests need up to ceil(34/4)-5 = 4 each privately.
 		{MaxBatch: 5, PageTokens: 4, KVPages: 20, SharedPrefix: prefix},
 	} {
-		got, e := runEngine(t, cfg, prompts, maxNew)
+		got, e := runEngine(t, cfg, prompts, maxNew, 0)
 		for i := range want {
 			if len(got[i]) != len(want[i]) {
 				t.Fatalf("cfg %+v request %d: %d tokens, want %d", cfg, i, len(got[i]), len(want[i]))
@@ -422,7 +428,7 @@ func TestSharedPrefixMissFallsBack(t *testing.T) {
 	}
 	const maxNew = 8
 	want := sequentialReference(t, prompts, maxNew)
-	got, e := runEngine(t, Config{MaxBatch: 2, PageTokens: 4, SharedPrefix: prefix}, prompts, maxNew)
+	got, e := runEngine(t, Config{MaxBatch: 2, PageTokens: 4, SharedPrefix: prefix}, prompts, maxNew, 0)
 	for i := range want {
 		for j := range want[i] {
 			if got[i][j] != want[i][j] {

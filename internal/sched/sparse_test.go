@@ -34,7 +34,7 @@ func sparseReference(t *testing.T, prompts [][]int, maxNew, topK, pageTokens, bi
 }
 
 // runSparseEngine is runEngine over a model with sparse decode enabled.
-func runSparseEngine(t *testing.T, cfg Config, topK int, prompts [][]int, maxNew int) ([][]int, *Engine) {
+func runSparseEngine(t *testing.T, cfg Config, topK int, prompts [][]int, maxNew, predicted int) ([][]int, *Engine) {
 	t.Helper()
 	m := model.New(model.Tiny(), seed)
 	m.SetSparseTopK(topK)
@@ -45,7 +45,7 @@ func runSparseEngine(t *testing.T, cfg Config, topK int, prompts [][]int, maxNew
 	t.Cleanup(e.Close)
 	chans := make([]<-chan Token, len(prompts))
 	for i, prompt := range prompts {
-		ch, err := e.Submit(context.Background(), Request{ID: i, Prompt: prompt, MaxNew: maxNew, Arrival: -1})
+		ch, err := e.Submit(context.Background(), Request{ID: i, Prompt: prompt, MaxNew: maxNew, Predicted: predicted, Arrival: -1})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -88,7 +88,7 @@ func TestSparseServingMatchesReference(t *testing.T) {
 		t.Run(fmt.Sprintf("bits=%d", bits), func(t *testing.T) {
 			want := sparseReference(t, prompts, maxNew, topK, pageTokens, bits)
 			cfg := Config{MaxBatch: 3, PageTokens: pageTokens, KVQuantBits: bits}
-			got, e := runSparseEngine(t, cfg, topK, prompts, maxNew)
+			got, e := runSparseEngine(t, cfg, topK, prompts, maxNew, 0)
 			for i := range want {
 				if len(got[i]) != len(want[i]) {
 					t.Fatalf("request %d: %d tokens, want %d", i, len(got[i]), len(want[i]))
@@ -122,9 +122,10 @@ func TestSparsePreemptionReplayMatchesReference(t *testing.T) {
 	const maxNew, topK, pageTokens = 16, 2, 4
 	want := sparseReference(t, prompts, maxNew, topK, pageTokens, 0)
 	// Largest request needs ceil((32+16)/4) = 12 pages; two concurrent
-	// requests' worth plus slack forces eviction mid-decode.
+	// requests' worth plus slack forces eviction mid-decode, once one-token
+	// predictions let admission over-commit it.
 	cfg := Config{MaxBatch: 4, PageTokens: pageTokens, KVPages: 20}
-	got, e := runSparseEngine(t, cfg, topK, prompts, maxNew)
+	got, e := runSparseEngine(t, cfg, topK, prompts, maxNew, 1)
 	for i := range want {
 		if len(got[i]) != len(want[i]) {
 			t.Fatalf("request %d: %d tokens, want %d", i, len(got[i]), len(want[i]))
@@ -232,7 +233,7 @@ func TestSparseSharedPrefixBitIdentical(t *testing.T) {
 	const maxNew, topK, pageTokens = 12, 2, 4
 	want := sparseReference(t, prompts, maxNew, topK, pageTokens, 0)
 	cfg := Config{MaxBatch: 3, PageTokens: pageTokens, SharedPrefix: prefix}
-	got, e := runSparseEngine(t, cfg, topK, prompts, maxNew)
+	got, e := runSparseEngine(t, cfg, topK, prompts, maxNew, 0)
 	for i := range want {
 		for j := range want[i] {
 			if got[i][j] != want[i][j] {

@@ -115,8 +115,11 @@ func WithContSteps(n int) Option { return func(c *config) { c.contSteps = n } }
 func WithMaxBatch(n int) Option { return func(c *config) { c.maxBatch = n } }
 
 // WithKVPages sets the server's global KV page budget (per-layer pages
-// shared by all live sequences); when it runs out, the scheduler preempts
-// and later recomputes. 0 (the default) means unbounded.
+// shared by all live sequences). The scheduler admits a request only once
+// the budget holds it and every running request to retirement, planned from
+// their MaxNew (or Predicted) lengths; if a request outlives a too-short
+// Predicted and the budget runs out, it preempts and later recomputes. 0
+// (the default) means unbounded.
 func WithKVPages(n int) Option { return func(c *config) { c.kvPages = n } }
 
 // WithPageTokens sets the KV page size in tokens for the server's paged
@@ -158,7 +161,7 @@ func WithSchedPolicy(name string) Option { return func(c *config) { c.schedPol =
 // KVQuantInt8, or KVQuantInt4. Quantized pages hold the same byte budget's
 // worth of context in 3–8× more resident pages — WithKVPages stays
 // denominated in fp32-page bytes and the engine scales it — so a server
-// under page pressure preempts less and sustains more concurrent streams.
+// under page pressure admits and sustains more concurrent streams.
 // Decode streams the codes through fused dequantize-on-read kernels (no
 // fp32 copy of the context is ever materialised) and stays deterministic:
 // preemption→recompute and chunked prefill reproduce streams bit-exactly.

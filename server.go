@@ -42,9 +42,11 @@ type PrefixCacheStats = sched.PrefixCacheStats
 
 // Server is a continuous-batching serving engine over the real tiny-model
 // decode loop and a paged KV cache: requests join and leave the running
-// batch at every decode iteration, stream their tokens as produced, and
-// are preempted and recomputed when the KV page budget (WithKVPages) runs
-// out. It is the live-traffic counterpart of the simulated Cluster — both
+// batch at every decode iteration and stream their tokens as produced.
+// Admission plans every request's KV growth to retirement against the page
+// budget (WithKVPages); a request that outlives a too-short Predicted can
+// still run it out, and is then preempted and recomputed. It is the
+// live-traffic counterpart of the simulated Cluster — both
 // report the same Outcome metrics (TTFT, TBOT, E2E), the server in
 // wall-clock seconds.
 type Server struct {

@@ -111,7 +111,8 @@ func TestServerPreemptionStaysExact(t *testing.T) {
 	}
 
 	// A budget of 10 four-token pages holds less than two full requests
-	// (8 prompt + 14 new → 6 pages), forcing evict-and-recompute.
+	// (8 prompt + 14 new → 6 pages), forcing evict-and-recompute once
+	// one-token predictions let admission over-commit it.
 	srv, err := rethinkkv.NewServer(
 		rethinkkv.WithSeed(5),
 		rethinkkv.WithMaxNewTokens(maxNew),
@@ -125,7 +126,7 @@ func TestServerPreemptionStaysExact(t *testing.T) {
 	defer srv.Close()
 	chans := make([]<-chan rethinkkv.Token, len(prompts))
 	for i, prompt := range prompts {
-		ch, err := srv.Submit(context.Background(), rethinkkv.ServeRequest{Prompt: prompt})
+		ch, err := srv.Submit(context.Background(), rethinkkv.ServeRequest{Prompt: prompt, Predicted: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
