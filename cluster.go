@@ -7,10 +7,9 @@ import (
 	"sync"
 	"time"
 
-	"rethinkkv/internal/compress"
 	"rethinkkv/internal/fleet"
 	"rethinkkv/internal/gen"
-	"rethinkkv/internal/predictor"
+	"rethinkkv/internal/perf"
 	"rethinkkv/internal/rng"
 	"rethinkkv/internal/router"
 	"rethinkkv/internal/sched"
@@ -26,56 +25,16 @@ type Request = workload.Request
 // batch timing from which E2E, TTFT, and TBOT derive.
 type Outcome = serving.Outcome
 
-// GPUView is the router-visible state of one GPU at routing time.
-//
-// The first block of fields is populated by every backend. The live block
-// below it is sampled from real continuous-batching engines only (Fleet,
-// and ServeTrace under WithRealEngine); the discrete-event simulator has no
-// paged cache or chunked prefill and leaves those fields zero, so custom
-// routers must treat PageBudget == 0 as "unbounded / unknown".
-type GPUView struct {
-	// ID is the GPU's position in the cluster.
-	ID int
-	// Method is the compression method the GPU runs.
-	Method string
-	// FreeAt is when the GPU finishes all committed work, seconds.
-	FreeAt float64
-	// QueuedTokens is the backlog in (prompt + expected response) tokens.
-	QueuedTokens float64
-	// Now is the decision timestamp, seconds.
-	Now float64
-
-	// Running is the engine's live running-set size (decoding plus
-	// mid-prefill requests).
-	Running int
-	// FreePages is the engine's unused KV page budget at decision time;
-	// -1 when the budget is unbounded. Meaningful only with PageBudget > 0.
-	FreePages int
-	// PageBudget is the engine's configured KV page budget (0 = unbounded)
-	// and PageTokens its page size in tokens.
-	PageBudget int
-	PageTokens int
-	// PrefillTokens counts admitted prompt tokens not yet prefilled — the
-	// engine's in-flight chunked-prefill debt ahead of any new arrival.
-	PrefillTokens int
-}
-
-// Wait returns the expected queueing delay before new work starts.
-func (v GPUView) Wait() float64 {
-	if w := v.FreeAt - v.Now; w > 0 {
-		return w
-	}
-	return 0
-}
+// GPUView is the router-visible state of one GPU at routing time: its
+// position, method name and backlog from every backend, and the live KV and
+// prefill state from real engines only (see the field docs).
+type GPUView = serving.GPUView
 
 // Router assigns each arriving request to a GPU index. Implement it for
 // custom policies, or obtain one of the paper's four policies from
 // Cluster.Router. Returning an index outside [0, len(views)) makes
 // ServeTrace fail with an error.
-type Router interface {
-	Name() string
-	Route(req Request, views []GPUView) int
-}
+type Router = serving.Router
 
 // Cluster is a simulated multi-GPU serving fleet: one compression method per
 // GPU, batch service times from the analytical cost model, and per-request
@@ -91,7 +50,12 @@ type Cluster struct {
 }
 
 // NewCluster builds a fleet with one GPU per method name. Options:
-// WithHardware, WithModel, WithEngine, WithTP, WithBatchCap, WithSeed.
+// WithHardware, WithModel, WithEngine, WithTP, WithBatchCap, WithSeed, and
+// WithRealEngine with the engine options it serves under — WithMaxNewTokens,
+// WithMaxBatch, WithKVPages, WithPageTokens, WithPrefillChunk,
+// WithTokenBudget, WithSchedPolicy, WithKVQuant, WithSparseAttention,
+// WithSharedPrefix, WithMaxQueue, WithAdmissionTimeout and WithMigration.
+// The engine options are validated here whichever backend serves.
 func NewCluster(methods []string, opts ...Option) (*Cluster, error) {
 	if len(methods) == 0 {
 		return nil, ErrEmptyCluster
@@ -141,20 +105,15 @@ func (c *Cluster) GPUMethods() []string {
 // continuous-batching engines (tiny-model decode over paged KV, one engine
 // per GPU) in wall-clock time — one metrics vocabulary, two backends.
 func (c *Cluster) ServeTrace(reqs []Request, r Router) ([]Outcome, error) {
+	// A named policy carries its cluster's predictor suite: reject a router
+	// built for a different cluster rather than silently misrouting.
+	if nr, ok := r.(*namedRouter); ok && nr.c != c {
+		return nil, fmt.Errorf("rethinkkv: router %q belongs to a different cluster", r.Name())
+	}
 	if c.cfg.realEngine {
 		return c.serveTraceReal(reqs, r)
 	}
-	inner := serving.Router(routerAdapter{r})
-	if nr, ok := r.(*namedRouter); ok {
-		// A named policy carries its cluster's estimators: reject a router
-		// built for a different fleet rather than silently misrouting, and
-		// skip the view round-trip for a matching one.
-		if nr.c != c {
-			return nil, fmt.Errorf("rethinkkv: router %q belongs to a different cluster", r.Name())
-		}
-		inner = nr.inner
-	}
-	out, err := c.sim.Run(reqs, inner)
+	out, err := c.sim.Run(reqs, r)
 	if err != nil {
 		return nil, fmt.Errorf("rethinkkv: %w", err)
 	}
@@ -182,19 +141,6 @@ func (c *Cluster) serveTraceReal(reqs []Request, r Router) ([]Outcome, error) {
 		return nil, fmt.Errorf("%w: max new tokens %d leave no prompt room within the model's %d-token context",
 			ErrInvalidOption, c.cfg.maxNew, m.Config().MaxSeq)
 	}
-	inner := serving.Router(routerAdapter{r})
-	if nr, ok := r.(*namedRouter); ok {
-		// As on the simulator path: reject a policy trained for a different
-		// cluster, and skip the public-view round-trip for a matching one.
-		if nr.c != c {
-			return nil, fmt.Errorf("rethinkkv: router %q belongs to a different cluster", r.Name())
-		}
-		inner = nr.inner
-	}
-	methods := make([]compress.Method, len(c.sim.GPUs))
-	for i, g := range c.sim.GPUs {
-		methods[i] = g.Method
-	}
 	// One shared clock origin for every engine and the replay itself, so
 	// arrivals and outcome timestamps are comparable across GPUs.
 	epoch := time.Now()
@@ -202,8 +148,8 @@ func (c *Cluster) serveTraceReal(reqs []Request, r Router) ([]Outcome, error) {
 	ecfg.Epoch = epoch
 	pool, err := fleet.New(m, fleet.Config{
 		Engines: len(c.sim.GPUs),
-		Methods: methods,
-		Router:  inner,
+		Methods: c.GPUMethods(),
+		Router:  r,
 		Migrate: c.cfg.migrate,
 		Engine:  ecfg,
 	})
@@ -252,32 +198,6 @@ func tracePrompt(req Request, seed uint64, vocab, maxLen int) []int {
 	return prompt
 }
 
-// routerAdapter drives a public Router from an internal backend (the
-// discrete-event simulator or the live fleet pool).
-type routerAdapter struct{ r Router }
-
-func (a routerAdapter) Name() string { return a.r.Name() }
-
-func (a routerAdapter) Route(req workload.Request, views []serving.GPUView) int {
-	return a.r.Route(req, publicViews(views))
-}
-
-// publicViews converts internal router views to their public form — the one
-// conversion point every backend that drives a public Router shares, so the
-// simulator's and the fleet's view vocabularies cannot drift.
-func publicViews(views []serving.GPUView) []GPUView {
-	pub := make([]GPUView, len(views))
-	for i, v := range views {
-		pub[i] = GPUView{
-			ID: v.ID, Method: v.Method.Name,
-			FreeAt: v.FreeAt, QueuedTokens: v.QueuedTokens, Now: v.Now,
-			Running: v.Running, FreePages: v.FreePages, PageBudget: v.PageBudget,
-			PageTokens: v.PageTokens, PrefillTokens: v.PrefillTokens,
-		}
-	}
-	return pub
-}
-
 // Router returns one of the paper's four routing policies — or the
 // live-only kv-pressure policy — by name (see Routers() and
 // FleetRouters()). Predictor-driven policies train a throughput and length
@@ -289,7 +209,7 @@ func (c *Cluster) Router(name string) (Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &namedRouter{c: c, inner: inner}, nil
+	return &namedRouter{Router: inner, c: c}, nil
 }
 
 // routerFor resolves a routing policy name for Cluster.Router and NewFleet.
@@ -325,63 +245,23 @@ func (c *Cluster) predictors() router.Predictors {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.preds == nil {
-		p := trainPredictors(c.cfg.seed, c.sim.LM, c.sim.GPUs)
+		ests := make([]*perf.Estimator, len(c.sim.GPUs))
+		for i, g := range c.sim.GPUs {
+			ests[i] = g.Est
+		}
+		train := workload.SampleShareGPT(workload.DefaultShareGPT(2000), c.cfg.seed)
+		p := router.Train(train, c.sim.LM, ests, c.cfg.seed, c.cfg.seed+7)
 		c.preds = &p
 	}
 	return *c.preds
 }
 
-// trainPredictors trains the suite the predictor-driven policies consult,
-// mirroring the paper's Section 5 tooling: one throughput predictor (over
-// the GPU's estimator) and one length predictor (over the length model's
-// generations on a ShareGPT-like trace) per distinct method among gpus.
-func trainPredictors(seed uint64, lm gen.LengthModel, gpus []serving.GPUConfig) router.Predictors {
-	salt := seed + 7
-	p := router.Predictors{
-		Thr:  map[string]*predictor.ThroughputPredictor{},
-		Len:  map[string]*predictor.LengthPredictor{},
-		Salt: salt,
-	}
-	train := workload.SampleShareGPT(workload.DefaultShareGPT(2000), seed)
-	for _, g := range gpus {
-		m := g.Method
-		if _, done := p.Thr[m.Name]; done {
-			continue
-		}
-		p.Thr[m.Name] = predictor.TrainThroughput(g.Est, predictor.DefaultGrid(), seed+2)
-		p.Len[m.Name] = predictor.TrainLength(train, lm.Run(train, m, seed+3), m, salt)
-	}
-	return p
-}
-
-// namedRouter is a paper policy bound to its cluster. It satisfies the
-// public Router interface by rebuilding the internal views from the public
-// ones: the method comes from the view itself (so a wrapped router still
-// routes correctly on a foreign fleet), and the cluster's estimator is
-// attached only when the view provably describes this cluster's GPU.
+// namedRouter is a paper policy bound to the cluster whose predictor suite
+// it consults; ServeTrace rejects it on any other cluster. Wrapped, it
+// still routes from the views alone.
 type namedRouter struct {
-	c     *Cluster
-	inner serving.Router
-}
-
-func (r *namedRouter) Name() string { return r.inner.Name() }
-
-func (r *namedRouter) Route(req Request, views []GPUView) int {
-	iv := make([]serving.GPUView, len(views))
-	for i, v := range views {
-		iv[i] = serving.GPUView{
-			FreeAt: v.FreeAt, QueuedTokens: v.QueuedTokens, Now: v.Now, ID: v.ID,
-			Running: v.Running, FreePages: v.FreePages, PageBudget: v.PageBudget,
-			PageTokens: v.PageTokens, PrefillTokens: v.PrefillTokens,
-		}
-		if m, err := compress.Get(v.Method); err == nil {
-			iv[i].Method = m
-		}
-		if v.ID >= 0 && v.ID < len(r.c.sim.GPUs) && r.c.sim.GPUs[v.ID].Method.Name == v.Method {
-			iv[i].Est = r.c.sim.GPUs[v.ID].Est
-		}
-	}
-	return r.inner.Route(req, iv)
+	Router
+	c *Cluster
 }
 
 // ShareGPTTrace draws a deterministic ShareGPT-like request trace of n

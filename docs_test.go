@@ -195,24 +195,28 @@ var callerExempt = map[string]string{
 var callerExemptMethods = map[string]bool{"String": true, "Error": true, "Len": true, "Less": true, "Swap": true}
 
 // TestEveryDeclarationHasACaller keeps the program what it runs: every
-// top-level func, method and type under internal/ must be mentioned by name
-// in a non-test file of this module or of benchmark/, outside its own
+// top-level func, method and type under internal/ must be mentioned in a
+// non-test file of this module or of benchmark/, outside its own
 // declaration and outside declarations that are themselves unmentioned (the
 // fixpoint: a helper only a dead function calls is dead too). It parses, it
-// does not type-check, so it counts names, not objects: a mention of any
-// Foo — another package's, another receiver's, a struct field's — keeps every
-// Foo. It therefore under-reports and never over-reports; what it does name
-// has no caller.
+// does not type-check, so a mention is resolved by scope only: pkg.Name
+// (pkg an import of the file) keeps the top-level Name of that import's
+// directory, a bare Name keeps its own package's, and a method is kept by a
+// mention of its name anywhere — bare, package-qualified or as a field or
+// method selector on any value. It therefore under-reports and never
+// over-reports; what it does name has no caller.
 func TestEveryDeclarationHasACaller(t *testing.T) {
 	type decl struct {
 		key      string         // pkg.Name, or pkg.Recv.Name for a method
 		mentions map[*decl]bool // tracked declarations whose body mentions this name; nil key = untracked code
 	}
 	var tracked []*decl
-	byName := map[string][]*decl{}
+	topLevel := map[string][]*decl{} // "dir.Name"; build-tagged twins share a key
+	methods := map[string][]*decl{}  // by name alone
 	type use struct {
 		name string
-		from *decl // nil when the mention is outside every tracked declaration
+		dir  string // the directory whose top-level name it is; "" for a selector on a value
+		from *decl  // nil when the mention is outside every tracked declaration
 	}
 	var uses []use
 
@@ -231,7 +235,17 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		internal := strings.HasPrefix(filepath.ToSlash(path), "internal/")
+		dir := filepath.ToSlash(filepath.Dir(path))
+		internal := strings.HasPrefix(dir, "internal/")
+		imports := map[string]string{} // local name → the imported package's directory
+		for _, im := range f.Imports {
+			p := strings.Trim(im.Path.Value, `"`)
+			name := p[strings.LastIndex(p, "/")+1:]
+			if im.Name != nil {
+				name = im.Name.Name
+			}
+			imports[name] = strings.TrimPrefix(p, "rethinkkv/")
+		}
 		for _, d := range f.Decls {
 			// self is the name this top-level declaration declares and from
 			// its tracked record: both nil for vars, consts, init, and
@@ -246,7 +260,11 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 				}
 				from = &decl{key: key, mentions: map[*decl]bool{}}
 				tracked = append(tracked, from)
-				byName[id.Name] = append(byName[id.Name], from)
+				if recv != "" {
+					methods[id.Name] = append(methods[id.Name], from)
+				} else {
+					topLevel[dir+"."+id.Name] = append(topLevel[dir+"."+id.Name], from)
+				}
 			}
 			switch d := d.(type) {
 			case *ast.FuncDecl:
@@ -268,12 +286,27 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 					track(d.Specs[0].(*ast.TypeSpec).Name, "")
 				}
 			}
-			ast.Inspect(d, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok && id != self {
-					uses = append(uses, use{id.Name, from})
+			var visit func(n ast.Node) bool
+			visit = func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					if x, ok := n.X.(*ast.Ident); ok {
+						if imp, ok := imports[x.Name]; ok {
+							uses = append(uses, use{n.Sel.Name, imp, from})
+							return false
+						}
+					}
+					uses = append(uses, use{n.Sel.Name, "", from})
+					ast.Inspect(n.X, visit)
+					return false
+				case *ast.Ident:
+					if n != self {
+						uses = append(uses, use{n.Name, dir, from})
+					}
 				}
 				return true
-			})
+			}
+			ast.Inspect(d, visit)
 		}
 		return nil
 	})
@@ -282,9 +315,11 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 	}
 
 	for _, u := range uses {
-		for _, d := range byName[u.name] {
-			if d != u.from {
-				d.mentions[u.from] = true
+		for _, ds := range [][]*decl{methods[u.name], topLevel[u.dir+"."+u.name]} {
+			for _, d := range ds {
+				if d != u.from {
+					d.mentions[u.from] = true
+				}
 			}
 		}
 	}

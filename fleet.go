@@ -3,11 +3,11 @@ package rethinkkv
 import (
 	"context"
 
-	"rethinkkv/internal/compress"
 	"rethinkkv/internal/fleet"
 	"rethinkkv/internal/gen"
+	"rethinkkv/internal/perf"
 	"rethinkkv/internal/router"
-	"rethinkkv/internal/serving"
+	"rethinkkv/internal/workload"
 )
 
 // Fleet is a multi-engine serving cluster over real continuous-batching
@@ -68,8 +68,8 @@ func NewFleet(n int, opts ...Option) (*Fleet, error) {
 		if err != nil {
 			return router.Predictors{}, err
 		}
-		fp16 := serving.GPUConfig{Method: compress.MustGet("fp16"), Est: est}
-		return trainPredictors(cfg.seed, gen.Default(), []serving.GPUConfig{fp16}), nil
+		train := workload.SampleShareGPT(workload.DefaultShareGPT(2000), cfg.seed)
+		return router.Train(train, gen.Default(), []*perf.Estimator{est}, cfg.seed, cfg.seed+7), nil
 	})
 	if err != nil {
 		return nil, err

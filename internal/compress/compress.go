@@ -60,9 +60,6 @@ type CostProfile struct {
 	// ErrorCorrection: GEAR-style outlier + low-rank reconstruction adds
 	// compute on both compression and read paths.
 	ErrorCorrection bool
-	// StructuredEviction: position-only policies (StreamingLLM) evict with
-	// negligible compute and a regular memory pattern.
-	StructuredEviction bool
 	// IrregularAccess: finer-granularity layouts (per-channel groups,
 	// dual-pool pages) reduce achievable bandwidth utilisation on GPU-like
 	// hardware. Expressed as a multiplier <= 1 on effective bandwidth.
@@ -213,8 +210,7 @@ func init() {
 			Name: fmt.Sprintf("stream-%d", budget), Alias: "Stream",
 			Cost: CostProfile{
 				Kind: Sparse, Budget: budget,
-				StructuredEviction: true,
-				IrregularAccess:    1, // sink+window is a regular layout
+				IrregularAccess: 1, // sink+window is a regular layout
 			},
 			NewCache: func(s kvcache.Shape) kvcache.Cache {
 				return sparse.NewCache(s, sparse.DefaultStreaming(budget/tinyScale))

@@ -243,3 +243,38 @@ func TestTable8Runs(t *testing.T) {
 		t.Fatalf("missing policy rows:\n%s", out)
 	}
 }
+
+// TestToolTablesGolden pins the cells of Tables 6 and 8 at the sizes the
+// facade benchmarks run: a change to a predictor's seeds, training trace or
+// feature salt shows here as a changed cell, where the shape tests above
+// would pass.
+func TestToolTablesGolden(t *testing.T) {
+	t8, err := Table8Router(120, 10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		tb   Table
+		want map[string][]string
+	}{
+		{Table6Predictors(1), map[string][]string{
+			"Throughput Predictor": {"93.8%", "94.9%", "94.0%", "95.1%", "95.3%"},
+			"Length Predictor":     {"89.1%", "87.2%", "87.6%", "86.7%", "86.0%"},
+		}},
+		{t8, map[string][]string{
+			"Baseline":      {"24.1", "23.7", "25.0", "26.6", "25.0"},
+			"w/ Throughput": {"-", "20.3", "20.9", "21.2", "18.8"},
+			"w/ Length":     {"-", "27.3", "26.6", "28.7", "27.8"},
+			"w/ Both":       {"-", "19.0", "21.2", "19.0", "18.4"},
+		}},
+	} {
+		if len(c.tb.Rows) != len(c.want) {
+			t.Fatalf("%s: %d rows, want %d", c.tb.Title, len(c.tb.Rows), len(c.want))
+		}
+		for _, row := range c.tb.Rows {
+			if got, want := strings.Join(row.Cells, " "), strings.Join(c.want[row.Label], " "); got != want {
+				t.Errorf("%s, %s: cells %s, want %s", c.tb.Title, row.Label, got, want)
+			}
+		}
+	}
+}

@@ -42,7 +42,7 @@ func Table6Predictors(seed uint64) Table {
 		thrRow = append(thrRow, fmt.Sprintf("%.1f%%", 100*acc))
 
 		lp := predictor.TrainLength(train, lm.Run(train, m, seed+3), m, seed+4)
-		lacc := lp.Accuracy(test, lm.Run(test, m, seed+5), m, seed+4)
+		lacc := lp.Accuracy(test, lm.Run(test, m, seed+5), seed+4)
 		lenRow = append(lenRow, fmt.Sprintf("%.1f%%", 100*lacc))
 	}
 	t.Rows = append(t.Rows,
@@ -70,39 +70,11 @@ func Table8Router(n int, rps float64, seed uint64) (Table, error) {
 
 	for _, name := range toolMethods {
 		m := compress.MustGet(name)
-		// Predictor suite for this method + the FP16 GPU.
-		preds := router.Predictors{
-			Thr:  map[string]*predictor.ThroughputPredictor{},
-			Len:  map[string]*predictor.LengthPredictor{},
-			Salt: seed,
-		}
-		for _, mm := range []string{"fp16", name} {
-			mo := compress.MustGet(mm)
-			preds.Thr[mm] = predictor.TrainThroughput(toolEst(mm), predictor.DefaultGrid(), seed+2)
-			preds.Len[mm] = predictor.TrainLength(train, lm.Run(train, mo, seed+3), mo, seed)
-		}
-		// Batch cap 32 matches continuous-batching engines; smaller caps
+		// Batch cap 64 matches continuous-batching engines; smaller caps
 		// saturate four A6000s at the paper's 10 rps arrival rate.
 		uniform := &serving.Cluster{BatchCap: 64, LM: lm, Seed: seed}
 		for i := 0; i < 4; i++ {
 			uniform.GPUs = append(uniform.GPUs, serving.GPUConfig{ID: i, Method: m, Est: toolEst(name)})
-		}
-		mixed := &serving.Cluster{BatchCap: 64, LM: lm, Seed: seed}
-		mixed.GPUs = append(mixed.GPUs, serving.GPUConfig{ID: 0, Method: compress.MustGet("fp16"), Est: toolEst("fp16")})
-		for i := 1; i < 4; i++ {
-			mixed.GPUs = append(mixed.GPUs, serving.GPUConfig{ID: i, Method: m, Est: toolEst(name)})
-		}
-
-		type policyRun struct {
-			label   string
-			cluster *serving.Cluster
-			r       serving.Router
-		}
-		runs := []policyRun{
-			{"Baseline", uniform, router.Baseline{}},
-			{"w/ Throughput", mixed, router.WithThroughput{P: preds}},
-			{"w/ Length", mixed, router.WithLength{P: preds}},
-			{"w/ Both", mixed, router.WithBoth{P: preds}},
 		}
 		if name == "fp16" {
 			// Paper reports only the baseline for FP16.
@@ -115,6 +87,24 @@ func Table8Router(n int, rps float64, seed uint64) (Table, error) {
 				rows[l] = append(rows[l], "-")
 			}
 			continue
+		}
+		mixed := &serving.Cluster{BatchCap: 64, LM: lm, Seed: seed}
+		mixed.GPUs = append(mixed.GPUs, serving.GPUConfig{ID: 0, Method: compress.MustGet("fp16"), Est: toolEst("fp16")})
+		for i := 1; i < 4; i++ {
+			mixed.GPUs = append(mixed.GPUs, serving.GPUConfig{ID: i, Method: m, Est: toolEst(name)})
+		}
+		// Predictor suite for this method + the FP16 GPU.
+		preds := router.Train(train, lm, []*perf.Estimator{toolEst("fp16"), toolEst(name)}, seed, seed)
+
+		runs := []struct {
+			label   string
+			cluster *serving.Cluster
+			r       serving.Router
+		}{
+			{"Baseline", uniform, router.Baseline{}},
+			{"w/ Throughput", mixed, router.WithThroughput{P: preds}},
+			{"w/ Length", mixed, router.WithLength{P: preds}},
+			{"w/ Both", mixed, router.WithBoth{P: preds}},
 		}
 		for _, pr := range runs {
 			out, err := pr.cluster.Run(reqs, pr.r)

@@ -40,7 +40,6 @@ import (
 	"sync"
 	"time"
 
-	"rethinkkv/internal/compress"
 	"rethinkkv/internal/faults"
 	"rethinkkv/internal/model"
 	"rethinkkv/internal/sched"
@@ -56,11 +55,11 @@ var ErrBadRoute = errors.New("fleet: router returned an out-of-range engine inde
 type Config struct {
 	// Engines is the replica count (>= 1).
 	Engines int
-	// Methods labels each engine's router-visible compression method
-	// (trace replay runs heterogeneous labels over the same fp16 data
+	// Methods labels each engine's router-visible compression method by
+	// name (trace replay runs heterogeneous labels over the same fp16 data
 	// plane, exactly like the simulator). Empty entries and a short or nil
-	// slice default to fp16.
-	Methods []compress.Method
+	// slice default to "fp16".
+	Methods []string
 	// Router places each submitted request; required.
 	Router serving.Router
 	// Migrate enables cross-engine re-admission of preemption victims.
@@ -129,7 +128,7 @@ type flight struct {
 type Pool struct {
 	cfg     Config
 	engines []*sched.Engine
-	methods []compress.Method
+	methods []string
 	epoch   time.Time
 
 	mu              sync.Mutex
@@ -161,22 +160,18 @@ func New(m *model.Model, cfg Config) (*Pool, error) {
 	if epoch.IsZero() {
 		epoch = time.Now()
 	}
-	fp16, err := compress.Get("fp16")
-	if err != nil {
-		return nil, err
-	}
 	p := &Pool{
 		cfg:     cfg,
-		methods: make([]compress.Method, cfg.Engines),
+		methods: make([]string, cfg.Engines),
 		epoch:   epoch,
 		flights: map[int]*flight{},
 		routed:  make([]int, cfg.Engines),
 	}
 	for i := range p.methods {
-		if i < len(cfg.Methods) && cfg.Methods[i].Name != "" {
+		if i < len(cfg.Methods) && cfg.Methods[i] != "" {
 			p.methods[i] = cfg.Methods[i]
 		} else {
-			p.methods[i] = fp16
+			p.methods[i] = "fp16"
 		}
 	}
 	for i := 0; i < cfg.Engines; i++ {

@@ -19,6 +19,7 @@ import (
 // says about the likely response scale) and a fragility hint (how strongly
 // this prompt lengthens under compression; see gen.Fragility).
 type LengthPredictor struct {
+	m   compress.Method    // the method it was trained for
 	reg *stats.LinearModel // log-length regression
 	// encoder noise levels (fixed; documented in DESIGN.md).
 	hintNoise float64
@@ -60,7 +61,7 @@ func TrainLength(reqs []workload.Request, gens []gen.Generation, m compress.Meth
 		hintNoise = 0.08
 		fragNoise = 0.15
 	)
-	lp := &LengthPredictor{hintNoise: hintNoise, fragNoise: fragNoise}
+	lp := &LengthPredictor{m: m, hintNoise: hintNoise, fragNoise: fragNoise}
 	X := make([][]float64, len(reqs))
 	y := make([]float64, len(reqs))
 	for i, req := range reqs {
@@ -71,9 +72,10 @@ func TrainLength(reqs []workload.Request, gens []gen.Generation, m compress.Meth
 	return lp
 }
 
-// PredictLen returns the point length estimate in tokens.
-func (lp *LengthPredictor) PredictLen(req workload.Request, m compress.Method, salt uint64) float64 {
-	x := features(req, m, lp.hintNoise, lp.fragNoise, salt)
+// PredictLen returns the point length estimate in tokens under the method
+// the predictor was trained for.
+func (lp *LengthPredictor) PredictLen(req workload.Request, salt uint64) float64 {
+	x := features(req, lp.m, lp.hintNoise, lp.fragNoise, salt)
 	l := math.Exp(lp.reg.Predict(x))
 	if l < 1 {
 		l = 1
@@ -86,13 +88,13 @@ func (lp *LengthPredictor) PredictLen(req workload.Request, m compress.Method, s
 
 // Accuracy returns the paper's Table 6 metric: mean over the test set of
 // (1 − |Lpred − Lgt| / Lgt), clamped at 0 per sample.
-func (lp *LengthPredictor) Accuracy(reqs []workload.Request, gens []gen.Generation, m compress.Method, salt uint64) float64 {
+func (lp *LengthPredictor) Accuracy(reqs []workload.Request, gens []gen.Generation, salt uint64) float64 {
 	if len(reqs) == 0 || len(reqs) != len(gens) {
 		return 0
 	}
 	var sum float64
 	for i, req := range reqs {
-		pred := lp.PredictLen(req, m, salt)
+		pred := lp.PredictLen(req, salt)
 		gt := float64(gens[i].Len)
 		a := 1 - math.Abs(pred-gt)/gt
 		if a < 0 {

@@ -65,7 +65,7 @@ func TestLengthPredictorAccuracy(t *testing.T) {
 		trainGens := lm.Run(train, m, 20)
 		testGens := lm.Run(test, m, 21)
 		p := TrainLength(train, trainGens, m, 5)
-		acc := p.Accuracy(test, testGens, m, 5)
+		acc := p.Accuracy(test, testGens, 5)
 		if acc < 0.84 {
 			t.Fatalf("%s: length accuracy %v below paper's ≈85%% bar", name, acc)
 		}
@@ -82,7 +82,7 @@ func TestLengthPredictorPointEstimate(t *testing.T) {
 	p := TrainLength(train, lm.Run(train, m, 22), m, 6)
 	// Point estimates land inside the predicted bucket's range.
 	for _, req := range train[:50] {
-		l := p.PredictLen(req, m, 6)
+		l := p.PredictLen(req, 6)
 		if l < 1 || l > 1024 {
 			t.Fatalf("point estimate %v out of range", l)
 		}
@@ -91,7 +91,7 @@ func TestLengthPredictorPointEstimate(t *testing.T) {
 	// long one.
 	short := workload.Request{ID: 90001, PromptLen: 100, RefLen: 20}
 	long := workload.Request{ID: 90002, PromptLen: 100, RefLen: 900}
-	if p.PredictLen(short, m, 6) >= p.PredictLen(long, m, 6) {
+	if p.PredictLen(short, 6) >= p.PredictLen(long, 6) {
 		t.Fatal("length ordering not learned")
 	}
 }

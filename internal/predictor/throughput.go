@@ -16,6 +16,7 @@ package predictor
 import (
 	"math"
 
+	"rethinkkv/internal/compress"
 	"rethinkkv/internal/perf"
 	"rethinkkv/internal/rng"
 	"rethinkkv/internal/stats"
@@ -83,6 +84,9 @@ func TrainThroughput(est *perf.Estimator, grid ProfileGrid, seed uint64) *Throug
 		prefillLat: profile(func(b, l int) float64 { return est.PrefillLatency(b, l) }),
 	}
 }
+
+// Method returns the compression method the predictor was profiled for.
+func (p *ThroughputPredictor) Method() compress.Method { return p.est.Method }
 
 // PredictDecodeThroughput returns predicted decode tokens/second.
 func (p *ThroughputPredictor) PredictDecodeThroughput(batch, kvLen int) float64 {

@@ -41,10 +41,9 @@ type kiviBlock struct {
 
 // kiviStream is the per-(layer, head) state.
 type kiviStream struct {
-	blocks  []kiviBlock
-	fullK   [][]float32
-	fullV   [][]float32
-	basePos int // absolute position of the first token in the first block
+	blocks []kiviBlock
+	fullK  [][]float32
+	fullV  [][]float32
 }
 
 // KIVICache implements kvcache.Cache with KIVI quantisation. Reads return

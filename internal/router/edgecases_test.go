@@ -3,7 +3,6 @@ package router
 import (
 	"testing"
 
-	"rethinkkv/internal/compress"
 	"rethinkkv/internal/predictor"
 	"rethinkkv/internal/serving"
 	"rethinkkv/internal/workload"
@@ -48,8 +47,8 @@ func TestPoliciesOnEmptyViews(t *testing.T) {
 // silent-fallback contract.
 func TestPredictorPoliciesFallBackToGPU0(t *testing.T) {
 	views := []serving.GPUView{
-		{ID: 0, Method: compress.MustGet("fp16"), Est: estFor("fp16")},
-		{ID: 1, Method: compress.MustGet("stream-512"), Est: estFor("stream-512")},
+		{ID: 0, Method: "fp16"},
+		{ID: 1, Method: "stream-512"},
 	}
 	preds := emptyPredictors()
 	if got := (WithThroughput{P: preds}).Route(someRequest(), views); got != 0 {

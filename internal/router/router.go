@@ -20,6 +20,7 @@ import (
 
 	"rethinkkv/internal/compress"
 	"rethinkkv/internal/gen"
+	"rethinkkv/internal/perf"
 	"rethinkkv/internal/predictor"
 	"rethinkkv/internal/serving"
 	"rethinkkv/internal/workload"
@@ -32,6 +33,28 @@ type Predictors struct {
 	Len map[string]*predictor.LengthPredictor
 	// Salt is the feature-extraction salt shared with training.
 	Salt uint64
+}
+
+// Train builds the suite the predictor-driven policies consult, as the
+// paper's Section 5 tooling does: for each distinct method among ests, a
+// throughput predictor profiled over its estimator (seed+2) and a length
+// predictor fit to the length model's generations on train (seed+3),
+// featurised with salt.
+func Train(train []workload.Request, lm gen.LengthModel, ests []*perf.Estimator, seed, salt uint64) Predictors {
+	p := Predictors{
+		Thr:  map[string]*predictor.ThroughputPredictor{},
+		Len:  map[string]*predictor.LengthPredictor{},
+		Salt: salt,
+	}
+	for _, est := range ests {
+		m := est.Method
+		if _, done := p.Thr[m.Name]; done {
+			continue
+		}
+		p.Thr[m.Name] = predictor.TrainThroughput(est, predictor.DefaultGrid(), seed+2)
+		p.Len[m.Name] = predictor.TrainLength(train, lm.Run(train, m, seed+3), m, salt)
+	}
+	return p
 }
 
 // Baseline load-balances on backlog.
@@ -64,11 +87,11 @@ func (WithThroughput) Name() string { return "w/throughput" }
 func (r WithThroughput) Route(req workload.Request, views []serving.GPUView) int {
 	best, bestScore := 0, math.Inf(-1)
 	for i, v := range views {
-		tp := r.P.Thr[v.Method.Name]
+		tp := r.P.Thr[v.Method]
 		if tp == nil {
 			continue
 		}
-		kv := req.PromptLen + expectedResp(req, v.Method)/2
+		kv := req.PromptLen + expectedResp(req, tp.Method())/2
 		thr := tp.PredictDecodeThroughput(1, kv)
 		score := thr / (1 + v.Wait())
 		if score > bestScore {
@@ -104,11 +127,11 @@ func (r WithLength) Route(req workload.Request, views []serving.GPUView) int {
 		lens[i] = math.Inf(1)
 	}
 	for i, v := range views {
-		lp := r.P.Len[v.Method.Name]
+		lp := r.P.Len[v.Method]
 		if lp == nil {
 			continue
 		}
-		lens[i] = lp.PredictLen(req, v.Method, r.P.Salt)
+		lens[i] = lp.PredictLen(req, r.P.Salt)
 		if lens[i] < bestLen {
 			best, bestLen = i, lens[i]
 		}
@@ -140,12 +163,12 @@ func (WithBoth) Name() string { return "w/both" }
 func (r WithBoth) Route(req workload.Request, views []serving.GPUView) int {
 	best, bestLat := 0, math.Inf(1)
 	for i, v := range views {
-		tp := r.P.Thr[v.Method.Name]
-		lp := r.P.Len[v.Method.Name]
+		tp := r.P.Thr[v.Method]
+		lp := r.P.Len[v.Method]
 		if tp == nil || lp == nil {
 			continue
 		}
-		respLen := lp.PredictLen(req, v.Method, r.P.Salt)
+		respLen := lp.PredictLen(req, r.P.Salt)
 		lat := v.Wait() + tp.PredictE2E(req.PromptLen, int(respLen+0.5))
 		if lat < bestLat {
 			best, bestLat = i, lat
@@ -178,8 +201,8 @@ func (r KVPressure) Route(req workload.Request, views []serving.GPUView) int {
 	for i, v := range views {
 		demand := float64(req.PromptLen + req.RefLen)
 		if r.P != nil {
-			if lp := r.P.Len[v.Method.Name]; lp != nil {
-				demand = float64(req.PromptLen) + lp.PredictLen(req, v.Method, r.P.Salt)
+			if lp := r.P.Len[v.Method]; lp != nil {
+				demand = float64(req.PromptLen) + lp.PredictLen(req, r.P.Salt)
 			}
 		}
 		cost := v.QueuedTokens + float64(v.PrefillTokens)

@@ -90,7 +90,7 @@ func (c *Cluster) Run(reqs []workload.Request, router Router) ([]Outcome, error)
 		views := make([]GPUView, len(sims))
 		for i, s := range sims {
 			views[i] = GPUView{
-				ID: s.cfg.ID, Method: s.cfg.Method, Est: s.cfg.Est,
+				ID: s.cfg.ID, Method: s.cfg.Method.Name,
 				FreeAt: s.pendingFreeAt(), QueuedTokens: s.backlog(now), Now: now,
 			}
 		}

@@ -1,8 +1,6 @@
 package serving
 
 import (
-	"rethinkkv/internal/compress"
-	"rethinkkv/internal/perf"
 	"rethinkkv/internal/stats"
 	"rethinkkv/internal/workload"
 )
@@ -15,22 +13,25 @@ import (
 // (real tiny-model decode, wall-clock time) — so everything here must stay
 // backend-agnostic: plain data in, derived metrics out.
 
-// GPUView is the router-visible state of one GPU at decision time.
+// GPUView is the router-visible state of one GPU at routing time. The
+// facade exports it unchanged as rethinkkv.GPUView.
 //
-// The first block of fields is populated by both backends; the live block
-// below it comes from real continuous-batching engines only (the
-// discrete-event simulator has no paged cache or chunked prefill, so it
-// leaves those fields zero). Policies that consult the live block must
-// treat PageBudget == 0 as "unbounded / unknown".
+// The first block of fields is populated by every backend. The live block
+// below it is sampled from real continuous-batching engines only (Fleet,
+// and ServeTrace under WithRealEngine); the discrete-event simulator has no
+// paged cache or chunked prefill and leaves those fields zero, so routers
+// must treat PageBudget == 0 as "unbounded / unknown".
 type GPUView struct {
-	ID     int
-	Method compress.Method
-	Est    *perf.Estimator
-	// FreeAt is when the GPU finishes all committed work.
+	// ID is the GPU's position in the cluster.
+	ID int
+	// Method is the name of the compression method the GPU runs; the
+	// predictor-driven policies key their predictors by it.
+	Method string
+	// FreeAt is when the GPU finishes all committed work, seconds.
 	FreeAt float64
 	// QueuedTokens is the backlog in (prompt + expected response) tokens.
 	QueuedTokens float64
-	// Now is the decision timestamp.
+	// Now is the decision timestamp, seconds.
 	Now float64
 
 	// Running is the engine's live running-set size (decoding plus
@@ -44,7 +45,7 @@ type GPUView struct {
 	PageBudget int
 	PageTokens int
 	// PrefillTokens counts admitted prompt tokens not yet prefilled — the
-	// in-flight chunked-prefill debt ahead of any new arrival.
+	// engine's in-flight chunked-prefill debt ahead of any new arrival.
 	PrefillTokens int
 }
 
@@ -53,7 +54,10 @@ func (v GPUView) Wait() float64 {
 	return max(v.FreeAt-v.Now, 0)
 }
 
-// Router assigns an arriving request to a GPU.
+// Router assigns each arriving request to a GPU index. The facade exports
+// it unchanged as rethinkkv.Router: implement it for custom policies, or
+// take one of the paper's policies from package router. A backend fails the
+// run with an error when Route returns an index outside [0, len(views)).
 type Router interface {
 	Name() string
 	Route(req workload.Request, views []GPUView) int
@@ -69,9 +73,11 @@ type Outcome struct {
 	// (its batch's prefill completion).
 	FirstToken float64
 	Finish     float64 // when its last token was produced
-	// Preemptions counts how many times the request was evicted and
-	// recomputed before finishing (always 0 in the simulator, which never
-	// preempts; the real engine preempts under KV page pressure).
+	// Preemptions counts the request's restarts, by backend: an engine's
+	// outcome counts its local preempt-and-recompute evictions under KV
+	// page pressure, a fleet's counts cross-engine migration hops (the
+	// engines' local preemptions stay in their Stats), and the simulator's
+	// is always 0 (it never preempts).
 	Preemptions int
 }
 

@@ -40,28 +40,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Min returns the minimum of xs, or +Inf for an empty slice.
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs, or -Inf for an empty slice.
-func Max(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Percentile returns the p-th percentile (p in [0,100]) of xs using linear
 // interpolation between order statistics. It returns 0 for an empty slice.
 func Percentile(xs []float64, p float64) float64 {
@@ -173,25 +151,4 @@ func (k *KDE) Evaluate(lo, hi float64, n int) (xs, ys []float64) {
 		ys[i] = k.At(x)
 	}
 	return xs, ys
-}
-
-// Summary bundles the descriptive statistics reported in experiment output.
-type Summary struct {
-	N                       int
-	Mean, Std               float64
-	Min, P50, P90, P99, Max float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	return Summary{
-		N:    len(xs),
-		Mean: Mean(xs),
-		Std:  StdDev(xs),
-		Min:  Min(xs),
-		P50:  Percentile(xs, 50),
-		P90:  Percentile(xs, 90),
-		P99:  Percentile(xs, 99),
-		Max:  Max(xs),
-	}
 }

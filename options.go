@@ -79,8 +79,11 @@ func buildConfig(opts []Option) config {
 // Default: "fp16".
 func WithMethod(name string) Option { return func(c *config) { c.method = name } }
 
-// WithModel selects the model shape by name (see Models()).
-// Default: "llama-2-7b".
+// WithModel selects by name (see Models()) the model shape the analytical
+// cost model prices: System, the Cluster simulator and the routing
+// predictors. Default: "llama-2-7b". Pipeline, Evaluator, Server, Fleet and
+// the WithRealEngine replay always serve the tiny model (model.Tiny()),
+// whatever this option names.
 func WithModel(name string) Option { return func(c *config) { c.model = name } }
 
 // WithHardware selects the accelerator by name (see Hardware()).

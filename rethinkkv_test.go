@@ -7,6 +7,7 @@ import (
 	"context"
 	"errors"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -155,6 +156,15 @@ func TestForeignClusterRouterRejected(t *testing.T) {
 	}
 	if _, err := b.ServeTrace(rethinkkv.ShareGPTTrace(5, 10, 1), r); err == nil {
 		t.Fatal("router from cluster a must be rejected by cluster b")
+	}
+	// The guard sits ahead of both backends: a real-engine cluster rejects
+	// the foreign router before it starts an engine.
+	live, err := rethinkkv.NewCluster([]string{"fp16", "fp16"}, rethinkkv.WithSeed(1), rethinkkv.WithRealEngine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := live.ServeTrace(rethinkkv.ShareGPTTrace(5, 10, 1), r); err == nil || !strings.Contains(err.Error(), "different cluster") {
+		t.Fatalf("router from cluster a on a real-engine cluster: err %v, want the foreign-cluster rejection", err)
 	}
 	if _, err := a.ServeTrace(rethinkkv.ShareGPTTrace(5, 10, 1), r); err != nil {
 		t.Fatalf("router on its own cluster: %v", err)
