@@ -27,17 +27,18 @@ test:
 	$(GO) test ./...
 
 # onep runs the serving plane on one P, the P count benchmark/ measures at and
-# what a one-core deployment gets: engine loops, stream readers, Submit
-# callers and the fleet's forwarders all take turns on it, so a loop that
-# never hands the P over — or a test that only passes because another P ran
-# the reader — shows here and nowhere else. (-count=1: the test cache does
+# what a one-core deployment gets: engine loops, stream readers and Submit
+# callers all take turns on it, so a loop that never hands the P over — or a
+# test that only passes because another P ran the reader — shows here and
+# nowhere else. (-count=1: the test cache does
 # not key on GOMAXPROCS and would answer with `make test`'s results.)
 onep:
 	GOMAXPROCS=1 $(GO) test -count=1 ./internal/sched ./internal/fleet .
 
 # race-sched runs the packages on the concurrent serving plane under the race
-# detector: sched (engine loop vs Submit/Drain/View callers), fleet
-# (per-flight forwarder goroutines, migration hook, failover), core and model
+# detector: sched (engine loop vs Submit/Drain/View callers), fleet (the
+# handoff hook moving a live request between engine loops, failover), the
+# facade's fleet and real-engine replay tests over those, core and model
 # (GEMM panel shards and attention lane shards spawn goroutines inside the fused
 # step at GOMAXPROCS>1; page selection runs inside those shards), quant and
 # kvcache (append-time encode and CoW page clones run inside them too), faults
@@ -47,6 +48,7 @@ onep:
 race-sched:
 	$(GO) test -race ./internal/sched ./internal/fleet ./internal/core ./internal/model ./internal/quant ./internal/kvcache ./internal/faults
 	$(GO) test -race -run TestPipelineConcurrentCallsMatchSequential .
+	$(GO) test -race -run 'TestFleet|TestServeTraceRealEngine|TestServerStreamIsTheEnginesChannel|TestNoGoroutineOutlivesClose' .
 
 # fuzz-smoke runs each native fuzz target for ten seconds: the prefix-of-n
 # page clone (every page format, any page size and split), then the page pool

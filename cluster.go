@@ -73,15 +73,11 @@ func NewCluster(methods []string, opts ...Option) (*Cluster, error) {
 	}
 	sim := &serving.Cluster{BatchCap: cfg.batchCap, LM: gen.Default(), Seed: cfg.seed}
 	for i, name := range methods {
-		m, err := resolveMethod(name)
-		if err != nil {
-			return nil, err
-		}
 		est, err := newEstimator(cfg, name)
 		if err != nil {
 			return nil, err
 		}
-		sim.GPUs = append(sim.GPUs, serving.GPUConfig{ID: i, Method: m, Est: est})
+		sim.GPUs = append(sim.GPUs, serving.GPUConfig{ID: i, Est: est})
 	}
 	return &Cluster{cfg: cfg, sim: sim, engine: ecfg}, nil
 }
@@ -93,7 +89,7 @@ func (c *Cluster) Size() int { return len(c.sim.GPUs) }
 func (c *Cluster) GPUMethods() []string {
 	out := make([]string, len(c.sim.GPUs))
 	for i, g := range c.sim.GPUs {
-		out[i] = g.Method.Name
+		out[i] = g.Est.Method.Name
 	}
 	return out
 }

@@ -19,17 +19,19 @@ import (
 // counterpart of Server: one Submit/Drain/Outcomes/Stats surface, three
 // backends, one Outcome metrics vocabulary.
 //
-// When an engine preempts a request under KV page pressure and another
-// engine has headroom for its whole remaining lifetime, the fleet migrates
-// it: the request's prompt plus already-emitted tokens re-admit on the
-// target, whose bit-identical recompute plane rebuilds the cache, so the
-// caller's stream is byte-identical to an unmigrated run — migration only
-// costs time, which the wall-clock Outcomes expose (see WithMigration).
+// A request lives on one engine at a time, and its stream is that engine's
+// channel. When an engine preempts a request under KV page pressure and
+// another engine has headroom for its whole remaining lifetime, the fleet
+// migrates it: the live request — stream, sent tokens and record — moves to
+// the target, whose bit-identical recompute plane rebuilds its cache from the
+// prompt plus the sent tokens, so the caller's stream goes on byte-identical
+// to an unmigrated run; migration only costs time, which the wall-clock
+// Outcomes expose (see WithMigration).
 //
 // The fleet is also a failure domain boundary: an engine whose scheduling
-// loop panics is quarantined (the router stops seeing it) and its in-flight
-// requests fail over to healthy engines through the same replay path, so a
-// single replica crash costs recompute time, not answers. Overload is
+// loop panics is quarantined (the router stops seeing it) and the requests
+// it held fail over to healthy engines by the same move, so a single replica
+// crash costs recompute time, not answers. Overload is
 // handled at admission — WithMaxQueue bounds each engine's queue
 // (ErrOverloaded) and WithAdmissionTimeout / ServeRequest.Deadline shed
 // queued requests that can no longer meet their TTFT SLO.
@@ -105,16 +107,18 @@ func (f *Fleet) RouterName() string { return f.name }
 func (f *Fleet) Vocab() int { return f.front.vocab }
 
 // Submit routes a request onto an engine and returns its token stream —
-// the same contract as Server.Submit. The router's placement runs on live
-// engine views sampled at this call; a policy that returns an out-of-range
-// engine index fails with ErrBadRoute. Migration hops, if any, are
-// invisible on the stream beyond their recompute delay.
+// the same contract as Server.Submit, and the engine's own channel. The
+// router's placement runs on live engine views sampled at this call; a
+// policy that returns an out-of-range engine index fails with ErrBadRoute.
+// Migration and failover hops, if any, are invisible on the stream beyond
+// their recompute delay.
 func (f *Fleet) Submit(ctx context.Context, req ServeRequest) (<-chan Token, error) {
 	return f.front.Submit(ctx, req)
 }
 
 // Drain blocks until every request submitted so far has retired across the
-// whole fleet — including migration hops in flight — or ctx is cancelled.
+// whole fleet — wherever migration and failover hops took it — or ctx is
+// cancelled.
 func (f *Fleet) Drain(ctx context.Context) error {
 	return f.pool.Drain(ctx)
 }
@@ -123,11 +127,12 @@ func (f *Fleet) Drain(ctx context.Context) error {
 // completing. Idempotent.
 func (f *Fleet) Close() { f.pool.Close() }
 
-// Outcomes returns the fleet-level per-request records, sorted by request
-// ID: wall-clock TTFT/TBOT/E2E as the client saw them (routing, queueing
-// and migration delays included), GPU = the engine that finished the
-// request, and Preemptions = cross-engine migration hops (engine-local
-// recompute preemptions stay in Stats).
+// Outcomes returns the engines' per-request records, sorted by request ID:
+// wall-clock TTFT/TBOT/E2E as the client saw them (queueing and migration
+// delays included), GPU = the engine that retired the request, Start = its
+// first admission on any engine and Preemptions = its restarts on every
+// engine, each preemption plus each failover hop — what a Server outcome
+// means by them. A request that failed past recovery records none.
 func (f *Fleet) Outcomes() []Outcome { return f.pool.Outcomes() }
 
 // Stats returns a snapshot of the fleet counters.

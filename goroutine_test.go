@@ -46,7 +46,7 @@ func waitGoroutines(t *testing.T, what string, want int) {
 
 // TestNoGoroutineOutlivesClose serves a handful of requests to completion on
 // a Server and on a Fleet of two, and requires Close to leave no goroutine
-// behind: engine loops, stream forwarders and context watchers all gone.
+// behind: engine loops and context watchers all gone.
 func TestNoGoroutineOutlivesClose(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -86,12 +86,12 @@ func TestNoGoroutineOutlivesClose(t *testing.T) {
 }
 
 // TestServerStreamIsTheEnginesChannel counts goroutines while streams are
-// live: a Server runs its engine loop and nothing per stream (Submit hands out
-// the engine's own channel; a request's context is watched by
-// context.AfterFunc, which starts no goroutine until it fires), a Fleet its
-// engine loops plus one forwarder per stream — the pool's, which splices
-// failover and migration hops. Each engine iteration is slowed to 50 ms so the
-// streams outlive the count.
+// live: a Server runs its engine loop and a Fleet its engine loops, and
+// neither anything per stream (Submit hands out the engine's own channel,
+// which moves with the request on a migration or failover hop; a request's
+// context is watched by context.AfterFunc, which starts no goroutine until it
+// fires). Each engine iteration is slowed to 50 ms so the streams outlive the
+// count.
 func TestServerStreamIsTheEnginesChannel(t *testing.T) {
 	const streams = 4
 	slow := rethinkkv.WithFaults(rethinkkv.FaultPlan{StepDelays: map[int]time.Duration{0: 50 * time.Millisecond, 1: 50 * time.Millisecond}})
@@ -101,7 +101,7 @@ func TestServerStreamIsTheEnginesChannel(t *testing.T) {
 		live int // goroutines beyond the baseline while the streams run
 	}{
 		{"server", func() (servingBackend, error) { return rethinkkv.NewServer(slow, rethinkkv.WithMaxNewTokens(64)) }, 1},
-		{"fleet", func() (servingBackend, error) { return rethinkkv.NewFleet(2, slow, rethinkkv.WithMaxNewTokens(64)) }, 2 + streams},
+		{"fleet", func() (servingBackend, error) { return rethinkkv.NewFleet(2, slow, rethinkkv.WithMaxNewTokens(64)) }, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := settledGoroutines()

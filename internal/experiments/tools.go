@@ -69,12 +69,11 @@ func Table8Router(n int, rps float64, seed uint64) (Table, error) {
 	rows := map[string][]string{"Baseline": nil, "w/ Throughput": nil, "w/ Length": nil, "w/ Both": nil}
 
 	for _, name := range toolMethods {
-		m := compress.MustGet(name)
 		// Batch cap 64 matches continuous-batching engines; smaller caps
 		// saturate four A6000s at the paper's 10 rps arrival rate.
 		uniform := &serving.Cluster{BatchCap: 64, LM: lm, Seed: seed}
 		for i := 0; i < 4; i++ {
-			uniform.GPUs = append(uniform.GPUs, serving.GPUConfig{ID: i, Method: m, Est: toolEst(name)})
+			uniform.GPUs = append(uniform.GPUs, serving.GPUConfig{ID: i, Est: toolEst(name)})
 		}
 		if name == "fp16" {
 			// Paper reports only the baseline for FP16.
@@ -89,9 +88,9 @@ func Table8Router(n int, rps float64, seed uint64) (Table, error) {
 			continue
 		}
 		mixed := &serving.Cluster{BatchCap: 64, LM: lm, Seed: seed}
-		mixed.GPUs = append(mixed.GPUs, serving.GPUConfig{ID: 0, Method: compress.MustGet("fp16"), Est: toolEst("fp16")})
+		mixed.GPUs = append(mixed.GPUs, serving.GPUConfig{ID: 0, Est: toolEst("fp16")})
 		for i := 1; i < 4; i++ {
-			mixed.GPUs = append(mixed.GPUs, serving.GPUConfig{ID: i, Method: m, Est: toolEst(name)})
+			mixed.GPUs = append(mixed.GPUs, serving.GPUConfig{ID: i, Est: toolEst(name)})
 		}
 		// Predictor suite for this method + the FP16 GPU.
 		preds := router.Train(train, lm, []*perf.Estimator{toolEst("fp16"), toolEst(name)}, seed, seed)

@@ -256,10 +256,10 @@ func TestDeadlineShedOnSlowEngine(t *testing.T) {
 }
 
 // TestFailoverContinuationIsNeverShed: a request whose engine dies mid-decode
-// (50ms iterations, panic at the sixth) is resubmitted after its 200ms TTFT
-// deadline has passed. It has already streamed, so the continuation carries
-// no deadline: it must complete, token-identical to the no-fault run, and
-// nothing may be shed.
+// (50ms iterations, panic at the sixth) is resumed on the other engine after
+// its 200ms TTFT deadline has passed. It has already streamed, so it is never
+// shed: it must complete, token-identical to the no-fault run, and nothing
+// may be shed.
 func TestFailoverContinuationIsNeverShed(t *testing.T) {
 	prompt := []int{1, 2, 3, 4, 5}
 	const maxNew = 12
@@ -296,47 +296,85 @@ func TestFailoverContinuationIsNeverShed(t *testing.T) {
 }
 
 // TestCancelRacingMigrationHop cancels requests while the pool is actively
-// migrating preemption victims between engines — the forwarder may be
-// mid-handoff when the ctx dies. Streams must close, Drain must not hang,
-// and both engines must end with every KV page released. Primarily a
-// -race gate for the failover/migration rewrite.
+// migrating preemption victims between engines — a victim may be inside the
+// handoff hook, on neither engine's lists, when its ctx dies. In the last row
+// the migration target fails mid-run: its requests fail over back to engine
+// 0, and the cancel lands once the fault fired. Every stream must end exactly
+// once (at most one error token, then one close), Drain must not hang, and
+// both engines must end with every KV page released. Primarily a -race gate
+// for the handoff.
 func TestCancelRacingMigrationHop(t *testing.T) {
 	prompts := testPrompts()
 	const maxNew = 18
 	const budget = 14
-	for _, delay := range []time.Duration{0, 500 * time.Microsecond, 2 * time.Millisecond} {
+	for _, tc := range []struct {
+		delay   time.Duration
+		panicAt int // engine 1's iteration that panics, 0 for none
+	}{
+		{0, 0}, {500 * time.Microsecond, 0}, {2 * time.Millisecond, 0}, {0, 3},
+	} {
+		inj := faults.New()
+		if tc.panicAt > 0 {
+			inj.PanicAt(1, tc.panicAt)
+		}
 		p := newPool(t, Config{
 			Engines: 2,
 			Router:  pinRouter{to: 0},
 			Migrate: true,
+			Faults:  inj,
 			Engine:  sched.Config{MaxBatch: 4, PageTokens: 4, KVPages: budget},
 		})
 		ctx, cancel := context.WithCancel(context.Background())
 		var wg sync.WaitGroup
 		for i, prompt := range prompts {
-			ch, err := p.Submit(ctx, sched.Request{ID: i, Prompt: prompt, MaxNew: maxNew, Arrival: -1})
+			// One-token predictions over-commit the budget, so victims are
+			// preempted and handed to engine 1.
+			ch, err := p.Submit(ctx, sched.Request{ID: i, Prompt: prompt, MaxNew: maxNew, Predicted: 1, Arrival: -1})
 			if err != nil {
-				t.Fatalf("delay %v submit %d: %v", delay, i, err)
+				t.Fatalf("%+v submit %d: %v", tc, i, err)
 			}
 			wg.Add(1)
 			go func(ch <-chan sched.Token) {
 				defer wg.Done()
-				for range ch {
+				errs := 0
+				for tok := range ch {
+					if tok.Err != nil {
+						errs++
+					}
+				}
+				if errs > 1 {
+					t.Errorf("%+v: a stream carried %d error tokens", tc, errs)
 				}
 			}(ch)
 		}
-		time.Sleep(delay)
+		if tc.panicAt > 0 {
+			for deadline := time.Now().Add(10 * time.Second); !inj.Fired(1); time.Sleep(100 * time.Microsecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%+v: engine 1 never reached its scheduled panic; the row is vacuous", tc)
+				}
+			}
+		}
+		time.Sleep(tc.delay)
 		cancel()
-		wg.Wait() // every stream closed
+		closed := make(chan struct{})
+		go func() { wg.Wait(); close(closed) }()
+		select {
+		case <-closed:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%+v: a stream was still open 30s after the cancel", tc)
+		}
 		dctx, dcancel := context.WithTimeout(context.Background(), 30*time.Second)
 		if err := p.Drain(dctx); err != nil {
-			t.Fatalf("delay %v: drain after cancel: %v", delay, err)
+			t.Fatalf("%+v: drain after cancel: %v", tc, err)
 		}
 		dcancel()
 		for i, v := range p.Views(p.now()) {
 			if v.FreePages != budget {
-				t.Fatalf("delay %v: engine %d leaked pages: FreePages = %d, want %d", delay, i, v.FreePages, budget)
+				t.Fatalf("%+v: engine %d leaked pages: FreePages = %d, want %d", tc, i, v.FreePages, budget)
 			}
+		}
+		if st := p.Stats(); tc.panicAt > 0 && (st.Migrations == 0 || st.FailedOver == 0) {
+			t.Fatalf("%+v: Migrations/FailedOver = %d/%d; the row is vacuous", tc, st.Migrations, st.FailedOver)
 		}
 		p.Close()
 	}

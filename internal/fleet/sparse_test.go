@@ -34,7 +34,7 @@ func fleetSparseReference(t *testing.T, prompts [][]int, maxNew, topK, pageToken
 
 // TestSparseMigrationBitIdentical is the cross-engine replay gate: requests
 // pinned to a page-starved sparse engine migrate to an idle peer, which
-// re-advances the emitted suffix through sparse decode (Request.Replay) —
+// re-advances the emitted suffix through sparse decode (reqState.replay) —
 // every stream, migrated or not, must stay bit-identical to an
 // unconstrained sparse run.
 func TestSparseMigrationBitIdentical(t *testing.T) {

@@ -9,7 +9,6 @@ import (
 	"rethinkkv/internal/gpu"
 	"rethinkkv/internal/model"
 	"rethinkkv/internal/perf"
-	"rethinkkv/internal/predictor"
 	"rethinkkv/internal/serving"
 	"rethinkkv/internal/workload"
 )
@@ -18,28 +17,27 @@ func estFor(method string) *perf.Estimator {
 	return perf.MustNew(gpu.A6000, model.LLaMA2_7B, engine.LMDeploy, compress.MustGet(method), 1)
 }
 
-// buildPredictors trains the tool suite for the methods in play.
+// buildPredictors trains the suite for the methods in play with the
+// program's one trainer, under the facade cluster's convention: the training
+// trace drawn from seed, the length features salted with seed+7.
 func buildPredictors(t *testing.T, methods []string) Predictors {
 	t.Helper()
-	lm := gen.Default()
-	train := workload.SampleShareGPT(workload.DefaultShareGPT(1500), 33)
-	p := Predictors{Thr: map[string]*predictor.ThroughputPredictor{}, Len: map[string]*predictor.LengthPredictor{}, Salt: 9}
-	for _, name := range methods {
-		m := compress.MustGet(name)
-		p.Thr[name] = predictor.TrainThroughput(estFor(name), predictor.DefaultGrid(), 44)
-		p.Len[name] = predictor.TrainLength(train, lm.Run(train, m, 55), m, 9)
+	const seed = 33
+	ests := make([]*perf.Estimator, len(methods))
+	for i, name := range methods {
+		ests[i] = estFor(name)
 	}
-	return p
+	return Train(workload.SampleShareGPT(workload.DefaultShareGPT(1500), seed), gen.Default(), ests, seed, seed+7)
 }
 
 // mixedCluster is the paper's Section 5.4 setup: one FP16 GPU + three
 // compressed GPUs.
 func mixedCluster(method string) *serving.Cluster {
 	gpus := []serving.GPUConfig{
-		{ID: 0, Method: compress.MustGet("fp16"), Est: estFor("fp16")},
+		{ID: 0, Est: estFor("fp16")},
 	}
 	for i := 1; i < 4; i++ {
-		gpus = append(gpus, serving.GPUConfig{ID: i, Method: compress.MustGet(method), Est: estFor(method)})
+		gpus = append(gpus, serving.GPUConfig{ID: i, Est: estFor(method)})
 	}
 	return &serving.Cluster{GPUs: gpus, BatchCap: 64, LM: gen.Default(), Seed: 3}
 }
@@ -48,7 +46,7 @@ func mixedCluster(method string) *serving.Cluster {
 func uniformCluster(method string) *serving.Cluster {
 	var gpus []serving.GPUConfig
 	for i := 0; i < 4; i++ {
-		gpus = append(gpus, serving.GPUConfig{ID: i, Method: compress.MustGet(method), Est: estFor(method)})
+		gpus = append(gpus, serving.GPUConfig{ID: i, Est: estFor(method)})
 	}
 	return &serving.Cluster{GPUs: gpus, BatchCap: 64, LM: gen.Default(), Seed: 3}
 }

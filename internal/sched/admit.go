@@ -8,16 +8,20 @@ import (
 )
 
 // reapQueueLocked ends the queued requests whose context is done or whose
-// TTFT deadline has passed, and returns the earliest deadline still queued
-// (0 when none): the loop runs it before every admission pass, so these
-// streams close even when admission is blocked on batch slots or pages — a
-// blocked queue is exactly when deadlines blow — and an idle loop sleeps no
-// later than the next one. The caller holds mu.
+// TTFT deadline has passed before any engine admitted them, and returns the
+// earliest such deadline still queued (0 when none): the loop runs it before
+// every admission pass, so these streams close even when admission is blocked
+// on batch slots or pages — a blocked queue is exactly when deadlines blow —
+// and an idle loop sleeps no later than the next one. The caller holds mu.
 func (e *Engine) reapQueueLocked() (next float64) {
 	now := e.Now()
 	kept := e.queue[:0]
 	for _, rs := range e.queue {
-		switch dl := rs.req.Deadline; {
+		dl := rs.req.Deadline
+		if rs.start >= 0 {
+			dl = 0 // started: preempted or handed off, never shed
+		}
+		switch {
 		case rs.ctx.Err() != nil:
 			e.endLocked(rs, dispCancelled, nil)
 		case dl > 0 && now > dl:
@@ -84,12 +88,12 @@ func (e *Engine) admitLocked() {
 			prompt = append(prompt, rs.req.Prompt...)
 			prompt = append(prompt, rs.generated...)
 		}
-		// Decode-produced prompt tokens (from a migration handoff plus any
-		// locally emitted before this preemption) re-advance through sparse
-		// decode steps, not dense prefill — see Request.Replay.
+		// Decode-produced prompt tokens — everything the request sent before
+		// a preemption or handoff — re-advance through sparse decode steps,
+		// not dense prefill (see reqState.replay).
 		replay := 0
 		if e.sparse {
-			replay = rs.req.Replay + len(rs.generated)
+			replay = len(rs.generated)
 		}
 		pt := e.cfg.PageTokens
 		path, tail, extra := e.tree.match(prompt, matchLimit(len(prompt), replay), false, rs.nodes[:0])
@@ -125,7 +129,8 @@ func (e *Engine) admitLocked() {
 		}
 		e.queue = append(e.queue[:i], e.queue[i+1:]...)
 
-		if rs.start < 0 {
+		first := rs.start < 0
+		if first {
 			rs.start = e.Now()
 		}
 		cache := e.kv.NewCache()
@@ -159,7 +164,7 @@ func (e *Engine) admitLocked() {
 		// Bit-identical to a cold prefill, minus the recompute.
 		switch {
 		case matched == 0:
-		case rs.preempts == 0:
+		case first:
 			e.stats.PrefixHits++
 			e.stats.PrefixTokensSaved += matched
 		default:

@@ -16,7 +16,9 @@ import (
 )
 
 // reqState is one request's lifecycle state, owned by the engine loop
-// except where noted.
+// except where noted. A handoff (Config.Handoff, Resume) moves the whole of
+// it to another engine: the stream, the tokens sent and the record go on
+// there.
 type reqState struct {
 	req       Request
 	ctx       context.Context
@@ -31,11 +33,14 @@ type reqState struct {
 	prompt    []int
 	prefilled int
 	// replay counts trailing prompt tokens (decode-produced before a
-	// preemption or migration) that must re-advance through decode steps
-	// instead of chunked prefill — only under sparse attention, where the
-	// two are not interchangeable. Replay steps emit nothing but the last,
-	// whose logits decide the first new token; prefilled advances with them
-	// so it always counts prompt tokens in the cache.
+	// preemption or handoff: the generated tokens) that must re-advance
+	// through decode steps instead of chunked prefill — only under sparse
+	// attention, where the two are not interchangeable: sparse decode alters
+	// the residual stream, so dense prefill would not rebuild those tokens'
+	// K/V the way the run that produced them computed it. Replay steps emit
+	// nothing but the last, whose logits decide the first new token;
+	// prefilled advances with them so it always counts prompt tokens in the
+	// cache.
 	replay int
 	// sess is non-nil only while running with prefill complete; cache is
 	// non-nil for the whole running span, including mid-prefill.
@@ -44,17 +49,20 @@ type reqState struct {
 	// retired marks a request stepOnce retired this iteration, so the
 	// running set can be rebuilt outside the emission loop.
 	retired bool
-	// start is the first prefill start; firstTok the first emission. -1
-	// until they happen (preemption does not reset them).
+	// start is the first admission; firstTok the first emission. -1 until
+	// they happen (preemption and handoffs do not reset them).
 	start    float64
 	firstTok float64
-	preempts int
+	// preempts counts restarts: each preemption and each failover hop (an
+	// offer from a failed engine); failovers the hops alone.
+	preempts  int
+	failovers int
 	// load is this request's contribution to Engine.runningLoad while
 	// running.
 	load float64
-	// stopWatch cancels the ctx watcher that wakes the loop on
-	// cancellation; endLocked calls it so ended requests do not accumulate
-	// watchers.
+	// stopWatch cancels the ctx watcher that wakes the owning engine's loop
+	// on cancellation; endLocked calls it so ended requests do not
+	// accumulate watchers, and Resume swaps it for the new owner's.
 	stopWatch func() bool
 	// nodes is the request's path in the prefix cache, root first: node i
 	// holds the very storage of page i of cache, for every i < len(nodes) —
@@ -94,7 +102,7 @@ type Engine struct {
 	cfg   Config
 	start time.Time
 	// sparse mirrors m.SparseTopK() > 0 at construction: every request
-	// cache is built with key summaries enabled, and preempted/migrated
+	// cache is built with key summaries enabled, and preempted or handed-off
 	// requests replay their decode-produced tokens instead of dense-
 	// prefilling them.
 	sparse bool
@@ -137,6 +145,9 @@ type Engine struct {
 	// plan is projectedPeak's scratch: a lifetime per running request and
 	// one for the candidate, at most MaxBatch.
 	plan []lifetime
+	// offered is the request the Handoff hook holds while it runs, so the
+	// recover boundary can take it back if the hook panics.
+	offered *Handle
 
 	mu       sync.Mutex
 	queue    []*reqState
@@ -162,10 +173,10 @@ type Engine struct {
 	// released by that path report ErrClosed, not success.
 	aborted bool
 	// failure, once non-nil, marks the engine failed: the step loop
-	// panicked, the recover boundary terminated every in-flight stream
-	// with an error token wrapping ErrEngineFailed, and all later Submits
-	// and Drains report this error. A failed engine never un-fails; the
-	// fleet layer quarantines it and routes around it.
+	// panicked, the recover boundary gave up every request it held (fail),
+	// and all later Submits, Resumes and Drains report this error. A failed
+	// engine never un-fails; the fleet layer quarantines it and routes
+	// around it.
 	failure error
 
 	wake chan struct{}
@@ -264,13 +275,14 @@ func (e *Engine) usedPages() int    { return e.chargedPages() - (e.tree.pages - 
 
 // LifetimePages returns the pages req needs to run to completion alone on
 // this engine's coldest cache: its prompt and all but its last token (sent,
-// never fed), less the pre-warmed pages its prompt starts with. Submit and
-// the fleet's migration both admit by it.
+// never fed), less the pre-warmed pages its prompt starts with. Submit,
+// Resume and the fleet's migration all admit by it; it is the same for a
+// request however many of its tokens it has sent.
 func (e *Engine) LifetimePages(req Request) int {
 	need := kvcache.PagesFor(len(req.Prompt)+req.MaxNew-1, e.cfg.PageTokens)
 	if e.prewarmPages > 0 {
 		e.mu.Lock()
-		warm, _, _ := e.tree.match(req.Prompt, matchLimit(len(req.Prompt), req.Replay), true, nil)
+		warm, _, _ := e.tree.match(req.Prompt, matchLimit(len(req.Prompt), 0), true, nil)
 		e.mu.Unlock()
 		need -= len(warm)
 	}
@@ -298,26 +310,8 @@ func (e *Engine) Submit(ctx context.Context, req Request) (<-chan Token, error) 
 	if req.MaxNew <= 0 {
 		req.MaxNew = e.cfg.MaxNew
 	}
-	if !e.sparse {
-		// Dense chunked prefill is bit-identical to decode; nothing to
-		// replay.
-		req.Replay = 0
-	}
-	if req.Replay < 0 || req.Replay >= len(req.Prompt) {
-		return nil, fmt.Errorf("sched: replay %d out of range for prompt of %d", req.Replay, len(req.Prompt))
-	}
-	if b := e.kv.Budget(); b > 0 {
-		if need, budget := e.LifetimePages(req), b-e.prewarmPages; need > budget {
-			return nil, fmt.Errorf("%w: request needs %d pages, budget %d", kvcache.ErrOutOfPages, need, budget)
-		}
-	}
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if hook := e.cfg.SubmitHook; hook != nil {
-		if err := hook(); err != nil {
-			return nil, err
-		}
 	}
 	if req.Arrival < 0 {
 		// Stamp before enqueueing: time spent queued behind admission —
@@ -336,29 +330,68 @@ func (e *Engine) Submit(ctx context.Context, req Request) (<-chan Token, error) 
 		start:     -1,
 		firstTok:  -1,
 	}
+	if err := e.enqueue(rs); err != nil {
+		return nil, err
+	}
+	return rs.ch, nil
+}
+
+// Resume takes over the request another engine's Handoff hook is offering.
+// It queues through the checks Submit runs — a closed or failed engine,
+// MaxQueue, SubmitHook and LifetimePages — and is then admitted like a local
+// preemption victim: its prompt and the tokens it already sent are
+// recomputed (under sparse attention the sent ones re-advance through decode
+// steps) and its stream goes on where it stopped. Call it from inside the hook
+// that was offered h, at most once successfully, on an engine sharing the
+// offering engine's Epoch. On error the offering engine keeps the request.
+func (e *Engine) Resume(h *Handle) error {
+	if err := e.enqueue(h.rs); err != nil {
+		return err
+	}
+	h.resumed = true
+	return nil
+}
+
+// enqueue puts rs on the queue, new from Submit or taken over by Resume,
+// once the page budget, SubmitHook and the engine's state admit it.
+func (e *Engine) enqueue(rs *reqState) error {
+	if b := e.kv.Budget(); b > 0 {
+		if need, budget := e.LifetimePages(rs.req), b-e.prewarmPages; need > budget {
+			return fmt.Errorf("%w: request needs %d pages, budget %d", kvcache.ErrOutOfPages, need, budget)
+		}
+	}
+	if hook := e.cfg.SubmitHook; hook != nil {
+		if err := hook(); err != nil {
+			return err
+		}
+	}
 	e.mu.Lock()
 	if e.failure != nil {
 		e.mu.Unlock()
-		return nil, e.failure
+		return e.failure
 	}
 	if e.closed {
 		e.mu.Unlock()
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	if queued := len(e.queue); e.cfg.MaxQueue > 0 && queued >= e.cfg.MaxQueue {
 		e.mu.Unlock()
-		return nil, fmt.Errorf("%w: %d requests queued (bound %d)", ErrOverloaded, queued, e.cfg.MaxQueue)
+		return fmt.Errorf("%w: %d requests queued (bound %d)", ErrOverloaded, queued, e.cfg.MaxQueue)
 	}
 	// Wake the loop when the request's ctx is cancelled, so a queued
 	// request's stream closes promptly even while admission is blocked.
 	// Registered under mu: endLocked (also under mu) must observe the stop
-	// function, or the watcher would leak.
-	rs.stopWatch = context.AfterFunc(ctx, e.kick)
+	// function, or the watcher would leak. A resumed request's watcher
+	// woke the engine it came from.
+	if rs.stopWatch != nil {
+		rs.stopWatch()
+	}
+	rs.stopWatch = context.AfterFunc(rs.ctx, e.kick)
 	e.queue = append(e.queue, rs)
 	e.pending++
 	e.mu.Unlock()
 	e.kick()
-	return rs.ch, nil
+	return nil
 }
 
 // kick wakes the loop without blocking.
@@ -369,23 +402,22 @@ func (e *Engine) kick() {
 	}
 }
 
-// Drain blocks until every request submitted so far has retired, or ctx is
-// cancelled. Concurrent submits extend the drain. A drain released because
-// Close aborted in-flight requests reports ErrClosed — nil strictly means
-// everything submitted before the call ran to retirement.
+// Drain blocks until every request submitted so far has retired or been
+// handed to another engine, or ctx is cancelled. Concurrent submits extend
+// the drain. A drain released because Close aborted in-flight requests
+// reports ErrClosed — nil strictly means everything submitted before the
+// call ran to retirement. A failed engine's drain returns the failure once
+// every request it held has been resumed elsewhere or ended.
 func (e *Engine) Drain(ctx context.Context) error {
 	e.mu.Lock()
-	if e.failure != nil {
-		e.mu.Unlock()
-		return e.failure
-	}
 	if e.closed {
 		e.mu.Unlock()
 		return ErrClosed
 	}
 	if e.pending == 0 {
+		err := e.failure
 		e.mu.Unlock()
-		return nil
+		return err
 	}
 	w := make(chan struct{})
 	e.waiters = append(e.waiters, w)
@@ -413,8 +445,9 @@ func (e *Engine) Drain(ctx context.Context) error {
 func (e *Engine) Now() float64 { return time.Since(e.start).Seconds() }
 
 // Failed reports the engine's terminal failure (wrapping ErrEngineFailed),
-// or nil while the engine is healthy. The fleet layer polls it to
-// quarantine dead replicas and fail their requests over.
+// or nil while the engine is healthy. The fleet layer reads it to
+// quarantine dead replicas and to tell a failed engine's handoffs from
+// preemption victims.
 func (e *Engine) Failed() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -497,12 +530,12 @@ func (e *Engine) syncViewLocked() {
 //
 // The loop runs behind a recover boundary — the panic-isolation half of
 // the fault-tolerance story. A panic anywhere in the iteration (the fused
-// compute plane, batch formation, the Migrate hook, an injected fault) is
-// caught, the engine marked failed, and every in-flight stream terminated
-// with an error token wrapping ErrEngineFailed instead of the panic unwinding
-// into the process. The fleet layer observes the closure, quarantines the
-// engine, and fails the requests over to healthy replicas via bit-identical
-// replay. The boundary covers the compute plane and the hooks, which run
+// compute plane, batch formation, the Handoff hook, an injected fault) is
+// caught and the engine marked failed instead of the panic unwinding into
+// the process; every request it held is offered to the Handoff hook, which
+// the fleet layer uses to resume it on a healthy replica by bit-identical
+// recompute, and the rest end on an error token wrapping ErrEngineFailed
+// (fail). The boundary covers the compute plane and the hooks, which run
 // outside the engine mutex; a panic raised while mu is held (plain counter
 // bookkeeping) is outside the failure model — recovery must never run
 // against a lock whose critical section was abandoned halfway.
@@ -510,15 +543,13 @@ func (e *Engine) loop() {
 	defer close(e.done)
 	defer func() {
 		if r := recover(); r != nil {
-			e.mu.Lock()
-			e.abortLocked(fmt.Errorf("%w: panic in scheduling iteration %d: %v", ErrEngineFailed, e.loopSteps, r))
-			e.mu.Unlock()
+			e.fail(fmt.Errorf("%w: panic in scheduling iteration %d: %v", ErrEngineFailed, e.loopSteps, r))
 		}
 	}()
 	for {
 		e.mu.Lock()
 		if e.closed {
-			e.abortLocked(nil)
+			e.abortLocked()
 			e.mu.Unlock()
 			return
 		}

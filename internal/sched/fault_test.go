@@ -45,14 +45,22 @@ func waitAdmitted(t *testing.T, e *Engine, n int) {
 // TestMaxQueueOverload pins the bounded-admission contract: with one
 // request running (batch full) and one queued, a MaxQueue of 1 rejects the
 // next Submit with ErrOverloaded, and the queued request still completes
-// untouched once the runner retires.
+// untouched once the runner retires. The runner's first step waits for the
+// third Submit, so it cannot retire and free the slot before then.
 func TestMaxQueueOverload(t *testing.T) {
 	m := model.New(model.Tiny(), seed)
-	e, err := New(m, Config{MaxBatch: 1, PageTokens: 8, MaxQueue: 1})
+	submitted := make(chan struct{})
+	release := sync.OnceFunc(func() { close(submitted) })
+	e, err := New(m, Config{MaxBatch: 1, PageTokens: 8, MaxQueue: 1, StepHook: func(n int) {
+		if n == 1 {
+			<-submitted
+		}
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(e.Close)
+	t.Cleanup(release)
 
 	chA, err := e.Submit(context.Background(), Request{ID: 0, Prompt: []int{1, 2, 3}, MaxNew: 24, Arrival: -1})
 	if err != nil {
@@ -67,6 +75,7 @@ func TestMaxQueueOverload(t *testing.T) {
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("third submit: err = %v, want ErrOverloaded", err)
 	}
+	release()
 
 	if toks, terr := collectErr(t, chA); terr != nil || len(toks) != 24 {
 		t.Fatalf("runner: %d tokens, err %v", len(toks), terr)
@@ -145,6 +154,65 @@ func TestDeadlineShedding(t *testing.T) {
 	}
 }
 
+// TestPreemptedVictimIsNeverShed: a request that has streamed tokens and is
+// then preempted goes back on the queue past its TTFT deadline. It started, so
+// it must finish, token-identical to the sequential run, and nothing may be
+// shed.
+func TestPreemptedVictimIsNeverShed(t *testing.T) {
+	promptA, promptB := []int{4, 5, 6}, []int{1, 2, 3}
+	const maxNew = 28
+	want := sequentialReference(t, [][]int{promptA}, maxNew)[0]
+	inj := faults.New()
+	inj.Delay(0, 5*time.Millisecond)
+	m := model.New(model.Tiny(), seed)
+	// B grows to 8 of the 12 pages. A, predicted to want one token, is
+	// admitted beside it and, the newest arrival, preempted once their growth
+	// meets the budget — after about 20 steps, twice A's 50 ms deadline.
+	e, err := New(m, Config{MaxBatch: 4, PageTokens: 4, KVPages: 12, StepHook: inj.StepHook(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	chB, err := e.Submit(context.Background(), Request{ID: 0, Prompt: promptB, MaxNew: maxNew, Arrival: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitAdmitted(t, e, 1)
+	chA, err := e.Submit(context.Background(), Request{
+		ID: 1, Prompt: promptA, MaxNew: maxNew, Predicted: 1, Arrival: -1, Deadline: e.Now() + 0.05,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	toksA, errA := collectErr(t, chA)
+	if _, errB := collectErr(t, chB); errB != nil {
+		t.Fatalf("runner B: %v", errB)
+	}
+	if errA != nil {
+		t.Fatalf("preempted request ended with %v after %d tokens; a started request is never shed", errA, len(toksA))
+	}
+	if len(toksA) != len(want) {
+		t.Fatalf("preempted request: %d tokens, want %d", len(toksA), len(want))
+	}
+	for i := range want {
+		if toksA[i] != want[i] {
+			t.Fatalf("preempted request token %d: %d != sequential %d", i, toksA[i], want[i])
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := e.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	st := e.Stats()
+	if st.Preemptions == 0 {
+		t.Fatal("the budget never preempted A; test is vacuous")
+	}
+	if st.Shed != 0 || st.Completed != 2 {
+		t.Fatalf("Shed/Completed = %d/%d, want 0/2", st.Shed, st.Completed)
+	}
+}
+
 // TestStepPanicFailsEngine is the recover-boundary gate: an injected panic
 // at iteration 4 must mark the engine failed instead of unwinding into the
 // process, terminate every live stream with an ErrEngineFailed error token,
@@ -208,16 +276,18 @@ func TestStepPanicFailsEngine(t *testing.T) {
 	}
 }
 
-// TestMigrateHookPanicEndsVictimStream: a Migrate hook that panics fails the
+// TestHandoffHookPanicEndsVictimStream: a Handoff hook that panics fails the
 // engine like any step-loop panic, and the preemption victim it was offered
 // — off the running set, not yet handed over — must be ended with the rest:
-// every stream closes, the victim's on an ErrEngineFailed token. Bounded, so
-// a victim left open fails the test instead of hanging it.
-func TestMigrateHookPanicEndsVictimStream(t *testing.T) {
+// every stream closes, the victim's on an ErrEngineFailed token. The failed
+// engine offers its requests to the same hook, which panics again; each
+// panic refuses the request. Bounded, so a victim left open fails the test
+// instead of hanging it.
+func TestHandoffHookPanicEndsVictimStream(t *testing.T) {
 	m := model.New(model.Tiny(), seed)
 	submitted := make(chan struct{})
 	release := sync.OnceFunc(func() { close(submitted) })
-	victim := -1 // written by the hook, read once every stream has closed
+	victim := -1 // written by the hook's first call, read once every stream has closed
 	e, err := New(m, Config{
 		MaxBatch:   4,
 		PageTokens: 4,
@@ -227,9 +297,11 @@ func TestMigrateHookPanicEndsVictimStream(t *testing.T) {
 				<-submitted
 			}
 		},
-		Migrate: func(req Request, _ int) bool {
-			victim = req.ID
-			panic("migrate hook")
+		Handoff: func(h *Handle) {
+			if victim < 0 {
+				victim = h.Request().ID
+			}
+			panic("handoff hook")
 		},
 	})
 	if err != nil {
@@ -258,10 +330,10 @@ func TestMigrateHookPanicEndsVictimStream(t *testing.T) {
 	select {
 	case <-closed:
 	case <-time.After(10 * time.Second):
-		t.Fatal("a stream was still open 10s after the Migrate hook panicked")
+		t.Fatal("a stream was still open 10s after the Handoff hook panicked")
 	}
 	if victim < 0 {
-		t.Fatal("no preemption reached the Migrate hook; test is vacuous")
+		t.Fatal("no preemption reached the Handoff hook; test is vacuous")
 	}
 	if !errors.Is(errs[victim], ErrEngineFailed) {
 		t.Fatalf("victim %d's stream ended with %v, want ErrEngineFailed", victim, errs[victim])

@@ -15,7 +15,7 @@ import (
 
 // checkLedger verifies the page ledger and the prefix tree against each
 // other. It reads loop-private state, so it runs either on the loop goroutine
-// (from a StepHook or Migrate hook, which hold no lock) or after Close, once
+// (from a StepHook or Handoff hook, which hold no lock) or after Close, once
 // the loop has exited.
 //
 //   - every running request's private charge — its cache's pages plus its
@@ -165,7 +165,7 @@ func depth(n *pageNode) int {
 	return d
 }
 
-// checkVictimLedger runs from the Migrate hook, right after a preemption
+// checkVictimLedger runs from the Handoff hook, right after a preemption
 // victim released its pages: a request is only ever preempted once the cache
 // has nothing left to evict, so every unpinned page must be one the victim
 // just let go — a single chain no deeper than the victim's own cache.
@@ -442,9 +442,8 @@ func runGenerated(t *testing.T, s genSchedule, cfg Config, topK int, tight bool)
 		record(fmt.Sprintf("before step %d", step), checkLedger(e))
 		audit.before(e, step)
 	}
-	cfg.Migrate = func(req Request, generated int) bool {
-		record(fmt.Sprintf("preempting request %d", req.ID), checkVictimLedger(e, req, generated))
-		return false
+	cfg.Handoff = func(h *Handle) {
+		record(fmt.Sprintf("preempting request %d", h.rs.req.ID), checkVictimLedger(e, h.rs.req, len(h.rs.generated)))
 	}
 	e, err := New(m, cfg)
 	if err != nil {

@@ -34,7 +34,8 @@
 //
 // The files follow a request's lifecycle around engine.go's loop: admit.go
 // (queue, order, admission), step.go (preemption, the fused pass, emission)
-// and retire.go (the one place a stream ends).
+// and retire.go (the one place a stream ends, and the handoff that moves a
+// live request to another engine instead).
 //
 // Both planes speak one metrics vocabulary: the engine emits the same
 // serving.Outcome records (TTFT, TBOT, E2E) the simulator does, in
@@ -66,8 +67,8 @@ type Token struct {
 	Pos int // absolute sequence position (original prompt length + offset)
 	// Err, when non-nil, is a terminal error: the stream is about to close
 	// without completing, and this token carries why — ErrEngineFailed
-	// (the engine's step loop panicked and nothing could take the request
-	// over) or ErrDeadlineExceeded (the request was shed from the admission
+	// (the engine's step loop panicked and no other engine resumed the
+	// request) or ErrDeadlineExceeded (the request was shed from the admission
 	// queue past its TTFT deadline). ID and Pos are meaningless on an error
 	// token. Streams that complete or are cancelled by their own context
 	// close without one.
@@ -80,8 +81,8 @@ var ErrClosed = errors.New("sched: engine closed")
 // ErrEngineFailed reports an engine whose scheduling loop panicked. The
 // recover boundary marks the engine failed instead of letting the panic
 // take the process down: in-flight streams terminate with an error token
-// wrapping this sentinel (the fleet layer fails them over to healthy
-// engines first), and every later Submit or Drain fails with it.
+// wrapping this sentinel (unless Config.Handoff resumes them on a healthy
+// engine), and every later Submit, Resume or Drain fails with it.
 var ErrEngineFailed = errors.New("sched: engine failed")
 
 // ErrOverloaded reports a Submit rejected because the bounded admission
@@ -136,19 +137,19 @@ type Config struct {
 	// replay passes one shared epoch so outcomes from different engines
 	// are comparable; zero means "engine construction time".
 	Epoch time.Time
-	// Migrate, when non-nil, is offered every preemption victim once the
-	// victim is back on the local queue. Returning true hands it off to the
-	// caller (the fleet layer, which binds the engine's index into the
-	// closure): the engine ends its stream at once — pages already released,
-	// token channel closed, no outcome recorded, Stats.MigratedOut
-	// incremented — and the callee is responsible for re-admitting the
-	// serialized request (its prompt plus the tokens it already emitted, all
-	// of which were sent on the channel before the hook ran) on another
-	// engine. The hook is called from the scheduling loop with no engine
-	// lock held, so it may inspect this or other engines' View, but it must
-	// not block on this engine's own progress (e.g. by draining it). A hook
-	// that panics fails the engine like any other step-loop panic.
-	Migrate func(req Request, generated int) bool
+	// Handoff, when non-nil, is offered the live requests the engine gives
+	// up: every preemption victim, and every queued or running request once
+	// the recover boundary has marked the engine failed. The hook moves one
+	// by calling Resume(h) on another engine, which takes the request whole:
+	// its stream, the tokens already sent on it and its record. A request the
+	// hook does not resume stays here: a victim goes back on the queue, a
+	// failed engine's request ends on the failure's error token. Until the
+	// hook returns the request is on neither engine's lists. The hook runs on
+	// the loop goroutine with no engine lock held, so it may read this or
+	// other engines' View, but it must not block on this engine's progress
+	// (e.g. by draining it). A panic in it fails the engine like any other
+	// step-loop panic; offered a failed engine's request, a panic refuses it.
+	Handoff func(h *Handle)
 	// KVQuantBits selects quantized KV pages for every request cache: 0
 	// (default) stores full-precision fp32 pages, 8 or 4 stores
 	// uniform-quantized codes with float16 scale pairs. KVPages stays
@@ -242,26 +243,14 @@ type Request struct {
 	// trace's arrival so queueing delay is measured against intent.
 	Arrival float64
 	// Deadline, in seconds on the engine clock (the same origin as
-	// Arrival), is the request's TTFT deadline: if it is still queued —
-	// prefill not started — past this instant, the engine sheds it with an
-	// ErrDeadlineExceeded error token instead of spending pages on work
-	// that can no longer meet its SLO. 0 means none; the engine stamps no
-	// default of its own. A request that already started is never shed —
-	// preemption and migration may still finish it late, which the outcome
-	// records.
+	// Arrival), is the request's TTFT deadline: if it has never been
+	// admitted — on this engine or any it was handed from — past this
+	// instant, the engine sheds it with an ErrDeadlineExceeded error token
+	// instead of spending pages on work that can no longer meet its SLO. 0
+	// means none; the engine stamps no default of its own. A request that
+	// started is never shed, not even when preemption or a handoff has put
+	// it back on a queue: it finishes late, which the outcome records.
 	Deadline float64
-	// Replay counts trailing Prompt tokens that were produced by decode
-	// steps on another engine (a migration handoff under sparse attention).
-	// Sparse decode alters the residual stream, so dense chunked prefill
-	// would not rebuild those tokens' KV the way the source engine computed
-	// it (or, for the last one, was about to); instead the engine prefills
-	// only Prompt[:len-Replay] densely and re-advances the tail through
-	// ordinary (sparse) decode steps, emitting nothing until the step that
-	// feeds the tail's last token decides the first new one — the cache an
-	// uninterrupted run would hold, exactly. Ignored (zeroed) on engines
-	// without sparse attention, where chunked prefill is already
-	// bit-identical to decode. Must be < len(Prompt).
-	Replay int
 }
 
 // Stats are engine-lifetime counters. The facade exports the type unchanged
@@ -307,9 +296,10 @@ type Stats struct {
 	PrefixHits        int
 	PrefixTokensSaved int
 	PrefixCacheStats
-	// MigratedOut counts preemption victims handed off through the
-	// Config.Migrate hook instead of being requeued locally; always 0 on an
-	// engine outside a fleet.
+	// MigratedOut counts the requests another engine resumed through the
+	// Config.Handoff hook: preemption victims not requeued here and, once
+	// the engine failed, the requests it held; always 0 on an engine outside
+	// a fleet.
 	MigratedOut int
 	// Shed counts queued requests dropped past their TTFT deadline
 	// (Request.Deadline) — deliberate load shedding, distinct from

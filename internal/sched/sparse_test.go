@@ -145,17 +145,26 @@ func TestSparsePreemptionReplayMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSparseReplayHandoffDeterministic simulates a cross-engine migration by
-// hand: a second sparse engine receives prompt+firstHalf with Replay marking
-// the emitted suffix, and must continue exactly where the first stream left
-// off.
+// handoff builds the handle an engine's Handoff hook would be offered for req
+// once the engine had sent the tokens in sent: what Resume takes over.
+func handoff(req Request, sent []int) *Handle {
+	generated := append(make([]int, 0, req.MaxNew), sent...)
+	return &Handle{rs: &reqState{
+		req: req, ctx: context.Background(), ch: make(chan Token, req.MaxNew+1),
+		generated: generated, start: 0, firstTok: 0,
+	}}
+}
+
+// TestSparseReplayHandoffDeterministic moves a request between engines by
+// hand: a second sparse engine resumes it after the first half of its stream
+// was sent, re-advancing those tokens through sparse decode, and must continue
+// exactly where the first stream left off.
 func TestSparseReplayHandoffDeterministic(t *testing.T) {
 	prompt := longPrompts()[3]
 	const maxNew, topK, pageTokens = 16, 2, 4
 	full := sparseReference(t, [][]int{prompt}, maxNew, topK, pageTokens, 0)[0]
 
 	const half = maxNew / 2
-	cont := append(append([]int(nil), prompt...), full[:half]...)
 	m := model.New(model.Tiny(), seed)
 	m.SetSparseTopK(topK)
 	e, err := New(m, Config{MaxBatch: 2, PageTokens: pageTokens})
@@ -163,12 +172,11 @@ func TestSparseReplayHandoffDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	ch, err := e.Submit(context.Background(),
-		Request{ID: 1, Prompt: cont, MaxNew: maxNew - half, Replay: half, Arrival: -1})
-	if err != nil {
+	h := handoff(Request{ID: 1, Prompt: prompt, MaxNew: maxNew}, full[:half])
+	if err := e.Resume(h); err != nil {
 		t.Fatal(err)
 	}
-	got := collect(t, ch)
+	got := collect(t, h.rs.ch)
 	want := full[half:]
 	if len(got) != len(want) {
 		t.Fatalf("continuation emitted %d tokens, want %d", len(got), len(want))
@@ -176,43 +184,6 @@ func TestSparseReplayHandoffDeterministic(t *testing.T) {
 	for j := range want {
 		if got[j] != want[j] {
 			t.Fatalf("continuation token %d: %d != %d", j, got[j], want[j])
-		}
-	}
-}
-
-// TestSparseReplayValidation: out-of-range Replay is rejected on a sparse
-// engine; a dense engine zeroes Replay (chunked prefill is already
-// bit-identical to decode) and serves the request normally.
-func TestSparseReplayValidation(t *testing.T) {
-	prompt := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sm := model.New(model.Tiny(), seed)
-	sm.SetSparseTopK(2)
-	se, err := New(sm, Config{PageTokens: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer se.Close()
-	for _, replay := range []int{-1, len(prompt), len(prompt) + 3} {
-		if _, err := se.Submit(context.Background(), Request{ID: 1, Prompt: prompt, MaxNew: 4, Replay: replay}); err == nil {
-			t.Fatalf("replay %d accepted", replay)
-		}
-	}
-
-	want := sequentialReference(t, [][]int{prompt}, 6)[0]
-	dm := model.New(model.Tiny(), seed)
-	de, err := New(dm, Config{PageTokens: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer de.Close()
-	ch, err := de.Submit(context.Background(), Request{ID: 2, Prompt: prompt, MaxNew: 6, Replay: 5, Arrival: -1})
-	if err != nil {
-		t.Fatalf("dense engine rejected Replay: %v", err)
-	}
-	got := collect(t, ch)
-	for j := range want {
-		if got[j] != want[j] {
-			t.Fatalf("dense engine with Replay diverged at %d", j)
 		}
 	}
 }
@@ -273,10 +244,21 @@ func TestSparseCacheHoldsOnlyDensePrefill(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(e.Close)
-	serve := func(what string, req Request, want []int, wantSaved int) {
+	// serve submits req, or with sent non-nil resumes it as another engine's
+	// handoff after those tokens; wantSaved counts the tokens it takes from
+	// the cache, a prefix hit's or a resumed request's recompute saving.
+	saved := func() int { st := e.Stats(); return st.PrefixTokensSaved + st.RecomputeTokensSaved }
+	serve := func(what string, req Request, sent, want []int, wantSaved int) {
 		t.Helper()
-		before := e.Stats().PrefixTokensSaved
-		ch, err := e.Submit(context.Background(), req)
+		before := saved()
+		var ch <-chan Token
+		var err error
+		if sent == nil {
+			ch, err = e.Submit(context.Background(), req)
+		} else {
+			h := handoff(req, sent)
+			ch, err = h.rs.ch, e.Resume(h)
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
@@ -289,16 +271,15 @@ func TestSparseCacheHoldsOnlyDensePrefill(t *testing.T) {
 				t.Fatalf("%s token %d: %d != cold sparse %d", what, j, got[j], want[j])
 			}
 		}
-		if saved := e.Stats().PrefixTokensSaved - before; saved != wantSaved {
+		if saved := saved() - before; saved != wantSaved {
 			t.Fatalf("%s: %d prompt tokens taken from the cache, want %d", what, saved, wantSaved)
 		}
 	}
-	serve("first turn", Request{ID: 0, Prompt: first, MaxNew: maxNew, Arrival: -1}, reply, 0)
+	serve("first turn", Request{ID: 0, Prompt: first, MaxNew: maxNew, Arrival: -1}, nil, reply, 0)
 	// Only the first turn's five dense pages are there to be found.
-	serve("follow-up turn", Request{ID: 1, Prompt: followUp, MaxNew: maxNew, Arrival: -1}, wantFollowUp, 20)
+	serve("follow-up turn", Request{ID: 1, Prompt: followUp, MaxNew: maxNew, Arrival: -1}, nil, wantFollowUp, 20)
 	// The follow-up's prompt was all dense prefill, so its pages now cover
 	// the first turn's reply too — as dense K/V. The handoff may take the 22
 	// tokens before its replay tail, no more.
-	handoff := append(append([]int(nil), first...), reply[:handed]...)
-	serve("handoff", Request{ID: 2, Prompt: handoff, MaxNew: maxNew - handed, Replay: handed, Arrival: -1}, reply[handed:], len(first))
+	serve("handoff", Request{ID: 2, Prompt: first, MaxNew: maxNew}, reply[:handed], reply[handed:], len(first))
 }

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"slices"
 	"time"
 
 	"rethinkkv/internal/core"
@@ -61,21 +60,19 @@ func (e *Engine) preemptForStep() {
 		e.releaseLocked(rs)
 		rs.prompt, rs.prefilled = nil, 0
 		rs.preempts++
-		// Requeued before the hook runs, so the victim is on a list the
-		// recover boundary ends even if the hook panics.
-		e.queue = append(e.queue, rs)
 		e.syncViewLocked()
 		e.mu.Unlock()
-		// The fleet layer may re-admit the victim on a less loaded engine
+		// The fleet layer may resume the victim on a less loaded engine
 		// instead: every emitted token is already in the buffered channel,
-		// so the handoff serializes for free.
-		if e.cfg.Migrate != nil && e.cfg.Migrate(rs.req, len(rs.generated)) {
-			e.mu.Lock()
-			i := slices.Index(e.queue, rs)
-			e.queue = slices.Delete(e.queue, i, i+1)
-			e.endLocked(rs, dispMigrated, nil)
-			e.mu.Unlock()
+		// which moves with it.
+		resumed := e.offer(rs)
+		e.mu.Lock()
+		if resumed {
+			e.handedLocked()
+		} else {
+			e.queue = append(e.queue, rs)
 		}
+		e.mu.Unlock()
 	}
 }
 

@@ -22,11 +22,11 @@ import (
 	"rethinkkv/internal/workload"
 )
 
-// GPUConfig is one device in the cluster.
+// GPUConfig is one device in the cluster; Est.Method is the compression
+// method it serves.
 type GPUConfig struct {
-	ID     int
-	Method compress.Method
-	Est    *perf.Estimator
+	ID  int
+	Est *perf.Estimator
 }
 
 // Cluster simulates a fleet of GPUs behind a router.
@@ -90,7 +90,7 @@ func (c *Cluster) Run(reqs []workload.Request, router Router) ([]Outcome, error)
 		views := make([]GPUView, len(sims))
 		for i, s := range sims {
 			views[i] = GPUView{
-				ID: s.cfg.ID, Method: s.cfg.Method.Name,
+				ID: s.cfg.ID, Method: s.cfg.Est.Method.Name,
 				FreeAt: s.pendingFreeAt(), QueuedTokens: s.backlog(now), Now: now,
 			}
 		}
@@ -99,7 +99,7 @@ func (c *Cluster) Run(reqs []workload.Request, router Router) ([]Outcome, error)
 			return nil, fmt.Errorf("serving: router %s returned invalid GPU %d", router.Name(), gi)
 		}
 		s := sims[gi]
-		resp := c.respLen(req, s.cfg.Method)
+		resp := c.respLen(req, s.cfg.Est.Method)
 		s.enqueue(job{req: req, resp: resp}, now, batchCap)
 	}
 	var out []Outcome

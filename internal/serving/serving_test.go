@@ -14,9 +14,8 @@ import (
 
 func testGPU(id int, method string) GPUConfig {
 	return GPUConfig{
-		ID:     id,
-		Method: compress.MustGet(method),
-		Est:    perf.MustNew(gpu.A6000, model.LLaMA2_7B, engine.LMDeploy, compress.MustGet(method), 1),
+		ID:  id,
+		Est: perf.MustNew(gpu.A6000, model.LLaMA2_7B, engine.LMDeploy, compress.MustGet(method), 1),
 	}
 }
 

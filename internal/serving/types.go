@@ -68,16 +68,18 @@ type Outcome struct {
 	Req     workload.Request
 	GPU     int
 	RespLen int
-	Start   float64 // when its batch began prefill
+	// Start is when the request was first admitted: when its batch began
+	// prefill in the simulator, its first admission on any engine on a real
+	// engine or a fleet.
+	Start float64
 	// FirstToken is when the request's first output token was produced
 	// (its batch's prefill completion).
 	FirstToken float64
 	Finish     float64 // when its last token was produced
-	// Preemptions counts the request's restarts, by backend: an engine's
-	// outcome counts its local preempt-and-recompute evictions under KV
-	// page pressure, a fleet's counts cross-engine migration hops (the
-	// engines' local preemptions stay in their Stats), and the simulator's
-	// is always 0 (it never preempts).
+	// Preemptions counts the request's restarts: on a real engine or a
+	// fleet each preempt-and-recompute eviction under KV page pressure
+	// (migrated or not) plus each failover hop off a failed engine; in the
+	// simulator always 0 (it never preempts).
 	Preemptions int
 }
 

@@ -266,10 +266,12 @@ func WithFaults(plan FaultPlan) Option {
 // the real multi-engine paths (NewFleet, and Cluster.ServeTrace under
 // WithRealEngine). When on — the default — a request evicted under KV page
 // pressure whose whole remaining lifetime fits another engine's free pages
-// is re-admitted there via the cheap path: its prompt plus already-emitted
-// tokens replay through the target's bit-identical recompute plane, so the
-// caller's stream is unchanged and only wall-clock time is spent. When
-// off, victims re-queue on their own engine as a standalone Server does.
+// moves there, stream and all, via the cheap path: its prompt plus
+// already-emitted tokens recompute through the target's bit-identical
+// prefill plane, so the caller's stream is unchanged and only wall-clock
+// time is spent. When off, victims re-queue on their own engine as a
+// standalone Server does. Failover off a failed engine does not depend on
+// it.
 func WithMigration(on bool) Option { return func(c *config) { c.migrate = on } }
 
 // resolveKVQuant maps a KV quantization method name to its code width in

@@ -119,8 +119,8 @@ type frontend struct {
 // Submit validates the prompt, resolves the TTFT deadline against the
 // backend clock — the request's own budget, else the WithAdmissionTimeout
 // default; the engines stamp none — numbers the request in submission order
-// (0-based) and returns the backend's own stream: the engine's channel for a
-// Server, the pool's hop-splicing forwarder's for a Fleet.
+// (0-based) and returns the backend's own stream: the channel of the engine
+// the request was placed on, for a Server and a Fleet alike.
 func (f *frontend) Submit(ctx context.Context, req ServeRequest) (<-chan Token, error) {
 	if err := validatePrompt(req.Prompt, f.vocab); err != nil {
 		return nil, err
