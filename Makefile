@@ -132,8 +132,8 @@ ALLOC_PKGS = ./internal/model ./internal/tensor ./internal/core ./internal/kvcac
 # bench-smoke compiles and single-steps every benchmark in BENCHPKGS (the
 # facade's, the model's decode/prefill cases including BenchmarkDecodeSteadyQuant,
 # BenchmarkDecodeSteadySparse and BenchmarkDecodeBatchSizes (int8 pages at 1–8
-# lanes), BenchmarkModelNew, the kernels' own: BenchmarkGEMM (r5 and r7 among
-# its lane counts), BenchmarkAttendBlock with its decode-shaped dec8 rows (one
+# lanes), BenchmarkModelNew, the kernels' own: BenchmarkGEMM (a row for every tile
+# height, r1–r8), BenchmarkAttendBlock with its decode-shaped dec8 rows (one
 # lane's 4 KV heads × 2 queries on one page, fp32 and int8) and its sealed-page
 # rows beside the open-page ones,
 # BenchmarkQuantEncode, BenchmarkSoftmax with its avx512 rows and its 16-row

@@ -411,18 +411,21 @@ func TestViewsSampleLiveState(t *testing.T) {
 }
 
 // TestConcurrentSubmitStress drives the pool from many goroutines under a
-// tight budget (migrations included) — primarily a data-race canary for
-// `go test -race ./internal/fleet`.
+// tight budget, migrations included — primarily a data-race canary for
+// `go test -race ./internal/fleet`. Every request is pinned to engine 0 and
+// predicts a single token, so admission over-commits its budget and the
+// growth it did not plan for preempts, while engines 1 and 2 idle with room:
+// victims migrate, under concurrent Submits, in every run.
 func TestConcurrentSubmitStress(t *testing.T) {
 	prompts := testPrompts()
-	const maxNew = 8
+	const maxNew = 18
 	want := sequentialReference(t, prompts, maxNew)
 
 	p := newPool(t, Config{
 		Engines: 3,
-		Router:  router.Baseline{},
+		Router:  pinRouter{to: 0},
 		Migrate: true,
-		Engine:  sched.Config{MaxBatch: 3, PageTokens: 4, KVPages: 12},
+		Engine:  sched.Config{MaxBatch: 4, PageTokens: 4, KVPages: 14},
 	})
 	const rounds = 3
 	got := make([][][]int, rounds)
@@ -434,7 +437,7 @@ func TestConcurrentSubmitStress(t *testing.T) {
 			go func(r, i int, prompt []int) {
 				defer wg.Done()
 				ch, err := p.Submit(context.Background(), sched.Request{
-					ID: r*len(prompts) + i, Prompt: prompt, MaxNew: maxNew, Arrival: -1,
+					ID: r*len(prompts) + i, Prompt: prompt, MaxNew: maxNew, Predicted: 1, Arrival: -1,
 				})
 				if err != nil {
 					t.Errorf("submit %d/%d: %v", r, i, err)
@@ -453,6 +456,9 @@ func TestConcurrentSubmitStress(t *testing.T) {
 	}
 	if len(p.Outcomes()) != rounds*len(prompts) {
 		t.Fatalf("outcomes %d, want %d", len(p.Outcomes()), rounds*len(prompts))
+	}
+	if st := p.Stats(); st.Migrations == 0 {
+		t.Fatalf("no victim migrated over %d rounds (Routed %v); the stress is vacuous", rounds, st.Routed)
 	}
 }
 

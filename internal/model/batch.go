@@ -11,13 +11,13 @@ import (
 // streams a single token each, plus any prefill chunks, loading every weight
 // matrix once per step instead of once per stream. Projections and the LM
 // head run as one batched GEMM over packed weights (tensor.Packed.MulInto:
-// a full group of eight lanes shares every weight load on the AVX-512 arm,
-// four on the others, and an output's reduction order does not depend on the
-// lane count); attention stays per-stream (appendKV, then
-// attendLane), because each stream attends over its own KV cache at its own
-// position. A stream run alone is the same pass at one lane, so a fused step
-// is bit-identical to stepping each stream by itself — pinned by the
-// equivalence tests in batch_test.go.
+// every group of up to eight lanes shares every weight load on the AVX-512
+// arm, at its own height, four on the others, and an output's reduction
+// order does not depend on the lane count); attention stays per-stream
+// (appendKV, then attendLane), because each stream attends over its own KV
+// cache at its own position. A stream run alone is the same pass at one lane,
+// so a fused step is bit-identical to stepping each stream by itself —
+// pinned by the equivalence tests in batch_test.go.
 
 // BatchWorkspace owns the scratch state of the forward pass: one workspace
 // per lane, the lane-indexed gather views the batched kernels consume, and the

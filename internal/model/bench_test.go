@@ -202,8 +202,7 @@ func BenchmarkDecodeSteadyQuant(b *testing.B) {
 // pool), every lane's context held in [64, 128): the serving shape of
 // kv_pressure_int8, whose steps run five to seven lanes as often as eight. A
 // lane-count cliff — a lane count whose step costs more than the next larger
-// one's, as when five to seven lanes streamed the weights twice — shows
-// here. The refill prefills every lane's prompt in one batched pass, its
+// one's — shows here, and so does the per-lane cost of each tile height. The refill prefills every lane's prompt in one batched pass, its
 // chunks packed as the scheduler packs them, off the clock.
 func BenchmarkDecodeBatchSizes(b *testing.B) {
 	cfg := Small()

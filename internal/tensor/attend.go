@@ -602,8 +602,8 @@ func (b *AttnBlock) scoreTile(g, pos int) {
 // scoreLanes is the score tile's Go arm: s[l*ss+c] = Σ_j q[l*d+j] ·
 // panels[heads[l]][j*16+c] for the 16 columns c of slots l < len(heads),
 // each one chain from +0 in ascending j (Dot's arithmetic), up to four slots
-// of one head per tile; a short group repeats its last slot, as gemmTiles
-// does.
+// of one head per tile; a short group repeats its last slot, as tile's
+// other callers do.
 func scoreLanes(s []float32, ss int, q []float32, d int, panels *[attnBlockHeads][]float32, heads []int) {
 	ps := d * panelWidth
 	for l := 0; l < len(heads); {

@@ -3,8 +3,8 @@ package tensor
 // The projection GEMM: dst[b][c] = Σ_k xs[b][k]·W[k][c] for B activation
 // lanes against one immutable K×N weight. It is one loop (gemmTiles) over one
 // micro-kernel (tile): four lanes × 16 adjacent outputs, walking k — or, on
-// AVX-512 hosts, four or eight lanes × two adjacent panels (tilePair,
-// tilePair8).
+// AVX-512 hosts, up to eight lanes at the group's own height × two adjacent
+// panels (tilePair).
 //
 // The vector lanes of the micro-kernel run across *outputs*, never across k:
 // every output is its own chain of K steps of one FMA32 each (one correctly
@@ -13,9 +13,9 @@ package tensor
 // operation, so results are bit-identical to it for every lane count, every
 // split of the columns and every arm. What the tile buys is arithmetic
 // intensity: a weight row segment is loaded once for four lanes and sixteen
-// outputs — on AVX-512 hosts once for eight lanes (a last group of five to
-// seven too, four for one of four or fewer) and thirty-two — and a panel
-// stays in cache while every lane group visits it.
+// outputs — on AVX-512 hosts once for every group of up to eight lanes and
+// thirty-two, no lane computed twice — and a panel stays in cache while every
+// lane group visits it.
 //
 // Weights the engine owns are stored packed (Packed): 16-column panels, each
 // K-major and contiguous, so a tile reads one cache line per k and nothing
@@ -33,7 +33,7 @@ type armLevel int
 const (
 	armGo     armLevel = iota // pure Go: the specification and a correctness fallback
 	armAVX2                   // AVX2 + FMA: the YMM tile (also under the attention leaves' Go arm), Dot / AXPY / MatVecInto, Exp32's lanes
-	armAVX512                 // armAVX2 plus the ZMM tiles over pairs of panels, the attention block's ZMM leaf kernels (whole 16-dimension panels), Exp32's 16 lanes, the int8 page codec and NormalsInto's lanes
+	armAVX512                 // armAVX2 plus the ZMM tile over pairs of panels, the attention block's ZMM leaf kernels (whole 16-dimension panels), Exp32's 16 lanes, the int8 page codec and NormalsInto's lanes
 )
 
 // arm is the level this process runs, selected once from what CPUID and the
@@ -129,46 +129,38 @@ func checkLanes(dst, xs [][]float32, rows, cols int) {
 // boundary) of dst[b][c] = Σ_kk xs[b][kk]·W[kk][c], where panel c/16's row kk
 // starts at w[c/16*panelStep + kk*stride]. Panels are the outer loop so one
 // panel (K×16 floats) — or, on the AVX-512 arm, one pair of adjacent panels —
-// stays cached while every group of lanes visits it. On a pair, every group
-// of more than four lanes takes the 8-lane tile (tilePair8: the pair is read
-// once per eight lanes, not once per four, so a step of five to seven lanes
-// streams the weights once); a last four or fewer go four at a time. A short
-// group repeats its last lane — the repeats recompute and rewrite that
-// lane's own outputs, one ascending chain each — and a ragged last panel
-// (zero-padded in w) lands in a stack tile whose live columns are copied
-// out; it, and a lone last panel, take the one-panel tile.
+// stays cached while every group of lanes visits it. On a pair every group of
+// up to eight lanes takes one tilePair call at its own height, so the pair is
+// read once per eight lanes and no lane is computed twice. A lone last panel
+// (and every panel off the AVX-512 arm) goes four lanes at a time through
+// tile, a short group repeating its last lane — the repeats recompute and
+// rewrite that lane's own outputs, one ascending chain each — and a ragged
+// last panel (zero-padded in w) lands in a stack tile whose live columns are
+// copied out.
 func gemmTiles(dst, xs [][]float32, w []float32, k, stride, panelStep, c0, c1 int) {
 	var ragged [4][panelWidth]float32
 	for c := c0; c < c1; {
 		wp := w[c/panelWidth*panelStep:]
-		width := min(panelWidth, c1-c)
 		if arm == armAVX512 && c1-c >= 2*panelWidth {
-			width = 2 * panelWidth
-		}
-		b := 0
-		for ; width > panelWidth && len(xs)-b > 4; b += 8 {
-			var d, x [8][]float32
-			for i := range d {
-				l := b + min(i, len(xs)-b-1)
-				d[i], x[i] = dst[l][c:c+width], xs[l]
+			for b := 0; b < len(xs); b += 8 {
+				e := min(b+8, len(xs))
+				tilePair(dst[b:e], xs[b:e], c, wp, k, stride, panelStep)
 			}
-			tilePair8(&d, &x, wp, k, stride, panelStep, false)
+			c += 2 * panelWidth
+			continue
 		}
-		for ; b < len(xs); b += 4 {
+		width := min(panelWidth, c1-c)
+		for b := 0; b < len(xs); b += 4 {
 			lanes := min(4, len(xs)-b)
 			var d, x [4][]float32
 			for i := range d {
 				l := b + min(i, lanes-1)
 				x[i] = xs[l]
-				if width >= panelWidth {
+				if width == panelWidth {
 					d[i] = dst[l][c : c+width]
 				} else {
 					d[i] = ragged[l-b][:]
 				}
-			}
-			if width > panelWidth {
-				tilePair(&d, &x, wp, k, stride, panelStep, false)
-				continue
 			}
 			tile(&d, &x, wp, k, stride, lanes, false)
 			if width < panelWidth {
@@ -195,27 +187,17 @@ func tile(d, x *[4][]float32, w []float32, k, stride, lanes int, seeded bool) {
 		&x[0][:k][0], &x[1][:k][0], &x[2][:k][0], &x[3][:k][0], &w[0], k, stride, seeded)
 }
 
-// tilePair is tile over two adjacent panels at once, all four lanes, on the
-// AVX-512 arm (callers take it only when arm is armAVX512): d[l][0:32] =
-// Σ_kk x[l][kk]·(w[kk*stride:][0:16] ‖ w[panelStep+kk*stride:][0:16]).
-func tilePair(d, x *[4][]float32, w []float32, k, stride, panelStep int, seeded bool) {
-	_ = w[panelStep+(k-1)*stride+panelWidth-1]
-	for i := range d {
-		_ = d[i][2*panelWidth-1]
-	}
-	tile4x32AVX512(&d[0][0], &d[1][0], &d[2][0], &d[3][0],
-		&x[0][:k][0], &x[1][:k][0], &x[2][:k][0], &x[3][:k][0], &w[0], k, stride, panelStep, seeded)
-}
-
-// tilePair8 is tilePair for eight lanes (the AVX-512 arm only): d[l][0:32] =
-// Σ_kk x[l][kk]·(w[kk*stride:][0:16] ‖ w[panelStep+kk*stride:][0:16]).
-func tilePair8(d, x *[8][]float32, w []float32, k, stride, panelStep int, seeded bool) {
+// tilePair is the AVX-512 arm's micro-kernel over two adjacent panels
+// (callers take it only when arm is armAVX512), for the 1–8 lanes of d and x:
+// d[l][c:c+32] = Σ_kk x[l][kk]·(w[kk*stride:][0:16] ‖
+// w[panelStep+kk*stride:][0:16]), every chain from +0.
+func tilePair(d, x [][]float32, c int, w []float32, k, stride, panelStep int) {
 	_ = w[panelStep+(k-1)*stride+panelWidth-1]
 	var dp, xp [8]*float32
-	for i := range d {
-		dp[i], xp[i] = &d[i][:2*panelWidth][0], &x[i][:k][0]
+	for i := range x {
+		dp[i], xp[i] = &d[i][c : c+2*panelWidth][0], &x[i][:k][0]
 	}
-	tile8x32AVX512(&dp, &xp, &w[0], k, stride, panelStep, seeded)
+	tilePairAVX512(&dp, &xp, &w[0], len(x), k, stride, panelStep)
 }
 
 // tileGo is the micro-kernel in Go: per lane, four outputs at a time in

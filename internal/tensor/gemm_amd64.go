@@ -14,19 +14,14 @@ func cpuLevel() int
 //go:noescape
 func tile4x16AVX2(d0, d1, d2, d3, x0, x1, x2, x3, w *float32, k, stride int, seeded bool)
 
-// tile4x32AVX512 is the assembly behind tilePair: tile4x16AVX2 over two
-// panels, the second panelStep floats after the first, into 32 outputs per
-// lane. Every d pointer must address 32 floats, every x pointer k floats, and
-// w panelStep+(k-1)*stride+16 floats.
+// tilePairAVX512 is the assembly behind tilePair: tile4x16AVX2 over two
+// panels, the second panelStep floats after the first, at the group's own
+// height — the first lanes (1–8) of d and x, each d pointer addressing 32
+// floats, each x pointer k floats — from +0, with w's rows prefetched a fixed
+// number of rows ahead. w must address panelStep+(k-1)*stride+16 floats.
 //
 //go:noescape
-func tile4x32AVX512(d0, d1, d2, d3, x0, x1, x2, x3, w *float32, k, stride, panelStep int, seeded bool)
-
-// tile8x32AVX512 is the assembly behind tilePair8: tile4x32AVX512 for the
-// eight lanes whose output and activation pointers d and x hold.
-//
-//go:noescape
-func tile8x32AVX512(d, x *[8]*float32, w *float32, k, stride, panelStep int, seeded bool)
+func tilePairAVX512(d, x *[8]*float32, w *float32, lanes, k, stride, panelStep int)
 
 // dotsFMA is the assembly behind Dot and MatVecInto: dst[r] = Σ_i
 // a[r*stride+i]·b[i] for rows r, one FMA chain per row from +0 in ascending

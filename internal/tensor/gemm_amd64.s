@@ -124,109 +124,73 @@ store:
 	VZEROUPPER
 	RET
 
-// func tile4x32AVX512(d0, d1, d2, d3, x0, x1, x2, x3, w *float32, k, stride, panelStep int, seeded bool)
+// PAIR_PREFETCH_ROWS is how many k-rows ahead of the one it multiplies the
+// pair tile prefetches each panel's weights: PAIR_PREFETCH_ROWS · stride
+// bytes, so the row-major MatTMatTransInto stream is fetched row for row as
+// the packed one is (eight 64-byte panel rows: 512 bytes ahead).
+#define PAIR_PREFETCH_ROWS 8
+
+// PAIR_ROW loads weight row kk of both panels into Z16 (at SI) and Z17 (DI
+// bytes on) and prefetches row kk + PAIR_PREFETCH_ROWS of each (at BX).
+#define PAIR_ROW \
+	VMOVUPS (SI), Z16 \
+	VMOVUPS (SI)(DI*1), Z17 \
+	PREFETCHT0 (BX) \
+	PREFETCHT0 (BX)(DI*1)
+
+// PAIR_LANE is one lane's step at kk (AX): x[kk] broadcast into b, then one
+// VFMADD231PS into each of the lane's two accumulators.
+#define PAIR_LANE(x, b, lo, hi) \
+	VBROADCASTSS (x)(AX*4), b \
+	VFMADD231PS Z16, b, lo \
+	VFMADD231PS Z17, b, hi
+
+// PAIR_NEXT advances to weight row kk+1 and loops to label while kk < k.
+#define PAIR_NEXT(label) \
+	ADDQ DX, SI \
+	ADDQ DX, BX \
+	INCQ AX \
+	CMPQ AX, CX \
+	JLT  label \
+	JMP  pairstore
+
+// PAIR_STORE writes the lane whose output pointer is at off(BX) from its two
+// accumulators.
+#define PAIR_STORE(off, lo, hi) \
+	MOVQ off(BX), AX \
+	VMOVUPS lo, (AX) \
+	VMOVUPS hi, 64(AX)
+
+// func tilePairAVX512(d, x *[8]*float32, w *float32, lanes, k, stride, panelStep int)
 //
-// tile4x16AVX2 over two panels at once: d_l[0:16] from the panel at w,
-// d_l[16:32] from the one panelStep floats after it. Z0..Z7 hold the 4×32
-// accumulators, one 16-float register per lane and panel; each output is one
-// chain of k VFMADD231PS steps in ascending kk, as on the YMM tile.
-TEXT ·tile4x32AVX512(SB), NOSPLIT, $0-97
-	MOVQ x0+32(FP), R8
-	MOVQ x1+40(FP), R9
-	MOVQ x2+48(FP), R10
-	MOVQ x3+56(FP), R11
-	MOVQ w+64(FP), SI
-	MOVQ k+72(FP), CX
-	MOVQ stride+80(FP), DX
-	MOVQ panelStep+88(FP), DI
-	SHLQ $2, DX
-	SHLQ $2, DI
-	XORQ AX, AX
-	MOVBLZX seeded+96(FP), BX
-	TESTL BX, BX
-	JNZ  seed512
-	VPXORD Z0, Z0, Z0
-	VPXORD Z1, Z1, Z1
-	VPXORD Z2, Z2, Z2
-	VPXORD Z3, Z3, Z3
-	VPXORD Z4, Z4, Z4
-	VPXORD Z5, Z5, Z5
-	VPXORD Z6, Z6, Z6
-	VPXORD Z7, Z7, Z7
-	JMP  start512
-
-seed512:
-	MOVQ d0+0(FP), BX
-	VMOVUPS (BX), Z0
-	VMOVUPS 64(BX), Z1
-	MOVQ d1+8(FP), BX
-	VMOVUPS (BX), Z2
-	VMOVUPS 64(BX), Z3
-	MOVQ d2+16(FP), BX
-	VMOVUPS (BX), Z4
-	VMOVUPS 64(BX), Z5
-	MOVQ d3+24(FP), BX
-	VMOVUPS (BX), Z6
-	VMOVUPS 64(BX), Z7
-
-start512:
-	TESTQ CX, CX
-	JLE  store512
-
-loop512:
-	VMOVUPS (SI), Z8
-	VMOVUPS (SI)(DI*1), Z9
-	VBROADCASTSS (R8)(AX*4), Z10
-	VBROADCASTSS (R9)(AX*4), Z11
-	VBROADCASTSS (R10)(AX*4), Z12
-	VBROADCASTSS (R11)(AX*4), Z13
-	VFMADD231PS Z8, Z10, Z0
-	VFMADD231PS Z9, Z10, Z1
-	VFMADD231PS Z8, Z11, Z2
-	VFMADD231PS Z9, Z11, Z3
-	VFMADD231PS Z8, Z12, Z4
-	VFMADD231PS Z9, Z12, Z5
-	VFMADD231PS Z8, Z13, Z6
-	VFMADD231PS Z9, Z13, Z7
-	ADDQ DX, SI
-	INCQ AX
-	CMPQ AX, CX
-	JLT  loop512
-
-store512:
-	MOVQ d0+0(FP), R8
-	MOVQ d1+8(FP), R9
-	MOVQ d2+16(FP), R10
-	MOVQ d3+24(FP), R11
-	VMOVUPS Z0, (R8)
-	VMOVUPS Z1, 64(R8)
-	VMOVUPS Z2, (R9)
-	VMOVUPS Z3, 64(R9)
-	VMOVUPS Z4, (R10)
-	VMOVUPS Z5, 64(R10)
-	VMOVUPS Z6, (R11)
-	VMOVUPS Z7, 64(R11)
-	VZEROUPPER
-	RET
-
-// func tile8x32AVX512(d, x *[8]*float32, w *float32, k, stride, panelStep int, seeded bool)
-//
-// tile4x32AVX512 for eight lanes: d[l][0:32] over the two panels at w and
-// w + panelStep floats, x[l] the lane's activations. Z0..Z15 hold the 8×32
-// accumulators, one register per lane and panel, so both weight rows are
-// loaded once per kk for all eight lanes; each output is one chain of k
-// VFMADD231PS steps in ascending kk. R8..R15 walk the eight lanes.
-TEXT ·tile8x32AVX512(SB), NOSPLIT, $0-49
-	MOVQ d+0(FP), BX
+// The AVX-512 GEMM tile at its group's true height: d[l][0:32] = Σ_kk
+// x[l][kk] · (w[kk*stride:][0:16] ‖ w[panelStep+kk*stride:][0:16]) for the
+// first lanes (1–8) lanes l; d[l] and x[l] past them are never read. Z0..Z15
+// hold the accumulators, two registers per lane (Z(2l), Z(2l+1)), from +0;
+// both weight rows are loaded once per kk for every lane, and each output is
+// one chain of k VFMADD231PS steps in ascending kk — FMA32 per step, the
+// scalar loop's arithmetic exactly. The k-loop is one of eight, one per
+// height, so a lane is never computed twice. R8..R15 walk the lanes'
+// activations, SI the weight row, BX the row PAIR_PREFETCH_ROWS ahead.
+TEXT ·tilePairAVX512(SB), NOSPLIT, $0-56
+	MOVQ x+8(FP), AX
+	MOVQ 0(AX), R8
+	MOVQ 8(AX), R9
+	MOVQ 16(AX), R10
+	MOVQ 24(AX), R11
+	MOVQ 32(AX), R12
+	MOVQ 40(AX), R13
+	MOVQ 48(AX), R14
+	MOVQ 56(AX), R15
 	MOVQ w+16(FP), SI
-	MOVQ k+24(FP), CX
-	MOVQ stride+32(FP), DX
-	MOVQ panelStep+40(FP), DI
+	MOVQ k+32(FP), CX
+	MOVQ stride+40(FP), DX
+	MOVQ panelStep+48(FP), DI
 	SHLQ $2, DX
 	SHLQ $2, DI
-	MOVBLZX seeded+48(FP), AX
-	TESTL AX, AX
-	JNZ  seed8
+	MOVQ DX, BX
+	IMULQ $PAIR_PREFETCH_ROWS, BX
+	ADDQ SI, BX
 	VPXORD Z0, Z0, Z0
 	VPXORD Z1, Z1, Z1
 	VPXORD Z2, Z2, Z2
@@ -243,105 +207,119 @@ TEXT ·tile8x32AVX512(SB), NOSPLIT, $0-49
 	VPXORD Z13, Z13, Z13
 	VPXORD Z14, Z14, Z14
 	VPXORD Z15, Z15, Z15
-	JMP  start8
-
-seed8:
-	MOVQ 0(BX), AX
-	VMOVUPS (AX), Z0
-	VMOVUPS 64(AX), Z1
-	MOVQ 8(BX), AX
-	VMOVUPS (AX), Z2
-	VMOVUPS 64(AX), Z3
-	MOVQ 16(BX), AX
-	VMOVUPS (AX), Z4
-	VMOVUPS 64(AX), Z5
-	MOVQ 24(BX), AX
-	VMOVUPS (AX), Z6
-	VMOVUPS 64(AX), Z7
-	MOVQ 32(BX), AX
-	VMOVUPS (AX), Z8
-	VMOVUPS 64(AX), Z9
-	MOVQ 40(BX), AX
-	VMOVUPS (AX), Z10
-	VMOVUPS 64(AX), Z11
-	MOVQ 48(BX), AX
-	VMOVUPS (AX), Z12
-	VMOVUPS 64(AX), Z13
-	MOVQ 56(BX), AX
-	VMOVUPS (AX), Z14
-	VMOVUPS 64(AX), Z15
-
-start8:
-	MOVQ x+8(FP), AX
-	MOVQ 0(AX), R8
-	MOVQ 8(AX), R9
-	MOVQ 16(AX), R10
-	MOVQ 24(AX), R11
-	MOVQ 32(AX), R12
-	MOVQ 40(AX), R13
-	MOVQ 48(AX), R14
-	MOVQ 56(AX), R15
 	XORQ AX, AX
 	TESTQ CX, CX
-	JLE  store8
+	JLE  pairstore
+	CMPQ lanes+24(FP), $8
+	JEQ  pair8
+	CMPQ lanes+24(FP), $7
+	JEQ  pair7
+	CMPQ lanes+24(FP), $6
+	JEQ  pair6
+	CMPQ lanes+24(FP), $5
+	JEQ  pair5
+	CMPQ lanes+24(FP), $4
+	JEQ  pair4
+	CMPQ lanes+24(FP), $3
+	JEQ  pair3
+	CMPQ lanes+24(FP), $2
+	JEQ  pair2
 
-loop8:
-	VMOVUPS (SI), Z16
-	VMOVUPS (SI)(DI*1), Z17
-	VBROADCASTSS (R8)(AX*4), Z18
-	VBROADCASTSS (R9)(AX*4), Z19
-	VBROADCASTSS (R10)(AX*4), Z20
-	VBROADCASTSS (R11)(AX*4), Z21
-	VBROADCASTSS (R12)(AX*4), Z22
-	VBROADCASTSS (R13)(AX*4), Z23
-	VBROADCASTSS (R14)(AX*4), Z24
-	VBROADCASTSS (R15)(AX*4), Z25
-	VFMADD231PS Z16, Z18, Z0
-	VFMADD231PS Z17, Z18, Z1
-	VFMADD231PS Z16, Z19, Z2
-	VFMADD231PS Z17, Z19, Z3
-	VFMADD231PS Z16, Z20, Z4
-	VFMADD231PS Z17, Z20, Z5
-	VFMADD231PS Z16, Z21, Z6
-	VFMADD231PS Z17, Z21, Z7
-	VFMADD231PS Z16, Z22, Z8
-	VFMADD231PS Z17, Z22, Z9
-	VFMADD231PS Z16, Z23, Z10
-	VFMADD231PS Z17, Z23, Z11
-	VFMADD231PS Z16, Z24, Z12
-	VFMADD231PS Z17, Z24, Z13
-	VFMADD231PS Z16, Z25, Z14
-	VFMADD231PS Z17, Z25, Z15
-	ADDQ DX, SI
-	INCQ AX
-	CMPQ AX, CX
-	JLT  loop8
+pair1:
+	PAIR_ROW
+	PAIR_LANE(R8, Z18, Z0, Z1)
+	PAIR_NEXT(pair1)
 
-store8:
-	MOVQ 0(BX), AX
-	VMOVUPS Z0, (AX)
-	VMOVUPS Z1, 64(AX)
-	MOVQ 8(BX), AX
-	VMOVUPS Z2, (AX)
-	VMOVUPS Z3, 64(AX)
-	MOVQ 16(BX), AX
-	VMOVUPS Z4, (AX)
-	VMOVUPS Z5, 64(AX)
-	MOVQ 24(BX), AX
-	VMOVUPS Z6, (AX)
-	VMOVUPS Z7, 64(AX)
-	MOVQ 32(BX), AX
-	VMOVUPS Z8, (AX)
-	VMOVUPS Z9, 64(AX)
-	MOVQ 40(BX), AX
-	VMOVUPS Z10, (AX)
-	VMOVUPS Z11, 64(AX)
-	MOVQ 48(BX), AX
-	VMOVUPS Z12, (AX)
-	VMOVUPS Z13, 64(AX)
-	MOVQ 56(BX), AX
-	VMOVUPS Z14, (AX)
-	VMOVUPS Z15, 64(AX)
+pair2:
+	PAIR_ROW
+	PAIR_LANE(R8, Z18, Z0, Z1)
+	PAIR_LANE(R9, Z19, Z2, Z3)
+	PAIR_NEXT(pair2)
+
+pair3:
+	PAIR_ROW
+	PAIR_LANE(R8, Z18, Z0, Z1)
+	PAIR_LANE(R9, Z19, Z2, Z3)
+	PAIR_LANE(R10, Z20, Z4, Z5)
+	PAIR_NEXT(pair3)
+
+pair4:
+	PAIR_ROW
+	PAIR_LANE(R8, Z18, Z0, Z1)
+	PAIR_LANE(R9, Z19, Z2, Z3)
+	PAIR_LANE(R10, Z20, Z4, Z5)
+	PAIR_LANE(R11, Z21, Z6, Z7)
+	PAIR_NEXT(pair4)
+
+pair5:
+	PAIR_ROW
+	PAIR_LANE(R8, Z18, Z0, Z1)
+	PAIR_LANE(R9, Z19, Z2, Z3)
+	PAIR_LANE(R10, Z20, Z4, Z5)
+	PAIR_LANE(R11, Z21, Z6, Z7)
+	PAIR_LANE(R12, Z22, Z8, Z9)
+	PAIR_NEXT(pair5)
+
+pair6:
+	PAIR_ROW
+	PAIR_LANE(R8, Z18, Z0, Z1)
+	PAIR_LANE(R9, Z19, Z2, Z3)
+	PAIR_LANE(R10, Z20, Z4, Z5)
+	PAIR_LANE(R11, Z21, Z6, Z7)
+	PAIR_LANE(R12, Z22, Z8, Z9)
+	PAIR_LANE(R13, Z23, Z10, Z11)
+	PAIR_NEXT(pair6)
+
+pair7:
+	PAIR_ROW
+	PAIR_LANE(R8, Z18, Z0, Z1)
+	PAIR_LANE(R9, Z19, Z2, Z3)
+	PAIR_LANE(R10, Z20, Z4, Z5)
+	PAIR_LANE(R11, Z21, Z6, Z7)
+	PAIR_LANE(R12, Z22, Z8, Z9)
+	PAIR_LANE(R13, Z23, Z10, Z11)
+	PAIR_LANE(R14, Z24, Z12, Z13)
+	PAIR_NEXT(pair7)
+
+pair8:
+	PAIR_ROW
+	PAIR_LANE(R8, Z18, Z0, Z1)
+	PAIR_LANE(R9, Z19, Z2, Z3)
+	PAIR_LANE(R10, Z20, Z4, Z5)
+	PAIR_LANE(R11, Z21, Z6, Z7)
+	PAIR_LANE(R12, Z22, Z8, Z9)
+	PAIR_LANE(R13, Z23, Z10, Z11)
+	PAIR_LANE(R14, Z24, Z12, Z13)
+	PAIR_LANE(R15, Z25, Z14, Z15)
+	PAIR_NEXT(pair8)
+
+pairstore:
+	MOVQ d+0(FP), BX
+	MOVQ lanes+24(FP), CX
+	PAIR_STORE(0, Z0, Z1)
+	CMPQ CX, $1
+	JEQ  pairdone
+	PAIR_STORE(8, Z2, Z3)
+	CMPQ CX, $2
+	JEQ  pairdone
+	PAIR_STORE(16, Z4, Z5)
+	CMPQ CX, $3
+	JEQ  pairdone
+	PAIR_STORE(24, Z6, Z7)
+	CMPQ CX, $4
+	JEQ  pairdone
+	PAIR_STORE(32, Z8, Z9)
+	CMPQ CX, $5
+	JEQ  pairdone
+	PAIR_STORE(40, Z10, Z11)
+	CMPQ CX, $6
+	JEQ  pairdone
+	PAIR_STORE(48, Z12, Z13)
+	CMPQ CX, $7
+	JEQ  pairdone
+	PAIR_STORE(56, Z14, Z15)
+
+pairdone:
 	VZEROUPPER
 	RET
 

@@ -8,11 +8,7 @@ func tile4x16AVX2(d0, d1, d2, d3, x0, x1, x2, x3, w *float32, k, stride int, see
 	panic("tensor: no assembly micro-kernel on this architecture")
 }
 
-func tile4x32AVX512(d0, d1, d2, d3, x0, x1, x2, x3, w *float32, k, stride, panelStep int, seeded bool) {
-	panic("tensor: no assembly micro-kernel on this architecture")
-}
-
-func tile8x32AVX512(d, x *[8]*float32, w *float32, k, stride, panelStep int, seeded bool) {
+func tilePairAVX512(d, x *[8]*float32, w *float32, lanes, k, stride, panelStep int) {
 	panic("tensor: no assembly micro-kernel on this architecture")
 }
 

@@ -265,10 +265,11 @@ func checkPackedMul(t *testing.T, seed uint64, rows, cols, nLanes int) {
 	sameBits(t, what+" row-major", got, want)
 }
 
-// fuzzShape maps raw fuzz inputs onto K, N ∈ [1, 1100] and 1–9 lanes (every
-// lane count mod 4, N mod 16 ≠ 0 included).
+// fuzzShape maps raw fuzz inputs onto K, N ∈ [1, 1100] and 1–17 lanes (every
+// tile height in a first and in a second group of eight, N mod 16 ≠ 0
+// included).
 func fuzzShape(k, n uint16, lanes uint8) (int, int, int) {
-	return int(k)%1100 + 1, int(n)%1100 + 1, int(lanes)%9 + 1
+	return int(k)%1100 + 1, int(n)%1100 + 1, int(lanes)%17 + 1
 }
 
 // TestPackedMulMatchesScalar is the generated kernel-equivalence check: 60
@@ -291,10 +292,11 @@ func TestPackedMulMatchesScalar(t *testing.T) {
 }
 
 // TestEightLaneTileMatchesScalar pins the tile loop at 1–17 lanes — none, one
-// and two full groups of eight, each with every 4-lane remainder — to
-// VecMatInto over a weight of two panel pairs and a lone panel, then, on the
-// AVX-512 arm, the 8-lane kernel itself, seeded and unseeded, to tileGo over
-// each of its two panels and two groups of four lanes.
+// and two full groups of eight, each with every remainder — to VecMatInto
+// over a weight of two panel pairs and a lone panel, then, on the AVX-512
+// arm, the pair kernel itself at every height 1–8 to tileGo over each of its
+// two panels, one or two groups of four lanes, at column offset 16 of a
+// 48-column output: the columns outside [16, 48) must keep their contents.
 func TestEightLaneTileMatchesScalar(t *testing.T) {
 	eachArm(t, func(t *testing.T) {
 		for n := 1; n <= 17; n++ {
@@ -303,27 +305,27 @@ func TestEightLaneTileMatchesScalar(t *testing.T) {
 		if arm != armAVX512 {
 			return
 		}
+		const c = panelWidth
 		for _, k := range []int{1, 5, 96} {
 			p := pack(testMatrix(k, 2*panelWidth, uint64(k)))
-			xs := lanes(8, k, uint64(k)+1)
-			for _, seeded := range []bool{false, true} {
-				var got, x [8][]float32
-				want := newLanes(8, 2*panelWidth)
+			for n := 1; n <= 8; n++ {
+				xs := lanes(n, k, uint64(k)+1)
+				got, want := lanes(n, c+2*panelWidth, uint64(n)), newLanes(n, c+2*panelWidth)
 				for l := range got {
-					got[l], x[l] = lanes(1, 2*panelWidth, uint64(l))[0], xs[l]
 					copy(want[l], got[l])
 				}
-				tilePair8(&got, &x, p.data, k, panelWidth, k*panelWidth, seeded)
-				for g := 0; g < 8; g += 4 {
+				tilePair(got, xs, c, p.data, k, panelWidth, k*panelWidth)
+				for g := 0; g < n; g += 4 {
 					for half := 0; half < 2; half++ {
 						var d, xq [4][]float32
 						for l := range d {
-							d[l], xq[l] = want[g+l][half*panelWidth:], xs[g+l]
+							i := g + min(l, n-g-1)
+							d[l], xq[l] = want[i][c+half*panelWidth:], xs[i]
 						}
-						tileGo(&d, &xq, p.data[half*k*panelWidth:], k, panelWidth, 4, seeded)
+						tileGo(&d, &xq, p.data[half*k*panelWidth:], k, panelWidth, min(4, n-g), false)
 					}
 				}
-				sameBits(t, fmt.Sprintf("k=%d seeded=%v", k, seeded), got[:], want)
+				sameBits(t, fmt.Sprintf("k=%d lanes=%d", k, n), got, want)
 			}
 		}
 	})
@@ -433,11 +435,12 @@ func TestRoPECachedMatchesApplyRoPE(t *testing.T) {
 	}
 }
 
-// TestBatchedKernelsAllocFree pins the tile loop's entries — batched, one
-// lane, ragged last panel, row-major — and the RoPE tables at 0 allocations.
+// TestBatchedKernelsAllocFree pins the tile loop's entries — batched at every
+// lane count 1–9 (every tile height, and a second group), ragged last panel,
+// row-major — and the RoPE tables at 0 allocations.
 func TestBatchedKernelsAllocFree(t *testing.T) {
 	eachArm(t, func(t *testing.T) {
-		const b = 7
+		const b = 9
 		m := testMatrix(64, 64, 1)
 		mT := Transpose(m)
 		p, ragged := pack(m), pack(testMatrix(64, 24, 2))
@@ -447,11 +450,12 @@ func TestBatchedKernelsAllocFree(t *testing.T) {
 		sin := make([]float32, 8)
 		cos := make([]float32, 8)
 		if n := testing.AllocsPerRun(10, func() {
-			p.MulInto(dst, xs)
-			p.MulInto(dst[:1], xs[:1])
+			for n := 1; n <= b; n++ {
+				p.MulInto(dst[:n], xs[:n])
+				MatTMatTransInto(dst[:n], xs[:n], m, mT)
+			}
 			p.MulPanelsInto(dst, xs, 1, 3)
 			ragged.MulInto(dstRagged, xs)
-			MatTMatTransInto(dst, xs, m, mT)
 			RoPESincosInto(sin, cos, freqs, 37)
 			ApplyRoPECached(xs[0][:16], sin, cos)
 		}); n != 0 {
@@ -475,9 +479,8 @@ func benchLanes(b int, n int) [][]float32 {
 // 256×1024 and down 1024×256, LM head = packed embedᵀ 256×1024 over a 1024
 // vocabulary) at r lanes, once per arm over packed panels, with the scalar
 // reference (VecMatInto per lane) and the row-major entry at the host's arm
-// beside them. On the avx512 rows every group of more than four lanes runs
-// the 8-lane tile (r5 and r7 as one group repeating its last lane, r40 as
-// five groups of eight, r72 as nine); r1 and r4 run only the 4-lane one.
+// beside them. r1–r8 give every tile height a row: on the avx512 rows each is
+// one group at its own height, r16 two full groups, r40 five and r72 nine.
 func BenchmarkGEMM(b *testing.B) {
 	selected := arm
 	defer func() { arm = selected }()
@@ -499,7 +502,7 @@ func BenchmarkGEMM(b *testing.B) {
 				m = Transpose(testMatrix(sh.cols, sh.rows, 1))
 			}
 			p, mT := pack(m), &Matrix{Rows: sh.cols, Cols: sh.rows}
-			for _, r := range []int{1, 4, 5, 7, 8, 16, 40, 72} {
+			for _, r := range []int{1, 2, 3, 4, 5, 6, 7, 8, 16, 40, 72} {
 				xs, dst := benchLanes(r, sh.rows), newLanes(r, sh.cols)
 				b.Run(fmt.Sprintf("%s/%s/r%d", impl.name, sh.name, r), func(b *testing.B) {
 					arm = impl.level
