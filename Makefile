@@ -38,13 +38,14 @@ onep:
 # race-sched runs the packages on the concurrent serving plane under the race
 # detector: sched (engine loop vs Submit/Drain/View callers), fleet (the
 # handoff hook moving a live request between engine loops, failover), the
-# facade's fleet and real-engine replay tests over those, core and model
-# (GEMM panel shards and attention lane shards spawn goroutines inside the fused
-# step at GOMAXPROCS>1; page selection runs inside those shards), quant and
-# kvcache (append-time encode and CoW page clones run inside them too), faults
-# (its hooks are called from engine loops and Submit paths at once), and the
-# facade's Pipeline, which Run, Generate and GenerateBatch share across
-# goroutines with no lock (TestPipelineConcurrentCallsMatchSequential).
+# facade's fleet and real-engine replay tests over those, faults (its hooks
+# are called from engine loops and Submit paths at once), and the facade's
+# Pipeline, which Run, Generate and GenerateBatch share across goroutines with
+# no lock (TestPipelineConcurrentCallsMatchSequential). core, model, quant and
+# kvcache are what an engine loop runs; the fused step starts no goroutine of
+# its own, so their tests race only independent Sessions and workspaces
+# decoding at once over one shared model (TestConcurrentWorkspaces,
+# DecodeSessions), and they stay to catch a goroutine put back into the step.
 race-sched:
 	$(GO) test -race ./internal/sched ./internal/fleet ./internal/core ./internal/model ./internal/quant ./internal/kvcache ./internal/faults
 	$(GO) test -race -run TestPipelineConcurrentCallsMatchSequential .
@@ -120,13 +121,14 @@ BENCHPKGS = . ./internal/model ./internal/tensor ./internal/rng
 # every arm, sparse decode and its page-selection pair, the
 # GEMM tile loop's entries under every arm, and the fused
 # pass / the one step entry from a batch of one with no chunks up to the
-# budget-packed mixed step, a KV cache's whole life on a warm page pool
+# budget-packed mixed step (at one P and, counted by mallocs, at two), a KV
+# cache's whole life on a warm page pool
 # (pages, page tables and page handles drawn and given back), appends across
 # a page seal (the seal's scratch is the pool's), a refused page
 # reservation (admission retries one after every eviction), an admission pass
 # that defers on the projected page demand of eight running requests and
 # streaming a request's tokens.
-ALLOC_PINS = TestQuantDecodeAllocs TestBlockWalkAllocs TestQuantStridedKernelsZeroAlloc TestSparseDecodeAllocs TestSparseAttentionZeroAlloc TestBatchedKernelsAllocFree TestForwardMixedPackedAllocFree TestStepMixedPackedAllocFree TestPagePoolCycleAllocFree TestSealAppendAllocFree TestReserveRefusalAllocFree TestAdmitProjectionAllocFree TestEmitAllocFree
+ALLOC_PINS = TestQuantDecodeAllocs TestBlockWalkAllocs TestQuantStridedKernelsZeroAlloc TestSparseDecodeAllocs TestSparseAttentionZeroAlloc TestBatchedKernelsAllocFree TestForwardMixedPackedAllocFree TestStepMixedPackedAllocFree TestStepAllocFreeAtTwoPs TestPagePoolCycleAllocFree TestSealAppendAllocFree TestReserveRefusalAllocFree TestAdmitProjectionAllocFree TestEmitAllocFree
 ALLOC_PKGS = ./internal/model ./internal/tensor ./internal/core ./internal/kvcache ./internal/sched
 
 # bench-smoke compiles and single-steps every benchmark in BENCHPKGS (the
@@ -160,10 +162,8 @@ bench-suite:
 	cd benchmark && $(GO) test ./...
 	bash benchmark/run.sh -smoke
 
-# bench runs every benchmark in BENCHPKGS with allocation reporting, at
-# -cpu 1,4 so both the serial fused step and the panel/lane-sharded step run
-# (on a smaller machine the sharded paths still execute, they timeshare).
-# These are kernel- and step-level numbers for use while working; serving
+# bench runs every benchmark in BENCHPKGS with allocation reporting. These
+# are kernel- and step-level numbers for use while working; serving
 # performance is measured by benchmark/ (see bench-suite).
 bench:
-	$(GO) test -run XXX -bench=. -benchmem -cpu 1,4 $(BENCHPKGS)
+	$(GO) test -run XXX -bench=. -benchmem $(BENCHPKGS)

@@ -1,8 +1,10 @@
-// Package core is the library's top-level facade: it wires a runnable tiny
-// model and a compression method's cache into a Pipeline that callers
-// (examples, experiment runners, downstream users) drive with a few calls,
-// and one greedy Session that every offline caller steps — the pipeline, the
-// accuracy evaluator and the length study alike.
+// Package core drives the model's one forward pass for its two kinds of
+// caller. Offline, it wires a runnable tiny model and a compression method's
+// cache into a Pipeline (the rethinkkv facade's Pipeline wraps it) and one
+// greedy Session that every offline caller steps — the pipeline, the accuracy
+// evaluator and the length study alike. Serving, its step plane (step.go)
+// advances the continuous-batching scheduler's sessions and prompt chunks in
+// one fused pass per iteration.
 package core
 
 import (

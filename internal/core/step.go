@@ -1,9 +1,6 @@
 package core
 
 import (
-	"runtime"
-	"sync"
-
 	"rethinkkv/internal/kvcache"
 	"rethinkkv/internal/model"
 	"rethinkkv/internal/tensor"
@@ -11,12 +8,12 @@ import (
 
 // This file is the multi-session step plane the continuous-batching
 // scheduler (internal/sched) drives: sessions that keep no workspace of
-// their own, a pool of fused step batches, and one step entry point,
-// StepMixedStatsInto, that advances any set of sessions one token each and
-// any set of prompt chunks in a single fused pass. Unlike Session (a
+// their own, the step loop's scratch (WorkspacePool), and one step entry
+// point, StepMixedStatsInto, that advances any set of sessions one token each
+// and any set of prompt chunks in a single fused pass. Unlike Session (a
 // one-lane workspace of its own, logits carried between steps), a StepSession
 // carries only its cache, position and pre-computed next token, so one
-// pooled StepBatch serves an unbounded population of live requests.
+// loop's workspace serves an unbounded population of live requests.
 //
 // A step reports what it decided, not what it was fed: a session's step
 // appends the K/V of its pending token and returns the token the resulting
@@ -29,27 +26,16 @@ import (
 // Every step — whatever the batch size, with or without chunks — is one
 // model.ForwardMixedInto: one weight-stationary pass loading every weight
 // matrix once instead of once per session, with per-session attention
-// against each session's own cache. It borrows one pooled StepBatch per
-// step: one pool round-trip per decode iteration.
+// against each session's own cache, run serially on the calling goroutine
+// over the loop's one workspace.
 
-// WorkspacePool hands out fused step batches to decode loops over one
-// model. GetBatch allocates on demand, so the pool's steady-state size is
-// the number of concurrent step loops, not the number of live sessions.
+// WorkspacePool is the scratch of one step loop over one model: a fused batch
+// workspace and the lane-marshalling scratch StepMixedStatsInto fills each
+// step. Both grow to the largest step seen and are reused, so steady-state
+// stepping allocates nothing. A pool belongs to one loop: steps on it must
+// not run concurrently (the scheduler keeps one per engine).
 type WorkspacePool struct {
 	m         *model.Model
-	mu        sync.Mutex
-	freeBatch []*StepBatch
-}
-
-// NewWorkspacePool builds an empty pool over the model.
-func NewWorkspacePool(m *model.Model) *WorkspacePool {
-	return &WorkspacePool{m: m}
-}
-
-// StepBatch bundles a fused batch workspace with the lane-marshalling
-// scratch one step needs. Pooled so a continuous-batching loop pays one pool
-// round-trip per decode iteration and zero steady-state allocations.
-type StepBatch struct {
 	bw        *model.BatchWorkspace
 	tokens    []int
 	positions []int
@@ -57,62 +43,32 @@ type StepBatch struct {
 	chunks    []model.Chunk
 }
 
-// Batch exposes the underlying fused batch workspace, for callers that
-// drive the model's batched entry points directly (e.g. construction-time
-// chunked prefill of a shared prefix) with the same pooled scratch the
-// step loop reuses.
-func (sb *StepBatch) Batch() *model.BatchWorkspace { return sb.bw }
+// NewWorkspacePool builds a step loop's scratch over the model.
+func NewWorkspacePool(m *model.Model) *WorkspacePool {
+	return &WorkspacePool{m: m, bw: m.NewBatchWorkspace(0)}
+}
 
-func (sb *StepBatch) ensure(n int) {
-	sb.bw.EnsureLanes(n)
-	if cap(sb.tokens) < n {
-		sb.tokens = make([]int, n)
-		sb.positions = make([]int, n)
-		sb.caches = make([]kvcache.Cache, n)
+// Batch exposes the pool's fused batch workspace, for callers that drive the
+// model's batched entry points directly (e.g. construction-time chunked
+// prefill of a shared prefix) on the scratch the step loop reuses. It must
+// not be used while a step runs.
+func (p *WorkspacePool) Batch() *model.BatchWorkspace { return p.bw }
+
+// ensure grows the lane-marshalling scratch to n decode lanes and k chunks.
+func (p *WorkspacePool) ensure(n, k int) {
+	p.bw.EnsureLanes(n)
+	if cap(p.tokens) < n {
+		p.tokens = make([]int, n)
+		p.positions = make([]int, n)
+		p.caches = make([]kvcache.Cache, n)
+	}
+	if cap(p.chunks) < k {
+		p.chunks = make([]model.Chunk, k)
 	}
 }
 
-// ensureChunks grows the reusable model.Chunk marshalling scratch to at
-// least k entries, keeping packed mixed steps allocation-free.
-func (sb *StepBatch) ensureChunks(k int) {
-	if cap(sb.chunks) < k {
-		sb.chunks = make([]model.Chunk, k)
-	}
-}
-
-// GetBatch returns a pooled fused step batch, allocating when none are
-// free.
-func (p *WorkspacePool) GetBatch() *StepBatch {
-	p.mu.Lock()
-	if n := len(p.freeBatch); n > 0 {
-		sb := p.freeBatch[n-1]
-		p.freeBatch = p.freeBatch[:n-1]
-		p.mu.Unlock()
-		return sb
-	}
-	p.mu.Unlock()
-	return &StepBatch{bw: p.m.NewBatchWorkspace(0)}
-}
-
-// PutBatch returns a fused step batch to the pool. Cache references are
-// cleared so a pooled batch does not pin retired sessions' KV memory.
-func (p *WorkspacePool) PutBatch(sb *StepBatch) {
-	if sb == nil {
-		return
-	}
-	for i := range sb.caches {
-		sb.caches[i] = nil
-	}
-	for i := range sb.chunks {
-		sb.chunks[i] = model.Chunk{}
-	}
-	p.mu.Lock()
-	p.freeBatch = append(p.freeBatch, sb)
-	p.mu.Unlock()
-}
-
-// StepSession is one decode stream whose scratch state lives in a pooled
-// workspace only for the duration of each step. Between steps it holds
+// StepSession is one decode stream whose scratch state lives in its step
+// loop's workspace only for the duration of each step. Between steps it holds
 // just the cache, the absolute position, and the already-decided next
 // token, so it can be parked indefinitely (queued, preempted) without
 // pinning a workspace.
@@ -149,12 +105,12 @@ type StepStats struct {
 	SparsePagesTotal    int64
 }
 
-// drainBatch moves a pooled step batch's sparse counters, over every lane,
-// into the stats (or discards them when stats is nil). Pooled batches are
-// shared across steps, so counters must never survive one — a later
-// borrower would inherit them.
-func (st *StepStats) drainBatch(sb *StepBatch) {
-	sel, tot := sb.bw.TakeSparseStats()
+// drain moves the workspace's sparse counters, over every lane, into the
+// stats (or discards them when stats is nil). The workspace serves every
+// step, so counters must never survive one — the next step would report
+// them again.
+func (st *StepStats) drain(bw *model.BatchWorkspace) {
+	sel, tot := bw.TakeSparseStats()
 	if st != nil {
 		st.SparsePagesSelected += sel
 		st.SparsePagesTotal += tot
@@ -195,9 +151,10 @@ type PrefillChunk struct {
 // iteration, and a single session is a batch of one on the same fused pass.
 // Sessions and chunks must own pairwise distinct caches, and every session
 // must have been built on the pool's model — a foreign one panics: the
-// pooled batch workspaces belong to that model. Per-step counters accumulate
-// into stats (nil discards them — pooled counters are always drained so no
-// later borrower inherits a stale tally).
+// pool's workspace belongs to that model. Steps on one pool must not run
+// concurrently. Per-step counters accumulate into stats (nil discards them —
+// the workspace's counters are always drained so no later step reports a
+// stale tally).
 func StepMixedStatsInto(pool *WorkspacePool, sessions []*StepSession, toks []int, chunks []PrefillChunk, nexts []int, stats *StepStats) {
 	if len(toks) != len(sessions) {
 		panic("core: StepMixedStatsInto toks length mismatch")
@@ -215,15 +172,13 @@ func StepMixedStatsInto(pool *WorkspacePool, sessions []*StepSession, toks []int
 			panic("core: session was built on a model that is not the pool's")
 		}
 	}
-	sb := pool.GetBatch()
-	sb.ensure(n)
-	sb.ensureChunks(len(chunks))
+	pool.ensure(n, len(chunks))
 	for i, s := range sessions {
-		sb.tokens[i] = s.next
-		sb.positions[i] = s.pos
-		sb.caches[i] = s.cache
+		pool.tokens[i] = s.next
+		pool.positions[i] = s.pos
+		pool.caches[i] = s.cache
 	}
-	mcs := sb.chunks[:len(chunks)]
+	mcs := pool.chunks[:len(chunks)]
 	for j := range chunks {
 		ch := &chunks[j]
 		mcs[j] = model.Chunk{
@@ -233,8 +188,7 @@ func StepMixedStatsInto(pool *WorkspacePool, sessions []*StepSession, toks []int
 			NeedLogits: ch.Final,
 		}
 	}
-	sb.bw.SetWorkers(runtime.GOMAXPROCS(0))
-	results, chunkRes := m.ForwardMixedInto(sb.bw, sb.tokens[:n], sb.positions[:n], sb.caches[:n], mcs)
+	results, chunkRes := m.ForwardMixedInto(pool.bw, pool.tokens[:n], pool.positions[:n], pool.caches[:n], mcs)
 	for i, s := range sessions {
 		s.next = tensor.Argmax(results[i].Logits)
 		s.pos++
@@ -246,9 +200,10 @@ func StepMixedStatsInto(pool *WorkspacePool, sessions []*StepSession, toks []int
 		} else {
 			nexts[j] = -1
 		}
-		// Drop the cache reference before the batch re-enters the pool.
-		mcs[j] = model.Chunk{}
 	}
-	stats.drainBatch(sb)
-	pool.PutBatch(sb)
+	// Drop the cache references: between steps the pool must not pin a
+	// retired request's pages.
+	clear(pool.caches[:n])
+	clear(mcs)
+	stats.drain(pool.bw)
 }

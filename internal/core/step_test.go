@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"rethinkkv/internal/kvcache"
@@ -9,14 +10,11 @@ import (
 )
 
 // prefilled builds a decode session the way the scheduler does: the prompt
-// chunk-prefills through the fused plane on a pooled batch, and the filled
-// cache is wrapped with the first output token.
+// chunk-prefills through the fused plane on the pool's workspace, and the
+// filled cache is wrapped with the first output token.
 func prefilled(m *model.Model, pool *WorkspacePool, prompt []int, cache kvcache.Cache) *StepSession {
-	sb := pool.GetBatch()
-	res := m.PrefillChunkInto(sb.Batch(), prompt, 0, cache)
-	next := tensor.Argmax(res.Logits)
-	pool.PutBatch(sb)
-	return NewPrefilledStepSession(m, cache, next)
+	res := m.PrefillChunkInto(pool.Batch(), prompt, 0, cache)
+	return NewPrefilledStepSession(m, cache, tensor.Argmax(res.Logits))
 }
 
 // sessionTokens decodes maxNew tokens with a Session over a caller-chosen
@@ -42,7 +40,7 @@ func pipelineOver(t *testing.T, seed uint64) *Pipeline {
 	return p
 }
 
-// StepSession over a pooled step batch must emit exactly the tokens Session
+// StepSession over the pool's workspace must emit exactly the tokens Session
 // emits — it is the same greedy decode restructured for workspace sharing —
 // on every cache layout the engine serves (flat Full, fp32/int8/int4
 // pages), stepping the prompts as one batch and each alone: a single
@@ -163,8 +161,8 @@ func TestStepAllMixedCaches(t *testing.T) {
 	}
 }
 
-// TestStepForeignModelRejected pins the one-model contract: the pooled
-// batch workspaces belong to the pool's model, so a session built on any
+// TestStepForeignModelRejected pins the one-model contract: the pool's
+// workspace belongs to the pool's model, so a session built on any
 // other model — alone, or mixed into a batch of the pool's own — is refused
 // by panic rather than stepped on the wrong weights.
 func TestStepForeignModelRejected(t *testing.T) {
@@ -394,51 +392,83 @@ func TestStepMixedPackedMatchesStepAll(t *testing.T) {
 	}
 }
 
-// TestStepMixedPackedAllocFree pins the budget-packed serving iteration —
-// pooled StepBatch, decode lanes plus chunks from several prompts — at
-// zero steady-state heap allocations on the serial path, the contract the
-// scheduler's packed stepOnce relies on; and likewise the other end of the
-// one entry point, a single session with no chunks, the most common step
-// under light load. (AllocsPerRun pins GOMAXPROCS to 1, so SetWorkers sees 1
-// and the pass stays serial; see TestStepAllIntoAllocFree.)
-func TestStepMixedPackedAllocFree(t *testing.T) {
-	for _, shape := range []struct{ B, K int }{{3, 2}, {1, 0}} {
-		m := model.New(model.Tiny(), 3)
-		pool := NewWorkspacePool(m)
+// packedShapes are the two ends of the one step entry point the alloc pins
+// run: the budget-packed serving iteration (decode lanes plus chunks from
+// several prompts) and a single session with no chunks, the most common step
+// under light load.
+var packedShapes = []struct{ B, K int }{{3, 2}, {1, 0}}
 
-		sessions := make([]*StepSession, shape.B)
-		for i := range sessions {
-			prompt := []int{1 + i, 2, 3, 4 + i}
-			sessions[i] = prefilled(m, pool, prompt, kvcache.NewPagedKV(m.CacheShape(), 1024))
+// packedStep builds B decode sessions and K four-token Final chunks on m, on
+// paged caches sized past the run so cache growth cannot blur the count,
+// warms the pool's workspace, chunk scratch and first pages with one step,
+// and returns the step.
+func packedStep(m *model.Model, B, K int) func() {
+	pool := NewWorkspacePool(m)
+	sessions := make([]*StepSession, B)
+	for i := range sessions {
+		prompt := []int{1 + i, 2, 3, 4 + i}
+		sessions[i] = prefilled(m, pool, prompt, kvcache.NewPagedKV(m.CacheShape(), 1024))
+	}
+	chunkCaches := make([]*kvcache.PagedKV, K)
+	for j := range chunkCaches {
+		chunkCaches[j] = kvcache.NewPagedKV(m.CacheShape(), 1024)
+	}
+	chunkTokens := make([]int, 4)
+	toks := make([]int, B)
+	chunks := make([]PrefillChunk, K)
+	nexts := make([]int, K)
+	step := func() {
+		for j := range chunks {
+			chunks[j] = PrefillChunk{Tokens: chunkTokens, Cache: chunkCaches[j], Final: true}
 		}
-		const C = 4
-		chunkCaches := make([]*kvcache.PagedKV, shape.K)
-		for j := range chunkCaches {
-			chunkCaches[j] = kvcache.NewPagedKV(m.CacheShape(), 1024)
-		}
-		chunkTokens := make([]int, C)
-		toks := make([]int, len(sessions))
-		chunks := make([]PrefillChunk, shape.K)
-		nexts := make([]int, shape.K)
-		step := func() {
-			for j := range chunks {
-				chunks[j] = PrefillChunk{Tokens: chunkTokens, Cache: chunkCaches[j], Final: true}
-			}
-			StepMixedStatsInto(pool, sessions, toks, chunks, nexts, nil)
-		}
-		step() // warm the pooled StepBatch, chunk scratch and first pages
+		StepMixedStatsInto(pool, sessions, toks, chunks, nexts, nil)
+	}
+	step()
+	return step
+}
+
+// TestStepMixedPackedAllocFree pins both packedShapes at zero steady-state
+// heap allocations, the contract the scheduler's packed stepOnce relies on.
+// AllocsPerRun measures at one P; TestStepAllocFreeAtTwoPs measures at two.
+func TestStepMixedPackedAllocFree(t *testing.T) {
+	for _, shape := range packedShapes {
+		step := packedStep(model.New(model.Tiny(), 3), shape.B, shape.K)
 		if n := testing.AllocsPerRun(50, step); n != 0 {
 			t.Fatalf("B=%d K=%d: StepMixedStatsInto allocated %v per run", shape.B, shape.K, n)
 		}
 	}
 }
 
-// TestStepAllIntoAllocFree proves the serial fused serving step allocates
-// nothing in steady state: pooled StepBatch, reused toks, paged caches
-// sized past the decode window. (AllocsPerRun pins GOMAXPROCS to 1, so
-// this measures exactly the serial path; the GOMAXPROCS>1 step shards
-// across goroutines and allocates their frames by design — see
-// BatchWorkspace.SetWorkers.)
+// TestStepAllocFreeAtTwoPs pins both packedShapes at zero allocations per
+// step with two Ps, on the serving-shaped model. testing.AllocsPerRun sets
+// GOMAXPROCS to 1 while it measures, so it cannot see a step that allocates
+// only when a second P is free — one that fans its GEMMs or its attention out
+// to goroutines — so this test reads the heap's malloc count around 50 steps.
+// Like AllocsPerRun it divides by the steps and rounds down: at two Ps the
+// runtime now and then allocates a few objects of its own inside the window
+// (a window that runs no step at all sees them too), while a step that
+// allocates does so on every call.
+func TestStepAllocFreeAtTwoPs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const steps = 50
+	m := model.New(model.Small(), 3)
+	for _, shape := range packedShapes {
+		step := packedStep(m, shape.B, shape.K)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < steps; i++ {
+			step()
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n/steps != 0 {
+			t.Fatalf("B=%d K=%d: %d steps at GOMAXPROCS 2 allocated %d objects", shape.B, shape.K, steps, n)
+		}
+	}
+}
+
+// TestStepAllIntoAllocFree proves the fused serving step allocates nothing
+// in steady state: the pool's workspace, reused toks, paged caches sized
+// past the decode window.
 func TestStepAllIntoAllocFree(t *testing.T) {
 	m := model.New(model.Tiny(), 3)
 	pool := NewWorkspacePool(m)
@@ -449,7 +479,7 @@ func TestStepAllIntoAllocFree(t *testing.T) {
 		sessions[i] = prefilled(m, pool, prompt, kvcache.NewPagedKV(m.CacheShape(), 1024))
 	}
 	toks := make([]int, len(sessions))
-	StepMixedStatsInto(pool, sessions, toks, nil, nil, nil) // warm the pooled StepBatch
+	StepMixedStatsInto(pool, sessions, toks, nil, nil, nil) // warm the pool's workspace
 	if n := testing.AllocsPerRun(50, func() {
 		StepMixedStatsInto(pool, sessions, toks, nil, nil, nil)
 	}); n != 0 {

@@ -100,7 +100,7 @@ func TestBlockWalkAllocs(t *testing.T) {
 		copy(ws.q, m.embed.Row(7))
 		tensor.RoPESincosInto(ws.ropeSin, ws.ropeCos, m.ropeFreqs, 199)
 	}
-	blk := bw.blks[0]
+	blk := bw.blk
 	walks := []struct {
 		name string
 		topK int

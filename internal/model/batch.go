@@ -1,12 +1,8 @@
 package model
 
-import (
-	"sync"
+import "rethinkkv/internal/tensor"
 
-	"rethinkkv/internal/tensor"
-)
-
-// This file is the scratch state and sharding of the model's one forward
+// This file is the scratch state of the model's one forward
 // pass (ForwardMixedInto, prefill.go), which advances B independent decode
 // streams a single token each, plus any prefill chunks, loading every weight
 // matrix once per step instead of once per stream. Projections and the LM
@@ -21,16 +17,17 @@ import (
 
 // BatchWorkspace owns the scratch state of the forward pass: one workspace
 // per lane, the lane-indexed gather views the batched kernels consume, and the
-// page walk's block scratch — one tensor.AttnBlock per shard (≈ 295 KiB for
-// small-llama), not per lane, which would scale resident memory with the
-// batch. It belongs to one decode loop at a time (core pools them for the
-// scheduler; an offline session owns one at one lane); lanes grow on demand
-// and are reused across steps, so steady-state stepping allocates nothing.
+// page walk's block scratch — one tensor.AttnBlock (≈ 295 KiB for
+// small-llama), not one per lane, which would scale resident memory with the
+// batch. It belongs to one step loop (core.WorkspacePool holds the
+// scheduler's; an offline session owns one at one lane) and is used by one
+// goroutine at a time; lanes grow on demand and are reused across steps, so
+// steady-state stepping allocates nothing.
 type BatchWorkspace struct {
 	m     *Model
 	lanes []*workspace
 	paths []cachePath
-	blks  []*tensor.AttnBlock // attention scratch of shard s
+	blk   *tensor.AttnBlock // the page walk's block scratch, shared by every lane
 
 	// Gather views: index b aliases lanes[b]'s buffers. They are built
 	// once per lane and re-sliced to the step's batch size.
@@ -40,7 +37,6 @@ type BatchWorkspace struct {
 	finals, logits     [][]float32
 
 	results []StepResult
-	workers int
 	// probeRecall is the recall probe's setting, applied to lanes added later.
 	probeRecall bool
 
@@ -54,10 +50,9 @@ type BatchWorkspace struct {
 	chunkCap     int
 	// chunkPaths holds each packed chunk's resolved fast-path set for the
 	// current step, and chunkResults the per-chunk StepResult slots the
-	// mixed step returns. Living in the (heap) workspace rather than in
-	// locals keeps the mixed step allocation-free — a local path would
-	// escape through the attention-sharding closure — and the paths are
-	// cleared like paths so a pooled workspace never pins a retired cache.
+	// mixed step returns. They live in the workspace so the mixed step
+	// allocates nothing, and are cleared like paths so a parked workspace
+	// never pins a retired cache.
 	chunkPaths   []cachePath
 	chunkResults []StepResult
 
@@ -69,11 +64,9 @@ type BatchWorkspace struct {
 }
 
 // NewBatchWorkspace allocates a batch workspace with capacity lanes
-// (grown automatically if a step brings more). Workers defaults to 1
-// (fully serial); see SetWorkers.
+// (grown automatically if a step brings more).
 func (m *Model) NewBatchWorkspace(capacity int) *BatchWorkspace {
-	bw := &BatchWorkspace{m: m}
-	bw.SetWorkers(1)
+	bw := &BatchWorkspace{m: m, blk: tensor.NewAttnBlock(m.cfg.HeadDim, m.cfg.MaxSeq)}
 	bw.EnsureLanes(capacity)
 	return bw
 }
@@ -109,89 +102,20 @@ func (bw *BatchWorkspace) ensureChunkSlots(k int) {
 	}
 }
 
-// SetWorkers sets the shard width for optional intra-step parallelism:
-// with w > 1, large GEMMs are sharded by weight panel and attention by lane
-// across up to w goroutines (bit-identical — every output has one owner).
-// The default 1 keeps the step fully serial and allocation-free; a sharded
-// step starts one goroutine per extra shard per GEMM and allocates for each.
-func (bw *BatchWorkspace) SetWorkers(w int) {
-	if w < 1 {
-		w = 1
-	}
-	bw.workers = w
-	for len(bw.blks) < w {
-		bw.blks = append(bw.blks, tensor.NewAttnBlock(bw.m.cfg.HeadDim, bw.m.cfg.MaxSeq))
-	}
-}
+// SetWorkers is a no-op: the pass is serial by construction, every GEMM and
+// every lane's attention on the calling goroutine. It stays for callers that
+// still pass a worker count.
+func (bw *BatchWorkspace) SetWorkers(int) {}
 
-// gemmShardMin is the per-shard work floor (multiply-accumulates) below
-// which sharding a GEMM costs more in goroutine latency than it saves.
-const gemmShardMin = 1 << 15
-
-// project runs one batched projection dst[b] = xs[b]ᵀ·w — the LM head is the
-// projection over embedᵀ — sharded across workers by whole panels when the
-// matrix is large enough to amortize the fan-out.
-func (bw *BatchWorkspace) project(dst, xs [][]float32, w *tensor.Packed) {
-	shards := bw.shardsFor(w.Rows*w.Cols*len(xs), w.Panels())
-	if shards <= 1 {
-		w.MulInto(dst, xs)
-		return
-	}
-	runShards(shards, w.Panels(), func(_, lo, hi int) {
-		w.MulPanelsInto(dst, xs, lo, hi)
-	})
-}
-
-// attend runs per-lane attention for one layer: every lane's K/V append on
-// the calling goroutine, in lane order (appends may open pages from a shared
-// pool), then the attention itself lane-sharded across workers: each
-// stream's attention touches only its own cache, its lane workspace and its
-// shard's block scratch, so lanes are independent.
+// attend runs one layer's attention for the first n lanes: every lane RoPEs
+// and appends its token's K/V, in lane order, then every lane attends over
+// its own cache. Interleaving the two per lane read 4–5 % slower at six and
+// eight small-llama lanes on one P.
 func (bw *BatchWorkspace) attend(l, n int) {
 	for b := 0; b < n; b++ {
 		bw.m.appendKV(bw.lanes[b], &bw.paths[b], l)
 	}
-	if shards := min(bw.workers, n); shards > 1 {
-		runShards(shards, n, func(s, lo, hi int) { bw.attendLanes(l, s, lo, hi) })
-		return
+	for b := 0; b < n; b++ {
+		bw.m.attendLane(bw.lanes[b], bw.blk, &bw.paths[b], l)
 	}
-	bw.attendLanes(l, 0, 0, n)
-}
-
-func (bw *BatchWorkspace) attendLanes(l, shard, lo, hi int) {
-	for b := lo; b < hi; b++ {
-		bw.m.attendLane(bw.lanes[b], bw.blks[shard], &bw.paths[b], l)
-	}
-}
-
-// shardsFor picks the shard count for a GEMM of the given total work:
-// bounded by the worker budget, the panel count (a panel is the unit of
-// column sharding: the micro-kernel's width, so every output has one owner),
-// and the per-shard work floor.
-func (bw *BatchWorkspace) shardsFor(work, panels int) int {
-	shards := bw.workers
-	if shards > panels {
-		shards = panels
-	}
-	if max := work / gemmShardMin; shards > max {
-		shards = max
-	}
-	return shards
-}
-
-// runShards splits [0, total) into shards contiguous ranges and runs fn on
-// each with its shard index, the first on the calling goroutine. fn must
-// write only its range.
-func runShards(shards, total int, fn func(s, lo, hi int)) {
-	chunk := (total + shards - 1) / shards
-	var wg sync.WaitGroup
-	for s, lo := 1, chunk; lo < total; s, lo = s+1, lo+chunk {
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			fn(s, lo, hi)
-		}(s, lo, min(lo+chunk, total))
-	}
-	fn(0, 0, chunk)
-	wg.Wait()
 }

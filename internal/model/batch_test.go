@@ -150,53 +150,8 @@ func TestForwardBatchIntoBitIdentical(t *testing.T) {
 	}
 }
 
-// TestForwardBatchIntoWorkers pins the panel/lane-sharded parallel step to
-// the serial step bit-for-bit.
-func TestForwardBatchIntoWorkers(t *testing.T) {
-	const B = 8
-	m := New(Tiny(), 13)
-	ws := newSolo(m)
-
-	serial := m.NewBatchWorkspace(B)
-	parallel := m.NewBatchWorkspace(B)
-	parallel.SetWorkers(4)
-	if parallel.workers != 4 {
-		t.Fatalf("workers = %d", parallel.workers)
-	}
-
-	sc := make([]kvcache.Cache, B)
-	pc := make([]kvcache.Cache, B)
-	tokens := make([]int, B)
-	positions := make([]int, B)
-	for b := 0; b < B; b++ {
-		sc[b] = kvcache.NewFull(m.CacheShape())
-		pc[b] = kvcache.NewFull(m.CacheShape())
-		prompt := prefillLane(m, ws, sc[b], b)
-		prefillLane(m, ws, pc[b], b)
-		positions[b] = len(prompt)
-		tokens[b] = (b * 11) % m.Config().Vocab
-	}
-	for step := 0; step < 4; step++ {
-		want, _ := m.ForwardMixedInto(serial, tokens, positions, sc, nil)
-		wantCopy := make([][]float32, B)
-		for b := range want {
-			wantCopy[b] = append([]float32(nil), want[b].Logits...)
-		}
-		got, _ := m.ForwardMixedInto(parallel, tokens, positions, pc, nil)
-		for b := 0; b < B; b++ {
-			for j := range wantCopy[b] {
-				if math.Float32bits(got[b].Logits[j]) != math.Float32bits(wantCopy[b][j]) {
-					t.Fatalf("step %d lane %d logit %d: parallel differs from serial", step, b, j)
-				}
-			}
-			tokens[b] = tensor.Argmax(got[b].Logits)
-			positions[b]++
-		}
-	}
-}
-
 // TestForwardBatchIntoAllocFree proves the fused steady-state step
-// performs zero heap allocations per step (serial workers). The caches
+// performs zero heap allocations per step. The caches
 // are paged with a page far larger than the decode window so cache-side
 // append growth — amortized, and priced separately by the decode
 // benchmarks — cannot blur the workspace measurement.

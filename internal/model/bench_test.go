@@ -2,7 +2,6 @@ package model
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"rethinkkv/internal/kvcache"
@@ -95,9 +94,6 @@ func benchSteadyBatch(b *testing.B, cfg Config, fused bool) {
 	m := New(cfg, 1)
 	ws := newSolo(m)
 	bw := m.NewBatchWorkspace(B)
-	// Mirror core.StepMixedStatsInto: -cpu 1 benches the serial fused step,
-	// -cpu 4 the panel/lane-sharded one.
-	bw.SetWorkers(runtime.GOMAXPROCS(0))
 	caches := make([]kvcache.Cache, B)
 	tokens := make([]int, B)
 	positions := make([]int, B)
@@ -210,7 +206,6 @@ func BenchmarkDecodeBatchSizes(b *testing.B) {
 	for B := 1; B <= 8; B++ {
 		b.Run(fmt.Sprintf("b%d", B), func(b *testing.B) {
 			bw := m.NewBatchWorkspace(B)
-			bw.SetWorkers(runtime.GOMAXPROCS(0))
 			pool := kvcache.NewPagePool(m.CacheShape(), 16, 0, 8, false)
 			caches := make([]kvcache.Cache, B)
 			tokens, positions := make([]int, B), make([]int, B)

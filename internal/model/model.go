@@ -47,7 +47,7 @@ type Model struct {
 // workspace holds every scratch buffer one lane of a BatchWorkspace needs,
 // sized once from the model's Config: a decode stream's token, or one
 // position of a prefill chunk. The page walk's block scratch belongs to the
-// batch, one per shard, not to a lane.
+// batch, not to a lane.
 type workspace struct {
 	h       []float32 // residual stream (hidden)
 	x       []float32 // normed activations (hidden)
@@ -74,8 +74,6 @@ type workspace struct {
 	pageSel    []int32
 	// sparseSel/sparseTot count pages selected vs pages resident across
 	// every (layer, head) sparse attention since the last TakeSparseStats.
-	// They live on the lane so fused lane-sharded attention updates them
-	// without synchronization.
 	sparseSel, sparseTot int64
 	// probeRecall turns on the attention-mass recall probe: each sparse
 	// attention additionally computes the dense softmax and accumulates
@@ -223,9 +221,7 @@ func pathOf(c kvcache.Cache) cachePath {
 }
 
 // appendKV RoPEs the K heads in place (using the step's cached rotation
-// tables) and appends the token's K/V to the cache, which copies them. It
-// runs on the step's own goroutine, never inside a shard: a paged cache opens
-// pages from a pool other caches share (kvcache.PagePool).
+// tables) and appends the token's K/V to the cache, which copies them.
 func (m *Model) appendKV(ws *workspace, cp *cachePath, l int) {
 	hd := m.cfg.HeadDim
 	for kh := 0; kh < m.cfg.KVHeads; kh++ {

@@ -72,7 +72,7 @@ type Chunk struct {
 // what else shares the pass. The second return value holds one StepResult per chunk,
 // index-aligned (zero unless that chunk's NeedLogits is set). Results alias
 // bw and are valid until the next call; steady-state stepping performs zero
-// heap allocations (Workers == 1) beyond cache page growth.
+// heap allocations beyond cache page growth.
 //
 // The pass calls runtime.Gosched three times a layer. A serving loop that
 // steps back to back would otherwise hold its P for a whole pass — 20 ms at a
@@ -182,9 +182,9 @@ func (m *Model) ForwardMixedInto(bw *BatchWorkspace, tokens, positions []int, ca
 	for l := range m.layers {
 		lw := &m.layers[l]
 		tensor.RMSNormRowsInto(xs, hs, lw.attnNorm, 1e-5)
-		bw.project(qs, xs, lw.wq)
-		bw.project(ks, xs, lw.wk)
-		bw.project(vs, xs, lw.wv)
+		lw.wq.MulInto(qs, xs)
+		lw.wk.MulInto(ks, xs)
+		lw.wv.MulInto(vs, xs)
 		bw.attend(l, B)
 		off := 0
 		for j := 0; j < K; j++ {
@@ -192,7 +192,7 @@ func (m *Model) ForwardMixedInto(bw *BatchWorkspace, tokens, positions []int, ca
 			m.attendChunk(bw, &bw.chunkPaths[j], l, B+off, off, cj, chunks[j].Pos)
 			off += cj
 		}
-		bw.project(projs, attnOuts, lw.wo)
+		lw.wo.MulInto(projs, attnOuts)
 		for b := 0; b < n; b++ {
 			tensor.AXPY(hs[b], 1, projs[b])
 		}
@@ -201,13 +201,13 @@ func (m *Model) ForwardMixedInto(bw *BatchWorkspace, tokens, positions []int, ca
 		// group of GEMMs, not for the whole step (see the function comment).
 		runtime.Gosched()
 		tensor.RMSNormRowsInto(xs, hs, lw.ffnNorm, 1e-5)
-		bw.project(gates, xs, lw.wGate)
-		bw.project(ups, xs, lw.wUp)
+		lw.wGate.MulInto(gates, xs)
+		lw.wUp.MulInto(ups, xs)
 		for b := 0; b < n; b++ {
 			tensor.SiLUMul(gates[b], ups[b])
 		}
 		runtime.Gosched()
-		bw.project(downs, gates, lw.wDown)
+		lw.wDown.MulInto(downs, gates)
 		for b := 0; b < n; b++ {
 			tensor.AXPY(hs[b], 1, downs[b])
 		}
@@ -241,11 +241,11 @@ func (m *Model) ForwardMixedInto(bw *BatchWorkspace, tokens, positions []int, ca
 		}
 		bw.lmFinals, bw.lmLogits = lmF, lmL
 	}
-	bw.project(lmL, lmF, m.embedT)
+	m.embedT.MulInto(lmL, lmF)
 
 	for b := 0; b < B; b++ {
 		bw.results[b] = StepResult{Logits: bw.logits[b], Hidden: bw.finals[b]}
-		// Drop the cache references: a parked (pooled) batch workspace
+		// Drop the cache references: a parked batch workspace
 		// must not pin retired streams' KV memory.
 		bw.paths[b] = cachePath{}
 	}
@@ -322,9 +322,8 @@ func (bw *BatchWorkspace) ensureChunk(c int) {
 // the cache with one AppendFlatN, then accumulate each position's causally
 // bounded attention: position Pos+i attends over the first Pos+i+1 entries
 // of this chunk's own cache, exactly the set a token-at-a-time prefill
-// would have seen. Positions are independent once the K/V are cached, so
-// attention shards by rows across workers like decode by lanes; within a
-// shard, consecutive rows share each KV head's page walk (attendOver).
+// would have seen. The chunk's rows share each KV head's page walk
+// (attendOver).
 func (m *Model) attendChunk(bw *BatchWorkspace, cp *cachePath, l, base, tokOff, C, pos int) {
 	cfg := m.cfg
 	hd := cfg.HeadDim
@@ -337,11 +336,5 @@ func (m *Model) attendChunk(bw *BatchWorkspace, cp *cachePath, l, base, tokOff, 
 		}
 	}
 	cp.cache.AppendFlatN(l, C, bw.ck[tokOff*stride:(tokOff+C)*stride], bw.cv[tokOff*stride:(tokOff+C)*stride])
-	if shards := min(bw.workers, C); shards > 1 {
-		runShards(shards, C, func(s, lo, hi int) {
-			m.attendOver(bw.lanes[base+lo:base+hi], bw.blks[s], cp, l, pos+lo+1)
-		})
-		return
-	}
-	m.attendOver(bw.lanes[base:base+C], bw.blks[0], cp, l, pos+1)
+	m.attendOver(bw.lanes[base:base+C], bw.blk, cp, l, pos+1)
 }

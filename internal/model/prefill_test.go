@@ -224,67 +224,8 @@ func TestForwardMixedIntoBitIdentical(t *testing.T) {
 	}
 }
 
-// TestForwardMixedIntoWorkers pins the worker-sharded mixed step (sharded
-// GEMMs, lane-sharded decode attention, position-sharded chunk attention)
-// to the serial one bit-for-bit.
-func TestForwardMixedIntoWorkers(t *testing.T) {
-	const B = 4
-	prompt := make([]int, 24)
-	for i := range prompt {
-		prompt[i] = (i*31 + 5) % Tiny().Vocab
-	}
-	m := New(Tiny(), 23)
-	ws := newSolo(m)
-	serial := m.NewBatchWorkspace(B)
-	parallel := m.NewBatchWorkspace(B)
-	parallel.SetWorkers(4)
-
-	mk := func() ([]kvcache.Cache, []int, []int, kvcache.Cache) {
-		caches := make([]kvcache.Cache, B)
-		tokens := make([]int, B)
-		positions := make([]int, B)
-		for b := 0; b < B; b++ {
-			caches[b] = kvcache.NewPagedKV(m.CacheShape(), 8)
-			p := prefillLane(m, ws, caches[b], b)
-			positions[b] = len(p)
-			tokens[b] = (b * 41) % m.Config().Vocab
-		}
-		return caches, tokens, positions, kvcache.NewPagedKV(m.CacheShape(), 8)
-	}
-	sc, st, sp, sChunk := mk()
-	pc, pt, pp, pChunk := mk()
-	for off := 0; off < len(prompt); off += 8 {
-		ch := Chunk{Tokens: prompt[off : off+8], Pos: off, Cache: sChunk, NeedLogits: off+8 == len(prompt)}
-		wantRes, wantChunkRes := m.ForwardMixedInto(serial, st, sp, sc, []Chunk{ch})
-		want := make([]StepResult, B)
-		for b := range wantRes {
-			want[b] = StepResult{
-				Logits: append([]float32(nil), wantRes[b].Logits...),
-				Hidden: append([]float32(nil), wantRes[b].Hidden...),
-			}
-		}
-		wantChunk := StepResult{
-			Logits: append([]float32(nil), wantChunkRes[0].Logits...),
-			Hidden: append([]float32(nil), wantChunkRes[0].Hidden...),
-		}
-		ch.Cache = pChunk
-		gotRes, gotChunk := m.ForwardMixedInto(parallel, pt, pp, pc, []Chunk{ch})
-		for b := 0; b < B; b++ {
-			equalStep(t, "workers decode lane", gotRes[b], want[b])
-			st[b] = tensor.Argmax(want[b].Logits)
-			pt[b] = st[b]
-			sp[b]++
-			pp[b]++
-		}
-		if ch.NeedLogits {
-			equalStep(t, "workers chunk final", gotChunk[0], wantChunk)
-		}
-	}
-	equalCaches(t, "workers chunk cache", pChunk, sChunk)
-}
-
 // TestForwardMixedIntoAllocFree pins the mixed decode+chunk iteration at
-// zero steady-state heap allocations (serial workers): the chunk staging
+// zero steady-state heap allocations: the chunk staging
 // span, gather views, and per-lane scratch are all reused. Pages are large
 // enough that cache growth cannot blur the measurement.
 func TestForwardMixedIntoAllocFree(t *testing.T) {
@@ -322,7 +263,7 @@ func TestForwardMixedIntoAllocFree(t *testing.T) {
 
 // TestForwardMixedPackedAllocFree pins the budget-packed mixed pass — B
 // decode lanes plus chunks from K distinct prompts in one fused iteration —
-// at zero steady-state heap allocations (serial workers): the shared chunk
+// at zero steady-state heap allocations: the shared chunk
 // staging span, the per-chunk path/result slots, and the LM-head gather are
 // all reused across passes.
 func TestForwardMixedPackedAllocFree(t *testing.T) {

@@ -238,11 +238,9 @@ func newEngine(m *model.Model, cfg Config) (*Engine, error) {
 		// Construction-time prefill has no decode traffic to interleave
 		// with, but the chunk plane's batched GEMMs still finish a long
 		// prefix several times faster than a token at a time —
-		// and warm the pooled batch workspace the loop will reuse.
+		// and warm the batch workspace the loop will reuse.
 		cache := e.kv.NewCache()
-		sb := e.pool.GetBatch()
-		e.m.PrefillChunkInto(sb.Batch(), cfg.SharedPrefix, cfg.PrefillChunk, cache)
-		e.pool.PutBatch(sb)
+		e.m.PrefillChunkInto(e.pool.Batch(), cfg.SharedPrefix, cfg.PrefillChunk, cache)
 		// Every page goes in pinned for good, the partial last one too: the
 		// cache is released here, so nothing will ever append to it.
 		var parent *pageNode

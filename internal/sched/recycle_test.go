@@ -15,9 +15,7 @@ import (
 // its working set, a request's pages, page tables and page handles come out of
 // the pool and go back to it instead of to the garbage collector. What the
 // second pass does allocate is per request (its state, its stream's buffer,
-// its session), not per token. The test runs on one P, as benchmark/ serves:
-// on more, the fused step's GEMM shards start goroutines, which allocate
-// every step whatever the pool does.
+// its session), not per token. The test runs on one P, as benchmark/ serves.
 func TestEngineRecyclesKVMemory(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const pageTokens, maxNew = 16, 32

@@ -234,8 +234,11 @@ type Request struct {
 	Prompt []int
 	// MaxNew caps the decoded tokens; 0 uses the engine default.
 	MaxNew int
-	// Predicted is the predicted response length PolicySJF orders by;
-	// 0 falls back to MaxNew. Trace replay feeds the trace's reference
+	// Predicted is the predicted response length; 0 falls back to MaxNew.
+	// PolicySJF orders by it, and under a page budget admission plans the
+	// request's page demand to retirement from it, capped at MaxNew
+	// (lifetimeOf): a request that outlives a too-short value can be
+	// preempted and recomputed. Trace replay feeds the trace's reference
 	// length here, mirroring the paper's predictor-driven routing.
 	Predicted int
 	// Arrival is seconds since engine start; negative means "stamp at

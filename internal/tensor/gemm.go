@@ -68,8 +68,8 @@ func PackRows(rows, cols int, fill func(k int, row []float32)) *Packed {
 	return p
 }
 
-// Panels reports the number of 16-column panels — the unit column shards are
-// handed out in.
+// Panels reports the number of 16-column panels — the unit of
+// MulPanelsInto's ranges.
 func (p *Packed) Panels() int { return (p.Cols + panelWidth - 1) / panelWidth }
 
 // MulInto computes dst[b] = xs[b]ᵀ × W for every lane b, bit-identical to
@@ -79,10 +79,11 @@ func (p *Packed) MulInto(dst, xs [][]float32) {
 	p.MulPanelsInto(dst, xs, 0, p.Panels())
 }
 
-// MulPanelsInto computes the output columns of panels [p0, p1) of MulInto —
-// the entry parallel drivers shard. Shards write disjoint dst ranges, so
-// concurrent calls over disjoint panel ranges are safe and assemble to
-// exactly the full-range result.
+// MulPanelsInto computes the output columns of panels [p0, p1) of MulInto,
+// which calls it over every panel. Calls over disjoint panel ranges write
+// disjoint dst columns and assemble to exactly the full-range result. A
+// range of one panel runs the lone-panel tile, which is how the tests reach
+// that tile on the AVX-512 arm.
 func (p *Packed) MulPanelsInto(dst, xs [][]float32, p0, p1 int) {
 	if p0 < 0 || p1 > p.Panels() || p0 > p1 {
 		panic("tensor: packed panel range out of bounds")

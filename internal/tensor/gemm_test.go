@@ -195,8 +195,7 @@ func TestMatTMatTransZeroFreeLanes(t *testing.T) {
 
 // TestShardedRangesAssemble verifies that disjoint panel shards assemble to
 // exactly the full-range result, for a cut at every panel boundary of a
-// weight with a ragged last panel — the invariant the parallel drivers rely
-// on.
+// weight with a ragged last panel.
 func TestShardedRangesAssemble(t *testing.T) {
 	eachArm(t, func(t *testing.T) {
 		const b = 7

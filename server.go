@@ -18,8 +18,11 @@ type ServeRequest struct {
 	// MaxNew caps the decoded tokens; 0 uses the server's
 	// WithMaxNewTokens default.
 	MaxNew int
-	// Predicted is the predicted response length the sjf-predicted policy
-	// orders by; 0 falls back to MaxNew.
+	// Predicted is the predicted response length; 0 falls back to MaxNew.
+	// The sjf-predicted policy orders by it, and under a page budget
+	// (WithKVPages) admission plans the request's KV pages to retirement
+	// from it, capped at MaxNew: a request that outlives a too-short value
+	// can be preempted and recomputed.
 	Predicted int
 	// Deadline, if positive, is the request's TTFT budget measured from
 	// this Submit call: a request still queued — no token streamed — when
