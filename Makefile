@@ -72,7 +72,12 @@ race-sched:
 # Positions, Len, TotalAppended and MemoryBytes of one token per call),
 # then Exp32 (raw float32 bits, any subtrahend, lengths 0-40 so every ragged
 # tail is hit: the AVX2 and AVX-512 arms of exp / Softmax / SiLU against the
-# pure-Go specification), then the attention block's softmax across rows (raw
+# pure-Go specification), then RMSNormInto (raw float32 bits of x, gain and
+# eps, lengths 0-300 so every ragged 16-float tail is hit: every arm against
+# the pure-Go sixteen-chain specification — ±0, subnormals, squares that
+# overflow to +Inf, ±Inf and NaN among the seeds), then ApplyRoPECached (raw
+# bits of x and of the sin / cos tables, every even head dimension 2-128:
+# every arm against the scalar loop), then the attention block's softmax across rows (raw
 # float32 bits, 1-16 rows of ascending lengths 0-300 so every ragged 16-column
 # tail is hit, any scale: every arm against Scale + Softmax per row — NaN, ±Inf,
 # ±0 maxima, equal maxima and all -Inf rows among the seeds), then sparse decode's page selection against a stable sort
@@ -104,6 +109,8 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzAppendSplitInvariant -fuzztime 10s ./internal/kvcache
 	$(GO) test -run XXX -fuzz FuzzMethodAppendSplit -fuzztime 10s ./internal/compress
 	$(GO) test -run XXX -fuzz FuzzExp32MatchesGo -fuzztime 10s ./internal/tensor
+	$(GO) test -run XXX -fuzz FuzzRMSNormMatchesSpec -fuzztime 10s ./internal/tensor
+	$(GO) test -run XXX -fuzz FuzzRoPEMatchesSpec -fuzztime 10s ./internal/tensor
 	$(GO) test -run XXX -fuzz FuzzSoftmaxRowsMatchesSoftmax -fuzztime 10s ./internal/tensor
 	$(GO) test -run XXX -fuzz FuzzSelectTopPagesMatchesSort -fuzztime 10s ./internal/model
 	$(GO) test -run XXX -fuzz FuzzFMA32 -fuzztime 10s ./internal/tensor
@@ -119,7 +126,7 @@ BENCHPKGS = . ./internal/model ./internal/tensor ./internal/rng
 # dequantize-on-read decode, the attention page walk (a decode lane's block
 # across its KV heads, 32-row chunk, Quest blocks with the recall probe) and its page-visit kernels under
 # every arm, sparse decode and its page-selection pair, the
-# GEMM tile loop's entries under every arm, and the fused
+# GEMM tile loop's entries, the batched norm and RoPE under every arm, and the fused
 # pass / the one step entry from a batch of one with no chunks up to the
 # budget-packed mixed step (at one P and, counted by mallocs, at two), a KV
 # cache's whole life on a warm page pool
@@ -139,7 +146,8 @@ ALLOC_PKGS = ./internal/model ./internal/tensor ./internal/core ./internal/kvcac
 # lane's 4 KV heads × 2 queries on one page, fp32 and int8) and its sealed-page
 # rows beside the open-page ones,
 # BenchmarkQuantEncode, BenchmarkSoftmax with its avx512 rows and its 16-row
-# block rows (rows16, n = 128 and 1024), BenchmarkSiLU, BenchmarkNormals, and
+# block rows (rows16, n = 128 and 1024), BenchmarkSiLU, BenchmarkRMSNorm (the
+# one-chain scalar row beside every arm), BenchmarkRoPE, BenchmarkNormals, and
 # the sampler's uniform half, BenchmarkPolar), then re-runs
 # ALLOC_PINS. `go test -run` passes silently when a name matches nothing, so
 # the target checks that every pinned name actually ran and passed: renaming

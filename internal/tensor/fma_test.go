@@ -186,8 +186,11 @@ func TestFMAArmsMatchSpec(t *testing.T) {
 // packages' non-test files from being an operand of +, -, += or -= unless it
 // sits under an explicit conversion: the Go spec lets a build fuse x*y + z
 // into one FMA (arm64 does), which would round once where amd64 rounds twice.
-// Accumulation chains call FMA32 instead; the rest (RMSNorm's sum of squares,
-// RoPE, the dequantizer, Exp32) round each product by a float32(…). The scan
+// Accumulation chains call FMA32 instead; the rest (RMSNorm's sixteen chains
+// of squares and its scale pass, RoPE, the dequantizer, Exp32) round each
+// product by a float32(…), and their assembly arms by a VMULPS before the
+// VADDPS, VSUBPS or VADDSUBPS, never an FMA (FuzzRMSNormMatchesSpec,
+// FuzzRoPEMatchesSpec and FuzzExp32MatchesGo hold the arms to them). The scan
 // is syntactic over typed expressions: a product stored in a variable and
 // added in a later statement is not seen. It first proves itself on a planted
 // source.

@@ -32,8 +32,8 @@ type armLevel int
 
 const (
 	armGo     armLevel = iota // pure Go: the specification and a correctness fallback
-	armAVX2                   // AVX2 + FMA: the YMM tile (also under the attention leaves' Go arm), Dot / AXPY / MatVecInto, Exp32's lanes
-	armAVX512                 // armAVX2 plus the ZMM tile over pairs of panels, the attention block's ZMM leaf kernels (whole 16-dimension panels), Exp32's 16 lanes, the int8 page codec and NormalsInto's lanes
+	armAVX2                   // AVX2 + FMA: the YMM tile (also under the attention leaves' Go arm), Dot / AXPY / MatVecInto, Exp32's lanes, RMSNormInto's chains and ApplyRoPECached
+	armAVX512                 // armAVX2 plus the ZMM tile over pairs of panels, the attention block's ZMM leaf kernels (whole 16-dimension panels), Exp32's 16 lanes, RMSNormInto and ApplyRoPECached in ZMM registers, the int8 page codec and NormalsInto's lanes
 )
 
 // arm is the level this process runs, selected once from what CPUID and the

@@ -161,3 +161,31 @@ func prefetchF32(p *float32, rows, strideBytes, widthBytes int)
 
 //go:noescape
 func prefetchU8(p *uint8, rows, strideBytes, widthBytes int)
+
+// sumSquaresAVX2 is the assembly behind sumSquares (norm_amd64.s): a[j] =
+// the chain of float32(x[i]·x[i]) over i ≡ j (mod 16) from +0, over the
+// first 16·n16 floats.
+//
+//go:noescape
+func sumSquaresAVX2(a *[16]float32, x *float32, n16 int)
+
+// scaleGainAVX2 is the assembly behind RMSNormInto's scale pass on the AVX2
+// arm: dst[i] = (x[i]·inv)·gain[i] over 8·n8 floats.
+//
+//go:noescape
+func scaleGainAVX2(dst, x, gain *float32, n8 int, inv float32)
+
+// rmsNormAVX512 is RMSNormInto on the AVX-512 arm, whole, over n ≥ 1 floats.
+//
+//go:noescape
+func rmsNormAVX512(dst, x, gain *float32, n int, eps float32)
+
+// ropeAVX2 is the assembly behind ApplyRoPECached: the rotation of the first
+// 8·n8 floats of x (4·n8 pairs) by sin and cos; ropeAVX512 of the first
+// 16·n16.
+//
+//go:noescape
+func ropeAVX2(x, sin, cos *float32, n8 int)
+
+//go:noescape
+func ropeAVX512(x, sin, cos *float32, n16 int)

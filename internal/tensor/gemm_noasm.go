@@ -95,3 +95,23 @@ func prefetchF32(p *float32, rows, strideBytes, widthBytes int) {
 func prefetchU8(p *uint8, rows, strideBytes, widthBytes int) {
 	panic("tensor: no assembly micro-kernel on this architecture")
 }
+
+func sumSquaresAVX2(a *[16]float32, x *float32, n16 int) {
+	panic("tensor: no assembly micro-kernel on this architecture")
+}
+
+func scaleGainAVX2(dst, x, gain *float32, n8 int, inv float32) {
+	panic("tensor: no assembly micro-kernel on this architecture")
+}
+
+func rmsNormAVX512(dst, x, gain *float32, n int, eps float32) {
+	panic("tensor: no assembly micro-kernel on this architecture")
+}
+
+func ropeAVX2(x, sin, cos *float32, n8 int) {
+	panic("tensor: no assembly micro-kernel on this architecture")
+}
+
+func ropeAVX512(x, sin, cos *float32, n16 int) {
+	panic("tensor: no assembly micro-kernel on this architecture")
+}

@@ -413,30 +413,34 @@ func TestRMSNormRowsInto(t *testing.T) {
 }
 
 // TestRoPECachedMatchesApplyRoPE pins the table-driven rotation to the
-// inline math.Pow/Sincos path bit-for-bit across positions and dims.
+// inline math.Pow/Sincos path bit-for-bit across positions and dims, on every
+// arm: whole vectors of pairs, ragged tails and dimensions below one vector.
 func TestRoPECachedMatchesApplyRoPE(t *testing.T) {
-	for _, d := range []int{4, 16, 32, 128} {
-		freqs := RoPEFreqs(d)
-		sin := make([]float32, d/2)
-		cos := make([]float32, d/2)
-		for _, pos := range []int{0, 1, 17, 255, 4095} {
-			want := lanes(1, d, uint64(d+pos))[0]
-			got := append([]float32(nil), want...)
-			ApplyRoPE(want, pos)
-			RoPESincosInto(sin, cos, freqs, pos)
-			ApplyRoPECached(got, sin, cos)
-			for i := range want {
-				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-					t.Fatalf("d=%d pos=%d elem %d: %x != %x", d, pos, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+	eachArm(t, func(t *testing.T) {
+		for _, d := range []int{2, 4, 6, 16, 32, 48, 128} {
+			freqs := RoPEFreqs(d)
+			sin := make([]float32, d/2)
+			cos := make([]float32, d/2)
+			for _, pos := range []int{0, 1, 17, 255, 4095} {
+				want := lanes(1, d, uint64(d+pos))[0]
+				got := append([]float32(nil), want...)
+				ApplyRoPE(want, pos)
+				RoPESincosInto(sin, cos, freqs, pos)
+				ApplyRoPECached(got, sin, cos)
+				for i := range want {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("d=%d pos=%d elem %d: %x != %x", d, pos, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestBatchedKernelsAllocFree pins the tile loop's entries — batched at every
 // lane count 1–9 (every tile height, and a second group), ragged last panel,
-// row-major — and the RoPE tables at 0 allocations.
+// row-major — the batched norm, and the RoPE tables and rotation at the
+// benchmark model's head dimension, at 0 allocations on every arm.
 func TestBatchedKernelsAllocFree(t *testing.T) {
 	eachArm(t, func(t *testing.T) {
 		const b = 9
@@ -445,9 +449,10 @@ func TestBatchedKernelsAllocFree(t *testing.T) {
 		p, ragged := pack(m), pack(testMatrix(64, 24, 2))
 		xs := benchLanes(b, 64)
 		dst, dstRagged := newLanes(b, 64), newLanes(b, 24)
-		freqs := RoPEFreqs(16)
-		sin := make([]float32, 8)
-		cos := make([]float32, 8)
+		gain := benchLanes(1, 64)[0]
+		freqs := RoPEFreqs(32)
+		sin := make([]float32, 16)
+		cos := make([]float32, 16)
 		if n := testing.AllocsPerRun(10, func() {
 			for n := 1; n <= b; n++ {
 				p.MulInto(dst[:n], xs[:n])
@@ -455,8 +460,9 @@ func TestBatchedKernelsAllocFree(t *testing.T) {
 			}
 			p.MulPanelsInto(dst, xs, 1, 3)
 			ragged.MulInto(dstRagged, xs)
+			RMSNormRowsInto(dst, xs, gain, 1e-5)
 			RoPESincosInto(sin, cos, freqs, 37)
-			ApplyRoPECached(xs[0][:16], sin, cos)
+			ApplyRoPECached(xs[0][:32], sin, cos)
 		}); n != 0 {
 			t.Fatalf("batched kernels allocated %v per run", n)
 		}

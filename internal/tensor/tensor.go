@@ -21,7 +21,10 @@
 // views are the ones the attention block is; every assembly arm (gemm_amd64.s)
 // is equal to FMA32 by bits. Exp32 (exp.go) is the one exponential under
 // Softmax and SiLUMul, and the reference its own AVX2 and AVX-512 arms are
-// bit-identical to.
+// bit-identical to. RMSNormInto's sum of squares is the one reduction in
+// another order — sixteen chains of rounded squares and a fixed tree
+// (sumSquares), one chain per vector lane on the assembly arms
+// (norm_amd64.s), which also rotate ApplyRoPECached's pairs bit for bit.
 package tensor
 
 import (
@@ -190,8 +193,12 @@ func Scale(xs []float32, alpha float32) {
 
 // RMSNormInto writes x normalized by its root-mean-square and scaled by gain,
 // as used by LLaMA-family models, into the caller-owned dst, allocating
-// nothing. eps guards the division. dst may alias x. It panics on length
-// mismatch.
+// nothing: dst[i] = (x[i]·inv)·gain[i] with inv = 1/√(ss/n + eps), ss the
+// sum of squares in sumSquares' order — sixteen chains and a fixed tree, not
+// one ascending chain. eps guards the division. The AVX2 arm runs the
+// sixteen chains and the scale pass on the vector lanes; the AVX-512 arm runs
+// the whole norm in one kernel (rmsNormAVX512). Both are equal to the pure-Go
+// arm by bits. dst may alias x. It panics on length mismatch.
 func RMSNormInto(dst, x, gain []float32, eps float32) {
 	if len(x) != len(gain) {
 		panic("tensor: rmsnorm length mismatch")
@@ -199,13 +206,60 @@ func RMSNormInto(dst, x, gain []float32, eps float32) {
 	if len(dst) != len(x) {
 		panic("tensor: rmsnorm dst length mismatch")
 	}
-	var ss float32
-	for _, v := range x {
-		ss += float32(v * v) // rounded, then added: no build may fuse it
+	if arm == armAVX512 && len(x) > 0 {
+		rmsNormAVX512(&dst[0], &x[0], &gain[0], len(x), eps)
+		return
 	}
-	inv := 1 / float32(math.Sqrt(float64(ss/float32(len(x))+eps)))
-	for i := range x {
+	inv := 1 / float32(math.Sqrt(float64(sumSquares(x)/float32(len(x))+eps)))
+	i := 0
+	if arm != armGo {
+		if i = len(x) &^ 7; i > 0 {
+			scaleGainAVX2(&dst[0], &x[0], &gain[0], i/8, inv)
+		}
+	}
+	for ; i < len(x); i++ {
 		dst[i] = x[i] * inv * gain[i]
+	}
+}
+
+// sumSquares returns RMSNormInto's sum of squares. Chain j (j < 16) adds
+// float32(x[i]·x[i]) for every i ≡ j (mod 16) in ascending i, from +0, each
+// square rounded before its add; then a[j] += a[j+w] for w = 8, 4, 2, 1 folds
+// the sixteen chains into a[0]. The chains over the whole 16-float blocks are
+// sumSquaresGo's, or the AVX2 kernel's (one chain per vector lane); the
+// ragged tail and the tree are this function's.
+func sumSquares(x []float32) float32 {
+	var a [16]float32
+	i := len(x) &^ 15
+	if i > 0 {
+		if arm == armGo {
+			sumSquaresGo(&a, x[:i])
+		} else {
+			sumSquaresAVX2(&a, &x[0], i/16)
+		}
+	}
+	for ; i < len(x); i++ {
+		a[i&15] += float32(x[i] * x[i]) // rounded, then added: no build may fuse it
+	}
+	h := [8]float32{a[0] + a[8], a[1] + a[9], a[2] + a[10], a[3] + a[11],
+		a[4] + a[12], a[5] + a[13], a[6] + a[14], a[7] + a[15]}
+	q := [4]float32{h[0] + h[4], h[1] + h[5], h[2] + h[6], h[3] + h[7]}
+	return (q[0] + q[2]) + (q[1] + q[3])
+}
+
+// sumSquaresGo is the pure-Go arm of sumSquares' chains over x, whole
+// 16-float blocks: four chains at a time, so four adds are in flight.
+func sumSquaresGo(a *[16]float32, x []float32) {
+	for j := 0; j < 16; j += 4 {
+		var s0, s1, s2, s3 float32
+		for i := j; i < len(x); i += 16 {
+			b := x[i : i+4 : i+4]
+			s0 += float32(b[0] * b[0])
+			s1 += float32(b[1] * b[1])
+			s2 += float32(b[2] * b[2])
+			s3 += float32(b[3] * b[3])
+		}
+		a[j], a[j+1], a[j+2], a[j+3] = s0, s1, s2, s3
 	}
 }
 
@@ -239,18 +293,37 @@ func RoPESincosInto(sin, cos []float32, freqs []float64, pos int) {
 	}
 }
 
+// ropeDup spreads four or eight table entries over the lanes of their pairs
+// (c0, c0, c1, c1, …): the VPERMPS index of the RoPE arms.
+var ropeDup = [16]int32{0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7}
+
 // ApplyRoPECached rotates x (even length) in place by the rotary position
 // embedding over pairs (x[2p], x[2p+1]), using coefficient tables filled by
 // RoPESincosInto over RoPEFreqs(len(x)) for the token's absolute position.
 // The result is bit-identical to computing each pair's angle and Sincos
 // inline (TestRoPECachedMatchesApplyRoPE): the tables hold exactly those
-// float32 values. Each product is rounded before the add (the explicit
-// conversions), so no build fuses them.
+// float32 values. Each product is rounded before the sub or add (the
+// explicit conversions), so no build fuses them. The assembly arms rotate
+// four (AVX2) or eight (AVX-512) pairs per vector with the same two rounded
+// products and one sub or add per element, so they are bit-identical to the
+// loop below, which takes the pairs they leave.
 func ApplyRoPECached(x []float32, sin, cos []float32) {
 	if len(x) != 2*len(sin) || len(sin) != len(cos) {
 		panic("tensor: RoPE table length mismatch")
 	}
-	for p, s := range sin {
+	p := 0
+	switch arm {
+	case armAVX512:
+		if p = len(sin) &^ 7; p > 0 {
+			ropeAVX512(&x[0], &sin[0], &cos[0], p/8)
+		}
+	case armAVX2:
+		if p = len(sin) &^ 3; p > 0 {
+			ropeAVX2(&x[0], &sin[0], &cos[0], p/4)
+		}
+	}
+	for ; p < len(sin); p++ {
+		s := sin[p]
 		c := cos[p]
 		a, b := x[2*p], x[2*p+1]
 		x[2*p] = float32(a*c) - float32(b*s)
