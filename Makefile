@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet build cross test onep race-sched fuzz-smoke bench bench-smoke bench-suite
+.PHONY: ci fmt vet build cross test onep race-sched fuzz-smoke bench bench-smoke bench-suite loc
 
 # ci is the whole gate; .github/workflows/ci.yml runs exactly this target.
 ci: fmt vet build cross test onep race-sched fuzz-smoke bench-smoke bench-suite
@@ -9,8 +9,11 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# vet covers benchmark/ too: it is a module of its own, which the root's
+# ./... does not reach.
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 
 build:
 	$(GO) build ./...
@@ -175,3 +178,13 @@ bench-suite:
 # performance is measured by benchmark/ (see bench-suite).
 bench:
 	$(GO) test -run XXX -bench=. -benchmem $(BENCHPKGS)
+
+# loc prints the non-test Go lines of every package outside benchmark/, their
+# total, and the lines of assembly (.s and .h). It is informational, not part
+# of ci: the figures a line-count claim is made in.
+loc:
+	@find . -path ./benchmark -prune -o -name '*.go' ! -name '*_test.go' -print | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total non-test Go\n", t }'
+	@find . -path ./benchmark -prune -o \( -name '*.s' -o -name '*.h' \) -print | xargs cat | wc -l | \
+		awk '{ printf "%7d assembly\n", $$1 }'

@@ -10,10 +10,10 @@ import "rethinkkv/internal/tensor"
 // every group of up to eight lanes shares every weight load on the AVX-512
 // arm, at its own height, four on the others, and an output's reduction
 // order does not depend on the lane count); attention stays per-stream
-// (appendKV, then attendLane), because each stream attends over its own KV
-// cache at its own position. A stream run alone is the same pass at one lane,
-// so a fused step is bit-identical to stepping each stream by itself —
-// pinned by the equivalence tests in batch_test.go.
+// (append the token's K/V, then attendLane), because each stream attends over
+// its own KV cache at its own position. A stream run alone is the same pass at
+// one lane, so a fused step is bit-identical to stepping each stream by
+// itself — pinned by the equivalence tests in batch_test.go.
 
 // BatchWorkspace owns the scratch state of the forward pass: one workspace
 // per lane, the lane-indexed gather views the batched kernels consume, and the
@@ -107,13 +107,13 @@ func (bw *BatchWorkspace) ensureChunkSlots(k int) {
 // still pass a worker count.
 func (bw *BatchWorkspace) SetWorkers(int) {}
 
-// attend runs one layer's attention for the first n lanes: every lane RoPEs
-// and appends its token's K/V, in lane order, then every lane attends over
-// its own cache. Interleaving the two per lane read 4–5 % slower at six and
-// eight small-llama lanes on one P.
+// attend runs one layer's attention for the first n lanes: every lane
+// appends its token's K/V (already RoPE'd, see ForwardMixedInto), in lane
+// order, then every lane attends over its own cache. Interleaving the two per
+// lane read 4–5 % slower at six and eight small-llama lanes on one P.
 func (bw *BatchWorkspace) attend(l, n int) {
 	for b := 0; b < n; b++ {
-		bw.m.appendKV(bw.lanes[b], &bw.paths[b], l)
+		bw.paths[b].cache.AppendFlatN(l, 1, bw.lanes[b].k, bw.lanes[b].v)
 	}
 	for b := 0; b < n; b++ {
 		bw.m.attendLane(bw.lanes[b], bw.blk, &bw.paths[b], l)

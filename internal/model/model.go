@@ -51,9 +51,8 @@ type Model struct {
 type workspace struct {
 	h       []float32 // residual stream (hidden)
 	x       []float32 // normed activations (hidden)
-	q       []float32 // query projection (hidden)
-	k, v    []float32 // key/value projections (KVDim)
-	qv      []float32 // one RoPE'd query head (HeadDim), Seq arm only
+	q       []float32 // query projection (hidden), RoPE'd in place
+	k, v    []float32 // key/value projections (KVDim), k RoPE'd in place
 	attnOut []float32 // concatenated head outputs (hidden)
 	proj    []float32 // output projection (hidden)
 	gate    []float32 // FFN gate (FFNDim)
@@ -95,7 +94,6 @@ func (m *Model) newLane() *workspace {
 		q:       make([]float32, h),
 		k:       make([]float32, cfg.KVDim()),
 		v:       make([]float32, cfg.KVDim()),
-		qv:      make([]float32, cfg.HeadDim),
 		attnOut: make([]float32, h),
 		proj:    make([]float32, h),
 		gate:    make([]float32, cfg.FFNDim),
@@ -220,16 +218,6 @@ func pathOf(c kvcache.Cache) cachePath {
 	return cp
 }
 
-// appendKV RoPEs the K heads in place (using the step's cached rotation
-// tables) and appends the token's K/V to the cache, which copies them.
-func (m *Model) appendKV(ws *workspace, cp *cachePath, l int) {
-	hd := m.cfg.HeadDim
-	for kh := 0; kh < m.cfg.KVHeads; kh++ {
-		tensor.ApplyRoPECached(ws.k[kh*hd:(kh+1)*hd], ws.ropeSin, ws.ropeCos)
-	}
-	cp.cache.AppendFlatN(l, 1, ws.k, ws.v)
-}
-
 // attendLane accumulates one decode lane's attention output over layer l,
 // its token's K/V already appended.
 func (m *Model) attendLane(ws *workspace, blk *tensor.AttnBlock, cp *cachePath, l int) {
@@ -245,7 +233,7 @@ func (m *Model) attendLane(ws *workspace, blk *tensor.AttnBlock, cp *cachePath, 
 // instead: the cache already holds the whole chunk's K/V, and row r may only
 // see entries 0..limit+r-1, which addresses by position and therefore
 // requires a cache that retains every token (Full, PagedKV). Every cache has
-// taken the step's K/V through its one AppendFlatN before this runs (appendKV
+// taken the step's K/V through its one AppendFlatN before this runs (attend
 // per lane, attendChunk per chunk), which stores what one-token appends
 // would, and a query's arithmetic does not depend on what shares its block,
 // so bounded attention here equals full attention then.
@@ -292,7 +280,6 @@ func (m *Model) attendOver(lanes []*workspace, blk *tensor.AttnBlock, cp *cacheP
 				ws, qh := lanes[x/group], kh*group+x%group
 				q := blk.Add(first+x/group, ws.attnOut[qh*hd:(qh+1)*hd])
 				copy(q, ws.q[qh*hd:(qh+1)*hd])
-				tensor.ApplyRoPECached(q, ws.ropeSin, ws.ropeCos)
 				switch {
 				case quest:
 					m.attendSparse(ws, blk, cp, &v, q)
@@ -313,8 +300,7 @@ func (m *Model) attendOver(lanes []*workspace, blk *tensor.AttnBlock, cp *cacheP
 func (m *Model) attendSeq(ws *workspace, cp *cachePath, l, limit, r int) {
 	hd, group := m.cfg.HeadDim, m.cfg.GroupSize()
 	for qh := 0; qh < m.cfg.Heads; qh++ {
-		copy(ws.qv, ws.q[qh*hd:(qh+1)*hd])
-		tensor.ApplyRoPECached(ws.qv, ws.ropeSin, ws.ropeCos)
+		q := ws.q[qh*hd : (qh+1)*hd]
 		kh := qh / group
 		out := ws.attnOut[qh*hd : (qh+1)*hd]
 		n := limit + r
@@ -325,7 +311,7 @@ func (m *Model) attendSeq(ws *workspace, cp *cachePath, l, limit, r int) {
 		keys, vals := cp.cache.Seq(l, kh)
 		keys, vals = keys[:n], vals[:n]
 		for i, kv := range keys {
-			scores[i] = tensor.Dot(ws.qv, kv) * m.invSqrtHD
+			scores[i] = tensor.Dot(q, kv) * m.invSqrtHD
 		}
 		tensor.Softmax(scores)
 		if cp.observer != nil {

@@ -179,11 +179,23 @@ func (m *Model) ForwardMixedInto(bw *BatchWorkspace, tokens, positions []int, ca
 		bw.mixKs, bw.mixVs = ks, vs
 	}
 
+	hd := m.cfg.HeadDim
 	for l := range m.layers {
 		lw := &m.layers[l]
 		tensor.RMSNormRowsInto(xs, hs, lw.attnNorm, 1e-5)
 		lw.wq.MulInto(qs, xs)
 		lw.wk.MulInto(ks, xs)
+		// The layer's one RoPE site: every row's query and key heads rotate in
+		// place at that row's position, before any key is appended or read.
+		for b := 0; b < n; b++ {
+			ws := bw.lanes[b]
+			for h := 0; h < m.cfg.Heads; h++ {
+				tensor.ApplyRoPECached(qs[b][h*hd:(h+1)*hd], ws.ropeSin, ws.ropeCos)
+			}
+			for h := 0; h < m.cfg.KVHeads; h++ {
+				tensor.ApplyRoPECached(ks[b][h*hd:(h+1)*hd], ws.ropeSin, ws.ropeCos)
+			}
+		}
 		lw.wv.MulInto(vs, xs)
 		bw.attend(l, B)
 		off := 0
@@ -317,24 +329,14 @@ func (bw *BatchWorkspace) ensureChunk(c int) {
 }
 
 // attendChunk runs one layer's attention for a prefill chunk occupying
-// lanes [base, base+C) and staging tokens [tokOff, tokOff+C): RoPE the
-// chunk's keys in place inside its staging span, land all C tokens' K/V in
-// the cache with one AppendFlatN, then accumulate each position's causally
-// bounded attention: position Pos+i attends over the first Pos+i+1 entries
-// of this chunk's own cache, exactly the set a token-at-a-time prefill
-// would have seen. The chunk's rows share each KV head's page walk
-// (attendOver).
+// lanes [base, base+C) and staging tokens [tokOff, tokOff+C): land all C
+// tokens' K/V in the cache with one AppendFlatN, then accumulate each
+// position's causally bounded attention: position Pos+i attends over the
+// first Pos+i+1 entries of this chunk's own cache, exactly the set a
+// token-at-a-time prefill would have seen. The chunk's rows share each KV
+// head's page walk (attendOver).
 func (m *Model) attendChunk(bw *BatchWorkspace, cp *cachePath, l, base, tokOff, C, pos int) {
-	cfg := m.cfg
-	hd := cfg.HeadDim
-	stride := cfg.KVDim()
-	for i := 0; i < C; i++ {
-		ws := bw.lanes[base+i]
-		off := (tokOff + i) * stride
-		for kh := 0; kh < cfg.KVHeads; kh++ {
-			tensor.ApplyRoPECached(bw.ck[off+kh*hd:off+(kh+1)*hd], ws.ropeSin, ws.ropeCos)
-		}
-	}
+	stride := m.cfg.KVDim()
 	cp.cache.AppendFlatN(l, C, bw.ck[tokOff*stride:(tokOff+C)*stride], bw.cv[tokOff*stride:(tokOff+C)*stride])
 	m.attendOver(bw.lanes[base:base+C], bw.blk, cp, l, pos+1)
 }

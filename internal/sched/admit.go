@@ -77,37 +77,33 @@ func (e *Engine) admitLocked() {
 			}
 		}
 		rs := e.queue[i]
-		if rs.ctx.Err() != nil {
-			e.queue = append(e.queue[:i], e.queue[i+1:]...)
-			e.endLocked(rs, dispCancelled, nil)
-			continue
-		}
-		prompt := rs.req.Prompt
+		rs.prompt = rs.req.Prompt
 		if len(rs.generated) > 0 { // recompute after preemption
-			prompt = make([]int, 0, len(rs.req.Prompt)+len(rs.generated))
-			prompt = append(prompt, rs.req.Prompt...)
-			prompt = append(prompt, rs.generated...)
+			rs.prompt = make([]int, 0, len(rs.req.Prompt)+len(rs.generated))
+			rs.prompt = append(rs.prompt, rs.req.Prompt...)
+			rs.prompt = append(rs.prompt, rs.generated...)
 		}
 		// Decode-produced prompt tokens — everything the request sent before
 		// a preemption or handoff — re-advance through sparse decode steps,
 		// not dense prefill (see reqState.replay).
-		replay := 0
+		rs.replay = 0
 		if e.sparse {
-			replay = len(rs.generated)
+			rs.replay = len(rs.generated)
 		}
 		pt := e.cfg.PageTokens
-		path, tail, extra := e.tree.match(prompt, matchLimit(len(prompt), replay), false, rs.nodes[:0])
+		path, tail, extra := e.tree.match(rs.prompt, matchLimit(len(rs.prompt), rs.replay), false, rs.nodes[:0])
 		// Pinned before anything is evicted; from here the matched pages
 		// count as used, so the checks below ask whether the request fits
 		// once every unpinned page is gone.
 		e.tree.pin(path)
 		matched := len(path)*pt + extra
+		rs.prefilled = matched
 		// The promise covers the prompt and, for a request that will decode,
 		// the token its first decode step appends: were that step to open a
 		// page unpromised, admission could thrash (admit, prefill, evict on
 		// the very next step, repeat). A request with one token left retires
 		// on the pass that decides it and runs no decode step.
-		promised := len(prompt)
+		promised := len(rs.prompt)
 		if len(rs.generated)+1 < rs.req.MaxNew {
 			promised++
 		}
@@ -119,7 +115,7 @@ func (e *Engine) admitLocked() {
 			// requests whose decode growth must then preempt one of them.
 			used := e.usedPages()
 			now := used+need <= b
-			if !now || e.projectedPeak(used, e.lifetimeOf(rs, path, need, len(prompt)-replay, matched)) > b {
+			if !now || e.projectedPeak(used, e.lifetimeOf(rs, path, need)) > b {
 				if now {
 					e.stats.AdmitDeferred++
 				}
@@ -170,12 +166,10 @@ func (e *Engine) admitLocked() {
 		default:
 			e.stats.RecomputeTokensSaved += matched
 		}
-		rs.sess, rs.cache = nil, cache
-		rs.prompt, rs.prefilled = prompt, matched
-		rs.replay = replay
+		rs.cache = cache
 		rs.nodes, rs.sealable = path, math.MaxInt
 		if e.sparse {
-			rs.sealable = (len(prompt) - replay) / pt
+			rs.sealable = rs.dense() / pt
 		}
 		rs.load = float64(len(rs.req.Prompt) + rs.remaining())
 		e.runningLoad += rs.load
@@ -223,12 +217,12 @@ func (l lifetime) demand(t, pageTokens int) int {
 	return l.own + max(l.charge, kvcache.PagesFor(l.from+k, pageTokens)-l.cached)
 }
 
-// lifetimeOf projects rs's lifetime given its cached path, its private
-// charge, the end of its dense span and how much of it is prefilled. Its
-// length is Request.Predicted, or MaxNew (the remainder SJF orders by), capped
-// at MaxNew: a request that outlives a short prediction is what preemption is
+// lifetimeOf projects rs's lifetime given its cached path and its private
+// charge, from its admission's prompt and progress. Its length is
+// Request.Predicted, or MaxNew (the remainder SJF orders by), capped at
+// MaxNew: a request that outlives a short prediction is what preemption is
 // left for.
-func (e *Engine) lifetimeOf(rs *reqState, path []*pageNode, charge, dense, prefilled int) lifetime {
+func (e *Engine) lifetimeOf(rs *reqState, path []*pageNode, charge int) lifetime {
 	l := lifetime{cached: len(path), charge: charge}
 	for _, n := range path {
 		if n.refs == 1 { // pinned by rs alone: a pre-warmed page holds a ref of its own
@@ -242,8 +236,8 @@ func (e *Engine) lifetimeOf(rs *reqState, path []*pageNode, charge, dense, prefi
 		// Growth starts the iteration after the final chunk; with the whole
 		// dense span cached, the session forms in iteration 1 and first
 		// appends in iteration 2.
-		l.from, l.hold = dense, true
-		l.start = max(1, (dense-prefilled+e.cfg.PrefillChunk-1)/e.cfg.PrefillChunk)
+		l.from, l.hold = rs.dense(), true
+		l.start = max(1, (rs.dense()-rs.prefilled+e.cfg.PrefillChunk-1)/e.cfg.PrefillChunk)
 	}
 	l.grow = max(last-l.from, 0)
 	return l
@@ -262,7 +256,7 @@ func (e *Engine) projectedPeak(used int, cand lifetime) int {
 	plan, base := e.plan[:0], used-cand.own
 	for _, rs := range e.running {
 		charge := rs.cache.Pages() - len(rs.nodes) + rs.cache.Promised()/rs.cache.Shape().Layers
-		l := e.lifetimeOf(rs, rs.nodes, charge, len(rs.prompt)-rs.replay, rs.prefilled)
+		l := e.lifetimeOf(rs, rs.nodes, charge)
 		base -= l.own + l.charge
 		plan = append(plan, l)
 	}
@@ -309,13 +303,16 @@ func (e *Engine) sealLocked(rs *reqState) {
 // every page from index len(rs.nodes) on; the ones before are the tree's —
 // and its path is unpinned: those pages stay cached, evictable, so a
 // preempted request re-admitted soon resumes from whatever prefix survived.
-// The caller holds mu and removes rs from the running set.
+// Its prompt and progress go too: a restarted request prefills again from
+// its next admission. The caller holds mu; the next syncViewLocked drops rs
+// from the running set.
 func (e *Engine) releaseLocked(rs *reqState) {
 	rs.cache.Release(len(rs.nodes))
 	e.tree.unpin(rs.nodes)
 	clear(rs.nodes)
 	rs.nodes = rs.nodes[:0]
 	rs.sess, rs.cache = nil, nil
+	rs.prompt, rs.prefilled = nil, 0
 	e.runningLoad -= rs.load
 	rs.load = 0
 }

@@ -239,7 +239,8 @@ func FuzzAdmitProjectionMatchesStepwise(f *testing.F) {
 					sims = append(sims, s)
 				}
 				want := base + stepwisePeak(sims, pt, chunk)
-				got := e.projectedPeak(used, e.lifetimeOf(rs, path, need, dense, matched))
+				rs.prompt, rs.prefilled = make([]int, prompt), matched // as admission sets them
+				got := e.projectedPeak(used, e.lifetimeOf(rs, path, need))
 				if got != want {
 					t.Fatalf("projected peak %d, stepwise %d (page %d, chunk %d, %d running)", got, want, pt, chunk, len(e.running))
 				}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -43,12 +44,10 @@ type reqState struct {
 	// cache.
 	replay int
 	// sess is non-nil only while running with prefill complete; cache is
-	// non-nil for the whole running span, including mid-prefill.
+	// non-nil for the whole running span, including mid-prefill, and
+	// releaseLocked sets it nil.
 	sess  *core.StepSession
 	cache *kvcache.PagedKV
-	// retired marks a request stepOnce retired this iteration, so the
-	// running set can be rebuilt outside the emission loop.
-	retired bool
 	// start is the first admission; firstTok the first emission. -1 until
 	// they happen (preemption and handoffs do not reset them).
 	start    float64
@@ -83,6 +82,10 @@ func (rs *reqState) tokenAt(p int) int {
 	}
 	return rs.generated[p-len(rs.req.Prompt)]
 }
+
+// dense returns the end of the span admission prefills in chunks: the
+// prompt short of its replay tail.
+func (rs *reqState) dense() int { return len(rs.prompt) - rs.replay }
 
 func (rs *reqState) remaining() int {
 	pred := rs.req.Predicted
@@ -508,10 +511,13 @@ func (e *Engine) View() View {
 	return v
 }
 
-// syncViewLocked refreshes the View mirrors from loop-private state. The
-// caller holds mu; the running set is at most MaxBatch entries, so the walk
-// is cheap enough to run after every scheduling action.
+// syncViewLocked drops every released request (a nil cache: retired,
+// cancelled, preempted or failed over) from the running set — the one place a
+// request leaves it — and refreshes the View mirrors from loop-private state.
+// The caller holds mu; the running set is at most MaxBatch entries, so the
+// walk is cheap enough to run after every scheduling action.
 func (e *Engine) syncViewLocked() {
+	e.running = slices.DeleteFunc(e.running, func(rs *reqState) bool { return rs.cache == nil })
 	pf := 0
 	for _, rs := range e.running {
 		pf += len(rs.prompt) - rs.prefilled

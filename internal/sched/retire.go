@@ -24,8 +24,9 @@ const (
 // under mu on that arithmetic. The stream then closes, the request leaves the
 // pending count, and it lands in its disposition's counter: a completed,
 // cancelled or shed request records its outcome, an aborted one records
-// nothing. The caller holds mu, has released the pages rs held and has taken
-// it off the queue or the running set.
+// nothing. The caller holds mu and has taken rs off the queue, or released
+// the pages it held as a running request (the next syncViewLocked takes it
+// off the running set).
 func (e *Engine) endLocked(rs *reqState, disp disposition, err error) {
 	rs.stopWatch()
 	if err != nil {
@@ -136,7 +137,6 @@ func (e *Engine) abortLocked() {
 		e.releaseLocked(rs)
 		e.endLocked(rs, dispAborted, nil)
 	}
-	e.running = nil
 	e.syncViewLocked()
 }
 
@@ -158,9 +158,8 @@ func (e *Engine) fail(err error) {
 	}
 	for _, rs := range e.running {
 		e.releaseLocked(rs)
-		rs.prompt, rs.prefilled = nil, 0
 	}
-	e.queue, e.running = nil, nil
+	e.queue = nil
 	e.syncViewLocked()
 	e.mu.Unlock()
 	for _, rs := range orphans {

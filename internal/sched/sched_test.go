@@ -170,14 +170,19 @@ func TestPreemptionRecomputeMatchesSequential(t *testing.T) {
 }
 
 // TestStepsByHandMatchSequential drives the calls the loop makes —
-// admitLocked, reapCancelled, preemptForStep, stepOnce — by hand on an engine
-// with no loop goroutine, under TestPreemptionRecomputeMatchesSequential's
-// budget and its one-token predictions. The ledger must hold after every
-// call, the streams must equal sequential decode, and the budget must force a
-// preemption.
+// reapQueueLocked, admitLocked, reapCancelled, preemptForStep, stepOnce — by
+// hand on an engine with no loop goroutine, under
+// TestPreemptionRecomputeMatchesSequential's budget and its one-token
+// predictions. One request is cancelled while it waits in the queue and one
+// once it has sent tokens from the running set; each must be gone after the
+// call that reaps its list. The ledger must hold after every call, the
+// cancelled streams must close short of their token count on a prefix of
+// sequential decode, the other streams must equal it, and the budget must
+// force a preemption.
 func TestStepsByHandMatchSequential(t *testing.T) {
-	prompts := testPrompts()
+	prompts := append(testPrompts(), []int{11, 12, 13, 14}, []int{60, 61, 62})
 	const maxNew = 18
+	const queuedID, runningID = 6, 7 // the requests cancelled
 	want := sequentialReference(t, prompts, maxNew)
 
 	e, err := newEngine(model.New(model.Tiny(), seed), Config{MaxBatch: 4, PageTokens: 4, KVPages: 14})
@@ -185,12 +190,23 @@ func TestStepsByHandMatchSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	chans := make([]<-chan Token, len(prompts))
+	cancels := make([]context.CancelFunc, len(prompts))
 	for i, prompt := range prompts {
-		ch, err := e.Submit(context.Background(), Request{ID: i, Prompt: prompt, MaxNew: maxNew, Predicted: 1, Arrival: -1})
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		ch, err := e.Submit(ctx, Request{ID: i, Prompt: prompt, MaxNew: maxNew, Predicted: 1, Arrival: -1})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
-		chans[i] = ch
+		chans[i], cancels[i] = ch, cancel
+	}
+	find := func(list []*reqState, id int) *reqState {
+		for _, rs := range list {
+			if rs.req.ID == id {
+				return rs
+			}
+		}
+		return nil
 	}
 	check := func(iter int, after string) {
 		t.Helper()
@@ -198,9 +214,25 @@ func TestStepsByHandMatchSequential(t *testing.T) {
 			t.Fatalf("iteration %d, after %s: %v", iter, after, err)
 		}
 	}
+	queuedCut, runningCut := false, false
 	for iter := 1; e.pending > 0; iter++ {
 		if iter > 1000 {
 			t.Fatalf("%d requests still pending after %d iterations", e.pending, iter)
+		}
+		if !queuedCut && iter > 1 && find(e.queue, queuedID) != nil {
+			cancels[queuedID]()
+			queuedCut = true
+		}
+		if rs := find(e.running, runningID); !runningCut && rs != nil && len(rs.generated) >= 2 {
+			cancels[runningID]()
+			runningCut = true
+		}
+		e.mu.Lock()
+		e.reapQueueLocked()
+		e.mu.Unlock()
+		check(iter, "reapQueueLocked")
+		if queuedCut && find(e.queue, queuedID) != nil {
+			t.Fatalf("iteration %d: cancelled request %d still queued after reapQueueLocked", iter, queuedID)
 		}
 		e.mu.Lock()
 		e.admitLocked()
@@ -208,6 +240,9 @@ func TestStepsByHandMatchSequential(t *testing.T) {
 		check(iter, "admitLocked")
 		e.reapCancelled()
 		check(iter, "reapCancelled")
+		if runningCut && find(e.running, runningID) != nil {
+			t.Fatalf("iteration %d: cancelled request %d still running after reapCancelled", iter, runningID)
+		}
 		e.preemptForStep()
 		check(iter, "preemptForStep")
 		if len(e.running) > 0 {
@@ -215,19 +250,28 @@ func TestStepsByHandMatchSequential(t *testing.T) {
 			check(iter, "stepOnce")
 		}
 	}
+	if !queuedCut || !runningCut {
+		t.Fatalf("cancelled while queued %v, while running %v: want both", queuedCut, runningCut)
+	}
 	for i, ch := range chans {
 		got := collect(t, ch)
-		if len(got) != len(want[i]) {
+		switch {
+		case i == queuedID && len(got) != 0:
+			t.Fatalf("request %d, cancelled while queued, sent %d tokens", i, len(got))
+		case i == runningID && (len(got) < 2 || len(got) >= maxNew):
+			t.Fatalf("request %d, cancelled while running, sent %d tokens, want 2 to %d", i, len(got), maxNew-1)
+		case i != queuedID && i != runningID && len(got) != len(want[i]):
 			t.Fatalf("request %d: %d tokens, want %d", i, len(got), len(want[i]))
 		}
-		for j := range want[i] {
+		for j := range got {
 			if got[j] != want[i][j] {
 				t.Fatalf("request %d token %d: %d != sequential %d", i, j, got[j], want[i][j])
 			}
 		}
 	}
-	if st := e.Stats(); st.Preemptions == 0 || st.Completed != len(prompts) {
-		t.Fatalf("Preemptions %d, Completed %d: want at least one preemption and %d completions", st.Preemptions, st.Completed, len(prompts))
+	if st := e.Stats(); st.Preemptions == 0 || st.Completed != len(prompts)-2 || st.Cancelled != 2 {
+		t.Fatalf("Preemptions %d, Completed %d, Cancelled %d: want at least one preemption, %d completions and 2 cancellations",
+			st.Preemptions, st.Completed, st.Cancelled, len(prompts)-2)
 	}
 }
 

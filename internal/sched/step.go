@@ -51,14 +51,12 @@ func (e *Engine) preemptForStep() {
 			}
 		}
 		rs := e.running[v]
-		e.running = append(e.running[:v], e.running[v+1:]...)
 		e.mu.Lock()
 		e.stats.Preemptions++
 		if rs.sess == nil {
 			e.stats.PrefillPreempted++
 		}
 		e.releaseLocked(rs)
-		rs.prompt, rs.prefilled = nil, 0
 		rs.preempts++
 		e.syncViewLocked()
 		e.mu.Unlock()
@@ -81,20 +79,14 @@ func (e *Engine) preemptForStep() {
 // critical section as the retires: the last retire releases Drain waiters,
 // and a caller returning from Drain must not read the pre-reap page count.
 func (e *Engine) reapCancelled() {
-	kept := e.running[:0]
 	e.mu.Lock()
 	for _, rs := range e.running {
 		if rs.ctx.Err() != nil {
 			e.releaseLocked(rs)
 			e.endLocked(rs, dispCancelled, nil)
-			continue
 		}
-		kept = append(kept, rs)
 	}
-	if len(kept) != len(e.running) {
-		e.running = kept
-		e.syncViewLocked()
-	}
+	e.syncViewLocked()
 	e.mu.Unlock()
 }
 
@@ -141,27 +133,19 @@ func (e *Engine) stepOnce() {
 	// the budget).
 	remaining := max(e.cfg.TokenBudget-len(e.stepSessions), 1)
 	for _, rs := range e.running {
-		if rs.sess != nil {
+		// A prefix hit may have covered the whole dense span (possible only
+		// with a replay tail): no chunk to run, the session starts below.
+		if rs.sess != nil || rs.prefilled == rs.dense() {
 			continue
 		}
-		// Dense prefill stops short of the replay tail: those tokens
-		// re-advance through decode steps once the session forms.
-		end := len(rs.prompt) - rs.replay
-		if rs.prefilled == end {
-			// A prefix hit covered the whole dense span (possible only
-			// with a replay tail): no chunk to run — the session starts
-			// directly on the tail, whose first token is already known.
-			rs.sess = core.NewPrefilledStepSession(e.m, rs.cache, rs.prompt[end])
-			continue
-		}
-		n := min(end-rs.prefilled, e.cfg.PrefillChunk, remaining)
+		n := min(rs.dense()-rs.prefilled, e.cfg.PrefillChunk, remaining)
 		e.chunks = append(e.chunks, core.PrefillChunk{
 			Tokens: rs.prompt[rs.prefilled : rs.prefilled+n],
 			Cache:  rs.cache,
-			// The final chunk's logits decide the next token — unless a
-			// replay tail follows, in which case the next token is a known
-			// prompt token and the chunk's logits pass is skipped.
-			Final: rs.prefilled+n == end && rs.replay == 0,
+			// The chunk that ends the prompt decides the next token. One that
+			// ends the dense span short of a replay tail skips the logits
+			// pass: the next token is the tail's first, a known prompt token.
+			Final: rs.prefilled+n == len(rs.prompt),
 		})
 		e.chunkReqs = append(e.chunkReqs, rs)
 		remaining -= n
@@ -185,19 +169,8 @@ func (e *Engine) stepOnce() {
 	peakPages := e.usedPages()
 	chunkToks := 0
 	for i, rs := range e.chunkReqs {
-		ch := &e.chunks[i]
-		chunkToks += len(ch.Tokens)
-		rs.prefilled += len(ch.Tokens)
-		if ch.Final {
-			// nexts[i] is sent below, in this iteration; the session feeds it
-			// in the next one if the request wants more.
-			rs.sess = core.NewPrefilledStepSession(e.m, rs.cache, nexts[i])
-		} else if rs.prefilled == len(rs.prompt)-rs.replay {
-			// Dense span complete, replay tail ahead: seed the session
-			// with the tail's (known) first token.
-			rs.sess = core.NewPrefilledStepSession(e.m, rs.cache, rs.prompt[rs.prefilled])
-		}
-		e.chunks[i] = core.PrefillChunk{} // drop the cache reference
+		chunkToks += len(e.chunks[i].Tokens)
+		rs.prefilled += len(e.chunks[i].Tokens)
 	}
 	now := e.Now()
 
@@ -219,11 +192,10 @@ func (e *Engine) stepOnce() {
 	// Every token this pass decided leaves now: a Final chunk's first output
 	// token, and each decode lane's next one. The pages a request filled go
 	// into the prefix cache before it can retire, so its last page outlives it.
-	retired := false
 	for i, rs := range e.chunkReqs {
 		e.sealLocked(rs)
 		if nexts[i] >= 0 { // -1 unless the chunk was Final
-			retired = e.emitLocked(rs, nexts[i], now) || retired
+			e.emitLocked(rs, nexts[i], now)
 		}
 	}
 	for i, rs := range e.stepReqs {
@@ -239,18 +211,7 @@ func (e *Engine) stepOnce() {
 			}
 		}
 		e.sealLocked(rs)
-		retired = e.emitLocked(rs, toks[i], now) || retired
-	}
-	if retired {
-		kept := e.running[:0]
-		for _, rs := range e.running {
-			if rs.retired {
-				rs.retired = false
-				continue
-			}
-			kept = append(kept, rs)
-		}
-		e.running = kept
+		e.emitLocked(rs, toks[i], now)
 	}
 	// Fold this iteration's wall time into the live step-cost EWMA the
 	// fleet's view sampler exposes (View.StepSeconds).
@@ -261,26 +222,28 @@ func (e *Engine) stepOnce() {
 	}
 	e.syncViewLocked()
 	e.mu.Unlock()
-	// Drop session and request references so a retired request's KV cache
-	// is not pinned by the reused scratch until the next iteration (the
-	// chunk entries were zeroed above, right after the fused pass).
-	for i := range e.stepSessions {
-		e.stepSessions[i] = nil
+	// A request whose dense span is complete decodes from the next iteration
+	// on. Its session starts on the token that follows the span: a replay
+	// tail's first, or the one its Final chunk just decided and sent.
+	for _, rs := range e.running {
+		if rs.sess == nil && rs.prefilled == rs.dense() {
+			rs.sess = core.NewPrefilledStepSession(e.m, rs.cache, rs.tokenAt(rs.prefilled))
+		}
 	}
-	for i := range e.stepReqs {
-		e.stepReqs[i] = nil
-	}
-	for i := range e.chunkReqs {
-		e.chunkReqs[i] = nil
-	}
+	// Drop chunk, session and request references so a retired request's KV
+	// cache is not pinned by the reused scratch until the next iteration.
+	clear(e.chunks)
+	clear(e.stepSessions)
+	clear(e.stepReqs)
+	clear(e.chunkReqs)
 }
 
 // emitLocked streams the token the pass just decided for rs and, when that
 // was its MaxNew-th, retires it — the token is never fed, so a completed
 // request runs MaxNew-1 decode lane-steps and caches all but its last token.
-// It reports whether rs retired (marked for the running-set rebuild). The
-// caller holds mu and has sealed the pages the pass filled.
-func (e *Engine) emitLocked(rs *reqState, tok int, now float64) bool {
+// The caller holds mu and has sealed the pages the pass filled; the next
+// syncViewLocked drops a retired request from the running set.
+func (e *Engine) emitLocked(rs *reqState, tok int, now float64) {
 	rs.generated = append(rs.generated, tok)
 	if rs.firstTok < 0 {
 		rs.firstTok = now
@@ -295,11 +258,8 @@ func (e *Engine) emitLocked(rs *reqState, tok int, now float64) bool {
 	// an invariant break. The terminal error send, which has no such
 	// per-stream budget argument, is endLocked's guarded select.
 	rs.ch <- Token{ID: tok, Pos: len(rs.req.Prompt) + len(rs.generated) - 1}
-	if len(rs.generated) < rs.req.MaxNew {
-		return false
+	if len(rs.generated) >= rs.req.MaxNew {
+		e.releaseLocked(rs)
+		e.endLocked(rs, dispCompleted, nil)
 	}
-	e.releaseLocked(rs)
-	e.endLocked(rs, dispCompleted, nil)
-	rs.retired = true
-	return true
 }
