@@ -65,9 +65,9 @@ race-sched:
 # unpromised page open past the budget panicking), then the GEMM tile
 # loop against the scalar reference (any shape and lane count, every arm the
 # host has, raw float32 bits), then the attention block walk against
-# Dot / AXPY (any head dimension, codec, page form — token rows, open or
-# sealed pages — page size, block size and causal bounds, every arm, raw
-# float32 bits), then the KV page
+# Dot / AXPY (any head dimension, codec, page form — open or sealed pages —
+# page size, block size and causal bounds, every arm, raw float32 bits), then
+# the KV page
 # seam (any shape, page size and store: one AppendFlatN per token and any
 # AppendFlatN split store the same bytes, and Rows reads what Seq reads),
 # then every registered compression method's cache (any shape, token count
@@ -180,11 +180,14 @@ bench:
 	$(GO) test -run XXX -bench=. -benchmem $(BENCHPKGS)
 
 # loc prints the non-test Go lines of every package outside benchmark/, their
-# total, and the lines of assembly (.s and .h). It is informational, not part
-# of ci: the figures a line-count claim is made in.
+# total, the total test Go lines outside benchmark/, and the lines of assembly
+# (.s and .h). It is informational, not part of ci: the figures a line-count
+# claim is made in.
 loc:
 	@find . -path ./benchmark -prune -o -name '*.go' ! -name '*_test.go' -print | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total non-test Go\n", t }'
+	@find . -path ./benchmark -prune -o -name '*_test.go' -print | xargs cat | wc -l | \
+		awk '{ printf "%7d total test Go\n", $$1 }'
 	@find . -path ./benchmark -prune -o \( -name '*.s' -o -name '*.h' \) -print | xargs cat | wc -l | \
 		awk '{ printf "%7d assembly\n", $$1 }'

@@ -54,7 +54,7 @@ type Cluster struct {
 // WithRealEngine with the engine options it serves under — WithMaxNewTokens,
 // WithMaxBatch, WithKVPages, WithPageTokens, WithPrefillChunk,
 // WithTokenBudget, WithSchedPolicy, WithKVQuant, WithSparseAttention,
-// WithSharedPrefix, WithMaxQueue, WithAdmissionTimeout and WithMigration.
+// WithSharedPrefix, WithMaxQueue and WithAdmissionTimeout.
 // The engine options are validated here whichever backend serves.
 func NewCluster(methods []string, opts ...Option) (*Cluster, error) {
 	if len(methods) == 0 {
@@ -146,7 +146,6 @@ func (c *Cluster) serveTraceReal(reqs []Request, r Router) ([]Outcome, error) {
 		Engines: len(c.sim.GPUs),
 		Methods: c.GPUMethods(),
 		Router:  r,
-		Migrate: c.cfg.migrate,
 		Engine:  ecfg,
 	})
 	if err != nil {

@@ -26,7 +26,8 @@ import (
 // the target, whose bit-identical recompute plane rebuilds its cache from the
 // prompt plus the sent tokens, so the caller's stream goes on byte-identical
 // to an unmigrated run; migration only costs time, which the wall-clock
-// Outcomes expose (see WithMigration).
+// Outcomes expose. A victim no engine has that headroom for requeues on its
+// own engine, as on a standalone Server.
 //
 // The fleet is also a failure domain boundary: an engine whose scheduling
 // loop panics is quarantined (the router stops seeing it) and the requests
@@ -50,8 +51,7 @@ type FleetStats = fleet.Stats
 // selected by WithRouter (default baseline; see FleetRouters()). Every
 // engine is sized by the same options as NewServer — whatever engineConfig
 // reads — so the page budget is per engine and a fleet holds n× the KV of
-// one Server. Cross-engine migration is on by default (WithMigration).
-// Close the fleet when done.
+// one Server. Close the fleet when done.
 func NewFleet(n int, opts ...Option) (*Fleet, error) {
 	if n <= 0 {
 		return nil, ErrEmptyFleet
@@ -79,7 +79,6 @@ func NewFleet(n int, opts ...Option) (*Fleet, error) {
 	fcfg := fleet.Config{
 		Engines: n,
 		Router:  r,
-		Migrate: cfg.migrate,
 		Engine:  ecfg,
 	}
 	if cfg.faults != nil {

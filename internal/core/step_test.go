@@ -42,7 +42,7 @@ func pipelineOver(t *testing.T, seed uint64) *Pipeline {
 
 // StepSession over the pool's workspace must emit exactly the tokens Session
 // emits — it is the same greedy decode restructured for workspace sharing —
-// on every cache layout the engine serves (flat Full, fp32/int8/int4
+// on every cache layout the engine serves (Full, fp32/int8/int4
 // pages), stepping the prompts as one batch and each alone: a single
 // session with no chunks is a batch of one on the same fused pass. The
 // stream's first token is the one prefill decided; step k reports token k+1.
@@ -114,7 +114,7 @@ func TestNewStepSessionEmptyPrompt(t *testing.T) {
 }
 
 // TestStepAllMixedCaches drives the fused path with heterogeneous cache
-// layouts in one batch (flat Full next to PagedKV): attention is
+// layouts in one batch (Full next to PagedKV): attention is
 // per-session, so the fused step must handle any Cache mix and still
 // match Session.Next token for token.
 func TestStepAllMixedCaches(t *testing.T) {

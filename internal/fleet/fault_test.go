@@ -63,7 +63,6 @@ func TestEngineFailureFailoverBitIdentical(t *testing.T) {
 	p := newPool(t, Config{
 		Engines: 4,
 		Router:  &rrRouter{},
-		Migrate: true,
 		Faults:  inj,
 		Engine:  sched.Config{MaxBatch: 3, PageTokens: 8},
 	})
@@ -172,7 +171,6 @@ func TestMigrationFallbackRequeuesOnSource(t *testing.T) {
 	p := newPool(t, Config{
 		Engines: 2,
 		Router:  pinRouter{to: 0},
-		Migrate: true,
 		Faults:  inj,
 		// The TestDecodeMigrationBitIdentical shape: this budget and the
 		// one-token predictions are known to force evictions, and idle
@@ -320,7 +318,6 @@ func TestCancelRacingMigrationHop(t *testing.T) {
 		p := newPool(t, Config{
 			Engines: 2,
 			Router:  pinRouter{to: 0},
-			Migrate: true,
 			Faults:  inj,
 			Engine:  sched.Config{MaxBatch: 4, PageTokens: 4, KVPages: budget},
 		})

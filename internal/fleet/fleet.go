@@ -64,10 +64,6 @@ type Config struct {
 	Methods []string
 	// Router places each submitted request; required.
 	Router serving.Router
-	// Migrate enables cross-engine handoff of preemption victims. It only
-	// takes effect with Engines > 1 and a bounded page budget (unbounded
-	// engines never preempt). Failover does not depend on it.
-	Migrate bool
 	// Engine is the per-replica scheduler configuration. Epoch and Handoff
 	// are owned by the pool and overwritten.
 	Engine sched.Config
@@ -284,7 +280,7 @@ const maxFailovers = 3
 func (p *Pool) handoff(src int, h *sched.Handle) {
 	if p.engines[src].Failed() != nil {
 		p.failover(src, h)
-	} else if p.cfg.Migrate {
+	} else {
 		p.migrate(src, h)
 	}
 }

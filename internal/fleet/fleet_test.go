@@ -226,7 +226,6 @@ func TestDecodeMigrationBitIdentical(t *testing.T) {
 	p := newPool(t, Config{
 		Engines: 2,
 		Router:  pinRouter{to: 0},
-		Migrate: true,
 		Engine:  sched.Config{MaxBatch: 4, PageTokens: 4, KVPages: 14},
 	})
 	chans := make([]<-chan sched.Token, len(prompts))
@@ -311,7 +310,6 @@ func TestMidPrefillMigrationBitIdentical(t *testing.T) {
 	p := newPool(t, Config{
 		Engines: 2,
 		Router:  pinRouter{to: 0},
-		Migrate: true,
 		Engine: sched.Config{
 			MaxBatch: 2, PageTokens: 4, KVPages: 10, PrefillChunk: 4,
 			StepHook: gate.hold,
@@ -424,7 +422,6 @@ func TestConcurrentSubmitStress(t *testing.T) {
 	p := newPool(t, Config{
 		Engines: 3,
 		Router:  pinRouter{to: 0},
-		Migrate: true,
 		Engine:  sched.Config{MaxBatch: 4, PageTokens: 4, KVPages: 14},
 	})
 	const rounds = 3
@@ -507,7 +504,6 @@ func TestPackedMidPrefillMigrationBitIdentical(t *testing.T) {
 	p := newPool(t, Config{
 		Engines: 2,
 		Router:  pinRouter{to: 0},
-		Migrate: true,
 		Engine: sched.Config{
 			MaxBatch: 3, PageTokens: 4, KVPages: 16, PrefillChunk: 4, TokenBudget: 32,
 			StepHook: gate.hold,

@@ -54,7 +54,6 @@ func TestSparseMigrationBitIdentical(t *testing.T) {
 	p, err := New(m, Config{
 		Engines: 2,
 		Router:  pinRouter{to: 0},
-		Migrate: true,
 		Engine:  sched.Config{MaxBatch: 4, PageTokens: pageTokens, KVPages: 20},
 	})
 	if err != nil {

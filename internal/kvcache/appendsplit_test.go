@@ -13,7 +13,7 @@ import (
 // sequence was split into AppendFlatN calls — and what Rows yields is what
 // Seq, the scalar reference, reads.
 
-// splitCodecs are the stores behind Paged: Full's one growing page, then
+// splitCodecs are the stores behind Paged: Full's fp32 16-token pages, then
 // PagedKV under every page codec.
 var splitCodecs = []struct {
 	name string
@@ -93,7 +93,7 @@ func storageEqual(t testing.TB, what string, got, want Paged) {
 					g, gn := got.Rows(l, p, h, vals)
 					w, wn := want.Rows(l, p, h, vals)
 					if gn != wn || !bitsEqual(g.F32, w.F32) || string(g.Codes) != string(w.Codes) || !slices.Equal(g.Params, w.Params) ||
-						g.Bits != w.Bits || g.Stride != w.Stride || g.HeadStride != w.HeadStride || g.Sealed != w.Sealed {
+						g.Bits != w.Bits || g.HeadStride != w.HeadStride || g.Sealed != w.Sealed {
 						t.Fatalf("%s: layer %d page %d head %d vals=%v: stored rows differ", what, l, p, h, vals)
 					}
 				}

@@ -1,17 +1,17 @@
 // Package kvcache defines the KV cache abstraction shared by the tiny
 // transformer (internal/model) and the compression methods (internal/quant,
-// internal/sparse), a full-precision reference implementation (Full) and the
-// serving engine's paged cache (PagedKV, its pages drawn from a PagePool), both
-// read page by page through the Paged seam.
+// internal/sparse), the serving engine's paged cache (PagedKV, its pages drawn
+// from a PagePool) and the full-precision reference cache (Full, fp32 pages of
+// a private pool), both read page by page through the Paged seam.
 //
-// Layout: the reference cache stores entries per layer as one flat,
-// token-major []float32 growable buffer (token i, head h at offset
-// i*KVHeads*HeadDim + h*HeadDim), which Paged exposes zero-copy as a single
-// growing page. The generic Seq view materialises per-token sub-slices for
-// caches that retain irregular token subsets. Rotary position embeddings are
-// applied to keys *before* caching, matching the layout used by LLaMA-family
-// inference engines. Eviction-based caches may retain different token subsets
-// per head, so all read paths are addressed by (layer, head).
+// Layout: every page holds one layer's K then V, head-major — one head's
+// token rows HeadDim apart, one run per head (qpage.go) — and a page that
+// fills seals its keys into the attention kernels' panels. The generic Seq
+// view materialises per-token sub-slices for caches that retain irregular
+// token subsets. Rotary position embeddings are applied to keys *before*
+// caching, matching the layout used by LLaMA-family inference engines.
+// Eviction-based caches may retain different token subsets per head, so all
+// read paths are addressed by (layer, head).
 package kvcache
 
 import (
@@ -95,7 +95,7 @@ type AttentionObserver interface {
 // pages per layer, each yielding one KV head's key or value rows as the
 // attention block kernels read them (tensor.Rows: fp32 rows in place, or
 // uniform codes the kernel dequantizes). PagedKV implements it over its page
-// table whatever the page codec; Full is one growing page per layer. Caches
+// table whatever the page codec, and Full is a PagedKV of fp32 pages. Caches
 // whose append carries policy (eviction scoring, offline quantisation) do not
 // implement it and are read through Seq, the scalar reference. A Paged
 // cache's page boundaries, like its bytes, do not depend on how its tokens
@@ -122,110 +122,21 @@ var (
 )
 
 // Full is the uncompressed FP16-baseline cache: every appended token is
-// retained in full precision for every head. Storage is one flat token-major
-// growable buffer per layer (token i, head h at offset i*stride + h*HeadDim,
-// stride = KVHeads*HeadDim), so attention can stream it with zero copies.
-type Full struct {
-	shape    Shape
-	keys     [][]float32 // [layer] flat token-major, len = tokens*KVHeads*HeadDim
-	values   [][]float32
-	appended int
-}
+// retained in full precision for every head, in fp32 pages of
+// tensor.SealTokens tokens from a private, unbudgeted pool, so its full pages
+// seal and attention reads it through the one page walk. Its one rule of its
+// own is the charge: MemoryBytes counts exactly the tokens appended, not the
+// pages that hold them.
+type Full struct{ *PagedKV }
 
 // NewFull allocates an empty full-precision cache. It panics on an invalid
 // shape.
-func NewFull(shape Shape) *Full {
-	if err := shape.Validate(); err != nil {
-		panic(err)
-	}
-	return &Full{
-		shape:  shape,
-		keys:   make([][]float32, shape.Layers),
-		values: make([][]float32, shape.Layers),
-	}
-}
+func NewFull(shape Shape) *Full { return &Full{NewPagedKV(shape, tensor.SealTokens)} }
 
-// Shape returns the cache dimensions.
-func (c *Full) Shape() Shape { return c.shape }
-
-// stride is the flat-buffer distance between consecutive tokens.
-func (c *Full) stride() int { return c.shape.KVHeads * c.shape.HeadDim }
-
-// AppendFlatN implements Cache: n tokens' K/V arrive as one contiguous
-// token-major span and are copied onto the layer's flat buffers in a single
-// append each.
-func (c *Full) AppendFlatN(layer, n int, k, v []float32) {
-	c.shape.CheckSpan(layer, n, k, v)
-	c.keys[layer] = append(c.keys[layer], k...)
-	c.values[layer] = append(c.values[layer], v...)
-	if layer == c.shape.Layers-1 {
-		c.appended += n
-	}
-}
-
-// Seq returns per-token views of the retained keys and values for one head.
-// The views alias the flat buffers; only the two header slices allocate.
-// Unlike the historical per-token layout, a later append may grow the flat
-// buffer and reallocate it: previously returned views then keep reading the
-// old (stale) backing array and pin it in memory. Read views before the next
-// append, or copy them to retain. Hot paths read Rows instead.
-func (c *Full) Seq(layer, head int) (keys, values [][]float32) {
-	d := c.shape.HeadDim
-	stride := c.stride()
-	off := head * d
-	n := c.Len(layer, 0)
-	keys = make([][]float32, n)
-	values = make([][]float32, n)
-	for i := 0; i < n; i++ {
-		keys[i] = c.keys[layer][i*stride+off : i*stride+off+d]
-		values[i] = c.values[layer][i*stride+off : i*stride+off+d]
-	}
-	return keys, values
-}
-
-// LayerPages implements Paged: the layer's flat buffer is one page, and an
-// empty cache has none (empty fp32 rows would read as a code page).
-func (c *Full) LayerPages(layer int) int { return min(len(c.keys[layer]), 1) }
-
-// Rows implements Paged with zero copies and zero allocation: the layer's
-// flat buffer offset to the head's lane, holding every appended token in
-// token rows (each token's heads HeadDim apart).
-func (c *Full) Rows(layer, _, head int, vals bool) (tensor.Rows, int) {
-	buf := c.keys[layer]
-	if vals {
-		buf = c.values[layer]
-	}
-	d := c.shape.HeadDim
-	return tensor.Rows{F32: buf[head*d:], Stride: c.stride(), HeadStride: d}, len(buf) / c.stride()
-}
-
-// KeySummary implements Paged: Full keeps no key summaries.
-func (c *Full) KeySummary(layer, page int) []float32 { return nil }
-
-// Positions returns 0..n-1: the full cache retains every position.
-func (c *Full) Positions(layer, head int) []int {
-	n := c.Len(layer, head)
-	ps := make([]int, n)
-	for i := range ps {
-		ps[i] = i
-	}
-	return ps
-}
-
-// Len reports the retained entry count for a head (uniform for Full).
-func (c *Full) Len(layer, head int) int { return len(c.keys[layer]) / c.stride() }
-
-// TotalAppended reports how many tokens have been appended.
-func (c *Full) TotalAppended() int { return c.appended }
-
-// MemoryBytes reports resident size in FP16-equivalent bytes.
-func (c *Full) MemoryBytes() int64 {
-	var elems int64
-	for l := range c.keys {
-		elems += int64(len(c.keys[l])) * 2 // K and V
-	}
-	return elems * BytesPerElemFP16
-}
+// MemoryBytes reports the FP16 footprint of the tokens appended — the
+// baseline every compression ratio divides, token-exact where PagedKV charges
+// whole pages.
+func (c *Full) MemoryBytes() int64 { return FP16Bytes(c.Shape(), c.TotalAppended()) }
 
 // FP16Bytes returns the FP16 footprint of a cache holding tokens tokens for
 // the given shape — the baseline against which compression ratios are

@@ -105,7 +105,7 @@ func checkLayoutReads(t *testing.T, c *PagedKV, k, v []float32) {
 						copy(want, x)
 						if bits != 0 {
 							tensor.QuantEncode(codes[:d*bits/8], pair, x, bits)
-							enc := tensor.Rows{Codes: codes, Params: pair, Bits: bits, Stride: d}
+							enc := tensor.Rows{Codes: codes, Params: pair, Bits: bits}
 							enc.TokenInto(want, 0, 0)
 						}
 						r.TokenInto(got, 0, tk)

@@ -173,7 +173,7 @@ func (c *PagedKV) Seq(layer, head int) (keys, values [][]float32) {
 // rows or codes.
 func row(r *tensor.Rows, t, d int, buf []float32) []float32 {
 	if r.F32 != nil && !r.Sealed {
-		return r.F32[t*r.Stride : t*r.Stride+d]
+		return r.F32[t*d : t*d+d]
 	}
 	if buf == nil {
 		buf = make([]float32, d)

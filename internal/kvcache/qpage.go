@@ -133,7 +133,7 @@ func (c *PagedKV) rows(p *page, head int, vals bool) tensor.Rows {
 	if vals {
 		lo, hi, pairs = lo+kvh*ps, 2*kvh*ps, pairs+2*kvh*c.pageTokens
 	}
-	r := tensor.Rows{Stride: d, HeadStride: ps, Sealed: p.sealed && !vals}
+	r := tensor.Rows{HeadStride: ps, Sealed: p.sealed && !vals}
 	if c.qbits == 0 {
 		r.F32 = p.f32[lo:hi]
 		return r

@@ -6,8 +6,8 @@ import (
 )
 
 // This file is the model's one attention page walk. Every cache with a
-// regular layout is read through kvcache.Paged — Full's flat buffer as one
-// page, PagedKV's pages whatever their codec — and one routine (attendBlock)
+// regular layout is read through kvcache.Paged — PagedKV's pages whatever
+// their codec, Full's fp32 pages among them — and one routine (attendBlock)
 // runs the materialised two-pass softmax over it for a *block of queries*
 // (tensor.AttnBlock: a decode lane's queries across its KV heads, a prefill
 // chunk's rows × group of one KV head, or one query under Quest): per page

@@ -18,7 +18,7 @@ type seqOnly struct{ kvcache.Cache }
 // on the shapes the benchmark's model never runs: GQA groups of 1, 2, 4, 8
 // (wider than one tile's four lanes) and 20 (wider than one block, which then
 // splits mid-group), a head dimension that makes the value panel ragged, pages smaller than, equal to and larger than a 16-token
-// sub-tile, every page codec and Full's flat buffer. Each cell decodes 21
+// sub-tile, every page codec and Full. Each cell decodes 21
 // tokens one at a time, packs a 32-row chunk that starts mid-page, then
 // decodes six more through both step entries.
 func TestBlockWalkMatchesSeqArm(t *testing.T) {
@@ -47,7 +47,7 @@ func TestBlockWalkMatchesSeqArm(t *testing.T) {
 		for _, kind := range kinds {
 			for _, pt := range []int{4, 16, 32} {
 				if kind.name == "full" && pt != 4 {
-					continue // one flat buffer, no pages
+					continue // Full's pages are always 16 tokens
 				}
 				label := fmt.Sprintf("group=%d hd=%d %s page=%d", cfg.GroupSize(), cfg.HeadDim, kind.name, pt)
 				cache, ref := kind.mk(m, pt), kvcache.Cache(seqOnly{kind.mk(m, pt)})

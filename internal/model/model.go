@@ -238,8 +238,8 @@ func (m *Model) attendLane(ws *workspace, blk *tensor.AttnBlock, cp *cachePath, 
 // would, and a query's arithmetic does not depend on what shares its block,
 // so bounded attention here equals full attention then.
 //
-// Caches with a regular layout (kvcache.Paged: Full's flat buffer, PagedKV's
-// pages in any codec) all take the one page walk in attend.go, in blocks of
+// Caches with a regular layout (kvcache.Paged: PagedKV's pages in any codec,
+// Full's fp32 pages) all take the one page walk in attend.go, in blocks of
 // up to tensor.AttnBlockMax queries: a decode lane's query heads in ascending
 // order across as many KV heads as fit (an even GQA group: a head's queries
 // start on an even slot of the block), so one page visit serves every head;

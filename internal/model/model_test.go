@@ -213,8 +213,8 @@ func (c *legacyFull) MemoryBytes() int64 {
 	return elems * kvcache.BytesPerElemFP16
 }
 
-// TestFlatLayoutBitIdentical proves the flat cache (one page) and the paged
-// cache (both through kvcache.Paged) produce bit-identical logits,
+// TestFlatLayoutBitIdentical proves Full (sealing 16-token pages) and a
+// 4-token paged cache (both through kvcache.Paged) produce bit-identical logits,
 // hiddens, and greedy token streams to the legacy per-token layout (generic
 // Seq path) across a full generation.
 func TestFlatLayoutBitIdentical(t *testing.T) {
@@ -254,8 +254,8 @@ func TestFlatLayoutBitIdentical(t *testing.T) {
 
 // TestForwardOneLaneZeroAllocs is the hot-path regression gate: steady-state
 // decode of a stream stepped alone, at one lane of the fused pass, must not
-// allocate. The only permitted source is the amortised growth of the cache's
-// flat buffers, which averages well under one allocation per step.
+// allocate. The only permitted source is the cache opening a page (each layer
+// every 16 tokens), which averages well under one allocation per step.
 func TestForwardOneLaneZeroAllocs(t *testing.T) {
 	m := New(Tiny(), 1)
 	ws := newSolo(m)

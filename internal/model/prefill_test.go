@@ -58,7 +58,7 @@ func equalCaches(t *testing.T, label string, got, want kvcache.Cache) {
 // TestPrefillChunkIntoBitIdentical pins chunked prefill against
 // token-at-a-time prefill at one lane bit-for-bit: chunk sizes 1, 3, 8, a
 // non-divisor of the prompt length, and one larger than the whole prompt,
-// on both flat-storage caches — final logits/hidden, full cache contents,
+// on both page-storage caches — final logits/hidden, full cache contents,
 // and several greedy decode steps on top of the chunk-filled cache.
 func TestPrefillChunkIntoBitIdentical(t *testing.T) {
 	const promptLen = 23

@@ -21,16 +21,16 @@ package tensor
 // as those very panels when the page filled (Rows.Sealed) — so a page visit
 // transposes nothing: the score tile reads a sealed fp32 page in place, and a
 // sealed code page is dequantized straight into the panel, dimension by
-// dimension. Only the open tail page and Full's token rows are re-laid per
-// visit (relay). On the AVX-512 arm, for whole 16-dimension panels, the
-// leaves are ZMM kernels — the score tile over all the block's queries
-// (dim-major, transposed once per walk), the value tile over eight queries ×
-// 32 columns, the softmax over 16 rows, one per vector lane — and 8-bit codes
-// never become fp32 rows: the key loader dequantizes them into the panel, the
-// value tile inside itself, each head's 16 (lo, Δ) pairs one contiguous load
-// per sub-tile (int8Params). Elsewhere the leaves' Go arm runs gemm.go's
-// four-lane tile over fp32 rows: the page's own, or copied or dequantized
-// into the block's scratch rows (load).
+// dimension. Only the open tail page is re-laid per visit (relay). On the
+// AVX-512 arm, for whole 16-dimension panels, the leaves are ZMM kernels —
+// the score tile over all the block's queries (dim-major, transposed once per
+// walk), the value tile over eight queries × 32 columns, the softmax over 16
+// rows, one per vector lane — and 8-bit codes never become fp32 rows: the key
+// loader dequantizes them into the panel, the value tile inside itself, each
+// head's 16 (lo, Δ) pairs one contiguous load per sub-tile (int8Params).
+// Elsewhere the leaves' Go arm runs gemm.go's four-lane tile over fp32 rows:
+// the page's own, or copied or dequantized into the block's scratch rows
+// (load).
 
 // AttnBlockMax is the largest query block one page walk serves.
 const AttnBlockMax = 16
@@ -39,22 +39,21 @@ const AttnBlockMax = 16
 // multiple of it seals when it fills (Rows.Sealed).
 const SealTokens = panelWidth
 
-// Rows is one page's key (or value) rows for the KV heads from one on: the
-// h-th head's token t starts at element h·HeadStride + t·Stride of F32 (fp32),
-// or, when F32 is nil, of Codes — uniform codes Bits wide, 4-bit ones packed
-// two per byte, low nibble first — whose (lo, Δ) float16 pair is
-// Params[2·(h·HeadStride/Stride + t)]. Full's rows are token-major (Stride
-// KVHeads·HeadDim, HeadStride HeadDim); a page's are head-major (Stride
-// HeadDim, HeadStride PageTokens·HeadDim), its pairs too, one per token row,
-// so a head's 16 pairs are one run; code rows are always a page's. Sealed key
-// rows are laid as the score tile's panels instead: every 16 tokens of a head
-// one HeadDim × 16 dim-major panel (SealedAt), Stride still HeadDim.
+// Rows is one page's key (or value) rows for the KV heads from one on,
+// head-major: the h-th head's token t starts at element h·HeadStride + t·d of
+// F32 (fp32), or, when F32 is nil, of Codes — uniform codes Bits wide, 4-bit
+// ones packed two per byte, low nibble first — whose (lo, Δ) float16 pair is
+// Params[2·(h·HeadStride/d + t)], where d is the head dimension the reader
+// reads at and HeadStride is PageTokens·d. The pairs are head-major too, one
+// per token row, so a head's 16 pairs are one run. Sealed key rows are laid as
+// the score tile's panels instead: every 16 tokens of a head one d × 16
+// dim-major panel (SealedAt).
 type Rows struct {
-	F32                      []float32
-	Codes                    []uint8
-	Params                   []uint16
-	Bits, Stride, HeadStride int
-	Sealed                   bool
+	F32              []float32
+	Codes            []uint8
+	Params           []uint16
+	Bits, HeadStride int
+	Sealed           bool
 }
 
 // SealedAt is the element offset of token t's dimension j in one KV head's
@@ -63,8 +62,9 @@ func SealedAt(t, j, d int) int {
 	return t/panelWidth*panelWidth*d + j*panelWidth + t%panelWidth
 }
 
-// pair is the index in Params of the h-th head's token t's (lo, Δ) pair.
-func (r *Rows) pair(h, t int) int { return 2 * (h*r.HeadStride/r.Stride + t) }
+// pair is the index in Params of the h-th head's token t's (lo, Δ) pair at
+// head dimension d.
+func (r *Rows) pair(h, t, d int) int { return 2 * (h*r.HeadStride/d + t) }
 
 // TokenInto writes the h-th head's token t of r into dst (HeadDim floats) as
 // fp32 — the reference reader of every layout and codec, which the block's
@@ -73,7 +73,8 @@ func (r *Rows) pair(h, t int) int { return 2 * (h*r.HeadStride/r.Stride + t) }
 // the explicit conversion keeping any build from fusing them), internal/quant's
 // Uniform dequantizer.
 func (r *Rows) TokenInto(dst []float32, h, t int) {
-	d, base := len(dst), h*r.HeadStride+t*r.Stride
+	d := len(dst)
+	base := h*r.HeadStride + t*d
 	switch {
 	case r.Sealed && r.F32 != nil:
 		for j := range dst {
@@ -84,7 +85,7 @@ func (r *Rows) TokenInto(dst []float32, h, t int) {
 		copy(dst, r.F32[base:base+d])
 		return
 	}
-	p := r.pair(h, t)
+	p := r.pair(h, t, d)
 	lo, dlt := DecodeFloat16(r.Params[p]), DecodeFloat16(r.Params[p+1])
 	switch {
 	case r.Sealed:
@@ -289,29 +290,27 @@ func (b *AttnBlock) Score(i, t int, r *Rows) {
 // dequantized into the head's scratch rows, then re-laid.
 func (b *AttnBlock) keyPanel(r *Rows, h, t0, tt int) {
 	ps := b.d * panelWidth
-	panel, base := b.panel[h*ps:][:ps], h*r.HeadStride+t0*r.Stride
+	panel, base := b.panel[h*ps:][:ps], h*r.HeadStride+t0*b.d
 	switch {
 	case r.Sealed && r.F32 != nil:
 		panel = r.F32[base:][:ps]
 	case r.Sealed && r.Bits == 8 && zmmPanels(b.d):
-		_, _ = r.Codes[base+ps-1], r.Params[r.pair(h, t0)+2*panelWidth-1]
-		panelQ8SealedAVX512(&panel[0], &r.Codes[base], &r.Params[r.pair(h, t0)], b.d)
+		p := r.pair(h, t0, b.d)
+		_, _ = r.Codes[base+ps-1], r.Params[p+2*panelWidth-1]
+		panelQ8SealedAVX512(&panel[0], &r.Codes[base], &r.Params[p], b.d)
 	case r.Sealed:
-		sealedPanel(panel, r.Codes[base*r.Bits/8:][:ps*r.Bits/8], r.Params[r.pair(h, t0):][:2*panelWidth], r.Bits)
+		sealedPanel(panel, r.Codes[base*r.Bits/8:][:ps*r.Bits/8], r.Params[r.pair(h, t0, b.d):][:2*panelWidth], r.Bits)
 	case r.F32 != nil && tt == panelWidth:
-		relay(panel, r.F32[base:], r.Stride, b.d)
+		relay(panel, r.F32[base:], b.d, b.d)
 	case r.Bits == 8 && zmmPanels(b.d):
 		b.int8Params(r, t0, tt, h)
-		codes, stride := r.Codes[base:], r.Stride
+		codes := r.Codes[base:]
 		if tt < panelWidth { // the panel kernel reads 16 rows
-			clear(b.codes)
-			for j := 0; j < tt; j++ {
-				copy(b.codes[j*b.d:][:b.d], codes[j*stride:][:b.d])
-			}
-			codes, stride = b.codes, b.d
+			clear(b.codes[copy(b.codes, codes[:tt*b.d]):])
+			codes = b.codes
 		}
-		_ = codes[(panelWidth-1)*stride+b.d-1]
-		panelQ8AVX512(&panel[0], &codes[0], stride, &b.lod[h][0], b.d/panelWidth)
+		_ = codes[ps-1]
+		panelQ8AVX512(&panel[0], &codes[0], b.d, &b.lod[h][0], b.d/panelWidth)
 	default:
 		relay(panel, b.load(r, h, t0, tt), b.rs, b.d)
 	}
@@ -356,18 +355,14 @@ func (b *AttnBlock) Prefetch(r *Rows, t int) {
 	if r.Sealed {
 		t = (t + panelWidth - 1) / panelWidth * panelWidth
 	}
-	h0, h1 := b.head[0], b.head[b.n-1]
-	rows, step, width := h1-h0+1, r.HeadStride, (t-1)*r.Stride+b.d // a head's rows each
-	if r.HeadStride < r.Stride {                                   // token-major: a token row's heads each
-		rows, step, width = t, r.Stride, (h1-h0)*r.HeadStride+b.d
-	}
+	h0, heads, width := b.head[0], b.head[b.n-1]-b.head[0]+1, t*b.d // a head's rows each
 	if r.F32 != nil {
-		_ = r.F32[h0*r.HeadStride+(rows-1)*step+width-1]
-		prefetchF32(&r.F32[h0*r.HeadStride], rows, 4*step, 4*width)
+		_ = r.F32[(h0+heads-1)*r.HeadStride+width-1]
+		prefetchF32(&r.F32[h0*r.HeadStride], heads, 4*r.HeadStride, 4*width)
 		return
 	}
-	_ = r.Codes[h0*r.HeadStride+(rows-1)*step+width-1]
-	prefetchU8(&r.Codes[h0*r.HeadStride], rows, step, width)
+	_ = r.Codes[(h0+heads-1)*r.HeadStride+width-1]
+	prefetchU8(&r.Codes[h0*r.HeadStride], heads, r.HeadStride, width)
 }
 
 // Accumulate adds Σ weight·value over the t tokens of r, tokens [i, i+t) of
@@ -421,12 +416,12 @@ type blockValues struct {
 func (b *AttnBlock) values(v *blockValues, r *Rows, t0, tt, h0 int) {
 	switch {
 	case r.F32 != nil && b.d%panelWidth == 0:
-		v.f32, v.hs, v.stride = r.F32[t0*r.Stride:], r.HeadStride, r.Stride
+		v.f32, v.hs, v.stride = r.F32[t0*b.d:], r.HeadStride, b.d
 	case r.F32 == nil && r.Bits == 8 && zmmPanels(b.d):
 		for h := h0; h <= b.head[b.n-1]; h++ {
 			b.int8Params(r, t0, tt, h)
 		}
-		v.codes, v.hs, v.stride = r.Codes[t0*r.Stride:], r.HeadStride, r.Stride
+		v.codes, v.hs, v.stride = r.Codes[t0*b.d:], r.HeadStride, b.d
 	default:
 		for h := h0; h <= b.head[b.n-1]; h++ {
 			b.load(r, h, t0, tt)
@@ -491,7 +486,7 @@ func (b *AttnBlock) valueTile(g, first, pos, s, e int, v *blockValues) {
 // (the only arm whose loaders hand the kernels 8-bit codes rather than fp32
 // rows).
 func (b *AttnBlock) int8Params(r *Rows, t0, tt, h int) {
-	params := r.Params[r.pair(h, t0):][:2*tt]
+	params := r.Params[r.pair(h, t0, b.d):][:2*tt]
 	lod := &b.lod[h]
 	if arm == armAVX512 {
 		paramsQ8AVX512(&lod[0], &params[0], tt)
@@ -505,28 +500,23 @@ func (b *AttnBlock) int8Params(r *Rows, t0, tt, h int) {
 
 // check panics unless r holds its t tokens whole for every KV head of the
 // block — fp32 rows, or codes and their (lo, Δ) pairs; sealed rows in whole
-// panels — at a stride of at least the head dimension (exactly it for codes
-// and sealed rows): a page visit's one bounds check, before the loaders read
-// it on whichever arm.
+// panels: a page visit's one bounds check, before the loaders read it on
+// whichever arm.
 func (b *AttnBlock) check(r *Rows, t int) {
 	if b.n == 0 || t <= 0 {
 		return
 	}
-	if r.Stride < b.d || (r.F32 == nil || r.Sealed) && r.Stride != b.d {
-		panic("tensor: attention rows stride below head dimension, or code or sealed rows not a page's")
-	}
-	h := b.head[b.n-1]
-	last, end := t-1, h*r.HeadStride+(t-1)*r.Stride+b.d
+	h, last := b.head[b.n-1], t-1
 	if r.Sealed {
 		last = (t+panelWidth-1)/panelWidth*panelWidth - 1
-		end = h*r.HeadStride + (last+1)*b.d
 	}
+	end := h*r.HeadStride + (last+1)*b.d
 	if r.F32 != nil {
 		_ = r.F32[end-1]
 		return
 	}
 	_ = r.Codes[(end*r.Bits+7)/8-1]
-	_ = r.Params[r.pair(h, last)+1]
+	_ = r.Params[r.pair(h, last, b.d)+1]
 }
 
 // load writes tokens [t0, t0+tt) of head h of r's token rows into the head's
@@ -537,7 +527,7 @@ func (b *AttnBlock) load(r *Rows, h, t0, tt int) []float32 {
 	for j := 0; j < tt; j++ {
 		row := rows[j*b.rs:][:b.d]
 		if r.F32 != nil {
-			copy(row, r.F32[h*r.HeadStride+(t0+j)*r.Stride:])
+			copy(row, r.F32[h*r.HeadStride+(t0+j)*b.d:])
 			continue
 		}
 		r.TokenInto(row, h, t0+j)

@@ -23,18 +23,16 @@ func lcg(s uint64) func() uint64 {
 	}
 }
 
-// The forms a case's pages take: Full's token rows (fp32 only — code rows
-// are always a page's, so a code case takes attnOpen), a page's head-major
-// rows, and those with every full page's keys sealed where the page size is
-// a multiple of 16, as a PagedKV seals them.
+// The forms a case's pages take: a page's head-major rows, and those with
+// every full page's keys sealed where the page size is a multiple of 16, as a
+// PagedKV seals them.
 const (
-	attnTokenMajor = iota
-	attnOpen
+	attnOpen = iota
 	attnSealed
 	attnForms
 )
 
-var attnFormNames = []string{"token-major", "open", "sealed"}
+var attnFormNames = []string{"open", "sealed"}
 
 // attnCase is the pages of heads KV heads in one codec (bits 0 = fp32) and
 // one form — what a block walk reads, from head on — with the scalar
@@ -57,9 +55,6 @@ type attnCase struct {
 // arithmetic is microcoded).
 func newAttnCase(next func() uint64, plant bool, hd, heads, head, bits, pageTokens, tokens, form int) *attnCase {
 	c := &attnCase{hd: hd, heads: heads, head: head, bits: bits, pageTokens: pageTokens, tokens: tokens, form: form}
-	if bits != 0 && form == attnTokenMajor {
-		c.form = attnOpen
-	}
 	c.keys, c.vals = make([][][]float32, heads), make([][][]float32, heads)
 	ps := pageTokens * hd
 	for t0 := 0; t0 < tokens; t0 += pageTokens {
@@ -104,7 +99,7 @@ func newAttnCase(next func() uint64, plant bool, hd, heads, head, bits, pageToke
 					}
 				}
 			}
-			open := Rows{F32: f32, Codes: codes, Params: params, Bits: bits, Stride: hd, HeadStride: ps}
+			open := Rows{F32: f32, Codes: codes, Params: params, Bits: bits, HeadStride: ps}
 			for h := 0; h < heads; h++ {
 				for i := 0; i < t; i++ {
 					row := make([]float32, hd)
@@ -117,14 +112,6 @@ func newAttnCase(next func() uint64, plant bool, hd, heads, head, bits, pageToke
 				}
 			}
 			switch {
-			case c.form == attnTokenMajor:
-				rows := make([]float32, heads*ps)
-				for h := 0; h < heads; h++ {
-					for i := 0; i < pageTokens; i++ {
-						copy(rows[(i*heads+h)*hd:][:hd], f32[h*ps+i*hd:])
-					}
-				}
-				f32 = rows
 			case seal && !vals && bits == 0:
 				for h := 0; h < heads; h++ {
 					SealF32(f32[h*ps:][:ps], make([]float32, ps), hd)
@@ -154,11 +141,8 @@ func (c *attnCase) headPage(p, h int, vals bool) Rows {
 	if vals {
 		f32, codes, params = c.vf[p], c.vc[p], c.vp[p]
 	}
-	if c.form == attnTokenMajor {
-		return Rows{F32: f32[h*c.hd:], Stride: c.heads * c.hd, HeadStride: c.hd}
-	}
 	ps := c.pageTokens * c.hd
-	r := Rows{Stride: c.hd, HeadStride: ps, Sealed: !vals && c.sealed[p]}
+	r := Rows{HeadStride: ps, Sealed: !vals && c.sealed[p]}
 	if c.bits == 0 {
 		r.F32 = f32[h*ps:]
 		return r
@@ -171,7 +155,7 @@ func (c *attnCase) headPage(p, h int, vals bool) Rows {
 // place, else read into scratch (TokenInto).
 func (c *attnCase) view(scratch []float32, r *Rows, i int) []float32 {
 	if r.F32 != nil && !r.Sealed {
-		return r.F32[i*r.Stride:][:c.hd]
+		return r.F32[i*c.hd:][:c.hd]
 	}
 	r.TokenInto(scratch, 0, i)
 	return scratch
@@ -368,15 +352,15 @@ func TestAttendBlockMatchesScalar(t *testing.T) {
 }
 
 // FuzzAttendBlockMatchesScalar lets the fuzzer pick the shape, codec, page
-// form (token-major, open or sealed), page size, block size and data seed;
-// every arm must match Dot and AXPY bit for bit.
+// form (open or sealed), page size, block size and data seed; every arm must
+// match Dot and AXPY bit for bit.
 func FuzzAttendBlockMatchesScalar(f *testing.F) {
 	f.Add(uint64(1), uint8(3), uint8(3), uint8(1), uint8(1), uint8(15), uint8(40), uint8(1))
 	f.Add(uint64(2), uint8(2), uint8(0), uint8(0), uint8(0), uint8(3), uint8(9), uint8(15))
 	f.Add(uint64(3), uint8(0), uint8(1), uint8(1), uint8(2), uint8(31), uint8(99), uint8(6))
-	f.Add(uint64(4), uint8(3), uint8(3), uint8(2), uint8(6), uint8(15), uint8(70), uint8(7))  // fp32, sealed pages
-	f.Add(uint64(5), uint8(1), uint8(1), uint8(0), uint8(7), uint8(31), uint8(99), uint8(15)) // int8, sealed 32-token pages
-	f.Add(uint64(6), uint8(2), uint8(0), uint8(0), uint8(8), uint8(15), uint8(40), uint8(3))  // int4, sealed pages
+	f.Add(uint64(4), uint8(3), uint8(3), uint8(2), uint8(3), uint8(15), uint8(70), uint8(7))  // fp32, sealed pages
+	f.Add(uint64(5), uint8(1), uint8(1), uint8(0), uint8(4), uint8(31), uint8(99), uint8(15)) // int8, sealed 32-token pages
+	f.Add(uint64(6), uint8(2), uint8(0), uint8(0), uint8(5), uint8(15), uint8(40), uint8(3))  // int4, sealed pages
 	f.Fuzz(func(t *testing.T, seed uint64, hd, heads, head, codec, pageTokens, tokens, nq uint8) {
 		d, h, hh, bits, pt, n, q, form := fuzzAttnShape(hd, heads, head, codec, pageTokens, tokens, nq)
 		eachArm(t, func(t *testing.T) { checkAttendBlock(t, seed, d, h, hh, bits, pt, n, q, form) })
@@ -411,7 +395,7 @@ func TestAccumulateStopsAtBound(t *testing.T) {
 		params[2*j] = EncodeFloat16(value(j))
 	}
 	eachArm(t, func(t *testing.T) {
-		for _, r := range []Rows{{F32: f32, Stride: hd}, {Codes: codes, Params: params, Bits: 8, Stride: hd}} {
+		for _, r := range []Rows{{F32: f32}, {Codes: codes, Params: params, Bits: 8}} {
 			b := NewAttnBlock(hd, tokens)
 			got, want := newLanes(len(bounds), hd), newLanes(len(bounds), hd)
 			for q, n := range bounds {

@@ -86,7 +86,7 @@ func TestQuantStridedKernelsMatchScratchBuffer(t *testing.T) {
 		for _, bits := range []int{8, 4} {
 			codes, params := buildQuantPage(r, tokens, stride, heads, bits)
 			for head := 0; head < heads; head++ {
-				rows := Rows{Codes: codes[head*tokens*d*bits/8:], Params: params[2*head*tokens:], Bits: bits, Stride: d, HeadStride: tokens * d}
+				rows := Rows{Codes: codes[head*tokens*d*bits/8:], Params: params[2*head*tokens:], Bits: bits, HeadStride: tokens * d}
 				for _, n := range []int{1, 3, tokens} { // partial pages included
 					fastOut := make([]float32, d)
 					slowOut := make([]float32, d)
@@ -145,10 +145,10 @@ func TestQuantStridedKernelsZeroAlloc(t *testing.T) {
 	b.Add(tokens, make([]float32, d))
 	eachArm(t, func(t *testing.T) {
 		for _, bits := range []int{0, 8, 4} {
-			rows := Rows{F32: make([]float32, tokens*stride)[d:], Stride: stride}
+			rows := Rows{F32: make([]float32, tokens*stride)[tokens*d:], HeadStride: tokens * d}
 			if bits != 0 {
 				codes, params := buildQuantPage(r, tokens, stride, heads, bits)
-				rows = Rows{Codes: codes[tokens*d*bits/8:], Params: params[2*tokens:], Bits: bits, Stride: d, HeadStride: tokens * d}
+				rows = Rows{Codes: codes[tokens*d*bits/8:], Params: params[2*tokens:], Bits: bits, HeadStride: tokens * d}
 			}
 			if n := testing.AllocsPerRun(100, func() {
 				b.Score(0, tokens, &rows)
@@ -245,7 +245,7 @@ func TestInt8ParamsExhaustive(t *testing.T) {
 		params[i] = 0x7E01
 	}
 	copy(params[2*tokens:], halves[:2*tokens])
-	r := Rows{Params: params, Bits: 8, Stride: 16, HeadStride: 16 * tokens}
+	r := Rows{Params: params, Bits: 8, HeadStride: 16 * tokens}
 	eachArm(t, func(t *testing.T) {
 		b := NewAttnBlock(16, 16)
 		for t0, n := 0, 1; t0 < tokens; t0, n = t0+n, n%16+1 {

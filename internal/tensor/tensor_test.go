@@ -301,22 +301,22 @@ func oneQuery(q, out []float32, n int) *AttnBlock {
 	return b
 }
 
-// TestDotStridedMatchesDot pins the block's score pass over a flat, strided
-// KV buffer (Full's layout: one page of n tokens) to Dot on per-token views.
+// TestDotStridedMatchesDot pins the block's score pass over one head's rows
+// of a page of n open tokens, HeadDim apart, to Dot on per-token views.
 func TestDotStridedMatchesDot(t *testing.T) {
 	eachArm(t, func(t *testing.T) {
 		for _, n := range []int{0, 1, 3, 4, 7, 64, 257} {
-			d, stride := 16, 48
+			d := 16
 			q := randVec(d, 11)
-			buf := randVec(maxTest(n*stride, 1), 13)
+			buf := randVec(maxTest(n*d, 1), 13)
 			b := oneQuery(q, make([]float32, d), n)
-			b.Score(0, n, &Rows{F32: buf, Stride: stride})
+			b.Score(0, n, &Rows{F32: buf})
 			dst := b.Weights(0, n)
 			if len(dst) != n {
 				t.Fatalf("n=%d: %d scores", n, len(dst))
 			}
 			for i := 0; i < n; i++ {
-				if want := Dot(q, buf[i*stride:i*stride+d]); dst[i] != want {
+				if want := Dot(q, buf[i*d:i*d+d]); dst[i] != want {
 					t.Fatalf("n=%d entry %d: %v != %v", n, i, dst[i], want)
 				}
 			}
@@ -324,22 +324,22 @@ func TestDotStridedMatchesDot(t *testing.T) {
 	})
 }
 
-// TestAXPYStridedMatchesAXPY pins the block's value pass over a flat, strided
-// KV buffer to the per-token AXPY loop, seeded with a non-zero output.
+// TestAXPYStridedMatchesAXPY pins the block's value pass over one head's rows
+// of a page of n tokens, HeadDim apart, to the per-token AXPY loop, seeded
+// with a non-zero output.
 func TestAXPYStridedMatchesAXPY(t *testing.T) {
 	eachArm(t, func(t *testing.T) {
 		for _, n := range []int{0, 1, 5, 64, 100} {
 			for _, d := range []int{3, 4, 16, 18} { // odd d exercises the ragged value panel
-				stride := d + 7
 				w := randVec(n, 17)
-				buf := randVec(maxTest(n*stride, 1), 19)
+				buf := randVec(maxTest(n*d, 1), 19)
 				got := randVec(d, 23)
 				want := append([]float32(nil), got...)
 				b := oneQuery(make([]float32, d), got, n)
 				copy(b.Weights(0, n), w)
-				b.Accumulate(0, n, &Rows{F32: buf, Stride: stride})
+				b.Accumulate(0, n, &Rows{F32: buf})
 				for i := 0; i < n; i++ {
-					AXPY(want, w[i], buf[i*stride:i*stride+d])
+					AXPY(want, w[i], buf[i*d:i*d+d])
 				}
 				for j := range want {
 					if got[j] != want[j] {
@@ -351,10 +351,9 @@ func TestAXPYStridedMatchesAXPY(t *testing.T) {
 	})
 }
 
-// TestStridedPanics pins the block's contract checks: a row stride below the
-// head dimension, a page shorter than the tokens asked of it (fp32 in place,
-// fp32 copied, codes, parameters), a descending bound, a wrong output length
-// and a seventeenth query.
+// TestStridedPanics pins the block's contract checks: a page shorter than the
+// tokens asked of it (fp32 in place, fp32 copied, codes, parameters), a
+// descending bound, a wrong output length and a seventeenth query.
 func TestStridedPanics(t *testing.T) {
 	assertPanics := func(name string, f func()) {
 		t.Helper()
@@ -367,19 +366,17 @@ func TestStridedPanics(t *testing.T) {
 	}
 	block := func() *AttnBlock { return oneQuery(make([]float32, 8), make([]float32, 8), 20) }
 	eachArm(t, func(t *testing.T) {
-		assertPanics("dot stride", func() { block().Score(0, 1, &Rows{F32: make([]float32, 8), Stride: 4}) })
-		assertPanics("dot short", func() { block().Score(0, 3, &Rows{F32: make([]float32, 16), Stride: 8}) })
-		assertPanics("dot short whole tile", func() { block().Score(0, 16, &Rows{F32: make([]float32, 15*8), Stride: 8}) })
-		assertPanics("axpy stride", func() { block().Accumulate(0, 1, &Rows{F32: make([]float32, 8), Stride: 4}) })
-		assertPanics("axpy short", func() { block().Accumulate(0, 3, &Rows{F32: make([]float32, 16), Stride: 8}) })
+		assertPanics("dot short", func() { block().Score(0, 3, &Rows{F32: make([]float32, 16)}) })
+		assertPanics("dot short whole tile", func() { block().Score(0, 16, &Rows{F32: make([]float32, 15*8)}) })
+		assertPanics("axpy short", func() { block().Accumulate(0, 3, &Rows{F32: make([]float32, 16)}) })
 		assertPanics("codes short", func() {
-			block().Score(0, 3, &Rows{Codes: make([]uint8, 16), Params: make([]uint16, 6), Bits: 8, Stride: 8})
+			block().Score(0, 3, &Rows{Codes: make([]uint8, 16), Params: make([]uint16, 6), Bits: 8})
 		})
 		assertPanics("params short", func() {
-			block().Accumulate(0, 3, &Rows{Codes: make([]uint8, 24), Params: make([]uint16, 4), Bits: 8, Stride: 8})
+			block().Accumulate(0, 3, &Rows{Codes: make([]uint8, 24), Params: make([]uint16, 4), Bits: 8})
 		})
 		assertPanics("codes short ragged panel", func() {
-			oneQuery(make([]float32, 16), make([]float32, 16), 20).Score(0, 3, &Rows{Codes: make([]uint8, 40), Params: make([]uint16, 6), Bits: 8, Stride: 16})
+			oneQuery(make([]float32, 16), make([]float32, 16), 20).Score(0, 3, &Rows{Codes: make([]uint8, 40), Params: make([]uint16, 6), Bits: 8})
 		})
 	})
 	assertPanics("descending bound", func() { block().Add(19, make([]float32, 8)) })

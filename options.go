@@ -38,7 +38,6 @@ type config struct {
 	realEngine   bool
 	sharedPrefix []int
 	routerName   string
-	migrate      bool
 
 	maxQueue         int
 	admissionTimeout time.Duration
@@ -63,7 +62,6 @@ func defaultConfig() config {
 		schedPol:     SchedFCFS,
 		kvQuant:      KVQuantFP32,
 		routerName:   RouterBaseline,
-		migrate:      true,
 	}
 }
 
@@ -261,18 +259,6 @@ type FaultPlan struct {
 func WithFaults(plan FaultPlan) Option {
 	return func(c *config) { c.faults = &plan }
 }
-
-// WithMigration toggles cross-engine migration of preemption victims on
-// the real multi-engine paths (NewFleet, and Cluster.ServeTrace under
-// WithRealEngine). When on — the default — a request evicted under KV page
-// pressure whose whole remaining lifetime fits another engine's free pages
-// moves there, stream and all, via the cheap path: its prompt plus
-// already-emitted tokens recompute through the target's bit-identical
-// prefill plane, so the caller's stream is unchanged and only wall-clock
-// time is spent. When off, victims re-queue on their own engine as a
-// standalone Server does. Failover off a failed engine does not depend on
-// it.
-func WithMigration(on bool) Option { return func(c *config) { c.migrate = on } }
 
 // resolveKVQuant maps a KV quantization method name to its code width in
 // bits (0 for full precision), with a typed error.
