@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: ci fmt vet build cross test onep race-sched fuzz-smoke bench bench-smoke bench-suite loc
+.PHONY: ci fmt vet build cross test arms onep race-sched fuzz-smoke bench bench-smoke bench-suite loc
 
 # ci is the whole gate; .github/workflows/ci.yml runs exactly this target.
-ci: fmt vet build cross test onep race-sched fuzz-smoke bench-smoke bench-suite
+ci: fmt vet build cross test arms onep race-sched fuzz-smoke bench-smoke bench-suite
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -28,6 +28,13 @@ cross:
 
 test:
 	$(GO) test ./...
+
+# arms runs the tests of the packages a serving step runs through — their
+# stream and bit-identity tests among them — on the pure-Go specification:
+# the purego build tag caps the kernels' arm at it (internal/tensor's
+# armCap). internal/tensor's own tests cover every arm in one build.
+arms:
+	$(GO) test -tags purego ./internal/model ./internal/core ./internal/sched ./internal/kvcache
 
 # onep runs the serving plane on one P, the P count benchmark/ measures at and
 # what a one-core deployment gets: engine loops, stream readers and Submit

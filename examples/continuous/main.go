@@ -8,13 +8,24 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sync"
 
 	"rethinkkv"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run serves the example's requests and prints each request's stream, in
+// request-ID order, then the server's counters and each request's latencies
+// to w.
+func run(w io.Writer) error {
 	// A shared "system prompt": the server prefills it once and serves
 	// every request from a copy-on-write page clone.
 	system := make([]int, 64)
@@ -32,7 +43,7 @@ func main() {
 		rethinkkv.WithSharedPrefix(system),
 	)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer srv.Close()
 
@@ -44,33 +55,38 @@ func main() {
 		{7, 8, 9},
 	}
 
+	// Every stream is read as it arrives; each reader fills its own slot.
+	streams := make([][]int, len(suffixes))
 	var wg sync.WaitGroup
 	for i, sfx := range suffixes {
 		prompt := append(append([]int(nil), system...), sfx...)
 		stream, err := srv.Submit(context.Background(), rethinkkv.ServeRequest{Prompt: prompt})
 		if err != nil {
-			log.Fatal(err)
+			wg.Wait() // the requests already submitted run to completion
+			return err
 		}
 		wg.Add(1)
 		go func(id int, stream <-chan rethinkkv.Token) {
 			defer wg.Done()
-			var toks []int
 			for tok := range stream {
-				toks = append(toks, tok.ID)
+				streams[id] = append(streams[id], tok.ID)
 			}
-			fmt.Printf("request %d: %v\n", id, toks)
 		}(i, stream)
 	}
 	wg.Wait()
+	for i, toks := range streams {
+		fmt.Fprintf(w, "request %d: %v\n", i, toks)
+	}
 
 	if err := srv.Drain(context.Background()); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	st := srv.Stats()
-	fmt.Printf("\nsteps=%d admitted=%d preemptions=%d admissions deferred=%d prefix hits=%d (saved %d prefill tokens)\n",
+	fmt.Fprintf(w, "\nsteps=%d admitted=%d preemptions=%d admissions deferred=%d prefix hits=%d (saved %d prefill tokens)\n",
 		st.Steps, st.Admitted, st.Preemptions, st.AdmitDeferred, st.PrefixHits, st.PrefixTokensSaved)
 	for _, o := range srv.Outcomes() {
-		fmt.Printf("request %d: ttft=%.1fms tbot=%.2fms e2e=%.1fms\n",
+		fmt.Fprintf(w, "request %d: ttft=%.1fms tbot=%.2fms e2e=%.1fms\n",
 			o.Req.ID, 1000*o.TTFT(), 1000*o.TBOT(), 1000*o.E2E())
 	}
+	return nil
 }

@@ -86,6 +86,9 @@ type Cache interface {
 // attention scores (e.g. H2O). After computing attention for a step, the
 // model forwards the weights (aligned with the entries returned by Seq).
 // Observers must not retain the weights slice: it is a reused scratch buffer.
+// A prefill chunk into an observing cache is computed in full: every row's
+// attention runs, and is shown, in every layer, where an unobserved chunk's
+// rows whose output nobody reads skip the last layer's attention.
 type AttentionObserver interface {
 	ObserveAttention(layer, head int, weights []float32)
 }

@@ -24,18 +24,15 @@ import "rethinkkv/internal/tensor"
 // goroutine at a time; lanes grow on demand and are reused across steps, so
 // steady-state stepping allocates nothing.
 type BatchWorkspace struct {
-	m     *Model
-	lanes []*workspace
+	m *Model
+	// rowViews holds every lane and its gather views: index b aliases
+	// lanes[b]'s buffers. They are built once per lane and re-sliced to the
+	// step's row count.
+	rowViews
 	paths []cachePath
 	blk   *tensor.AttnBlock // the page walk's block scratch, shared by every lane
 
-	// Gather views: index b aliases lanes[b]'s buffers. They are built
-	// once per lane and re-sliced to the step's batch size.
-	hs, xs, qs, ks, vs [][]float32
-	attnOuts, projs    [][]float32
-	gates, ups, downs  [][]float32
-	finals, logits     [][]float32
-
+	ks, vs  [][]float32
 	results []StepResult
 	// probeRecall is the recall probe's setting, applied to lanes added later.
 	probeRecall bool
@@ -56,11 +53,46 @@ type BatchWorkspace struct {
 	chunkPaths   []cachePath
 	chunkResults []StepResult
 
-	// Assembled gather views for mixed steps (decode lanes followed by
-	// chunk positions, or the LM-head row subset). Backing arrays are
-	// reused across steps, so mixed stepping stays allocation-free.
-	mixKs, mixVs       [][]float32
-	lmFinals, lmLogits [][]float32
+	// Assembled gather views for mixed steps: the K/V destinations (decode
+	// lanes followed by chunk positions) and the live rows of the last layer
+	// (gatherLive). Backing arrays are reused across steps, so mixed stepping
+	// stays allocation-free.
+	mixKs, mixVs [][]float32
+	live         rowViews
+}
+
+// rowViews is a set of rows the layer loop runs over: the lanes and, index
+// for index, the gather views of their buffers that the batched kernels
+// consume. A workspace's every lane is one set; the live rows of a pass's
+// last layer are another, aliasing the same buffers.
+type rowViews struct {
+	lanes                       []*workspace
+	hs, xs, qs, attnOuts, projs [][]float32
+	gates, ups, downs           [][]float32
+	finals, logits              [][]float32
+}
+
+// add appends one lane's buffers to the set.
+func (r *rowViews) add(ws *workspace) {
+	r.lanes = append(r.lanes, ws)
+	r.hs = append(r.hs, ws.h)
+	r.xs = append(r.xs, ws.x)
+	r.qs = append(r.qs, ws.q)
+	r.attnOuts = append(r.attnOuts, ws.attnOut)
+	r.projs = append(r.projs, ws.proj)
+	r.gates = append(r.gates, ws.gate)
+	r.ups = append(r.ups, ws.up)
+	r.downs = append(r.downs, ws.down)
+	r.finals = append(r.finals, ws.final)
+	r.logits = append(r.logits, ws.logits)
+}
+
+// head returns the set's first n rows.
+func (r *rowViews) head(n int) rowViews {
+	return rowViews{
+		r.lanes[:n], r.hs[:n], r.xs[:n], r.qs[:n], r.attnOuts[:n], r.projs[:n],
+		r.gates[:n], r.ups[:n], r.downs[:n], r.finals[:n], r.logits[:n],
+	}
 }
 
 // NewBatchWorkspace allocates a batch workspace with capacity lanes
@@ -76,20 +108,10 @@ func (bw *BatchWorkspace) EnsureLanes(n int) {
 	for len(bw.lanes) < n {
 		ws := bw.m.newLane()
 		ws.probeRecall = bw.probeRecall
-		bw.lanes = append(bw.lanes, ws)
+		bw.rowViews.add(ws)
 		bw.paths = append(bw.paths, cachePath{})
-		bw.hs = append(bw.hs, ws.h)
-		bw.xs = append(bw.xs, ws.x)
-		bw.qs = append(bw.qs, ws.q)
 		bw.ks = append(bw.ks, ws.k)
 		bw.vs = append(bw.vs, ws.v)
-		bw.attnOuts = append(bw.attnOuts, ws.attnOut)
-		bw.projs = append(bw.projs, ws.proj)
-		bw.gates = append(bw.gates, ws.gate)
-		bw.ups = append(bw.ups, ws.up)
-		bw.downs = append(bw.downs, ws.down)
-		bw.finals = append(bw.finals, ws.final)
-		bw.logits = append(bw.logits, ws.logits)
 		bw.results = append(bw.results, StepResult{})
 	}
 }

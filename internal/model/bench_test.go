@@ -243,3 +243,72 @@ func BenchmarkDecodeBatchSizes(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMixedStepSmall prices one fused step of small-llama at the served
+// shape of longdoc_mixed, where nine steps in ten are mixed: six decode lanes
+// at context ≈ 150, one 32-row intermediate chunk (no logits) and one 16-row
+// final chunk (logits) — 54 rows a step, every cache on fp32 16-token pages
+// from one pool. The caches are rebuilt off the clock every eight steps, so
+// the decode contexts stay in [146, 159), the intermediate chunk starts at
+// 0–224 and the final chunk at 0–112.
+func BenchmarkMixedStepSmall(b *testing.B) {
+	const lanes, cycle = 6, 8
+	cfg := Small()
+	m := New(cfg, 1)
+	bw := m.NewBatchWorkspace(lanes + 48)
+	pool := kvcache.NewPagePool(m.CacheShape(), 16, 0, 0, false)
+	caches := make([]kvcache.Cache, lanes)
+	tokens, positions := make([]int, lanes), make([]int, lanes)
+	var inter, final *kvcache.PagedKV
+	interToks, finalToks := make([]int, 32), make([]int, 16)
+	for i := range interToks {
+		interToks[i] = (i*29 + 5) % cfg.Vocab
+	}
+	for i := range finalToks {
+		finalToks[i] = (i*41 + 3) % cfg.Vocab
+	}
+	chunks := make([]Chunk, 2)
+	step := 0
+	refill := func() {
+		for lane := range caches {
+			if c, ok := caches[lane].(*kvcache.PagedKV); ok {
+				c.Release(0)
+			}
+		}
+		if inter != nil {
+			inter.Release(0)
+			final.Release(0)
+		}
+		prefill := make([]Chunk, lanes)
+		for lane := range caches {
+			c := pool.NewCache()
+			prompt := make([]int, 146+lane)
+			for i := range prompt {
+				prompt[i] = (lane*131 + i*17) % cfg.Vocab
+			}
+			caches[lane], positions[lane], tokens[lane] = c, len(prompt), (lane*37)%cfg.Vocab
+			prefill[lane] = Chunk{Tokens: prompt, Cache: c}
+		}
+		m.ForwardMixedInto(bw, nil, nil, nil, prefill)
+		inter, final = pool.NewCache(), pool.NewCache()
+		step = 0
+	}
+	refill()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if step == cycle {
+			b.StopTimer()
+			refill()
+			b.StartTimer()
+		}
+		chunks[0] = Chunk{Tokens: interToks, Pos: 32 * step, Cache: inter}
+		chunks[1] = Chunk{Tokens: finalToks, Pos: 16 * step, Cache: final, NeedLogits: true}
+		results, _ := m.ForwardMixedInto(bw, tokens, positions, caches, chunks)
+		for lane := range results {
+			tokens[lane] = tensor.Argmax(results[lane].Logits)
+			positions[lane]++
+		}
+		step++
+	}
+}

@@ -25,6 +25,16 @@ import (
 // arithmetic (attendOver), a chunked prefill is bit-identical to feeding the
 // prompt one token at a time through a decode lane, for any chunk size and any
 // packing — pinned by prefill_test.go.
+//
+// The pass computes only what is read. A chunk row's last-layer output is
+// read only where it is a logits row (the last row of a chunk that asks for
+// logits), so in the last layer every other chunk row takes the attention
+// norm and its K/V — all a later position reads of it — and nothing else: no
+// query, attention, output projection, FFN, final norm or LM head. On
+// small-llama (4 layers) that is 23 % of a prefill token's projection MACs,
+// a share that scales as 1/Layers. Since a GEMM lane's result does not depend
+// on the lane count and a row's attention does not depend on what shares its
+// block, every row still computed gets the same bits.
 
 // Chunk describes one contiguous span of prompt positions advanced through
 // the fused plane in a single pass. The cache must already hold exactly Pos
@@ -40,10 +50,13 @@ type Chunk struct {
 	// from every other chunk's in the same pass.
 	Cache kvcache.Cache
 	// NeedLogits requests the last position's logits — set on the prompt's
-	// final chunk, where they decide the first decoded token. Intermediate
-	// chunks skip the LM head entirely (the cache state they leave behind
-	// is all that matters), which also skips the one per-token cost a
-	// token-at-a-time prefill pays without using.
+	// final chunk, where they decide the first decoded token. Only that row
+	// runs the last layer past its K/V, the final norm and the LM head; an
+	// intermediate chunk's rows run none of them (the cache state they leave
+	// behind is all that matters), which skips the work a token-at-a-time
+	// prefill pays without using. A chunk whose cache observes attention
+	// (kvcache.AttentionObserver) is computed in full, so the observer sees
+	// every row in every layer.
 	NeedLogits bool
 }
 
@@ -73,6 +86,10 @@ type Chunk struct {
 // index-aligned (zero unless that chunk's NeedLogits is set). Results alias
 // bw and are valid until the next call; steady-state stepping performs zero
 // heap allocations beyond cache page growth.
+//
+// Only the pass's live rows (gatherLive) — the decode lanes, each logits
+// chunk's last row, an observed chunk's every row — run the last layer past
+// its K/V projections, and only they take the final norm and the LM head.
 //
 // The pass calls runtime.Gosched three times a layer. A serving loop that
 // steps back to back would otherwise hold its P for a whole pass — 20 ms at a
@@ -162,9 +179,8 @@ func (m *Model) ForwardMixedInto(bw *BatchWorkspace, tokens, positions []int, ca
 		}
 	}
 
-	hs, xs, qs := bw.hs[:n], bw.xs[:n], bw.qs[:n]
-	attnOuts, projs := bw.attnOuts[:n], bw.projs[:n]
-	gates, ups, downs := bw.gates[:n], bw.ups[:n], bw.downs[:n]
+	all := bw.head(n)
+	live := bw.gatherLive(B, chunks)
 
 	// K/V projection destinations: decode lanes keep their per-lane
 	// buffers; chunk positions write straight into the contiguous staging
@@ -179,81 +195,68 @@ func (m *Model) ForwardMixedInto(bw *BatchWorkspace, tokens, positions []int, ca
 		bw.mixKs, bw.mixVs = ks, vs
 	}
 
-	hd := m.cfg.HeadDim
+	last := len(m.layers) - 1
 	for l := range m.layers {
 		lw := &m.layers[l]
-		tensor.RMSNormRowsInto(xs, hs, lw.attnNorm, 1e-5)
-		lw.wq.MulInto(qs, xs)
-		lw.wk.MulInto(ks, xs)
-		// The layer's one RoPE site: every row's query and key heads rotate in
-		// place at that row's position, before any key is appended or read.
-		for b := 0; b < n; b++ {
-			ws := bw.lanes[b]
-			for h := 0; h < m.cfg.Heads; h++ {
-				tensor.ApplyRoPECached(qs[b][h*hd:(h+1)*hd], ws.ropeSin, ws.ropeCos)
-			}
-			for h := 0; h < m.cfg.KVHeads; h++ {
-				tensor.ApplyRoPECached(ks[b][h*hd:(h+1)*hd], ws.ropeSin, ws.ropeCos)
-			}
+		// Every row's K/V is kept, so every row takes the attention norm and
+		// the K/V projections in every layer. Past those, a layer runs over
+		// rs: every row, but in the last layer only the live rows — no other
+		// row's output is read once its K/V is in the cache.
+		rs := all
+		if l == last {
+			rs = live
 		}
-		lw.wv.MulInto(vs, xs)
+		tensor.RMSNormRowsInto(all.xs, all.hs, lw.attnNorm, 1e-5)
+		lw.wk.MulInto(ks, all.xs)
+		lw.wv.MulInto(vs, all.xs)
+		lw.wq.MulInto(rs.qs, rs.xs)
+		// The layer's one RoPE site: every row's key heads and rs's query
+		// heads rotate in place at their row's position, before any key is
+		// appended or read.
+		for b, ws := range all.lanes {
+			m.rope(ks[b], m.cfg.KVHeads, ws)
+		}
+		for b, ws := range rs.lanes {
+			m.rope(rs.qs[b], m.cfg.Heads, ws)
+		}
 		bw.attend(l, B)
 		off := 0
 		for j := 0; j < K; j++ {
 			cj := len(chunks[j].Tokens)
-			m.attendChunk(bw, &bw.chunkPaths[j], l, B+off, off, cj, chunks[j].Pos)
+			from := 0
+			if l == last {
+				from = liveFrom(&chunks[j], &bw.chunkPaths[j])
+			}
+			m.attendChunk(bw, &bw.chunkPaths[j], l, B+off, off, from, cj, chunks[j].Pos)
 			off += cj
 		}
-		lw.wo.MulInto(projs, attnOuts)
-		for b := 0; b < n; b++ {
-			tensor.AXPY(hs[b], 1, projs[b])
+		lw.wo.MulInto(rs.projs, rs.attnOuts)
+		for b := range rs.hs {
+			tensor.AXPY(rs.hs[b], 1, rs.projs[b])
 		}
 		// Offer the processor after the attention block, after gate/up and
 		// after down: three times a layer, so a pass holds its P for one
 		// group of GEMMs, not for the whole step (see the function comment).
 		runtime.Gosched()
-		tensor.RMSNormRowsInto(xs, hs, lw.ffnNorm, 1e-5)
-		lw.wGate.MulInto(gates, xs)
-		lw.wUp.MulInto(ups, xs)
-		for b := 0; b < n; b++ {
-			tensor.SiLUMul(gates[b], ups[b])
+		tensor.RMSNormRowsInto(rs.xs, rs.hs, lw.ffnNorm, 1e-5)
+		lw.wGate.MulInto(rs.gates, rs.xs)
+		lw.wUp.MulInto(rs.ups, rs.xs)
+		for b := range rs.gates {
+			tensor.SiLUMul(rs.gates[b], rs.ups[b])
 		}
 		runtime.Gosched()
-		lw.wDown.MulInto(downs, gates)
-		for b := 0; b < n; b++ {
-			tensor.AXPY(hs[b], 1, downs[b])
+		lw.wDown.MulInto(rs.downs, rs.gates)
+		for b := range rs.hs {
+			tensor.AXPY(rs.hs[b], 1, rs.downs[b])
 		}
 		runtime.Gosched()
 	}
 
-	// Final norm is lane-local and cheap, so it runs for every row; the LM
-	// head (Vocab × Hidden per row) runs only for the rows whose logits
-	// anyone reads: the decode lanes, plus each chunk's last position when
-	// its caller asked for it.
-	finals := bw.finals[:n]
-	tensor.RMSNormRowsInto(finals, hs, m.norm, 1e-5)
-	needAny := false
-	for j := 0; j < K; j++ {
-		if chunks[j].NeedLogits {
-			needAny = true
-			break
-		}
-	}
-	lmF, lmL := bw.finals[:B], bw.logits[:B]
-	if needAny {
-		lmF = append(bw.lmFinals[:0], bw.finals[:B]...)
-		lmL = append(bw.lmLogits[:0], bw.logits[:B]...)
-		end := B
-		for j := 0; j < K; j++ {
-			end += len(chunks[j].Tokens)
-			if chunks[j].NeedLogits {
-				lmF = append(lmF, bw.finals[end-1])
-				lmL = append(lmL, bw.logits[end-1])
-			}
-		}
-		bw.lmFinals, bw.lmLogits = lmF, lmL
-	}
-	m.embedT.MulInto(lmL, lmF)
+	// The final norm and the LM head (Vocab × Hidden per row) run over the
+	// live rows: the decode lanes and each chunk's last position when its
+	// caller asked for it (an observed chunk's every row).
+	tensor.RMSNormRowsInto(live.finals, live.hs, m.norm, 1e-5)
+	m.embedT.MulInto(live.logits, live.finals)
 
 	for b := 0; b < B; b++ {
 		bw.results[b] = StepResult{Logits: bw.logits[b], Hidden: bw.finals[b]}
@@ -328,15 +331,59 @@ func (bw *BatchWorkspace) ensureChunk(c int) {
 	bw.chunkCap = c
 }
 
+// liveFrom is the index of a chunk's first live row: the first of its rows
+// whose last-layer output anyone reads. An observed chunk's rows are all live
+// (the observer sees every row's attention weights in every layer), a logits
+// chunk's last row is, and an intermediate chunk has none (C).
+func liveFrom(ch *Chunk, cp *cachePath) int {
+	switch {
+	case cp.observer != nil:
+		return 0
+	case ch.NeedLogits:
+		return len(ch.Tokens) - 1
+	}
+	return len(ch.Tokens)
+}
+
+// gatherLive sets bw.live to the pass's live rows — the decode lanes, then
+// each chunk's rows from liveFrom on — and returns it.
+func (bw *BatchWorkspace) gatherLive(B int, chunks []Chunk) rowViews {
+	live := bw.live.head(0)
+	for b := 0; b < B; b++ {
+		live.add(bw.lanes[b])
+	}
+	row := B
+	for j := range chunks {
+		c := len(chunks[j].Tokens)
+		for i := liveFrom(&chunks[j], &bw.chunkPaths[j]); i < c; i++ {
+			live.add(bw.lanes[row+i])
+		}
+		row += c
+	}
+	bw.live = live
+	return live
+}
+
+// rope rotates the first heads heads of x in place at ws's position.
+func (m *Model) rope(x []float32, heads int, ws *workspace) {
+	hd := m.cfg.HeadDim
+	for h := 0; h < heads; h++ {
+		tensor.ApplyRoPECached(x[h*hd:(h+1)*hd], ws.ropeSin, ws.ropeCos)
+	}
+}
+
 // attendChunk runs one layer's attention for a prefill chunk occupying
 // lanes [base, base+C) and staging tokens [tokOff, tokOff+C): land all C
-// tokens' K/V in the cache with one AppendFlatN, then accumulate each
-// position's causally bounded attention: position Pos+i attends over the
-// first Pos+i+1 entries of this chunk's own cache, exactly the set a
-// token-at-a-time prefill would have seen. The chunk's rows share each KV
-// head's page walk (attendOver).
-func (m *Model) attendChunk(bw *BatchWorkspace, cp *cachePath, l, base, tokOff, C, pos int) {
+// tokens' K/V in the cache with one AppendFlatN, then accumulate the
+// causally bounded attention of rows [from, C): position Pos+i attends over
+// the first Pos+i+1 entries of this chunk's own cache, exactly the set a
+// token-at-a-time prefill would have seen. The rows share each KV head's page
+// walk (attendOver), and a row's attention does not depend on which others
+// share it, so rows before from — whose output nobody reads — are skipped.
+func (m *Model) attendChunk(bw *BatchWorkspace, cp *cachePath, l, base, tokOff, from, C, pos int) {
 	stride := m.cfg.KVDim()
 	cp.cache.AppendFlatN(l, C, bw.ck[tokOff*stride:(tokOff+C)*stride], bw.cv[tokOff*stride:(tokOff+C)*stride])
-	m.attendOver(bw.lanes[base:base+C], bw.blk, cp, l, pos+1)
+	if from < C {
+		m.attendOver(bw.lanes[base+from:base+C], bw.blk, cp, l, pos+from+1)
+	}
 }

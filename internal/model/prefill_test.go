@@ -263,9 +263,11 @@ func TestForwardMixedIntoAllocFree(t *testing.T) {
 
 // TestForwardMixedPackedAllocFree pins the budget-packed mixed pass — B
 // decode lanes plus chunks from K distinct prompts in one fused iteration —
-// at zero steady-state heap allocations: the shared chunk
-// staging span, the per-chunk path/result slots, and the LM-head gather are
-// all reused across passes.
+// at zero steady-state heap allocations: the shared chunk staging span, the
+// per-chunk path/result slots, and the gather of the last layer's live rows
+// are all reused across passes. The packed pass carries an intermediate
+// chunk (no logits) beside logits chunks, and a second pass with no decode
+// lane and no logits row leaves the last layer no live row at all.
 func TestForwardMixedPackedAllocFree(t *testing.T) {
 	const B = 4
 	const K = 3
@@ -286,20 +288,24 @@ func TestForwardMixedPackedAllocFree(t *testing.T) {
 	for j := range chunkCaches {
 		chunkCaches[j] = kvcache.NewPagedKV(m.CacheShape(), 4096)
 	}
+	idle := kvcache.NewPagedKV(m.CacheShape(), 4096)
 	chunkTokens := make([]int, C)
 	pos := 0
 	chs := make([]Chunk, K)
+	idleChs := make([]Chunk, 1)
 	step := func() {
 		for j := range chs {
-			chs[j] = Chunk{Tokens: chunkTokens, Pos: pos, Cache: chunkCaches[j], NeedLogits: true}
+			chs[j] = Chunk{Tokens: chunkTokens, Pos: pos, Cache: chunkCaches[j], NeedLogits: j != 1}
 		}
 		m.ForwardMixedInto(bw, tokens, positions, caches, chs)
+		idleChs[0] = Chunk{Tokens: chunkTokens, Pos: pos, Cache: idle}
+		m.ForwardMixedInto(bw, nil, nil, nil, idleChs)
 		pos += C
 		for b := 0; b < B; b++ {
 			positions[b]++
 		}
 	}
-	step() // warm: lanes, packed staging, per-chunk slots, first pages
+	step() // warm: lanes, packed staging, per-chunk slots, live rows, first pages
 	if n := testing.AllocsPerRun(30, step); n != 0 {
 		t.Fatalf("packed mixed step allocated %v per run", n)
 	}

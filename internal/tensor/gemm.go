@@ -37,8 +37,9 @@ const (
 )
 
 // arm is the level this process runs, selected once from what CPUID and the
-// OS report (cpuLevel). Only this package's tests write it.
-var arm = armLevel(cpuLevel())
+// OS report (cpuLevel), capped by the build (armCap: `-tags purego` runs the
+// pure-Go specification). Only this package's tests write it.
+var arm = min(armLevel(cpuLevel()), armCap)
 
 // Packed is an immutable K×N weight matrix in panel layout: the columns are
 // split into ⌈N/16⌉ panels of 16, each stored K-major and contiguous
