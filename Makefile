@@ -30,11 +30,12 @@ test:
 	$(GO) test ./...
 
 # arms runs the tests of the packages a serving step runs through — their
-# stream and bit-identity tests among them — on the pure-Go specification:
-# the purego build tag caps the kernels' arm at it (internal/tensor's
-# armCap). internal/tensor's own tests cover every arm in one build.
+# stream and bit-identity tests among them, the fleet's and the facade's
+# included — on the pure-Go specification: the purego build tag caps the
+# kernels' arm at it (internal/tensor's armCap). internal/tensor's own tests
+# cover every arm in one build.
 arms:
-	$(GO) test -tags purego ./internal/model ./internal/core ./internal/sched ./internal/kvcache
+	$(GO) test -tags purego ./internal/model ./internal/core ./internal/sched ./internal/kvcache ./internal/fleet .
 
 # onep runs the serving plane on one P, the P count benchmark/ measures at and
 # what a one-core deployment gets: engine loops, stream readers and Submit

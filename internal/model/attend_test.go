@@ -96,19 +96,19 @@ func TestBlockWalkAllocs(t *testing.T) {
 	bw := m.NewBatchWorkspace(32)
 	m.PrefillChunkInto(bw, prompt, 64, cache)
 	cp := pathOf(cache)
-	for _, ws := range bw.lanes {
-		copy(ws.q, m.embed.Row(7))
-		tensor.RoPESincosInto(ws.ropeSin, ws.ropeCos, m.ropeFreqs, 199)
+	for r := range bw.qs {
+		copy(bw.qs[r], m.embed.Row(7))
+		tensor.RoPESincosInto(bw.sins[r], bw.coss[r], m.ropeFreqs, 199)
 	}
-	blk := bw.blk
+	qs, outs := bw.qs, bw.attnOuts
 	walks := []struct {
 		name string
 		topK int
 		run  func()
 	}{
-		{"decode lane across its KV heads", 0, func() { m.attendOver(bw.lanes[:1], blk, &cp, 1, -1) }},
-		{"32-row chunk", 0, func() { m.attendOver(bw.lanes[:32], blk, &cp, 1, 200-32-5) }},
-		{"quest + recall probe", 4, func() { m.attendOver(bw.lanes[:1], blk, &cp, 1, -1) }},
+		{"decode lane across its KV heads", 0, func() { bw.attendOver(qs[:1], outs[:1], &cp, 1, -1) }},
+		{"32-row chunk", 0, func() { bw.attendOver(qs[:32], outs[:32], &cp, 1, 200-32-5) }},
+		{"quest + recall probe", 4, func() { bw.attendOver(qs[:1], outs[:1], &cp, 1, -1) }},
 	}
 	for _, w := range walks {
 		m.SetSparseTopK(w.topK)

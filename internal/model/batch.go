@@ -2,49 +2,42 @@ package model
 
 import "rethinkkv/internal/tensor"
 
-// This file is the scratch state of the model's one forward
-// pass (ForwardMixedInto, prefill.go), which advances B independent decode
+// This file is the scratch state of the model's one forward pass
+// (ForwardMixedInto, prefill.go), which advances B independent decode
 // streams a single token each, plus any prefill chunks, loading every weight
 // matrix once per step instead of once per stream. Projections and the LM
 // head run as one batched GEMM over packed weights (tensor.Packed.MulInto:
-// every group of up to eight lanes shares every weight load on the AVX-512
+// every group of up to eight rows shares every weight load on the AVX-512
 // arm, at its own height, four on the others, and an output's reduction
-// order does not depend on the lane count); attention stays per-stream
-// (append the token's K/V, then attendLane), because each stream attends over
+// order does not depend on the row count); attention stays per-stream
+// (append the token's K/V, then attendOver), because each stream attends over
 // its own KV cache at its own position. A stream run alone is the same pass at
 // one lane, so a fused step is bit-identical to stepping each stream by
 // itself — pinned by the equivalence tests in batch_test.go.
+//
+// The scratch is one row store: per activation kind one row-major matrix,
+// and a row is an index into every one of them. A pass's rows are its decode
+// lanes, then its chunks' rows in chunk order, so a chunk's K/V rows are one
+// contiguous span of the K and V matrices — the span its cache appends in
+// one AppendFlatN — and a decode lane appends its own row.
 
-// BatchWorkspace owns the scratch state of the forward pass: one workspace
-// per lane, the lane-indexed gather views the batched kernels consume, and the
-// page walk's block scratch — one tensor.AttnBlock (≈ 295 KiB for
-// small-llama), not one per lane, which would scale resident memory with the
-// batch. It belongs to one step loop (core.WorkspacePool holds the
-// scheduler's; an offline session owns one at one lane) and is used by one
-// goroutine at a time; lanes grow on demand and are reused across steps, so
-// steady-state stepping allocates nothing.
+// BatchWorkspace owns the scratch state of the forward pass: the row store
+// and its gather views, the page walk's block scratch — one tensor.AttnBlock
+// (≈ 295 KiB for small-llama), not one per row, which would scale resident
+// memory with the batch — and the attention's score, Quest and tally
+// scratch, one set for every row. It belongs to one step loop
+// (core.WorkspacePool holds the scheduler's; an offline session owns one at
+// one lane) and is used by one goroutine at a time; the store grows only
+// when a pass brings more rows than any before it and is reused across
+// steps, so steady-state stepping allocates nothing.
 type BatchWorkspace struct {
 	m *Model
-	// rowViews holds every lane and its gather views: index b aliases
-	// lanes[b]'s buffers. They are built once per lane and re-sliced to the
-	// step's row count.
+	// rowViews views every row of the store, index for index, one view per
+	// row into each kind's matrix (EnsureLanes).
 	rowViews
-	paths []cachePath
-	blk   *tensor.AttnBlock // the page walk's block scratch, shared by every lane
-
-	ks, vs  [][]float32
+	paths   []cachePath // each decode lane's cache, for the current pass
+	blk     *tensor.AttnBlock
 	results []StepResult
-	// probeRecall is the recall probe's setting, applied to lanes added later.
-	probeRecall bool
-
-	// Chunk scratch (built by ensureChunk, grown on demand): a prefill
-	// chunk's K/V projections land in one contiguous token-major staging
-	// span so a whole chunk appends with one AppendFlatN per layer. Chunk
-	// positions borrow ordinary lanes for every other buffer; only K/V
-	// need the contiguous home.
-	ck, cv       []float32   // capacity chunkCap * KVDim
-	ckTok, cvTok [][]float32 // per-token views (projection dst)
-	chunkCap     int
 	// chunkPaths holds each packed chunk's resolved fast-path set for the
 	// current step, and chunkResults the per-chunk StepResult slots the
 	// mixed step returns. They live in the workspace so the mixed step
@@ -52,50 +45,75 @@ type BatchWorkspace struct {
 	// never pins a retired cache.
 	chunkPaths   []cachePath
 	chunkResults []StepResult
+	// live views the live rows of the last layer (gatherLive); its backing
+	// arrays are reused across steps.
+	live rowViews
 
-	// Assembled gather views for mixed steps: the K/V destinations (decode
-	// lanes followed by chunk positions) and the live rows of the last layer
-	// (gatherLive). Backing arrays are reused across steps, so mixed stepping
-	// stays allocation-free.
-	mixKs, mixVs [][]float32
-	live         rowViews
+	// scores is the Seq arm's score row, grown to the sequence length.
+	scores []float32
+	// pageScores and pageSel are Quest's per-page criticality scores
+	// (consumed destructively by selection) and selected page indices,
+	// grown geometrically so steady-state sparse decode allocates nothing.
+	pageScores []float64
+	pageSel    []int32
+	// sparseSel/sparseTot count pages selected vs pages resident across
+	// every (layer, head) sparse attention since the last TakeSparseStats.
+	sparseSel, sparseTot int64
+	// probeRecall turns on the attention-mass recall probe: each sparse
+	// attention additionally computes the dense softmax and accumulates
+	// the fraction of true attention mass the selected pages captured.
+	// Diagnostic only; never enable on a serving path.
+	probeRecall bool
+	recallMass  float64
+	recallCnt   int64
 }
 
-// rowViews is a set of rows the layer loop runs over: the lanes and, index
-// for index, the gather views of their buffers that the batched kernels
-// consume. A workspace's every lane is one set; the live rows of a pass's
-// last layer are another, aliasing the same buffers.
+// rowViews is a set of rows the layer loop runs over: per activation kind,
+// one view per row, the form the batched kernels consume. The workspace's
+// every row is one set; the live rows of a pass's last layer are another,
+// aliasing the same rows.
 type rowViews struct {
-	lanes                       []*workspace
-	hs, xs, qs, attnOuts, projs [][]float32
-	gates, ups, downs           [][]float32
-	finals, logits              [][]float32
+	hs, xs, qs    [][]float32 // residual, normed activations, query (RoPE'd in place)
+	ks, vs        [][]float32 // key (RoPE'd in place) and value projections
+	attnOuts      [][]float32 // concatenated head outputs
+	projs         [][]float32 // output projection
+	gates, ups    [][]float32 // FFN gate and up
+	downs, finals [][]float32 // FFN down, pre-logit hidden state
+	logits        [][]float32 // LM head output
+	sins, coss    [][]float32 // the row's RoPE coefficients
 }
 
-// add appends one lane's buffers to the set.
-func (r *rowViews) add(ws *workspace) {
-	r.lanes = append(r.lanes, ws)
-	r.hs = append(r.hs, ws.h)
-	r.xs = append(r.xs, ws.x)
-	r.qs = append(r.qs, ws.q)
-	r.attnOuts = append(r.attnOuts, ws.attnOut)
-	r.projs = append(r.projs, ws.proj)
-	r.gates = append(r.gates, ws.gate)
-	r.ups = append(r.ups, ws.up)
-	r.downs = append(r.downs, ws.down)
-	r.finals = append(r.finals, ws.final)
-	r.logits = append(r.logits, ws.logits)
+// kinds returns the set's views, one per activation kind.
+func (r *rowViews) kinds() [14]*[][]float32 {
+	return [...]*[][]float32{&r.hs, &r.xs, &r.qs, &r.ks, &r.vs, &r.attnOuts, &r.projs,
+		&r.gates, &r.ups, &r.downs, &r.finals, &r.logits, &r.sins, &r.coss}
 }
 
-// head returns the set's first n rows.
-func (r *rowViews) head(n int) rowViews {
-	return rowViews{
-		r.lanes[:n], r.hs[:n], r.xs[:n], r.qs[:n], r.attnOuts[:n], r.projs[:n],
-		r.gates[:n], r.ups[:n], r.downs[:n], r.finals[:n], r.logits[:n],
+// rows returns the set's rows [lo, hi).
+func (r *rowViews) rows(lo, hi int) rowViews {
+	var s rowViews
+	dst := s.kinds()
+	for k, v := range r.kinds() {
+		*dst[k] = (*v)[lo:hi]
+	}
+	return s
+}
+
+// add appends src's row i to the set.
+func (r *rowViews) add(src *rowViews, i int) {
+	from := src.kinds()
+	for k, v := range r.kinds() {
+		*v = append(*v, (*from[k])[i])
 	}
 }
 
-// NewBatchWorkspace allocates a batch workspace with capacity lanes
+// flatRows returns rows [lo, hi) of one kind of the store as the one stretch
+// of its matrix they occupy: a store view's capacity runs to the matrix's end.
+func flatRows(views [][]float32, lo, hi int) []float32 {
+	return views[lo][:(hi-lo)*len(views[lo])]
+}
+
+// NewBatchWorkspace allocates a batch workspace with capacity rows
 // (grown automatically if a step brings more).
 func (m *Model) NewBatchWorkspace(capacity int) *BatchWorkspace {
 	bw := &BatchWorkspace{m: m, blk: tensor.NewAttnBlock(m.cfg.HeadDim, m.cfg.MaxSeq)}
@@ -103,41 +121,44 @@ func (m *Model) NewBatchWorkspace(capacity int) *BatchWorkspace {
 	return bw
 }
 
-// EnsureLanes grows the workspace to at least n lanes.
+// EnsureLanes grows the row store to at least n rows — a pass of B decode
+// lanes and C chunk rows needs B + C — by re-slicing every view over new
+// matrices of exactly n rows. What the old matrices held is not carried
+// over: a pass writes every row before it reads it.
 func (bw *BatchWorkspace) EnsureLanes(n int) {
-	for len(bw.lanes) < n {
-		ws := bw.m.newLane()
-		ws.probeRecall = bw.probeRecall
-		bw.rowViews.add(ws)
-		bw.paths = append(bw.paths, cachePath{})
-		bw.ks = append(bw.ks, ws.k)
-		bw.vs = append(bw.vs, ws.v)
-		bw.results = append(bw.results, StepResult{})
+	if n <= len(bw.hs) {
+		return
 	}
-}
-
-// ensureChunkSlots grows the per-chunk path/result slots to at least k.
-func (bw *BatchWorkspace) ensureChunkSlots(k int) {
-	for len(bw.chunkPaths) < k {
-		bw.chunkPaths = append(bw.chunkPaths, cachePath{})
-		bw.chunkResults = append(bw.chunkResults, StepResult{})
+	cfg := bw.m.cfg
+	h, kv, ffn, half := cfg.Hidden(), cfg.KVDim(), cfg.FFNDim, cfg.HeadDim/2
+	widths := [...]int{h, h, h, kv, kv, h, h, ffn, ffn, h, h, cfg.Vocab, half, half} // in kinds' order
+	for k, v := range bw.kinds() {
+		w := widths[k]
+		mat := make([]float32, n*w)
+		views := make([][]float32, n)
+		for i := range views {
+			views[i] = mat[i*w : (i+1)*w]
+		}
+		*v = views
 	}
+	bw.paths = make([]cachePath, n)
+	bw.results = make([]StepResult, n)
 }
 
 // SetWorkers is a no-op: the pass is serial by construction, every GEMM and
-// every lane's attention on the calling goroutine. It stays for callers that
+// every row's attention on the calling goroutine. It stays for callers that
 // still pass a worker count.
 func (bw *BatchWorkspace) SetWorkers(int) {}
 
-// attend runs one layer's attention for the first n lanes: every lane
-// appends its token's K/V (already RoPE'd, see ForwardMixedInto), in lane
-// order, then every lane attends over its own cache. Interleaving the two per
-// lane read 4–5 % slower at six and eight small-llama lanes on one P.
+// attend runs one layer's attention for the first n rows, the decode lanes:
+// every lane appends its row's K/V (already RoPE'd, see ForwardMixedInto),
+// in lane order, then every lane attends over its own cache. Interleaving the
+// two per lane read 4–5 % slower at six and eight small-llama lanes on one P.
 func (bw *BatchWorkspace) attend(l, n int) {
 	for b := 0; b < n; b++ {
-		bw.paths[b].cache.AppendFlatN(l, 1, bw.lanes[b].k, bw.lanes[b].v)
+		bw.paths[b].cache.AppendFlatN(l, 1, bw.ks[b], bw.vs[b])
 	}
 	for b := 0; b < n; b++ {
-		bw.m.attendLane(bw.lanes[b], bw.blk, &bw.paths[b], l)
+		bw.attendOver(bw.qs[b:b+1], bw.attnOuts[b:b+1], &bw.paths[b], l, -1)
 	}
 }

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -147,6 +148,53 @@ func TestForwardBatchIntoBitIdentical(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestForwardMixedGrowsMidStream steps one decode lane on one workspace
+// through passes of 1 row, then 40 — a 39-row chunk packed beside the lane,
+// so the row store grows mid-stream — then 2, the lane beside the chunk's
+// next token. The lane's stream must equal solo stepping, and the chunk's
+// cache writes and last-row logits token-at-a-time prefill, bit for bit.
+func TestForwardMixedGrowsMidStream(t *testing.T) {
+	const first, chunkLen, tail = 3, 39, 4
+	for _, kind := range batchCacheKinds {
+		m := New(Tiny(), 13)
+		laneRef, chunkRef := newSolo(m), newSolo(m)
+		bw := m.NewBatchWorkspace(1)
+		lane, laneWant := kind.mk(m), kind.mk(m)
+		chunkCache, chunkWant := kind.mk(m), kind.mk(m)
+		prompt := make([]int, chunkLen+tail)
+		for i := range prompt {
+			prompt[i] = (i*29 + 7) % m.Config().Vocab
+		}
+		tok, pos := 3, 0
+		// pass steps the lane beside chunk (nil: alone), checks its result
+		// and that the store then holds rows rows, and returns chunk's.
+		pass := func(chunk []Chunk, rows int) []StepResult {
+			t.Helper()
+			want := laneRef.step(tok, pos, laneWant)
+			res, cres := m.ForwardMixedInto(bw, []int{tok}, []int{pos}, []kvcache.Cache{lane}, chunk)
+			label := fmt.Sprintf("%s lane pos %d", kind.name, pos)
+			equalStep(t, label, res[0], want)
+			if len(bw.hs) != rows {
+				t.Fatalf("%s: store holds %d rows, want %d", label, len(bw.hs), rows)
+			}
+			tok, pos = tensor.Argmax(res[0].Logits), pos+1
+			return cres
+		}
+		for i := 0; i < first; i++ {
+			pass(nil, 1)
+		}
+		chunkRef.prefill(prompt[:chunkLen], chunkWant)
+		pass([]Chunk{{Tokens: prompt[:chunkLen], Cache: chunkCache}}, 1+chunkLen)
+		for i := chunkLen; i < len(prompt); i++ {
+			want := chunkRef.step(prompt[i], i, chunkWant)
+			cres := pass([]Chunk{{Tokens: prompt[i : i+1], Pos: i, Cache: chunkCache, NeedLogits: true}}, 1+chunkLen)
+			equalStep(t, fmt.Sprintf("%s chunk pos %d", kind.name, i), cres[0], want)
+		}
+		equalCaches(t, kind.name+" lane", lane, laneWant)
+		equalCaches(t, kind.name+" chunk", chunkCache, chunkWant)
 	}
 }
 

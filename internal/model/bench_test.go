@@ -17,14 +17,18 @@ func BenchmarkPrefill256(b *testing.B) {
 	s := newSolo(m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.prefill(prompt, kvcache.NewFull(m.CacheShape()))
+		b.StopTimer()
+		cache := kvcache.NewFull(m.CacheShape())
+		b.StartTimer()
+		s.prefill(prompt, cache)
 	}
 }
 
 // BenchmarkPrefillChunked256 prefills the same 256-token prompt through
 // the fused chunk plane (32 positions per pass) — same cache contents and
 // final logits as BenchmarkPrefill256, with the projection GEMMs batched
-// across prompt positions instead of one VecMat per token.
+// across prompt positions instead of one VecMat per token. Both build each
+// prompt's cache off the clock, as BenchmarkDecodeSteady rebuilds its own.
 func BenchmarkPrefillChunked256(b *testing.B) {
 	m := New(Tiny(), 1)
 	bw := m.NewBatchWorkspace(0)
@@ -34,7 +38,10 @@ func BenchmarkPrefillChunked256(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.PrefillChunkInto(bw, prompt, 32, kvcache.NewFull(m.CacheShape()))
+		b.StopTimer()
+		cache := kvcache.NewFull(m.CacheShape())
+		b.StartTimer()
+		m.PrefillChunkInto(bw, prompt, 32, cache)
 	}
 }
 

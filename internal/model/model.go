@@ -8,6 +8,11 @@ import (
 	"rethinkkv/internal/tensor"
 )
 
+// This file is the model itself — its weights, built once by New, and the
+// cache paths a pass resolves — and the dispatch of a set of query rows'
+// attention (attendOver): through the one page walk (attend.go) or the
+// generic Seq arm (attendSeq), over the BatchWorkspace's scratch.
+
 // layerWeights holds one transformer block's parameters. Each projection
 // weight is resident once, in tensor.Packed panel layout — the only layout
 // the forward pass (ForwardMixedInto) reads. Weights are immutable after New.
@@ -42,82 +47,6 @@ type Model struct {
 	// attends only the topK most critical pages (tail always included).
 	// Set before decoding starts; see SetSparseTopK.
 	sparseTopK int
-}
-
-// workspace holds every scratch buffer one lane of a BatchWorkspace needs,
-// sized once from the model's Config: a decode stream's token, or one
-// position of a prefill chunk. The page walk's block scratch belongs to the
-// batch, not to a lane.
-type workspace struct {
-	h       []float32 // residual stream (hidden)
-	x       []float32 // normed activations (hidden)
-	q       []float32 // query projection (hidden), RoPE'd in place
-	k, v    []float32 // key/value projections (KVDim), k RoPE'd in place
-	attnOut []float32 // concatenated head outputs (hidden)
-	proj    []float32 // output projection (hidden)
-	gate    []float32 // FFN gate (FFNDim)
-	up      []float32 // FFN up (FFNDim)
-	down    []float32 // FFN down (hidden)
-	final   []float32 // pre-logit hidden state (hidden)
-	logits  []float32 // LM head output (Vocab)
-	scores  []float32 // attention scores of the Seq arm, grown to the sequence length
-	// ropeSin/ropeCos hold the step's rotation coefficients, filled once
-	// per decode position and reused by every head of every layer.
-	ropeSin []float32
-	ropeCos []float32
-
-	// Sparse-attention scratch: per-page criticality scores (consumed
-	// destructively by selection) and the selected page indices, grown
-	// geometrically so steady-state sparse decode stays allocation-free.
-	pageScores []float64
-	pageSel    []int32
-	// sparseSel/sparseTot count pages selected vs pages resident across
-	// every (layer, head) sparse attention since the last TakeSparseStats.
-	sparseSel, sparseTot int64
-	// probeRecall turns on the attention-mass recall probe: each sparse
-	// attention additionally computes the dense softmax and accumulates
-	// the fraction of true attention mass the selected pages captured.
-	// Diagnostic only; never enable on a serving path.
-	probeRecall bool
-	recallMass  float64
-	recallCnt   int64
-}
-
-// newLane allocates one lane's workspace. The Seq arm's score buffer grows
-// on first use.
-func (m *Model) newLane() *workspace {
-	cfg := m.cfg
-	h := cfg.Hidden()
-	ws := &workspace{
-		h:       make([]float32, h),
-		x:       make([]float32, h),
-		q:       make([]float32, h),
-		k:       make([]float32, cfg.KVDim()),
-		v:       make([]float32, cfg.KVDim()),
-		attnOut: make([]float32, h),
-		proj:    make([]float32, h),
-		gate:    make([]float32, cfg.FFNDim),
-		up:      make([]float32, cfg.FFNDim),
-		down:    make([]float32, h),
-		final:   make([]float32, h),
-		logits:  make([]float32, cfg.Vocab),
-		ropeSin: make([]float32, cfg.HeadDim/2),
-		ropeCos: make([]float32, cfg.HeadDim/2),
-	}
-	return ws
-}
-
-// scoresFor returns a score buffer of length n, growing the workspace's
-// backing array geometrically only when the sequence outgrows it.
-func (ws *workspace) scoresFor(n int) []float32 {
-	if cap(ws.scores) < n {
-		newCap := 2 * cap(ws.scores)
-		if newCap < n {
-			newCap = n
-		}
-		ws.scores = make([]float32, 0, newCap)
-	}
-	return ws.scores[:n]
 }
 
 // New builds a model with weights drawn deterministically from seed, scaled
@@ -202,7 +131,7 @@ type StepResult struct {
 }
 
 // cachePath caches the interface assertions the decode hot paths probe on
-// a cache, resolved once per step (or once per lane per fused step)
+// a cache, resolved once per step (once per lane or chunk of a fused step)
 // instead of per layer: paged is the page-walk fast path (nil sends every
 // read through cache's Seq).
 type cachePath struct {
@@ -218,25 +147,19 @@ func pathOf(c kvcache.Cache) cachePath {
 	return cp
 }
 
-// attendLane accumulates one decode lane's attention output over layer l,
-// its token's K/V already appended.
-func (m *Model) attendLane(ws *workspace, blk *tensor.AttnBlock, cp *cachePath, l int) {
-	lane := [1]*workspace{ws}
-	m.attendOver(lane[:], blk, cp, l, -1)
-}
-
-// attendOver accumulates each query head's attention output into its lane's
-// attnOut over layer l. limit < 0 means "every retained entry, per head" —
-// the decode case, one lane, where the cache (possibly with eviction, so Len
-// may differ by head) holds exactly the attendable set. Chunked prefill
-// passes consecutive rows of one chunk and the first row's causal bound
-// instead: the cache already holds the whole chunk's K/V, and row r may only
-// see entries 0..limit+r-1, which addresses by position and therefore
-// requires a cache that retains every token (Full, PagedKV). Every cache has
-// taken the step's K/V through its one AppendFlatN before this runs (attend
-// per lane, attendChunk per chunk), which stores what one-token appends
-// would, and a query's arithmetic does not depend on what shares its block,
-// so bounded attention here equals full attention then.
+// attendOver accumulates each query head's attention output over layer l
+// into its row: outs[r] for the query row qs[r]. limit < 0 means "every
+// retained entry, per head" — the decode case, one row, where the cache
+// (possibly with eviction, so Len may differ by head) holds exactly the
+// attendable set. Chunked prefill passes consecutive rows of one chunk and
+// the first row's causal bound instead: the cache already holds the whole
+// chunk's K/V, and row r may only see entries 0..limit+r-1, which addresses
+// by position and therefore requires a cache that retains every token (Full,
+// PagedKV). Every cache has taken the step's K/V through its one AppendFlatN
+// before this runs (attend per lane, attendChunk per chunk), which stores
+// what one-token appends would, and a query's arithmetic does not depend on
+// what shares its block, so bounded attention here equals full attention
+// then.
 //
 // Caches with a regular layout (kvcache.Paged: PagedKV's pages in any codec,
 // Full's fp32 pages) all take the one page walk in attend.go, in blocks of
@@ -247,19 +170,19 @@ func (m *Model) attendLane(ws *workspace, blk *tensor.AttnBlock, cp *cachePath, 
 // under Quest one query per block. Observers see the ascending head order.
 // Caches with irregular retained sets (eviction, offline quantisation) take
 // attendSeq.
-func (m *Model) attendOver(lanes []*workspace, blk *tensor.AttnBlock, cp *cachePath, l, limit int) {
-	cfg := m.cfg
+func (bw *BatchWorkspace) attendOver(qs, outs [][]float32, cp *cachePath, l, limit int) {
+	cfg, blk := bw.m.cfg, bw.blk
 	hd, group := cfg.HeadDim, cfg.GroupSize()
-	for _, ws := range lanes {
-		clear(ws.attnOut)
+	for _, out := range outs {
+		clear(out)
 	}
 	if cp.paged == nil {
-		for r, ws := range lanes {
-			m.attendSeq(ws, cp, l, limit, r)
+		for r := range qs {
+			bw.attendSeq(qs[r], outs[r], cp, l, limit, r)
 		}
 		return
 	}
-	quest := limit < 0 && m.questEngages(lanes[0], cp, l)
+	quest := limit < 0 && bw.questEngages(cp, l)
 	span := 1 // KV heads per block
 	if limit < 0 && !quest && group%2 == 0 {
 		span = max(1, tensor.AttnBlockMax/group)
@@ -269,22 +192,22 @@ func (m *Model) attendOver(lanes []*workspace, blk *tensor.AttnBlock, cp *cacheP
 		v := pageView{cp.paged, l, kh0}
 		blk.Reset()
 		for kh := kh0; kh < kh1; kh++ {
-			first := limit // the first lane's bound; lane r's is first+r
+			first := limit // the first row's bound; row r's is first+r
 			if limit < 0 {
 				first = cp.cache.Len(l, kh)
 			}
 			if kh > kh0 {
 				blk.NextHead()
 			}
-			for x, nx := 0, len(lanes)*group; x < nx; x++ {
-				ws, qh := lanes[x/group], kh*group+x%group
-				q := blk.Add(first+x/group, ws.attnOut[qh*hd:(qh+1)*hd])
-				copy(q, ws.q[qh*hd:(qh+1)*hd])
+			for x, nx := 0, len(qs)*group; x < nx; x++ {
+				r, qh := x/group, kh*group+x%group
+				q := blk.Add(first+r, outs[r][qh*hd:(qh+1)*hd])
+				copy(q, qs[r][qh*hd:(qh+1)*hd])
 				switch {
 				case quest:
-					m.attendSparse(ws, blk, cp, &v, q)
+					bw.attendSparse(cp, &v, q)
 				case blk.Len() == tensor.AttnBlockMax || (kh == kh1-1 && x == nx-1):
-					m.attendBlock(blk, cp, &v, nil)
+					bw.m.attendBlock(blk, cp, &v, nil)
 				default:
 					continue
 				}
@@ -295,19 +218,20 @@ func (m *Model) attendOver(lanes []*workspace, blk *tensor.AttnBlock, cp *cacheP
 }
 
 // attendSeq is the generic attention arm, and the scalar reference the page
-// walk is pinned against: per query head, tensor.Dot and tensor.AXPY over
-// cache.Seq's per-token views, cut to the first limit+r (limit < 0: all).
-func (m *Model) attendSeq(ws *workspace, cp *cachePath, l, limit, r int) {
+// walk is pinned against: per query head of the row's query q, tensor.Dot and
+// tensor.AXPY over cache.Seq's per-token views, cut to the first limit+r
+// (limit < 0: all), accumulated into out.
+func (bw *BatchWorkspace) attendSeq(q, out []float32, cp *cachePath, l, limit, r int) {
+	m := bw.m
 	hd, group := m.cfg.HeadDim, m.cfg.GroupSize()
 	for qh := 0; qh < m.cfg.Heads; qh++ {
-		q := ws.q[qh*hd : (qh+1)*hd]
+		q, out := q[qh*hd:(qh+1)*hd], out[qh*hd:(qh+1)*hd]
 		kh := qh / group
-		out := ws.attnOut[qh*hd : (qh+1)*hd]
 		n := limit + r
 		if limit < 0 {
 			n = cp.cache.Len(l, kh)
 		}
-		scores := ws.scoresFor(n)
+		scores := bw.scoresFor(n)
 		keys, vals := cp.cache.Seq(l, kh)
 		keys, vals = keys[:n], vals[:n]
 		for i, kv := range keys {
@@ -321,4 +245,13 @@ func (m *Model) attendSeq(ws *workspace, cp *cachePath, l, limit, r int) {
 			tensor.AXPY(out, w, vals[i])
 		}
 	}
+}
+
+// scoresFor returns a score buffer of length n, growing the workspace's
+// backing array geometrically only when the sequence outgrows it.
+func (bw *BatchWorkspace) scoresFor(n int) []float32 {
+	if cap(bw.scores) < n {
+		bw.scores = make([]float32, 0, max(2*cap(bw.scores), n))
+	}
+	return bw.scores[:n]
 }

@@ -13,14 +13,18 @@ import (
 // same pass can carry a running decode batch plus chunks from *several*
 // prompts at once, so a scheduler can pack a per-iteration token budget
 // with prefill work from every admitted prompt without stalling the decode
-// streams (Sarathi/Orca-style stall-free chunked prefill).
+// streams (Sarathi/Orca-style stall-free chunked prefill). Each position the
+// pass advances is one row of the workspace's row store (batch.go): the
+// decode lanes first, then every chunk's positions in chunk order, so a
+// chunk's K/V rows are one span its cache takes with one AppendFlatN per
+// layer.
 //
 // Layer-synchronous chunking is exact, not approximate: within a layer,
 // position p's attention reads the K/V of positions 0..p at that layer,
 // which a chunk pass has just computed from the same layer-(l-1) residuals
 // a token-at-a-time pass would have used. Chunks from distinct prompts
 // write distinct caches, so packing them into one pass changes nothing
-// about what any position attends over. Combined with the per-lane
+// about what any position attends over. Combined with the per-row
 // bit-identical batched GEMMs (see gemm.go) and the shared attention
 // arithmetic (attendOver), a chunked prefill is bit-identical to feeding the
 // prompt one token at a time through a decode lane, for any chunk size and any
@@ -79,7 +83,7 @@ type Chunk struct {
 // Per decode lane the outputs are bit-identical to the same stream stepped
 // alone at one lane: the projections are the same tile loop over the same
 // packed weights, whose per-output reduction order does not depend on the lane
-// count (tensor/gemm.go), and attention/norms/activations are per lane. Each
+// count (tensor/gemm.go), and attention/norms/activations are per row. Each
 // chunk's cache writes (and final logits, when requested) are bit-identical to
 // feeding the span one token at a time through a decode lane, regardless of
 // what else shares the pass. The second return value holds one StepResult per chunk,
@@ -142,7 +146,9 @@ func (m *Model) ForwardMixedInto(bw *BatchWorkspace, tokens, positions []int, ca
 			}
 		}
 	}
-	bw.ensureChunkSlots(K)
+	if len(bw.chunkPaths) < K {
+		bw.chunkPaths, bw.chunkResults = make([]cachePath, K), make([]StepResult, K)
+	}
 	for j := 0; j < K; j++ {
 		bw.chunkPaths[j] = pathOf(chunks[j].Cache)
 	}
@@ -151,7 +157,6 @@ func (m *Model) ForwardMixedInto(bw *BatchWorkspace, tokens, positions []int, ca
 		return nil, nil
 	}
 	bw.EnsureLanes(n)
-	bw.ensureChunk(C)
 	for b := 0; b < B; b++ {
 		tok := tokens[b]
 		if tok < 0 || tok >= m.cfg.Vocab {
@@ -161,9 +166,7 @@ func (m *Model) ForwardMixedInto(bw *BatchWorkspace, tokens, positions []int, ca
 			panic(fmt.Sprintf("model: cache shape %+v does not match model %+v", got, want))
 		}
 		bw.paths[b] = pathOf(caches[b])
-		ws := bw.lanes[b]
-		copy(ws.h, m.embed.Row(tok))
-		tensor.RoPESincosInto(ws.ropeSin, ws.ropeCos, m.ropeFreqs, positions[b])
+		bw.embed(b, tok, positions[b])
 	}
 	row := B
 	for j := 0; j < K; j++ {
@@ -172,28 +175,13 @@ func (m *Model) ForwardMixedInto(bw *BatchWorkspace, tokens, positions []int, ca
 			if tok < 0 || tok >= m.cfg.Vocab {
 				panic(fmt.Sprintf("model: token %d out of range", tok))
 			}
-			ws := bw.lanes[row]
-			copy(ws.h, m.embed.Row(tok))
-			tensor.RoPESincosInto(ws.ropeSin, ws.ropeCos, m.ropeFreqs, ch.Pos+i)
+			bw.embed(row, tok, ch.Pos+i)
 			row++
 		}
 	}
 
-	all := bw.head(n)
+	all := bw.rows(0, n)
 	live := bw.gatherLive(B, chunks)
-
-	// K/V projection destinations: decode lanes keep their per-lane
-	// buffers; chunk positions write straight into the contiguous staging
-	// span — chunk j owns staging tokens [off_j, off_j+C_j) — so every
-	// chunk appends without a gather copy.
-	ks, vs := bw.ks[:n], bw.vs[:n]
-	if C > 0 {
-		ks = append(bw.mixKs[:0], bw.ks[:B]...)
-		vs = append(bw.mixVs[:0], bw.vs[:B]...)
-		ks = append(ks, bw.ckTok[:C]...)
-		vs = append(vs, bw.cvTok[:C]...)
-		bw.mixKs, bw.mixVs = ks, vs
-	}
 
 	last := len(m.layers) - 1
 	for l := range m.layers {
@@ -207,28 +195,28 @@ func (m *Model) ForwardMixedInto(bw *BatchWorkspace, tokens, positions []int, ca
 			rs = live
 		}
 		tensor.RMSNormRowsInto(all.xs, all.hs, lw.attnNorm, 1e-5)
-		lw.wk.MulInto(ks, all.xs)
-		lw.wv.MulInto(vs, all.xs)
+		lw.wk.MulInto(all.ks, all.xs)
+		lw.wv.MulInto(all.vs, all.xs)
 		lw.wq.MulInto(rs.qs, rs.xs)
 		// The layer's one RoPE site: every row's key heads and rs's query
 		// heads rotate in place at their row's position, before any key is
 		// appended or read.
-		for b, ws := range all.lanes {
-			m.rope(ks[b], m.cfg.KVHeads, ws)
+		for b := range all.ks {
+			m.rope(all.ks[b], m.cfg.KVHeads, all.sins[b], all.coss[b])
 		}
-		for b, ws := range rs.lanes {
-			m.rope(rs.qs[b], m.cfg.Heads, ws)
+		for b := range rs.qs {
+			m.rope(rs.qs[b], m.cfg.Heads, rs.sins[b], rs.coss[b])
 		}
 		bw.attend(l, B)
-		off := 0
+		lo := B
 		for j := 0; j < K; j++ {
 			cj := len(chunks[j].Tokens)
 			from := 0
 			if l == last {
 				from = liveFrom(&chunks[j], &bw.chunkPaths[j])
 			}
-			m.attendChunk(bw, &bw.chunkPaths[j], l, B+off, off, from, cj, chunks[j].Pos)
-			off += cj
+			bw.attendChunk(&bw.chunkPaths[j], l, lo, from, cj, chunks[j].Pos)
+			lo += cj
 		}
 		lw.wo.MulInto(rs.projs, rs.attnOuts)
 		for b := range rs.hs {
@@ -313,24 +301,6 @@ func (m *Model) PrefillChunkInto(bw *BatchWorkspace, prompt []int, chunkSize int
 	return res
 }
 
-// ensureChunk grows the contiguous chunk staging buffers to at least c
-// positions, rebuilding the per-token views.
-func (bw *BatchWorkspace) ensureChunk(c int) {
-	if c <= bw.chunkCap {
-		return
-	}
-	stride := bw.m.cfg.KVDim()
-	bw.ck = make([]float32, c*stride)
-	bw.cv = make([]float32, c*stride)
-	bw.ckTok = make([][]float32, c)
-	bw.cvTok = make([][]float32, c)
-	for i := 0; i < c; i++ {
-		bw.ckTok[i] = bw.ck[i*stride : (i+1)*stride]
-		bw.cvTok[i] = bw.cv[i*stride : (i+1)*stride]
-	}
-	bw.chunkCap = c
-}
-
 // liveFrom is the index of a chunk's first live row: the first of its rows
 // whose last-layer output anyone reads. An observed chunk's rows are all live
 // (the observer sees every row's attention weights in every layer), a logits
@@ -348,15 +318,15 @@ func liveFrom(ch *Chunk, cp *cachePath) int {
 // gatherLive sets bw.live to the pass's live rows — the decode lanes, then
 // each chunk's rows from liveFrom on — and returns it.
 func (bw *BatchWorkspace) gatherLive(B int, chunks []Chunk) rowViews {
-	live := bw.live.head(0)
+	live := bw.live.rows(0, 0)
 	for b := 0; b < B; b++ {
-		live.add(bw.lanes[b])
+		live.add(&bw.rowViews, b)
 	}
 	row := B
 	for j := range chunks {
 		c := len(chunks[j].Tokens)
 		for i := liveFrom(&chunks[j], &bw.chunkPaths[j]); i < c; i++ {
-			live.add(bw.lanes[row+i])
+			live.add(&bw.rowViews, row+i)
 		}
 		row += c
 	}
@@ -364,26 +334,33 @@ func (bw *BatchWorkspace) gatherLive(B int, chunks []Chunk) rowViews {
 	return live
 }
 
-// rope rotates the first heads heads of x in place at ws's position.
-func (m *Model) rope(x []float32, heads int, ws *workspace) {
+// embed sets row r to token tok's embedding and its RoPE coefficients to
+// position pos's.
+func (bw *BatchWorkspace) embed(r, tok, pos int) {
+	copy(bw.hs[r], bw.m.embed.Row(tok))
+	tensor.RoPESincosInto(bw.sins[r], bw.coss[r], bw.m.ropeFreqs, pos)
+}
+
+// rope rotates the first heads heads of x in place by the coefficients
+// sin, cos.
+func (m *Model) rope(x []float32, heads int, sin, cos []float32) {
 	hd := m.cfg.HeadDim
 	for h := 0; h < heads; h++ {
-		tensor.ApplyRoPECached(x[h*hd:(h+1)*hd], ws.ropeSin, ws.ropeCos)
+		tensor.ApplyRoPECached(x[h*hd:(h+1)*hd], sin, cos)
 	}
 }
 
-// attendChunk runs one layer's attention for a prefill chunk occupying
-// lanes [base, base+C) and staging tokens [tokOff, tokOff+C): land all C
-// tokens' K/V in the cache with one AppendFlatN, then accumulate the
-// causally bounded attention of rows [from, C): position Pos+i attends over
-// the first Pos+i+1 entries of this chunk's own cache, exactly the set a
+// attendChunk runs one layer's attention for a prefill chunk occupying rows
+// [lo, lo+C): land all C rows' K/V in the cache with one AppendFlatN — the
+// rows are one span of the K and V matrices — then accumulate the causally
+// bounded attention of rows [lo+from, lo+C): position Pos+i attends over the
+// first Pos+i+1 entries of this chunk's own cache, exactly the set a
 // token-at-a-time prefill would have seen. The rows share each KV head's page
 // walk (attendOver), and a row's attention does not depend on which others
 // share it, so rows before from — whose output nobody reads — are skipped.
-func (m *Model) attendChunk(bw *BatchWorkspace, cp *cachePath, l, base, tokOff, from, C, pos int) {
-	stride := m.cfg.KVDim()
-	cp.cache.AppendFlatN(l, C, bw.ck[tokOff*stride:(tokOff+C)*stride], bw.cv[tokOff*stride:(tokOff+C)*stride])
+func (bw *BatchWorkspace) attendChunk(cp *cachePath, l, lo, from, C, pos int) {
+	cp.cache.AppendFlatN(l, C, flatRows(bw.ks, lo, lo+C), flatRows(bw.vs, lo, lo+C))
 	if from < C {
-		m.attendOver(bw.lanes[base+from:base+C], bw.blk, cp, l, pos+from+1)
+		bw.attendOver(bw.qs[lo+from:lo+C], bw.attnOuts[lo+from:lo+C], cp, l, pos+from+1)
 	}
 }

@@ -255,7 +255,7 @@ func TestForwardMixedIntoAllocFree(t *testing.T) {
 			positions[b]++
 		}
 	}
-	step() // warm: lanes, chunk staging, score buffers, first pages
+	step() // warm: the row store, score buffers, first pages
 	if n := testing.AllocsPerRun(30, step); n != 0 {
 		t.Fatalf("mixed decode+chunk step allocated %v per run", n)
 	}
@@ -263,9 +263,9 @@ func TestForwardMixedIntoAllocFree(t *testing.T) {
 
 // TestForwardMixedPackedAllocFree pins the budget-packed mixed pass — B
 // decode lanes plus chunks from K distinct prompts in one fused iteration —
-// at zero steady-state heap allocations: the shared chunk staging span, the
-// per-chunk path/result slots, and the gather of the last layer's live rows
-// are all reused across passes. The packed pass carries an intermediate
+// at zero steady-state heap allocations: the row store, the per-chunk
+// path/result slots, and the gather of the last layer's live rows are all
+// reused across passes. The packed pass carries an intermediate
 // chunk (no logits) beside logits chunks, and a second pass with no decode
 // lane and no logits row leaves the last layer no live row at all.
 func TestForwardMixedPackedAllocFree(t *testing.T) {
@@ -305,7 +305,7 @@ func TestForwardMixedPackedAllocFree(t *testing.T) {
 			positions[b]++
 		}
 	}
-	step() // warm: lanes, packed staging, per-chunk slots, live rows, first pages
+	step() // warm: the row store, per-chunk slots, live rows, first pages
 	if n := testing.AllocsPerRun(30, step); n != 0 {
 		t.Fatalf("packed mixed step allocated %v per run", n)
 	}

@@ -3,8 +3,6 @@ package model
 import (
 	"fmt"
 	"math"
-
-	"rethinkkv/internal/tensor"
 )
 
 // This file is Quest sparse attention on the model's decode path. When
@@ -14,7 +12,7 @@ import (
 // topK pages, tail always included (selectTopPages), and hands the ascending
 // list to the model's one page walk (attend.go) as a block of one query: the
 // dense walk's routine with a different block size and page list. Both run
-// over workspace scratch and allocate nothing. Sharing that walk is
+// over the BatchWorkspace's one set of scratch and allocate nothing. Sharing that walk is
 // what keeps sparse decode bit-identical to dense whenever every page is
 // selected (topK >= pages): the selection is ascending, so the streamed token
 // order, and therefore every reduction order, is exactly the dense walk's.
@@ -39,50 +37,36 @@ func (m *Model) SparseTopK() int { return m.sparseTopK }
 
 // sparseScratch returns score and selection buffers covering np pages,
 // growing the workspace's backing arrays geometrically.
-func (ws *workspace) sparseScratch(np int) ([]float64, []int32) {
-	if cap(ws.pageScores) < np {
-		n := 2 * cap(ws.pageScores)
-		if n < np {
-			n = np
-		}
-		ws.pageScores = make([]float64, n)
-		ws.pageSel = make([]int32, n)
+func (bw *BatchWorkspace) sparseScratch(np int) ([]float64, []int32) {
+	if cap(bw.pageScores) < np {
+		n := max(2*cap(bw.pageScores), np)
+		bw.pageScores = make([]float64, n)
+		bw.pageSel = make([]int32, n)
 	}
-	return ws.pageScores[:np], ws.pageSel[:np]
+	return bw.pageScores[:np], bw.pageSel[:np]
 }
 
-// TakeSparseStats drains every lane's pages-selected / pages-resident
-// counters, accumulated per (layer, query head) sparse attention, and returns
-// the sums. Both are zero when sparsity never engaged (dense decode, prefill,
-// or fewer pages than topK).
+// TakeSparseStats drains the pages-selected / pages-resident counters,
+// accumulated per (layer, query head) sparse attention, and returns them.
+// Both are zero when sparsity never engaged (dense decode, prefill, or fewer
+// pages than topK).
 func (bw *BatchWorkspace) TakeSparseStats() (selected, total int64) {
-	for _, ws := range bw.lanes {
-		selected += ws.sparseSel
-		total += ws.sparseTot
-		ws.sparseSel, ws.sparseTot = 0, 0
-	}
+	selected, total = bw.sparseSel, bw.sparseTot
+	bw.sparseSel, bw.sparseTot = 0, 0
 	return selected, total
 }
 
-// SetRecallProbe toggles the attention-mass recall probe on every lane. While
-// on, every sparse attention also runs the dense softmax and records the
-// selected pages' share of the true attention mass — diagnostic only.
-func (bw *BatchWorkspace) SetRecallProbe(on bool) {
-	bw.probeRecall = on
-	for _, ws := range bw.lanes {
-		ws.probeRecall = on
-	}
-}
+// SetRecallProbe toggles the attention-mass recall probe. While on, every
+// sparse attention also runs the dense softmax and records the selected
+// pages' share of the true attention mass — diagnostic only.
+func (bw *BatchWorkspace) SetRecallProbe(on bool) { bw.probeRecall = on }
 
-// TakeRecall drains every lane's probe tallies and returns the sums: the
-// selected pages' softmax mass over probed attentions, and the number of
-// probed attentions (mean recall = mass/count).
+// TakeRecall drains the probe's tallies and returns them: the selected pages'
+// softmax mass over probed attentions, and the number of probed attentions
+// (mean recall = mass/count).
 func (bw *BatchWorkspace) TakeRecall() (mass float64, count int64) {
-	for _, ws := range bw.lanes {
-		mass += ws.recallMass
-		count += ws.recallCnt
-		ws.recallMass, ws.recallCnt = 0, 0
-	}
+	mass, count = bw.recallMass, bw.recallCnt
+	bw.recallMass, bw.recallCnt = 0, 0
 	return mass, count
 }
 
@@ -92,7 +76,8 @@ func (bw *BatchWorkspace) TakeRecall() (mass float64, count int64) {
 // needing full scores, and more pages than the budget. With fewer, every page
 // would be selected anyway: the dense walk is bit-identical and cheaper, and
 // every query head is tallied as selecting all of them.
-func (m *Model) questEngages(ws *workspace, cp *cachePath, l int) bool {
+func (bw *BatchWorkspace) questEngages(cp *cachePath, l int) bool {
+	m := bw.m
 	if m.sparseTopK <= 0 || cp.observer != nil || cp.paged.KeySummary(l, 0) == nil {
 		return false
 	}
@@ -100,8 +85,8 @@ func (m *Model) questEngages(ws *workspace, cp *cachePath, l int) bool {
 	if np > m.sparseTopK {
 		return true
 	}
-	ws.sparseSel += int64(np * m.cfg.Heads)
-	ws.sparseTot += int64(np * m.cfg.Heads)
+	bw.sparseSel += int64(np * m.cfg.Heads)
+	bw.sparseTot += int64(np * m.cfg.Heads)
 	return false
 }
 
@@ -174,31 +159,33 @@ func selectTopPages(sel []int32, scores []float64, topK int) int {
 	return cnt
 }
 
-// attendSparse runs one query head's sparse decode attention: blk holds the
-// head's query q alone, and its ascending topK page list narrows the walk.
-// Summaries are fp32 whatever the page codec (kvcache folds them over
-// dequantized keys), so the criticality bound covers what the walk reads.
-func (m *Model) attendSparse(ws *workspace, blk *tensor.AttnBlock, cp *cachePath, v *pageView, q []float32) {
+// attendSparse runs one query head's sparse decode attention: the
+// workspace's block holds the head's query q alone, and its ascending topK
+// page list narrows the walk. Summaries are fp32 whatever the page codec
+// (kvcache folds them over dequantized keys), so the criticality bound covers
+// what the walk reads.
+func (bw *BatchWorkspace) attendSparse(cp *cachePath, v *pageView, q []float32) {
+	m := bw.m
 	np := v.paged.LayerPages(v.layer)
-	scores, sel := ws.sparseScratch(np)
+	scores, sel := bw.sparseScratch(np)
 	off, stride := v.head*m.cfg.HeadDim, m.cfg.KVDim()
 	for p := range scores {
 		scores[p] = criticalityStrided(q, v.paged.KeySummary(v.layer, p), off, stride)
 	}
 	sel = sel[:selectTopPages(sel, scores, m.sparseTopK)]
-	ws.sparseSel += int64(len(sel))
-	ws.sparseTot += int64(np)
-	m.attendBlock(blk, cp, v, sel)
-	if ws.probeRecall {
-		ws.recordRecall(m, blk, cp, v, sel)
+	bw.sparseSel += int64(len(sel))
+	bw.sparseTot += int64(np)
+	m.attendBlock(bw.blk, cp, v, sel)
+	if bw.probeRecall {
+		bw.recordRecall(cp, v, sel)
 	}
 }
 
 // recordRecall is the attention-mass recall probe: it re-scores the block's
 // one query densely through the same walk and scratch, scale and softmax
 // included, and accumulates the selected pages' share of the mass.
-func (ws *workspace) recordRecall(m *Model, blk *tensor.AttnBlock, cp *cachePath, v *pageView, sel []int32) {
-	dense := blk.Weights(0, m.softmaxBlock(blk, cp, v, nil))
+func (bw *BatchWorkspace) recordRecall(cp *cachePath, v *pageView, sel []int32) {
+	dense := bw.blk.Weights(0, bw.m.softmaxBlock(bw.blk, cp, v, nil))
 	var mass float64
 	i, s := 0, 0
 	for p := 0; p < v.paged.LayerPages(v.layer) && i < len(dense); p++ {
@@ -212,6 +199,6 @@ func (ws *workspace) recordRecall(m *Model, blk *tensor.AttnBlock, cp *cachePath
 		}
 		i += t
 	}
-	ws.recallMass += mass
-	ws.recallCnt++
+	bw.recallMass += mass
+	bw.recallCnt++
 }

@@ -103,7 +103,7 @@ func TestSparseDecodeRestrictionIdentity(t *testing.T) {
 				if nSel != int64(topK) {
 					t.Fatalf("selected %d pages, want %d", nSel, topK)
 				}
-				sel := append([]int32(nil), ws.bw.lanes[0].pageSel[:nSel]...)
+				sel := append([]int32(nil), ws.bw.pageSel[:nSel]...)
 				if topK == 0 {
 					for p := 0; p < cache.Pages(); p++ {
 						sel = append(sel, int32(p))
