@@ -8,19 +8,31 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"rethinkkv"
 )
 
 func main() {
-	n := flag.Int("n", 120, "LongBench-like sample count")
-	promptLen := flag.Int("prompt", 256, "prompt scale in tokens")
-	seed := flag.Uint64("seed", 1, "experiment seed")
-	fig := flag.String("fig", "all", "figure to run: 6, 7, all")
-	table := flag.String("table", "", "table to run: 7")
-	family := flag.String("family", "llama", "model family seed: llama or mistral (Figures 17-18, Table 11)")
-	flag.Parse()
+	if err := run(os.Stdout, os.Args[1:]); err != nil && err != flag.ErrHelp {
+		os.Exit(2)
+	}
+}
+
+// run parses args, runs the study and writes the requested figures and
+// table to w; the progress line goes to stderr.
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("negatives", flag.ContinueOnError)
+	n := fs.Int("n", 120, "LongBench-like sample count")
+	promptLen := fs.Int("prompt", 256, "prompt scale in tokens")
+	seed := fs.Uint64("seed", 1, "experiment seed")
+	fig := fs.String("fig", "all", "figure to run: 6, 7, all")
+	table := fs.String("table", "", "table to run: 7")
+	family := fs.String("family", "llama", "model family seed: llama or mistral (Figures 17-18, Table 11)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	fmt.Fprintf(os.Stderr, "evaluating %d samples × 5 methods on the tiny model (%s family)...\n", *n, *family)
 	var st *rethinkkv.NegativeStudy
@@ -31,12 +43,13 @@ func main() {
 	}
 
 	if *fig == "6" || *fig == "all" {
-		fmt.Print(rethinkkv.FormatAll(st.Fig6Thresholds()))
+		fmt.Fprint(w, rethinkkv.FormatAll(st.Fig6Thresholds()))
 	}
 	if *fig == "7" || *fig == "all" {
-		fmt.Println(st.Fig7TaskBreakdown().Format())
+		fmt.Fprintln(w, st.Fig7TaskBreakdown().Format())
 	}
 	if *table == "7" || *fig == "all" {
-		fmt.Println(st.Table7NegativeBenchmark().Format())
+		fmt.Fprintln(w, st.Table7NegativeBenchmark().Format())
 	}
+	return nil
 }

@@ -7,15 +7,24 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"rethinkkv"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the comparison to w.
+func run(w io.Writer) error {
 	ev, err := rethinkkv.NewEvaluator(rethinkkv.WithSeed(7), rethinkkv.WithContSteps(12))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Draw LongBench-like samples and pick a single-document QA task whose
@@ -33,19 +42,20 @@ func main() {
 	if qa == nil {
 		qa = &samples[0]
 	}
-	fmt.Printf("sample %d: %s, prompt %d tokens, needle at [%d,%d)\n\n",
+	fmt.Fprintf(w, "sample %d: %s, prompt %d tokens, needle at [%d,%d)\n\n",
 		qa.ID, qa.Task, qa.PromptLen, qa.Critical[0].Start, qa.Critical[0].End)
 
 	ref := ev.Baseline(*qa)
-	fmt.Println("method       retention  fidelity  agreement  score")
+	fmt.Fprintln(w, "method       retention  fidelity  agreement  score")
 	for _, m := range []string{"fp16", "kivi-4", "kivi-2", "gear-4", "h2o-512", "h2o-256", "stream-512", "stream-256", "snapkv-512"} {
 		r, err := ev.Evaluate(ref, m)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%-12s %9.2f %9.3f %10.2f %6.1f\n",
+		fmt.Fprintf(w, "%-12s %9.2f %9.3f %10.2f %6.1f\n",
 			m, r.Retention, r.Fidelity, r.Agreement, r.Score)
 	}
-	fmt.Println("\nEviction methods that drop the needle collapse the QA score;")
-	fmt.Println("quantisation keeps every token but pays in key fidelity.")
+	fmt.Fprintln(w, "\nEviction methods that drop the needle collapse the QA score;")
+	fmt.Fprintln(w, "quantisation keeps every token but pays in key fidelity.")
+	return nil
 }

@@ -1,10 +1,14 @@
 package compress
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"rethinkkv/internal/kvcache"
@@ -200,5 +204,116 @@ func TestMalformedSpanRefused(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// hashState folds a methodState into one FNV-64a value: every (layer, head)'s
+// Seq bits, Positions and Len, then TotalAppended and MemoryBytes.
+func hashState(st methodState) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	word := func(x uint64) {
+		binary.LittleEndian.PutUint64(b[:], x)
+		h.Write(b[:])
+	}
+	for i := range st.seq {
+		word(uint64(len(st.seq[i])))
+		for _, x := range st.seq[i] {
+			word(uint64(x))
+		}
+		word(uint64(len(st.positions[i])))
+		for _, p := range st.positions[i] {
+			word(uint64(p))
+		}
+		word(uint64(st.lens[i]))
+	}
+	word(uint64(st.appended))
+	word(uint64(st.bytes))
+	return h.Sum64()
+}
+
+// methodStateGolden holds hashState at each of TestMethodStateGolden's
+// checkpoints, per method and shape. The values were written by the
+// implementation that kept KIVI's and GEAR's block codes and decoded them on
+// every read, and each evicting head as a slice of entries, so they hold the
+// block cache and the parallel slices to it: a change that alters what any
+// method stores, positions or charges moves one of them.
+var methodStateGolden = map[string][2][3]uint64{
+	"fp16":       {{0x8dcbbac87e272d5b, 0x483371164c1272f8, 0x867b8bf78f3f06ef}, {0xbb21f4c7438957a4, 0x1aa9750a4293da64, 0x75ea4f28f7c96fe5}},
+	"gear-2":     {{0x35ae1085c28cccd2, 0xd4d751ce084d43f6, 0x6d2a00ee69e3f5a7}, {0x51f79b8bd63a64d6, 0x6646ee5deb44a17a, 0x87c182a4ffad505c}},
+	"gear-4":     {{0x332c8031cdfa5996, 0x92388242c806566b, 0x3b005bc3c984340a}, {0x95316af32b7b475, 0xd1b88bc07419e366, 0x55fa538cf84d42ca}},
+	"h2o-256":    {{0xcfa1b3b993fbcf2e, 0x81e704fc6edb64, 0x75abc0da5434a42}, {0x3a6a1bb61adfa5be, 0xbd5ae94f93d1df11, 0x77d9790cf4b478d7}},
+	"h2o-512":    {{0x89072e3eccd16869, 0x5fa4020c304e8347, 0x48aa6e2d4d034e02}, {0xd04b9e890b0bdfc3, 0xa0683f843f259ef7, 0xfa6ee5fea2ef524f}},
+	"kivi-2":     {{0x612957586c732e2d, 0x202f707ed74252ac, 0x6bbdb066f78d2d18}, {0x8a516b1e616033f, 0xaacff0e74f68aed3, 0x83357567e81ed09b}},
+	"kivi-4":     {{0x184d935e8b3916b8, 0x5ae352c2d470064e, 0xb31783c533fd89f7}, {0xb5f453cc8c1640d3, 0x9a6ecc7ee4e09de3, 0x5ba0f59634a681ed}},
+	"snapkv-512": {{0x370701a9846461a6, 0x74b6e446f51ebd26, 0xa28d90d82265986b}, {0xb5ca2466722f9fa7, 0x776e30de4df9e765, 0xcd00539300dd6d6d}},
+	"stream-256": {{0xcef95559f72b9569, 0xb74f45a539f25b47, 0x200ae43f3c69653d}, {0x7cfdddfaa98571c5, 0x7b375ee56205b1fe, 0xefe29d80394fc5a0}},
+	"stream-512": {{0x4699d1cb641e26c, 0xee2c00ca76d7f117, 0xf3c843771c91462c}, {0xa5cc82612b43ca84, 0x80b8931e02f8e9b7, 0xf8d758698fbad87f}},
+}
+
+// TestMethodStateGolden pins what every registered method stores, across
+// revisions: at two shapes, 300 seeded tokens go in as spans of 1–24 tokens,
+// every observing cache is shown weights of 0 or 1/n (one in four 1/n, so
+// H2O's and SnapKV's choices meet ties) after each span, FinishPrefill
+// follows the 140-token prompt, and the state is hashed after the prompt, at
+// 224 tokens (a whole number of 16-token blocks, where a seal that comes one
+// token late shows) and at 300 — enough to seal KIVI's and GEAR's blocks and
+// to evict under every budget.
+func TestMethodStateGolden(t *testing.T) {
+	shapes := [2]kvcache.Shape{{Layers: 2, KVHeads: 2, HeadDim: 8}, {Layers: 1, KVHeads: 3, HeadDim: 4}}
+	const n, prompt = 300, 140
+	checkpoints := [3]int{prompt, 224, n}
+	got := map[string][2][3]uint64{}
+	for _, name := range Names() {
+		var sums [2][3]uint64
+		for si, s := range shapes {
+			r := rand.New(rand.NewSource(int64(si) + 1))
+			ks, vs := splitTokens(r, s, n)
+			stride := s.KVHeads * s.HeadDim
+			c := MustGet(name).NewCache(s)
+			obs, _ := c.(kvcache.AttentionObserver)
+			for tk, ci := 0, 0; tk < n; {
+				span := min(1+r.Intn(24), checkpoints[ci]-tk)
+				for l := 0; l < s.Layers; l++ {
+					c.AppendFlatN(l, span, ks[l][tk*stride:(tk+span)*stride], vs[l][tk*stride:(tk+span)*stride])
+				}
+				tk += span
+				if obs != nil {
+					for l := 0; l < s.Layers; l++ {
+						for h := 0; h < s.KVHeads; h++ {
+							w := make([]float32, c.Len(l, h))
+							for i := range w {
+								w[i] = float32(r.Intn(4)/3) / float32(len(w)) // ties on purpose
+							}
+							obs.ObserveAttention(l, h, w)
+						}
+					}
+				}
+				if tk == prompt {
+					if pf, ok := c.(Prefiller); ok {
+						pf.FinishPrefill()
+					}
+				}
+				if tk == checkpoints[ci] {
+					sums[si][ci] = hashState(stateOf(c))
+					ci++
+				}
+			}
+		}
+		got[name] = sums
+	}
+	if !maps.Equal(got, methodStateGolden) {
+		var b strings.Builder
+		for _, name := range Names() {
+			fmt.Fprintf(&b, "\t%q: {", name)
+			for si, sums := range got[name] {
+				if si > 0 {
+					b.WriteString(", ")
+				}
+				fmt.Fprintf(&b, "{%#x, %#x, %#x}", sums[0], sums[1], sums[2])
+			}
+			b.WriteString("},\n")
+		}
+		t.Fatalf("stored state differs from methodStateGolden; this run's table:\n%s", b.String())
 	}
 }

@@ -68,6 +68,9 @@ const BytesPerElemFP16 = 2
 // caches return dequantised or pruned views here, which is what makes the
 // accuracy effects of compression real rather than modelled. Positions
 // returns the absolute position of each retained entry, aligned with Seq.
+// The rows Seq returns (and the slice Positions returns) may alias the
+// cache's storage — PagedKV's fp32 rows, and so Full's, always have — stay
+// valid until the next AppendFlatN, and must not be written.
 type Cache interface {
 	Shape() Shape
 	AppendFlatN(layer, n int, k, v []float32)

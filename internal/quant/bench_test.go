@@ -63,12 +63,3 @@ func BenchmarkKIVIResidualWindow(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkKIVISeqDequant(b *testing.B) {
-	c := NewKIVI(kvcache.Shape{Layers: 2, KVHeads: 2, HeadDim: 64}, DefaultKIVI(4))
-	appendRandom(c, 512, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Seq(0, 0)
-	}
-}

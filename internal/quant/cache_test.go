@@ -195,6 +195,26 @@ func TestQuantCachesInterfaceCompliance(t *testing.T) {
 	var _ kvcache.Cache = NewGEAR(cacheShape(), DefaultGEAR(4))
 }
 
+// TestBlockCacheSeqInPlace pins that a sealed block is decoded once: Seq
+// returns the rows the cache keeps, the same rows on every call, without
+// allocating.
+func TestBlockCacheSeqInPlace(t *testing.T) {
+	for name, c := range map[string]*BlockCache{
+		"kivi": NewKIVI(cacheShape(), KIVIConfig{Bits: 2, GroupSize: 4, Residual: 8}),
+		"gear": NewGEAR(cacheShape(), GEARConfig{Bits: 2, GroupSize: 8, SparseFrac: 0.05, RankFrac: 0.1, PowerIters: 4}),
+	} {
+		appendRandom(c, 30, 8)
+		k1, v1 := c.Seq(1, 1)
+		k2, v2 := c.Seq(1, 1)
+		if &k1[0][0] != &k2[0][0] || &v1[0][0] != &v2[0][0] {
+			t.Fatalf("%s: two reads of a sealed block returned different rows", name)
+		}
+		if n := testing.AllocsPerRun(10, func() { c.Seq(1, 1) }); n != 0 {
+			t.Fatalf("%s: Seq allocated %v per read", name, n)
+		}
+	}
+}
+
 func TestLowRankApplyRankZeroSafe(t *testing.T) {
 	var lr lowRank
 	dst := [][]float32{{1, 2}, {3, 4}}

@@ -214,121 +214,15 @@ func (b gearBlock) storageBits() int64 {
 	return bits
 }
 
-// gearStream is the per-(layer, head) state.
-type gearStream struct {
-	kBlocks, vBlocks []gearBlock
-	fullK, fullV     [][]float32
-}
-
-// GEARCache implements kvcache.Cache with GEAR compression. The fill buffer
-// (one group) stays in full precision until the group completes, mirroring
-// GEAR's streaming buffer.
-type GEARCache struct {
-	cfg      GEARConfig
-	shape    kvcache.Shape
-	streams  [][]*gearStream
-	appended int
-}
-
-// NewGEAR builds an empty GEAR cache.
-func NewGEAR(shape kvcache.Shape, cfg GEARConfig) *GEARCache {
-	if err := shape.Validate(); err != nil {
-		panic(err)
+// NewGEAR builds an empty GEAR cache. Its fill buffer (one group) stays in
+// full precision until the group completes, mirroring GEAR's streaming
+// buffer.
+func NewGEAR(shape kvcache.Shape, cfg GEARConfig) *BlockCache {
+	mustValidate(shape.Validate(), cfg.Validate())
+	seal := func(rows [][]float32) int64 {
+		b := compressGear(rows, cfg)
+		copy(rows, b.decompress())
+		return b.storageBits()
 	}
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	c := &GEARCache{cfg: cfg, shape: shape}
-	c.streams = make([][]*gearStream, shape.Layers)
-	for l := range c.streams {
-		c.streams[l] = make([]*gearStream, shape.KVHeads)
-		for h := range c.streams[l] {
-			c.streams[l][h] = &gearStream{}
-		}
-	}
-	return c
-}
-
-// Shape returns the cache dimensions.
-func (c *GEARCache) Shape() kvcache.Shape { return c.shape }
-
-// AppendFlatN implements kvcache.Cache: token by token, each head's vectors
-// join its fill buffer, which is compressed into a block once it reaches
-// GroupSize.
-func (c *GEARCache) AppendFlatN(layer, n int, k, v []float32) {
-	c.shape.CheckSpan(layer, n, k, v)
-	kvh, d := c.shape.KVHeads, c.shape.HeadDim
-	for i := 0; i < n*kvh; i++ { // token i/kvh, head i%kvh
-		s := c.streams[layer][i%kvh]
-		s.fullK = append(s.fullK, append([]float32(nil), k[i*d:(i+1)*d]...))
-		s.fullV = append(s.fullV, append([]float32(nil), v[i*d:(i+1)*d]...))
-		if len(s.fullK) >= c.cfg.GroupSize {
-			s.kBlocks = append(s.kBlocks, compressGear(s.fullK, c.cfg))
-			s.vBlocks = append(s.vBlocks, compressGear(s.fullV, c.cfg))
-			s.fullK = nil
-			s.fullV = nil
-		}
-	}
-	if layer == c.shape.Layers-1 {
-		c.appended += n
-	}
-}
-
-// Seq returns decompressed blocks followed by the fill buffer.
-func (c *GEARCache) Seq(layer, head int) (keys, values [][]float32) {
-	s := c.streams[layer][head]
-	for i := range s.kBlocks {
-		keys = append(keys, s.kBlocks[i].decompress()...)
-		values = append(values, s.vBlocks[i].decompress()...)
-	}
-	keys = append(keys, s.fullK...)
-	values = append(values, s.fullV...)
-	return keys, values
-}
-
-// Positions returns 0..n-1: GEAR retains every token.
-func (c *GEARCache) Positions(layer, head int) []int {
-	n := c.Len(layer, head)
-	ps := make([]int, n)
-	for i := range ps {
-		ps[i] = i
-	}
-	return ps
-}
-
-// Len reports the retained entry count (all appended tokens).
-func (c *GEARCache) Len(layer, head int) int {
-	s := c.streams[layer][head]
-	n := len(s.fullK)
-	for _, b := range s.kBlocks {
-		n += b.q.Tokens
-	}
-	return n
-}
-
-// TotalAppended reports how many tokens have been appended.
-func (c *GEARCache) TotalAppended() int { return c.appended }
-
-// MemoryBytes reports the true compressed footprint.
-func (c *GEARCache) MemoryBytes() int64 {
-	var bits int64
-	for l := range c.streams {
-		for h := range c.streams[l] {
-			s := c.streams[l][h]
-			for i := range s.kBlocks {
-				bits += s.kBlocks[i].storageBits() + s.vBlocks[i].storageBits()
-			}
-			bits += int64(len(s.fullK)) * int64(c.shape.HeadDim) * 16 * 2
-		}
-	}
-	return bits / 8
-}
-
-// CompressionRatio returns FP16 bytes over actual bytes.
-func (c *GEARCache) CompressionRatio() float64 {
-	actual := c.MemoryBytes()
-	if actual == 0 {
-		return 1
-	}
-	return float64(kvcache.FP16Bytes(c.shape, c.appended)) / float64(actual)
+	return newBlockCache(shape, 0, cfg.GroupSize, seal, seal)
 }

@@ -5,9 +5,12 @@
 // quantisation plus sparse-outlier extraction and low-rank error
 // correction).
 //
-// Quantised caches implement kvcache.Cache: reads return *dequantised*
-// tensors, so the model genuinely computes attention on lossy data and every
-// downstream accuracy effect is real.
+// Both methods run through one kvcache.Cache, BlockCache, which differs
+// between them only in its residual window and its block codec. A block is
+// decoded once, when it seals, into the rows the cache keeps, so reads return
+// *dequantised* tensors in place: the model genuinely computes attention on
+// lossy data and every downstream accuracy effect is real. MemoryBytes prices
+// the codes, not that decoded copy.
 package quant
 
 import (

@@ -22,6 +22,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"rethinkkv/internal/kvcache"
 )
@@ -123,20 +124,25 @@ func DefaultSnapKV(budget int) Config {
 	return Config{Kind: SnapKV, Budget: budget, ObsWindow: obs, PoolSize: 7}
 }
 
-// entry is one retained token for one head.
-type entry struct {
-	pos      int
-	k, v     []float32
-	accScore float64 // H2O: accumulated attention
-}
-
-// headState holds one head's retained entries and score history.
+// headState holds one head's retained entries, in position order, as
+// parallel slices — Seq and Positions return them in place — and its score
+// history.
 type headState struct {
-	entries []entry
+	positions    []int
+	keys, values [][]float32
+	scores       []float64 // H2O: accumulated attention
 	// obsScores is SnapKV's ring of the last ObsWindow attention vectors
 	// observed during prefill (each aligned with entries at observe time;
 	// valid because SnapKV performs no evictions before FinishPrefill).
 	obsScores [][]float64
+}
+
+// remove drops entry i.
+func (hs *headState) remove(i int) {
+	hs.positions = slices.Delete(hs.positions, i, i+1)
+	hs.keys = slices.Delete(hs.keys, i, i+1)
+	hs.values = slices.Delete(hs.values, i, i+1)
+	hs.scores = slices.Delete(hs.scores, i, i+1)
 }
 
 // Cache is an eviction-based KV cache.
@@ -180,11 +186,10 @@ func (c *Cache) AppendFlatN(layer, n int, k, v []float32) {
 	kvh, d := c.shape.KVHeads, c.shape.HeadDim
 	for i := 0; i < n*kvh; i++ { // token i/kvh, head i%kvh
 		hs := c.heads[layer][i%kvh]
-		hs.entries = append(hs.entries, entry{
-			pos: c.appended + i/kvh,
-			k:   append([]float32(nil), k[i*d:(i+1)*d]...),
-			v:   append([]float32(nil), v[i*d:(i+1)*d]...),
-		})
+		hs.positions = append(hs.positions, c.appended+i/kvh)
+		hs.keys = append(hs.keys, append([]float32(nil), k[i*d:(i+1)*d]...))
+		hs.values = append(hs.values, append([]float32(nil), v[i*d:(i+1)*d]...))
+		hs.scores = append(hs.scores, 0)
 		c.evictIfNeeded(hs)
 	}
 	if layer == c.shape.Layers-1 {
@@ -197,23 +202,23 @@ func (c *Cache) evictIfNeeded(hs *headState) {
 	if c.cfg.Kind == SnapKV && !c.prefillDone {
 		return // SnapKV defers all eviction to FinishPrefill.
 	}
-	for len(hs.entries) > c.cfg.Budget {
+	for len(hs.positions) > c.cfg.Budget {
 		victim := c.selectVictim(hs)
 		if victim < 0 {
 			return
 		}
-		hs.entries = append(hs.entries[:victim], hs.entries[victim+1:]...)
+		hs.remove(victim)
 	}
 }
 
 // selectVictim returns the index to evict, or -1 when nothing is evictable.
 func (c *Cache) selectVictim(hs *headState) int {
-	n := len(hs.entries)
+	n := len(hs.positions)
 	switch c.cfg.Kind {
 	case StreamingLLM:
 		// Oldest entry that is not a sink. Entries are position-ordered.
 		for i := 0; i < n; i++ {
-			if hs.entries[i].pos >= c.cfg.Sinks {
+			if hs.positions[i] >= c.cfg.Sinks {
 				return i
 			}
 		}
@@ -226,8 +231,8 @@ func (c *Cache) selectVictim(hs *headState) int {
 		}
 		best, bestScore := -1, math.Inf(1)
 		for i := 0; i < limit; i++ {
-			if hs.entries[i].accScore < bestScore {
-				best, bestScore = i, hs.entries[i].accScore
+			if hs.scores[i] < bestScore {
+				best, bestScore = i, hs.scores[i]
 			}
 		}
 		return best
@@ -243,7 +248,7 @@ func (c *Cache) selectVictim(hs *headState) int {
 // the entries returned by the most recent Seq call for this head.
 func (c *Cache) ObserveAttention(layer, head int, weights []float32) {
 	hs := c.heads[layer][head]
-	n := len(hs.entries)
+	n := len(hs.positions)
 	if len(weights) != n {
 		// The observer contract is best-effort: a mismatch means the
 		// caller computed attention over a different snapshot; ignore.
@@ -252,7 +257,7 @@ func (c *Cache) ObserveAttention(layer, head int, weights []float32) {
 	switch c.cfg.Kind {
 	case H2O:
 		for i := range weights {
-			hs.entries[i].accScore += float64(weights[i])
+			hs.scores[i] += float64(weights[i])
 		}
 	case SnapKV:
 		if c.prefillDone {
@@ -290,7 +295,7 @@ func (c *Cache) FinishPrefill() {
 // votes pick the retained prompt tokens; the observation window itself is
 // always kept.
 func (c *Cache) snapCompress(hs *headState) {
-	n := len(hs.entries)
+	n := len(hs.positions)
 	if n <= c.cfg.Budget {
 		return
 	}
@@ -351,40 +356,31 @@ func (c *Cache) snapCompress(hs *headState) {
 	for i := obsStart; i < n; i++ {
 		keep[i] = true
 	}
-	kept := hs.entries[:0]
-	for i, e := range hs.entries {
+	kept := 0
+	for i := 0; i < n; i++ {
 		if keep[i] {
-			kept = append(kept, e)
+			hs.positions[kept], hs.keys[kept], hs.values[kept], hs.scores[kept] = hs.positions[i], hs.keys[i], hs.values[i], hs.scores[i]
+			kept++
 		}
 	}
-	hs.entries = kept
+	hs.positions, hs.keys, hs.values, hs.scores = hs.positions[:kept], hs.keys[:kept], hs.values[:kept], hs.scores[:kept]
 	hs.obsScores = nil
 }
 
-// Seq returns the retained keys and values in position order.
+// Seq returns the retained keys and values in position order, in place.
 func (c *Cache) Seq(layer, head int) (keys, values [][]float32) {
 	hs := c.heads[layer][head]
-	keys = make([][]float32, len(hs.entries))
-	values = make([][]float32, len(hs.entries))
-	for i := range hs.entries {
-		keys[i] = hs.entries[i].k
-		values[i] = hs.entries[i].v
-	}
-	return keys, values
+	return hs.keys[:len(hs.keys):len(hs.keys)], hs.values[:len(hs.values):len(hs.values)]
 }
 
-// Positions returns the absolute positions of retained entries.
+// Positions returns the absolute positions of retained entries, in place.
 func (c *Cache) Positions(layer, head int) []int {
 	hs := c.heads[layer][head]
-	ps := make([]int, len(hs.entries))
-	for i := range hs.entries {
-		ps[i] = hs.entries[i].pos
-	}
-	return ps
+	return hs.positions[:len(hs.positions):len(hs.positions)]
 }
 
 // Len reports the retained entry count for one head.
-func (c *Cache) Len(layer, head int) int { return len(c.heads[layer][head].entries) }
+func (c *Cache) Len(layer, head int) int { return len(c.heads[layer][head].positions) }
 
 // TotalAppended reports how many tokens have been appended.
 func (c *Cache) TotalAppended() int { return c.appended }
@@ -395,7 +391,7 @@ func (c *Cache) MemoryBytes() int64 {
 	var elems, meta int64
 	for l := range c.heads {
 		for h := range c.heads[l] {
-			n := int64(len(c.heads[l][h].entries))
+			n := int64(len(c.heads[l][h].positions))
 			elems += n * int64(c.shape.HeadDim) * 2 // K and V
 			if c.cfg.Kind == H2O {
 				meta += n

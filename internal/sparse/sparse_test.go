@@ -197,7 +197,7 @@ func TestObserveAttentionLengthMismatchIgnored(t *testing.T) {
 	c := NewCache(shape(), DefaultH2O(16))
 	appendN(c, 4, 11)
 	c.ObserveAttention(0, 0, []float32{0.5}) // wrong length: ignored
-	if e := c.heads[0][0].entries[0]; e.accScore != 0 {
+	if score := c.heads[0][0].scores[0]; score != 0 {
 		t.Fatal("mismatched observation should not count")
 	}
 }
@@ -261,4 +261,21 @@ func TestQuickBudgetInvariant(t *testing.T) {
 func TestInterfaceCompliance(t *testing.T) {
 	var c kvcache.Cache = NewCache(shape(), DefaultH2O(16))
 	var _ kvcache.AttentionObserver = c.(*Cache)
+}
+
+// TestSeqAllocFree pins that every policy's Seq and Positions return the
+// retained entries in place, after evictions and SnapKV's compaction.
+func TestSeqAllocFree(t *testing.T) {
+	for _, cfg := range []Config{DefaultStreaming(16), DefaultH2O(16), DefaultSnapKV(16)} {
+		c := NewCache(shape(), cfg)
+		appendN(c, 40, 13)
+		c.FinishPrefill()
+		appendN(c, 5, 14)
+		if n := testing.AllocsPerRun(10, func() {
+			c.Seq(1, 0)
+			c.Positions(1, 0)
+		}); n != 0 {
+			t.Fatalf("%v: Seq and Positions allocated %v per read", cfg.Kind, n)
+		}
+	}
 }
