@@ -139,14 +139,16 @@ BENCHPKGS = . ./internal/model ./internal/tensor ./internal/rng
 # every arm, sparse decode and its page-selection pair, the
 # GEMM tile loop's entries, the batched norm and RoPE under every arm, and the fused
 # pass / the one step entry from a batch of one with no chunks up to the
-# budget-packed mixed step (at one P and, counted by mallocs, at two), a KV
-# cache's whole life on a warm page pool
+# budget-packed mixed step (at one P and, counted by mallocs, at two), a
+# batch decode step over every eviction method's cache past its budget (the
+# walk reads each head's Seq in place, and an append reuses the row its last
+# eviction freed), a KV cache's whole life on a warm page pool
 # (pages, page tables and page handles drawn and given back), appends across
 # a page seal (the seal's scratch is the pool's), a refused page
 # reservation (admission retries one after every eviction), an admission pass
 # that defers on the projected page demand of eight running requests and
 # streaming a request's tokens.
-ALLOC_PINS = TestQuantDecodeAllocs TestBlockWalkAllocs TestQuantStridedKernelsZeroAlloc TestSparseDecodeAllocs TestSparseAttentionZeroAlloc TestBatchedKernelsAllocFree TestForwardMixedPackedAllocFree TestStepMixedPackedAllocFree TestStepAllocFreeAtTwoPs TestPagePoolCycleAllocFree TestSealAppendAllocFree TestReserveRefusalAllocFree TestAdmitProjectionAllocFree TestEmitAllocFree
+ALLOC_PINS = TestQuantDecodeAllocs TestBlockWalkAllocs TestQuantStridedKernelsZeroAlloc TestSparseDecodeAllocs TestSparseAttentionZeroAlloc TestBatchedKernelsAllocFree TestForwardMixedPackedAllocFree TestStepMixedPackedAllocFree TestStepAllocFreeAtTwoPs TestEvictionDecodeAllocFree TestPagePoolCycleAllocFree TestSealAppendAllocFree TestReserveRefusalAllocFree TestAdmitProjectionAllocFree TestEmitAllocFree
 ALLOC_PKGS = ./internal/model ./internal/tensor ./internal/core ./internal/kvcache ./internal/sched
 
 # bench-smoke compiles and single-steps every benchmark in BENCHPKGS (the

@@ -86,9 +86,11 @@ type Reference struct {
 	Continuation []int
 	// Hidden is the final prefill hidden state.
 	Hidden []float32
-	// criticalK[pos][layer][head] is the cached key vector at a critical
-	// position.
-	criticalK map[int][][][]float32
+	// critical lists the sample's critical positions, ascending, each once;
+	// criticalK[layer*KVHeads+head] holds the cached key vectors at them, in
+	// that order, HeadDim floats each.
+	critical  []int
+	criticalK [][]float32
 }
 
 // RunBaseline executes the FP16 reference for a sample.
@@ -96,27 +98,26 @@ func (e *Evaluator) RunBaseline(s workload.Sample) *Reference {
 	shape := e.m.CacheShape()
 	cache := kvcache.NewFull(shape)
 	sess := e.session(cache, s.Prompt)
-	ref := &Reference{Sample: s, Hidden: slices.Clone(sess.Hidden()), criticalK: map[int][][][]float32{}}
+	ref := &Reference{Sample: s, Hidden: slices.Clone(sess.Hidden())}
 	ref.Continuation = sess.Decode(e.cfg.ContSteps)
-	// Harvest reference keys at critical positions. Full cache positions
-	// are the identity, so index == position.
 	for _, sp := range s.Critical {
 		for pos := sp.Start; pos < sp.End; pos++ {
-			if _, dup := ref.criticalK[pos]; dup {
-				continue
-			}
-			ref.criticalK[pos] = make([][][]float32, shape.Layers)
+			ref.critical = append(ref.critical, pos)
 		}
 	}
+	slices.Sort(ref.critical)
+	ref.critical = slices.Compact(ref.critical)
+	// Harvest reference keys at critical positions. Full cache positions
+	// are the identity, so index == position.
+	d := shape.HeadDim
 	for l := 0; l < shape.Layers; l++ {
 		for h := 0; h < shape.KVHeads; h++ {
 			keys, _ := cache.Seq(l, h)
-			for pos := range ref.criticalK {
-				if ref.criticalK[pos][l] == nil {
-					ref.criticalK[pos][l] = make([][]float32, shape.KVHeads)
-				}
-				ref.criticalK[pos][l][h] = keys[pos]
+			crit := make([]float32, 0, len(ref.critical)*d)
+			for _, pos := range ref.critical {
+				crit = append(crit, keys[pos*d:(pos+1)*d]...)
 			}
+			ref.criticalK = append(ref.criticalK, crit)
 		}
 	}
 	return ref
@@ -155,8 +156,9 @@ func (e *Evaluator) Evaluate(ref *Reference, methodName string) Result {
 	}
 	sess := e.session(cache, s.Prompt)
 	hSim := max(tensor.CosineSim(ref.Hidden, sess.Hidden()), 0)
-	retention, fidelity := e.measureCritical(ref, cache)
+	retention, fidelity, _ := e.measure(ref, cache)
 	cont := sess.Decode(e.cfg.ContSteps)
+	_, _, cov := e.measure(ref, cache)
 
 	agree := tokenAgreement(ref.Continuation, cont)
 
@@ -171,7 +173,7 @@ func (e *Evaluator) Evaluate(ref *Reference, methodName string) Result {
 	// greedy trajectories on the tiny random-weight model diverge far more
 	// chaotically than a trained LLM's, and F1 restores partial credit.
 	quality := 0.5*agree + 0.5*r.F1
-	r.Score = taskScore(s, spanCoverages(e, ref, cache), quality, hSim)
+	r.Score = taskScore(s, cov, quality, hSim)
 	return r
 }
 
@@ -213,7 +215,7 @@ func (e *Evaluator) EvaluateSparse(ref *Reference, topK, pageTokens int) SparseR
 	// topK stays off until the continuation.
 	sess := e.session(cache, s.Prompt)
 	hSim := max(tensor.CosineSim(ref.Hidden, sess.Hidden()), 0)
-	retention, fidelity := e.measureCritical(ref, cache)
+	retention, fidelity, _ := e.measure(ref, cache)
 
 	prev := e.m.SparseTopK()
 	e.m.SetSparseTopK(topK)
@@ -223,6 +225,7 @@ func (e *Evaluator) EvaluateSparse(ref *Reference, topK, pageTokens int) SparseR
 	e.m.SetSparseTopK(prev)
 	mass, cnt := bw.TakeRecall()
 	sel, tot := bw.TakeSparseStats()
+	_, _, cov := e.measure(ref, cache)
 
 	agree := tokenAgreement(ref.Continuation, cont)
 	r := Result{
@@ -233,7 +236,7 @@ func (e *Evaluator) EvaluateSparse(ref *Reference, topK, pageTokens int) SparseR
 		EditSim: textmetrics.EditSimilarity(cont, ref.Continuation),
 	}
 	quality := 0.5*agree + 0.5*r.F1
-	r.Score = taskScore(s, spanCoverages(e, ref, cache), quality, hSim)
+	r.Score = taskScore(s, cov, quality, hSim)
 	recall := 1.0
 	if cnt > 0 {
 		recall = mass / float64(cnt)
@@ -241,81 +244,59 @@ func (e *Evaluator) EvaluateSparse(ref *Reference, topK, pageTokens int) SparseR
 	return SparseResult{Result: r, Recall: recall, PagesSelected: sel, PagesTotal: tot}
 }
 
-// measureCritical computes retention and fidelity over all critical
-// positions, averaged across layers and heads.
-func (e *Evaluator) measureCritical(ref *Reference, cache kvcache.Cache) (retention, fidelity float64) {
+// measure reads each (layer, head) of the cache once and compares its keys
+// at the critical positions with the reference's. It returns retention and
+// fidelity over all critical positions, averaged across layers and heads,
+// and each span's coverage = retention × fidelity measured on that span
+// alone. Every sum runs over (layer, head, ascending position), so the
+// results depend on nothing but the two caches. The evaluators read
+// retention and fidelity after the prefill and the task score's coverage
+// after the continuation, whose appends evict and seal further.
+func (e *Evaluator) measure(ref *Reference, cache kvcache.Cache) (retention, fidelity float64, cov []float64) {
 	shape := e.m.CacheShape()
-	var retained, total int
+	d, spans := shape.HeadDim, ref.Sample.Critical
+	cov = make([]float64, len(spans))
+	var retained int
 	var fidSum float64
-	var fidN int
 	for l := 0; l < shape.Layers; l++ {
 		for h := 0; h < shape.KVHeads; h++ {
 			pos := cache.Positions(l, h)
-			index := make(map[int]int, len(pos))
-			for i, p := range pos {
-				index[p] = i
-			}
 			keys, _ := cache.Seq(l, h)
-			for p, perLayer := range ref.criticalK {
-				total++
-				i, ok := index[p]
+			crit := ref.criticalK[l*shape.KVHeads+h]
+			for j, p := range ref.critical {
+				i, ok := slices.BinarySearch(pos, p)
 				if !ok {
 					continue
 				}
 				retained++
-				sim := tensor.CosineSim(keys[i], perLayer[l][h])
+				sim := tensor.CosineSim(keys[i*d:(i+1)*d], crit[j*d:(j+1)*d])
 				if sim < 0 {
 					sim = 0
 				}
 				fidSum += sim
-				fidN++
-			}
-		}
-	}
-	if total == 0 {
-		return 1, 1
-	}
-	retention = float64(retained) / float64(total)
-	if fidN == 0 {
-		return retention, 0
-	}
-	return retention, fidSum / float64(fidN)
-}
-
-// spanCoverages returns per-span coverage = retention × fidelity measured
-// on that span alone.
-func spanCoverages(e *Evaluator, ref *Reference, cache kvcache.Cache) []float64 {
-	shape := e.m.CacheShape()
-	out := make([]float64, len(ref.Sample.Critical))
-	for si, sp := range ref.Sample.Critical {
-		var retained, total int
-		var fidSum float64
-		for l := 0; l < shape.Layers; l++ {
-			for h := 0; h < shape.KVHeads; h++ {
-				pos := cache.Positions(l, h)
-				index := make(map[int]int, len(pos))
-				for i, p := range pos {
-					index[p] = i
-				}
-				keys, _ := cache.Seq(l, h)
-				for p := sp.Start; p < sp.End; p++ {
-					total++
-					if i, ok := index[p]; ok {
-						retained++
-						sim := tensor.CosineSim(keys[i], ref.criticalK[p][l][h])
-						if sim < 0 {
-							sim = 0
-						}
-						fidSum += sim
+				for si, sp := range spans {
+					if p >= sp.Start && p < sp.End {
+						cov[si] += sim
 					}
 				}
 			}
 		}
-		if total > 0 {
-			out[si] = fidSum / float64(total) // = retention × mean fidelity
+	}
+	heads := shape.Layers * shape.KVHeads
+	for si, sp := range spans {
+		if total := (sp.End - sp.Start) * heads; total > 0 {
+			cov[si] /= float64(total)
 		}
 	}
-	return out
+	total := len(ref.critical) * heads
+	if total == 0 {
+		return 1, 1, cov
+	}
+	retention = float64(retained) / float64(total)
+	if retained == 0 {
+		return retention, 0, cov
+	}
+	return retention, fidSum / float64(retained), cov
 }
 
 // BaseScore is the FP16 model's raw capability per task group, matching the

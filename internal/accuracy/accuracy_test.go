@@ -1,8 +1,10 @@
 package accuracy
 
 import (
+	"math"
 	"testing"
 
+	"rethinkkv/internal/compress"
 	"rethinkkv/internal/model"
 	"rethinkkv/internal/workload"
 )
@@ -234,6 +236,27 @@ func TestEvaluateSparse(t *testing.T) {
 	for _, r := range []SparseResult{loose, tight} {
 		if r.HiddenSim < 1-1e-9 {
 			t.Fatalf("%s hidden similarity = %v, want 1 (prefill is dense and lossless)", r.Method, r.HiddenSim)
+		}
+	}
+}
+
+// TestEvaluateDeterministic pins that an evaluation depends on nothing but
+// its reference and method: three Evaluate calls on one reference give
+// bit-identical Results for every method, Fidelity's sum over the critical
+// positions among them.
+func TestEvaluateDeterministic(t *testing.T) {
+	e := NewEvaluator(tinyModel(), Config{ContSteps: 4})
+	ref := e.RunBaseline(suite(2)[1])
+	bits := func(r Result) [7]uint64 {
+		return [7]uint64{math.Float64bits(r.Retention), math.Float64bits(r.Fidelity), math.Float64bits(r.Agreement),
+			math.Float64bits(r.F1), math.Float64bits(r.EditSim), math.Float64bits(r.HiddenSim), math.Float64bits(r.Score)}
+	}
+	for _, name := range append(compress.Names(), "int8", "int4") {
+		want := bits(e.Evaluate(ref, name))
+		for i := 0; i < 2; i++ {
+			if got := bits(e.Evaluate(ref, name)); got != want {
+				t.Fatalf("%s: evaluation %d gave %x, the first %x", name, i+2, got, want)
+			}
 		}
 	}
 }

@@ -37,11 +37,9 @@ func stateOf(c kvcache.Cache) methodState {
 		for h := 0; h < s.KVHeads; h++ {
 			keys, vals := c.Seq(l, h)
 			var bits []uint32
-			for _, rows := range [][][]float32{keys, vals} {
-				for _, row := range rows {
-					for _, x := range row {
-						bits = append(bits, math.Float32bits(x))
-					}
+			for _, rows := range [][]float32{keys, vals} {
+				for _, x := range rows {
+					bits = append(bits, math.Float32bits(x))
 				}
 			}
 			st.seq = append(st.seq, bits)

@@ -11,7 +11,8 @@ import (
 
 // BenchmarkDecodeMethods prices one batch-8 decode step of small-llama,
 // through model.ForwardMixedInto, on every registered method's own cache
-// (compress.Names(), read through the Seq arm unless the cache is paged) and,
+// (compress.Names(), each walked as one Seq page per KV head unless the
+// cache is paged) and,
 // as reference rows, on the fp32 and int8 16-token pages of a PagePool — the
 // caches the engine serves. Every lane's context stays in [128, 256): the
 // lanes prefill 128 tokens one token a step, as the offline Session does, and

@@ -20,8 +20,8 @@ import (
 
 // Pipeline runs real generation under a compression method and reports the
 // cache-level effects. A pipeline is reusable and holds no per-run state: each
-// generation pass runs on a fresh cache built by the method's factory, so Run
-// and NewSession may be called any number of times, from any goroutines.
+// session runs on a fresh cache built by the method's factory, so NewSession
+// may be called any number of times, from any goroutines.
 type Pipeline struct {
 	Model  *model.Model
 	Method compress.Method
@@ -147,17 +147,6 @@ func (s *Session) Report() Report {
 		rep.CompressionRatio = float64(rep.FP16Bytes) / float64(rep.CacheBytes)
 	}
 	return rep
-}
-
-// Run prefills the prompt, greedily decodes maxNew tokens, and reports.
-// Each call runs on a fresh cache, so the pipeline may be reused.
-func (p *Pipeline) Run(prompt []int, maxNew int) ([]int, Report, error) {
-	s, err := p.NewSession(prompt)
-	if err != nil {
-		return nil, Report{}, err
-	}
-	out := s.Decode(maxNew)
-	return out, s.Report(), nil
 }
 
 // NewSessions creates (and prefills) one session per prompt, sequentially.

@@ -5,6 +5,17 @@ import (
 	"testing"
 )
 
+// generate prefills prompt on a fresh session of p, greedily decodes maxNew
+// tokens and reports: the facade Pipeline's Run.
+func generate(t *testing.T, p *Pipeline, prompt []int, maxNew int) ([]int, Report) {
+	t.Helper()
+	s, err := p.NewSession(prompt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.Decode(maxNew), s.Report()
+}
+
 func TestPipelineRun(t *testing.T) {
 	prompt := []int{1, 2, 3, 4, 5, 6, 7, 8}
 	for _, method := range []string{"fp16", "kivi-4", "gear-4", "h2o-512", "stream-512", "snapkv-512"} {
@@ -12,10 +23,7 @@ func TestPipelineRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, rep, err := p.Run(prompt, 10)
-		if err != nil {
-			t.Fatalf("%s: %v", method, err)
-		}
+		out, rep := generate(t, p, prompt, 10)
 		if len(out) != 10 {
 			t.Fatalf("%s: generated %d", method, len(out))
 		}
@@ -41,10 +49,7 @@ func TestPipelineCompressionReducesBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, rep, err := p.Run(prompt, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, rep := generate(t, p, prompt, 5)
 		return rep
 	}
 	fp := run("fp16")
@@ -65,14 +70,8 @@ func TestPipelineSameOutputForFP16Determinism(t *testing.T) {
 	prompt := []int{9, 8, 7, 6}
 	p1, _ := NewPipeline("fp16", 3)
 	p2, _ := NewPipeline("fp16", 3)
-	a, _, err := p1.Run(prompt, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := p2.Run(prompt, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, _ := generate(t, p1, prompt, 6)
+	b, _ := generate(t, p2, prompt, 6)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("fp16 pipeline must be deterministic")
@@ -85,15 +84,11 @@ func TestPipelineErrors(t *testing.T) {
 		t.Fatal("unknown method should error")
 	}
 	p, _ := NewPipeline("fp16", 1)
-	if _, _, err := p.Run(nil, 5); err == nil {
+	if _, err := p.NewSession(nil); err == nil {
 		t.Fatal("empty prompt should error")
 	}
-	if _, _, err := p.Run([]int{1}, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := p.Run([]int{1}, 1); err != nil {
-		t.Fatalf("pipeline must be reusable: %v", err)
-	}
+	generate(t, p, []int{1}, 1)
+	generate(t, p, []int{1}, 1) // the pipeline is reusable
 }
 
 func TestPipelineReuseMatchesFresh(t *testing.T) {
@@ -102,19 +97,10 @@ func TestPipelineReuseMatchesFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, repA, err := p.Run(prompt, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, repB, err := p.Run(prompt, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, repA := generate(t, p, prompt, 8)
+	b, repB := generate(t, p, prompt, 8)
 	fresh, _ := NewPipeline("kivi-4", 5)
-	c, _, err := fresh.Run(prompt, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, _ := generate(t, fresh, prompt, 8)
 	for i := range a {
 		if a[i] != b[i] || a[i] != c[i] {
 			t.Fatalf("runs diverge at %d: %v vs %v vs %v", i, a, b, c)
@@ -146,10 +132,7 @@ func TestSessionStreaming(t *testing.T) {
 	if rep.TokensProcessed != 10 || rep.CacheBytes <= 0 {
 		t.Fatalf("bad report %+v", rep)
 	}
-	batch, _, err := p.Run(prompt, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	batch, _ := generate(t, p, prompt, 6)
 	for i := range streamed {
 		if streamed[i] != batch[i] {
 			t.Fatalf("streamed %v != batch %v", streamed, batch)
@@ -173,7 +156,7 @@ func runBatch(ctx context.Context, p *Pipeline, prompts [][]int, maxNew int) ([]
 
 // TestRunBatchMatchesSequential proves the concurrent batch path is a pure
 // throughput feature: per-prompt outputs and reports are identical to
-// sequential Run calls.
+// sequential sessions'.
 func TestRunBatchMatchesSequential(t *testing.T) {
 	prompts := [][]int{
 		{1, 2, 3, 4},
@@ -190,11 +173,7 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 		wantOuts := make([][]int, len(prompts))
 		wantReps := make([]Report, len(prompts))
 		for i, p := range prompts {
-			out, rep, err := seq.Run(p, maxNew)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantOuts[i], wantReps[i] = out, rep
+			wantOuts[i], wantReps[i] = generate(t, seq, p, maxNew)
 		}
 		par, err := NewPipeline(method, 7)
 		if err != nil {

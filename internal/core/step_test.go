@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"rethinkkv/internal/compress"
 	"rethinkkv/internal/kvcache"
 	"rethinkkv/internal/model"
 	"rethinkkv/internal/tensor"
@@ -484,6 +485,43 @@ func TestStepAllIntoAllocFree(t *testing.T) {
 		StepMixedStatsInto(pool, sessions, toks, nil, nil, nil)
 	}); n != 0 {
 		t.Fatalf("fused decode step allocated %v per run", n)
+	}
+}
+
+// TestEvictionDecodeAllocFree pins a warm batch decode step over every
+// eviction method's cache, past its budget, at zero allocations: each head
+// appends into the capacity its last eviction freed, and the page walk reads
+// its Seq in place. Four lanes prefill 160 tokens a token at a time, as the
+// offline Session does — past every tiny-scale budget (64 or 128 entries a
+// head), with SnapKV's prompt compression at its end — then step through
+// the serving step entry.
+func TestEvictionDecodeAllocFree(t *testing.T) {
+	m := model.New(model.Tiny(), 3)
+	prompt := make([]int, 160)
+	for _, name := range []string{"stream-256", "stream-512", "h2o-256", "h2o-512", "snapkv-512"} {
+		method := compress.MustGet(name)
+		pool := NewWorkspacePool(m)
+		sessions := make([]*StepSession, 4)
+		for i := range sessions {
+			for j := range prompt {
+				prompt[j] = (i*131 + j*17) % m.Config().Vocab
+			}
+			cache := method.NewCache(m.CacheShape())
+			s, err := NewSession(m, cache, prompt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sessions[i] = NewPrefilledStepSession(m, cache, s.Next())
+			if held := cache.Len(0, 0); held >= cache.TotalAppended() {
+				t.Fatalf("%s: the cache holds %d of %d tokens, nothing evicted", name, held, cache.TotalAppended())
+			}
+		}
+		toks := make([]int, len(sessions))
+		step := func() { StepMixedStatsInto(pool, sessions, toks, nil, nil, nil) }
+		step() // warm the pool's workspace
+		if n := testing.AllocsPerRun(50, step); n != 0 {
+			t.Fatalf("%s: a batch decode step past the budget allocated %v per run", name, n)
+		}
 	}
 }
 

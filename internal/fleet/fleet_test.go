@@ -39,11 +39,11 @@ func sequentialReference(t *testing.T, prompts [][]int, maxNew int) [][]int {
 	}
 	out := make([][]int, len(prompts))
 	for i, prompt := range prompts {
-		toks, _, err := p.Run(prompt, maxNew)
+		s, err := p.NewSession(prompt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[i] = toks
+		out[i] = s.Decode(maxNew)
 	}
 	return out
 }
@@ -288,11 +288,11 @@ func TestMidPrefillMigrationBitIdentical(t *testing.T) {
 	}
 	want := make([][]int, len(prompts))
 	for i, prompt := range prompts {
-		toks, _, err := pipe.Run(prompt, maxNews[i])
+		s, err := pipe.NewSession(prompt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = toks
+		want[i] = s.Decode(maxNews[i])
 	}
 
 	// Budget arithmetic (PageTokens=4, KVPages=10): the step gate holds
@@ -485,11 +485,11 @@ func TestPackedMidPrefillMigrationBitIdentical(t *testing.T) {
 	}
 	want := make([][]int, len(prompts))
 	for i, prompt := range prompts {
-		toks, _, err := pipe.Run(prompt, maxNews[i])
+		s, err := pipe.NewSession(prompt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = toks
+		want[i] = s.Decode(maxNews[i])
 	}
 
 	// Budget arithmetic (PageTokens=4, KVPages=16): admission reserves

@@ -11,7 +11,7 @@ import (
 // This file pins the Paged seam's contract on generated inputs: what a cache
 // stores is a pure function of the appended token sequence — not of how the
 // sequence was split into AppendFlatN calls — and what Rows yields is what
-// Seq, the scalar reference, reads.
+// Seq, the reference read path, gathers.
 
 // splitCodecs are the stores behind Paged: Full's fp32 16-token pages, then
 // PagedKV under every page codec.
@@ -108,7 +108,7 @@ func storageEqual(t testing.TB, what string, got, want Paged) {
 }
 
 // rowsMatchSeq requires the page rows, dequantized token by token with the
-// scalar reference, to be Seq's views bit for bit.
+// scalar reference, to be Seq's rows bit for bit.
 func rowsMatchSeq(t testing.TB, what string, c Paged) {
 	t.Helper()
 	shape := c.Shape()
@@ -119,12 +119,12 @@ func rowsMatchSeq(t testing.TB, what string, c Paged) {
 			keys, values := c.Seq(l, h)
 			i := 0
 			for p := 0; p < c.LayerPages(l); p++ {
-				for vi, seq := range [][][]float32{keys, values} {
+				for vi, seq := range [][]float32{keys, values} {
 					r, n := c.Rows(l, p, h, vi == 1)
 					for tk := 0; tk < n; tk++ {
 						x := buf
 						r.TokenInto(x, 0, tk)
-						if i+tk >= len(seq) || !bitsEqual(x, seq[i+tk]) {
+						if (i+tk+1)*d > len(seq) || !bitsEqual(x, seq[(i+tk)*d:(i+tk+1)*d]) {
 							t.Fatalf("%s: layer %d head %d page %d token %d (vals=%v): Rows and Seq differ", what, l, h, p, tk, vi == 1)
 						}
 					}
@@ -133,8 +133,8 @@ func rowsMatchSeq(t testing.TB, what string, c Paged) {
 					}
 				}
 			}
-			if i != len(keys) || i != c.Len(l, h) {
-				t.Fatalf("%s: layer %d head %d: pages hold %d tokens, Seq %d, Len %d", what, l, h, i, len(keys), c.Len(l, h))
+			if i*d != len(keys) || i != c.Len(l, h) {
+				t.Fatalf("%s: layer %d head %d: pages hold %d tokens, Seq %d, Len %d", what, l, h, i, len(keys)/d, c.Len(l, h))
 			}
 		}
 	}

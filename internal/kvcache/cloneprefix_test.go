@@ -37,13 +37,11 @@ func cachesEqual(t testing.TB, what string, a, b *PagedKV) {
 			ak, av := a.Seq(l, h)
 			bk, bv := b.Seq(l, h)
 			if len(ak) != len(bk) {
-				t.Fatalf("%s: layer %d head %d holds %d tokens, want %d", what, l, h, len(ak), len(bk))
+				t.Fatalf("%s: layer %d head %d holds %d floats, want %d", what, l, h, len(ak), len(bk))
 			}
 			for i := range ak {
-				for d := range ak[i] {
-					if ak[i][d] != bk[i][d] || av[i][d] != bv[i][d] {
-						t.Fatalf("%s: layer %d head %d token %d differs", what, l, h, i)
-					}
+				if ak[i] != bk[i] || av[i] != bv[i] {
+					t.Fatalf("%s: layer %d head %d token %d differs", what, l, h, i/a.shape.HeadDim)
 				}
 			}
 		}

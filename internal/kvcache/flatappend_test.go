@@ -79,11 +79,9 @@ func TestAppendFlatNMatchesAppendFlat(t *testing.T) {
 					t.Fatalf("%s: seq len %d != %d", tc.name, len(gk), len(wk))
 				}
 				for i := range wk {
-					for d := 0; d < shape.HeadDim; d++ {
-						if math.Float32bits(gk[i][d]) != math.Float32bits(wk[i][d]) ||
-							math.Float32bits(gv[i][d]) != math.Float32bits(wv[i][d]) {
-							t.Fatalf("%s: entry (%d,%d,%d,%d) differs", tc.name, l, h, i, d)
-						}
+					if math.Float32bits(gk[i]) != math.Float32bits(wk[i]) ||
+						math.Float32bits(gv[i]) != math.Float32bits(wv[i]) {
+						t.Fatalf("%s: entry (%d,%d,%d,%d) differs", tc.name, l, h, i/shape.HeadDim, i%shape.HeadDim)
 					}
 				}
 			}

@@ -6,12 +6,13 @@
 //
 // Layout: every page holds one layer's K then V, head-major — one head's
 // token rows HeadDim apart, one run per head (qpage.go) — and a page that
-// fills seals its keys into the attention kernels' panels. The generic Seq
-// view materialises per-token sub-slices for caches that retain irregular
-// token subsets. Rotary position embeddings are applied to keys *before*
-// caching, matching the layout used by LLaMA-family inference engines.
-// Eviction-based caches may retain different token subsets per head, so all
-// read paths are addressed by (layer, head).
+// fills seals its keys into the attention kernels' panels. Seq returns one
+// head's retained rows in that same form, token rows HeadDim apart, so the
+// model reads a cache that is not Paged through the one page walk as a
+// single page per head. Rotary position embeddings are applied to keys
+// *before* caching, matching the layout used by LLaMA-family inference
+// engines. Eviction-based caches may retain different token subsets per head,
+// so all read paths are addressed by (layer, head).
 package kvcache
 
 import (
@@ -64,17 +65,19 @@ const BytesPerElemFP16 = 2
 // model passes reused scratch buffers that are overwritten on the next step.
 // There is no cross-session form: every stream owns a distinct cache.
 //
-// Seq returns the retained entries for one head in storage order: compressed
-// caches return dequantised or pruned views here, which is what makes the
-// accuracy effects of compression real rather than modelled. Positions
-// returns the absolute position of each retained entry, aligned with Seq.
-// The rows Seq returns (and the slice Positions returns) may alias the
-// cache's storage — PagedKV's fp32 rows, and so Full's, always have — stay
-// valid until the next AppendFlatN, and must not be written.
+// Seq returns the retained entries for one head in storage order, flat: the
+// i-th entry's key is keys[i*HeadDim : (i+1)*HeadDim], its value likewise in
+// values — the layout of an open fp32 page. Compressed caches return
+// dequantised or pruned rows here, which is what makes the accuracy effects
+// of compression real rather than modelled. Positions returns the absolute
+// position of each retained entry, aligned with Seq and ascending. The slices
+// Seq and Positions return may alias the cache's storage — the offline
+// caches return theirs in place, PagedKV gathers fresh ones — stay valid
+// until the next AppendFlatN, and must not be written.
 type Cache interface {
 	Shape() Shape
 	AppendFlatN(layer, n int, k, v []float32)
-	Seq(layer, head int) (keys, values [][]float32)
+	Seq(layer, head int) (keys, values []float32)
 	Positions(layer, head int) []int
 	// Len reports the number of retained entries for one head.
 	Len(layer, head int) int
@@ -87,7 +90,7 @@ type Cache interface {
 
 // AttentionObserver is implemented by caches whose eviction policy consumes
 // attention scores (e.g. H2O). After computing attention for a step, the
-// model forwards the weights (aligned with the entries returned by Seq).
+// model forwards the weights (aligned with the entries Seq returns).
 // Observers must not retain the weights slice: it is a reused scratch buffer.
 // A prefill chunk into an observing cache is computed in full: every row's
 // attention runs, and is shown, in every layer, where an unobserved chunk's
@@ -96,16 +99,16 @@ type AttentionObserver interface {
 	ObserveAttention(layer, head int, weights []float32)
 }
 
-// Paged is the one fast path the model's attention takes over a cache that
-// retains every appended token at a regular layout: the cache is a list of
-// pages per layer, each yielding one KV head's key or value rows as the
-// attention block kernels read them (tensor.Rows: fp32 rows in place, or
-// uniform codes the kernel dequantizes). PagedKV implements it over its page
-// table whatever the page codec, and Full is a PagedKV of fp32 pages. Caches
-// whose append carries policy (eviction scoring, offline quantisation) do not
-// implement it and are read through Seq, the scalar reference. A Paged
-// cache's page boundaries, like its bytes, do not depend on how its tokens
-// were split into AppendFlatN calls.
+// Paged is how the model's attention walks a cache that retains every
+// appended token at a regular layout: the cache is a list of pages per layer,
+// each yielding one KV head's key or value rows as the attention block
+// kernels read them (tensor.Rows: fp32 rows in place, or uniform codes the
+// kernel dequantizes). PagedKV implements it over its page table whatever the
+// page codec, and Full is a PagedKV of fp32 pages. Caches whose append
+// carries policy (eviction scoring, offline quantisation) do not implement
+// it: the same walk reads each of their KV heads' Seq as one fp32 page. A
+// Paged cache's page boundaries, like its bytes, do not depend on how its
+// tokens were split into AppendFlatN calls.
 //
 // LayerPages reports how many pages one layer holds right now. Inside a
 // forward pass layer l has appended the step's tokens and layer l+1 has not,

@@ -45,10 +45,10 @@ func TestFullRoundTrip(t *testing.T) {
 	s := testShape()
 	c := NewFull(s)
 	r := rng.New(1)
-	var wantK [][]float32
+	var wantK []float32
 	for i := 0; i < 5; i++ {
 		k, v := randToken(r, s)
-		wantK = append(wantK, append([]float32(nil), k[s.HeadDim:2*s.HeadDim]...))
+		wantK = append(wantK, k[s.HeadDim:2*s.HeadDim]...)
 		c.AppendFlatN(0, 1, k, v)
 		k2, v2 := randToken(r, s)
 		c.AppendFlatN(1, 1, k2, v2)
@@ -57,14 +57,12 @@ func TestFullRoundTrip(t *testing.T) {
 		t.Fatalf("appended = %d", c.TotalAppended())
 	}
 	keys, vals := c.Seq(0, 1)
-	if len(keys) != 5 || len(vals) != 5 {
+	if len(keys) != 5*s.HeadDim || len(vals) != 5*s.HeadDim {
 		t.Fatalf("seq lengths %d, %d", len(keys), len(vals))
 	}
 	for i := range keys {
-		for d := 0; d < s.HeadDim; d++ {
-			if keys[i][d] != wantK[i][d] {
-				t.Fatalf("key mismatch at token %d dim %d", i, d)
-			}
+		if keys[i] != wantK[i] {
+			t.Fatalf("key mismatch at token %d dim %d", i/s.HeadDim, i%s.HeadDim)
 		}
 	}
 	pos := c.Positions(0, 1)
@@ -143,10 +141,8 @@ func TestPagedKVMatchesFull(t *testing.T) {
 			fk, fv := full.Seq(l, h)
 			pk, pv := paged.Seq(l, h)
 			for i := range fk {
-				for d := 0; d < s.HeadDim; d++ {
-					if pk[i][d] != fk[i][d] || pv[i][d] != fv[i][d] {
-						t.Fatalf("paged entry (%d,%d,%d,%d) mismatch", l, h, i, d)
-					}
+				if pk[i] != fk[i] || pv[i] != fv[i] {
+					t.Fatalf("paged entry (%d,%d,%d,%d) mismatch", l, h, i/s.HeadDim, i%s.HeadDim)
 				}
 			}
 			pos := paged.Positions(l, h)
@@ -177,8 +173,8 @@ func TestPagedKVPages(t *testing.T) {
 	}
 	// Page contents must match the sequential view.
 	keys, _ := c.Seq(0, 1)
-	if kp1.F32[1*s.HeadDim] != keys[5][0] { // page 1, token 1 == global token 5
-		t.Fatal("page content does not match Seq view")
+	if kp1.F32[1*s.HeadDim] != keys[5*s.HeadDim] { // page 1, token 1 == global token 5
+		t.Fatal("page content does not match Seq")
 	}
 }
 

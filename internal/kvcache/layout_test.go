@@ -91,7 +91,7 @@ func checkLayoutReads(t *testing.T, c *PagedKV, k, v []float32) {
 			keys, vals := c.Seq(l, h)
 			i := 0
 			for p := 0; p < c.LayerPages(l); p++ {
-				for vi, seq := range [][][]float32{keys, vals} {
+				for vi, seq := range [][]float32{keys, vals} {
 					r, n := c.Rows(l, p, h, vi == 1)
 					if sealed := vi == 0 && n == c.pageTokens; r.Sealed != sealed {
 						t.Fatalf("layer %d head %d page %d vals=%v: sealed %v, want %v", l, h, p, vi == 1, r.Sealed, sealed)
@@ -109,8 +109,8 @@ func checkLayoutReads(t *testing.T, c *PagedKV, k, v []float32) {
 							enc.TokenInto(want, 0, 0)
 						}
 						r.TokenInto(got, 0, tk)
-						if !bitsEqual(got, want) || !bitsEqual(got, seq[i+tk]) {
-							t.Fatalf("layer %d head %d page %d token %d vals=%v: rows read %v, Seq %v, stored value %v", l, h, p, tk, vi == 1, got, seq[i+tk], want)
+						if row := seq[(i+tk)*d : (i+tk+1)*d]; !bitsEqual(got, want) || !bitsEqual(got, row) {
+							t.Fatalf("layer %d head %d page %d token %d vals=%v: rows read %v, Seq %v, stored value %v", l, h, p, tk, vi == 1, got, row, want)
 						}
 					}
 					if vi == 1 {
@@ -118,8 +118,8 @@ func checkLayoutReads(t *testing.T, c *PagedKV, k, v []float32) {
 					}
 				}
 			}
-			if i != len(keys) {
-				t.Fatalf("layer %d head %d: pages hold %d tokens, Seq %d", l, h, i, len(keys))
+			if i*d != len(keys) {
+				t.Fatalf("layer %d head %d: pages hold %d tokens, Seq %d", l, h, i, len(keys)/d)
 			}
 		}
 	}

@@ -147,36 +147,31 @@ func (c *PagedKV) Rows(layer, page, head int, vals bool) (tensor.Rows, int) {
 	return c.rows(p, head, vals), p.n
 }
 
-// Seq returns per-token views spanning the pages — the generic (allocating)
-// read path and the scalar reference of the page walk: fp32 token rows are
-// viewed in place, sealed keys and codes read with the block kernels'
-// arithmetic (tensor.Rows.TokenInto), so the two read paths are
-// bit-identical.
-func (c *PagedKV) Seq(layer, head int) (keys, values [][]float32) {
+// Seq gathers one head's rows across the pages into fresh flat slices — the
+// reference read path, not the serving one: fp32 token rows are copied,
+// sealed keys and codes read with the block kernels' arithmetic
+// (tensor.Rows.TokenInto), so the two read paths are bit-identical.
+func (c *PagedKV) Seq(layer, head int) (keys, values []float32) {
 	d := c.shape.HeadDim
 	n := c.Len(layer, head)
-	keys = make([][]float32, 0, n)
-	values = make([][]float32, 0, n)
-	for i := range c.pages[layer] {
-		p := &c.pages[layer][i]
-		kr, vr := c.rows(p, head, false), c.rows(p, head, true)
-		for t := 0; t < p.n; t++ {
-			keys = append(keys, row(&kr, t, d, nil))
-			values = append(values, row(&vr, t, d, nil))
+	keys, values = make([]float32, n*d), make([]float32, n*d)
+	i := 0
+	for p := range c.pages[layer] {
+		pg := &c.pages[layer][p]
+		kr, vr := c.rows(pg, head, false), c.rows(pg, head, true)
+		for t := 0; t < pg.n; t, i = t+1, i+1 {
+			kr.TokenInto(keys[i*d:(i+1)*d], 0, t)
+			vr.TokenInto(values[i*d:(i+1)*d], 0, t)
 		}
 	}
 	return keys, values
 }
 
 // row returns token t of r's first head as fp32: a view of the page's own
-// token row, or read into buf (a fresh slice when buf is nil) from sealed
-// rows or codes.
+// token row, or read into buf from sealed rows or codes.
 func row(r *tensor.Rows, t, d int, buf []float32) []float32 {
 	if r.F32 != nil && !r.Sealed {
 		return r.F32[t*d : t*d+d]
-	}
-	if buf == nil {
-		buf = make([]float32, d)
 	}
 	r.TokenInto(buf, 0, t)
 	return buf

@@ -81,10 +81,8 @@ func TestPagedKVClonePrefixIsolation(t *testing.T) {
 			pk, pv := parent.Seq(l, h)
 			ck, cv := clone.Seq(l, h)
 			for i := range pk {
-				for d := range pk[i] {
-					if pk[i][d] != ck[i][d] || pv[i][d] != cv[i][d] {
-						t.Fatalf("clone diverges at layer %d head %d token %d", l, h, i)
-					}
+				if pk[i] != ck[i] || pv[i] != cv[i] {
+					t.Fatalf("clone diverges at layer %d head %d token %d", l, h, i/sh.HeadDim)
 				}
 			}
 		}
@@ -97,14 +95,12 @@ func TestPagedKVClonePrefixIsolation(t *testing.T) {
 	appendTokens(t, clone, 3, 2000)
 	pk, _ := parent.Seq(0, 0)
 	ck, _ := clone.Seq(0, 0)
-	if pk[6][0] == ck[6][0] {
+	if pk[6*sh.HeadDim] == ck[6*sh.HeadDim] {
 		t.Fatal("parent and clone share post-divergence storage")
 	}
-	for i := 0; i < 6; i++ {
-		for d := range pk[i] {
-			if pk[i][d] != ck[i][d] {
-				t.Fatalf("shared prefix corrupted at token %d", i)
-			}
+	for i := 0; i < 6*sh.HeadDim; i++ {
+		if pk[i] != ck[i] {
+			t.Fatalf("shared prefix corrupted at token %d", i/sh.HeadDim)
 		}
 	}
 }

@@ -125,7 +125,7 @@ func TestQuantClonePrefixSharesFullPages(t *testing.T) {
 	}
 }
 
-// Seq must return dequantized views whose error is bounded by half a code
+// Seq must return dequantized rows whose error is bounded by half a code
 // step, and the quantized cache must report Len consistently.
 func TestQuantSeqDequantizedWithinStep(t *testing.T) {
 	for _, bits := range []int{8, 4} {
@@ -135,10 +135,11 @@ func TestQuantSeqDequantizedWithinStep(t *testing.T) {
 		d := qShape().HeadDim
 		for head := 0; head < qShape().KVHeads; head++ {
 			keys, vals := c.Seq(0, head)
-			if len(keys) != 10 || len(vals) != 10 || c.Len(0, head) != 10 {
-				t.Fatalf("bits=%d: Seq returned %d/%d entries, Len %d, want 10", bits, len(keys), len(vals), c.Len(0, head))
+			if len(keys) != 10*d || len(vals) != 10*d || c.Len(0, head) != 10 {
+				t.Fatalf("bits=%d: Seq returned %d/%d floats, Len %d, want 10 tokens", bits, len(keys), len(vals), c.Len(0, head))
 			}
-			for i := range keys {
+			for i := 0; i < 10; i++ {
+				row := keys[i*d : (i+1)*d]
 				orig := k[i*stride+head*d : i*stride+(head+1)*d]
 				lo, hi := orig[0], orig[0]
 				for _, x := range orig {
@@ -147,8 +148,8 @@ func TestQuantSeqDequantizedWithinStep(t *testing.T) {
 				}
 				step := float64(hi-lo) / float64(int(1)<<bits-1)
 				tol := step*0.5 + float64(hi-lo)*1.0/1024 + 1e-6 // half a code + fp16 param rounding
-				for j := range keys[i] {
-					if err := math.Abs(float64(keys[i][j] - orig[j])); err > tol {
+				for j := range row {
+					if err := math.Abs(float64(row[j] - orig[j])); err > tol {
 						t.Fatalf("bits=%d token %d elem %d: dequant error %g exceeds %g", bits, i, j, err, tol)
 					}
 				}

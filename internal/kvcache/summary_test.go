@@ -84,17 +84,17 @@ func TestKeySummariesBoundStoredKeys(t *testing.T) {
 					keys, _ := c.Seq(l, h)
 					for p := range summs {
 						lo, hi := p*pageTokens, (p+1)*pageTokens
-						if hi > len(keys) {
-							hi = len(keys)
+						if hi > len(keys)/d {
+							hi = len(keys) / d
 						}
 						for ch := 0; ch < d; ch++ {
-							mn, mx := keys[lo][ch], keys[lo][ch]
+							mn, mx := keys[lo*d+ch], keys[lo*d+ch]
 							for i := lo + 1; i < hi; i++ {
-								if keys[i][ch] < mn {
-									mn = keys[i][ch]
+								if keys[i*d+ch] < mn {
+									mn = keys[i*d+ch]
 								}
-								if keys[i][ch] > mx {
-									mx = keys[i][ch]
+								if keys[i*d+ch] > mx {
+									mx = keys[i*d+ch]
 								}
 							}
 							off := h*d + ch

@@ -5,30 +5,58 @@ import (
 	"rethinkkv/internal/tensor"
 )
 
-// This file is the model's one attention page walk. Every cache with a
-// regular layout is read through kvcache.Paged — PagedKV's pages whatever
-// their codec, Full's fp32 pages among them — and one routine (attendBlock)
-// runs the materialised two-pass softmax over it for a *block of queries*
-// (tensor.AttnBlock: a decode lane's queries across its KV heads, a prefill
-// chunk's rows × group of one KV head, or one query under Quest): per page
-// visit score the walked tokens for the whole block, then scale and softmax
-// every query's row at once and show each to an attention observer, then per
-// page visit accumulate the values for the whole block. Each K and V page is
-// streamed — and a quantized one dequantized — once per (pass, KV head), not
-// once per query head. The
-// walk covers either every page up to the block's largest token bound
-// (decode, and chunk prefill's mid-page causal bounds) or an ascending
-// selected page list (Quest topK, see sparse.go). The two-pass form is what
-// H2O/SnapKV-style observers need (the full score vector) and what every
-// bit-identity test pins: per query and per token the block kernels keep the
-// arithmetic and reduction order of tensor.Dot and tensor.AXPY over per-token
-// views — the generic Seq arm, attendSeq — whatever the codec and block size.
+// This file is the model's one attention page walk. Every cache is read
+// through kvcache.Paged — PagedKV's pages whatever their codec, Full's fp32
+// pages among them, and any other cache (eviction, offline quantisation) as
+// one fp32 page per KV head, its Seq (seqPage) — and one routine
+// (attendBlock) runs the materialised two-pass softmax over it for a *block
+// of queries* (tensor.AttnBlock: a decode lane's queries across its KV heads,
+// a prefill chunk's rows × group of one KV head, or one query under Quest):
+// per page visit score the walked tokens for the whole block, then scale and
+// softmax every query's row at once and show each to an attention observer,
+// then per page visit accumulate the values for the whole block. Each K and V
+// page is streamed — and a quantized one dequantized — once per (pass, KV
+// head), not once per query head. The walk covers either every page up to
+// the block's largest token bound (decode, and chunk prefill's mid-page
+// causal bounds) or an ascending selected page list (Quest topK, see
+// sparse.go). The two-pass form is what H2O/SnapKV-style observers need (the
+// full score vector) and what every bit-identity test pins: per query and per
+// token the block kernels keep the arithmetic and reduction order of
+// tensor.Dot, tensor.Softmax and tensor.AXPY over per-token rows — the
+// scalar oracle the model's tests hold the walk to — whatever the cache,
+// codec and block size.
 
 // pageView is one (layer, kv-head) slice of a paged cache: the walk asks the
 // cache for each page's rows of that head, the first of the block's heads.
 type pageView struct {
 	paged       kvcache.Paged
 	layer, head int
+}
+
+// seqPage shows one KV head of a cache that is not Paged to the walk as a
+// cache of one page: the head's Seq, token rows HeadDim apart — an open fp32
+// page's layout. Len may differ by head, so a block over it holds one KV
+// head's queries. The workspace keeps one, shown a head per block.
+type seqPage struct {
+	kvcache.Cache
+	rows [2]tensor.Rows // keys, values
+	n    int
+}
+
+// show sets the page to KV head kh of layer l of c.
+func (s *seqPage) show(c kvcache.Cache, l, kh int) {
+	keys, vals := c.Seq(l, kh)
+	s.Cache, s.n = c, c.Len(l, kh)
+	s.rows = [2]tensor.Rows{{F32: keys, HeadStride: len(keys)}, {F32: vals, HeadStride: len(vals)}}
+}
+
+func (s *seqPage) LayerPages(int) int            { return 1 }
+func (s *seqPage) KeySummary(int, int) []float32 { return nil }
+func (s *seqPage) Rows(_, _, _ int, vals bool) (tensor.Rows, int) {
+	if vals {
+		return s.rows[1], s.n
+	}
+	return s.rows[0], s.n
 }
 
 // walk runs one pass of the block — the score pass, or the value pass when

@@ -8,14 +8,15 @@ import (
 	"rethinkkv/internal/tensor"
 )
 
-// seqOnly hides a cache's fast path (kvcache.Paged: the flat append and the
-// page rows), so the model takes the generic Seq arm —
-// tensor.Dot and tensor.AXPY over per-token views, the scalar reference —
-// over the same storage and the same appended bytes.
+// seqOnly hides a cache's pages (kvcache.Paged), so the walk reads each KV
+// head's Seq — the same storage and appended bytes, gathered into one fp32
+// page, one KV head a block — which TestAttendOverMatchesOracle holds to the
+// scalar oracle.
 type seqOnly struct{ kvcache.Cache }
 
-// TestBlockWalkMatchesSeqArm pins the block walk to the Seq arm bit for bit
-// on the shapes the benchmark's model never runs: GQA groups of 1, 2, 4, 8
+// TestBlockWalkMatchesSeqArm pins the walk over a cache's pages to the walk
+// over its Seq, one page per KV head, bit for bit, on the shapes the
+// benchmark's model never runs: GQA groups of 1, 2, 4, 8
 // (wider than one tile's four lanes) and 20 (wider than one block, which then
 // splits mid-group), a head dimension that makes the value panel ragged, pages smaller than, equal to and larger than a 16-token
 // sub-tile, every page codec and Full. Each cell decodes 21

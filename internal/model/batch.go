@@ -24,8 +24,8 @@ import "rethinkkv/internal/tensor"
 // BatchWorkspace owns the scratch state of the forward pass: the row store
 // and its gather views, the page walk's block scratch — one tensor.AttnBlock
 // (≈ 295 KiB for small-llama), not one per row, which would scale resident
-// memory with the batch — and the attention's score, Quest and tally
-// scratch, one set for every row. It belongs to one step loop
+// memory with the batch — and the attention's Quest and tally scratch, one
+// set for every row. It belongs to one step loop
 // (core.WorkspacePool holds the scheduler's; an offline session owns one at
 // one lane) and is used by one goroutine at a time; the store grows only
 // when a pass brings more rows than any before it and is reused across
@@ -37,6 +37,7 @@ type BatchWorkspace struct {
 	rowViews
 	paths   []cachePath // each decode lane's cache, for the current pass
 	blk     *tensor.AttnBlock
+	seq     seqPage // the KV head of a cache that is not Paged being walked
 	results []StepResult
 	// chunkPaths holds each packed chunk's resolved fast-path set for the
 	// current step, and chunkResults the per-chunk StepResult slots the
@@ -49,8 +50,6 @@ type BatchWorkspace struct {
 	// arrays are reused across steps.
 	live rowViews
 
-	// scores is the Seq arm's score row, grown to the sequence length.
-	scores []float32
 	// pageScores and pageSel are Quest's per-page criticality scores
 	// (consumed destructively by selection) and selected page indices,
 	// grown geometrically so steady-state sparse decode allocates nothing.

@@ -10,8 +10,9 @@ import (
 
 // This file is the model itself — its weights, built once by New, and the
 // cache paths a pass resolves — and the dispatch of a set of query rows'
-// attention (attendOver): through the one page walk (attend.go) or the
-// generic Seq arm (attendSeq), over the BatchWorkspace's scratch.
+// attention (attendOver) into blocks for the one page walk (attend.go), over
+// the BatchWorkspace's scratch. Every cache is read through that walk: a
+// Paged cache page by page, any other as one page per KV head, its Seq.
 
 // layerWeights holds one transformer block's parameters. Each projection
 // weight is resident once, in tensor.Packed panel layout — the only layout
@@ -132,8 +133,8 @@ type StepResult struct {
 
 // cachePath caches the interface assertions the decode hot paths probe on
 // a cache, resolved once per step (once per lane or chunk of a fused step)
-// instead of per layer: paged is the page-walk fast path (nil sends every
-// read through cache's Seq).
+// instead of per layer: paged is the cache's pages (nil: the walk reads each
+// KV head's Seq as one page).
 type cachePath struct {
 	cache    kvcache.Cache
 	paged    kvcache.Paged
@@ -154,42 +155,40 @@ func pathOf(c kvcache.Cache) cachePath {
 // attendable set. Chunked prefill passes consecutive rows of one chunk and
 // the first row's causal bound instead: the cache already holds the whole
 // chunk's K/V, and row r may only see entries 0..limit+r-1, which addresses
-// by position and therefore requires a cache that retains every token (Full,
-// PagedKV). Every cache has taken the step's K/V through its one AppendFlatN
-// before this runs (attend per lane, attendChunk per chunk), which stores
-// what one-token appends would, and a query's arithmetic does not depend on
-// what shares its block, so bounded attention here equals full attention
-// then.
+// by position and therefore requires a cache that retains every token
+// (attendChunk refuses any other). Every cache has taken the step's K/V
+// through its one AppendFlatN before this runs (attend per lane, attendChunk
+// per chunk), which stores what one-token appends would, and a query's
+// arithmetic does not depend on what shares its block, so bounded attention
+// here equals full attention then.
 //
-// Caches with a regular layout (kvcache.Paged: PagedKV's pages in any codec,
-// Full's fp32 pages) all take the one page walk in attend.go, in blocks of
-// up to tensor.AttnBlockMax queries: a decode lane's query heads in ascending
-// order across as many KV heads as fit (an even GQA group: a head's queries
-// start on an even slot of the block), so one page visit serves every head;
-// a chunk's rows × group per KV head in (row, head) order, ascending bounds;
-// under Quest one query per block. Observers see the ascending head order.
-// Caches with irregular retained sets (eviction, offline quantisation) take
-// attendSeq.
+// Every cache takes the one page walk in attend.go, in blocks of up to
+// tensor.AttnBlockMax queries: a decode lane's query heads in ascending order
+// across as many KV heads as fit (an even GQA group: a head's queries start
+// on an even slot of the block), so one page visit serves every head; a
+// chunk's rows × group per KV head in (row, head) order, ascending bounds;
+// under Quest one query per block. A cache that is not kvcache.Paged
+// (eviction, offline quantisation) is walked as one page per KV head, the
+// head's Seq (seqPage), one KV head per block. Observers see each KV head's
+// queries in ascending (row, head) order.
 func (bw *BatchWorkspace) attendOver(qs, outs [][]float32, cp *cachePath, l, limit int) {
 	cfg, blk := bw.m.cfg, bw.blk
 	hd, group := cfg.HeadDim, cfg.GroupSize()
 	for _, out := range outs {
 		clear(out)
 	}
-	if cp.paged == nil {
-		for r := range qs {
-			bw.attendSeq(qs[r], outs[r], cp, l, limit, r)
-		}
-		return
-	}
 	quest := limit < 0 && bw.questEngages(cp, l)
 	span := 1 // KV heads per block
-	if limit < 0 && !quest && group%2 == 0 {
+	if limit < 0 && !quest && group%2 == 0 && cp.paged != nil {
 		span = max(1, tensor.AttnBlockMax/group)
 	}
 	for kh0 := 0; kh0 < cfg.KVHeads; kh0 += span {
 		kh1 := min(kh0+span, cfg.KVHeads)
 		v := pageView{cp.paged, l, kh0}
+		if cp.paged == nil {
+			bw.seq.show(cp.cache, l, kh0)
+			v.paged = &bw.seq
+		}
 		blk.Reset()
 		for kh := kh0; kh < kh1; kh++ {
 			first := limit // the first row's bound; row r's is first+r
@@ -215,43 +214,4 @@ func (bw *BatchWorkspace) attendOver(qs, outs [][]float32, cp *cachePath, l, lim
 			}
 		}
 	}
-}
-
-// attendSeq is the generic attention arm, and the scalar reference the page
-// walk is pinned against: per query head of the row's query q, tensor.Dot and
-// tensor.AXPY over cache.Seq's per-token views, cut to the first limit+r
-// (limit < 0: all), accumulated into out.
-func (bw *BatchWorkspace) attendSeq(q, out []float32, cp *cachePath, l, limit, r int) {
-	m := bw.m
-	hd, group := m.cfg.HeadDim, m.cfg.GroupSize()
-	for qh := 0; qh < m.cfg.Heads; qh++ {
-		q, out := q[qh*hd:(qh+1)*hd], out[qh*hd:(qh+1)*hd]
-		kh := qh / group
-		n := limit + r
-		if limit < 0 {
-			n = cp.cache.Len(l, kh)
-		}
-		scores := bw.scoresFor(n)
-		keys, vals := cp.cache.Seq(l, kh)
-		keys, vals = keys[:n], vals[:n]
-		for i, kv := range keys {
-			scores[i] = tensor.Dot(q, kv) * m.invSqrtHD
-		}
-		tensor.Softmax(scores)
-		if cp.observer != nil {
-			cp.observer.ObserveAttention(l, kh, scores)
-		}
-		for i, w := range scores {
-			tensor.AXPY(out, w, vals[i])
-		}
-	}
-}
-
-// scoresFor returns a score buffer of length n, growing the workspace's
-// backing array geometrically only when the sequence outgrows it.
-func (bw *BatchWorkspace) scoresFor(n int) []float32 {
-	if cap(bw.scores) < n {
-		bw.scores = make([]float32, 0, max(2*cap(bw.scores), n))
-	}
-	return bw.scores[:n]
 }

@@ -151,9 +151,9 @@ func TestForwardPanicsOnCacheShapeMismatch(t *testing.T) {
 }
 
 // legacyFull replicates the pre-flat per-token cache layout ([layer][token]
-// slice-of-slices, not kvcache.Paged) so the equivalence tests can prove the
-// flat layout changes memory organisation without changing a single output
-// bit.
+// slice-of-slices, not kvcache.Paged: the walk reads its gathered Seq) so the
+// equivalence tests can prove the page layout changes memory organisation
+// without changing a single output bit.
 type legacyFull struct {
 	shape    kvcache.Shape
 	keys     [][][]float32 // [layer][token][KVHeads*HeadDim]
@@ -182,15 +182,22 @@ func (c *legacyFull) AppendFlatN(layer, n int, k, v []float32) {
 	}
 }
 
-func (c *legacyFull) Seq(layer, head int) (keys, values [][]float32) {
+func (c *legacyFull) Seq(layer, head int) (keys, values []float32) {
 	d := c.shape.HeadDim
 	off := head * d
-	n := len(c.keys[layer])
-	keys = make([][]float32, n)
-	values = make([][]float32, n)
-	for i := 0; i < n; i++ {
-		keys[i] = c.keys[layer][i][off : off+d]
-		values[i] = c.values[layer][i][off : off+d]
+	for i := range c.keys[layer] {
+		keys = append(keys, c.keys[layer][i][off:off+d]...)
+		values = append(values, c.values[layer][i][off:off+d]...)
+	}
+	return keys, values
+}
+
+// seqRows returns one head's Seq split into per-token row views.
+func seqRows(c kvcache.Cache, layer, head int) (keys, values [][]float32) {
+	k, v := c.Seq(layer, head)
+	d := c.Shape().HeadDim
+	for i := 0; i < len(k); i += d {
+		keys, values = append(keys, k[i:i+d]), append(values, v[i:i+d])
 	}
 	return keys, values
 }
@@ -215,8 +222,8 @@ func (c *legacyFull) MemoryBytes() int64 {
 
 // TestFlatLayoutBitIdentical proves Full (sealing 16-token pages) and a
 // 4-token paged cache (both through kvcache.Paged) produce bit-identical logits,
-// hiddens, and greedy token streams to the legacy per-token layout (generic
-// Seq path) across a full generation.
+// hiddens, and greedy token streams to the legacy per-token layout (read as
+// one Seq page per KV head) across a full generation.
 func TestFlatLayoutBitIdentical(t *testing.T) {
 	for _, cfg := range []Config{Tiny(), TinyMHA()} {
 		m := New(cfg, 23)

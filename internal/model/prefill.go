@@ -1,6 +1,7 @@
 package model
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 
@@ -40,11 +41,20 @@ import (
 // on the lane count and a row's attention does not depend on what shares its
 // block, every row still computed gets the same bits.
 
+// ErrChunkNotPositional is wrapped by the panic of a prefill chunk whose
+// cache, once it took the chunk, does not hold every position up to the
+// chunk's end in some KV head — an eviction cache past its budget: chunk
+// attention bounds each row by absolute position, which only a cache that
+// retains every token can answer.
+var ErrChunkNotPositional = errors.New("model: prefill chunk into a cache that dropped positions")
+
 // Chunk describes one contiguous span of prompt positions advanced through
 // the fused plane in a single pass. The cache must already hold exactly Pos
 // tokens (0 for a cold start; a ClonePrefix prefix or earlier chunks
-// otherwise) and must retain every position (Full, PagedKV): chunk
-// attention addresses the causal prefix by absolute position.
+// otherwise) and must retain every position through the chunk (Full,
+// PagedKV, an eviction cache within its budget): chunk attention addresses
+// the causal prefix by absolute position, and a chunk into a cache that
+// drops one panics with ErrChunkNotPositional.
 type Chunk struct {
 	// Tokens is the span's token ids, non-empty.
 	Tokens []int
@@ -262,14 +272,15 @@ func (m *Model) ForwardMixedInto(bw *BatchWorkspace, tokens, positions []int, ca
 		}
 		bw.chunkPaths[j] = cachePath{}
 	}
+	bw.seq = seqPage{} // nor the Seq rows walked last
 	return bw.results[:B], bw.chunkResults[:K]
 }
 
 // PrefillChunkInto prefills prompt into cache through the fused plane,
 // chunkSize positions per pass (chunkSize <= 0, or larger than the prompt,
 // means a single pass). The cache may already hold tokens — a ClonePrefix
-// prefix, or earlier chunks — and must retain every position (Full,
-// PagedKV); the prompt lands after them. Cache contents and the returned
+// prefix, or earlier chunks — and must retain every position (see Chunk);
+// the prompt lands after them. Cache contents and the returned
 // last-position result are bit-identical to feeding the same tokens one at a
 // time through a decode lane, for every chunk size; the result aliases bw like
 // ForwardMixedInto's.
@@ -355,11 +366,19 @@ func (m *Model) rope(x []float32, heads int, sin, cos []float32) {
 // rows are one span of the K and V matrices — then accumulate the causally
 // bounded attention of rows [lo+from, lo+C): position Pos+i attends over the
 // first Pos+i+1 entries of this chunk's own cache, exactly the set a
-// token-at-a-time prefill would have seen. The rows share each KV head's page
-// walk (attendOver), and a row's attention does not depend on which others
-// share it, so rows before from — whose output nobody reads — are skipped.
+// token-at-a-time prefill would have seen. A kvcache.Paged cache retains
+// every token by contract; any other is checked, and attendChunk panics with
+// ErrChunkNotPositional unless every KV head then holds exactly Pos+C
+// entries. The rows share each KV head's page walk (attendOver), and a row's
+// attention does not depend on which others share it, so rows before from —
+// whose output nobody reads — are skipped.
 func (bw *BatchWorkspace) attendChunk(cp *cachePath, l, lo, from, C, pos int) {
 	cp.cache.AppendFlatN(l, C, flatRows(bw.ks, lo, lo+C), flatRows(bw.vs, lo, lo+C))
+	for kh := 0; cp.paged == nil && kh < bw.m.cfg.KVHeads; kh++ {
+		if n := cp.cache.Len(l, kh); n != pos+C {
+			panic(fmt.Errorf("%w: layer %d KV head %d holds %d entries through position %d", ErrChunkNotPositional, l, kh, n, pos+C))
+		}
+	}
 	if from < C {
 		bw.attendOver(bw.qs[lo+from:lo+C], bw.attnOuts[lo+from:lo+C], cp, l, pos+from+1)
 	}

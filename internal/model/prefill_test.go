@@ -1,11 +1,13 @@
 package model
 
 import (
+	"errors"
 	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
 
+	"rethinkkv/internal/compress"
 	"rethinkkv/internal/kvcache"
 	"rethinkkv/internal/tensor"
 )
@@ -38,8 +40,8 @@ func equalCaches(t *testing.T, label string, got, want kvcache.Cache) {
 	shape := want.Shape()
 	for l := 0; l < shape.Layers; l++ {
 		for h := 0; h < shape.KVHeads; h++ {
-			gk, gv := got.Seq(l, h)
-			wk, wv := want.Seq(l, h)
+			gk, gv := seqRows(got, l, h)
+			wk, wv := seqRows(want, l, h)
 			if len(gk) != len(wk) {
 				t.Fatalf("%s: (%d,%d) len %d != %d", label, l, h, len(gk), len(wk))
 			}
@@ -497,4 +499,39 @@ func TestForwardMixedIntoYieldsInsideThePass(t *testing.T) {
 	if want := int64(3 * m.Config().Layers); got != want && got != want-1 {
 		t.Fatalf("a goroutine sharing the P took %d turns during one pass, want %d (three a layer) or one fewer", got, want)
 	}
+}
+
+// TestChunkRefusedPastEviction pins that a chunk into a cache that drops
+// positions is refused rather than attended with the wrong causal bounds:
+// h2o-512's tiny-scale cache keeps 128 entries per head, so a 129-token chunk
+// from position 0 is refused, and so is a 1-token chunk at position 128 after
+// a 128-token one. Both panic with an error wrapping ErrChunkNotPositional.
+func TestChunkRefusedPastEviction(t *testing.T) {
+	m := New(Small(), 3)
+	bw := m.NewBatchWorkspace(0)
+	prompt := func(n int) []int {
+		p := make([]int, n)
+		for i := range p {
+			p[i] = (i*7 + 1) % m.Config().Vocab
+		}
+		return p
+	}
+	refused := func(what string, run func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			err, _ := recover().(error)
+			if !errors.Is(err, ErrChunkNotPositional) {
+				t.Fatalf("%s: recovered %v, want an error wrapping ErrChunkNotPositional", what, err)
+			}
+		}()
+		run()
+	}
+	h2o := compress.MustGet("h2o-512")
+	refused("129-token chunk from 0", func() {
+		m.PrefillChunkInto(bw, prompt(129), 0, h2o.NewCache(m.CacheShape()))
+	})
+	cache := h2o.NewCache(m.CacheShape())
+	m.PrefillChunkInto(bw, prompt(128), 0, cache)
+	refused("1-token chunk at 128", func() { m.PrefillChunkInto(bw, prompt(1), 0, cache) })
 }

@@ -7,11 +7,11 @@ import (
 	"rethinkkv/internal/tensor"
 )
 
-// seqOnlyQuant hides a quantized paged cache's fast path (kvcache.Paged) so
-// the model is forced onto the generic Seq path — which materialises dequantized per-token views.
+// seqOnlyQuant hides a quantized paged cache's pages (kvcache.Paged), so the
+// walk reads each KV head's Seq: its rows dequantized into one fp32 page.
 // Appends still quantize identically, so comparing a run through this wrapper
 // against the bare cache proves the dequantize-on-read page walk is
-// bit-identical to the scratch-buffer formulation across a full generation.
+// bit-identical to walking the dequantized rows across a full generation.
 type seqOnlyQuant struct {
 	inner *kvcache.PagedKV
 }
@@ -20,7 +20,7 @@ func (c *seqOnlyQuant) Shape() kvcache.Shape { return c.inner.Shape() }
 func (c *seqOnlyQuant) AppendFlatN(layer, n int, k, v []float32) {
 	c.inner.AppendFlatN(layer, n, k, v)
 }
-func (c *seqOnlyQuant) Seq(layer, head int) ([][]float32, [][]float32) {
+func (c *seqOnlyQuant) Seq(layer, head int) ([]float32, []float32) {
 	return c.inner.Seq(layer, head)
 }
 func (c *seqOnlyQuant) Positions(layer, head int) []int { return c.inner.Positions(layer, head) }
@@ -30,8 +30,8 @@ func (c *seqOnlyQuant) MemoryBytes() int64              { return c.inner.MemoryB
 
 // TestQuantDecodeBitIdentical proves the quantized fast path (code rows
 // dequantized a sub-tile at a time into the block walk's two GEMMs) produces
-// bit-identical logits, hiddens, and greedy token streams to the generic Seq
-// path over the same quantized storage, for both code widths and both
+// bit-identical logits, hiddens, and greedy token streams to the walk over
+// Seq's dequantized rows of the same quantized storage, for both code widths and both
 // attention layouts.
 func TestQuantDecodeBitIdentical(t *testing.T) {
 	for _, cfg := range []Config{Tiny(), TinyMHA()} {
@@ -68,8 +68,8 @@ func TestQuantDecodeBitIdentical(t *testing.T) {
 // token. This is the property that makes preemption→recompute deterministic
 // under quantization regardless of the recompute's chunking. Every chunk
 // size also runs through seqOnlyQuant, so the page walk's mid-page causal
-// bound (4-token pages, chunks of 3 and 7) is compared with the generic Seq
-// arm's keys[:n] for each page codec; bits 0 is the fp32-page row.
+// bound (4-token pages, chunks of 3 and 7) is compared with the same bound
+// on Seq's one page for each page codec; bits 0 is the fp32-page row.
 func TestQuantPrefillChunkBitIdentical(t *testing.T) {
 	const promptLen = 23
 	m := New(Tiny(), 11)
@@ -104,7 +104,7 @@ func TestQuantPrefillChunkBitIdentical(t *testing.T) {
 			got := m.PrefillChunkInto(bw, prompt, chunkSize, cache)
 			equalStep(t, "quant chunk result", got, want)
 			generic := m.PrefillChunkInto(bw, prompt, chunkSize, &seqOnlyQuant{inner: mk()})
-			equalStep(t, "quant chunk result on the Seq arm", generic, want)
+			equalStep(t, "quant chunk result over Seq", generic, want)
 			pos := promptLen
 			next := tensor.Argmax(got.Logits)
 			for s, wantTok := range wantDecode {

@@ -130,7 +130,7 @@ func TestCriticalityStridedMatchesOffline(t *testing.T) {
 		q[i] = float32(r.NormFloat64())
 	}
 	for head := 0; head < shape.KVHeads; head++ {
-		keys, _ := c.Seq(0, head)
+		keys, _ := seqRows(c, 0, head)
 		for p := range summs {
 			lo, hi := p*16, (p+1)*16
 			if hi > len(keys) {
@@ -154,7 +154,7 @@ func TestCriticalityUpperBounds(t *testing.T) {
 		shape := c.Shape()
 		q := randQuery(9, shape.HeadDim)
 		for head := 0; head < shape.KVHeads; head++ {
-			keys, _ := c.Seq(0, head)
+			keys, _ := seqRows(c, 0, head)
 			for i, k := range keys {
 				bound := criticalityStrided(q, c.KeySummary(0, i/16), head*shape.HeadDim, shape.KVHeads*shape.HeadDim)
 				var dot float64
@@ -183,10 +183,10 @@ func liveSelect(c *kvcache.PagedKV, q []float32, head, topK int) []int32 {
 	return sel[:selectTopPages(sel, scores, topK)]
 }
 
-// pageKeysOf splits a head's per-token Seq key views (dequantized, for
-// quantized pages) into a slice of pages.
+// pageKeysOf splits a head's Seq key rows (dequantized, for quantized pages)
+// into a slice of pages.
 func pageKeysOf(c *kvcache.PagedKV, head, pageTokens int) (pk [][][]float32) {
-	keys, _ := c.Seq(0, head)
+	keys, _ := seqRows(c, 0, head)
 	for i := 0; i < len(keys); i += pageTokens {
 		pk = append(pk, keys[i:min(i+pageTokens, len(keys))])
 	}

@@ -78,7 +78,7 @@ func (bw *BatchWorkspace) TakeRecall() (mass float64, count int64) {
 // every query head is tallied as selecting all of them.
 func (bw *BatchWorkspace) questEngages(cp *cachePath, l int) bool {
 	m := bw.m
-	if m.sparseTopK <= 0 || cp.observer != nil || cp.paged.KeySummary(l, 0) == nil {
+	if m.sparseTopK <= 0 || cp.observer != nil || cp.paged == nil || cp.paged.KeySummary(l, 0) == nil {
 		return false
 	}
 	np := cp.paged.LayerPages(l)

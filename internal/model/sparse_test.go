@@ -56,13 +56,14 @@ func TestSparseDecodeFullKBitIdentical(t *testing.T) {
 }
 
 // restrictedSeq exposes a prebuilt token subset through the generic Cache
-// surface only (no fast-path interfaces), with appends swallowed: the step
-// being replayed already contributed its token to the restriction.
+// surface only (no kvcache.Paged: the walk reads its Seq as one page), with
+// appends swallowed: the step being replayed already contributed its token
+// to the restriction.
 type restrictedSeq struct{ inner *kvcache.Full }
 
 func (c *restrictedSeq) Shape() kvcache.Shape                     { return c.inner.Shape() }
 func (c *restrictedSeq) AppendFlatN(layer, n int, k, v []float32) {}
-func (c *restrictedSeq) Seq(l, h int) ([][]float32, [][]float32)  { return c.inner.Seq(l, h) }
+func (c *restrictedSeq) Seq(l, h int) ([]float32, []float32)      { return c.inner.Seq(l, h) }
 func (c *restrictedSeq) Positions(l, h int) []int                 { return c.inner.Positions(l, h) }
 func (c *restrictedSeq) Len(l, h int) int                         { return c.inner.Len(l, h) }
 func (c *restrictedSeq) TotalAppended() int                       { return c.inner.TotalAppended() }
@@ -77,7 +78,8 @@ func (c *restrictedSeq) MemoryBytes() int64                       { return c.inn
 // itself, not just the selection policy. A 1-layer, 1-head shape keeps the
 // step to a single selection so one restricted cache describes it fully.
 // The topK = 0 rows are the selector-off case of the same walk: every page
-// (the last one part-filled) against the generic Seq arm over all of them.
+// (the last one part-filled) against the walk over all of them as one Seq
+// page.
 func TestSparseDecodeRestrictionIdentity(t *testing.T) {
 	cfg := Config{Name: "sparse-1l", Layers: 1, Heads: 1, KVHeads: 1, HeadDim: 16,
 		FFNDim: 64, Vocab: 128, MaxSeq: 4096}
@@ -113,7 +115,7 @@ func TestSparseDecodeRestrictionIdentity(t *testing.T) {
 				// Rebuild the selected token set from the cache's own stored
 				// values — including the token the step itself appended, which
 				// lives in the (always selected) tail page.
-				keys, vals := cache.Seq(0, 0)
+				keys, vals := seqRows(cache, 0, 0)
 				restricted := kvcache.NewFull(m.CacheShape())
 				for _, p := range sel {
 					lo, hi := int(p)*pageTokens, (int(p)+1)*pageTokens

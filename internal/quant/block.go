@@ -4,26 +4,31 @@ import "rethinkkv/internal/kvcache"
 
 // BlockCache implements kvcache.Cache for the block quantisers the paper
 // evaluates, KIVI (NewKIVI) and GEAR (NewGEAR). Each (layer, head) stream
-// keeps its rows in storage order: sealed blocks, then a full-precision
-// window. When the window holds residual+group rows its oldest group seals:
-// the method's encoder compresses the block and writes the decoded rows over
-// it, so a sealed block decodes once and Seq returns the rows the cache
-// keeps. The codes themselves are not kept, only their storage cost, which is
-// what MemoryBytes charges.
+// keeps its rows in storage order, flat as Seq returns them: sealed blocks,
+// then a full-precision window. When the window holds residual+group rows
+// its oldest group seals: the method's codec compresses the block and the
+// decoded rows are written over it, so a sealed block decodes once and Seq
+// returns the rows the cache keeps. The codes themselves are not kept, only
+// their storage cost, which is what MemoryBytes charges.
 type BlockCache struct {
 	shape           kvcache.Shape
 	residual, group int
-	// sealK and sealV compress a block of key or value rows, replace the
-	// rows with their decoded values and return the codes' storage in bits.
-	sealK, sealV func(rows [][]float32) int64
-	streams      [][]blockStream // [layer][head]
-	appended     int
+	codecK, codecV  codec           // the method's key and value codecs
+	streams         [][]blockStream // [layer][head]
+	// view is the sealing block's row views into a stream, reused.
+	view     [][]float32
+	appended int
 }
 
-// blockStream is one (layer, head)'s rows: the first sealed are decoded
-// blocks, whose codes cost bits, and the rest the full-precision window.
+// codec compresses a block of rows and returns their decoded values and the
+// codes' storage in bits.
+type codec func(rows [][]float32) (decoded [][]float32, bits int64)
+
+// blockStream is one (layer, head)'s rows, HeadDim floats each: the first
+// sealed are decoded blocks, whose codes cost bits, and the rest the
+// full-precision window.
 type blockStream struct {
-	keys, values [][]float32
+	keys, values []float32
 	sealed       int
 	bits         int64
 }
@@ -37,8 +42,8 @@ func mustValidate(errs ...error) {
 	}
 }
 
-func newBlockCache(shape kvcache.Shape, residual, group int, sealK, sealV func([][]float32) int64) *BlockCache {
-	c := &BlockCache{shape: shape, residual: residual, group: group, sealK: sealK, sealV: sealV}
+func newBlockCache(shape kvcache.Shape, residual, group int, codecK, codecV codec) *BlockCache {
+	c := &BlockCache{shape: shape, residual: residual, group: group, codecK: codecK, codecV: codecV, view: make([][]float32, group)}
 	c.streams = make([][]blockStream, shape.Layers)
 	for l := range c.streams {
 		c.streams[l] = make([]blockStream, shape.KVHeads)
@@ -57,12 +62,11 @@ func (c *BlockCache) AppendFlatN(layer, n int, k, v []float32) {
 	kvh, d := c.shape.KVHeads, c.shape.HeadDim
 	for i := 0; i < n*kvh; i++ { // token i/kvh, head i%kvh
 		s := &c.streams[layer][i%kvh]
-		s.keys = append(s.keys, append([]float32(nil), k[i*d:(i+1)*d]...))
-		s.values = append(s.values, append([]float32(nil), v[i*d:(i+1)*d]...))
-		if len(s.keys)-s.sealed >= c.residual+c.group {
-			lo, hi := s.sealed, s.sealed+c.group
-			s.bits += c.sealK(s.keys[lo:hi]) + c.sealV(s.values[lo:hi])
-			s.sealed = hi
+		s.keys = append(s.keys, k[i*d:(i+1)*d]...)
+		s.values = append(s.values, v[i*d:(i+1)*d]...)
+		if len(s.keys)/d-s.sealed >= c.residual+c.group {
+			s.bits += c.seal(s.keys, s.sealed, c.codecK) + c.seal(s.values, s.sealed, c.codecV)
+			s.sealed += c.group
 		}
 	}
 	if layer == c.shape.Layers-1 {
@@ -70,9 +74,25 @@ func (c *BlockCache) AppendFlatN(layer, n int, k, v []float32) {
 	}
 }
 
+// seal compresses the group rows of flat from row lo on through codec,
+// writes the decoded rows over them through the reused row views, and
+// returns the codes' storage in bits.
+func (c *BlockCache) seal(flat []float32, lo int, codec codec) int64 {
+	d := c.shape.HeadDim
+	for j := range c.view {
+		r := (lo + j) * d
+		c.view[j] = flat[r : r+d : r+d]
+	}
+	decoded, bits := codec(c.view)
+	for j, row := range decoded {
+		copy(c.view[j], row)
+	}
+	return bits
+}
+
 // Seq returns the decoded blocks followed by the full-precision window, in
 // place.
-func (c *BlockCache) Seq(layer, head int) (keys, values [][]float32) {
+func (c *BlockCache) Seq(layer, head int) (keys, values []float32) {
 	s := &c.streams[layer][head]
 	return s.keys[:len(s.keys):len(s.keys)], s.values[:len(s.values):len(s.values)]
 }
@@ -87,7 +107,9 @@ func (c *BlockCache) Positions(layer, head int) []int {
 }
 
 // Len reports the retained entry count (all appended tokens).
-func (c *BlockCache) Len(layer, head int) int { return len(c.streams[layer][head].keys) }
+func (c *BlockCache) Len(layer, head int) int {
+	return len(c.streams[layer][head].keys) / c.shape.HeadDim
+}
 
 // TotalAppended reports how many tokens have been appended.
 func (c *BlockCache) TotalAppended() int { return c.appended }
@@ -100,7 +122,7 @@ func (c *BlockCache) MemoryBytes() int64 {
 	for l := range c.streams {
 		for h := range c.streams[l] {
 			s := &c.streams[l][h]
-			bits += s.bits + int64(len(s.keys)-s.sealed)*int64(c.shape.HeadDim)*16*2 // K and V fp16
+			bits += s.bits + int64(len(s.keys)-s.sealed*c.shape.HeadDim)*16*2 // K and V fp16
 		}
 	}
 	return bits / 8

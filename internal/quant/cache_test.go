@@ -56,7 +56,7 @@ func TestKIVIRetainsAllTokens(t *testing.T) {
 				t.Fatalf("len(%d,%d) = %d", l, h, n)
 			}
 			keys, vals := c.Seq(l, h)
-			if len(keys) != 30 || len(vals) != 30 {
+			if d := cacheShape().HeadDim; len(keys) != 30*d || len(vals) != 30*d {
 				t.Fatalf("seq lengths %d/%d", len(keys), len(vals))
 			}
 		}
@@ -72,19 +72,20 @@ func TestKIVIResidualWindowExact(t *testing.T) {
 	c := NewKIVI(cacheShape(), cfg)
 	hist := appendRandom(c, 30, 2)
 	keys, vals := c.Seq(0, 0)
+	d := cacheShape().HeadDim
 	// The last Residual tokens must be bit-exact (full precision).
 	for i := 30 - cfg.Residual; i < 30; i++ {
-		if maxAbsDiff(keys[i], hist[i][0]) != 0 {
+		if maxAbsDiff(keys[i*d:(i+1)*d], hist[i][0]) != 0 {
 			t.Fatalf("residual key %d not exact", i)
 		}
-		if maxAbsDiff(vals[i], hist[i][1]) != 0 {
+		if maxAbsDiff(vals[i*d:(i+1)*d], hist[i][1]) != 0 {
 			t.Fatalf("residual value %d not exact", i)
 		}
 	}
 	// Older tokens are quantised: close but generally not exact.
 	var worst float64
 	for i := 0; i < 8; i++ {
-		worst = math.Max(worst, maxAbsDiff(keys[i], hist[i][0]))
+		worst = math.Max(worst, maxAbsDiff(keys[i*d:(i+1)*d], hist[i][0]))
 	}
 	if worst == 0 {
 		t.Fatal("quantised region unexpectedly lossless (2-bit)")
@@ -131,7 +132,7 @@ func TestGEARRetainsAllTokens(t *testing.T) {
 		t.Fatalf("len = %d", c.Len(0, 0))
 	}
 	keys, vals := c.Seq(0, 0)
-	if len(keys) != 25 || len(vals) != 25 {
+	if d := cacheShape().HeadDim; len(keys) != 25*d || len(vals) != 25*d {
 		t.Fatal("seq incomplete")
 	}
 }
@@ -206,7 +207,7 @@ func TestBlockCacheSeqInPlace(t *testing.T) {
 		appendRandom(c, 30, 8)
 		k1, v1 := c.Seq(1, 1)
 		k2, v2 := c.Seq(1, 1)
-		if &k1[0][0] != &k2[0][0] || &v1[0][0] != &v2[0][0] {
+		if &k1[0] != &k2[0] || &v1[0] != &v2[0] {
 			t.Fatalf("%s: two reads of a sealed block returned different rows", name)
 		}
 		if n := testing.AllocsPerRun(10, func() { c.Seq(1, 1) }); n != 0 {

@@ -219,10 +219,9 @@ func (b gearBlock) storageBits() int64 {
 // buffer.
 func NewGEAR(shape kvcache.Shape, cfg GEARConfig) *BlockCache {
 	mustValidate(shape.Validate(), cfg.Validate())
-	seal := func(rows [][]float32) int64 {
+	seal := func(rows [][]float32) ([][]float32, int64) {
 		b := compressGear(rows, cfg)
-		copy(rows, b.decompress())
-		return b.storageBits()
+		return b.decompress(), b.storageBits()
 	}
 	return newBlockCache(shape, 0, cfg.GroupSize, seal, seal)
 }

@@ -37,11 +37,10 @@ func (c KIVIConfig) Validate() error {
 // and its values per token once Residual newer tokens follow it.
 func NewKIVI(shape kvcache.Shape, cfg KIVIConfig) *BlockCache {
 	mustValidate(shape.Validate(), cfg.Validate())
-	seal := func(gran Granularity) func([][]float32) int64 {
-		return func(rows [][]float32) int64 {
+	seal := func(gran Granularity) codec {
+		return func(rows [][]float32) ([][]float32, int64) {
 			q := QuantizeGroup(rows, gran, cfg.Bits)
-			copy(rows, q.Dequantize())
-			return q.StorageBits()
+			return q.Dequantize(), q.StorageBits()
 		}
 	}
 	return newBlockCache(shape, cfg.Residual, cfg.GroupSize, seal(PerChannel), seal(PerToken))

@@ -159,11 +159,11 @@ func TestPreemptionMidPrefillRecomputes(t *testing.T) {
 	want := make([][]int, len(prompts))
 	maxNews := []int{10, 4}
 	for i, prompt := range prompts {
-		toks, _, err := p.Run(prompt, maxNews[i])
+		s, err := p.NewSession(prompt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = toks
+		want[i] = s.Decode(maxNews[i])
 	}
 
 	// Budget arithmetic (PageTokens=4, KVPages=9): the short request's

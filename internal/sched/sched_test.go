@@ -34,11 +34,11 @@ func sequentialReference(t *testing.T, prompts [][]int, maxNew int) [][]int {
 	}
 	out := make([][]int, len(prompts))
 	for i, prompt := range prompts {
-		toks, _, err := p.Run(prompt, maxNew)
+		s, err := p.NewSession(prompt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[i] = toks
+		out[i] = s.Decode(maxNew)
 	}
 	return out
 }

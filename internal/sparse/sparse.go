@@ -125,11 +125,13 @@ func DefaultSnapKV(budget int) Config {
 }
 
 // headState holds one head's retained entries, in position order, as
-// parallel slices — Seq and Positions return them in place — and its score
-// history.
+// parallel slices — keys and values flat, HeadDim floats an entry; Seq and
+// Positions return them in place — and its score history. An eviction
+// shifts the entries after it down in place, so a head past its budget
+// appends into the capacity its last eviction freed.
 type headState struct {
 	positions    []int
-	keys, values [][]float32
+	keys, values []float32
 	scores       []float64 // H2O: accumulated attention
 	// obsScores is SnapKV's ring of the last ObsWindow attention vectors
 	// observed during prefill (each aligned with entries at observe time;
@@ -137,11 +139,11 @@ type headState struct {
 	obsScores [][]float64
 }
 
-// remove drops entry i.
-func (hs *headState) remove(i int) {
+// remove drops entry i of rows d floats wide.
+func (hs *headState) remove(i, d int) {
 	hs.positions = slices.Delete(hs.positions, i, i+1)
-	hs.keys = slices.Delete(hs.keys, i, i+1)
-	hs.values = slices.Delete(hs.values, i, i+1)
+	hs.keys = slices.Delete(hs.keys, i*d, (i+1)*d)
+	hs.values = slices.Delete(hs.values, i*d, (i+1)*d)
 	hs.scores = slices.Delete(hs.scores, i, i+1)
 }
 
@@ -187,8 +189,8 @@ func (c *Cache) AppendFlatN(layer, n int, k, v []float32) {
 	for i := 0; i < n*kvh; i++ { // token i/kvh, head i%kvh
 		hs := c.heads[layer][i%kvh]
 		hs.positions = append(hs.positions, c.appended+i/kvh)
-		hs.keys = append(hs.keys, append([]float32(nil), k[i*d:(i+1)*d]...))
-		hs.values = append(hs.values, append([]float32(nil), v[i*d:(i+1)*d]...))
+		hs.keys = append(hs.keys, k[i*d:(i+1)*d]...)
+		hs.values = append(hs.values, v[i*d:(i+1)*d]...)
 		hs.scores = append(hs.scores, 0)
 		c.evictIfNeeded(hs)
 	}
@@ -207,7 +209,7 @@ func (c *Cache) evictIfNeeded(hs *headState) {
 		if victim < 0 {
 			return
 		}
-		hs.remove(victim)
+		hs.remove(victim, c.shape.HeadDim)
 	}
 }
 
@@ -356,19 +358,21 @@ func (c *Cache) snapCompress(hs *headState) {
 	for i := obsStart; i < n; i++ {
 		keep[i] = true
 	}
-	kept := 0
+	d, kept := c.shape.HeadDim, 0
 	for i := 0; i < n; i++ {
 		if keep[i] {
-			hs.positions[kept], hs.keys[kept], hs.values[kept], hs.scores[kept] = hs.positions[i], hs.keys[i], hs.values[i], hs.scores[i]
+			hs.positions[kept], hs.scores[kept] = hs.positions[i], hs.scores[i]
+			copy(hs.keys[kept*d:(kept+1)*d], hs.keys[i*d:(i+1)*d])
+			copy(hs.values[kept*d:(kept+1)*d], hs.values[i*d:(i+1)*d])
 			kept++
 		}
 	}
-	hs.positions, hs.keys, hs.values, hs.scores = hs.positions[:kept], hs.keys[:kept], hs.values[:kept], hs.scores[:kept]
+	hs.positions, hs.keys, hs.values, hs.scores = hs.positions[:kept], hs.keys[:kept*d], hs.values[:kept*d], hs.scores[:kept]
 	hs.obsScores = nil
 }
 
 // Seq returns the retained keys and values in position order, in place.
-func (c *Cache) Seq(layer, head int) (keys, values [][]float32) {
+func (c *Cache) Seq(layer, head int) (keys, values []float32) {
 	hs := c.heads[layer][head]
 	return hs.keys[:len(hs.keys):len(hs.keys)], hs.values[:len(hs.values):len(hs.values)]
 }
