@@ -148,22 +148,29 @@ type Result struct {
 
 // Evaluate runs a method on the reference's sample and scores it.
 func (e *Evaluator) Evaluate(ref *Reference, methodName string) Result {
-	s := ref.Sample
-	shape := e.m.CacheShape()
-	cache, err := TinyCache(methodName, shape)
+	cache, err := TinyCache(methodName, e.m.CacheShape())
 	if err != nil {
 		panic(err)
 	}
+	return e.score(ref, cache, methodName, func(sess *core.Session) []int { return sess.Decode(e.cfg.ContSteps) })
+}
+
+// score prefills the reference's prompt into cache, decodes the continuation
+// with decode and scores the result under label: hidden-state similarity,
+// retention and fidelity after the prefill, the task score's coverage after
+// the continuation.
+func (e *Evaluator) score(ref *Reference, cache kvcache.Cache, label string, decode func(*core.Session) []int) Result {
+	s := ref.Sample
 	sess := e.session(cache, s.Prompt)
 	hSim := max(tensor.CosineSim(ref.Hidden, sess.Hidden()), 0)
 	retention, fidelity, _ := e.measure(ref, cache)
-	cont := sess.Decode(e.cfg.ContSteps)
+	cont := decode(sess)
 	_, _, cov := e.measure(ref, cache)
 
 	agree := tokenAgreement(ref.Continuation, cont)
 
 	r := Result{
-		Sample: s, Method: methodName,
+		Sample: s, Method: label,
 		Retention: retention, Fidelity: fidelity,
 		Agreement: agree, HiddenSim: hSim,
 		F1:      textmetrics.TokenF1(cont, ref.Continuation),
@@ -207,36 +214,22 @@ func (e *Evaluator) EvaluateSparse(ref *Reference, topK, pageTokens int) SparseR
 	if pageTokens <= 0 {
 		pageTokens = 16
 	}
-	s := ref.Sample
-	shape := e.m.CacheShape()
-	cache := kvcache.NewPagedKVQuant(shape, pageTokens, 0, 0)
-	cache.EnableKeySummaries()
+	cache := kvcache.NewPagePool(e.m.CacheShape(), pageTokens, 0, 0, true).NewCache()
 	// Prefill stays dense: a token-at-a-time prefill steps decode lanes, so
 	// topK stays off until the continuation.
-	sess := e.session(cache, s.Prompt)
-	hSim := max(tensor.CosineSim(ref.Hidden, sess.Hidden()), 0)
-	retention, fidelity, _ := e.measure(ref, cache)
-
-	prev := e.m.SparseTopK()
-	e.m.SetSparseTopK(topK)
-	bw := sess.Batch()
-	bw.SetRecallProbe(true)
-	cont := sess.Decode(e.cfg.ContSteps)
-	e.m.SetSparseTopK(prev)
-	mass, cnt := bw.TakeRecall()
-	sel, tot := bw.TakeSparseStats()
-	_, _, cov := e.measure(ref, cache)
-
-	agree := tokenAgreement(ref.Continuation, cont)
-	r := Result{
-		Sample: s, Method: fmt.Sprintf("sparse-k%d", topK),
-		Retention: retention, Fidelity: fidelity,
-		Agreement: agree, HiddenSim: hSim,
-		F1:      textmetrics.TokenF1(cont, ref.Continuation),
-		EditSim: textmetrics.EditSimilarity(cont, ref.Continuation),
-	}
-	quality := 0.5*agree + 0.5*r.F1
-	r.Score = taskScore(s, cov, quality, hSim)
+	var mass float64
+	var cnt, sel, tot int64
+	r := e.score(ref, cache, fmt.Sprintf("sparse-k%d", topK), func(sess *core.Session) []int {
+		prev := e.m.SparseTopK()
+		e.m.SetSparseTopK(topK)
+		bw := sess.Batch()
+		bw.SetRecallProbe(true)
+		cont := sess.Decode(e.cfg.ContSteps)
+		e.m.SetSparseTopK(prev)
+		mass, cnt = bw.TakeRecall()
+		sel, tot = bw.TakeSparseStats()
+		return cont
+	})
 	recall := 1.0
 	if cnt > 0 {
 		recall = mass / float64(cnt)

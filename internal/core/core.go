@@ -1,10 +1,9 @@
 // Package core drives the model's one forward pass for its two kinds of
-// caller. Offline, it wires a runnable tiny model and a compression method's
-// cache into a Pipeline (the rethinkkv facade's Pipeline wraps it) and one
-// greedy Session that every offline caller steps — the pipeline, the accuracy
-// evaluator and the length study alike. Serving, its step plane (step.go)
-// advances the continuous-batching scheduler's sessions and prompt chunks in
-// one fused pass per iteration.
+// caller. Offline, one greedy Session over a model and a compression method's
+// cache is what every offline caller steps — the rethinkkv facade's Pipeline,
+// the accuracy evaluator and the length study alike. Serving, its step plane
+// (step.go) advances the continuous-batching scheduler's sessions and prompt
+// chunks in one fused pass per iteration.
 package core
 
 import (
@@ -18,26 +17,8 @@ import (
 	"rethinkkv/internal/tensor"
 )
 
-// Pipeline runs real generation under a compression method and reports the
-// cache-level effects. A pipeline is reusable and holds no per-run state: each
-// session runs on a fresh cache built by the method's factory, so NewSession
-// may be called any number of times, from any goroutines.
-type Pipeline struct {
-	Model  *model.Model
-	Method compress.Method
-}
-
-// NewPipeline builds a pipeline over the tiny model with the named method's
-// tiny-scale cache. Seed fixes the model weights.
-func NewPipeline(methodName string, seed uint64) (*Pipeline, error) {
-	method, err := compress.Get(methodName)
-	if err != nil {
-		return nil, err
-	}
-	return &Pipeline{Model: model.New(model.Tiny(), seed), Method: method}, nil
-}
-
-// Report summarises cache-level effects after a run.
+// Report summarises cache-level effects after a run. Session.Report leaves
+// Method for the caller that chose the cache to fill.
 type Report struct {
 	Method           string
 	TokensProcessed  int
@@ -54,9 +35,8 @@ type Report struct {
 // and cache (model weights are immutable), independent sessions may decode
 // concurrently.
 type Session struct {
-	m      *model.Model
-	method string // Report's label: the pipeline's method, empty otherwise
-	bw     *model.BatchWorkspace
+	m  *model.Model
+	bw *model.BatchWorkspace
 	// The lane's ForwardMixedInto arguments, kept here so a step allocates
 	// nothing: the pending token, its position and the cache.
 	tok, pos [1]int
@@ -83,16 +63,6 @@ func NewSession(m *model.Model, cache kvcache.Cache, prompt []int) (*Session, er
 	if pf, ok := cache.(compress.Prefiller); ok {
 		pf.FinishPrefill()
 	}
-	return s, nil
-}
-
-// NewSession prefills the prompt on a fresh cache of the pipeline's method.
-func (p *Pipeline) NewSession(prompt []int) (*Session, error) {
-	s, err := NewSession(p.Model, p.Method.NewCache(p.Model.CacheShape()), prompt)
-	if err != nil {
-		return nil, err
-	}
-	s.method = p.Method.Name
 	return s, nil
 }
 
@@ -137,7 +107,6 @@ func (s *Session) Pos() int { return s.pos[0] }
 func (s *Session) Report() Report {
 	c := s.cache[0]
 	rep := Report{
-		Method:          s.method,
 		TokensProcessed: s.Pos(),
 		CacheBytes:      c.MemoryBytes(),
 		FP16Bytes:       kvcache.FP16Bytes(c.Shape(), s.Pos()),
@@ -147,24 +116,6 @@ func (s *Session) Report() Report {
 		rep.CompressionRatio = float64(rep.FP16Bytes) / float64(rep.CacheBytes)
 	}
 	return rep
-}
-
-// NewSessions creates (and prefills) one session per prompt, sequentially.
-// It checks ctx between prompts so a cancelled batch does not pay the
-// remaining prefill cost.
-func (p *Pipeline) NewSessions(ctx context.Context, prompts [][]int) ([]*Session, error) {
-	sessions := make([]*Session, len(prompts))
-	for i, prompt := range prompts {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		s, err := p.NewSession(prompt)
-		if err != nil {
-			return nil, fmt.Errorf("core: prompt %d: %w", i, err)
-		}
-		sessions[i] = s
-	}
-	return sessions, nil
 }
 
 // DecodeSessions greedily decodes up to maxNew tokens on every session in

@@ -3,13 +3,32 @@ package core
 import (
 	"context"
 	"testing"
+
+	"rethinkkv/internal/compress"
+	"rethinkkv/internal/model"
 )
+
+// pipeline is what the facade's Pipeline holds: the tiny model at a weight
+// seed and a compression method.
+type pipeline struct {
+	m      *model.Model
+	method compress.Method
+}
+
+func newPipeline(method string, seed uint64) pipeline {
+	return pipeline{m: model.New(model.Tiny(), seed), method: compress.MustGet(method)}
+}
+
+// session prefills prompt on a fresh cache of the pipeline's method.
+func (p pipeline) session(prompt []int) (*Session, error) {
+	return NewSession(p.m, p.method.NewCache(p.m.CacheShape()), prompt)
+}
 
 // generate prefills prompt on a fresh session of p, greedily decodes maxNew
 // tokens and reports: the facade Pipeline's Run.
-func generate(t *testing.T, p *Pipeline, prompt []int, maxNew int) ([]int, Report) {
+func generate(t *testing.T, p pipeline, prompt []int, maxNew int) ([]int, Report) {
 	t.Helper()
-	s, err := p.NewSession(prompt)
+	s, err := p.session(prompt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,11 +38,7 @@ func generate(t *testing.T, p *Pipeline, prompt []int, maxNew int) ([]int, Repor
 func TestPipelineRun(t *testing.T) {
 	prompt := []int{1, 2, 3, 4, 5, 6, 7, 8}
 	for _, method := range []string{"fp16", "kivi-4", "gear-4", "h2o-512", "stream-512", "snapkv-512"} {
-		p, err := NewPipeline(method, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, rep := generate(t, p, prompt, 10)
+		out, rep := generate(t, newPipeline(method, 1), prompt, 10)
 		if len(out) != 10 {
 			t.Fatalf("%s: generated %d", method, len(out))
 		}
@@ -45,11 +60,7 @@ func TestPipelineCompressionReducesBytes(t *testing.T) {
 		prompt[i] = i % 500
 	}
 	run := func(method string) Report {
-		p, err := NewPipeline(method, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, rep := generate(t, p, prompt, 5)
+		_, rep := generate(t, newPipeline(method, 2), prompt, 5)
 		return rep
 	}
 	fp := run("fp16")
@@ -68,8 +79,8 @@ func TestPipelineCompressionReducesBytes(t *testing.T) {
 
 func TestPipelineSameOutputForFP16Determinism(t *testing.T) {
 	prompt := []int{9, 8, 7, 6}
-	p1, _ := NewPipeline("fp16", 3)
-	p2, _ := NewPipeline("fp16", 3)
+	p1 := newPipeline("fp16", 3)
+	p2 := newPipeline("fp16", 3)
 	a, _ := generate(t, p1, prompt, 6)
 	b, _ := generate(t, p2, prompt, 6)
 	for i := range a {
@@ -80,11 +91,8 @@ func TestPipelineSameOutputForFP16Determinism(t *testing.T) {
 }
 
 func TestPipelineErrors(t *testing.T) {
-	if _, err := NewPipeline("bogus", 1); err == nil {
-		t.Fatal("unknown method should error")
-	}
-	p, _ := NewPipeline("fp16", 1)
-	if _, err := p.NewSession(nil); err == nil {
+	p := newPipeline("fp16", 1)
+	if _, err := p.session(nil); err == nil {
 		t.Fatal("empty prompt should error")
 	}
 	generate(t, p, []int{1}, 1)
@@ -93,13 +101,10 @@ func TestPipelineErrors(t *testing.T) {
 
 func TestPipelineReuseMatchesFresh(t *testing.T) {
 	prompt := []int{3, 1, 4, 1, 5, 9, 2, 6}
-	p, err := NewPipeline("kivi-4", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newPipeline("kivi-4", 5)
 	a, repA := generate(t, p, prompt, 8)
 	b, repB := generate(t, p, prompt, 8)
-	fresh, _ := NewPipeline("kivi-4", 5)
+	fresh := newPipeline("kivi-4", 5)
 	c, _ := generate(t, fresh, prompt, 8)
 	for i := range a {
 		if a[i] != b[i] || a[i] != c[i] {
@@ -113,11 +118,8 @@ func TestPipelineReuseMatchesFresh(t *testing.T) {
 
 func TestSessionStreaming(t *testing.T) {
 	prompt := []int{1, 2, 3, 4}
-	p, err := NewPipeline("stream-256", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := p.NewSession(prompt)
+	p := newPipeline("stream-256", 7)
+	s, err := p.session(prompt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,15 +140,31 @@ func TestSessionStreaming(t *testing.T) {
 			t.Fatalf("streamed %v != batch %v", streamed, batch)
 		}
 	}
-	if _, err := p.NewSession(nil); err == nil {
+	if _, err := p.session(nil); err == nil {
 		t.Fatal("empty prompt should error")
 	}
 }
 
+// newSessions prefills one session per prompt, checking ctx between prompts.
+func newSessions(ctx context.Context, p pipeline, prompts [][]int) ([]*Session, error) {
+	sessions := make([]*Session, len(prompts))
+	for i, prompt := range prompts {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		s, err := p.session(prompt)
+		if err != nil {
+			return nil, err
+		}
+		sessions[i] = s
+	}
+	return sessions, nil
+}
+
 // runBatch prefills every prompt, then decodes the sessions concurrently: the
-// two calls the facade's GenerateBatch makes.
-func runBatch(ctx context.Context, p *Pipeline, prompts [][]int, maxNew int) ([][]int, []Report, error) {
-	sessions, err := p.NewSessions(ctx, prompts)
+// two steps the facade's GenerateBatch takes.
+func runBatch(ctx context.Context, p pipeline, prompts [][]int, maxNew int) ([][]int, []Report, error) {
+	sessions, err := newSessions(ctx, p, prompts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -166,19 +184,13 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 	}
 	const maxNew = 12
 	for _, method := range []string{"fp16", "h2o-512"} {
-		seq, err := NewPipeline(method, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
+		seq := newPipeline(method, 7)
 		wantOuts := make([][]int, len(prompts))
 		wantReps := make([]Report, len(prompts))
 		for i, p := range prompts {
 			wantOuts[i], wantReps[i] = generate(t, seq, p, maxNew)
 		}
-		par, err := NewPipeline(method, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
+		par := newPipeline(method, 7)
 		outs, reps, err := runBatch(context.Background(), par, prompts, maxNew)
 		if err != nil {
 			t.Fatal(err)
@@ -200,20 +212,14 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 }
 
 func TestRunBatchEmptyPromptRejected(t *testing.T) {
-	p, err := NewPipeline("fp16", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newPipeline("fp16", 1)
 	if _, _, err := runBatch(context.Background(), p, [][]int{{1, 2}, nil}, 4); err == nil {
 		t.Fatal("empty prompt in batch should error")
 	}
 }
 
 func TestRunBatchCancellation(t *testing.T) {
-	p, err := NewPipeline("fp16", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newPipeline("fp16", 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	// Pre-cancelled: rejected before any prefill work happens.
@@ -222,7 +228,7 @@ func TestRunBatchCancellation(t *testing.T) {
 	}
 	// Cancelled mid-flight: sessions exist, decode stops early with
 	// partial outputs.
-	sessions, err := p.NewSessions(context.Background(), [][]int{{1, 2, 3}})
+	sessions, err := newSessions(context.Background(), p, [][]int{{1, 2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,15 +242,12 @@ func TestRunBatchCancellation(t *testing.T) {
 // decode through Session.Next must be allocation-free (amortised cache
 // growth aside).
 func TestSessionNextZeroAllocs(t *testing.T) {
-	p, err := NewPipeline("fp16", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newPipeline("fp16", 1)
 	prompt := make([]int, 64)
 	for i := range prompt {
 		prompt[i] = i % 500
 	}
-	s, err := p.NewSession(prompt)
+	s, err := p.session(prompt)
 	if err != nil {
 		t.Fatal(err)
 	}

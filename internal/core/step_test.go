@@ -22,23 +22,12 @@ func prefilled(m *model.Model, pool *WorkspacePool, prompt []int, cache kvcache.
 // cache: the single-stream reference (one lane, token-at-a-time prefill,
 // Session.Next decode) every step-plane stream is compared against token for
 // token.
-func sessionTokens(p *Pipeline, prompt []int, cache kvcache.Cache, maxNew int) []int {
-	s, err := NewSession(p.Model, cache, prompt)
+func sessionTokens(m *model.Model, prompt []int, cache kvcache.Cache, maxNew int) []int {
+	s, err := NewSession(m, cache, prompt)
 	if err != nil {
 		panic(err)
 	}
 	return s.Decode(maxNew)
-}
-
-// pipelineOver builds the fp16 Pipeline whose model the step plane and the
-// reference Sessions share.
-func pipelineOver(t *testing.T, seed uint64) *Pipeline {
-	t.Helper()
-	p, err := NewPipeline("fp16", seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
 }
 
 // StepSession over the pool's workspace must emit exactly the tokens Session
@@ -48,8 +37,7 @@ func pipelineOver(t *testing.T, seed uint64) *Pipeline {
 // session with no chunks is a batch of one on the same fused pass. The
 // stream's first token is the one prefill decided; step k reports token k+1.
 func TestStepSessionMatchesSession(t *testing.T) {
-	p := pipelineOver(t, 3)
-	m := p.Model
+	m := model.New(model.Tiny(), 3)
 	prompts := [][]int{
 		{1, 2, 3, 4},
 		{10, 20, 30, 40, 50, 60, 70},
@@ -68,7 +56,7 @@ func TestStepSessionMatchesSession(t *testing.T) {
 	for _, kind := range kinds {
 		want := make([][]int, len(prompts))
 		for i, prompt := range prompts {
-			want[i] = sessionTokens(p, prompt, kind.mk(), maxNew)
+			want[i] = sessionTokens(m, prompt, kind.mk(), maxNew)
 		}
 		pool := NewWorkspacePool(m)
 		// The whole set as one batch, then each prompt as a batch of one.
@@ -119,8 +107,7 @@ func TestNewStepSessionEmptyPrompt(t *testing.T) {
 // per-session, so the fused step must handle any Cache mix and still
 // match Session.Next token for token.
 func TestStepAllMixedCaches(t *testing.T) {
-	p := pipelineOver(t, 5)
-	m := p.Model
+	m := model.New(model.Tiny(), 5)
 	pool := NewWorkspacePool(m)
 
 	prompts := [][]int{
@@ -139,7 +126,7 @@ func TestStepAllMixedCaches(t *testing.T) {
 	const maxNew = 12
 	want := make([][]int, len(prompts))
 	for i, prompt := range prompts {
-		want[i] = sessionTokens(p, prompt, mkCache(i), maxNew)
+		want[i] = sessionTokens(m, prompt, mkCache(i), maxNew)
 	}
 
 	sessions := make([]*StepSession, len(prompts))
@@ -199,8 +186,7 @@ func TestStepForeignModelRejected(t *testing.T) {
 // concurrent decoders and the chunked request — must emit exactly the
 // tokens Session.Next produces.
 func TestStepMixedIntoMatchesStepAll(t *testing.T) {
-	p := pipelineOver(t, 9)
-	m := p.Model
+	m := model.New(model.Tiny(), 9)
 	pool := NewWorkspacePool(m)
 
 	decodePrompts := [][]int{
@@ -216,7 +202,7 @@ func TestStepMixedIntoMatchesStepAll(t *testing.T) {
 	// References: Session.Next, one stream at a time.
 	want := make([][]int, len(decodePrompts)+1)
 	for i, prompt := range append(append([][]int{}, decodePrompts...), longPrompt) {
-		want[i] = sessionTokens(p, prompt, kvcache.NewPagedKV(m.CacheShape(), 8), maxNew)
+		want[i] = sessionTokens(m, prompt, kvcache.NewPagedKV(m.CacheShape(), 8), maxNew)
 	}
 
 	sessions := make([]*StepSession, len(decodePrompts))
@@ -287,8 +273,7 @@ func TestStepMixedIntoMatchesStepAll(t *testing.T) {
 // emits exactly the tokens Session.Next produces, with each packed
 // prompt's first decode token coming from its own chunk's Final logits.
 func TestStepMixedPackedMatchesStepAll(t *testing.T) {
-	p := pipelineOver(t, 9)
-	m := p.Model
+	m := model.New(model.Tiny(), 9)
 	pool := NewWorkspacePool(m)
 
 	decodePrompts := [][]int{
@@ -308,7 +293,7 @@ func TestStepMixedPackedMatchesStepAll(t *testing.T) {
 	all := append(append([][]int{}, decodePrompts...), longPrompts...)
 	want := make([][]int, len(all))
 	for i, prompt := range all {
-		want[i] = sessionTokens(p, prompt, kvcache.NewPagedKV(m.CacheShape(), 8), maxNew)
+		want[i] = sessionTokens(m, prompt, kvcache.NewPagedKV(m.CacheShape(), 8), maxNew)
 	}
 
 	sessions := make([]*StepSession, len(decodePrompts))

@@ -1,13 +1,8 @@
 package experiments
 
 import (
-	"rethinkkv/internal/compress"
-	"rethinkkv/internal/engine"
-	"rethinkkv/internal/gen"
 	"rethinkkv/internal/gpu"
 	"rethinkkv/internal/model"
-	"rethinkkv/internal/stats"
-	"rethinkkv/internal/workload"
 )
 
 // Appendix runners (Figures 8-10 and 15-18, Tables 9-11): the paper repeats
@@ -39,23 +34,11 @@ func Fig8Mistral(batches, promptLens []int) []Figure {
 func Fig9SnapKV(batches, lens []int) []Figure {
 	cfg := ThroughputConfig{}.filled()
 	methods := append(append([]string(nil), paperMethods...), "snapkv-512")
-	pre := Figure{Title: "Fig9(a-b) prefill with SnapKV", XLabel: "prompt", YLabel: "tokens/s"}
-	dec := Figure{Title: "Fig9(c-d) decode with SnapKV", XLabel: "kv", YLabel: "tokens/s"}
-	for _, m := range methods {
-		est := cfg.est(engine.LMDeploy, m, 1)
-		sp := Series{Label: compress.MustGet(m).Alias}
-		sd := Series{Label: compress.MustGet(m).Alias}
-		for _, l := range lens {
-			sp.X = append(sp.X, float64(l))
-			sp.Y = append(sp.Y, est.PrefillThroughput(1, l))
-			sd.X = append(sd.X, float64(l))
-			sd.Y = append(sd.Y, est.DecodeThroughput(1, l))
-		}
-		pre.Series = append(pre.Series, sp)
-		dec.Series = append(dec.Series, sd)
-	}
 	_ = batches
-	return []Figure{pre, dec}
+	return []Figure{
+		cfg.byMethod(Figure{Title: "Fig9(a-b) prefill with SnapKV", XLabel: "prompt", YLabel: "tokens/s"}, methods, 1, lens, prefillAt1),
+		cfg.byMethod(Figure{Title: "Fig9(c-d) decode with SnapKV", XLabel: "kv", YLabel: "tokens/s"}, methods, 1, lens, decodeAt1),
+	}
 }
 
 // Fig10LLaMA13B reproduces Figure 10: the full Figure-1 suite on LLaMA-13B.
@@ -92,28 +75,8 @@ func Fig15MistralLengthDistribution(n int, seed uint64) []Figure {
 // Mistral-7B's real shapes (GQA narrows KV traffic, so curves sit closer
 // together than LLaMA's).
 func Fig16MistralE2E(n int, seed uint64) Figure {
-	lm := gen.Default()
-	reqs := workload.SampleShareGPT(workload.DefaultShareGPT(n), seed)
 	cfg := ThroughputConfig{HW: gpu.A6000, Model: model.Mistral7B}
-	f := Figure{Title: "Fig16: Mistral-7B CDF of end-to-end latency (s), batch 1", XLabel: "quantile", YLabel: "latency (s)"}
-	quantiles := []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99}
-	for _, name := range append([]string{"fp16"}, lengthMethods...) {
-		m := compress.MustGet(name)
-		est := cfg.est(engine.LMDeploy, name, 1)
-		gens := lm.Run(reqs, m, seed+4)
-		var lats []float64
-		for _, g := range gens {
-			lats = append(lats, est.EndToEndLatency(1, g.Request.PromptLen, g.Len))
-		}
-		ecdf := stats.NewECDF(lats)
-		s := Series{Label: m.Alias}
-		for _, q := range quantiles {
-			s.X = append(s.X, q)
-			s.Y = append(s.Y, ecdf.Quantile(q))
-		}
-		f.Series = append(f.Series, s)
-	}
-	return f
+	return e2eCDF(cfg, "Fig16: Mistral-7B CDF of end-to-end latency (s), batch 1", n, seed)
 }
 
 // MistralNegativeStudy runs the negative-sample pipeline with the Mistral

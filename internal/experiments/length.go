@@ -79,17 +79,22 @@ func Fig4LengthDistribution(n int, seed uint64) []Figure {
 // over the ShareGPT trace at batch 1 (prefill + per-token decode, with the
 // method's own realised response lengths).
 func Fig5E2ECDF(n int, seed uint64) Figure {
+	return e2eCDF(ThroughputConfig{}.filled(), "Fig5: CDF of end-to-end latency (s), batch 1", n, seed)
+}
+
+// e2eCDF is the end-to-end latency CDF of Figures 5 and 16 on cfg's model and
+// hardware: FP16 and every length method, each over n ShareGPT requests
+// answered at the method's own response lengths, at batch 1.
+func e2eCDF(cfg ThroughputConfig, title string, n int, seed uint64) Figure {
 	lm := gen.Default()
 	reqs := workload.SampleShareGPT(workload.DefaultShareGPT(n), seed)
-	cfg := ThroughputConfig{}.filled()
-	f := Figure{Title: "Fig5: CDF of end-to-end latency (s), batch 1", XLabel: "quantile", YLabel: "latency (s)"}
+	f := Figure{Title: title, XLabel: "quantile", YLabel: "latency (s)"}
 	quantiles := []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99}
 	for _, name := range append([]string{"fp16"}, lengthMethods...) {
 		m := compress.MustGet(name)
 		est := cfg.est(engine.LMDeploy, name, 1)
-		gens := lm.Run(reqs, m, seed+4)
 		var lats []float64
-		for _, g := range gens {
+		for _, g := range lm.Run(reqs, m, seed+4) {
 			lats = append(lats, est.EndToEndLatency(1, g.Request.PromptLen, g.Len))
 		}
 		ecdf := stats.NewECDF(lats)

@@ -110,13 +110,12 @@ func (st *NegativeStudy) Table7NegativeBenchmark() Table {
 		Title:   fmt.Sprintf("Table 7: scores on the negative benchmark (n=%d)", len(ids)),
 		Columns: []string{"Baseline", "KIVI", "GEAR", "H2O", "Stream"},
 	}
-	groups := []string{"Summarization", "QA", "Code"}
-	for _, g := range groups {
+	sources := [][]accuracy.Result{st.Baseline}
+	for _, m := range negMethods {
+		sources = append(sources, st.ByMethod[m])
+	}
+	for _, g := range []string{"Summarization", "QA", "Code"} {
 		row := TableRow{Label: g}
-		sources := append([][]accuracy.Result{st.Baseline}, nil...)
-		for _, m := range negMethods {
-			sources = append(sources, st.ByMethod[m])
-		}
 		for _, src := range sources {
 			gs := accuracy.GroupScores(accuracy.FilterByIDs(src, ids))
 			if v, ok := gs[g]; ok {

@@ -31,8 +31,37 @@ func (c ThroughputConfig) est(eng engine.Profile, method string, tp int) *perf.E
 	return perf.MustNew(c.HW, c.Model, eng, compress.MustGet(method), tp)
 }
 
-// paperMethods is the method set of Figures 1-3 and Table 3.
+// paperMethods is the method set of Figures 1-3 and Tables 3, 6 and 8.
 var paperMethods = []string{"fp16", "kivi-4", "gear-4", "h2o-512", "stream-512"}
+
+// sweep is one curve: y at every x.
+func sweep(label string, xs []int, y func(x int) float64) Series {
+	s := Series{Label: label}
+	for _, x := range xs {
+		s.X = append(s.X, float64(x))
+		s.Y = append(s.Y, y(x))
+	}
+	return s
+}
+
+// byMethod adds to f one curve per method, labelled with its alias: y of the
+// method's LMDeploy estimator at TP degree tp, at every x.
+func (c ThroughputConfig) byMethod(f Figure, methods []string, tp int, xs []int, y func(est *perf.Estimator, x int) float64) Figure {
+	for _, m := range methods {
+		est := c.est(engine.LMDeploy, m, tp)
+		f.Series = append(f.Series, sweep(compress.MustGet(m).Alias, xs, func(x int) float64 { return y(est, x) }))
+	}
+	return f
+}
+
+// fitDecode is est's decode throughput at batch b over kv tokens, or 0 where
+// the KV cache does not fit in memory (the figures' OOM mark).
+func fitDecode(est *perf.Estimator, b, kv int) float64 {
+	if !est.Fits(b, kv) {
+		return 0
+	}
+	return est.DecodeThroughput(b, kv)
+}
 
 // Fig1EngineDecode reproduces Figure 1 (a-b): FP16 decode throughput across
 // TRL, TRL+FA, and LMDeploy, over batch sizes at a fixed KV length.
@@ -44,12 +73,7 @@ func Fig1EngineDecode(cfg ThroughputConfig, kvLen int, batches []int) Figure {
 	}
 	for _, eng := range engine.All() {
 		est := cfg.est(eng, "fp16", 1)
-		s := Series{Label: eng.Name}
-		for _, b := range batches {
-			s.X = append(s.X, float64(b))
-			s.Y = append(s.Y, est.DecodeThroughput(b, kvLen))
-		}
-		f.Series = append(f.Series, s)
+		f.Series = append(f.Series, sweep(eng.Name, batches, func(b int) float64 { return est.DecodeThroughput(b, kvLen) }))
 	}
 	return f
 }
@@ -65,12 +89,9 @@ func Fig1StreamSpeedup(cfg ThroughputConfig, kvLen int, batches []int) Figure {
 	for _, eng := range []engine.Profile{engine.TRL, engine.LMDeploy} {
 		fp := cfg.est(eng, "fp16", 1)
 		st := cfg.est(eng, "stream-512", 1)
-		s := Series{Label: eng.Name}
-		for _, b := range batches {
-			s.X = append(s.X, float64(b))
-			s.Y = append(s.Y, st.DecodeThroughput(b, kvLen)/fp.DecodeThroughput(b, kvLen))
-		}
-		f.Series = append(f.Series, s)
+		f.Series = append(f.Series, sweep(eng.Name, batches, func(b int) float64 {
+			return st.DecodeThroughput(b, kvLen) / fp.DecodeThroughput(b, kvLen)
+		}))
 	}
 	return f
 }
@@ -83,29 +104,13 @@ func Fig1Prefill(cfg ThroughputConfig, batches []int, promptLens []int) []Figure
 	if len(batches) > 1 {
 		prompt := promptLens[0]
 		f := Figure{Title: fmt.Sprintf("Fig1(e,g) prefill thr vs batch, prompt %d", prompt), XLabel: "batch", YLabel: "tokens/s"}
-		for _, m := range paperMethods {
-			est := cfg.est(engine.LMDeploy, m, 1)
-			s := Series{Label: compress.MustGet(m).Alias}
-			for _, b := range batches {
-				s.X = append(s.X, float64(b))
-				s.Y = append(s.Y, est.PrefillThroughput(b, prompt))
-			}
-			f.Series = append(f.Series, s)
-		}
-		figs = append(figs, f)
+		figs = append(figs, cfg.byMethod(f, paperMethods, 1, batches, func(est *perf.Estimator, b int) float64 {
+			return est.PrefillThroughput(b, prompt)
+		}))
 	}
 	if len(promptLens) > 1 {
 		f := Figure{Title: "Fig1(f,h) prefill thr vs prompt length, batch 1", XLabel: "prompt", YLabel: "tokens/s"}
-		for _, m := range paperMethods {
-			est := cfg.est(engine.LMDeploy, m, 1)
-			s := Series{Label: compress.MustGet(m).Alias}
-			for _, p := range promptLens {
-				s.X = append(s.X, float64(p))
-				s.Y = append(s.Y, est.PrefillThroughput(1, p))
-			}
-			f.Series = append(f.Series, s)
-		}
-		figs = append(figs, f)
+		figs = append(figs, cfg.byMethod(f, paperMethods, 1, promptLens, prefillAt1))
 	}
 	return figs
 }
@@ -118,63 +123,34 @@ func Fig1Decode(cfg ThroughputConfig, batches []int, kvLens []int) []Figure {
 	if len(batches) > 1 {
 		kv := kvLens[0]
 		f := Figure{Title: fmt.Sprintf("Fig1(i,k) decode thr vs batch, KV %d", kv), XLabel: "batch", YLabel: "tokens/s"}
-		for _, m := range paperMethods {
-			est := cfg.est(engine.LMDeploy, m, 1)
-			s := Series{Label: compress.MustGet(m).Alias}
-			for _, b := range batches {
-				s.X = append(s.X, float64(b))
-				if !est.Fits(b, kv) {
-					s.Y = append(s.Y, 0) // OOM
-					continue
-				}
-				s.Y = append(s.Y, est.DecodeThroughput(b, kv))
-			}
-			f.Series = append(f.Series, s)
-		}
-		figs = append(figs, f)
+		figs = append(figs, cfg.byMethod(f, paperMethods, 1, batches, func(est *perf.Estimator, b int) float64 {
+			return fitDecode(est, b, kv)
+		}))
 	}
 	if len(kvLens) > 1 {
 		f := Figure{Title: "Fig1(j,l) decode thr vs KV length, batch 1", XLabel: "kv", YLabel: "tokens/s"}
-		for _, m := range paperMethods {
-			est := cfg.est(engine.LMDeploy, m, 1)
-			s := Series{Label: compress.MustGet(m).Alias}
-			for _, kv := range kvLens {
-				s.X = append(s.X, float64(kv))
-				if !est.Fits(1, kv) {
-					s.Y = append(s.Y, 0)
-					continue
-				}
-				s.Y = append(s.Y, est.DecodeThroughput(1, kv))
-			}
-			f.Series = append(f.Series, s)
-		}
-		figs = append(figs, f)
+		figs = append(figs, cfg.byMethod(f, paperMethods, 1, kvLens, func(est *perf.Estimator, kv int) float64 {
+			return fitDecode(est, 1, kv)
+		}))
 	}
 	return figs
 }
+
+// prefillAt1 and decodeAt1 are the batch-1 throughputs the length sweeps of
+// Figures 1, 2 and 9 plot.
+func prefillAt1(est *perf.Estimator, p int) float64 { return est.PrefillThroughput(1, p) }
+func decodeAt1(est *perf.Estimator, kv int) float64 { return est.DecodeThroughput(1, kv) }
 
 // Fig2H800 reproduces Figure 2: LLaMA-70B on H800 (TP=2), prefill and
 // decode sweeps over prompt/KV length at batch 1.
 func Fig2H800(promptLens, kvLens []int) []Figure {
 	cfg := ThroughputConfig{HW: gpu.H800, Model: model.LLaMA2_70B}
-	pre := Figure{Title: "Fig2(a) LLaMA-70B on H800 prefill, batch 1", XLabel: "prompt", YLabel: "tokens/s"}
-	dec := Figure{Title: "Fig2(b) LLaMA-70B on H800 decode, batch 1", XLabel: "kv", YLabel: "tokens/s"}
-	for _, m := range paperMethods {
-		est := cfg.est(engine.LMDeploy, m, 2)
-		sp := Series{Label: compress.MustGet(m).Alias}
-		for _, p := range promptLens {
-			sp.X = append(sp.X, float64(p))
-			sp.Y = append(sp.Y, est.PrefillThroughput(1, p))
-		}
-		pre.Series = append(pre.Series, sp)
-		sd := Series{Label: compress.MustGet(m).Alias}
-		for _, kv := range kvLens {
-			sd.X = append(sd.X, float64(kv))
-			sd.Y = append(sd.Y, est.DecodeThroughput(1, kv))
-		}
-		dec.Series = append(dec.Series, sd)
+	return []Figure{
+		cfg.byMethod(Figure{Title: "Fig2(a) LLaMA-70B on H800 prefill, batch 1", XLabel: "prompt", YLabel: "tokens/s"},
+			paperMethods, 2, promptLens, prefillAt1),
+		cfg.byMethod(Figure{Title: "Fig2(b) LLaMA-70B on H800 decode, batch 1", XLabel: "kv", YLabel: "tokens/s"},
+			paperMethods, 2, kvLens, decodeAt1),
 	}
-	return []Figure{pre, dec}
 }
 
 // Fig3AttentionTime reproduces Figure 3: attention-layer execution time per
@@ -182,22 +158,12 @@ func Fig2H800(promptLens, kvLens []int) []Figure {
 // generated tokens, vs starting KV length), batch 1.
 func Fig3AttentionTime(cfg ThroughputConfig, lens []int) []Figure {
 	cfg = cfg.filled()
-	pre := Figure{Title: "Fig3(a) prefill attention time, batch 1", XLabel: "prompt", YLabel: "seconds"}
-	dec := Figure{Title: "Fig3(b) decode attention time (1024 steps), batch 1", XLabel: "kv", YLabel: "seconds"}
-	for _, m := range paperMethods {
-		est := cfg.est(engine.LMDeploy, m, 1)
-		sp := Series{Label: compress.MustGet(m).Alias}
-		sd := Series{Label: compress.MustGet(m).Alias}
-		for _, l := range lens {
-			sp.X = append(sp.X, float64(l))
-			sp.Y = append(sp.Y, est.AttentionPrefillTime(1, l))
-			sd.X = append(sd.X, float64(l))
-			sd.Y = append(sd.Y, est.AttentionDecodeTimeCumulative(1, l, 1024))
-		}
-		pre.Series = append(pre.Series, sp)
-		dec.Series = append(dec.Series, sd)
+	return []Figure{
+		cfg.byMethod(Figure{Title: "Fig3(a) prefill attention time, batch 1", XLabel: "prompt", YLabel: "seconds"},
+			paperMethods, 1, lens, func(est *perf.Estimator, l int) float64 { return est.AttentionPrefillTime(1, l) }),
+		cfg.byMethod(Figure{Title: "Fig3(b) decode attention time (1024 steps), batch 1", XLabel: "kv", YLabel: "seconds"},
+			paperMethods, 1, lens, func(est *perf.Estimator, l int) float64 { return est.AttentionDecodeTimeCumulative(1, l, 1024) }),
 	}
-	return []Figure{pre, dec}
 }
 
 // Table3TP reproduces Table 3: relative prefill and decode speedups of each
@@ -209,25 +175,19 @@ func Table3TP(cfg ThroughputConfig) Table {
 		Title:   fmt.Sprintf("Table 3: relative speedup under tensor parallelism (%s)", cfg.Model.Name),
 		Columns: []string{"FP16 (T/S)", "K-4", "G-4", "H2O", "Stream"},
 	}
-	for _, stage := range []string{"prefill", "decode"} {
+	stages := []struct {
+		name string
+		thr  func(*perf.Estimator) float64
+	}{
+		{"prefill", func(est *perf.Estimator) float64 { return est.PrefillThroughput(4, 1024) }},
+		{"decode", func(est *perf.Estimator) float64 { return est.DecodeThroughput(4, 2048) }},
+	}
+	for _, stage := range stages {
 		for _, tp := range []int{1, 2, 4} {
-			fp := cfg.est(engine.LMDeploy, "fp16", tp)
-			var base float64
-			if stage == "prefill" {
-				base = fp.PrefillThroughput(4, 1024)
-			} else {
-				base = fp.DecodeThroughput(4, 2048)
-			}
-			row := TableRow{Label: fmt.Sprintf("%s TP=%d", stage, tp), Cells: []string{cell(base)}}
+			base := stage.thr(cfg.est(engine.LMDeploy, "fp16", tp))
+			row := TableRow{Label: fmt.Sprintf("%s TP=%d", stage.name, tp), Cells: []string{cell(base)}}
 			for _, m := range paperMethods[1:] {
-				est := cfg.est(engine.LMDeploy, m, tp)
-				var v float64
-				if stage == "prefill" {
-					v = est.PrefillThroughput(4, 1024) / base
-				} else {
-					v = est.DecodeThroughput(4, 2048) / base
-				}
-				row.Cells = append(row.Cells, speedupCell(v))
+				row.Cells = append(row.Cells, speedupCell(stage.thr(cfg.est(engine.LMDeploy, m, tp))/base))
 			}
 			t.Rows = append(t.Rows, row)
 		}
@@ -248,12 +208,8 @@ func AppendixTPFigures(cfg ThroughputConfig, batches []int) []Figure {
 		for _, tp := range []int{1, 2, 4} {
 			for _, m := range group {
 				est := cfg.est(engine.LMDeploy, m, tp)
-				s := Series{Label: fmt.Sprintf("%s-TP%d", compress.MustGet(m).Alias, tp)}
-				for _, b := range batches {
-					s.X = append(s.X, float64(b))
-					s.Y = append(s.Y, est.DecodeThroughput(b, 1024))
-				}
-				f.Series = append(f.Series, s)
+				label := fmt.Sprintf("%s-TP%d", compress.MustGet(m).Alias, tp)
+				f.Series = append(f.Series, sweep(label, batches, func(b int) float64 { return est.DecodeThroughput(b, 1024) }))
 			}
 		}
 		figs = append(figs, f)

@@ -15,9 +15,6 @@ import (
 	"rethinkkv/internal/workload"
 )
 
-// toolMethods is the method set of Tables 6 and 8.
-var toolMethods = []string{"fp16", "kivi-4", "gear-4", "h2o-512", "stream-512"}
-
 func toolEst(method string) *perf.Estimator {
 	return perf.MustNew(gpu.A6000, model.LLaMA2_7B, engine.LMDeploy, compress.MustGet(method), 1)
 }
@@ -34,7 +31,7 @@ func Table6Predictors(seed uint64) Table {
 		Columns: []string{"FP16", "KIVI", "GEAR", "H2O", "Stream"},
 	}
 	var thrRow, lenRow []string
-	for mi, name := range toolMethods {
+	for mi, name := range paperMethods {
 		m := compress.MustGet(name)
 		tp := predictor.TrainThroughput(toolEst(name), predictor.DefaultGrid(), seed+2+uint64(mi)*101)
 		pts := predictor.TestPoints()
@@ -66,55 +63,45 @@ func Table8Router(n int, rps float64, seed uint64) (Table, error) {
 		Title:   fmt.Sprintf("Table 8: average E2E latency (s), %d reqs @ %.0f rps, 4 GPUs", n, rps),
 		Columns: []string{"FP16", "KIVI", "GEAR", "H2O", "Stream"},
 	}
-	rows := map[string][]string{"Baseline": nil, "w/ Throughput": nil, "w/ Length": nil, "w/ Both": nil}
-
-	for _, name := range toolMethods {
-		// Batch cap 64 matches continuous-batching engines; smaller caps
-		// saturate four A6000s at the paper's 10 rps arrival rate.
-		uniform := &serving.Cluster{BatchCap: 64, LM: lm, Seed: seed}
-		for i := 0; i < 4; i++ {
-			uniform.GPUs = append(uniform.GPUs, serving.GPUConfig{ID: i, Est: toolEst(name)})
-		}
-		if name == "fp16" {
-			// Paper reports only the baseline for FP16.
-			out, err := uniform.Run(reqs, router.Baseline{})
-			if err != nil {
-				return Table{}, err
-			}
-			rows["Baseline"] = append(rows["Baseline"], fmt.Sprintf("%.1f", serving.MeanE2E(out)))
-			for _, l := range []string{"w/ Throughput", "w/ Length", "w/ Both"} {
-				rows[l] = append(rows[l], "-")
-			}
-			continue
-		}
-		mixed := &serving.Cluster{BatchCap: 64, LM: lm, Seed: seed}
-		mixed.GPUs = append(mixed.GPUs, serving.GPUConfig{ID: 0, Est: toolEst("fp16")})
-		for i := 1; i < 4; i++ {
-			mixed.GPUs = append(mixed.GPUs, serving.GPUConfig{ID: i, Est: toolEst(name)})
-		}
-		// Predictor suite for this method + the FP16 GPU.
-		preds := router.Train(train, lm, []*perf.Estimator{toolEst("fp16"), toolEst(name)}, seed, seed)
-
-		runs := []struct {
-			label   string
-			cluster *serving.Cluster
-			r       serving.Router
-		}{
-			{"Baseline", uniform, router.Baseline{}},
-			{"w/ Throughput", mixed, router.WithThroughput{P: preds}},
-			{"w/ Length", mixed, router.WithLength{P: preds}},
-			{"w/ Both", mixed, router.WithBoth{P: preds}},
-		}
-		for _, pr := range runs {
-			out, err := pr.cluster.Run(reqs, pr.r)
-			if err != nil {
-				return Table{}, err
-			}
-			rows[pr.label] = append(rows[pr.label], fmt.Sprintf("%.1f", serving.MeanE2E(out)))
-		}
-	}
 	for _, label := range []string{"Baseline", "w/ Throughput", "w/ Length", "w/ Both"} {
-		t.Rows = append(t.Rows, TableRow{Label: label, Cells: rows[label]})
+		t.Rows = append(t.Rows, TableRow{Label: label})
+	}
+	for _, name := range paperMethods {
+		clusters := []*serving.Cluster{fourGPUs(lm, seed, name, name)}
+		routers := []serving.Router{router.Baseline{}}
+		if name != "fp16" { // the paper reports only the baseline for FP16
+			// Predictor suite for this method + the FP16 GPU.
+			preds := router.Train(train, lm, []*perf.Estimator{toolEst("fp16"), toolEst(name)}, seed, seed)
+			mixed := fourGPUs(lm, seed, "fp16", name)
+			clusters = append(clusters, mixed, mixed, mixed)
+			routers = append(routers, router.WithThroughput{P: preds}, router.WithLength{P: preds}, router.WithBoth{P: preds})
+		}
+		for i := range t.Rows {
+			cell := "-"
+			if i < len(routers) {
+				out, err := clusters[i].Run(reqs, routers[i])
+				if err != nil {
+					return Table{}, err
+				}
+				cell = fmt.Sprintf("%.1f", serving.MeanE2E(out))
+			}
+			t.Rows[i].Cells = append(t.Rows[i].Cells, cell)
+		}
 	}
 	return t, nil
+}
+
+// fourGPUs is Table 8's simulated cluster: GPU 0 runs method first, GPUs 1-3
+// run rest. Batch cap 64 matches continuous-batching engines; smaller caps
+// saturate four A6000s at the paper's 10 rps arrival rate.
+func fourGPUs(lm gen.LengthModel, seed uint64, first, rest string) *serving.Cluster {
+	c := &serving.Cluster{BatchCap: 64, LM: lm, Seed: seed}
+	for i := 0; i < 4; i++ {
+		m := rest
+		if i == 0 {
+			m = first
+		}
+		c.GPUs = append(c.GPUs, serving.GPUConfig{ID: i, Est: toolEst(m)})
+	}
+	return c
 }

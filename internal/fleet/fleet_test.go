@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"rethinkkv/internal/core"
+	"rethinkkv/internal/kvcache"
 	"rethinkkv/internal/model"
 	"rethinkkv/internal/router"
 	"rethinkkv/internal/sched"
@@ -33,13 +34,10 @@ func testPrompts() [][]int {
 // reproduce bit-identically.
 func sequentialReference(t *testing.T, prompts [][]int, maxNew int) [][]int {
 	t.Helper()
-	p, err := core.NewPipeline("fp16", seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := model.New(model.Tiny(), seed)
 	out := make([][]int, len(prompts))
 	for i, prompt := range prompts {
-		s, err := p.NewSession(prompt)
+		s, err := core.NewSession(m, kvcache.NewFull(m.CacheShape()), prompt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,13 +280,10 @@ func TestMidPrefillMigrationBitIdentical(t *testing.T) {
 	prompts := [][]int{short, long}
 	maxNews := []int{10, 4}
 
-	pipe, err := core.NewPipeline("fp16", seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := model.New(model.Tiny(), seed)
 	want := make([][]int, len(prompts))
 	for i, prompt := range prompts {
-		s, err := pipe.NewSession(prompt)
+		s, err := core.NewSession(m, kvcache.NewFull(m.CacheShape()), prompt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -479,13 +474,10 @@ func TestPackedMidPrefillMigrationBitIdentical(t *testing.T) {
 	prompts := [][]int{short, long1, long2}
 	maxNews := []int{6, 4, 4}
 
-	pipe, err := core.NewPipeline("fp16", seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := model.New(model.Tiny(), seed)
 	want := make([][]int, len(prompts))
 	for i, prompt := range prompts {
-		s, err := pipe.NewSession(prompt)
+		s, err := core.NewSession(m, kvcache.NewFull(m.CacheShape()), prompt)
 		if err != nil {
 			t.Fatal(err)
 		}

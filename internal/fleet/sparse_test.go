@@ -19,8 +19,7 @@ func fleetSparseReference(t *testing.T, prompts [][]int, maxNew, topK, pageToken
 	m := model.New(model.Tiny(), seed)
 	out := make([][]int, len(prompts))
 	for i, prompt := range prompts {
-		cache := kvcache.NewPagedKVQuant(m.CacheShape(), pageTokens, 0, 0)
-		cache.EnableKeySummaries()
+		cache := kvcache.NewPagePool(m.CacheShape(), pageTokens, 0, 0, true).NewCache()
 		s, err := core.NewSession(m, cache, prompt) // topK is 0 here: prefill stays dense
 		if err != nil {
 			t.Fatal(err)

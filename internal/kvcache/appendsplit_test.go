@@ -150,10 +150,7 @@ func checkAppendSplitInvariant(t testing.TB, seed int64, shape Shape, pageTokens
 		if bits < 0 {
 			return NewFull(shape)
 		}
-		c := NewPagedKVQuant(shape, pageTokens, 0, bits)
-		if summaries {
-			c.EnableKeySummaries()
-		}
+		c := NewPagePool(shape, pageTokens, 0, bits, summaries).NewCache()
 		return c
 	}
 	r := rand.New(rand.NewSource(seed))

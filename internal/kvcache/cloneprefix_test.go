@@ -8,10 +8,7 @@ import (
 // cloneCache builds an empty cache of the given code width, with or without
 // key summaries.
 func cloneCache(pageTokens, bits int, summaries bool) *PagedKV {
-	c := NewPagedKVQuant(qShape(), pageTokens, 0, bits)
-	if summaries {
-		c.EnableKeySummaries()
-	}
+	c := NewPagePool(qShape(), pageTokens, 0, bits, summaries).NewCache()
 	return c
 }
 

@@ -126,10 +126,7 @@ func checkPagePoolAliasing(t testing.TB, seed int64, pageTokens, budget, bits in
 		}
 	}
 	cold := func(k, v []float32) *PagedKV {
-		c := NewPagedKVQuant(shape, pt, 0, bits)
-		if summaries {
-			c.EnableKeySummaries()
-		}
+		c := NewPagePool(shape, pt, 0, bits, summaries).NewCache()
 		appendAll(c, k, v)
 		return c
 	}

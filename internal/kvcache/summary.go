@@ -22,23 +22,9 @@ package kvcache
 // KVHeads*HeadDim): mins occupy [0, stride), maxes [stride, 2*stride), each
 // indexed like a token's flat K vector (head h, channel c at h*HeadDim+c).
 // A summary is part of its page, so it clones with it: sealed pages share
-// theirs by reference, a copied head folds its own.
-
-// EnableKeySummaries turns on per-page key min/max maintenance. It must be
-// called on an empty cache whose pool has handed out no page: summaries are
-// folded in at append time, and a cache that already holds tokens has lost
-// the information. Summaries are part of the page format, so the setting is
-// the pool's: clones made with ClonePrefix inherit it (and the summaries),
-// and a pool made with summaries on needs no call at all.
-func (c *PagedKV) EnableKeySummaries() {
-	if c.summaries {
-		return
-	}
-	if c.appended != 0 || c.pool.out != 0 || len(c.pool.free) != 0 {
-		panic("kvcache: EnableKeySummaries on a non-empty cache")
-	}
-	c.pool.summaries, c.summaries = true, true
-}
+// theirs by reference, a copied head folds its own. Summaries are the page
+// format's, so the switch is the pool's: a cache folds them when its pool was
+// made with NewPagePool's summaries flag on.
 
 // KeySummary implements Paged: page p's summary, aligned with Rows' page
 // index; nil when summaries are off. The slice aliases cache-owned storage

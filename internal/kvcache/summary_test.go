@@ -20,9 +20,7 @@ func summFill(shape Shape, n int, seed int64) (k, v []float32) {
 
 // summCache builds an empty summaries-enabled cache at the given width.
 func summCache(shape Shape, pageTokens, bits int) *PagedKV {
-	c := NewPagedKVQuant(shape, pageTokens, 0, bits)
-	c.EnableKeySummaries()
-	return c
+	return NewPagePool(shape, pageTokens, 0, bits, true).NewCache()
 }
 
 // summariesOf lists one layer's key summaries, aligned with its pages (nil
@@ -224,26 +222,18 @@ func TestKeySummariesAppendFormsAgree(t *testing.T) {
 	}
 }
 
-// EnableKeySummaries is an at-construction switch: enabling after tokens
-// landed must panic (the fold cannot be reconstructed), and a summaries-off
-// cache hands out none.
+// Summaries are the pool's setting, fixed when the pool is made: a cache of a
+// summaries-off pool hands out none, one of a summaries-on pool one per page.
 func TestKeySummariesEnableContractAndBytes(t *testing.T) {
 	shape := qShape()
-	c := NewPagedKV(shape, 4)
 	k, v := summFill(shape, 1, 1)
-	for l := 0; l < shape.Layers; l++ {
-		c.AppendFlatN(l, 1, k, v)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("EnableKeySummaries on a non-empty cache did not panic")
-			}
-		}()
-		c.EnableKeySummaries()
-	}()
-
-	if c.KeySummary(0, 0) != nil {
-		t.Fatal("summaries-off cache returned non-nil summaries")
+	for _, on := range []bool{false, true} {
+		c := NewPagePool(shape, 4, 0, 0, on).NewCache()
+		for l := 0; l < shape.Layers; l++ {
+			c.AppendFlatN(l, 1, k, v)
+		}
+		if got := c.KeySummary(0, 0) != nil; got != on {
+			t.Fatalf("pool summaries %v: cache hands out a summary: %v", on, got)
+		}
 	}
 }

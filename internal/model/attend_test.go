@@ -88,8 +88,7 @@ func TestBlockWalkMatchesSeqArm(t *testing.T) {
 func TestBlockWalkAllocs(t *testing.T) {
 	m := New(Tiny(), 1)
 	defer m.SetSparseTopK(0)
-	cache := kvcache.NewPagedKVQuant(m.CacheShape(), 16, 0, 8)
-	cache.EnableKeySummaries()
+	cache := kvcache.NewPagePool(m.CacheShape(), 16, 0, 8, true).NewCache()
 	prompt := make([]int, 200)
 	for i := range prompt {
 		prompt[i] = i % Tiny().Vocab

@@ -69,8 +69,7 @@ func offlineSelect(q []float32, pageKeys [][][]float32, topK int) []int32 {
 // holding n pseudo-random tokens.
 func selectCache(n, pageTokens, bits int, seed int64) *kvcache.PagedKV {
 	shape := kvcache.Shape{Layers: 1, KVHeads: 2, HeadDim: 16}
-	c := kvcache.NewPagedKVQuant(shape, pageTokens, 0, bits)
-	c.EnableKeySummaries()
+	c := kvcache.NewPagePool(shape, pageTokens, 0, bits, true).NewCache()
 	stride := shape.KVHeads * shape.HeadDim
 	r := rand.New(rand.NewSource(seed))
 	k := make([]float32, stride)
@@ -262,8 +261,7 @@ func TestLiveSelectionMatchesOfflineQuest(t *testing.T) {
 func TestSparseSelectionFindsConcentratedMass(t *testing.T) {
 	const n, pageTokens = 64, 16
 	shape := kvcache.Shape{Layers: 1, KVHeads: 1, HeadDim: 8}
-	c := kvcache.NewPagedKV(shape, pageTokens)
-	c.EnableKeySummaries()
+	c := kvcache.NewPagePool(shape, pageTokens, 0, 0, true).NewCache()
 	d := shape.HeadDim
 	q := make([]float32, d)
 	q[0] = 8

@@ -12,9 +12,7 @@ import (
 // at the given code width (0 = fp32).
 func sparseCacheMaker(m *Model, pageTokens, bits int) func() *kvcache.PagedKV {
 	return func() *kvcache.PagedKV {
-		c := kvcache.NewPagedKVQuant(m.CacheShape(), pageTokens, 0, bits)
-		c.EnableKeySummaries()
-		return c
+		return kvcache.NewPagePool(m.CacheShape(), pageTokens, 0, bits, true).NewCache()
 	}
 }
 

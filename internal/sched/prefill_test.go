@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"rethinkkv/internal/core"
+	"rethinkkv/internal/kvcache"
 	"rethinkkv/internal/model"
 )
 
@@ -152,14 +153,11 @@ func TestPreemptionMidPrefillRecomputes(t *testing.T) {
 	prompts := [][]int{short, long}
 
 	// Sequential references at each request's own cap.
-	p, err := core.NewPipeline("fp16", seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := model.New(model.Tiny(), seed)
 	want := make([][]int, len(prompts))
 	maxNews := []int{10, 4}
 	for i, prompt := range prompts {
-		s, err := p.NewSession(prompt)
+		s, err := core.NewSession(m, kvcache.NewFull(m.CacheShape()), prompt)
 		if err != nil {
 			t.Fatal(err)
 		}

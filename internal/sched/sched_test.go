@@ -28,13 +28,10 @@ func testPrompts() [][]int {
 // plain pipeline — the ground truth continuous batching must reproduce.
 func sequentialReference(t *testing.T, prompts [][]int, maxNew int) [][]int {
 	t.Helper()
-	p, err := core.NewPipeline("fp16", seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := model.New(model.Tiny(), seed)
 	out := make([][]int, len(prompts))
 	for i, prompt := range prompts {
-		s, err := p.NewSession(prompt)
+		s, err := core.NewSession(m, kvcache.NewFull(m.CacheShape()), prompt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,8 +20,7 @@ func sparseReference(t *testing.T, prompts [][]int, maxNew, topK, pageTokens, bi
 	m := model.New(model.Tiny(), seed)
 	out := make([][]int, len(prompts))
 	for i, prompt := range prompts {
-		cache := kvcache.NewPagedKVQuant(m.CacheShape(), pageTokens, 0, bits)
-		cache.EnableKeySummaries()
+		cache := kvcache.NewPagePool(m.CacheShape(), pageTokens, 0, bits, true).NewCache()
 		s, err := core.NewSession(m, cache, prompt) // topK is 0 here: prefill stays dense
 		if err != nil {
 			t.Fatal(err)

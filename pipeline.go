@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 
+	"rethinkkv/internal/compress"
 	"rethinkkv/internal/core"
+	"rethinkkv/internal/model"
 	"rethinkkv/internal/sched"
 )
 
@@ -22,8 +24,9 @@ type Token = sched.Token
 // GenerateBatch call executes on a fresh method cache and a workspace of its
 // own over the shared, immutable model.
 type Pipeline struct {
-	cfg  config
-	core *core.Pipeline
+	cfg    config
+	model  *model.Model
+	method compress.Method
 }
 
 // New builds a generation pipeline. Options: WithMethod, WithSeed,
@@ -33,18 +36,15 @@ func New(opts ...Option) (*Pipeline, error) {
 	if cfg.maxNew <= 0 {
 		return nil, fmt.Errorf("%w: max new tokens must be positive, got %d", ErrInvalidOption, cfg.maxNew)
 	}
-	if _, err := resolveMethod(cfg.method); err != nil {
+	method, err := resolveMethod(cfg.method)
+	if err != nil {
 		return nil, err
 	}
-	cp, err := core.NewPipeline(cfg.method, cfg.seed)
-	if err != nil {
-		return nil, fmt.Errorf("rethinkkv: %w", err)
-	}
-	return &Pipeline{cfg: cfg, core: cp}, nil
+	return &Pipeline{cfg: cfg, model: model.New(model.Tiny(), cfg.seed), method: method}, nil
 }
 
 // Method returns the pipeline's compression method name.
-func (p *Pipeline) Method() string { return p.core.Method.Name }
+func (p *Pipeline) Method() string { return p.method.Name }
 
 // Generate prefills the prompt and streams up to WithMaxNewTokens greedily
 // decoded tokens. The channel closes when generation completes or ctx is
@@ -92,11 +92,23 @@ func (p *Pipeline) GenerateBatch(ctx context.Context, prompts [][]int) ([][]int,
 			return nil, nil, fmt.Errorf("%w (prompt %d)", err, i)
 		}
 	}
-	sessions, err := p.core.NewSessions(ctx, prompts)
-	if err != nil {
-		return nil, nil, fmt.Errorf("rethinkkv: %w", err)
+	// Prefill one prompt at a time, checking ctx between prompts so a
+	// cancelled batch does not pay the remaining prefill cost.
+	sessions := make([]*core.Session, len(prompts))
+	for i, prompt := range prompts {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, fmt.Errorf("rethinkkv: %w", err)
+		}
+		s, err := p.session(prompt)
+		if err != nil {
+			return nil, nil, err
+		}
+		sessions[i] = s
 	}
 	outs, reports := core.DecodeSessions(ctx, sessions, p.cfg.maxNew)
+	for i := range reports {
+		reports[i].Method = p.method.Name
+	}
 	if err := ctx.Err(); err != nil {
 		return outs, reports, fmt.Errorf("rethinkkv: %w", err)
 	}
@@ -111,12 +123,14 @@ func (p *Pipeline) Run(prompt []int, maxNew int) ([]int, Report, error) {
 		return nil, Report{}, err
 	}
 	out := s.Decode(maxNew)
-	return out, s.Report(), nil
+	rep := s.Report()
+	rep.Method = p.method.Name
+	return out, rep, nil
 }
 
 // Vocab returns the tiny model's vocabulary size — the exclusive upper
 // bound on prompt token ids.
-func (p *Pipeline) Vocab() int { return p.core.Model.Config().Vocab }
+func (p *Pipeline) Vocab() int { return p.model.Config().Vocab }
 
 // validatePrompt checks a prompt against the shared facade contract: it
 // must be non-empty and every token must be inside the model vocabulary.
@@ -133,12 +147,13 @@ func validatePrompt(prompt []int, vocab int) error {
 	return nil
 }
 
-// session starts one generation pass.
+// session starts one generation pass: the prompt prefilled on a fresh cache of
+// the pipeline's method.
 func (p *Pipeline) session(prompt []int) (*core.Session, error) {
 	if err := validatePrompt(prompt, p.Vocab()); err != nil {
 		return nil, err
 	}
-	s, err := p.core.NewSession(prompt)
+	s, err := core.NewSession(p.model, p.method.NewCache(p.model.CacheShape()), prompt)
 	if err != nil {
 		return nil, fmt.Errorf("rethinkkv: %w", err)
 	}
